@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke figures examples clean
+.PHONY: install test bench bench-smoke bench-e2e figures examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -32,6 +32,11 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_autopilot.py --check
 	$(PYTHON) benchmarks/bench_net_throughput.py --check
 	$(PYTHON) benchmarks/bench_overload.py --check
+
+# Smoke run of the end-to-end page-fetch benchmark BENCHMARK.json
+# declares (~30 s, nothing enforced; see benchmarks/e2e/README.md).
+bench-e2e:
+	python3 benchmarks/e2e/run.py --quick
 
 # Regenerate every paper figure as printed tables.
 figures:

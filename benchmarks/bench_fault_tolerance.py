@@ -45,7 +45,7 @@ JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_fault.json"
 
 NUM_SERVERS = 3
 NUM_KEYS = 48
-SCALAR_REQUESTS = 72
+SINGLE_REQUESTS = 72  # fetch calls (pages of one key)
 BATCH_REQUESTS = 4  # fetch_many calls of BATCH_SIZE keys each
 BATCH_SIZE = 12
 BLOOM = optimal_config(2000)
@@ -101,7 +101,7 @@ async def _run_scenario(name: str) -> Dict[str, object]:
             elif name == "slow_server":
                 proxies[0].set_plan(FaultPlan.slow(0.05))
 
-            for i in range(SCALAR_REQUESTS):
+            for i in range(SINGLE_REQUESTS):
                 key = keys[i % NUM_KEYS]
                 start = time.perf_counter()
                 result = await frontend.fetch(key)
@@ -178,7 +178,7 @@ def write_report(report: Dict[str, Dict[str, object]], rounds: int) -> None:
         "rounds": rounds,
         "num_servers": NUM_SERVERS,
         "num_keys": NUM_KEYS,
-        "requests_per_round": SCALAR_REQUESTS + BATCH_REQUESTS * BATCH_SIZE,
+        "requests_per_round": SINGLE_REQUESTS + BATCH_REQUESTS * BATCH_SIZE,
         "policy": "ResiliencePolicy.aggressive(op_timeout=0.2)",
         "scenarios": report,
     }

@@ -1,6 +1,6 @@
-"""Microbenchmark — batched multi-key retrieval vs a loop of single fetches.
+"""Microbenchmark — one K-key page vs a loop of K single-key pages.
 
-Not a paper figure; it quantifies what the batch planner
+Not a paper figure; it quantifies what grouping in the planner
 (:meth:`~repro.core.retrieval.RetrievalEngine.retrieve_many`) buys: a
 logical page of K keys costs at most one multiget round trip per probed
 server instead of K round trips.  Measured on both substrates — the
@@ -69,8 +69,9 @@ def run_sim(size: int, use_batch: bool):
             results = web.fetch_many(keys, clock)
             done = max(r.completed for r in results.values())
         else:
-            # A loop of fetches is sequential: each starts when the
-            # previous one completed (one blocked servlet thread).
+            # A loop of fetches is K single-key pages, one after the
+            # other: each starts when the previous one completed (one
+            # blocked servlet thread).
             done = clock
             for key in keys:
                 done = web.fetch(key, done).completed
@@ -106,8 +107,8 @@ def run_live(size: int, use_batch: bool):
 
             return wrapped
 
-        web._get = count(web._get)
-        web._set = count(web._set)
+        # Every cache RPC is a get_multi / set_multi (a single fetch is a
+        # page of one key).
         web._get_multi = count(web._get_multi)
         web._set_multi = count(web._set_multi)
         try:

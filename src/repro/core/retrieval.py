@@ -7,23 +7,31 @@ how each step is performed: the simulator charges latency-model samples
 against a virtual clock, the live tier awaits memcached round trips over
 TCP.  This module owns the decisions; drivers own the I/O.
 
-:class:`RetrievalEngine.retrieve` is a generator that *yields commands* —
-:class:`ProbeCache`, :class:`CheckDigest`, :class:`ReadDatabase`,
-:class:`WriteBack`, :class:`WaitForLeader` — and receives each command's
-result via ``send``.  A driver is a small loop::
+:meth:`RetrievalEngine.retrieve_many` is the one planner: a generator that
+runs Algorithm 2 for a whole key set (a single fetch is a batch of one) and
+*yields rounds of commands* — tuples of :class:`ProbeCacheMulti`,
+:class:`CheckDigestMulti`, :class:`WaitForLeader`, :class:`ReadDatabase`,
+:class:`WriteBackMulti` with no mutual dependencies — receiving a tuple of
+answers aligned by index via ``send``.  A driver is a small loop::
 
-    steps = engine.retrieve(key, epochs)
-    result = None
+    steps = engine.retrieve_many(keys, epochs, now=now)
+    answers = None
     try:
         while True:
-            command = steps.send(result)
-            result = ...  # perform the I/O the command names
+            round_ = steps.send(answers)
+            answers = tuple(...)  # perform the I/O each command names
     except StopIteration as stop:
-        outcome = stop.value  # RetrievalOutcome
+        outcomes = stop.value  # {key: RetrievalOutcome}
+
+Probes and write-backs are grouped by owning server per routing epoch, so
+N keys cost one multiget round trip per touched server instead of one per
+key; a live driver executes each round concurrently (``asyncio.gather``
+over per-server ``get_multi`` calls) while a simulated driver charges one
+latency sample per server touched.
 
 Because both the simulated web tier (:class:`repro.web.frontend.WebServer`)
 and the asyncio tier (:class:`repro.net.webtier.AsyncProteusFrontend`)
-drive this one engine, the branch structure of Algorithm 2 — and therefore
+drive this one planner, the branch structure of Algorithm 2 — and therefore
 the :class:`FetchPath` accounting — cannot drift between them.  The same
 holds for the Section III-E replica-failover read path, encoded by
 :class:`ReplicatedRetrievalEngine`.
@@ -33,19 +41,6 @@ simulator reads them from :meth:`repro.cache.cluster.CacheCluster.\
 routing_epochs`, the live tier from its own
 :class:`~repro.core.transition.TransitionManager` — so the engine never
 needs to know where transition state lives.
-
-**Batched retrieval.**  :meth:`RetrievalEngine.retrieve_many` is the batch
-planner: it runs Algorithm 2 for a whole key set at once, grouping probes
-and write-backs by owning server per routing epoch so a driver can cover N
-keys with one multiget round trip per touched server instead of one round
-trip per key.  The batch protocol yields *rounds* — tuples of commands
-with no mutual dependencies — and receives a tuple of answers aligned by
-index, so a live driver may execute each round concurrently
-(``asyncio.gather`` over per-server ``get_multi`` calls) while a simulated
-driver charges one latency sample per server touched.  Per-item semantics
-are untouched: for any key set and transition state the outcome map and
-the :class:`FetchStats` counts are identical to N sequential
-:meth:`RetrievalEngine.retrieve` runs.
 """
 
 from __future__ import annotations
@@ -54,27 +49,21 @@ import enum
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    ClassVar,
     Dict,
     FrozenSet,
     Generator,
     Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
-from repro.bloom.hashing import KeyHashes, digest_bases_many
 from repro.core.hotkey import HotKeyArmor
 from repro.core.transition import RoutingEpochs
 
 __all__ = [
-    "BatchCommand",
-    "CheckDigest",
     "CheckDigestMulti",
     "Command",
     "CommandRound",
@@ -83,19 +72,16 @@ __all__ = [
     "FetchResult",
     "FetchStats",
     "LeaderWindowRegistry",
-    "ProbeCache",
     "ProbeCacheMulti",
     "ReadDatabase",
     "ReplicatedOutcome",
     "ReplicatedRetrievalEngine",
     "RetrievalConfig",
-    "RetrievalConfigMixin",
     "RetrievalEngine",
     "RetrievalOutcome",
     "SERVER_UNAVAILABLE",
     "SKIPPED",
     "WaitForLeader",
-    "WriteBack",
     "WriteBackMulti",
 ]
 
@@ -214,9 +200,9 @@ class FetchStats:
 class RetrievalConfig:
     """Engine-level retrieval options, shared by every driver.
 
-    One instance lives on the engine; drivers re-export it via
-    :class:`RetrievalConfigMixin` instead of copying property/setter
-    plumbing, so a new option lands in every substrate at once.
+    One instance lives on the engine and every driver exposes the same
+    live object as ``driver.config``, so a new option lands in every
+    substrate at once.
     """
 
     #: dog-pile protection — while a DB fetch for a key is in flight, later
@@ -234,7 +220,7 @@ class RetrievalConfig:
     #: digest-style TTL-bounded staleness.  Off by default: the paper's
     #: Algorithm 2 runs without it; the armor is the DistCache-inspired
     #: extension for Zipf head keys.  Takes effect only when the driver
-    #: passes its clock (``now=``) to ``retrieve``/``retrieve_many``.
+    #: passes its clock (``now=``) to ``retrieve_many``.
     hot_key_cache: bool = False
     #: entries the frontend-local hot-key cache holds (the Zipf *head*).
     hot_key_capacity: int = 64
@@ -256,190 +242,7 @@ class RetrievalConfig:
     load_halflife: float = 1.0
 
 
-class RetrievalConfigMixin:
-    """Facade over the engine's :class:`RetrievalConfig` for drivers.
-
-    Any driver holding its engine at ``self.engine`` inherits the shared
-    config surface — ``config``, ``coalesce_misses``, ``max_multiget_keys``
-    — without re-implementing the properties per substrate.
-    """
-
-    engine: Any
-
-    @property
-    def config(self) -> RetrievalConfig:
-        """The engine's retrieval options (shared, live object)."""
-        return self.engine.config
-
-    @property
-    def coalesce_misses(self) -> bool:
-        return self.engine.config.coalesce_misses
-
-    @coalesce_misses.setter
-    def coalesce_misses(self, enabled: bool) -> None:
-        self.engine.config.coalesce_misses = enabled
-
-    @property
-    def max_multiget_keys(self) -> int:
-        return self.engine.config.max_multiget_keys
-
-    @max_multiget_keys.setter
-    def max_multiget_keys(self, limit: int) -> None:
-        self.engine.config.max_multiget_keys = limit
-
-    @property
-    def hot_key_cache(self) -> bool:
-        return self.engine.config.hot_key_cache
-
-    @hot_key_cache.setter
-    def hot_key_cache(self, enabled: bool) -> None:
-        self.engine.config.hot_key_cache = enabled
-
-    @property
-    def d_choices(self) -> int:
-        return self.engine.config.d_choices
-
-    @d_choices.setter
-    def d_choices(self, choices: int) -> None:
-        self.engine.config.d_choices = choices
-
-
 # ------------------------------------------------------------------ commands
-
-
-@runtime_checkable
-class BatchCommand(Protocol):
-    """The one shape every batched engine command presents to a driver.
-
-    The scalar/batch command pairs (:class:`ProbeCache` /
-    :class:`ProbeCacheMulti`, :class:`CheckDigest` /
-    :class:`CheckDigestMulti`, :class:`WriteBack` / :class:`WriteBackMulti`)
-    share a vocabulary: every command names its ``server`` and its
-    ``reply_with`` contract, and the batch variants carry the grouped
-    ``keys``.  A driver's batched executor therefore dispatches on
-    ``reply_with`` for the whole trio instead of growing a per-class
-    ``isinstance`` ladder:
-
-    ========== ===================== =====================================
-    reply_with command               driver answer
-    ========== ===================== =====================================
-    values     ProbeCacheMulti       dict of key -> value for the hits
-    membership CheckDigestMulti      sequence of bools aligned with keys
-    ack        WriteBackMulti        ignored
-    ========== ===================== =====================================
-
-    Any of the three may instead be answered :data:`SERVER_UNAVAILABLE`
-    (the whole group degrades) and the probes also accept :data:`SKIPPED`.
-    ``isinstance(command, BatchCommand)`` is a runtime check for the batch
-    trio — the scalar halves carry ``server``/``reply_with`` but not
-    ``keys``, so they do not match.
-    """
-
-    reply_with: ClassVar[str]
-
-    @property
-    def server(self) -> int: ...
-
-    @property
-    def keys(self) -> Tuple[str, ...]: ...
-
-
-@dataclass(frozen=True)
-class ProbeCache:
-    """``get`` the key from cache server *server_id*.
-
-    Driver answer: the value, ``None`` on a miss, or :data:`SKIPPED` when
-    the server is not serving requests (replicated reads only — the
-    unreplicated path never probes a dead server).
-    """
-
-    server_id: int
-
-    #: see :class:`BatchCommand` (the scalar half of the values pair)
-    reply_with: ClassVar[str] = "values"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
-
-@dataclass(frozen=True)
-class CheckDigest:
-    """Consult the broadcast digest of old owner *server_id* for the key.
-
-    Driver answer: ``bool`` — membership according to the digest, ``False``
-    when no digest was broadcast for that server (the safe fallback: skip
-    the old owner, go to the database).
-
-    In single-key retrievals the driver knows the key from its own call
-    context and ``key`` stays ``None``; batched retrievals carry the key
-    explicitly because one round interleaves many keys.
-
-    ``hashes`` (when set) is the key's memoized
-    :class:`~repro.bloom.hashing.KeyHashes`; drivers forward it to
-    :meth:`~repro.core.transition.Transition.digest_hit` so the digest
-    probes reuse the double-hash pair instead of rehashing the key.  It is
-    excluded from equality so command traces compare on the decision alone.
-    """
-
-    server_id: int
-    key: Optional[str] = None
-    hashes: Optional[KeyHashes] = field(compare=False, repr=False, default=None)
-
-    #: see :class:`BatchCommand` (the scalar half of the membership pair)
-    reply_with: ClassVar[str] = "membership"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
-
-@dataclass(frozen=True)
-class WaitForLeader:
-    """If another request's DB fetch for this key is in flight, wait for it.
-
-    Driver answer: ``True`` when a leader existed and the wait completed
-    (the engine then re-probes the new owner), ``False`` when there was no
-    leader or its window already closed (the engine reads the DB itself).
-
-    ``key`` is set only on the batched path (see :class:`CheckDigest`).
-    """
-
-    key: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ReadDatabase:
-    """Read the key from the authoritative store (never misses).
-
-    Driver answer: the value.  When ``announce_leader`` is set the driver
-    must also publish this request as the key's in-flight leader so that
-    concurrent misses can coalesce behind it (see :class:`WaitForLeader`).
-
-    ``key`` is set only on the batched path (see :class:`CheckDigest`).
-    """
-
-    announce_leader: bool = False
-    key: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class WriteBack:
-    """Install *value* at cache server *server_id* (Alg. 2 line 12).
-
-    Driver answer: ignored.  Replicated drivers silently skip write-backs
-    to servers that are not serving requests.
-    """
-
-    server_id: int
-    value: Any
-
-    #: see :class:`BatchCommand` (the scalar half of the ack pair)
-    reply_with: ClassVar[str] = "ack"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
 
 
 @dataclass(frozen=True)
@@ -455,89 +258,83 @@ class ProbeCacheMulti:
     server_id: int
     keys: Tuple[str, ...]
 
-    #: see :class:`BatchCommand`
-    reply_with: ClassVar[str] = "values"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
 
 @dataclass(frozen=True)
 class CheckDigestMulti:
-    """Consult old owner *server_id*'s digest for every key — one grouped
-    probe per ceding server instead of one scalar consult per key.
+    """Consult old owner *server_id*'s broadcast digest for every key — one
+    grouped, local consult per ceding server (never a wire round trip).
 
-    Driver answer: a sequence of bools aligned with ``keys`` — element
-    ``i`` must equal the answer a scalar :class:`CheckDigest` for
-    ``keys[i]`` would get (:meth:`~repro.core.transition.Transition.\
-digest_hit_many` guarantees bit-identity) — or
-    :data:`SERVER_UNAVAILABLE` when the server's digest state cannot be
-    consulted at all, which degrades the whole group to the database.
-
-    ``hashes`` (when set) is aligned with ``keys`` and carries each key's
-    memoized double-hash pair, exactly like the scalar command; excluded
-    from equality so command traces compare on the decision alone.
+    Driver answer: a sequence of bools aligned with ``keys`` — membership
+    according to the digest, all ``False`` when no digest was broadcast for
+    that server (the safe fallback: skip the old owner, go to the database)
+    — or :data:`SERVER_UNAVAILABLE` when the server's digest state cannot
+    be consulted at all, which degrades the whole group to the database.
     """
 
     server_id: int
     keys: Tuple[str, ...]
-    hashes: Tuple[KeyHashes, ...] = field(compare=False, repr=False, default=())
 
-    #: see :class:`BatchCommand`
-    reply_with: ClassVar[str] = "membership"
 
-    @property
-    def server(self) -> int:
-        return self.server_id
+@dataclass(frozen=True)
+class WaitForLeader:
+    """If another request's DB fetch for *key* is in flight, wait for it.
+
+    Driver answer: ``True`` when a leader existed and the wait completed
+    (the engine then re-probes the new owner), ``False`` when there was no
+    leader or its window already closed (the engine reads the DB itself).
+    """
+
+    key: str
+
+
+@dataclass(frozen=True)
+class ReadDatabase:
+    """Read *key* from the authoritative store (never misses).
+
+    Driver answer: the value.  When ``announce_leader`` is set the driver
+    must also publish this request as the key's in-flight leader so that
+    concurrent misses can coalesce behind it (see :class:`WaitForLeader`).
+    """
+
+    key: str
+    announce_leader: bool = False
 
 
 @dataclass(frozen=True)
 class WriteBackMulti:
-    """Install every ``(key, value)`` pair at server *server_id* — one
-    pipelined round trip.
+    """Install every ``(key, value)`` pair at server *server_id* (Alg. 2
+    line 12) — one pipelined round trip.
 
-    Driver answer: ignored.  Replicated drivers silently skip write-backs
-    to servers that are not serving requests.
+    Driver answer: ignored, or :data:`SERVER_UNAVAILABLE`.  Replicated
+    drivers silently skip write-backs to servers that are not serving
+    requests.
     """
 
     server_id: int
     items: Tuple[Tuple[str, Any], ...]
 
-    #: see :class:`BatchCommand`
-    reply_with: ClassVar[str] = "ack"
-
-    @property
-    def server(self) -> int:
-        return self.server_id
-
     @property
     def keys(self) -> Tuple[str, ...]:
-        """The grouped keys (derived from ``items``; the batch contract)."""
+        """The grouped keys (derived from ``items``)."""
         return tuple(key for key, _ in self.items)
 
 
 Command = Union[
-    ProbeCache,
-    CheckDigest,
-    WaitForLeader,
-    ReadDatabase,
-    WriteBack,
-    ProbeCacheMulti,
-    CheckDigestMulti,
+    ProbeCacheMulti, CheckDigestMulti, WaitForLeader, ReadDatabase,
     WriteBackMulti,
 ]
 
-#: One step of the batched protocol: commands with no mutual dependencies,
-#: answered by a tuple of results aligned by index.  Drivers may execute a
-#: round's commands concurrently.
+#: One step of the protocol: commands with no mutual dependencies, answered
+#: by a tuple of results aligned by index.  Drivers may execute a round's
+#: commands concurrently.
 CommandRound = Tuple[Command, ...]
+
 
 class _DriverSignal:
     """An identity sentinel a driver may answer a command with.
 
-    Falsy on purpose: a :class:`CheckDigest` answered with a signal must
-    not read as a digest hit in any driver that forgets to special-case it.
+    Falsy on purpose: a digest consult answered with a signal must not
+    read as a digest hit in any driver that forgets to special-case it.
     """
 
     __slots__ = ("_name",)
@@ -552,14 +349,13 @@ class _DriverSignal:
         return False
 
 
-#: Driver answer to :class:`ProbeCache` / :class:`ProbeCacheMulti` meaning
-#: "server not serving; probe did not happen" — distinct from ``None`` (a
-#: real miss).
+#: Driver answer to :class:`ProbeCacheMulti` meaning "server not serving;
+#: probe did not happen" — distinct from an empty dict (every key missed).
 SKIPPED = _DriverSignal("SKIPPED")
 
-#: Driver answer to :class:`ProbeCache` / :class:`ProbeCacheMulti` /
-#: :class:`CheckDigest` / :class:`WriteBack` / :class:`WriteBackMulti`
-#: meaning "the server could not be reached (dead, hung, or open-circuit)".
+#: Driver answer to :class:`ProbeCacheMulti` / :class:`CheckDigestMulti` /
+#: :class:`WriteBackMulti` meaning "the server could not be reached (dead,
+#: hung, or open-circuit)".
 #: The engine *degrades* instead of failing: a skipped probe is a forced
 #: miss, an unanswerable digest consult skips the old owner, and a failed
 #: write-back is recorded but never fails the fetch — the request still
@@ -567,13 +363,51 @@ SKIPPED = _DriverSignal("SKIPPED")
 SERVER_UNAVAILABLE = _DriverSignal("SERVER_UNAVAILABLE")
 
 
-def _chunked(items: Sequence, size: int) -> Iterable[tuple]:
-    """Split *items* into tuples of at most *size* (``size <= 0``: one)."""
-    if size <= 0:
-        yield tuple(items)
-        return
-    for start in range(0, len(items), size):
-        yield tuple(items[start:start + size])
+def _per_server(
+    command, placed: Sequence[Tuple[int, Any]], limit: int
+) -> CommandRound:
+    """One round of *command*: ``(server_id, item)`` pairs grouped into one
+    command per server (ascending), groups longer than *limit* split the
+    way memcached clients chunk oversized multigets (``<= 0``: never)."""
+    if len(placed) == 1:  # a batch of one: nothing to group, sort, or split
+        ((server_id, item),) = placed
+        return (command(server_id, (item,)),)
+    grouped: Dict[int, list] = {}
+    for server_id, item in placed:
+        if server_id in grouped:
+            grouped[server_id].append(item)
+        else:
+            grouped[server_id] = [item]
+    round_ = []
+    for server_id in sorted(grouped):
+        group = grouped[server_id]
+        if 0 < limit < len(group):
+            round_ += [
+                command(server_id, tuple(group[start:start + limit]))
+                for start in range(0, len(group), limit)
+            ]
+        else:
+            round_.append(command(server_id, tuple(group)))
+    return tuple(round_)
+
+
+def _merge_hits(
+    probes: CommandRound,
+    answers: Sequence[Any],
+    events: Dict[str, List[str]],
+    fault: str,
+) -> Dict[str, Any]:
+    """The values that hit in one probe round.  Every key of a probe
+    answered :data:`SERVER_UNAVAILABLE` (no probe happened; the key
+    degrades) gets *fault* appended to its *events*."""
+    hits: Dict[str, Any] = {}
+    for probe, answer in zip(probes, answers):
+        if answer is SERVER_UNAVAILABLE:
+            for key in probe.keys:
+                events.setdefault(key, []).append(fault)
+        elif answer is not SKIPPED and answer:
+            hits.update(answer)
+    return hits
 
 
 # ------------------------------------------------------------------ outcomes
@@ -681,27 +515,19 @@ class RetrievalEngine:
     Args:
         router: the deterministic routing strategy shared by every web
             server (the consistency objective: same router, same decisions).
-        coalesce_misses: shorthand for
-            ``RetrievalConfig(coalesce_misses=...)`` (see
-            :class:`RetrievalConfig`); ignored when *config* is given.
         stats: per-path counters; a fresh :class:`FetchStats` by default.
-        config: the engine options object; drivers re-export it via
-            :class:`RetrievalConfigMixin`.
+        config: the engine options (:class:`RetrievalConfig` defaults when
+            omitted); drivers expose the same object as ``driver.config``.
     """
 
     def __init__(
         self,
         router,
-        coalesce_misses: bool = False,
         stats: Optional[FetchStats] = None,
         config: Optional[RetrievalConfig] = None,
     ) -> None:
         self.router = router
-        self.config = (
-            config
-            if config is not None
-            else RetrievalConfig(coalesce_misses=coalesce_misses)
-        )
+        self.config = config if config is not None else RetrievalConfig()
         self.stats = stats if stats is not None else FetchStats()
         self._armor: Optional[HotKeyArmor] = None
         #: DB-path admission controller (duck-typed:
@@ -715,14 +541,6 @@ class RetrievalEngine:
         self.admission = None
 
     @property
-    def coalesce_misses(self) -> bool:
-        return self.config.coalesce_misses
-
-    @coalesce_misses.setter
-    def coalesce_misses(self, enabled: bool) -> None:
-        self.config.coalesce_misses = enabled
-
-    @property
     def armor(self) -> HotKeyArmor:
         """The hot-key armor bundle (built lazily from the config knobs).
 
@@ -733,138 +551,28 @@ class RetrievalEngine:
             self._armor = _armor_from_config(self.config)
         return self._armor
 
-    def retrieve(
-        self, key: str, epochs: RoutingEpochs, now: Optional[float] = None
-    ) -> Generator[Command, Any, RetrievalOutcome]:
-        """Yield the I/O commands that retrieve *key* under *epochs*.
-
-        The data path (paper Algorithm 2):
-
-        1. probe the *new* mapping's owner; return on hit.
-        2. On a miss *during a transition*, check the *old* owner's
-           broadcast digest.  On a digest hit, probe the old server (the
-           key is "hot" there); a miss here is a digest false positive.
-        3. Still nothing: wait behind an in-flight leader if coalescing,
-           else read the database.
-        4. Write the value into the new owner and return it.
-
-        Property 1 (Section IV-A): only the *first* request for a hot key
-        touches the old server; the write-back in step 4 makes every
-        subsequent request a step-1 hit.  Property 2: after TTL seconds
-        every hot key has migrated, so the old server can power off.
-
-        The key is hashed at most once per base: one
-        :class:`~repro.bloom.hashing.KeyHashes` carries the ring hash to
-        both epochs' routing lookups and the double-hash pair to the digest
-        check.  Decisions are bit-identical to routing/probing per step.
-
-        **Degraded mode.**  Any probe, digest consult, or write-back may be
-        answered with :data:`SERVER_UNAVAILABLE`; the engine serves around
-        the fault instead of raising — a skipped probe is a forced miss, an
-        unknown digest skips the old owner, a failed write-back never fails
-        the fetch — and a request the database served *because of* a fault
-        records :attr:`FetchPath.DEGRADED_DB` (plus per-event counters in
-        :class:`FetchStats`), never a plain miss.
-
-        **Hot-key armor.**  With ``config.hot_key_cache`` enabled and the
-        driver's clock passed as *now*, every access feeds the top-k
-        election sketch, and a sketch-elected key with a fresh local copy
-        is served without yielding a single command
-        (:attr:`FetchPath.HIT_LOCAL`); values fetched for hot keys are
-        admitted to the local cache at the same moment Algorithm 2 writes
-        them back, so local staleness is TTL-bounded the way transition
-        staleness is.  Without *now* the armor is inert (back-compat).
-        """
-        hashes = KeyHashes(key)
-        if now is not None and self.config.hot_key_cache:
-            local = self.armor.lookup(key, now)
-            if local is not None:
-                new_id = self.router.route_hashed(hashes, epochs.new)
-                return self._finish(
-                    key, local, FetchPath.HIT_LOCAL, new_id, None
-                )
-        new_id = self.router.route_hashed(hashes, epochs.new)
-        events: List[str] = []
-        forced_db = False
-        answer = yield ProbeCache(new_id)
-        if answer is SERVER_UNAVAILABLE:
-            events.append("probe_new")
-            forced_db = True
-            answer = None
-        if answer is not None:
-            return self._finish(
-                key, answer, FetchPath.HIT_NEW, new_id, None, now=now
-            )
-
-        old_id: Optional[int] = None
-        path = FetchPath.MISS_DB
-        if epochs.in_transition:
-            old_id = self.router.route_hashed(hashes, epochs.old)
-            if old_id != new_id:
-                digest_hit = yield CheckDigest(old_id, hashes=hashes)
-                if digest_hit is SERVER_UNAVAILABLE:
-                    # Digest unknown (broadcast failed): forced miss — the
-                    # safe fallback is the database, never a stale guess.
-                    events.append("digest")
-                    forced_db = True
-                elif digest_hit:
-                    answer = yield ProbeCache(old_id)
-                    if answer is SERVER_UNAVAILABLE:
-                        # Dead old owner: the hot copy is unreachable, fall
-                        # through to the authoritative store.
-                        events.append("probe_old")
-                        forced_db = True
-                    elif answer is not None:
-                        if (yield WriteBack(new_id, answer)) is SERVER_UNAVAILABLE:
-                            events.append("writeback")
-                        return self._finish(
-                            key, answer, FetchPath.HIT_OLD, new_id, old_id,
-                            events, now=now,
-                        )
-                    else:
-                        path = FetchPath.FALSE_POSITIVE_DB
-
-        if self.coalesce_misses and (yield WaitForLeader()):
-            # The leader's write-back has installed the value at the new
-            # owner: one more cache probe instead of a DB read.  No
-            # write-back of our own — rewriting would push the item's
-            # creation time past later coalescing followers.
-            answer = yield ProbeCache(new_id)
-            if answer is SERVER_UNAVAILABLE:
-                events.append("probe_new")
-                forced_db = True
-            elif answer is not None:
-                return self._finish(
-                    key, answer, FetchPath.COALESCED, new_id, old_id, events,
-                    now=now,
-                )
-
-        if (
-            self.admission is not None
-            and now is not None
-            and not self.admission.admit_db(now)
-        ):
-            # Overload: the sheddable tier.  No DB read, no write-back,
-            # no leader announcement — the caller gets value ``None``.
-            return self._finish(
-                key, None, FetchPath.SHED, new_id, old_id, events, now=now
-            )
-        value = yield ReadDatabase(announce_leader=self.coalesce_misses)
-        if (yield WriteBack(new_id, value)) is SERVER_UNAVAILABLE:
-            events.append("writeback")
-        if forced_db:
-            path = FetchPath.DEGRADED_DB
-        return self._finish(key, value, path, new_id, old_id, events, now=now)
-
-    # ------------------------------------------------------------ batching
-
     def retrieve_many(
         self,
         keys: Iterable[str],
         epochs: RoutingEpochs,
         now: Optional[float] = None,
     ) -> Generator[CommandRound, Any, Dict[str, RetrievalOutcome]]:
-        """The batch planner: Algorithm 2 over a whole key set at once.
+        """The planner: Algorithm 2 over a whole key set (or one key).
+
+        The data path, per key (paper Algorithm 2):
+
+        1. probe the *new* mapping's owner; done on a hit.
+        2. On a miss *during a transition*, check the *old* owner's
+           broadcast digest.  On a digest hit, probe the old server (the
+           key is "hot" there); a miss here is a digest false positive.
+        3. Still nothing: wait behind an in-flight leader if coalescing,
+           else read the database.
+        4. Write the value into the new owner.
+
+        Property 1 (Section IV-A): only the *first* request for a hot key
+        touches the old server; the write-back in step 4 makes every
+        subsequent request a step-1 hit.  Property 2: after TTL seconds
+        every hot key has migrated, so the old server can power off.
 
         Yields *rounds* — tuples of commands with no mutual dependencies —
         and expects a tuple of answers aligned by index; a driver may
@@ -879,159 +587,147 @@ class RetrievalEngine:
         Algorithm 2 demands.
 
         Returns a map from key to :class:`RetrievalOutcome`.  Duplicate
-        keys collapse (the map has one entry per distinct key); for
-        distinct keys the outcomes, values, and :class:`FetchStats` counts
-        are identical to running :meth:`retrieve` once per key.  Hot-key
-        armor applies per key as in :meth:`retrieve`: locally served keys
-        never enter the probe rounds at all.
+        keys collapse (the map has one entry per distinct key); a batch of
+        N keys yields the outcomes, values, and :class:`FetchStats` counts
+        of N batches of one.
+
+        **Degraded mode.**  Any probe, digest consult, or write-back may be
+        answered with :data:`SERVER_UNAVAILABLE`; the engine serves around
+        the fault instead of raising — a skipped probe is a forced miss, an
+        unknown digest skips the old owner, a failed write-back never fails
+        the fetch — and a request the database served *because of* a fault
+        records :attr:`FetchPath.DEGRADED_DB` (plus per-event counters in
+        :class:`FetchStats`), never a plain miss.
+
+        **Hot-key armor.**  With ``config.hot_key_cache`` enabled and the
+        driver's clock passed as *now*, every access feeds the top-k
+        election sketch, and a sketch-elected key with a fresh local copy
+        never enters the probe rounds at all
+        (:attr:`FetchPath.HIT_LOCAL`); values fetched for hot keys are
+        admitted to the local cache at the same moment Algorithm 2 writes
+        them back, so local staleness is TTL-bounded the way transition
+        staleness is.  Without *now* the armor is inert (back-compat).
         """
-        ordered = list(dict.fromkeys(keys))
+        pending = list(dict.fromkeys(keys))
         outcomes: Dict[str, RetrievalOutcome] = {}
-        if not ordered:
+        if not pending:
             return outcomes
-        new_owner = dict(zip(ordered, self.router.route_many(ordered, epochs.new)))
+        new_owner = dict(
+            zip(pending, self.router.route_many(pending, epochs.new))
+        )
         if now is not None and self.config.hot_key_cache:
             armor = self.armor
             remaining = []
-            for key in ordered:
+            for key in pending:
                 local = armor.lookup(key, now)
                 if local is not None:
                     outcomes[key] = self._finish(
-                        key, local, FetchPath.HIT_LOCAL, new_owner[key], None
+                        key, local, FetchPath.HIT_LOCAL, new_owner[key]
                     )
                 else:
                     remaining.append(key)
-            ordered = remaining
-            if not ordered:
+            pending = remaining
+            if not pending:
                 return outcomes
-        #: key -> degraded event labels accumulated on the way (parity with
-        #: the scalar path's per-request ``events`` list)
+        #: key -> the faults served around on its way; any entry *forces*
+        #: the key's database read (if it comes to one) to DEGRADED_DB
         events: Dict[str, List[str]] = {}
-        #: keys whose database read (if any) was *forced* by a fault
-        forced: set = set()
 
         # Phase 1 — Alg. 2 line 3, batched: probe every new owner once.
-        hits, down = yield from self._probe_many(ordered, new_owner)
-        for key in down:
-            events.setdefault(key, []).append("probe_new")
-            forced.add(key)
-        pending: List[str] = []
-        for key in ordered:
+        probes = self._probes(pending, new_owner)
+        hits = _merge_hits(probes, (yield probes), events, "probe_new")
+        remaining = []
+        for key in pending:
             value = hits.get(key)
             if value is not None:
                 outcomes[key] = self._finish(
-                    key, value, FetchPath.HIT_NEW, new_owner[key], None,
-                    now=now,
+                    key, value, FetchPath.HIT_NEW, new_owner[key], now=now
                 )
             else:
-                pending.append(key)
+                remaining.append(key)
+        pending = remaining
+        if not pending:
+            return outcomes
 
-        old_owner: Dict[str, Optional[int]] = {key: None for key in pending}
-        fallback = {key: FetchPath.MISS_DB for key in pending}
-        write_backs: List[Tuple[int, str, Any]] = []
+        old_owner: Dict[str, int] = {}
+        #: digest said yes, the (reachable) old owner said no
+        false_positives: set = set()
+        #: (new owner, (key, value)) pairs Alg. 2 line 12 will install
+        write_backs: List[Tuple[int, Tuple[str, Any]]] = []
 
         # Phase 2 — digest checks (local, no round trip) for keys whose
         # owner moved, then one batched probe per old owner for digest hits.
-        if epochs.in_transition and pending:
-            moved = []
-            for key, old_id in zip(
-                pending, self.router.route_many(pending, epochs.old)
-            ):
-                old_owner[key] = old_id
-                if old_id != new_owner[key]:
-                    moved.append(key)
-            digest_hits = set()
+        if epochs.in_transition:
+            old_owner = dict(
+                zip(pending, self.router.route_many(pending, epochs.old))
+            )
+            moved = [key for key in pending if old_owner[key] != new_owner[key]]
+            digest_hits: List[str] = []
             if moved:
-                # One vectorized double-hash pass covers every digest check
-                # in the round; the per-key KeyHashes carries the pair so
-                # the old-owner probe (and any driver-side re-check) reuses
-                # it instead of rehashing.
-                h1s, h2s = digest_bases_many(moved)
-                hashes_of = {
-                    key: KeyHashes(key, digest_bases=(int(h1), int(h2)))
-                    for key, h1, h2 in zip(moved, h1s, h2s)
-                }
-                grouped_digest: Dict[int, List[str]] = {}
-                for key in moved:
-                    grouped_digest.setdefault(old_owner[key], []).append(key)
                 # Deliberately never chunked: a digest consult is a bit
                 # test against an already-broadcast snapshot, not a
                 # bounded multiget — the whole batch costs exactly one
                 # CheckDigestMulti per ceding old owner.
-                commands = tuple(
-                    CheckDigestMulti(
-                        server_id,
-                        tuple(group),
-                        tuple(hashes_of[key] for key in group),
-                    )
-                    for server_id, group in sorted(grouped_digest.items())
+                consults = _per_server(
+                    CheckDigestMulti,
+                    [(old_owner[key], key) for key in moved],
+                    0,
                 )
-                answers = yield commands
-                for command, answer in zip(commands, answers):
+                answers = yield consults
+                for consult, answer in zip(consults, answers):
                     if answer is SERVER_UNAVAILABLE:
-                        # Digest unknown: forced miss, straight to the DB
-                        # for the whole group.
-                        for key in command.keys:
+                        # Digest unknown (broadcast failed): forced miss —
+                        # the safe fallback is the database for the whole
+                        # group, never a stale guess.
+                        for key in consult.keys:
                             events.setdefault(key, []).append("digest")
-                            forced.add(key)
-                        continue
-                    for key, hit in zip(command.keys, answer):
-                        if hit:
-                            digest_hits.add(key)
-            if digest_hits:
-                old_values, old_down = yield from self._probe_many(
-                    [key for key in pending if key in digest_hits], old_owner
-                )
-                remaining = []
-                for key in pending:
-                    value = old_values.get(key)
-                    if value is not None:
-                        write_backs.append((new_owner[key], key, value))
-                        outcomes[key] = self._finish(
-                            key, value, FetchPath.HIT_OLD,
-                            new_owner[key], old_owner[key],
-                            events.get(key, ()), now=now,
-                        )
                     else:
-                        if key in old_down:
-                            # Dead old owner: degraded DB fallback, not a
-                            # false positive — no probe ever happened.
-                            events.setdefault(key, []).append("probe_old")
-                            forced.add(key)
-                        elif key in digest_hits:
-                            fallback[key] = FetchPath.FALSE_POSITIVE_DB
-                        remaining.append(key)
-                pending = remaining
+                        digest_hits += [
+                            key for key, hit in zip(consult.keys, answer) if hit
+                        ]
+            if digest_hits:
+                probes = self._probes(digest_hits, old_owner)
+                hits = _merge_hits(probes, (yield probes), events, "probe_old")
+                for key in digest_hits:
+                    value = hits.get(key)
+                    if value is not None:
+                        write_backs.append((new_owner[key], (key, value)))
+                        outcomes[key] = self._finish(
+                            key, value, FetchPath.HIT_OLD, new_owner[key],
+                            old_owner[key], events.get(key, ()), now,
+                        )
+                    elif key not in events:
+                        # (A dead old owner is no false positive: no probe
+                        # ever happened, and it recorded "probe_old".)
+                        false_positives.add(key)
+                pending = [key for key in pending if key not in outcomes]
 
         # Phase 3 — coalescing: wait behind in-flight leaders, then re-probe
-        # the new owners of the keys whose leader completed (batched).
+        # the new owners of the keys whose leader completed (batched).  The
+        # leader's write-back has installed the value there: one more cache
+        # probe instead of a DB read, and no write-back of our own —
+        # rewriting would push the item's creation time past later
+        # coalescing followers.
         if self.config.coalesce_misses and pending:
-            answers = yield tuple(WaitForLeader(key=key) for key in pending)
+            answers = yield tuple(WaitForLeader(key) for key in pending)
             waited = [key for key, ok in zip(pending, answers) if ok]
             if waited:
-                installed, wait_down = yield from self._probe_many(
-                    waited, new_owner
-                )
-                for key in wait_down:
-                    events.setdefault(key, []).append("probe_new")
-                    forced.add(key)
-                remaining = []
-                for key in pending:
-                    value = installed.get(key)
+                probes = self._probes(waited, new_owner)
+                hits = _merge_hits(probes, (yield probes), events, "probe_new")
+                for key in waited:
+                    value = hits.get(key)
                     if value is not None:
                         outcomes[key] = self._finish(
-                            key, value, FetchPath.COALESCED,
-                            new_owner[key], old_owner[key],
-                            events.get(key, ()), now=now,
+                            key, value, FetchPath.COALESCED, new_owner[key],
+                            old_owner.get(key), events.get(key, ()), now,
                         )
-                    else:
-                        remaining.append(key)
-                pending = remaining
+                pending = [key for key in pending if key not in outcomes]
 
         # Phase 4 — per-key database reads (the DB never batches misses
         # away; each distinct key costs one authoritative read).  Each
         # read is individually admission-checked: a batch straddling the
-        # overload threshold sheds only its excess keys.
+        # overload threshold sheds only its excess keys — no DB read, no
+        # write-back, no leader announcement, value ``None``.
         if pending and self.admission is not None and now is not None:
             admitted: List[str] = []
             for key in pending:
@@ -1039,38 +735,31 @@ class RetrievalEngine:
                     admitted.append(key)
                 else:
                     outcomes[key] = self._finish(
-                        key, None, FetchPath.SHED,
-                        new_owner[key], old_owner[key],
-                        events.get(key, ()), now=now,
+                        key, None, FetchPath.SHED, new_owner[key],
+                        old_owner.get(key), events.get(key, ()), now,
                     )
             pending = admitted
         if pending:
-            values = yield tuple(
-                ReadDatabase(
-                    announce_leader=self.config.coalesce_misses, key=key
-                )
-                for key in pending
-            )
+            announce = self.config.coalesce_misses
+            values = yield tuple(ReadDatabase(key, announce) for key in pending)
             for key, value in zip(pending, values):
-                write_backs.append((new_owner[key], key, value))
-                path = (
-                    FetchPath.DEGRADED_DB if key in forced else fallback[key]
-                )
+                write_backs.append((new_owner[key], (key, value)))
+                if key in events:
+                    path = FetchPath.DEGRADED_DB
+                elif key in false_positives:
+                    path = FetchPath.FALSE_POSITIVE_DB
+                else:
+                    path = FetchPath.MISS_DB
                 outcomes[key] = self._finish(
-                    key, value, path, new_owner[key], old_owner[key],
-                    events.get(key, ()), now=now,
+                    key, value, path, new_owner[key], old_owner.get(key),
+                    events.get(key, ()), now,
                 )
 
         # Phase 5 — write-backs, grouped into one pipelined command per
         # new owner (Alg. 2 line 12, amortized).
         if write_backs:
-            grouped: Dict[int, List[Tuple[str, Any]]] = {}
-            for server_id, key, value in write_backs:
-                grouped.setdefault(server_id, []).append((key, value))
-            commands = tuple(
-                WriteBackMulti(server_id, chunk)
-                for server_id, items in sorted(grouped.items())
-                for chunk in _chunked(items, self.config.max_multiget_keys)
+            commands = _per_server(
+                WriteBackMulti, write_backs, self.config.max_multiget_keys
             )
             answers = yield commands
             for command, answer in zip(commands, answers):
@@ -1079,36 +768,18 @@ class RetrievalEngine:
                     # the next fetch of these keys just misses again.
                     for key, _ in command.items:
                         self.stats.record_degraded("writeback")
-                        outcome = outcomes.get(key)
-                        if outcome is not None:
-                            outcome.degraded = True
+                        outcomes[key].degraded = True
         return outcomes
 
-    def _probe_many(
-        self, keys: Sequence[str], owner_of: Dict[str, Any]
-    ) -> Generator[CommandRound, Any, Tuple[Dict[str, Any], set]]:
-        """One round of per-server multiget probes.
-
-        Returns ``(hits, unavailable_keys)``: the values that hit, plus
-        every key whose probe was answered :data:`SERVER_UNAVAILABLE` (no
-        probe happened; the caller degrades those keys)."""
-        grouped: Dict[int, List[str]] = {}
-        for key in keys:
-            grouped.setdefault(owner_of[key], []).append(key)
-        commands = tuple(
-            ProbeCacheMulti(server_id, chunk)
-            for server_id, group in sorted(grouped.items())
-            for chunk in _chunked(group, self.config.max_multiget_keys)
+    def _probes(
+        self, keys: Sequence[str], owner_of: Dict[str, int]
+    ) -> CommandRound:
+        """One round of per-server multiget probes of *keys*."""
+        return _per_server(
+            ProbeCacheMulti,
+            [(owner_of[key], key) for key in keys],
+            self.config.max_multiget_keys,
         )
-        answers = yield commands
-        hits: Dict[str, Any] = {}
-        unavailable: set = set()
-        for command, answer in zip(commands, answers):
-            if answer is SERVER_UNAVAILABLE:
-                unavailable.update(command.keys)
-            elif answer is not SKIPPED and answer:
-                hits.update(answer)
-        return hits, unavailable
 
     def _finish(
         self,
@@ -1116,7 +787,7 @@ class RetrievalEngine:
         value: Any,
         path: FetchPath,
         new_server: int,
-        old_server: Optional[int],
+        old_server: Optional[int] = None,
         events: Sequence[str] = (),
         now: Optional[float] = None,
     ) -> RetrievalOutcome:
@@ -1125,17 +796,15 @@ class RetrievalEngine:
             self.stats.record_degraded(event)
         if (
             now is not None
+            and self.config.hot_key_cache
             and path is not FetchPath.HIT_LOCAL
             and path is not FetchPath.SHED
-            and self.config.hot_key_cache
         ):
             # Admit hot keys at the same moment Alg. 2 writes back to the
             # new owner: the local copy is never older than the cache copy.
             self.armor.admit(key, value, now)
         return RetrievalOutcome(
-            key=key, value=value, path=path,
-            new_server=new_server, old_server=old_server,
-            degraded=bool(events),
+            key, value, path, new_server, old_server, bool(events)
         )
 
 
@@ -1197,86 +866,6 @@ class ReplicatedRetrievalEngine:
             )
         return self.router.read_plan(key, epochs.new, exclude=failed)
 
-    def retrieve(
-        self,
-        key: str,
-        epochs: RoutingEpochs,
-        failed: FrozenSet[int] = frozenset(),
-        now: Optional[float] = None,
-    ) -> Generator[Command, Any, ReplicatedOutcome]:
-        """Yield the commands that read *key* from the first live replica.
-
-        With hot-key armor enabled (``config.hot_key_cache`` and the
-        driver's clock passed as *now*), a sketch-elected key with a fresh
-        local copy is served without yielding any command, and hot keys'
-        probe order is the load-aware pick of
-        :meth:`~repro.core.replication.ReplicatedProteusRouter.read_plan`.
-        """
-        armored = now is not None and self.config.hot_key_cache
-        hot = False
-        if armored:
-            local = self.armor.lookup(key, now)
-            hot = self.armor.is_hot(key)
-            if local is not None:
-                return ReplicatedOutcome(
-                    key=key, value=local, served_by=None, probes=0,
-                    touched_database=False, failover=False, local=True,
-                )
-        # One pass over the replica rings yields both the surviving probe
-        # order and the ring-0 primary (an empty target list replaces the
-        # read_targets RoutingError: every replica crashed, DB only).
-        plan = self._plan(key, epochs, failed, hot, now)
-        targets, primary = plan.targets, plan.primary
-        value: Any = None
-        served_by: Optional[int] = None
-        probes = 0
-        for target in targets:
-            if armored:
-                # Every arrival charges the load EWMA the d-choices pick
-                # reads — cold-key traffic loads servers too.
-                self.armor.loads.record_request(target, now)
-            result = yield ProbeCache(target)
-            if result is SKIPPED or result is SERVER_UNAVAILABLE:
-                # Not serving / unreachable: no probe happened; the next
-                # replica ring covers, exactly as for a routed-out server.
-                continue
-            probes += 1
-            if result is not None:
-                value = result
-                served_by = target
-                if target != primary:
-                    # The ring-0 owner did not answer (crashed or missed):
-                    # a replica covered for it.
-                    self.failovers += 1
-                break
-        touched_db = value is None
-        if touched_db:
-            if (
-                self.admission is not None
-                and now is not None
-                and not self.admission.admit_db(now)
-            ):
-                # Overload: shed instead of queueing on the database.
-                # No write-backs either — there is no value to install.
-                self.shed_reads += 1
-                return ReplicatedOutcome(
-                    key=key, value=None, served_by=None, probes=probes,
-                    touched_database=False, failover=False, shed=True,
-                )
-            value = yield ReadDatabase()
-            self.database_reads += 1
-        # Repopulate every live replica owner that missed (write-through).
-        for target in targets:
-            if target != served_by:
-                yield WriteBack(target, value)
-        if armored:
-            self.armor.admit(key, value, now)
-        return ReplicatedOutcome(
-            key=key, value=value, served_by=served_by, probes=probes,
-            touched_database=touched_db,
-            failover=served_by is not None and served_by != primary,
-        )
-
     def retrieve_many(
         self,
         keys: Iterable[str],
@@ -1284,13 +873,22 @@ class ReplicatedRetrievalEngine:
         failed: FrozenSet[int] = frozenset(),
         now: Optional[float] = None,
     ) -> Generator[CommandRound, Any, Dict[str, ReplicatedOutcome]]:
-        """Batched replica reads: ring round *r* probes every round-*r*
-        owner with one :class:`ProbeCacheMulti` per server.
+        """Replica reads for a key set (or one key): ring round *r* probes
+        every round-*r* owner with one :class:`ProbeCacheMulti` per server,
+        then one :class:`ReadDatabase` per key no live replica held, then
+        one :class:`WriteBackMulti` per replica owner that missed
+        (write-through, charged as one concurrent round).
 
-        Same round protocol as :meth:`RetrievalEngine.retrieve_many`; the
-        outcome map and the ``failovers`` / ``database_reads`` counters
-        match running :meth:`retrieve` once per distinct key — including
-        the hot-key armor behavior when *now* is passed.
+        Same round protocol as :meth:`RetrievalEngine.retrieve_many`; a
+        batch of N keys yields the outcomes and ``failovers`` /
+        ``database_reads`` counts of N batches of one.
+
+        With hot-key armor enabled (``config.hot_key_cache`` and the
+        driver's clock passed as *now*), a sketch-elected key with a fresh
+        local copy is served without yielding any command, every probe
+        charges the armor's per-server load EWMA, and hot keys' probe order
+        is the load-aware pick of
+        :meth:`~repro.core.replication.ReplicatedProteusRouter.read_plan`.
         """
         ordered = list(dict.fromkeys(keys))
         if not ordered:
@@ -1332,21 +930,20 @@ class ReplicatedRetrievalEngine:
         ring_round = 0
         unresolved = list(ordered)
         while unresolved:
-            grouped: Dict[int, List[str]] = {}
-            for key in unresolved:
-                targets = targets_of[key]
-                if ring_round < len(targets):
-                    grouped.setdefault(targets[ring_round], []).append(key)
-                    if armored:
-                        self.armor.loads.record_request(
-                            targets[ring_round], now
-                        )
-            if not grouped:
+            placed = [
+                (targets_of[key][ring_round], key)
+                for key in unresolved
+                if ring_round < len(targets_of[key])
+            ]
+            if not placed:
                 break
-            commands = tuple(
-                ProbeCacheMulti(server_id, chunk)
-                for server_id, group in sorted(grouped.items())
-                for chunk in _chunked(group, self.config.max_multiget_keys)
+            if armored:
+                # Every arrival charges the load EWMA the d-choices pick
+                # reads — cold-key traffic loads servers too.
+                for target, _ in placed:
+                    self.armor.loads.record_request(target, now)
+            commands = _per_server(
+                ProbeCacheMulti, placed, self.config.max_multiget_keys
             )
             answers = yield commands
             for command, answer in zip(commands, answers):
@@ -1380,7 +977,7 @@ class ReplicatedRetrievalEngine:
             db_keys = admitted
         db_set = frozenset(db_keys)
         if db_keys:
-            values = yield tuple(ReadDatabase(key=key) for key in db_keys)
+            values = yield tuple(ReadDatabase(key) for key in db_keys)
             for key, value in zip(db_keys, values):
                 value_of[key] = value
                 self.database_reads += 1
@@ -1388,20 +985,16 @@ class ReplicatedRetrievalEngine:
         # Repopulate every live replica owner that missed (write-through),
         # one pipelined command per server.  Shed keys have no value to
         # install and are skipped.
-        grouped_wb: Dict[int, List[Tuple[str, Any]]] = {}
-        for key in ordered:
-            if key in shed_keys:
-                continue
-            for target in targets_of[key]:
-                if target != served_by[key]:
-                    grouped_wb.setdefault(target, []).append(
-                        (key, value_of[key])
-                    )
-        if grouped_wb:
-            yield tuple(
-                WriteBackMulti(server_id, chunk)
-                for server_id, items in sorted(grouped_wb.items())
-                for chunk in _chunked(items, self.config.max_multiget_keys)
+        write_through = [
+            (target, (key, value_of[key]))
+            for key in ordered
+            if key not in shed_keys
+            for target in targets_of[key]
+            if target != served_by[key]
+        ]
+        if write_through:
+            yield _per_server(
+                WriteBackMulti, write_through, self.config.max_multiget_keys
             )
         if armored:
             for key in ordered:

@@ -36,6 +36,7 @@ from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
 from repro.bloom.hashing import (
+    SCALAR_BATCH_MAX,
     Key,
     KeyHashes,
     ring_position,
@@ -59,7 +60,6 @@ from repro.core.ring import (
     make_backend,
 )
 from repro.errors import ConfigurationError, RoutingError
-
 
 class Router(ABC):
     """Maps keys to cache-server ids (0-based, in provisioning order)."""
@@ -92,8 +92,10 @@ class Router(ABC):
     def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
         """Route a whole key batch; element ``i`` is ``route(keys[i], n)``.
 
-        Subclasses vectorize this (one hash pass + one ``searchsorted``);
-        the base implementation is the sequential loop.
+        Subclasses vectorize this (one hash pass + one ``searchsorted``)
+        for batches longer than
+        :data:`~repro.bloom.hashing.SCALAR_BATCH_MAX`; the base
+        implementation is the sequential loop.
         """
         return [self.route(key, num_active) for key in keys]
 
@@ -133,6 +135,8 @@ class StaticRouter(Router):
         return hashes.base64 % self.num_servers
 
     def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
+        if len(keys) <= SCALAR_BATCH_MAX:
+            return super().route_many(keys, num_active)
         import numpy as np
 
         return (stable_hash64_many(keys) % np.uint64(self.num_servers)).tolist()
@@ -155,6 +159,8 @@ class NaiveRouter(Router):
         return hashes.base64 % num_active
 
     def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
+        if len(keys) <= SCALAR_BATCH_MAX:
+            return super().route_many(keys, num_active)
         import numpy as np
 
         self._check_active(num_active)
@@ -193,6 +199,11 @@ class RingRouter(Router):
         self._check_active(num_active)
         backend = self.backend
         table = backend.compile(num_active)
+        if len(keys) <= SCALAR_BATCH_MAX:
+            return [
+                table.lookup(ring_position(key, backend.ring_size))
+                for key in keys
+            ]
         return table.lookup_many(
             ring_positions_many(keys, backend.ring_size)
         ).tolist()

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.bloom.bloom import BloomFilter
+from repro.bloom.hashing import SCALAR_BATCH_MAX
 from repro.errors import TransitionError
 
 #: Default drain window.  The paper defines "hot" as touched within the last
@@ -109,7 +110,7 @@ class Transition:
         Element ``i`` equals ``digest_hit(server, keys[i])`` exactly — the
         answer a grouped :class:`~repro.core.retrieval.CheckDigestMulti`
         probe carries is bit-identical to per-key consults.  No digest for
-        *server* means all-False (same safe fallback as the scalar path).
+        *server* means all-False (same safe fallback as :meth:`digest_hit`).
         Pass *hashes* (per-key :class:`~repro.bloom.hashing.KeyHashes`
         aligned with *keys*) to reuse already-computed double-hash pairs.
         """
@@ -117,6 +118,11 @@ class Transition:
         digest = self.digests.get(server)
         if digest is None or not keys:
             return [False] * len(keys)
+        if len(keys) <= SCALAR_BATCH_MAX:
+            return [
+                digest.contains(key, hashes[i] if hashes else None)
+                for i, key in enumerate(keys)
+            ]
         bases = None
         if hashes:
             import numpy as np

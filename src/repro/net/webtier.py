@@ -70,20 +70,17 @@ from typing import (
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import (
-    BatchCommand,
-    CheckDigest,
+    CheckDigestMulti,
     Command,
-    FetchPath,
     FetchResult,
     FetchStats,
-    ProbeCache,
+    ProbeCacheMulti,
     ReadDatabase,
     RetrievalConfig,
-    RetrievalConfigMixin,
     RetrievalEngine,
     SERVER_UNAVAILABLE,
     WaitForLeader,
-    WriteBack,
+    WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
@@ -125,7 +122,7 @@ def _is_timeout(error: BaseException) -> bool:
     return False
 
 
-class AsyncProteusFrontend(RetrievalConfigMixin):
+class AsyncProteusFrontend:
     """Algorithm 2 over TCP memcached endpoints.
 
     Args:
@@ -137,8 +134,8 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
         clock: time source for TTL deadlines (injectable in tests).
         coalesce_misses: dog-pile protection (see
             :class:`~repro.core.retrieval.RetrievalConfig`).
-        config: full engine options (overrides *coalesce_misses*); shared
-            config surface via :class:`RetrievalConfigMixin`.
+        config: full engine options (overrides *coalesce_misses*); the
+            live object stays readable and settable as ``web.config``.
         resilience: retry/breaker/deadline policy for cache RPCs;
             :meth:`ResiliencePolicy.default` when omitted.
         pool_size: pipelined connections per cache server (the paper's
@@ -184,9 +181,12 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
         self.bloom_config = bloom_config
         self.database = database
         self.router = ProteusRouter(len(self.endpoints))
-        self.engine = RetrievalEngine(
-            self.router, coalesce_misses=coalesce_misses, config=config
+        self.config = (
+            config
+            if config is not None
+            else RetrievalConfig(coalesce_misses=coalesce_misses)
         )
+        self.engine = RetrievalEngine(self.router, config=self.config)
         self._clock = clock
         self.pool_size = pool_size
         self.pipeline = pipeline
@@ -343,15 +343,6 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
                 "call connect()"
             )
         return pool
-
-    async def _get(
-        self,
-        server_id: int,
-        key: str,
-        deadline: Optional[Deadline] = None,
-    ) -> Optional[bytes]:
-        async with self._pool(server_id).connection(deadline) as client:
-            return await client.get(key)
 
     async def _set(
         self,
@@ -605,93 +596,15 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
     # ------------------------------------------------------------ Algorithm 2
 
     async def fetch(self, key: str) -> FetchResult:
-        """Retrieve *key*; returns the unified
-        :class:`~repro.core.retrieval.FetchResult` — the same type the
+        """Retrieve *key* — a page of one; returns the unified
+        :class:`~repro.core.retrieval.FetchResult`, the same type the
         simulated tier returns, timed against this frontend's clock.
 
         ``result.path`` is a :class:`~repro.core.retrieval.FetchPath` — a
         ``str`` subclass, so comparisons against the wire labels
         (``"hit_new"``, ...) keep working.
         """
-        started = self._clock()
-        epochs = self._manager.routing_counts(started)
-        deadline = self.resilience.new_deadline(self._clock)
-        steps = self.engine.retrieve(key, epochs, now=started)
-        result = None
-        leader: Optional[asyncio.Future] = None
-        try:
-            while True:
-                command = steps.send(result)
-                if isinstance(command, ProbeCache):
-                    server_id = command.server_id
-                    probe_started = self._clock()
-                    result = await self._cache_rpc(
-                        server_id,
-                        lambda: self._get(server_id, key, deadline),
-                        deadline,
-                    )
-                    if (
-                        self.config.hot_key_cache
-                        and result is not SERVER_UNAVAILABLE
-                    ):
-                        # Feed measured probe latency into the armor's
-                        # per-server load EWMA (the d-choices signal).
-                        self.engine.armor.loads.observe_latency(
-                            server_id, self._clock() - probe_started
-                        )
-                elif isinstance(command, CheckDigest):
-                    transition = epochs.transition
-                    result = transition is not None and transition.digest_hit(
-                        command.server_id, key, command.hashes
-                    )
-                elif isinstance(command, WaitForLeader):
-                    pending = self._inflight.get(key)
-                    if pending is None:
-                        result = False
-                    else:
-                        await asyncio.shield(pending)
-                        result = True
-                elif isinstance(command, ReadDatabase):
-                    if command.announce_leader and key not in self._inflight:
-                        leader = asyncio.get_running_loop().create_future()
-                        self._inflight[key] = leader
-                    try:
-                        result = await self.database(key)
-                    finally:
-                        if self.engine.admission is not None:
-                            # Free the admitted slot even on DB failure.
-                            finished = self._clock()
-                            self.engine.admission.db_finished(
-                                finished, completed=finished
-                            )
-                elif isinstance(command, WriteBack):
-                    server_id = command.server_id
-                    value = command.value
-                    result = await self._cache_rpc(
-                        server_id,
-                        lambda: self._set(server_id, key, value, deadline),
-                        deadline,
-                    )
-                else:  # pragma: no cover - exhaustive over Command
-                    raise ConfigurationError(
-                        f"unknown engine command: {command!r}"
-                    )
-        except StopIteration as stop:
-            outcome = stop.value
-        finally:
-            if leader is not None:
-                # Resolve only after the write-back landed (or the fetch
-                # failed), so followers re-probing the new owner find it.
-                if self._inflight.get(key) is leader:
-                    del self._inflight[key]
-                if not leader.done():
-                    leader.set_result(None)
-        return FetchResult(
-            key=key, value=outcome.value, path=outcome.path,
-            started=started, completed=self._clock(),
-            new_server=outcome.new_server, old_server=outcome.old_server,
-            degraded=outcome.degraded,
-        )
+        return (await self.fetch_many((key,)))[key]
 
     async def fetch_many(self, keys: Iterable[str]) -> Dict[str, FetchResult]:
         """Retrieve a whole key set with at most one ``get_multi`` round
@@ -700,8 +613,6 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
         Drives :meth:`RetrievalEngine.retrieve_many`: each round's commands
         execute concurrently (``asyncio.gather``), so probes of different
         servers overlap the way spymemcached pipelines a page's lookups.
-        Values, paths, and :class:`FetchStats` counts are identical to
-        awaiting :meth:`fetch` once per key.
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
@@ -711,20 +622,19 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
         leaders: Dict[str, asyncio.Future] = {}
         try:
             while True:
-                round_ = steps.send(answers)
                 answers = tuple(
                     await asyncio.gather(
                         *(
-                            self._execute_batched(
-                                command, epochs, leaders, deadline
-                            )
-                            for command in round_
+                            self._execute(command, epochs, leaders, deadline)
+                            for command in steps.send(answers)
                         )
                     )
                 )
         except StopIteration as stop:
             outcomes = stop.value
         finally:
+            # Resolve leaders only after the write-back landed (or the
+            # fetch failed), so followers re-probing the new owner find it.
             for key, leader in leaders.items():
                 if self._inflight.get(key) is leader:
                     del self._inflight[key]
@@ -741,69 +651,68 @@ class AsyncProteusFrontend(RetrievalConfigMixin):
             for key, outcome in outcomes.items()
         }
 
-    async def _execute_batched(
+    async def _execute(
         self,
         command: Command,
         epochs,
         leaders: Dict[str, asyncio.Future],
         deadline: Optional[Deadline] = None,
     ):
-        """Perform one batched-round command (rounds run under gather).
-
-        The batch trio dispatches on the shared :class:`BatchCommand`
-        shape (``reply_with``), not per-class checks.
-        """
-        if isinstance(command, BatchCommand):
-            server_id = command.server
-            if command.reply_with == "membership":
-                # Grouped digest consult: answered locally against the
-                # broadcast snapshot — never a wire round trip.
-                transition = epochs.transition
-                if transition is None:
-                    return [False] * len(command.keys)
-                return transition.digest_hit_many(
-                    server_id, command.keys, command.hashes
-                )
-            if command.reply_with == "values":
-                keys = command.keys
-                return await self._cache_rpc(
-                    server_id,
-                    lambda: self._get_multi(server_id, keys, deadline),
-                    deadline,
-                )
-            # reply_with == "ack": pipelined write-backs
-            items = command.items
+        """Perform one engine command (a round's commands run under
+        ``gather``)."""
+        if isinstance(command, ProbeCacheMulti):
+            server_id, keys = command.server_id, command.keys
             return await self._cache_rpc(
                 server_id,
-                lambda: self._set_multi(server_id, items, deadline),
+                lambda: self._get_multi(server_id, keys, deadline),
                 deadline,
             )
-        if isinstance(command, CheckDigest):
+        if isinstance(command, CheckDigestMulti):
+            # Answered locally against the broadcast snapshot — never a
+            # wire round trip.
             transition = epochs.transition
-            return transition is not None and transition.digest_hit(
-                command.server_id, command.key, command.hashes
-            )
+            if transition is None:
+                return [False] * len(command.keys)
+            return transition.digest_hit_many(command.server_id, command.keys)
         if isinstance(command, WaitForLeader):
             pending = self._inflight.get(command.key)
             if pending is None:
+                # Claim leadership in the same loop step as the check: a
+                # concurrent page must not also find "no leader" before
+                # this one's ReadDatabase round gets to run.
+                self._lead(command.key, leaders)
                 return False
             await asyncio.shield(pending)
             return True
         if isinstance(command, ReadDatabase):
             key = command.key
-            if command.announce_leader and key not in self._inflight:
-                leader = asyncio.get_running_loop().create_future()
-                self._inflight[key] = leader
-                leaders[key] = leader
+            if command.announce_leader:
+                self._lead(key, leaders)
             try:
                 return await self.database(key)
             finally:
                 if self.engine.admission is not None:
+                    # Free the admitted slot even on DB failure.
                     finished = self._clock()
                     self.engine.admission.db_finished(
                         finished, completed=finished
                     )
-        raise ConfigurationError(f"unknown batched command: {command!r}")
+        if isinstance(command, WriteBackMulti):
+            server_id, items = command.server_id, command.items
+            return await self._cache_rpc(
+                server_id,
+                lambda: self._set_multi(server_id, items, deadline),
+                deadline,
+            )
+        raise ConfigurationError(f"unknown engine command: {command!r}")
+
+    def _lead(self, key: str, leaders: Dict[str, asyncio.Future]) -> None:
+        """Publish this page as *key*'s in-flight leader unless one exists
+        (``fetch_many`` resolves ``leaders`` once its write-backs land)."""
+        if key not in self._inflight:
+            leader = asyncio.get_running_loop().create_future()
+            self._inflight[key] = leader
+            leaders[key] = leader
 
     async def put(self, key: str, value: bytes) -> None:
         """Write-through to the authoritative owner under the new mapping."""

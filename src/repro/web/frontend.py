@@ -24,22 +24,19 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.cache.cluster import CacheCluster
 from repro.core.retrieval import (
-    BatchCommand,
-    CheckDigest,
+    CheckDigestMulti,
     Command,
-    CommandRound,
-    FetchPath,
+    FetchPath,  # noqa: F401  (re-exported: ``repro.web.FetchPath``)
     FetchResult,
     FetchStats,
     LeaderWindowRegistry,
-    ProbeCache,
+    ProbeCacheMulti,
     ReadDatabase,
     RetrievalConfig,
-    RetrievalConfigMixin,
     RetrievalEngine,
     SERVER_UNAVAILABLE,
     WaitForLeader,
-    WriteBack,
+    WriteBackMulti,
 )
 from repro.core.transition import RoutingEpochs
 from repro.database.cluster import DatabaseCluster
@@ -53,7 +50,7 @@ DEFAULT_CACHE_OP_LATENCY = 0.001
 DEFAULT_WEB_OVERHEAD = 0.002
 
 
-class WebServer(RetrievalConfigMixin):
+class WebServer:
     """One servlet container driving the shared retrieval engine.
 
     Args:
@@ -67,8 +64,8 @@ class WebServer(RetrievalConfigMixin):
         coalesce_misses: dog-pile protection (see
             :class:`~repro.core.retrieval.RetrievalConfig`); off by default
             as in the paper's evaluation.
-        config: full engine options (overrides *coalesce_misses*); shared
-            config surface via :class:`RetrievalConfigMixin`.
+        config: full engine options (overrides *coalesce_misses*); the
+            live object stays readable and settable as ``web.config``.
         admission: DB-path admission controller (typically a
             :class:`~repro.resilience.admission.VirtualQueueAdmission`);
             ``None`` admits everything.  When set, DB-path work over the
@@ -98,9 +95,12 @@ class WebServer(RetrievalConfigMixin):
         self.cache_latency = cache_latency or Constant(DEFAULT_CACHE_OP_LATENCY)
         self.web_overhead = web_overhead or Constant(DEFAULT_WEB_OVERHEAD)
         self.pools = pools or PoolRegistry()
-        self.engine = RetrievalEngine(
-            cache.router, coalesce_misses=coalesce_misses, config=config
+        self.config = (
+            config
+            if config is not None
+            else RetrievalConfig(coalesce_misses=coalesce_misses)
         )
+        self.engine = RetrievalEngine(cache.router, config=self.config)
         self.engine.admission = admission
         self._rng = random.Random((seed << 16) ^ server_id)
         #: in-flight DB-fetch windows for dog-pile coalescing
@@ -133,28 +133,58 @@ class WebServer(RetrievalConfigMixin):
     # ----------------------------------------------------------- Algorithm 2
 
     def fetch(self, key: str, now: float) -> FetchResult:
-        """Retrieve *key*, migrating it on demand if a transition is live."""
+        """Retrieve *key*, migrating it on demand if a transition is live
+        — a page of one."""
+        return self.fetch_many((key,), now)[key]
+
+    def fetch_many(
+        self, keys: Iterable[str], now: float
+    ) -> Dict[str, FetchResult]:
+        """Retrieve a whole key set through the engine's planner.
+
+        One logical page request: probes and write-backs are grouped per
+        owning server, so the batch charges **one latency sample per server
+        touched per round** instead of one per key — commands within a
+        round model concurrent fan-out (the clock advances by the slowest
+        command of the round, as a real multiget fan-out would).  The batch
+        completes as a unit, so every key shares its completion time;
+        values, paths, and :class:`FetchStats` counts are those of fetching
+        the keys one by one.
+        """
         epochs = self.cache.routing_epochs(now)
         clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve(key, epochs, now=now)
-        result: Any = None
+        steps = self.engine.retrieve_many(keys, epochs, now=now)
+        answers: Any = None
         try:
             while True:
-                command = steps.send(result)
-                result, clock = self._execute(command, key, epochs, clock)
+                results = []
+                done = clock
+                for command in steps.send(answers):
+                    answer, finished = self._execute(command, epochs, clock)
+                    results.append(answer)
+                    if finished > done:
+                        done = finished
+                clock = done
+                answers = tuple(results)
         except StopIteration as stop:
-            outcome = stop.value
-        return FetchResult(
-            key=key, value=outcome.value, path=outcome.path,
-            started=now, completed=clock,
-            new_server=outcome.new_server, old_server=outcome.old_server,
-        )
+            outcomes = stop.value
+        return {
+            key: FetchResult(
+                key=key, value=outcome.value, path=outcome.path,
+                started=now, completed=clock,
+                new_server=outcome.new_server, old_server=outcome.old_server,
+                degraded=outcome.degraded,
+            )
+            for key, outcome in outcomes.items()
+        }
 
     def _execute(
-        self, command: Command, key: str, epochs: RoutingEpochs, clock: float
+        self, command: Command, epochs: RoutingEpochs, clock: float
     ) -> Tuple[Any, float]:
-        """Perform one engine command; returns (answer, advanced clock)."""
-        if isinstance(command, ProbeCache):
+        """Perform one engine command starting at *clock*; returns (answer,
+        completion time).  Commands in a round all start at the round's
+        base clock — they run concurrently."""
+        if isinstance(command, ProbeCacheMulti):
             server = self.cache.server(command.server_id)
             pool = self.pools.pool(f"cache:{command.server_id}")
             clock += pool.acquire()
@@ -165,137 +195,23 @@ class WebServer(RetrievalConfigMixin):
                 # the engine degrades around the dead server.
                 pool.discard()
                 return SERVER_UNAVAILABLE, clock
-            value = server.get(key, clock)
+            hits = {}
+            for key in command.keys:
+                value = server.get(key, clock)
+                if value is not None:
+                    hits[key] = value
             pool.release()
-            return value, clock
-        if isinstance(command, CheckDigest):
+            return hits, clock
+        if isinstance(command, CheckDigestMulti):
+            # Local bit tests against the broadcast snapshot — no round
+            # trip, no clock charge.
             transition = epochs.transition
-            hit = transition is not None and transition.digest_hit(
-                command.server_id, key, command.hashes
+            if transition is None:
+                return [False] * len(command.keys), clock
+            return (
+                transition.digest_hit_many(command.server_id, command.keys),
+                clock,
             )
-            return hit, clock
-        if isinstance(command, WaitForLeader):
-            leader_done = self._leaders.leader_done(key, clock)
-            if leader_done is None:
-                return False, clock
-            return True, leader_done
-        if isinstance(command, ReadDatabase):
-            db_pool = self.pools.pool("database")
-            clock += db_pool.acquire()
-            response = self.database.get(key, clock)
-            db_pool.release()
-            clock = response.completion_time
-            if self.engine.admission is not None:
-                # The admitted read occupies a virtual queue slot until
-                # its completion time — the depth the controller bounds.
-                self.engine.admission.db_finished(clock, completed=clock)
-            if command.announce_leader:
-                # Followers arriving before the write-back lands coalesce.
-                self._leaders.announce(
-                    key, clock + 2 * self.cache_latency.mean, now=clock
-                )
-            return response.value, clock
-        if isinstance(command, WriteBack):
-            clock = self._cache_op(clock)
-            server = self.cache.server(command.server_id)
-            if not server.state.serves_requests:
-                return SERVER_UNAVAILABLE, clock
-            server.set(key, command.value, now=clock)
-            return None, clock
-        raise ConfigurationError(f"unknown engine command: {command!r}")
-
-    # ------------------------------------------------------ batched fetches
-
-    def fetch_many(
-        self, keys: Iterable[str], now: float
-    ) -> Dict[str, FetchResult]:
-        """Retrieve a whole key set through the engine's batch planner.
-
-        One logical page request: probes and write-backs are grouped per
-        owning server, so the batch charges **one latency sample per server
-        touched per round** instead of one per key — commands within a
-        round model concurrent fan-out (the clock advances by the slowest
-        command of the round, as a real multiget fan-out would).  Values,
-        paths, and :class:`FetchStats` counts are identical to looping
-        :meth:`fetch` over the keys; the batch completes as a unit, so
-        every key shares the batch's completion time.
-        """
-        epochs = self.cache.routing_epochs(now)
-        clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve_many(keys, epochs, now=now)
-        answers: Any = None
-        try:
-            while True:
-                round_ = steps.send(answers)
-                results = []
-                done_times = []
-                for command in round_:
-                    answer, done = self._execute_batched(command, epochs, clock)
-                    results.append(answer)
-                    done_times.append(done)
-                if done_times:
-                    clock = max(done_times)
-                answers = tuple(results)
-        except StopIteration as stop:
-            outcomes = stop.value
-        return {
-            key: FetchResult(
-                key=key, value=outcome.value, path=outcome.path,
-                started=now, completed=clock,
-                new_server=outcome.new_server, old_server=outcome.old_server,
-            )
-            for key, outcome in outcomes.items()
-        }
-
-    def _execute_batched(
-        self, command: Command, epochs: RoutingEpochs, clock: float
-    ) -> Tuple[Any, float]:
-        """Perform one batched-round command starting at *clock*; returns
-        (answer, completion time).  Commands in a round all start at the
-        round's base clock — they run concurrently.  The batch trio
-        dispatches on the shared :class:`BatchCommand` shape
-        (``reply_with``), not per-class checks."""
-        if isinstance(command, BatchCommand):
-            if command.reply_with == "membership":
-                # Grouped digest consult: local bit tests against the
-                # broadcast snapshot — no round trip, no clock charge.
-                transition = epochs.transition
-                if transition is None:
-                    return [False] * len(command.keys), clock
-                return (
-                    transition.digest_hit_many(
-                        command.server, command.keys, command.hashes
-                    ),
-                    clock,
-                )
-            server = self.cache.server(command.server)
-            if command.reply_with == "values":
-                pool = self.pools.pool(f"cache:{command.server}")
-                clock += pool.acquire()
-                clock = self._cache_op(clock)
-                if not server.state.serves_requests:
-                    pool.discard()
-                    return SERVER_UNAVAILABLE, clock
-                hits = {}
-                for key in command.keys:
-                    value = server.get(key, clock)
-                    if value is not None:
-                        hits[key] = value
-                pool.release()
-                return hits, clock
-            # reply_with == "ack": pipelined write-backs
-            clock = self._cache_op(clock)
-            if not server.state.serves_requests:
-                return SERVER_UNAVAILABLE, clock
-            for key, value in command.items:
-                server.set(key, value, now=clock)
-            return None, clock
-        if isinstance(command, CheckDigest):
-            transition = epochs.transition
-            hit = transition is not None and transition.digest_hit(
-                command.server_id, command.key, command.hashes
-            )
-            return hit, clock
         if isinstance(command, WaitForLeader):
             leader_done = self._leaders.leader_done(command.key, clock)
             if leader_done is None:
@@ -308,10 +224,21 @@ class WebServer(RetrievalConfigMixin):
             db_pool.release()
             clock = response.completion_time
             if self.engine.admission is not None:
+                # The admitted read occupies a virtual queue slot until
+                # its completion time — the depth the controller bounds.
                 self.engine.admission.db_finished(clock, completed=clock)
             if command.announce_leader:
+                # Followers arriving before the write-back lands coalesce.
                 self._leaders.announce(
                     command.key, clock + 2 * self.cache_latency.mean, now=clock
                 )
             return response.value, clock
-        raise ConfigurationError(f"unknown batched command: {command!r}")
+        if isinstance(command, WriteBackMulti):
+            clock = self._cache_op(clock)
+            server = self.cache.server(command.server_id)
+            if not server.state.serves_requests:
+                return SERVER_UNAVAILABLE, clock
+            for key, value in command.items:
+                server.set(key, value, now=clock)
+            return None, clock
+        raise ConfigurationError(f"unknown engine command: {command!r}")

@@ -31,15 +31,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.cache.cluster import CacheCluster
 from repro.core.replication import ReplicatedProteusRouter
 from repro.core.retrieval import (
-    BatchCommand,
     Command,
-    ProbeCache,
+    ProbeCacheMulti,
     ReadDatabase,
     ReplicatedRetrievalEngine,
     RetrievalConfig,
-    RetrievalConfigMixin,
     SKIPPED,
-    WriteBack,
+    WriteBackMulti,
 )
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
@@ -69,7 +67,7 @@ class ReplicatedFetchResult:
         return self.completed - self.started
 
 
-class ReplicatedWebServer(RetrievalConfigMixin):
+class ReplicatedWebServer:
     """Algorithm-2-style retrieval over ``r`` replica rings with failover."""
 
     def __init__(
@@ -94,6 +92,7 @@ class ReplicatedWebServer(RetrievalConfigMixin):
         self.cache_latency = cache_latency or Constant(DEFAULT_CACHE_OP_LATENCY)
         self.web_overhead = web_overhead or Constant(DEFAULT_WEB_OVERHEAD)
         self.engine = ReplicatedRetrievalEngine(cache.router, config=config)
+        self.config = self.engine.config
         self._rng = random.Random((seed << 12) ^ server_id)
 
     # ------------------------------------------------------------- facade
@@ -114,58 +113,16 @@ class ReplicatedWebServer(RetrievalConfigMixin):
         return list(plan.targets)  # empty when every replica crashed: DB only
 
     def fetch(self, key: str, now: float) -> ReplicatedFetchResult:
-        """Read *key* from the first live replica, else the database."""
-        epochs = self.cache.routing_epochs(now)
-        clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve(
-            key, epochs, failed=self.cache.failed_servers(), now=now
-        )
-        result: Any = None
-        try:
-            while True:
-                command = steps.send(result)
-                if isinstance(command, ProbeCache):
-                    server = self.cache.server(command.server_id)
-                    if not server.state.serves_requests:
-                        result = SKIPPED
-                        continue
-                    sample = self.cache_latency.sample(self._rng)
-                    clock += sample
-                    if self.hot_key_cache:
-                        # Feed the observed per-probe latency into the
-                        # armor's load EWMA (the d-choices signal).
-                        self.engine.armor.loads.observe_latency(
-                            command.server_id, sample
-                        )
-                    result = server.get(key, clock)
-                elif isinstance(command, ReadDatabase):
-                    response = self.database.get(key, clock)
-                    clock = response.completion_time
-                    result = response.value
-                elif isinstance(command, WriteBack):
-                    server = self.cache.server(command.server_id)
-                    if server.state.serves_requests:
-                        clock += self.cache_latency.sample(self._rng)
-                        server.set(key, command.value, now=clock)
-                    result = None
-                else:  # pragma: no cover - replicated reads use three commands
-                    raise ConfigurationError(
-                        f"unexpected engine command: {command!r}"
-                    )
-        except StopIteration as stop:
-            outcome = stop.value
-        return ReplicatedFetchResult(
-            key=key, value=outcome.value, started=now, completed=clock,
-            served_by=outcome.served_by, probes=outcome.probes,
-            touched_database=outcome.touched_database,
-            local=outcome.local,
-        )
+        """Read *key* from the first live replica, else the database — a
+        page of one."""
+        return self.fetch_many((key,), now)[key]
 
     def fetch_many(
         self, keys: Iterable[str], now: float
     ) -> Dict[str, ReplicatedFetchResult]:
         """Read a whole key set, one multiget per replica owner per ring
-        round; outcomes match looping :meth:`fetch` over the keys."""
+        round; each round (probes, database reads, the replica
+        write-through) completes with its slowest command."""
         epochs = self.cache.routing_epochs(now)
         clock = now + self.web_overhead.sample(self._rng)
         steps = self.engine.retrieve_many(
@@ -174,15 +131,14 @@ class ReplicatedWebServer(RetrievalConfigMixin):
         answers: Any = None
         try:
             while True:
-                round_ = steps.send(answers)
                 results = []
-                done_times = []
-                for command in round_:
-                    answer, done = self._execute_batched(command, clock)
+                done = clock
+                for command in steps.send(answers):
+                    answer, finished = self._execute(command, clock)
                     results.append(answer)
-                    done_times.append(done)
-                if done_times:
-                    clock = max(done_times)
+                    if finished > done:
+                        done = finished
+                clock = done
                 answers = tuple(results)
         except StopIteration as stop:
             outcomes = stop.value
@@ -196,41 +152,38 @@ class ReplicatedWebServer(RetrievalConfigMixin):
             for key, outcome in outcomes.items()
         }
 
-    def _execute_batched(
-        self, command: Command, clock: float
-    ) -> Tuple[Any, float]:
-        """Perform one batched-round command; returns (answer, done time).
-
-        The batch trio dispatches on the shared :class:`BatchCommand`
-        shape (``reply_with``), not per-class checks.
-        """
-        if isinstance(command, BatchCommand):
-            server = self.cache.server(command.server)
-            if command.reply_with == "values":
-                if not server.state.serves_requests:
-                    return SKIPPED, clock
-                sample = self.cache_latency.sample(self._rng)
-                clock += sample
-                if self.hot_key_cache:
-                    self.engine.armor.loads.observe_latency(
-                        command.server, sample
-                    )
-                hits = {}
-                for key in command.keys:
-                    value = server.get(key, clock)
-                    if value is not None:
-                        hits[key] = value
-                return hits, clock
-            if command.reply_with == "ack":
-                if server.state.serves_requests:
-                    clock += self.cache_latency.sample(self._rng)
-                    for key, value in command.items:
-                        server.set(key, value, now=clock)
-                return None, clock
+    def _execute(self, command: Command, clock: float) -> Tuple[Any, float]:
+        """Perform one engine command starting at *clock*; returns (answer,
+        completion time)."""
+        if isinstance(command, ProbeCacheMulti):
+            server = self.cache.server(command.server_id)
+            if not server.state.serves_requests:
+                return SKIPPED, clock
+            sample = self.cache_latency.sample(self._rng)
+            clock += sample
+            if self.config.hot_key_cache:
+                # Feed the observed per-probe latency into the armor's
+                # load EWMA (the d-choices signal).
+                self.engine.armor.loads.observe_latency(
+                    command.server_id, sample
+                )
+            hits = {}
+            for key in command.keys:
+                value = server.get(key, clock)
+                if value is not None:
+                    hits[key] = value
+            return hits, clock
         if isinstance(command, ReadDatabase):
             response = self.database.get(command.key, clock)
             return response.value, response.completion_time
-        raise ConfigurationError(f"unexpected batched command: {command!r}")
+        if isinstance(command, WriteBackMulti):
+            server = self.cache.server(command.server_id)
+            if server.state.serves_requests:
+                clock += self.cache_latency.sample(self._rng)
+                for key, value in command.items:
+                    server.set(key, value, now=clock)
+            return None, clock
+        raise ConfigurationError(f"unexpected engine command: {command!r}")
 
     def put(self, key: str, value: Any, now: float) -> List[int]:
         """Write *key* to every live distinct replica owner; returns them."""
@@ -241,7 +194,7 @@ class ReplicatedWebServer(RetrievalConfigMixin):
             if server.state.serves_requests:
                 server.set(key, value, now=now)
                 written.append(target)
-        if self.hot_key_cache:
+        if self.config.hot_key_cache:
             # Digest-style invalidation: the local hot-key copy is stale
             # the moment the authoritative replicas change.
             self.engine.armor.invalidate(key)
@@ -279,7 +232,7 @@ class ReplicatedWebServer(RetrievalConfigMixin):
             server = self.cache.server(target)
             for key in grouped[target]:
                 server.set(key, final[key], now=now)
-        if self.hot_key_cache:
+        if self.config.hot_key_cache:
             for key in final:
                 self.engine.armor.invalidate(key)
         return written

@@ -12,17 +12,14 @@ import pytest
 from repro.bloom import BloomFilter, KeyHashes
 from repro.core.replication import ReplicatedProteusRouter
 from repro.core.retrieval import (
-    CheckDigest,
     CheckDigestMulti,
     FetchPath,
-    ProbeCache,
     ProbeCacheMulti,
     ReadDatabase,
     ReplicatedRetrievalEngine,
     RetrievalConfig,
     RetrievalEngine,
     WaitForLeader,
-    WriteBack,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
@@ -38,7 +35,7 @@ ARMORED = dict(hot_key_cache=True, hot_key_ttl=1.0)
 
 
 class DictDriver:
-    """Answers scalar and batched commands from plain dict state."""
+    """Answers engine commands from plain dict state."""
 
     def __init__(self, stores=None, db=None, digests=None):
         self.stores = stores or {}
@@ -46,15 +43,9 @@ class DictDriver:
         self.digests = digests or {}
         self.trace = []
 
-    def scalar(self, generator, key):
-        result = None
-        try:
-            while True:
-                command = generator.send(result)
-                self.trace.append(command)
-                result = self._answer(command, key)
-        except StopIteration as stop:
-            return stop.value
+    def one(self, engine, key, epochs, **kwargs):
+        """Retrieve *key* as a batch of one; returns its outcome."""
+        return self.batch(engine.retrieve_many([key], epochs, **kwargs))[key]
 
     def batch(self, generator):
         answers = None
@@ -66,26 +57,17 @@ class DictDriver:
         except StopIteration as stop:
             return stop.value
 
-    def _answer(self, command, key=None):
-        # Scalar commands carry no key (the retrieval is single-key);
-        # batched commands name their own.
-        if isinstance(command, ProbeCache):
-            return self.stores.get(command.server_id, {}).get(key)
+    def _answer(self, command):
         if isinstance(command, ProbeCacheMulti):
             store = self.stores.get(command.server_id, {})
             return {k: store[k] for k in command.keys if k in store}
-        if isinstance(command, CheckDigest):
-            return key in self.digests.get(command.server_id, ())
         if isinstance(command, CheckDigestMulti):
             digest = self.digests.get(command.server_id, ())
             return [k in digest for k in command.keys]
         if isinstance(command, WaitForLeader):
             return False
         if isinstance(command, ReadDatabase):
-            return self.db[key if key is not None else command.key]
-        if isinstance(command, WriteBack):
-            self.stores.setdefault(command.server_id, {})[key] = command.value
-            return None
+            return self.db[command.key]
         if isinstance(command, WriteBackMulti):
             store = self.stores.setdefault(command.server_id, {})
             for k, value in command.items:
@@ -107,14 +89,16 @@ def moved_keys(count):
 
 
 class TestScalarArmor:
+    """The armor on single-key fetches (batches of one)."""
+
     def test_second_read_is_served_locally(self):
         engine = RetrievalEngine(ROUTER, config=RetrievalConfig(**ARMORED))
         driver = DictDriver(db={"k": "db-value"})
-        first = driver.scalar(engine.retrieve("k", STEADY, now=0.0), "k")
+        first = driver.one(engine, "k", STEADY, now=0.0)
         assert first.path is FetchPath.MISS_DB
         trace_len = len(driver.trace)
 
-        second = driver.scalar(engine.retrieve("k", STEADY, now=0.5), "k")
+        second = driver.one(engine, "k", STEADY, now=0.5)
         assert second.path is FetchPath.HIT_LOCAL
         assert second.value == "db-value"
         assert len(driver.trace) == trace_len  # zero commands issued
@@ -123,32 +107,32 @@ class TestScalarArmor:
     def test_ttl_bounds_local_staleness(self):
         engine = RetrievalEngine(ROUTER, config=RetrievalConfig(**ARMORED))
         driver = DictDriver(db={"k": "v"})
-        driver.scalar(engine.retrieve("k", STEADY, now=0.0), "k")
+        driver.one(engine, "k", STEADY, now=0.0)
         # At now=1.0 the entry is exactly ttl old: never served.
-        stale = driver.scalar(engine.retrieve("k", STEADY, now=1.0), "k")
+        stale = driver.one(engine, "k", STEADY, now=1.0)
         assert stale.path is not FetchPath.HIT_LOCAL
 
     def test_armor_inert_without_clock(self):
         engine = RetrievalEngine(ROUTER, config=RetrievalConfig(**ARMORED))
         driver = DictDriver(db={"k": "v"})
-        driver.scalar(engine.retrieve("k", STEADY), "k")
-        repeat = driver.scalar(engine.retrieve("k", STEADY), "k")
+        driver.one(engine, "k", STEADY)
+        repeat = driver.one(engine, "k", STEADY)
         assert repeat.path is not FetchPath.HIT_LOCAL
 
     def test_armor_off_by_default(self):
         engine = RetrievalEngine(ROUTER)
         driver = DictDriver(db={"k": "v"})
-        driver.scalar(engine.retrieve("k", STEADY, now=0.0), "k")
-        repeat = driver.scalar(engine.retrieve("k", STEADY, now=0.1), "k")
+        driver.one(engine, "k", STEADY, now=0.0)
+        repeat = driver.one(engine, "k", STEADY, now=0.1)
         assert repeat.path is not FetchPath.HIT_LOCAL
 
     def test_invalidation_forces_authoritative_path(self):
         engine = RetrievalEngine(ROUTER, config=RetrievalConfig(**ARMORED))
         driver = DictDriver(db={"k": "v1"})
-        driver.scalar(engine.retrieve("k", STEADY, now=0.0), "k")
+        driver.one(engine, "k", STEADY, now=0.0)
         engine.armor.invalidate("k")
         driver.db["k"] = "v2"
-        fresh = driver.scalar(engine.retrieve("k", STEADY, now=0.1), "k")
+        fresh = driver.one(engine, "k", STEADY, now=0.1)
         assert fresh.path is not FetchPath.HIT_LOCAL
 
 
@@ -179,14 +163,12 @@ class TestBatchArmor:
         scalar_driver = DictDriver(db=dict(db))
         batch_driver.batch(batch_engine.retrieve_many(keys, STEADY, now=0.0))
         for key in keys:
-            scalar_driver.scalar(scalar_engine.retrieve(key, STEADY, now=0.0), key)
+            scalar_driver.one(scalar_engine, key, STEADY, now=0.0)
         batched = batch_driver.batch(
             batch_engine.retrieve_many(keys, STEADY, now=0.5)
         )
         for key in keys:
-            single = scalar_driver.scalar(
-                scalar_engine.retrieve(key, STEADY, now=0.5), key
-            )
+            single = scalar_driver.one(scalar_engine, key, STEADY, now=0.5)
             assert batched[key].path is single.path is FetchPath.HIT_LOCAL
             assert batched[key].value == single.value
         assert batch_engine.stats.counts == scalar_engine.stats.counts
@@ -211,8 +193,6 @@ class TestGroupedDigestProbes:
         grouped = {c.server_id: set(c.keys) for c in digest_probes}
         for key in keys:
             assert key in grouped[ROUTER.route(key, 4)]
-        # And no scalar digest consults leak into the batch plan.
-        assert not any(isinstance(c, CheckDigest) for c in driver.trace)
 
     def test_digest_multi_bit_identical_to_scalar(self):
         digest = BloomFilter(256, 4)
@@ -278,26 +258,9 @@ class TestPowerOfTwoChoices:
         for _ in range(10):
             engine.armor.loads.record_request(base.targets[0], now=0.0)
 
-        probed = []
-
-        def drive(generator):
-            result = None
-            try:
-                while True:
-                    command = generator.send(result)
-                    if isinstance(command, ProbeCache):
-                        probed.append(command.server_id)
-                        result = "value"
-                    elif isinstance(command, WriteBack):
-                        result = None  # replica repopulation
-                    else:
-                        raise AssertionError(f"unexpected {command!r}")
-            except StopIteration as stop:
-                return stop.value
-
         # The key is not sketch-elected, so strict ring order applies
         # even though the primary reads as heavily loaded.
-        outcome = drive(engine.retrieve(key, STEADY_REPLICATED, now=0.0))
+        probed, outcome = drive_replicated(engine, key)
         assert probed == [base.targets[0]]
         assert outcome.served_by == base.targets[0]
 
@@ -312,23 +275,7 @@ class TestPowerOfTwoChoices:
         for _ in range(10):
             engine.armor.loads.record_request(primary, now=0.0)
 
-        probed = []
-
-        def drive(generator):
-            result = None
-            try:
-                while True:
-                    command = generator.send(result)
-                    if isinstance(command, WriteBack):
-                        result = None  # replica repopulation
-                        continue
-                    assert isinstance(command, ProbeCache)
-                    probed.append(command.server_id)
-                    result = "value"
-            except StopIteration as stop:
-                return stop.value
-
-        outcome = drive(engine.retrieve(key, STEADY_REPLICATED, now=0.0))
+        probed, outcome = drive_replicated(engine, key)
         assert probed[0] == secondary
         assert outcome.served_by == secondary
         assert not outcome.touched_database
@@ -341,14 +288,10 @@ class TestPowerOfTwoChoices:
         engine.armor.observe(key)
         engine.armor.admit(key, "local-copy", now=0.0)
 
-        def drive(generator):
-            try:
-                generator.send(None)
-            except StopIteration as stop:
-                return stop.value
-            raise AssertionError("expected zero commands")
-
-        outcome = drive(engine.retrieve(key, STEADY_REPLICATED, now=0.5))
+        steps = engine.retrieve_many([key], STEADY_REPLICATED, now=0.5)
+        with pytest.raises(StopIteration) as stop:  # zero commands
+            steps.send(None)
+        outcome = stop.value.value[key]
         assert outcome.local
         assert outcome.value == "local-copy"
         assert outcome.served_by is None
@@ -356,3 +299,26 @@ class TestPowerOfTwoChoices:
 
 
 STEADY_REPLICATED = RoutingEpochs(new=4, old=None, transition=None)
+
+
+def drive_replicated(engine, key, now=0.0):
+    """Fetch *key* as a batch of one where every probe hits; returns the
+    probed server ids (in order) and the outcome."""
+    probed = []
+    steps = engine.retrieve_many([key], STEADY_REPLICATED, now=now)
+    answers = None
+    try:
+        while True:
+            round_ = steps.send(answers)
+            answers = []
+            for command in round_:
+                if isinstance(command, ProbeCacheMulti):
+                    probed.append(command.server_id)
+                    answers.append({k: "value" for k in command.keys})
+                elif isinstance(command, WriteBackMulti):
+                    answers.append(None)  # replica repopulation
+                else:
+                    raise AssertionError(f"unexpected {command!r}")
+            answers = tuple(answers)
+    except StopIteration as stop:
+        return probed, stop.value[key]

@@ -2,16 +2,16 @@
 
 Drives the command generator by hand with scripted answers — no cache, no
 database, no clock — which is exactly the point of the sans-IO core: the
-branch logic is testable without any substrate at all.
+branch logic is testable without any substrate at all.  The per-path
+command sequences are pinned on batches of one (every round then holds
+exactly one command), the grouping rules on larger batches.
 """
 
 from repro.core.retrieval import (
-    CheckDigest,
     CheckDigestMulti,
     FetchPath,
     FetchStats,
     LeaderWindowRegistry,
-    ProbeCache,
     ProbeCacheMulti,
     ReadDatabase,
     ReplicatedRetrievalEngine,
@@ -19,7 +19,6 @@ from repro.core.retrieval import (
     RetrievalEngine,
     SKIPPED,
     WaitForLeader,
-    WriteBack,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
@@ -30,23 +29,31 @@ class ScriptedDriver:
     """Answers engine commands from a scripted table, recording the trace."""
 
     def __init__(self, answers):
-        #: list of (command_type, answer); consumed in order
+        #: list of (command_type, answer); consumed in command order
         self.answers = list(answers)
         self.trace = []
 
+    def _answer(self, command):
+        self.trace.append(command)
+        expected_type, answer = self.answers.pop(0)
+        assert isinstance(command, expected_type), (
+            f"expected {expected_type.__name__}, engine yielded {command!r}"
+        )
+        return answer
+
     def run(self, generator):
-        result = None
+        answers = None
         try:
             while True:
-                command = generator.send(result)
-                self.trace.append(command)
-                expected_type, answer = self.answers.pop(0)
-                assert isinstance(command, expected_type), (
-                    f"expected {expected_type.__name__}, engine yielded {command!r}"
-                )
-                result = answer
+                round_ = generator.send(answers)
+                answers = tuple(self._answer(command) for command in round_)
         except StopIteration as stop:
+            assert not self.answers, f"unconsumed script: {self.answers}"
             return stop.value
+
+    def run_one(self, engine, key, epochs, **kwargs):
+        """Retrieve *key* as a batch of one; returns its outcome."""
+        return self.run(engine.retrieve_many([key], epochs, **kwargs))[key]
 
 
 ROUTER = ProteusRouter(4, ring_size=2 ** 20)
@@ -58,6 +65,9 @@ STEADY = RoutingEpochs(new=3, old=None, transition=None)
 DRAINING = RoutingEpochs(
     new=3, old=4, transition=Transition(n_old=4, n_new=3, started_at=0.0, ttl=60.0)
 )
+COALESCING = RetrievalConfig(coalesce_misses=True)
+
+MISS = {}
 
 
 def remapped_key():
@@ -72,24 +82,28 @@ def remapped_key():
 class TestUnreplicatedPaths:
     def test_hit_new_is_one_probe_no_writeback(self):
         engine = RetrievalEngine(ROUTER)
-        driver = ScriptedDriver([(ProbeCache, "value")])
-        outcome = driver.run(engine.retrieve(KEY, STEADY))
+        driver = ScriptedDriver([(ProbeCacheMulti, {KEY: "value"})])
+        outcome = driver.run_one(engine, KEY, STEADY)
         assert outcome.path is FetchPath.HIT_NEW
         assert outcome.value == "value"
         assert outcome.new_server == NEW_ID
         assert outcome.old_server is None
         assert not outcome.touched_database
-        assert driver.trace == [ProbeCache(NEW_ID)]
+        assert driver.trace == [ProbeCacheMulti(NEW_ID, (KEY,))]
 
     def test_miss_outside_transition_goes_to_db(self):
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
+            [(ProbeCacheMulti, MISS), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
-        outcome = driver.run(engine.retrieve(KEY, STEADY))
+        outcome = driver.run_one(engine, KEY, STEADY)
         assert outcome.path is FetchPath.MISS_DB
         assert outcome.touched_database
-        assert driver.trace[-1] == WriteBack(NEW_ID, "db")
+        assert driver.trace == [
+            ProbeCacheMulti(NEW_ID, (KEY,)),
+            ReadDatabase(KEY),
+            WriteBackMulti(NEW_ID, ((KEY, "db"),)),
+        ]
 
     def test_hit_old_pulls_from_old_owner_and_writes_back(self):
         key = remapped_key()
@@ -97,20 +111,20 @@ class TestUnreplicatedPaths:
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
-                (CheckDigest, True),
-                (ProbeCache, "hot"),
-                (WriteBack, None),
+                (ProbeCacheMulti, MISS),
+                (CheckDigestMulti, [True]),
+                (ProbeCacheMulti, {key: "hot"}),
+                (WriteBackMulti, None),
             ]
         )
-        outcome = driver.run(engine.retrieve(key, DRAINING))
+        outcome = driver.run_one(engine, key, DRAINING)
         assert outcome.path is FetchPath.HIT_OLD
         assert outcome.old_server == old_id
         assert driver.trace == [
-            ProbeCache(new_id),
-            CheckDigest(old_id),
-            ProbeCache(old_id),
-            WriteBack(new_id, "hot"),
+            ProbeCacheMulti(new_id, (key,)),
+            CheckDigestMulti(old_id, (key,)),
+            ProbeCacheMulti(old_id, (key,)),
+            WriteBackMulti(new_id, ((key, "hot"),)),
         ]
 
     def test_digest_false_positive_classified(self):
@@ -118,14 +132,14 @@ class TestUnreplicatedPaths:
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
-                (CheckDigest, True),
-                (ProbeCache, None),  # old owner misses: digest lied
+                (ProbeCacheMulti, MISS),
+                (CheckDigestMulti, [True]),
+                (ProbeCacheMulti, MISS),  # old owner misses: digest lied
                 (ReadDatabase, "db"),
-                (WriteBack, None),
+                (WriteBackMulti, None),
             ]
         )
-        outcome = driver.run(engine.retrieve(key, DRAINING))
+        outcome = driver.run_one(engine, key, DRAINING)
         assert outcome.path is FetchPath.FALSE_POSITIVE_DB
         assert outcome.touched_database
 
@@ -134,13 +148,13 @@ class TestUnreplicatedPaths:
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
-                (CheckDigest, False),
+                (ProbeCacheMulti, MISS),
+                (CheckDigestMulti, [False]),
                 (ReadDatabase, "db"),
-                (WriteBack, None),
+                (WriteBackMulti, None),
             ]
         )
-        outcome = driver.run(engine.retrieve(key, DRAINING))
+        outcome = driver.run_one(engine, key, DRAINING)
         assert outcome.path is FetchPath.MISS_DB
 
     def test_same_owner_in_both_epochs_skips_digest(self):
@@ -150,67 +164,74 @@ class TestUnreplicatedPaths:
                 break
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
+            [(ProbeCacheMulti, MISS), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
-        outcome = driver.run(engine.retrieve(key, DRAINING))
+        outcome = driver.run_one(engine, key, DRAINING)
         assert outcome.path is FetchPath.MISS_DB
-        assert not any(isinstance(c, CheckDigest) for c in driver.trace)
+        assert not any(isinstance(c, CheckDigestMulti) for c in driver.trace)
 
     def test_coalesced_follower_skips_db_and_writeback(self):
-        engine = RetrievalEngine(ROUTER, coalesce_misses=True)
-        driver = ScriptedDriver(
-            [(ProbeCache, None), (WaitForLeader, True), (ProbeCache, "installed")]
-        )
-        outcome = driver.run(engine.retrieve(KEY, STEADY))
-        assert outcome.path is FetchPath.COALESCED
-        assert not any(isinstance(c, ReadDatabase) for c in driver.trace)
-        assert not any(isinstance(c, WriteBack) for c in driver.trace)
-
-    def test_no_leader_becomes_leader_and_announces(self):
-        engine = RetrievalEngine(ROUTER, coalesce_misses=True)
+        engine = RetrievalEngine(ROUTER, config=COALESCING)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
-                (WaitForLeader, False),
-                (ReadDatabase, "db"),
-                (WriteBack, None),
+                (ProbeCacheMulti, MISS),
+                (WaitForLeader, True),
+                (ProbeCacheMulti, {KEY: "installed"}),
             ]
         )
-        outcome = driver.run(engine.retrieve(KEY, STEADY))
+        outcome = driver.run_one(engine, KEY, STEADY)
+        assert outcome.path is FetchPath.COALESCED
+        assert driver.trace[1] == WaitForLeader(KEY)
+        assert not any(isinstance(c, ReadDatabase) for c in driver.trace)
+        assert not any(isinstance(c, WriteBackMulti) for c in driver.trace)
+
+    def test_no_leader_becomes_leader_and_announces(self):
+        engine = RetrievalEngine(ROUTER, config=COALESCING)
+        driver = ScriptedDriver(
+            [
+                (ProbeCacheMulti, MISS),
+                (WaitForLeader, False),
+                (ReadDatabase, "db"),
+                (WriteBackMulti, None),
+            ]
+        )
+        outcome = driver.run_one(engine, KEY, STEADY)
         assert outcome.path is FetchPath.MISS_DB
         read = next(c for c in driver.trace if isinstance(c, ReadDatabase))
         assert read.announce_leader
 
     def test_waited_but_still_missing_falls_to_db(self):
         # The leader's write-back was evicted before the follower's probe.
-        engine = RetrievalEngine(ROUTER, coalesce_misses=True)
+        engine = RetrievalEngine(ROUTER, config=COALESCING)
         driver = ScriptedDriver(
             [
-                (ProbeCache, None),
+                (ProbeCacheMulti, MISS),
                 (WaitForLeader, True),
-                (ProbeCache, None),
+                (ProbeCacheMulti, MISS),
                 (ReadDatabase, "db"),
-                (WriteBack, None),
+                (WriteBackMulti, None),
             ]
         )
-        outcome = driver.run(engine.retrieve(KEY, STEADY))
+        outcome = driver.run_one(engine, KEY, STEADY)
         assert outcome.path is FetchPath.MISS_DB
 
     def test_no_wait_command_when_coalescing_disabled(self):
-        engine = RetrievalEngine(ROUTER, coalesce_misses=False)
+        engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
+            [(ProbeCacheMulti, MISS), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
-        driver.run(engine.retrieve(KEY, STEADY))
+        driver.run_one(engine, KEY, STEADY)
         read = next(c for c in driver.trace if isinstance(c, ReadDatabase))
         assert not read.announce_leader
 
     def test_stats_accumulate_across_retrievals(self):
         engine = RetrievalEngine(ROUTER)
-        ScriptedDriver([(ProbeCache, "v")]).run(engine.retrieve(KEY, STEADY))
+        ScriptedDriver([(ProbeCacheMulti, {KEY: "v"})]).run_one(
+            engine, KEY, STEADY
+        )
         ScriptedDriver(
-            [(ProbeCache, None), (ReadDatabase, "db"), (WriteBack, None)]
-        ).run(engine.retrieve(KEY, STEADY))
+            [(ProbeCacheMulti, MISS), (ReadDatabase, "db"), (WriteBackMulti, None)]
+        ).run_one(engine, KEY, STEADY)
         assert engine.stats.counts[FetchPath.HIT_NEW] == 1
         assert engine.stats.counts[FetchPath.MISS_DB] == 1
         assert engine.stats.total == 2
@@ -226,12 +247,7 @@ class TestUnreplicatedPaths:
 
 
 class StoreDriver:
-    """Executes engine commands against dict-backed stores.
-
-    Answers both the single-key command set (:meth:`run_single`) and the
-    batched round protocol (:meth:`run_batch`), so the same cluster state
-    can drive ``retrieve`` and ``retrieve_many`` for equivalence checks.
-    """
+    """Executes engine commands against dict-backed stores."""
 
     def __init__(self, stores, db, digests=None, leaders=()):
         #: server_id -> {key: value}
@@ -243,32 +259,6 @@ class StoreDriver:
         self.leaders = set(leaders)
         self.rounds = []
 
-    def _lookup(self, server_id, key):
-        return self.stores.get(server_id, {}).get(key)
-
-    def run_single(self, generator, key):
-        result = None
-        try:
-            while True:
-                command = generator.send(result)
-                if isinstance(command, ProbeCache):
-                    result = self._lookup(command.server_id, key)
-                elif isinstance(command, CheckDigest):
-                    result = key in self.digests.get(command.server_id, ())
-                elif isinstance(command, WaitForLeader):
-                    result = key in self.leaders
-                elif isinstance(command, ReadDatabase):
-                    result = self.db[key]
-                elif isinstance(command, WriteBack):
-                    self.stores.setdefault(command.server_id, {})[key] = (
-                        command.value
-                    )
-                    result = None
-                else:
-                    raise AssertionError(f"unexpected command {command!r}")
-        except StopIteration as stop:
-            return stop.value
-
     def _answer(self, command):
         if isinstance(command, ProbeCacheMulti):
             store = self.stores.get(command.server_id, {})
@@ -276,8 +266,6 @@ class StoreDriver:
         if isinstance(command, CheckDigestMulti):
             digest = self.digests.get(command.server_id, ())
             return [key in digest for key in command.keys]
-        if isinstance(command, CheckDigest):
-            return command.key in self.digests.get(command.server_id, ())
         if isinstance(command, WaitForLeader):
             return command.key in self.leaders
         if isinstance(command, ReadDatabase):
@@ -287,9 +275,9 @@ class StoreDriver:
             for key, value in command.items:
                 store[key] = value
             return None
-        raise AssertionError(f"unexpected batched command {command!r}")
+        raise AssertionError(f"unexpected command {command!r}")
 
-    def run_batch(self, generator):
+    def run(self, generator):
         answers = None
         try:
             while True:
@@ -322,7 +310,7 @@ class TestBatchPlanner:
             stores.setdefault(ROUTER.route(key, 3), {})[key] = f"v-{key}"
         engine = RetrievalEngine(ROUTER)
         driver = StoreDriver(stores, db={})
-        outcomes = driver.run_batch(engine.retrieve_many(keys, STEADY))
+        outcomes = driver.run(engine.retrieve_many(keys, STEADY))
         assert len(driver.rounds) == 1
         probed = [c.server_id for c in driver.rounds[0]]
         assert all(isinstance(c, ProbeCacheMulti) for c in driver.rounds[0])
@@ -336,7 +324,8 @@ class TestBatchPlanner:
 
     def test_batch_equals_sequential_mid_transition(self):
         # Mixed batch: hits at the new owner, hot keys at the old owner,
-        # digest false positives, and plain misses — in one retrieve_many.
+        # digest false positives, and plain misses — in one retrieve_many,
+        # against the same keys fetched as batches of one.
         moved, stayed = self._keys_by_owner(DRAINING)
         hot, false_positive, cold = moved
         warm, miss, _ = stayed
@@ -353,16 +342,14 @@ class TestBatchPlanner:
 
         batch_engine = RetrievalEngine(ROUTER)
         batch_driver = StoreDriver(stores, db, digests)
-        batched = batch_driver.run_batch(
-            batch_engine.retrieve_many(keys, DRAINING)
-        )
+        batched = batch_driver.run(batch_engine.retrieve_many(keys, DRAINING))
 
         seq_engine = RetrievalEngine(ROUTER)
         seq_driver = StoreDriver(stores, db, digests)
         sequential = {
-            key: seq_driver.run_single(
-                seq_engine.retrieve(key, DRAINING), key
-            )
+            key: seq_driver.run(
+                seq_engine.retrieve_many([key], DRAINING)
+            )[key]
             for key in keys
         }
 
@@ -383,9 +370,7 @@ class TestBatchPlanner:
     def test_duplicate_keys_collapse_to_one_outcome(self):
         engine = RetrievalEngine(ROUTER)
         driver = StoreDriver({}, db={KEY: "v"})
-        outcomes = driver.run_batch(
-            engine.retrieve_many([KEY, KEY, KEY], STEADY)
-        )
+        outcomes = driver.run(engine.retrieve_many([KEY, KEY, KEY], STEADY))
         assert list(outcomes) == [KEY]
         assert engine.stats.total == 1
         # Exactly one DB read despite three requests for the key.
@@ -404,7 +389,7 @@ class TestBatchPlanner:
         driver = StoreDriver(
             {0: {k: "v" for k in same_owner}}, db={}
         )
-        driver.run_batch(engine.retrieve_many(same_owner, STEADY))
+        driver.run(engine.retrieve_many(same_owner, STEADY))
         probe_round = driver.rounds[0]
         assert [len(c.keys) for c in probe_round] == [2, 2, 1]
         assert all(c.server_id == 0 for c in probe_round)
@@ -412,12 +397,12 @@ class TestBatchPlanner:
     def test_empty_batch_yields_nothing(self):
         engine = RetrievalEngine(ROUTER)
         driver = StoreDriver({}, db={})
-        assert driver.run_batch(engine.retrieve_many([], STEADY)) == {}
+        assert driver.run(engine.retrieve_many([], STEADY)) == {}
         assert driver.rounds == []
         assert engine.stats.total == 0
 
     def test_coalesced_batch_reprobes_instead_of_reading_db(self):
-        engine = RetrievalEngine(ROUTER, coalesce_misses=True)
+        engine = RetrievalEngine(ROUTER, config=COALESCING)
         new_id = ROUTER.route(KEY, 3)
 
         # The leader's write-back lands while this batch waits: emulate by
@@ -430,9 +415,7 @@ class TestBatchPlanner:
                 return super()._answer(command)
 
         leader_driver = LeaderDriver({}, db={}, leaders=[KEY])
-        outcomes = leader_driver.run_batch(
-            engine.retrieve_many([KEY], STEADY)
-        )
+        outcomes = leader_driver.run(engine.retrieve_many([KEY], STEADY))
         assert outcomes[KEY].path is FetchPath.COALESCED
         assert outcomes[KEY].value == "installed"
         reads = [
@@ -455,32 +438,25 @@ class TestBatchPlanner:
 
         batch_engine = ReplicatedRetrievalEngine(router)
         batch_driver = StoreDriver(stores, db)
-        batched = batch_driver.run_batch(
-            batch_engine.retrieve_many(keys, epochs)
-        )
+        batched = batch_driver.run(batch_engine.retrieve_many(keys, epochs))
 
         seq_engine = ReplicatedRetrievalEngine(router)
         seq_driver = StoreDriver(stores, db)
         sequential = {
-            key: seq_driver.run_single(seq_engine.retrieve(key, epochs), key)
+            key: seq_driver.run(seq_engine.retrieve_many([key], epochs))[key]
             for key in keys
         }
 
         for key in keys:
-            assert batched[key].value == sequential[key].value
-            assert batched[key].served_by == sequential[key].served_by
-            assert batched[key].probes == sequential[key].probes
-            assert (
-                batched[key].touched_database
-                == sequential[key].touched_database
-            )
-            assert batched[key].failover == sequential[key].failover
+            assert batched[key] == sequential[key]
         assert batch_engine.failovers == seq_engine.failovers
         assert batch_engine.database_reads == seq_engine.database_reads
         assert batch_driver.stores == seq_driver.stores
 
 
 class TestReplicatedEngine:
+    EPOCHS = RoutingEpochs(4, None, None)
+
     def _engine(self):
         from repro.core.replication import ReplicatedProteusRouter
 
@@ -491,25 +467,27 @@ class TestReplicatedEngine:
     def test_primary_hit_no_failover(self):
         engine = self._engine()
         targets = engine.router.read_targets(KEY, 4)
-        answers = [(ProbeCache, "v")] + [
-            (WriteBack, None) for _ in targets[1:]
-        ]
-        driver = ScriptedDriver(answers)
-        outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
+        # One write-through round repopulates the replicas that missed.
+        driver = ScriptedDriver(
+            [(ProbeCacheMulti, {KEY: "v"})]
+            + [(WriteBackMulti, None) for _ in targets[1:]]
+        )
+        outcome = driver.run_one(engine, KEY, self.EPOCHS)
         assert outcome.served_by == targets[0]
         assert not outcome.failover
         assert outcome.probes == 1
         assert engine.failovers == 0
+        assert driver.trace[0] == ProbeCacheMulti(targets[0], (KEY,))
 
     def test_replica_covers_for_missing_primary(self):
         engine = self._engine()
         targets = engine.router.read_targets(KEY, 4)
         assert len(targets) >= 2
         driver = ScriptedDriver(
-            [(ProbeCache, None), (ProbeCache, "v")]
-            + [(WriteBack, None)] * (len(targets) - 1)
+            [(ProbeCacheMulti, MISS), (ProbeCacheMulti, {KEY: "v"})]
+            + [(WriteBackMulti, None)] * (len(targets) - 1)
         )
-        outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
+        outcome = driver.run_one(engine, KEY, self.EPOCHS)
         assert outcome.served_by == targets[1]
         assert outcome.failover
         assert engine.failovers == 1
@@ -518,26 +496,29 @@ class TestReplicatedEngine:
         engine = self._engine()
         targets = engine.router.read_targets(KEY, 4)
         driver = ScriptedDriver(
-            [(ProbeCache, SKIPPED), (ProbeCache, "v")]
-            + [(WriteBack, None)] * (len(targets) - 1)
+            [(ProbeCacheMulti, SKIPPED), (ProbeCacheMulti, {KEY: "v"})]
+            + [(WriteBackMulti, None)] * (len(targets) - 1)
         )
-        outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
+        outcome = driver.run_one(engine, KEY, self.EPOCHS)
         assert outcome.probes == 1
 
     def test_all_miss_reads_db_and_repopulates_every_target(self):
         engine = self._engine()
         targets = engine.router.read_targets(KEY, 4)
         driver = ScriptedDriver(
-            [(ProbeCache, None)] * len(targets)
+            [(ProbeCacheMulti, MISS)] * len(targets)
             + [(ReadDatabase, "db")]
-            + [(WriteBack, None)] * len(targets)
+            + [(WriteBackMulti, None)] * len(targets)
         )
-        outcome = driver.run(engine.retrieve(KEY, RoutingEpochs(4, None, None)))
+        outcome = driver.run_one(engine, KEY, self.EPOCHS)
         assert outcome.touched_database
         assert outcome.served_by is None
         assert engine.database_reads == 1
-        written = [c.server_id for c in driver.trace if isinstance(c, WriteBack)]
-        assert written == targets
+        written = [
+            c for c in driver.trace if isinstance(c, WriteBackMulti)
+        ]
+        assert sorted(c.server_id for c in written) == sorted(targets)
+        assert all(c.items == ((KEY, "db"),) for c in written)
 
 
 class TestLeaderWindowRegistry:

@@ -1,27 +1,22 @@
 """Degraded-mode engine paths: the engine serves *around* cache faults.
 
 A driver may answer any probe, digest consult, or write-back with
-``SERVER_UNAVAILABLE``; these tests pin the contract from the scalar and
-batch planners alike: the value is always served (from the old owner or
+``SERVER_UNAVAILABLE``; these tests pin the contract on batches of one and
+on whole pages alike: the value is always served (from the old owner or
 the database), the path is ``DEGRADED_DB`` exactly when a fault *forced*
 the database read, a failed write-back degrades the outcome without
-changing its path, and the per-event counters in ``FetchStats`` agree
-between ``retrieve`` and ``retrieve_many``.
+changing its path, and the per-event counters in ``FetchStats`` of a page
+of N keys equal those of N pages of one.
 """
 
-import dataclasses
-
 from repro.core.retrieval import (
-    CheckDigest,
     CheckDigestMulti,
     FetchPath,
-    ProbeCache,
     ProbeCacheMulti,
     ReadDatabase,
     RetrievalEngine,
     SERVER_UNAVAILABLE,
     WaitForLeader,
-    WriteBack,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
@@ -53,11 +48,7 @@ OLD_ID = ROUTER.route(KEY, 4)
 
 
 class FaultySubstrate:
-    """A pure in-memory substrate with a per-server health map.
-
-    Drives both the scalar and the batch generator from the *same* state,
-    which is what makes the scalar-vs-batch parity assertions meaningful.
-    """
+    """A pure in-memory substrate with a per-server health map."""
 
     def __init__(self, down=(), digest_down=(), digest_yes=(), stores=None):
         self.down = set(down)
@@ -70,36 +61,9 @@ class FaultySubstrate:
     def _value(self, server_id, key):
         return self.stores.get(server_id, {}).get(key)
 
-    def scalar(self, engine, key, epochs):
-        gen = engine.retrieve(key, epochs)
-        result = None
-        try:
-            while True:
-                command = gen.send(result)
-                result = self._answer_scalar(command, key)
-        except StopIteration as stop:
-            return stop.value
-
-    def _answer_scalar(self, command, key):
-        if isinstance(command, ProbeCache):
-            if command.server_id in self.down:
-                return SERVER_UNAVAILABLE
-            return self._value(command.server_id, key)
-        if isinstance(command, CheckDigest):
-            if command.server_id in self.digest_down:
-                return SERVER_UNAVAILABLE
-            return key in self.digest_yes
-        if isinstance(command, WaitForLeader):
-            return False
-        if isinstance(command, ReadDatabase):
-            self.db_reads.append(key)
-            return f"db:{key}"
-        if isinstance(command, WriteBack):
-            if command.server_id in self.down:
-                return SERVER_UNAVAILABLE
-            self.written.append((command.server_id, key))
-            return None
-        raise AssertionError(f"unexpected command {command!r}")
+    def one(self, engine, key, epochs):
+        """Retrieve *key* as a batch of one; returns its outcome."""
+        return self.batch(engine, [key], epochs)[key]
 
     def batch(self, engine, keys, epochs):
         gen = engine.retrieve_many(keys, epochs)
@@ -107,13 +71,11 @@ class FaultySubstrate:
         try:
             while True:
                 round_ = gen.send(answers)
-                answers = tuple(
-                    self._answer_batched(command) for command in round_
-                )
+                answers = tuple(self._answer(command) for command in round_)
         except StopIteration as stop:
             return stop.value
 
-    def _answer_batched(self, command):
+    def _answer(self, command):
         if isinstance(command, ProbeCacheMulti):
             if command.server_id in self.down:
                 return SERVER_UNAVAILABLE
@@ -133,13 +95,9 @@ class FaultySubstrate:
             if command.server_id in self.digest_down:
                 return SERVER_UNAVAILABLE
             return [key in self.digest_yes for key in command.keys]
-        if isinstance(command, (CheckDigest, WaitForLeader, ReadDatabase)):
-            if isinstance(command, CheckDigest):
-                if command.server_id in self.digest_down:
-                    return SERVER_UNAVAILABLE
-                return command.key in self.digest_yes
-            if isinstance(command, WaitForLeader):
-                return False
+        if isinstance(command, WaitForLeader):
+            return False
+        if isinstance(command, ReadDatabase):
             self.db_reads.append(command.key)
             return f"db:{command.key}"
         raise AssertionError(f"unexpected command {command!r}")
@@ -149,7 +107,7 @@ class TestScalarDegradedPaths:
     def test_dead_new_owner_forces_degraded_db(self):
         engine = RetrievalEngine(ROUTER)
         substrate = FaultySubstrate(down={NEW_ID})
-        outcome = substrate.scalar(engine, KEY, STEADY)
+        outcome = substrate.one(engine, KEY, STEADY)
         assert outcome.path is FetchPath.DEGRADED_DB
         assert outcome.value == f"db:{KEY}"
         assert outcome.degraded
@@ -162,7 +120,7 @@ class TestScalarDegradedPaths:
     def test_unknown_digest_forces_degraded_db(self):
         engine = RetrievalEngine(ROUTER)
         substrate = FaultySubstrate(digest_down={OLD_ID})
-        outcome = substrate.scalar(engine, KEY, DRAINING)
+        outcome = substrate.one(engine, KEY, DRAINING)
         assert outcome.path is FetchPath.DEGRADED_DB
         assert outcome.degraded
         assert engine.stats.degraded["digest"] == 1
@@ -171,7 +129,7 @@ class TestScalarDegradedPaths:
     def test_dead_old_owner_on_digest_hit_degrades(self):
         engine = RetrievalEngine(ROUTER)
         substrate = FaultySubstrate(down={OLD_ID}, digest_yes={KEY})
-        outcome = substrate.scalar(engine, KEY, DRAINING)
+        outcome = substrate.one(engine, KEY, DRAINING)
         assert outcome.path is FetchPath.DEGRADED_DB
         assert engine.stats.degraded["probe_old"] == 1
         # the value was still installed at the (healthy) new owner
@@ -184,7 +142,7 @@ class TestScalarDegradedPaths:
             digest_yes={KEY},
             stores={OLD_ID: {KEY: "hot"}},
         )
-        outcome = substrate.scalar(engine, KEY, DRAINING)
+        outcome = substrate.one(engine, KEY, DRAINING)
         # The old owner still has the hot copy: served, not degraded to DB.
         assert outcome.path is FetchPath.HIT_OLD
         assert outcome.value == "hot"
@@ -196,18 +154,16 @@ class TestScalarDegradedPaths:
 
     def test_failed_writeback_after_plain_miss_keeps_miss_path(self):
         engine = RetrievalEngine(ROUTER)
-        substrate = FaultySubstrate()
-        # healthy probe (miss), healthy DB, then the write-back fails
-        substrate.down = set()  # probes healthy...
 
+        # healthy probe (miss), healthy DB, then the write-back fails
         class WritebackDown(FaultySubstrate):
-            def _answer_scalar(self, command, key):
-                if isinstance(command, WriteBack):
+            def _answer(self, command):
+                if isinstance(command, WriteBackMulti):
                     return SERVER_UNAVAILABLE
-                return super()._answer_scalar(command, key)
+                return super()._answer(command)
 
         substrate = WritebackDown()
-        outcome = substrate.scalar(engine, KEY, STEADY)
+        outcome = substrate.one(engine, KEY, STEADY)
         # no fault forced the DB read — an ordinary miss stays MISS_DB
         assert outcome.path is FetchPath.MISS_DB
         assert outcome.degraded
@@ -217,46 +173,46 @@ class TestScalarDegradedPaths:
     def test_healthy_paths_record_nothing_degraded(self):
         engine = RetrievalEngine(ROUTER)
         substrate = FaultySubstrate(digest_yes={KEY})
-        outcome = substrate.scalar(engine, KEY, DRAINING)
+        outcome = substrate.one(engine, KEY, DRAINING)
         assert outcome.path is FetchPath.FALSE_POSITIVE_DB
         assert not outcome.degraded
         assert engine.stats.degraded_events == 0
 
 
 class TestBatchScalarParity:
+    """A page of N keys equals N pages of one, fault for fault."""
+
     def run_both(
         self, down=(), digest_down=(), digest_yes=(), stores=None, keys=None,
         epochs=DRAINING,
     ):
         keys = keys or [f"page:{i}" for i in range(24)]
-        scalar_engine = RetrievalEngine(ROUTER)
+        single_engine = RetrievalEngine(ROUTER)
         batch_engine = RetrievalEngine(ROUTER)
 
-        def fresh(engine_, method):
-            substrate = FaultySubstrate(
+        def fresh():
+            return FaultySubstrate(
                 down=down, digest_down=digest_down, digest_yes=digest_yes,
                 stores={
                     sid: dict(items) for sid, items in (stores or {}).items()
                 },
             )
-            if method == "scalar":
-                return {
-                    key: substrate.scalar(engine_, key, epochs)
-                    for key in keys
-                }
-            return substrate.batch(engine_, keys, epochs)
 
-        scalar_outcomes = fresh(scalar_engine, "scalar")
-        batch_outcomes = fresh(batch_engine, "batch")
-        assert set(scalar_outcomes) == set(batch_outcomes)
+        singles_substrate = fresh()
+        singles = {
+            key: singles_substrate.one(single_engine, key, epochs)
+            for key in keys
+        }
+        batched = fresh().batch(batch_engine, keys, epochs)
+        assert set(singles) == set(batched)
         for key in keys:
-            a, b = scalar_outcomes[key], batch_outcomes[key]
+            a, b = singles[key], batched[key]
             assert a.path == b.path, key
             assert a.value == b.value, key
             assert a.degraded == b.degraded, key
-        assert scalar_engine.stats.counts == batch_engine.stats.counts
-        assert scalar_engine.stats.degraded == batch_engine.stats.degraded
-        return scalar_engine.stats
+        assert single_engine.stats.counts == batch_engine.stats.counts
+        assert single_engine.stats.degraded == batch_engine.stats.degraded
+        return single_engine.stats
 
     def test_parity_with_one_dead_server(self):
         stats = self.run_both(down={0})

@@ -50,7 +50,7 @@ class TestScenarioSpec:
         experiment = ClusterExperiment(
             ScenarioSpec.naive(), small_config(coalesce_misses=True)
         )
-        assert all(web.coalesce_misses for web in experiment.webs)
+        assert all(web.config.coalesce_misses for web in experiment.webs)
 
     def test_with_coalescing_overrides_config(self):
         spec = ScenarioSpec.naive().with_coalescing()
@@ -59,14 +59,14 @@ class TestScenarioSpec:
         experiment = ClusterExperiment(
             spec, small_config(coalesce_misses=False)
         )
-        assert all(web.coalesce_misses for web in experiment.webs)
+        assert all(web.config.coalesce_misses for web in experiment.webs)
         # The override works in both directions.
         off = ScenarioSpec.naive().with_coalescing(False)
         assert off.name == "Naive-coalesce"
         experiment = ClusterExperiment(
             off, small_config(coalesce_misses=True)
         )
-        assert not any(web.coalesce_misses for web in experiment.webs)
+        assert not any(web.config.coalesce_misses for web in experiment.webs)
 
 
 class TestConfigValidation:

@@ -4,8 +4,9 @@ The same scripted fault is realized twice — in the simulator as
 crash events (via :func:`failure_events_from_schedule`) and against the
 live tier as chaos-proxy plans (via :meth:`FaultSchedule.plans_at`) —
 and both sides must report the *same* engine accounting: identical
-``FetchStats.counts`` per path and identical ``FetchStats.degraded``
-event counters.  This is the fault-injection extension of the repo's
+``FetchStats.counts`` per path, identical ``FetchStats.degraded`` event
+counters, and the same per-result ``FetchResult.degraded`` flag for every
+post-fault fetch.  This is the fault-injection extension of the repo's
 sim-vs-live retrieval parity suite.
 """
 
@@ -52,7 +53,8 @@ async def database(key):
 
 
 def run_sim(schedule, transition_to=None):
-    """Warm, apply *schedule* as crash events, refetch; return stats."""
+    """Warm, apply *schedule* as crash events, refetch; return the stats
+    and each post-fault fetch's ``degraded`` flag."""
     cache = CacheCluster(
         ProteusRouter(N_SERVERS),
         capacity_bytes=4096 * 2000,
@@ -72,10 +74,11 @@ def run_sim(schedule, transition_to=None):
     for event in failure_events_from_schedule(schedule):
         cache.fail_server(event.server_id, event.when)
     now = FAULT_AT + 0.1
+    degraded = {}
     for key in KEYS:
-        web.fetch(key, now=now)
+        degraded[key] = web.fetch(key, now=now).degraded
         now += 0.01
-    return web.stats
+    return web.stats, degraded
 
 
 async def run_live(schedule, transition_to=None):
@@ -100,10 +103,12 @@ async def run_live(schedule, transition_to=None):
             await web.scale_to(transition_to, ttl=60.0)
         for server_id, plan in schedule.plans_at(FAULT_AT + 0.1).items():
             proxies[server_id].set_plan(plan)
+        degraded = {}
         for key in KEYS:
             result = await web.fetch(key)
             assert result.value == value_of(key)
-        return web.stats
+            degraded[key] = result.degraded
+        return web.stats, degraded
     finally:
         await web.close()
         for proxy in proxies:
@@ -112,10 +117,15 @@ async def run_live(schedule, transition_to=None):
             await server.stop()
 
 
-def assert_parity(sim_stats, live_stats):
+def assert_parity(sim, live):
+    """Both ``(stats, per-key degraded flags)`` reports agree; returns
+    the shared stats and flags."""
+    (sim_stats, sim_degraded), (live_stats, live_degraded) = sim, live
     assert sim_stats.counts == live_stats.counts
     assert sim_stats.degraded == live_stats.degraded
     assert sim_stats.degraded_events == live_stats.degraded_events
+    assert sim_degraded == live_degraded
+    return sim_stats, sim_degraded
 
 
 @pytest.mark.timeout(120)
@@ -124,12 +134,17 @@ class TestDegradedParity:
         # Kill server 0 after warming: its keys degrade to the database
         # (probe skipped, write-back skipped) on both substrates.
         schedule = schedule_killing(0)
-        sim_stats = run_sim(schedule)
-        live_stats = run(run_live(schedule))
-        assert_parity(sim_stats, live_stats)
+        sim_stats, degraded = assert_parity(
+            run_sim(schedule), run(run_live(schedule))
+        )
         assert sim_stats.counts["degraded_db"] > 0
         assert sim_stats.degraded["probe_new"] > 0
         assert sim_stats.degraded["writeback"] > 0
+        # Exactly the dead server's keys report a degraded fetch.
+        router = ProteusRouter(N_SERVERS)
+        assert degraded == {
+            key: router.route(key, N_SERVERS) == 0 for key in KEYS
+        }
 
     def test_killed_old_owner_mid_transition(self):
         # Scale 3 -> 2, then kill the retiring server: every moved key's
@@ -137,17 +152,20 @@ class TestDegradedParity:
         # degrades to the database while the write-back still installs
         # the value at the healthy new owner.
         schedule = schedule_killing(2)
-        sim_stats = run_sim(schedule, transition_to=2)
-        live_stats = run(run_live(schedule, transition_to=2))
-        assert_parity(sim_stats, live_stats)
+        sim_stats, degraded = assert_parity(
+            run_sim(schedule, transition_to=2),
+            run(run_live(schedule, transition_to=2)),
+        )
         assert sim_stats.degraded["probe_old"] > 0
         assert sim_stats.counts["degraded_db"] > 0
+        assert sum(degraded.values()) == sim_stats.counts["degraded_db"]
 
     def test_benign_schedule_stays_clean(self):
         # An empty schedule maps to zero crash events and benign proxies:
         # both substrates must report zero degraded activity.
         schedule = FaultSchedule()
-        sim_stats = run_sim(schedule)
-        live_stats = run(run_live(schedule))
-        assert_parity(sim_stats, live_stats)
+        sim_stats, degraded = assert_parity(
+            run_sim(schedule), run(run_live(schedule))
+        )
         assert sim_stats.degraded_events == 0
+        assert not any(degraded.values())

@@ -271,3 +271,30 @@ class TestFetchManyParity:
                 await live.stop()
 
         run(body())
+
+    def test_concurrent_coalescing_pages_read_each_key_once(self):
+        # Two pages that miss the same keys at the same moment: the leader
+        # claim must be atomic with the "no leader yet" check, or both
+        # pages read the database (the dog pile coalescing exists to stop).
+        keys = [f"page:{i}" for i in range(8)]
+
+        async def body():
+            live = await LiveSubstrate(coalesce=True).start()
+            try:
+                pages = await asyncio.gather(
+                    *[live.web.fetch_many(keys) for _ in range(4)]
+                )
+                assert live.db_reads == len(keys)
+                for page in pages:
+                    for key in keys:
+                        assert page[key].value == f"db-value-of-{key}".encode()
+                assert live.web.stats.counts[FetchPath.MISS_DB] == len(keys)
+                assert (
+                    live.web.stats.counts[FetchPath.COALESCED]
+                    == 3 * len(keys)
+                )
+                assert not live.web._inflight
+            finally:
+                await live.stop()
+
+        run(body())
