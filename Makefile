@@ -17,10 +17,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # One-round routing/bloom microbenches plus the chaos availability check
-# and the hot-key storm, autopilot, net-throughput, and overload
-# ratchets: fast CI canary for the vectorized hot path, the degraded
-# fetch path, the armor's load-flattening gate, the pipelined
-# transport's RPS gate, and the overload armor's goodput/recovery gate
+# and the hot-key storm, autopilot, net-throughput, overload, and
+# store-pressure ratchets: fast CI canary for the vectorized hot path,
+# the degraded fetch path, the armor's load-flattening gate, the
+# pipelined transport's RPS gate, the overload armor's goodput/recovery
+# gate, and the store's flat set-at-capacity cost
 # (speedup/availability gates still enforced; absolute numbers are noisy).
 bench-smoke:
 	PROTEUS_BENCH_ROUNDS=1 $(PYTHON) -m pytest \
@@ -32,6 +33,7 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_autopilot.py --check
 	$(PYTHON) benchmarks/bench_net_throughput.py --check
 	$(PYTHON) benchmarks/bench_overload.py --check
+	$(PYTHON) benchmarks/bench_store_pressure.py --check
 
 # Smoke run of the end-to-end page-fetch benchmark BENCHMARK.json
 # declares (~30 s, nothing enforced; see benchmarks/e2e/README.md).

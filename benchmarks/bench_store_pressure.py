@@ -1,0 +1,198 @@
+"""Store-pressure bench — ``set`` into a *full* cache node must not scale
+with the number of resident items.
+
+Algorithm 2 ends every miss with a write-back into the new owner, and the
+paper's nodes are memcached boxes that are full (Fig. 6), so "set at
+capacity" is the steady-state write path.  Before it may evict a live
+item the store reclaims everything already expired; this bench measures
+what that costs per ``set`` as the node grows from 1 k to 64 k resident
+items, through ``MemcachedServer._dispatch`` with the digest hooks
+attached (the whole server-side write path minus the socket).
+
+Two mixes on an injected clock that ticks once per ``set``:
+
+* ``no_ttl`` — nothing ever expires; every set evicts the LRU victim.
+* ``ttl_10pct`` — every tenth item carries a TTL of half a cache
+  turnover, so it comes due before LRU reaches it and is reclaimed by
+  the expiry path instead.
+
+**Gate** (asserted in :func:`run_bench` and therefore in CI): per-op
+cost at 64 k items / per-op cost at 1 k items <= 1.5 on both mixes.  The
+ratio is machine-independent even though the nanoseconds are not; with
+the full-store scan it replaced the ratio was ~50-60.
+
+Results go to ``BENCH_store.json``; ``--check`` re-runs the bench and
+re-asserts the gate without rewriting the file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+from typing import Dict, List
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from benchmarks.conftest import fmt_row  # noqa: E402
+from repro.bloom import hashing  # noqa: E402
+from repro.bloom.config import optimal_config  # noqa: E402
+from repro.net import protocol as proto  # noqa: E402
+from repro.net.server import MemcachedServer  # noqa: E402
+
+JSON_PATH = REPO_ROOT / "BENCH_store.json"
+
+SIZES = (1_000, 4_000, 16_000, 64_000)
+VALUE = b"x" * 64
+TIMED_SETS = SIZES[0]  # sets per timed round: at most one turnover, see drive()
+ROUNDS = 15            # best-of: the floor is what the data structure costs
+TTL_EVERY = 10         # ttl_10pct: one item in ten carries a TTL
+MIXES = (("no_ttl", 0), ("ttl_10pct", TTL_EVERY))
+GATE_RATIO = 1.5       # cost(64 k) / cost(1 k)
+
+
+def _requests(start: int, count: int, resident: int, ttl_every: int):
+    ttl = resident // 2
+    return [
+        proto.Request(
+            "set", [f"key:{i}"], value=VALUE, num_bytes=len(VALUE),
+            exptime=ttl if ttl_every and i % ttl_every == 0 else 0,
+        )
+        for i in range(start, start + count)
+    ]
+
+
+class _FullNode:
+    """A server filled to capacity and one turnover past it, so TTL'd and
+    LRU departures are in steady-state proportions before timing."""
+
+    def __init__(self, resident: int, ttl_every: int) -> None:
+        self.resident = resident
+        self.ttl_every = ttl_every
+        self.now = 0.0   # one virtual second per set: exptime is whole seconds
+        self.server = MemcachedServer(
+            capacity_bytes=resident * len(VALUE),
+            bloom_config=optimal_config(resident),
+            clock=lambda: self.now,
+        )
+        self.issued = 0
+        self.drive(2 * resident)
+        store = self.server.store
+        assert len(store) >= resident - resident // TTL_EVERY - 1
+        assert store.stats.evictions > 0
+
+    def drive(self, count: int) -> float:
+        """Seconds per ``set`` over *count* fresh keys.
+
+        The process-wide salted-hash memo (64 Ki entries) is emptied
+        first: it would serve a small node's digest removals from cache
+        and a large node's not — a working-set effect of
+        ``bloom.hashing``, not of the store.  With it cold and at most
+        one turnover per call, every departing key is re-hashed at every
+        size.
+        """
+        batch = _requests(self.issued, count, self.resident, self.ttl_every)
+        self.issued += count
+        dispatch = self.server._dispatch
+        hashing._hash64_memo.cache_clear()
+        started = time.perf_counter()
+        for request in batch:
+            self.now += 1.0
+            dispatch(request)
+        return (time.perf_counter() - started) / count
+
+    def check(self) -> None:
+        server = self.server
+        assert server.digest.count == len(server.store) == len(server._cas)
+        if self.ttl_every:
+            assert server.store.stats.expirations > 0
+
+
+def _costs_ns(ttl_every: int) -> Dict[str, int]:
+    """Best-of-``ROUNDS`` ns per ``set`` at each size.  Rounds visit the
+    sizes in turn so machine drift lands on every size alike."""
+    nodes = [_FullNode(n, ttl_every) for n in SIZES]
+    best = [float("inf")] * len(nodes)
+    for _ in range(ROUNDS):
+        for i, node in enumerate(nodes):
+            best[i] = min(best[i], node.drive(TIMED_SETS))
+    for node in nodes:
+        node.check()
+    return {str(n): round(cost * 1e9) for n, cost in zip(SIZES, best)}
+
+
+def run_bench() -> Dict[str, object]:
+    report: Dict[str, object] = {
+        "value_bytes": len(VALUE),
+        "timed_sets": TIMED_SETS,
+        "rounds": ROUNDS,
+        "gate_ratio": GATE_RATIO,
+    }
+    for name, ttl_every in MIXES:
+        costs = _costs_ns(ttl_every)
+        ratio = round(costs[str(SIZES[-1])] / costs[str(SIZES[0])], 2)
+        report[name] = {"set_ns": costs, "ratio_64k_over_1k": ratio}
+    for name, _ in MIXES:
+        ratio = report[name]["ratio_64k_over_1k"]
+        assert ratio <= GATE_RATIO, (
+            f"{name}: set at capacity costs {ratio}x more at "
+            f"{SIZES[-1]} resident items than at {SIZES[0]} "
+            f"(gate: <= {GATE_RATIO}x) — {report[name]['set_ns']}"
+        )
+    return report
+
+
+def print_report(report: Dict[str, object]) -> None:
+    print("\nset at capacity through MemcachedServer._dispatch (ns/op):")
+    print(fmt_row("mix", [f"{n // 1000}k" for n in SIZES] + ["64k/1k"],
+                  width=10))
+    for name, _ in MIXES:
+        row: List[object] = [report[name]["set_ns"][str(n)] for n in SIZES]
+        print(fmt_row(name, row + [report[name]["ratio_64k_over_1k"]],
+                      width=10))
+    print(f"gate: 64k/1k <= {GATE_RATIO}x on both mixes")
+
+
+def write_report(report: Dict[str, object]) -> None:
+    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {JSON_PATH.name}")
+
+
+def test_set_at_capacity_does_not_scale_with_residents():
+    """Per-op cost is flat from 1 k to 64 k resident items (asserted
+    inside :func:`run_bench`)."""
+    report = run_bench()
+    print_report(report)
+    write_report(report)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--check", action="store_true",
+        help="gate mode: re-run and re-assert cost(64k)/cost(1k) <= "
+             f"{GATE_RATIO} (BENCH_store.json is not rewritten)",
+    )
+    args = parser.parse_args()
+    report = run_bench()
+    print_report(report)
+    if args.check:
+        if not JSON_PATH.exists():
+            print(f"{JSON_PATH.name} missing: commit a baseline first")
+            return 1
+        committed = json.loads(JSON_PATH.read_text())
+        for name, _ in MIXES:
+            print(f"gate: {name} 64k/1k {report[name]['ratio_64k_over_1k']}x "
+                  f"(committed {committed[name]['ratio_64k_over_1k']}x, "
+                  f"limit {GATE_RATIO}x): OK")
+        return 0
+    write_report(report)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

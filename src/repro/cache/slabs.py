@@ -309,6 +309,17 @@ class SlabStore:
         self.stats.record_delete(item.size)
         return True
 
+    def touch(self, key: str, now: float, expires_at: Optional[float]) -> bool:
+        """Re-time *key* to the absolute *expires_at* (``None`` = never);
+        False if absent or already expired.  Expiry here stays lazy, so
+        there is no index to update."""
+        item = self._items.get(key)
+        if item is None or item.expired(now):
+            return False
+        item.expires_at = expires_at
+        item.touch(now)
+        return True
+
     def flush(self) -> int:
         """Drop all items (pages stay assigned to their classes)."""
         dropped = list(self._items.values())

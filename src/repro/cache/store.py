@@ -9,11 +9,22 @@ every item that leaves (delete, eviction, or lazy expiry) fires
 ``on_unlink`` once, so a digest driven by these hooks never deletes an
 absent element — the property that rules out one of the two false-negative
 sources (Section IV-A).
+
+Expiry is indexed, not scanned: a min-heap of ``(expires_at, key)`` lets
+``purge_expired`` — which every ``set`` into a full store runs before it
+may evict a live item — answer "nothing is due" in O(1) and reclaim each
+due item in O(log n).  Heap entries are never removed in place: an
+overwrite, delete, eviction or ``touch`` leaves its old entry behind, and
+a popped entry is acted on only if its key is still resident with exactly
+that ``expires_at``.  Once stale entries outnumber the resident items
+(``len(heap) > 2 * len(items) + 64``) the heap is rebuilt from them, which
+bounds its memory by the store's own size.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+import heapq
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.eviction import EvictionPolicy, LRUPolicy
 from repro.cache.item import DEFAULT_ITEM_SIZE, CacheItem
@@ -58,6 +69,8 @@ class KeyValueStore:
         self.policy = policy if policy is not None else LRUPolicy()
         self.default_item_size = default_item_size
         self._items: Dict[str, CacheItem] = {}
+        #: lazily-validated min-heap of (expires_at, key); see module doc
+        self._expiry: List[Tuple[float, str]] = []
         self._used_bytes = 0
         self.stats = CacheStats()
         self.link_hooks: List[LinkHook] = []
@@ -153,6 +166,8 @@ class KeyValueStore:
             flags=flags,
         )
         self._link(item)
+        if ttl is not None:
+            self._index_expiry(item)
         self.stats.record_set(size_delta=item.size, new_item=True)
         return item
 
@@ -169,17 +184,44 @@ class KeyValueStore:
         self.stats.record_delete(item.size)
         return True
 
+    def touch(
+        self, key: str, now: float, expires_at: Optional[float]
+    ) -> bool:
+        """Re-time *key* to the absolute *expires_at* (``None`` = never).
+
+        Returns False if the key is absent or already expired.  Counts as
+        an access for the "hot" test but, like a peek, leaves eviction
+        order and hit/miss stats alone.
+        """
+        item = self._items.get(key)
+        if item is None or item.expired(now):
+            return False
+        item.expires_at = expires_at
+        item.touch(now)
+        if expires_at is not None:
+            self._index_expiry(item)
+        return True
+
     def purge_expired(self, now: float) -> int:
-        """Eagerly remove every expired item; returns how many were removed."""
-        stale = [item for item in self._items.values() if item.expired(now)]
-        for item in stale:
-            self._unlink(item, REASON_EXPIRE)
-            self.stats.record_expiration(item.size)
-        return len(stale)
+        """Eagerly remove every expired item; returns how many were removed.
+
+        O(1) when nothing is due, O(log n) per heap entry that is.
+        """
+        purged = 0
+        # Re-read ``self._expiry`` every round: an unlink may compact it.
+        while self._expiry and self._expiry[0][0] <= now:
+            expires_at, key = heapq.heappop(self._expiry)
+            item = self._items.get(key)
+            if item is not None and item.expires_at == expires_at:
+                self._unlink(item, REASON_EXPIRE)
+                self.stats.record_expiration(item.size)
+                purged += 1
+        return purged
 
     def flush(self) -> int:
         """Drop everything (power cycle / ``flush_all``); returns item count."""
         dropped = list(self._items.values())
+        self._expiry.clear()
         for item in dropped:
             self._unlink(item, REASON_FLUSH)
         self.stats.bytes_stored = 0
@@ -207,6 +249,20 @@ class KeyValueStore:
             self._unlink(victim, REASON_EVICT)
             self.stats.record_eviction(victim.size)
 
+    def _index_expiry(self, item: CacheItem) -> None:
+        heapq.heappush(self._expiry, (item.expires_at, item.key))
+        self._compact_expiry()
+
+    def _compact_expiry(self) -> None:
+        """Rebuild the heap from resident items once stale entries dominate."""
+        if len(self._expiry) > 2 * len(self._items) + 64:
+            self._expiry = [
+                (item.expires_at, item.key)
+                for item in self._items.values()
+                if item.expires_at is not None
+            ]
+            heapq.heapify(self._expiry)
+
     def _link(self, item: CacheItem) -> None:
         self._items[item.key] = item
         self._used_bytes += item.size
@@ -220,3 +276,4 @@ class KeyValueStore:
         self.policy.on_unlink(item.key)
         for hook in self.unlink_hooks:
             hook(item, reason)
+        self._compact_expiry()

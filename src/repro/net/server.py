@@ -118,7 +118,9 @@ class MemcachedServer:
         self._snapshot: Optional[bytes] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self.connections = 0
-        # cas bookkeeping: every successful store bumps the key's unique id.
+        # cas bookkeeping: every successful store bumps the key's unique id;
+        # the id goes when the item does (_on_unlink), so the map never
+        # outgrows the store.
         self._cas_counter = 0
         self._cas: Dict[str, int] = {}
 
@@ -129,6 +131,7 @@ class MemcachedServer:
 
     def _on_unlink(self, item: CacheItem, reason: str) -> None:
         self.digest.remove(item.key)
+        self._cas.pop(item.key, None)
 
     def take_snapshot(self) -> bytes:
         """Freeze the digest into a bit array (``get SET_BLOOM_FILTER``)."""
@@ -411,16 +414,13 @@ class MemcachedServer:
         return proto.number_response(number)
 
     def _do_touch(self, request: proto.Request) -> bytes:
-        key = request.keys[0]
         now = self._clock()
-        item = self.store.peek(key)
-        if item is None or item.expired(now):
-            return proto.not_found_response()
-        item.expires_at = (
+        expires_at = (
             None if request.exptime <= 0 else now + float(request.exptime)
         )
-        item.touch(now)
-        return proto.touched_response()
+        if self.store.touch(request.keys[0], now, expires_at):
+            return proto.touched_response()
+        return proto.not_found_response()
 
     def _do_delete(self, request: proto.Request) -> bytes:
         if self.store.delete(request.keys[0], self._clock()):

@@ -176,6 +176,98 @@ class TestTouch:
         run(with_server(body))
 
 
+    def test_touched_shorter_is_reclaimed_before_any_live_lru_victim(self):
+        async def body(server, client):
+            fake = {"t": 0.0}
+            server._clock = lambda: fake["t"]
+            for key in ("a", "b", "c", "d"):
+                await client.set(key, b"x" * 100)
+            await client.get("a")          # "a" is now the *most* recent
+            assert await client.touch("a", 5)
+            fake["t"] = 6.0
+            await client.set("e", b"x" * 100)   # full: needs one slot
+            assert "a" not in server.store
+            assert all(key in server.store for key in "bcde")
+            assert server.store.stats.expirations == 1
+            assert server.store.stats.evictions == 0
+            assert server.digest.count == len(server.store) == 4
+
+        run(with_server(body, capacity_bytes=400))
+
+    def test_touched_longer_survives_the_old_deadline_at_capacity(self):
+        async def body(server, client):
+            fake = {"t": 0.0}
+            server._clock = lambda: fake["t"]
+            await client.set("longer", b"x" * 100, exptime=5)
+            await client.set("never", b"x" * 100, exptime=5)
+            await client.set("left", b"x" * 100, exptime=5)
+            assert await client.touch("longer", 100)
+            assert await client.touch("never", 0)
+            fake["t"] = 6.0
+            # Everything past its *current* deadline goes; nothing else.
+            assert server.store.purge_expired(fake["t"]) == 1
+            assert set(server.store.keys()) == {"longer", "never"}
+            await client.set("fill", b"x" * 100)
+            await client.set("more", b"x" * 100)
+            assert server.store.stats.evictions == 0
+            fake["t"] = 200.0
+            assert server.store.purge_expired(fake["t"]) == 1
+            assert set(server.store.keys()) == {"never", "fill", "more"}
+            assert await client.get("never") == b"x" * 100
+
+        run(with_server(body, capacity_bytes=400))
+
+    def test_touch_on_slab_store_retimes_the_item(self):
+        async def body(server, client):
+            fake = {"t": 0.0}
+            server._clock = lambda: fake["t"]
+            await client.set("k", b"v", exptime=5)
+            assert await client.touch("k", 100)
+            fake["t"] = 50.0
+            assert await client.get("k") == b"v"
+            assert await client.touch("k", 1)
+            fake["t"] = 52.0
+            assert not await client.touch("k", 10)   # already expired
+            assert await client.get("k") is None
+
+        run(with_server(body, capacity_bytes=1 << 20, use_slabs=True))
+
+
+class TestCasBookkeeping:
+    def test_cas_map_never_outgrows_the_store(self):
+        async def body(server, client):
+            value = b"x" * 100
+            for start in range(0, 10_000, 500):
+                stored = await client.set_multi(
+                    [(f"key:{i}", value) for i in range(start, start + 500)]
+                )
+                assert stored == 500
+            assert len(server.store) == 1_000
+            assert server.store.stats.evictions == 9_000
+            assert len(server._cas) == len(server.store)
+            assert await client.delete("key:9999")
+            assert len(server._cas) == len(server.store) == 999
+            # gets/cas still see a live id for what is resident.
+            token = await client.gets("key:9998")
+            assert await client.cas("key:9998", b"new", token.cas) == "stored"
+            await client.flush_all()
+            assert len(server._cas) == len(server.store) == 0
+
+        run(with_server(body, capacity_bytes=100 * 1_000))
+
+    def test_expired_item_drops_its_cas_id(self):
+        async def body(server, client):
+            fake = {"t": 0.0}
+            server._clock = lambda: fake["t"]
+            await client.set("k", b"v", exptime=5)
+            assert "k" in server._cas
+            fake["t"] = 6.0
+            assert await client.get("k") is None
+            assert server._cas == {}
+
+        run(with_server(body))
+
+
 class TestGetMulti:
     def test_batched_hits_and_misses(self):
         async def body(server, client):
