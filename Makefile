@@ -16,7 +16,9 @@ test-output:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# One-round routing/bloom microbenches plus the chaos availability check
+# One-round routing/bloom microbenches, the two benches that run
+# Algorithm 2 over more than one replica ring (crash ablation, failover
+# timeline), plus the chaos availability check
 # and the hot-key storm, autopilot, net-throughput, overload, and
 # store-pressure ratchets: fast CI canary for the vectorized hot path,
 # the degraded fetch path, the armor's load-flattening gate, the
@@ -25,7 +27,9 @@ bench:
 # (speedup/availability gates still enforced; absolute numbers are noisy).
 bench-smoke:
 	PROTEUS_BENCH_ROUNDS=1 $(PYTHON) -m pytest \
-		benchmarks/bench_routing_perf.py --benchmark-disable -q -s
+		benchmarks/bench_routing_perf.py \
+		benchmarks/bench_ablation_replication.py \
+		benchmarks/bench_failover.py --benchmark-disable -q -s
 	$(PYTHON) benchmarks/bench_routing_shootout.py \
 		--sizes 40,128 --keys 20000 --rounds 1
 	$(PYTHON) benchmarks/bench_fault_tolerance.py --rounds 1

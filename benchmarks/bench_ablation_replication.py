@@ -15,9 +15,11 @@ import pytest
 from benchmarks.conftest import fmt_row
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
-from repro.core.replication import ReplicatedProteusRouter, no_conflict_probability
+from repro.core.replication import no_conflict_probability
+from repro.core.ring import ProteusBackend
+from repro.core.router import RingRouter
 from repro.database.cluster import DatabaseCluster
-from repro.web.replicated import ReplicatedWebServer
+from repro.web.frontend import WebServer
 
 CFG = optimal_config(5000)
 N = 8
@@ -27,11 +29,11 @@ REPLICAS = [1, 2, 3]
 
 def run_crash(replicas: int) -> dict:
     cache = CacheCluster(
-        ReplicatedProteusRouter(N, replicas=replicas, ring_size=2 ** 24),
+        RingRouter(ProteusBackend(N, 2 ** 24), replicas=replicas),
         capacity_bytes=4096 * 5000, ttl=60.0, bloom_config=CFG,
     )
     db = DatabaseCluster(4)
-    web = ReplicatedWebServer(0, cache, db)
+    web = WebServer(0, cache, db)
     t = 0.0
     keys = [f"page:{i}" for i in range(KEYS)]
     for key in keys:
@@ -47,7 +49,7 @@ def run_crash(replicas: int) -> dict:
     return {
         "db_reads": db.total_requests() - db_before,
         "victim_keys": victim_keys,
-        "failovers": web.failovers,
+        "failovers": web.stats.failovers,
     }
 
 

@@ -3,9 +3,9 @@
 Every simulator experiment calls ``WebServer.fetch`` per key, and ``fetch``
 is ``fetch_many([key])[key]`` — so the fixed cost of one round of the batch
 protocol is the simulator's speed.  This prints it, warm hit path, next to
-the routing call it contains.  Run on a checkout that still has the scalar
-``RetrievalEngine.retrieve`` (before PR 13) it also times that, which is
-where the before/after figures in CHANGES.md come from::
+the routing call it contains, for both read-plan lengths: one owner
+(``replicas=1``, what the paper's evaluation runs) and two (``replicas=2``,
+where a warm hit also refreshes the other replica)::
 
     PYTHONPATH=src python benchmarks/bench_batch_of_one.py
 
@@ -20,8 +20,10 @@ import time
 from repro import (
     CacheCluster,
     DatabaseCluster,
+    ProteusBackend,
     ProteusRouter,
     RetrievalEngine,
+    RingRouter,
     WebServer,
     optimal_config,
 )
@@ -56,36 +58,48 @@ def drive(steps, answer):
         return stop.value
 
 
-def main() -> None:
-    router = ProteusRouter(8)
+def engine_row(router) -> float:
+    """``retrieve_many([k])`` where every probe hits."""
     engine = RetrievalEngine(router)
     epochs = RoutingEpochs(new=8, old=None, transition=None)
-    rows = {}
-    if hasattr(engine, "retrieve"):  # the pre-PR-13 scalar generator
-        rows["engine.retrieve(k)"] = best_us(
-            lambda k: drive(engine.retrieve(k, epochs), lambda command: "v")
-        )
-    rows["engine.retrieve_many([k])"] = best_us(
+    return best_us(
         lambda k: drive(
             engine.retrieve_many([k], epochs),
             lambda round_: tuple({key: "v" for key in c.keys} for c in round_),
         )
     )
-    rows["router.route(k)"] = best_us(lambda k: router.route(k, 8))
-    rows["router.route_many([k])"] = best_us(lambda k: router.route_many([k], 8))
 
+
+def warm_web(router) -> WebServer:
     cache = CacheCluster(
-        ProteusRouter(8), capacity_bytes=4096 * 4000,
-        bloom_config=optimal_config(4000),
+        router, capacity_bytes=4096 * 4000, bloom_config=optimal_config(4000),
     )
     web = WebServer(0, cache, DatabaseCluster(2))
     for key in KEYS:
         web.fetch(key, 0.0)
     assert all(web.fetch(key, WARM).path == "hit_new" for key in KEYS)
+    return web
+
+
+def main() -> None:
+    router = ProteusRouter(8)
+    two_rings = RingRouter(ProteusBackend(8), replicas=2)
+    rows = {}
+    rows["engine.retrieve_many([k])"] = engine_row(router)
+    rows["engine.retrieve_many([k]) r=2"] = engine_row(two_rings)
+    rows["router.route(k)"] = best_us(lambda k: router.route(k, 8))
+    rows["router.route_many([k])"] = best_us(lambda k: router.route_many([k], 8))
+    rows["router.read_plans([k]) r=2"] = best_us(
+        lambda k: two_rings.read_plans([k], 8)
+    )
+
+    web = warm_web(router)
     rows["sim WebServer.fetch(k)"] = best_us(lambda k: web.fetch(k, WARM))
     rows["sim WebServer.fetch_many([k])"] = best_us(
         lambda k: web.fetch_many([k], WARM)
     )
+    web = warm_web(two_rings)
+    rows["sim WebServer.fetch(k) r=2"] = best_us(lambda k: web.fetch(k, WARM))
     print("warm hit path, microseconds per call (min of "
           f"{REPEATS} x {CALLS} calls):")
     for label, micros in rows.items():

@@ -6,7 +6,7 @@ concentration (the head keys' owners soak the storm exactly when the
 fleet is shrinking).  Two scenarios run the **same** seeded request
 schedule:
 
-* ``baseline`` — plain Algorithm 2 over replicated rings;
+* ``baseline`` — plain Algorithm 2 over two replica rings;
 * ``armored`` — ``hot_key_cache`` on (sketch-elected keys served from
   the frontend-local cache, TTL-bounded) plus ``d_choices=2``
   power-of-two-choices reads for hot keys.
@@ -38,11 +38,12 @@ from benchmarks.conftest import fmt_row  # noqa: E402
 from repro.bloom.config import optimal_config  # noqa: E402
 from repro.cache.cluster import CacheCluster  # noqa: E402
 from repro.core.metrics import peak_to_average  # noqa: E402
-from repro.core.replication import ReplicatedProteusRouter  # noqa: E402
-from repro.core.retrieval import RetrievalConfig  # noqa: E402
+from repro.core.retrieval import FetchPath, RetrievalConfig  # noqa: E402
+from repro.core.ring import ProteusBackend  # noqa: E402
+from repro.core.router import RingRouter  # noqa: E402
 from repro.database.cluster import DatabaseCluster  # noqa: E402
 from repro.sim.latency import Constant  # noqa: E402
-from repro.web.replicated import ReplicatedWebServer  # noqa: E402
+from repro.web.frontend import WebServer  # noqa: E402
 from repro.workload.zipf import ZipfSampler  # noqa: E402
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_hotkey.json"
@@ -74,8 +75,8 @@ def _schedule() -> List[str]:
 
 
 def run_scenario(armored: bool) -> Dict[str, object]:
-    router = ReplicatedProteusRouter(
-        NUM_SERVERS, replicas=REPLICAS, ring_size=2 ** 20
+    router = RingRouter(
+        ProteusBackend(NUM_SERVERS, 2 ** 20), replicas=REPLICAS
     )
     cluster = CacheCluster(
         router, bloom_config=optimal_config(CATALOGUE), ttl=DRAIN_TTL
@@ -86,7 +87,7 @@ def run_scenario(armored: bool) -> Dict[str, object]:
         d_choices=2 if armored else 1,
         hot_key_ttl=HOT_TTL,
     )
-    web = ReplicatedWebServer(0, cluster, database, seed=SEED, config=config)
+    web = WebServer(0, cluster, database, seed=SEED, config=config)
 
     # Warm phase: install the whole catalogue (no database involved) so
     # the storm measures load distribution, not cold-start misses.
@@ -105,7 +106,7 @@ def run_scenario(armored: bool) -> Dict[str, object]:
             scaled = True
         result = web.fetch(key, now)
         latencies.append(result.latency)
-        local_hits += result.local
+        local_hits += result.path is FetchPath.HIT_LOCAL
         answered += result.value is not None
         now += DT
     cluster.finalize_expired(now)
@@ -123,7 +124,7 @@ def run_scenario(armored: bool) -> Dict[str, object]:
         "peak_to_average": round(peak_to_average(storm_counts), 4),
         "p99_ms": round(1000 * _percentile(latencies, 0.99), 3),
         "mean_ms": round(1000 * sum(latencies) / len(latencies), 3),
-        "database_reads": web.database_reads,
+        "database_reads": web.stats.database_reads,
     }
 
 

@@ -9,9 +9,15 @@ the Eq. 3 conflict probability against measurement.
 Run:  python examples/fault_tolerance.py
 """
 
-from repro import CacheCluster, DatabaseCluster, ReplicatedWebServer
+from repro import (
+    CacheCluster,
+    DatabaseCluster,
+    ProteusBackend,
+    RingRouter,
+    WebServer,
+)
 from repro.core.replication import (
-    ReplicatedProteusRouter,
+    empirical_conflict_rate,
     no_conflict_probability,
 )
 
@@ -20,10 +26,10 @@ HOT_KEYS = 800
 
 
 def run(replicas: int) -> dict:
-    router = ReplicatedProteusRouter(NUM_SERVERS, replicas=replicas)
+    router = RingRouter(ProteusBackend(NUM_SERVERS), replicas=replicas)
     cache = CacheCluster(router, capacity_bytes=4096 * 20_000, ttl=60.0)
     database = DatabaseCluster()
-    web = ReplicatedWebServer(0, cache, database)
+    web = WebServer(0, cache, database)
 
     clock = 0.0
     keys = [f"page:{i}" for i in range(HOT_KEYS)]
@@ -43,7 +49,7 @@ def run(replicas: int) -> dict:
         "replicas": replicas,
         "victim_owned": owned,
         "db_reads": database.total_requests() - before,
-        "failovers": web.failovers,
+        "failovers": web.stats.failovers,
     }
 
 
@@ -58,8 +64,8 @@ def main() -> None:
 
     print("\nEq. 3 — probability all replicas land on distinct servers "
           f"(n={NUM_SERVERS}):")
-    router = ReplicatedProteusRouter(NUM_SERVERS, replicas=2)
-    measured = 1.0 - router.empirical_conflict_rate(NUM_SERVERS)
+    router = RingRouter(ProteusBackend(NUM_SERVERS), replicas=2)
+    measured = 1.0 - empirical_conflict_rate(router, NUM_SERVERS)
     predicted = no_conflict_probability(2, NUM_SERVERS)
     print(f"  r=2: predicted {predicted:.3f}, measured {measured:.3f}")
     print("\nWith r>=2, a crash costs only the conflicted keys "

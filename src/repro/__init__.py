@@ -63,13 +63,11 @@ from repro.core import (
     PowerRouter,
     ProteusBackend,
     ProteusRouter,
-    ReadPlan,
     Registry,
-    ReplicatedProteusRouter,
-    ReplicatedRetrievalEngine,
     RetrievalConfig,
     RetrievalEngine,
     RingBackend,
+    RingRouter,
     Router,
     ServerLoadEWMA,
     StaticRouter,
@@ -116,7 +114,7 @@ from repro.experiments import (
     simulate_hit_ratio,
     sweep_cache_sizes,
 )
-from repro.web import ReplicatedWebServer, WebServer
+from repro.web import WebServer
 from repro.workload import (
     TraceRecord,
     UserPopulation,
@@ -177,16 +175,13 @@ __all__ = [
     "ProvisioningSchedule",
     "RING_BACKENDS",
     "ROUTER_SCENARIOS",
-    "ReadPlan",
     "Registry",
-    "ReplicatedProteusRouter",
-    "ReplicatedRetrievalEngine",
-    "ReplicatedWebServer",
     "ResiliencePolicy",
     "RetrievalConfig",
     "RetrievalEngine",
     "RetryPolicy",
     "RingBackend",
+    "RingRouter",
     "Router",
     "ScenarioSpec",
     "ServerLoadEWMA",

@@ -101,7 +101,7 @@ class CacheCluster:
 
         This is the retrieval engine's epoch source: drivers pass the
         returned :class:`~repro.core.transition.RoutingEpochs` straight to
-        :meth:`repro.core.retrieval.RetrievalEngine.retrieve`.
+        :meth:`repro.core.retrieval.RetrievalEngine.retrieve_many`.
         """
         return self.transitions.routing_counts(now)
 
@@ -218,9 +218,9 @@ class CacheCluster:
         lose the in-cache data regardless of scheme, so the fixed order
         needs no special-casing — routing still targets the server, and
         fault tolerance comes from replication
-        (:class:`~repro.core.replication.ReplicatedProteusRouter` +
-        :class:`~repro.web.replicated.ReplicatedWebServer`), which skips
-        failed servers at read time.
+        (:class:`~repro.core.router.RingRouter` with ``replicas > 1``):
+        the retrieval engine moves on to the next owner in the key's read
+        plan when a probe finds the server unavailable.
         """
         server = self.servers[server_id]
         if server.state is PowerState.OFF:

@@ -187,21 +187,16 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    from repro.core.replication import ReplicatedProteusRouter
-    from repro.core.router import make_router
+    from repro.core.router import RingRouter, make_router
 
+    router = make_router(args.scenario, args.servers)
     if args.replicas > 1:
         if args.scenario != "proteus":
             print("--replicas > 1 requires --scenario proteus", file=sys.stderr)
             return 2
-        router = ReplicatedProteusRouter(args.servers, replicas=args.replicas)
-        for key in args.keys:
-            owners = router.distinct_replica_servers(key, args.active)
-            print(f"{key}\t{','.join(map(str, owners))}")
-        return 0
-    router = make_router(args.scenario, args.servers)
-    for key in args.keys:
-        print(f"{key}\t{router.route(key, args.active)}")
+        router = RingRouter(router.backend, replicas=args.replicas)
+    for key, owners in zip(args.keys, router.read_plans(args.keys, args.active)):
+        print(f"{key}\t{','.join(map(str, owners))}")
     return 0
 
 

@@ -189,16 +189,13 @@ class ClusterConfig:
 
     def build_router(self):
         """The deterministic router this config prescribes."""
-        if self.replicas > 1:
-            from repro.core.replication import ReplicatedProteusRouter
+        from repro.core.ring import ProteusBackend
+        from repro.core.router import RingRouter
 
-            return ReplicatedProteusRouter(
-                self.num_servers, replicas=self.replicas,
-                ring_size=self.ring_size,
-            )
-        from repro.core.router import ProteusRouter
-
-        return ProteusRouter(self.num_servers, ring_size=self.ring_size)
+        return RingRouter(
+            ProteusBackend(self.num_servers, self.ring_size),
+            replicas=self.replicas,
+        )
 
     def build_ttl_policy(self):
         """The drain-window sizing policy this config prescribes."""
@@ -245,10 +242,20 @@ class ClusterConfig:
         )
 
     def build_frontend(self, database, initial_active: Optional[int] = None):
-        """A live-TCP :class:`~repro.net.webtier.AsyncProteusFrontend`."""
+        """A live-TCP :class:`~repro.net.webtier.AsyncProteusFrontend`.
+
+        Raises:
+            ConfigurationError: ``replicas > 1`` — the live frontend routes
+                over one ring; it would silently ignore the knob.
+        """
         from repro.core.retrieval import RetrievalConfig
         from repro.net.webtier import AsyncProteusFrontend
 
+        if self.replicas > 1:
+            raise ConfigurationError(
+                f"replicas={self.replicas}: the live frontend is unreplicated;"
+                " replica rings run in the simulated tier (build_router)"
+            )
         retrieval = None
         if self.hot_key_cache or self.d_choices > 1:
             retrieval = RetrievalConfig(

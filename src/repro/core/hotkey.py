@@ -348,6 +348,21 @@ class ServerLoadEWMA:
             return score
         return score * (ewma / mean)
 
+    def prefer(
+        self, plan: Tuple[int, ...], d_choices: int, now: float
+    ) -> Tuple[int, ...]:
+        """*plan* reordered for a load-aware read (DistCache's power of
+        ``d`` choices): the least loaded of its first *d_choices* owners
+        leads (ties break on the lower server id, keeping the order
+        deterministic), the rest keep ring order.  Only the probe *order*
+        changes — the owner set is load-independent."""
+        chosen = min(
+            plan[:d_choices], key=lambda server: (self.load(server, now), server)
+        )
+        if chosen == plan[0]:
+            return plan
+        return (chosen,) + tuple(s for s in plan if s != chosen)
+
     def snapshot(self, servers, now: float) -> Dict[int, float]:
         """Load scores for *servers* at time *now* (reporting/benches)."""
         return {server: self.load(server, now) for server in servers}

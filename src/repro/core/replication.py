@@ -1,55 +1,24 @@
-"""Fault tolerance via replicated hash rings (paper Section III-E).
+"""Fault tolerance via replicated hash rings (paper Section III-E), Eq. 3.
 
 Proteus keeps ``r`` replicas of every ``(key, data)`` pair by constructing
 ``r`` consistent-hashing rings with ``r`` different hash functions, all
 sharing the *same* virtual-node placement.  A key is stored on server ``s_i``
-if it falls into any of ``s_i``'s host ranges on any ring.  Replicas may
-collide on one server; the probability that all ``r`` replicas land on
-distinct servers (Eq. 3) is::
+if it falls into any of ``s_i``'s host ranges on any ring.  The rings
+themselves are :class:`~repro.core.router.RingRouter`'s ``replicas``; this
+module holds the analysis.  Replicas may collide on one server; the
+probability that all ``r`` replicas land on distinct servers (Eq. 3) is::
 
     P_nc = prod_{i=0}^{r-1} (n(t) - i) / n(t)
 
 which approaches 1 for small ``r`` and large ``n``.
-
-All lookups go through the backend's per-epoch compiled table
-(:meth:`~repro.core.ring.RingBackend.compile`): one table serves every
-replica ring because the rings differ only in the key hash, not in the
-node placement.  Any :class:`~repro.core.ring.RingBackend` works — the
-replica trick is orthogonal to the placement strategy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+import random
 
-from repro.bloom.hashing import Key, KeyHashes, ring_position
-from repro.core.placement import Placement
-from repro.core.ring import HashRing, RingBackend, make_backend
-from repro.core.router import DEFAULT_RING_SIZE, Router
-from repro.errors import ConfigurationError, RoutingError
-
-
-@dataclass(frozen=True)
-class ReadPlan:
-    """One replicated read's routing decision, in probe order.
-
-    Attributes:
-        targets: surviving replica owners to probe, first to last.  With a
-            load-aware pick the chosen server leads; otherwise strict
-            replica-ring order.  Empty when every replica crashed (the
-            engine reports the all-replicas-failed miss itself).
-        primary: the ring-0 owner — the failover baseline (a read served
-            by any other target counts as a failover), regardless of
-            exclusions or load.
-        chosen: the server the first probe goes to — the load-aware
-            power-of-``d`` pick when load scores were supplied, else
-            simply ``targets[0]``; ``None`` when no target survived.
-    """
-
-    targets: Tuple[int, ...]
-    primary: int
-    chosen: Optional[int] = None
+from repro.core.router import RingRouter
+from repro.errors import ConfigurationError
 
 
 def no_conflict_probability(replicas: int, num_active: int) -> float:
@@ -64,173 +33,15 @@ def no_conflict_probability(replicas: int, num_active: int) -> float:
     return probability
 
 
-class ReplicatedProteusRouter(Router):
-    """Proteus routing with ``r`` replica rings sharing one placement.
-
-    Ring ``i`` hashes keys with an independent hash function (``replica=i``
-    salt); the virtual-node placement — and therefore the balance and
-    minimal-migration guarantees — is identical on every ring.
-    """
-
-    def __init__(
-        self,
-        num_servers: int,
-        replicas: int = 2,
-        ring_size: int = DEFAULT_RING_SIZE,
-        backend: Union[str, RingBackend] = "proteus",
-    ) -> None:
-        super().__init__(num_servers)
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
-        if isinstance(backend, RingBackend):
-            self.backend: RingBackend = backend
-        else:
-            self.backend = make_backend(backend, num_servers, ring_size)
-        # Placement/ring are exposed for the vnode-backed strategies;
-        # table-free backends (power) report None.
-        self.placement: Optional[Placement] = getattr(self.backend, "placement", None)
-        self._ring: Optional[HashRing] = getattr(self.backend, "ring", None)
-
-    def ceding_servers(self, n_old: int, n_new: int) -> List[int]:
-        return self.backend.ceding_servers(n_old, n_new)
-
-    def replica_servers(
-        self, key: Key, num_active: int, hashes: Optional[KeyHashes] = None
-    ) -> List[int]:
-        """Servers holding each replica of *key* (may contain duplicates).
-
-        Index ``i`` of the result is the owner on ring ``i``.  Duplicates are
-        *not* removed: Eq. 3 is about how often they occur, and callers that
-        want distinct storage targets can dedupe.  Pass *hashes* to reuse
-        already-computed replica bases.
-        """
-        self._check_active(num_active)
-        table = self.backend.compile(num_active)
-        size = self.backend.ring_size
-        if hashes is not None:
-            return [
-                table.lookup(hashes.ring_position(size, replica=i))
-                for i in range(self.replicas)
-            ]
-        return [
-            table.lookup(ring_position(key, size, replica=i))
-            for i in range(self.replicas)
-        ]
-
-    def distinct_replica_servers(
-        self, key: Key, num_active: int, hashes: Optional[KeyHashes] = None
-    ) -> List[int]:
-        """Deduplicated replica owners, primary ring first."""
-        seen: List[int] = []
-        for server in self.replica_servers(key, num_active, hashes=hashes):
-            if server not in seen:
-                seen.append(server)
-        return seen
-
-    def route(self, key: Key, num_active: int) -> int:
-        """Primary owner of *key* (ring 0) — the read target.
-
-        Hashes only the primary ring, not all ``r`` replicas.
-        """
-        self._check_active(num_active)
-        return self.backend.compile(num_active).lookup(
-            ring_position(key, self.backend.ring_size, replica=0)
-        )
-
-    def route_hashed(self, hashes: KeyHashes, num_active: int) -> int:
-        self._check_active(num_active)
-        return self.backend.compile(num_active).lookup(
-            hashes.ring_position(self.backend.ring_size, replica=0)
-        )
-
-    def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
-        from repro.bloom.hashing import ring_positions_many
-
-        self._check_active(num_active)
-        table = self.backend.compile(num_active)
-        return table.lookup_many(
-            ring_positions_many(keys, self.backend.ring_size, replica=0)
-        ).tolist()
-
-    def read_targets(
-        self,
-        key: Key,
-        num_active: int,
-        exclude: Sequence[int] = (),
-        hashes: Optional[KeyHashes] = None,
-    ) -> List[int]:
-        """Replica owners excluding failed servers in *exclude*.
-
-        Raises:
-            RoutingError: every replica of *key* lives on an excluded server.
-        """
-        targets = [
-            server
-            for server in self.distinct_replica_servers(key, num_active, hashes=hashes)
-            if server not in exclude
-        ]
-        if not targets:
-            raise RoutingError(
-                f"all {self.replicas} replicas of {key!r} are on failed servers"
-            )
-        return targets
-
-    def read_plan(
-        self,
-        key: Key,
-        num_active: int,
-        exclude: Sequence[int] = (),
-        hashes: Optional[KeyHashes] = None,
-        loads=None,
-        d_choices: int = 1,
-        now: float = 0.0,
-    ) -> ReadPlan:
-        """One-pass read plan: surviving targets, primary owner, and —
-        load-aware — the chosen first probe, as a :class:`ReadPlan`.
-
-        The replicated retrieval engine needs both the failover probe order
-        *and* the primary owner (for write-backs); computing them together
-        hashes each replica ring once instead of twice.  Unlike
-        :meth:`read_targets`, an empty target tuple is returned, not raised
-        — the engine reports the all-replicas-failed miss itself.
-
-        **Load-aware mode** (the DistCache power-of-two-choices read): pass
-        *loads* (a :class:`~repro.core.hotkey.ServerLoadEWMA`) and
-        ``d_choices > 1`` to sample the first ``d_choices`` surviving
-        replica owners and probe the least loaded of them first (ties break
-        on the lower server id, keeping the plan deterministic for equal
-        loads).  Only the probe *order* changes — the target set and the
-        primary are load-independent, so write-back fan-out and failover
-        accounting are unaffected.
-        """
-        owners = self.replica_servers(key, num_active, hashes=hashes)
-        targets: List[int] = []
-        for server in owners:
-            if server not in targets and server not in exclude:
-                targets.append(server)
-        chosen = targets[0] if targets else None
-        if loads is not None and d_choices > 1 and len(targets) > 1:
-            candidates = targets[:d_choices]
-            chosen = min(
-                candidates, key=lambda server: (loads.load(server, now), server)
-            )
-            if chosen != targets[0]:
-                targets.remove(chosen)
-                targets.insert(0, chosen)
-        return ReadPlan(targets=tuple(targets), primary=owners[0], chosen=chosen)
-
-    def empirical_conflict_rate(
-        self, num_active: int, num_samples: int = 5000, seed: int = 11
-    ) -> float:
-        """Measured fraction of keys whose replicas collide (validates Eq. 3)."""
-        import random
-
-        rng = random.Random(seed)
-        conflicts = 0
-        for _ in range(num_samples):
-            key = f"replica-sample:{rng.getrandbits(64):016x}"
-            owners = self.replica_servers(key, num_active)
-            if len(set(owners)) < len(owners):
-                conflicts += 1
-        return conflicts / num_samples
+def empirical_conflict_rate(
+    router: RingRouter, num_active: int, num_samples: int = 5000, seed: int = 11
+) -> float:
+    """Measured fraction of keys whose replicas collide (validates Eq. 3)."""
+    rng = random.Random(seed)
+    conflicts = 0
+    for _ in range(num_samples):
+        key = f"replica-sample:{rng.getrandbits(64):016x}"
+        owners = router.replica_servers(key, num_active)
+        if len(set(owners)) < len(owners):
+            conflicts += 1
+    return conflicts / num_samples

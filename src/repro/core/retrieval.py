@@ -32,9 +32,12 @@ latency sample per server touched.
 Because both the simulated web tier (:class:`repro.web.frontend.WebServer`)
 and the asyncio tier (:class:`repro.net.webtier.AsyncProteusFrontend`)
 drive this one planner, the branch structure of Algorithm 2 — and therefore
-the :class:`FetchPath` accounting — cannot drift between them.  The same
-holds for the Section III-E replica-failover read path, encoded by
-:class:`ReplicatedRetrievalEngine`.
+the :class:`FetchPath` accounting — cannot drift between them.  Section
+III-E replication is the same algorithm over a longer *read plan*: the
+router hands the planner each key's distinct owners
+(:meth:`~repro.core.router.Router.read_plans` — one owner unless the
+router keeps replica rings), and a plan of one owner runs the same
+ring-round loop once.
 
 Epochs come in as :class:`~repro.core.transition.RoutingEpochs` — the
 simulator reads them from :meth:`repro.cache.cluster.CacheCluster.\
@@ -50,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Generator,
     Iterable,
     List,
@@ -74,13 +76,10 @@ __all__ = [
     "LeaderWindowRegistry",
     "ProbeCacheMulti",
     "ReadDatabase",
-    "ReplicatedOutcome",
-    "ReplicatedRetrievalEngine",
     "RetrievalConfig",
     "RetrievalEngine",
     "RetrievalOutcome",
     "SERVER_UNAVAILABLE",
-    "SKIPPED",
     "WaitForLeader",
     "WriteBackMulti",
 ]
@@ -123,10 +122,18 @@ class FetchPath(str, enum.Enum):
 
 
 #: The degraded-path event labels :class:`FetchStats` counts — one per
-#: fault the engine can serve around: the new owner's probe skipped, the
+#: fault the engine can serve around: a new-plan owner's probe skipped, an
 #: old owner's probe skipped, a digest consult answered "unknown", and a
 #: write-back that could not be installed.
 DEGRADED_EVENTS = ("probe_new", "probe_old", "digest", "writeback")
+
+#: The paths on which the database served the request.
+_DATABASE_PATHS = (
+    FetchPath.FALSE_POSITIVE_DB, FetchPath.MISS_DB, FetchPath.DEGRADED_DB
+)
+#: The paths that fetched nothing from the cache tier or the database:
+#: nothing to admit to the hot-key cache, nothing to write back.
+_UNSERVED_BY_THE_TIER = (FetchPath.HIT_LOCAL, FetchPath.SHED)
 
 
 @dataclass
@@ -141,6 +148,8 @@ class FetchStats:
     degraded: Dict[str, int] = field(
         default_factory=lambda: {event: 0 for event in DEGRADED_EVENTS}
     )
+    #: reads a replica other than the key's ring-0 owner answered
+    failovers: int = 0
 
     def record(self, path: FetchPath) -> None:
         self.counts[path] += 1
@@ -176,17 +185,15 @@ class FetchStats:
         return sum(self.degraded.values())
 
     @property
+    def database_reads(self) -> int:
+        """Requests the database served."""
+        return sum(self.counts[path] for path in _DATABASE_PATHS)
+
+    @property
     def database_fraction(self) -> float:
         """Fraction of requests that reached the DB tier."""
         total = self.total
-        if total == 0:
-            return 0.0
-        db = (
-            self.counts[FetchPath.FALSE_POSITIVE_DB]
-            + self.counts[FetchPath.MISS_DB]
-            + self.counts[FetchPath.DEGRADED_DB]
-        )
-        return db / total
+        return self.database_reads / total if total else 0.0
 
     def as_labels(self) -> Dict[str, int]:
         """Counters keyed by wire label (for JSON reports)."""
@@ -232,14 +239,21 @@ class RetrievalConfig:
     #: count-min geometry backing the election (width x depth counters).
     hot_key_sketch_width: int = 1024
     hot_key_sketch_depth: int = 4
-    #: replicas sampled by load-aware read routing: a sketch-elected hot
-    #: key reads from the least-loaded of ``d_choices`` replica owners
-    #: (power-of-two choices at 2).  ``1`` keeps strict ring order; only
-    #: the replicated engine uses this.
+    #: owners sampled by load-aware read routing: a sketch-elected hot
+    #: key's read plan leads with the least loaded of its first
+    #: ``d_choices`` owners (power-of-two choices at 2).  ``1`` keeps
+    #: strict ring order; so does a plan of one owner, whatever this says.
     d_choices: int = 1
     #: halflife (driver-clock seconds) of the per-server load EWMA that
     #: feeds the ``d_choices`` pick.
     load_halflife: float = 1.0
+
+    @property
+    def load_aware(self) -> bool:
+        """True when hot keys' plans are ordered by per-server load, so
+        every probe must feed the load score (engine: arrivals; driver:
+        observed latency)."""
+        return self.hot_key_cache and self.d_choices > 1
 
 
 # ------------------------------------------------------------------ commands
@@ -251,8 +265,7 @@ class ProbeCacheMulti:
 
     Driver answer: a ``dict`` mapping each key that **hit** to its value
     (missing keys missed, exactly like memcached's multiget reply), or
-    :data:`SKIPPED` when the server is not serving requests (replicated
-    reads only; no probe happened for any key).
+    :data:`SERVER_UNAVAILABLE` (no probe happened for any key).
     """
 
     server_id: int
@@ -305,9 +318,7 @@ class WriteBackMulti:
     """Install every ``(key, value)`` pair at server *server_id* (Alg. 2
     line 12) — one pipelined round trip.
 
-    Driver answer: ignored, or :data:`SERVER_UNAVAILABLE`.  Replicated
-    drivers silently skip write-backs to servers that are not serving
-    requests.
+    Driver answer: ignored, or :data:`SERVER_UNAVAILABLE`.
     """
 
     server_id: int
@@ -349,17 +360,14 @@ class _DriverSignal:
         return False
 
 
-#: Driver answer to :class:`ProbeCacheMulti` meaning "server not serving;
-#: probe did not happen" — distinct from an empty dict (every key missed).
-SKIPPED = _DriverSignal("SKIPPED")
-
 #: Driver answer to :class:`ProbeCacheMulti` / :class:`CheckDigestMulti` /
 #: :class:`WriteBackMulti` meaning "the server could not be reached (dead,
 #: hung, or open-circuit)".
 #: The engine *degrades* instead of failing: a skipped probe is a forced
-#: miss, an unanswerable digest consult skips the old owner, and a failed
+#: miss at that owner (the next ring's owner is probed, if the plan has
+#: one), an unanswerable digest consult skips the old owner, and a failed
 #: write-back is recorded but never fails the fetch — the request still
-#: completes via the database (:attr:`FetchPath.DEGRADED_DB`).
+#: completes, via the database (:attr:`FetchPath.DEGRADED_DB`) if need be.
 SERVER_UNAVAILABLE = _DriverSignal("SERVER_UNAVAILABLE")
 
 
@@ -391,53 +399,52 @@ def _per_server(
     return tuple(round_)
 
 
-def _merge_hits(
-    probes: CommandRound,
-    answers: Sequence[Any],
-    events: Dict[str, List[str]],
-    fault: str,
-) -> Dict[str, Any]:
-    """The values that hit in one probe round.  Every key of a probe
-    answered :data:`SERVER_UNAVAILABLE` (no probe happened; the key
-    degrades) gets *fault* appended to its *events*."""
-    hits: Dict[str, Any] = {}
-    for probe, answer in zip(probes, answers):
-        if answer is SERVER_UNAVAILABLE:
-            for key in probe.keys:
-                events.setdefault(key, []).append(fault)
-        elif answer is not SKIPPED and answer:
-            hits.update(answer)
-    return hits
-
-
 # ------------------------------------------------------------------ outcomes
 
 
+class _Served:
+    """What an outcome's fields imply, shared by both result types."""
+
+    @property
+    def touched_database(self) -> bool:
+        return self.path in _DATABASE_PATHS
+
+    @property
+    def failover(self) -> bool:
+        """True when a new-plan owner other than the ring-0 owner answered
+        (it covered for a missing primary, or load-aware ordering chose
+        it)."""
+        return (
+            self.served_by is not None
+            and self.served_by != self.new_server
+            and self.path is not FetchPath.HIT_OLD
+        )
+
+
 @dataclass
-class RetrievalOutcome:
+class RetrievalOutcome(_Served):
     """Decision summary of one Algorithm-2 retrieval (no timing — the
     driver owns clocks and wraps this in its own result type)."""
 
     key: str
     value: Any
     path: FetchPath
+    #: the ring-0 owner under the new (old) epoch — the head of the plan
     new_server: int
     old_server: Optional[int] = None
     #: True when the engine served *around* at least one fault (skipped
     #: probe, unknown digest, or failed write-back) on the way.
     degraded: bool = False
-
-    @property
-    def touched_database(self) -> bool:
-        return self.path in (
-            FetchPath.FALSE_POSITIVE_DB,
-            FetchPath.MISS_DB,
-            FetchPath.DEGRADED_DB,
-        )
+    #: the cache server that answered; ``None`` when the database, the
+    #: frontend-local hot-key cache, or nobody (:attr:`FetchPath.SHED`) did
+    served_by: Optional[int] = None
+    #: cache probes answered on the key's behalf (an unavailable server's
+    #: does not count: no probe happened)
+    probes: int = 0
 
 
 @dataclass
-class FetchResult:
+class FetchResult(_Served):
     """Outcome **and timing** of one retrieval — the unified fetch return
     type across substrates.
 
@@ -455,58 +462,18 @@ class FetchResult:
     completed: float
     new_server: int
     old_server: Optional[int] = None
-    #: True when a fault was served around (see
-    #: :attr:`RetrievalOutcome.degraded`).
+    #: the next three: see :class:`RetrievalOutcome`
     degraded: bool = False
+    served_by: Optional[int] = None
+    probes: int = 0
 
     @property
     def latency(self) -> float:
         """End-to-end response time in seconds."""
         return self.completed - self.started
 
-    @property
-    def touched_database(self) -> bool:
-        return self.path in (
-            FetchPath.FALSE_POSITIVE_DB,
-            FetchPath.MISS_DB,
-            FetchPath.DEGRADED_DB,
-        )
 
-
-@dataclass
-class ReplicatedOutcome:
-    """Decision summary of one replicated (Section III-E) retrieval."""
-
-    key: str
-    value: Any
-    #: replica owner that answered, or None if the DB (or the frontend's
-    #: local hot-key cache) did
-    served_by: Optional[int]
-    #: how many replica owners were actually probed before an answer
-    probes: int
-    touched_database: bool
-    #: True when a non-primary replica covered for the ring-0 owner
-    failover: bool
-    #: True when the frontend-local hot-key cache served (no probes at all)
-    local: bool = False
-    #: True when admission control refused the DB read (overload): the
-    #: request was *not served* — ``value`` is ``None``.
-    shed: bool = False
-
-
-# ------------------------------------------------------------------- engines
-
-
-def _armor_from_config(config: RetrievalConfig) -> HotKeyArmor:
-    """Build one engine's hot-key armor from its config knobs."""
-    return HotKeyArmor(
-        cache_capacity=config.hot_key_capacity,
-        cache_ttl=config.hot_key_ttl,
-        track=config.hot_key_track,
-        sketch_width=config.hot_key_sketch_width,
-        sketch_depth=config.hot_key_sketch_depth,
-        load_halflife=config.load_halflife,
-    )
+# -------------------------------------------------------------------- engine
 
 
 class RetrievalEngine:
@@ -548,7 +515,15 @@ class RetrievalEngine:
         the ``hot_key_cache`` switch itself may be toggled at any time.
         """
         if self._armor is None:
-            self._armor = _armor_from_config(self.config)
+            config = self.config
+            self._armor = HotKeyArmor(
+                cache_capacity=config.hot_key_capacity,
+                cache_ttl=config.hot_key_ttl,
+                track=config.hot_key_track,
+                sketch_width=config.hot_key_sketch_width,
+                sketch_depth=config.hot_key_sketch_depth,
+                load_halflife=config.load_halflife,
+            )
         return self._armor
 
     def retrieve_many(
@@ -559,15 +534,24 @@ class RetrievalEngine:
     ) -> Generator[CommandRound, Any, Dict[str, RetrievalOutcome]]:
         """The planner: Algorithm 2 over a whole key set (or one key).
 
-        The data path, per key (paper Algorithm 2):
+        A key's **read plan** under an epoch is the tuple of its distinct
+        owners there, ring 0's first
+        (:meth:`~repro.core.router.Router.read_plans`): one owner, or up
+        to ``r`` with Section III-E's replica rings.  The data path, per
+        key (paper Algorithm 2, over plans):
 
-        1. probe the *new* mapping's owner; done on a hit.
-        2. On a miss *during a transition*, check the *old* owner's
-           broadcast digest.  On a digest hit, probe the old server (the
-           key is "hot" there); a miss here is a digest false positive.
+        1. probe the *new* epoch's plan, ring round by ring round; done at
+           the first hit.
+        2. Nothing there, *during a transition*: check the broadcast
+           digest of every *ceded* old owner — in the old epoch's plan,
+           absent from the new one.  Probe those whose digest says yes
+           (the key is "hot" there); if none holds it after all, that was
+           a digest false positive.
         3. Still nothing: wait behind an in-flight leader if coalescing,
            else read the database.
-        4. Write the value into the new owner.
+        4. Write the value to every new-plan owner but the one that served
+           (with one owner: nothing after a step-1 hit, the new owner
+           otherwise).
 
         Property 1 (Section IV-A): only the *first* request for a hot key
         touches the old server; the write-back in step 4 makes every
@@ -577,14 +561,14 @@ class RetrievalEngine:
         Yields *rounds* — tuples of commands with no mutual dependencies —
         and expects a tuple of answers aligned by index; a driver may
         execute each round's commands concurrently.  Probes and write-backs
-        are grouped by owning server per routing epoch
-        (:class:`ProbeCacheMulti` / :class:`WriteBackMulti`, split at
-        ``config.max_multiget_keys``) and in-transition digest consults are
-        grouped per ceding old owner (:class:`CheckDigestMulti`, never
-        split), so the whole batch costs at most one multiget round trip
-        per probed server per epoch and **at most one digest consult per
-        old owner**; only :class:`ReadDatabase` stays per-key, exactly as
-        Algorithm 2 demands.
+        are grouped by server (:class:`ProbeCacheMulti` /
+        :class:`WriteBackMulti`, split at ``config.max_multiget_keys``) and
+        in-transition digest consults are grouped per ceded old owner
+        (:class:`CheckDigestMulti`, never split), so the whole batch costs
+        at most one multiget round trip per probed server per ring round
+        and **at most one digest consult per old owner**; only
+        :class:`ReadDatabase` stays per-key, exactly as Algorithm 2
+        demands.
 
         Returns a map from key to :class:`RetrievalOutcome`.  Duplicate
         keys collapse (the map has one entry per distinct key); a batch of
@@ -593,10 +577,12 @@ class RetrievalEngine:
 
         **Degraded mode.**  Any probe, digest consult, or write-back may be
         answered with :data:`SERVER_UNAVAILABLE`; the engine serves around
-        the fault instead of raising — a skipped probe is a forced miss, an
-        unknown digest skips the old owner, a failed write-back never fails
-        the fetch — and a request the database served *because of* a fault
-        records :attr:`FetchPath.DEGRADED_DB` (plus per-event counters in
+        the fault instead of raising — a skipped probe is a forced miss
+        (the plan's next owner is probed, and a hit there counts in
+        ``FetchStats.failovers``), an unknown digest skips the old owner, a
+        failed write-back never fails the fetch — and a request the
+        database served after a fault records
+        :attr:`FetchPath.DEGRADED_DB` (plus per-event counters in
         :class:`FetchStats`), never a plain miss.
 
         **Hot-key armor.**  With ``config.hot_key_cache`` enabled and the
@@ -606,73 +592,116 @@ class RetrievalEngine:
         (:attr:`FetchPath.HIT_LOCAL`); values fetched for hot keys are
         admitted to the local cache at the same moment Algorithm 2 writes
         them back, so local staleness is TTL-bounded the way transition
-        staleness is.  Without *now* the armor is inert (back-compat).
+        staleness is.  With ``config.d_choices > 1`` as well, every probe
+        charges the armor's per-server load score and a hot key's plan is
+        probed least-loaded-first
+        (:meth:`~repro.core.hotkey.ServerLoadEWMA.prefer`); cold keys keep
+        ring order.  Without *now* the armor is inert (back-compat).
         """
         pending = list(dict.fromkeys(keys))
         outcomes: Dict[str, RetrievalOutcome] = {}
         if not pending:
             return outcomes
-        new_owner = dict(
-            zip(pending, self.router.route_many(pending, epochs.new))
-        )
-        if now is not None and self.config.hot_key_cache:
-            armor = self.armor
+        config = self.config
+        limit = config.max_multiget_keys
+        new_plan = dict(zip(pending, self.router.read_plans(pending, epochs.new)))
+        old_plan: Dict[str, Tuple[int, ...]] = {}
+        #: key -> (path, value, the cache server that answered or None):
+        #: what each phase decides; settled into outcomes at the end
+        served: Dict[str, Tuple[FetchPath, Any, Optional[int]]] = {}
+        #: key -> the faults served around on its way; any entry *forces*
+        #: the key's database read (if it comes to one) to DEGRADED_DB
+        events: Dict[str, List[str]] = {}
+        #: key -> cache probes that answered "not here"
+        misses: Dict[str, int] = {}
+        armor = self.armor if now is not None and config.hot_key_cache else None
+        loads = armor.loads if armor is not None and config.load_aware else None
+
+        def ring_rounds(keys, plans, fault, path):
+            """Probe *keys* along *plans*: round ``r`` asks every still
+            unanswered key's ``r``-th owner, one multiget per server.  A
+            hit serves its key on *path*; a probe answered
+            :data:`SERVER_UNAVAILABLE` appends *fault* to its keys' events;
+            a key's rounds end with its plan."""
+            ring = 0
+            while keys:
+                placed = [(plans[key][ring], key) for key in keys]
+                if loads is not None:
+                    # Every arrival charges the score the d-choices pick
+                    # reads — cold-key traffic loads servers too.
+                    for server_id, _ in placed:
+                        loads.record_request(server_id, now)
+                probes = _per_server(ProbeCacheMulti, placed, limit)
+                answers = yield probes
+                unanswered = []
+                for probe, answer in zip(probes, answers):
+                    if answer is SERVER_UNAVAILABLE:
+                        for key in probe.keys:
+                            events.setdefault(key, []).append(fault)
+                        unanswered += probe.keys
+                        continue
+                    values, server_id = answer or {}, probe.server_id
+                    for key in probe.keys:
+                        value = values.get(key)
+                        if value is None:
+                            misses[key] = misses.get(key, 0) + 1
+                            unanswered.append(key)
+                        else:
+                            served[key] = (path, value, server_id)
+                ring += 1
+                keys = unanswered and [
+                    key for key in unanswered if ring < len(plans[key])
+                ]
+
+        #: key -> its new-epoch probe order: the plan, or a hot key's
+        #: load-aware reordering of it
+        order = new_plan
+        if armor is not None:
+            if loads is not None:
+                order = dict(new_plan)
             remaining = []
             for key in pending:
                 local = armor.lookup(key, now)
                 if local is not None:
-                    outcomes[key] = self._finish(
-                        key, local, FetchPath.HIT_LOCAL, new_owner[key]
-                    )
-                else:
-                    remaining.append(key)
-            pending = remaining
-            if not pending:
-                return outcomes
-        #: key -> the faults served around on its way; any entry *forces*
-        #: the key's database read (if it comes to one) to DEGRADED_DB
-        events: Dict[str, List[str]] = {}
-
-        # Phase 1 — Alg. 2 line 3, batched: probe every new owner once.
-        probes = self._probes(pending, new_owner)
-        hits = _merge_hits(probes, (yield probes), events, "probe_new")
-        remaining = []
-        for key in pending:
-            value = hits.get(key)
-            if value is not None:
-                outcomes[key] = self._finish(
-                    key, value, FetchPath.HIT_NEW, new_owner[key], now=now
-                )
-            else:
+                    served[key] = (FetchPath.HIT_LOCAL, local, None)
+                    continue
                 remaining.append(key)
-        pending = remaining
-        if not pending:
-            return outcomes
+                if loads is not None and armor.is_hot(key):
+                    order[key] = loads.prefer(
+                        new_plan[key], config.d_choices, now
+                    )
+            pending = remaining
 
-        old_owner: Dict[str, int] = {}
-        #: digest said yes, the (reachable) old owner said no
-        false_positives: set = set()
-        #: (new owner, (key, value)) pairs Alg. 2 line 12 will install
-        write_backs: List[Tuple[int, Tuple[str, Any]]] = []
+        # Phase 1 — Alg. 2 line 3, batched: the new epoch's plans.
+        yield from ring_rounds(pending, order, "probe_new", FetchPath.HIT_NEW)
+        if len(served) == len(new_plan):
+            pending = ()  # (the common case, without a pass over the keys)
+        else:
+            pending = [key for key in pending if key not in served]
 
-        # Phase 2 — digest checks (local, no round trip) for keys whose
-        # owner moved, then one batched probe per old owner for digest hits.
-        if epochs.in_transition:
-            old_owner = dict(
-                zip(pending, self.router.route_many(pending, epochs.old))
+        #: digest said yes, every (reachable) old owner said no
+        false_positives: Iterable[str] = ()
+
+        # Phase 2 — digest checks (local, no round trip) at the owners the
+        # transition took each key from, then the old owners' own rounds.
+        if pending and epochs.in_transition:
+            old_plan = dict(
+                zip(pending, self.router.read_plans(pending, epochs.old))
             )
-            moved = [key for key in pending if old_owner[key] != new_owner[key]]
-            digest_hits: List[str] = []
-            if moved:
+            ceded = [
+                (owner, key)
+                for key in pending
+                for owner in old_plan[key]
+                if owner not in new_plan[key]
+            ]
+            #: key -> the ceded owners whose digest advertises it
+            hot: Dict[str, Tuple[int, ...]] = {}
+            if ceded:
                 # Deliberately never chunked: a digest consult is a bit
                 # test against an already-broadcast snapshot, not a
                 # bounded multiget — the whole batch costs exactly one
                 # CheckDigestMulti per ceding old owner.
-                consults = _per_server(
-                    CheckDigestMulti,
-                    [(old_owner[key], key) for key in moved],
-                    0,
-                )
+                consults = _per_server(CheckDigestMulti, ceded, 0)
                 answers = yield consults
                 for consult, answer in zip(consults, answers):
                     if answer is SERVER_UNAVAILABLE:
@@ -681,47 +710,35 @@ class RetrievalEngine:
                         # group, never a stale guess.
                         for key in consult.keys:
                             events.setdefault(key, []).append("digest")
-                    else:
-                        digest_hits += [
-                            key for key, hit in zip(consult.keys, answer) if hit
-                        ]
-            if digest_hits:
-                probes = self._probes(digest_hits, old_owner)
-                hits = _merge_hits(probes, (yield probes), events, "probe_old")
-                for key in digest_hits:
-                    value = hits.get(key)
-                    if value is not None:
-                        write_backs.append((new_owner[key], (key, value)))
-                        outcomes[key] = self._finish(
-                            key, value, FetchPath.HIT_OLD, new_owner[key],
-                            old_owner[key], events.get(key, ()), now,
-                        )
-                    elif key not in events:
-                        # (A dead old owner is no false positive: no probe
-                        # ever happened, and it recorded "probe_old".)
-                        false_positives.add(key)
-                pending = [key for key in pending if key not in outcomes]
+                        continue
+                    for key, hit in zip(consult.keys, answer):
+                        if hit:
+                            hot[key] = hot.get(key, ()) + (consult.server_id,)
+            if hot:
+                yield from ring_rounds(
+                    list(hot), hot, "probe_old", FetchPath.HIT_OLD
+                )
+                # (A dead old owner is no false positive: no probe ever
+                # happened, and it recorded "probe_old".)
+                false_positives = {
+                    key for key in hot
+                    if key not in served and key not in events
+                }
+                pending = [key for key in pending if key not in served]
 
         # Phase 3 — coalescing: wait behind in-flight leaders, then re-probe
-        # the new owners of the keys whose leader completed (batched).  The
+        # the new plans of the keys whose leader completed (batched).  The
         # leader's write-back has installed the value there: one more cache
         # probe instead of a DB read, and no write-back of our own —
         # rewriting would push the item's creation time past later
         # coalescing followers.
-        if self.config.coalesce_misses and pending:
+        if pending and config.coalesce_misses:
             answers = yield tuple(WaitForLeader(key) for key in pending)
             waited = [key for key, ok in zip(pending, answers) if ok]
-            if waited:
-                probes = self._probes(waited, new_owner)
-                hits = _merge_hits(probes, (yield probes), events, "probe_new")
-                for key in waited:
-                    value = hits.get(key)
-                    if value is not None:
-                        outcomes[key] = self._finish(
-                            key, value, FetchPath.COALESCED, new_owner[key],
-                            old_owner.get(key), events.get(key, ()), now,
-                        )
-                pending = [key for key in pending if key not in outcomes]
+            yield from ring_rounds(
+                waited, order, "probe_new", FetchPath.COALESCED
+            )
+            pending = [key for key in pending if key not in served]
 
         # Phase 4 — per-key database reads (the DB never batches misses
         # away; each distinct key costs one authoritative read).  Each
@@ -734,288 +751,66 @@ class RetrievalEngine:
                 if self.admission.admit_db(now):
                     admitted.append(key)
                 else:
-                    outcomes[key] = self._finish(
-                        key, None, FetchPath.SHED, new_owner[key],
-                        old_owner.get(key), events.get(key, ()), now,
-                    )
+                    served[key] = (FetchPath.SHED, None, None)
             pending = admitted
         if pending:
-            announce = self.config.coalesce_misses
+            announce = config.coalesce_misses
             values = yield tuple(ReadDatabase(key, announce) for key in pending)
             for key, value in zip(pending, values):
-                write_backs.append((new_owner[key], (key, value)))
                 if key in events:
                     path = FetchPath.DEGRADED_DB
                 elif key in false_positives:
                     path = FetchPath.FALSE_POSITIVE_DB
                 else:
                     path = FetchPath.MISS_DB
-                outcomes[key] = self._finish(
-                    key, value, path, new_owner[key], old_owner.get(key),
-                    events.get(key, ()), now,
-                )
+                served[key] = (path, value, None)
 
-        # Phase 5 — write-backs, grouped into one pipelined command per
-        # new owner (Alg. 2 line 12, amortized).
-        if write_backs:
-            commands = _per_server(
-                WriteBackMulti, write_backs, self.config.max_multiget_keys
+        # Phase 5 — settle: outcomes and counters, and what Alg. 2 line 12
+        # installs where — every new-plan owner but the one that served.
+        stats = self.stats
+        counts = stats.counts
+        write_backs: List[Tuple[int, Tuple[str, Any]]] = []
+        for key, (path, value, served_by) in served.items():
+            plan = new_plan[key]
+            outcome = outcomes[key] = RetrievalOutcome(
+                key, value, path, plan[0], None, False, served_by,
+                0 if served_by is None else 1,
             )
+            counts[path] += 1
+            if served_by != plan[0] and outcome.failover:
+                stats.failovers += 1
+            if path in _UNSERVED_BY_THE_TIER:
+                continue
+            if armor is not None:
+                # Admit hot keys at the same moment Alg. 2 writes back:
+                # the local copy is never older than the cache copy.
+                armor.admit(key, value, now)
+            if path is not FetchPath.COALESCED:
+                for owner in plan:
+                    if owner != served_by:
+                        write_backs.append((owner, (key, value)))
+        if misses or events:  # some key went past a first-probe hit
+            for key, old in old_plan.items():
+                outcomes[key].old_server = old[0]
+            for key, count in misses.items():
+                outcomes[key].probes += count
+            for key, faults in events.items():
+                outcomes[key].degraded = True
+                for event in faults:
+                    stats.record_degraded(event)
+
+        # Phase 6 — write-backs, grouped into one pipelined command per
+        # owner (amortized).
+        if write_backs:
+            commands = _per_server(WriteBackMulti, write_backs, limit)
             answers = yield commands
             for command, answer in zip(commands, answers):
                 if answer is SERVER_UNAVAILABLE:
                     # Recorded, never fatal: the values were served already;
                     # the next fetch of these keys just misses again.
                     for key, _ in command.items:
-                        self.stats.record_degraded("writeback")
+                        stats.record_degraded("writeback")
                         outcomes[key].degraded = True
-        return outcomes
-
-    def _probes(
-        self, keys: Sequence[str], owner_of: Dict[str, int]
-    ) -> CommandRound:
-        """One round of per-server multiget probes of *keys*."""
-        return _per_server(
-            ProbeCacheMulti,
-            [(owner_of[key], key) for key in keys],
-            self.config.max_multiget_keys,
-        )
-
-    def _finish(
-        self,
-        key: str,
-        value: Any,
-        path: FetchPath,
-        new_server: int,
-        old_server: Optional[int] = None,
-        events: Sequence[str] = (),
-        now: Optional[float] = None,
-    ) -> RetrievalOutcome:
-        self.stats.record(path)
-        for event in events:
-            self.stats.record_degraded(event)
-        if (
-            now is not None
-            and self.config.hot_key_cache
-            and path is not FetchPath.HIT_LOCAL
-            and path is not FetchPath.SHED
-        ):
-            # Admit hot keys at the same moment Alg. 2 writes back to the
-            # new owner: the local copy is never older than the cache copy.
-            self.armor.admit(key, value, now)
-        return RetrievalOutcome(
-            key, value, path, new_server, old_server, bool(events)
-        )
-
-
-class ReplicatedRetrievalEngine:
-    """Section III-E replica reads with failover, as engine commands.
-
-    Reads try the replica owners in ring order, skipping servers the
-    cluster marked failed (excluded from routing) and servers the driver
-    reports as not serving (answered :data:`SKIPPED`); only if every live
-    replica misses does the request reach the database, after which every
-    live replica owner is repopulated.
-
-    The old-owner digest path of Algorithm 2 applies per ring; for clarity
-    and because replication already covers the miss, this engine falls back
-    to the database for keys whose *every* replica moved — strictly more
-    conservative than the unreplicated fast path.
-    """
-
-    def __init__(
-        self, router, config: Optional[RetrievalConfig] = None
-    ) -> None:
-        self.router = router
-        #: engine options; replicated reads use ``max_multiget_keys`` plus
-        #: the hot-key knobs (``hot_key_cache``/``d_choices``) — coalescing
-        #: stays the unreplicated engine's concern — and the shared object
-        #: keeps the drivers' config surface uniform.
-        self.config = config if config is not None else RetrievalConfig()
-        #: reads answered by a non-primary replica (failover events)
-        self.failovers = 0
-        #: reads that reached the database
-        self.database_reads = 0
-        #: reads refused by admission control (overload, not served)
-        self.shed_reads = 0
-        #: DB-path admission controller (same contract as
-        #: :attr:`RetrievalEngine.admission`); ``None`` admits everything.
-        self.admission = None
-        self._armor: Optional[HotKeyArmor] = None
-
-    @property
-    def armor(self) -> HotKeyArmor:
-        """The hot-key armor bundle (built lazily from the config knobs)."""
-        if self._armor is None:
-            self._armor = _armor_from_config(self.config)
-        return self._armor
-
-    def _plan(self, key: str, epochs, failed, hot: bool, now):
-        """The read plan for *key* — load-aware only for elected hot keys.
-
-        Cold keys keep strict replica-ring order (locality untouched); a
-        sketch-elected hot key samples ``d_choices`` replica owners and
-        reads from the least loaded (power-of-two choices at the default
-        ``d_choices=2``), per the armor's driver-fed load EWMAs.
-        """
-        if hot and now is not None and self.config.d_choices > 1:
-            return self.router.read_plan(
-                key, epochs.new, exclude=failed,
-                loads=self.armor.loads, d_choices=self.config.d_choices,
-                now=now,
-            )
-        return self.router.read_plan(key, epochs.new, exclude=failed)
-
-    def retrieve_many(
-        self,
-        keys: Iterable[str],
-        epochs: RoutingEpochs,
-        failed: FrozenSet[int] = frozenset(),
-        now: Optional[float] = None,
-    ) -> Generator[CommandRound, Any, Dict[str, ReplicatedOutcome]]:
-        """Replica reads for a key set (or one key): ring round *r* probes
-        every round-*r* owner with one :class:`ProbeCacheMulti` per server,
-        then one :class:`ReadDatabase` per key no live replica held, then
-        one :class:`WriteBackMulti` per replica owner that missed
-        (write-through, charged as one concurrent round).
-
-        Same round protocol as :meth:`RetrievalEngine.retrieve_many`; a
-        batch of N keys yields the outcomes and ``failovers`` /
-        ``database_reads`` counts of N batches of one.
-
-        With hot-key armor enabled (``config.hot_key_cache`` and the
-        driver's clock passed as *now*), a sketch-elected key with a fresh
-        local copy is served without yielding any command, every probe
-        charges the armor's per-server load EWMA, and hot keys' probe order
-        is the load-aware pick of
-        :meth:`~repro.core.replication.ReplicatedProteusRouter.read_plan`.
-        """
-        ordered = list(dict.fromkeys(keys))
-        if not ordered:
-            return {}
-        armored = now is not None and self.config.hot_key_cache
-        local_hits: Dict[str, Any] = {}
-        hot_keys: set = set()
-        if armored:
-            armor = self.armor
-            remaining = []
-            for key in ordered:
-                local = armor.lookup(key, now)
-                if armor.is_hot(key):
-                    hot_keys.add(key)
-                if local is not None:
-                    local_hits[key] = local
-                else:
-                    remaining.append(key)
-            ordered = remaining
-        locals_only = {
-            key: ReplicatedOutcome(
-                key=key, value=value, served_by=None, probes=0,
-                touched_database=False, failover=False, local=True,
-            )
-            for key, value in local_hits.items()
-        }
-        if not ordered:
-            return locals_only
-        targets_of: Dict[str, Tuple[int, ...]] = {}
-        primary_of: Dict[str, int] = {}
-        for key in ordered:
-            plan = self._plan(key, epochs, failed, key in hot_keys, now)
-            targets_of[key] = plan.targets
-            primary_of[key] = plan.primary
-        value_of: Dict[str, Any] = {}
-        served_by: Dict[str, Optional[int]] = {key: None for key in ordered}
-        probes = {key: 0 for key in ordered}
-
-        ring_round = 0
-        unresolved = list(ordered)
-        while unresolved:
-            placed = [
-                (targets_of[key][ring_round], key)
-                for key in unresolved
-                if ring_round < len(targets_of[key])
-            ]
-            if not placed:
-                break
-            if armored:
-                # Every arrival charges the load EWMA the d-choices pick
-                # reads — cold-key traffic loads servers too.
-                for target, _ in placed:
-                    self.armor.loads.record_request(target, now)
-            commands = _per_server(
-                ProbeCacheMulti, placed, self.config.max_multiget_keys
-            )
-            answers = yield commands
-            for command, answer in zip(commands, answers):
-                if answer is SKIPPED or answer is SERVER_UNAVAILABLE:
-                    continue  # not serving / unreachable: no probe happened
-                hits = answer or {}
-                for key in command.keys:
-                    probes[key] += 1
-                    value = hits.get(key)
-                    if value is not None:
-                        value_of[key] = value
-                        served_by[key] = command.server_id
-                        if command.server_id != primary_of[key]:
-                            self.failovers += 1
-            unresolved = [key for key in unresolved if key not in value_of]
-            ring_round += 1
-
-        db_keys = [key for key in ordered if key not in value_of]
-        shed_keys: set = set()
-        if db_keys and self.admission is not None and now is not None:
-            # Per-key admission, as in the unreplicated batch path: only
-            # the excess over the overload threshold is shed.
-            admitted = []
-            for key in db_keys:
-                if self.admission.admit_db(now):
-                    admitted.append(key)
-                else:
-                    self.shed_reads += 1
-                    shed_keys.add(key)
-                    value_of[key] = None
-            db_keys = admitted
-        db_set = frozenset(db_keys)
-        if db_keys:
-            values = yield tuple(ReadDatabase(key) for key in db_keys)
-            for key, value in zip(db_keys, values):
-                value_of[key] = value
-                self.database_reads += 1
-
-        # Repopulate every live replica owner that missed (write-through),
-        # one pipelined command per server.  Shed keys have no value to
-        # install and are skipped.
-        write_through = [
-            (target, (key, value_of[key]))
-            for key in ordered
-            if key not in shed_keys
-            for target in targets_of[key]
-            if target != served_by[key]
-        ]
-        if write_through:
-            yield _per_server(
-                WriteBackMulti, write_through, self.config.max_multiget_keys
-            )
-        if armored:
-            for key in ordered:
-                if key not in shed_keys:
-                    self.armor.admit(key, value_of[key], now)
-        outcomes = {
-            key: ReplicatedOutcome(
-                key=key,
-                value=value_of[key],
-                served_by=served_by[key],
-                probes=probes[key],
-                touched_database=key in db_set,
-                failover=(
-                    served_by[key] is not None
-                    and served_by[key] != primary_of[key]
-                ),
-                shed=key in shed_keys,
-            )
-            for key in ordered
-        }
-        outcomes.update(locals_only)
         return outcomes
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bloom.hashing import (
     SCALAR_BATCH_MAX,
@@ -98,6 +98,17 @@ class Router(ABC):
         implementation is the sequential loop.
         """
         return [self.route(key, num_active) for key in keys]
+
+    def read_plans(
+        self, keys: Sequence[Key], num_active: int
+    ) -> List[Tuple[int, ...]]:
+        """Each key's *read plan*: its distinct owners, in probe order.
+
+        The plan is what Algorithm 2 runs over — probe the owners first to
+        last, write back to all of them.  One owner (:meth:`route_many`'s)
+        unless the router keeps replicas (:class:`RingRouter`).
+        """
+        return list(zip(self.route_many(keys, num_active)))  # 1-tuples
 
     def ceding_servers(self, n_old: int, n_new: int) -> List[int]:
         """Old-mapping owners that may lose keys in ``n_old -> n_new``.
@@ -168,45 +179,75 @@ class NaiveRouter(Router):
 
 
 class RingRouter(Router):
-    """Shared fast path of the backend-based routers.
+    """Routing through a :class:`~repro.core.ring.RingBackend`, over
+    ``replicas`` rings that share the backend's one placement.
 
-    Subclasses populate ``self.backend`` (a
-    :class:`~repro.core.ring.RingBackend`); routing is one blake2b key
-    position plus the backend's per-epoch compiled lookup — a bisection
-    for the vnode backends, ``k`` probes for multi-probe, O(1) expected
-    draws for power — or one vectorized pass per batch.  Vnode-backed
-    routers additionally expose ``self.ring`` for placement inspection.
+    Routing is one blake2b key position plus the backend's per-epoch
+    compiled lookup — a bisection for the vnode backends, ``k`` probes for
+    multi-probe, O(1) expected draws for power — or one vectorized pass per
+    batch.  Ring ``i`` hashes keys with an independent hash function
+    (``replica=i`` salt, paper Section III-E); the placement — and
+    therefore the balance and minimal-migration guarantees — is identical
+    on every ring, and ring 0 is the primary :meth:`route` answers for.
+    Vnode-backed routers expose ``ring`` / ``placement`` for inspection;
+    table-free backends report ``None``.
     """
 
-    backend: RingBackend
-    ring: Optional[HashRing]
+    def __init__(self, backend: RingBackend, replicas: int = 1) -> None:
+        super().__init__(backend.num_servers)
+        if replicas < 1:
+            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
+        self.backend = backend
+        self.replicas = replicas
+        self.ring: Optional[HashRing] = getattr(backend, "ring", None)
+        self.placement: Optional[Placement] = getattr(backend, "placement", None)
 
     def route(self, key: Key, num_active: int) -> int:
-        self._check_active(num_active)
-        backend = self.backend
+        backend = self.backend  # (compile() range-checks num_active)
         return backend.compile(num_active).lookup(
             ring_position(key, backend.ring_size)
         )
 
     def route_hashed(self, hashes: KeyHashes, num_active: int) -> int:
-        self._check_active(num_active)
         backend = self.backend
         return backend.compile(num_active).lookup(
             hashes.ring_position(backend.ring_size)
         )
 
-    def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
-        self._check_active(num_active)
+    def route_many(
+        self, keys: Sequence[Key], num_active: int, replica: int = 0
+    ) -> List[int]:
+        """Each key's owner on ring *replica* (ring 0: the primary)."""
         backend = self.backend
         table = backend.compile(num_active)
         if len(keys) <= SCALAR_BATCH_MAX:
             return [
-                table.lookup(ring_position(key, backend.ring_size))
+                table.lookup(ring_position(key, backend.ring_size, replica))
                 for key in keys
             ]
         return table.lookup_many(
-            ring_positions_many(keys, backend.ring_size)
+            ring_positions_many(keys, backend.ring_size, replica)
         ).tolist()
+
+    def read_plans(
+        self, keys: Sequence[Key], num_active: int
+    ) -> List[Tuple[int, ...]]:
+        plans = list(zip(self.route_many(keys, num_active)))
+        for replica in range(1, self.replicas):
+            owners = self.route_many(keys, num_active, replica)
+            for index, owner in enumerate(owners):
+                if owner not in plans[index]:  # replicas may collide (Eq. 3)
+                    plans[index] += (owner,)
+        return plans
+
+    def replica_servers(self, key: Key, num_active: int) -> List[int]:
+        """The owner of *key* on each ring, ring 0 first.  Duplicates are
+        *not* removed: Eq. 3 is about how often they occur (the key's read
+        plan is the deduplicated form)."""
+        return [
+            self.route_many((key,), num_active, replica)[0]
+            for replica in range(self.replicas)
+        ]
 
     def ceding_servers(self, n_old: int, n_new: int) -> List[int]:
         return self.backend.ceding_servers(n_old, n_new)
@@ -239,14 +280,14 @@ class ConsistentRouter(RingRouter):
         seed: int = 0,
         ring_size: int = DEFAULT_RING_SIZE,
     ) -> None:
-        super().__init__(num_servers)
+        Router.__init__(self, num_servers)  # validate before sizing the ring
         if vnodes_per_server is not None and total_vnodes is not None:
             raise ConfigurationError(
                 "pass vnodes_per_server or total_vnodes, not both"
             )
         if vnodes_per_server is None and total_vnodes is None:
             vnodes_per_server = max(1, math.ceil(math.log2(max(2, num_servers))))
-        self.ring = HashRing(ring_size)
+        ring = HashRing(ring_size)
         rng = random.Random(seed)
         if vnodes_per_server is not None:
             if vnodes_per_server < 1:
@@ -275,8 +316,8 @@ class ConsistentRouter(RingRouter):
                 drawn.add(position)
                 nodes.append(VirtualNode(position, server))
                 placed += 1
-        self.ring.add_many(nodes)
-        self.backend = VnodeBackend(self.ring, num_servers)
+        ring.add_many(nodes)
+        super().__init__(VnodeBackend(ring, num_servers))
 
     @classmethod
     def log_variant(cls, num_servers: int, seed: int = 0) -> "ConsistentRouter":
@@ -306,10 +347,7 @@ class ProteusRouter(RingRouter):
         ring_size: int = DEFAULT_RING_SIZE,
         fast: bool = False,
     ) -> None:
-        super().__init__(num_servers)
-        self.backend = ProteusBackend(num_servers, ring_size, fast=fast)
-        self.placement: Optional[Placement] = self.backend.placement
-        self.ring = self.backend.ring
+        super().__init__(ProteusBackend(num_servers, ring_size, fast=fast))
 
 
 class MultiProbeRouter(RingRouter):
@@ -327,9 +365,7 @@ class MultiProbeRouter(RingRouter):
         ring_size: int = DEFAULT_RING_SIZE,
         probes: int = DEFAULT_PROBES,
     ) -> None:
-        super().__init__(num_servers)
-        self.backend = MultiProbeBackend(num_servers, ring_size, probes=probes)
-        self.ring = None
+        super().__init__(MultiProbeBackend(num_servers, ring_size, probes=probes))
 
     @property
     def name(self) -> str:
@@ -346,9 +382,7 @@ class PowerRouter(RingRouter):
     """
 
     def __init__(self, num_servers: int, ring_size: int = DEFAULT_RING_SIZE) -> None:
-        super().__init__(num_servers)
-        self.backend = PowerBackend(num_servers, ring_size)
-        self.ring = None
+        super().__init__(PowerBackend(num_servers, ring_size))
 
     @property
     def name(self) -> str:

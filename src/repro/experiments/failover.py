@@ -15,13 +15,14 @@ from typing import List, Optional
 
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.cache.cluster import CacheCluster
-from repro.core.replication import ReplicatedProteusRouter
+from repro.core.ring import ProteusBackend
+from repro.core.router import RingRouter
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
 from repro.resilience import FaultSchedule
 from repro.sim.events import EventLoop
 from repro.sim.metrics import SlottedRecorder, TimeSeries
-from repro.web.replicated import ReplicatedWebServer
+from repro.web.frontend import WebServer
 from repro.workload.synthetic import UserPopulation
 
 
@@ -123,8 +124,8 @@ class FailoverExperiment:
 
     def __init__(self, config: FailoverConfig) -> None:
         self.config = config
-        router = ReplicatedProteusRouter(
-            config.num_servers, replicas=config.replicas, ring_size=2 ** 24
+        router = RingRouter(
+            ProteusBackend(config.num_servers, 2 ** 24), replicas=config.replicas
         )
         bloom: BloomConfig = optimal_config(
             max(1024, config.cache_capacity_bytes // 4096)
@@ -136,8 +137,7 @@ class FailoverExperiment:
             bloom_config=bloom,
         )
         self.database = DatabaseCluster(4, seed=config.seed)
-        self.web = ReplicatedWebServer(0, self.cache, self.database,
-                                       seed=config.seed)
+        self.web = WebServer(0, self.cache, self.database, seed=config.seed)
         self.population = UserPopulation(
             config.catalogue_size,
             pages_per_user=config.pages_per_user,
@@ -153,16 +153,13 @@ class FailoverExperiment:
 
     def _user_request(self, user) -> None:
         key = user.next_key()
-        failovers_before = self.web.failovers
         result = self.web.fetch(key, self.loop.now)
         self.total_requests += 1
         self._requests.record(self.loop.now, 1.0)
         self._db_hits.record(
             self.loop.now, 1.0 if result.touched_database else 0.0
         )
-        self._failover_hits.record(
-            self.loop.now, float(self.web.failovers - failovers_before)
-        )
+        self._failover_hits.record(self.loop.now, float(result.failover))
         self.loop.schedule_at(
             result.completed + user.next_think(), self._user_request, user
         )
@@ -197,8 +194,8 @@ class FailoverExperiment:
         return FailoverReport(
             replicas=config.replicas,
             total_requests=self.total_requests,
-            db_reads=self.web.database_reads,
-            failovers=self.web.failovers,
+            db_reads=self.web.stats.database_reads,
+            failovers=self.web.stats.failovers,
             db_fraction=db_fraction,
             failover_series=failover_series,
         )

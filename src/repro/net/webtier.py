@@ -646,7 +646,8 @@ class AsyncProteusFrontend:
                 key=key, value=outcome.value, path=outcome.path,
                 started=started, completed=completed,
                 new_server=outcome.new_server, old_server=outcome.old_server,
-                degraded=outcome.degraded,
+                degraded=outcome.degraded, served_by=outcome.served_by,
+                probes=outcome.probes,
             )
             for key, outcome in outcomes.items()
         }

@@ -9,7 +9,6 @@ from repro.web.frontend import (
     WebServer,
 )
 from repro.web.pool import ConnectionPool, PoolRegistry
-from repro.web.replicated import ReplicatedFetchResult, ReplicatedWebServer
 
 __all__ = [
     "ConnectionPool",
@@ -19,7 +18,5 @@ __all__ = [
     "FetchResult",
     "FetchStats",
     "PoolRegistry",
-    "ReplicatedFetchResult",
-    "ReplicatedWebServer",
     "WebServer",
 ]

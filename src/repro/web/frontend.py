@@ -8,6 +8,11 @@ executes the engine's commands against the simulated substrate: it charges
 latency-model samples and connection-pool costs to a virtual clock and
 performs the cache/database calls the commands name.
 
+One :class:`WebServer` drives every replication factor: the cluster's router
+hands the engine each key's read plan (Section III-E's ``r`` replica rings
+make it longer, nothing else), and :meth:`WebServer.put` writes through to
+the same owners.
+
 A web server owns no cluster state: it routes with the shared deterministic
 router and consults the shared transition epoch
 (:meth:`~repro.cache.cluster.CacheCluster.routing_epochs`), so any number
@@ -20,7 +25,7 @@ over live TCP.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.cluster import CacheCluster
 from repro.core.retrieval import (
@@ -173,7 +178,8 @@ class WebServer:
                 key=key, value=outcome.value, path=outcome.path,
                 started=now, completed=clock,
                 new_server=outcome.new_server, old_server=outcome.old_server,
-                degraded=outcome.degraded,
+                degraded=outcome.degraded, served_by=outcome.served_by,
+                probes=outcome.probes,
             )
             for key, outcome in outcomes.items()
         }
@@ -188,6 +194,7 @@ class WebServer:
             server = self.cache.server(command.server_id)
             pool = self.pools.pool(f"cache:{command.server_id}")
             clock += pool.acquire()
+            asked = clock
             clock = self._cache_op(clock)
             if not server.state.serves_requests:
                 # Crashed/off server: the failed attempt still cost one
@@ -195,6 +202,11 @@ class WebServer:
                 # the engine degrades around the dead server.
                 pool.discard()
                 return SERVER_UNAVAILABLE, clock
+            if self.config.load_aware:
+                # The d-choices load score scales with observed latency.
+                self.engine.armor.loads.observe_latency(
+                    command.server_id, clock - asked
+                )
             hits = {}
             for key in command.keys:
                 value = server.get(key, clock)
@@ -242,3 +254,33 @@ class WebServer:
                 server.set(key, value, now=clock)
             return None, clock
         raise ConfigurationError(f"unknown engine command: {command!r}")
+
+    # ---------------------------------------------------------------- writes
+
+    def put(self, key: str, value: Any, now: float) -> List[int]:
+        """Write *key* to every serving owner in its read plan; returns
+        them, ring order."""
+        return self.put_many(((key, value),), now)[key]
+
+    def put_many(
+        self, items: Iterable[Tuple[str, Any]], now: float
+    ) -> Dict[str, List[int]]:
+        """Batched :meth:`put`; returns key -> servers written.  Duplicate
+        keys collapse: the last value wins and the key is written once."""
+        final = dict(items)
+        plans = self.cache.router.read_plans(
+            list(final), self.cache.routing_epochs(now).new
+        )
+        written: Dict[str, List[int]] = {}
+        for (key, value), plan in zip(final.items(), plans):
+            written[key] = []
+            for server_id in plan:
+                server = self.cache.server(server_id)
+                if server.state.serves_requests:
+                    server.set(key, value, now=now)
+                    written[key].append(server_id)
+            if self.config.hot_key_cache:
+                # Digest-style invalidation: the local hot-key copy is
+                # stale the moment the authoritative owners change.
+                self.engine.armor.invalidate(key)
+        return written

@@ -10,19 +10,18 @@ power-of-two-choices read routing for hot keys on the replicated path.
 import pytest
 
 from repro.bloom import BloomFilter, KeyHashes
-from repro.core.replication import ReplicatedProteusRouter
 from repro.core.retrieval import (
     CheckDigestMulti,
     FetchPath,
     ProbeCacheMulti,
     ReadDatabase,
-    ReplicatedRetrievalEngine,
     RetrievalConfig,
     RetrievalEngine,
     WaitForLeader,
     WriteBackMulti,
 )
-from repro.core.router import ProteusRouter
+from repro.core.ring import ProteusBackend
+from repro.core.router import ProteusRouter, RingRouter
 from repro.core.transition import RoutingEpochs, Transition
 
 ROUTER = ProteusRouter(4, ring_size=2 ** 20)
@@ -217,60 +216,61 @@ class TestGroupedDigestProbes:
 
 class TestPowerOfTwoChoices:
     @staticmethod
+    def _router():
+        return RingRouter(ProteusBackend(4, 2 ** 20), replicas=2)
+
+    @staticmethod
     def _replicated_key(router):
+        """A key with two distinct replica owners, and its read plan."""
         for i in range(10_000):
             key = f"page:{i}"
-            plan = router.read_plan(key, 4)
-            if len(plan.targets) >= 2:
-                return key
+            (plan,) = router.read_plans([key], 4)
+            if len(plan) >= 2:
+                return key, plan
         raise AssertionError("no key with two distinct replica owners")
 
     def test_read_plan_prefers_less_loaded_replica(self):
-        router = ReplicatedProteusRouter(4, replicas=2, ring_size=2 ** 20)
-        key = self._replicated_key(router)
-        base = router.read_plan(key, 4)
-        primary, secondary = base.targets[0], base.targets[1]
+        key, base = self._replicated_key(self._router())
+        primary, secondary = base
 
         from repro.core.hotkey import ServerLoadEWMA
 
         loads = ServerLoadEWMA(halflife=1000.0)
+        assert loads.prefer(base, 2, now=0.0) == base  # tie: ring order
         for _ in range(10):
             loads.record_request(primary, now=0.0)
-        plan = router.read_plan(key, 4, loads=loads, d_choices=2, now=0.0)
-        assert plan.chosen == secondary
-        assert plan.targets[0] == secondary
-        # The target set and the primary are load-independent.
-        assert set(plan.targets) == set(base.targets)
-        assert plan.primary == base.primary == primary
+        plan = loads.prefer(base, 2, now=0.0)
+        assert plan[0] == secondary
+        # The owner set is load-independent, and one choice is no choice.
+        assert set(plan) == set(base)
+        assert loads.prefer(base, 1, now=0.0) == base
 
     def test_cold_keys_keep_ring_order(self):
-        router = ReplicatedProteusRouter(4, replicas=2, ring_size=2 ** 20)
-        key = self._replicated_key(router)
+        router = self._router()
+        key, base = self._replicated_key(router)
         config = RetrievalConfig(
             hot_key_cache=True, d_choices=2, hot_key_track=1
         )
-        engine = ReplicatedRetrievalEngine(router, config=config)
-        base = router.read_plan(key, 4)
+        engine = RetrievalEngine(router, config=config)
         # Saturate the single tracked slot so the test key stays cold
         # (estimate 1 < threshold 3), and load the primary heavily.
         for _ in range(3):
             engine.armor.observe("occupant")
         for _ in range(10):
-            engine.armor.loads.record_request(base.targets[0], now=0.0)
+            engine.armor.loads.record_request(base[0], now=0.0)
 
         # The key is not sketch-elected, so strict ring order applies
         # even though the primary reads as heavily loaded.
         probed, outcome = drive_replicated(engine, key)
-        assert probed == [base.targets[0]]
-        assert outcome.served_by == base.targets[0]
+        assert probed == [base[0]]
+        assert outcome.served_by == base[0]
+        assert not outcome.failover
 
     def test_hot_key_reads_from_less_loaded_replica(self):
-        router = ReplicatedProteusRouter(4, replicas=2, ring_size=2 ** 20)
-        key = self._replicated_key(router)
+        router = self._router()
+        key, (primary, secondary) = self._replicated_key(router)
         config = RetrievalConfig(hot_key_cache=True, d_choices=2)
-        engine = ReplicatedRetrievalEngine(router, config=config)
-        base = router.read_plan(key, 4)
-        primary, secondary = base.targets[0], base.targets[1]
+        engine = RetrievalEngine(router, config=config)
         engine.armor.observe(key)  # sketch-elected: d-choices applies
         for _ in range(10):
             engine.armor.loads.record_request(primary, now=0.0)
@@ -278,13 +278,14 @@ class TestPowerOfTwoChoices:
         probed, outcome = drive_replicated(engine, key)
         assert probed[0] == secondary
         assert outcome.served_by == secondary
+        assert outcome.new_server == primary and outcome.failover
         assert not outcome.touched_database
 
     def test_replicated_local_hit_skips_all_probes(self):
-        router = ReplicatedProteusRouter(4, replicas=2, ring_size=2 ** 20)
-        key = self._replicated_key(router)
+        router = self._router()
+        key, _ = self._replicated_key(router)
         config = RetrievalConfig(hot_key_cache=True, hot_key_ttl=1.0)
-        engine = ReplicatedRetrievalEngine(router, config=config)
+        engine = RetrievalEngine(router, config=config)
         engine.armor.observe(key)
         engine.armor.admit(key, "local-copy", now=0.0)
 
@@ -292,7 +293,7 @@ class TestPowerOfTwoChoices:
         with pytest.raises(StopIteration) as stop:  # zero commands
             steps.send(None)
         outcome = stop.value.value[key]
-        assert outcome.local
+        assert outcome.path is FetchPath.HIT_LOCAL
         assert outcome.value == "local-copy"
         assert outcome.served_by is None
         assert outcome.probes == 0

@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.core.replication import ReplicatedProteusRouter, no_conflict_probability
-from repro.errors import ConfigurationError, RoutingError
+from repro.core.replication import (
+    empirical_conflict_rate,
+    no_conflict_probability,
+)
+from repro.core.ring import ProteusBackend
+from repro.core.router import ProteusRouter, RingRouter
+from repro.errors import ConfigurationError
 from tests.conftest import make_keys
+
+
+def replicated(num_servers, replicas):
+    return RingRouter(ProteusBackend(num_servers), replicas=replicas)
 
 
 class TestEq3:
@@ -29,51 +38,61 @@ class TestEq3:
 
 class TestReplicatedRouter:
     def test_replica_count(self):
-        router = ReplicatedProteusRouter(8, replicas=3)
+        router = replicated(8, replicas=3)
         owners = router.replica_servers("k", 8)
         assert len(owners) == 3
         assert all(0 <= s < 8 for s in owners)
 
     def test_route_is_primary_ring(self):
-        router = ReplicatedProteusRouter(8, replicas=3)
+        router = replicated(8, replicas=3)
         assert router.route("k", 6) == router.replica_servers("k", 6)[0]
+        # ...and ring 0 is the unreplicated router's only ring.
+        assert router.route("k", 6) == ProteusRouter(8).route("k", 6)
 
     def test_replicas_respect_active_prefix(self):
-        router = ReplicatedProteusRouter(10, replicas=2)
+        router = replicated(10, replicas=2)
         for key in make_keys(200):
             assert all(s < 4 for s in router.replica_servers(key, 4))
 
     def test_distinct_replicas_dedupes(self):
-        router = ReplicatedProteusRouter(2, replicas=3)
-        for key in make_keys(50):
-            distinct = router.distinct_replica_servers(key, 2)
-            assert len(distinct) == len(set(distinct)) <= 2
+        router = replicated(2, replicas=3)
+        keys = make_keys(50)
+        for key, plan in zip(keys, router.read_plans(keys, 2)):
+            assert len(plan) == len(set(plan)) <= 2
+            assert set(plan) == set(router.replica_servers(key, 2))
 
     def test_empirical_conflict_matches_eq3(self):
-        router = ReplicatedProteusRouter(10, replicas=2)
-        measured_nc = 1.0 - router.empirical_conflict_rate(10, num_samples=6000)
+        router = replicated(10, replicas=2)
+        measured_nc = 1.0 - empirical_conflict_rate(router, 10, num_samples=6000)
         predicted = no_conflict_probability(2, 10)
         assert measured_nc == pytest.approx(predicted, abs=0.02)
 
     def test_read_targets_excludes_failed(self):
-        router = ReplicatedProteusRouter(6, replicas=2)
-        for key in make_keys(100):
-            owners = router.distinct_replica_servers(key, 6)
-            if len(owners) == 2:
-                targets = router.read_targets(key, 6, exclude=[owners[0]])
-                assert targets == [owners[1]]
+        # The plan never excludes anybody — routing is health-blind, the
+        # engine moves past an unavailable owner — so the survivor of a
+        # crashed primary is simply the plan's next entry.
+        router = replicated(6, replicas=2)
+        keys = make_keys(100)
+        for key, plan in zip(keys, router.read_plans(keys, 6)):
+            assert plan[0] == router.route(key, 6)
+            assert list(plan[1:]) == [
+                s for s in router.replica_servers(key, 6)[1:] if s != plan[0]
+            ]
 
     def test_read_targets_all_failed_raises(self):
-        router = ReplicatedProteusRouter(4, replicas=2)
-        key = make_keys(1)[0]
-        owners = router.distinct_replica_servers(key, 4)
-        with pytest.raises(RoutingError):
-            router.read_targets(key, 4, exclude=owners)
+        # Nothing raises for a key whose owners all crashed: its plan is
+        # what it always was, one owner per distinct replica.
+        router = replicated(4, replicas=2)
+        keys = make_keys(20)
+        assert router.read_plans(keys, 4) == [
+            plan for key in keys for plan in router.read_plans([key], 4)
+        ]
+        assert all(1 <= len(plan) <= 2 for plan in router.read_plans(keys, 4))
 
     def test_replicated_routing_is_balanced(self):
         import collections
 
-        router = ReplicatedProteusRouter(5, replicas=2)
+        router = replicated(5, replicas=2)
         counts = collections.Counter()
         for key in make_keys(20_000):
             for server in router.replica_servers(key, 5):
@@ -83,4 +102,4 @@ class TestReplicatedRouter:
 
     def test_rejects_bad_replicas(self):
         with pytest.raises(ConfigurationError):
-            ReplicatedProteusRouter(4, replicas=0)
+            replicated(4, replicas=0)

@@ -14,14 +14,14 @@ from repro.core.retrieval import (
     LeaderWindowRegistry,
     ProbeCacheMulti,
     ReadDatabase,
-    ReplicatedRetrievalEngine,
     RetrievalConfig,
     RetrievalEngine,
-    SKIPPED,
+    SERVER_UNAVAILABLE,
     WaitForLeader,
     WriteBackMulti,
 )
-from repro.core.router import ProteusRouter
+from repro.core.ring import ProteusBackend
+from repro.core.router import ProteusRouter, RingRouter
 from repro.core.transition import RoutingEpochs, Transition
 
 
@@ -425,9 +425,7 @@ class TestBatchPlanner:
         assert reads == []
 
     def test_replicated_batch_equals_sequential(self):
-        from repro.core.replication import ReplicatedProteusRouter
-
-        router = ReplicatedProteusRouter(4, replicas=2, ring_size=2 ** 20)
+        router = RingRouter(ProteusBackend(4, 2 ** 20), replicas=2)
         epochs = RoutingEpochs(4, None, None)
         keys = [f"page:{i}" for i in range(8)]
         # Prime half the keys at their primary, leave half to the DB.
@@ -436,11 +434,11 @@ class TestBatchPlanner:
             stores.setdefault(router.route(key, 4), {})[key] = f"v-{key}"
         db = {key: f"db-{key}" for key in keys}
 
-        batch_engine = ReplicatedRetrievalEngine(router)
+        batch_engine = RetrievalEngine(router)
         batch_driver = StoreDriver(stores, db)
         batched = batch_driver.run(batch_engine.retrieve_many(keys, epochs))
 
-        seq_engine = ReplicatedRetrievalEngine(router)
+        seq_engine = RetrievalEngine(router)
         seq_driver = StoreDriver(stores, db)
         sequential = {
             key: seq_driver.run(seq_engine.retrieve_many([key], epochs))[key]
@@ -449,8 +447,8 @@ class TestBatchPlanner:
 
         for key in keys:
             assert batched[key] == sequential[key]
-        assert batch_engine.failovers == seq_engine.failovers
-        assert batch_engine.database_reads == seq_engine.database_reads
+        assert batch_engine.stats == seq_engine.stats
+        assert batch_engine.stats.database_reads == 4
         assert batch_driver.stores == seq_driver.stores
 
 
@@ -458,15 +456,18 @@ class TestReplicatedEngine:
     EPOCHS = RoutingEpochs(4, None, None)
 
     def _engine(self):
-        from repro.core.replication import ReplicatedProteusRouter
-
-        return ReplicatedRetrievalEngine(
-            ReplicatedProteusRouter(4, replicas=2, ring_size=2 ** 20)
+        return RetrievalEngine(
+            RingRouter(ProteusBackend(4, 2 ** 20), replicas=2)
         )
+
+    @staticmethod
+    def _targets(engine):
+        (plan,) = engine.router.read_plans([KEY], 4)
+        return list(plan)
 
     def test_primary_hit_no_failover(self):
         engine = self._engine()
-        targets = engine.router.read_targets(KEY, 4)
+        targets = self._targets(engine)
         # One write-through round repopulates the replicas that missed.
         driver = ScriptedDriver(
             [(ProbeCacheMulti, {KEY: "v"})]
@@ -476,12 +477,13 @@ class TestReplicatedEngine:
         assert outcome.served_by == targets[0]
         assert not outcome.failover
         assert outcome.probes == 1
-        assert engine.failovers == 0
+        assert engine.stats.failovers == 0
+        assert outcome.path is FetchPath.HIT_NEW and not outcome.degraded
         assert driver.trace[0] == ProbeCacheMulti(targets[0], (KEY,))
 
     def test_replica_covers_for_missing_primary(self):
         engine = self._engine()
-        targets = engine.router.read_targets(KEY, 4)
+        targets = self._targets(engine)
         assert len(targets) >= 2
         driver = ScriptedDriver(
             [(ProbeCacheMulti, MISS), (ProbeCacheMulti, {KEY: "v"})]
@@ -490,21 +492,26 @@ class TestReplicatedEngine:
         outcome = driver.run_one(engine, KEY, self.EPOCHS)
         assert outcome.served_by == targets[1]
         assert outcome.failover
-        assert engine.failovers == 1
+        assert engine.stats.failovers == 1
+        assert outcome.probes == 2
 
     def test_skipped_probe_not_counted(self):
         engine = self._engine()
-        targets = engine.router.read_targets(KEY, 4)
+        targets = self._targets(engine)
         driver = ScriptedDriver(
-            [(ProbeCacheMulti, SKIPPED), (ProbeCacheMulti, {KEY: "v"})]
+            [(ProbeCacheMulti, SERVER_UNAVAILABLE), (ProbeCacheMulti, {KEY: "v"})]
             + [(WriteBackMulti, None)] * (len(targets) - 1)
         )
         outcome = driver.run_one(engine, KEY, self.EPOCHS)
         assert outcome.probes == 1
+        # The unavailable primary is a fault served around, like any other.
+        assert outcome.failover and outcome.degraded
+        assert outcome.served_by == targets[1]
+        assert engine.stats.degraded["probe_new"] == 1
 
     def test_all_miss_reads_db_and_repopulates_every_target(self):
         engine = self._engine()
-        targets = engine.router.read_targets(KEY, 4)
+        targets = self._targets(engine)
         driver = ScriptedDriver(
             [(ProbeCacheMulti, MISS)] * len(targets)
             + [(ReadDatabase, "db")]
@@ -513,7 +520,8 @@ class TestReplicatedEngine:
         outcome = driver.run_one(engine, KEY, self.EPOCHS)
         assert outcome.touched_database
         assert outcome.served_by is None
-        assert engine.database_reads == 1
+        assert engine.stats.database_reads == 1
+        assert outcome.path is FetchPath.MISS_DB and outcome.probes == len(targets)
         written = [
             c for c in driver.trace if isinstance(c, WriteBackMulti)
         ]

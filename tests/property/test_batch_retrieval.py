@@ -1,19 +1,24 @@
-"""Property: the planner is Algorithm 2, for any batch shape.
+"""Property: the planner is Algorithm 2, for any batch shape and any
+replication factor.
 
-For any key set, any per-key cache placement, and any transition state,
+For any key set, any per-key cache placement, any transition state, any
+number of replica rings and any set of dead servers,
 :meth:`RetrievalEngine.retrieve_many` must (a) agree with an independent,
-straight-line transcription of the paper's Algorithm 2 — same value, same
-:class:`FetchPath`, same owners, same write-backs per key — and (b) be
-batch-shape invariant: a batch of N keys returns the outcomes, the
-:class:`FetchStats` counts, and leaves the cluster state of N batches of
-one.  Every driver's ``fetch`` / ``fetch_many`` rests on both.
+straight-line transcription of the paper's Algorithm 2 over read plans —
+same value, same :class:`FetchPath`, same owners, same serving server and
+probe count, same write-backs per key — and (b) be batch-shape invariant:
+a batch of N keys returns the outcomes, the :class:`FetchStats` counts,
+and leaves the cluster state of N batches of one.  Every driver's
+``fetch`` / ``fetch_many`` rests on both.
 """
 
 from collections import Counter
+from typing import NamedTuple, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bloom.hashing import ring_position
 from repro.core.retrieval import (
     CheckDigestMulti,
     FetchPath,
@@ -21,12 +26,21 @@ from repro.core.retrieval import (
     ReadDatabase,
     RetrievalConfig,
     RetrievalEngine,
+    SERVER_UNAVAILABLE,
     WriteBackMulti,
 )
-from repro.core.router import ProteusRouter
+from repro.core.ring import ProteusBackend
+from repro.core.router import ProteusRouter, RingRouter
 from repro.core.transition import RoutingEpochs, Transition
 
-ROUTER = ProteusRouter(5, ring_size=2 ** 20)
+RING_SIZE = 2 ** 20
+ROUTER = ProteusRouter(5, ring_size=RING_SIZE)
+#: replicas -> router; one replica ring is the unreplicated router
+ROUTERS = {
+    1: ROUTER,
+    2: RingRouter(ProteusBackend(5, RING_SIZE), replicas=2),
+    3: RingRouter(ProteusBackend(5, RING_SIZE), replicas=3),
+}
 STEADY = RoutingEpochs(new=4, old=None, transition=None)
 DRAINING = RoutingEpochs(
     new=3, old=5,
@@ -34,45 +48,100 @@ DRAINING = RoutingEpochs(
 )
 
 
-def algorithm_2(key, epochs, stores, digests, db):
+PLACEMENT = ProteusBackend(5, RING_SIZE)
+
+
+def read_plan(key, num_active, replicas):
+    """The key's distinct owners, ring 0's first — from the hash and the
+    placement table alone."""
+    table = PLACEMENT.compile(num_active)
+    owners = []
+    for ring in range(replicas):
+        owner = table.lookup(ring_position(key, RING_SIZE, replica=ring))
+        if owner not in owners:
+            owners.append(owner)
+    return owners
+
+
+class Expected(NamedTuple):
+    value: object
+    path: FetchPath
+    new_id: int
+    old_id: Optional[int]
+    #: ``(server_id, key, value)`` write-backs that land (live owners)
+    writes: list
+    served_by: Optional[int]
+    probes: int
+    #: degraded events: one per dead server in the way
+    faults: list
+
+
+def algorithm_2(key, epochs, stores, digests, db, replicas=1, dead=()):
     """The paper's Algorithm 2 for one key, straight-line over dict state.
 
     The reference the engine is held to: no generators, no commands, no
-    engine helpers.  Returns ``(value, path, new_id, old_id, writes)``
-    where ``writes`` lists the ``(server_id, key, value)`` write-backs.
+    engine helpers.  A dead server answers nothing — the read moves on to
+    the key's next owner — and takes no write-back.
     """
-    new_id = ROUTER.route(key, epochs.new)
-    value = stores.get(new_id, {}).get(key)
-    if value is not None:  # line 3: hit at the new owner
-        return value, FetchPath.HIT_NEW, new_id, None, []
+    new = read_plan(key, epochs.new, replicas)
+    faults, probes = [], 0
+
+    def done(value, path, old_id, served_by):
+        targets = [owner for owner in new if owner != served_by]
+        return Expected(
+            value, path, new[0], old_id,
+            [(owner, key, value) for owner in targets if owner not in dead],
+            served_by, probes,
+            faults + ["writeback"] * sum(o in dead for o in targets),
+        )
+
+    for owner in new:  # line 3: a hit at a new owner
+        if owner in dead:
+            faults.append("probe_new")
+            continue
+        probes += 1
+        value = stores.get(owner, {}).get(key)
+        if value is not None:
+            return done(value, FetchPath.HIT_NEW, None, owner)
     old_id, path = None, FetchPath.MISS_DB
     if epochs.old is not None:
-        old_id = ROUTER.route(key, epochs.old)
-        if old_id != new_id and key in digests.get(old_id, ()):
-            value = stores.get(old_id, {}).get(key)
-            if value is not None:  # line 7: hot data at the old owner
-                return (
-                    value, FetchPath.HIT_OLD, new_id, old_id,
-                    [(new_id, key, value)],
-                )
+        old = read_plan(key, epochs.old, replicas)
+        old_id = old[0]
+        for owner in sorted(set(old) - set(new)):  # the ceded owners
+            if key not in digests.get(owner, ()):
+                continue
+            if owner in dead:
+                faults.append("probe_old")
+                continue
+            probes += 1
+            value = stores.get(owner, {}).get(key)
+            if value is not None:  # line 7: hot data at an old owner
+                return done(value, FetchPath.HIT_OLD, old_id, owner)
             path = FetchPath.FALSE_POSITIVE_DB  # the digest lied
-    value = db[key]  # line 10: the authoritative store never misses
-    return value, path, new_id, old_id, [(new_id, key, value)]
+    if faults:
+        path = FetchPath.DEGRADED_DB
+    # line 10: the authoritative store never misses
+    return done(db[key], path, old_id, None)
 
 
 class StoreDriver:
     """Dict-backed executor of the engine's command rounds."""
 
-    def __init__(self, stores, db, digests):
+    def __init__(self, stores, db, digests, dead=()):
         self.stores = {sid: dict(store) for sid, store in stores.items()}
         self.db = db
         self.digests = digests
+        self.dead = dead
         #: server ids probed, in order
         self.probed = []
         #: (server_id, key, value) per write-back item
         self.writes = []
 
     def _answer(self, command):
+        if getattr(command, "server_id", None) in self.dead and not isinstance(
+            command, CheckDigestMulti  # digests were broadcast: still known
+        ):
+            return SERVER_UNAVAILABLE
         if isinstance(command, ProbeCacheMulti):
             self.probed.append(command.server_id)
             store = self.stores.get(command.server_id, {})
@@ -101,13 +170,14 @@ class StoreDriver:
             return stop.value
 
 
-#: per-key placement: nowhere, at the new owner, or at the old owner with
-#: the old owner's digest advertising it (the "hot data" state).
+#: per-key placement: nowhere, at a new owner, or at an old owner with
+#: that owner's digest advertising it (the "hot data" state).
 PLACEMENTS = st.sampled_from(["absent", "cached_new", "hot_old", "lying_digest"])
 
 
 @st.composite
 def cluster_states(draw):
+    replicas = draw(st.sampled_from([1, 2, 3]))
     indexes = draw(
         st.lists(
             st.integers(min_value=0, max_value=400),
@@ -121,27 +191,33 @@ def cluster_states(draw):
         key = f"page:{i}"
         keys.append(key)
         placement = draw(PLACEMENTS)
+        ring = draw(st.integers(min_value=0, max_value=2))  # which owner
         db[key] = f"db-{key}"
-        new_id = ROUTER.route(key, epochs.new)
+        new = read_plan(key, epochs.new, replicas)
+        new_id = new[ring % len(new)]
         if placement == "cached_new":
             stores.setdefault(new_id, {})[key] = f"cached-{key}"
         elif epochs.in_transition and placement in ("hot_old", "lying_digest"):
-            old_id = ROUTER.route(key, epochs.old)
-            digests.setdefault(old_id, set()).add(key)
+            old = read_plan(key, epochs.old, replicas)
+            old_id = old[ring % len(old)]
+            # (or every old owner advertises it and all but one lie)
+            for owner in old if draw(st.booleans()) else [old_id]:
+                digests.setdefault(owner, set()).add(key)
             if placement == "hot_old":
                 stores.setdefault(old_id, {})[key] = f"hot-{key}"
-    return keys, epochs, stores, digests, db
+    return replicas, keys, epochs, stores, digests, db
 
 
 CHUNKS = st.sampled_from([0, 1, 2, 64])
+DEAD = st.sets(st.integers(min_value=0, max_value=4), max_size=3)
 
 
 @given(state=cluster_states(), chunk=CHUNKS)
 @settings(max_examples=120, deadline=None)
 def test_batch_matches_straight_line_algorithm_2(state, chunk):
-    keys, epochs, stores, digests, db = state
+    replicas, keys, epochs, stores, digests, db = state
     engine = RetrievalEngine(
-        ROUTER, config=RetrievalConfig(max_multiget_keys=chunk)
+        ROUTERS[replicas], config=RetrievalConfig(max_multiget_keys=chunk)
     )
     driver = StoreDriver(stores, db, digests)
     outcomes = driver.run(engine.retrieve_many(keys, epochs))
@@ -149,12 +225,16 @@ def test_batch_matches_straight_line_algorithm_2(state, chunk):
     expected_stores = {sid: dict(store) for sid, store in stores.items()}
     expected_writes = []
     expected_paths = Counter()
+    failovers = 0
     assert set(outcomes) == set(keys)
     for key in keys:
-        value, path, new_id, old_id, writes = algorithm_2(
-            key, epochs, stores, digests, db
+        value, path, new_id, old_id, writes, served_by, probes, _ = algorithm_2(
+            key, epochs, stores, digests, db, replicas
         )
         outcome = outcomes[key]
+        assert outcome.served_by == served_by, key
+        assert outcome.probes == probes, key
+        failovers += path is FetchPath.HIT_NEW and served_by != new_id
         assert outcome.value == value, key
         assert outcome.path is path, key
         assert outcome.new_server == new_id, key
@@ -168,21 +248,53 @@ def test_batch_matches_straight_line_algorithm_2(state, chunk):
     assert driver.stores == expected_stores
     assert {p: n for p, n in engine.stats.counts.items() if n} == expected_paths
     assert engine.stats.degraded_events == 0
+    assert engine.stats.failovers == failovers
 
 
-@given(state=cluster_states(), chunk=CHUNKS)
+@given(state=cluster_states(), chunk=CHUNKS, dead=DEAD)
 @settings(max_examples=120, deadline=None)
-def test_batch_outcomes_equal_sequential_outcomes(state, chunk):
-    """A batch of N equals N batches of one."""
-    keys, epochs, stores, digests, db = state
-    batch_engine = RetrievalEngine(
-        ROUTER, config=RetrievalConfig(max_multiget_keys=chunk)
+def test_dead_servers_are_served_around_as_the_straight_line_says(
+    state, chunk, dead
+):
+    replicas, keys, epochs, stores, digests, db = state
+    engine = RetrievalEngine(
+        ROUTERS[replicas], config=RetrievalConfig(max_multiget_keys=chunk)
     )
-    batch_driver = StoreDriver(stores, db, digests)
+    driver = StoreDriver(stores, db, digests, dead)
+    outcomes = driver.run(engine.retrieve_many(keys, epochs))
+
+    expected_writes = []
+    expected_events = Counter()
+    for key in keys:
+        want = algorithm_2(key, epochs, stores, digests, db, replicas, dead)
+        outcome = outcomes[key]
+        assert (
+            outcome.value, outcome.path, outcome.new_server,
+            outcome.old_server, outcome.served_by, outcome.probes,
+        ) == want[:4] + want[5:7], key
+        assert outcome.degraded == bool(want.faults), key
+        assert want.served_by not in dead
+        expected_writes.extend(want.writes)
+        expected_events.update(want.faults)
+    assert sorted(driver.writes) == sorted(expected_writes)
+    assert {e: n for e, n in engine.stats.degraded.items() if n} == expected_events
+    assert engine.stats.failovers == sum(o.failover for o in outcomes.values())
+
+
+@given(state=cluster_states(), chunk=CHUNKS, dead=DEAD)
+@settings(max_examples=120, deadline=None)
+def test_batch_outcomes_equal_sequential_outcomes(state, chunk, dead):
+    """A batch of N equals N batches of one — for every replication
+    factor, whichever servers are dead."""
+    replicas, keys, epochs, stores, digests, db = state
+    batch_engine = RetrievalEngine(
+        ROUTERS[replicas], config=RetrievalConfig(max_multiget_keys=chunk)
+    )
+    batch_driver = StoreDriver(stores, db, digests, dead)
     batched = batch_driver.run(batch_engine.retrieve_many(keys, epochs))
 
-    seq_engine = RetrievalEngine(ROUTER)
-    seq_driver = StoreDriver(stores, db, digests)
+    seq_engine = RetrievalEngine(ROUTERS[replicas])
+    seq_driver = StoreDriver(stores, db, digests, dead)
     sequential = {
         key: seq_driver.run(seq_engine.retrieve_many([key], epochs))[key]
         for key in keys
@@ -198,11 +310,13 @@ def test_batch_outcomes_equal_sequential_outcomes(state, chunk):
 @given(state=cluster_states())
 @settings(max_examples=60, deadline=None)
 def test_batch_probes_each_server_at_most_once_per_epoch(state):
-    keys, epochs, stores, digests, db = state
-    engine = RetrievalEngine(ROUTER)  # default chunking (64) never splits here
+    replicas, keys, epochs, stores, digests, db = state
+    # default chunking (64) never splits here
+    engine = RetrievalEngine(ROUTERS[replicas])
     driver = StoreDriver(stores, db, digests)
     driver.run(engine.retrieve_many(keys, epochs))
-    # New-epoch probes + old-epoch probes: each server at most once each.
-    epoch_count = 2 if epochs.in_transition else 1
+    # New-epoch probes + old-epoch probes: each server at most once each
+    # per ring round.
+    epoch_count = (2 if epochs.in_transition else 1) * replicas
     for server_id, count in Counter(driver.probed).items():
         assert count <= epoch_count, (server_id, driver.probed)

@@ -25,12 +25,12 @@ from hypothesis import strategies as st
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import KeyHashes, digest_bases_many, ring_position
-from repro.core.replication import ReplicatedProteusRouter
-from repro.core.ring import HashRing, VirtualNode, prefix_active
+from repro.core.ring import HashRing, ProteusBackend, VirtualNode, prefix_active
 from repro.core.router import (
     ConsistentRouter,
     NaiveRouter,
     ProteusRouter,
+    RingRouter,
     StaticRouter,
 )
 from repro.errors import DigestError
@@ -142,7 +142,7 @@ def test_route_many_and_route_hashed_match_route(num_servers, batch, data):
         NaiveRouter(num_servers),
         ConsistentRouter.log_variant(num_servers),
         ProteusRouter(num_servers, ring_size=2 ** 20),
-        ReplicatedProteusRouter(num_servers, replicas=2, ring_size=2 ** 20),
+        RingRouter(ProteusBackend(num_servers, 2 ** 20), replicas=2),
     ]
     for router in routers:
         expected = [router.route(key, num_active) for key in batch]
@@ -160,24 +160,27 @@ def test_route_many_and_route_hashed_match_route(num_servers, batch, data):
 @settings(max_examples=60, deadline=None)
 def test_read_plan_matches_replica_servers(num_servers, replicas, batch, data):
     num_active = data.draw(st.integers(min_value=1, max_value=num_servers))
-    exclude = data.draw(
-        st.sets(st.integers(min_value=0, max_value=num_servers - 1))
-    )
-    router = ReplicatedProteusRouter(
-        num_servers, replicas=replicas, ring_size=2 ** 20
-    )
-    for key in batch:
+    router = RingRouter(ProteusBackend(num_servers, 2 ** 20), replicas=replicas)
+    plans = router.read_plans(batch, num_active)
+    assert len(plans) == len(batch)
+    for key, plan in zip(batch, plans):
         owners = router.replica_servers(key, num_active)
-        plan = router.read_plan(key, num_active, exclude=exclude)
-        assert plan.primary == owners[0] == router.route(key, num_active)
-        want = []
-        for server in owners:
-            if server not in want and server not in exclude:
-                want.append(server)
-        assert list(plan.targets) == want
-        assert plan.chosen == (want[0] if want else None)
-        hashed = router.replica_servers(key, num_active, hashes=KeyHashes(key))
-        assert hashed == owners
+        assert len(owners) == replicas
+        assert plan[0] == owners[0] == router.route(key, num_active)
+        assert list(plan) == list(dict.fromkeys(owners))  # deduped, ring order
+        assert router.read_plans([key], num_active) == [plan]
+        hashes = KeyHashes(key)
+        assert owners == [
+            router.backend.compile(num_active).lookup(
+                hashes.ring_position(2 ** 20, replica=ring)
+            )
+            for ring in range(replicas)
+        ]
+    # The base class's plan is the one owner route_many answers with.
+    naive = NaiveRouter(num_servers)
+    assert naive.read_plans(batch, num_active) == [
+        (owner,) for owner in naive.route_many(batch, num_active)
+    ]
 
 
 # ------------------------------------------------------------ bloom batches

@@ -5,7 +5,6 @@ import asyncio
 import pytest
 
 from repro.config import CONFIG_VERSION, ClusterConfig, DigestGeometry
-from repro.core.replication import ReplicatedProteusRouter
 from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
 
@@ -87,14 +86,28 @@ class TestBuilders:
         assert cfg.digest.counter_bits == 3  # the Eq. 10 optimum at 1e4 keys
 
     def test_build_router_unreplicated(self):
-        router = make(replicas=1).build_router()
-        assert isinstance(router, ProteusRouter)
-        assert router.num_servers == 3
+        cfg = make(replicas=1)
+        router = cfg.build_router()
+        assert router.num_servers == 3 and router.replicas == 1
+        reference = ProteusRouter(3, ring_size=cfg.ring_size)
+        keys = [f"k{i}" for i in range(50)]
+        assert router.route_many(keys, 2) == reference.route_many(keys, 2)
+        assert router.read_plans(keys, 2) == reference.read_plans(keys, 2)
 
     def test_build_router_replicated(self):
         router = make(replicas=2).build_router()
-        assert isinstance(router, ReplicatedProteusRouter)
+        assert type(router) is type(make(replicas=1).build_router())
         assert router.replicas == 2
+        assert any(len(p) == 2 for p in router.read_plans(["a", "b", "c"], 3))
+
+    def test_build_frontend_rejects_replicas(self):
+        # The live frontend routes over one ring; building it from a
+        # replicated config must fail loudly, not ignore the knob.
+        async def db(key):
+            return b"v"
+
+        with pytest.raises(ConfigurationError, match="replicas=2"):
+            make(replicas=2).build_frontend(db)
 
     def test_two_loads_route_identically(self, tmp_path):
         # The consistency objective, through the config round trip.

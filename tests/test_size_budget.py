@@ -1,4 +1,4 @@
-"""Line-count budget for the Algorithm-2 core and its three drivers.
+"""Line-count budget for the Algorithm-2 core, its two drivers, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -14,11 +14,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
-    "core/retrieval.py": 1075,
-    "web/frontend.py": 250,
-    "web/replicated.py": 250,
+    "core/retrieval.py": 875,
+    "web/frontend.py": 300,
     "net/webtier.py": 725,
 }
+#: every line under src/repro — code size has a ratchet of its own
+TREE_CEILING = 17_800
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
@@ -28,4 +29,15 @@ def test_file_stays_within_its_line_budget(relative):
         f"src/repro/{relative} grew to {lines} lines (budget "
         f"{CEILINGS[relative]}); shrink it, or raise the ceiling in "
         "tests/test_size_budget.py on purpose"
+    )
+
+
+def test_whole_tree_stays_within_its_line_budget():
+    lines = sum(
+        len(path.read_text().splitlines()) for path in SRC.rglob("*.py")
+    )
+    assert lines <= TREE_CEILING, (
+        f"src/repro grew to {lines} lines (budget {TREE_CEILING}); delete "
+        "something, or raise TREE_CEILING in tests/test_size_budget.py on "
+        "purpose"
     )

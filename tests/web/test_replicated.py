@@ -1,24 +1,22 @@
-"""Tests for the replicated read/write path (Section III-E operational)."""
-
-import pytest
+"""Tests for the replicated read/write path (Section III-E operational):
+the one :class:`WebServer` over a router with ``replicas`` rings."""
 
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.cache.server import PowerState
-from repro.core.replication import ReplicatedProteusRouter
-from repro.core.retrieval import RetrievalConfig
-from repro.core.router import ProteusRouter
+from repro.core.retrieval import FetchPath, RetrievalConfig
+from repro.core.ring import ProteusBackend
+from repro.core.router import RingRouter
 from repro.database.cluster import DatabaseCluster
-from repro.errors import ConfigurationError
 from repro.sim.latency import Constant, Exponential
-from repro.web.replicated import ReplicatedWebServer
+from repro.web.frontend import WebServer
 
 CFG = optimal_config(2000)
 
 
 def build(n=6, replicas=2, active=None):
     cache = CacheCluster(
-        ReplicatedProteusRouter(n, replicas=replicas, ring_size=2 ** 24),
+        RingRouter(ProteusBackend(n, 2 ** 24), replicas=replicas),
         capacity_bytes=4096 * 2000,
         initial_active=active,
         ttl=60.0,
@@ -27,26 +25,37 @@ def build(n=6, replicas=2, active=None):
     # Fast constant-latency DB so warm-phase write-backs complete before the
     # post-crash re-reads (items are invisible before their write time).
     db = DatabaseCluster(3, service_model=Constant(0.002))
-    return cache, db, ReplicatedWebServer(0, cache, db)
+    return cache, db, WebServer(0, cache, db)
 
 
-class TestConstruction:
-    def test_requires_replicated_router(self):
-        cache = CacheCluster(
-            ProteusRouter(4, ring_size=2 ** 20), bloom_config=CFG
-        )
-        with pytest.raises(ConfigurationError):
-            ReplicatedWebServer(0, cache, DatabaseCluster(2))
+def owners(cache, key, n=6):
+    """The key's read plan: its distinct replica owners, ring order."""
+    return list(cache.router.read_plans([key], n)[0])
 
 
 class TestWrites:
     def test_put_reaches_all_distinct_replicas(self):
         cache, db, web = build(replicas=3)
         written = web.put("page:1", b"v", now=0.0)
-        expected = cache.router.distinct_replica_servers("page:1", 6)
-        assert written == expected
+        assert written == owners(cache, "page:1")
+        assert 1 <= len(written) <= 3
         for server_id in written:
             assert cache.server(server_id).get("page:1", 0.0) == b"v"
+
+    def test_put_many_is_put_per_pair_last_value_wins(self):
+        cache, db, web = build(replicas=2)
+        cache.fail_server(1, now=0.0)  # a dead owner takes no write
+        pairs = [(f"page:{i}", f"v{i}") for i in range(30)]
+        written = web.put_many(pairs + [("page:0", "last")], now=1.0)
+        _, _, single = build(replicas=2)
+        single.cache.fail_server(1, now=0.0)
+        assert written == {
+            key: single.put(key, value, now=1.0) for key, value in pairs
+        }
+        assert all(1 not in servers for servers in written.values())
+        assert any(len(servers) == 2 for servers in written.values())
+        for server_id in written["page:0"]:
+            assert cache.server(server_id).get("page:0", 1.0) == "last"
 
 
 class TestReadsAndFailover:
@@ -54,7 +63,7 @@ class TestReadsAndFailover:
         cache, db, web = build(replicas=2)
         result = web.fetch("page:x", now=0.0)
         assert result.touched_database
-        for server_id in cache.router.distinct_replica_servers("page:x", 6):
+        for server_id in owners(cache, "page:x"):
             assert cache.server(server_id).get("page:x", 1.0) is not None
 
     def test_fetch_hit_from_primary(self):
@@ -63,7 +72,8 @@ class TestReadsAndFailover:
         result = web.fetch("page:x", now=1.0)
         assert not result.touched_database
         assert result.served_by == cache.router.route("page:x", 6)
-        assert web.failovers == 0
+        assert result.path is FetchPath.HIT_NEW and result.probes == 1
+        assert web.stats.failovers == 0
 
     def test_failover_serves_from_replica_after_crash(self):
         cache, db, web = build(replicas=2)
@@ -87,7 +97,7 @@ class TestReadsAndFailover:
                 db_fallback += 1
         # Keys whose primary was server 0 are served from their replica...
         assert failed_over > 0
-        assert web.failovers == failed_over
+        assert web.stats.failovers == failed_over
         # ...and only replica-conflict keys (both copies on server 0) fall
         # through to the DB: a small fraction (Eq. 3 at n=6 predicts ~1/6
         # of server-0 keys, i.e. a few percent overall).
@@ -112,13 +122,39 @@ class TestReadsAndFailover:
     def test_all_replicas_crashed_still_serves_via_db(self):
         cache, db, web = build(replicas=2)
         web.fetch("page:q", now=0.0)
-        owners = cache.router.distinct_replica_servers("page:q", 6)
-        for owner in owners:
+        for owner in owners(cache, "page:q"):
             cache.fail_server(owner, now=1.0)
         result = web.fetch("page:q", now=2.0)
         assert result.touched_database
         assert result.value is not None
-        assert result.served_by is None
+        assert result.served_by is None and result.probes == 0
+        assert result.path is FetchPath.DEGRADED_DB
+
+    def test_scale_down_serves_moved_replicated_keys_from_old_owners(self):
+        # Algorithm 2's digest path applies per ring: during a drain a key
+        # whose every owner moved is pulled from a ceded owner, not the DB.
+        cache, db, web = build(replicas=2)
+        keys = [f"page:{i}" for i in range(300)]
+        for i, key in enumerate(keys):
+            web.fetch(key, 0.01 * i)
+        cache.scale_to(4, now=10.0)
+        moved = [
+            key for key in keys
+            if not set(owners(cache, key, 4)) & set(owners(cache, key, 6))
+        ]
+        assert moved
+        db_before = db.total_requests()
+        for key in moved:
+            result = web.fetch(key, 11.0)
+            assert result.path is FetchPath.HIT_OLD, key
+            assert result.served_by in owners(cache, key, 6)
+            assert result.old_server == cache.router.route(key, 6)
+            assert not result.failover
+        assert db.total_requests() == db_before
+        # Migrated on demand: the second read is a new-owner hit.
+        assert all(
+            web.fetch(key, 12.0).path is FetchPath.HIT_NEW for key in moved
+        )
 
 
 class TestClusterFailureApi:
@@ -154,12 +190,12 @@ class TestLoadFeed:
     @staticmethod
     def _armored_web():
         cache = CacheCluster(
-            ReplicatedProteusRouter(6, replicas=2, ring_size=2 ** 24),
+            RingRouter(ProteusBackend(6, 2 ** 24), replicas=2),
             capacity_bytes=4096 * 2000,
             ttl=60.0,
             bloom_config=CFG,
         )
-        web = ReplicatedWebServer(
+        web = WebServer(
             0, cache, DatabaseCluster(3, service_model=Constant(0.002)),
             cache_latency=Exponential(0.001), seed=7,
             config=RetrievalConfig(hot_key_cache=True, d_choices=2),
