@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-e2e figures examples clean
+.PHONY: install test bench bench-smoke bench-e2e bench-history figures examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,6 +43,11 @@ bench-smoke:
 # declares (~30 s, nothing enforced; see benchmarks/e2e/README.md).
 bench-e2e:
 	python3 benchmarks/e2e/run.py --quick
+
+# Full end-to-end run (~2 min) appended as one line to the committed
+# trajectory: metrics, git sha and source line totals per run.
+bench-history:
+	python3 benchmarks/e2e/run.py --history BENCH_history.jsonl
 
 # Regenerate every paper figure as printed tables.
 figures:

@@ -41,13 +41,13 @@ equality is the expectation).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
 from repro.experiments.autopilot import (  # noqa: E402
     AutopilotConfig,
@@ -213,21 +213,18 @@ def print_report(report: Dict[str, object]) -> None:
 
 def check_ratchet(report: Dict[str, object]) -> int:
     """CI ratchet: closed-loop post-fault recovery must not get slower."""
-    if not JSON_PATH.exists():
-        print(f"{JSON_PATH.name} missing: commit a baseline first")
+    committed = _ratchet.load_committed(JSON_PATH)
+    if committed is None:
         return 1
-    committed = json.loads(JSON_PATH.read_text())
-    failures = []
+    verdicts = []
     for metric in ("recovery_slots", "underprovisioned_slots"):
         old = committed["scenarios"]["closed_loop"][metric]
         new = report["scenarios"]["closed_loop"][metric]
-        limit = old + RATCHET_TOLERANCE
-        verdict = "OK" if new <= limit else "REGRESSED"
-        print(f"ratchet: closed-loop {metric} {new} vs committed {old} "
-              f"(limit {limit}): {verdict}")
-        if new > limit:
-            failures.append(metric)
-    return 1 if failures else 0
+        verdicts.append(_ratchet.check(
+            f"closed-loop {metric}", new, old, old + RATCHET_TOLERANCE,
+            better="lower",
+        ))
+    return 0 if all(verdicts) else 1
 
 
 def test_autopilot_closed_loop_beats_open_loop():
@@ -239,11 +236,6 @@ def test_autopilot_closed_loop_beats_open_loop():
     assert closed["emergency_scale_ups"] >= 1, (
         "the mid-valley kill never triggered an emergency scale-up"
     )
-
-
-def write_report(report: Dict[str, object]) -> None:
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {JSON_PATH.name}")
 
 
 def main() -> int:
@@ -264,7 +256,7 @@ def main() -> int:
     print_report(report)
     if args.check:
         return check_ratchet(report)
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
     return 0
 
 

@@ -27,13 +27,13 @@ ratio regressed more than 10% against the committed JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
 from repro.bloom.config import optimal_config  # noqa: E402
 from repro.cache.cluster import CacheCluster  # noqa: E402
@@ -181,17 +181,16 @@ def print_report(report: Dict[str, object]) -> None:
 
 def check_ratchet(report: Dict[str, object]) -> int:
     """CI ratchet: armored peak-to-average must not regress >10%."""
-    if not JSON_PATH.exists():
-        print(f"{JSON_PATH.name} missing: commit a baseline first")
+    committed = _ratchet.load_committed(JSON_PATH)
+    if committed is None:
         return 1
-    committed = json.loads(JSON_PATH.read_text())
     old = committed["scenarios"]["armored"]["peak_to_average"]
     new = report["scenarios"]["armored"]["peak_to_average"]
-    limit = old * (1 + RATCHET_TOLERANCE)
-    verdict = "OK" if new <= limit else "REGRESSED"
-    print(f"ratchet: armored peak-to-average {new} vs committed {old} "
-          f"(limit {limit:.4f}): {verdict}")
-    return 0 if new <= limit else 1
+    ok = _ratchet.check(
+        "armored peak-to-average", new, old, old * (1 + RATCHET_TOLERANCE),
+        better="lower", digits=4,
+    )
+    return 0 if ok else 1
 
 
 def test_hotkey_storm_flattens_load():
@@ -201,12 +200,7 @@ def test_hotkey_storm_flattens_load():
     print_report(report)
     armored = report["scenarios"]["armored"]
     assert armored["local_hits"] > 0, "hot-key cache never engaged"
-    write_report(report)
-
-
-def write_report(report: Dict[str, object]) -> None:
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {JSON_PATH.name}")
+    _ratchet.write_report(JSON_PATH, report)
 
 
 def main() -> int:
@@ -222,7 +216,7 @@ def main() -> int:
     print_report(report)
     if args.check:
         return check_ratchet(report)
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
     return 0
 
 

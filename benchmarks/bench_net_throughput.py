@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import subprocess
 import sys
@@ -42,6 +41,7 @@ from typing import Dict, List
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
 from repro.net.client import MemcachedClient  # noqa: E402
 from repro.net.pool import ConnectionPool  # noqa: E402
@@ -231,22 +231,17 @@ def print_report(report: Dict[str, object]) -> None:
 
 def check_ratchet(report: Dict[str, object]) -> int:
     """CI ratchet: the 64-key speedup must not regress >30%."""
-    if not JSON_PATH.exists():
-        print(f"{JSON_PATH.name} missing: commit a baseline first")
+    committed = _ratchet.load_committed(JSON_PATH)
+    if committed is None:
         return 1
-    committed = json.loads(JSON_PATH.read_text())
     old = committed["pages"]["64"]["speedup"]
     new = report["pages"]["64"]["speedup"]
-    limit = max(GATE_SPEEDUP, old * (1 - RATCHET_TOLERANCE))
-    verdict = "OK" if new >= limit else "REGRESSED"
-    print(f"ratchet: 64-key page speedup {new}x vs committed {old}x "
-          f"(limit {limit:.2f}x): {verdict}")
-    return 0 if new >= limit else 1
-
-
-def write_report(report: Dict[str, object]) -> None:
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {JSON_PATH.name}")
+    ok = _ratchet.check(
+        "64-key page speedup", new, old,
+        max(GATE_SPEEDUP, old * (1 - RATCHET_TOLERANCE)),
+        better="higher", unit="x", digits=2,
+    )
+    return 0 if ok else 1
 
 
 def test_pipelined_transport_hits_speedup_gate():
@@ -254,7 +249,7 @@ def test_pipelined_transport_hits_speedup_gate():
     (asserted inside :func:`run_bench`)."""
     report = run_bench()
     print_report(report)
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
 
 
 def main() -> int:
@@ -270,7 +265,7 @@ def main() -> int:
     print_report(report)
     if args.check:
         return check_ratchet(report)
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
     return 0
 
 

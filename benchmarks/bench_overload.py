@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import heapq
 import itertools
-import json
 import random
 import sys
 from pathlib import Path
@@ -55,6 +54,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
 from repro.bloom.config import optimal_config  # noqa: E402
 from repro.cache.cluster import CacheCluster  # noqa: E402
@@ -444,22 +444,17 @@ def print_report(report: Dict[str, object]) -> None:
 
 def check_ratchet(report: Dict[str, object]) -> int:
     """CI ratchet: the armored storm goodput ratio must not regress >15%."""
-    if not JSON_PATH.exists():
-        print(f"{JSON_PATH.name} missing: commit a baseline first")
+    committed = _ratchet.load_committed(JSON_PATH)
+    if committed is None:
         return 1
-    committed = json.loads(JSON_PATH.read_text())
     old = committed["gate"]["goodput_ratio"]
     new = report["gate"]["goodput_ratio"]
-    limit = max(GATE_GOODPUT_RATIO, old * (1 - RATCHET_TOLERANCE))
-    verdict = "OK" if new >= limit else "REGRESSED"
-    print(f"ratchet: storm goodput ratio {new}x vs committed {old}x "
-          f"(limit {limit:.3f}x): {verdict}")
-    return 0 if new >= limit else 1
-
-
-def write_report(report: Dict[str, object]) -> None:
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {JSON_PATH.name}")
+    ok = _ratchet.check(
+        "storm goodput ratio", new, old,
+        max(GATE_GOODPUT_RATIO, old * (1 - RATCHET_TOLERANCE)),
+        better="higher", unit="x", digits=3,
+    )
+    return 0 if ok else 1
 
 
 def test_overload_armor_gates():
@@ -467,7 +462,7 @@ def test_overload_armor_gates():
     shed-driven control loop (all asserted inside :func:`run_bench`)."""
     report = run_bench()
     print_report(report)
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
 
 
 def main() -> int:
@@ -483,7 +478,7 @@ def main() -> int:
     print_report(report)
     if args.check:
         return check_ratchet(report)
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
     return 0
 
 

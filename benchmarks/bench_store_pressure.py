@@ -28,7 +28,6 @@ re-asserts the gate without rewriting the file.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -38,6 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
 from repro.bloom import hashing  # noqa: E402
 from repro.bloom.config import optimal_config  # noqa: E402
@@ -157,17 +157,12 @@ def print_report(report: Dict[str, object]) -> None:
     print(f"gate: 64k/1k <= {GATE_RATIO}x on both mixes")
 
 
-def write_report(report: Dict[str, object]) -> None:
-    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {JSON_PATH.name}")
-
-
 def test_set_at_capacity_does_not_scale_with_residents():
     """Per-op cost is flat from 1 k to 64 k resident items (asserted
     inside :func:`run_bench`)."""
     report = run_bench()
     print_report(report)
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
 
 
 def main() -> int:
@@ -181,16 +176,15 @@ def main() -> int:
     report = run_bench()
     print_report(report)
     if args.check:
-        if not JSON_PATH.exists():
-            print(f"{JSON_PATH.name} missing: commit a baseline first")
+        committed = _ratchet.load_committed(JSON_PATH)
+        if committed is None:
             return 1
-        committed = json.loads(JSON_PATH.read_text())
         for name, _ in MIXES:
             print(f"gate: {name} 64k/1k {report[name]['ratio_64k_over_1k']}x "
                   f"(committed {committed[name]['ratio_64k_over_1k']}x, "
                   f"limit {GATE_RATIO}x): OK")
         return 0
-    write_report(report)
+    _ratchet.write_report(JSON_PATH, report)
     return 0
 
 

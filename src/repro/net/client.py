@@ -32,6 +32,19 @@ lines raise :class:`ProtocolError` *without* poisoning (the stream is
 still framed).  An optional per-operation ``timeout`` bounds every
 exchange — and :meth:`close` — so a blackholed server can hang neither a
 request nor a shutdown.
+
+**One timer per connection.**  The timeout is a deadline stamped on each
+command when it is issued (a pipelined burst shares one), kept in a
+queue parallel to the reply futures, and enforced by a single
+``loop.call_at`` handle per connection: armed by the first command, it
+re-arms itself for the head of the queue while commands are waiting and
+lapses when the connection is idle, so a healthy command costs no timer,
+no task and no wrapper — the caller awaits its reply future directly.
+On expiry the head command gets the "did not answer within"
+:class:`TransportError` (``__cause__`` is ``asyncio.TimeoutError``, the
+congestion signal) and the rest of the queue is poisoned as above.  A
+*cancelled* caller cancels its reply future, not the stream: the slot
+stays queued, the late reply is consumed in order and dropped.
 """
 
 from __future__ import annotations
@@ -79,17 +92,23 @@ class CasValue:
 class _ClientProtocol(asyncio.Protocol):
     """The transport half of one pipelined connection.
 
-    Owns the reply parser, the FIFO of pending futures, and the
-    per-tick write coalescing buffer; delegates fault classification to
-    the owning :class:`MemcachedClient`.
+    Owns the reply parser, the FIFO of pending futures, the per-tick
+    write coalescing buffer, and the connection's one reply-deadline
+    timer; delegates fault classification to the owning
+    :class:`MemcachedClient`.
     """
 
     def __init__(self, client: "MemcachedClient") -> None:
         self.client = client
         self.parser = ReplyParser()
         self.pending: Deque[asyncio.Future] = deque()
+        #: loop time each queued reply is due by, parallel to ``pending``
+        #: (stays empty when the client has no ``timeout``)
+        self.due: Deque[float] = deque()
         self.transport: Optional[asyncio.Transport] = None
-        self.closed = asyncio.get_running_loop().create_future()
+        self._loop = asyncio.get_running_loop()
+        self.closed = self._loop.create_future()
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._out = bytearray()
         self._flush_scheduled = False
 
@@ -129,7 +148,9 @@ class _ClientProtocol(asyncio.Protocol):
                 self.client._on_desync(self, "reply with no pending command")
                 return
             future = self.pending.popleft()
-            if not future.done():
+            if self.due:
+                self.due.popleft()
+            if not future.done():  # a cancelled caller's late reply
                 future.set_result(result)
 
     def eof_received(self) -> bool:
@@ -145,10 +166,18 @@ class _ClientProtocol(asyncio.Protocol):
         for shape, future in zip(shapes, futures):
             self.parser.expect(shape)
             self.pending.append(future)
+        timeout = self.client.timeout
+        if timeout is not None and futures:
+            # One deadline for the whole burst, counted from now; the
+            # timer is armed only when none is (it re-arms itself).
+            due = self._loop.time() + timeout
+            self.due.extend([due] * len(futures))
+            if self._timer is None:
+                self._timer = self._loop.call_at(due, self._on_due)
         self._out += payload
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            asyncio.get_running_loop().call_soon(self.flush)
+            self._loop.call_soon(self.flush)
 
     def send_raw(self, payload: bytes) -> None:
         """Fire-and-forget bytes (the ``quit`` farewell)."""
@@ -165,8 +194,26 @@ class _ClientProtocol(asyncio.Protocol):
 
     # ------------------------------------------------------------- faults
 
+    def _on_due(self) -> None:
+        """The connection's one timer: fires at what was the head
+        command's due time when it was armed.  That command has usually
+        been answered since, so follow the queue — disarm when it is
+        empty, re-arm for the current head, or report the expiry."""
+        self._timer = None
+        if not self.due:
+            return
+        if self.due[0] > self._loop.time():
+            self._timer = self._loop.call_at(self.due[0], self._on_due)
+        else:
+            self.client._on_reply_timeout(self)
+
     def fail_pending(self, error_factory) -> None:
-        """Fail every queued future (poison path); FIFO order."""
+        """Fail every queued future (poison path); FIFO order.  The
+        connection is dead after this, so its timer goes too."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self.due.clear()
         while self.pending:
             future = self.pending.popleft()
             if not future.done():
@@ -191,11 +238,13 @@ class MemcachedClient:
 
     Args:
         host/port: the server endpoint.
-        timeout: per-operation time limit in seconds applied to every
-            exchange (``None``: wait forever, the pre-hardening
-            behaviour — except :meth:`close`, which is always bounded).
-            A timeout poisons the connection — the stream position is
-            unknown once a reply is abandoned halfway.
+        timeout: per-operation time limit in seconds: each command's
+            reply is due that long after the command is *issued*, and
+            the commands of one pipelined burst (``set_multi``,
+            ``get_many``) share one deadline (``None``: wait forever,
+            the pre-hardening behaviour — except :meth:`close`, which is
+            always bounded).  A timeout poisons the connection — the
+            stream position is unknown once a reply is abandoned halfway.
         auto_reconnect: when True (default), a call on a broken or closed
             connection dials a fresh one instead of failing; when False it
             raises :class:`~repro.errors.TransportError` so a pool can
@@ -337,12 +386,28 @@ class MemcachedClient:
         """Parser desync: the head command gets the protocol error, every
         later queued command a transient transport error, and the
         connection is poisoned — nothing is ever mispaired."""
+        self._fail_head(protocol, ProtocolError(message))
+
+    def _on_reply_timeout(self, protocol: _ClientProtocol) -> None:
+        """The head command's reply is overdue: it gets the timeout (a
+        transient error *caused by* ``asyncio.TimeoutError``, the
+        congestion signal limiters look for); the stream position is
+        unknown once a reply is abandoned, so the rest is poisoned."""
+        error = TransportError(
+            f"{self.host}:{self.port} did not answer within {self.timeout}s"
+        )
+        error.__cause__ = asyncio.TimeoutError()
+        self._fail_head(protocol, error)
+
+    def _fail_head(
+        self, protocol: _ClientProtocol, error: Exception
+    ) -> None:
         if protocol is not self._protocol:
-            return
+            return  # superseded (poisoned or closed) — already handled
         if protocol.pending:
             head = protocol.pending.popleft()
             if not head.done():
-                head.set_exception(ProtocolError(message))
+                head.set_exception(error)
         self._poison()
 
     def _on_connection_lost(
@@ -382,22 +447,11 @@ class MemcachedClient:
         return self._protocol
 
     async def _await_reply(self, future: asyncio.Future):
-        """One reply under the per-op timeout; timeouts poison the queue."""
-        if self.timeout is None:
-            result = await future
-        else:
-            try:
-                result = await asyncio.wait_for(
-                    asyncio.shield(future), self.timeout
-                )
-            except asyncio.TimeoutError as exc:
-                self._poison()
-                if future.done() and not future.cancelled():
-                    future.exception()  # retrieved; TimeoutError wins below
-                raise TransportError(
-                    f"{self.host}:{self.port} did not answer within "
-                    f"{self.timeout}s"
-                ) from exc
+        """One reply.  The per-op timeout is the connection's timer, not
+        a wrapper here, and a cancelled caller cancels *future* itself:
+        its late reply is popped in order and dropped, the stream stays
+        framed."""
+        result = await future
         if isinstance(result, ErrorLine):
             # A complete error reply: the stream stays in sync.
             result.raise_()
@@ -462,11 +516,15 @@ class MemcachedClient:
                     future.exception()
             raise
         results: List[object] = []
-        first_error: Optional[BaseException] = None
+        first_error: Optional[Exception] = None
         for future in futures:
             try:
                 results.append(await self._await_reply(future))
-            except BaseException as error:  # noqa: BLE001 - re-raised below
+            except asyncio.CancelledError:
+                for abandoned in futures:
+                    abandoned.cancel()  # late replies are dropped in order
+                raise
+            except Exception as error:  # noqa: BLE001 - re-raised below
                 if first_error is None:
                     first_error = error
                 results.append(error)

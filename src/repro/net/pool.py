@@ -201,36 +201,44 @@ class ConnectionPool:
         if deadline is not None:
             # A dead budget must not burn a connect + retry cycle.
             deadline.check("connection acquire")
-        # Sweep idle broken connections first: they hold no leases, so
-        # eject now and let the dial below replace them.
-        for client in list(self._conns):
-            if client.broken and self._leases.get(id(client), 0) == 0:
-                self._eject(client)
-        candidates = [c for c in self._conns if not c.broken]
-        idle = [c for c in candidates if self._leases[id(c)] == 0]
-        if idle:
-            chosen = idle[0]
-        elif len(self._conns) + self._dialing < self.size:
-            chosen = await self._dial()
-            if self._closed:  # closed while dialling
-                await chosen.close()
-                raise ConfigurationError("pool is closed")
-        elif not candidates and not self._conns and self._dialing:
-            # Everything usable is still being dialled: wait a tick and
-            # share whatever lands instead of over-dialling past size.
-            while self._dialing and not self._conns:
-                await asyncio.sleep(0)
-            return await self.acquire(deadline)
-        elif candidates:
-            self._check_saturation(candidates, deadline)
-            self.waited += 1
-            chosen = min(candidates, key=lambda c: self._leases[id(c)])
-        else:
-            # Every connection is broken but still leased: share one —
-            # the client auto-reconnects on its next exchange.
-            self.waited += 1
-            chosen = min(self._conns, key=lambda c: self._leases[id(c)])
-        self._leases[id(chosen)] = self._leases.get(id(chosen), 0) + 1
+        # One pass, no lists: the first idle healthy connection is the
+        # answer; idle broken ones hold no leases, so they are ejected
+        # now and the dial below replaces them.
+        chosen: Optional[MemcachedClient] = None
+        stale = ()
+        for client in self._conns:
+            if self._leases[id(client)]:
+                continue
+            if client.broken:
+                stale += (client,)
+            elif chosen is None:
+                chosen = client
+        for client in stale:
+            self._eject(client)
+        if chosen is None:
+            if len(self._conns) + self._dialing < self.size:
+                chosen = await self._dial()
+                if self._closed:  # closed while dialling
+                    await chosen.close()
+                    raise ConfigurationError("pool is closed")
+            elif not self._conns:
+                # Everything usable is still being dialled: wait a tick and
+                # share whatever lands instead of over-dialling past size.
+                while self._dialing and not self._conns:
+                    await asyncio.sleep(0)
+                return await self.acquire(deadline)
+            else:
+                # Every connection is leased: share the least-loaded healthy
+                # one (it pipelines) — or, when all are broken mid-lease, any:
+                # the client auto-reconnects on its next exchange.
+                healthy = [c for c in self._conns if not c.broken]
+                if healthy:
+                    self._check_saturation(healthy, deadline)
+                self.waited += 1
+                chosen = min(
+                    healthy or self._conns, key=lambda c: self._leases[id(c)]
+                )
+        self._leases[id(chosen)] += 1
         total = self.leases
         if total > self.leases_peak:
             self.leases_peak = total

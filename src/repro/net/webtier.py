@@ -94,6 +94,7 @@ from repro.errors import (
     TransitionError,
     TransportError,
 )
+from repro.net.client import MemcachedClient
 from repro.net.pool import ConnectionPool
 from repro.resilience import (
     AdaptiveConcurrencyLimiter,
@@ -344,30 +345,25 @@ class AsyncProteusFrontend:
             )
         return pool
 
-    async def _set(
-        self,
-        server_id: int,
-        key: str,
-        value: bytes,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        async with self._pool(server_id).connection(deadline) as client:
-            await client.set(key, value)
+    async def _leased(
+        self, server_id: int, deadline: Optional[Deadline], call, *args
+    ) -> Any:
+        """``await call(client, *args)`` on a connection leased from
+        *server_id*'s pool for exactly that long."""
+        pool = self._pool(server_id)
+        client = await pool.acquire(deadline)
+        try:
+            return await call(client, *args)
+        finally:
+            pool.release(client)
 
-    async def _get_multi(
-        self,
-        server_id: int,
-        keys: Sequence[str],
-        deadline: Optional[Deadline] = None,
-    ) -> Dict[str, bytes]:
-        async with self._pool(server_id).connection(deadline) as client:
-            return await client.get_multi(keys)
+    def _get_multi(self, server_id: int, keys, deadline=None) -> Awaitable:
+        get_multi = MemcachedClient.get_multi
+        return self._leased(server_id, deadline, get_multi, keys)
 
-    async def _set_multi(
-        self, server_id: int, items, deadline: Optional[Deadline] = None
-    ) -> None:
-        async with self._pool(server_id).connection(deadline) as client:
-            await client.set_multi(items)
+    def _set_multi(self, server_id: int, items, deadline=None) -> Awaitable:
+        set_multi = MemcachedClient.set_multi
+        return self._leased(server_id, deadline, set_multi, items)
 
     # ------------------------------------------------------ fault-tolerant RPC
 
@@ -433,7 +429,7 @@ class AsyncProteusFrontend:
                 # Deposit happens per RPC, not per attempt: the budget
                 # caps retries at a fraction of *request* volume.
                 self.retry_budget.record_request(now=self._clock())
-            sleeps = list(policy.retry.delays())
+            sleeps: Optional[List[float]] = None  # drawn on first failure
             last_error: Optional[BaseException] = None
             for attempt in range(policy.retry.max_attempts):
                 if deadline is not None and deadline.expired():
@@ -461,6 +457,8 @@ class AsyncProteusFrontend:
                     breaker.record_failure(self._clock())
                     if limiter is not None and _is_timeout(error):
                         limiter.on_overload(self._clock())
+                    if sleeps is None:
+                        sleeps = list(policy.retry.delays())
                     if attempt >= len(sleeps):
                         break
                     if not breaker.allow(self._clock()):
@@ -610,9 +608,10 @@ class AsyncProteusFrontend:
         """Retrieve a whole key set with at most one ``get_multi`` round
         trip per probed server per routing epoch.
 
-        Drives :meth:`RetrievalEngine.retrieve_many`: each round's commands
-        execute concurrently (``asyncio.gather``), so probes of different
-        servers overlap the way spymemcached pipelines a page's lookups.
+        Drives :meth:`RetrievalEngine.retrieve_many`: a round's commands
+        execute concurrently (``asyncio.gather``; a round of one is simply
+        awaited), so probes of different servers overlap the way
+        spymemcached pipelines a page's lookups.
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
@@ -622,14 +621,14 @@ class AsyncProteusFrontend:
         leaders: Dict[str, asyncio.Future] = {}
         try:
             while True:
-                answers = tuple(
-                    await asyncio.gather(
-                        *(
-                            self._execute(command, epochs, leaders, deadline)
-                            for command in steps.send(answers)
-                        )
-                    )
-                )
+                calls = [
+                    self._execute(command, epochs, leaders, deadline)
+                    for command in steps.send(answers)
+                ]
+                if len(calls) == 1:  # a round of one needs no task
+                    answers = (await calls[0],)
+                else:
+                    answers = tuple(await asyncio.gather(*calls))
         except StopIteration as stop:
             outcomes = stop.value
         finally:
@@ -659,8 +658,7 @@ class AsyncProteusFrontend:
         leaders: Dict[str, asyncio.Future],
         deadline: Optional[Deadline] = None,
     ):
-        """Perform one engine command (a round's commands run under
-        ``gather``)."""
+        """Perform one engine command."""
         if isinstance(command, ProbeCacheMulti):
             server_id, keys = command.server_id, command.keys
             return await self._cache_rpc(
@@ -717,7 +715,10 @@ class AsyncProteusFrontend:
 
     async def put(self, key: str, value: bytes) -> None:
         """Write-through to the authoritative owner under the new mapping."""
-        await self._set(self.router.route(key, self.n_active), key, value)
+        await self._leased(
+            self.router.route(key, self.n_active), None,
+            MemcachedClient.set, key, value,
+        )
         if self.config.hot_key_cache:
             # Digest-style invalidation: drop the stale local hot-key copy.
             self.engine.armor.invalidate(key)

@@ -180,6 +180,37 @@ class TestAdaptiveLimiter:
 
         run(body())
 
+    def test_blackholed_server_cuts_the_window_and_feeds_the_breaker(self):
+        async def body():
+            # End to end: the timeout comes off the connection's reply
+            # timer, and must still read as congestion (cut) *and* as a
+            # liveness failure (breaker).
+            blackhole = await asyncio.start_server(
+                lambda r, w: asyncio.sleep(3600), "127.0.0.1", 0
+            )
+            port = blackhole.sockets[0].getsockname()[1]
+
+            async def db(key):
+                return f"db-value-of-{key}".encode()
+
+            web = AsyncProteusFrontend(
+                [("127.0.0.1", port)], CFG, db,
+                resilience=ResiliencePolicy.overload_armor(op_timeout=0.05),
+            )
+            async with web:
+                result = await web.fetch("page:1")
+                assert result.value == b"db-value-of-page:1"
+                assert result.path is FetchPath.DEGRADED_DB
+                stats = web.transport_stats()
+                assert stats["limiter_cuts"] >= 1
+                assert stats["transient_failures"] >= 1
+                assert web.breakers[0].trips >= 1
+                assert web.limiters[0].inflight == 0
+            blackhole.close()
+            await blackhole.wait_closed()
+
+        run(body())
+
     def test_refused_connections_do_not_cut_the_window(self):
         async def body():
             # A refused dial is the breaker's business, not congestion.

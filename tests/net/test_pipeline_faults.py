@@ -201,6 +201,46 @@ class TestMidPipelineFaults:
 
         run(body())
 
+    def test_slow_drip_burst_is_bounded_by_one_timeout(self):
+        async def body():
+            # One reply per 0.9 x timeout: every *gap* beats the timeout,
+            # the burst does not.  Deadlines count from issue and a burst
+            # shares one, so it fails after ~1 timeout, not after k gaps.
+            timeout, burst = 0.3, 4
+            hung_up = asyncio.Event()
+
+            async def drip(reader, writer):
+                await reader.read(4096)
+                try:
+                    for _ in range(burst):
+                        await asyncio.sleep(0.9 * timeout)
+                        if reader.at_eof():
+                            break
+                        writer.write(b"END\r\n")
+                        await writer.drain()
+                except (ConnectionError, OSError):
+                    pass
+                finally:
+                    writer.close()
+                    hung_up.set()
+
+            server = await asyncio.start_server(drip, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await MemcachedClient(
+                "127.0.0.1", port, timeout=timeout
+            ).connect()
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(TransportError, match="did not answer"):
+                await client.get_many([f"k{i}" for i in range(burst)])
+            assert loop.time() - started < 2 * timeout  # k gaps: 3.6x
+            assert client.broken
+            await asyncio.wait_for(hung_up.wait(), 5)
+            server.close()
+            await server.wait_closed()
+
+        run(body())
+
     def test_chaos_reset_mid_pipeline_then_recovery(self):
         async def body():
             real = MemcachedServer(bloom_config=BLOOM)

@@ -283,3 +283,115 @@ class TestSaturationFailFast:
         pool = ConnectionPool("127.0.0.1", 1, size=2, timeout=0.25)
         pool._check_saturation(self._saturated(), Deadline(0.0))
         assert pool.overflow_failures == 0
+
+
+@pytest.mark.parametrize("size", [1, 4])
+class TestAcquireAtAnySize:
+    """The single-pass acquire keeps every counter and every eviction
+    rule at the bound it is benchmarked at (1) and at the default (4)."""
+
+    def test_waited_and_leases_peak(self, size):
+        async def body(server, pool):
+            held = [await pool.acquire() for _ in range(size)]
+            assert len({id(c) for c in held}) == size  # one dial each
+            assert (pool.waited, pool.leases_peak) == (0, size)
+            shared = await pool.acquire()  # at the bound: share
+            assert shared is held[0]  # least loaded, first among equals
+            assert (pool.waited, pool.leases_peak) == (1, size + 1)
+            for client in held + [shared]:
+                pool.release(client)
+            assert (pool.leases, pool.leases_peak) == (0, size + 1)
+            # Idle again: the first healthy connection, no sharing.
+            assert await pool.acquire() is held[0]
+            assert pool.waited == 1
+            pool.release(held[0])
+
+        run(with_pool(body, size=size))
+
+    def test_idle_broken_connections_are_swept(self, size):
+        async def body(server, pool):
+            held = [await pool.acquire() for _ in range(size)]
+            for client in held:
+                pool.release(client)
+            broken = held[: max(1, size - 1)]  # all but the last, if any
+            for client in broken:
+                client._poison()
+            chosen = await pool.acquire()
+            assert chosen not in broken and not chosen.broken
+            assert pool.ejections == len(broken)
+            assert pool.live == 1
+            # Only size 1 had nothing healthy left to hand out.
+            assert pool.dials == size + (size == 1)
+            pool.release(chosen)
+
+        run(with_pool(body, size=size))
+
+    def test_broken_connection_leaves_with_its_last_lease(self, size):
+        async def body(server, pool):
+            held = [await pool.acquire() for _ in range(size + 1)]
+            twice = held[0]
+            assert held[-1] is twice  # the shared lease landed on it
+            twice._poison()
+            pool.release(twice)
+            assert (pool.live, pool.ejections) == (size, 0)  # still leased
+            pool.release(twice)
+            assert (pool.live, pool.ejections) == (size - 1, 1)
+            for client in held[1:-1]:
+                pool.release(client)
+            assert pool.leases == 0
+
+        run(with_pool(body, size=size))
+
+    def test_saturated_windows_fail_fast_through_acquire(self, size):
+        async def body(server, pool):
+            loop = asyncio.get_running_loop()
+            held = [await pool.acquire() for _ in range(size)]
+            for client in held:  # one unanswered command per window
+                client._protocol.pending.append(loop.create_future())
+            with pytest.raises(ClientOverloadError):
+                await pool.acquire(Deadline(0.1))
+            assert pool.overflow_failures == 1
+            assert (pool.leases, pool.waited) == (size, 0)  # nothing taken
+            roomy = await pool.acquire(Deadline(5.0))  # can afford to queue
+            assert (pool.leases, pool.waited) == (size + 1, 1)
+            held[-1]._protocol.pending.clear()  # one window frees up
+            tight = await pool.acquire(Deadline(0.1))
+            assert pool.overflow_failures == 1
+            for client in held:
+                client._protocol.pending.clear()
+            for client in held + [roomy, tight]:
+                pool.release(client)
+
+        run(with_pool(
+            body, size=size, timeout=0.25, max_inflight_per_conn=1
+        ))
+
+    def test_dials_in_flight_hold_their_size_slot(self, size):
+        async def body(server, pool):
+            held = await asyncio.gather(
+                *(pool.acquire() for _ in range(3 * size))
+            )
+            # The first `size` acquires dial; the rest wait for a dial to
+            # land and share it — nobody dials past the bound.
+            assert (pool.dials, pool.live, pool._dialing) == (size, size, 0)
+            assert (pool.leases, pool.waited) == (3 * size, 2 * size)
+            assert pool.leases_peak == 3 * size
+            for client in held:
+                pool.release(client)
+
+        run(with_pool(body, size=size))
+
+    def test_failed_dials_give_their_slot_back(self, size):
+        async def body():
+            pool = ConnectionPool("127.0.0.1", 1, size=size)
+            outcomes = await asyncio.gather(
+                *(pool.acquire() for _ in range(3 * size)),
+                return_exceptions=True,
+            )
+            # Waiters woke to an empty pool and dialled for themselves.
+            assert all(isinstance(o, OSError) for o in outcomes)
+            assert (pool.dials, pool.live, pool._dialing) == (0, 0, 0)
+            assert pool.leases == 0
+            await pool.close()
+
+        run(body())

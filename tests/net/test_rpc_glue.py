@@ -1,0 +1,325 @@
+"""The healthy cache RPC's loop shape, and what replaced the wrappers.
+
+A 1-key page is one cache RPC, and a healthy RPC needs one reply future,
+one coalesced flush and one wake-up — under every shipped policy.  The
+first half of this file is the gate that keeps it so: a counting event
+loop around a warm frontend, deterministic handle counts, no clocks.
+The second half pins what the removed ``wait_for(shield(...))`` used to
+guarantee and the one per-connection timer now does: cancellation drops
+the late reply without mispairing, and the timer dies with the
+connection.
+"""
+
+import asyncio
+import gc
+import threading
+
+import pytest
+
+from repro.bloom.config import optimal_config
+from repro.errors import TransportError
+from repro.net.client import MemcachedClient
+from repro.net.server import MemcachedServer
+from repro.net.webtier import AsyncProteusFrontend
+from repro.resilience import ResiliencePolicy
+
+BLOOM = optimal_config(1000)
+
+#: loop handles one healthy cache RPC may schedule on the client side:
+#: the coalesced flush and the reply future's wake-up
+CALL_SOON_PER_RPC = 2
+#: ... and what each *extra* server in a round adds under ``gather``:
+#: the task's first step and its done-callback
+CALL_SOON_PER_GATHERED_TASK = 2
+
+#: op timeouts long enough that no stall of the test machine lets the
+#: connection timer fire (and re-arm) inside a counted window
+POLICIES = {
+    "default": ResiliencePolicy.default,
+    "aggressive": lambda: ResiliencePolicy.aggressive(op_timeout=30.0),
+    "overload_armor": lambda: ResiliencePolicy.overload_armor(
+        op_timeout=30.0
+    ),
+}
+
+
+class CountingLoop(asyncio.SelectorEventLoop):
+    """Counts the handles and tasks created while ``counting`` is on."""
+
+    def __init__(self):
+        super().__init__()
+        self.counting = False
+        self.soon = self.timers = self.tasks = 0
+
+    def call_soon(self, callback, *args, context=None):
+        self.soon += self.counting
+        return super().call_soon(callback, *args, context=context)
+
+    def call_at(self, when, callback, *args, context=None):
+        self.timers += self.counting
+        return super().call_at(when, callback, *args, context=context)
+
+    def create_task(self, coro, **kwargs):
+        self.tasks += self.counting
+        return super().create_task(coro, **kwargs)
+
+    def count(self):
+        self.soon = self.timers = self.tasks = 0
+        self.counting = True
+
+    def stop_counting(self):
+        self.counting = False
+        return self.soon, self.timers, self.tasks
+
+
+class ServerThread:
+    """In-process servers on a loop of their own, so the counting loop
+    sees the client side's callbacks and nothing else."""
+
+    def __init__(self, count):
+        self.loop = asyncio.new_event_loop()
+        self.thread = threading.Thread(
+            target=self.loop.run_forever, daemon=True
+        )
+        self.servers = [
+            MemcachedServer(bloom_config=BLOOM) for _ in range(count)
+        ]
+
+    def _call(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(10)
+
+    def __enter__(self):
+        self.thread.start()
+        return [
+            ("127.0.0.1", self._call(server.start()))
+            for server in self.servers
+        ]
+
+    def __exit__(self, *exc_info):
+        for server in self.servers:
+            self._call(server.stop())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+        self.loop.close()
+
+
+async def _database(key):
+    return f"db:{key}".encode()
+
+
+def counted(policy, servers, pages, warm):
+    """Handle counts of *pages* fetched one after another on a frontend
+    that has already fetched *warm*."""
+    loop = CountingLoop()
+
+    async def body(endpoints):
+        frontend = AsyncProteusFrontend(
+            endpoints, BLOOM, _database, resilience=policy, pool_size=1
+        )
+        async with frontend:
+            for _ in range(2):  # miss + write-back, then the first hit
+                await frontend.fetch_many(warm)
+            loop.count()
+            for page in pages:
+                results = await frontend.fetch_many(page)
+                assert all(r.path == "hit_new" for r in results.values())
+            return loop.stop_counting()
+
+    try:
+        with ServerThread(servers) as endpoints:
+            return loop.run_until_complete(body(endpoints))
+    finally:
+        loop.close()
+
+
+class TestLoopShape:
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_a_healthy_one_key_page_is_one_future_and_one_flush(self, name):
+        keys = [f"page:{i}" for i in range(10)]
+        soon, timers, tasks = counted(
+            POLICIES[name](), 3, [(key,) for key in keys], keys
+        )
+        assert tasks == 0  # a round of one is awaited, not gathered
+        assert timers == 0  # the armed connection timer is reused
+        assert soon == CALL_SOON_PER_RPC * len(keys)
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_a_multi_server_page_costs_one_task_per_server(self, name):
+        keys = [f"page:{i}" for i in range(64)]
+        pages = 5
+        soon, timers, tasks = counted(
+            POLICIES[name](), 3, [keys] * pages, keys
+        )
+        assert tasks == 3 * pages  # 64 keys address all three servers
+        assert timers == 0
+        per_page = 3 * (CALL_SOON_PER_RPC + CALL_SOON_PER_GATHERED_TASK) + 1
+        assert soon == per_page * pages  # + gather's own wake-up
+
+
+class GatedServer:
+    """Answers every ``get <key>`` with a hit whose value names the key,
+    but only once :attr:`gate` is set — replies held, order kept."""
+
+    def __init__(self):
+        self.gate = asyncio.Event()
+        self.lines = 0
+        self._server = None
+
+    async def start(self):
+        self._server = await asyncio.start_server(
+            self._handle, "127.0.0.1", 0
+        )
+        return self._server.sockets[0].getsockname()[1]
+
+    async def _handle(self, reader, writer):
+        try:
+            while True:
+                line = await reader.readline()
+                if not line or line.startswith(b"quit"):
+                    return
+                self.lines += 1
+                key = line.split()[1]
+                await self.gate.wait()
+                value = b"value-of-" + key
+                writer.write(
+                    b"VALUE %s 0 %d\r\n%s\r\nEND\r\n"
+                    % (key, len(value), value)
+                )
+                await writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            writer.close()
+
+    async def stop(self):
+        self._server.close()
+        await self._server.wait_closed()
+
+
+async def _until(condition):
+    for _ in range(2000):
+        if condition():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("condition never became true")
+
+
+class TestCancellationWithoutShield:
+    @pytest.mark.parametrize("name", ["default", "aggressive"])
+    def test_cancelled_fetch_drops_its_late_reply(self, name):
+        async def body():
+            server = GatedServer()
+            port = await server.start()
+            frontend = AsyncProteusFrontend(
+                [("127.0.0.1", port)], BLOOM, _database,
+                resilience=POLICIES[name](), pool_size=1,
+            )
+            async with frontend:
+                pool = frontend.pools[0]
+                client = await pool.prewarm()
+                doomed = asyncio.ensure_future(frontend.fetch_many(["a"]))
+                await _until(lambda: server.lines == 1)
+                reply = client._protocol.pending[0]
+                doomed.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await doomed
+                # The reply future itself was cancelled; its slot stays
+                # queued so the late reply is consumed in order.
+                assert reply.cancelled()
+                assert client.inflight == 1
+                assert pool.leases == 0
+                assert not client.broken
+                following = asyncio.ensure_future(frontend.fetch_many(["b"]))
+                await _until(lambda: client.inflight == 2)
+                server.gate.set()
+                results = await following
+                assert results["b"].value == b"value-of-b"  # never a's
+                assert client.inflight == 0
+                assert pool.leases == 0
+                assert not client.broken
+                assert client.reconnects == 0 and pool.ejections == 0
+            await server.stop()
+
+        asyncio.run(body())
+
+    def test_cancelled_burst_cancels_every_reply_at_once(self):
+        async def body():
+            server = GatedServer()
+            port = await server.start()
+            client = await MemcachedClient("127.0.0.1", port).connect()
+            burst = asyncio.ensure_future(client.get_many(["a", "b", "c"]))
+            await _until(lambda: server.lines == 1)
+            burst.cancel()
+            try:
+                # Promptly — the server is still silent, so a cancel that
+                # waited for the other replies would never finish.
+                done, _ = await asyncio.wait({burst}, timeout=5)
+                assert done and burst.cancelled()
+                assert client.inflight == 3
+            finally:
+                server.gate.set()
+            assert await client.get("d") == b"value-of-d"
+            assert client.inflight == 0 and not client.broken
+            await client.close()
+            await server.stop()
+
+        asyncio.run(body())
+
+
+class TestTimerLifetime:
+    def test_close_with_commands_queued_cancels_the_timer(self):
+        async def body():
+            unhandled = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: unhandled.append(context)
+            )
+            server = GatedServer()
+            port = await server.start()
+            client = await MemcachedClient(
+                "127.0.0.1", port, timeout=0.05
+            ).connect()
+            protocol = client._protocol
+            queued = asyncio.ensure_future(client.get("a"))
+            await _until(lambda: server.lines == 1)
+            timer = protocol._timer
+            assert timer is not None and len(protocol.due) == 1
+            await client.close()
+            assert timer.cancelled() and protocol._timer is None
+            assert not protocol.due and not protocol.pending
+            with pytest.raises(TransportError, match="closed while in"):
+                await queued
+            await asyncio.sleep(0.1)  # well past the op timeout
+            assert protocol._timer is None  # nothing re-armed itself
+            assert not client.broken  # closed, never poisoned
+            del queued
+            gc.collect()
+            assert unhandled == []  # no "exception was never retrieved"
+            server.gate.set()
+            await server.stop()
+
+        asyncio.run(body())
+
+    def test_an_idle_connection_disarms_and_the_next_command_rearms(self):
+        async def body():
+            server = GatedServer()
+            server.gate.set()
+            port = await server.start()
+            client = await MemcachedClient(
+                "127.0.0.1", port, timeout=0.05
+            ).connect()
+            protocol = client._protocol
+            assert protocol._timer is None  # nothing queued, nothing armed
+            assert await client.get("a") == b"value-of-a"
+            first = protocol._timer
+            assert first is not None and not protocol.due
+            await _until(lambda: protocol._timer is None)  # fired idle
+            assert not client.broken
+            assert await client.get("b") == b"value-of-b"
+            assert protocol._timer is not None
+            assert protocol._timer is not first
+            await client.close()
+            await server.stop()
+
+        asyncio.run(body())
