@@ -17,8 +17,9 @@ its evaluation depends on:
   Section V-A3, plus a chaos proxy for fault injection;
 * :mod:`repro.resilience` — retry/breaker/deadline policies and the
   fault-plan vocabulary shared by the simulator and the live tier;
-* :mod:`repro.sim` — the discrete-event cluster experiment that regenerates
-  Figs. 9-11, and the routing/hit-ratio analyses behind Figs. 5-6;
+* :mod:`repro.sim` / :mod:`repro.experiments` — the discrete-event
+  substrate and the cluster experiment that regenerates Figs. 9-11, plus
+  the routing/hit-ratio analyses behind Figs. 5-6;
 * :mod:`repro.power` — the PDU-style power metering of Section VI-D;
 * :mod:`repro.provisioning` / :mod:`repro.workload` — schedules,
   the delay-feedback loop, and Wikipedia-like workload synthesis.
@@ -29,191 +30,67 @@ Quickstart::
 
     router = ProteusRouter(num_servers=10)
     server = router.route("page:Alan_Turing", num_active=7)
+
+Only the names the quickstart, the examples and the README use are
+re-exported here; import everything else from its defining module
+(``from repro.core.transition import TransitionManager``).
 """
 
-from repro.bloom import (
-    BloomConfig,
-    BloomFilter,
-    CountingBloomFilter,
-    KeyHashes,
-    optimal_config,
-)
-from repro.cache import CacheServer, CacheStats, KeyValueStore, PowerState
-from repro.config import ClusterConfig, DigestGeometry
+from repro.bloom.config import optimal_config
+from repro.bloom.counting import CountingBloomFilter
 from repro.cache.cluster import CacheCluster
-from repro.core import (
-    BACKEND_NAMES,
-    RING_BACKENDS,
-    ROUTER_SCENARIOS,
-    CheckDigestMulti,
-    CompiledRingTable,
+from repro.core.migration import migration_lower_bound
+from repro.core.placement import theoretical_min_vnodes
+from repro.core.retrieval import FetchPath, RetrievalEngine
+from repro.core.ring import ProteusBackend
+from repro.core.router import (
     ConsistentRouter,
-    CountMinSketch,
-    FetchPath,
-    FetchResult,
-    FetchStats,
-    HashRing,
-    HotKeyArmor,
-    HotKeyCache,
-    MultiProbeBackend,
-    MultiProbeRouter,
-    NaiveRouter,
-    Placement,
-    PowerBackend,
-    PowerRouter,
-    ProteusBackend,
     ProteusRouter,
-    Registry,
-    RetrievalConfig,
-    RetrievalEngine,
-    RingBackend,
     RingRouter,
-    Router,
-    ServerLoadEWMA,
-    StaticRouter,
-    TopKSketch,
-    TransitionManager,
-    VnodeBackend,
-    make_backend,
     make_router,
-    migration_lower_bound,
-    peak_to_average,
-    place_virtual_nodes,
-    plan_migration,
-    remap_fraction,
-    scenario_routers,
-    theoretical_min_vnodes,
 )
-from repro.database import DatabaseCluster
-from repro.errors import ProteusError
-from repro.net import AsyncProteusFrontend, MemcachedClient, MemcachedServer
-from repro.resilience import (
-    CircuitBreaker,
-    Deadline,
-    FaultPlan,
-    FaultSchedule,
-    ResiliencePolicy,
-    RetryPolicy,
-)
-from repro.provisioning import (
-    DelayFeedbackController,
-    ProvisioningActuator,
-    ProvisioningSchedule,
-    load_proportional_schedule,
-    run_feedback_loop,
-    static_schedule,
-)
-from repro.experiments import (
+from repro.database.cluster import DatabaseCluster
+from repro.experiments.cluster import (
     ClusterExperiment,
     ExperimentConfig,
-    ExperimentReport,
     ScenarioSpec,
-    compare_routers,
-    evaluate_load_balance,
-    run_scenarios,
-    simulate_hit_ratio,
-    sweep_cache_sizes,
 )
-from repro.web import WebServer
-from repro.workload import (
-    TraceRecord,
-    UserPopulation,
-    ZipfSampler,
-    diurnal_rate,
-    generate_trace,
-    load_trace,
-    save_trace,
+from repro.experiments.loadbalance import evaluate_load_balance
+from repro.net.client import MemcachedClient
+from repro.net.server import MemcachedServer
+from repro.provisioning.controller import run_feedback_loop
+from repro.provisioning.policies import (
+    ProvisioningSchedule,
+    load_proportional_schedule,
 )
+from repro.web.frontend import WebServer
+from repro.workload.wikipedia import generate_trace
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsyncProteusFrontend",
-    "BACKEND_NAMES",
-    "BloomConfig",
-    "BloomFilter",
     "CacheCluster",
-    "CacheServer",
-    "CacheStats",
-    "CheckDigestMulti",
-    "CircuitBreaker",
-    "ClusterConfig",
     "ClusterExperiment",
-    "CompiledRingTable",
     "ConsistentRouter",
-    "CountMinSketch",
     "CountingBloomFilter",
     "DatabaseCluster",
-    "Deadline",
-    "DelayFeedbackController",
-    "DigestGeometry",
     "ExperimentConfig",
-    "ExperimentReport",
-    "FaultPlan",
-    "FaultSchedule",
     "FetchPath",
-    "FetchResult",
-    "FetchStats",
-    "HashRing",
-    "HotKeyArmor",
-    "HotKeyCache",
-    "KeyHashes",
-    "KeyValueStore",
     "MemcachedClient",
     "MemcachedServer",
-    "MultiProbeBackend",
-    "MultiProbeRouter",
-    "NaiveRouter",
-    "Placement",
-    "PowerBackend",
-    "PowerRouter",
-    "PowerState",
     "ProteusBackend",
-    "ProteusError",
     "ProteusRouter",
-    "ProvisioningActuator",
     "ProvisioningSchedule",
-    "RING_BACKENDS",
-    "ROUTER_SCENARIOS",
-    "Registry",
-    "ResiliencePolicy",
-    "RetrievalConfig",
     "RetrievalEngine",
-    "RetryPolicy",
-    "RingBackend",
     "RingRouter",
-    "Router",
     "ScenarioSpec",
-    "ServerLoadEWMA",
-    "StaticRouter",
-    "TopKSketch",
-    "TraceRecord",
-    "TransitionManager",
-    "UserPopulation",
-    "VnodeBackend",
     "WebServer",
-    "ZipfSampler",
-    "compare_routers",
-    "diurnal_rate",
     "evaluate_load_balance",
     "generate_trace",
     "load_proportional_schedule",
-    "load_trace",
-    "make_backend",
     "make_router",
     "migration_lower_bound",
     "optimal_config",
-    "peak_to_average",
-    "place_virtual_nodes",
-    "plan_migration",
-    "remap_fraction",
     "run_feedback_loop",
-    "run_scenarios",
-    "save_trace",
-    "scenario_routers",
-    "simulate_hit_ratio",
-    "static_schedule",
-    "sweep_cache_sizes",
     "theoretical_min_vnodes",
-    "__version__",
 ]

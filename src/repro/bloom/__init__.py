@@ -2,40 +2,16 @@
 
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import (
-    BloomConfig,
     counter_bits_closed_form,
-    counter_bits_enumerated,
     false_negative_bound,
     false_positive_rate,
-    minimal_counters,
-    optimal_config,
 )
-from repro.bloom.counting import CountingBloomFilter
-from repro.bloom.hashing import (
-    DoubleHashFamily,
-    KeyHashes,
-    digest_bases_many,
-    ring_position,
-    ring_positions_many,
-    stable_hash64,
-    stable_hash64_many,
-)
+from repro.bloom.hashing import KeyHashes
 
 __all__ = [
     "BloomFilter",
-    "BloomConfig",
-    "CountingBloomFilter",
-    "DoubleHashFamily",
     "KeyHashes",
-    "digest_bases_many",
-    "ring_positions_many",
-    "stable_hash64_many",
     "counter_bits_closed_form",
-    "counter_bits_enumerated",
     "false_negative_bound",
     "false_positive_rate",
-    "minimal_counters",
-    "optimal_config",
-    "ring_position",
-    "stable_hash64",
 ]

@@ -1,54 +1,1 @@
 """Memcached-like cache substrate with digest hooks (paper Section V-A3)."""
-
-from repro.cache.eviction import (
-    ClockPolicy,
-    EvictionPolicy,
-    FIFOPolicy,
-    LRUPolicy,
-    NoEvictionPolicy,
-    RandomPolicy,
-    SegmentedLRUPolicy,
-    make_policy,
-)
-from repro.cache.chunking import (
-    ChunkingCacheAdapter,
-    piece_key,
-    routing_key,
-)
-from repro.cache.item import DEFAULT_ITEM_SIZE, CacheItem
-from repro.cache.server import CacheServer, PowerState
-from repro.cache.slabs import SlabAllocator, SlabStore
-from repro.cache.stats import CacheStats
-from repro.cache.store import (
-    REASON_DELETE,
-    REASON_EVICT,
-    REASON_EXPIRE,
-    REASON_FLUSH,
-    KeyValueStore,
-)
-
-__all__ = [
-    "CacheItem",
-    "ChunkingCacheAdapter",
-    "piece_key",
-    "routing_key",
-    "ClockPolicy",
-    "SegmentedLRUPolicy",
-    "SlabAllocator",
-    "SlabStore",
-    "CacheServer",
-    "CacheStats",
-    "DEFAULT_ITEM_SIZE",
-    "EvictionPolicy",
-    "FIFOPolicy",
-    "KeyValueStore",
-    "LRUPolicy",
-    "NoEvictionPolicy",
-    "PowerState",
-    "RandomPolicy",
-    "REASON_DELETE",
-    "REASON_EVICT",
-    "REASON_EXPIRE",
-    "REASON_FLUSH",
-    "make_policy",
-]

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
-from repro.cache.eviction import make_policy
 from repro.cache.server import CacheServer, PowerState
 from repro.core.router import Router
 from repro.core.transition import (
@@ -47,7 +46,6 @@ class CacheCluster:
         initial_active: ``n(0)``; servers beyond it start OFF.
         ttl: drain-window length for transitions.
         bloom_config: digest sizing shared by all servers.
-        eviction: eviction policy name (``lru``/``fifo``/``random``/``none``).
     """
 
     def __init__(
@@ -57,7 +55,6 @@ class CacheCluster:
         initial_active: Optional[int] = None,
         ttl: float = DEFAULT_TTL,
         bloom_config: Optional[BloomConfig] = None,
-        eviction: str = "lru",
     ) -> None:
         self.router = router
         num_servers = router.num_servers
@@ -72,7 +69,6 @@ class CacheCluster:
                 server_id=i,
                 capacity_bytes=capacity_bytes,
                 bloom_config=bloom_config,
-                policy=make_policy(eviction, seed=i),
                 initially_on=i < initial_active,
             )
             for i in range(num_servers)

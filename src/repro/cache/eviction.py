@@ -2,17 +2,17 @@
 
 The paper explicitly makes *no* assumption about the eviction strategy
 ("LRU, fixed expiration duration, etc." — Section II); the digest only has
-to stay consistent with the store's contents.  We therefore make the policy
-pluggable and provide the common ones.  A policy tracks key order metadata
-only; the store owns the items and calls back on link/access/unlink.
+to stay consistent with the store's contents.  The policy therefore sits
+behind an interface: LRU is what memcached and every figure use, and the
+no-eviction policy is the fake tests substitute to make overflow visible.
+A policy tracks key order metadata only; the store owns the items and calls
+back on link/access/unlink.
 """
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict, List
 
 from repro.errors import CapacityError
 
@@ -70,177 +70,6 @@ class LRUPolicy(EvictionPolicy):
         self._order.clear()
 
 
-class FIFOPolicy(EvictionPolicy):
-    """First-in-first-out: eviction order is insertion order, accesses ignored."""
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[str, None]" = OrderedDict()
-
-    def on_link(self, key: str) -> None:
-        self._order[key] = None
-
-    def on_access(self, key: str) -> None:
-        pass  # FIFO ignores recency
-
-    def on_unlink(self, key: str) -> None:
-        self._order.pop(key, None)
-
-    def victim(self) -> str:
-        if not self._order:
-            raise CapacityError("FIFO policy has no keys to evict")
-        return next(iter(self._order))
-
-    def reset(self) -> None:
-        self._order.clear()
-
-
-class RandomPolicy(EvictionPolicy):
-    """Evict a uniformly random key (seeded, so runs stay reproducible)."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-        self._keys: List[str] = []
-        self._index: Dict[str, int] = {}
-
-    def on_link(self, key: str) -> None:
-        self._index[key] = len(self._keys)
-        self._keys.append(key)
-
-    def on_access(self, key: str) -> None:
-        pass  # random eviction ignores recency
-
-    def on_unlink(self, key: str) -> None:
-        idx = self._index.pop(key, None)
-        if idx is None:
-            return
-        last = self._keys.pop()
-        if last != key:
-            self._keys[idx] = last
-            self._index[last] = idx
-
-    def victim(self) -> str:
-        if not self._keys:
-            raise CapacityError("random policy has no keys to evict")
-        return self._rng.choice(self._keys)
-
-    def reset(self) -> None:
-        self._keys.clear()
-        self._index.clear()
-
-
-class ClockPolicy(EvictionPolicy):
-    """CLOCK (second-chance): an LRU approximation with O(1) accesses.
-
-    Keys sit on a circular list with a reference bit; access sets the bit,
-    the clock hand sweeps, clearing bits until it finds an unreferenced key.
-    Real caches use CLOCK when LRU's list maintenance is too hot; having it
-    here lets the hit-ratio experiments quantify the approximation gap.
-    """
-
-    def __init__(self) -> None:
-        self._keys: List[str] = []
-        self._index: Dict[str, int] = {}
-        self._referenced: List[bool] = []
-        self._hand = 0
-
-    def on_link(self, key: str) -> None:
-        self._index[key] = len(self._keys)
-        self._keys.append(key)
-        self._referenced.append(True)
-
-    def on_access(self, key: str) -> None:
-        idx = self._index.get(key)
-        if idx is not None:
-            self._referenced[idx] = True
-
-    def on_unlink(self, key: str) -> None:
-        idx = self._index.pop(key, None)
-        if idx is None:
-            return
-        last_key = self._keys.pop()
-        last_ref = self._referenced.pop()
-        if last_key != key:
-            self._keys[idx] = last_key
-            self._referenced[idx] = last_ref
-            self._index[last_key] = idx
-        if self._hand >= len(self._keys):
-            self._hand = 0
-
-    def victim(self) -> str:
-        if not self._keys:
-            raise CapacityError("CLOCK policy has no keys to evict")
-        # Sweep at most two full turns: the first clears bits, the second
-        # must find an unreferenced key.
-        for _ in range(2 * len(self._keys)):
-            key = self._keys[self._hand]
-            if self._referenced[self._hand]:
-                self._referenced[self._hand] = False
-                self._hand = (self._hand + 1) % len(self._keys)
-            else:
-                return key
-        return self._keys[self._hand]  # pragma: no cover - unreachable
-
-    def reset(self) -> None:
-        self._keys.clear()
-        self._index.clear()
-        self._referenced.clear()
-        self._hand = 0
-
-
-class SegmentedLRUPolicy(EvictionPolicy):
-    """SLRU: probation + protected segments (scan resistance).
-
-    New keys enter *probation*; a second access promotes to *protected*
-    (bounded to ``protected_fraction`` of tracked keys, demoting the oldest
-    protected key back to probation's MRU end).  Victims come from
-    probation's LRU end, so one sequential scan cannot flush the hot set —
-    the failure mode plain LRU has on trace replays with crawler traffic.
-    """
-
-    def __init__(self, protected_fraction: float = 0.8) -> None:
-        if not 0.0 < protected_fraction < 1.0:
-            raise ValueError(
-                f"protected_fraction must be in (0, 1), got {protected_fraction}"
-            )
-        self.protected_fraction = protected_fraction
-        self._probation: "OrderedDict[str, None]" = OrderedDict()
-        self._protected: "OrderedDict[str, None]" = OrderedDict()
-
-    def _tracked(self) -> int:
-        return len(self._probation) + len(self._protected)
-
-    def on_link(self, key: str) -> None:
-        self._probation[key] = None
-
-    def on_access(self, key: str) -> None:
-        if key in self._protected:
-            self._protected.move_to_end(key)
-            return
-        if key not in self._probation:
-            return
-        del self._probation[key]
-        self._protected[key] = None
-        limit = max(1, int(self._tracked() * self.protected_fraction))
-        while len(self._protected) > limit:
-            demoted, _ = self._protected.popitem(last=False)
-            self._probation[demoted] = None  # back at probation MRU
-
-    def on_unlink(self, key: str) -> None:
-        self._probation.pop(key, None)
-        self._protected.pop(key, None)
-
-    def victim(self) -> str:
-        if self._probation:
-            return next(iter(self._probation))
-        if self._protected:
-            return next(iter(self._protected))
-        raise CapacityError("SLRU policy has no keys to evict")
-
-    def reset(self) -> None:
-        self._probation.clear()
-        self._protected.clear()
-
-
 class NoEvictionPolicy(EvictionPolicy):
     """Never evict: inserting past capacity raises :class:`CapacityError`.
 
@@ -261,21 +90,3 @@ class NoEvictionPolicy(EvictionPolicy):
 
     def reset(self) -> None:
         pass
-
-
-def make_policy(name: str, seed: int = 0) -> EvictionPolicy:
-    """Policy factory: ``lru`` (default), ``fifo``, ``clock``, ``slru``, ``random``, ``none``."""
-    table = {
-        "lru": LRUPolicy,
-        "fifo": FIFOPolicy,
-        "clock": ClockPolicy,
-        "slru": SegmentedLRUPolicy,
-        "none": NoEvictionPolicy,
-    }
-    lowered = name.strip().lower()
-    if lowered == "random":
-        return RandomPolicy(seed=seed)
-    try:
-        return table[lowered]()
-    except KeyError:
-        raise ValueError(f"unknown eviction policy {name!r}") from None

@@ -1,142 +1,1 @@
 """Proteus core: placement, routing, migration, and smooth transitions."""
-
-from repro.core.migration import (
-    MigrationPlan,
-    empirical_remap_fraction,
-    migration_lower_bound,
-    naive_remap_fraction,
-    plan_migration,
-    remap_matrix,
-)
-from repro.core.hotkey import (
-    CountMinSketch,
-    HotKeyArmor,
-    HotKeyCache,
-    ServerLoadEWMA,
-    TopKSketch,
-)
-from repro.core.metrics import peak_to_average, remap_fraction
-from repro.core.placement import (
-    HostRange,
-    Placement,
-    fast_virtual_positions,
-    place_virtual_nodes,
-    theoretical_min_vnodes,
-)
-from repro.core.registry import Registry
-from repro.core.replication import (
-    empirical_conflict_rate,
-    no_conflict_probability,
-)
-from repro.core.retrieval import (
-    CheckDigestMulti,
-    FetchPath,
-    FetchResult,
-    FetchStats,
-    LeaderWindowRegistry,
-    ProbeCacheMulti,
-    ReadDatabase,
-    RetrievalConfig,
-    RetrievalEngine,
-    RetrievalOutcome,
-    WaitForLeader,
-    WriteBackMulti,
-)
-from repro.core.ring import (
-    BACKEND_NAMES,
-    RING_BACKENDS,
-    CompiledRingTable,
-    HashRing,
-    MultiProbeBackend,
-    PowerBackend,
-    ProteusBackend,
-    RingBackend,
-    VirtualNode,
-    VnodeBackend,
-    make_backend,
-    prefix_active,
-)
-from repro.core.router import (
-    DEFAULT_RING_SIZE,
-    ROUTER_SCENARIOS,
-    ConsistentRouter,
-    MultiProbeRouter,
-    NaiveRouter,
-    PowerRouter,
-    ProteusRouter,
-    RingRouter,
-    Router,
-    StaticRouter,
-    make_router,
-    scenario_routers,
-)
-from repro.core.transition import (
-    DEFAULT_TTL,
-    RoutingEpochs,
-    Transition,
-    TransitionManager,
-)
-
-__all__ = [
-    "BACKEND_NAMES",
-    "CheckDigestMulti",
-    "CompiledRingTable",
-    "CountMinSketch",
-    "HotKeyArmor",
-    "HotKeyCache",
-    "ConsistentRouter",
-    "DEFAULT_RING_SIZE",
-    "DEFAULT_TTL",
-    "FetchPath",
-    "FetchResult",
-    "FetchStats",
-    "HashRing",
-    "LeaderWindowRegistry",
-    "HostRange",
-    "MigrationPlan",
-    "MultiProbeBackend",
-    "MultiProbeRouter",
-    "NaiveRouter",
-    "Placement",
-    "PowerBackend",
-    "PowerRouter",
-    "ProbeCacheMulti",
-    "ProteusBackend",
-    "ProteusRouter",
-    "RING_BACKENDS",
-    "ROUTER_SCENARIOS",
-    "ReadDatabase",
-    "Registry",
-    "RetrievalConfig",
-    "RetrievalEngine",
-    "RetrievalOutcome",
-    "RingBackend",
-    "RingRouter",
-    "Router",
-    "RoutingEpochs",
-    "ServerLoadEWMA",
-    "StaticRouter",
-    "TopKSketch",
-    "WaitForLeader",
-    "WriteBackMulti",
-    "Transition",
-    "TransitionManager",
-    "VirtualNode",
-    "VnodeBackend",
-    "empirical_conflict_rate",
-    "empirical_remap_fraction",
-    "fast_virtual_positions",
-    "make_backend",
-    "make_router",
-    "migration_lower_bound",
-    "naive_remap_fraction",
-    "no_conflict_probability",
-    "peak_to_average",
-    "place_virtual_nodes",
-    "plan_migration",
-    "prefix_active",
-    "remap_fraction",
-    "remap_matrix",
-    "scenario_routers",
-    "theoretical_min_vnodes",
-]

@@ -7,19 +7,13 @@ the servers being powered on/off own exactly that fraction).  The Naive
 modulo scheme remaps ``1 - 1/max(n, n')``-ish fractions — the Reddit incident.
 
 This module computes remap fractions both analytically (for Proteus) and
-empirically (for any :class:`~repro.core.router.Router`, by sampling keys),
-and builds explicit migration plans: which (source, destination) server pairs
-exchange keys during a transition — the input to the smooth-transition
-coordinator.
+empirically (for any :class:`~repro.core.router.Router`, by sampling keys).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
 
-from repro.bloom.hashing import Key
 from repro.core.metrics import remap_fraction
 from repro.core.router import Router
 from repro.errors import ConfigurationError
@@ -61,63 +55,6 @@ def naive_remap_fraction(n_old: int, n_new: int) -> Fraction:
     return Fraction(lcm - survivors, lcm)
 
 
-@dataclass
-class MigrationPlan:
-    """Keys that change servers in a transition ``n_old -> n_new``.
-
-    Attributes:
-        n_old: active count before the transition.
-        n_new: active count after.
-        moves: mapping ``(source_server, dest_server) -> keys`` to migrate.
-        stationary: count of sampled keys that did not move.
-    """
-
-    n_old: int
-    n_new: int
-    moves: Dict[Tuple[int, int], List[Key]] = field(default_factory=dict)
-    stationary: int = 0
-
-    @property
-    def moved(self) -> int:
-        """Number of sampled keys that changed servers."""
-        return sum(len(keys) for keys in self.moves.values())
-
-    @property
-    def remap_fraction(self) -> float:
-        """Fraction of sampled keys remapped."""
-        total = self.moved + self.stationary
-        return self.moved / total if total else 0.0
-
-    def sources(self) -> List[int]:
-        """Distinct servers losing keys."""
-        return sorted({src for src, _ in self.moves})
-
-    def destinations(self) -> List[int]:
-        """Distinct servers gaining keys."""
-        return sorted({dst for _, dst in self.moves})
-
-
-def plan_migration(
-    router: Router, keys: Sequence[Key], n_old: int, n_new: int
-) -> MigrationPlan:
-    """Build the explicit migration plan for *keys* under *router*.
-
-    Routes every key under both active counts and records the movers.  This
-    is what the provisioning actuator hands to the smooth-transition
-    coordinator: the set of ``(old owner, new owner)`` pairs tells which
-    digests web servers must hold during the drain window.
-    """
-    plan = MigrationPlan(n_old=n_old, n_new=n_new)
-    for key in keys:
-        src = router.route(key, n_old)
-        dst = router.route(key, n_new)
-        if src == dst:
-            plan.stationary += 1
-        else:
-            plan.moves.setdefault((src, dst), []).append(key)
-    return plan
-
-
 def empirical_remap_fraction(
     router: Router, n_old: int, n_new: int, num_samples: int = 20000, seed: int = 7
 ) -> float:
@@ -134,28 +71,3 @@ def empirical_remap_fraction(
     return remap_fraction(
         router.route_many(keys, n_old), router.route_many(keys, n_new)
     )
-
-
-def remap_matrix(
-    router: Router, max_active: int, num_samples: int = 5000, seed: int = 7
-) -> List[List[float]]:
-    """Remap fractions for every single-step transition ``n -> n±1``.
-
-    Returns a matrix ``M`` with ``M[n-1][0]`` the fraction for ``n -> n+1``
-    (or 0.0 at the top) and ``M[n-1][1]`` for ``n -> n-1`` (or 0.0 at the
-    bottom); used by the migration ablation bench.
-    """
-    matrix: List[List[float]] = []
-    for n in range(1, max_active + 1):
-        up = (
-            empirical_remap_fraction(router, n, n + 1, num_samples, seed)
-            if n < max_active
-            else 0.0
-        )
-        down = (
-            empirical_remap_fraction(router, n, n - 1, num_samples, seed)
-            if n > 1
-            else 0.0
-        )
-        matrix.append([up, down])
-    return matrix

@@ -419,13 +419,3 @@ def make_router(scenario: str, num_servers: int, **kwargs) -> Router:
     :mod:`repro.core.ring`.  Thin wrapper over :data:`ROUTER_SCENARIOS`.
     """
     return ROUTER_SCENARIOS.create(scenario, num_servers, **kwargs)
-
-
-def scenario_routers(num_servers: int) -> List[Router]:
-    """The four Table II routers, in the paper's presentation order."""
-    return [
-        StaticRouter(num_servers),
-        NaiveRouter(num_servers),
-        ConsistentRouter.quadratic_variant(num_servers),
-        ProteusRouter(num_servers),
-    ]

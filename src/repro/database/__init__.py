@@ -1,18 +1,1 @@
 """Sharded database tier (the authoritative store behind the caches)."""
-
-from repro.database.cluster import DEFAULT_NUM_SHARDS, DatabaseCluster
-from repro.database.shard import (
-    DEFAULT_DB_SERVICE_MEAN,
-    DatabaseShard,
-    ShardResponse,
-    synthesize_page,
-)
-
-__all__ = [
-    "DatabaseCluster",
-    "DatabaseShard",
-    "DEFAULT_DB_SERVICE_MEAN",
-    "DEFAULT_NUM_SHARDS",
-    "ShardResponse",
-    "synthesize_page",
-]

@@ -6,55 +6,3 @@ measurement setups: the full closed-loop cluster run (Figs. 9-11), the
 routing-only load-balance replay (Fig. 5), and the cache-size hit-ratio
 sweep (Fig. 6).
 """
-
-from repro.experiments.autopilot import (
-    AutopilotConfig,
-    AutopilotExperiment,
-    AutopilotReport,
-)
-from repro.experiments.cluster import (
-    ClusterExperiment,
-    ExperimentConfig,
-    ExperimentReport,
-    ScenarioSpec,
-    run_scenarios,
-)
-from repro.experiments.failover import (
-    FailoverConfig,
-    FailoverExperiment,
-    FailoverReport,
-    FailureEvent,
-)
-from repro.experiments.hitratio import (
-    HitRatioPoint,
-    sharded_hit_ratio,
-    simulate_hit_ratio,
-    sweep_cache_sizes,
-)
-from repro.experiments.loadbalance import (
-    LoadBalanceResult,
-    compare_routers,
-    evaluate_load_balance,
-)
-
-__all__ = [
-    "AutopilotConfig",
-    "AutopilotExperiment",
-    "AutopilotReport",
-    "ClusterExperiment",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FailoverConfig",
-    "FailoverExperiment",
-    "FailoverReport",
-    "FailureEvent",
-    "HitRatioPoint",
-    "LoadBalanceResult",
-    "ScenarioSpec",
-    "compare_routers",
-    "evaluate_load_balance",
-    "run_scenarios",
-    "sharded_hit_ratio",
-    "simulate_hit_ratio",
-    "sweep_cache_sizes",
-]

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.cache.eviction import make_policy
 from repro.cache.store import KeyValueStore
-from repro.core.router import Router
 from repro.errors import ConfigurationError
 from repro.workload.trace import TraceRecord
 
@@ -35,7 +33,6 @@ def simulate_hit_ratio(
     trace: Sequence[TraceRecord],
     capacity_bytes: int,
     item_size: int = 4096,
-    eviction: str = "lru",
     warmup_fraction: float = 0.1,
 ) -> HitRatioPoint:
     """Replay *trace* through one bounded cache; count hits after warm-up.
@@ -44,7 +41,6 @@ def simulate_hit_ratio(
         trace: time-sorted requests.
         capacity_bytes: cache memory (Fig. 6 sweeps this).
         item_size: bytes per cached object (paper: 4 KB pages).
-        eviction: eviction policy name.
         warmup_fraction: leading fraction of the trace excluded from the
             reported ratio (cold-start fill distorts small caches less this
             way; the paper's long trace makes its cold start negligible).
@@ -57,7 +53,6 @@ def simulate_hit_ratio(
         )
     store = KeyValueStore(
         capacity_bytes=capacity_bytes,
-        policy=make_policy(eviction),
         default_item_size=item_size,
     )
     warmup_end = int(len(trace) * warmup_fraction)
@@ -85,41 +80,9 @@ def sweep_cache_sizes(
     trace: Sequence[TraceRecord],
     capacities: Sequence[int],
     item_size: int = 4096,
-    eviction: str = "lru",
 ) -> List[HitRatioPoint]:
     """Fig. 6: hit ratio at each capacity (fresh cache per point)."""
     return [
-        simulate_hit_ratio(trace, capacity, item_size=item_size, eviction=eviction)
+        simulate_hit_ratio(trace, capacity, item_size=item_size)
         for capacity in capacities
     ]
-
-
-def sharded_hit_ratio(
-    trace: Sequence[TraceRecord],
-    router: Router,
-    num_active: int,
-    capacity_bytes_per_server: int,
-    item_size: int = 4096,
-) -> float:
-    """Hit ratio of a *routed* cluster (validates the composition argument).
-
-    Routes each request to its server's private store; the aggregate ratio
-    should track :func:`simulate_hit_ratio` at the summed capacity, which a
-    test asserts.
-    """
-    stores = {
-        server: KeyValueStore(
-            capacity_bytes=capacity_bytes_per_server,
-            default_item_size=item_size,
-        )
-        for server in range(num_active)
-    }
-    hits = 0
-    for record in trace:
-        server = router.route(record.key, num_active)
-        store = stores[server]
-        if store.get(record.key, record.time) is not None:
-            hits += 1
-        else:
-            store.set(record.key, True, now=record.time, size=item_size)
-    return hits / len(trace) if trace else 0.0

@@ -1,46 +1,1 @@
 """Runnable memcached-protocol substrate (paper Section V-A3 analogue)."""
-
-from repro.net.client import CasValue, MemcachedClient
-from repro.net.parser import (
-    BadCommand,
-    CommandParser,
-    Desync,
-    ErrorLine,
-    LineReply,
-    ReplyParser,
-    StatsReply,
-    ValueItem,
-    ValuesReply,
-)
-from repro.net.pool import ConnectionPool
-from repro.net.protocol import (
-    KEY_FETCH_DIGEST,
-    KEY_SNAPSHOT,
-    Request,
-    parse_command_line,
-    validate_key,
-)
-from repro.net.server import MemcachedServer
-from repro.net.webtier import AsyncProteusFrontend
-
-__all__ = [
-    "AsyncProteusFrontend",
-    "BadCommand",
-    "CasValue",
-    "CommandParser",
-    "ConnectionPool",
-    "Desync",
-    "ErrorLine",
-    "KEY_FETCH_DIGEST",
-    "KEY_SNAPSHOT",
-    "LineReply",
-    "MemcachedClient",
-    "MemcachedServer",
-    "ReplyParser",
-    "Request",
-    "StatsReply",
-    "ValueItem",
-    "ValuesReply",
-    "parse_command_line",
-    "validate_key",
-]

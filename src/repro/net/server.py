@@ -27,7 +27,6 @@ from repro.cache.eviction import LRUPolicy
 from repro.cache.item import CacheItem
 from repro.cache.store import KeyValueStore
 from repro.bloom.counting import CountingBloomFilter
-from repro.cache.slabs import SlabStore
 from repro.errors import CapacityError, ConfigurationError
 from repro.net import protocol as proto
 from repro.net.parser import BadCommand, CommandParser
@@ -45,9 +44,6 @@ class MemcachedServer:
         bloom_config: digest sizing; defaults to the Section IV-B optimum
             for the capacity-implied key count.
         clock: time source (injectable for tests; defaults to wall clock).
-        use_slabs: back the server with the memcached-style slab allocator
-            (:class:`~repro.cache.slabs.SlabStore`) instead of byte-exact
-            accounting; enables ``stats slabs`` and requires a capacity.
         nodelay: set ``TCP_NODELAY`` on accepted sockets (default True) —
             reply batches must not sit behind Nagle while the client
             pipelines; the net throughput bench A/Bs this knob.
@@ -72,7 +68,6 @@ class MemcachedServer:
         capacity_bytes: Optional[int] = None,
         bloom_config: Optional[BloomConfig] = None,
         clock=time.monotonic,
-        use_slabs: bool = False,
         nodelay: bool = True,
         max_inflight: Optional[int] = None,
         max_conn_inflight: Optional[int] = None,
@@ -97,15 +92,10 @@ class MemcachedServer:
         self.shed_commands = 0
         #: times a connection's reads were paused at the watermark
         self.paused_reads = 0
-        if use_slabs:
-            if capacity_bytes is None:
-                raise ConfigurationError("use_slabs requires capacity_bytes")
-            self.store = SlabStore(capacity_bytes)
-        else:
-            self.store = KeyValueStore(
-                capacity_bytes=capacity_bytes, policy=LRUPolicy(),
-                default_item_size=0,
-            )
+        self.store = KeyValueStore(
+            capacity_bytes=capacity_bytes, policy=LRUPolicy(),
+            default_item_size=0,
+        )
         if bloom_config is None:
             expected = (
                 max(1024, capacity_bytes // 4096) if capacity_bytes else 100_000
@@ -282,7 +272,8 @@ class MemcachedServer:
             return self._do_delete(request)
         if command == "stats":
             if request.keys and request.keys[0] == "slabs":
-                return self._do_stats_slabs()
+                # byte-exact store, no slab classes: an empty, framed reply
+                return proto.stats_response({})
             return proto.stats_response(self._stats_dict())
         if command == "flush_all":
             self.store.flush()
@@ -426,18 +417,6 @@ class MemcachedServer:
         if self.store.delete(request.keys[0], self._clock()):
             return proto.deleted_response()
         return proto.not_found_response()
-
-    def _do_stats_slabs(self) -> bytes:
-        if not isinstance(self.store, SlabStore):
-            return proto.stats_response({})
-        stats: Dict[str, object] = {}
-        for row in self.store.slab_stats():
-            prefix = str(row["class"])
-            stats[f"{prefix}:chunk_size"] = row["chunk_size"]
-            stats[f"{prefix}:total_pages"] = row["pages"]
-            stats[f"{prefix}:used_chunks"] = row["used_chunks"]
-            stats[f"{prefix}:free_chunks"] = row["free_chunks"]
-        return proto.stats_response(stats)
 
     def _stats_dict(self) -> Dict[str, object]:
         stats = self.store.stats

@@ -1,25 +1,1 @@
 """Power modelling and PDU-style metering (paper Section VI-D)."""
-
-from repro.power.meter import (
-    Channel,
-    DEFAULT_SAMPLE_PERIOD,
-    PowerMeter,
-    utilization_probe,
-)
-from repro.power.model import (
-    DEFAULT_P_IDLE,
-    DEFAULT_P_OFF,
-    DEFAULT_P_PEAK,
-    ServerPowerModel,
-)
-
-__all__ = [
-    "Channel",
-    "DEFAULT_P_IDLE",
-    "DEFAULT_P_OFF",
-    "DEFAULT_P_PEAK",
-    "DEFAULT_SAMPLE_PERIOD",
-    "PowerMeter",
-    "ServerPowerModel",
-    "utilization_probe",
-]

@@ -1,56 +1,7 @@
 """Provisioning: policies, the delay-feedback controller, and the actuator."""
 
-from repro.provisioning.actuator import AppliedTransition, ProvisioningActuator
-from repro.provisioning.controller import (
-    DEFAULT_DELAY_BOUND,
-    DEFAULT_DELAY_REFERENCE,
-    DelayFeedbackController,
-    run_feedback_loop,
-)
-from repro.provisioning.health import ClusterHealthMonitor, HealthSnapshot
-from repro.provisioning.migrator import BackgroundMigrator, MigrationProgress
-from repro.provisioning.order import (
-    OrderedFleet,
-    ServerSpec,
-    efficiency_order,
-    random_order,
-)
-from repro.provisioning.policies import (
-    DEFAULT_SLOT_SECONDS,
-    ProvisioningSchedule,
-    limit_step_size,
-    load_proportional_schedule,
-    static_schedule,
-)
-from repro.provisioning.ttl import (
-    TTL_POLICIES,
-    AdaptiveTTLPolicy,
-    FixedTTLPolicy,
-    make_ttl_policy,
-)
+from repro.provisioning.policies import limit_step_size
 
 __all__ = [
-    "AdaptiveTTLPolicy",
-    "AppliedTransition",
-    "BackgroundMigrator",
-    "ClusterHealthMonitor",
-    "MigrationProgress",
-    "DEFAULT_DELAY_BOUND",
-    "DEFAULT_DELAY_REFERENCE",
-    "DEFAULT_SLOT_SECONDS",
-    "DelayFeedbackController",
-    "FixedTTLPolicy",
-    "HealthSnapshot",
-    "OrderedFleet",
-    "ProvisioningActuator",
-    "ProvisioningSchedule",
-    "ServerSpec",
-    "TTL_POLICIES",
-    "efficiency_order",
     "limit_step_size",
-    "load_proportional_schedule",
-    "make_ttl_policy",
-    "random_order",
-    "run_feedback_loop",
-    "static_schedule",
 ]

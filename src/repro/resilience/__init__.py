@@ -19,9 +19,9 @@ from repro.resilience.admission import (
 from repro.resilience.breaker import BreakerSnapshot, BreakerState, CircuitBreaker
 from repro.resilience.budget import AdaptiveConcurrencyLimiter, RetryBudget
 from repro.resilience.deadline import Deadline
-from repro.resilience.faults import FaultPlan, FaultSchedule, ScheduledFault
+from repro.resilience.faults import FaultPlan, FaultSchedule
 from repro.resilience.policy import ResiliencePolicy
-from repro.resilience.retry import NEVER_RETRY, TRANSIENT_ERRORS, RetryPolicy
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "AdaptiveConcurrencyLimiter",
@@ -33,11 +33,8 @@ __all__ = [
     "Deadline",
     "FaultPlan",
     "FaultSchedule",
-    "NEVER_RETRY",
     "ResiliencePolicy",
     "RetryBudget",
     "RetryPolicy",
-    "ScheduledFault",
-    "TRANSIENT_ERRORS",
     "VirtualQueueAdmission",
 ]

@@ -1,40 +1,1 @@
 """Discrete-event simulation substrate: clock, events, queues, metrics."""
-
-from repro.sim.clock import SimClock
-from repro.sim.events import EventHandle, EventLoop
-from repro.sim.latency import (
-    Constant,
-    Empirical,
-    Exponential,
-    LatencyModel,
-    LogNormal,
-    MultiServerQueue,
-    ServiceQueue,
-    Uniform,
-    mm1_response_time,
-)
-from repro.sim.metrics import (
-    SlottedRecorder,
-    TimeSeries,
-    min_max_ratio,
-    percentile,
-)
-
-__all__ = [
-    "Constant",
-    "Empirical",
-    "EventHandle",
-    "EventLoop",
-    "Exponential",
-    "LatencyModel",
-    "LogNormal",
-    "MultiServerQueue",
-    "ServiceQueue",
-    "SimClock",
-    "SlottedRecorder",
-    "TimeSeries",
-    "Uniform",
-    "min_max_ratio",
-    "mm1_response_time",
-    "percentile",
-]

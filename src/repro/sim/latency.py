@@ -6,21 +6,19 @@ Two building blocks:
   the paper measures (Fig. 9) does not come from the *distribution* of a
   single service time; it comes from **queueing**:
 
-* :class:`ServiceQueue` / :class:`MultiServerQueue` — work-conserving FIFO
-  queues tracked as "busy-until" horizons.  When the Naive scheme remaps
-  ``n/(n+1)`` of keys, the resulting miss storm piles requests onto the
-  database shards, the busy horizon races ahead of arrivals, and the tail
-  latency explodes — exactly the Fig. 9 spike.  The queue abstraction is
-  O(1)/O(log c) per request, so the cluster simulation stays fast.
+* :class:`ServiceQueue` — a work-conserving FIFO queue tracked as a
+  "busy-until" horizon.  When the Naive scheme remaps ``n/(n+1)`` of keys,
+  the resulting miss storm piles requests onto the database shards, the
+  busy horizon races ahead of arrivals, and the tail latency explodes —
+  exactly the Fig. 9 spike.  The queue abstraction is O(1) per request, so
+  the cluster simulation stays fast.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -54,23 +52,6 @@ class Constant(LatencyModel):
         return self.value
 
 
-class Uniform(LatencyModel):
-    """Uniform on ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise ConfigurationError(f"need 0 <= low <= high, got [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-
 class Exponential(LatencyModel):
     """Exponential with the given mean (the classic M/M/1 service)."""
 
@@ -81,46 +62,6 @@ class Exponential(LatencyModel):
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-
-class LogNormal(LatencyModel):
-    """Log-normal with the given mean and sigma (heavy-tailed services)."""
-
-    def __init__(self, mean: float, sigma: float = 0.5) -> None:
-        if mean <= 0:
-            raise ConfigurationError(f"mean must be > 0, got {mean}")
-        if sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
-        self._mean = mean
-        self.sigma = sigma
-        # mean of lognormal = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2
-        self._mu = math.log(mean) - sigma * sigma / 2.0
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self._mu, self.sigma)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-
-class Empirical(LatencyModel):
-    """Resample from observed service times (trace-driven latencies)."""
-
-    def __init__(self, samples: Sequence[float]) -> None:
-        if not samples:
-            raise ConfigurationError("empirical model needs at least one sample")
-        if any(s < 0 for s in samples):
-            raise ConfigurationError("service times must be >= 0")
-        self.samples = list(samples)
-        self._mean = sum(self.samples) / len(self.samples)
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.choice(self.samples)
 
     @property
     def mean(self) -> float:
@@ -172,54 +113,6 @@ class ServiceQueue:
     def reset(self) -> None:
         """Drop all queue state (server restart)."""
         self._busy_until = 0.0
-        self.busy_time = 0.0
-        self.served = 0
-
-
-class MultiServerQueue:
-    """A c-server work-conserving FIFO queue (threads in one web server).
-
-    Maintains a heap of per-worker free times; an arrival is assigned to the
-    earliest-free worker.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._free_at: List[float] = [0.0] * workers
-        heapq.heapify(self._free_at)
-        self.busy_time = 0.0
-        self.served = 0
-
-    def enqueue(self, now: float, service_time: float) -> float:
-        """Admit a request; returns its completion time."""
-        if service_time < 0:
-            raise ConfigurationError(
-                f"service_time must be >= 0, got {service_time}"
-            )
-        earliest = heapq.heappop(self._free_at)
-        start = max(now, earliest)
-        completion = start + service_time
-        heapq.heappush(self._free_at, completion)
-        self.busy_time += service_time
-        self.served += 1
-        return completion
-
-    def delay(self, now: float) -> float:
-        """Queueing delay an arrival at *now* would see before service starts."""
-        return max(0.0, self._free_at[0] - now)
-
-    def utilization(self, elapsed: float) -> float:
-        """Mean per-worker busy fraction over *elapsed* seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (elapsed * self.workers))
-
-    def reset(self) -> None:
-        """Drop all queue state."""
-        self._free_at = [0.0] * self.workers
-        heapq.heapify(self._free_at)
         self.busy_time = 0.0
         self.served = 0
 

@@ -5,8 +5,8 @@ consultation, false-positive classification, dog-pile coalescing,
 :class:`~repro.core.retrieval.FetchPath` accounting — live in the sans-IO
 :class:`~repro.core.retrieval.RetrievalEngine`.  A :class:`WebServer` only
 executes the engine's commands against the simulated substrate: it charges
-latency-model samples and connection-pool costs to a virtual clock and
-performs the cache/database calls the commands name.
+latency-model samples to a virtual clock and performs the cache/database
+calls the commands name.
 
 One :class:`WebServer` drives every replication factor: the cluster's router
 hands the engine each key's read plan (Section III-E's ``r`` replica rings
@@ -31,7 +31,7 @@ from repro.cache.cluster import CacheCluster
 from repro.core.retrieval import (
     CheckDigestMulti,
     Command,
-    FetchPath,  # noqa: F401  (re-exported: ``repro.web.FetchPath``)
+    FetchPath,  # noqa: F401  (tests and benches import it from here)
     FetchResult,
     FetchStats,
     LeaderWindowRegistry,
@@ -47,7 +47,6 @@ from repro.core.transition import RoutingEpochs
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
 from repro.sim.latency import Constant, LatencyModel
-from repro.web.pool import PoolRegistry
 
 #: Default one-way cache operation latency (LAN RTT + memcached service).
 DEFAULT_CACHE_OP_LATENCY = 0.001
@@ -64,7 +63,6 @@ class WebServer:
         database: the authoritative sharded store.
         cache_latency: per-cache-operation latency model.
         web_overhead: per-request servlet processing model.
-        pools: connection-pool registry (accounting; singleton per backend).
         seed: RNG seed for latency sampling.
         coalesce_misses: dog-pile protection (see
             :class:`~repro.core.retrieval.RetrievalConfig`); off by default
@@ -86,7 +84,6 @@ class WebServer:
         database: DatabaseCluster,
         cache_latency: Optional[LatencyModel] = None,
         web_overhead: Optional[LatencyModel] = None,
-        pools: Optional[PoolRegistry] = None,
         seed: int = 0,
         coalesce_misses: bool = False,
         config: Optional[RetrievalConfig] = None,
@@ -99,7 +96,6 @@ class WebServer:
         self.database = database
         self.cache_latency = cache_latency or Constant(DEFAULT_CACHE_OP_LATENCY)
         self.web_overhead = web_overhead or Constant(DEFAULT_WEB_OVERHEAD)
-        self.pools = pools or PoolRegistry()
         self.config = (
             config
             if config is not None
@@ -192,15 +188,11 @@ class WebServer:
         base clock — they run concurrently."""
         if isinstance(command, ProbeCacheMulti):
             server = self.cache.server(command.server_id)
-            pool = self.pools.pool(f"cache:{command.server_id}")
-            clock += pool.acquire()
             asked = clock
             clock = self._cache_op(clock)
             if not server.state.serves_requests:
                 # Crashed/off server: the failed attempt still cost one
-                # round trip; the connection is ejected, not re-pooled, and
-                # the engine degrades around the dead server.
-                pool.discard()
+                # round trip; the engine degrades around the dead server.
                 return SERVER_UNAVAILABLE, clock
             if self.config.load_aware:
                 # The d-choices load score scales with observed latency.
@@ -212,7 +204,6 @@ class WebServer:
                 value = server.get(key, clock)
                 if value is not None:
                     hits[key] = value
-            pool.release()
             return hits, clock
         if isinstance(command, CheckDigestMulti):
             # Local bit tests against the broadcast snapshot — no round
@@ -230,10 +221,7 @@ class WebServer:
                 return False, clock
             return True, leader_done
         if isinstance(command, ReadDatabase):
-            db_pool = self.pools.pool("database")
-            clock += db_pool.acquire()
             response = self.database.get(command.key, clock)
-            db_pool.release()
             clock = response.completion_time
             if self.engine.admission is not None:
                 # The admitted read occupies a virtual queue slot until

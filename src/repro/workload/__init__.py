@@ -1,57 +1,9 @@
 """Workload synthesis: Zipf popularity, diurnal traces, closed-loop users."""
 
-from repro.workload.analysis import (
-    InterarrivalStats,
-    TraceSummary,
-    fit_zipf_alpha,
-    interarrival_stats,
-    rate_envelope,
-    summarize,
-    working_set_sizes,
-)
-from repro.workload.synthetic import (
-    DEFAULT_PAGES_PER_USER,
-    DEFAULT_THINK_TIME,
-    PopulationDelta,
-    SyntheticUser,
-    UserPopulation,
-)
-from repro.workload.trace import (
-    TraceRecord,
-    iter_trace,
-    load_trace,
-    peak_to_valley,
-    save_trace,
-    slot_counts,
-)
-from repro.workload.wikibench import ConversionStats, convert_file, convert_lines
-from repro.workload.wikipedia import diurnal_rate, generate_arrivals, generate_trace
-from repro.workload.zipf import ZipfSampler
+from repro.workload.analysis import summarize
+from repro.workload.trace import slot_counts
 
 __all__ = [
-    "DEFAULT_PAGES_PER_USER",
-    "DEFAULT_THINK_TIME",
-    "PopulationDelta",
-    "SyntheticUser",
-    "ConversionStats",
-    "InterarrivalStats",
-    "TraceRecord",
-    "TraceSummary",
-    "fit_zipf_alpha",
-    "interarrival_stats",
-    "rate_envelope",
-    "summarize",
-    "working_set_sizes",
-    "UserPopulation",
-    "convert_file",
-    "convert_lines",
-    "ZipfSampler",
-    "diurnal_rate",
-    "generate_arrivals",
-    "generate_trace",
-    "iter_trace",
-    "load_trace",
-    "peak_to_valley",
-    "save_trace",
     "slot_counts",
+    "summarize",
 ]

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.cache.eviction import (
-    FIFOPolicy,
-    LRUPolicy,
-    NoEvictionPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.cache.eviction import LRUPolicy, NoEvictionPolicy
 from repro.errors import CapacityError
 
 
@@ -45,65 +39,9 @@ class TestLRU:
             policy.victim()
 
 
-class TestFIFO:
-    def test_victim_is_oldest_insert(self):
-        policy = FIFOPolicy()
-        for key in ("a", "b", "c"):
-            policy.on_link(key)
-        policy.on_access("a")  # access must not refresh FIFO order
-        assert policy.victim() == "a"
-
-    def test_unlink_tolerates_unknown(self):
-        FIFOPolicy().on_unlink("ghost")  # no exception
-
-
-class TestRandom:
-    def test_victim_among_tracked(self):
-        policy = RandomPolicy(seed=1)
-        keys = {f"k{i}" for i in range(10)}
-        for key in keys:
-            policy.on_link(key)
-        assert policy.victim() in keys
-
-    def test_deterministic_with_seed(self):
-        def build():
-            p = RandomPolicy(seed=42)
-            for i in range(10):
-                p.on_link(f"k{i}")
-            return p.victim()
-
-        assert build() == build()
-
-    def test_unlink_swap_remove_preserves_others(self):
-        policy = RandomPolicy(seed=3)
-        for i in range(5):
-            policy.on_link(f"k{i}")
-        policy.on_unlink("k2")
-        for _ in range(20):
-            assert policy.victim() != "k2"
-
-    def test_empty_raises(self):
-        with pytest.raises(CapacityError):
-            RandomPolicy().victim()
-
-
 class TestNoEviction:
     def test_always_refuses(self):
         policy = NoEvictionPolicy()
         policy.on_link("a")
         with pytest.raises(CapacityError):
             policy.victim()
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [("lru", LRUPolicy), ("fifo", FIFOPolicy), ("random", RandomPolicy),
-         ("none", NoEvictionPolicy), ("LRU", LRUPolicy)],
-    )
-    def test_known_names(self, name, cls):
-        assert isinstance(make_policy(name), cls)
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            make_policy("arc")

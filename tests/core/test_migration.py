@@ -8,12 +8,9 @@ from repro.core.migration import (
     empirical_remap_fraction,
     migration_lower_bound,
     naive_remap_fraction,
-    plan_migration,
-    remap_matrix,
 )
 from repro.core.router import NaiveRouter, ProteusRouter
 from repro.errors import ConfigurationError
-from tests.conftest import make_keys
 
 
 class TestLowerBound:
@@ -67,47 +64,3 @@ class TestProteusMeetsBound:
         bound = float(migration_lower_bound(10, 9))
         measured = empirical_remap_fraction(router, 10, 9, num_samples=4000)
         assert measured > 5 * bound
-
-
-class TestMigrationPlan:
-    def test_plan_partitions_keys(self):
-        router = ProteusRouter(6)
-        keys = make_keys(1000)
-        plan = plan_migration(router, keys, 6, 5)
-        assert plan.moved + plan.stationary == len(keys)
-
-    def test_scale_down_sources_are_the_drained_server(self):
-        router = ProteusRouter(6)
-        plan = plan_migration(router, make_keys(2000), 6, 5)
-        assert plan.sources() == [5]
-        assert set(plan.destinations()) == set(range(5))
-
-    def test_scale_up_destinations_are_the_new_server(self):
-        router = ProteusRouter(6)
-        plan = plan_migration(router, make_keys(2000), 5, 6)
-        assert plan.destinations() == [5]
-        assert set(plan.sources()) <= set(range(5))
-
-    def test_remap_fraction_property(self):
-        router = ProteusRouter(4)
-        plan = plan_migration(router, make_keys(4000), 4, 3)
-        assert plan.remap_fraction == pytest.approx(0.25, abs=0.03)
-
-    def test_empty_keys(self):
-        plan = plan_migration(ProteusRouter(3), [], 3, 2)
-        assert plan.moved == 0
-        assert plan.remap_fraction == 0.0
-
-
-class TestRemapMatrix:
-    def test_shape_and_edges(self):
-        matrix = remap_matrix(ProteusRouter(5), 5, num_samples=500)
-        assert len(matrix) == 5
-        assert matrix[4][0] == 0.0  # no n=5 -> 6
-        assert matrix[0][1] == 0.0  # no n=1 -> 0
-
-    def test_values_near_bound(self):
-        matrix = remap_matrix(ProteusRouter(5), 5, num_samples=3000)
-        for n in range(1, 5):
-            up = matrix[n - 1][0]
-            assert up == pytest.approx(1 / (n + 1), abs=0.03)

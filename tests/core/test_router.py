@@ -11,7 +11,6 @@ from repro.core.router import (
     ProteusRouter,
     StaticRouter,
     make_router,
-    scenario_routers,
 )
 from repro.errors import ConfigurationError, RoutingError
 from tests.conftest import make_keys
@@ -172,9 +171,3 @@ class TestFactory:
             make_router("mystery", 4)
         with pytest.raises(ConfigurationError):
             make_router("consistent", 4, variant="cubic")
-
-    def test_scenario_routers_order(self):
-        routers = scenario_routers(4)
-        assert [r.name for r in routers] == [
-            "Static", "Naive", "Consistent", "Proteus",
-        ]

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
-from repro.experiments.hitratio import (
-    sharded_hit_ratio,
-    simulate_hit_ratio,
-    sweep_cache_sizes,
-)
+from repro.experiments.hitratio import simulate_hit_ratio, sweep_cache_sizes
 from repro.workload.wikipedia import generate_trace
 
 
@@ -50,28 +45,8 @@ class TestSimulateHitRatio:
         # Excluding the cold start can only help (or tie).
         assert with_warmup.hit_ratio >= without.hit_ratio - 0.01
 
-    def test_eviction_policy_selectable(self, trace):
-        lru = simulate_hit_ratio(trace, 4096 * 200, eviction="lru")
-        fifo = simulate_hit_ratio(trace, 4096 * 200, eviction="fifo")
-        # LRU should not lose to FIFO by much on a Zipf trace.
-        assert lru.hit_ratio >= fifo.hit_ratio - 0.05
-
     def test_validation(self, trace):
         with pytest.raises(ConfigurationError):
             simulate_hit_ratio([], 4096)
         with pytest.raises(ConfigurationError):
             simulate_hit_ratio(trace, 4096, warmup_fraction=1.0)
-
-
-class TestShardedComposition:
-    def test_routed_cluster_tracks_single_cache_at_same_total(self, trace):
-        total = 4096 * 900
-        single = simulate_hit_ratio(trace, total, warmup_fraction=0.0)
-        sharded = sharded_hit_ratio(
-            trace, ProteusRouter(3), num_active=3,
-            capacity_bytes_per_server=total // 3,
-        )
-        assert sharded == pytest.approx(single.hit_ratio, abs=0.06)
-
-    def test_empty_trace(self):
-        assert sharded_hit_ratio([], ProteusRouter(2), 2, 4096) == 0.0

@@ -8,6 +8,7 @@ from repro.bloom.config import optimal_config
 from repro.errors import ProtocolError
 from repro.net import protocol as proto
 from repro.net.client import MemcachedClient
+from repro.net.parser import StatsReply
 from repro.net.server import MemcachedServer
 
 CFG = optimal_config(2000)
@@ -217,21 +218,6 @@ class TestTouch:
 
         run(with_server(body, capacity_bytes=400))
 
-    def test_touch_on_slab_store_retimes_the_item(self):
-        async def body(server, client):
-            fake = {"t": 0.0}
-            server._clock = lambda: fake["t"]
-            await client.set("k", b"v", exptime=5)
-            assert await client.touch("k", 100)
-            fake["t"] = 50.0
-            assert await client.get("k") == b"v"
-            assert await client.touch("k", 1)
-            fake["t"] = 52.0
-            assert not await client.touch("k", 10)   # already expired
-            assert await client.get("k") is None
-
-        run(with_server(body, capacity_bytes=1 << 20, use_slabs=True))
-
 
 class TestCasBookkeeping:
     def test_cas_map_never_outgrows_the_store(self):
@@ -264,6 +250,18 @@ class TestCasBookkeeping:
             fake["t"] = 6.0
             assert await client.get("k") is None
             assert server._cas == {}
+
+        run(with_server(body))
+
+
+class TestStatsSlabs:
+    def test_stats_slabs_empty_on_plain_backend(self):
+        async def body(server, client):
+            stats = await client.execute(b"stats slabs\r\n", StatsReply())
+            assert stats == {}
+            # a bare END, and the stream is still framed for the next command
+            await client.set("k", b"v")
+            assert await client.get("k") == b"v"
 
         run(with_server(body))
 

@@ -1,55 +1,9 @@
-"""Property-based tests for migration plans and provisioning schedules."""
+"""Property-based tests for provisioning schedules."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.migration import migration_lower_bound, plan_migration
-from repro.core.router import ProteusRouter
 from repro.provisioning.policies import ProvisioningSchedule, limit_step_size
-
-ROUTER = ProteusRouter(8, ring_size=2 ** 24)  # shared: placement is pure
-
-
-@given(
-    n_old=st.integers(min_value=1, max_value=8),
-    n_new=st.integers(min_value=1, max_value=8),
-    num_keys=st.integers(min_value=0, max_value=120),
-)
-@settings(max_examples=60, deadline=None)
-def test_migration_plan_invariants(n_old, n_new, num_keys):
-    keys = [f"prop:{i}" for i in range(num_keys)]
-    plan = plan_migration(ROUTER, keys, n_old, n_new)
-    # Conservation: every key is either stationary or in exactly one move
-    # bucket.
-    assert plan.moved + plan.stationary == num_keys
-    for (src, dst), bucket in plan.moves.items():
-        assert src != dst
-        assert bucket  # no empty buckets
-        # Every recorded move matches the router's own answers.
-        for key in bucket:
-            assert ROUTER.route(key, n_old) == src
-            assert ROUTER.route(key, n_new) == dst
-    if n_old == n_new:
-        assert plan.moved == 0
-    # Scale-down: sources only among powered-off servers; scale-up:
-    # destinations only among powered-on ones.
-    if n_new < n_old:
-        assert all(src >= n_new for src in plan.sources())
-    elif n_new > n_old:
-        assert all(dst >= n_old for dst in plan.destinations())
-
-
-@given(
-    n_old=st.integers(min_value=1, max_value=8),
-    n_new=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_plan_fraction_respects_lower_bound_asymptotically(n_old, n_new):
-    keys = [f"frac:{i}" for i in range(1500)]
-    plan = plan_migration(ROUTER, keys, n_old, n_new)
-    bound = float(migration_lower_bound(n_old, n_new))
-    # Proteus moves the bound's fraction, within sampling noise.
-    assert abs(plan.remap_fraction - bound) < 0.05
 
 
 @given(

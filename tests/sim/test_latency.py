@@ -8,12 +8,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.latency import (
     Constant,
-    Empirical,
     Exponential,
-    LogNormal,
-    MultiServerQueue,
     ServiceQueue,
-    Uniform,
     mm1_response_time,
 )
 
@@ -29,40 +25,16 @@ class TestModels:
         assert model.sample(rng) == 0.05
         assert model.mean == 0.05
 
-    def test_uniform_bounds_and_mean(self, rng):
-        model = Uniform(0.01, 0.03)
-        samples = [model.sample(rng) for _ in range(2000)]
-        assert all(0.01 <= s <= 0.03 for s in samples)
-        assert sum(samples) / len(samples) == pytest.approx(model.mean, rel=0.05)
-
     def test_exponential_mean(self, rng):
         model = Exponential(0.05)
         samples = [model.sample(rng) for _ in range(20_000)]
         assert sum(samples) / len(samples) == pytest.approx(0.05, rel=0.05)
 
-    def test_lognormal_mean(self, rng):
-        model = LogNormal(0.1, sigma=0.6)
-        samples = [model.sample(rng) for _ in range(50_000)]
-        assert sum(samples) / len(samples) == pytest.approx(0.1, rel=0.05)
-
-    def test_empirical_resamples_observed(self, rng):
-        model = Empirical([0.1, 0.2, 0.3])
-        assert model.mean == pytest.approx(0.2)
-        assert all(model.sample(rng) in (0.1, 0.2, 0.3) for _ in range(100))
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Constant(-1.0)
         with pytest.raises(ConfigurationError):
-            Uniform(0.5, 0.1)
-        with pytest.raises(ConfigurationError):
             Exponential(0.0)
-        with pytest.raises(ConfigurationError):
-            LogNormal(0.0)
-        with pytest.raises(ConfigurationError):
-            Empirical([])
-        with pytest.raises(ConfigurationError):
-            Empirical([-0.1])
 
 
 class TestServiceQueue:
@@ -111,36 +83,6 @@ class TestServiceQueue:
         measured = sum(responses) / len(responses)
         predicted = mm1_response_time(arrival_rate, 1.0)
         assert measured == pytest.approx(predicted, rel=0.08)
-
-
-class TestMultiServerQueue:
-    def test_parallel_service(self):
-        queue = MultiServerQueue(2)
-        assert queue.enqueue(0.0, 1.0) == 1.0
-        assert queue.enqueue(0.0, 1.0) == 1.0  # second worker
-        assert queue.enqueue(0.0, 1.0) == 2.0  # queues behind earliest
-
-    def test_delay(self):
-        queue = MultiServerQueue(2)
-        queue.enqueue(0.0, 1.0)
-        assert queue.delay(0.0) == 0.0  # a worker is still free
-        queue.enqueue(0.0, 2.0)
-        assert queue.delay(0.0) == 1.0
-
-    def test_utilization_per_worker(self):
-        queue = MultiServerQueue(2)
-        queue.enqueue(0.0, 2.0)
-        assert queue.utilization(2.0) == 0.5
-
-    def test_reset(self):
-        queue = MultiServerQueue(3)
-        queue.enqueue(0.0, 9.0)
-        queue.reset()
-        assert queue.delay(0.0) == 0.0
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigurationError):
-            MultiServerQueue(0)
 
 
 class TestMM1Formula:

@@ -15,11 +15,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
     "core/retrieval.py": 875,
-    "web/frontend.py": 300,
+    "web/frontend.py": 275,
     "net/webtier.py": 725,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 17_800
+TREE_CEILING = 15_975
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

@@ -1,10 +1,17 @@
 """Tests for the replicated read/write path (Section III-E operational):
 the one :class:`WebServer` over a router with ``replicas`` rings."""
 
+import pytest
+
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.cache.server import PowerState
-from repro.core.retrieval import FetchPath, RetrievalConfig
+from repro.core.retrieval import (
+    SERVER_UNAVAILABLE,
+    FetchPath,
+    ProbeCacheMulti,
+    RetrievalConfig,
+)
 from repro.core.ring import ProteusBackend
 from repro.core.router import RingRouter
 from repro.database.cluster import DatabaseCluster
@@ -103,6 +110,25 @@ class TestReadsAndFailover:
         # of server-0 keys, i.e. a few percent overall).
         assert db_fallback < len(keys) * 0.1
         assert db.total_requests() - db_before == db_fallback
+
+    def test_crashed_probe_then_healthy_probe_costs_two_cache_samples(self):
+        cache, db, _ = build(replicas=2)
+        key = next(
+            k for k in (f"page:{i}" for i in range(100))
+            if len(owners(cache, k)) == 2
+        )
+        dead, alive = owners(cache, key)
+        cache.server(alive).set(key, b"v", now=0.0)
+        cache.fail_server(dead, now=0.0)
+        # A web server that has never talked to either owner: the virtual
+        # clock is charged the two round trips and nothing else.
+        web = WebServer(1, cache, db, cache_latency=Constant(0.003))
+        epochs = cache.routing_epochs(1.0)
+        answer, clock = web._execute(ProbeCacheMulti(dead, (key,)), epochs, 1.0)
+        assert answer is SERVER_UNAVAILABLE
+        answer, clock = web._execute(ProbeCacheMulti(alive, (key,)), epochs, clock)
+        assert answer == {key: b"v"}
+        assert clock == pytest.approx(1.0 + 2 * 0.003, abs=1e-12)
 
     def test_without_replication_every_crashed_key_hits_db(self):
         cache, db, web = build(replicas=1)
