@@ -45,7 +45,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
@@ -55,7 +57,7 @@ from repro.experiments.autopilot import (  # noqa: E402
 )
 from repro.resilience import FaultPlan, FaultSchedule  # noqa: E402
 
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_autopilot.json"
+JSON_PATH = REPO_ROOT / "BENCH_autopilot.json"
 
 #: one compressed diurnal day (Fig. 4 envelope): peak -> valley -> peak.
 DAY_USERS = [60, 48, 40, 32, 26, 24, 24, 24, 24, 24, 26, 32, 40, 48, 56, 60]

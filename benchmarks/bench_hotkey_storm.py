@@ -31,7 +31,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT))
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
@@ -46,7 +48,7 @@ from repro.sim.latency import Constant  # noqa: E402
 from repro.web.frontend import WebServer  # noqa: E402
 from repro.workload.zipf import ZipfSampler  # noqa: E402
 
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_hotkey.json"
+JSON_PATH = REPO_ROOT / "BENCH_hotkey.json"
 
 NUM_SERVERS = 6
 ACTIVE_AFTER = 4          # the mid-storm smooth scale-down target

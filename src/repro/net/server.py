@@ -5,7 +5,9 @@ TCP server speaking the classic text protocol whose item link/unlink events
 keep a counting Bloom filter consistent with the store, with the reserved
 keys ``SET_BLOOM_FILTER`` (snapshot) and ``BLOOM_FILTER`` (fetch snapshot as
 normal data).  The store and digest are the *same* classes the simulation
-uses — only time comes from the wall clock here.
+uses — only time comes from the wall clock here.  Each connection is an
+:class:`asyncio.Protocol` (:class:`ServerConnection`): a request costs one
+loop iteration — no task, no future, no ``drain`` to await.
 
 Example::
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.cache.eviction import LRUPolicy
@@ -30,10 +32,6 @@ from repro.bloom.counting import CountingBloomFilter
 from repro.errors import CapacityError, ConfigurationError
 from repro.net import protocol as proto
 from repro.net.parser import BadCommand, CommandParser
-
-#: per-connection read size; big enough that a pipelined burst of
-#: commands lands in one read and its replies go out in one write
-READ_CHUNK = 65536
 
 
 class MemcachedServer:
@@ -53,14 +51,15 @@ class MemcachedServer:
             are *shed*: answered ``SERVER_ERROR busy`` without being
             dispatched, so an overload burst costs one error line each
             instead of queue growth.
-        max_conn_inflight: per-connection watermark — a connection whose
-            single read chunk carries more commands than this has its
-            reads paused (``transport.pause_reading()``) until the
-            replies drain, bounding per-connection pipeline memory.
+        max_conn_inflight: per-connection watermark — a read chunk
+            carrying more commands than this is counted in
+            ``paused_reads``: the bursts likeliest to overrun the write
+            buffer, which is what pauses a connection's reads.
         write_high_water: per-connection write-buffer high watermark in
             bytes (``None`` = asyncio default).  A slow-reading client
-            then blocks ``drain()`` early, which holds its commands
-            in-flight and lets the global cap shed around it.
+            crosses it early; until its buffer drains the connection's
+            reads are paused and the commands it was answered stay
+            in-flight, so the global cap sheds around it.
     """
 
     def __init__(
@@ -107,7 +106,9 @@ class MemcachedServer:
         self.store.unlink_hooks.append(self._on_unlink)
         self._snapshot: Optional[bytes] = None
         self._server: Optional[asyncio.base_events.Server] = None
+        #: connections accepted since construction / those still open
         self.connections = 0
+        self._open: Set[ServerConnection] = set()
         # cas bookkeeping: every successful store bumps the key's unique id;
         # the id goes when the item does (_on_unlink), so the map never
         # outgrows the store.
@@ -132,7 +133,9 @@ class MemcachedServer:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Begin serving; returns the bound port."""
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: ServerConnection(self), host, port
+        )
         return self.port
 
     @property
@@ -143,116 +146,16 @@ class MemcachedServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting and close the listener."""
+        """Power off: close the listener and drop every open connection
+        (unsent replies die with them, as on a node that lost power)."""
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    # ------------------------------------------------------------- serving
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one connection with chunked reads and batched replies.
-
-        Commands are framed by the incremental
-        :class:`~repro.net.parser.CommandParser` — a pipelined burst
-        arriving in one TCP segment is parsed, dispatched, and answered
-        with **one** write, so a client pipelining *k* commands pays ~one
-        syscall round trip instead of *k* (the server half of the
-        pipelined transport).
-
-        Backpressure: each accepted command counts against the global
-        ``max_inflight`` from dispatch until its chunk's replies have
-        drained — a slow-reading client therefore holds its commands
-        in-flight and the excess offered load is shed with
-        ``SERVER_ERROR busy`` instead of queued.  A chunk carrying more
-        than ``max_conn_inflight`` commands additionally pauses that
-        connection's reads until the replies drain (the per-connection
-        watermark).
-        """
-        self.connections += 1
-        transport = writer.transport
-        if self.nodelay:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                try:
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:  # pragma: no cover - non-TCP transports
-                    pass
-        if self.write_high_water is not None:
-            transport.set_write_buffer_limits(high=self.write_high_water)
-        parser = CommandParser()
-        out = bytearray()
-        try:
-            closing = False
-            while not closing:
-                data = await reader.read(READ_CHUNK)
-                if not data:
-                    break
-                accepted = 0
-                for item in parser.feed(data):
-                    if isinstance(item, BadCommand):
-                        out += proto.client_error_response(item.message)
-                        if item.fatal:
-                            # The stream is desynchronized past a bad
-                            # data block; reply and drop the connection,
-                            # as memcached does.
-                            closing = True
-                            break
-                        continue
-                    if item.command == "quit":
-                        closing = True
-                        break
-                    if (
-                        self.max_inflight is not None
-                        and self.inflight >= self.max_inflight
-                    ):
-                        # Shed: a well-formed error line in the command's
-                        # reply slot — the stream stays framed, and the
-                        # command is never dispatched.
-                        self.shed_commands += 1
-                        if not item.noreply:
-                            out += proto.busy_response(
-                                f"inflight limit {self.max_inflight}"
-                            )
-                        continue
-                    self.inflight += 1
-                    accepted += 1
-                    response = self._dispatch(item)
-                    if response and not item.noreply:
-                        out += response
-                paused = False
-                if (
-                    self.max_conn_inflight is not None
-                    and accepted > self.max_conn_inflight
-                ):
-                    try:
-                        transport.pause_reading()
-                        paused = True
-                        self.paused_reads += 1
-                    except RuntimeError:  # pragma: no cover - closing race
-                        pass
-                try:
-                    if out:
-                        writer.write(bytes(out))
-                        out.clear()
-                        await writer.drain()
-                finally:
-                    self.inflight -= accepted
-                    if paused:
-                        try:
-                            transport.resume_reading()
-                        except RuntimeError:  # pragma: no cover
-                            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # Teardown races (peer gone, loop shutting down) are benign.
-                pass
+            listener, self._server = self._server, None
+            listener.close()
+            for connection in list(self._open):
+                connection.transport.abort()
+            await listener.wait_closed()
+            while self._open:  # until every connection_lost has run
+                await asyncio.sleep(0)
 
     # ------------------------------------------------------------ commands
 
@@ -432,11 +335,119 @@ class MemcachedServer:
             "digest_keys": self.digest.count,
             "digest_overflows": self.digest.overflow_events,
             "digest_bytes": self.digest.size_bytes(),
-            "curr_connections": self.connections,
+            "curr_connections": len(self._open),
+            "total_connections": self.connections,
             "inflight_commands": self.inflight,
             "shed_commands": self.shed_commands,
             "paused_reads": self.paused_reads,
         }
+
+
+class ServerConnection(asyncio.Protocol):
+    """One client connection: a chunk in, at most one write out.
+
+    ``data_received`` frames the chunk with the incremental
+    :class:`~repro.net.parser.CommandParser`, sheds or dispatches each
+    command and answers the whole pipelined burst with **one**
+    ``transport.write`` before it returns.
+
+    Backpressure: each accepted command counts against the server's
+    ``max_inflight`` from dispatch until its chunk's replies have drained.
+    They normally drain inside the write; when they do not (the
+    transport calls :meth:`pause_writing`: buffer over
+    ``write_high_water``) the connection stops reading and keeps its
+    answered commands in-flight until :meth:`resume_writing` or
+    :meth:`connection_lost` — a client that does not read its replies
+    cannot grow the buffer, and the excess offered load is shed with
+    ``SERVER_ERROR busy`` instead of queued.
+    """
+
+    def __init__(self, server: MemcachedServer) -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.parser = CommandParser()
+        #: commands answered but still counted in ``server.inflight``
+        self.held = 0
+        self.write_paused = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        server = self.server
+        if server._server is None:  # accepted while stop() was running
+            transport.abort()
+            return
+        self.transport = transport
+        server.connections += 1
+        server._open.add(self)
+        if server.nodelay:
+            sock = transport.get_extra_info("socket")
+            if sock is not None:
+                try:
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                except OSError:  # pragma: no cover - non-TCP transports
+                    pass
+        if server.write_high_water is not None:
+            transport.set_write_buffer_limits(high=server.write_high_water)
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        cap = server.max_inflight
+        held = self.held
+        out: List[bytes] = []
+        closing = False
+        for item in self.parser.feed(data):
+            if isinstance(item, BadCommand):
+                out.append(proto.client_error_response(item.message))
+                if item.fatal:
+                    # The stream is desynchronized past a bad data block;
+                    # reply and drop the connection, as memcached does.
+                    closing = True
+                    break
+                continue
+            if item.command == "quit":
+                closing = True
+                break
+            if cap is not None and server.inflight >= cap:
+                # Shed: a well-formed error line in the command's reply
+                # slot — the stream stays framed, nothing is dispatched.
+                server.shed_commands += 1
+                if not item.noreply:
+                    out.append(proto.busy_response(f"inflight limit {cap}"))
+                continue
+            # Counted here as well, so every way out of the connection —
+            # a dispatch that raises included — gives the command back.
+            server.inflight += 1
+            self.held += 1
+            response = server._dispatch(item)
+            if response and not item.noreply:
+                out.append(response)
+        if (
+            server.max_conn_inflight is not None
+            and self.held - held > server.max_conn_inflight
+        ):
+            server.paused_reads += 1
+        if out:
+            self.transport.write(b"".join(out))
+        if not self.write_paused:
+            self._release()
+        if closing:
+            self.transport.close()
+
+    def _release(self) -> None:
+        self.server.inflight -= self.held
+        self.held = 0
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._release()
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._open.discard(self)
+        self._release()
 
 
 def main(argv: Optional[list] = None) -> None:  # pragma: no cover - CLI

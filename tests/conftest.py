@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -9,6 +10,16 @@ import pytest
 from repro.core.router import ProteusRouter
 from repro.provisioning.policies import ProvisioningSchedule
 from repro.workload.trace import TraceRecord
+
+
+async def until(condition) -> None:
+    """Poll *condition* (bounded, ~1 ms apart) until it holds — for state
+    that changes on the far side of a real socket."""
+    for _ in range(5000):
+        if condition():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("condition never became true")
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ to retry (shed replies must not amplify into retry storms).
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.net.client import MemcachedClient
 from repro.net.parser import ErrorLine
 from repro.net.server import MemcachedServer
 from repro.resilience import RetryPolicy
+from tests.conftest import until
 
 CFG = optimal_config(500)
 
@@ -120,6 +122,55 @@ class TestPerConnectionWatermark:
             assert server.shed_commands == 0
 
         run(with_raw_server(body, max_conn_inflight=2))
+
+
+class TestSlowReader:
+    """The ``write_high_water`` contract over a real socket: a client that
+    does not read its replies is paused, not buffered for, and the global
+    cap sheds around it (``tests/net/test_server_connection.py`` drives
+    the same callbacks by hand)."""
+
+    REQUESTS = 24
+    VALUE = b"x" * (256 * 1024)  # 6 MiB of replies: more than loopback's
+    # kernel buffers absorb, so the server's own write buffer must fill
+
+    def test_unread_replies_hold_inflight_until_the_client_reads(self):
+        async def body(server, reader, writer):
+            server.store.set("big", self.VALUE, now=0.0, size=len(self.VALUE))
+            # Pin the receive buffer, or the kernel grows it to fit.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024
+            )
+            writer.write(b"get big\r\n" * self.REQUESTS)
+            await until(lambda: server.inflight == self.REQUESTS)
+            (connection,) = server._open
+            assert connection.write_paused
+            async with MemcachedClient("127.0.0.1", server.port) as other:
+                with pytest.raises(ServerBusyError):
+                    await other.get("big")
+                reply = len(proto.value_response("big", 0, self.VALUE)) + 5
+                await reader.readexactly(reply * self.REQUESTS)
+                await until(lambda: server.inflight == 0)
+                assert not connection.write_paused
+                assert await other.get("big") == self.VALUE
+
+        run(with_raw_server(
+            body, max_inflight=self.REQUESTS, write_high_water=64 * 1024
+        ))
+
+
+class TestInflightAlwaysReturns:
+    def test_a_dispatch_that_raises_drops_the_connection_not_the_count(self):
+        async def body(server, reader, writer):
+            # ``append`` past the store's capacity raises out of dispatch.
+            writer.write(b"set k 0 0 50\r\n" + b"x" * 50 + b"\r\n")
+            assert await reader.readline() == b"STORED\r\n"
+            writer.write(b"append k 0 0 80\r\n" + b"y" * 80 + b"\r\n")
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            assert server.inflight == 0
+            assert server._stats_dict()["curr_connections"] == 0
+
+        run(with_raw_server(body, capacity_bytes=100, max_inflight=4))
 
 
 class _BusyServer:

@@ -1,17 +1,19 @@
 """The healthy cache RPC's loop shape, and what replaced the wrappers.
 
 A 1-key page is one cache RPC, and a healthy RPC needs one reply future,
-one coalesced flush and one wake-up — under every shipped policy.  The
-first half of this file is the gate that keeps it so: a counting event
-loop around a warm frontend, deterministic handle counts, no clocks.
-The second half pins what the removed ``wait_for(shield(...))`` used to
-guarantee and the one per-connection timer now does: cancellation drops
-the late reply without mispairing, and the timer dies with the
-connection.
+one coalesced flush and one wake-up — under every shipped policy — and
+on the server one loop iteration with no handle, task or future at all.
+The first half of this file is the gate that keeps it so: a counting
+event loop around a warm frontend, then around a warm server,
+deterministic handle counts, no clocks.  The second half pins what the
+removed ``wait_for(shield(...))`` used to guarantee and the one
+per-connection timer now does: cancellation drops the late reply without
+mispairing, and the timer dies with the connection.
 """
 
 import asyncio
 import gc
+import socket
 import threading
 
 import pytest
@@ -22,6 +24,7 @@ from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
 from repro.resilience import ResiliencePolicy
+from tests.conftest import until
 
 BLOOM = optimal_config(1000)
 
@@ -44,12 +47,14 @@ POLICIES = {
 
 
 class CountingLoop(asyncio.SelectorEventLoop):
-    """Counts the handles and tasks created while ``counting`` is on."""
+    """Counts the handles, tasks and futures created, and the loop
+    iterations begun, while ``counting`` is on."""
 
     def __init__(self):
         super().__init__()
         self.counting = False
         self.soon = self.timers = self.tasks = 0
+        self.futures = self.iterations = 0
 
     def call_soon(self, callback, *args, context=None):
         self.soon += self.counting
@@ -63,8 +68,17 @@ class CountingLoop(asyncio.SelectorEventLoop):
         self.tasks += self.counting
         return super().create_task(coro, **kwargs)
 
+    def create_future(self):
+        self.futures += self.counting
+        return super().create_future()
+
+    def _run_once(self):
+        self.iterations += self.counting
+        super()._run_once()
+
     def count(self):
         self.soon = self.timers = self.tasks = 0
+        self.futures = self.iterations = 0
         self.counting = True
 
     def stop_counting(self):
@@ -157,6 +171,72 @@ class TestLoopShape:
         assert soon == per_page * pages  # + gather's own wake-up
 
 
+def raw_requests(port, requests):
+    """Blocking socket client (runs on a thread): warm ``k``, then
+    *requests* lock-step ``get k`` between two ``version`` commands that
+    open and close the server loop's counting window in-band."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+
+        def rpc(command, reply):
+            sock.sendall(command)
+            got = b""
+            while len(got) < len(reply):
+                chunk = sock.recv(4096)
+                assert chunk, "server closed the connection"
+                got += chunk
+            assert got == reply
+
+        hit = b"VALUE k 0 1\r\nv\r\nEND\r\n"
+        rpc(b"set k 0 0 1\r\nv\r\n", b"STORED\r\n")
+        for _ in range(3):
+            rpc(b"get k\r\n", hit)
+        version = b"VERSION proteus-repro 1.0.0\r\n"
+        rpc(b"version\r\n", version)  # opens the window
+        for _ in range(requests):
+            rpc(b"get k\r\n", hit)
+        rpc(b"version\r\n", version)  # closes it
+
+
+class TestServerLoopShape:
+    REQUESTS = 200
+
+    def test_a_request_is_one_loop_iteration_and_nothing_else(self):
+        loop = CountingLoop()
+        server = MemcachedServer(bloom_config=BLOOM)
+        dispatch = server._dispatch
+
+        def marking_dispatch(request):
+            # Runs on the loop, inside the request's own iteration, so
+            # the window's edges cannot race the client thread.
+            if request.command == "version":
+                if loop.counting:
+                    loop.stop_counting()
+                else:
+                    loop.count()
+            return dispatch(request)
+
+        server._dispatch = marking_dispatch
+
+        async def body():
+            port = await server.start()
+            try:
+                await loop.run_in_executor(
+                    None, raw_requests, port, self.REQUESTS
+                )
+            finally:
+                await server.stop()
+
+        try:
+            loop.run_until_complete(body())
+        finally:
+            loop.close()
+        assert (loop.soon, loop.timers, loop.tasks) == (0, 0, 0)
+        assert loop.futures == 0
+        # + the iteration of the ``version`` that closed the window
+        assert loop.iterations == self.REQUESTS + 1
+        assert server.inflight == 0
+
+
 class GatedServer:
     """Answers every ``get <key>`` with a hit whose value names the key,
     but only once :attr:`gate` is set — replies held, order kept."""
@@ -197,14 +277,6 @@ class GatedServer:
         await self._server.wait_closed()
 
 
-async def _until(condition):
-    for _ in range(2000):
-        if condition():
-            return
-        await asyncio.sleep(0.001)
-    raise AssertionError("condition never became true")
-
-
 class TestCancellationWithoutShield:
     @pytest.mark.parametrize("name", ["default", "aggressive"])
     def test_cancelled_fetch_drops_its_late_reply(self, name):
@@ -219,7 +291,7 @@ class TestCancellationWithoutShield:
                 pool = frontend.pools[0]
                 client = await pool.prewarm()
                 doomed = asyncio.ensure_future(frontend.fetch_many(["a"]))
-                await _until(lambda: server.lines == 1)
+                await until(lambda: server.lines == 1)
                 reply = client._protocol.pending[0]
                 doomed.cancel()
                 with pytest.raises(asyncio.CancelledError):
@@ -231,7 +303,7 @@ class TestCancellationWithoutShield:
                 assert pool.leases == 0
                 assert not client.broken
                 following = asyncio.ensure_future(frontend.fetch_many(["b"]))
-                await _until(lambda: client.inflight == 2)
+                await until(lambda: client.inflight == 2)
                 server.gate.set()
                 results = await following
                 assert results["b"].value == b"value-of-b"  # never a's
@@ -249,7 +321,7 @@ class TestCancellationWithoutShield:
             port = await server.start()
             client = await MemcachedClient("127.0.0.1", port).connect()
             burst = asyncio.ensure_future(client.get_many(["a", "b", "c"]))
-            await _until(lambda: server.lines == 1)
+            await until(lambda: server.lines == 1)
             burst.cancel()
             try:
                 # Promptly — the server is still silent, so a cancel that
@@ -282,7 +354,7 @@ class TestTimerLifetime:
             ).connect()
             protocol = client._protocol
             queued = asyncio.ensure_future(client.get("a"))
-            await _until(lambda: server.lines == 1)
+            await until(lambda: server.lines == 1)
             timer = protocol._timer
             assert timer is not None and len(protocol.due) == 1
             await client.close()
@@ -314,7 +386,7 @@ class TestTimerLifetime:
             assert await client.get("a") == b"value-of-a"
             first = protocol._timer
             assert first is not None and not protocol.due
-            await _until(lambda: protocol._timer is None)  # fired idle
+            await until(lambda: protocol._timer is None)  # fired idle
             assert not client.broken
             assert await client.get("b") == b"value-of-b"
             assert protocol._timer is not None

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.bloom.config import optimal_config
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, TransportError
 from repro.net.client import MemcachedClient
 from repro.net.parser import LineReply
 from repro.net.server import MemcachedServer
@@ -197,6 +197,29 @@ class TestConcurrency:
         client = MemcachedClient("127.0.0.1", 1)
         with pytest.raises(ProtocolError):
             run(client.get("x"))
+
+
+class TestStop:
+    """A stopped node is powered off: it answers nobody."""
+
+    def test_stop_drops_connections_made_before_it(self):
+        async def body():
+            server = MemcachedServer(bloom_config=CFG)
+            port = await server.start()
+            client = await MemcachedClient("127.0.0.1", port).connect()
+            try:
+                await client.set("k", b"v")
+                await server.stop()
+                assert server.inflight == 0
+                assert server._stats_dict()["curr_connections"] == 0
+                # The dropped connection, then the refused redial.
+                for _ in range(2):
+                    with pytest.raises((TransportError, ConnectionError)):
+                        await asyncio.wait_for(client.get("k"), 5)
+            finally:
+                await client.close()
+
+        run(body())
 
 
 class TestMalformedDataBlock:

@@ -1,0 +1,212 @@
+"""The server's per-connection protocol, driven by hand.
+
+:class:`~repro.net.server.ServerConnection` is an ``asyncio.Protocol``, so
+its whole contract — one write per received chunk, ``quit``, the fatal
+``CLIENT_ERROR``, ``noreply``, and flow control by ``pause_writing`` /
+``resume_writing`` — can be exercised against a recording transport: the
+server listens (a stopped node refuses connections) but nothing dials it,
+and nothing sleeps.
+"""
+
+import asyncio
+
+from repro.bloom.config import optimal_config
+from repro.net import protocol as proto
+from repro.net.server import MemcachedServer, ServerConnection
+
+CFG = optimal_config(500)
+HIT = b"VALUE k 0 1\r\nv\r\nEND\r\n"
+
+
+class RecordingTransport:
+    """What a connection asked of its transport, in order."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.writes = []
+        self.calls = []
+        self.high_water = None
+
+    def write(self, data):
+        self.writes.append(data)
+
+    def close(self):
+        self.calls.append("close")
+
+    def abort(self):
+        self.calls.append("abort")
+        self.protocol.connection_lost(None)
+
+    def pause_reading(self):
+        self.calls.append("pause_reading")
+
+    def resume_reading(self):
+        self.calls.append("resume_reading")
+
+    def get_extra_info(self, name, default=None):
+        return default
+
+    def set_write_buffer_limits(self, high=None, low=None):
+        self.high_water = high
+
+
+def connect(server):
+    connection = ServerConnection(server)
+    transport = RecordingTransport(connection)
+    connection.connection_made(transport)
+    return connection, transport
+
+
+def drive(test_body, **server_kwargs):
+    async def main():
+        server = MemcachedServer(bloom_config=CFG, **server_kwargs)
+        await server.start()
+        try:
+            connection, transport = connect(server)
+            connection.data_received(b"set k 0 0 1\r\nv\r\n")
+            assert transport.writes.pop() == b"STORED\r\n"
+            test_body(server, connection, transport)
+        finally:
+            await server.stop()
+        assert server.inflight == 0
+
+    asyncio.run(main())
+
+
+class TestOneWritePerChunk:
+    def test_a_pipelined_chunk_is_answered_with_one_write(self):
+        def body(server, connection, transport):
+            connection.data_received(b"get k\r\n" * 7 + b"get missing\r\n")
+            assert transport.writes == [HIT * 7 + b"END\r\n"]
+            assert server.inflight == 0 and transport.calls == []
+
+        drive(body)
+
+    def test_a_split_command_waits_for_its_tail(self):
+        def body(server, connection, transport):
+            connection.data_received(b"get k\r\nge")
+            connection.data_received(b"t k\r\n")
+            assert transport.writes == [HIT, HIT]
+
+        drive(body)
+
+    def test_quit_mid_chunk_closes_and_ignores_the_rest(self):
+        def body(server, connection, transport):
+            connection.data_received(
+                b"get k\r\nquit\r\nset later 0 0 1\r\nx\r\n"
+            )
+            assert transport.writes == [HIT]
+            assert transport.calls == ["close"]
+            assert server.store.peek("later") is None
+            assert server.inflight == 0
+
+        drive(body)
+
+    def test_fatal_bad_command_writes_client_error_then_closes(self):
+        def body(server, connection, transport):
+            # A 3-byte block whose terminator is not CRLF desynchronizes
+            # the stream: the ``get`` behind it is never served.
+            connection.data_received(b"get k\r\nset b 0 0 3\r\nabcXYget k\r\n")
+            (written,) = transport.writes
+            assert written.startswith(HIT + b"CLIENT_ERROR ")
+            assert written.count(b"\r\n") == 4
+            assert transport.calls == ["close"]
+
+        drive(body)
+
+    def test_noreply_and_shed_noreply_write_nothing(self):
+        def body(server, connection, transport):
+            connection.data_received(b"set a 0 0 1 noreply\r\n1\r\n")
+            assert server.store.peek("a") is not None
+            connection.pause_writing()  # hold the next command in flight
+            connection.data_received(b"set b 0 0 1 noreply\r\n2\r\n")
+            assert server.inflight == 1 and server.shed_commands == 0
+            connection.data_received(b"set c 0 0 1 noreply\r\n3\r\n")
+            assert server.shed_commands == 1
+            assert server.store.peek("c") is None
+            assert transport.writes == []
+
+        drive(body, max_inflight=1)
+
+
+class TestSlowReader:
+    """Flow control without ``drain()``: the transport's own callbacks."""
+
+    def test_paused_writes_hold_inflight_and_pause_reads_once(self):
+        def body(server, connection, transport):
+            assert transport.high_water == 4096
+            connection.pause_writing()
+            connection.data_received(b"get k\r\nget k\r\n")
+            assert server.inflight == 2  # answered, not yet drained
+            connection.data_received(b"get k\r\nget k\r\n")
+            assert server.inflight == 3
+            busy = proto.busy_response("inflight limit 3")
+            assert transport.writes == [HIT * 2, HIT + busy]
+            # The cap is global: it sheds around the slow reader.
+            other, other_transport = connect(server)
+            other.data_received(b"get k\r\n")
+            assert other_transport.writes == [busy]
+            assert server.shed_commands == 2
+            assert transport.calls == ["pause_reading"]
+
+            connection.resume_writing()
+            assert server.inflight == 0
+            assert transport.calls == ["pause_reading", "resume_reading"]
+            other.data_received(b"get k\r\n")
+            assert other_transport.writes == [busy, HIT]
+
+        drive(body, max_inflight=3, write_high_water=4096)
+
+    def test_connection_lost_while_paused_releases_inflight(self):
+        def body(server, connection, transport):
+            connection.pause_writing()
+            connection.data_received(b"get k\r\n" * 4)
+            assert server.inflight == 4
+            connection.connection_lost(ConnectionResetError())
+            assert server.inflight == 0
+            assert server._stats_dict()["curr_connections"] == 0
+
+        drive(body)
+
+    def test_stop_drops_a_paused_connection(self):
+        def body(server, connection, transport):
+            connection.pause_writing()
+            connection.data_received(b"get k\r\n" * 4)
+            assert server.inflight == 4
+            # drive() stops the server and checks inflight came back to 0
+
+        drive(body)
+
+
+class TestConnectionCounts:
+    def test_a_connection_accepted_while_stopping_is_aborted(self):
+        # The loop accepts a socket one iteration and hands it to its
+        # protocol the next; stop() can run in between.
+        async def main():
+            server = MemcachedServer(bloom_config=CFG)
+            await server.start()
+            await server.stop()
+            connection, transport = connect(server)
+            assert transport.calls == ["abort"]
+            assert server.connections == 0 and not server._open
+
+        asyncio.run(main())
+
+    def test_stats_tell_open_connections_from_accepted_ones(self):
+        def body(server, connection, transport):
+            second, _ = connect(server)
+            third, _ = connect(server)
+            second.connection_lost(None)
+            third.connection_lost(None)
+            connection.data_received(b"stats\r\n")
+            stats = dict(
+                line.split(b" ")[1:]
+                for line in transport.writes[0].split(b"\r\n")
+                if line.startswith(b"STAT ")
+            )
+            assert stats[b"curr_connections"] == b"1"
+            assert stats[b"total_connections"] == b"3"
+            assert stats[b"inflight_commands"] == b"1"  # the stats itself
+            assert server.connections == 3
+
+        drive(body)
