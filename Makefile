@@ -25,6 +25,9 @@ bench:
 # pipelined transport's RPS gate, the overload armor's goodput/recovery
 # gate, and the store's flat set-at-capacity cost
 # (speedup/availability gates still enforced; absolute numbers are noisy).
+# The path is exported here so a bare `make bench-smoke` runs: the two
+# plain scripts (shootout, fault tolerance) set no sys.path of their own.
+bench-smoke: export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 bench-smoke:
 	PROTEUS_BENCH_ROUNDS=1 $(PYTHON) -m pytest \
 		benchmarks/bench_routing_perf.py \

@@ -127,8 +127,10 @@ async def _run_scenario(name: str) -> Dict[str, object]:
                 ),
                 "degraded_events": dict(stats.degraded),
                 "db_fraction": round(stats.database_fraction, 4),
-                "breaker_trips": sum(b.trips for b in frontend.breakers),
-                "reconnects": frontend.reconnects,
+                "breaker_trips": sum(
+                    b.trips for b in frontend.transport.breakers
+                ),
+                "reconnects": frontend.transport.reconnects,
             }
     finally:
         for proxy in proxies:

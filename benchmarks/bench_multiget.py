@@ -99,18 +99,24 @@ def run_live(size: int, use_batch: bool):
         web = AsyncProteusFrontend(endpoints, CFG, db)
         trips = 0
 
-        def count(method):
-            async def wrapped(*args, **kwargs):
+        class CountingTransport:
+            """``web.transport`` wrapper counting the engine's RPCs: every
+            one is a get_multi / set_multi (a fetch is a page of one)."""
+
+            def __getattr__(self, name):
+                return getattr(inner, name)
+
+            def get_multi(self, *args):
                 nonlocal trips
                 trips += 1
-                return await method(*args, **kwargs)
+                return inner.get_multi(*args)
 
-            return wrapped
+            def set_multi(self, *args):
+                nonlocal trips
+                trips += 1
+                return inner.set_multi(*args)
 
-        # Every cache RPC is a get_multi / set_multi (a single fetch is a
-        # page of one key).
-        web._get_multi = count(web._get_multi)
-        web._set_multi = count(web._set_multi)
+        inner, web.transport = web.transport, CountingTransport()
         try:
             await web.connect()
             for page in range(PAGES):  # warm every page

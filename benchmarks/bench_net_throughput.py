@@ -150,8 +150,11 @@ async def _pool_scenario(port: int, concurrency: int) -> float:
 
     async def worker() -> None:
         for _ in range(pages_per_worker):
-            async with pool.connection() as client:
+            client = await pool.acquire()
+            try:
                 await _fetch_page(client, keys)
+            finally:
+                pool.release(client)
 
     try:
         await pool.prewarm()

@@ -21,7 +21,6 @@ from typing import Any, Optional
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.bloom.counting import CountingBloomFilter
-from repro.cache.eviction import EvictionPolicy
 from repro.cache.item import CacheItem
 from repro.cache.store import KeyValueStore
 from repro.errors import CacheError, ConfigurationError
@@ -48,7 +47,6 @@ class CacheServer:
         capacity_bytes: store capacity; the paper's Fig. 6 sweeps this.
         bloom_config: digest sizing; defaults to the Section IV-B optimum for
             the capacity-implied key count (``capacity / item_size``).
-        policy: eviction policy (default LRU).
         initially_on: start in ``ON`` (the common case for ``s_1..s_{n(0)}``).
     """
 
@@ -57,7 +55,6 @@ class CacheServer:
         server_id: int,
         capacity_bytes: Optional[int] = None,
         bloom_config: Optional[BloomConfig] = None,
-        policy: Optional[EvictionPolicy] = None,
         initially_on: bool = True,
         default_item_size: int = 4096,
     ) -> None:
@@ -66,7 +63,6 @@ class CacheServer:
         self.server_id = server_id
         self.store = KeyValueStore(
             capacity_bytes=capacity_bytes,
-            policy=policy,
             default_item_size=default_item_size,
         )
         if bloom_config is None:

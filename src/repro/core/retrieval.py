@@ -21,7 +21,7 @@ answers aligned by index via ``send``.  A driver is a small loop::
             round_ = steps.send(answers)
             answers = tuple(...)  # perform the I/O each command names
     except StopIteration as stop:
-        outcomes = stop.value  # {key: RetrievalOutcome}
+        results = stop.value  # {key: FetchResult}; stamp .completed
 
 Probes and write-backs are grouped by owning server per routing epoch, so
 N keys cost one multiget round trip per touched server instead of one per
@@ -78,7 +78,6 @@ __all__ = [
     "ReadDatabase",
     "RetrievalConfig",
     "RetrievalEngine",
-    "RetrievalOutcome",
     "SERVER_UNAVAILABLE",
     "WaitForLeader",
     "WriteBackMulti",
@@ -402,8 +401,42 @@ def _per_server(
 # ------------------------------------------------------------------ outcomes
 
 
-class _Served:
-    """What an outcome's fields imply, shared by both result types."""
+@dataclass
+class FetchResult:
+    """Outcome **and timing** of one Algorithm-2 retrieval — the unified
+    fetch return type across substrates.
+
+    The engine builds it with ``started`` and ``completed`` both at the
+    ``now`` it was handed; a driver stamps ``completed`` when its last
+    command lands — the simulated :class:`~repro.web.frontend.WebServer`
+    in virtual-clock seconds, the live
+    :class:`~repro.net.webtier.AsyncProteusFrontend` on its (monotonic)
+    wall clock.  Everything else is substrate-independent, so reports
+    built from either tier diff field for field.
+    """
+
+    key: str
+    value: Any
+    path: FetchPath
+    started: Optional[float]
+    completed: Optional[float]
+    #: the ring-0 owner under the new (old) epoch — the head of the plan
+    new_server: int
+    old_server: Optional[int] = None
+    #: True when the engine served *around* at least one fault (skipped
+    #: probe, unknown digest, or failed write-back) on the way.
+    degraded: bool = False
+    #: the cache server that answered; ``None`` when the database, the
+    #: frontend-local hot-key cache, or nobody (:attr:`FetchPath.SHED`) did
+    served_by: Optional[int] = None
+    #: cache probes answered on the key's behalf (an unavailable server's
+    #: does not count: no probe happened)
+    probes: int = 0
+
+    @property
+    def latency(self) -> float:
+        """End-to-end response time in seconds."""
+        return self.completed - self.started
 
     @property
     def touched_database(self) -> bool:
@@ -419,58 +452,6 @@ class _Served:
             and self.served_by != self.new_server
             and self.path is not FetchPath.HIT_OLD
         )
-
-
-@dataclass
-class RetrievalOutcome(_Served):
-    """Decision summary of one Algorithm-2 retrieval (no timing — the
-    driver owns clocks and wraps this in its own result type)."""
-
-    key: str
-    value: Any
-    path: FetchPath
-    #: the ring-0 owner under the new (old) epoch — the head of the plan
-    new_server: int
-    old_server: Optional[int] = None
-    #: True when the engine served *around* at least one fault (skipped
-    #: probe, unknown digest, or failed write-back) on the way.
-    degraded: bool = False
-    #: the cache server that answered; ``None`` when the database, the
-    #: frontend-local hot-key cache, or nobody (:attr:`FetchPath.SHED`) did
-    served_by: Optional[int] = None
-    #: cache probes answered on the key's behalf (an unavailable server's
-    #: does not count: no probe happened)
-    probes: int = 0
-
-
-@dataclass
-class FetchResult(_Served):
-    """Outcome **and timing** of one retrieval — the unified fetch return
-    type across substrates.
-
-    The simulated :class:`~repro.web.frontend.WebServer` stamps ``started``
-    / ``completed`` with virtual-clock seconds, the live
-    :class:`~repro.net.webtier.AsyncProteusFrontend` with its (monotonic)
-    wall clock; everything else is substrate-independent, so reports built
-    from either tier diff field for field.
-    """
-
-    key: str
-    value: Any
-    path: FetchPath
-    started: float
-    completed: float
-    new_server: int
-    old_server: Optional[int] = None
-    #: the next three: see :class:`RetrievalOutcome`
-    degraded: bool = False
-    served_by: Optional[int] = None
-    probes: int = 0
-
-    @property
-    def latency(self) -> float:
-        """End-to-end response time in seconds."""
-        return self.completed - self.started
 
 
 # -------------------------------------------------------------------- engine
@@ -531,7 +512,7 @@ class RetrievalEngine:
         keys: Iterable[str],
         epochs: RoutingEpochs,
         now: Optional[float] = None,
-    ) -> Generator[CommandRound, Any, Dict[str, RetrievalOutcome]]:
+    ) -> Generator[CommandRound, Any, Dict[str, FetchResult]]:
         """The planner: Algorithm 2 over a whole key set (or one key).
 
         A key's **read plan** under an epoch is the tuple of its distinct
@@ -570,10 +551,11 @@ class RetrievalEngine:
         :class:`ReadDatabase` stays per-key, exactly as Algorithm 2
         demands.
 
-        Returns a map from key to :class:`RetrievalOutcome`.  Duplicate
-        keys collapse (the map has one entry per distinct key); a batch of
-        N keys yields the outcomes, values, and :class:`FetchStats` counts
-        of N batches of one.
+        Returns a map from key to :class:`FetchResult` (``started`` and
+        ``completed`` both *now*: the driver stamps ``completed``).
+        Duplicate keys collapse (the map has one entry per distinct key);
+        a batch of N keys yields the outcomes, values, and
+        :class:`FetchStats` counts of N batches of one.
 
         **Degraded mode.**  Any probe, digest consult, or write-back may be
         answered with :data:`SERVER_UNAVAILABLE`; the engine serves around
@@ -599,7 +581,7 @@ class RetrievalEngine:
         ring order.  Without *now* the armor is inert (back-compat).
         """
         pending = list(dict.fromkeys(keys))
-        outcomes: Dict[str, RetrievalOutcome] = {}
+        outcomes: Dict[str, FetchResult] = {}
         if not pending:
             return outcomes
         config = self.config
@@ -772,8 +754,8 @@ class RetrievalEngine:
         write_backs: List[Tuple[int, Tuple[str, Any]]] = []
         for key, (path, value, served_by) in served.items():
             plan = new_plan[key]
-            outcome = outcomes[key] = RetrievalOutcome(
-                key, value, path, plan[0], None, False, served_by,
+            outcome = outcomes[key] = FetchResult(
+                key, value, path, now, now, plan[0], None, False, served_by,
                 0 if served_by is None else 1,
             )
             counts[path] += 1

@@ -19,16 +19,15 @@ pipelined :class:`~repro.net.client.MemcachedClient` connections:
   count toward :attr:`reconnects` so health monitors see connection
   churn whether the client redialled itself or the pool replaced it.
 
-The pool never retries or degrades — that stays with the caller's
-:mod:`repro.resilience` policies, which wrap pooled RPCs exactly as they
-wrapped the single connection.
+The pool never retries or degrades — that stays with
+:class:`~repro.net.transport.CacheTransport`, whose
+:mod:`repro.resilience` policies wrap every pooled RPC.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-from typing import AsyncIterator, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ClientOverloadError, ConfigurationError
 from repro.net.client import MemcachedClient
@@ -45,10 +44,6 @@ class ConnectionPool:
         size: maximum live connections (the bound; leases are unbounded
             because pipelined connections multiplex).
         timeout: per-operation timeout handed to every client.
-        pipeline: hand out pipelined clients (default).  ``False`` makes
-            every connection strictly request/response — the pool then
-            behaves like the pre-pipelining tier (the bench baseline).
-        nodelay: set ``TCP_NODELAY`` on every connection (default True).
         max_inflight_per_conn: per-connection in-flight window used by
             the saturation check (``None`` = no window, the pre-armor
             behaviour).  When every live connection is at its window and
@@ -64,8 +59,6 @@ class ConnectionPool:
         port: int,
         size: int = 4,
         timeout: Optional[float] = None,
-        pipeline: bool = True,
-        nodelay: bool = True,
         max_inflight_per_conn: Optional[int] = None,
     ) -> None:
         if size < 1:
@@ -79,8 +72,6 @@ class ConnectionPool:
         self.port = port
         self.size = size
         self.timeout = timeout
-        self.pipeline = pipeline
-        self.nodelay = nodelay
         self.max_inflight_per_conn = max_inflight_per_conn
         self._conns: List[MemcachedClient] = []
         self._leases: Dict[int, int] = {}  # id(client) -> live leases
@@ -143,22 +134,12 @@ class ConnectionPool:
             self._retired_reconnects += client.reconnects
             await client.close()
 
-    async def __aenter__(self) -> "ConnectionPool":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
     # ------------------------------------------------------ acquire/release
 
     async def _dial(self) -> MemcachedClient:
-        client = MemcachedClient(
-            self.host,
-            self.port,
-            timeout=self.timeout,
-            pipeline=self.pipeline,
-            nodelay=self.nodelay,
-        )
+        # Always pipelined with TCP_NODELAY (the client's defaults): shared
+        # leases are only safe on a connection that multiplexes.
+        client = MemcachedClient(self.host, self.port, timeout=self.timeout)
         # The in-flight dial holds a size slot: concurrent acquires must
         # not each pass the bound check and over-dial.
         self._dialing += 1
@@ -273,14 +254,3 @@ class ConnectionPool:
         self._leases[key] = max(0, self._leases[key] - 1)
         if client.broken and self._leases[key] == 0:
             self._eject(client)
-
-    @contextlib.asynccontextmanager
-    async def connection(
-        self, deadline: Optional[Deadline] = None
-    ) -> AsyncIterator[MemcachedClient]:
-        """``async with pool.connection() as client:`` acquire/release."""
-        client = await self.acquire(deadline)
-        try:
-            yield client
-        finally:
-            self.release(client)

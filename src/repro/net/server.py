@@ -242,23 +242,23 @@ class MemcachedServer:
             if self._cas.get(key) != request.cas:
                 return proto.exists_response()
         ttl = float(request.exptime) if request.exptime > 0 else None
+        return (
+            self._set(key, request.value, now, ttl, request.flags)
+            or proto.stored_response()
+        )
+
+    def _set(self, key, value, now, ttl, flags) -> Optional[bytes]:
+        """Store *value* and bump the key's cas id; the ``SERVER_ERROR``
+        line to answer with instead when the item cannot fit."""
         try:
             self.store.set(
-                key,
-                request.value,
-                now=now,
-                size=len(request.value),
-                ttl=ttl,
-                flags=request.flags,
+                key, value, now=now, size=len(value), ttl=ttl, flags=flags
             )
         except CapacityError as exc:
             return proto.error_response(str(exc))
-        self._bump_cas(key)
-        return proto.stored_response()
-
-    def _bump_cas(self, key: str) -> None:
         self._cas_counter += 1
         self._cas[key] = self._cas_counter
+        return None
 
     def _do_concat(self, request: proto.Request) -> bytes:
         key = request.keys[0]
@@ -273,12 +273,11 @@ class MemcachedServer:
         else:
             merged = request.value + bytes(item.value)
         expires = item.expires_at
-        self.store.set(
-            key, merged, now=now, size=len(merged), flags=item.flags,
-            ttl=None if expires is None else max(0.0, expires - now),
+        ttl = None if expires is None else max(0.0, expires - now)
+        return (
+            self._set(key, merged, now, ttl, item.flags)
+            or proto.stored_response()
         )
-        self._bump_cas(key)
-        return proto.stored_response()
 
     def _do_arith(self, request: proto.Request) -> bytes:
         key = request.keys[0]
@@ -299,13 +298,12 @@ class MemcachedServer:
         item = self.store.peek(key)
         encoded = str(number).encode("ascii")
         expires = item.expires_at if item is not None else None
-        self.store.set(
-            key, encoded, now=now, size=len(encoded),
-            flags=item.flags if item is not None else 0,
-            ttl=None if expires is None else max(0.0, expires - now),
+        ttl = None if expires is None else max(0.0, expires - now)
+        flags = item.flags if item is not None else 0
+        return (
+            self._set(key, encoded, now, ttl, flags)
+            or proto.number_response(number)
         )
-        self._bump_cas(key)
-        return proto.number_response(number)
 
     def _do_touch(self, request: proto.Request) -> bytes:
         now = self._clock()

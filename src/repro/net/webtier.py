@@ -18,37 +18,12 @@ standard commands) endpoints:
 * the backing database is an async callable, so tests plug in a dict and a
   deployment plugs in a real pool.
 
-Each endpoint is fronted by a :class:`~repro.net.pool.ConnectionPool` of
-pipelined :class:`~repro.net.client.MemcachedClient` connections
-(``pool_size`` per server, lazily dialled): concurrent ``fetch`` /
-``fetch_many`` tasks to the same server no longer serialize on one
-stream — commands pipeline within each connection and spread across the
-pool, the way the paper's web tier pools its spymemcached connections.
-``pipeline=False`` restores the strict one-in-flight discipline per
-connection (the A/B baseline the net throughput bench measures).
-
-Fault tolerance
----------------
-
-Every cache RPC runs through :meth:`AsyncProteusFrontend._cache_rpc`,
-which layers the :mod:`repro.resilience` policies around the socket work:
-
-* a per-server :class:`~repro.resilience.CircuitBreaker` refuses the RPC
-  outright while the server's circuit is open (no connect-timeout tax on
-  every request to a dead server);
-* transient transport faults are retried with the policy's seeded
-  backoff, against the auto-reconnecting client;
-* a per-request :class:`~repro.resilience.Deadline` bounds the total time
-  spent on cache-side recovery — a sleep that would overrun the budget is
-  skipped and the request fails over immediately.
-
-When the policy's ``degrade_to_database`` flag is set (the default), an
-RPC that cannot be completed answers the engine with
-``SERVER_UNAVAILABLE`` instead of raising, and Algorithm 2 degrades: a
-dead new owner forces a database read (``FetchPath.DEGRADED_DB``), a dead
-old owner skips the migration probe, and a failed write-back is recorded
-but never fails the fetch.  The caller always gets a correct value;
-``stats.degraded`` says what it cost.
+Every cache RPC — probe, write-back, ``put`` and the digest broadcast —
+goes through ``web.transport``, a
+:class:`~repro.net.transport.CacheTransport`: it owns the connection
+pools and the :mod:`repro.resilience` stack (its "Fault tolerance"
+section says how a fetch degrades around a dead server), and a test
+swaps that one object for a fake.
 """
 
 from __future__ import annotations
@@ -56,12 +31,10 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import (
-    Any,
     Awaitable,
     Callable,
     Dict,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -78,49 +51,21 @@ from repro.core.retrieval import (
     ReadDatabase,
     RetrievalConfig,
     RetrievalEngine,
-    SERVER_UNAVAILABLE,
     WaitForLeader,
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
 from repro.errors import (
-    ClientOverloadError,
     ConfigurationError,
-    DeadlineExceeded,
     DigestBroadcastError,
-    OverloadError,
-    ServerBusyError,
     TransitionError,
-    TransportError,
 )
-from repro.net.client import MemcachedClient
-from repro.net.pool import ConnectionPool
-from repro.resilience import (
-    AdaptiveConcurrencyLimiter,
-    CircuitBreaker,
-    Deadline,
-    ResiliencePolicy,
-    RetryBudget,
-)
+from repro.net.transport import CacheTransport
+from repro.resilience import Deadline, ResiliencePolicy
 
 #: async database fetch: key -> value bytes (authoritative, never misses)
 DatabaseFetch = Callable[[str], Awaitable[bytes]]
-
-
-def _is_timeout(error: BaseException) -> bool:
-    """True when *error* is (or was caused by) an operation timeout —
-    the congestion signal the AIMD limiter shrinks on.  Refused
-    connections are a liveness problem (the breaker's job), not a
-    window problem, so they deliberately do not count."""
-    seen = set()
-    current: Optional[BaseException] = error
-    while current is not None and id(current) not in seen:
-        if isinstance(current, asyncio.TimeoutError):
-            return True
-        seen.add(id(current))
-        current = current.__cause__
-    return False
 
 
 class AsyncProteusFrontend:
@@ -139,18 +84,8 @@ class AsyncProteusFrontend:
             live object stays readable and settable as ``web.config``.
         resilience: retry/breaker/deadline policy for cache RPCs;
             :meth:`ResiliencePolicy.default` when omitted.
-        pool_size: pipelined connections per cache server (the paper's
-            web tier pools its spymemcached connections the same way).
-        pipeline: allow many in-flight commands per connection (default);
-            ``False`` is the pre-pipelining one-exchange-at-a-time
-            baseline.
-        nodelay: set ``TCP_NODELAY`` on every cache connection.
-        max_inflight_per_conn: per-connection in-flight window handed to
-            every pool (see
-            :class:`~repro.net.pool.ConnectionPool`); with a request
-            deadline attached, a fully saturated pool fails fast instead
-            of queueing.  ``None`` keeps the unbounded pre-armor
-            behaviour.
+        pool_size, max_inflight_per_conn: handed to the
+            :class:`~repro.net.transport.CacheTransport`.
         admission: DB-path admission controller (typically a
             :class:`~repro.resilience.ConcurrencyAdmission`) wired into
             the engine; ``None`` admits everything.  Shed DB work
@@ -169,15 +104,11 @@ class AsyncProteusFrontend:
         config: Optional[RetrievalConfig] = None,
         resilience: Optional[ResiliencePolicy] = None,
         pool_size: int = 4,
-        pipeline: bool = True,
-        nodelay: bool = True,
         max_inflight_per_conn: Optional[int] = None,
         admission=None,
     ) -> None:
         if not endpoints:
             raise ConfigurationError("need at least one cache endpoint")
-        if pool_size < 1:
-            raise ConfigurationError(f"pool_size must be >= 1: {pool_size}")
         self.endpoints = list(endpoints)
         self.bloom_config = bloom_config
         self.database = database
@@ -189,11 +120,6 @@ class AsyncProteusFrontend:
         )
         self.engine = RetrievalEngine(self.router, config=self.config)
         self._clock = clock
-        self.pool_size = pool_size
-        self.pipeline = pipeline
-        self.nodelay = nodelay
-        self.pools: List[Optional[ConnectionPool]] = [None] * len(endpoints)
-        self._started = False
         active = len(self.endpoints) if initial_active is None else initial_active
         if not 1 <= active <= len(self.endpoints):
             raise ConfigurationError(f"initial_active out of range: {active}")
@@ -201,32 +127,13 @@ class AsyncProteusFrontend:
         #: key -> future resolved when the leader's write-back lands
         self._inflight: Dict[str, asyncio.Future] = {}
         self.resilience = resilience or ResiliencePolicy.default()
-        self.max_inflight_per_conn = max_inflight_per_conn
         self.engine.admission = admission
-        #: one breaker per cache server, sharing this frontend's clock
-        self.breakers: List[CircuitBreaker] = [
-            self.resilience.new_breaker(clock) for _ in endpoints
-        ]
-        #: one retry budget for the whole frontend (``None`` when the
-        #: policy's ``retry_budget_ratio`` is 0): the cap is on *total*
-        #: retry volume, so a storm cannot multiply across servers
-        self.retry_budget: Optional[RetryBudget] = (
-            self.resilience.new_retry_budget(clock)
+        #: the one path to the cache servers: pools, breakers, limiters,
+        #: retry budget and their counters (swap it for a fake in tests)
+        self.transport = CacheTransport(
+            self.endpoints, self.resilience, clock,
+            pool_size=pool_size, max_inflight_per_conn=max_inflight_per_conn,
         )
-        #: per-server AIMD in-flight windows (``None`` entries when the
-        #: policy's ``limiter_window`` is 0)
-        self.limiters: List[Optional[AdaptiveConcurrencyLimiter]] = [
-            self.resilience.new_limiter(clock) for _ in endpoints
-        ]
-        #: cache RPCs answered with ``SERVER_UNAVAILABLE`` (degraded)
-        self.unavailable_rpcs = 0
-        #: transient cache-RPC failures observed (pre-retry, per attempt)
-        self.transient_failures = 0
-        #: cache RPCs refused by overload armor (limiter window full,
-        #: server busy reply, saturated pool) — never retried
-        self.shed_rpcs = 0
-        #: retries skipped because the budget was spent
-        self.budget_denied_retries = 0
 
     # ------------------------------------------------------------- facade
 
@@ -256,73 +163,20 @@ class AsyncProteusFrontend:
         )
 
     def transport_stats(self) -> Dict[str, int]:
-        """Aggregated transport/overload counters across every pool,
-        limiter, and the retry budget — the frontend-level stats surface
-        the ISSUE's armor exposes (all monotonic)."""
-        pools = [pool for pool in self.pools if pool is not None]
-        stats = {
-            "dials": sum(p.dials for p in pools),
-            "ejections": sum(p.ejections for p in pools),
-            "reconnects": self.reconnects,
-            "pool_waited": sum(p.waited for p in pools),
-            "pool_leases_peak": max(
-                (p.leases_peak for p in pools), default=0
-            ),
-            "pool_overflow_failures": sum(
-                p.overflow_failures for p in pools
-            ),
-            "unavailable_rpcs": self.unavailable_rpcs,
-            "transient_failures": self.transient_failures,
-            "shed_rpcs": self.shed_rpcs,
-            "budget_denied_retries": self.budget_denied_retries,
-            "shed_fetches": self.engine.stats.shed,
-        }
-        if self.retry_budget is not None:
-            stats["retries_granted"] = self.retry_budget.granted
-            stats["retries_denied"] = self.retry_budget.denied
-        limiters = [lim for lim in self.limiters if lim is not None]
-        if limiters:
-            stats["limiter_shed"] = sum(lim.shed for lim in limiters)
-            stats["limiter_cuts"] = sum(lim.cuts for lim in limiters)
-            stats["limiter_peak_inflight"] = max(
-                lim.peak_inflight for lim in limiters
-            )
-        return stats
+        """The transport's counters plus the engine's shed fetches (all
+        monotonic)."""
+        shed = self.engine.stats.shed
+        return {**self.transport.stats(), "shed_fetches": shed}
 
     # ----------------------------------------------------------- lifecycle
 
     async def connect(self) -> "AsyncProteusFrontend":
-        """Create one connection pool per endpoint and prewarm each.
-
-        An endpoint that refuses the initial dial does not fail the whole
-        frontend: its pool stays registered (it keeps dialling lazily),
-        its breaker absorbs the failures, and requests degrade around it
-        until it comes back.
-        """
-        for index, (host, port) in enumerate(self.endpoints):
-            if self.pools[index] is None:
-                self.pools[index] = ConnectionPool(
-                    host,
-                    port,
-                    size=self.pool_size,
-                    timeout=self.resilience.op_timeout,
-                    pipeline=self.pipeline,
-                    nodelay=self.nodelay,
-                    max_inflight_per_conn=self.max_inflight_per_conn,
-                )
-            try:
-                await self.pools[index].prewarm()
-            except (TransportError, OSError):
-                self.breakers[index].record_failure()
-        self._started = True
+        """Dial the cache servers (see :meth:`CacheTransport.connect`)."""
+        await self.transport.connect()
         return self
 
     async def close(self) -> None:
-        for index, pool in enumerate(self.pools):
-            if pool is not None:
-                await pool.close()
-                self.pools[index] = None
-        self._started = False
+        await self.transport.close()
 
     async def __aenter__(self) -> "AsyncProteusFrontend":
         return await self.connect()
@@ -330,171 +184,7 @@ class AsyncProteusFrontend:
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    @property
-    def reconnects(self) -> int:
-        """Connection churn across every server's pool (client redials
-        plus pool ejections) — the signal health monitors watch."""
-        return sum(pool.reconnects for pool in self.pools if pool is not None)
-
-    def _pool(self, server_id: int) -> ConnectionPool:
-        pool = self.pools[server_id]
-        if pool is None or not self._started:
-            raise ConfigurationError(
-                f"no connection pool for cache server {server_id}; "
-                "call connect()"
-            )
-        return pool
-
-    async def _leased(
-        self, server_id: int, deadline: Optional[Deadline], call, *args
-    ) -> Any:
-        """``await call(client, *args)`` on a connection leased from
-        *server_id*'s pool for exactly that long."""
-        pool = self._pool(server_id)
-        client = await pool.acquire(deadline)
-        try:
-            return await call(client, *args)
-        finally:
-            pool.release(client)
-
-    def _get_multi(self, server_id: int, keys, deadline=None) -> Awaitable:
-        get_multi = MemcachedClient.get_multi
-        return self._leased(server_id, deadline, get_multi, keys)
-
-    def _set_multi(self, server_id: int, items, deadline=None) -> Awaitable:
-        set_multi = MemcachedClient.set_multi
-        return self._leased(server_id, deadline, set_multi, items)
-
-    # ------------------------------------------------------ fault-tolerant RPC
-
-    async def _cache_rpc(
-        self,
-        server_id: int,
-        op: Callable[[], Awaitable[Any]],
-        deadline: Optional[Deadline] = None,
-    ) -> Any:
-        """Run one cache RPC under the breaker + retry + deadline policy.
-
-        *op* is a zero-argument coroutine factory (so each retry issues a
-        fresh exchange; the endpoint lock is taken inside it, which keeps
-        the lock released across backoff sleeps).  Answers the engine with
-        ``SERVER_UNAVAILABLE`` — never raises a transient error — when the
-        policy degrades to the database; with ``degrade_to_database=False``
-        the final transient error propagates instead.  Fatal errors
-        (anything the retry policy does not classify transient) always
-        propagate: retrying cannot change a configuration mistake.
-
-        Overload armor (all opt-in via :class:`ResiliencePolicy`):
-
-        * an already-expired deadline fails fast — no dial, no queue,
-          no retry;
-        * the per-server AIMD limiter bounds concurrent RPCs; a refused
-          acquire degrades immediately (counted in :attr:`shed_rpcs`);
-        * :class:`~repro.errors.OverloadError` answers (``SERVER_ERROR
-          busy`` sheds, saturated pools, full client windows) are
-          **never retried** — a storm cannot amplify through here;
-        * every retry sleep must be granted by the frontend-wide
-          :class:`~repro.resilience.RetryBudget`, so total retry volume
-          stays a bounded fraction of request volume;
-        * operation timeouts feed ``limiter.on_overload`` (the window
-          shrinks multiplicatively); successes grow it back additively.
-        """
-        policy = self.resilience
-        if deadline is not None and deadline.expired():
-            # Fail fast on a dead budget: skip dialling and queueing
-            # entirely — the RPC could not possibly be useful.
-            self.unavailable_rpcs += 1
-            if policy.degrade_to_database:
-                return SERVER_UNAVAILABLE
-            deadline.check(f"cache rpc to server {server_id}")
-        breaker = self.breakers[server_id]
-        if not breaker.allow(self._clock()):
-            self.unavailable_rpcs += 1
-            if policy.degrade_to_database:
-                return SERVER_UNAVAILABLE
-            raise TransportError(
-                f"circuit open for cache server {server_id}"
-            )
-        limiter = self.limiters[server_id]
-        if limiter is not None and not limiter.try_acquire(self._clock()):
-            self.shed_rpcs += 1
-            self.unavailable_rpcs += 1
-            if policy.degrade_to_database:
-                return SERVER_UNAVAILABLE
-            raise ClientOverloadError(
-                f"cache server {server_id}: in-flight window full"
-            )
-        try:
-            if self.retry_budget is not None:
-                # Deposit happens per RPC, not per attempt: the budget
-                # caps retries at a fraction of *request* volume.
-                self.retry_budget.record_request(now=self._clock())
-            sleeps: Optional[List[float]] = None  # drawn on first failure
-            last_error: Optional[BaseException] = None
-            for attempt in range(policy.retry.max_attempts):
-                if deadline is not None and deadline.expired():
-                    break
-                try:
-                    result = await op()
-                except OverloadError as error:
-                    # A shed reply or a local bound: retrying would feed
-                    # the storm, so degrade straight to the database.
-                    last_error = error
-                    self.shed_rpcs += 1
-                    if limiter is not None and isinstance(
-                        error, ServerBusyError
-                    ):
-                        limiter.on_overload(self._clock())
-                    break
-                except DeadlineExceeded as error:
-                    last_error = error
-                    break
-                except Exception as error:
-                    if not policy.retry.is_transient(error):
-                        raise
-                    last_error = error
-                    self.transient_failures += 1
-                    breaker.record_failure(self._clock())
-                    if limiter is not None and _is_timeout(error):
-                        limiter.on_overload(self._clock())
-                    if sleeps is None:
-                        sleeps = list(policy.retry.delays())
-                    if attempt >= len(sleeps):
-                        break
-                    if not breaker.allow(self._clock()):
-                        # The circuit tripped mid-loop: stop hammering.
-                        break
-                    if self.retry_budget is not None and (
-                        not self.retry_budget.allow_retry(self._clock())
-                    ):
-                        self.budget_denied_retries += 1
-                        break
-                    sleep = sleeps[attempt]
-                    if deadline is not None and not deadline.allows(sleep):
-                        break
-                    if sleep > 0:
-                        await asyncio.sleep(sleep)
-                else:
-                    breaker.record_success(self._clock())
-                    if limiter is not None:
-                        limiter.on_success(self._clock())
-                    return result
-        finally:
-            if limiter is not None:
-                limiter.release()
-        self.unavailable_rpcs += 1
-        if policy.degrade_to_database:
-            return SERVER_UNAVAILABLE
-        if last_error is not None:
-            raise last_error
-        raise TransportError(
-            f"request deadline spent before cache server {server_id} answered"
-        )
-
     # ----------------------------------------------------------- transitions
-
-    def _current_transition(self) -> Optional[Transition]:
-        return self._manager.current(self._clock())
 
     async def scale_to(self, n_new: int, ttl: float) -> Transition:
         """Begin a smooth transition: broadcast digests, flip routing.
@@ -507,10 +197,12 @@ class AsyncProteusFrontend:
         owners the router's backend reports may lose keys
         (:meth:`~repro.core.router.Router.ceding_servers`); for Proteus
         scale-down that is exactly the draining servers.  The broadcast is
-        all-or-nothing: each ceding owner's snapshot
-        + fetch is retried under the resilience policy, and if any server
-        still cannot answer, :class:`~repro.errors.DigestBroadcastError`
-        (a :class:`~repro.errors.TransitionError`) is raised *before* the
+        all-or-nothing: each ceding owner's snapshot + fetch is one
+        :meth:`CacheTransport.digest` RPC (breaker, retry and budget as
+        for any other), and if any server cannot answer — a dead one's
+        circuit may already be open —
+        :class:`~repro.errors.DigestBroadcastError` (a
+        :class:`~repro.errors.TransitionError`) is raised *before* the
         transition manager is armed — routing state rolls back to exactly
         what it was, the failures are reported per server, and the caller
         may simply retry ``scale_to``.  (Snapshots taken on the servers
@@ -529,7 +221,9 @@ class AsyncProteusFrontend:
         failures: Dict[int, BaseException] = {}
         for server_id in ceding:
             try:
-                digests[server_id] = await self._broadcast_digest(server_id)
+                digests[server_id] = await self.transport.digest(
+                    server_id, self.bloom_config
+                )
             except Exception as error:
                 if not self.resilience.retry.is_transient(error):
                     raise
@@ -551,45 +245,6 @@ class AsyncProteusFrontend:
         return self._manager.begin(
             n_new, now, digests=digests, ceding=ceding, ttl=ttl
         )
-
-    async def _broadcast_digest(self, server_id: int) -> BloomFilter:
-        """Snapshot + fetch one old owner's digest, retrying transient
-        faults (the pair is idempotent, so it retries as a unit).  Every
-        retry sleep is charged against the frontend's
-        :class:`~repro.resilience.RetryBudget` — digest broadcasts are
-        rare but ride the same retry machinery, so they obey the same
-        storm bound."""
-        retry = self.resilience.retry
-        if self.retry_budget is not None:
-            self.retry_budget.record_request(now=self._clock())
-        sleeps = list(retry.delays())
-        last_error: Optional[BaseException] = None
-        for attempt in range(retry.max_attempts):
-            try:
-                async with self._pool(server_id).connection() as client:
-                    # Two sequential exchanges on one connection: replies
-                    # are matched FIFO, so interleaved traffic from other
-                    # tasks cannot reorder snapshot before fetch.
-                    await client.snapshot_digest()
-                    return await client.fetch_digest(
-                        self.bloom_config.num_counters,
-                        self.bloom_config.num_hashes,
-                    )
-            except Exception as error:
-                if not retry.is_transient(error):
-                    raise
-                last_error = error
-                if attempt >= len(sleeps):
-                    continue
-                if self.retry_budget is not None and (
-                    not self.retry_budget.allow_retry(self._clock())
-                ):
-                    self.budget_denied_retries += 1
-                    break
-                if sleeps[attempt] > 0:
-                    await asyncio.sleep(sleeps[attempt])
-        assert last_error is not None
-        raise last_error
 
     # ------------------------------------------------------------ Algorithm 2
 
@@ -630,7 +285,7 @@ class AsyncProteusFrontend:
                 else:
                     answers = tuple(await asyncio.gather(*calls))
         except StopIteration as stop:
-            outcomes = stop.value
+            results = stop.value
         finally:
             # Resolve leaders only after the write-back landed (or the
             # fetch failed), so followers re-probing the new owner find it.
@@ -640,16 +295,9 @@ class AsyncProteusFrontend:
                 if not leader.done():
                     leader.set_result(None)
         completed = self._clock()
-        return {
-            key: FetchResult(
-                key=key, value=outcome.value, path=outcome.path,
-                started=started, completed=completed,
-                new_server=outcome.new_server, old_server=outcome.old_server,
-                degraded=outcome.degraded, served_by=outcome.served_by,
-                probes=outcome.probes,
-            )
-            for key, outcome in outcomes.items()
-        }
+        for result in results.values():
+            result.completed = completed
+        return results
 
     async def _execute(
         self,
@@ -660,11 +308,8 @@ class AsyncProteusFrontend:
     ):
         """Perform one engine command."""
         if isinstance(command, ProbeCacheMulti):
-            server_id, keys = command.server_id, command.keys
-            return await self._cache_rpc(
-                server_id,
-                lambda: self._get_multi(server_id, keys, deadline),
-                deadline,
+            return await self.transport.get_multi(
+                command.server_id, command.keys, deadline
             )
         if isinstance(command, CheckDigestMulti):
             # Answered locally against the broadcast snapshot — never a
@@ -697,11 +342,8 @@ class AsyncProteusFrontend:
                         finished, completed=finished
                     )
         if isinstance(command, WriteBackMulti):
-            server_id, items = command.server_id, command.items
-            return await self._cache_rpc(
-                server_id,
-                lambda: self._set_multi(server_id, items, deadline),
-                deadline,
+            return await self.transport.set_multi(
+                command.server_id, command.items, deadline
             )
         raise ConfigurationError(f"unknown engine command: {command!r}")
 
@@ -714,10 +356,12 @@ class AsyncProteusFrontend:
             leaders[key] = leader
 
     async def put(self, key: str, value: bytes) -> None:
-        """Write-through to the authoritative owner under the new mapping."""
-        await self._leased(
-            self.router.route(key, self.n_active), None,
-            MemcachedClient.set, key, value,
+        """Write-through to the authoritative owner under the new mapping
+        (an ordinary armored RPC: retried, and refused with
+        :class:`~repro.errors.TransportError` while the owner's circuit is
+        open)."""
+        await self.transport.set(
+            self.router.route(key, self.n_active), key, value
         )
         if self.config.hot_key_cache:
             # Digest-style invalidation: drop the stale local hot-key copy.

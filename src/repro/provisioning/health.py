@@ -172,7 +172,7 @@ class ClusterHealthMonitor:
         self, source: Callable[[], Mapping[int, BreakerSnapshot]]
     ) -> None:
         """Add a per-server breaker-snapshot supplier
-        (e.g. ``lambda: ResiliencePolicy.health(frontend.breakers)``)."""
+        (e.g. ``lambda: ResiliencePolicy.health(web.transport.breakers)``)."""
         self._breaker_sources.append(source)
 
     def watch_failures(self, source: Callable[[], Iterable[int]]) -> None:
@@ -270,9 +270,9 @@ class ClusterHealthMonitor:
         monitor = cls(len(frontend.endpoints))
         monitor.watch_stats(lambda: frontend.stats)
         monitor.watch_breakers(
-            lambda: ResiliencePolicy.health(frontend.breakers)
+            lambda: ResiliencePolicy.health(frontend.transport.breakers)
         )
-        monitor.watch_reconnects(lambda: frontend.reconnects)
+        monitor.watch_reconnects(lambda: frontend.transport.reconnects)
         monitor.watch_queue_depth(lambda now: frontend.queue_depth(now))
         monitor.watch_transition(
             lambda now: frontend._manager.in_transition(now)

@@ -168,17 +168,10 @@ class WebServer:
                 clock = done
                 answers = tuple(results)
         except StopIteration as stop:
-            outcomes = stop.value
-        return {
-            key: FetchResult(
-                key=key, value=outcome.value, path=outcome.path,
-                started=now, completed=clock,
-                new_server=outcome.new_server, old_server=outcome.old_server,
-                degraded=outcome.degraded, served_by=outcome.served_by,
-                probes=outcome.probes,
-            )
-            for key, outcome in outcomes.items()
-        }
+            results = stop.value
+        for result in results.values():
+            result.completed = clock
+        return results
 
     def _execute(
         self, command: Command, epochs: RoutingEpochs, clock: float

@@ -67,6 +67,22 @@ class SimSubstrate:
         self.cache.scale_to(n_new, now=self.clock)
 
 
+class LoggingTransport:
+    """``web.transport`` wrapper: logs every ``get_multi`` RPC, forwards
+    everything (the wrapped :class:`CacheTransport` does the work)."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def get_multi(self, server_id, keys, deadline=None):
+        self._log.append((server_id, len(keys)))
+        return self._inner.get_multi(server_id, keys, deadline)
+
+
 class LiveSubstrate:
     """The asyncio TCP testbed: real sockets on localhost."""
 
@@ -89,13 +105,9 @@ class LiveSubstrate:
         self.web = AsyncProteusFrontend(
             endpoints, CFG, self._db_fetch, coalesce_misses=self.coalesce
         )
-        inner = self.web._get_multi
-
-        async def logged(server_id, keys, deadline=None):
-            self.multiget_log.append((server_id, len(keys)))
-            return await inner(server_id, keys, deadline)
-
-        self.web._get_multi = logged
+        self.web.transport = LoggingTransport(
+            self.web.transport, self.multiget_log
+        )
         await self.web.connect()
         return self
 

@@ -101,7 +101,7 @@ class LiveSubstrate:
             await server.stop()
 
     def transition(self):
-        return self.web._current_transition()
+        return self.web._manager.current(self.web._clock())
 
 
 # ------------------------------------------------------------------- parity

@@ -162,15 +162,18 @@ class TestSlowReader:
 class TestInflightAlwaysReturns:
     def test_a_dispatch_that_raises_drops_the_connection_not_the_count(self):
         async def body(server, reader, writer):
-            # ``append`` past the store's capacity raises out of dispatch.
-            writer.write(b"set k 0 0 50\r\n" + b"x" * 50 + b"\r\n")
+            def broken_store(key, now):
+                raise RuntimeError("a bug in the store")
+
+            writer.write(b"set k 0 0 1\r\nv\r\n")
             assert await reader.readline() == b"STORED\r\n"
-            writer.write(b"append k 0 0 80\r\n" + b"y" * 80 + b"\r\n")
+            server.store.get = broken_store
+            writer.write(b"get k\r\n")
             assert await asyncio.wait_for(reader.read(), 5) == b""
             assert server.inflight == 0
             assert server._stats_dict()["curr_connections"] == 0
 
-        run(with_raw_server(body, capacity_bytes=100, max_inflight=4))
+        run(with_raw_server(body, max_inflight=4))
 
 
 class _BusyServer:

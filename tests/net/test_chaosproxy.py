@@ -86,7 +86,7 @@ class TestKilledServer:
                 assert web.stats.counts["degraded_db"] > 0
                 # repeated requests trip the breaker: later fetches skip
                 # the dead server without paying the dial cost
-                assert web.breakers[0].trips >= 1
+                assert web.transport.breakers[0].trips >= 1
                 # heal: after the breaker's reset window, service recovers
                 stack.proxies[0].set_plan(FaultPlan.none())
                 await asyncio.sleep(stack.policy.breaker_reset + 0.05)
@@ -134,7 +134,7 @@ class TestResetStorm:
                 resets = sum(proxy.resets for proxy in stack.proxies)
                 assert resets > 0  # the storm actually happened
                 # retries + reconnects (not only DB fallbacks) carried load
-                assert web.reconnects > 0
+                assert web.transport.reconnects > 0
 
         run(body())
 

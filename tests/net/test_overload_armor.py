@@ -1,11 +1,13 @@
-"""Frontend overload armor: shed classification, budgets, admission.
+"""Overload armor: shed classification, budgets, limiter, admission.
 
-The client-side half of the overload contract:
+The client-side half of the overload contract, driven through
+:class:`~repro.net.transport.CacheTransport` over a scripted pool
+(:mod:`tests.net.scripted`) and, end to end, through the frontend:
 
 * shed replies (``SERVER_ERROR busy``) and local bounds (full windows,
   saturated pools) are **never retried** — one attempt, then degrade;
 * cancellation propagates immediately (never absorbed into a retry);
-* the driver-wide :class:`~repro.resilience.RetryBudget` caps total
+* the transport-wide :class:`~repro.resilience.RetryBudget` caps total
   retry volume at a fraction of request volume;
 * per-server AIMD limiters bound concurrent RPCs and treat op timeouts
   (not refused connections) as congestion signals;
@@ -21,12 +23,8 @@ from repro.core.retrieval import SERVER_UNAVAILABLE, FetchPath
 from repro.errors import ClientOverloadError, ServerBusyError, TransportError
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
-from repro.resilience import (
-    AdmissionController,
-    Deadline,
-    ResiliencePolicy,
-    RetryPolicy,
-)
+from repro.resilience import AdmissionController, Deadline, ResiliencePolicy
+from tests.net.scripted import fast_retry, make
 
 CFG = optimal_config(2000)
 
@@ -44,106 +42,82 @@ def make_frontend(resilience=None, **kwargs):
     )
 
 
-def fast_retry(**overrides):
-    kwargs = dict(max_attempts=3, base_delay=0.0, jitter=0.0)
-    kwargs.update(overrides)
-    return RetryPolicy(**kwargs)
-
-
-class _CountingOp:
-    """A zero-arg async op raising a scripted error every call."""
-
-    def __init__(self, error):
-        self.error = error
-        self.calls = 0
-
-    async def __call__(self):
-        self.calls += 1
-        raise self.error
-
-
 class TestNeverRetrySheds:
     def test_server_busy_is_one_attempt_then_degrade(self):
         async def body():
-            web = make_frontend(ResiliencePolicy(retry=fast_retry()))
-            op = _CountingOp(ServerBusyError("SERVER_ERROR busy x"))
-            result = await web._cache_rpc(0, op, None)
+            transport, pool, client = make(ServerBusyError("SERVER_ERROR busy"))
+            result = await transport.get_multi(0, ["k"])
             assert result is SERVER_UNAVAILABLE
-            assert op.calls == 1  # a shed is never retried
-            assert web.shed_rpcs == 1
-            assert web.transient_failures == 0  # not a breaker failure
+            assert client.exchanges == 1  # a shed is never retried
+            assert transport.shed_rpcs == 1
+            assert transport.transient_failures == 0  # not a breaker failure
+            assert pool.leases == 0
 
         run(body())
 
     def test_client_overload_is_one_attempt_then_degrade(self):
         async def body():
-            web = make_frontend(ResiliencePolicy(retry=fast_retry()))
-            op = _CountingOp(ClientOverloadError("window full"))
-            result = await web._cache_rpc(0, op, None)
+            transport, pool, _ = make(
+                dial_error=ClientOverloadError("window full")
+            )
+            result = await transport.set_multi(0, [("k", b"v")])
             assert result is SERVER_UNAVAILABLE
-            assert op.calls == 1
-            assert web.shed_rpcs == 1
+            assert pool.acquires == 1
+            assert transport.shed_rpcs == 1
 
         run(body())
 
     def test_cancellation_propagates_without_retry(self):
         async def body():
-            web = make_frontend(ResiliencePolicy(retry=fast_retry()))
-            op = _CountingOp(asyncio.CancelledError())
+            transport, pool, client = make(asyncio.CancelledError())
             with pytest.raises(asyncio.CancelledError):
-                await web._cache_rpc(0, op, None)
-            assert op.calls == 1
+                await transport.get_multi(0, ["k"])
+            assert client.exchanges == 1
+            assert pool.leases == 0  # released on the way out
 
         run(body())
 
     def test_expired_deadline_skips_the_op_entirely(self):
         async def body():
-            web = make_frontend(ResiliencePolicy(retry=fast_retry()))
-            op = _CountingOp(TransportError("unreached"))
-            result = await web._cache_rpc(0, op, Deadline(0.0))
+            transport, pool, _ = make(TransportError("unreached"))
+            result = await transport.get_multi(0, ["k"], Deadline(0.0))
             assert result is SERVER_UNAVAILABLE
-            assert op.calls == 0  # fail fast: no dial, no queue
-            assert web.unavailable_rpcs == 1
+            assert pool.acquires == 0  # fail fast: no dial, no queue
+            assert transport.unavailable_rpcs == 1
 
         run(body())
-
 
 class TestRetryBudget:
     def test_spent_budget_denies_the_retry(self):
         async def body():
-            policy = ResiliencePolicy(
-                retry=fast_retry(),
+            transport, _, client = make(
+                TransportError("reset"),
                 retry_budget_ratio=0.01,  # one RPC deposits ~nothing
                 retry_budget_min_rate=0.0,
             )
-            web = make_frontend(policy)
-            assert web.retry_budget is not None
-            op = _CountingOp(TransportError("reset"))
-            result = await web._cache_rpc(0, op, None)
+            assert transport.retry_budget is not None
+            result = await transport.get_multi(0, ["k"])
             assert result is SERVER_UNAVAILABLE
-            assert op.calls == 1  # the retry was denied, not slept
-            assert web.budget_denied_retries == 1
-            stats = web.transport_stats()
-            assert stats["retries_denied"] == 1
-            assert stats["retries_granted"] == 0
+            assert client.exchanges == 1  # the retry was denied, not slept
+            assert transport.budget_denied_retries == 1
+            assert transport.retry_budget.denied == 1
+            assert transport.retry_budget.granted == 0
 
         run(body())
 
     def test_funded_budget_grants_retries(self):
         async def body():
-            policy = ResiliencePolicy(
-                retry=fast_retry(),
+            transport, _, client = make(
+                TransportError("reset"),
                 retry_budget_ratio=1.0,
                 retry_budget_min_rate=0.0,
             )
-            web = make_frontend(policy)
             # Fund the bucket with request volume first.
-            web.retry_budget.record_request(n=10)
-            op = _CountingOp(TransportError("reset"))
-            await web._cache_rpc(0, op, None)
-            assert op.calls == 3  # all attempts ran
-            assert web.budget_denied_retries == 0
-            assert web.transport_stats()["retries_granted"] == 2
+            transport.retry_budget.record_request(n=10)
+            await transport.get_multi(0, ["k"])
+            assert client.exchanges == 3  # all attempts ran
+            assert transport.budget_denied_retries == 0
+            assert transport.retry_budget.granted == 2
 
         run(body())
 
@@ -151,32 +125,46 @@ class TestRetryBudget:
 class TestAdaptiveLimiter:
     def test_full_window_sheds_before_the_op(self):
         async def body():
-            policy = ResiliencePolicy(retry=fast_retry(), limiter_window=1)
-            web = make_frontend(policy)
-            limiter = web.limiters[0]
+            transport, pool, _ = make(
+                TransportError("unreached"), limiter_window=1
+            )
+            limiter = transport.limiters[0]
             limiter.inflight = limiter.window  # window occupied
-            op = _CountingOp(TransportError("unreached"))
-            result = await web._cache_rpc(0, op, None)
+            result = await transport.get_multi(0, ["k"])
             assert result is SERVER_UNAVAILABLE
-            assert op.calls == 0
-            assert web.shed_rpcs == 1
-            assert web.transport_stats()["limiter_shed"] == 1
+            assert pool.acquires == 0
+            assert transport.shed_rpcs == 1
+            assert limiter.shed == 1
 
         run(body())
 
     def test_op_timeouts_cut_the_window(self):
         async def body():
-            policy = ResiliencePolicy(
-                retry=fast_retry(max_attempts=2), limiter_window=8
-            )
-            web = make_frontend(policy)
             timeout = TransportError("op timed out")
             timeout.__cause__ = asyncio.TimeoutError()
-            await web._cache_rpc(0, _CountingOp(timeout), None)
-            limiter = web.limiters[0]
+            transport, _, _ = make(
+                timeout, retry=fast_retry(max_attempts=2), limiter_window=8
+            )
+            await transport.get_multi(0, ["k"])
+            limiter = transport.limiters[0]
             assert limiter.cuts >= 1
             assert limiter.limit < 8.0
             assert limiter.inflight == 0  # released on every exit path
+
+        run(body())
+
+    def test_refused_connections_do_not_cut_the_window(self):
+        async def body():
+            # A refused dial is the breaker's business, not congestion.
+            transport, pool, _ = make(
+                dial_error=ConnectionRefusedError(),
+                retry=fast_retry(max_attempts=2), limiter_window=8,
+            )
+            await transport.get_multi(0, ["k"])
+            assert pool.acquires == 2
+            assert transport.limiters[0].cuts == 0
+            assert transport.limiters[0].inflight == 0
+            assert transport.transient_failures == 2
 
         run(body())
 
@@ -204,23 +192,10 @@ class TestAdaptiveLimiter:
                 stats = web.transport_stats()
                 assert stats["limiter_cuts"] >= 1
                 assert stats["transient_failures"] >= 1
-                assert web.breakers[0].trips >= 1
-                assert web.limiters[0].inflight == 0
+                assert web.transport.breakers[0].trips >= 1
+                assert web.transport.limiters[0].inflight == 0
             blackhole.close()
             await blackhole.wait_closed()
-
-        run(body())
-
-    def test_refused_connections_do_not_cut_the_window(self):
-        async def body():
-            # A refused dial is the breaker's business, not congestion.
-            policy = ResiliencePolicy(
-                retry=fast_retry(max_attempts=2), limiter_window=8
-            )
-            web = make_frontend(policy)
-            await web._cache_rpc(0, _CountingOp(ConnectionRefusedError()), None)
-            assert web.limiters[0].cuts == 0
-            assert web.transient_failures == 2
 
         run(body())
 

@@ -284,14 +284,14 @@ class TestMidPipelineFaults:
 
 
 class TestPooledParity:
-    def test_pooled_pipelined_fetch_many_matches_serial(self):
+    def test_pool_of_four_matches_pool_of_one(self):
         async def body():
             keys = [f"key:{i}" for i in range(64)]
 
             async def database(key):
                 return f"db:{key}".encode()
 
-            async def harvest(pipeline, pool_size):
+            async def harvest(pool_size):
                 servers = [MemcachedServer(bloom_config=BLOOM)
                            for _ in range(3)]
                 for server in servers:
@@ -301,7 +301,6 @@ class TestPooledParity:
                     BLOOM,
                     database,
                     resilience=ResiliencePolicy.aggressive(op_timeout=2.0),
-                    pipeline=pipeline,
                     pool_size=pool_size,
                 )
                 try:
@@ -318,9 +317,9 @@ class TestPooledParity:
                     for server in servers:
                         await server.stop()
 
-            serial = await harvest(pipeline=False, pool_size=1)
-            pooled = await harvest(pipeline=True, pool_size=4)
-            assert pooled == serial
+            single = await harvest(pool_size=1)
+            pooled = await harvest(pool_size=4)
+            assert pooled == single
             # and the values are the authoritative ones
             for k, (value, _path) in pooled[1].items():
                 assert value == f"db:{k}".encode()

@@ -42,8 +42,9 @@ class TestLifecycle:
         async def body(server, pool):
             assert pool.live == 0
             assert pool.dials == 0
-            async with pool.connection() as client:
-                assert await client.set("k", b"v")
+            client = await pool.acquire()
+            assert await client.set("k", b"v")
+            pool.release(client)
             assert pool.live == 1
             assert pool.dials == 1
 
@@ -80,10 +81,12 @@ class TestLifecycle:
 class TestLeases:
     def test_idle_connection_is_reused(self):
         async def body(server, pool):
-            async with pool.connection() as client:
-                await client.set("k", b"v")
-            async with pool.connection() as again:
-                assert client is again
+            client = await pool.acquire()
+            await client.set("k", b"v")
+            pool.release(client)
+            again = await pool.acquire()
+            assert client is again
+            pool.release(again)
             assert pool.dials == 1
 
         run(with_pool(body))
@@ -117,9 +120,12 @@ class TestLeases:
     def test_concurrent_traffic_spreads_across_sockets(self):
         async def body(server, pool):
             async def worker(i):
-                async with pool.connection() as client:
+                client = await pool.acquire()
+                try:
                     await client.set(f"k{i}", b"v")
                     return await client.get(f"k{i}")
+                finally:
+                    pool.release(client)
 
             results = await asyncio.gather(*(worker(i) for i in range(20)))
             assert results == [b"v"] * 20
@@ -138,9 +144,10 @@ class TestEjection:
             assert pool.live == 0
             assert pool.ejections == 1
             # next acquire dials a replacement; data is still there
-            async with pool.connection() as fresh:
-                assert fresh is not client
-                assert await fresh.get("k") == b"v"
+            fresh = await pool.acquire()
+            assert fresh is not client
+            assert await fresh.get("k") == b"v"
+            pool.release(fresh)
             assert pool.dials == 2
 
         run(with_pool(body))
@@ -201,8 +208,9 @@ class TestCloseRaces:
             pool.release(client)  # buggy caller: clamp, don't corrupt
             assert pool.leases == 0
             # the pool is still fully usable afterwards
-            async with pool.connection() as again:
-                assert await again.set("k", b"v")
+            again = await pool.acquire()
+            assert await again.set("k", b"v")
+            pool.release(again)
 
         run(with_pool(body))
 

@@ -288,7 +288,7 @@ class TestCancellationWithoutShield:
                 resilience=POLICIES[name](), pool_size=1,
             )
             async with frontend:
-                pool = frontend.pools[0]
+                pool = frontend.transport.pools[0]
                 client = await pool.prewarm()
                 doomed = asyncio.ensure_future(frontend.fetch_many(["a"]))
                 await until(lambda: server.lines == 1)

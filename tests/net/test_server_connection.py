@@ -210,3 +210,33 @@ class TestConnectionCounts:
             assert server.connections == 3
 
         drive(body)
+
+
+class TestStoreOverCapacity:
+    def test_concat_and_arith_past_capacity_answer_the_set_error_line(self):
+        # Every path to store.set maps CapacityError to the line an
+        # oversized ``set`` gets; raising instead dropped the connection.
+        def body(server, connection, transport):
+            for command in (
+                b"set big 0 0 9\r\n123456789\r\n",
+                b"append k 0 0 8\r\n12345678\r\n",
+                b"prepend k 0 0 8\r\n12345678\r\n",
+            ):
+                connection.data_received(command)
+                assert transport.writes.pop() == (
+                    b"SERVER_ERROR item of 9 bytes exceeds capacity 8\r\n"
+                )
+            connection.data_received(b"set n 0 0 8\r\n99999999\r\n")
+            assert transport.writes.pop() == b"STORED\r\n"
+            connection.data_received(b"incr n 1\r\n")
+            assert transport.writes.pop() == (
+                b"SERVER_ERROR item of 9 bytes exceeds capacity 8\r\n"
+            )
+            # nothing was half-applied and the connection is still usable
+            connection.data_received(b"get n\r\n")
+            assert transport.writes.pop() == (
+                b"VALUE n 0 8\r\n99999999\r\nEND\r\n"
+            )
+            assert transport.calls == [] and server.inflight == 0
+
+        drive(body, capacity_bytes=8)

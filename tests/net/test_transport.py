@@ -1,0 +1,195 @@
+"""CacheTransport: the one armored RPC path of the live tier.
+
+Every cache RPC — ``get_multi``/``set_multi`` for the engine, ``set`` for
+``put``, ``digest`` for the broadcast — runs through ``_call``:
+
+* an open circuit refuses without dialling; fatal errors propagate;
+* ``get_multi``/``set_multi`` degrade per policy, ``set``/``digest``
+  always raise — and feed the same breaker and counters;
+* the frontend reaches the servers only through ``web.transport``, so a
+  fake replaces the whole path.
+
+The overload half (sheds never retried, retry budget, AIMD limiter,
+expired deadlines) is in ``tests/net/test_overload_armor.py``.  No
+sockets anywhere here: see :mod:`tests.net.scripted`.
+"""
+
+import asyncio
+
+import pytest
+
+from repro.bloom.config import optimal_config
+from repro.core.retrieval import SERVER_UNAVAILABLE
+from repro.errors import (
+    ConfigurationError,
+    DigestBroadcastError,
+    TransportError,
+)
+from repro.net.transport import CacheTransport
+from repro.net.webtier import AsyncProteusFrontend
+from repro.resilience import ResiliencePolicy
+from tests.net.scripted import ScriptedPool, make, trip
+
+CFG = optimal_config(2000)
+
+
+def run(coro):
+    return asyncio.run(coro)
+
+
+class TestRefusalsAndPropagation:
+    def test_open_circuit_refuses_without_dialling(self):
+        async def body():
+            transport, pool, _ = make(TransportError("unreached"))
+            trip(transport)
+            assert await transport.get_multi(0, ["k"]) is SERVER_UNAVAILABLE
+            assert pool.acquires == 0
+            assert transport.unavailable_rpcs == 1
+            assert transport.transient_failures == 0
+
+        run(body())
+
+    def test_fatal_errors_propagate_unretried(self):
+        async def body():
+            transport, _, client = make(ConfigurationError("bad key"))
+            with pytest.raises(ConfigurationError):
+                await transport.get_multi(0, ["k"])
+            assert client.exchanges == 1
+            unconnected = CacheTransport(
+                [("127.0.0.1", 1)], ResiliencePolicy.default()
+            )
+            with pytest.raises(ConfigurationError, match="connect"):
+                await unconnected.get_multi(0, ["k"])
+
+        run(body())
+
+    def test_without_degrade_the_last_error_propagates(self):
+        async def body():
+            transport, _, client = make(
+                TransportError("reset"), degrade_to_database=False
+            )
+            with pytest.raises(TransportError, match="reset"):
+                await transport.get_multi(0, ["k"])
+            assert client.exchanges == 3
+
+        run(body())
+
+
+class TestSetAndDigestRideTheSameArmor:
+    """``put`` and the digest broadcast used to bypass breaker, limiter
+    and counters; now they are ordinary RPCs that always raise."""
+
+    def test_open_circuit_raises_without_dialling(self):
+        async def body():
+            transport, pool, _ = make(TransportError("unreached"))
+            trip(transport)
+            with pytest.raises(TransportError, match="circuit open"):
+                await transport.set(0, "k", b"v")
+            with pytest.raises(TransportError, match="circuit open"):
+                await transport.digest(0, CFG)
+            assert pool.acquires == 0
+            assert transport.unavailable_rpcs == 2
+
+        run(body())
+
+    @pytest.mark.parametrize("rpc", ["set", "digest"])
+    def test_failures_feed_the_breaker_and_the_counters(self, rpc):
+        async def body():
+            transport, pool, client = make(
+                TransportError("reset"), breaker_failures=2
+            )
+            with pytest.raises(TransportError, match="reset"):
+                if rpc == "set":
+                    await transport.set(0, "k", b"v")
+                else:
+                    await transport.digest(0, CFG)
+            # Two transients trip the 2-failure breaker, which stops the
+            # third attempt; the policy degrades, these RPCs never do.
+            assert client.exchanges == 2
+            assert transport.transient_failures == 2
+            assert transport.breakers[0].trips == 1
+            assert transport.unavailable_rpcs == 1
+            assert pool.leases == 0
+
+        run(body())
+
+    def test_set_is_retried_until_it_lands(self):
+        async def body():
+            transport, _, client = make(TransportError("reset"), b"STORED")
+            assert await transport.set(0, "k", b"v") is True
+            assert client.exchanges == 2
+            assert transport.breakers[0].consecutive_failures == 0
+
+        run(body())
+
+    def test_digest_retries_snapshot_and_fetch_as_a_unit(self):
+        async def body():
+            ack = [type("Item", (), {"key": "k", "value": b"OK"})]
+            bits = CFG.build().snapshot().to_bytes()
+            payload = [type("Item", (), {"key": "k", "value": bits})]
+            transport, pool, client = make(
+                ack, TransportError("reset"), ack, payload
+            )
+            digest = await transport.digest(0, CFG)
+            assert digest.num_bits == CFG.num_counters
+            assert client.exchanges == 4  # snapshot, fetch✗, snapshot, fetch
+            assert pool.acquires == 2 and pool.leases == 0
+
+        run(body())
+
+
+class TestFrontendRoutesEverythingThroughTheTransport:
+    @staticmethod
+    def frontend():
+        async def db(key):
+            return b"v"
+
+        return AsyncProteusFrontend(
+            [("127.0.0.1", 1), ("127.0.0.1", 2)], CFG, db
+        )
+
+    def test_put_to_an_open_circuit_raises_without_dialling(self):
+        async def body():
+            web = self.frontend()
+            pools = web.transport.pools
+            pools[:] = [ScriptedPool(), ScriptedPool()]
+            owner = web.router.route("k", 2)
+            trip(web.transport, owner)
+            with pytest.raises(TransportError, match="circuit open"):
+                await web.put("k", b"v")
+            assert pools[owner].acquires == 0
+
+        run(body())
+
+    def test_open_circuit_on_a_ceding_owner_rolls_the_resize_back(self):
+        async def body():
+            web = self.frontend()
+            web.transport.pools[:] = [ScriptedPool(), ScriptedPool()]
+            trip(web.transport, 1)  # server 1 cedes on 2 -> 1
+            with pytest.raises(DigestBroadcastError) as excinfo:
+                await web.scale_to(1, ttl=30.0)
+            assert list(excinfo.value.failures) == [1]
+            assert web.transport.pools[1].acquires == 0
+            assert web.n_active == 2
+            assert not web._manager.routing_counts(0.0).in_transition
+
+        run(body())
+
+    def test_a_fake_transport_replaces_the_whole_rpc_path(self):
+        class Fake:
+            def __init__(self):
+                self.store = {}
+
+            async def get_multi(self, server_id, keys, deadline=None):
+                return {k: self.store[k] for k in keys if k in self.store}
+
+            async def set_multi(self, server_id, items, deadline=None):
+                self.store.update(items)
+
+        async def body():
+            web = self.frontend()
+            web.transport = Fake()
+            assert (await web.fetch("k")).path == "miss_db"
+            assert (await web.fetch("k")).path == "hit_new"
+
+        run(body())

@@ -165,9 +165,9 @@ class TestSmoothTransition:
                 await web.connect()
                 await web.fetch("page:1")
                 await web.scale_to(2, ttl=10.0)
-                assert web._current_transition() is not None
+                assert web._manager.current(fake["t"]) is not None
                 fake["t"] = 10.0
-                assert web._current_transition() is None
+                assert web._manager.current(fake["t"]) is None
                 # After expiry, cold remapped keys go to the DB.
                 await web.close()
             finally:

@@ -251,17 +251,17 @@ class TestOverloadArmorKnobs:
             return b"v"
 
         web = cfg.build_frontend(db)
-        assert web.retry_budget is not None
-        assert all(lim is not None for lim in web.limiters)
+        assert web.transport.retry_budget is not None
+        assert all(lim is not None for lim in web.transport.limiters)
         assert web.admission is not None
-        assert web.max_inflight_per_conn == 64
+        assert web.transport.max_inflight_per_conn == 64
 
     def test_build_frontend_default_has_no_armor(self):
         async def db(key):
             return b"v"
 
         web = make().build_frontend(db)
-        assert web.retry_budget is None
-        assert web.limiters == [None] * 3
+        assert web.transport.retry_budget is None
+        assert web.transport.limiters == [None] * 3
         assert web.admission is None
-        assert web.max_inflight_per_conn is None
+        assert web.transport.max_inflight_per_conn is None

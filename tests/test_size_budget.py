@@ -1,4 +1,5 @@
-"""Line-count budget for the Algorithm-2 core, its two drivers, and the tree.
+"""Line-count budget for the Algorithm-2 core, its two drivers, the live
+transport, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -14,12 +15,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
-    "core/retrieval.py": 875,
+    "core/retrieval.py": 850,
     "web/frontend.py": 275,
-    "net/webtier.py": 725,
+    "net/webtier.py": 375,
+    "net/transport.py": 400,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 15_975
+TREE_CEILING = 15_925
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
