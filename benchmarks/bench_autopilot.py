@@ -34,8 +34,9 @@ Gates:
 
 Results go to ``BENCH_autopilot.json``.  ``--check`` is the CI ratchet:
 it re-runs the bench and fails (exit 1) if the closed loop's post-fault
-recovery got slower than the committed JSON (the sim is deterministic, so
-equality is the expectation).
+recovery got slower than the committed JSON, or if either scenario's
+``total_requests`` / ``active_counts`` differ from it at all (the sim is
+deterministic: a moved integer means behaviour moved).
 """
 
 from __future__ import annotations
@@ -214,11 +215,23 @@ def print_report(report: Dict[str, object]) -> None:
 
 
 def check_ratchet(report: Dict[str, object]) -> int:
-    """CI ratchet: closed-loop post-fault recovery must not get slower."""
+    """CI ratchet: closed-loop post-fault recovery must not get slower,
+    and neither scenario's request count or commanded ``n(t)`` may move —
+    integers of a deterministic sim, so a difference means behaviour
+    changed (regenerate the JSON on purpose, never by accident)."""
     committed = _ratchet.load_committed(JSON_PATH)
     if committed is None:
         return 1
     verdicts = []
+    if report["days"] == committed["days"]:
+        for scenario in ("open_loop", "closed_loop"):
+            for field in ("total_requests", "active_counts"):
+                old = committed["scenarios"][scenario][field]
+                new = report["scenarios"][scenario][field]
+                same = new == old
+                verdict = "unchanged" if same else f"MOVED: {new} vs committed {old}"
+                print(f"ratchet: {scenario} {field} {verdict}")
+                verdicts.append(same)
     for metric in ("recovery_slots", "underprovisioned_slots"):
         old = committed["scenarios"]["closed_loop"][metric]
         new = report["scenarios"]["closed_loop"][metric]

@@ -11,11 +11,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import fmt_row
-from repro.experiments.failover import (
-    FailoverConfig,
-    FailoverExperiment,
-    FailureEvent,
-)
+from repro.experiments.failover import FailoverConfig, FailoverExperiment
+from repro.resilience import FaultPlan, FaultSchedule
 
 CRASH_AT = 60.0
 REPAIR_AT = 90.0
@@ -32,7 +29,9 @@ def run(replicas: int):
         pages_per_user=25,
         slot_seconds=10.0,
         seed=13,
-        failures=[FailureEvent(when=CRASH_AT, server_id=0, repair_at=REPAIR_AT)],
+        failures=FaultSchedule().add(
+            CRASH_AT, 0, FaultPlan.killed(), clear_at=REPAIR_AT
+        ),
     )).run()
 
 

@@ -255,8 +255,7 @@ def _run_scenario(armored: bool) -> Dict[str, object]:
         per_server_rate=150.0,
         min_servers=2,
     )
-    controller._n = 2
-    controller.history[:] = [2]
+    controller.reset(2)
     commanded: List[int] = []
 
     def on_slot(at: float, latencies: List[float]) -> None:

@@ -24,8 +24,9 @@ compares against.
 
 Faults come in as a :class:`~repro.resilience.FaultSchedule` — the same
 scripted-outage vocabulary the live chaos harness replays — realized here
-as crash/repair events via
-:func:`~repro.experiments.failover.failure_events_from_schedule`.
+as crash/repair events by
+:meth:`~repro.experiments.testbed.SimTestbed.inject_faults`; the cluster,
+the event loop and the meter are the testbed's.
 """
 
 from __future__ import annotations
@@ -35,24 +36,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.bloom.config import BloomConfig, optimal_config
-from repro.cache.cluster import CacheCluster
-from repro.core.retrieval import FetchPath
+from repro.bloom.config import BloomConfig
+from repro.core.retrieval import FetchPath, FetchResult
 from repro.core.router import ProteusRouter
-from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
-from repro.experiments.failover import failure_events_from_schedule
-from repro.power.meter import PowerMeter, busy_time_probe, utilization_probe
+from repro.experiments.testbed import SimTestbed
 from repro.provisioning.actuator import AppliedTransition, ProvisioningActuator
 from repro.provisioning.controller import DelayFeedbackController
 from repro.provisioning.health import ClusterHealthMonitor, HealthSnapshot
 from repro.provisioning.ttl import AdaptiveTTLPolicy, FixedTTLPolicy
 from repro.resilience import FaultSchedule
-from repro.sim.events import EventLoop
-from repro.sim.latency import Constant, Exponential
 from repro.sim.metrics import SlottedRecorder, TimeSeries, percentile
-from repro.web.frontend import WebServer
-from repro.workload.synthetic import SyntheticUser, UserPopulation
 
 __all__ = ["AutopilotConfig", "AutopilotReport", "AutopilotExperiment"]
 
@@ -154,8 +148,8 @@ class AutopilotReport:
     duration: float
     slot_seconds: float
     total_requests: int
-    #: requests that completed (the sim's degraded path always answers,
-    #: so served < total would mean a routing hole — the availability gate).
+    #: requests answered with a value (the degraded path always answers, so
+    #: served < total means admission-shed fetches — the availability gate).
     served_requests: int
     #: per-slot commanded active count (controller output).
     active_counts: List[int]
@@ -203,6 +197,14 @@ class AutopilotReport:
         ]
         return percentile(values, pct) if values else 0.0
 
+    def _fault_slot(self, fault_at: float) -> int:
+        fault_slot = int(fault_at // self.slot_seconds)
+        if fault_slot >= len(self.healthy_counts):
+            raise ConfigurationError(
+                f"fault_at {fault_at} is outside the run"
+            )
+        return fault_slot
+
     def underprovisioned_slots(
         self, fault_at: float, horizon_slots: Optional[int] = None
     ) -> int:
@@ -217,11 +219,7 @@ class AutopilotReport:
         the autopilot bench gates on: strictly fewer under-provisioned
         slots closed-loop than open-loop.
         """
-        fault_slot = int(fault_at // self.slot_seconds)
-        if fault_slot >= len(self.healthy_counts):
-            raise ConfigurationError(
-                f"fault_at {fault_at} is outside the run"
-            )
+        fault_slot = self._fault_slot(fault_at)
         end = len(self.healthy_counts)
         if horizon_slots is not None:
             end = min(end, fault_slot + 1 + horizon_slots)
@@ -238,11 +236,7 @@ class AutopilotReport:
         The first post-fault boundary that already satisfies the
         requirement scores 1 — the emergency-scale-up best case.
         """
-        fault_slot = int(fault_at // self.slot_seconds)
-        if fault_slot >= len(self.healthy_counts):
-            raise ConfigurationError(
-                f"fault_at {fault_at} is outside the run"
-            )
+        fault_slot = self._fault_slot(fault_at)
         for offset, slot in enumerate(
             range(fault_slot + 1, len(self.healthy_counts)), start=1
         ):
@@ -292,41 +286,18 @@ class AutopilotExperiment:
     def __init__(self, config: AutopilotConfig) -> None:
         self.config = config
         cfg = config
-        router = ProteusRouter(cfg.num_servers)
-        bloom = cfg.bloom_config or optimal_config(
-            max(1024, cfg.cache_capacity_bytes // cfg.item_size)
-        )
-        initial = self._initial_active()
-        self.cache = CacheCluster(
-            router,
-            capacity_bytes=cfg.cache_capacity_bytes,
-            initial_active=initial,
+        initial = self._required(self._expected_rate(cfg.users_per_slot[0]))
+        self.testbed = SimTestbed(
+            cfg,
+            ProteusRouter(cfg.num_servers),
+            random.Random(cfg.seed ^ 0xBEEF),
+            self._record,
             ttl=cfg.ttl_seconds,
-            bloom_config=bloom,
+            initial_active=initial,
         )
-        self.database = DatabaseCluster(
-            cfg.num_db_shards,
-            service_model=Exponential(cfg.db_service_mean),
-            seed=cfg.seed,
-        )
-        self.webs: List[WebServer] = [
-            WebServer(
-                i,
-                self.cache,
-                self.database,
-                cache_latency=Constant(cfg.cache_op_latency),
-                web_overhead=Constant(cfg.web_overhead),
-                seed=cfg.seed,
-            )
-            for i in range(cfg.num_web_servers)
-        ]
-        self.population = UserPopulation(
-            catalogue_size=cfg.catalogue_size,
-            pages_per_user=cfg.pages_per_user,
-            think_time=cfg.think_time,
-            alpha=cfg.zipf_alpha,
-            seed=cfg.seed,
-        )
+        self.cache = self.testbed.cache
+        self.webs = self.testbed.webs
+        self.loop = self.testbed.loop
         self.controller = DelayFeedbackController(
             num_servers=cfg.num_servers,
             delay_bound=cfg.delay_bound,
@@ -336,8 +307,7 @@ class AutopilotExperiment:
         )
         # Start sized to the first slot's load, as the paper's loop had
         # converged before its recorded day began (run_feedback_loop idiom).
-        self.controller._n = initial
-        self.controller.history[:] = [initial]
+        self.controller.reset(initial)
         self.ttl_policy = (
             AdaptiveTTLPolicy(
                 default_ttl=cfg.ttl_seconds,
@@ -354,14 +324,7 @@ class AutopilotExperiment:
         self.monitor = ClusterHealthMonitor.for_simulation(
             self.cache, self.webs
         )
-        self.loop = EventLoop()
-        self.meter = PowerMeter(cfg.power_sample_period)
-        self._wire_power_channels()
         self.latencies = SlottedRecorder(cfg.slot_seconds)
-        self.active_series = TimeSeries()
-        self._retired_ids: set = set()
-        self._rng = random.Random(cfg.seed ^ 0xBEEF)
-        self.total_requests = 0
         self.served_requests = 0
         self._slot_requests = 0
         # per-slot records, filled at each slot boundary
@@ -377,11 +340,9 @@ class AutopilotExperiment:
         self._decay_samples: List = []
         self._decay_last_remap = 0
 
-    # ------------------------------------------------------------- wiring
-
-    def _initial_active(self) -> int:
+    def _required(self, rate: float) -> int:
+        """Servers needed to carry *rate* at 90% of rated per-server load."""
         cfg = self.config
-        rate = self._expected_rate(cfg.users_per_slot[0])
         required = math.ceil(rate / (0.9 * cfg.per_server_rate))
         return min(cfg.num_servers, max(cfg.min_servers, required))
 
@@ -391,70 +352,11 @@ class AutopilotExperiment:
         per_request = cfg.think_time + cfg.web_overhead + 2 * cfg.cache_op_latency
         return users / per_request if per_request > 0 else 0.0
 
-    def _wire_power_channels(self) -> None:
-        cfg = self.config
-        for server in self.cache.servers:
-            self.meter.add_channel(
-                name=f"cache-{server.server_id}",
-                tier="cache",
-                probe=utilization_probe(
-                    requests_counter=lambda s=server: s.stats.requests,
-                    powered=lambda s=server: s.state.serves_requests,
-                    op_cost=cfg.cache_op_latency,
-                ),
-            )
-        for web in self.webs:
-            self.meter.add_channel(
-                name=f"web-{web.server_id}",
-                tier="web",
-                probe=utilization_probe(
-                    requests_counter=lambda w=web: w.stats.total,
-                    powered=lambda: True,
-                    op_cost=cfg.web_overhead + 2 * cfg.cache_op_latency,
-                ),
-            )
-        for shard in self.database.shards:
-            self.meter.add_channel(
-                name=f"db-{shard.shard_id}",
-                tier="database",
-                probe=busy_time_probe(
-                    busy_time=lambda s=shard: s.queue.busy_time,
-                    powered=lambda: True,
-                ),
-            )
-
-    # ------------------------------------------------------------- events
-
-    def _user_request(self, user: SyntheticUser) -> None:
-        if user.user_id in self._retired_ids:
-            return
-        key = user.next_key()
-        web = self.webs[self._rng.randrange(len(self.webs))]
-        result = web.fetch(key, self.loop.now)
-        self.latencies.record(self.loop.now, result.latency)
-        self.total_requests += 1
-        self.served_requests += 1
+    def _record(self, now: float, result: FetchResult) -> None:
+        self.latencies.record(now, result.latency)
         self._slot_requests += 1
-        self.loop.schedule_at(
-            result.completed + user.next_think(), self._user_request, user
-        )
-
-    def _resize_population(self, target: int) -> None:
-        delta = self.population.resize_to(target)
-        for user in delta.retired:
-            self._retired_ids.add(user.user_id)
-        for user in delta.spawned:
-            first = self.loop.now + self._rng.uniform(0.0, user.think_time or 0.1)
-            self.loop.schedule_at(first, self._user_request, user)
-
-    def _sample_power(self) -> None:
-        self.meter.sample(self.loop.now)
-        self.active_series.append(
-            self.loop.now, float(len(self.cache.powered_servers()))
-        )
-        next_due = self.loop.now + self.config.power_sample_period
-        if next_due < self.config.duration:
-            self.loop.schedule_at(next_due, self._sample_power)
+        if result.value is not None:  # a SHED fetch was offered, not served
+            self.served_requests += 1
 
     # ----------------------------------------------------- remap-miss decay
 
@@ -520,7 +422,7 @@ class AutopilotExperiment:
             observed = 0.0
         rate = self._slot_requests / cfg.slot_seconds
         self._slot_requests = 0
-        projected = self.controller._projected_delay(rate, self.controller.current)
+        projected = self.controller.projected_delay(rate, self.controller.current)
         # The projection supplies the feed-forward signal (saturated M/M/1
         # projects infinity; cap it so the proportional step stays bounded),
         # the measurement carries fault-induced degradation.
@@ -530,87 +432,38 @@ class AutopilotExperiment:
         self._active_counts.append(n_next)
         self._healthy_counts.append(self._healthy_capacity())
         self._failed_sets.append(self.cache.failed_servers())
-        self._required_counts.append(
-            min(
-                cfg.num_servers,
-                max(
-                    cfg.min_servers,
-                    math.ceil(rate / (0.9 * cfg.per_server_rate)),
-                ),
-            )
-        )
+        self._required_counts.append(self._required(rate))
         self._measured.append(measured)
         self._rates.append(rate)
         if (
             n_next != self.cache.active_count
             and not self.cache.transitions.in_transition(now)
         ):
-            record = self.actuator.apply(n_next, now)
-            if record is not None and record.ttl is not None:
+            # apply_at arms the power-off finalization of the window.
+            record = self.actuator.apply_at(n_next, self.loop)
+            if record is not None:
                 self._ttls_used.append(record.ttl)
-                transition = self.cache.transitions.current(now)
-                if transition is not None:
-                    # Arm the power-off finalization and, when learning,
-                    # the decay sampling for this window.
-                    self.loop.schedule_at(
-                        transition.deadline + 1e-9,
-                        self.cache.finalize_expired,
-                        transition.deadline + 1e-9,
+                if cfg.adaptive_ttl:
+                    self._begin_decay_sampling(
+                        self.cache.transitions.current(now)
                     )
-                    if cfg.adaptive_ttl:
-                        self._begin_decay_sampling(transition)
 
     # ---------------------------------------------------------------- run
-
-    def _prewarm(self) -> None:
-        """Fill caches with the initial users' page sets (no DB timing)."""
-        n_active = self.cache.active_count
-        distinct = list(
-            dict.fromkeys(
-                key for user in self.population.active for key in user.pages
-            )
-        )
-        owners = self.cache.router.route_many(distinct, n_active)
-        for key, server in zip(distinct, owners):
-            target = self.cache.server(server)
-            if target.state.serves_requests:
-                value = self.database.shard_for(key).lookup(key)
-                target.set(key, value, now=0.0, size=self.config.item_size)
 
     def run(self) -> AutopilotReport:
         """Execute the run; returns the report."""
         cfg = self.config
-        for slot, target in enumerate(cfg.users_per_slot):
-            when = slot * cfg.slot_seconds
-            if slot == 0:
-                self._resize_population(target)
-                if cfg.prewarm:
-                    self._prewarm()
-            else:
-                self.loop.schedule_at(when, self._resize_population, target)
+        testbed = self.testbed
+        testbed.schedule_population(
+            cfg.users_per_slot, cfg.slot_seconds, cfg.prewarm
+        )
         for slot in range(1, cfg.num_slots + 1):
             self.loop.schedule_at(
                 slot * cfg.slot_seconds - 1e-6, self._control_tick, slot
             )
-        for event in failure_events_from_schedule(cfg.faults):
-            if event.when >= cfg.duration:
-                continue
-            self.loop.schedule_at(
-                event.when, self.cache.fail_server, event.server_id, event.when
-            )
-            if event.repair_at is not None and event.repair_at < cfg.duration:
-                self.loop.schedule_at(
-                    event.repair_at,
-                    self.cache.repair_server,
-                    event.server_id,
-                    event.repair_at,
-                )
-        self.loop.schedule_at(0.0, self._sample_power)
-        self.loop.run_until(cfg.duration)
+        testbed.inject_faults(cfg.faults)
+        testbed.run()
 
-        energy = {"total": self.meter.energy_kwh()}
-        for tier in self.meter.tiers():
-            energy[tier] = self.meter.energy_kwh(tier)
         label = (
             "closed_loop"
             if (cfg.health_feedback or cfg.adaptive_ttl)
@@ -620,7 +473,7 @@ class AutopilotExperiment:
             config_label=label,
             duration=cfg.duration,
             slot_seconds=cfg.slot_seconds,
-            total_requests=self.total_requests,
+            total_requests=testbed.total_requests,
             served_requests=self.served_requests,
             active_counts=self._active_counts,
             healthy_counts=self._healthy_counts,
@@ -631,8 +484,8 @@ class AutopilotExperiment:
             health_history=list(self.monitor.history),
             latencies=self.latencies,
             transitions=list(self.actuator.applied),
-            energy_kwh=energy,
-            active_series=self.active_series,
+            energy_kwh=testbed.energy_kwh(),
+            active_series=testbed.active_series,
             emergency_scale_ups=self.controller.emergency_scale_ups,
             vetoed_scale_downs=self.controller.vetoed_scale_downs,
             ttls_used=self._ttls_used,

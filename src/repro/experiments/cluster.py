@@ -1,9 +1,8 @@
 """The full 3-tier cluster experiment (paper Figs. 9, 10, 11).
 
-Wires the whole testbed of Fig. 3 in simulation: closed-loop synthetic
-users (the RBE tier) drive web servers, which execute Algorithm 2 against
-the cache tier and the sharded database; a provisioning actuator replays a
-fixed ``n(t)`` schedule; a PDU-style meter samples power every 15 s.
+Runs the testbed of Fig. 3 (:class:`~repro.experiments.testbed.SimTestbed`:
+closed-loop users, web, cache and database tiers, a PDU-style meter) while
+a provisioning actuator replays a fixed ``n(t)`` schedule.
 
 One :class:`ClusterExperiment` runs one Table II scenario.  The paper's
 methodology is preserved exactly: *the same* schedule, data, and workload
@@ -14,32 +13,25 @@ the load-distribution algorithm and the transition behaviour.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from repro.bloom.config import BloomConfig, optimal_config
-from repro.cache.cluster import CacheCluster
+from repro.bloom.config import BloomConfig
+from repro.core.retrieval import FetchPath, FetchResult, RetrievalConfig
 from repro.core.ring import RING_BACKENDS
 from repro.core.router import (
     ConsistentRouter,
     NaiveRouter,
-    ProteusRouter,
     Router,
     StaticRouter,
     make_router,
 )
-from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
-from repro.power.meter import PowerMeter, busy_time_probe, utilization_probe
+from repro.experiments.testbed import SimTestbed
 from repro.provisioning.actuator import AppliedTransition, ProvisioningActuator
 from repro.provisioning.policies import ProvisioningSchedule, static_schedule
-from repro.sim.events import EventLoop
-from repro.sim.latency import Constant, Exponential
 from repro.sim.metrics import SlottedRecorder, TimeSeries
-from repro.core.retrieval import FetchPath, RetrievalConfig
-from repro.web.frontend import WebServer
-from repro.workload.synthetic import SyntheticUser, UserPopulation
 
 
 @dataclass(frozen=True)
@@ -239,7 +231,6 @@ class ExperimentReport:
         Keeps the derived series (latency percentiles per plot slot, power
         per tier, active counts), not the raw samples.
         """
-        latency = self.latency_percentiles(pct)
         return {
             "scenario": self.scenario,
             "duration": self.duration,
@@ -254,19 +245,12 @@ class ExperimentReport:
                 for t in self.transitions
             ],
             "latency_pct": pct,
-            "latency_series": {
-                "times": list(latency.times),
-                "values": list(latency.values),
-            },
+            # a TimeSeries is a dataclass of two lists: {"times", "values"}
+            "latency_series": asdict(self.latency_percentiles(pct)),
             "power_series": {
-                tier: {"times": list(series.times),
-                       "values": list(series.values)}
-                for tier, series in self.power_series.items()
+                tier: asdict(series) for tier, series in self.power_series.items()
             },
-            "active_series": {
-                "times": list(self.active_series.times),
-                "values": list(self.active_series.values),
-            },
+            "active_series": asdict(self.active_series),
         }
 
     def save(self, path, pct: float = 99.9) -> None:
@@ -280,210 +264,80 @@ class ExperimentReport:
 
 
 class ClusterExperiment:
-    """Builds and runs one scenario end to end."""
+    """One Table II scenario on the testbed: replays the ``n(t)`` schedule."""
 
     def __init__(self, spec: ScenarioSpec, config: ExperimentConfig) -> None:
         self.spec = spec
         self.config = config
         cfg = config
-        router = spec.router_factory(cfg.num_cache_servers)
         if spec.dynamic:
             schedule = cfg.schedule
-            initial_active = schedule.counts[0]
         else:
             schedule = static_schedule(
                 cfg.num_cache_servers,
                 cfg.schedule.num_slots,
                 cfg.schedule.slot_seconds,
             )
-            initial_active = cfg.num_cache_servers
         self.schedule = schedule
-        bloom = cfg.bloom_config or optimal_config(
-            max(1024, cfg.cache_capacity_bytes // cfg.item_size)
-        )
-        self.cache = CacheCluster(
-            router,
-            capacity_bytes=cfg.cache_capacity_bytes,
-            initial_active=initial_active,
-            ttl=cfg.ttl,
-            bloom_config=bloom,
-        )
-        self.database = DatabaseCluster(
-            cfg.num_db_shards,
-            service_model=Exponential(cfg.db_service_mean),
-            seed=cfg.seed,
-        )
         coalesce = (
             spec.coalesce_misses
             if spec.coalesce_misses is not None
             else cfg.coalesce_misses
         )
-        retrieval = RetrievalConfig(
-            coalesce_misses=coalesce,
-            hot_key_cache=cfg.hot_key_cache,
-            d_choices=cfg.d_choices,
-        )
-        self.webs: List[WebServer] = [
-            WebServer(
-                i,
-                self.cache,
-                self.database,
-                cache_latency=Constant(cfg.cache_op_latency),
-                web_overhead=Constant(cfg.web_overhead),
-                seed=cfg.seed,
-                config=retrieval,
-            )
-            for i in range(cfg.num_web_servers)
-        ]
-        self.population = UserPopulation(
-            catalogue_size=cfg.catalogue_size,
-            pages_per_user=cfg.pages_per_user,
-            think_time=cfg.think_time,
-            alpha=cfg.zipf_alpha,
-            seed=cfg.seed,
+        self.testbed = SimTestbed(
+            cfg,
+            spec.router_factory(cfg.num_cache_servers),
+            random.Random(cfg.seed ^ 0xBEEF),
+            self._record,
+            ttl=cfg.ttl,
+            initial_active=schedule.counts[0],
+            retrieval=RetrievalConfig(
+                coalesce_misses=coalesce,
+                hot_key_cache=cfg.hot_key_cache,
+                d_choices=cfg.d_choices,
+            ),
         )
         self.actuator = ProvisioningActuator(
-            self.cache,
+            self.testbed.cache,
             smooth=spec.smooth,
             push_migration=cfg.push_migration,
         )
-        self.loop = EventLoop()
-        self.meter = PowerMeter(cfg.power_sample_period)
-        self._wire_power_channels()
         plot_width = (cfg.duration - cfg.warmup_seconds) / cfg.plot_slots
         self.latencies = SlottedRecorder(plot_width, start=cfg.warmup_seconds)
-        self.active_series = TimeSeries()
-        self._retired_ids: set = set()
-        self._rng = random.Random(cfg.seed ^ 0xBEEF)
-        self.total_requests = 0
 
-    # ------------------------------------------------------------- wiring
-
-    def _wire_power_channels(self) -> None:
-        cfg = self.config
-        for server in self.cache.servers:
-            self.meter.add_channel(
-                name=f"cache-{server.server_id}",
-                tier="cache",
-                probe=utilization_probe(
-                    requests_counter=lambda s=server: s.stats.requests,
-                    powered=lambda s=server: s.state.serves_requests,
-                    op_cost=cfg.cache_op_latency,
-                ),
-            )
-        for web in self.webs:
-            self.meter.add_channel(
-                name=f"web-{web.server_id}",
-                tier="web",
-                probe=utilization_probe(
-                    requests_counter=lambda w=web: w.stats.total,
-                    powered=lambda: True,
-                    op_cost=cfg.web_overhead + 2 * cfg.cache_op_latency,
-                ),
-            )
-        for shard in self.database.shards:
-            self.meter.add_channel(
-                name=f"db-{shard.shard_id}",
-                tier="database",
-                probe=busy_time_probe(
-                    busy_time=lambda s=shard: s.queue.busy_time,
-                    powered=lambda: True,
-                ),
-            )
-
-    # ------------------------------------------------------------- events
-
-    def _user_request(self, user: SyntheticUser) -> None:
-        if user.user_id in self._retired_ids:
-            return
-        key = user.next_key()
-        web = self.webs[self._rng.randrange(len(self.webs))]
-        result = web.fetch(key, self.loop.now)
-        if self.loop.now >= self.config.warmup_seconds:
-            self.latencies.record(self.loop.now, result.latency)
-        self.total_requests += 1
-        self.loop.schedule_at(
-            result.completed + user.next_think(), self._user_request, user
-        )
-
-    def _resize_population(self, target: int) -> None:
-        delta = self.population.resize_to(target)
-        for user in delta.retired:
-            self._retired_ids.add(user.user_id)
-        for user in delta.spawned:
-            first = self.loop.now + self._rng.uniform(0.0, user.think_time or 0.1)
-            self.loop.schedule_at(first, self._user_request, user)
-
-    def _sample_power(self) -> None:
-        self.meter.sample(self.loop.now)
-        self.active_series.append(
-            self.loop.now, float(len(self.cache.powered_servers()))
-        )
-        next_due = self.loop.now + self.config.power_sample_period
-        if next_due < self.config.duration:
-            self.loop.schedule_at(next_due, self._sample_power)
-
-    # ---------------------------------------------------------------- run
-
-    def _prewarm(self) -> None:
-        """Fill caches with the initial users' page sets (no DB timing).
-
-        Mimics starting the measurement against an already-warm tier: each
-        page is installed at its *routed* owner under the initial mapping,
-        with values taken from the authoritative store directly.
-        """
-        n_active = self.cache.active_count
-        distinct = list(
-            dict.fromkeys(
-                key for user in self.population.active for key in user.pages
-            )
-        )
-        # One vectorized routing pass over the whole warm set instead of
-        # one hash + ring walk per page.
-        owners = self.cache.router.route_many(distinct, n_active)
-        for key, server in zip(distinct, owners):
-            target = self.cache.server(server)
-            if target.state.serves_requests:
-                value = self.database.shard_for(key).lookup(key)
-                target.set(key, value, now=0.0, size=self.config.item_size)
+    def _record(self, now: float, result: FetchResult) -> None:
+        if now >= self.config.warmup_seconds:
+            self.latencies.record(now, result.latency)
 
     def run(self) -> ExperimentReport:
         """Execute the scenario; returns the measurement report."""
         cfg = self.config
+        testbed = self.testbed
         if self.spec.dynamic:
-            self.actuator.install(cfg.schedule, self.loop)
-        for slot, target in enumerate(cfg.users_per_slot):
-            when = slot * cfg.schedule.slot_seconds
-            if slot == 0:
-                self._resize_population(target)
-                if cfg.prewarm:
-                    self._prewarm()
-            else:
-                self.loop.schedule_at(when, self._resize_population, target)
-        self.loop.schedule_at(0.0, self._sample_power)
-        self.loop.run_until(cfg.duration)
+            self.actuator.install(cfg.schedule, testbed.loop)
+        testbed.schedule_population(
+            cfg.users_per_slot, cfg.schedule.slot_seconds, cfg.prewarm
+        )
+        testbed.run()
 
         fetch_paths = {path.value: 0 for path in FetchPath}
-        for web in self.webs:
+        for web in testbed.webs:
             for path, count in web.stats.counts.items():
                 fetch_paths[path.value] += count
-        energy = {"total": self.meter.energy_kwh()}
-        for tier in self.meter.tiers():
-            energy[tier] = self.meter.energy_kwh(tier)
-        power_series = {"total": self.meter.total_series}
-        power_series.update(self.meter.tier_series)
+        power_series = {"total": testbed.meter.total_series}
+        power_series.update(testbed.meter.tier_series)
         return ExperimentReport(
             scenario=self.spec.name,
             duration=cfg.duration,
             latencies=self.latencies,
             power_series=power_series,
-            energy_kwh=energy,
-            active_series=self.active_series,
+            energy_kwh=testbed.energy_kwh(),
+            active_series=testbed.active_series,
             transitions=list(self.actuator.applied),
             fetch_paths=fetch_paths,
-            total_requests=self.total_requests,
-            db_requests=self.database.total_requests(),
-            hit_ratio=self.cache.total_hit_ratio(),
+            total_requests=testbed.total_requests,
+            db_requests=testbed.database.total_requests(),
+            hit_ratio=testbed.cache.total_hit_ratio(),
         )
 
 

@@ -53,7 +53,6 @@ class PowerMeter:
         self.tier_series: Dict[str, TimeSeries] = {}
         #: whole-cluster power series
         self.total_series = TimeSeries()
-        self._last_sample: Optional[float] = None
 
     def add_channel(
         self,
@@ -79,14 +78,7 @@ class PowerMeter:
         for tier, watts in per_tier.items():
             self.tier_series[tier].append(now, watts)
         self.total_series.append(now, total)
-        self._last_sample = now
         return total
-
-    def next_sample_due(self, now: float) -> float:
-        """Timestamp of the next scheduled sample."""
-        if self._last_sample is None:
-            return now
-        return self._last_sample + self.sample_period
 
     def energy_joules(self, tier: Optional[str] = None) -> float:
         """Trapezoidal energy integral over all samples so far.

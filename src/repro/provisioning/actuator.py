@@ -8,8 +8,9 @@ broadcast + TTL drain; the Proteus scenario) or abruptly (the Naive /
 Consistent scenarios).
 
 When given an :class:`~repro.sim.events.EventLoop`, the actuator schedules
-its own slot-boundary applications and the TTL-expiry finalization, so
-experiment drivers only call :meth:`install`.
+its own slot-boundary applications and the TTL-expiry finalization:
+a schedule-replaying driver only calls :meth:`install`, an online
+controller calls :meth:`apply_at` at each decision.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class ProvisioningActuator:
         push_migration: additionally install a
             :class:`~repro.provisioning.migrator.BackgroundMigrator` on
             every smooth transition (the push-assisted extension); only
-            effective when driven through :meth:`install` (it needs the
-            event loop to schedule push ticks).
+            effective when driven through :meth:`install` /
+            :meth:`apply_at` (it needs the event loop to schedule push
+            ticks).
         push_batch / push_interval: the migrator's rate limit.
         ttl_policy: a TTL-sizing policy (``fixed`` / ``adaptive``, see
             :mod:`repro.provisioning.ttl`); when set, every smooth
@@ -141,14 +143,20 @@ class ProvisioningActuator:
                     f"schedule transition at {when} is in the loop's past "
                     f"({loop.now})"
                 )
-            loop.schedule_at(when, self._apply_and_arm, n_new, loop)
+            loop.schedule_at(when, self.apply_at, n_new, loop)
             armed.append((when, n_new))
         return armed
 
-    def _apply_and_arm(self, n_new: int, loop: "EventLoop") -> None:
+    def apply_at(
+        self, n_new: int, loop: "EventLoop"
+    ) -> Optional[AppliedTransition]:
+        """:meth:`apply` at the loop's current time, and arm what a smooth
+        transition needs afterwards on *loop*: the power-off finalization
+        at the drain deadline and (``push_migration``) the migrator's push
+        ticks.  Returns the record, or ``None`` for a no-op."""
         record = self.apply(n_new, loop.now)
         if record is None or not self.smooth:
-            return
+            return record
         transition = self.cluster.transitions.current(loop.now)
         if transition is not None:
             # +epsilon so the expiry check sees now >= deadline.
@@ -168,3 +176,4 @@ class ProvisioningActuator:
                 )
                 migrator.install(loop)
                 self.migrators.append(migrator)
+        return record

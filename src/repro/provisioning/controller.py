@@ -128,7 +128,19 @@ class DelayFeedbackController:
         """The active count currently commanded."""
         return self._n
 
-    def _projected_delay(self, arrival_rate: float, servers: int) -> float:
+    def reset(self, initial: int) -> None:
+        """Command *initial* servers and restart :attr:`history` from it —
+        for a loop that starts already converged on its first slot's load
+        rather than at full fleet."""
+        if not self.min_servers <= initial <= self.num_servers:
+            raise ConfigurationError(
+                f"initial out of range "
+                f"[{self.min_servers}, {self.num_servers}]: {initial}"
+            )
+        self._n = initial
+        self.history = [initial]
+
+    def projected_delay(self, arrival_rate: float, servers: int) -> float:
         """M/M/1 projection of per-request delay with *servers* active."""
         per_server = arrival_rate / max(1, servers)
         # Service rate: a server at its rated load runs at ~70% utilization.
@@ -190,7 +202,7 @@ class DelayFeedbackController:
                 headroom_ok = (
                     arrival_rate / (n - 1) <= 0.9 * self.per_server_rate
                 )
-                projected = self._projected_delay(arrival_rate, n - 1)
+                projected = self.projected_delay(arrival_rate, n - 1)
                 if headroom_ok and projected < self.delay_reference:
                     candidate = n - 1
         if health is not None:
@@ -285,10 +297,9 @@ def run_feedback_loop(
             num_servers,
             max(1, math.ceil(slot_rates[0] / per_server_rate) if slot_rates else 1),
         )
-    controller._n = initial
-    controller.history[:] = [initial]
+    controller.reset(initial)
     for rate in slot_rates:
-        projected = controller._projected_delay(rate, controller.current)
+        projected = controller.projected_delay(rate, controller.current)
         # A saturated M/M/1 projects infinity; feed the controller a finite
         # over-bound signal so its proportional step stays bounded.
         measured = min(projected, delay_bound * 4)

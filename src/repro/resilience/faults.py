@@ -6,7 +6,7 @@ responses, blackhole them, truncate writes — without saying *how* the
 wrongness is realized.  The live tier realizes a plan with
 :class:`repro.net.chaosproxy.ChaosProxy` (an actual TCP proxy injecting the
 faults); the simulator realizes the subset it can express by crashing /
-repairing servers in :class:`repro.experiments.failover.FailoverExperiment`.
+repairing servers (:meth:`repro.experiments.testbed.SimTestbed.inject_faults`).
 Because both read the same :class:`FaultSchedule`, an integration test and
 a simulation run can be handed *the same scripted outage* and their
 degraded-path accounting compared.
@@ -172,8 +172,8 @@ class FaultSchedule:
 
     The one fault timeline both substrates consume: the live chaos harness
     replays it by re-planning proxies at each entry's ``at`` / ``clear_at``;
-    the simulator converts the ``kills_server`` entries to crash/repair
-    events via :meth:`repro.experiments.failover.failure_events_from_schedule`.
+    the simulator schedules the :meth:`crashes` entries as crash/repair
+    events (:meth:`repro.experiments.testbed.SimTestbed.inject_faults`).
     """
 
     entries: List[ScheduledFault] = field(default_factory=list)
@@ -210,6 +210,11 @@ class FaultSchedule:
             if entry.clear_at is not None:
                 points.add(entry.clear_at)
         return sorted(points)
+
+    def crashes(self) -> List[ScheduledFault]:
+        """The entries whose plan ``kills_server`` — the simulator's whole
+        fault vocabulary (delay / reset plans have no sim equivalent)."""
+        return [entry for entry in self.entries if entry.plan.kills_server]
 
     def servers(self) -> List[int]:
         """Every server id the schedule touches (sorted, distinct)."""

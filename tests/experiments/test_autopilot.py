@@ -9,8 +9,11 @@ from repro.experiments.autopilot import (
     AutopilotExperiment,
     AutopilotReport,
 )
+from repro.core.retrieval import FetchPath
 from repro.resilience import FaultPlan, FaultSchedule
+from repro.resilience.admission import VirtualQueueAdmission
 from repro.sim.metrics import SlottedRecorder, TimeSeries
+from repro.web.frontend import WebServer
 
 
 def config(**overrides):
@@ -79,6 +82,26 @@ class TestOpenLoop:
         assert first.active_counts == second.active_counts
         assert first.measured_delays == second.measured_delays
         assert first.total_requests == second.total_requests
+
+
+class TestAvailability:
+    def test_a_shed_fetch_is_offered_but_not_served(self):
+        # No config field arms admission control, so swap in a web server
+        # built with it: a cold start against a depth-1 DB queue sheds.
+        experiment = AutopilotExperiment(config(prewarm=False))
+        testbed = experiment.testbed
+        testbed.webs[:] = [
+            WebServer(
+                0, testbed.cache, testbed.database,
+                admission=VirtualQueueAdmission(max_depth=1),
+            )
+        ]
+        report = experiment.run()
+        shed = testbed.webs[0].stats.counts[FetchPath.SHED]
+        assert shed > 0
+        assert report.served_requests == report.total_requests - shed
+        assert report.availability < 1.0
+        assert report.to_dict()["availability"] == report.availability
 
 
 class TestClosedLoop:

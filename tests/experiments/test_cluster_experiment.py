@@ -50,7 +50,7 @@ class TestScenarioSpec:
         experiment = ClusterExperiment(
             ScenarioSpec.naive(), small_config(coalesce_misses=True)
         )
-        assert all(web.config.coalesce_misses for web in experiment.webs)
+        assert all(web.config.coalesce_misses for web in experiment.testbed.webs)
 
     def test_with_coalescing_overrides_config(self):
         spec = ScenarioSpec.naive().with_coalescing()
@@ -59,14 +59,14 @@ class TestScenarioSpec:
         experiment = ClusterExperiment(
             spec, small_config(coalesce_misses=False)
         )
-        assert all(web.config.coalesce_misses for web in experiment.webs)
+        assert all(web.config.coalesce_misses for web in experiment.testbed.webs)
         # The override works in both directions.
         off = ScenarioSpec.naive().with_coalescing(False)
         assert off.name == "Naive-coalesce"
         experiment = ClusterExperiment(
             off, small_config(coalesce_misses=True)
         )
-        assert not any(web.config.coalesce_misses for web in experiment.webs)
+        assert not any(web.config.coalesce_misses for web in experiment.testbed.webs)
 
 
 class TestConfigValidation:
@@ -171,14 +171,14 @@ class TestCrossScenario:
 
 class TestWarmupAndPrewarm:
     def test_prewarm_fills_initial_users_pages(self):
-        experiment = ClusterExperiment(ScenarioSpec.proteus(), small_config())
-        experiment._resize_population(small_config().users_per_slot[0])
-        experiment._prewarm()
-        total_items = sum(
-            len(server.store) for server in experiment.cache.servers
-        )
+        testbed = ClusterExperiment(
+            ScenarioSpec.proteus(), small_config()
+        ).testbed
+        testbed.resize_population(small_config().users_per_slot[0])
+        testbed.prewarm()
+        total_items = sum(len(server.store) for server in testbed.cache.servers)
         distinct_pages = len(
-            {page for user in experiment.population.active for page in user.pages}
+            {page for user in testbed.population.active for page in user.pages}
         )
         assert total_items == distinct_pages
 

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.failover import (
-    FailoverConfig,
-    FailoverExperiment,
-    FailureEvent,
-)
+from repro.experiments.failover import FailoverConfig, FailoverExperiment
+from repro.resilience import FaultPlan, FaultSchedule
+
+
+def crash(at, server_id, repair_at=None):
+    return FaultSchedule().add(at, server_id, FaultPlan.killed(), repair_at)
 
 
 def config(**overrides):
@@ -28,17 +29,17 @@ def config(**overrides):
 class TestValidation:
     def test_failure_event_ordering(self):
         with pytest.raises(ConfigurationError):
-            FailureEvent(when=10.0, server_id=0, repair_at=5.0)
+            crash(10.0, 0, repair_at=5.0)
         with pytest.raises(ConfigurationError):
-            FailureEvent(when=-1.0, server_id=0)
+            crash(-1.0, 0)
 
     def test_unknown_server_rejected(self):
         with pytest.raises(ConfigurationError):
-            config(failures=[FailureEvent(when=5.0, server_id=99)])
+            config(failures=crash(5.0, 99))
 
     def test_failure_after_end_rejected(self):
         with pytest.raises(ConfigurationError):
-            config(failures=[FailureEvent(when=500.0, server_id=0)])
+            config(failures=crash(500.0, 0))
 
 
 class TestRuns:
@@ -52,7 +53,7 @@ class TestRuns:
     def test_crash_spikes_db_fraction_then_recovers(self):
         report = FailoverExperiment(config(
             duration=90.0,
-            failures=[FailureEvent(when=40.0, server_id=0, repair_at=60.0)],
+            failures=crash(40.0, 0, repair_at=60.0),
         )).run()
         values = report.db_fraction.values
         times = report.db_fraction.times
@@ -67,7 +68,7 @@ class TestRuns:
         assert min(after) < max(during)
 
     def test_more_replicas_fail_over_more_and_fall_back_less(self):
-        failures = [FailureEvent(when=30.0, server_id=0)]
+        failures = crash(30.0, 0)
         r1 = FailoverExperiment(config(replicas=1, failures=failures)).run()
         r2 = FailoverExperiment(config(replicas=2, failures=failures)).run()
         assert r2.failovers > r1.failovers == 0
@@ -88,4 +89,4 @@ class TestConfiguredTTL:
 
     def test_ttl_flows_to_the_cache_cluster(self):
         experiment = FailoverExperiment(config(ttl_seconds=17.0))
-        assert experiment.cache.transitions.ttl == 17.0
+        assert experiment.testbed.cache.transitions.ttl == 17.0

@@ -1,7 +1,7 @@
 """Sim-vs-live parity under faults: one FaultSchedule, two substrates.
 
 The same scripted fault is realized twice — in the simulator as
-crash events (via :func:`failure_events_from_schedule`) and against the
+crash events (via :meth:`FaultSchedule.crashes`) and against the
 live tier as chaos-proxy plans (via :meth:`FaultSchedule.plans_at`) —
 and both sides must report the *same* engine accounting: identical
 ``FetchStats.counts`` per path, identical ``FetchStats.degraded`` event
@@ -18,7 +18,6 @@ from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
-from repro.experiments.failover import failure_events_from_schedule
 from repro.net.chaosproxy import ChaosProxy
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
@@ -71,8 +70,8 @@ def run_sim(schedule, transition_to=None):
         now += 0.01
     if transition_to is not None:
         cache.scale_to(transition_to, now=FAULT_AT)
-    for event in failure_events_from_schedule(schedule):
-        cache.fail_server(event.server_id, event.when)
+    for fault in schedule.crashes():
+        cache.fail_server(fault.server_id, fault.at)
     now = FAULT_AT + 0.1
     degraded = {}
     for key in KEYS:

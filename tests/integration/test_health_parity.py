@@ -18,7 +18,6 @@ from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
-from repro.experiments.failover import failure_events_from_schedule
 from repro.net.chaosproxy import ChaosProxy
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
@@ -72,8 +71,8 @@ def run_sim(schedule, transition_to=None):
     before = monitor.observe(now)
     if transition_to is not None:
         cache.scale_to(transition_to, now=FAULT_AT)
-    for event in failure_events_from_schedule(schedule):
-        cache.fail_server(event.server_id, event.when)
+    for fault in schedule.crashes():
+        cache.fail_server(fault.server_id, fault.at)
     now = FAULT_AT + 0.1
     for key in KEYS:
         web.fetch(key, now=now)

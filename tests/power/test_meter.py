@@ -35,12 +35,6 @@ class TestPowerMeter:
         assert meter.energy_kwh() == pytest.approx(0.07)
         assert meter.energy_kwh("cache") == pytest.approx(0.07)
 
-    def test_next_sample_due(self):
-        meter = PowerMeter(sample_period=15.0)
-        assert meter.next_sample_due(100.0) == 100.0
-        meter.sample(100.0)
-        assert meter.next_sample_due(100.0) == 115.0
-
     def test_rejects_bad_period(self):
         with pytest.raises(ConfigurationError):
             PowerMeter(sample_period=0.0)

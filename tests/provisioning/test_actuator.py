@@ -68,6 +68,27 @@ class TestInstall:
         loop.run_until(16.0)  # past 10 + ttl(5)
         assert c.server(3).state is PowerState.OFF
 
+    def test_apply_at_returns_the_record_and_arms_the_power_off(self):
+        c = cluster(4, active=4, ttl=5.0)
+        actuator = ProvisioningActuator(c, smooth=True)
+        loop = EventLoop()
+        loop.run_until(10.0)
+        record = actuator.apply_at(3, loop)
+        assert (record.when, record.n_old, record.n_new) == (10.0, 4, 3)
+        assert record.ttl == 5.0
+        assert actuator.apply_at(3, loop) is None  # no-op
+        loop.run_until(14.0)
+        assert c.server(3).state is PowerState.DRAINING
+        loop.run_until(16.0)
+        assert c.server(3).state is PowerState.OFF
+
+    def test_abrupt_apply_at_arms_nothing(self):
+        c = cluster(4, active=4)
+        loop = EventLoop()
+        record = ProvisioningActuator(c, smooth=False).apply_at(2, loop)
+        assert record.n_new == 2 and not record.smooth
+        assert len(loop) == 0
+
     def test_abrupt_install(self):
         c = cluster(4, active=4)
         actuator = ProvisioningActuator(c, smooth=False)

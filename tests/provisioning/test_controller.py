@@ -28,12 +28,12 @@ class TestControllerSteps:
 
     def test_scale_up_above_reference(self):
         ctl = controller()
-        ctl._n = 5
+        ctl.reset(5)
         assert ctl.update(0.45, arrival_rate=500) == 6
 
     def test_aggressive_scale_up_above_bound(self):
         ctl = controller()
-        ctl._n = 5
+        ctl.reset(5)
         new = ctl.update(1.5, arrival_rate=500)  # 3x the bound
         assert new >= 7
 
@@ -45,21 +45,21 @@ class TestControllerSteps:
 
     def test_no_scale_down_without_headroom(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 2
+        ctl.reset(2)
         # low measured delay but load too high for 1 server
         assert ctl.update(0.05, arrival_rate=500.0) == 2
 
     def test_dead_band_holds_steady(self):
         ctl = controller()
-        ctl._n = 5
+        ctl.reset(5)
         # between reference*margin and reference: no change
         assert ctl.update(0.35, arrival_rate=100.0) == 5
 
     def test_never_exceeds_fleet_or_floor(self):
         ctl = controller(min_servers=2)
-        ctl._n = 10
+        ctl.reset(10)
         assert ctl.update(5.0, arrival_rate=100.0) == 10
-        ctl._n = 2
+        ctl.reset(2)
         assert ctl.update(0.0, arrival_rate=0.0) == 2
 
     def test_history_recorded(self):
@@ -67,6 +67,23 @@ class TestControllerSteps:
         ctl.update(0.45, 100.0)
         ctl.update(0.45, 100.0)
         assert len(ctl.history) == 3  # initial + 2 updates
+
+    def test_reset_commands_a_count_and_restarts_history(self):
+        ctl = controller(min_servers=2)
+        ctl.update(0.45, 100.0)
+        ctl.reset(4)
+        assert ctl.current == 4
+        assert ctl.history == [4]
+        assert ctl.update(0.45, 100.0) == 5
+        for out_of_range in (1, 11):
+            with pytest.raises(ConfigurationError):
+                ctl.reset(out_of_range)
+
+    def test_projected_delay_is_the_mm1_projection(self):
+        ctl = controller(per_server_rate=70.0)  # service rate 100 req/s
+        assert ctl.projected_delay(100.0, 2) == pytest.approx(1 / 50)
+        assert ctl.projected_delay(100.0, 4) < ctl.projected_delay(100.0, 2)
+        assert ctl.projected_delay(1000.0, 2) == float("inf")
 
     def test_as_schedule(self):
         ctl = controller()
@@ -140,7 +157,7 @@ class TestHealthFeedback:
 
     def test_open_breaker_triggers_emergency_scale_up(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 3
+        ctl.reset(3)
         # 3 active, one tripped: 2 healthy left for a 3-server load, but
         # the measured delay still looks fine (degraded path is fast).
         new = ctl.update(
@@ -152,7 +169,7 @@ class TestHealthFeedback:
 
     def test_crashed_server_counts_like_open_breaker(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 3
+        ctl.reset(3)
         new = ctl.update(
             0.1, arrival_rate=500.0,
             health=health(failed_servers=frozenset({0})),
@@ -162,7 +179,7 @@ class TestHealthFeedback:
 
     def test_emergency_cannot_run_away(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 6
+        ctl.reset(6)
         # 5 healthy already cover the load: no forced growth, slot after slot.
         snap = health(open_servers=frozenset({1}))
         for _ in range(5):
@@ -172,7 +189,7 @@ class TestHealthFeedback:
 
     def test_unhealthy_outside_active_set_ignored_for_loss(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 3
+        ctl.reset(3)
         # server 7 is powered off anyway: no capacity was lost.
         new = ctl.update(
             0.1, arrival_rate=500.0,
@@ -182,14 +199,14 @@ class TestHealthFeedback:
 
     def test_degraded_rate_without_culprit_adds_one(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 4
+        ctl.reset(4)
         snap = health(requests=1000, degraded={"timeouts": 100})
         assert ctl.update(0.1, arrival_rate=600.0, health=snap) == 5
         assert ctl.emergency_scale_ups == 1
 
     def test_scale_down_vetoed_while_unhealthy(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 5
+        ctl.reset(5)
         snap = health(open_servers=frozenset({9}))
         # delay-only would drop a server (light load, low delay).
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 5
@@ -197,21 +214,21 @@ class TestHealthFeedback:
 
     def test_scale_down_vetoed_while_in_transition(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 5
+        ctl.reset(5)
         snap = health(in_transition=True)
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 5
         assert ctl.vetoed_scale_downs == 1
 
     def test_scale_down_vetoed_while_remap_decay_active(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 5
+        ctl.reset(5)
         snap = health(requests=100, remap_misses=20)
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 5
         assert ctl.vetoed_scale_downs == 1
 
     def test_straggler_remap_misses_do_not_veto(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 5
+        ctl.reset(5)
         # 2 misses over 1000 requests: below the 5% veto threshold.
         snap = health(requests=1000, remap_misses=2)
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 4
@@ -219,7 +236,7 @@ class TestHealthFeedback:
 
     def test_healthy_snapshot_permits_scale_down(self):
         ctl = controller(per_server_rate=200.0)
-        ctl._n = 5
+        ctl.reset(5)
         assert ctl.update(0.05, arrival_rate=100.0, health=health()) == 4
 
     def test_threshold_validation(self):
@@ -241,7 +258,7 @@ class TestShedFeedback:
 
     def test_shedding_forces_an_emergency_scale_up(self):
         ctl = controller(num_servers=4)
-        ctl._n = 2
+        ctl.reset(2)
         # Delay looks calm (hits keep the median low), but 10% of offered
         # load was refused: add a server anyway.
         new = ctl.update(0.1, arrival_rate=100, health=self.health(shed=10))

@@ -111,6 +111,18 @@ class TestFaultScheduleVocabulary:
         assert not FaultPlan.flaky(0.3).kills_server
         assert FaultPlan.none().is_benign
 
+    def test_crashes_are_the_entries_whose_plan_kills_the_server(self):
+        schedule = (
+            FaultSchedule()
+            .add(3.0, 2, FaultPlan.syn_dropped(), clear_at=4.0)
+            .add(1.0, 0, FaultPlan.killed())
+            .add(2.0, 1, FaultPlan.slow(0.05))
+        )
+        assert [(f.at, f.server_id, f.clear_at) for f in schedule.crashes()] == [
+            (1.0, 0, None), (3.0, 2, 4.0),
+        ]
+        assert FaultSchedule().crashes() == []
+
 
 class TestSnapshots:
     def test_closed_snapshot(self):

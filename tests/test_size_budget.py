@@ -1,5 +1,5 @@
 """Line-count budget for the Algorithm-2 core, its two drivers, the live
-transport, and the tree.
+transport, the simulated testbed and its three experiments, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -19,9 +19,13 @@ CEILINGS = {
     "web/frontend.py": 275,
     "net/webtier.py": 375,
     "net/transport.py": 400,
+    "experiments/testbed.py": 200,
+    "experiments/cluster.py": 375,
+    "experiments/autopilot.py": 500,
+    "experiments/failover.py": 150,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 15_925
+TREE_CEILING = 15_775
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
