@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-e2e bench-history figures examples clean
+.PHONY: install test bench bench-smoke bench-e2e bench-history bench-ab figures examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -51,6 +51,16 @@ bench-e2e:
 # trajectory: metrics, git sha and source line totals per run.
 bench-history:
 	python3 benchmarks/e2e/run.py --history BENCH_history.jsonl
+
+# The A/B a performance claim rests on: PAIRS alternating runs of commit
+# BASE and this tree, each side under its own benchmarks/e2e/run.py
+# (~80 s per workload per pair); prints medians, quartiles and the k/N
+# sign count and appends both sides to BENCH_history.jsonl.
+#   make bench-ab BASE=<sha> [WORKLOAD=page64_hit PAIRS=10]
+PAIRS ?= 10
+bench-ab:
+	python3 benchmarks/ab.py --base $(BASE) --pairs $(PAIRS) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Regenerate every paper figure as printed tables.
 figures:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -122,9 +123,9 @@ def stable_hash64_many(keys: Sequence[Key], salt: int = 0) -> np.ndarray:
     warm working set is one dict hit per key and a cold batch fills the memo
     for every later scalar or batch call.
     """
-    memo = _hash64_memo
     return np.fromiter(
-        (memo(key, salt) for key in keys), dtype=np.uint64, count=len(keys)
+        map(_hash64_memo, keys, repeat(salt)), dtype=np.uint64,
+        count=len(keys),
     )
 
 

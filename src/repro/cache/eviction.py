@@ -51,11 +51,13 @@ class LRUPolicy(EvictionPolicy):
 
     def __init__(self) -> None:
         self._order: "OrderedDict[str, None]" = OrderedDict()
+        # An access is the dict's own bound method: no frame per get.
+        self.on_access = self._order.move_to_end
 
     def on_link(self, key: str) -> None:
         self._order[key] = None
 
-    def on_access(self, key: str) -> None:
+    def on_access(self, key: str) -> None:  # shadowed per instance, above
         self._order.move_to_end(key)
 
     def on_unlink(self, key: str) -> None:

@@ -15,7 +15,7 @@ from typing import Any, Optional
 DEFAULT_ITEM_SIZE = 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheItem:
     """One ``(key, data)`` pair stored by a cache server.
 

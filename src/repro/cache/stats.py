@@ -24,13 +24,6 @@ class CacheStats:
     bytes_stored: int = 0
     items: int = 0
 
-    def record_get(self, hit: bool) -> None:
-        self.gets += 1
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-
     def record_set(self, size_delta: int, new_item: bool) -> None:
         self.sets += 1
         self.bytes_stored += size_delta

@@ -109,21 +109,23 @@ class KeyValueStore:
         otherwise concurrent cache misses for one key (the dog pile) would
         silently free-ride on each other.
         """
+        # Expiry test, touch and counters are inlined: this is the one
+        # per-key call of a multiget, and each was a frame of its own.
+        stats = self.stats
+        stats.gets += 1
         item = self._items.get(key)
-        if item is not None and item.expired(now):
-            self._unlink(item, REASON_EXPIRE)
-            self.stats.record_expiration(item.size)
-            item = None
-        if item is not None and item.created_at > now:
-            self.stats.record_get(hit=False)
-            return None
-        if item is None:
-            self.stats.record_get(hit=False)
-            return None
-        item.touch(now)
-        self.policy.on_access(key)
-        self.stats.record_get(hit=True)
-        return item.value
+        if item is not None:
+            expires_at = item.expires_at
+            if expires_at is not None and now >= expires_at:
+                self._unlink(item, REASON_EXPIRE)
+                stats.record_expiration(item.size)
+            elif item.created_at <= now:
+                item.last_access = now
+                self.policy.on_access(key)
+                stats.hits += 1
+                return item.value
+        stats.misses += 1
+        return None
 
     def set(
         self,

@@ -759,7 +759,10 @@ class RetrievalEngine:
                 0 if served_by is None else 1,
             )
             counts[path] += 1
-            if served_by != plan[0] and outcome.failover:
+            if served_by == plan[0]:
+                if armor is None and len(plan) == 1:
+                    continue  # a hit at the only owner: nothing to install
+            elif outcome.failover:
                 stats.failovers += 1
             if path in _UNSERVED_BY_THE_TIER:
                 continue

@@ -586,10 +586,9 @@ class MemcachedClient:
         (spymemcached pipelines multigets); one command line, one END.
         """
         key_list = list(keys)
-        for key in key_list:
-            proto.validate_key(key)
         if not key_list:
             return {}
+        proto.validate_keys(key_list)
         items = await self._exchange(
             ValuesReply(),
             ("get " + " ".join(key_list) + "\r\n").encode("utf-8"),
@@ -607,10 +606,9 @@ class MemcachedClient:
         net throughput bench's pipelined page fetch.
         """
         key_list = list(keys)
-        for key in key_list:
-            proto.validate_key(key)
         if not key_list:
             return []
+        proto.validate_keys(key_list)
         payload = "".join(f"get {key}\r\n" for key in key_list).encode(
             "utf-8"
         )
@@ -632,16 +630,14 @@ class MemcachedClient:
         pairs = list(items.items() if isinstance(items, dict) else items)
         if not pairs:
             return 0
-        buffer = bytearray()
-        shapes: List[ReplyShape] = []
-        for key, value in pairs:
-            proto.validate_key(key)
-            buffer += f"set {key} {flags} {exptime} {len(value)}\r\n".encode(
-                "utf-8"
-            )
-            buffer += value + proto.CRLF
-            shapes.append(LineReply(STORE_TOKENS))
-        replies = await self._exchange_many(shapes, bytes(buffer))
+        proto.validate_keys([key for key, _ in pairs])
+        payload = b"".join([
+            b"set %s %d %d %d\r\n%s\r\n"
+            % (key.encode("utf-8"), flags, exptime, len(value), value)
+            for key, value in pairs
+        ])
+        shapes = [LineReply(STORE_TOKENS)] * len(pairs)
+        replies = await self._exchange_many(shapes, payload)
         return sum(reply == b"STORED" for reply in replies)
 
     async def gets(self, key: str) -> Optional["CasValue"]:

@@ -1,12 +1,11 @@
 """Incremental memcached ASCII framing: feed bytes, get complete frames.
 
-The pre-pipelining client parsed replies with ``StreamReader.readline`` —
-one syscall-ish await per protocol line, one in-flight command per
-connection.  This module is the sans-IO core of the pipelined transport
-(the emcache-style ``feed_data`` design): byte chunks go in, complete
-protocol frames come out, and nothing is ever re-scanned — the parsers
-remember how far they looked for a line terminator and resume from there
-on the next chunk.
+This module is the sans-IO core of the pipelined transport (the
+emcache-style ``feed_data`` design): byte chunks go in, complete protocol
+frames come out, and nothing is ever re-scanned — the parsers remember how
+far they looked for a line terminator and resume from there on the next
+chunk.  No line may exceed :data:`MAX_LINE_LENGTH`: a peer that sends more
+without a newline is cut off instead of buffered.
 
 Two directions:
 
@@ -14,31 +13,35 @@ Two directions:
   shape* (:class:`LineReply`, :class:`ValuesReply`, :class:`StatsReply`)
   in FIFO order as they are written; :meth:`ReplyParser.feed` matches
   server bytes against the head shape and emits one result per completed
-  reply, in order.  A reply that cannot belong to the expected shape
+  reply, in order.  A chunk is framed where it arrived — only the tail of
+  an incomplete frame is copied into the parser's buffer — and a ``VALUE``
+  block costs one strict, bounded header match, one slice and one
+  :class:`ValueItem`.  A reply that cannot belong to the expected shape
   raises :class:`Desync`: the stream position is unknown from that byte
-  on, and the connection owner must poison the transport (pairing any
-  later line with a queued command would be the PR-5 mispairing bug).
-  Complete ``ERROR``/``CLIENT_ERROR``/``SERVER_ERROR`` lines are *not*
-  desyncs — the stream stays framed — and surface as :class:`ErrorLine`
-  results so the caller can raise without dropping the connection.
+  on, and the connection owner must poison the transport rather than pair
+  a later line with a queued command.  Complete
+  ``ERROR``/``CLIENT_ERROR``/``SERVER_ERROR`` lines are *not* desyncs —
+  the stream stays framed — and surface as :class:`ErrorLine` results so
+  the caller can raise without dropping the connection.
 
 * :class:`CommandParser` — the server side.  Yields complete
   :class:`~repro.net.protocol.Request` objects (data block attached for
   storage commands); malformed input surfaces as :class:`BadCommand`
-  entries that the server answers with ``CLIENT_ERROR``, fatal ones
-  (an unterminated data block — framing is gone) drop the connection,
-  exactly as the ``readline`` loop did.
+  entries that the server answers with ``CLIENT_ERROR``, fatal ones (an
+  unterminated data block, an over-long line — framing is gone) drop the
+  connection, as memcached does.
 
 Both parsers are pure byte machines — no I/O, no asyncio — so they unit
 test byte-by-byte and serve any transport (the asyncio protocol client,
-the server's chunked read loop, tests).
+the server's ``data_received``, tests).
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple, Union
+from typing import Callable, Deque, List, Optional, Union
 
 from repro.errors import ProtocolError, ServerBusyError
 from repro.net import protocol as proto
@@ -57,6 +60,21 @@ __all__ = [
 
 #: complete error replies keep the stream framed (they end at their CRLF)
 ERROR_PREFIXES = (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
+
+#: Longest line either parser accepts, and so the most it buffers while
+#: looking for a newline.  Sized for the longest line the protocol needs —
+#: a ``gets`` of 64 keys of 250 bytes is 16 070 bytes — and deliberately
+#: not an option: the peer on the other side must agree on it.
+MAX_LINE_LENGTH = 16 * 1024
+
+#: One well-formed ``VALUE <key> <flags> <bytes> [<cas unique>]`` header.
+#: Applied anchored at a frame boundary, and bounded (key <= 250 bytes,
+#: unsigned decimals <= 20 digits), so an attempt never looks further than
+#: a header is long.  ``int()`` would also take ``-2``, ``+3`` and ``1_0``;
+#: a byte count that is not what the server meant mis-frames the stream.
+_VALUE_HEADER = re.compile(
+    rb"VALUE ([^\x00-\x20]{1,250}) (\d{1,20}) (\d{1,20})(?: (\d{1,20}))?\r\n"
+).match
 
 
 class Desync(Exception):
@@ -153,20 +171,20 @@ class ReplyParser:
 
     Usage: :meth:`expect` once per command written (FIFO), then
     :meth:`feed` with each received chunk; completed replies come back in
-    command order.  The internal buffer keeps a scan cursor so a long
-    line arriving in many chunks is never re-scanned.
+    command order.  Only the tail of an incomplete frame is kept between
+    feeds, with a scan cursor so a long line arriving in many chunks is
+    never re-scanned.
     """
 
     def __init__(self) -> None:
-        self._buf = bytearray()
-        self._pos = 0         # start of the unconsumed region
-        self._scan = 0        # how far we've looked for the next newline
+        self._buf = bytearray()   # the incomplete tail of earlier chunks
+        self._pos = 0             # start of the unconsumed region
+        self._scan = 0            # how far we've looked for the next newline
         self._shapes: Deque[ReplyShape] = deque()
-        self._dead = False    # a Desync happened; nothing more comes out
+        self._dead = False        # a Desync happened; nothing more comes out
         # in-progress multi-frame reply state
         self._items: List[ValueItem] = []
         self._stats: dict = {}
-        self._block: Optional[Tuple[str, int, Optional[int], int]] = None
 
     def expect(self, shape: ReplyShape) -> None:
         """Register the reply shape of the next written command."""
@@ -180,12 +198,12 @@ class ReplyParser:
     @property
     def buffered(self) -> int:
         """Bytes received but not yet consumed by a complete frame."""
-        return len(self._buf) - self._pos
+        return len(self._buf)
 
     # ---------------------------------------------------------------- feed
 
     def feed(self, data: bytes) -> List[ReplyResult]:
-        """Append *data*; return every reply it completed, in order.
+        """Frame *data*; return every reply it completed, in order.
 
         Raises:
             Desync: the stream cannot be matched to the expected shapes;
@@ -195,132 +213,136 @@ class ReplyParser:
         """
         if self._dead:
             raise Desync("reply stream already desynchronized")
-        self._buf += data
+        # With nothing waiting, frame straight off the chunk: a slice of
+        # ``bytes`` is the finished value, a slice of the buffer needs a
+        # second copy to become one.
+        buf = self._buf
+        if buf:
+            buf += data
+        src = buf or data
+        self._pos = 0
+        shapes = self._shapes
         out: List[ReplyResult] = []
-        while True:
-            try:
-                result = self._step()
-            except Desync as exc:
-                self._dead = True
-                exc.results = out
-                raise
-            if result is None:
-                break
-            out.append(result)
-        # Compact once per feed, not once per frame: consuming a frame
-        # only advances the _pos cursor, so a chunk carrying k pipelined
-        # replies costs one buffer shift instead of O(k) shifts.
-        if self._pos:
-            del self._buf[: self._pos]
-            self._scan -= self._pos
-            self._pos = 0
+        try:
+            while shapes:
+                shape = shapes[0]
+                if isinstance(shape, ValuesReply):
+                    result = self._step_values(src)
+                elif isinstance(shape, LineReply):
+                    result = self._step_line(src, shape)
+                else:
+                    result = self._step_stats(src)
+                if result is None:  # the head reply is starved
+                    break
+                shapes.popleft()
+                out.append(result)
+            else:
+                if self._pos < len(src):
+                    raise Desync(
+                        "unsolicited bytes with no command in flight: "
+                        f"{bytes(src[self._pos: self._pos + 40])!r}"
+                    )
+        except Desync as exc:
+            self._dead = True
+            exc.results = out
+            raise
+        # Keep the unconsumed tail, once per feed: a chunk carrying k
+        # pipelined replies costs one copy or shift, not k.
+        pos = self._pos
+        if src is buf:
+            del buf[:pos]
+        elif pos < len(src):
+            buf += src[pos:]
+        self._scan -= pos
         return out
 
     # ------------------------------------------------------------ plumbing
 
-    def _take_line(self) -> Optional[bytes]:
+    def _take_line(self, src: bytes) -> Optional[bytes]:
         """The next complete line (CRLF stripped), consuming it; ``None``
         while incomplete.  Scanning resumes where the last call left off."""
-        index = self._buf.find(b"\n", self._scan)
+        index = src.find(b"\n", self._scan)
+        if (len(src) if index < 0 else index) - self._pos > MAX_LINE_LENGTH:
+            raise Desync(f"reply line longer than {MAX_LINE_LENGTH} bytes")
         if index < 0:
-            self._scan = len(self._buf)
+            self._scan = len(src)
             return None
-        line = bytes(self._buf[self._pos: index])
+        line = bytes(src[self._pos:index])
         if line.endswith(b"\r"):
             line = line[:-1]
-        self._pos = index + 1
-        self._scan = self._pos
+        self._pos = self._scan = index + 1
         return line
 
-    def _take_block(self, count: int) -> Optional[bytes]:
-        """*count* bytes + CRLF, consuming them; ``None`` while short."""
-        if len(self._buf) - self._pos < count + 2:
-            return None
-        end = self._pos + count
-        if self._buf[end: end + 2] != proto.CRLF:
-            raise Desync(
-                f"value block of {count} bytes not terminated by CRLF"
-            )
-        block = bytes(self._buf[self._pos: end])
-        self._pos = end + 2
-        self._scan = self._pos
-        return block
-
-    def _step(self) -> Optional[ReplyResult]:
-        """Try to complete the head reply; ``None`` while starved."""
-        if not self._shapes:
-            if len(self._buf) - self._pos:
-                raise Desync(
-                    f"{len(self._buf) - self._pos} unsolicited bytes with "
-                    "no command in flight: "
-                    f"{bytes(self._buf[self._pos: self._pos + 40])!r}"
-                )
-            return None
-        shape = self._shapes[0]
-        if isinstance(shape, LineReply):
-            return self._step_line(shape)
-        if isinstance(shape, ValuesReply):
-            return self._step_values()
-        return self._step_stats()
-
-    def _finish(self, result: ReplyResult) -> ReplyResult:
-        self._shapes.popleft()
-        return result
-
-    def _step_line(self, shape: LineReply) -> Optional[ReplyResult]:
-        line = self._take_line()
+    def _step_line(
+        self, src: bytes, shape: LineReply
+    ) -> Optional[ReplyResult]:
+        line = self._take_line(src)
         if line is None:
             return None
         if line.startswith(ERROR_PREFIXES):
-            return self._finish(ErrorLine(line))
+            return ErrorLine(line)
         if shape.validator is not None and not shape.validator(line):
             raise Desync(f"unexpected reply line: {line!r}")
-        return self._finish(line)
+        return line
 
-    def _step_values(self) -> Optional[ReplyResult]:
-        while True:
-            if self._block is not None:
-                key, flags, cas, count = self._block
-                block = self._take_block(count)
-                if block is None:
-                    return None
-                self._block = None
-                self._items.append(ValueItem(key, flags, block, cas))
-                continue
-            line = self._take_line()
-            if line is None:
-                return None
-            if line == b"END":
-                items, self._items = self._items, []
-                return self._finish(items)
-            if line.startswith(ERROR_PREFIXES):
-                # A complete error reply; whatever VALUE blocks preceded
-                # it belonged to this same (failed) command.
-                self._items = []
-                return self._finish(ErrorLine(line))
-            if not line.startswith(b"VALUE "):
-                raise Desync(f"unexpected get response line: {line!r}")
-            parts = line.split(b" ")
-            try:
-                key = parts[1].decode("utf-8")
-                flags = int(parts[2])
-                count = int(parts[3])
-                cas = int(parts[4]) if len(parts) > 4 else None
-            except (IndexError, ValueError, UnicodeDecodeError):
-                raise Desync(f"malformed VALUE line: {line!r}")
-            self._block = (key, flags, cas, count)
+    def _step_values(self, src: bytes) -> Optional[ReplyResult]:
+        pos, items, size = self._pos, self._items, len(src)
+        direct = type(src) is bytes  # else the buffer: copy slices out
+        # Well-formed blocks: one header match each, on a local cursor.
+        header = _VALUE_HEADER(src, pos)
+        try:
+            while header is not None:
+                key, flags, count, cas = header.groups()
+                start = header.end()
+                end = start + int(count)
+                if end + 2 > size:
+                    break  # a partial block
+                if src[end] != 13 or src[end + 1] != 10:
+                    raise Desync(
+                        f"value of {int(count)} bytes not terminated by CRLF"
+                    )
+                value = src[start:end]
+                items.append(ValueItem(
+                    key.decode("utf-8"), int(flags),
+                    value if direct else bytes(value),
+                    None if cas is None else int(cas),
+                ))
+                pos = end + 2
+                header = _VALUE_HEADER(src, pos)
+        except UnicodeDecodeError:
+            raise Desync(f"malformed VALUE line: {header.group()!r}") from None
+        self._pos, self._scan = pos, max(pos, self._scan)
+        if header is not None:
+            # The cursor stays on the partial block's header, which the
+            # next feed matches again; its bytes are never looked at.
+            return None
+        # Anything else ends the reply or the stream.
+        line = self._take_line(src)
+        if line is None:
+            return None
+        if line == b"END":
+            self._items = []
+            return items
+        if line.startswith(ERROR_PREFIXES):
+            # A complete error reply; whatever VALUE blocks preceded
+            # it belonged to this same (failed) command.
+            self._items = []
+            return ErrorLine(line)
+        if line.startswith(b"VALUE "):
+            raise Desync(f"malformed VALUE line: {line!r}")
+        raise Desync(f"unexpected get response line: {line!r}")
 
-    def _step_stats(self) -> Optional[ReplyResult]:
+    def _step_stats(self, src: bytes) -> Optional[ReplyResult]:
         while True:
-            line = self._take_line()
+            line = self._take_line(src)
             if line is None:
                 return None
             if line == b"END":
                 stats, self._stats = self._stats, {}
-                return self._finish(stats)
+                return stats
             if line.startswith(ERROR_PREFIXES):
                 self._stats = {}
-                return self._finish(ErrorLine(line))
+                return ErrorLine(line)
             if not line.startswith(b"STAT "):
                 raise Desync(f"unexpected stats line: {line!r}")
             try:
@@ -337,8 +359,9 @@ class ReplyParser:
 class BadCommand:
     """A malformed request the server answers with ``CLIENT_ERROR``.
 
-    ``fatal`` means framing is lost (an unterminated data block): the
-    server must reply and then drop the connection, as memcached does.
+    ``fatal`` means framing is lost (an unterminated data block, a line
+    over :data:`MAX_LINE_LENGTH`): the server must reply and then drop
+    the connection, as memcached does.
     """
 
     message: str
@@ -382,27 +405,17 @@ class CommandParser:
             self._pos = 0
         return out
 
-    def _take_line(self) -> Optional[bytes]:
-        index = self._buf.find(b"\n", self._scan)
-        if index < 0:
-            self._scan = len(self._buf)
-            return None
-        line = bytes(self._buf[self._pos: index + 1])
-        self._pos = index + 1
-        self._scan = self._pos
-        return line
-
     def _step(self) -> Optional[CommandItem]:
+        buf = self._buf
         if self._pending is not None:
             request = self._pending
             count = request.num_bytes
-            if len(self._buf) - self._pos < count + 2:
+            if len(buf) - self._pos < count + 2:
                 return None
             end = self._pos + count
-            block = bytes(self._buf[self._pos: end])
-            tail = bytes(self._buf[end: end + 2])
-            self._pos = end + 2
-            self._scan = self._pos
+            block = bytes(buf[self._pos: end])
+            tail = bytes(buf[end: end + 2])
+            self._pos = self._scan = end + 2
             self._pending = None
             if tail != proto.CRLF:
                 self._dead = True
@@ -411,9 +424,16 @@ class CommandParser:
                 )
             request.value = block
             return request
-        line = self._take_line()
-        if line is None:
+        index = buf.find(b"\n", self._scan)
+        if (len(buf) if index < 0 else index) - self._pos > MAX_LINE_LENGTH:
+            # Where this line ends is no longer worth finding out.
+            self._dead = True
+            return BadCommand("line too long", fatal=True)
+        if index < 0:
+            self._scan = len(buf)
             return None
+        line = bytes(buf[self._pos: index + 1])
+        self._pos = self._scan = index + 1
         try:
             request = proto.parse_command_line(line)
         except ProtocolError as exc:

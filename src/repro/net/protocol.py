@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ProtocolError
 
@@ -29,8 +29,9 @@ CRLF = b"\r\n"
 #: Section V-A3 reserved keys.
 KEY_SNAPSHOT = "SET_BLOOM_FILTER"
 KEY_FETCH_DIGEST = "BLOOM_FILTER"
+RESERVED_KEYS = frozenset((KEY_SNAPSHOT, KEY_FETCH_DIGEST))
 
-MAX_KEY_LENGTH = 250  # memcached's limit
+MAX_KEY_LENGTH = 250  # memcached's limit, in bytes on the wire
 
 
 @dataclass(slots=True)
@@ -51,10 +52,9 @@ class Request:
 
 
 #: every character memcached rejects in a key (whitespace + control
-#: chars below 33); a compiled character-class regex makes the per-key
-#: check one C-level scan that exits at the first offender —
-#: validate_key sits on both the client's and the server's per-command
-#: hot path
+#: chars below 33); a compiled character-class regex makes the check one
+#: C-level scan that exits at the first offender — key validation sits on
+#: both the client's and the server's per-command hot path
 _BAD_KEY_CHARS = "".join(
     chr(c) for c in range(0x3001) if c < 33 or chr(c).isspace()
 )
@@ -62,11 +62,30 @@ _BAD_KEY_SEARCH = re.compile(f"[{re.escape(_BAD_KEY_CHARS)}]").search
 
 
 def validate_key(key: str) -> None:
-    """Reject keys memcached would reject (length, control chars, spaces)."""
-    if not key or len(key) > MAX_KEY_LENGTH:
-        raise ProtocolError(f"bad key length: {len(key)}")
+    """Reject keys memcached would reject: control chars, spaces, or more
+    than 250 *bytes* (``"é" * 200`` is 400 on the wire)."""
+    length = len(key) if key.isascii() else len(key.encode("utf-8"))
+    if not 0 < length <= MAX_KEY_LENGTH:
+        raise ProtocolError(f"bad key length: {length}")
     if _BAD_KEY_SEARCH(key) is not None:
         raise ProtocolError(f"key contains whitespace/control chars: {key!r}")
+
+
+def validate_keys(keys: Sequence[str]) -> None:
+    """:func:`validate_key` for a whole multiget: a pass over the lengths
+    (none while the batch is shorter than one key may be) and one scan of
+    the joined keys' characters.  A batch that fails or is not ASCII is
+    walked key by key: to raise the offender's error, or count its bytes."""
+    joined = "".join(keys)
+    if (
+        (len(joined) > MAX_KEY_LENGTH
+         and max(map(len, keys)) > MAX_KEY_LENGTH)
+        or "" in keys
+        or not joined.isascii()
+        or _BAD_KEY_SEARCH(joined) is not None
+    ):
+        for key in keys:
+            validate_key(key)
 
 
 def parse_command_line(line: bytes) -> Request:
@@ -75,16 +94,16 @@ def parse_command_line(line: bytes) -> Request:
     Raises:
         ProtocolError: malformed command or arguments.
     """
-    # Fast path: single-key ``get`` — the live tier's dominant command
-    # (a pipelined 64-key page arrives as 64 of these).  Skips the
-    # decode/strip/split/lower dance of the general path below.
-    if line.startswith(b"get ") and line.find(b" ", 4) < 0:
+    # ``get`` is the live tier's dominant command (a page is one multi-key
+    # ``get`` per server): skip the strip/split/lower dance of the general
+    # path below.
+    if line.startswith(b"get "):
         try:
-            key = line[4:].rstrip(b"\r\n").decode("utf-8")
+            keys = line[4:].rstrip(b"\r\n").decode("utf-8").split(" ")
         except UnicodeDecodeError as exc:
             raise ProtocolError("command line is not valid UTF-8") from exc
-        validate_key(key)
-        return Request(command="get", keys=[key])
+        validate_keys(keys)
+        return Request(command="get", keys=keys)
     try:
         text = line.decode("utf-8").strip("\r\n")
     except UnicodeDecodeError as exc:
@@ -98,8 +117,7 @@ def parse_command_line(line: bytes) -> Request:
         if len(parts) < 2:
             raise ProtocolError("get requires at least one key")
         keys = parts[1:]
-        for key in keys:
-            validate_key(key)
+        validate_keys(keys)
         return Request(command=command, keys=keys)
 
     if command in ("set", "add", "replace", "append", "prepend", "cas"):
@@ -180,33 +198,15 @@ def value_response(key: str, flags: int, data: bytes, cas: Optional[int] = None)
     )
 
 
-def end_response() -> bytes:
-    return b"END" + CRLF
-
-
-def stored_response() -> bytes:
-    return b"STORED" + CRLF
-
-
-def not_stored_response() -> bytes:
-    return b"NOT_STORED" + CRLF
-
-
-def deleted_response() -> bytes:
-    return b"DELETED" + CRLF
-
-
-def not_found_response() -> bytes:
-    return b"NOT_FOUND" + CRLF
-
-
-def touched_response() -> bytes:
-    return b"TOUCHED" + CRLF
-
-
-def exists_response() -> bytes:
-    """``cas`` reply when the item changed since the client's ``gets``."""
-    return b"EXISTS" + CRLF
+#: The fixed reply lines.  ``EXISTS`` answers a ``cas`` whose item changed
+#: since the client's ``gets``.
+END = b"END\r\n"
+STORED = b"STORED\r\n"
+NOT_STORED = b"NOT_STORED\r\n"
+DELETED = b"DELETED\r\n"
+NOT_FOUND = b"NOT_FOUND\r\n"
+TOUCHED = b"TOUCHED\r\n"
+EXISTS = b"EXISTS\r\n"
 
 
 def number_response(value: int) -> bytes:
@@ -240,4 +240,4 @@ def client_error_response(message: str) -> bytes:
 def stats_response(stats: Dict[str, object]) -> bytes:
     """A ``stats`` reply: one ``STAT name value`` line per entry, then END."""
     lines = [f"STAT {name} {value}".encode("utf-8") for name, value in stats.items()]
-    return CRLF.join(lines) + CRLF + end_response() if lines else end_response()
+    return CRLF.join(lines) + CRLF + END if lines else END

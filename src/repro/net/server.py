@@ -187,64 +187,49 @@ class MemcachedServer:
 
     def _do_get(self, request: proto.Request) -> bytes:
         now = self._clock()
-        keys = request.keys
-        if (
-            request.command == "get"
-            and len(keys) == 1
-            and keys[0] != proto.KEY_SNAPSHOT
-            and keys[0] != proto.KEY_FETCH_DIGEST
-        ):
-            # Hot path: the pipelined live tier issues pages as bursts of
-            # single-key gets; skip the chunk-list machinery for them.
-            key = keys[0]
-            value = self.store.get(key, now)
-            if value is None:
-                return b"END\r\n"
-            item = self.store.peek(key)
-            return proto.value_response(
-                key, item.flags if item is not None else 0, value
-            ) + b"END\r\n"
+        store = self.store
+        get, peek, render = store.get, store.peek, proto.value_response
+        cas_ids = self._cas.get if request.command == "gets" else None
         chunks = []
-        for key in keys:
-            if key == proto.KEY_SNAPSHOT:
-                # Reserved key: snapshot the digest, acknowledge with a
-                # 1-byte value so stock clients see a normal hit.
-                self.take_snapshot()
-                chunks.append(proto.value_response(key, 0, b"1"))
+        for key in request.keys:
+            if key in proto.RESERVED_KEYS:
+                if key == proto.KEY_SNAPSHOT:
+                    # Snapshot the digest, acknowledge with a 1-byte value
+                    # so stock clients see a normal hit.
+                    self.take_snapshot()
+                    chunks.append(render(key, 0, b"1"))
+                elif self._snapshot is not None:
+                    chunks.append(render(key, 0, self._snapshot))
                 continue
-            if key == proto.KEY_FETCH_DIGEST:
-                if self._snapshot is not None:
-                    chunks.append(proto.value_response(key, 0, self._snapshot))
-                continue
-            value = self.store.get(key, now)
+            value = get(key, now)
             if value is not None:
-                item = self.store.peek(key)
-                flags = item.flags if item is not None else 0
-                cas = self._cas.get(key) if request.command == "gets" else None
-                chunks.append(proto.value_response(key, flags, value, cas=cas))
-        chunks.append(proto.end_response())
+                chunks.append(render(
+                    key, peek(key).flags, value,
+                    None if cas_ids is None else cas_ids(key),
+                ))
+        chunks.append(proto.END)
         return b"".join(chunks)
 
     def _do_store(self, request: proto.Request) -> bytes:
         key = request.keys[0]
-        if key in (proto.KEY_SNAPSHOT, proto.KEY_FETCH_DIGEST):
+        if key in proto.RESERVED_KEYS:
             return proto.client_error_response(f"{key} is reserved")
         now = self._clock()
         current = self.store.peek(key)
         exists = current is not None and not current.expired(now)
         if request.command == "add" and exists:
-            return proto.not_stored_response()
+            return proto.NOT_STORED
         if request.command == "replace" and not exists:
-            return proto.not_stored_response()
+            return proto.NOT_STORED
         if request.command == "cas":
             if not exists:
-                return proto.not_found_response()
+                return proto.NOT_FOUND
             if self._cas.get(key) != request.cas:
-                return proto.exists_response()
+                return proto.EXISTS
         ttl = float(request.exptime) if request.exptime > 0 else None
         return (
             self._set(key, request.value, now, ttl, request.flags)
-            or proto.stored_response()
+            or proto.STORED
         )
 
     def _set(self, key, value, now, ttl, flags) -> Optional[bytes]:
@@ -262,29 +247,26 @@ class MemcachedServer:
 
     def _do_concat(self, request: proto.Request) -> bytes:
         key = request.keys[0]
-        if key in (proto.KEY_SNAPSHOT, proto.KEY_FETCH_DIGEST):
+        if key in proto.RESERVED_KEYS:
             return proto.client_error_response(f"{key} is reserved")
         now = self._clock()
         item = self.store.peek(key)
         if item is None or item.expired(now):
-            return proto.not_stored_response()
+            return proto.NOT_STORED
         if request.command == "append":
             merged = bytes(item.value) + request.value
         else:
             merged = request.value + bytes(item.value)
         expires = item.expires_at
         ttl = None if expires is None else max(0.0, expires - now)
-        return (
-            self._set(key, merged, now, ttl, item.flags)
-            or proto.stored_response()
-        )
+        return self._set(key, merged, now, ttl, item.flags) or proto.STORED
 
     def _do_arith(self, request: proto.Request) -> bytes:
         key = request.keys[0]
         now = self._clock()
         value = self.store.get(key, now)
         if value is None:
-            return proto.not_found_response()
+            return proto.NOT_FOUND
         try:
             number = int(bytes(value).decode("ascii"))
         except (UnicodeDecodeError, ValueError):
@@ -311,13 +293,13 @@ class MemcachedServer:
             None if request.exptime <= 0 else now + float(request.exptime)
         )
         if self.store.touch(request.keys[0], now, expires_at):
-            return proto.touched_response()
-        return proto.not_found_response()
+            return proto.TOUCHED
+        return proto.NOT_FOUND
 
     def _do_delete(self, request: proto.Request) -> bytes:
         if self.store.delete(request.keys[0], self._clock()):
-            return proto.deleted_response()
-        return proto.not_found_response()
+            return proto.DELETED
+        return proto.NOT_FOUND
 
     def _stats_dict(self) -> Dict[str, object]:
         stats = self.store.stats

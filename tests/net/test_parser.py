@@ -8,6 +8,7 @@ adversarial by construction here.
 import pytest
 
 from repro.net.parser import (
+    MAX_LINE_LENGTH,
     BadCommand,
     CommandParser,
     Desync,
@@ -153,6 +154,111 @@ class TestReplyParser:
         [line] = parser.feed(b"\r\n")
         assert line == b"A" * 1000
 
+    @pytest.mark.parametrize("header", [
+        b"VALUE k 0 -2",        # int() takes it; the "block" is the header's
+        b"VALUE k 0 +3",        # own CRLF and the reply frames as value b""
+        b"VALUE k 0 1_0",
+        b"VALUE k 0 ",          # empty <bytes>
+        b"VALUE k  3",          # empty <flags>
+        b"VALUE k -0 3",
+        b"VALUE k 0x1 3",
+        b"VALUE k 0 3 -7",      # signed <cas unique>
+        b"VALUE k 0 3 ",        # empty <cas unique>
+        b"VALUE k 0 3 4 5",     # a field too many
+        b"VALUE  0 3",          # empty key
+        b"VALUE " + b"k" * 251 + b" 0 3",
+        b"VALUE k 0 " + b"9" * 21,
+        b"VALUE \xff\xfe 0 3",  # key is not UTF-8
+    ])
+    def test_a_header_that_is_not_strictly_decimal_desyncs(self, header):
+        wire = header + b"\r\nabc\r\nEND\r\n"
+        for feed in (ReplyParser.feed, feed_bytewise):
+            parser = ReplyParser()
+            parser.expect(ValuesReply())
+            with pytest.raises(Desync, match="malformed VALUE line"):
+                feed(parser, wire)
+
+    def test_a_header_ending_in_a_bare_newline_desyncs(self):
+        parser = ReplyParser()
+        parser.expect(ValuesReply())
+        with pytest.raises(Desync, match="malformed VALUE line"):
+            parser.feed(b"VALUE k 0 1\nv\r\nEND\r\n")
+
+    def test_bad_terminator_after_good_blocks_byte_at_a_time(self):
+        parser = ReplyParser()
+        parser.expect(ValuesReply())
+        with pytest.raises(Desync, match="not terminated by CRLF"):
+            feed_bytewise(
+                parser, b"VALUE a 0 1\r\nx\r\nVALUE b 0 3\r\nabc\rXEND\r\n"
+            )
+
+    def test_error_line_after_two_good_blocks(self):
+        wire = (b"VALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\n"
+                b"SERVER_ERROR out of memory\r\nEND\r\n")
+        for feed in (ReplyParser.feed, feed_bytewise):
+            parser = ReplyParser()
+            parser.expect(ValuesReply())
+            parser.expect(ValuesReply())
+            failed, empty = feed(parser, wire)
+            assert failed == ErrorLine(b"SERVER_ERROR out of memory")
+            assert empty == []  # the failed command's blocks went with it
+            assert parser.pending == 0 and parser.buffered == 0
+
+    def test_a_partial_block_is_not_rescanned(self):
+        # Its header is matched again on every feed; its bytes are never
+        # looked at until they are all there.
+        value = b"\r\nEND\r\nVALUE " * 4096
+        parser = ReplyParser()
+        parser.expect(ValuesReply())
+        wire = b"VALUE k 0 %d\r\n%s\r\nEND\r\n" % (len(value), value)
+        out = []
+        for start in range(0, len(wire), 1000):
+            out += parser.feed(wire[start:start + 1000])
+            assert parser._scan == 0 or out
+        [[item]] = out
+        assert item.value == value and parser.buffered == 0
+
+    def test_only_the_tail_is_buffered_and_the_chunk_is_not_mutated(self):
+        parser = ReplyParser()
+        parser.expect(ValuesReply())
+        parser.expect(ValuesReply())
+        chunk = bytearray(b"VALUE k 0 2\r\nv0\r\nEND\r\nVALUE k 0 2\r\nv")
+        before = bytes(chunk)
+        [[item]] = parser.feed(chunk)
+        assert chunk == before
+        assert type(item.value) is bytes and item.value == b"v0"
+        assert parser.buffered == len(b"VALUE k 0 2\r\nv")
+        [[item]] = parser.feed(b"1\r\nEND\r\n")
+        assert type(item.value) is bytes and item.value == b"v1"
+        assert parser.buffered == 0
+
+    @pytest.mark.parametrize("shape", [LineReply(), ValuesReply(),
+                                       StatsReply()])
+    def test_a_line_that_never_ends_is_a_desync_not_a_buffer(self, shape):
+        parser = ReplyParser()
+        parser.expect(shape)
+        fed = 0
+        with pytest.raises(Desync, match="longer than"):
+            for _ in range(64):
+                parser.feed(b"x" * 65536)
+                fed += 65536
+        assert fed <= MAX_LINE_LENGTH + 65536
+        assert parser.buffered <= MAX_LINE_LENGTH + 65536
+
+    def test_the_line_bound_is_the_same_whole_or_in_pieces(self):
+        # the bound is on what precedes the newline, a "\r" included
+        for length, ok in ((MAX_LINE_LENGTH, True),
+                           (MAX_LINE_LENGTH + 1, False)):
+            wire = b"y" * (length - 1) + b"\r\n"
+            for feed in (ReplyParser.feed, feed_bytewise):
+                parser = ReplyParser()
+                parser.expect(LineReply())
+                if ok:
+                    assert feed(parser, wire) == [wire[:-2]]
+                else:
+                    with pytest.raises(Desync, match="longer than"):
+                        feed(parser, wire)
+
     def test_arith_token(self):
         assert arith_token(b"42")
         assert arith_token(b"NOT_FOUND")
@@ -195,6 +301,24 @@ class TestCommandParser:
         assert bad.fatal
         # The parser is dead: framing is unknowable from here on.
         assert parser.feed(b"get k\r\n") == []
+
+    def test_a_line_that_never_ends_is_fatal_not_buffered(self):
+        parser = CommandParser()
+        out = []
+        for _ in range(64):
+            out += parser.feed(b"x" * 65536)
+        assert out == [BadCommand("line too long", fatal=True)]
+        assert len(parser._buf) <= MAX_LINE_LENGTH + 65536
+        assert parser.feed(b"\r\nget k\r\n") == []
+
+    def test_the_longest_multiget_fits_the_line_bound(self):
+        keys = [f"{i:03d}".ljust(250, "k") for i in range(64)]
+        line = ("gets " + " ".join(keys) + "\r\n").encode()
+        assert len(line) <= MAX_LINE_LENGTH
+        [request] = CommandParser().feed(line)
+        assert request.keys == keys
+        [bad] = CommandParser().feed(b"get " + b"k" * MAX_LINE_LENGTH + b"\r\n")
+        assert bad == BadCommand("line too long", fatal=True)
 
     def test_noreply_flag_round_trips(self):
         parser = CommandParser()

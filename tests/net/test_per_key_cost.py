@@ -1,0 +1,149 @@
+"""What one key of a multiget costs each layer, in interpreted frames.
+
+A 64-key page crosses five per-key loops — batch hashing, the engine's
+settle, key validation, the server's ``get`` loop and the client's reply
+framing — and in each of them a Python-level call per key is most of the
+cost.  This gate counts them the machine-independent way: ``call`` events
+under ``sys.setprofile`` (a call into C is a ``c_call`` and does not
+count; resuming a generator does).  The bounds are what the code does
+today; a bound that fails names the layer that grew a frame per key.
+"""
+
+import asyncio
+import gc
+import sys
+
+from repro.bloom.config import optimal_config
+from repro.core.retrieval import ProbeCacheMulti, RetrievalEngine
+from repro.core.router import ProteusRouter
+from repro.core.transition import RoutingEpochs
+from repro.net.client import MemcachedClient
+from repro.net.parser import ReplyParser, ValuesReply
+from repro.net.server import MemcachedServer
+from tests.net.test_server_connection import connect
+
+KEYS = [f"page:{i:04d}" for i in range(64)]
+
+
+def python_calls(function, *args):
+    """``(calls, result)``: Python frames entered while *function* ran,
+    its own included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    # A collection inside the window would run whatever finalizers earlier
+    # tests left behind as frames of ours.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls, result
+
+
+def test_reply_framing_is_one_frame_per_block():
+    # feed + _step_values + the END line, and one ValueItem per block
+    # (three frames per block before the header match replaced them).
+    def framed(blocks):
+        parser = ReplyParser()
+        parser.expect(ValuesReply())
+        wire = b"".join(
+            b"VALUE %s 0 5\r\nvalue\r\n" % key.encode() for key in KEYS[:blocks]
+        ) + b"END\r\n"
+        calls, [items] = python_calls(parser.feed, wire)
+        assert [item.key for item in items] == KEYS[:blocks]
+        return calls
+
+    assert framed(21) <= 21 + 4
+    assert framed(64) - framed(21) == 64 - 21
+
+
+def test_the_servers_get_loop_is_three_frames_per_key():
+    # store.get, peek and value_response (eight before: validate_key,
+    # expired, touch, on_access and record_get had frames of their own).
+    async def main():
+        server = MemcachedServer(bloom_config=optimal_config(500))
+        await server.start()
+        try:
+            connection, transport = connect(server)
+            for key in KEYS:
+                connection.data_received(b"set %s 0 0 1\r\nv\r\n" % key.encode())
+            transport.writes.clear()
+            counts = {}
+            for keys in (21, 64):
+                line = ("get " + " ".join(KEYS[:keys]) + "\r\n").encode()
+                counts[keys], _ = python_calls(connection.data_received, line)
+                assert transport.writes.pop().count(b"VALUE ") == keys
+        finally:
+            await server.stop()
+        return counts
+
+    counts = asyncio.run(main())
+    assert counts[21] <= 3 * 21 + 16
+    assert counts[64] - counts[21] == 3 * (64 - 21)
+
+
+def test_the_clients_multiget_costs_the_same_frames_for_any_key_count():
+    # Validation, encoding and issue are C-level passes over the batch:
+    # up to the await of its reply a 64-key get_multi enters exactly the
+    # frames a 2-key one does.
+    async def until_first_await(client, keys):
+        call = client.get_multi(keys)
+        calls, reply = python_calls(call.send, None)
+        while not reply.done():  # the reply future; then let the call finish
+            await asyncio.sleep(0)
+        try:
+            call.send(None)
+        except StopIteration as done:
+            assert done.value == {}
+        return calls
+
+    async def main():
+        server = MemcachedServer(bloom_config=optimal_config(500))
+        port = await server.start()
+        try:
+            async with MemcachedClient("127.0.0.1", port) as client:
+                return [
+                    await until_first_await(client, KEYS[:count])
+                    for count in (2, 64)
+                ]
+        finally:
+            await server.stop()
+
+    few, many = asyncio.run(main())
+    assert few == many
+
+
+#: Python frames of ``retrieve_many`` over 64 keys that all hit at their
+#: owners, driven by hand — as counted at this file's parent commit (two
+#: per key: a resumed hashing generator and the ``FetchResult``)
+RETRIEVE_64_HITS_AT_PARENT = 154
+
+
+def test_an_all_hit_batch_enters_no_more_frames_than_it_did():
+    engine = RetrievalEngine(ProteusRouter(3))
+    epochs = RoutingEpochs(new=3, old=None, transition=None)
+
+    def fetch(keys):
+        steps = engine.retrieve_many(keys, epochs, now=0.0)
+        answers = None
+        try:
+            while True:
+                round_ = steps.send(answers)
+                assert all(type(c) is ProbeCacheMulti for c in round_)
+                answers = tuple(dict.fromkeys(c.keys, b"v") for c in round_)
+        except StopIteration as done:
+            return done.value
+
+    fetch(KEYS)  # warm the hash memo and the compiled routing table
+    half, _ = python_calls(fetch, KEYS[:32])
+    calls, results = python_calls(fetch, KEYS)
+    assert [r.path for r in results.values()] == ["hit_new"] * 64
+    assert calls <= RETRIEVE_64_HITS_AT_PARENT
+    assert calls - half == 32  # what is left per key: its FetchResult

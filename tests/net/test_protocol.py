@@ -21,6 +21,23 @@ class TestParseGet:
     def test_missing_key_rejected(self):
         with pytest.raises(ProtocolError):
             proto.parse_command_line(b"get\r\n")
+        with pytest.raises(ProtocolError, match="bad key length: 0"):
+            proto.parse_command_line(b"get \r\n")
+
+    @pytest.mark.parametrize("verb", [b"get", b"gets", b"GET"])
+    def test_every_key_of_a_multiget_is_validated(self, verb):
+        keys = [f"key-{i}" for i in range(64)]
+        line = verb + b" " + " ".join(keys).encode() + b"\r\n"
+        assert proto.parse_command_line(line).keys == keys
+        for bad, message in (
+            ("", "bad key length: 0"),            # a doubled space
+            ("x" * 251, "bad key length: 251"),
+            ("ctrl\x01", "whitespace/control"),
+            ("é" * 126, "bad key length: 252"),    # 126 characters
+        ):
+            wire = " ".join(keys[:40] + [bad] + keys[40:]).encode()
+            with pytest.raises(ProtocolError, match=message):
+                proto.parse_command_line(verb + b" " + wire + b"\r\n")
 
 
 class TestParseStorage:
@@ -98,6 +115,37 @@ class TestValidateKey:
         with pytest.raises(ProtocolError):
             proto.validate_key("")
 
+    def test_the_limit_is_bytes_on_the_wire_not_characters(self):
+        # 200 characters, 400 bytes: a stock memcached answers CLIENT_ERROR.
+        with pytest.raises(ProtocolError, match="bad key length: 400"):
+            proto.validate_key("é" * 200)
+        proto.validate_key("é" * 125)  # 250 bytes: the boundary
+        with pytest.raises(ProtocolError, match="bad key length: 252"):
+            proto.validate_key("é" * 126)
+
+
+class TestValidateKeys:
+    """The batch validator must decide exactly as the per-key one does."""
+
+    GOOD = ["a", "page:Alan_Turing", "x" * 250, "é" * 125, "日本語"]
+    BAD = ["", "x" * 251, "é" * 126, "has space", "tab\t", "nl\n",
+           "nbsp\u00a0", "wide\u3000space", "nul\x00"]
+
+    def test_accepts_what_validate_key_accepts(self):
+        proto.validate_keys(self.GOOD)
+        proto.validate_keys(tuple(self.GOOD))
+        proto.validate_keys([])
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("position", [0, 2, 5])
+    def test_raises_the_offending_keys_own_error(self, bad, position):
+        keys = self.GOOD[:position] + [bad] + self.GOOD[position:]
+        with pytest.raises(ProtocolError) as scalar:
+            proto.validate_key(bad)
+        with pytest.raises(ProtocolError) as batch:
+            proto.validate_keys(keys)
+        assert str(batch.value) == str(scalar.value)
+
 
 class TestResponses:
     def test_value_response(self):
@@ -110,11 +158,13 @@ class TestResponses:
         assert b" 42\r\n" in proto.value_response("k", 0, b"", cas=42)
 
     def test_fixed_responses(self):
-        assert proto.end_response() == b"END\r\n"
-        assert proto.stored_response() == b"STORED\r\n"
-        assert proto.deleted_response() == b"DELETED\r\n"
-        assert proto.not_found_response() == b"NOT_FOUND\r\n"
-        assert proto.not_stored_response() == b"NOT_STORED\r\n"
+        assert proto.END == b"END\r\n"
+        assert proto.STORED == b"STORED\r\n"
+        assert proto.DELETED == b"DELETED\r\n"
+        assert proto.NOT_FOUND == b"NOT_FOUND\r\n"
+        assert proto.NOT_STORED == b"NOT_STORED\r\n"
+        assert proto.TOUCHED == b"TOUCHED\r\n"
+        assert proto.EXISTS == b"EXISTS\r\n"
 
     def test_errors(self):
         assert proto.error_response() == b"ERROR\r\n"

@@ -115,6 +115,32 @@ class TestBasicCommands:
         run(with_server(body))
 
 
+    def test_batch_calls_validate_every_key_before_writing_anything(self):
+        async def body(server, client):
+            long = "é" * 200  # 200 characters, 400 bytes on the wire
+            for bad in (long, "", "has space", "x" * 251):
+                keys = ["a", "b", bad, "c"]
+                with pytest.raises(ProtocolError, match="key"):
+                    await client.get_multi(keys)
+                with pytest.raises(ProtocolError, match="key"):
+                    await client.get_many(keys)
+                with pytest.raises(ProtocolError, match="key"):
+                    await client.set_multi({key: b"v" for key in keys})
+            with pytest.raises(ProtocolError, match="bad key length: 400"):
+                await client.get(long)
+            stats = server.store.stats
+            assert stats.gets == 0 and stats.sets == 0
+            assert server.connections == 1 and not client.broken
+            # the longest legal keys, in every batch shape
+            keys = ["é" * 125, "x" * 250, "日本語"]
+            assert await client.set_multi([(key, b"v") for key in keys]) == 3
+            assert await client.get_multi(keys) == dict.fromkeys(keys, b"v")
+            assert await client.get_many(keys + ["nope"]) == [b"v"] * 3 + [None]
+            assert await client.get_multi([]) == {}
+
+        run(with_server(body))
+
+
 class TestDigestOverTcp:
     def test_snapshot_and_fetch(self):
         async def body(server, client):

@@ -12,6 +12,7 @@ import asyncio
 
 from repro.bloom.config import optimal_config
 from repro.net import protocol as proto
+from repro.net.parser import MAX_LINE_LENGTH
 from repro.net.server import MemcachedServer, ServerConnection
 
 CFG = optimal_config(500)
@@ -111,6 +112,53 @@ class TestOneWritePerChunk:
             assert written.startswith(HIT + b"CLIENT_ERROR ")
             assert written.count(b"\r\n") == 4
             assert transport.calls == ["close"]
+
+        drive(body)
+
+    def test_a_line_that_never_ends_is_answered_and_closed_not_buffered(self):
+        def body(server, connection, transport):
+            for _ in range(64):  # 4 MiB without a newline
+                connection.data_received(b"x" * 65536)
+            assert transport.writes == [b"CLIENT_ERROR line too long\r\n"]
+            assert transport.calls == ["close"]
+            assert len(connection.parser._buf) <= MAX_LINE_LENGTH + 65536
+            assert server.inflight == 0
+
+        drive(body)
+
+    def test_one_multiget_is_one_reply_with_reserved_keys_in_place(self):
+        def body(server, connection, transport):
+            connection.data_received(b"set f 9 0 2\r\nhi\r\n")
+            transport.writes.clear()
+            connection.data_received(
+                b"get k BLOOM_FILTER missing SET_BLOOM_FILTER f BLOOM_FILTER\r\n"
+            )
+            snapshot = server._snapshot
+            assert transport.writes == [
+                b"VALUE k 0 1\r\nv\r\n"        # no digest frozen yet: skipped
+                b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\n"
+                b"VALUE f 9 2\r\nhi\r\n"
+                + proto.value_response("BLOOM_FILTER", 0, snapshot) + b"END\r\n"
+            ]
+            transport.writes.clear()
+            connection.data_received(b"gets f missing k\r\n")
+            assert transport.writes == [
+                b"VALUE f 9 2 2\r\nhi\r\nVALUE k 0 1 1\r\nv\r\nEND\r\n"
+            ]
+            stats = server.store.stats
+            assert (stats.gets, stats.hits, stats.misses) == (6, 4, 2)
+
+        drive(body)
+
+    def test_a_key_is_limited_in_bytes_not_characters(self):
+        def body(server, connection, transport):
+            # 200 characters, 400 bytes on the wire
+            connection.data_received(
+                "get k {0}\r\ngets {0}\r\nget k\r\n".format("é" * 200).encode()
+            )
+            error = b"CLIENT_ERROR bad key length: 400\r\n"
+            assert transport.writes == [error * 2 + HIT]
+            assert server.store.stats.gets == 1
 
         drive(body)
 
