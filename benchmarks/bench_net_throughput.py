@@ -6,10 +6,10 @@ co-located server would share the client's core and measure GIL
 contention, not the transport), A/B-ing the transport disciplines the
 live tier can run:
 
-* ``serial`` — ``pipeline=False``: one in-flight command per connection,
-  the pre-pipelining discipline (a 64-key page costs 64 sequential round
-  trips);
-* ``pipelined`` — ``pipeline=True``: a page's gets go out as one
+* ``serial`` — one ``await client.get(key)`` at a time: one in-flight
+  command per connection, the pre-pipelining discipline (a 64-key page
+  costs 64 sequential round trips);
+* ``pipelined`` — a page's gets go out as one
   coalesced write (:meth:`~repro.net.client.MemcachedClient.get_many`)
   and their replies are framed incrementally off ~one read;
 * ``pooled`` — pipelined connections behind a
@@ -118,9 +118,7 @@ async def _page_scenario(
 ) -> float:
     """Single-connection closed loop; returns GETs per second."""
     keys = _keys(page)
-    client = MemcachedClient(
-        "127.0.0.1", port, pipeline=pipeline, nodelay=nodelay
-    )
+    client = MemcachedClient("127.0.0.1", port, nodelay=nodelay)
     await client.connect()
     try:
         await _fetch_page(client, keys)  # warm the path outside timing

@@ -276,10 +276,6 @@ class CountingBloomFilter:
         bf.count = self.count
         return bf
 
-    def counter_value(self, index: int) -> int:
-        """Raw counter value at *index* (diagnostics and tests)."""
-        return self._counters[index]
-
     def max_counter(self) -> int:
         """Largest counter value currently held."""
         view = self._counter_view()
@@ -290,15 +286,6 @@ class CountingBloomFilter:
     def size_bytes(self) -> int:
         """Approximate memory footprint of the counter array: ``l*b/8``."""
         return (self.num_counters * self.counter_bits + 7) // 8
-
-    def saturated_fraction(self) -> float:
-        """Fraction of counters currently pinned at ``2^b - 1``."""
-        view = self._counter_view()
-        if view is not None:
-            return int(np.count_nonzero(view >= self._max)) / self.num_counters
-        max_val = self._max
-        saturated = sum(1 for value in self._counters if value >= max_val)
-        return saturated / self.num_counters
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

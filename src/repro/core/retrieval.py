@@ -25,9 +25,10 @@ answers aligned by index via ``send``.  A driver is a small loop::
 
 Probes and write-backs are grouped by owning server per routing epoch, so
 N keys cost one multiget round trip per touched server instead of one per
-key; a live driver executes each round concurrently (``asyncio.gather``
-over per-server ``get_multi`` calls) while a simulated driver charges one
-latency sample per server touched.
+key; a live driver executes each round concurrently (per-server
+``get_multi`` calls stepped on the page's own task,
+:mod:`repro.net.round`) while a simulated driver charges one latency
+sample per server touched.
 
 Because both the simulated web tier (:class:`repro.web.frontend.WebServer`)
 and the asyncio tier (:class:`repro.net.webtier.AsyncProteusFrontend`)
@@ -172,13 +173,6 @@ class FetchStats:
         return self.total - self.shed
 
     @property
-    def shed_fraction(self) -> float:
-        """Fraction of requests shed — the health monitor's overload
-        signal."""
-        total = self.total
-        return self.shed / total if total else 0.0
-
-    @property
     def degraded_events(self) -> int:
         """Total faults served around (sum over the degraded counters)."""
         return sum(self.degraded.values())
@@ -193,10 +187,6 @@ class FetchStats:
         """Fraction of requests that reached the DB tier."""
         total = self.total
         return self.database_reads / total if total else 0.0
-
-    def as_labels(self) -> Dict[str, int]:
-        """Counters keyed by wire label (for JSON reports)."""
-        return {path.value: count for path, count in self.counts.items()}
 
 
 # ------------------------------------------------------------- configuration

@@ -73,10 +73,6 @@ class FailoverReport:
     def overall_db_fraction(self) -> float:
         return self.db_reads / self.total_requests if self.total_requests else 0.0
 
-    def peak_db_fraction(self) -> float:
-        """Worst slot — the crash spike height."""
-        return max(self.db_fraction.values) if len(self.db_fraction) else 0.0
-
 
 class FailoverExperiment:
     """Closed-loop load + a crash/repair schedule over a replicated tier."""

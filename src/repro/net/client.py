@@ -12,10 +12,7 @@ command appends its reply shape to the incremental
 the same event-loop tick are coalesced into one ``send`` and the reply
 stream is matched strictly in order as chunks arrive (``data_received`` →
 ``feed``), so a burst of *k* gets costs ~one round trip instead of *k*.
-``TCP_NODELAY`` is set so the small writes are not Nagle-delayed.  Pass
-``pipeline=False`` for the pre-pipelining discipline — one in-flight
-command, serialized by an internal lock — which is also the A/B baseline
-the net throughput bench measures against.
+``TCP_NODELAY`` is set so the small writes are not Nagle-delayed.
 
 **Fault behaviour.**  A memcached text-protocol exchange has no framing
 beyond the reply itself, so *any* mid-reply failure — timeout, reset, EOF,
@@ -231,10 +228,10 @@ class MemcachedClient:
     """One TCP connection to a memcached-protocol server.
 
     Use as an async context manager or call :meth:`connect` / :meth:`close`.
-    With ``pipeline=True`` (default) the connection is safe for concurrent
-    use from many tasks: commands are pipelined and replies matched in
-    FIFO order.  :class:`~repro.net.pool.ConnectionPool` multiplexes
-    several such connections per server.
+    The connection is safe for concurrent use from many tasks: commands
+    are pipelined and replies matched in FIFO order.
+    :class:`~repro.net.pool.ConnectionPool` multiplexes several such
+    connections per server.
 
     Args:
         host/port: the server endpoint.
@@ -249,9 +246,6 @@ class MemcachedClient:
             connection dials a fresh one instead of failing; when False it
             raises :class:`~repro.errors.TransportError` so a pool can
             eject the client.
-        pipeline: allow many in-flight commands (default).  ``False``
-            restores the strict request/response discipline: an internal
-            lock admits one exchange at a time (the A/B baseline).
         nodelay: set ``TCP_NODELAY`` on the socket (default True).
         max_inflight: cap on queued-but-unanswered commands (``None`` =
             unbounded).  An exchange that would push past the cap raises
@@ -266,7 +260,6 @@ class MemcachedClient:
         port: int,
         timeout: Optional[float] = None,
         auto_reconnect: bool = True,
-        pipeline: bool = True,
         nodelay: bool = True,
         max_inflight: Optional[int] = None,
     ) -> None:
@@ -274,13 +267,11 @@ class MemcachedClient:
         self.port = port
         self.timeout = timeout
         self.auto_reconnect = auto_reconnect
-        self.pipeline = pipeline
         self.nodelay = nodelay
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
         self._protocol: Optional[_ClientProtocol] = None
-        self._serial: Optional[asyncio.Lock] = None if pipeline else asyncio.Lock()
         self._broken = False
         self._closing = False
         self._ever_connected = False
@@ -313,13 +304,24 @@ class MemcachedClient:
             lambda: _ClientProtocol(self), self.host, self.port
         )
         if self.timeout is not None:
+            # Not ``wait_for``: it cancels ``current_task()``, which may
+            # be a page running several commands (``net/round.py``).
+            dial = loop.create_task(dial)
+            fired = []
+            timer = loop.call_later(
+                self.timeout, lambda: fired.append(dial.cancel())
+            )
             try:
-                _, protocol = await asyncio.wait_for(dial, self.timeout)
-            except asyncio.TimeoutError as exc:
+                _, protocol = await dial
+            except asyncio.CancelledError:
+                if not fired:
+                    raise  # the caller was cancelled, not the dial
                 raise TransportError(
                     f"connect to {self.host}:{self.port} timed out "
                     f"after {self.timeout}s"
-                ) from exc
+                ) from asyncio.TimeoutError()
+            finally:
+                timer.cancel()
         else:
             _, protocol = await dial
         self._protocol = protocol
@@ -457,13 +459,6 @@ class MemcachedClient:
             result.raise_()
         return result
 
-    async def _exchange(self, shape: ReplyShape, payload: bytes):
-        """Issue one command and await its reply."""
-        if self._serial is not None:
-            async with self._serial:
-                return await self._exchange_pipelined(shape, payload)
-        return await self._exchange_pipelined(shape, payload)
-
     def _check_window(self, protocol: "_ClientProtocol", n: int) -> None:
         """Refuse (never queue) when *n* more commands would exceed the
         ``max_inflight`` window."""
@@ -477,7 +472,8 @@ class MemcachedClient:
                 f"{n} more would exceed the {self.max_inflight} window"
             )
 
-    async def _exchange_pipelined(self, shape: ReplyShape, payload: bytes):
+    async def _exchange(self, shape: ReplyShape, payload: bytes):
+        """Issue one command and await its reply."""
         protocol = await self._ensure_ready()
         self._check_window(protocol, 1)
         future = asyncio.get_running_loop().create_future()
@@ -495,14 +491,6 @@ class MemcachedClient:
         """Issue several commands in one coalesced write; await all
         replies (order preserved).  Raises the first failure after every
         reply future has settled — no future is left unretrieved."""
-        if self._serial is not None:
-            async with self._serial:
-                return await self._exchange_many_pipelined(shapes, payload)
-        return await self._exchange_many_pipelined(shapes, payload)
-
-    async def _exchange_many_pipelined(
-        self, shapes: Sequence[ReplyShape], payload: bytes
-    ) -> List[object]:
         protocol = await self._ensure_ready()
         self._check_window(protocol, len(shapes))
         loop = asyncio.get_running_loop()
@@ -542,12 +530,6 @@ class MemcachedClient:
         dict); complete error replies raise
         :class:`~repro.errors.ProtocolError` without poisoning."""
         return await self._exchange(shape, payload)
-
-    async def send_noreply(self, payload: bytes) -> None:
-        """Fire-and-forget write with no reply expected (``noreply``
-        commands); coalesced with neighbouring writes like any other."""
-        protocol = await self._ensure_ready()
-        protocol.issue((), payload, ())
 
     # ------------------------------------------------------------- basics
 

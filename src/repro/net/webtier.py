@@ -61,6 +61,7 @@ from repro.errors import (
     DigestBroadcastError,
     TransitionError,
 )
+from repro.net.round import run_round
 from repro.net.transport import CacheTransport
 from repro.resilience import Deadline, ResiliencePolicy
 
@@ -264,9 +265,11 @@ class AsyncProteusFrontend:
         trip per probed server per routing epoch.
 
         Drives :meth:`RetrievalEngine.retrieve_many`: a round's commands
-        execute concurrently (``asyncio.gather``; a round of one is simply
+        execute concurrently on this page's own task
+        (:func:`~repro.net.round.run_round`; a round of one is simply
         awaited), so probes of different servers overlap the way
-        spymemcached pipelines a page's lookups.
+        spymemcached pipelines a page's lookups.  Only database reads —
+        the caller's coroutines — get a task each.
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
@@ -276,14 +279,17 @@ class AsyncProteusFrontend:
         leaders: Dict[str, asyncio.Future] = {}
         try:
             while True:
+                round_ = steps.send(answers)
                 calls = [
                     self._execute(command, epochs, leaders, deadline)
-                    for command in steps.send(answers)
+                    for command in round_
                 ]
-                if len(calls) == 1:  # a round of one needs no task
+                if len(calls) == 1:  # a round of one needs no driver
                     answers = (await calls[0],)
+                elif isinstance(round_[0], ReadDatabase):
+                    answers = await asyncio.gather(*calls)
                 else:
-                    answers = tuple(await asyncio.gather(*calls))
+                    answers = await run_round(calls)
         except StopIteration as stop:
             results = stop.value
         finally:

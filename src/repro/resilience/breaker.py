@@ -53,16 +53,6 @@ class BreakerSnapshot:
     trips: int
     rejections: int
 
-    @property
-    def is_open(self) -> bool:
-        """True while the circuit refuses regular traffic (OPEN only —
-        HALF_OPEN is already probing its way back)."""
-        return self.state is BreakerState.OPEN
-
-    @property
-    def is_closed(self) -> bool:
-        return self.state is BreakerState.CLOSED
-
 
 class CircuitBreaker:
     """Consecutive-failure breaker guarding one cache server.

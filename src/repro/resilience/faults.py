@@ -14,7 +14,7 @@ degraded-path accounting compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -139,10 +139,6 @@ class FaultPlan:
         """Request-direction loss: commands vanish before the server."""
         return cls(drop_request_probability=probability, seed=seed)
 
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same plan with a different PRNG seed."""
-        return replace(self, seed=seed)
-
 
 @dataclass(frozen=True)
 class ScheduledFault:
@@ -201,15 +197,6 @@ class FaultSchedule:
             if entry.active(now):
                 plans[entry.server_id] = entry.plan
         return plans
-
-    def change_points(self) -> List[float]:
-        """Every time the in-force plan set changes (sorted, distinct)."""
-        points = set()
-        for entry in self.entries:
-            points.add(entry.at)
-            if entry.clear_at is not None:
-                points.add(entry.clear_at)
-        return sorted(points)
 
     def crashes(self) -> List[ScheduledFault]:
         """The entries whose plan ``kills_server`` — the simulator's whole

@@ -134,11 +134,3 @@ class RetryPolicy:
         rng = rng if rng is not None else random.Random(self.seed)
         for attempt in range(self.max_attempts - 1):
             yield self.backoff(attempt, rng)
-
-    def total_backoff(self) -> float:
-        """Worst-case total sleep time (jitter at +jitter on every retry)."""
-        return sum(
-            min(self.max_delay, self.base_delay * self.multiplier ** i)
-            * (1.0 + self.jitter)
-            for i in range(self.max_attempts - 1)
-        )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import gzip
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.errors import ConfigurationError
 
@@ -74,18 +74,6 @@ def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
                 f"{source}: trace not time-sorted at row {i + 1}"
             )
     return records
-
-
-def iter_trace(path: Union[str, Path]) -> Iterator[TraceRecord]:
-    """Stream a trace file without materializing it."""
-    source = Path(path)
-    with _open_maybe_gzip(source, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            time_text, key = line.split(",", 1)
-            yield TraceRecord(float(time_text), key)
 
 
 def slot_counts(

@@ -85,13 +85,6 @@ class TestOverflow:
         # increments per add; either way nothing saturates below 4096.
         assert cbf.max_counter() in (100, 200)
 
-    def test_saturated_fraction(self):
-        cbf = CountingBloomFilter(16, counter_bits=1, num_hashes=4)
-        assert cbf.saturated_fraction() == 0.0
-        for key in make_keys(64):
-            cbf.add(key)
-        assert cbf.saturated_fraction() > 0.5
-
 
 class TestSnapshotAndMaintenance:
     def test_snapshot_preserves_membership(self):

@@ -12,6 +12,17 @@ from repro.provisioning.policies import ProvisioningSchedule
 from repro.workload.trace import TraceRecord
 
 
+#: module-level ``pytestmark``: a coroutine that is neither awaited nor
+#: closed warns from its finalizer, which pytest reports as unraisable —
+#: turn both into failures (and ``gc.collect()`` inside the test)
+LEAKED_COROUTINES_FAIL = [
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    ),
+]
+
+
 async def until(condition) -> None:
     """Poll *condition* (bounded, ~1 ms apart) until it holds — for state
     that changes on the far side of a real socket."""

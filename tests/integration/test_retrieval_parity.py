@@ -258,7 +258,6 @@ class TestFetchPathParity:
                 await live.fetch("k")
                 await live.fetch("k")
                 assert sim.web.stats.counts == live.web.stats.counts
-                assert sim.web.stats.as_labels() == live.web.stats.as_labels()
                 assert live.web.stats.counts[FetchPath.COALESCED] == 0
             finally:
                 await live.stop()

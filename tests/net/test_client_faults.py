@@ -224,7 +224,17 @@ class TestTimeouts:
                 lambda self, *args, **kwargs: never_connects(),
             )
             client = MemcachedClient("127.0.0.1", 9, timeout=0.05)
-            with pytest.raises(TransportError):
+            with pytest.raises(TransportError, match="timed out") as excinfo:
                 await client.connect()
+            # the congestion signal limiters look for
+            assert isinstance(excinfo.value.__cause__, asyncio.TimeoutError)
+            # The timeout is a timer on the dial, not on the caller: a
+            # caller cancelled mid-dial sees its own cancellation.
+            client = MemcachedClient("127.0.0.1", 9, timeout=30.0)
+            dialling = asyncio.ensure_future(client.connect())
+            await asyncio.sleep(0)
+            dialling.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await dialling
 
         run(body())

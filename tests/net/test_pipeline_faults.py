@@ -110,31 +110,6 @@ class TestPipelinedReplies:
 
         run(body())
 
-    def test_serial_mode_admits_one_in_flight(self):
-        async def body():
-            server = MemcachedServer(bloom_config=BLOOM)
-            await server.start()
-            try:
-                client = MemcachedClient(
-                    "127.0.0.1", server.port, pipeline=False
-                )
-                await client.connect()
-                peak = 0
-
-                async def probe(i):
-                    nonlocal peak
-                    result = await client.get(f"k{i}")
-                    peak = max(peak, client.inflight)
-                    return result
-
-                await asyncio.gather(*(probe(i) for i in range(10)))
-                assert peak <= 1
-                await client.close()
-            finally:
-                await server.stop()
-
-        run(body())
-
 
 class TestMidPipelineFaults:
     def test_abort_fails_every_queued_future_transiently(self):

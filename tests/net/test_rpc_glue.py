@@ -8,7 +8,9 @@ event loop around a warm frontend, then around a warm server,
 deterministic handle counts, no clocks.  The second half pins what the
 removed ``wait_for(shield(...))`` used to guarantee and the one
 per-connection timer now does: cancellation drops the late reply without
-mispairing, and the timer dies with the connection.
+mispairing, and the timer dies with the connection.  A coroutine that is
+neither awaited nor closed fails the module (``RuntimeWarning`` is an
+error here).
 """
 
 import asyncio
@@ -19,21 +21,23 @@ import threading
 import pytest
 
 from repro.bloom.config import optimal_config
-from repro.errors import TransportError
+from repro.errors import ConfigurationError, TransportError
 from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
 from repro.resilience import ResiliencePolicy
-from tests.conftest import until
+from tests.conftest import LEAKED_COROUTINES_FAIL, until
+from tests.net.scripted import ScriptedClient, ScriptedPool
+
+pytestmark = LEAKED_COROUTINES_FAIL
 
 BLOOM = optimal_config(1000)
 
 #: loop handles one healthy cache RPC may schedule on the client side:
-#: the coalesced flush and the reply future's wake-up
+#: the coalesced flush and the reply future's wake-up (a multi-server
+#: round wakes its page at most once per RPC: a reply that is already in
+#: when the page gets to it costs no handle)
 CALL_SOON_PER_RPC = 2
-#: ... and what each *extra* server in a round adds under ``gather``:
-#: the task's first step and its done-callback
-CALL_SOON_PER_GATHERED_TASK = 2
 
 #: op timeouts long enough that no stall of the test machine lets the
 #: connection timer fire (and re-arm) inside a counted window
@@ -122,10 +126,11 @@ async def _database(key):
     return f"db:{key}".encode()
 
 
-def counted(policy, servers, pages, warm):
+def counted(policy, servers, pages, warm, loop=None):
     """Handle counts of *pages* fetched one after another on a frontend
-    that has already fetched *warm*."""
-    loop = CountingLoop()
+    that has already fetched *warm* (pass a *loop* to read its other
+    counters afterwards)."""
+    loop = loop or CountingLoop()
 
     async def body(endpoints):
         frontend = AsyncProteusFrontend(
@@ -162,13 +167,17 @@ class TestLoopShape:
     def test_a_multi_server_page_costs_one_task_per_server(self, name):
         keys = [f"page:{i}" for i in range(64)]
         pages = 5
+        loop = CountingLoop()
         soon, timers, tasks = counted(
-            POLICIES[name](), 3, [keys] * pages, keys
+            POLICIES[name](), 3, [keys] * pages, keys, loop
         )
-        assert tasks == 3 * pages  # 64 keys address all three servers
+        iterations = loop.iterations
+        assert tasks == 0  # the round runs on the page's own task
         assert timers == 0
-        per_page = 3 * (CALL_SOON_PER_RPC + CALL_SOON_PER_GATHERED_TASK) + 1
-        assert soon == per_page * pages  # + gather's own wake-up
+        # 64 keys address all three servers: three flushes, one to three
+        # wake-ups, and the page is done in fewer than six loop turns
+        assert 4 * pages <= soon <= 3 * CALL_SOON_PER_RPC * pages
+        assert iterations < 6 * pages
 
 
 def raw_requests(port, requests):
@@ -335,6 +344,45 @@ class TestCancellationWithoutShield:
             assert client.inflight == 0 and not client.broken
             await client.close()
             await server.stop()
+
+        asyncio.run(body())
+
+
+class TestAFailedPageLeavesNothingRunning:
+    def test_leases_limiter_slots_and_server_inflight_return_to_zero(self):
+        """The third server's probe fails fatally once the other two are
+        on the wire: they are cancelled, their late replies are dropped in
+        order, and nothing stays leased, counted or queued anywhere."""
+
+        async def body():
+            servers = [MemcachedServer(bloom_config=BLOOM) for _ in range(3)]
+            endpoints = [("127.0.0.1", await s.start()) for s in servers]
+            frontend = AsyncProteusFrontend(
+                endpoints, BLOOM, _database, pool_size=1,
+                resilience=ResiliencePolicy.overload_armor(op_timeout=30.0),
+            )
+            keys = [f"page:{i}" for i in range(64)]
+            async with frontend:
+                await frontend.fetch_many(keys)
+                transport = frontend.transport
+                healthy = transport.pools[2]
+                transport.pools[2] = ScriptedPool(
+                    ScriptedClient(ConfigurationError("misconfigured"))
+                )
+                with pytest.raises(ConfigurationError, match="misconfigured"):
+                    await frontend.fetch_many(keys)
+                assert [pool.leases for pool in transport.pools] == [0, 0, 0]
+                assert all(lim.inflight == 0 for lim in transport.limiters)
+                clients = [pool._conns[0] for pool in transport.pools[:2]]
+                await until(lambda: not any(c.inflight for c in clients))
+                await until(lambda: not any(s.inflight for s in servers))
+                assert not any(c.broken for c in clients)
+                transport.pools[2] = healthy
+                results = await frontend.fetch_many(keys)
+                assert all(r.path == "hit_new" for r in results.values())
+            for server in servers:
+                await server.stop()
+            gc.collect()
 
         asyncio.run(body())
 

@@ -236,7 +236,6 @@ def test_counting_add_many_matches_scalar_with_overflow(
     assert _state(scalar) == _state(batch)
     assert batch.contains_many(probes) == [key in scalar for key in probes]
     assert scalar.max_counter() == batch.max_counter()
-    assert scalar.saturated_fraction() == batch.saturated_fraction()
     assert bytes(scalar.snapshot().to_bytes()) == bytes(
         batch.snapshot().to_bytes()
     )

@@ -101,7 +101,6 @@ class TestFaultScheduleVocabulary:
         assert plans[0] == FaultPlan.slow(0.05)
         assert plans[1] == FaultPlan.flaky(0.1)
         assert schedule.plans_at(3.5)[0] == FaultPlan.slow(0.05)
-        assert schedule.change_points() == [1.0, 2.0, 3.0]
         assert schedule.servers() == [0, 1]
 
     def test_kills_server_only_for_unreachable_plans(self):
@@ -132,7 +131,6 @@ class TestSnapshots:
         assert snap.state is BreakerState.CLOSED
         assert snap.open_since is None
         assert snap.consecutive_failures == 1
-        assert not snap.is_open
 
     def test_open_snapshot_carries_trip_time(self):
         breaker = make(threshold=2, reset=1.0)
@@ -142,14 +140,13 @@ class TestSnapshots:
         assert snap.state is BreakerState.OPEN
         assert snap.open_since == 0.3
         assert snap.trips == 1
-        assert snap.is_open
 
     def test_snapshot_advances_due_half_open(self):
         breaker = make(threshold=1, reset=1.0)
         breaker.record_failure(now=0.0)
         snap = breaker.snapshot(2.0)  # past the reset timeout
+        # already probing its way back, so no longer OPEN
         assert snap.state is BreakerState.HALF_OPEN
-        assert not snap.is_open  # already probing its way back
 
     def test_snapshot_is_frozen(self):
         import dataclasses

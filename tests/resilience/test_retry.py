@@ -85,13 +85,6 @@ class TestBackoff:
     def test_one_attempt_means_no_sleeps(self):
         assert list(RetryPolicy(max_attempts=1).delays()) == []
 
-    def test_total_backoff_is_the_worst_case(self):
-        policy = RetryPolicy(
-            max_attempts=3, base_delay=0.1, multiplier=2.0,
-            max_delay=1.0, jitter=0.2,
-        )
-        assert policy.total_backoff() == pytest.approx((0.1 + 0.2) * 1.2)
-
     def test_backoff_rejects_negative_attempt(self):
         with pytest.raises(ValueError):
             RetryPolicy().backoff(-1)
@@ -107,8 +100,7 @@ class TestBackoffProperties:
         self, seed, max_attempts, jitter
     ):
         """Whatever the seed draws, the realized backoff sequence fits
-        inside ``total_backoff()`` — the bound drivers charge against
-        deadlines and retry budgets."""
+        inside the worst case: every capped delay at ``+jitter``."""
         policy = RetryPolicy(
             max_attempts=max_attempts, base_delay=0.01, multiplier=2.0,
             max_delay=0.5, jitter=jitter, seed=seed,
@@ -116,7 +108,11 @@ class TestBackoffProperties:
         delays = list(policy.delays())
         assert len(delays) == max_attempts - 1
         assert all(delay >= 0.0 for delay in delays)
-        assert sum(delays) <= policy.total_backoff() + 1e-12
+        worst = sum(
+            min(0.5, 0.01 * 2.0 ** attempt) * (1.0 + jitter)
+            for attempt in range(max_attempts - 1)
+        )
+        assert sum(delays) <= worst + 1e-12
 
 
 class TestValidation:

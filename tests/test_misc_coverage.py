@@ -115,9 +115,10 @@ class TestNoreplyOverTcp:
                 async with MemcachedClient("127.0.0.1", server.port) as client:
                     # noreply set: no response line is sent; the next get
                     # must parse cleanly (no response desync).
-                    await client.send_noreply(b"set k 0 0 3 noreply\r\nabc\r\n")
+                    protocol = client._protocol
+                    protocol.issue((), b"set k 0 0 3 noreply\r\nabc\r\n", ())
                     assert await client.get("k") == b"abc"
-                    await client.send_noreply(b"delete k noreply\r\n")
+                    protocol.issue((), b"delete k noreply\r\n", ())
                     assert await client.get("k") is None
             finally:
                 await server.stop()

@@ -21,7 +21,7 @@ CEILINGS = {
     "net/webtier.py": 375,
     "net/transport.py": 400,
     "net/parser.py": 475,
-    "net/client.py": 750,
+    "net/client.py": 730,
     "experiments/testbed.py": 200,
     "experiments/cluster.py": 375,
     "experiments/autopilot.py": 500,

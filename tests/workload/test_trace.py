@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workload.trace import (
     TraceRecord,
-    iter_trace,
     load_trace,
     peak_to_valley,
     save_trace,
@@ -31,11 +30,6 @@ class TestFileIO:
         assert load_trace(path) == records
         # really gzipped?
         assert path.read_bytes()[:2] == b"\x1f\x8b"
-
-    def test_iter_trace_streams(self, tmp_path, records):
-        path = tmp_path / "trace.csv"
-        save_trace(records, path)
-        assert list(iter_trace(path)) == records
 
     def test_rejects_keys_with_commas(self, tmp_path):
         with pytest.raises(ConfigurationError):
