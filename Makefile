@@ -25,16 +25,14 @@ bench:
 # pipelined transport's RPS gate, the overload armor's goodput/recovery
 # gate, and the store's flat set-at-capacity cost
 # (speedup/availability gates still enforced; absolute numbers are noisy).
-# The path is exported here so a bare `make bench-smoke` runs: the two
-# plain scripts (shootout, fault tolerance) set no sys.path of their own.
+# The path is exported here so a bare `make bench-smoke` runs: the plain
+# fault-tolerance script sets no sys.path of its own.
 bench-smoke: export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 bench-smoke:
 	PROTEUS_BENCH_ROUNDS=1 $(PYTHON) -m pytest \
 		benchmarks/bench_routing_perf.py \
 		benchmarks/bench_ablation_replication.py \
 		benchmarks/bench_failover.py --benchmark-disable -q -s
-	$(PYTHON) benchmarks/bench_routing_shootout.py \
-		--sizes 40,128 --keys 20000 --rounds 1
 	$(PYTHON) benchmarks/bench_fault_tolerance.py --rounds 1
 	$(PYTHON) benchmarks/bench_hotkey_storm.py --check
 	$(PYTHON) benchmarks/bench_autopilot.py --check

@@ -16,8 +16,7 @@ from benchmarks.conftest import fmt_row
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.replication import no_conflict_probability
-from repro.core.ring import ProteusBackend
-from repro.core.router import RingRouter
+from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
 from repro.web.frontend import WebServer
 
@@ -29,7 +28,7 @@ REPLICAS = [1, 2, 3]
 
 def run_crash(replicas: int) -> dict:
     cache = CacheCluster(
-        RingRouter(ProteusBackend(N, 2 ** 24), replicas=replicas),
+        ProteusRouter(N, 2 ** 24, replicas=replicas),
         capacity_bytes=4096 * 5000, ttl=60.0, bloom_config=CFG,
     )
     db = DatabaseCluster(4)

@@ -20,10 +20,8 @@ import time
 from repro import (
     CacheCluster,
     DatabaseCluster,
-    ProteusBackend,
     ProteusRouter,
     RetrievalEngine,
-    RingRouter,
     WebServer,
     optimal_config,
 )
@@ -83,7 +81,7 @@ def warm_web(router) -> WebServer:
 
 def main() -> None:
     router = ProteusRouter(8)
-    two_rings = RingRouter(ProteusBackend(8), replicas=2)
+    two_rings = ProteusRouter(8, replicas=2)
     rows = {}
     rows["engine.retrieve_many([k])"] = engine_row(router)
     rows["engine.retrieve_many([k]) r=2"] = engine_row(two_rings)

@@ -41,8 +41,7 @@ from repro.bloom.config import optimal_config  # noqa: E402
 from repro.cache.cluster import CacheCluster  # noqa: E402
 from repro.core.metrics import peak_to_average  # noqa: E402
 from repro.core.retrieval import FetchPath, RetrievalConfig  # noqa: E402
-from repro.core.ring import ProteusBackend  # noqa: E402
-from repro.core.router import RingRouter  # noqa: E402
+from repro.core.router import ProteusRouter  # noqa: E402
 from repro.database.cluster import DatabaseCluster  # noqa: E402
 from repro.sim.latency import Constant  # noqa: E402
 from repro.web.frontend import WebServer  # noqa: E402
@@ -77,9 +76,7 @@ def _schedule() -> List[str]:
 
 
 def run_scenario(armored: bool) -> Dict[str, object]:
-    router = RingRouter(
-        ProteusBackend(NUM_SERVERS, 2 ** 20), replicas=REPLICAS
-    )
+    router = ProteusRouter(NUM_SERVERS, 2 ** 20, replicas=REPLICAS)
     cluster = CacheCluster(
         router, bloom_config=optimal_config(CATALOGUE), ttl=DRAIN_TTL
     )

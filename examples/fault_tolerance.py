@@ -12,8 +12,7 @@ Run:  python examples/fault_tolerance.py
 from repro import (
     CacheCluster,
     DatabaseCluster,
-    ProteusBackend,
-    RingRouter,
+    ProteusRouter,
     WebServer,
 )
 from repro.core.replication import (
@@ -26,7 +25,7 @@ HOT_KEYS = 800
 
 
 def run(replicas: int) -> dict:
-    router = RingRouter(ProteusBackend(NUM_SERVERS), replicas=replicas)
+    router = ProteusRouter(NUM_SERVERS, replicas=replicas)
     cache = CacheCluster(router, capacity_bytes=4096 * 20_000, ttl=60.0)
     database = DatabaseCluster()
     web = WebServer(0, cache, database)
@@ -64,7 +63,7 @@ def main() -> None:
 
     print("\nEq. 3 — probability all replicas land on distinct servers "
           f"(n={NUM_SERVERS}):")
-    router = RingRouter(ProteusBackend(NUM_SERVERS), replicas=2)
+    router = ProteusRouter(NUM_SERVERS, replicas=2)
     measured = 1.0 - empirical_conflict_rate(router, NUM_SERVERS)
     predicted = no_conflict_probability(2, NUM_SERVERS)
     print(f"  r=2: predicted {predicted:.3f}, measured {measured:.3f}")

@@ -42,11 +42,9 @@ from repro.cache.cluster import CacheCluster
 from repro.core.migration import migration_lower_bound
 from repro.core.placement import theoretical_min_vnodes
 from repro.core.retrieval import FetchPath, RetrievalEngine
-from repro.core.ring import ProteusBackend
 from repro.core.router import (
     ConsistentRouter,
     ProteusRouter,
-    RingRouter,
     make_router,
 )
 from repro.database.cluster import DatabaseCluster
@@ -78,11 +76,9 @@ __all__ = [
     "FetchPath",
     "MemcachedClient",
     "MemcachedServer",
-    "ProteusBackend",
     "ProteusRouter",
     "ProvisioningSchedule",
     "RetrievalEngine",
-    "RingRouter",
     "ScenarioSpec",
     "WebServer",
     "evaluate_load_balance",

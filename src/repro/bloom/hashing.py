@@ -106,11 +106,11 @@ def stable_hash64(key: Key, salt: int = 0) -> int:
 #: Longest batch the ``*_many`` callers answer with their scalar loop
 #: instead of a vectorized pass.  The numpy set-up costs a fixed 7-40 us
 #: per call, so a short batch is cheaper key by key — and every simulated
-#: fetch is a batch of one.  Measured crossover for ring routing (keys per
-#: batch, Python 3.11): multi-probe ~2 (its scalar lookup is 21
-#: interpreted probes), Proteus ~16, power ~30; the constant is the
-#: longest batch the scalar loop wins on *every* backend.  Scalar and
-#: vectorized forms are pinned bit-identical by
+#: fetch is a batch of one.  Measured crossover for Proteus ring routing:
+#: ~16 keys per batch (Python 3.11); raising the constant moves the
+#: per-layer call counts the end-to-end benchmark traces, so it is a
+#: measured change of its own.  Scalar and vectorized forms are pinned
+#: bit-identical by
 #: ``tests/property/test_fastpath_properties.py``.
 SCALAR_BATCH_MAX = 1
 

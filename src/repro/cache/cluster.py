@@ -121,10 +121,10 @@ class CacheCluster:
         """Begin a smooth transition to *n_new* active servers.
 
         Digests are snapshot from the *ceding* servers — the old-mapping
-        owners the router's backend reports may lose keys
-        (:meth:`~repro.core.router.Router.ceding_servers`).  For Proteus
-        scale-down that is exactly the draining servers; backends without
-        tighter metadata fall back to every old owner.  Scale-up powers the
+        owners the router reports may lose keys
+        (:meth:`~repro.core.router.Router.ceding_servers`).  For a ring
+        router's scale-down that is exactly the draining servers; routers
+        without tighter metadata fall back to every old owner.  Scale-up powers the
         incoming servers on cold before routing flips; scale-down marks the
         outgoing servers DRAINING until the TTL closes.  *ttl* overrides
         the cluster's configured drain window for this transition only

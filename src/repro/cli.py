@@ -57,7 +57,7 @@ def _parse_fault(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.registry import RING_BACKENDS, ROUTER_SCENARIOS
+    from repro.core.router import ROUTER_SCENARIOS
     from repro.provisioning.ttl import TTL_POLICIES
 
     parser = argparse.ArgumentParser(
@@ -151,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate",
                        help="run Table II scenarios end to end")
     p.add_argument("--scenarios", default="static,naive,consistent,proteus")
-    p.add_argument("--ring-backend", default="proteus",
-                   choices=list(RING_BACKENDS.names),
-                   help=RING_BACKENDS.help_text(
-                       "placement backend for the smooth (Proteus) scenario"
-                   ))
     p.add_argument("--servers", type=int, default=8)
     p.add_argument("--schedule", type=_parse_counts,
                    default=[6, 5, 4, 4, 5, 6])
@@ -187,14 +182,15 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    from repro.core.router import RingRouter, make_router
+    from repro.core.router import ProteusRouter, make_router
 
-    router = make_router(args.scenario, args.servers)
     if args.replicas > 1:
         if args.scenario != "proteus":
             print("--replicas > 1 requires --scenario proteus", file=sys.stderr)
             return 2
-        router = RingRouter(router.backend, replicas=args.replicas)
+        router = ProteusRouter(args.servers, replicas=args.replicas)
+    else:
+        router = make_router(args.scenario, args.servers)
     for key, owners in zip(args.keys, router.read_plans(args.keys, args.active)):
         print(f"{key}\t{','.join(map(str, owners))}")
     return 0
@@ -268,14 +264,7 @@ def _cmd_simulate(args) -> int:
     from repro.provisioning.policies import ProvisioningSchedule
 
     wanted = [name.strip().lower() for name in args.scenarios.split(",")]
-    available = {
-        spec.name.lower(): spec
-        for spec in ScenarioSpec.all_four(ring_backend=args.ring_backend)
-    }
-    # the smooth scenario keeps the plain "proteus" CLI name whatever the
-    # backend; its report carries the qualified Proteus[<backend>] label.
-    smooth = ScenarioSpec.proteus(ring_backend=args.ring_backend)
-    available.setdefault("proteus", smooth)
+    available = {spec.name.lower(): spec for spec in ScenarioSpec.all_four()}
     unknown = [name for name in wanted if name not in available]
     if unknown:
         print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
@@ -289,7 +278,6 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         warmup_seconds=min(20.0, args.slot_seconds / 3),
         plot_slots=max(12, 2 * schedule.num_slots),
-        ring_backend=args.ring_backend,
     )
     print(f"schedule n(t) = {schedule.counts}  slot={args.slot_seconds}s")
     header = f"{'scenario':<12s}{'peak p99.9':>12s}{'db reads':>10s}" \

@@ -189,13 +189,9 @@ class ClusterConfig:
 
     def build_router(self):
         """The deterministic router this config prescribes."""
-        from repro.core.ring import ProteusBackend
-        from repro.core.router import RingRouter
+        from repro.core.router import ProteusRouter
 
-        return RingRouter(
-            ProteusBackend(self.num_servers, self.ring_size),
-            replicas=self.replicas,
-        )
+        return ProteusRouter(self.num_servers, self.ring_size, self.replicas)
 
     def build_ttl_policy(self):
         """The drain-window sizing policy this config prescribes."""
@@ -287,11 +283,13 @@ class ClusterConfig:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigurationError("malformed config: not a JSON object")
         try:
             digest = DigestGeometry(**payload.pop("digest"))
             endpoints = [tuple(ep) for ep in payload.pop("endpoints")]
             return cls(endpoints=endpoints, digest=digest, **payload)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed config: {exc}") from exc
 
     def save(self, path: Union[str, Path]) -> None:

@@ -1,7 +1,7 @@
 """Shared routing-quality metrics.
 
-Small, dependency-light helpers used by the transition tests, the routing
-shootout benchmark, and :mod:`repro.core.migration` — one definition of
+Small, dependency-light helpers used by :mod:`repro.core.migration`, the
+hot-key storm benchmark and the router property tests — one definition of
 "remap fraction" and "peak-to-average load" instead of ad-hoc counting at
 every call site.
 """
@@ -27,7 +27,7 @@ def remap_fraction(
     to its owner, in which case ``keys`` must be given and both callables
     are applied to every key.  The paper's Section II lower bound for a
     balanced scheme on ``n -> n'`` is ``|n - n'| / max(n, n')``; Algorithm
-    1 meets it exactly, other backends approach it.
+    1 meets it exactly, random virtual nodes approach it.
 
     Returns the fraction in ``[0, 1]``.
     """

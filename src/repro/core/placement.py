@@ -160,161 +160,3 @@ def place_virtual_nodes(num_servers: int, ring_size: int) -> Placement:
     ranges.sort(key=lambda r: r.start)
     return Placement(num_servers=num_servers, ring_size=ring_size, ranges=ranges)
 
-
-def fast_virtual_positions(num_servers: int, ring_size: int):
-    """Algorithm 1 in scaled-integer arithmetic — bench-scale fleets.
-
-    The exact construction's :class:`~fractions.Fraction` state normalizes
-    (gcd) after every borrow, and the denominators grow super-linearly
-    with ``N``; beyond ~1000 servers the build takes hours.  This variant
-    runs the *same* borrow schedule with every quantity expressed as an
-    integer multiple of the unit ``ring_size / lcm(1..N)``: the full ring
-    is ``L = lcm(1..N)`` units and step ``i``'s slice is exactly
-    ``L // (i * (i - 1))`` units (``i`` and ``i-1`` both divide ``L``).
-    Feasibility (``length > slice``) is then an exact integer comparison —
-    bit-identical decisions to :func:`place_virtual_nodes`, which matters
-    because Algorithm 1 produces near-ties as small as a few parts per
-    billion that float64 simulation misclassifies.  ``L`` is only ~6000
-    bits at ``N = 4096`` and no gcd is ever taken, so the arithmetic stays
-    cheap.
-
-    Two observations keep the bookkeeping linear in the vnode count:
-    a host range's *end* (== its vnode position) never changes after
-    creation — borrowing advances the lender's ``start`` and shrinks its
-    ``length``, leaving ``end`` fixed — so positions are recorded once at
-    creation; and only ``(start, length)`` unit pairs are tracked for the
-    feasibility scan.
-
-    Returns ``(positions, servers)`` int64 arrays sorted by position, with
-    positions converted by the same ``ceil`` rule
-    :class:`~repro.core.ring.CompiledRingTable` applies to exact rational
-    vnode positions — so a table built from these arrays is bound-for-bound
-    the table :meth:`HashRing.compiled_for` compiles from the exact
-    placement (for integer queries, ``position > k  iff  ceil(position) >
-    k``).
-
-    Use :func:`place_virtual_nodes` whenever it is affordable — it is the
-    construction the test suites pin, with exact rational positions.
-    """
-    import math
-
-    import numpy as np
-
-    if num_servers < 1:
-        raise ConfigurationError(f"num_servers must be >= 1, got {num_servers}")
-    if ring_size < 1:
-        raise ConfigurationError(f"ring_size must be >= 1, got {ring_size}")
-
-    scale = 1
-    for value in range(2, num_servers + 1):
-        scale = scale * value // math.gcd(scale, value)
-
-    # Per-server parallel state in units of ring_size/L: exact integer
-    # ``starts``/``lengths`` (the authoritative values) plus a numpy
-    # float64 mirror of each lender's lengths as *fractions of the ring*
-    # (``length / scale`` — raw unit counts overflow float range once
-    # ``L`` passes ~1000 bits).  The feasibility scan is the hot loop —
-    # its total iteration count grows ~N^3/17 (4e9 at N=4096), hopeless
-    # in pure Python — so each borrow finds the leftmost *possibly
-    # feasible* range with a vectorized ``argmax`` over the float mirror
-    # and confirms the candidate with the exact integer comparison.  The
-    # mirrors are refreshed from the exact values after every borrow (one
-    # rounding, 2^-53 relative), so a float 1e-12 below the slice is
-    # provably infeasible: the screen can only err by *admitting* a
-    # near-tie candidate, which the exact check then rejects.  Decisions
-    # are therefore bit-identical to the all-integer scan.
-    starts: List[List[int]] = [[] for _ in range(num_servers)]
-    lengths: List[List[int]] = [[] for _ in range(num_servers)]
-    mirrors: List[np.ndarray] = [
-        np.empty(16, dtype=np.float64) for _ in range(num_servers)
-    ]
-    counts = [0] * num_servers
-    ends: List[int] = [scale]
-    owners_of_ends: List[int] = [0]
-    starts[0].append(0)
-    lengths[0].append(scale)
-    mirrors[0][0] = 1.0
-    counts[0] = 1
-
-    for i in range(2, num_servers + 1):  # paper's s_i, i.e. server i-1
-        borrower = i - 1
-        slice_units = scale // (i * (i - 1))
-        slice_f = slice_units / scale
-        limit = slice_f * (1.0 - 1e-12)  # possibly-feasible threshold
-        borrower_starts = starts[borrower]
-        borrower_lengths = lengths[borrower]
-        for j in range(1, i):  # borrow once from each s_j, j < i
-            lender = j - 1
-            lender_starts = starts[lender]
-            lender_lengths = lengths[lender]
-            view = mirrors[lender][: counts[lender]]
-            idx = int((view > limit).argmax())
-            if not view[idx] > limit:
-                raise PlacementError(
-                    f"no feasible range of server {lender} to lend "
-                    f"{slice_units}/{scale} of the ring to server {borrower}"
-                )
-            while not lender_lengths[idx] > slice_units:  # exact near-tie
-                rest = view[idx + 1:]
-                nxt = int((rest > limit).argmax()) if rest.size else 0
-                cand = idx + 1 + nxt
-                if cand >= view.size or not view[cand] > limit:
-                    raise PlacementError(
-                        f"no feasible range of server {lender} to lend "
-                        f"{slice_units}/{scale} of the ring to server "
-                        f"{borrower}"
-                    )
-                idx = cand
-            front = lender_starts[idx]
-            ends.append(front + slice_units)
-            owners_of_ends.append(borrower)
-            slot = counts[borrower]
-            if slot == mirrors[borrower].size:
-                grown = np.empty(2 * slot, dtype=np.float64)
-                grown[:slot] = mirrors[borrower]
-                mirrors[borrower] = grown
-            mirrors[borrower][slot] = slice_f
-            counts[borrower] = slot + 1
-            borrower_starts.append(front)
-            borrower_lengths.append(slice_units)
-            remainder = lender_lengths[idx] - slice_units
-            lender_starts[idx] = front + slice_units
-            lender_lengths[idx] = remainder
-            mirrors[lender][idx] = remainder / scale
-
-    # position = ceil(end_units * ring_size / L) — the CompiledRingTable
-    # bound of the exact rational position end_units * ring_size / L.
-    scale_m1 = scale - 1
-    positions = np.fromiter(
-        (
-            ((end * ring_size + scale_m1) // scale) % ring_size
-            for end in ends
-        ),
-        dtype=np.int64,
-        count=len(ends),
-    )
-    servers = np.asarray(owners_of_ends, dtype=np.int64)
-    order = np.argsort(positions, kind="stable")
-    if len(ends) > 1:
-        sorted_pos = positions[order]
-        dup = sorted_pos[1:] == sorted_pos[:-1]
-        if bool(dup.any()):
-            # Ceil collisions (birthday ties once the vnode count nears
-            # sqrt(ring_size)): reorder each duplicate run by the exact
-            # scaled ends, as the exact table does.  Runs are tiny, so
-            # fixing them locally beats re-keying the whole sort with
-            # bignum tuples.
-            dup_idx = np.flatnonzero(dup)
-            run_start = int(dup_idx[0])
-            prev = run_start
-            runs = []
-            for d in dup_idx[1:].tolist():
-                if d != prev + 1:
-                    runs.append((run_start, prev + 2))
-                    run_start = d
-                prev = d
-            runs.append((run_start, prev + 2))
-            for lo, hi in runs:  # run covers order[lo:hi]
-                segment = sorted(order[lo:hi].tolist(), key=ends.__getitem__)
-                order[lo:hi] = segment
-    return positions[order], servers[order]

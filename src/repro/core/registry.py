@@ -1,34 +1,20 @@
-"""Typed name -> factory registries for pluggable components.
+"""Typed name -> factory registries.
 
-Ring backends (:data:`~repro.core.ring.RING_BACKENDS`) and router
-scenarios (:data:`~repro.core.router.ROUTER_SCENARIOS`) both grew ad hoc
-``make_*`` factories with hand-rolled name checks; every caller —
-``make_backend``, ``make_router``, ``ScenarioSpec.proteus``,
-``ExperimentConfig``, the CLI's ``--ring-backend`` flag — re-implemented
-the "is this a valid name?" test with its own error text.  This module is
-the single mechanism behind all of them: one :class:`Registry` per
-component kind, one normalisation rule (case-insensitive, stripped), and
-one error message listing the valid names.
-
-The registry instances live next to the classes they construct (so this
-module imports nothing heavy); importing them *from here* is supported
-for discoverability::
-
-    from repro.core.registry import RING_BACKENDS, ROUTER_SCENARIOS
-
-CLI help and config validation derive from :attr:`Registry.names`, so
-registering a new backend in one place updates the factory, the error
-message, ``--ring-backend``'s choices, and the experiment-config check
-together.
+Router scenarios (:data:`~repro.core.router.ROUTER_SCENARIOS`) and
+drain-window policies (:data:`~repro.provisioning.ttl.TTL_POLICIES`) are
+picked by name — from the CLI, from cluster and experiment configs.  One
+:class:`Registry` per component kind gives every caller the same
+normalisation rule (case-insensitive, stripped) and the same unknown-name
+error listing the valid names; CLI ``choices`` derive from
+:attr:`Registry.names`.  The instances live next to the classes they
+construct.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
-
-__all__ = ["Registry", "RING_BACKENDS", "ROUTER_SCENARIOS"]
 
 T = TypeVar("T")
 
@@ -37,7 +23,7 @@ class Registry(Generic[T]):
     """A name -> factory map with uniform lookup errors.
 
     Args:
-        kind: human-readable component kind ("ring backend", "scenario");
+        kind: human-readable component kind ("scenario", "ttl policy");
             appears in every unknown-name error.
 
     Names are normalised case-insensitively (``"Proteus"`` and
@@ -50,97 +36,34 @@ class Registry(Generic[T]):
         self.kind = kind
         self._factories: Dict[str, Callable[..., T]] = {}
 
-    # ------------------------------------------------------------ mutation
-
-    def register(
-        self, name: str, factory: Optional[Callable[..., T]] = None
-    ):
-        """Register *factory* under *name*.
-
-        Usable directly — ``registry.register("proteus", ProteusBackend)``
-        — or as a decorator::
-
-            @registry.register("proteus")
-            class ProteusBackend: ...
-        """
-        if factory is None:
-            def decorator(fn: Callable[..., T]) -> Callable[..., T]:
-                self.register(name, fn)
-                return fn
-
-            return decorator
-        key = self._normalize(name)
+    def register(self, name: str, factory: Callable[..., T]) -> None:
+        """Register *factory* under *name*."""
+        key = name.strip().lower()
         if key in self._factories:
             raise ConfigurationError(
                 f"duplicate {self.kind} registration: {key!r}"
             )
         self._factories[key] = factory
-        return factory
 
-    # ------------------------------------------------------------- lookup
+    def check(self, name: object) -> str:
+        """Validate *name*; returns the normalised form or raises.
 
-    @staticmethod
-    def _normalize(name: str) -> str:
-        return name.strip().lower()
-
-    def unknown(self, name: object) -> ConfigurationError:
-        """The uniform error for an unrecognised name (not raised here)."""
-        return ConfigurationError(
-            f"unknown {self.kind} {name!r} "
-            f"(expected one of {', '.join(self.names)})"
-        )
-
-    def check(self, name: str) -> str:
-        """Validate *name*; returns the normalised form or raises."""
-        key = self._normalize(name)
+        Anything that is not a registered name — a non-string included
+        (``null`` in a JSON config) — gets the one unknown-name error.
+        """
+        key = name.strip().lower() if isinstance(name, str) else None
         if key not in self._factories:
-            raise self.unknown(name)
+            raise ConfigurationError(
+                f"unknown {self.kind} {name!r} "
+                f"(expected one of {', '.join(self.names)})"
+            )
         return key
-
-    def factory(self, name: str) -> Callable[..., T]:
-        """The registered factory for *name* (raises the uniform error)."""
-        return self._factories[self.check(name)]
 
     def create(self, name: str, *args, **kwargs) -> T:
         """Instantiate the component registered under *name*."""
-        return self.factory(name)(*args, **kwargs)
-
-    # ------------------------------------------------------- introspection
+        return self._factories[self.check(name)](*args, **kwargs)
 
     @property
     def names(self) -> Tuple[str, ...]:
         """Registered names, in registration order (CLI/choices order)."""
         return tuple(self._factories)
-
-    def help_text(self, prefix: str) -> str:
-        """A CLI ``help=`` string listing the valid names."""
-        return f"{prefix} ({', '.join(self.names)})"
-
-    def __contains__(self, name: object) -> bool:
-        return (
-            isinstance(name, str)
-            and self._normalize(name) in self._factories
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._factories)
-
-    def __len__(self) -> int:
-        return len(self._factories)
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"Registry({self.kind!r}, names={list(self._factories)})"
-
-
-def __getattr__(name: str):
-    # The shared instances live beside the classes they construct; lazy
-    # re-export here keeps this module import-light and cycle-free.
-    if name == "RING_BACKENDS":
-        from repro.core.ring import RING_BACKENDS
-
-        return RING_BACKENDS
-    if name == "ROUTER_SCENARIOS":
-        from repro.core.router import ROUTER_SCENARIOS
-
-        return ROUTER_SCENARIOS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,43 +25,18 @@ Python callbacks and a batch of lookups is one vectorized
 ``num_active`` prefix (an LRU over the old/new epochs in force).  The
 compiled table is an equivalent *representation*, not a new policy: for
 every integer position it returns exactly what :meth:`lookup` returns.
-
-**Pluggable backends.**  :class:`RingBackend` abstracts the placement
-strategy behind one contract — scalar :meth:`RingBackend.owner`, batched
-:meth:`RingBackend.owners_many`, :meth:`RingBackend.compile`, and remap
-metadata (:meth:`RingBackend.ceding_servers`,
-:meth:`RingBackend.expected_remap_fraction`) for smooth transitions.  Three
-backends ship:
-
-* ``proteus`` — the paper's Algorithm 1 placement compiled into
-  :class:`CompiledRingTable` (bit-identical to routing through
-  :meth:`HashRing.compiled_for` directly);
-* ``multiprobe`` — multi-probe consistent hashing (Appleton & O'Reilly):
-  one node position per server, ``k`` probes per key, the probe landing
-  closest (clockwise) to a node wins — O(k log n) lookups, O(n) table;
-* ``power`` — power consistent hashing ("Fast Consistent Hashing in
-  Constant Time"): draw uniformly from the next power of two above ``n``
-  and deterministically redraw until the draw lands below ``n`` — O(1)
-  expected lookups, **zero** table memory.
-
-Every backend is deterministic across processes (all derived randomness
-comes from :func:`_mix64` over blake2b key positions, never from
-``PYTHONHASHSEED``-dependent state) and minimizes remap on resize within
-its scheme's guarantees.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.registry import Registry
 from repro.errors import ConfigurationError, RoutingError
 
 Position = Union[int, Fraction]
@@ -106,27 +81,6 @@ class CompiledRingTable:
         self._owners = owners
         self._bounds_np = np.asarray(bounds, dtype=np.int64)
         self._owners_np = np.asarray(owners, dtype=np.int64)
-
-    @classmethod
-    def from_arrays(
-        cls, size: int, bounds: np.ndarray, owners: np.ndarray
-    ) -> "CompiledRingTable":
-        """Build a table directly from int64 arrays, skipping the Python
-        lists (``bisect`` works on ndarrays) — used by array-native
-        backends where materializing millions-entry lists would double the
-        memory footprint."""
-        table = cls.__new__(cls)
-        table.size = size
-        table._bounds_np = np.ascontiguousarray(bounds, dtype=np.int64)
-        table._owners_np = np.ascontiguousarray(owners, dtype=np.int64)
-        table._bounds = table._bounds_np
-        table._owners = table._owners_np
-        return table
-
-    @property
-    def nbytes(self) -> int:
-        """Resident table memory (the two flat int64 arrays)."""
-        return int(self._bounds_np.nbytes + self._owners_np.nbytes)
 
     def __len__(self) -> int:
         return len(self._bounds)
@@ -353,464 +307,3 @@ def prefix_active(num_active: int) -> Callable[[int], bool]:
     if num_active < 1:
         raise ConfigurationError(f"num_active must be >= 1, got {num_active}")
     return lambda server: server < num_active
-
-
-# ---------------------------------------------------------------------------
-# Deterministic derived randomness (splitmix64)
-# ---------------------------------------------------------------------------
-
-_M64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX_C1 = 0xBF58476D1CE4E5B9
-_MIX_C2 = 0x94D049BB133111EB
-
-
-def _mix64(value: int) -> int:
-    """The splitmix64 finalizer — a high-quality 64-bit integer mix.
-
-    Pure integer arithmetic: identical on every process and platform (no
-    ``PYTHONHASHSEED`` leak), and far cheaper than another blake2b round
-    when a backend needs extra deterministic draws from a key position.
-    """
-    z = value & _M64
-    z ^= z >> 30
-    z = (z * _MIX_C1) & _M64
-    z ^= z >> 27
-    z = (z * _MIX_C2) & _M64
-    return z ^ (z >> 31)
-
-
-_GOLDEN_NP = np.uint64(_GOLDEN)
-_MIX_C1_NP = np.uint64(_MIX_C1)
-_MIX_C2_NP = np.uint64(_MIX_C2)
-_SHIFT_30 = np.uint64(30)
-_SHIFT_27 = np.uint64(27)
-_SHIFT_31 = np.uint64(31)
-
-
-def _mix64_np(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_mix64` (uint64 wrap-around == scalar ``& _M64``)."""
-    z = values.astype(np.uint64, copy=True)
-    z ^= z >> _SHIFT_30
-    z *= _MIX_C1_NP
-    z ^= z >> _SHIFT_27
-    z *= _MIX_C2_NP
-    z ^= z >> _SHIFT_31
-    return z
-
-
-def _next_pow2(value: int) -> int:
-    """Smallest power of two >= *value* (``value >= 1``)."""
-    return 1 << (value - 1).bit_length()
-
-
-# ---------------------------------------------------------------------------
-# Pluggable ring backends
-# ---------------------------------------------------------------------------
-
-
-class RingBackend(ABC):
-    """One placement strategy behind the routing stack.
-
-    The contract every backend satisfies, for ``1 <= num_active <=
-    num_servers`` and integer key positions in ``[0, ring_size)`` (the
-    output of :func:`~repro.bloom.hashing.ring_position`):
-
-    * :meth:`owner` — scalar lookup, returns a server id ``< num_active``;
-    * :meth:`owners_many` — batched lookup, elementwise == :meth:`owner`;
-    * :meth:`compile` — the per-``num_active`` lookup table (an object with
-      ``lookup`` / ``lookup_many`` / ``nbytes``), cached per backend;
-    * :meth:`ceding_servers` / :meth:`expected_remap_fraction` — remap
-      metadata for smooth transitions: which old-epoch owners may lose
-      keys (the digest-broadcast set) and what fraction of keys moves.
-
-    Backends are deterministic across processes: two web servers built
-    from the same configuration make identical decisions.
-    """
-
-    #: short factory name (``proteus`` / ``multiprobe`` / ``power``)
-    name: str = "abstract"
-
-    def __init__(self, num_servers: int, ring_size: int = DEFAULT_RING_SIZE) -> None:
-        if num_servers < 1:
-            raise ConfigurationError(
-                f"num_servers must be >= 1, got {num_servers}"
-            )
-        if ring_size < 1:
-            raise ConfigurationError(f"ring size must be >= 1, got {ring_size}")
-        self.num_servers = num_servers
-        self.ring_size = ring_size
-        self._tables: Dict[int, object] = {}  # num_active -> compiled table
-
-    def _check_active(self, num_active: int) -> None:
-        if not 1 <= num_active <= self.num_servers:
-            raise RoutingError(
-                f"num_active must be in [1, {self.num_servers}], got {num_active}"
-            )
-
-    @abstractmethod
-    def _compile(self, num_active: int):
-        """Build the lookup table for *num_active* (uncached)."""
-
-    def compile(self, num_active: int):
-        """The compiled lookup table for *num_active*, LRU-cached.
-
-        The returned object answers ``lookup(position) -> server`` and
-        ``lookup_many(positions) -> np.ndarray`` and reports its resident
-        memory as ``nbytes``.
-        """
-        self._check_active(num_active)
-        table = self._tables.get(num_active)
-        if table is None:
-            table = self._compile(num_active)
-            if len(self._tables) >= _COMPILED_CACHE_SIZE:
-                # Evict the oldest insertion (dicts preserve order).
-                self._tables.pop(next(iter(self._tables)))
-            self._tables[num_active] = table
-        return table
-
-    def owner(self, position: int, num_active: int) -> int:
-        """Server id serving integer key *position* with *num_active* on."""
-        return int(self.compile(num_active).lookup(position))
-
-    def owners_many(self, positions, num_active: int) -> np.ndarray:
-        """Vectorized :meth:`owner` over an integer position array."""
-        return self.compile(num_active).lookup_many(
-            np.asarray(positions, dtype=np.int64)
-        )
-
-    def table_bytes(self, num_active: int) -> int:
-        """Resident memory of the compiled table for *num_active*."""
-        return int(self.compile(num_active).nbytes)
-
-    def ceding_servers(self, n_old: int, n_new: int) -> List[int]:
-        """Old-epoch owners that may lose keys in ``n_old -> n_new``.
-
-        This is the digest-broadcast set for a smooth transition: the old
-        owner of every remapped key is guaranteed to be in it.  Ring-style
-        backends (vnode rings, multi-probe) share the consistent-hashing
-        property that deactivating a server only reassigns keys *it*
-        owned, so a scale-down cedes exactly the draining servers; a
-        scale-up may steal from any old owner.  Backends without the
-        property must override with a wider set.
-        """
-        self._check_active(n_old)
-        self._check_active(n_new)
-        if n_new < n_old:
-            return list(range(n_new, n_old))
-        return list(range(n_old))
-
-    def expected_remap_fraction(self, n_old: int, n_new: int) -> Optional[float]:
-        """Expected fraction of keys remapped by ``n_old -> n_new``.
-
-        The Section II lower bound ``|Δn| / max(n, n')`` — exact for the
-        ``proteus`` backend, and what the ring-style backends achieve in
-        expectation (their per-transition value fluctuates with placement
-        balance).  ``None`` when the backend cannot bound the transition
-        (see :class:`PowerBackend` band crossings).
-        """
-        self._check_active(n_old)
-        self._check_active(n_new)
-        return abs(n_old - n_new) / max(n_old, n_new)
-
-
-class VnodeBackend(RingBackend):
-    """Adapter: an existing virtual-node :class:`HashRing` as a backend.
-
-    Used by the Consistent scenario's random-vnode ring; compiled tables
-    come straight from :meth:`HashRing.compiled_for`, so routing through
-    the backend is bit-identical to routing through the ring.
-    """
-
-    name = "vnode"
-
-    def __init__(self, ring: HashRing, num_servers: int) -> None:
-        super().__init__(num_servers, ring.size)
-        self.ring = ring
-
-    def compile(self, num_active: int):
-        # Reuse the ring's own cache — it is invalidated on ring mutation,
-        # which this backend-level cache could not see.
-        self._check_active(num_active)
-        return self.ring.compiled_for(num_active)
-
-    def _compile(self, num_active: int):  # pragma: no cover - compile() bypasses
-        return self.ring.compiled_for(num_active)
-
-
-class ProteusBackend(RingBackend):
-    """The paper's Algorithm 1 placement as a backend.
-
-    Bit-identical to the historical routing path: :meth:`compile` returns
-    exactly :meth:`HashRing.compiled_for` of the placement's ring, so
-    ``owner`` == ``compiled_for(n).lookup`` for every position.
-
-    ``fast=True`` swaps the exact :class:`~fractions.Fraction` construction
-    for the float64 simulation of Algorithm 1
-    (:func:`~repro.core.placement.fast_virtual_positions`) — bench-scale
-    fleets only (N in the thousands, where the exact build is hours of
-    bignum arithmetic).  Vnode positions may differ from the exact build by
-    sub-integer rounding; balance/remap metrics are indistinguishable.
-    """
-
-    name = "proteus"
-
-    def __init__(
-        self,
-        num_servers: int,
-        ring_size: int = DEFAULT_RING_SIZE,
-        fast: bool = False,
-    ) -> None:
-        super().__init__(num_servers, ring_size)
-        self.fast = fast
-        # Function-level imports: placement.py imports this module.
-        if fast:
-            from repro.core.placement import fast_virtual_positions
-
-            self._vpos, self._vsrv = fast_virtual_positions(num_servers, ring_size)
-            self.placement = None
-            self.ring: Optional[HashRing] = None
-        else:
-            from repro.core.placement import place_virtual_nodes
-
-            self.placement = place_virtual_nodes(num_servers, ring_size)
-            self.ring = self.placement.build_ring()
-
-    def compile(self, num_active: int):
-        if self.ring is not None:
-            self._check_active(num_active)
-            return self.ring.compiled_for(num_active)
-        return super().compile(num_active)
-
-    def _compile(self, num_active: int):
-        # Fast mode: the compiled table for prefix n is simply the vnodes
-        # of servers < n (inactive arcs drain to the next active vnode
-        # clockwise, which is by construction the next surviving bound).
-        mask = self._vsrv < num_active
-        return CompiledRingTable.from_arrays(
-            self.ring_size, self._vpos[mask], self._vsrv[mask]
-        )
-
-
-#: Paper-recommended probe count for multi-probe consistent hashing: ~21
-#: probes give a ~1.1 peak-to-average load ratio.
-DEFAULT_PROBES = 21
-
-#: Hash salt for multi-probe node positions (disjoint from the key salts
-#: used by :func:`~repro.bloom.hashing.ring_position`).
-_MP_NODE_SALT = 0x3A5
-
-
-class _MultiProbeTable:
-    """Compiled lookup for one ``num_active`` prefix of the multi-probe ring."""
-
-    __slots__ = ("size", "_pos", "_srv", "_probes", "_pos_list")
-
-    def __init__(
-        self, size: int, pos: np.ndarray, srv: np.ndarray, probes: int
-    ) -> None:
-        self.size = size
-        self._pos = pos  # node positions, sorted ascending
-        self._srv = srv  # parallel server ids
-        self._probes = probes
-        self._pos_list = pos.tolist()  # python ints for scalar bisect
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._pos.nbytes + self._srv.nbytes)
-
-    def __len__(self) -> int:
-        return len(self._pos_list)
-
-    def lookup(self, position: int) -> int:
-        """Owner of *position*: the node closest clockwise to any probe."""
-        size = self.size
-        p = position % size
-        pos_list = self._pos_list
-        count = len(pos_list)
-        best_dist: Optional[int] = None
-        best_idx = 0
-        for j in range(1, self._probes + 1):
-            probe = _mix64((p + j * _GOLDEN) & _M64) % size
-            idx = bisect_left(pos_list, probe)
-            if idx == count:
-                idx = 0
-            dist = (pos_list[idx] - probe) % size
-            if best_dist is None or dist < best_dist:
-                best_dist = dist
-                best_idx = idx
-        return int(self._srv[best_idx])
-
-    def lookup_many(self, positions: np.ndarray) -> np.ndarray:
-        p = (positions % self.size).astype(np.uint64)
-        salts = np.arange(1, self._probes + 1, dtype=np.uint64) * _GOLDEN_NP
-        probes = (
-            _mix64_np(p[:, None] + salts[None, :]) % np.uint64(self.size)
-        ).astype(np.int64)
-        idx = np.searchsorted(self._pos, probes, side="left")
-        idx[idx == len(self._pos)] = 0
-        dist = (self._pos[idx] - probes) % self.size
-        # argmin returns the first minimum — same tie-break as the scalar
-        # loop's strict-< comparison in probe order.
-        best = np.argmin(dist, axis=1)
-        rows = np.arange(len(p))
-        return self._srv[idx[rows, best]]
-
-
-class MultiProbeBackend(RingBackend):
-    """Multi-probe consistent hashing (Appleton & O'Reilly, arXiv:1505.00062).
-
-    One node position per server — an O(n) flat table, no vnode storage.
-    A key probes the ring ``k`` times (deterministic splitmix64 draws from
-    its position) and is owned by the node closest clockwise to any probe;
-    ``k ~ 21`` keeps the peak-to-average load near 1.1 without the
-    O(n log n) vnode memory of classic consistent hashing.  Deactivating a
-    server only reassigns keys whose winning probe pointed at it, so
-    resize remap stays at ~``|Δn| / max(n, n')``.
-    """
-
-    name = "multiprobe"
-
-    def __init__(
-        self,
-        num_servers: int,
-        ring_size: int = DEFAULT_RING_SIZE,
-        probes: int = DEFAULT_PROBES,
-    ) -> None:
-        super().__init__(num_servers, ring_size)
-        if probes < 1:
-            raise ConfigurationError(f"probes must be >= 1, got {probes}")
-        self.probes = probes
-        from repro.bloom.hashing import stable_hash64
-
-        used = set()
-        node_positions: List[int] = []
-        for server in range(num_servers):
-            attempt = 0
-            while True:
-                pos = (
-                    stable_hash64(f"mp-node:{server}:{attempt}", salt=_MP_NODE_SALT)
-                    % ring_size
-                )
-                if pos not in used:
-                    break
-                attempt += 1  # deterministic re-draw chain on collision
-            used.add(pos)
-            node_positions.append(pos)
-        #: node position of server ``i`` at index ``i`` (provisioning order)
-        self._node_pos = np.asarray(node_positions, dtype=np.int64)
-
-    def _compile(self, num_active: int) -> _MultiProbeTable:
-        pos = self._node_pos[:num_active]
-        order = np.argsort(pos, kind="stable")
-        return _MultiProbeTable(
-            self.ring_size, pos[order], order.astype(np.int64), self.probes
-        )
-
-
-class _PowerTable:
-    """Tableless lookup for one ``num_active`` of power consistent hashing."""
-
-    __slots__ = ("size", "num_active", "_mask")
-
-    def __init__(self, size: int, num_active: int) -> None:
-        self.size = size
-        self.num_active = num_active
-        self._mask = _next_pow2(num_active) - 1
-
-    @property
-    def nbytes(self) -> int:
-        return 0  # no resident table — three ints of state
-
-    def lookup(self, position: int) -> int:
-        p = position % self.size
-        n = self.num_active
-        mask = self._mask
-        draw = 0
-        while True:
-            u = _mix64((p + draw * _GOLDEN) & _M64) & mask
-            if u < n:
-                return u
-            draw += 1
-
-    def lookup_many(self, positions: np.ndarray) -> np.ndarray:
-        p = (positions % self.size).astype(np.uint64)
-        n = np.uint64(self.num_active)
-        mask = np.uint64(self._mask)
-        owners = np.zeros(len(p), dtype=np.int64)
-        pending = np.arange(len(p))
-        draw = 0
-        while pending.size:
-            # numpy *scalar* uint64 arithmetic warns on wrap; compute the
-            # per-draw offset with python ints (the array add wraps silently,
-            # matching the scalar path's ``& _M64``).
-            offset = np.uint64((draw * _GOLDEN) & _M64)
-            u = _mix64_np(p[pending] + offset) & mask
-            ok = u < n
-            owners[pending[ok]] = u[ok].astype(np.int64)
-            pending = pending[~ok]
-            draw += 1
-        return owners
-
-
-class PowerBackend(RingBackend):
-    """Power consistent hashing — O(1) expected time, zero table memory.
-
-    Let ``m`` be the next power of two >= ``n``.  A key's owner is the
-    first draw below ``n`` in its deterministic splitmix64 draw sequence
-    over ``[0, m)`` (derived from the key position).  Since ``m < 2n``,
-    each draw accepts with probability > 1/2 — O(1) expected draws —
-    and balance is exactly ``1/n`` per server.
-
-    Resizing within one power-of-two band keeps every accepted draw below
-    ``min(n, n')`` unchanged, so remap is exactly ``|Δn| / max(n, n')``
-    (the Section II lower bound).  Crossing a band changes ``m`` and
-    reshuffles the draw sequences — roughly half the keys move, and
-    :meth:`ceding_servers` widens to every old owner.  That caveat is the
-    price of O(1) lookups with zero state.
-    """
-
-    name = "power"
-
-    def _compile(self, num_active: int) -> _PowerTable:
-        return _PowerTable(self.ring_size, num_active)
-
-    def ceding_servers(self, n_old: int, n_new: int) -> List[int]:
-        self._check_active(n_old)
-        self._check_active(n_new)
-        if n_new < n_old and _next_pow2(n_new) == _next_pow2(n_old):
-            return list(range(n_new, n_old))
-        # Band crossing (or scale-up): any old owner may cede keys.
-        return list(range(n_old))
-
-    def expected_remap_fraction(self, n_old: int, n_new: int) -> Optional[float]:
-        self._check_active(n_old)
-        self._check_active(n_new)
-        if _next_pow2(n_old) == _next_pow2(n_new):
-            return abs(n_old - n_new) / max(n_old, n_new)
-        return None  # band crossing: unbounded by the scheme
-
-
-#: The ring-backend registry: name -> backend class.  ``make_backend``,
-#: the CLI's ``--ring-backend`` choices, and the experiment-config
-#: validation all derive from it, so registering a backend here is the
-#: single step to plug a new placement scheme in everywhere.
-RING_BACKENDS: "Registry[RingBackend]" = Registry("ring backend")
-RING_BACKENDS.register("proteus", ProteusBackend)
-RING_BACKENDS.register("multiprobe", MultiProbeBackend)
-RING_BACKENDS.register("power", PowerBackend)
-
-#: Names accepted by :func:`make_backend` (derived from the registry).
-BACKEND_NAMES = RING_BACKENDS.names
-
-
-def make_backend(
-    name: str, num_servers: int, ring_size: int = DEFAULT_RING_SIZE, **kwargs
-) -> RingBackend:
-    """Factory keyed by backend name (case-insensitive).
-
-    ``proteus`` accepts ``fast=True`` (bench-scale float placement);
-    ``multiprobe`` accepts ``probes=<k>``.  Thin wrapper over
-    :data:`RING_BACKENDS`.
-    """
-    return RING_BACKENDS.create(name, num_servers, ring_size, **kwargs)

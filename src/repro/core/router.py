@@ -17,15 +17,12 @@ Scenario            Server provisioning        Workload distribution
 ==================  =========================  ===============================
 
 Objective 3 also demands the decision be *efficient* — it runs on every web
-request — so the ring-based routers route through a pluggable
-:class:`~repro.core.ring.RingBackend`: the placement strategy is resolved
-once per ``num_active`` epoch into a flat table, ``route()`` is hash + one
-O(1)-ish lookup with zero Python callbacks, and :meth:`Router.route_many`
-answers a whole key batch with one vectorized pass.  The ``proteus``
-backend routes through :meth:`~repro.core.ring.HashRing.compiled_for`, so
-its decisions are bit-identical to the uncompiled ``ring.lookup`` path;
-the ``multiprobe`` and ``power`` backends trade the Algorithm 1 guarantees
-for O(n) / O(1) table memory (see :mod:`repro.core.ring`).
+request — so the ring-based routers route through the ring's per-epoch
+compiled table (:meth:`~repro.core.ring.HashRing.compiled_for`): the
+inactive-skip chain is resolved once per ``num_active``, ``route()`` is hash
++ one bisection with zero Python callbacks, and :meth:`Router.route_many`
+answers a whole key batch with one vectorized pass — bit-identical to the
+uncompiled ``ring.lookup`` path.
 """
 
 from __future__ import annotations
@@ -44,22 +41,11 @@ from repro.bloom.hashing import (
     stable_hash64,
     stable_hash64_many,
 )
-from repro.core.placement import Placement
+from repro.core.placement import place_virtual_nodes
 from repro.core.registry import Registry
-from repro.core.ring import (
-    BACKEND_NAMES,
-    DEFAULT_PROBES,
-    DEFAULT_RING_SIZE,
-    HashRing,
-    MultiProbeBackend,
-    PowerBackend,
-    ProteusBackend,
-    RingBackend,
-    VirtualNode,
-    VnodeBackend,
-    make_backend,
-)
+from repro.core.ring import DEFAULT_RING_SIZE, HashRing, VirtualNode
 from repro.errors import ConfigurationError, RoutingError
+
 
 class Router(ABC):
     """Maps keys to cache-server ids (0-based, in provisioning order)."""
@@ -116,8 +102,8 @@ class Router(ABC):
         The digest-broadcast set for a smooth transition: a digest is
         needed from every server that might be the old owner of a
         remapped key.  The conservative default — every old owner — is
-        correct for any router; backend-aware routers narrow it via
-        :meth:`RingBackend.ceding_servers`.
+        correct for any router; :class:`RingRouter` narrows it to what a
+        ring can move.
         """
         self._check_active(n_old)
         self._check_active(n_new)
@@ -179,54 +165,51 @@ class NaiveRouter(Router):
 
 
 class RingRouter(Router):
-    """Routing through a :class:`~repro.core.ring.RingBackend`, over
-    ``replicas`` rings that share the backend's one placement.
+    """Routing through a :class:`~repro.core.ring.HashRing`, over
+    ``replicas`` rings that share its one placement.
 
-    Routing is one blake2b key position plus the backend's per-epoch
-    compiled lookup — a bisection for the vnode backends, ``k`` probes for
-    multi-probe, O(1) expected draws for power — or one vectorized pass per
-    batch.  Ring ``i`` hashes keys with an independent hash function
-    (``replica=i`` salt, paper Section III-E); the placement — and
-    therefore the balance and minimal-migration guarantees — is identical
-    on every ring, and ring 0 is the primary :meth:`route` answers for.
-    Vnode-backed routers expose ``ring`` / ``placement`` for inspection;
-    table-free backends report ``None``.
+    Routing is one blake2b key position plus one bisection of the ring's
+    per-epoch compiled table, or one vectorized pass per batch.  Ring ``i``
+    hashes keys with an independent hash function (``replica=i`` salt,
+    paper Section III-E); the placement — and therefore the balance and
+    minimal-migration guarantees — is identical on every ring, and ring 0
+    is the primary :meth:`route` answers for.  The fleet is the servers
+    with a virtual node on the ring.
     """
 
-    def __init__(self, backend: RingBackend, replicas: int = 1) -> None:
-        super().__init__(backend.num_servers)
+    def __init__(self, ring: HashRing, replicas: int = 1) -> None:
+        super().__init__(len(ring.servers()))
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        self.backend = backend
+        self.ring = ring
         self.replicas = replicas
-        self.ring: Optional[HashRing] = getattr(backend, "ring", None)
-        self.placement: Optional[Placement] = getattr(backend, "placement", None)
 
     def route(self, key: Key, num_active: int) -> int:
-        backend = self.backend  # (compile() range-checks num_active)
-        return backend.compile(num_active).lookup(
-            ring_position(key, backend.ring_size)
-        )
+        self._check_active(num_active)
+        ring = self.ring
+        return ring.compiled_for(num_active).lookup(ring_position(key, ring.size))
 
     def route_hashed(self, hashes: KeyHashes, num_active: int) -> int:
-        backend = self.backend
-        return backend.compile(num_active).lookup(
-            hashes.ring_position(backend.ring_size)
+        self._check_active(num_active)
+        ring = self.ring
+        return ring.compiled_for(num_active).lookup(
+            hashes.ring_position(ring.size)
         )
 
     def route_many(
         self, keys: Sequence[Key], num_active: int, replica: int = 0
     ) -> List[int]:
         """Each key's owner on ring *replica* (ring 0: the primary)."""
-        backend = self.backend
-        table = backend.compile(num_active)
+        self._check_active(num_active)
+        ring = self.ring
+        table = ring.compiled_for(num_active)
         if len(keys) <= SCALAR_BATCH_MAX:
             return [
-                table.lookup(ring_position(key, backend.ring_size, replica))
+                table.lookup(ring_position(key, ring.size, replica))
                 for key in keys
             ]
         return table.lookup_many(
-            ring_positions_many(keys, backend.ring_size, replica)
+            ring_positions_many(keys, ring.size, replica)
         ).tolist()
 
     def read_plans(
@@ -250,12 +233,23 @@ class RingRouter(Router):
         ]
 
     def ceding_servers(self, n_old: int, n_new: int) -> List[int]:
-        return self.backend.ceding_servers(n_old, n_new)
+        """A ring only reassigns keys of servers it deactivates, so a
+        scale-down cedes exactly the draining servers; a scale-up may
+        steal from any old owner."""
+        self._check_active(n_old)
+        self._check_active(n_new)
+        if n_new < n_old:
+            return list(range(n_new, n_old))
+        return list(range(n_old))
 
-    def expected_remap_fraction(self, n_old: int, n_new: int) -> Optional[float]:
-        """Backend remap metadata (see
-        :meth:`~repro.core.ring.RingBackend.expected_remap_fraction`)."""
-        return self.backend.expected_remap_fraction(n_old, n_new)
+    def expected_remap_fraction(self, n_old: int, n_new: int) -> float:
+        """Expected fraction of keys remapped by ``n_old -> n_new``: the
+        Section II lower bound ``|Δn| / max(n, n')`` — exact for Algorithm
+        1, met in expectation by random virtual nodes (their per-transition
+        value fluctuates with placement balance)."""
+        self._check_active(n_old)
+        self._check_active(n_new)
+        return abs(n_old - n_new) / max(n_old, n_new)
 
 
 class ConsistentRouter(RingRouter):
@@ -317,7 +311,7 @@ class ConsistentRouter(RingRouter):
                 nodes.append(VirtualNode(position, server))
                 placed += 1
         ring.add_many(nodes)
-        super().__init__(VnodeBackend(ring, num_servers))
+        super().__init__(ring)
 
     @classmethod
     def log_variant(cls, num_servers: int, seed: int = 0) -> "ConsistentRouter":
@@ -338,55 +332,18 @@ class ProteusRouter(RingRouter):
     """Table II "Proteus": Algorithm 1 deterministic virtual-node placement.
 
     Exactly ``N(N-1)/2 + 1`` virtual nodes; every active prefix owns equal
-    key-space; transitions remap the Section II lower bound.
+    key-space; transitions remap the Section II lower bound; ``replicas``
+    rings share the one placement (Section III-E).
     """
 
     def __init__(
         self,
         num_servers: int,
         ring_size: int = DEFAULT_RING_SIZE,
-        fast: bool = False,
+        replicas: int = 1,
     ) -> None:
-        super().__init__(ProteusBackend(num_servers, ring_size, fast=fast))
-
-
-class MultiProbeRouter(RingRouter):
-    """Multi-probe consistent hashing: one position per server, ``k`` probes.
-
-    O(N) table memory instead of the Algorithm 1 ``N(N-1)/2 + 1`` vnodes;
-    peak-to-average load ~``1 + O(1/k)`` (about 1.1 at the default
-    ``k = 21``).  Remap on resize is near the Section II lower bound but
-    not exactly minimal, and per-prefix balance is statistical, not exact.
-    """
-
-    def __init__(
-        self,
-        num_servers: int,
-        ring_size: int = DEFAULT_RING_SIZE,
-        probes: int = DEFAULT_PROBES,
-    ) -> None:
-        super().__init__(MultiProbeBackend(num_servers, ring_size, probes=probes))
-
-    @property
-    def name(self) -> str:
-        return "MultiProbe"
-
-
-class PowerRouter(RingRouter):
-    """Power consistent hashing: O(1) expected lookup, zero table memory.
-
-    Exact ``1/n`` balance and exactly minimal remap while ``n`` stays
-    within a power-of-two band; crossing a band boundary reshuffles about
-    half the key space (the backend reports ``expected_remap_fraction =
-    None`` there so transitions fall back to conservative digests).
-    """
-
-    def __init__(self, num_servers: int, ring_size: int = DEFAULT_RING_SIZE) -> None:
-        super().__init__(PowerBackend(num_servers, ring_size))
-
-    @property
-    def name(self) -> str:
-        return "Power"
+        self.placement = place_virtual_nodes(num_servers, ring_size)
+        super().__init__(self.placement.build_ring(), replicas)
 
 
 def _make_consistent(
@@ -407,15 +364,12 @@ ROUTER_SCENARIOS.register("static", StaticRouter)
 ROUTER_SCENARIOS.register("naive", NaiveRouter)
 ROUTER_SCENARIOS.register("consistent", _make_consistent)
 ROUTER_SCENARIOS.register("proteus", ProteusRouter)
-ROUTER_SCENARIOS.register("multiprobe", MultiProbeRouter)
-ROUTER_SCENARIOS.register("power", PowerRouter)
 
 
 def make_router(scenario: str, num_servers: int, **kwargs) -> Router:
     """Factory keyed by Table II scenario name (case-insensitive).
 
     ``consistent`` accepts ``variant='log'`` (default) or ``variant='quadratic'``.
-    ``multiprobe`` and ``power`` select the O(1)-scheme backends of
-    :mod:`repro.core.ring`.  Thin wrapper over :data:`ROUTER_SCENARIOS`.
+    Thin wrapper over :data:`ROUTER_SCENARIOS`.
     """
     return ROUTER_SCENARIOS.create(scenario, num_servers, **kwargs)

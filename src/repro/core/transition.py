@@ -45,8 +45,8 @@ class Transition:
             ``started_at + ttl``.
         digests: per-server digest snapshots broadcast at the start.
         ceding: old-mapping owners that may lose keys in this transition,
-            as reported by the router's backend remap metadata
-            (:meth:`~repro.core.ring.RingBackend.ceding_servers`), or
+            as reported by the router
+            (:meth:`~repro.core.router.Router.ceding_servers`), or
             ``None`` when the initiator did not supply the hint.
     """
 
@@ -77,7 +77,7 @@ class Transition:
     def ceding_servers(self) -> List[int]:
         """Old owners whose keys may have moved — the digest-consult set.
 
-        Backend remap metadata when the initiator supplied it (see
+        The router's ceding set when the initiator supplied it (see
         :meth:`TransitionManager.begin`); otherwise the conservative
         every-old-owner set, which is correct for any routing scheme.
         Distinct from :meth:`draining_servers`, the *physical* power-off
@@ -196,7 +196,6 @@ class TransitionManager:
                 that is (at least) the draining servers; for scale-up, the
                 servers ceding ranges to the newcomers.
             ceding: the old owners that may lose keys, per the router
-                backend's remap metadata
                 (:meth:`~repro.core.router.Router.ceding_servers`); stored
                 on the transition so migrators and digest consumers agree
                 on the consult set.  ``None`` keeps the conservative

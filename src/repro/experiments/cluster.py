@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import FetchPath, FetchResult, RetrievalConfig
-from repro.core.ring import RING_BACKENDS
 from repro.core.router import (
     ConsistentRouter,
     NaiveRouter,
+    ProteusRouter,
     Router,
     StaticRouter,
-    make_router,
 )
 from repro.errors import ConfigurationError
 from repro.experiments.testbed import SimTestbed
@@ -49,10 +47,6 @@ class ScenarioSpec:
     smooth: bool
     dynamic: bool
     coalesce_misses: Optional[bool] = None
-    #: ring backend the router routes with ("proteus" / "multiprobe" /
-    #: "power"); None for the non-ring scenarios (Static / Naive /
-    #: Consistent).  Informational — the factory already binds it.
-    ring_backend: Optional[str] = None
 
     def with_coalescing(self, enabled: bool = True) -> "ScenarioSpec":
         """This scenario with dog-pile coalescing forced on (or off)."""
@@ -81,37 +75,18 @@ class ScenarioSpec:
         )
 
     @staticmethod
-    def proteus(ring_backend: str = "proteus") -> "ScenarioSpec":
-        """Dynamic provisioning, smooth transitions, pluggable placement.
-
-        ``ring_backend`` selects the routing scheme behind the smooth-
-        transition machinery: ``"proteus"`` (Algorithm 1, the paper's
-        scenario), ``"multiprobe"`` or ``"power"`` (the O(1) alternatives);
-        non-default backends are named ``Proteus[<backend>]`` so reports
-        from a backend ablation don't collide.
-        """
-        ring_backend = RING_BACKENDS.check(ring_backend)
-        name = (
-            "Proteus"
-            if ring_backend == "proteus"
-            else f"Proteus[{ring_backend}]"
-        )
-        return ScenarioSpec(
-            name,
-            partial(make_router, ring_backend),
-            smooth=True,
-            dynamic=True,
-            ring_backend=ring_backend,
-        )
+    def proteus() -> "ScenarioSpec":
+        """Dynamic provisioning, Algorithm 1 placement, smooth transitions."""
+        return ScenarioSpec("Proteus", ProteusRouter, smooth=True, dynamic=True)
 
     @staticmethod
-    def all_four(ring_backend: str = "proteus") -> List["ScenarioSpec"]:
+    def all_four() -> List["ScenarioSpec"]:
         """The paper's presentation order."""
         return [
             ScenarioSpec.static(),
             ScenarioSpec.naive(),
             ScenarioSpec.consistent(),
-            ScenarioSpec.proteus(ring_backend=ring_backend),
+            ScenarioSpec.proteus(),
         ]
 
 
@@ -157,9 +132,6 @@ class ExperimentConfig:
     #: miss-storm protection; off in the paper's evaluation — the Fig. 9
     #: spike depends on the dog pile being possible).
     coalesce_misses: bool = False
-    #: ring backend for the smooth-transition scenario when specs are not
-    #: given explicitly ("proteus" / "multiprobe" / "power").
-    ring_backend: str = "proteus"
     #: arm every web server's frontend-local hot-key cache (the sketch
     #: elects hot keys online; local hits skip the cache tier entirely).
     hot_key_cache: bool = False
@@ -167,7 +139,6 @@ class ExperimentConfig:
     d_choices: int = 1
 
     def __post_init__(self) -> None:
-        self.ring_backend = RING_BACKENDS.check(self.ring_backend)
         if len(self.users_per_slot) != self.schedule.num_slots:
             raise ConfigurationError(
                 f"users_per_slot has {len(self.users_per_slot)} entries, "
@@ -344,12 +315,9 @@ class ClusterExperiment:
 def run_scenarios(
     config: ExperimentConfig, specs: Optional[List[ScenarioSpec]] = None
 ) -> Dict[str, ExperimentReport]:
-    """Run several scenarios under the identical config (the paper's method).
-
-    When *specs* is omitted, the default four scenarios route their smooth
-    member with :attr:`ExperimentConfig.ring_backend`.
-    """
+    """Run several scenarios under the identical config (the paper's method);
+    *specs* defaults to the four of Table II."""
     reports: Dict[str, ExperimentReport] = {}
-    for spec in specs or ScenarioSpec.all_four(ring_backend=config.ring_backend):
+    for spec in specs or ScenarioSpec.all_four():
         reports[spec.name] = ClusterExperiment(spec, config).run()
     return reports

@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.core.retrieval import FetchResult
-from repro.core.ring import ProteusBackend
-from repro.core.router import RingRouter
+from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
 from repro.experiments.testbed import SimTestbed
 from repro.resilience import FaultSchedule
@@ -81,10 +80,7 @@ class FailoverExperiment:
         self.config = config
         self.testbed = SimTestbed(
             config,
-            RingRouter(
-                ProteusBackend(config.num_servers, 2 ** 24),
-                replicas=config.replicas,
-            ),
+            ProteusRouter(config.num_servers, 2 ** 24, config.replicas),
             random.Random(config.seed ^ 0xFA11),
             self._record,
             ttl=config.ttl_seconds,

@@ -81,7 +81,7 @@ class ConnectionPool:
         #: broken connections dropped from the pool
         self.ejections = 0
         #: acquisitions that found no idle connection at the size bound
-        #: and had to share a busy one (mirrors ``web.pool``'s counter)
+        #: and had to share a busy one
         self.waited = 0
         #: highest concurrent lease count ever reached (high-water mark)
         self.leases_peak = 0

@@ -195,7 +195,7 @@ class AsyncProteusFrontend:
         routing epochs and the digests.
 
         Digests are requested only from the *ceding* servers — the old
-        owners the router's backend reports may lose keys
+        owners the router reports may lose keys
         (:meth:`~repro.core.router.Router.ceding_servers`); for Proteus
         scale-down that is exactly the draining servers.  The broadcast is
         all-or-nothing: each ceding owner's snapshot + fetch is one

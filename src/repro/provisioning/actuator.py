@@ -30,10 +30,10 @@ if TYPE_CHECKING:  # avoid a circular import with repro.sim.cluster
 class AppliedTransition:
     """Record of one executed provisioning action.
 
-    ``ceding`` and ``expected_remap`` capture the router backend's remap
-    metadata at apply time: which old owners were asked for digests, and
-    the predicted remapped key fraction (``None`` when the backend cannot
-    bound it, e.g. power consistent hashing across a power-of-two band).
+    ``ceding`` and ``expected_remap`` capture the router's remap metadata
+    at apply time: which old owners were asked for digests, and the
+    predicted remapped key fraction (``None`` for a router without the
+    estimate — Static and Naive).
     ``ttl`` is the drain window this transition actually ran with —
     ``None`` for abrupt actions and for smooth ones that used the
     cluster's configured constant.

@@ -81,7 +81,7 @@ class BackgroundMigrator:
     def _source_servers(self) -> List[int]:
         """Servers whose keys move — the transition's ceding set.
 
-        Populated from the router backend's remap metadata when the
+        Populated from the router's remap metadata when the
         transition was begun with a ``ceding`` hint (for Proteus
         scale-down: exactly the draining servers); otherwise the
         conservative every-old-owner fallback.

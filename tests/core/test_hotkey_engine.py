@@ -20,8 +20,7 @@ from repro.core.retrieval import (
     WaitForLeader,
     WriteBackMulti,
 )
-from repro.core.ring import ProteusBackend
-from repro.core.router import ProteusRouter, RingRouter
+from repro.core.router import ProteusRouter
 from repro.core.transition import RoutingEpochs, Transition
 
 ROUTER = ProteusRouter(4, ring_size=2 ** 20)
@@ -217,7 +216,7 @@ class TestGroupedDigestProbes:
 class TestPowerOfTwoChoices:
     @staticmethod
     def _router():
-        return RingRouter(ProteusBackend(4, 2 ** 20), replicas=2)
+        return ProteusRouter(4, 2 ** 20, replicas=2)
 
     @staticmethod
     def _replicated_key(router):

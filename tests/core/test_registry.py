@@ -1,11 +1,12 @@
-"""The unified component registry (repro.core.registry)."""
+"""The component registry (repro.core.registry)."""
 
 import pytest
 
-from repro.core.registry import RING_BACKENDS, ROUTER_SCENARIOS, Registry
-from repro.core.ring import BACKEND_NAMES, ProteusBackend, make_backend
-from repro.core.router import ProteusRouter, make_router
+from repro.config import ClusterConfig
+from repro.core.registry import Registry
+from repro.core.router import ROUTER_SCENARIOS, ProteusRouter, make_router
 from repro.errors import ConfigurationError
+from repro.provisioning.ttl import make_ttl_policy
 
 
 class TestRegistry:
@@ -13,29 +14,17 @@ class TestRegistry:
         reg = Registry("widget")
         reg.register("box", dict)
         assert reg.create("box", a=1) == {"a": 1}
-        assert "box" in reg and "crate" not in reg
-
-    def test_decorator_form(self):
-        reg = Registry("widget")
-
-        @reg.register("fn")
-        def build(x):
-            return x * 2
-
-        assert reg.create("fn", 21) == 42
-        assert build(1) == 2  # decorator returns the factory unchanged
 
     def test_names_preserve_registration_order(self):
         reg = Registry("widget")
         reg.register("z", dict)
         reg.register("a", dict)
         assert reg.names == ("z", "a")
-        assert list(reg) == ["z", "a"] and len(reg) == 2
 
     def test_lookup_is_case_insensitive(self):
         reg = Registry("widget")
         reg.register("Box", dict)
-        assert "BOX" in reg
+        assert reg.check("BOX") == "box"
         assert reg.check(" box ") == "box"
 
     def test_unknown_name_error_lists_valid_names(self):
@@ -53,49 +42,34 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             reg.register("BOX", list)
 
-    def test_contains_rejects_non_strings(self):
+    def test_check_rejects_non_strings(self):
         reg = Registry("widget")
         reg.register("box", dict)
-        assert 3 not in reg and None not in reg
-
-    def test_help_text_lists_names(self):
-        reg = Registry("widget")
-        reg.register("box", dict)
-        assert reg.help_text("pick one") == "pick one (box)"
+        for name in (3, None):
+            with pytest.raises(ConfigurationError, match="unknown widget"):
+                reg.check(name)
 
 
 class TestSharedRegistries:
-    def test_ring_backends_back_make_backend(self):
-        assert RING_BACKENDS.names == BACKEND_NAMES == (
-            "proteus", "multiprobe", "power",
-        )
-        backend = make_backend("proteus", 4)
-        assert isinstance(backend, ProteusBackend)
-        assert isinstance(
-            RING_BACKENDS.create("proteus", 4, 2 ** 20), ProteusBackend
-        )
-
     def test_router_scenarios_back_make_router(self):
         assert ROUTER_SCENARIOS.names == (
-            "static", "naive", "consistent", "proteus", "multiprobe", "power",
+            "static", "naive", "consistent", "proteus",
         )
         assert isinstance(make_router("proteus", 4), ProteusRouter)
 
     def test_unified_error_message_everywhere(self):
-        from repro.experiments.cluster import ScenarioSpec
-
-        expected = "unknown ring backend 'zeta' (expected one of proteus, "
         with pytest.raises(ConfigurationError) as from_factory:
-            make_backend("zeta", 4)
-        with pytest.raises(ConfigurationError) as from_spec:
-            ScenarioSpec.proteus("zeta")
-        assert expected in str(from_factory.value)
-        assert str(from_factory.value) == str(from_spec.value)
+            make_router("zeta", 4)
+        with pytest.raises(ConfigurationError) as from_registry:
+            ROUTER_SCENARIOS.check("zeta")
+        assert "unknown scenario 'zeta' (expected one of static, " in str(
+            from_factory.value
+        )
+        assert str(from_factory.value) == str(from_registry.value)
 
-    def test_registry_module_reexports_instances(self):
-        import repro.core.registry as registry
-
-        assert registry.RING_BACKENDS is RING_BACKENDS
-        assert registry.ROUTER_SCENARIOS is ROUTER_SCENARIOS
-        with pytest.raises(AttributeError):
-            registry.NOT_A_REGISTRY
+        endpoints = [("h", 11211)]
+        with pytest.raises(ConfigurationError) as from_config:
+            ClusterConfig.for_fleet(endpoints, 100, ttl_policy="zeta")
+        with pytest.raises(ConfigurationError) as from_policy:
+            make_ttl_policy("zeta")
+        assert str(from_config.value) == str(from_policy.value)

@@ -6,14 +6,13 @@ from repro.core.replication import (
     empirical_conflict_rate,
     no_conflict_probability,
 )
-from repro.core.ring import ProteusBackend
-from repro.core.router import ProteusRouter, RingRouter
+from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
 from tests.conftest import make_keys
 
 
 def replicated(num_servers, replicas):
-    return RingRouter(ProteusBackend(num_servers), replicas=replicas)
+    return ProteusRouter(num_servers, replicas=replicas)
 
 
 class TestEq3:

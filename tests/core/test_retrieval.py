@@ -20,8 +20,7 @@ from repro.core.retrieval import (
     WaitForLeader,
     WriteBackMulti,
 )
-from repro.core.ring import ProteusBackend
-from repro.core.router import ProteusRouter, RingRouter
+from repro.core.router import ProteusRouter
 from repro.core.transition import RoutingEpochs, Transition
 
 
@@ -424,7 +423,7 @@ class TestBatchPlanner:
         assert reads == []
 
     def test_replicated_batch_equals_sequential(self):
-        router = RingRouter(ProteusBackend(4, 2 ** 20), replicas=2)
+        router = ProteusRouter(4, 2 ** 20, replicas=2)
         epochs = RoutingEpochs(4, None, None)
         keys = [f"page:{i}" for i in range(8)]
         # Prime half the keys at their primary, leave half to the DB.
@@ -456,7 +455,7 @@ class TestReplicatedEngine:
 
     def _engine(self):
         return RetrievalEngine(
-            RingRouter(ProteusBackend(4, 2 ** 20), replicas=2)
+            ProteusRouter(4, 2 ** 20, replicas=2)
         )
 
     @staticmethod

@@ -29,8 +29,8 @@ from repro.core.retrieval import (
     SERVER_UNAVAILABLE,
     WriteBackMulti,
 )
-from repro.core.ring import ProteusBackend
-from repro.core.router import ProteusRouter, RingRouter
+from repro.core.placement import place_virtual_nodes
+from repro.core.router import ProteusRouter
 from repro.core.transition import RoutingEpochs, Transition
 
 RING_SIZE = 2 ** 20
@@ -38,8 +38,8 @@ ROUTER = ProteusRouter(5, ring_size=RING_SIZE)
 #: replicas -> router; one replica ring is the unreplicated router
 ROUTERS = {
     1: ROUTER,
-    2: RingRouter(ProteusBackend(5, RING_SIZE), replicas=2),
-    3: RingRouter(ProteusBackend(5, RING_SIZE), replicas=3),
+    2: ProteusRouter(5, RING_SIZE, replicas=2),
+    3: ProteusRouter(5, RING_SIZE, replicas=3),
 }
 STEADY = RoutingEpochs(new=4, old=None, transition=None)
 DRAINING = RoutingEpochs(
@@ -48,13 +48,13 @@ DRAINING = RoutingEpochs(
 )
 
 
-PLACEMENT = ProteusBackend(5, RING_SIZE)
+PLACEMENT = place_virtual_nodes(5, RING_SIZE).build_ring()
 
 
 def read_plan(key, num_active, replicas):
     """The key's distinct owners, ring 0's first — from the hash and the
     placement table alone."""
-    table = PLACEMENT.compile(num_active)
+    table = PLACEMENT.compiled_for(num_active)
     owners = []
     for ring in range(replicas):
         owner = table.lookup(ring_position(key, RING_SIZE, replica=ring))

@@ -25,12 +25,11 @@ from hypothesis import strategies as st
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import KeyHashes, digest_bases_many, ring_position
-from repro.core.ring import HashRing, ProteusBackend, VirtualNode, prefix_active
+from repro.core.ring import HashRing, VirtualNode, prefix_active
 from repro.core.router import (
     ConsistentRouter,
     NaiveRouter,
     ProteusRouter,
-    RingRouter,
     StaticRouter,
 )
 from repro.errors import DigestError
@@ -142,7 +141,7 @@ def test_route_many_and_route_hashed_match_route(num_servers, batch, data):
         NaiveRouter(num_servers),
         ConsistentRouter.log_variant(num_servers),
         ProteusRouter(num_servers, ring_size=2 ** 20),
-        RingRouter(ProteusBackend(num_servers, 2 ** 20), replicas=2),
+        ProteusRouter(num_servers, 2 ** 20, replicas=2),
     ]
     for router in routers:
         expected = [router.route(key, num_active) for key in batch]
@@ -160,7 +159,7 @@ def test_route_many_and_route_hashed_match_route(num_servers, batch, data):
 @settings(max_examples=60, deadline=None)
 def test_read_plan_matches_replica_servers(num_servers, replicas, batch, data):
     num_active = data.draw(st.integers(min_value=1, max_value=num_servers))
-    router = RingRouter(ProteusBackend(num_servers, 2 ** 20), replicas=replicas)
+    router = ProteusRouter(num_servers, 2 ** 20, replicas=replicas)
     plans = router.read_plans(batch, num_active)
     assert len(plans) == len(batch)
     for key, plan in zip(batch, plans):
@@ -171,7 +170,7 @@ def test_read_plan_matches_replica_servers(num_servers, replicas, batch, data):
         assert router.read_plans([key], num_active) == [plan]
         hashes = KeyHashes(key)
         assert owners == [
-            router.backend.compile(num_active).lookup(
+            router.ring.compiled_for(num_active).lookup(
                 hashes.ring_position(2 ** 20, replica=ring)
             )
             for ring in range(replicas)

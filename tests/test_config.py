@@ -1,6 +1,7 @@
 """Tests for the shared cluster configuration document."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -73,6 +74,29 @@ class TestSerialization:
             ClusterConfig.from_json("{not json")
         with pytest.raises(ConfigurationError):
             ClusterConfig.from_json("{}")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("ttl_policy", None, "unknown ttl policy None"),
+            ("endpoints", [["h", 1, 2]], "malformed config"),
+            ("endpoints", [["h", "x"]], "malformed config"),
+            (None, "not an object", "malformed config"),
+        ],
+        ids=["null-ttl-policy", "endpoint-triple", "non-integer-port",
+             "not-an-object"],
+    )
+    def test_malformed_fields_raise_configuration_error(
+        self, field, value, message
+    ):
+        # The CLI reports ProteusError only: anything else is a traceback.
+        payload = json.loads(make().to_json())
+        if field is None:
+            payload = value
+        else:
+            payload[field] = value
+        with pytest.raises(ConfigurationError, match=message):
+            ClusterConfig.from_json(json.dumps(payload))
 
     def test_version_check_on_load(self):
         text = make().to_json().replace('"version": 1', '"version": 2')

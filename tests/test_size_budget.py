@@ -1,6 +1,6 @@
-"""Line-count budget for the Algorithm-2 core, its two drivers, the live
-transport, parser and client, the simulated testbed and its three
-experiments, and the tree.
+"""Line-count budget for the placement stack, the Algorithm-2 core, its two
+drivers, the live transport, parser and client, the simulated testbed and
+its three experiments, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -16,6 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
+    "core/ring.py": 325,
+    "core/placement.py": 175,
+    "core/router.py": 375,
     "core/retrieval.py": 850,
     "web/frontend.py": 275,
     "net/webtier.py": 375,
@@ -23,12 +26,12 @@ CEILINGS = {
     "net/parser.py": 475,
     "net/client.py": 730,
     "experiments/testbed.py": 200,
-    "experiments/cluster.py": 375,
+    "experiments/cluster.py": 325,
     "experiments/autopilot.py": 500,
-    "experiments/failover.py": 150,
+    "experiments/failover.py": 125,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 15_775
+TREE_CEILING = 14_950
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

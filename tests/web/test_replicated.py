@@ -12,8 +12,7 @@ from repro.core.retrieval import (
     ProbeCacheMulti,
     RetrievalConfig,
 )
-from repro.core.ring import ProteusBackend
-from repro.core.router import RingRouter
+from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
 from repro.sim.latency import Constant, Exponential
 from repro.web.frontend import WebServer
@@ -23,7 +22,7 @@ CFG = optimal_config(2000)
 
 def build(n=6, replicas=2, active=None):
     cache = CacheCluster(
-        RingRouter(ProteusBackend(n, 2 ** 24), replicas=replicas),
+        ProteusRouter(n, 2 ** 24, replicas=replicas),
         capacity_bytes=4096 * 2000,
         initial_active=active,
         ttl=60.0,
@@ -216,7 +215,7 @@ class TestLoadFeed:
     @staticmethod
     def _armored_web():
         cache = CacheCluster(
-            RingRouter(ProteusBackend(6, 2 ** 24), replicas=2),
+            ProteusRouter(6, 2 ** 24, replicas=2),
             capacity_bytes=4096 * 2000,
             ttl=60.0,
             bloom_config=CFG,
