@@ -7,12 +7,13 @@ how each step is performed: the simulator charges latency-model samples
 against a virtual clock, the live tier awaits memcached round trips over
 TCP.  This module owns the decisions; drivers own the I/O.
 
-:meth:`RetrievalEngine.retrieve_many` is the one planner: a generator that
-runs Algorithm 2 for a whole key set (a single fetch is a batch of one) and
-*yields rounds of commands* — tuples of :class:`ProbeCacheMulti`,
-:class:`CheckDigestMulti`, :class:`WaitForLeader`, :class:`ReadDatabase`,
-:class:`WriteBackMulti` with no mutual dependencies — receiving a tuple of
-answers aligned by index via ``send``.  A driver is a small loop::
+:meth:`RetrievalEngine.retrieve_many` plans reads (a single fetch is a
+batch of one) and :meth:`RetrievalEngine.write_many` plans writes.  Both
+are generators that *yield rounds of commands* — tuples of
+:class:`ProbeCacheMulti`, :class:`CheckDigestMulti`, :class:`WaitForLeader`,
+:class:`ReadDatabase`, :class:`WriteBackMulti` and :class:`DeleteMulti`
+with no mutual dependencies — receiving a tuple of answers aligned by index
+via ``send``.  A driver is a small loop::
 
     steps = engine.retrieve_many(keys, epochs, now=now)
     answers = None
@@ -23,27 +24,15 @@ answers aligned by index via ``send``.  A driver is a small loop::
     except StopIteration as stop:
         results = stop.value  # {key: FetchResult}; stamp .completed
 
-Probes and write-backs are grouped by owning server per routing epoch, so
-N keys cost one multiget round trip per touched server instead of one per
-key; a live driver executes each round concurrently (per-server
-``get_multi`` calls stepped on the page's own task,
-:mod:`repro.net.round`) while a simulated driver charges one latency
-sample per server touched.
-
 Because both the simulated web tier (:class:`repro.web.frontend.WebServer`)
 and the asyncio tier (:class:`repro.net.webtier.AsyncProteusFrontend`)
 drive this one planner, the branch structure of Algorithm 2 — and therefore
 the :class:`FetchPath` accounting — cannot drift between them.  Section
 III-E replication is the same algorithm over a longer *read plan*: the
 router hands the planner each key's distinct owners
-(:meth:`~repro.core.router.Router.read_plans` — one owner unless the
-router keeps replica rings), and a plan of one owner runs the same
-ring-round loop once.
-
-Epochs come in as :class:`~repro.core.transition.RoutingEpochs` — the
-simulator reads them from :meth:`repro.cache.cluster.CacheCluster.\
-routing_epochs`, the live tier from its own
-:class:`~repro.core.transition.TransitionManager` — so the engine never
+(:meth:`~repro.core.router.Router.read_plans`).  Epochs come in as
+:class:`~repro.core.transition.RoutingEpochs` — from the simulated
+cluster or the live tier's own transition manager — so the engine never
 needs to know where transition state lives.
 """
 
@@ -71,6 +60,7 @@ __all__ = [
     "Command",
     "CommandRound",
     "DEGRADED_EVENTS",
+    "DeleteMulti",
     "FetchPath",
     "FetchResult",
     "FetchStats",
@@ -202,10 +192,9 @@ class RetrievalConfig:
     """
 
     #: dog-pile protection — while a DB fetch for a key is in flight, later
-    #: misses for the same key wait for it instead of issuing duplicate DB
-    #: reads (the "memcache dog pile" the paper's introduction cites).  Off
-    #: by default: the paper's evaluation runs without it, and the Fig. 9
-    #: spike depends on the dog pile being possible.
+    #: misses for it wait instead of reading the DB again (the "memcache dog
+    #: pile" the paper's introduction cites).  Off by default: the paper's
+    #: Fig. 9 spike depends on the dog pile being possible.
     coalesce_misses: bool = False
     #: upper bound on keys per batched command (:class:`ProbeCacheMulti` /
     #: :class:`WriteBackMulti`); larger groups are split, the way memcached
@@ -213,10 +202,8 @@ class RetrievalConfig:
     max_multiget_keys: int = 64
     #: hot-key armor — serve sketch-elected hot keys from a tiny
     #: frontend-local cache (:class:`~repro.core.hotkey.HotKeyCache`) with
-    #: digest-style TTL-bounded staleness.  Off by default: the paper's
-    #: Algorithm 2 runs without it; the armor is the DistCache-inspired
-    #: extension for Zipf head keys.  Takes effect only when the driver
-    #: passes its clock (``now=``) to ``retrieve_many``.
+    #: TTL-bounded staleness; the DistCache-inspired extension for Zipf
+    #: head keys, off by default.  Needs the driver's clock (``now=``).
     hot_key_cache: bool = False
     #: entries the frontend-local hot-key cache holds (the Zipf *head*).
     hot_key_capacity: int = 64
@@ -266,11 +253,10 @@ class CheckDigestMulti:
     """Consult old owner *server_id*'s broadcast digest for every key — one
     grouped, local consult per ceding server (never a wire round trip).
 
-    Driver answer: a sequence of bools aligned with ``keys`` — membership
-    according to the digest, all ``False`` when no digest was broadcast for
-    that server (the safe fallback: skip the old owner, go to the database)
-    — or :data:`SERVER_UNAVAILABLE` when the server's digest state cannot
-    be consulted at all, which degrades the whole group to the database.
+    Driver answer: bools aligned with ``keys`` (all ``False`` when no
+    digest was broadcast for that server: skip the old owner), or
+    :data:`SERVER_UNAVAILABLE` when the digest state cannot be consulted,
+    which degrades the whole group to the database.
     """
 
     server_id: int
@@ -319,9 +305,21 @@ class WriteBackMulti:
         return tuple(key for key, _ in self.items)
 
 
+@dataclass(frozen=True)
+class DeleteMulti:
+    """Delete every key at server *server_id*: the copies a write
+    invalidates (:meth:`RetrievalEngine.write_many`).
+
+    Driver answer: ignored, or :data:`SERVER_UNAVAILABLE`.
+    """
+
+    server_id: int
+    keys: Tuple[str, ...]
+
+
 Command = Union[
     ProbeCacheMulti, CheckDigestMulti, WaitForLeader, ReadDatabase,
-    WriteBackMulti,
+    WriteBackMulti, DeleteMulti,
 ]
 
 #: One step of the protocol: commands with no mutual dependencies, answered
@@ -350,13 +348,12 @@ class _DriverSignal:
 
 
 #: Driver answer to :class:`ProbeCacheMulti` / :class:`CheckDigestMulti` /
-#: :class:`WriteBackMulti` meaning "the server could not be reached (dead,
-#: hung, or open-circuit)".
-#: The engine *degrades* instead of failing: a skipped probe is a forced
-#: miss at that owner (the next ring's owner is probed, if the plan has
-#: one), an unanswerable digest consult skips the old owner, and a failed
-#: write-back is recorded but never fails the fetch — the request still
-#: completes, via the database (:attr:`FetchPath.DEGRADED_DB`) if need be.
+#: :class:`WriteBackMulti` / :class:`DeleteMulti` meaning "the server could
+#: not be reached (dead, hung, or open-circuit)".
+#: A read *degrades* instead of failing: a skipped probe is a forced miss
+#: at that owner (the plan's next owner is probed), an unanswerable digest
+#: skips the old owner, a failed write-back never fails the fetch — the
+#: request completes, via the database (:attr:`FetchPath.DEGRADED_DB`).
 SERVER_UNAVAILABLE = _DriverSignal("SERVER_UNAVAILABLE")
 
 
@@ -393,16 +390,14 @@ def _per_server(
 
 @dataclass
 class FetchResult:
-    """Outcome **and timing** of one Algorithm-2 retrieval — the unified
-    fetch return type across substrates.
+    """Outcome **and timing** of one Algorithm-2 retrieval, on every
+    substrate.
 
-    The engine builds it with ``started`` and ``completed`` both at the
-    ``now`` it was handed; a driver stamps ``completed`` when its last
-    command lands — the simulated :class:`~repro.web.frontend.WebServer`
-    in virtual-clock seconds, the live
-    :class:`~repro.net.webtier.AsyncProteusFrontend` on its (monotonic)
-    wall clock.  Everything else is substrate-independent, so reports
-    built from either tier diff field for field.
+    The engine builds it with ``started`` = ``completed`` = its ``now``;
+    a driver stamps ``completed`` when its last command lands (virtual
+    seconds in the simulator, the live tier's clock over TCP).  Every
+    other field is substrate-independent, so the tiers diff field for
+    field.
     """
 
     key: str
@@ -469,13 +464,11 @@ class RetrievalEngine:
         self.stats = stats if stats is not None else FetchStats()
         self._armor: Optional[HotKeyArmor] = None
         #: DB-path admission controller (duck-typed:
-        #: :class:`repro.resilience.admission.AdmissionController`).
-        #: ``None`` (default) admits everything — the pre-armor
-        #: behaviour.  When set and the driver passes its clock as
-        #: ``now``, the engine consults ``admission.admit_db(now)``
-        #: immediately before any database read; a refusal sheds the
-        #: request (:attr:`FetchPath.SHED`, value ``None``).  Hits are
-        #: never consulted — they complete before the decision point.
+        #: :class:`repro.resilience.admission.AdmissionController`);
+        #: ``None`` admits everything.  With the driver's clock as ``now``
+        #: the engine asks ``admission.admit_db(now)`` before each
+        #: database read and a refusal sheds the request
+        #: (:attr:`FetchPath.SHED`, value ``None``); hits never ask.
         self.admission = None
 
     @property
@@ -529,46 +522,32 @@ class RetrievalEngine:
         subsequent request a step-1 hit.  Property 2: after TTL seconds
         every hot key has migrated, so the old server can power off.
 
-        Yields *rounds* — tuples of commands with no mutual dependencies —
-        and expects a tuple of answers aligned by index; a driver may
-        execute each round's commands concurrently.  Probes and write-backs
-        are grouped by server (:class:`ProbeCacheMulti` /
-        :class:`WriteBackMulti`, split at ``config.max_multiget_keys``) and
-        in-transition digest consults are grouped per ceded old owner
-        (:class:`CheckDigestMulti`, never split), so the whole batch costs
-        at most one multiget round trip per probed server per ring round
-        and **at most one digest consult per old owner**; only
-        :class:`ReadDatabase` stays per-key, exactly as Algorithm 2
-        demands.
+        Probes and write-backs are grouped by server (split at
+        ``config.max_multiget_keys``) and digest consults per ceded old
+        owner (never split), so the batch costs at most one multiget round
+        trip per probed server per ring round and **at most one digest
+        consult per old owner**; only :class:`ReadDatabase` stays per-key.
 
-        Returns a map from key to :class:`FetchResult` (``started`` and
-        ``completed`` both *now*: the driver stamps ``completed``).
-        Duplicate keys collapse (the map has one entry per distinct key);
-        a batch of N keys yields the outcomes, values, and
-        :class:`FetchStats` counts of N batches of one.
+        Returns key -> :class:`FetchResult` (the driver stamps
+        ``completed``); duplicate keys collapse, and a batch of N keys
+        yields the outcomes and :class:`FetchStats` of N batches of one.
 
         **Degraded mode.**  Any probe, digest consult, or write-back may be
-        answered with :data:`SERVER_UNAVAILABLE`; the engine serves around
-        the fault instead of raising — a skipped probe is a forced miss
-        (the plan's next owner is probed, and a hit there counts in
-        ``FetchStats.failovers``), an unknown digest skips the old owner, a
-        failed write-back never fails the fetch — and a request the
-        database served after a fault records
-        :attr:`FetchPath.DEGRADED_DB` (plus per-event counters in
-        :class:`FetchStats`), never a plain miss.
+        answered :data:`SERVER_UNAVAILABLE` and the engine serves around it
+        (a hit at the plan's next owner counts in ``FetchStats.failovers``);
+        a request the database served after a fault records
+        :attr:`FetchPath.DEGRADED_DB` and per-event counters, never a plain
+        miss.
 
         **Hot-key armor.**  With ``config.hot_key_cache`` enabled and the
         driver's clock passed as *now*, every access feeds the top-k
         election sketch, and a sketch-elected key with a fresh local copy
-        never enters the probe rounds at all
-        (:attr:`FetchPath.HIT_LOCAL`); values fetched for hot keys are
-        admitted to the local cache at the same moment Algorithm 2 writes
-        them back, so local staleness is TTL-bounded the way transition
-        staleness is.  With ``config.d_choices > 1`` as well, every probe
-        charges the armor's per-server load score and a hot key's plan is
-        probed least-loaded-first
-        (:meth:`~repro.core.hotkey.ServerLoadEWMA.prefer`); cold keys keep
-        ring order.  Without *now* the armor is inert (back-compat).
+        is served without a probe (:attr:`FetchPath.HIT_LOCAL`); hot keys
+        are admitted locally as Algorithm 2 writes them back, so local
+        staleness is TTL-bounded.  With ``config.d_choices > 1`` a hot
+        key's plan is probed least-loaded-first
+        (:meth:`~repro.core.hotkey.ServerLoadEWMA.prefer`).  Without *now*
+        the armor is inert.
         """
         pending = list(dict.fromkeys(keys))
         outcomes: Dict[str, FetchResult] = {}
@@ -788,6 +767,50 @@ class RetrievalEngine:
                         outcomes[key].degraded = True
         return outcomes
 
+    def write_many(
+        self, items: Iterable[Tuple[str, Any]], epochs: RoutingEpochs
+    ) -> Generator[CommandRound, Any, Dict[str, List[int]]]:
+        """The write planner, one round: each value goes to every owner of
+        its new-epoch read plan (:class:`WriteBackMulti`) and every other
+        copy is deleted (:class:`DeleteMulti`) — DistCache's coherence
+        rule, so neither a transition's old-owner probe nor a later resize
+        serves the value a write replaced.  Copies sit on a key's *owner
+        chain* (its read plans over every active count), inside the
+        active-or-draining prefix (a server beyond it is off, and comes
+        back cold).  The last of duplicate keys wins; hot keys' local
+        copies are dropped.  Returns key -> the new-plan owners that took
+        the write (not those answered :data:`SERVER_UNAVAILABLE`).
+        """
+        final = dict(items)
+        keys = list(final)
+        router = self.router
+        plans = router.read_plans(keys, epochs.new)
+        chains = [set() for _ in keys]
+        for count in range(1, router.num_servers + 1):
+            for chain, plan in zip(chains, router.read_plans(keys, count)):
+                chain.update(plan)
+        prefix = max(epochs.new, epochs.old or 0)
+        limit = self.config.max_multiget_keys
+        round_ = _per_server(WriteBackMulti, [
+            (owner, (key, final[key]))
+            for key, plan in zip(keys, plans) for owner in plan
+        ], limit) + _per_server(DeleteMulti, [
+            (owner, key)
+            for key, plan, chain in zip(keys, plans, chains)
+            for owner in chain if owner < prefix and owner not in plan
+        ], limit)
+        answers = yield round_
+        if self.config.hot_key_cache:
+            for key in keys:
+                self.armor.invalidate(key)
+        lost = {(command.server_id, key)
+                for command, answer in zip(round_, answers)
+                if answer is SERVER_UNAVAILABLE for key in command.keys}
+        return {
+            key: [owner for owner in plan if (owner, key) not in lost]
+            for key, plan in zip(keys, plans)
+        }
+
 
 # ------------------------------------------------------- coalescing windows
 
@@ -796,10 +819,8 @@ class LeaderWindowRegistry:
     """Simulated-time bookkeeping for :class:`WaitForLeader`.
 
     Maps key -> completion time of the in-flight leader's DB fetch plus its
-    write-back.  A follower whose clock is still inside the window jumps to
-    its end; anything later is a plain miss.  (The asyncio driver uses
-    futures instead — this registry is for drivers that measure time with a
-    virtual clock.)
+    write-back.  A follower whose virtual clock is still inside the window
+    jumps to its end; anything later is a plain miss.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -817,12 +838,9 @@ class LeaderWindowRegistry:
         return done
 
     def announce(self, key: str, done_at: float, now: float) -> None:
-        """Publish a leader window for *key* closing at *done_at*.
-
-        Prunes against the *current* clock ``now`` — not the request's
-        start time — so a window that closed while this request was in
-        flight does not survive an extra pass.
-        """
+        """Publish a leader window for *key* closing at *done_at*; prunes
+        against the *current* clock ``now`` (not the request's start), so
+        a window that closed while this request was in flight goes."""
         self._windows[key] = done_at
         if len(self._windows) > self.max_entries:
             # The map stays bounded by the concurrent-miss key count.

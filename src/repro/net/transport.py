@@ -6,11 +6,11 @@
 per server, lazily dialled — the way the paper's web tier pools its
 spymemcached connections) and runs **every** cache RPC of
 :class:`~repro.net.webtier.AsyncProteusFrontend` — probes, write-backs,
-``put`` and the digest broadcast — through one private :meth:`_call`, so
-retry policy lives in exactly one audited place.  A test or a simulator
-swaps the whole object (``web.transport = fake``): the frontend only
-ever calls :meth:`get_multi`, :meth:`set_multi`, :meth:`set` and
-:meth:`digest`.
+``put``'s writes and deletes, and the digest broadcast — through one
+private :meth:`_call`, so retry policy lives in exactly one audited place.
+A test or a simulator swaps the whole object (``web.transport = fake``):
+the frontend only ever calls the four seam methods :meth:`get_multi`,
+:meth:`set_multi`, :meth:`delete_multi` and :meth:`digest`.
 
 Fault tolerance
 ---------------
@@ -37,14 +37,15 @@ opt-in via :class:`~repro.resilience.ResiliencePolicy`):
   sheds, saturated pools, full client windows) are **never retried** — a
   storm cannot amplify through here.
 
-:meth:`get_multi` and :meth:`set_multi` answer the engine: when the
-policy's ``degrade_to_database`` flag is set (the default), an RPC that
-cannot be completed returns ``SERVER_UNAVAILABLE`` instead of raising,
-and Algorithm 2 degrades — a dead new owner forces a database read
-(``FetchPath.DEGRADED_DB``), a dead old owner skips the migration probe,
-a failed write-back is recorded but never fails the fetch.  :meth:`set`
-and :meth:`digest` answer a caller that needs the outcome (a
-write-through, an all-or-nothing broadcast), so they always raise.
+:meth:`get_multi`, :meth:`set_multi` and :meth:`delete_multi` answer the
+engine: when the policy's ``degrade_to_database`` flag is set (the
+default), an RPC that cannot be completed returns ``SERVER_UNAVAILABLE``
+instead of raising, and Algorithm 2 degrades — a dead new owner forces a
+database read (``FetchPath.DEGRADED_DB``), a dead old owner skips the
+migration probe, a failed write-back is recorded but never fails the
+fetch; a ``put`` names the servers that answered so in its
+``TransportError``.  :meth:`digest` answers an all-or-nothing broadcast,
+so it always raises.
 """
 
 from __future__ import annotations
@@ -102,6 +103,16 @@ async def _snapshot_and_fetch(
     return await client.fetch_digest(
         bloom_config.num_counters, bloom_config.num_hashes
     )
+
+
+async def _delete_each(client: MemcachedClient, keys) -> int:
+    # memcached has no multi-key delete: one exchange per key (a put
+    # invalidates one key, so one exchange); deleting is idempotent, so
+    # the batch retries as a unit.
+    deleted = 0
+    for key in keys:
+        deleted += await client.delete(key)
+    return deleted
 
 
 class CacheTransport:
@@ -245,10 +256,13 @@ class CacheTransport:
             MemcachedClient.set_multi, items,
         )
 
-    def set(self, server_id: int, key: str, value: bytes):
-        """Store one item; raises when the server cannot take it."""
+    def delete_multi(self, server_id: int, keys, deadline=None):
+        """Delete every key of *keys* (a write's invalidations);
+        ``SERVER_UNAVAILABLE`` under a degrading policy when the server
+        cannot take them."""
         return self._call(
-            server_id, None, False, MemcachedClient.set, key, value
+            server_id, deadline, self.policy.degrade_to_database,
+            _delete_each, keys,
         )
 
     def digest(self, server_id: int, bloom_config: BloomConfig):

@@ -18,8 +18,8 @@ standard commands) endpoints:
 * the backing database is an async callable, so tests plug in a dict and a
   deployment plugs in a real pool.
 
-Every cache RPC — probe, write-back, ``put`` and the digest broadcast —
-goes through ``web.transport``, a
+Every cache RPC — probe, write-back, ``put``'s writes and deletes, and the
+digest broadcast — goes through ``web.transport``, a
 :class:`~repro.net.transport.CacheTransport`: it owns the connection
 pools and the :mod:`repro.resilience` stack (its "Fault tolerance"
 section says how a fetch degrades around a dead server), and a test
@@ -30,36 +30,22 @@ from __future__ import annotations
 
 import asyncio
 import time
+from contextlib import suppress
 from typing import (
-    Awaitable,
-    Callable,
-    Dict,
-    Iterable,
-    Optional,
-    Sequence,
-    Tuple,
+    Awaitable, Callable, Dict, Iterable, Optional, Sequence, Tuple,
 )
 
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import (
-    CheckDigestMulti,
-    Command,
-    FetchResult,
-    FetchStats,
-    ProbeCacheMulti,
-    ReadDatabase,
-    RetrievalConfig,
-    RetrievalEngine,
-    WaitForLeader,
-    WriteBackMulti,
+    SERVER_UNAVAILABLE, CheckDigestMulti, Command, DeleteMulti, FetchResult,
+    FetchStats, ProbeCacheMulti, ReadDatabase, RetrievalConfig,
+    RetrievalEngine, WaitForLeader, WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
 from repro.errors import (
-    ConfigurationError,
-    DigestBroadcastError,
-    TransitionError,
+    ConfigurationError, DigestBroadcastError, TransitionError, TransportError,
 )
 from repro.net.round import run_round
 from repro.net.transport import CacheTransport
@@ -351,6 +337,10 @@ class AsyncProteusFrontend:
             return await self.transport.set_multi(
                 command.server_id, command.items, deadline
             )
+        if isinstance(command, DeleteMulti):
+            return await self.transport.delete_multi(
+                command.server_id, command.keys, deadline
+            )
         raise ConfigurationError(f"unknown engine command: {command!r}")
 
     def _lead(self, key: str, leaders: Dict[str, asyncio.Future]) -> None:
@@ -362,13 +352,23 @@ class AsyncProteusFrontend:
             leaders[key] = leader
 
     async def put(self, key: str, value: bytes) -> None:
-        """Write-through to the authoritative owner under the new mapping
-        (an ordinary armored RPC: retried, and refused with
-        :class:`~repro.errors.TransportError` while the owner's circuit is
-        open)."""
-        await self.transport.set(
-            self.router.route(key, self.n_active), key, value
+        """Write through: :meth:`RetrievalEngine.write_many`'s round of
+        armored RPCs — the value to the new owner, a delete to every other
+        copy.  Raises :class:`~repro.errors.TransportError` naming every
+        server that answered ``SERVER_UNAVAILABLE`` (an open circuit is
+        refused without a dial)."""
+        epochs = self._manager.routing_counts(self._clock())
+        steps = self.engine.write_many(((key, value),), epochs)
+        round_ = next(steps)
+        answers = await run_round(
+            [self._execute(command, epochs, {}) for command in round_]
         )
-        if self.config.hot_key_cache:
-            # Digest-style invalidation: drop the stale local hot-key copy.
-            self.engine.armor.invalidate(key)
+        with suppress(StopIteration):
+            steps.send(answers)
+        failed = [
+            command.server_id
+            for command, answer in zip(round_, answers)
+            if answer is SERVER_UNAVAILABLE
+        ]
+        if failed:
+            raise TransportError(f"put {key!r}: servers {failed} unavailable")

@@ -1,4 +1,4 @@
-"""Measurement: time series, percentile digests, and slotted recorders.
+"""Measurement: time series, percentiles, and slotted recorders.
 
 The paper's plots are all per-slot aggregates: Fig. 5 is a per-slot min/max
 load ratio, Fig. 9 groups response times "into 480 slots according to
@@ -160,117 +160,6 @@ class SlottedRecorder:
             midpoint = self.start + (slot + 0.5) * self.slot_seconds
             out.append(midpoint, value)
         return out
-
-
-class HistogramDigest:
-    """Constant-memory percentile estimation over log-spaced buckets.
-
-    The Fig. 9 experiment stores every latency sample; for day-long or
-    production-scale runs that is gigabytes.  This digest keeps
-    logarithmically spaced buckets between ``low`` and ``high``, so any
-    percentile is answered within a fixed relative error (one bucket width,
-    ~``ratio`` per decade) using a few KB — the standard latency-histogram
-    trick (HdrHistogram-style).
-
-    Args:
-        low: smallest resolvable value (everything below lands in bucket 0).
-        high: largest resolvable value (everything above lands in the
-            overflow bucket, and :meth:`pct` returns ``high`` for it).
-        buckets_per_decade: resolution; 100 gives ~2.3% relative error.
-    """
-
-    def __init__(
-        self,
-        low: float = 1e-4,
-        high: float = 1e3,
-        buckets_per_decade: int = 100,
-    ) -> None:
-        if not 0 < low < high:
-            raise ConfigurationError(
-                f"need 0 < low < high, got ({low}, {high})"
-            )
-        if buckets_per_decade < 1:
-            raise ConfigurationError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        self.low = low
-        self.high = high
-        self._scale = buckets_per_decade / math.log(10.0)
-        self._num_buckets = int(math.log(high / low) * self._scale) + 2
-        self._counts = [0] * self._num_buckets
-        self.count = 0
-        self.total = 0.0
-        self._max = 0.0
-
-    def _bucket_of(self, value: float) -> int:
-        if value <= self.low:
-            return 0
-        if value >= self.high:
-            return self._num_buckets - 1
-        return 1 + int(math.log(value / self.low) * self._scale)
-
-    def _bucket_value(self, index: int) -> float:
-        if index <= 0:
-            return self.low
-        if index >= self._num_buckets - 1:
-            return self.high
-        return self.low * math.exp((index - 0.5) / self._scale)
-
-    def record(self, value: float) -> None:
-        """Add one sample (must be >= 0)."""
-        if value < 0:
-            raise ConfigurationError(f"value must be >= 0, got {value}")
-        self._counts[self._bucket_of(value)] += 1
-        self.count += 1
-        self.total += value
-        if value > self._max:
-            self._max = value
-
-    @property
-    def mean(self) -> float:
-        """Exact mean of recorded samples (tracked outside the buckets)."""
-        if self.count == 0:
-            raise ConfigurationError("mean of empty digest")
-        return self.total / self.count
-
-    @property
-    def max_value(self) -> float:
-        """Exact maximum of recorded samples."""
-        return self._max
-
-    def pct(self, pct_rank: float) -> float:
-        """Approximate percentile (bucket midpoint of the target rank)."""
-        if self.count == 0:
-            raise ConfigurationError("percentile of empty digest")
-        if not 0.0 <= pct_rank <= 100.0:
-            raise ConfigurationError(
-                f"pct_rank must be in [0, 100], got {pct_rank}"
-            )
-        target = pct_rank / 100.0 * (self.count - 1)
-        cumulative = 0
-        for index, bucket_count in enumerate(self._counts):
-            cumulative += bucket_count
-            if cumulative > target:
-                return self._bucket_value(index)
-        return self._bucket_value(self._num_buckets - 1)
-
-    def merge(self, other: "HistogramDigest") -> None:
-        """Fold *other*'s samples in (must share the same geometry)."""
-        if (
-            other.low != self.low
-            or other.high != self.high
-            or other._num_buckets != self._num_buckets
-        ):
-            raise ConfigurationError("cannot merge digests of different geometry")
-        for index, bucket_count in enumerate(other._counts):
-            self._counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        self._max = max(self._max, other._max)
-
-    def memory_buckets(self) -> int:
-        """Number of buckets held (the memory footprint driver)."""
-        return self._num_buckets
 
 
 def min_max_ratio(loads: Iterable[float]) -> float:

@@ -10,8 +10,8 @@ calls the commands name.
 
 One :class:`WebServer` drives every replication factor: the cluster's router
 hands the engine each key's read plan (Section III-E's ``r`` replica rings
-make it longer, nothing else), and :meth:`WebServer.put` writes through to
-the same owners.
+make it longer, nothing else), and :meth:`WebServer.put` runs the engine's
+write plan through the same executor.
 
 A web server owns no cluster state: it routes with the shared deterministic
 router and consults the shared transition epoch
@@ -31,6 +31,7 @@ from repro.cache.cluster import CacheCluster
 from repro.core.retrieval import (
     CheckDigestMulti,
     Command,
+    DeleteMulti,
     FetchPath,  # noqa: F401  (tests and benches import it from here)
     FetchResult,
     FetchStats,
@@ -154,7 +155,17 @@ class WebServer:
         """
         epochs = self.cache.routing_epochs(now)
         clock = now + self.web_overhead.sample(self._rng)
-        steps = self.engine.retrieve_many(keys, epochs, now=now)
+        results, clock = self._run(
+            self.engine.retrieve_many(keys, epochs, now=now), epochs, clock
+        )
+        for result in results.values():
+            result.completed = clock
+        return results
+
+    def _run(self, steps, epochs: RoutingEpochs, clock: float):
+        """Drive an engine planner from *clock*: a round's commands start
+        together and the clock advances by the slowest.  Returns (the
+        planner's result, completion time)."""
         answers: Any = None
         try:
             while True:
@@ -168,10 +179,7 @@ class WebServer:
                 clock = done
                 answers = tuple(results)
         except StopIteration as stop:
-            results = stop.value
-        for result in results.values():
-            result.completed = clock
-        return results
+            return stop.value, clock
 
     def _execute(
         self, command: Command, epochs: RoutingEpochs, clock: float
@@ -226,42 +234,32 @@ class WebServer:
                     command.key, clock + 2 * self.cache_latency.mean, now=clock
                 )
             return response.value, clock
-        if isinstance(command, WriteBackMulti):
+        if isinstance(command, (WriteBackMulti, DeleteMulti)):
             clock = self._cache_op(clock)
             server = self.cache.server(command.server_id)
             if not server.state.serves_requests:
-                return SERVER_UNAVAILABLE, clock
-            for key, value in command.items:
-                server.set(key, value, now=clock)
+                return SERVER_UNAVAILABLE, clock  # it comes back cold
+            if isinstance(command, DeleteMulti):
+                for key in command.keys:
+                    server.delete(key, clock)
+            else:
+                for key, value in command.items:
+                    server.set(key, value, now=clock)
             return None, clock
         raise ConfigurationError(f"unknown engine command: {command!r}")
 
     # ---------------------------------------------------------------- writes
 
     def put(self, key: str, value: Any, now: float) -> List[int]:
-        """Write *key* to every serving owner in its read plan; returns
-        them, ring order."""
+        """Write *key* through (see :meth:`put_many`); returns the
+        new-plan owners written, ring order."""
         return self.put_many(((key, value),), now)[key]
 
     def put_many(
         self, items: Iterable[Tuple[str, Any]], now: float
     ) -> Dict[str, List[int]]:
-        """Batched :meth:`put`; returns key -> servers written.  Duplicate
-        keys collapse: the last value wins and the key is written once."""
-        final = dict(items)
-        plans = self.cache.router.read_plans(
-            list(final), self.cache.routing_epochs(now).new
-        )
-        written: Dict[str, List[int]] = {}
-        for (key, value), plan in zip(final.items(), plans):
-            written[key] = []
-            for server_id in plan:
-                server = self.cache.server(server_id)
-                if server.state.serves_requests:
-                    server.set(key, value, now=now)
-                    written[key].append(server_id)
-            if self.config.hot_key_cache:
-                # Digest-style invalidation: the local hot-key copy is
-                # stale the moment the authoritative owners change.
-                self.engine.armor.invalidate(key)
-        return written
+        """Run :meth:`RetrievalEngine.write_many`'s round from *now*: the
+        value to every serving new-plan owner, a delete to every other
+        copy.  Returns key -> new-plan owners written."""
+        epochs = self.cache.routing_epochs(now)
+        return self._run(self.engine.write_many(items, epochs), epochs, now)[0]

@@ -9,8 +9,8 @@ from repro.resilience import ResiliencePolicy, RetryPolicy
 
 class ScriptedClient(MemcachedClient):
     """A client whose every wire exchange plays the next scripted step:
-    an exception is raised, anything else is the parsed reply (the last
-    step repeats)."""
+    an exception is raised, anything else is the parsed reply (a list of
+    them for a pipelined burst; the last step repeats)."""
 
     def __init__(self, *script):
         super().__init__("127.0.0.1", 1)
@@ -23,6 +23,10 @@ class ScriptedClient(MemcachedClient):
         if isinstance(step, BaseException):
             raise step
         return step
+
+    async def _exchange_many(self, shapes, payload):
+        # A pipelined burst is one scripted step: the list of its replies.
+        return await self._exchange(shapes, payload)
 
 
 class ScriptedPool:

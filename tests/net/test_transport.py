@@ -1,11 +1,12 @@
 """CacheTransport: the one armored RPC path of the live tier.
 
-Every cache RPC — ``get_multi``/``set_multi`` for the engine, ``set`` for
-``put``, ``digest`` for the broadcast — runs through ``_call``:
+Every cache RPC — ``get_multi``/``set_multi``/``delete_multi`` for the
+engine's read and write plans, ``digest`` for the broadcast — runs through
+``_call``:
 
 * an open circuit refuses without dialling; fatal errors propagate;
-* ``get_multi``/``set_multi`` degrade per policy, ``set``/``digest``
-  always raise — and feed the same breaker and counters;
+* ``get_multi``/``set_multi``/``delete_multi`` degrade per policy,
+  ``digest`` always raises — and all feed the same breaker and counters;
 * the frontend reaches the servers only through ``web.transport``, so a
   fake replaces the whole path.
 
@@ -28,7 +29,7 @@ from repro.errors import (
 from repro.net.transport import CacheTransport
 from repro.net.webtier import AsyncProteusFrontend
 from repro.resilience import ResiliencePolicy
-from tests.net.scripted import ScriptedPool, make, trip
+from tests.net.scripted import ScriptedClient, ScriptedPool, make, trip
 
 CFG = optimal_config(2000)
 
@@ -75,36 +76,51 @@ class TestRefusalsAndPropagation:
         run(body())
 
 
+def rpc_call(transport, rpc):
+    """One call of *rpc* on server 0: a put's write or delete, or the
+    digest fetch."""
+    if rpc == "set_multi":
+        return transport.set_multi(0, [("k", b"v")])
+    if rpc == "delete_multi":
+        return transport.delete_multi(0, ["k"])
+    return transport.digest(0, CFG)
+
+
 class TestSetAndDigestRideTheSameArmor:
-    """``put`` and the digest broadcast used to bypass breaker, limiter
-    and counters; now they are ordinary RPCs that always raise."""
+    """A ``put``'s ``set_multi`` / ``delete_multi`` and the digest
+    broadcast ride breaker, limiter and counters like every probe; the
+    digest always raises, the writes raise unless the policy degrades."""
 
     def test_open_circuit_raises_without_dialling(self):
         async def body():
-            transport, pool, _ = make(TransportError("unreached"))
+            transport, pool, _ = make(
+                TransportError("unreached"), degrade_to_database=False
+            )
             trip(transport)
-            with pytest.raises(TransportError, match="circuit open"):
-                await transport.set(0, "k", b"v")
-            with pytest.raises(TransportError, match="circuit open"):
-                await transport.digest(0, CFG)
-            assert pool.acquires == 0
-            assert transport.unavailable_rpcs == 2
+            for rpc in ("set_multi", "delete_multi", "digest"):
+                with pytest.raises(TransportError, match="circuit open"):
+                    await rpc_call(transport, rpc)
+            degrading, degrading_pool, _ = make(TransportError("unreached"))
+            trip(degrading)
+            for rpc in ("set_multi", "delete_multi"):
+                assert await rpc_call(degrading, rpc) is SERVER_UNAVAILABLE
+            assert pool.acquires == degrading_pool.acquires == 0
+            assert transport.unavailable_rpcs == 3
+            assert degrading.unavailable_rpcs == 2
 
         run(body())
 
-    @pytest.mark.parametrize("rpc", ["set", "digest"])
+    @pytest.mark.parametrize("rpc", ["set_multi", "delete_multi", "digest"])
     def test_failures_feed_the_breaker_and_the_counters(self, rpc):
         async def body():
             transport, pool, client = make(
-                TransportError("reset"), breaker_failures=2
+                TransportError("reset"), breaker_failures=2,
+                degrade_to_database=False,
             )
             with pytest.raises(TransportError, match="reset"):
-                if rpc == "set":
-                    await transport.set(0, "k", b"v")
-                else:
-                    await transport.digest(0, CFG)
+                await rpc_call(transport, rpc)
             # Two transients trip the 2-failure breaker, which stops the
-            # third attempt; the policy degrades, these RPCs never do.
+            # third attempt.
             assert client.exchanges == 2
             assert transport.transient_failures == 2
             assert transport.breakers[0].trips == 1
@@ -115,9 +131,18 @@ class TestSetAndDigestRideTheSameArmor:
 
     def test_set_is_retried_until_it_lands(self):
         async def body():
-            transport, _, client = make(TransportError("reset"), b"STORED")
-            assert await transport.set(0, "k", b"v") is True
+            transport, _, client = make(TransportError("reset"), [b"STORED"])
+            assert await transport.set_multi(0, [("k", b"v")]) == 1
             assert client.exchanges == 2
+            assert transport.breakers[0].consecutive_failures == 0
+
+        run(body())
+
+    def test_delete_is_retried_until_it_lands(self):
+        async def body():
+            transport, _, client = make(TransportError("reset"), b"DELETED")
+            assert await transport.delete_multi(0, ["k"]) == 1
+            assert client.exchanges == 2  # one key: one exchange a try
             assert transport.breakers[0].consecutive_failures == 0
 
         run(body())
@@ -152,12 +177,43 @@ class TestFrontendRoutesEverythingThroughTheTransport:
         async def body():
             web = self.frontend()
             pools = web.transport.pools
-            pools[:] = [ScriptedPool(), ScriptedPool()]
+            pools[:] = [
+                ScriptedPool(ScriptedClient(b"NOT_FOUND")) for _ in range(2)
+            ]
             owner = web.router.route("k", 2)
             trip(web.transport, owner)
-            with pytest.raises(TransportError, match="circuit open"):
+            with pytest.raises(
+                TransportError, match=rf"servers \[{owner}\] unavailable"
+            ):
                 await web.put("k", b"v")
             assert pools[owner].acquires == 0
+
+        run(body())
+
+    def test_put_writes_the_owner_and_deletes_every_other_copy(self):
+        class Recording:
+            def __init__(self):
+                self.calls = []
+
+            async def set_multi(self, server_id, items, deadline=None):
+                self.calls.append(("set", server_id, tuple(items)))
+
+            async def delete_multi(self, server_id, keys, deadline=None):
+                self.calls.append(("delete", server_id, tuple(keys)))
+
+        async def body():
+            web = self.frontend()
+            web.transport = Recording()
+            key = next(
+                k for k in (f"k{i}" for i in range(50))
+                if web.router.route(k, 2) == 1
+            )
+            await web.put(key, b"v")
+            # Server 0 owns every key at one active server: the copy a
+            # resize to 1 would serve is deleted in the same round.
+            assert web.transport.calls == [
+                ("set", 1, ((key, b"v"),)), ("delete", 0, (key,)),
+            ]
 
         run(body())
 

@@ -21,10 +21,12 @@ class CountingDatabase:
 
     def __init__(self):
         self.reads = 0
+        #: values written since the start (the rest are synthesized)
+        self.values = {}
 
     async def fetch(self, key: str) -> bytes:
         self.reads += 1
-        return f"db-value-of-{key}".encode()
+        return self.values.get(key, f"db-value-of-{key}".encode())
 
 
 async def start_cluster(num_servers: int):
@@ -169,6 +171,63 @@ class TestSmoothTransition:
                 fake["t"] = 10.0
                 assert web._manager.current(fake["t"]) is None
                 # After expiry, cold remapped keys go to the DB.
+                await web.close()
+            finally:
+                await stop_cluster(servers)
+
+        run(body())
+
+    @staticmethod
+    def key_moving_to(web, server, n):
+        return next(
+            key for key in (f"page:{i}" for i in range(200))
+            if web.router.route(key, n) == server
+        )
+
+    def test_put_mid_transition_then_eviction_reads_the_new_value(self):
+        async def body():
+            servers, endpoints = await start_cluster(3)
+            db = CountingDatabase()
+            try:
+                web = AsyncProteusFrontend(
+                    endpoints, CFG, db.fetch, initial_active=2
+                )
+                await web.connect()
+                key = self.key_moving_to(web, 2, 3)
+                await web.fetch(key)  # v1 at its owner under 2 servers
+                await web.scale_to(3, ttl=60.0)
+                db.values[key] = b"v2"
+                await web.put(key, b"v2")
+                servers[2].store.delete(key)  # LRU at the new owner
+                first = await web.fetch(key)
+                assert first.value == b"v2" and first.path != "hit_old"
+                assert (await web.fetch(key)).value == b"v2"
+                await web.close()
+            finally:
+                await stop_cluster(servers)
+
+        run(body())
+
+    def test_put_after_a_closed_window_survives_a_resize_back(self):
+        async def body():
+            servers, endpoints = await start_cluster(3)
+            db = CountingDatabase()
+            fake = {"t": 0.0}
+            try:
+                web = AsyncProteusFrontend(
+                    endpoints, CFG, db.fetch, initial_active=2,
+                    clock=lambda: fake["t"],
+                )
+                await web.connect()
+                key = self.key_moving_to(web, 2, 3)
+                await web.fetch(key)
+                await web.scale_to(3, ttl=10.0)
+                fake["t"] = 20.0  # the window closes; items never expire
+                db.values[key] = b"v2"
+                await web.put(key, b"v2")
+                await web.scale_to(2, ttl=10.0)
+                result = await web.fetch(key)
+                assert result.value == b"v2", result.path
                 await web.close()
             finally:
                 await stop_cluster(servers)

@@ -20,8 +20,8 @@ CEILINGS = {
     "core/placement.py": 175,
     "core/router.py": 375,
     "core/retrieval.py": 850,
-    "web/frontend.py": 275,
-    "net/webtier.py": 375,
+    "web/frontend.py": 265,
+    "net/webtier.py": 374,
     "net/transport.py": 400,
     "net/parser.py": 475,
     "net/client.py": 730,
@@ -31,7 +31,7 @@ CEILINGS = {
     "experiments/failover.py": 125,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 14_950
+TREE_CEILING = 14_850
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

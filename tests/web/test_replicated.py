@@ -40,13 +40,15 @@ def owners(cache, key, n=6):
 
 
 class TestWrites:
+    # A put is charged like any write: one cache_latency sample (1 ms by
+    # default), so its items are visible from then on.
     def test_put_reaches_all_distinct_replicas(self):
         cache, db, web = build(replicas=3)
         written = web.put("page:1", b"v", now=0.0)
         assert written == owners(cache, "page:1")
         assert 1 <= len(written) <= 3
         for server_id in written:
-            assert cache.server(server_id).get("page:1", 0.0) == b"v"
+            assert cache.server(server_id).get("page:1", 0.001) == b"v"
 
     def test_put_many_is_put_per_pair_last_value_wins(self):
         cache, db, web = build(replicas=2)
@@ -61,7 +63,49 @@ class TestWrites:
         assert all(1 not in servers for servers in written.values())
         assert any(len(servers) == 2 for servers in written.values())
         for server_id in written["page:0"]:
-            assert cache.server(server_id).get("page:0", 1.0) == "last"
+            assert cache.server(server_id).get("page:0", 1.001) == "last"
+
+
+class TestWriteCoherence:
+    """After a put the tier holds one version: no copy the put did not
+    write survives for a transition or a later resize to serve."""
+
+    @staticmethod
+    def moved_key(cache, n_old, n_new):
+        """A key whose read plans at *n_old* and *n_new* share no owner."""
+        return next(
+            key for key in (f"page:{i}" for i in range(500))
+            if not set(owners(cache, key, n_old)) & set(owners(cache, key, n_new))
+        )
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_put_mid_transition_then_eviction_reads_the_new_value(
+        self, replicas
+    ):
+        cache, db, web = build(replicas=replicas, active=2)
+        key = self.moved_key(cache, 2, 3)
+        web.fetch(key, 0.0)  # v1 installed at the 2-server owners
+        cache.scale_to(3, now=1.0)
+        db.put(key, "v2")
+        web.put(key, "v2", 2.0)
+        for owner in owners(cache, key, 3):  # LRU, or a crash and repair
+            cache.server(owner).delete(key, 3.0)
+        first = web.fetch(key, 4.0)
+        assert first.value == "v2" and first.path is not FetchPath.HIT_OLD
+        assert web.fetch(key, 5.0).value == "v2"
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_put_after_a_closed_window_survives_a_resize_back(self, replicas):
+        cache, db, web = build(replicas=replicas, active=2)
+        key = self.moved_key(cache, 2, 3)
+        web.fetch(key, 0.0)
+        cache.scale_to(3, now=1.0)
+        cache.finalize_expired(100.0)  # the window closes; items never do
+        db.put(key, "v2")
+        web.put(key, "v2", 100.0)
+        cache.scale_to(2, now=101.0)
+        result = web.fetch(key, 102.0)
+        assert result.value == "v2", result.path
 
 
 class TestReadsAndFailover:
