@@ -18,8 +18,9 @@ bench:
 
 # One-round routing/bloom microbenches, the two benches that run
 # Algorithm 2 over more than one replica ring (crash ablation, failover
-# timeline), plus the chaos availability check
-# and the hot-key storm, autopilot, net-throughput, overload, and
+# timeline), plus the real-socket fault smoke (a server stopped
+# mid-drain; every other fault test runs on tests/simnet's virtual
+# network inside the test suite) and the hot-key storm, autopilot, net-throughput, overload, and
 # store-pressure ratchets: fast CI canary for the vectorized hot path,
 # the degraded fetch path, the armor's load-flattening gate, the
 # pipelined transport's RPS gate, the overload armor's goodput/recovery

@@ -1,19 +1,16 @@
-"""Chaos bench — availability and tail latency under scripted faults.
+"""Fault smoke — availability and tail latency of a kill, on real sockets.
 
-The robustness counterpart of the Fig. 9 response-time runs: a live
+The one real-socket fault run (every other fault test runs the same
+stack on the seeded virtual network of ``tests/simnet``): a live
 frontend (real TCP, real memcached protocol) serves a fixed request mix
-while a :class:`~repro.net.chaosproxy.ChaosProxy` per cache server
-replays a scripted fault plan.  Scenarios:
+against three ``MemcachedServer``\\ s.  Scenarios:
 
-* ``baseline`` — fault-free proxies (the degraded machinery must cost
-  nothing when nothing fails);
-* ``killed_mid_transition`` — a smooth scale-down starts, then an old
-  owner is hard-killed mid-drain: digest hits on the dead server must
-  degrade to the database, never to an error;
-* ``reset_storm`` — every server's path resets 5% of response chunks:
-  the retry + reconnect path carries the load;
-* ``slow_server`` — one server answers 50 ms late: the per-op timeout +
-  breaker keep it from dragging every request's tail.
+* ``baseline`` — nothing fails (the degraded machinery must cost nothing
+  when nothing fails);
+* ``killed_mid_transition`` — a smooth scale-down starts, then server 0
+  is powered off mid-drain with :meth:`MemcachedServer.stop`: the
+  listener closes, open connections abort and every redial is refused.
+  Its keys must degrade to the database, never to an error.
 
 Every scenario must answer **100% of requests with the correct value**
 (the acceptance bar: degraded, never wrong, never raising).  Results are
@@ -35,10 +32,9 @@ from typing import Dict, List
 
 from benchmarks.conftest import fmt_row
 from repro.bloom.config import optimal_config
-from repro.net.chaosproxy import ChaosProxy
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
-from repro.resilience import FaultPlan, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
 
 ROUNDS = max(1, int(os.environ.get("PROTEUS_BENCH_ROUNDS", "3")))
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_fault.json"
@@ -72,11 +68,8 @@ async def _run_scenario(name: str) -> Dict[str, object]:
     servers = [MemcachedServer(bloom_config=BLOOM) for _ in range(NUM_SERVERS)]
     for server in servers:
         await server.start()
-    proxies = [ChaosProxy("127.0.0.1", server.port) for server in servers]
-    for proxy in proxies:
-        await proxy.start()
     frontend = AsyncProteusFrontend(
-        [("127.0.0.1", proxy.port) for proxy in proxies],
+        [("127.0.0.1", server.port) for server in servers],
         BLOOM,
         _database,
         resilience=ResiliencePolicy.aggressive(op_timeout=0.2),
@@ -94,12 +87,7 @@ async def _run_scenario(name: str) -> Dict[str, object]:
                 # Digest broadcast succeeds, then an old owner dies
                 # mid-drain: digest hits on it must degrade, not fail.
                 await frontend.scale_to(NUM_SERVERS - 1, ttl=30.0)
-                proxies[0].set_plan(FaultPlan.killed())
-            elif name == "reset_storm":
-                for index, proxy in enumerate(proxies):
-                    proxy.set_plan(FaultPlan.flaky(0.05, seed=index + 1))
-            elif name == "slow_server":
-                proxies[0].set_plan(FaultPlan.slow(0.05))
+                await servers[0].stop()
 
             for i in range(SINGLE_REQUESTS):
                 key = keys[i % NUM_KEYS]
@@ -133,13 +121,11 @@ async def _run_scenario(name: str) -> Dict[str, object]:
                 "reconnects": frontend.transport.reconnects,
             }
     finally:
-        for proxy in proxies:
-            await proxy.close()
         for server in servers:
             await server.stop()
 
 
-SCENARIOS = ["baseline", "killed_mid_transition", "reset_storm", "slow_server"]
+SCENARIOS = ["baseline", "killed_mid_transition"]
 
 
 def run_bench(rounds: int) -> Dict[str, Dict[str, object]]:
@@ -161,7 +147,7 @@ def run_bench(rounds: int) -> Dict[str, Dict[str, object]]:
 
 
 def print_report(report: Dict[str, Dict[str, object]]) -> None:
-    print("\nFault-tolerance scenarios (live tier through chaos proxies):")
+    print("\nFault-tolerance scenarios (live tier over loopback TCP):")
     print(fmt_row("scenario", ["avail", "p99ms", "meanms", "dbfrac",
                                "degr", "trips"], width=10))
     for name, row in report.items():

@@ -14,7 +14,7 @@ its evaluation depends on:
   three-tier testbed of Fig. 3, in-process;
 * :mod:`repro.net` — a real asyncio memcached-protocol server/client with
   the ``SET_BLOOM_FILTER`` / ``BLOOM_FILTER`` reserved keys of
-  Section V-A3, plus a chaos proxy for fault injection;
+  Section V-A3;
 * :mod:`repro.resilience` — retry/breaker/deadline policies and the
   fault-plan vocabulary shared by the simulator and the live tier;
 * :mod:`repro.sim` / :mod:`repro.experiments` — the discrete-event

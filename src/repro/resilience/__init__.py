@@ -7,7 +7,7 @@ clock-injectable policies — :class:`Deadline` budgets,
 :class:`AdaptiveConcurrencyLimiter` overload armor, DB-path admission
 controllers — plus the declarative :class:`FaultPlan` /
 :class:`FaultSchedule` vocabulary that scripts an outage identically for
-the chaos proxy (live) and the failover experiment (sim).  No I/O happens
+the live stack's fault tests and the failover experiment (sim).  No I/O happens
 here; drivers decide when to sleep and what counts as "now".
 """
 

@@ -3,13 +3,15 @@
 A :class:`FaultPlan` says *what is wrong* with the path to one cache server
 — refuse connections, reset mid-stream with some probability, delay
 responses, blackhole them, truncate writes — without saying *how* the
-wrongness is realized.  The live tier realizes a plan with
-:class:`repro.net.chaosproxy.ChaosProxy` (an actual TCP proxy injecting the
-faults); the simulator realizes the subset it can express by crashing /
-repairing servers (:meth:`repro.experiments.testbed.SimTestbed.inject_faults`).
-Because both read the same :class:`FaultSchedule`, an integration test and
-a simulation run can be handed *the same scripted outage* and their
-degraded-path accounting compared.
+wrongness is realized.  Two realisers read it.  For the live stack it is
+the test suite's seeded virtual-time network (``tests/simnet``), which
+runs the unmodified client, server and frontend over in-memory
+connections and applies every field to the bytes on the path.  For the
+simulator it is :meth:`repro.experiments.testbed.SimTestbed.inject_faults`,
+which expresses the subset a crash can (the plans that ``kills_server``)
+as crash / repair events.  Because both read the same
+:class:`FaultSchedule`, a live test and a simulation run can be handed
+*the same scripted outage* and their degraded-path accounting compared.
 """
 
 from __future__ import annotations
@@ -37,16 +39,13 @@ class FaultPlan:
             the mid-reply desync case.
         delay: fixed extra latency per response chunk, seconds.
         delay_jitter: uniform extra delay in ``[0, delay_jitter]``.
-        drop_syn: connect-phase fault: the dial is swallowed — the TCP
-            handshake completes (userspace cannot suppress the kernel's
-            accept) but the session is never bridged and never answers, so
-            the client sees exactly what a dropped SYN looks like one layer
-            up: a "connected" socket that produces nothing until its
-            connect/op timeout fires.
-        connect_delay: connect-phase fault: the accepted connection is held
-            this many seconds before the upstream bridge comes up (the
-            slow-accept / overloaded-listener case); requests sent in the
-            window stall but are eventually answered.
+        drop_syn: connect-phase fault: the dial is swallowed — it never
+            completes, so only the client's connect timeout ends it (the
+            firewalled / partitioned path); open connections go silent in
+            both directions.  A crash to the simulator.
+        connect_delay: connect-phase fault: a dial completes this many
+            seconds late (the slow-accept / overloaded-listener case), then
+            works.
         drop_request_probability: per-request-chunk probability of silently
             dropping the client -> server chunk (request-direction loss:
             the server never sees the command, the client times out waiting
@@ -106,7 +105,7 @@ class FaultPlan:
 
     @classmethod
     def none(cls) -> "FaultPlan":
-        """The no-fault plan (pass-through proxy)."""
+        """The no-fault plan (a healthy path)."""
         return cls()
 
     @classmethod
@@ -166,10 +165,11 @@ class ScheduledFault:
 class FaultSchedule:
     """A scripted outage: scheduled fault entries over one cluster.
 
-    The one fault timeline both substrates consume: the live chaos harness
-    replays it by re-planning proxies at each entry's ``at`` / ``clear_at``;
-    the simulator schedules the :meth:`crashes` entries as crash/repair
-    events (:meth:`repro.experiments.testbed.SimTestbed.inject_faults`).
+    The one fault timeline both substrates consume: the virtual network of
+    ``tests/simnet`` replays it by re-planning each server's path at every
+    entry's ``at`` / ``clear_at``; the simulator schedules the
+    :meth:`crashes` entries as crash/repair events
+    (:meth:`repro.experiments.testbed.SimTestbed.inject_faults`).
     """
 
     entries: List[ScheduledFault] = field(default_factory=list)

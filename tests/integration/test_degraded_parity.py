@@ -2,7 +2,7 @@
 
 The same scripted fault is realized twice — in the simulator as
 crash events (via :meth:`FaultSchedule.crashes`) and against the
-live tier as chaos-proxy plans (via :meth:`FaultSchedule.plans_at`) —
+live tier as plans the virtual network replays (:mod:`tests.simnet`) —
 and both sides must report the *same* engine accounting: identical
 ``FetchStats.counts`` per path, identical ``FetchStats.degraded`` event
 counters, and the same per-result ``FetchResult.degraded`` flag for every
@@ -12,24 +12,16 @@ sim-vs-live retrieval parity suite.
 
 import asyncio
 
-import pytest
-
-from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
-from repro.net.chaosproxy import ChaosProxy
-from repro.net.server import MemcachedServer
-from repro.net.webtier import AsyncProteusFrontend
-from repro.resilience import FaultPlan, FaultSchedule, ResiliencePolicy
+from repro.resilience import FaultPlan, FaultSchedule
 from repro.sim.latency import Constant
 from repro.web.frontend import WebServer
+from tests.simnet import BLOOM, cluster, run, value_of
 
 N_SERVERS = 3
-BLOOM = optimal_config(1000)
 KEYS = [f"page:{i}" for i in range(24)]
-#: live fails fast so the degraded answer arrives within the test budget
-POLICY = ResiliencePolicy.aggressive(op_timeout=0.2)
 FAULT_AT = 1.0
 
 
@@ -37,18 +29,6 @@ def schedule_killing(server_id):
     schedule = FaultSchedule()
     schedule.add(FAULT_AT, server_id, FaultPlan.killed())
     return schedule
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-def value_of(key):
-    return f"db:{key}".encode()
-
-
-async def database(key):
-    return value_of(key)
 
 
 def run_sim(schedule, transition_to=None):
@@ -81,39 +61,23 @@ def run_sim(schedule, transition_to=None):
 
 
 async def run_live(schedule, transition_to=None):
-    """The same script against real servers behind chaos proxies."""
-    servers = [MemcachedServer(bloom_config=BLOOM) for _ in range(N_SERVERS)]
-    for server in servers:
-        await server.start()
-    proxies = [ChaosProxy("127.0.0.1", server.port) for server in servers]
-    for proxy in proxies:
-        await proxy.start()
-    web = AsyncProteusFrontend(
-        [("127.0.0.1", proxy.port) for proxy in proxies],
-        BLOOM,
-        database,
-        resilience=POLICY,
-    )
-    try:
-        await web.connect()
+    """The same script against the live tier on the virtual network: the
+    schedule is replayed on its own clock, then the refetch starts at the
+    sim's refetch time."""
+    async with cluster(N_SERVERS) as stack:
+        web = stack.web
         for key in KEYS:
             await web.fetch(key)
         if transition_to is not None:
             await web.scale_to(transition_to, ttl=60.0)
-        for server_id, plan in schedule.plans_at(FAULT_AT + 0.1).items():
-            proxies[server_id].set_plan(plan)
+        stack.replay(schedule)
+        await asyncio.sleep(FAULT_AT + 0.1 - stack.loop.time())
         degraded = {}
         for key in KEYS:
             result = await web.fetch(key)
             assert result.value == value_of(key)
             degraded[key] = result.degraded
         return web.stats, degraded
-    finally:
-        await web.close()
-        for proxy in proxies:
-            await proxy.close()
-        for server in servers:
-            await server.stop()
 
 
 def assert_parity(sim, live):
@@ -127,7 +91,6 @@ def assert_parity(sim, live):
     return sim_stats, sim_degraded
 
 
-@pytest.mark.timeout(120)
 class TestDegradedParity:
     def test_killed_owner_steady_state(self):
         # Kill server 0 after warming: its keys degrade to the database
@@ -160,7 +123,7 @@ class TestDegradedParity:
         assert sum(degraded.values()) == sim_stats.counts["degraded_db"]
 
     def test_benign_schedule_stays_clean(self):
-        # An empty schedule maps to zero crash events and benign proxies:
+        # An empty schedule maps to zero crash events and benign paths:
         # both substrates must report zero degraded activity.
         schedule = FaultSchedule()
         sim_stats, degraded = assert_parity(

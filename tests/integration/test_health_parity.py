@@ -1,7 +1,8 @@
 """Sim-vs-live health parity: one FaultSchedule, two monitors.
 
 The same scripted fault is realized on both substrates — crash events in
-the simulator, chaos-proxy plans against real servers — and a
+the simulator, plans the virtual network replays against the live tier
+(:mod:`tests.simnet`) — and a
 :class:`ClusterHealthMonitor` wired to each (``for_simulation`` /
 ``for_frontend``) must produce *equivalent* ``HealthSnapshot`` series:
 identical request/degraded/remap windows, and the same unhealthy-server
@@ -12,24 +13,17 @@ be developed against the simulator and deployed against the live tier.
 
 import asyncio
 
-import pytest
-
-from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
-from repro.net.chaosproxy import ChaosProxy
-from repro.net.server import MemcachedServer
-from repro.net.webtier import AsyncProteusFrontend
 from repro.provisioning.health import ClusterHealthMonitor
-from repro.resilience import FaultPlan, FaultSchedule, ResiliencePolicy
+from repro.resilience import FaultPlan, FaultSchedule
 from repro.sim.latency import Constant
 from repro.web.frontend import WebServer
+from tests.simnet import BLOOM, cluster, run, value_of
 
 N_SERVERS = 3
-BLOOM = optimal_config(1000)
 KEYS = [f"page:{i}" for i in range(24)]
-POLICY = ResiliencePolicy.aggressive(op_timeout=0.2)
 FAULT_AT = 1.0
 
 
@@ -37,18 +31,6 @@ def schedule_killing(server_id):
     schedule = FaultSchedule()
     schedule.add(FAULT_AT, server_id, FaultPlan.killed())
     return schedule
-
-
-def run(coro):
-    return asyncio.run(coro)
-
-
-def value_of(key):
-    return f"db:{key}".encode()
-
-
-async def database(key):
-    return value_of(key)
 
 
 def run_sim(schedule, transition_to=None):
@@ -82,40 +64,23 @@ def run_sim(schedule, transition_to=None):
 
 
 async def run_live(schedule, transition_to=None):
-    """The same script against real servers behind chaos proxies."""
-    servers = [MemcachedServer(bloom_config=BLOOM) for _ in range(N_SERVERS)]
-    for server in servers:
-        await server.start()
-    proxies = [ChaosProxy("127.0.0.1", server.port) for server in servers]
-    for proxy in proxies:
-        await proxy.start()
-    web = AsyncProteusFrontend(
-        [("127.0.0.1", proxy.port) for proxy in proxies],
-        BLOOM,
-        database,
-        resilience=POLICY,
-    )
-    monitor = ClusterHealthMonitor.for_frontend(web)
-    try:
-        await web.connect()
+    """The same script against the live tier on the virtual network,
+    refetching at the sim's refetch time."""
+    async with cluster(N_SERVERS) as stack:
+        web = stack.web
+        monitor = ClusterHealthMonitor.for_frontend(web)
         for key in KEYS:
             await web.fetch(key)
         before = monitor.observe(web._clock())
         if transition_to is not None:
             await web.scale_to(transition_to, ttl=60.0)
-        for server_id, plan in schedule.plans_at(FAULT_AT + 0.1).items():
-            proxies[server_id].set_plan(plan)
+        stack.replay(schedule)
+        await asyncio.sleep(FAULT_AT + 0.1 - stack.loop.time())
         for key in KEYS:
             result = await web.fetch(key)
             assert result.value == value_of(key)
         after = monitor.observe(web._clock())
         return before, after
-    finally:
-        await web.close()
-        for proxy in proxies:
-            await proxy.close()
-        for server in servers:
-            await server.stop()
 
 
 def assert_window_parity(sim_snap, live_snap):
@@ -125,7 +90,6 @@ def assert_window_parity(sim_snap, live_snap):
     assert sim_snap.remap_misses == live_snap.remap_misses
 
 
-@pytest.mark.timeout(120)
 class TestHealthParity:
     def test_killed_owner_same_verdict(self):
         schedule = schedule_killing(0)

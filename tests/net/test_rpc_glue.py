@@ -16,7 +16,6 @@ error here).
 import asyncio
 import gc
 import socket
-import threading
 
 import pytest
 
@@ -90,38 +89,6 @@ class CountingLoop(asyncio.SelectorEventLoop):
         return self.soon, self.timers, self.tasks
 
 
-class ServerThread:
-    """In-process servers on a loop of their own, so the counting loop
-    sees the client side's callbacks and nothing else."""
-
-    def __init__(self, count):
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True
-        )
-        self.servers = [
-            MemcachedServer(bloom_config=BLOOM) for _ in range(count)
-        ]
-
-    def _call(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(10)
-
-    def __enter__(self):
-        self.thread.start()
-        return [
-            ("127.0.0.1", self._call(server.start()))
-            for server in self.servers
-        ]
-
-    def __exit__(self, *exc_info):
-        for server in self.servers:
-            self._call(server.stop())
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(10)
-        assert not self.thread.is_alive()
-        self.loop.close()
-
-
 async def _database(key):
     return f"db:{key}".encode()
 
@@ -129,25 +96,36 @@ async def _database(key):
 def counted(policy, servers, pages, warm, loop=None):
     """Handle counts of *pages* fetched one after another on a frontend
     that has already fetched *warm* (pass a *loop* to read its other
-    counters afterwards)."""
+    counters afterwards).
+
+    The servers share the counting loop.  A request costs a server no
+    handle, task or future (``TestServerLoopShape``), so every count is
+    the client's; and loopback delivers a write before the next
+    ``select``, so the iterations do not depend on how a second thread
+    happens to be scheduled."""
     loop = loop or CountingLoop()
 
-    async def body(endpoints):
+    async def body():
+        members = [MemcachedServer(bloom_config=BLOOM) for _ in range(servers)]
+        endpoints = [("127.0.0.1", await s.start()) for s in members]
         frontend = AsyncProteusFrontend(
             endpoints, BLOOM, _database, resilience=policy, pool_size=1
         )
-        async with frontend:
-            for _ in range(2):  # miss + write-back, then the first hit
-                await frontend.fetch_many(warm)
-            loop.count()
-            for page in pages:
-                results = await frontend.fetch_many(page)
-                assert all(r.path == "hit_new" for r in results.values())
-            return loop.stop_counting()
+        try:
+            async with frontend:
+                for _ in range(2):  # miss + write-back, then the first hit
+                    await frontend.fetch_many(warm)
+                loop.count()
+                for page in pages:
+                    results = await frontend.fetch_many(page)
+                    assert all(r.path == "hit_new" for r in results.values())
+                return loop.stop_counting()
+        finally:
+            for server in members:
+                await server.stop()
 
     try:
-        with ServerThread(servers) as endpoints:
-            return loop.run_until_complete(body(endpoints))
+        return loop.run_until_complete(body())
     finally:
         loop.close()
 

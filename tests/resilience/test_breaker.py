@@ -110,6 +110,10 @@ class TestFaultScheduleVocabulary:
         assert not FaultPlan.flaky(0.3).kills_server
         assert FaultPlan.none().is_benign
 
+    def test_syn_dropped_plan_counts_as_killing(self):
+        assert FaultPlan.syn_dropped().kills_server
+        assert not FaultPlan.syn_dropped().is_benign
+
     def test_crashes_are_the_entries_whose_plan_kills_the_server(self):
         schedule = (
             FaultSchedule()

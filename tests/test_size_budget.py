@@ -31,7 +31,7 @@ CEILINGS = {
     "experiments/failover.py": 125,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 14_850
+TREE_CEILING = 14_529
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
