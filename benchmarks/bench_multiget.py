@@ -111,10 +111,10 @@ def run_live(size: int, use_batch: bool):
                 trips += 1
                 return inner.get_multi(*args)
 
-            def set_multi(self, *args):
+            def set_multi(self, *args, **kwargs):
                 nonlocal trips
                 trips += 1
-                return inner.set_multi(*args)
+                return inner.set_multi(*args, **kwargs)
 
         inner, web.transport = web.transport, CountingTransport()
         try:

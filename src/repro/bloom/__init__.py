@@ -6,11 +6,9 @@ from repro.bloom.config import (
     false_negative_bound,
     false_positive_rate,
 )
-from repro.bloom.hashing import KeyHashes
 
 __all__ = [
     "BloomFilter",
-    "KeyHashes",
     "counter_bits_closed_form",
     "false_negative_bound",
     "false_positive_rate",

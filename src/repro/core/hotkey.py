@@ -375,21 +375,15 @@ class HotKeyArmor:
     election and the local cache are deliberately frontend-local state —
     independent frontends converge on the same hot set because they see
     the same traffic distribution, not because they coordinate (the same
-    argument the paper makes for deterministic routing).
+    argument the paper makes for deterministic routing).  Each part keeps
+    its own default geometry; only the local cache's staleness bound,
+    *ttl*, is the caller's.
     """
 
-    def __init__(
-        self,
-        cache_capacity: int = 64,
-        cache_ttl: float = 1.0,
-        track: int = 128,
-        sketch_width: int = 1024,
-        sketch_depth: int = 4,
-        load_halflife: float = 1.0,
-    ) -> None:
-        self.sketch = TopKSketch(track, sketch_width, sketch_depth)
-        self.cache = HotKeyCache(cache_capacity, cache_ttl)
-        self.loads = ServerLoadEWMA(halflife=load_halflife)
+    def __init__(self, ttl: float = 1.0) -> None:
+        self.sketch = TopKSketch()
+        self.cache = HotKeyCache(ttl=ttl)
+        self.loads = ServerLoadEWMA()
 
     def lookup(self, key: Key, now: float) -> Optional[Any]:
         """Record the access and return the fresh local value, if any.

@@ -10,10 +10,11 @@ TCP.  This module owns the decisions; drivers own the I/O.
 :meth:`RetrievalEngine.retrieve_many` plans reads (a single fetch is a
 batch of one) and :meth:`RetrievalEngine.write_many` plans writes.  Both
 are generators that *yield rounds of commands* — tuples of
-:class:`ProbeCacheMulti`, :class:`CheckDigestMulti`, :class:`WaitForLeader`,
-:class:`ReadDatabase`, :class:`WriteBackMulti` and :class:`DeleteMulti`
-with no mutual dependencies — receiving a tuple of answers aligned by index
-via ``send``.  A driver is a small loop::
+:class:`ProbeCacheMulti`, :class:`WaitForLeader`, :class:`ReadDatabase`,
+:class:`WriteBackMulti` and :class:`DeleteMulti` with no mutual
+dependencies — receiving a tuple of answers aligned by index via ``send``.
+The digest check needs no command: it is a bit test against the snapshot
+the transition already carries.  A driver is a small loop::
 
     steps = engine.retrieve_many(keys, epochs, now=now)
     answers = None
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Dict,
@@ -56,7 +58,6 @@ from repro.core.hotkey import HotKeyArmor
 from repro.core.transition import RoutingEpochs
 
 __all__ = [
-    "CheckDigestMulti",
     "Command",
     "CommandRound",
     "DEGRADED_EVENTS",
@@ -65,6 +66,7 @@ __all__ = [
     "FetchResult",
     "FetchStats",
     "LeaderWindowRegistry",
+    "MAX_MULTIGET_KEYS",
     "ProbeCacheMulti",
     "ReadDatabase",
     "RetrievalConfig",
@@ -100,8 +102,8 @@ class FetchPath(str, enum.Enum):
     #: coalesced behind an in-flight DB fetch for the same key (dog-pile
     #: protection, the paper's reference [12] scenario).
     COALESCED = "coalesced"
-    #: a cache fault (dead/unreachable server, unknown digest) blocked the
-    #: normal path and the database served instead — the *failure* fallback
+    #: a cache fault (a dead or unreachable server) blocked the normal
+    #: path and the database served instead — the *failure* fallback
     #: of Algorithm 2, as opposed to the ordinary-miss fallbacks above.
     DEGRADED_DB = "degraded_db"
     #: admission control refused the DB-path work (overload): the request
@@ -113,9 +115,13 @@ class FetchPath(str, enum.Enum):
 
 #: The degraded-path event labels :class:`FetchStats` counts — one per
 #: fault the engine can serve around: a new-plan owner's probe skipped, an
-#: old owner's probe skipped, a digest consult answered "unknown", and a
-#: write-back that could not be installed.
-DEGRADED_EVENTS = ("probe_new", "probe_old", "digest", "writeback")
+#: old owner's probe skipped, and a write-back that could not be installed.
+DEGRADED_EVENTS = ("probe_new", "probe_old", "writeback")
+#: Upper bound on keys per batched command (:class:`ProbeCacheMulti` /
+#: :class:`WriteBackMulti` / :class:`DeleteMulti`); larger groups are split,
+#: the way memcached clients chunk oversized multigets.  A constant, not an
+#: option: a ``gets`` of 64 maximal keys fits the parsers' line bound.
+MAX_MULTIGET_KEYS = 64
 
 #: The paths on which the database served the request.
 _DATABASE_PATHS = (
@@ -196,33 +202,18 @@ class RetrievalConfig:
     #: pile" the paper's introduction cites).  Off by default: the paper's
     #: Fig. 9 spike depends on the dog pile being possible.
     coalesce_misses: bool = False
-    #: upper bound on keys per batched command (:class:`ProbeCacheMulti` /
-    #: :class:`WriteBackMulti`); larger groups are split, the way memcached
-    #: clients chunk oversized multigets.  ``0`` disables the limit.
-    max_multiget_keys: int = 64
     #: hot-key armor — serve sketch-elected hot keys from a tiny
     #: frontend-local cache (:class:`~repro.core.hotkey.HotKeyCache`) with
     #: TTL-bounded staleness; the DistCache-inspired extension for Zipf
     #: head keys, off by default.  Needs the driver's clock (``now=``).
     hot_key_cache: bool = False
-    #: entries the frontend-local hot-key cache holds (the Zipf *head*).
-    hot_key_capacity: int = 64
     #: staleness bound for locally served values, in driver-clock seconds.
     hot_key_ttl: float = 1.0
-    #: candidate keys the top-k election sketch tracks (>= capacity; the
-    #: 2x headroom the election guarantee assumes).
-    hot_key_track: int = 128
-    #: count-min geometry backing the election (width x depth counters).
-    hot_key_sketch_width: int = 1024
-    hot_key_sketch_depth: int = 4
     #: owners sampled by load-aware read routing: a sketch-elected hot
     #: key's read plan leads with the least loaded of its first
     #: ``d_choices`` owners (power-of-two choices at 2).  ``1`` keeps
     #: strict ring order; so does a plan of one owner, whatever this says.
     d_choices: int = 1
-    #: halflife (driver-clock seconds) of the per-server load EWMA that
-    #: feeds the ``d_choices`` pick.
-    load_halflife: float = 1.0
 
     @property
     def load_aware(self) -> bool:
@@ -242,21 +233,6 @@ class ProbeCacheMulti:
     Driver answer: a ``dict`` mapping each key that **hit** to its value
     (missing keys missed, exactly like memcached's multiget reply), or
     :data:`SERVER_UNAVAILABLE` (no probe happened for any key).
-    """
-
-    server_id: int
-    keys: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CheckDigestMulti:
-    """Consult old owner *server_id*'s broadcast digest for every key — one
-    grouped, local consult per ceding server (never a wire round trip).
-
-    Driver answer: bools aligned with ``keys`` (all ``False`` when no
-    digest was broadcast for that server: skip the old owner), or
-    :data:`SERVER_UNAVAILABLE` when the digest state cannot be consulted,
-    which degrades the whole group to the database.
     """
 
     server_id: int
@@ -293,11 +269,15 @@ class WriteBackMulti:
     """Install every ``(key, value)`` pair at server *server_id* (Alg. 2
     line 12) — one pipelined round trip.
 
-    Driver answer: ignored, or :data:`SERVER_UNAVAILABLE`.
+    A read's fill stores only where the key is absent (memcached ``add``),
+    so it never replaces a write that landed while its database read was
+    in flight; a write (:meth:`RetrievalEngine.write_many`) sets
+    ``overwrite``.  Driver answer: ignored, or :data:`SERVER_UNAVAILABLE`.
     """
 
     server_id: int
     items: Tuple[Tuple[str, Any], ...]
+    overwrite: bool = False
 
     @property
     def keys(self) -> Tuple[str, ...]:
@@ -318,8 +298,7 @@ class DeleteMulti:
 
 
 Command = Union[
-    ProbeCacheMulti, CheckDigestMulti, WaitForLeader, ReadDatabase,
-    WriteBackMulti, DeleteMulti,
+    ProbeCacheMulti, WaitForLeader, ReadDatabase, WriteBackMulti, DeleteMulti
 ]
 
 #: One step of the protocol: commands with no mutual dependencies, answered
@@ -329,11 +308,8 @@ CommandRound = Tuple[Command, ...]
 
 
 class _DriverSignal:
-    """An identity sentinel a driver may answer a command with.
-
-    Falsy on purpose: a digest consult answered with a signal must not
-    read as a digest hit in any driver that forgets to special-case it.
-    """
+    """An identity sentinel a driver may answer a command with (falsy, so
+    it never reads as a hit)."""
 
     __slots__ = ("_name",)
 
@@ -347,22 +323,20 @@ class _DriverSignal:
         return False
 
 
-#: Driver answer to :class:`ProbeCacheMulti` / :class:`CheckDigestMulti` /
-#: :class:`WriteBackMulti` / :class:`DeleteMulti` meaning "the server could
-#: not be reached (dead, hung, or open-circuit)".
+#: Driver answer to :class:`ProbeCacheMulti` / :class:`WriteBackMulti` /
+#: :class:`DeleteMulti` meaning "the server could not be reached (dead,
+#: hung, or open-circuit)".
 #: A read *degrades* instead of failing: a skipped probe is a forced miss
-#: at that owner (the plan's next owner is probed), an unanswerable digest
-#: skips the old owner, a failed write-back never fails the fetch — the
-#: request completes, via the database (:attr:`FetchPath.DEGRADED_DB`).
+#: at that owner (the plan's next owner is probed), a failed write-back
+#: never fails the fetch — the request completes, via the database
+#: (:attr:`FetchPath.DEGRADED_DB`).
 SERVER_UNAVAILABLE = _DriverSignal("SERVER_UNAVAILABLE")
 
 
-def _per_server(
-    command, placed: Sequence[Tuple[int, Any]], limit: int
-) -> CommandRound:
+def _per_server(command, placed: Sequence[Tuple[int, Any]]) -> CommandRound:
     """One round of *command*: ``(server_id, item)`` pairs grouped into one
-    command per server (ascending), groups longer than *limit* split the
-    way memcached clients chunk oversized multigets (``<= 0``: never)."""
+    command per server (ascending), groups longer than
+    :data:`MAX_MULTIGET_KEYS` split."""
     if len(placed) == 1:  # a batch of one: nothing to group, sort, or split
         ((server_id, item),) = placed
         return (command(server_id, (item,)),)
@@ -373,9 +347,10 @@ def _per_server(
         else:
             grouped[server_id] = [item]
     round_ = []
+    limit = MAX_MULTIGET_KEYS
     for server_id in sorted(grouped):
         group = grouped[server_id]
-        if 0 < limit < len(group):
+        if len(group) > limit:
             round_ += [
                 command(server_id, tuple(group[start:start + limit]))
                 for start in range(0, len(group), limit)
@@ -409,7 +384,7 @@ class FetchResult:
     new_server: int
     old_server: Optional[int] = None
     #: True when the engine served *around* at least one fault (skipped
-    #: probe, unknown digest, or failed write-back) on the way.
+    #: probe or failed write-back) on the way.
     degraded: bool = False
     #: the cache server that answered; ``None`` when the database, the
     #: frontend-local hot-key cache, or nobody (:attr:`FetchPath.SHED`) did
@@ -448,20 +423,17 @@ class RetrievalEngine:
     Args:
         router: the deterministic routing strategy shared by every web
             server (the consistency objective: same router, same decisions).
-        stats: per-path counters; a fresh :class:`FetchStats` by default.
         config: the engine options (:class:`RetrievalConfig` defaults when
             omitted); drivers expose the same object as ``driver.config``.
     """
 
     def __init__(
-        self,
-        router,
-        stats: Optional[FetchStats] = None,
-        config: Optional[RetrievalConfig] = None,
+        self, router, config: Optional[RetrievalConfig] = None
     ) -> None:
         self.router = router
         self.config = config if config is not None else RetrievalConfig()
-        self.stats = stats if stats is not None else FetchStats()
+        #: per-path counters
+        self.stats = FetchStats()
         self._armor: Optional[HotKeyArmor] = None
         #: DB-path admission controller (duck-typed:
         #: :class:`repro.resilience.admission.AdmissionController`);
@@ -473,21 +445,11 @@ class RetrievalEngine:
 
     @property
     def armor(self) -> HotKeyArmor:
-        """The hot-key armor bundle (built lazily from the config knobs).
-
-        Geometry knobs (capacity/ttl/sketch) are read once, on first use;
-        the ``hot_key_cache`` switch itself may be toggled at any time.
-        """
+        """The hot-key armor bundle, built lazily: ``hot_key_ttl`` is read
+        once, on first use; the ``hot_key_cache`` switch itself may be
+        toggled at any time."""
         if self._armor is None:
-            config = self.config
-            self._armor = HotKeyArmor(
-                cache_capacity=config.hot_key_capacity,
-                cache_ttl=config.hot_key_ttl,
-                track=config.hot_key_track,
-                sketch_width=config.hot_key_sketch_width,
-                sketch_depth=config.hot_key_sketch_depth,
-                load_halflife=config.load_halflife,
-            )
+            self._armor = HotKeyArmor(self.config.hot_key_ttl)
         return self._armor
 
     def retrieve_many(
@@ -513,9 +475,9 @@ class RetrievalEngine:
            a digest false positive.
         3. Still nothing: wait behind an in-flight leader if coalescing,
            else read the database.
-        4. Write the value to every new-plan owner but the one that served
-           (with one owner: nothing after a step-1 hit, the new owner
-           otherwise).
+        4. Fill every new-plan owner but the one that served (with one
+           owner: nothing after a step-1 hit, the new owner otherwise);
+           a fill never replaces a copy already there.
 
         Property 1 (Section IV-A): only the *first* request for a hot key
         touches the old server; the write-back in step 4 makes every
@@ -523,17 +485,18 @@ class RetrievalEngine:
         every hot key has migrated, so the old server can power off.
 
         Probes and write-backs are grouped by server (split at
-        ``config.max_multiget_keys``) and digest consults per ceded old
-        owner (never split), so the batch costs at most one multiget round
-        trip per probed server per ring round and **at most one digest
-        consult per old owner**; only :class:`ReadDatabase` stays per-key.
+        :data:`MAX_MULTIGET_KEYS`), so the batch costs at most one multiget
+        round trip per probed server per ring round; only
+        :class:`ReadDatabase` stays per-key.  Digest checks are local and
+        grouped per ceded old owner: **one** ``digest_hit_many`` per old
+        owner per batch, never split.
 
         Returns key -> :class:`FetchResult` (the driver stamps
         ``completed``); duplicate keys collapse, and a batch of N keys
         yields the outcomes and :class:`FetchStats` of N batches of one.
 
-        **Degraded mode.**  Any probe, digest consult, or write-back may be
-        answered :data:`SERVER_UNAVAILABLE` and the engine serves around it
+        **Degraded mode.**  Any probe or write-back may be answered
+        :data:`SERVER_UNAVAILABLE` and the engine serves around it
         (a hit at the plan's next owner counts in ``FetchStats.failovers``);
         a request the database served after a fault records
         :attr:`FetchPath.DEGRADED_DB` and per-event counters, never a plain
@@ -554,7 +517,6 @@ class RetrievalEngine:
         if not pending:
             return outcomes
         config = self.config
-        limit = config.max_multiget_keys
         new_plan = dict(zip(pending, self.router.read_plans(pending, epochs.new)))
         old_plan: Dict[str, Tuple[int, ...]] = {}
         #: key -> (path, value, the cache server that answered or None):
@@ -582,7 +544,7 @@ class RetrievalEngine:
                     # reads — cold-key traffic loads servers too.
                     for server_id, _ in placed:
                         loads.record_request(server_id, now)
-                probes = _per_server(ProbeCacheMulti, placed, limit)
+                probes = _per_server(ProbeCacheMulti, placed)
                 answers = yield probes
                 unanswered = []
                 for probe, answer in zip(probes, answers):
@@ -633,38 +595,28 @@ class RetrievalEngine:
         #: digest said yes, every (reachable) old owner said no
         false_positives: Iterable[str] = ()
 
-        # Phase 2 — digest checks (local, no round trip) at the owners the
-        # transition took each key from, then the old owners' own rounds.
+        # Phase 2 — digest checks at the owners the transition took each
+        # key from (Alg. 2 line 6: bit tests against the broadcast snapshot,
+        # no round trip), then the old owners' own rounds.
         if pending and epochs.in_transition:
             old_plan = dict(
                 zip(pending, self.router.read_plans(pending, epochs.old))
             )
-            ceded = [
-                (owner, key)
-                for key in pending
-                for owner in old_plan[key]
-                if owner not in new_plan[key]
-            ]
+            #: ceded old owner -> its keys; a server with no snapshot
+            #: answers all-False, so its keys go to the database as misses
+            ceded: Dict[int, List[str]] = {}
+            for key in pending:
+                for owner in old_plan[key]:
+                    if owner not in new_plan[key]:
+                        ceded.setdefault(owner, []).append(key)
             #: key -> the ceded owners whose digest advertises it
             hot: Dict[str, Tuple[int, ...]] = {}
-            if ceded:
-                # Deliberately never chunked: a digest consult is a bit
-                # test against an already-broadcast snapshot, not a
-                # bounded multiget — the whole batch costs exactly one
-                # CheckDigestMulti per ceding old owner.
-                consults = _per_server(CheckDigestMulti, ceded, 0)
-                answers = yield consults
-                for consult, answer in zip(consults, answers):
-                    if answer is SERVER_UNAVAILABLE:
-                        # Digest unknown (broadcast failed): forced miss —
-                        # the safe fallback is the database for the whole
-                        # group, never a stale guess.
-                        for key in consult.keys:
-                            events.setdefault(key, []).append("digest")
-                        continue
-                    for key, hit in zip(consult.keys, answer):
-                        if hit:
-                            hot[key] = hot.get(key, ()) + (consult.server_id,)
+            for owner in sorted(ceded):
+                keys = ceded[owner]
+                bits = epochs.transition.digest_hit_many(owner, keys)
+                for key, hit in zip(keys, bits):
+                    if hit:
+                        hot[key] = hot.get(key, ()) + (owner,)
             if hot:
                 yield from ring_rounds(
                     list(hot), hot, "probe_old", FetchPath.HIT_OLD
@@ -756,7 +708,7 @@ class RetrievalEngine:
         # Phase 6 — write-backs, grouped into one pipelined command per
         # owner (amortized).
         if write_backs:
-            commands = _per_server(WriteBackMulti, write_backs, limit)
+            commands = _per_server(WriteBackMulti, write_backs)
             answers = yield commands
             for command, answer in zip(commands, answers):
                 if answer is SERVER_UNAVAILABLE:
@@ -790,15 +742,14 @@ class RetrievalEngine:
             for chain, plan in zip(chains, router.read_plans(keys, count)):
                 chain.update(plan)
         prefix = max(epochs.new, epochs.old or 0)
-        limit = self.config.max_multiget_keys
-        round_ = _per_server(WriteBackMulti, [
+        round_ = _per_server(partial(WriteBackMulti, overwrite=True), [
             (owner, (key, final[key]))
             for key, plan in zip(keys, plans) for owner in plan
-        ], limit) + _per_server(DeleteMulti, [
+        ]) + _per_server(DeleteMulti, [
             (owner, key)
             for key, plan, chain in zip(keys, plans, chains)
             for owner in chain if owner < prefix and owner not in plan
-        ], limit)
+        ])
         answers = yield round_
         if self.config.hot_key_cache:
             for key in keys:

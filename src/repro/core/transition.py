@@ -15,7 +15,8 @@ When the provisioning policy changes the active count ``n(t) -> n(t+1)``:
 :class:`TransitionManager` is the state machine for this protocol.  It is
 deliberately storage-agnostic: it tracks *which* mapping epochs are live and
 *which* digests are in force; the actual fetch path (Algorithm 2 proper)
-lives in :class:`repro.web.frontend.WebServer`, which consults this manager.
+lives in :meth:`repro.core.retrieval.RetrievalEngine.retrieve_many`, which
+reads the epochs and tests the digests this manager holds.
 """
 
 from __future__ import annotations
@@ -104,35 +105,21 @@ class Transition:
         digest = self.digests.get(server)
         return digest is not None and digest.contains(key, hashes)
 
-    def digest_hit_many(self, server: int, keys, hashes=()) -> List[bool]:
+    def digest_hit_many(self, server: int, keys) -> List[bool]:
         """Batched :meth:`digest_hit`: one vectorized membership pass.
 
         Element ``i`` equals ``digest_hit(server, keys[i])`` exactly — the
-        answer a grouped :class:`~repro.core.retrieval.CheckDigestMulti`
-        probe carries is bit-identical to per-key consults.  No digest for
-        *server* means all-False (same safe fallback as :meth:`digest_hit`).
-        Pass *hashes* (per-key :class:`~repro.bloom.hashing.KeyHashes`
-        aligned with *keys*) to reuse already-computed double-hash pairs.
+        retrieval engine's grouped check of one ceded old owner is
+        bit-identical to per-key consults.  No digest for *server* means
+        all-False (same safe fallback as :meth:`digest_hit`).
         """
         keys = list(keys)
         digest = self.digests.get(server)
         if digest is None or not keys:
             return [False] * len(keys)
         if len(keys) <= SCALAR_BATCH_MAX:
-            return [
-                digest.contains(key, hashes[i] if hashes else None)
-                for i, key in enumerate(keys)
-            ]
-        bases = None
-        if hashes:
-            import numpy as np
-
-            pairs = [h.digest_bases() for h in hashes]
-            bases = (
-                np.array([h1 for h1, _ in pairs], dtype=np.uint64),
-                np.array([h2 for _, h2 in pairs], dtype=np.uint64),
-            )
-        return digest.contains_many(keys, bases)
+            return [key in digest for key in keys]
+        return digest.contains_many(keys)
 
 
 class TransitionManager:

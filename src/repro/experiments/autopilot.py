@@ -23,8 +23,8 @@ open loop, which is exactly the baseline ``benchmarks/bench_autopilot.py``
 compares against.
 
 Faults come in as a :class:`~repro.resilience.FaultSchedule` — the same
-scripted-outage vocabulary the live chaos harness replays — realized here
-as crash/repair events by
+scripted-outage vocabulary the live tier's virtual network
+(``tests/simnet``) replays — realized here as crash/repair events by
 :meth:`~repro.experiments.testbed.SimTestbed.inject_faults`; the cluster,
 the event loop and the meter are the testbed's.
 """

@@ -49,9 +49,8 @@ from __future__ import annotations
 import asyncio
 import socket
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
 from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.bloom.bloom import BloomFilter
 from repro.errors import ClientOverloadError, ProtocolError, TransportError
@@ -599,11 +598,11 @@ class MemcachedClient:
         return [items[-1].value if items else None for items in replies]
 
     async def set_multi(
-        self, items, flags: int = 0, exptime: int = 0
+        self, items, flags: int = 0, exptime: int = 0, verb: str = "set"
     ) -> int:
-        """Pipelined sets: every command goes out in one coalesced write
-        and the replies are matched in order; returns how many were
-        STORED.
+        """Pipelined *verb* commands (``set``, or ``add``: store only what
+        is absent): every command goes out in one coalesced write and the
+        replies are matched in order; returns how many were STORED.
 
         The write-back half of a batched retrieval: one round trip per
         server for the whole batch, the same amortization ``get_multi``
@@ -613,9 +612,10 @@ class MemcachedClient:
         if not pairs:
             return 0
         proto.validate_keys([key for key, _ in pairs])
+        verb = verb.encode()
         payload = b"".join([
-            b"set %s %d %d %d\r\n%s\r\n"
-            % (key.encode("utf-8"), flags, exptime, len(value), value)
+            b"%s %s %d %d %d\r\n%s\r\n"
+            % (verb, key.encode("utf-8"), flags, exptime, len(value), value)
             for key, value in pairs
         ])
         shapes = [LineReply(STORE_TOKENS)] * len(pairs)

@@ -248,12 +248,13 @@ class CacheTransport:
             MemcachedClient.get_multi, keys,
         )
 
-    def set_multi(self, server_id: int, items, deadline=None):
-        """Store every ``(key, value)`` of *items*; ``SERVER_UNAVAILABLE``
-        under a degrading policy when the server cannot take them."""
+    def set_multi(self, server_id: int, items, deadline=None, verb="set"):
+        """Store every ``(key, value)`` of *items* with *verb* (``set``, or
+        ``add``: only where absent); ``SERVER_UNAVAILABLE`` under a
+        degrading policy when the server cannot take them."""
         return self._call(
             server_id, deadline, self.policy.degrade_to_database,
-            MemcachedClient.set_multi, items,
+            MemcachedClient.set_multi, items, 0, 0, verb,
         )
 
     def delete_multi(self, server_id: int, keys, deadline=None):

@@ -12,9 +12,9 @@ standard commands) endpoints:
   every old owner (the digest broadcast, over the wire), then Algorithm 2
   per request until the TTL deadline passes — tracked by the same
   :class:`~repro.core.transition.TransitionManager` the simulator uses;
-* dog-pile coalescing (``coalesce_misses=True``): concurrent misses for one
-  key await the leader's DB fetch on an :class:`asyncio.Future` instead of
-  issuing duplicate reads;
+* dog-pile coalescing (``RetrievalConfig(coalesce_misses=True)``):
+  concurrent misses for one key await the leader's DB fetch on an
+  :class:`asyncio.Future` instead of issuing duplicate reads;
 * the backing database is an async callable, so tests plug in a dict and a
   deployment plugs in a real pool.
 
@@ -38,9 +38,9 @@ from typing import (
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import (
-    SERVER_UNAVAILABLE, CheckDigestMulti, Command, DeleteMulti, FetchResult,
-    FetchStats, ProbeCacheMulti, ReadDatabase, RetrievalConfig,
-    RetrievalEngine, WaitForLeader, WriteBackMulti,
+    SERVER_UNAVAILABLE, Command, DeleteMulti, FetchResult, FetchStats,
+    ProbeCacheMulti, ReadDatabase, RetrievalConfig, RetrievalEngine,
+    WaitForLeader, WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
@@ -65,10 +65,9 @@ class AsyncProteusFrontend:
         database: async authoritative fetch.
         initial_active: ``n(0)``.
         clock: time source for TTL deadlines (injectable in tests).
-        coalesce_misses: dog-pile protection (see
-            :class:`~repro.core.retrieval.RetrievalConfig`).
-        config: full engine options (overrides *coalesce_misses*); the
-            live object stays readable and settable as ``web.config``.
+        config: the engine options
+            (:class:`~repro.core.retrieval.RetrievalConfig`); the live
+            object stays readable and settable as ``web.config``.
         resilience: retry/breaker/deadline policy for cache RPCs;
             :meth:`ResiliencePolicy.default` when omitted.
         pool_size, max_inflight_per_conn: handed to the
@@ -87,7 +86,6 @@ class AsyncProteusFrontend:
         database: DatabaseFetch,
         initial_active: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
-        coalesce_misses: bool = False,
         config: Optional[RetrievalConfig] = None,
         resilience: Optional[ResiliencePolicy] = None,
         pool_size: int = 4,
@@ -100,11 +98,7 @@ class AsyncProteusFrontend:
         self.bloom_config = bloom_config
         self.database = database
         self.router = ProteusRouter(len(self.endpoints))
-        self.config = (
-            config
-            if config is not None
-            else RetrievalConfig(coalesce_misses=coalesce_misses)
-        )
+        self.config = config if config is not None else RetrievalConfig()
         self.engine = RetrievalEngine(self.router, config=self.config)
         self._clock = clock
         active = len(self.endpoints) if initial_active is None else initial_active
@@ -267,7 +261,7 @@ class AsyncProteusFrontend:
             while True:
                 round_ = steps.send(answers)
                 calls = [
-                    self._execute(command, epochs, leaders, deadline)
+                    self._execute(command, leaders, deadline)
                     for command in round_
                 ]
                 if len(calls) == 1:  # a round of one needs no driver
@@ -294,7 +288,6 @@ class AsyncProteusFrontend:
     async def _execute(
         self,
         command: Command,
-        epochs,
         leaders: Dict[str, asyncio.Future],
         deadline: Optional[Deadline] = None,
     ):
@@ -303,13 +296,6 @@ class AsyncProteusFrontend:
             return await self.transport.get_multi(
                 command.server_id, command.keys, deadline
             )
-        if isinstance(command, CheckDigestMulti):
-            # Answered locally against the broadcast snapshot — never a
-            # wire round trip.
-            transition = epochs.transition
-            if transition is None:
-                return [False] * len(command.keys)
-            return transition.digest_hit_many(command.server_id, command.keys)
         if isinstance(command, WaitForLeader):
             pending = self._inflight.get(command.key)
             if pending is None:
@@ -334,8 +320,11 @@ class AsyncProteusFrontend:
                         finished, completed=finished
                     )
         if isinstance(command, WriteBackMulti):
+            # A fill is ``add``: it never replaces a put that landed while
+            # its database read was in flight (the look-aside fill race).
             return await self.transport.set_multi(
-                command.server_id, command.items, deadline
+                command.server_id, command.items, deadline,
+                verb="set" if command.overwrite else "add",
             )
         if isinstance(command, DeleteMulti):
             return await self.transport.delete_multi(
@@ -361,7 +350,7 @@ class AsyncProteusFrontend:
         steps = self.engine.write_many(((key, value),), epochs)
         round_ = next(steps)
         answers = await run_round(
-            [self._execute(command, epochs, {}) for command in round_]
+            [self._execute(command, {}) for command in round_]
         )
         with suppress(StopIteration):
             steps.send(answers)

@@ -29,7 +29,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.cluster import CacheCluster
 from repro.core.retrieval import (
-    CheckDigestMulti,
     Command,
     DeleteMulti,
     FetchPath,  # noqa: F401  (tests and benches import it from here)
@@ -44,7 +43,6 @@ from repro.core.retrieval import (
     WaitForLeader,
     WriteBackMulti,
 )
-from repro.core.transition import RoutingEpochs
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
 from repro.sim.latency import Constant, LatencyModel
@@ -65,11 +63,10 @@ class WebServer:
         cache_latency: per-cache-operation latency model.
         web_overhead: per-request servlet processing model.
         seed: RNG seed for latency sampling.
-        coalesce_misses: dog-pile protection (see
-            :class:`~repro.core.retrieval.RetrievalConfig`); off by default
-            as in the paper's evaluation.
-        config: full engine options (overrides *coalesce_misses*); the
-            live object stays readable and settable as ``web.config``.
+        config: the engine options
+            (:class:`~repro.core.retrieval.RetrievalConfig`; dog-pile
+            coalescing is off by default, as in the paper's evaluation);
+            the live object stays readable and settable as ``web.config``.
         admission: DB-path admission controller (typically a
             :class:`~repro.resilience.admission.VirtualQueueAdmission`);
             ``None`` admits everything.  When set, DB-path work over the
@@ -86,7 +83,6 @@ class WebServer:
         cache_latency: Optional[LatencyModel] = None,
         web_overhead: Optional[LatencyModel] = None,
         seed: int = 0,
-        coalesce_misses: bool = False,
         config: Optional[RetrievalConfig] = None,
         admission=None,
     ) -> None:
@@ -97,11 +93,7 @@ class WebServer:
         self.database = database
         self.cache_latency = cache_latency or Constant(DEFAULT_CACHE_OP_LATENCY)
         self.web_overhead = web_overhead or Constant(DEFAULT_WEB_OVERHEAD)
-        self.config = (
-            config
-            if config is not None
-            else RetrievalConfig(coalesce_misses=coalesce_misses)
-        )
+        self.config = config if config is not None else RetrievalConfig()
         self.engine = RetrievalEngine(cache.router, config=self.config)
         self.engine.admission = admission
         self._rng = random.Random((seed << 16) ^ server_id)
@@ -156,13 +148,13 @@ class WebServer:
         epochs = self.cache.routing_epochs(now)
         clock = now + self.web_overhead.sample(self._rng)
         results, clock = self._run(
-            self.engine.retrieve_many(keys, epochs, now=now), epochs, clock
+            self.engine.retrieve_many(keys, epochs, now=now), clock
         )
         for result in results.values():
             result.completed = clock
         return results
 
-    def _run(self, steps, epochs: RoutingEpochs, clock: float):
+    def _run(self, steps, clock: float):
         """Drive an engine planner from *clock*: a round's commands start
         together and the clock advances by the slowest.  Returns (the
         planner's result, completion time)."""
@@ -172,7 +164,7 @@ class WebServer:
                 results = []
                 done = clock
                 for command in steps.send(answers):
-                    answer, finished = self._execute(command, epochs, clock)
+                    answer, finished = self._execute(command, clock)
                     results.append(answer)
                     if finished > done:
                         done = finished
@@ -181,9 +173,7 @@ class WebServer:
         except StopIteration as stop:
             return stop.value, clock
 
-    def _execute(
-        self, command: Command, epochs: RoutingEpochs, clock: float
-    ) -> Tuple[Any, float]:
+    def _execute(self, command: Command, clock: float) -> Tuple[Any, float]:
         """Perform one engine command starting at *clock*; returns (answer,
         completion time).  Commands in a round all start at the round's
         base clock — they run concurrently."""
@@ -206,16 +196,6 @@ class WebServer:
                 if value is not None:
                     hits[key] = value
             return hits, clock
-        if isinstance(command, CheckDigestMulti):
-            # Local bit tests against the broadcast snapshot — no round
-            # trip, no clock charge.
-            transition = epochs.transition
-            if transition is None:
-                return [False] * len(command.keys), clock
-            return (
-                transition.digest_hit_many(command.server_id, command.keys),
-                clock,
-            )
         if isinstance(command, WaitForLeader):
             leader_done = self._leaders.leader_done(command.key, clock)
             if leader_done is None:
@@ -243,6 +223,9 @@ class WebServer:
                 for key in command.keys:
                     server.delete(key, clock)
             else:
+                # A fill is a plain set here, deliberately: a sim fetch runs
+                # to completion before any other event, so no write can
+                # land inside it, and Fig. 9's dog pile rests on set.
                 for key, value in command.items:
                     server.set(key, value, now=clock)
             return None, clock
@@ -262,4 +245,4 @@ class WebServer:
         value to every serving new-plan owner, a delete to every other
         copy.  Returns key -> new-plan owners written."""
         epochs = self.cache.routing_epochs(now)
-        return self._run(self.engine.write_many(items, epochs), epochs, now)[0]
+        return self._run(self.engine.write_many(items, epochs), now)[0]

@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from repro.bloom.bloom import BloomFilter
 from repro.core.router import ProteusRouter
+from repro.core.transition import RoutingEpochs, Transition
 from repro.provisioning.policies import ProvisioningSchedule
 from repro.workload.trace import TraceRecord
 
@@ -61,6 +63,34 @@ def small_trace() -> list:
         key = f"page:{rng.randrange(60)}"
         records.append(TraceRecord(when, key))
     return records
+
+
+def in_transition(n_old: int, n_new: int, claims=None) -> RoutingEpochs:
+    """Routing epochs inside an ``n_old -> n_new`` drain window.  Each
+    ``{server_id: keys}`` entry of *claims* becomes that server's broadcast
+    digest: a real snapshot holding those keys, wide enough that a test's
+    other keys read as absent (the filter is deterministic, so they always
+    do).  A server without an entry has no snapshot: all-False."""
+    digests = {}
+    for server_id, keys in (claims or {}).items():
+        digests[server_id] = BloomFilter(1 << 16)
+        digests[server_id].update(keys)
+    transition = Transition(n_old, n_new, 0.0, 60.0, digests)
+    return RoutingEpochs(n_new, n_old, transition)
+
+
+def record_consults(epochs: RoutingEpochs) -> list:
+    """Record every ``digest_hit_many(server, keys)`` call on *epochs*'
+    transition — the engine's digest checks — as ``(server, keys)``."""
+    calls = []
+    consult = epochs.transition.digest_hit_many
+
+    def recording(server, keys):
+        calls.append((server, tuple(keys)))
+        return consult(server, keys)
+
+    epochs.transition.digest_hit_many = recording
+    return calls
 
 
 def make_keys(count: int, prefix: str = "key", seed: int = 0) -> list:

@@ -197,23 +197,24 @@ class TestServerLoadEWMA:
 
 class TestHotKeyArmor:
     def test_cold_key_never_served_locally(self):
-        armor = HotKeyArmor(cache_capacity=4, cache_ttl=1.0, track=1)
-        armor.observe("occupant")  # takes the single tracked slot
-        for _ in range(10):
-            armor.observe("occupant")
-        # A once-seen key is not hot, so admit is refused outright.
+        armor = HotKeyArmor(ttl=1.0)
+        for occupant in range(armor.sketch.capacity):  # every tracked slot
+            for _ in range(3):
+                armor.observe(f"occupant:{occupant}")
+        # A once-seen key is not elected: never served, admit refused.
+        assert armor.lookup("cold", now=0.0) is None
         assert not armor.admit("cold", "v", now=0.0)
-        assert armor.lookup("occupant", now=0.0) is None  # hot but empty
+        assert armor.lookup("occupant:0", now=0.0) is None  # hot but empty
 
     def test_hot_key_admit_then_lookup(self):
-        armor = HotKeyArmor(cache_capacity=4, cache_ttl=1.0, track=8)
+        armor = HotKeyArmor(ttl=1.0)
         assert armor.lookup("k", now=0.0) is None  # first sight: elected, empty
         assert armor.admit("k", "v", now=0.0)
         assert armor.lookup("k", now=0.5) == "v"
         assert armor.lookup("k", now=2.0) is None  # TTL-bounded staleness
 
     def test_invalidate_drops_local_copy(self):
-        armor = HotKeyArmor(cache_capacity=4, cache_ttl=10.0, track=8)
+        armor = HotKeyArmor(ttl=10.0)
         armor.observe("k")
         armor.admit("k", "v", now=0.0)
         assert armor.invalidate("k")

@@ -2,16 +2,15 @@
 
 Covers the tentpole contracts: sketch-elected keys served from the
 frontend-local cache (``FetchPath.HIT_LOCAL``) with TTL-bounded staleness,
-grouped digest probes (at most one :class:`CheckDigestMulti` per ceding
-old owner per batch, bit-identical to per-key consults), and
+grouped digest checks (one ``digest_hit_many`` per ceding old owner per
+batch, bit-identical to per-key consults), and
 power-of-two-choices read routing for hot keys on the replicated path.
 """
 
 import pytest
 
-from repro.bloom import BloomFilter, KeyHashes
+from repro.bloom import BloomFilter
 from repro.core.retrieval import (
-    CheckDigestMulti,
     FetchPath,
     ProbeCacheMulti,
     ReadDatabase,
@@ -22,12 +21,10 @@ from repro.core.retrieval import (
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import RoutingEpochs, Transition
+from tests.conftest import in_transition, record_consults
 
 ROUTER = ProteusRouter(4, ring_size=2 ** 20)
 STEADY = RoutingEpochs(new=3, old=None, transition=None)
-DRAINING = RoutingEpochs(
-    new=3, old=4, transition=Transition(n_old=4, n_new=3, started_at=0.0, ttl=60.0)
-)
 
 ARMORED = dict(hot_key_cache=True, hot_key_ttl=1.0)
 
@@ -35,10 +32,9 @@ ARMORED = dict(hot_key_cache=True, hot_key_ttl=1.0)
 class DictDriver:
     """Answers engine commands from plain dict state."""
 
-    def __init__(self, stores=None, db=None, digests=None):
+    def __init__(self, stores=None, db=None):
         self.stores = stores or {}
         self.db = db or {}
-        self.digests = digests or {}
         self.trace = []
 
     def one(self, engine, key, epochs, **kwargs):
@@ -59,9 +55,6 @@ class DictDriver:
         if isinstance(command, ProbeCacheMulti):
             store = self.stores.get(command.server_id, {})
             return {k: store[k] for k in command.keys if k in store}
-        if isinstance(command, CheckDigestMulti):
-            digest = self.digests.get(command.server_id, ())
-            return [k in digest for k in command.keys]
         if isinstance(command, WaitForLeader):
             return False
         if isinstance(command, ReadDatabase):
@@ -174,23 +167,22 @@ class TestBatchArmor:
 
 class TestGroupedDigestProbes:
     def test_at_most_one_digest_probe_per_old_owner(self):
+        # A scale-up: the moved keys come from several old owners.
         keys = moved_keys(24)
-        old_owners = {ROUTER.route(k, 4) for k in keys}
-        digests = {owner: set() for owner in old_owners}
+        old_owners = {ROUTER.route(k, 3) for k in keys}
+        assert len(old_owners) > 1
+        epochs = in_transition(3, 4, {owner: () for owner in old_owners})
+        consults = record_consults(epochs)
         engine = RetrievalEngine(ROUTER)
-        driver = DictDriver(db={k: f"db-{k}" for k in keys}, digests=digests)
-        driver.batch(engine.retrieve_many(keys, DRAINING))
+        driver = DictDriver(db={k: f"db-{k}" for k in keys})
+        driver.batch(engine.retrieve_many(keys, epochs))
 
-        digest_probes = [
-            c for c in driver.trace if isinstance(c, CheckDigestMulti)
-        ]
-        probed_owners = [c.server_id for c in digest_probes]
-        # Exactly one grouped consult per ceding old owner, never chunked.
-        assert len(probed_owners) == len(set(probed_owners))
-        assert set(probed_owners) == old_owners
-        grouped = {c.server_id: set(c.keys) for c in digest_probes}
+        # Exactly one grouped consult per ceding old owner, never chunked,
+        # in ascending owner order.
+        assert [server for server, _ in consults] == sorted(old_owners)
+        grouped = {server: set(group) for server, group in consults}
         for key in keys:
-            assert key in grouped[ROUTER.route(key, 4)]
+            assert key in grouped[ROUTER.route(key, 3)]
 
     def test_digest_multi_bit_identical_to_scalar(self):
         digest = BloomFilter(256, 4)
@@ -202,12 +194,7 @@ class TestGroupedDigestProbes:
             n_old=4, n_new=3, started_at=0.0, ttl=60.0, digests={2: digest}
         )
         scalar = [transition.digest_hit(2, key) for key in probes]
-        batched = transition.digest_hit_many(2, probes)
-        assert list(batched) == scalar
-        hashed = transition.digest_hit_many(
-            2, probes, hashes=[KeyHashes(k) for k in probes]
-        )
-        assert list(hashed) == scalar
+        assert transition.digest_hit_many(2, probes) == scalar
         # No digest broadcast for a server: all-False, same as the scalar.
         assert transition.digest_hit_many(0, probes) == [False] * len(probes)
         assert not transition.digest_hit(0, probes[0])
@@ -247,14 +234,13 @@ class TestPowerOfTwoChoices:
     def test_cold_keys_keep_ring_order(self):
         router = self._router()
         key, base = self._replicated_key(router)
-        config = RetrievalConfig(
-            hot_key_cache=True, d_choices=2, hot_key_track=1
-        )
+        config = RetrievalConfig(hot_key_cache=True, d_choices=2)
         engine = RetrievalEngine(router, config=config)
-        # Saturate the single tracked slot so the test key stays cold
-        # (estimate 1 < threshold 3), and load the primary heavily.
-        for _ in range(3):
-            engine.armor.observe("occupant")
+        # Saturate every tracked slot so the test key stays cold (estimate
+        # 1 < threshold 3), and load the primary heavily.
+        for occupant in range(engine.armor.sketch.capacity):
+            for _ in range(3):
+                engine.armor.observe(f"occupant:{occupant}")
         for _ in range(10):
             engine.armor.loads.record_request(base[0], now=0.0)
 

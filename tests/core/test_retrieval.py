@@ -7,8 +7,8 @@ command sequences are pinned on batches of one (every round then holds
 exactly one command), the grouping rules on larger batches.
 """
 
+from repro.core import retrieval
 from repro.core.retrieval import (
-    CheckDigestMulti,
     FetchPath,
     FetchStats,
     LeaderWindowRegistry,
@@ -21,7 +21,8 @@ from repro.core.retrieval import (
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
-from repro.core.transition import RoutingEpochs, Transition
+from repro.core.transition import RoutingEpochs
+from tests.conftest import in_transition, record_consults
 
 
 class ScriptedDriver:
@@ -61,9 +62,6 @@ NEW_ID = ROUTER.route(KEY, 3)
 OLD_ID = ROUTER.route(KEY, 4)
 
 STEADY = RoutingEpochs(new=3, old=None, transition=None)
-DRAINING = RoutingEpochs(
-    new=3, old=4, transition=Transition(n_old=4, n_new=3, started_at=0.0, ttl=60.0)
-)
 COALESCING = RetrievalConfig(coalesce_misses=True)
 
 MISS = {}
@@ -111,17 +109,17 @@ class TestUnreplicatedPaths:
         driver = ScriptedDriver(
             [
                 (ProbeCacheMulti, MISS),
-                (CheckDigestMulti, [True]),
                 (ProbeCacheMulti, {key: "hot"}),
                 (WriteBackMulti, None),
             ]
         )
-        outcome = driver.run_one(engine, key, DRAINING)
+        epochs = in_transition(4, 3, {old_id: [key]})
+        outcome = driver.run_one(engine, key, epochs)
         assert outcome.path is FetchPath.HIT_OLD
         assert outcome.old_server == old_id
+        # The digest check is local: no command between the two probes.
         assert driver.trace == [
             ProbeCacheMulti(new_id, (key,)),
-            CheckDigestMulti(old_id, (key,)),
             ProbeCacheMulti(old_id, (key,)),
             WriteBackMulti(new_id, ((key, "hot"),)),
         ]
@@ -132,13 +130,13 @@ class TestUnreplicatedPaths:
         driver = ScriptedDriver(
             [
                 (ProbeCacheMulti, MISS),
-                (CheckDigestMulti, [True]),
                 (ProbeCacheMulti, MISS),  # old owner misses: digest lied
                 (ReadDatabase, "db"),
                 (WriteBackMulti, None),
             ]
         )
-        outcome = driver.run_one(engine, key, DRAINING)
+        epochs = in_transition(4, 3, {ROUTER.route(key, 4): [key]})
+        outcome = driver.run_one(engine, key, epochs)
         assert outcome.path is FetchPath.FALSE_POSITIVE_DB
         assert outcome.touched_database
 
@@ -146,15 +144,13 @@ class TestUnreplicatedPaths:
         key = remapped_key()
         engine = RetrievalEngine(ROUTER)
         driver = ScriptedDriver(
-            [
-                (ProbeCacheMulti, MISS),
-                (CheckDigestMulti, [False]),
-                (ReadDatabase, "db"),
-                (WriteBackMulti, None),
-            ]
+            [(ProbeCacheMulti, MISS), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
-        outcome = driver.run_one(engine, key, DRAINING)
+        epochs = in_transition(4, 3, {ROUTER.route(key, 4): ()})
+        consults = record_consults(epochs)
+        outcome = driver.run_one(engine, key, epochs)
         assert outcome.path is FetchPath.MISS_DB
+        assert consults == [(ROUTER.route(key, 4), (key,))]
 
     def test_same_owner_in_both_epochs_skips_digest(self):
         for i in range(10_000):
@@ -165,9 +161,11 @@ class TestUnreplicatedPaths:
         driver = ScriptedDriver(
             [(ProbeCacheMulti, MISS), (ReadDatabase, "db"), (WriteBackMulti, None)]
         )
-        outcome = driver.run_one(engine, key, DRAINING)
+        epochs = in_transition(4, 3, {ROUTER.route(key, 4): [key]})
+        consults = record_consults(epochs)
+        outcome = driver.run_one(engine, key, epochs)
         assert outcome.path is FetchPath.MISS_DB
-        assert not any(isinstance(c, CheckDigestMulti) for c in driver.trace)
+        assert consults == []
 
     def test_coalesced_follower_skips_db_and_writeback(self):
         engine = RetrievalEngine(ROUTER, config=COALESCING)
@@ -247,12 +245,10 @@ class TestUnreplicatedPaths:
 class StoreDriver:
     """Executes engine commands against dict-backed stores."""
 
-    def __init__(self, stores, db, digests=None, leaders=()):
+    def __init__(self, stores, db, leaders=()):
         #: server_id -> {key: value}
         self.stores = {sid: dict(store) for sid, store in stores.items()}
         self.db = db
-        #: server_id -> set of keys the broadcast digest claims
-        self.digests = digests or {}
         #: keys with an in-flight leader (WaitForLeader answers True)
         self.leaders = set(leaders)
         self.rounds = []
@@ -261,9 +257,6 @@ class StoreDriver:
         if isinstance(command, ProbeCacheMulti):
             store = self.stores.get(command.server_id, {})
             return {k: store[k] for k in command.keys if k in store}
-        if isinstance(command, CheckDigestMulti):
-            digest = self.digests.get(command.server_id, ())
-            return [key in digest for key in command.keys]
         if isinstance(command, WaitForLeader):
             return command.key in self.leaders
         if isinstance(command, ReadDatabase):
@@ -287,7 +280,7 @@ class StoreDriver:
 
 
 class TestBatchPlanner:
-    def _keys_by_owner(self, epochs, count_per_kind=3):
+    def _keys_by_owner(self, count_per_kind=3):
         """Keys partitioned by transition behaviour under 4 -> 3."""
         moved, stayed = [], []
         for i in range(100_000):
@@ -324,7 +317,7 @@ class TestBatchPlanner:
         # Mixed batch: hits at the new owner, hot keys at the old owner,
         # digest false positives, and plain misses — in one retrieve_many,
         # against the same keys fetched as batches of one.
-        moved, stayed = self._keys_by_owner(DRAINING)
+        moved, stayed = self._keys_by_owner()
         hot, false_positive, cold = moved
         warm, miss, _ = stayed
         stores = {}
@@ -337,16 +330,17 @@ class TestBatchPlanner:
         ).add(false_positive)
         db = {false_positive: "fp-db", cold: "cold-db", miss: "miss-db"}
         keys = [warm, hot, false_positive, cold, miss]
+        draining = in_transition(4, 3, digests)
 
         batch_engine = RetrievalEngine(ROUTER)
-        batch_driver = StoreDriver(stores, db, digests)
-        batched = batch_driver.run(batch_engine.retrieve_many(keys, DRAINING))
+        batch_driver = StoreDriver(stores, db)
+        batched = batch_driver.run(batch_engine.retrieve_many(keys, draining))
 
         seq_engine = RetrievalEngine(ROUTER)
-        seq_driver = StoreDriver(stores, db, digests)
+        seq_driver = StoreDriver(stores, db)
         sequential = {
             key: seq_driver.run(
-                seq_engine.retrieve_many([key], DRAINING)
+                seq_engine.retrieve_many([key], draining)
             )[key]
             for key in keys
         }
@@ -378,10 +372,9 @@ class TestBatchPlanner:
         ]
         assert len(reads) == 1
 
-    def test_max_multiget_keys_chunks_oversized_groups(self):
-        engine = RetrievalEngine(
-            ROUTER, config=RetrievalConfig(max_multiget_keys=2)
-        )
+    def test_groups_over_the_multiget_bound_are_chunked(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "MAX_MULTIGET_KEYS", 2)
+        engine = RetrievalEngine(ROUTER)
         keys = [f"page:{i}" for i in range(100_000)]
         same_owner = [k for k in keys if ROUTER.route(k, 3) == 0][:5]
         driver = StoreDriver(

@@ -1,7 +1,6 @@
 """Degraded-mode engine paths: the engine serves *around* cache faults.
 
-A driver may answer any probe, digest consult, or write-back with
-``SERVER_UNAVAILABLE``; these tests pin the contract on batches of one and
+A driver may answer any probe or write-back with ``SERVER_UNAVAILABLE``; these tests pin the contract on batches of one and
 on whole pages alike: the value is always served (from the old owner or
 the database), the path is ``DEGRADED_DB`` exactly when a fault *forced*
 the database read, a failed write-back degrades the outcome without
@@ -10,7 +9,6 @@ of N keys equal those of N pages of one.
 """
 
 from repro.core.retrieval import (
-    CheckDigestMulti,
     FetchPath,
     ProbeCacheMulti,
     ReadDatabase,
@@ -20,18 +18,24 @@ from repro.core.retrieval import (
     WriteBackMulti,
 )
 from repro.core.router import ProteusRouter
-from repro.core.transition import RoutingEpochs, Transition
+from repro.core.transition import RoutingEpochs
+from tests.conftest import in_transition
 
 ROUTER = ProteusRouter(4, ring_size=2 ** 20)
 STEADY = RoutingEpochs(new=3, old=None, transition=None)
-DRAINING = RoutingEpochs(
-    new=3, old=4, transition=Transition(n_old=4, n_new=3, started_at=0.0, ttl=60.0)
-)
-#: scale-up drain: old owners of moved keys are spread over several
-#: servers, so killing one still leaves other keys' HIT_OLD path alive
-GROWING = RoutingEpochs(
-    new=4, old=3, transition=Transition(n_old=3, n_new=4, started_at=0.0, ttl=60.0)
-)
+#: the 4 -> 3 drain; a scale-up (3 -> 4) drain instead spreads the old
+#: owners of moved keys over several servers, so killing one still leaves
+#: other keys' HIT_OLD path alive
+SHRINK, GROW = (4, 3), (3, 4)
+
+
+def draining(claimed=(), resize=SHRINK):
+    """Epochs inside the *resize* drain window, every server's broadcast
+    digest claiming the keys in *claimed*."""
+    n_old, n_new = resize
+    return in_transition(
+        n_old, n_new, {sid: claimed for sid in range(max(resize))}
+    )
 
 
 def remapped_key():
@@ -50,10 +54,8 @@ OLD_ID = ROUTER.route(KEY, 4)
 class FaultySubstrate:
     """A pure in-memory substrate with a per-server health map."""
 
-    def __init__(self, down=(), digest_down=(), digest_yes=(), stores=None):
+    def __init__(self, down=(), stores=None):
         self.down = set(down)
-        self.digest_down = set(digest_down)
-        self.digest_yes = set(digest_yes)
         self.stores = stores or {}
         self.db_reads = []
         self.written = []
@@ -91,10 +93,6 @@ class FaultySubstrate:
             for key, _ in command.items:
                 self.written.append((command.server_id, key))
             return None
-        if isinstance(command, CheckDigestMulti):
-            if command.server_id in self.digest_down:
-                return SERVER_UNAVAILABLE
-            return [key in self.digest_yes for key in command.keys]
         if isinstance(command, WaitForLeader):
             return False
         if isinstance(command, ReadDatabase):
@@ -117,19 +115,10 @@ class TestScalarDegradedPaths:
         assert engine.stats.degraded["writeback"] == 1
         assert engine.stats.database_fraction == 1.0
 
-    def test_unknown_digest_forces_degraded_db(self):
-        engine = RetrievalEngine(ROUTER)
-        substrate = FaultySubstrate(digest_down={OLD_ID})
-        outcome = substrate.one(engine, KEY, DRAINING)
-        assert outcome.path is FetchPath.DEGRADED_DB
-        assert outcome.degraded
-        assert engine.stats.degraded["digest"] == 1
-        assert engine.stats.degraded["probe_old"] == 0
-
     def test_dead_old_owner_on_digest_hit_degrades(self):
         engine = RetrievalEngine(ROUTER)
-        substrate = FaultySubstrate(down={OLD_ID}, digest_yes={KEY})
-        outcome = substrate.one(engine, KEY, DRAINING)
+        substrate = FaultySubstrate(down={OLD_ID})
+        outcome = substrate.one(engine, KEY, draining({KEY}))
         assert outcome.path is FetchPath.DEGRADED_DB
         assert engine.stats.degraded["probe_old"] == 1
         # the value was still installed at the (healthy) new owner
@@ -138,11 +127,9 @@ class TestScalarDegradedPaths:
     def test_failed_writeback_never_fails_a_hit_old(self):
         engine = RetrievalEngine(ROUTER)
         substrate = FaultySubstrate(
-            down={NEW_ID},
-            digest_yes={KEY},
-            stores={OLD_ID: {KEY: "hot"}},
+            down={NEW_ID}, stores={OLD_ID: {KEY: "hot"}}
         )
-        outcome = substrate.one(engine, KEY, DRAINING)
+        outcome = substrate.one(engine, KEY, draining({KEY}))
         # The old owner still has the hot copy: served, not degraded to DB.
         assert outcome.path is FetchPath.HIT_OLD
         assert outcome.value == "hot"
@@ -172,8 +159,8 @@ class TestScalarDegradedPaths:
 
     def test_healthy_paths_record_nothing_degraded(self):
         engine = RetrievalEngine(ROUTER)
-        substrate = FaultySubstrate(digest_yes={KEY})
-        outcome = substrate.one(engine, KEY, DRAINING)
+        substrate = FaultySubstrate()
+        outcome = substrate.one(engine, KEY, draining({KEY}))
         assert outcome.path is FetchPath.FALSE_POSITIVE_DB
         assert not outcome.degraded
         assert engine.stats.degraded_events == 0
@@ -183,16 +170,16 @@ class TestBatchScalarParity:
     """A page of N keys equals N pages of one, fault for fault."""
 
     def run_both(
-        self, down=(), digest_down=(), digest_yes=(), stores=None, keys=None,
-        epochs=DRAINING,
+        self, down=(), digest_yes=(), stores=None, keys=None, resize=SHRINK
     ):
         keys = keys or [f"page:{i}" for i in range(24)]
+        epochs = draining(digest_yes, resize)
         single_engine = RetrievalEngine(ROUTER)
         batch_engine = RetrievalEngine(ROUTER)
 
         def fresh():
             return FaultySubstrate(
-                down=down, digest_down=digest_down, digest_yes=digest_yes,
+                down=down,
                 stores={
                     sid: dict(items) for sid, items in (stores or {}).items()
                 },
@@ -232,15 +219,10 @@ class TestBatchScalarParity:
             stores.setdefault(ROUTER.route(key, 3), {})[key] = f"hot:{key}"
         stats = self.run_both(
             down={dead}, digest_yes=set(keys), stores=stores, keys=keys,
-            epochs=GROWING,
+            resize=GROW,
         )
         assert stats.counts[FetchPath.HIT_OLD] > 0
         assert stats.degraded["probe_old"] > 0
-
-    def test_parity_with_unknown_digest(self):
-        stats = self.run_both(digest_down={0, 1, 2, 3, 4})
-        assert stats.degraded["digest"] > 0
-        assert stats.counts[FetchPath.DEGRADED_DB] > 0
 
     def test_parity_healthy_baseline(self):
         stats = self.run_both()

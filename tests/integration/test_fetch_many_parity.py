@@ -12,7 +12,7 @@ import asyncio
 
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
-from repro.core.retrieval import FetchPath
+from repro.core.retrieval import FetchPath, RetrievalConfig
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
 from repro.net.server import MemcachedServer
@@ -42,7 +42,7 @@ class SimSubstrate:
         self.web = WebServer(
             0, self.cache, self.db,
             cache_latency=Constant(0.001), web_overhead=Constant(0.001),
-            coalesce_misses=coalesce,
+            config=RetrievalConfig(coalesce_misses=coalesce),
         )
         self.clock = 0.0
 
@@ -103,7 +103,8 @@ class LiveSubstrate:
             port = await server.start()
             endpoints.append(("127.0.0.1", port))
         self.web = AsyncProteusFrontend(
-            endpoints, CFG, self._db_fetch, coalesce_misses=self.coalesce
+            endpoints, CFG, self._db_fetch,
+            config=RetrievalConfig(coalesce_misses=self.coalesce),
         )
         self.web.transport = LoggingTransport(
             self.web.transport, self.multiget_log

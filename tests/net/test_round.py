@@ -29,11 +29,7 @@ import itertools
 import pytest
 
 from repro.bloom.config import optimal_config
-from repro.core.retrieval import (
-    SERVER_UNAVAILABLE,
-    CheckDigestMulti,
-    WaitForLeader,
-)
+from repro.core.retrieval import SERVER_UNAVAILABLE, WaitForLeader
 from repro.errors import ConfigurationError, TransportError
 from repro.net.pool import ConnectionPool
 from repro.net.round import run_round
@@ -104,7 +100,7 @@ class FakeTransport:
         self.finished.append(server_id)
         return answer
 
-    async def set_multi(self, server_id, items, deadline=None):
+    async def set_multi(self, server_id, items, deadline=None, verb="set"):
         return None
 
 
@@ -127,8 +123,8 @@ class TestAnswers:
         run(body())
 
     def test_a_command_that_never_waits_costs_no_handle(self):
-        """A local digest consult, an RPC the limiter sheds and a
-        ``WaitForLeader`` nobody leads all finish at their first step."""
+        """A ``WaitForLeader`` nobody leads (twice) and an RPC the limiter
+        sheds all finish at their first step."""
         loop = CountingLoop()
 
         async def body():
@@ -138,18 +134,17 @@ class TestAnswers:
             )
             limiter = transport.limiters[0]
             limiter.inflight = limiter.window  # window occupied
-            epochs = web._manager.routing_counts(0.0)
             leaders = {}
             loop.count()
             answers = await run_round([
-                web._execute(CheckDigestMulti(0, ("a", "b")), epochs, leaders),
+                web._execute(WaitForLeader("b"), leaders),
                 transport.get_multi(0, ["a"]),
-                web._execute(WaitForLeader("a"), epochs, leaders),
+                web._execute(WaitForLeader("a"), leaders),
             ])
             assert loop.stop_counting() == (0, 0, 0)
             assert loop.iterations == 0
-            assert answers == [[False, False], SERVER_UNAVAILABLE, False]
-            assert pool.acquires == 0 and list(leaders) == ["a"]
+            assert answers == [False, SERVER_UNAVAILABLE, False]
+            assert pool.acquires == 0 and list(leaders) == ["b", "a"]
 
         try:
             loop.run_until_complete(body())

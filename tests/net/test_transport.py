@@ -195,8 +195,9 @@ class TestFrontendRoutesEverythingThroughTheTransport:
             def __init__(self):
                 self.calls = []
 
-            async def set_multi(self, server_id, items, deadline=None):
-                self.calls.append(("set", server_id, tuple(items)))
+            async def set_multi(self, server_id, items, deadline=None,
+                                verb="set"):
+                self.calls.append((verb, server_id, tuple(items)))
 
             async def delete_multi(self, server_id, keys, deadline=None):
                 self.calls.append(("delete", server_id, tuple(keys)))
@@ -239,8 +240,13 @@ class TestFrontendRoutesEverythingThroughTheTransport:
             async def get_multi(self, server_id, keys, deadline=None):
                 return {k: self.store[k] for k in keys if k in self.store}
 
-            async def set_multi(self, server_id, items, deadline=None):
-                self.store.update(items)
+            async def set_multi(self, server_id, items, deadline=None,
+                                verb="set"):
+                if verb == "set":
+                    self.store.update(items)
+                else:  # add: only what is absent
+                    for key, value in items:
+                        self.store.setdefault(key, value)
 
         async def body():
             web = self.frontend()

@@ -14,24 +14,25 @@ and leaves the cluster state of N batches of one.  Every driver's
 
 from collections import Counter
 from typing import NamedTuple, Optional
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.hashing import ring_position
+from repro.core import retrieval
 from repro.core.retrieval import (
-    CheckDigestMulti,
     FetchPath,
     ProbeCacheMulti,
     ReadDatabase,
-    RetrievalConfig,
     RetrievalEngine,
     SERVER_UNAVAILABLE,
     WriteBackMulti,
 )
 from repro.core.placement import place_virtual_nodes
 from repro.core.router import ProteusRouter
-from repro.core.transition import RoutingEpochs, Transition
+from repro.core.transition import RoutingEpochs
+from tests.conftest import in_transition
 
 RING_SIZE = 2 ** 20
 ROUTER = ProteusRouter(5, ring_size=RING_SIZE)
@@ -42,10 +43,6 @@ ROUTERS = {
     3: ProteusRouter(5, RING_SIZE, replicas=3),
 }
 STEADY = RoutingEpochs(new=4, old=None, transition=None)
-DRAINING = RoutingEpochs(
-    new=3, old=5,
-    transition=Transition(n_old=5, n_new=3, started_at=0.0, ttl=60.0),
-)
 
 
 PLACEMENT = place_virtual_nodes(5, RING_SIZE).build_ring()
@@ -76,12 +73,14 @@ class Expected(NamedTuple):
     faults: list
 
 
-def algorithm_2(key, epochs, stores, digests, db, replicas=1, dead=()):
-    """The paper's Algorithm 2 for one key, straight-line over dict state.
+def algorithm_2(key, epochs, stores, db, replicas=1, dead=()):
+    """The paper's Algorithm 2 for one key, straight-line over dict state
+    and the transition's digests.
 
     The reference the engine is held to: no generators, no commands, no
     engine helpers.  A dead server answers nothing — the read moves on to
-    the key's next owner — and takes no write-back.
+    the key's next owner — and takes no write-back; its digest was
+    broadcast before it died, so it still answers.
     """
     new = read_plan(key, epochs.new, replicas)
     faults, probes = [], 0
@@ -108,7 +107,7 @@ def algorithm_2(key, epochs, stores, digests, db, replicas=1, dead=()):
         old = read_plan(key, epochs.old, replicas)
         old_id = old[0]
         for owner in sorted(set(old) - set(new)):  # the ceded owners
-            if key not in digests.get(owner, ()):
+            if not epochs.transition.digest_hit(owner, key):
                 continue
             if owner in dead:
                 faults.append("probe_old")
@@ -127,10 +126,9 @@ def algorithm_2(key, epochs, stores, digests, db, replicas=1, dead=()):
 class StoreDriver:
     """Dict-backed executor of the engine's command rounds."""
 
-    def __init__(self, stores, db, digests, dead=()):
+    def __init__(self, stores, db, dead=()):
         self.stores = {sid: dict(store) for sid, store in stores.items()}
         self.db = db
-        self.digests = digests
         self.dead = dead
         #: server ids probed, in order
         self.probed = []
@@ -138,17 +136,12 @@ class StoreDriver:
         self.writes = []
 
     def _answer(self, command):
-        if getattr(command, "server_id", None) in self.dead and not isinstance(
-            command, CheckDigestMulti  # digests were broadcast: still known
-        ):
+        if getattr(command, "server_id", None) in self.dead:
             return SERVER_UNAVAILABLE
         if isinstance(command, ProbeCacheMulti):
             self.probed.append(command.server_id)
             store = self.stores.get(command.server_id, {})
             return {k: store[k] for k in command.keys if k in store}
-        if isinstance(command, CheckDigestMulti):
-            digest = self.digests.get(command.server_id, ())
-            return [k in digest for k in command.keys]
         if isinstance(command, ReadDatabase):
             return self.db[command.key]
         if isinstance(command, WriteBackMulti):
@@ -184,7 +177,8 @@ def cluster_states(draw):
             min_size=1, max_size=25, unique=True,
         )
     )
-    epochs = draw(st.sampled_from([STEADY, DRAINING]))
+    draining = draw(st.booleans())
+    epochs = RoutingEpochs(3, 5, None) if draining else STEADY
     stores, digests, db = {}, {}, {}
     keys = []
     for i in indexes:
@@ -205,22 +199,24 @@ def cluster_states(draw):
                 digests.setdefault(owner, set()).add(key)
             if placement == "hot_old":
                 stores.setdefault(old_id, {})[key] = f"hot-{key}"
-    return replicas, keys, epochs, stores, digests, db
+    if draining:  # the digests are the transition's broadcast snapshots
+        epochs = in_transition(5, 3, digests)
+    return replicas, keys, epochs, stores, db
 
 
-CHUNKS = st.sampled_from([0, 1, 2, 64])
+#: chunk bounds: one key per command, two, and the shipped bound
+CHUNKS = st.sampled_from([1, 2, retrieval.MAX_MULTIGET_KEYS])
 DEAD = st.sets(st.integers(min_value=0, max_value=4), max_size=3)
 
 
 @given(state=cluster_states(), chunk=CHUNKS)
 @settings(max_examples=120, deadline=None)
 def test_batch_matches_straight_line_algorithm_2(state, chunk):
-    replicas, keys, epochs, stores, digests, db = state
-    engine = RetrievalEngine(
-        ROUTERS[replicas], config=RetrievalConfig(max_multiget_keys=chunk)
-    )
-    driver = StoreDriver(stores, db, digests)
-    outcomes = driver.run(engine.retrieve_many(keys, epochs))
+    replicas, keys, epochs, stores, db = state
+    engine = RetrievalEngine(ROUTERS[replicas])
+    driver = StoreDriver(stores, db)
+    with patch.object(retrieval, "MAX_MULTIGET_KEYS", chunk):
+        outcomes = driver.run(engine.retrieve_many(keys, epochs))
 
     expected_stores = {sid: dict(store) for sid, store in stores.items()}
     expected_writes = []
@@ -229,7 +225,7 @@ def test_batch_matches_straight_line_algorithm_2(state, chunk):
     assert set(outcomes) == set(keys)
     for key in keys:
         value, path, new_id, old_id, writes, served_by, probes, _ = algorithm_2(
-            key, epochs, stores, digests, db, replicas
+            key, epochs, stores, db, replicas
         )
         outcome = outcomes[key]
         assert outcome.served_by == served_by, key
@@ -256,17 +252,16 @@ def test_batch_matches_straight_line_algorithm_2(state, chunk):
 def test_dead_servers_are_served_around_as_the_straight_line_says(
     state, chunk, dead
 ):
-    replicas, keys, epochs, stores, digests, db = state
-    engine = RetrievalEngine(
-        ROUTERS[replicas], config=RetrievalConfig(max_multiget_keys=chunk)
-    )
-    driver = StoreDriver(stores, db, digests, dead)
-    outcomes = driver.run(engine.retrieve_many(keys, epochs))
+    replicas, keys, epochs, stores, db = state
+    engine = RetrievalEngine(ROUTERS[replicas])
+    driver = StoreDriver(stores, db, dead)
+    with patch.object(retrieval, "MAX_MULTIGET_KEYS", chunk):
+        outcomes = driver.run(engine.retrieve_many(keys, epochs))
 
     expected_writes = []
     expected_events = Counter()
     for key in keys:
-        want = algorithm_2(key, epochs, stores, digests, db, replicas, dead)
+        want = algorithm_2(key, epochs, stores, db, replicas, dead)
         outcome = outcomes[key]
         assert (
             outcome.value, outcome.path, outcome.new_server,
@@ -286,15 +281,14 @@ def test_dead_servers_are_served_around_as_the_straight_line_says(
 def test_batch_outcomes_equal_sequential_outcomes(state, chunk, dead):
     """A batch of N equals N batches of one — for every replication
     factor, whichever servers are dead."""
-    replicas, keys, epochs, stores, digests, db = state
-    batch_engine = RetrievalEngine(
-        ROUTERS[replicas], config=RetrievalConfig(max_multiget_keys=chunk)
-    )
-    batch_driver = StoreDriver(stores, db, digests, dead)
-    batched = batch_driver.run(batch_engine.retrieve_many(keys, epochs))
+    replicas, keys, epochs, stores, db = state
+    batch_engine = RetrievalEngine(ROUTERS[replicas])
+    batch_driver = StoreDriver(stores, db, dead)
+    with patch.object(retrieval, "MAX_MULTIGET_KEYS", chunk):
+        batched = batch_driver.run(batch_engine.retrieve_many(keys, epochs))
 
     seq_engine = RetrievalEngine(ROUTERS[replicas])
-    seq_driver = StoreDriver(stores, db, digests, dead)
+    seq_driver = StoreDriver(stores, db, dead)
     sequential = {
         key: seq_driver.run(seq_engine.retrieve_many([key], epochs))[key]
         for key in keys
@@ -310,10 +304,10 @@ def test_batch_outcomes_equal_sequential_outcomes(state, chunk, dead):
 @given(state=cluster_states())
 @settings(max_examples=60, deadline=None)
 def test_batch_probes_each_server_at_most_once_per_epoch(state):
-    replicas, keys, epochs, stores, digests, db = state
-    # default chunking (64) never splits here
+    replicas, keys, epochs, stores, db = state
+    # the shipped chunk bound (64) never splits here
     engine = RetrievalEngine(ROUTERS[replicas])
-    driver = StoreDriver(stores, db, digests)
+    driver = StoreDriver(stores, db)
     driver.run(engine.retrieve_many(keys, epochs))
     # New-epoch probes + old-epoch probes: each server at most once each
     # per ring round.

@@ -26,9 +26,12 @@ from collections import Counter
 
 import pytest
 
+from repro.core.retrieval import RetrievalConfig
 from repro.errors import DigestBroadcastError
 from repro.resilience import FaultPlan, FaultSchedule, ResiliencePolicy
 from tests.simnet import cluster, run, value_of
+
+COALESCING = RetrievalConfig(coalesce_misses=True)
 
 SEEDS = range(20)
 KEYS = [f"page:{i}" for i in range(48)]
@@ -79,7 +82,7 @@ async def resize(web, rng):
 async def explore(seed):
     rng = random.Random(seed)
     policy = POLICIES[seed % 2](op_timeout=0.2)
-    async with cluster(3, policy, coalesce_misses=True) as stack:
+    async with cluster(3, policy, config=COALESCING) as stack:
         web, transport = stack.web, stack.web.transport
         stack.replay(draw_schedule(rng))
         await asyncio.gather(
@@ -121,7 +124,7 @@ def test_concurrent_misses_read_the_database_once(seed):
 
     async def body():
         async with cluster(
-            3, coalesce_misses=True, database=database, pool_size=1
+            3, config=COALESCING, database=database, pool_size=1
         ) as stack:
             keys = KEYS[:16]
             for page in await asyncio.gather(

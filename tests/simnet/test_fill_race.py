@@ -1,26 +1,19 @@
-"""The look-aside fill race, pinned on the virtual loop.
+"""The look-aside fill race, on the virtual loop.
 
 A miss reads the database, a ``put`` of a newer value lands while that
-read is still parked, and then the miss's write-back installs the value
-it read.  Algorithm 2's line-12 write-back is a plain ``set``, so the
-stale value overwrites the put's and every later fetch is a ``HIT_NEW``
-of it.  Memcached's answer is to write back with ``add`` (Nishtala et
-al., *Scaling Memcache at Facebook*, NSDI '13); until that lands this
-test is an expected failure, and a strict one, so the fix has to flip
-it.
+read is still parked, and then the miss's write-back tries to install the
+value it read.  Were Algorithm 2's line-12 write-back a plain ``set``, the
+stale value would overwrite the put's and every later fetch would be a
+``HIT_NEW`` of it.  The live tier writes back with memcached ``add``
+instead (Nishtala et al., *Scaling Memcache at Facebook*, NSDI '13), which
+never replaces a copy that is already there.
 """
 
 import asyncio
 
-import pytest
-
 from tests.simnet import cluster, run
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="write-back is set, not add: ROADMAP item 2",
-)
 def test_a_put_during_a_miss_survives_its_write_back():
     rows = {"k": b"v1"}
 

@@ -1,5 +1,6 @@
 """Load-bearing audit: every module is reached from a real entry point,
-and every package re-export is imported through that package by someone.
+every package re-export is imported through that package by someone, and
+every engine option is set by someone.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
@@ -11,10 +12,13 @@ allow-list, on purpose.
 """
 
 import ast
+import dataclasses
 import functools
 import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
+
+from repro.core.retrieval import RetrievalConfig
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -164,4 +168,32 @@ def test_every_reexport_is_imported_through_its_package():
     assert not unused, (
         "re-exported but never imported from the package itself — import "
         f"from the defining module and drop the re-export: {unused}"
+    )
+
+
+def _config_keywords(path: Path) -> Iterator[str]:
+    """Every keyword *path* passes to a ``RetrievalConfig(...)`` call."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "id", getattr(callee, "attr", None))
+            if name == "RetrievalConfig":
+                yield from (keyword.arg for keyword in node.keywords)
+
+
+def test_every_engine_option_is_set_outside_the_tests():
+    """A ``RetrievalConfig`` field that only tests set is an option nobody
+    runs with: make it the default (or a constant) and drop the field."""
+    passed = {
+        keyword
+        for path in {*MODULES.values(), *ROOTS}
+        for keyword in _config_keywords(path)
+    }
+    unset = [
+        field.name for field in dataclasses.fields(RetrievalConfig)
+        if field.name not in passed
+    ]
+    assert not unset, (
+        "no RetrievalConfig(...) call in src/, benchmarks/ or examples/ "
+        f"passes {unset}"
     )

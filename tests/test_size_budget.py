@@ -19,9 +19,9 @@ CEILINGS = {
     "core/ring.py": 325,
     "core/placement.py": 175,
     "core/router.py": 375,
-    "core/retrieval.py": 850,
-    "web/frontend.py": 265,
-    "net/webtier.py": 374,
+    "core/retrieval.py": 800,
+    "web/frontend.py": 250,
+    "net/webtier.py": 363,
     "net/transport.py": 400,
     "net/parser.py": 475,
     "net/client.py": 730,
@@ -31,7 +31,7 @@ CEILINGS = {
     "experiments/failover.py": 125,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 14_529
+TREE_CEILING = 14_432
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

@@ -5,6 +5,7 @@ import pytest
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
+from repro.core.retrieval import RetrievalConfig
 from repro.database.cluster import DatabaseCluster
 from repro.sim.latency import Constant
 from repro.web.frontend import FetchPath, WebServer
@@ -20,7 +21,8 @@ def build(coalesce: bool):
     db = DatabaseCluster(2, service_model=Constant(0.1))
     web = WebServer(
         0, cache, db, cache_latency=Constant(0.001),
-        web_overhead=Constant(0.001), coalesce_misses=coalesce,
+        web_overhead=Constant(0.001),
+        config=RetrievalConfig(coalesce_misses=coalesce),
     )
     return cache, db, web
 

@@ -166,10 +166,9 @@ class TestReadsAndFailover:
         # A web server that has never talked to either owner: the virtual
         # clock is charged the two round trips and nothing else.
         web = WebServer(1, cache, db, cache_latency=Constant(0.003))
-        epochs = cache.routing_epochs(1.0)
-        answer, clock = web._execute(ProbeCacheMulti(dead, (key,)), epochs, 1.0)
+        answer, clock = web._execute(ProbeCacheMulti(dead, (key,)), 1.0)
         assert answer is SERVER_UNAVAILABLE
-        answer, clock = web._execute(ProbeCacheMulti(alive, (key,)), epochs, clock)
+        answer, clock = web._execute(ProbeCacheMulti(alive, (key,)), clock)
         assert answer == {key: b"v"}
         assert clock == pytest.approx(1.0 + 2 * 0.003, abs=1e-12)
 
