@@ -112,12 +112,10 @@ class CacheServer:
         """Values for every key that hits (multiget, one call; misses are
         absent from the map); raises :class:`CacheError` when OFF."""
         self._require_power()
-        hits = {}
-        for key in keys:
-            value = self.store.get(key, now)
-            if value is not None:
-                hits[key] = value
-        return hits
+        return {
+            key: item.value
+            for key, item in self.store.get_many(keys, now).items()
+        }
 
     def set(
         self,

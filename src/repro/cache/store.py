@@ -24,7 +24,9 @@ bounds its memory by the store's own size.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.cache.eviction import EvictionPolicy, LRUPolicy
 from repro.cache.item import DEFAULT_ITEM_SIZE, CacheItem
@@ -100,7 +102,16 @@ class KeyValueStore:
     # ----------------------------------------------------------------- ops
 
     def get(self, key: str, now: float = 0.0) -> Optional[Any]:
-        """Value for *key*, or ``None`` on miss.  Lazily expires stale items.
+        """Value for *key*, or ``None`` on miss: :meth:`get_many` of one."""
+        item = self.get_many((key,), now).get(key)
+        return None if item is None else item.value
+
+    def get_many(
+        self, keys: Sequence[str], now: float = 0.0
+    ) -> Dict[str, CacheItem]:
+        """The items of *keys* that hit, by key — a multiget in one call,
+        counted as one get per key (a repeated key included).  Lazily
+        expires stale items.
 
         An item whose ``created_at`` lies in the future of *now* is treated
         as a miss (without unlinking): the simulation driver may process
@@ -109,23 +120,29 @@ class KeyValueStore:
         otherwise concurrent cache misses for one key (the dog pile) would
         silently free-ride on each other.
         """
-        # Expiry test, touch and counters are inlined: this is the one
-        # per-key call of a multiget, and each was a frame of its own.
-        stats = self.stats
-        stats.gets += 1
-        item = self._items.get(key)
-        if item is not None:
+        # Expiry test, touch and counters are inlined, and the counters
+        # move once per call: a key costs no frame of its own.
+        items, stats = self._items, self.stats
+        on_access = self.policy.on_access
+        hits: Dict[str, CacheItem] = {}
+        found = 0
+        for key in keys:
+            item = items.get(key)
+            if item is None:
+                continue
             expires_at = item.expires_at
             if expires_at is not None and now >= expires_at:
                 self._unlink(item, REASON_EXPIRE)
                 stats.record_expiration(item.size)
             elif item.created_at <= now:
                 item.last_access = now
-                self.policy.on_access(key)
-                stats.hits += 1
-                return item.value
-        stats.misses += 1
-        return None
+                on_access(key)
+                hits[key] = item
+                found += 1
+        stats.gets += len(keys)
+        stats.hits += found
+        stats.misses += len(keys) - found
+        return hits
 
     def set(
         self,

@@ -127,9 +127,6 @@ MAX_MULTIGET_KEYS = 64
 _DATABASE_PATHS = (
     FetchPath.FALSE_POSITIVE_DB, FetchPath.MISS_DB, FetchPath.DEGRADED_DB
 )
-#: The paths that fetched nothing from the cache tier or the database:
-#: nothing to admit to the hot-key cache, nothing to write back.
-_UNSERVED_BY_THE_TIER = (FetchPath.HIT_LOCAL, FetchPath.SHED)
 
 
 @dataclass
@@ -146,13 +143,6 @@ class FetchStats:
     )
     #: reads a replica other than the key's ring-0 owner answered
     failovers: int = 0
-
-    def record(self, path: FetchPath) -> None:
-        self.counts[path] += 1
-
-    def record_degraded(self, event: str) -> None:
-        """Count one served-around fault (see :data:`DEGRADED_EVENTS`)."""
-        self.degraded[event] = self.degraded.get(event, 0) + 1
 
     @property
     def total(self) -> int:
@@ -226,7 +216,7 @@ class RetrievalConfig:
 # ------------------------------------------------------------------ commands
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProbeCacheMulti:
     """``get_multi`` *keys* from cache server *server_id* — one round trip.
 
@@ -239,7 +229,7 @@ class ProbeCacheMulti:
     keys: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaitForLeader:
     """If another request's DB fetch for *key* is in flight, wait for it.
 
@@ -251,7 +241,7 @@ class WaitForLeader:
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadDatabase:
     """Read *key* from the authoritative store (never misses).
 
@@ -264,7 +254,7 @@ class ReadDatabase:
     announce_leader: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteBackMulti:
     """Install every ``(key, value)`` pair at server *server_id* (Alg. 2
     line 12) — one pipelined round trip.
@@ -285,7 +275,7 @@ class WriteBackMulti:
         return tuple(key for key, _ in self.items)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeleteMulti:
     """Delete every key at server *server_id*: the copies a write
     invalidates (:meth:`RetrievalEngine.write_many`).
@@ -363,7 +353,7 @@ def _per_server(command, placed: Sequence[Tuple[int, Any]]) -> CommandRound:
 # ------------------------------------------------------------------ outcomes
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchResult:
     """Outcome **and timing** of one Algorithm-2 retrieval, on every
     substrate.
@@ -519,9 +509,10 @@ class RetrievalEngine:
         config = self.config
         new_plan = dict(zip(pending, self.router.read_plans(pending, epochs.new)))
         old_plan: Dict[str, Tuple[int, ...]] = {}
-        #: key -> (path, value, the cache server that answered or None):
-        #: what each phase decides; settled into outcomes at the end
-        served: Dict[str, Tuple[FetchPath, Any, Optional[int]]] = {}
+        #: path -> keys served on it, added to FetchStats at settle time
+        tally: Dict[FetchPath, int] = {}
+        #: the served keys the settle pass visits, in the order they landed
+        landed: List[str] = []
         #: key -> the faults served around on its way; any entry *forces*
         #: the key's database read (if it comes to one) to DEGRADED_DB
         events: Dict[str, List[str]] = {}
@@ -529,14 +520,16 @@ class RetrievalEngine:
         misses: Dict[str, int] = {}
         armor = self.armor if now is not None and config.hot_key_cache else None
         loads = armor.loads if armor is not None and config.load_aware else None
+        #: one owner per plan, no armor: a new-plan hit has nothing to settle
+        quiet = armor is None and max(map(len, new_plan.values())) == 1
 
         def ring_rounds(keys, plans, fault, path):
             """Probe *keys* along *plans*: round ``r`` asks every still
             unanswered key's ``r``-th owner, one multiget per server.  A
-            hit serves its key on *path*; a probe answered
+            hit becomes its key's outcome on *path*; a probe answered
             :data:`SERVER_UNAVAILABLE` appends *fault* to its keys' events;
             a key's rounds end with its plan."""
-            ring = 0
+            ring, before = 0, len(outcomes)
             while keys:
                 placed = [(plans[key][ring], key) for key in keys]
                 if loads is not None:
@@ -546,6 +539,7 @@ class RetrievalEngine:
                         loads.record_request(server_id, now)
                 probes = _per_server(ProbeCacheMulti, placed)
                 answers = yield probes
+                settled = quiet and plans is new_plan
                 unanswered = []
                 for probe, answer in zip(probes, answers):
                     if answer is SERVER_UNAVAILABLE:
@@ -559,24 +553,31 @@ class RetrievalEngine:
                         if value is None:
                             misses[key] = misses.get(key, 0) + 1
                             unanswered.append(key)
-                        else:
-                            served[key] = (path, value, server_id)
+                            continue
+                        outcomes[key] = FetchResult(
+                            key, value, path, now, now, new_plan[key][0],
+                            None, False, server_id, 1,
+                        )
+                        if not settled:
+                            landed.append(key)
                 ring += 1
                 keys = unanswered and [
                     key for key in unanswered if ring < len(plans[key])
                 ]
+            tally[path] = tally.get(path, 0) + len(outcomes) - before
 
         #: key -> its new-epoch probe order: the plan, or a hot key's
         #: load-aware reordering of it
-        order = new_plan
+        order = new_plan if loads is None else dict(new_plan)
         if armor is not None:
-            if loads is not None:
-                order = dict(new_plan)
             remaining = []
             for key in pending:
                 local = armor.lookup(key, now)
                 if local is not None:
-                    served[key] = (FetchPath.HIT_LOCAL, local, None)
+                    outcomes[key] = FetchResult(
+                        key, local, FetchPath.HIT_LOCAL, now, now,
+                        new_plan[key][0],
+                    )
                     continue
                 remaining.append(key)
                 if loads is not None and armor.is_hot(key):
@@ -584,13 +585,14 @@ class RetrievalEngine:
                         new_plan[key], config.d_choices, now
                     )
             pending = remaining
+            tally[FetchPath.HIT_LOCAL] = len(outcomes)  # all of them, so far
 
         # Phase 1 — Alg. 2 line 3, batched: the new epoch's plans.
         yield from ring_rounds(pending, order, "probe_new", FetchPath.HIT_NEW)
-        if len(served) == len(new_plan):
-            pending = ()  # (the common case, without a pass over the keys)
-        else:
-            pending = [key for key in pending if key not in served]
+        # (an all-hit batch, the common case, skips a pass over the keys)
+        pending = len(outcomes) < len(new_plan) and [
+            key for key in pending if key not in outcomes
+        ]
 
         #: digest said yes, every (reachable) old owner said no
         false_positives: Iterable[str] = ()
@@ -625,9 +627,9 @@ class RetrievalEngine:
                 # happened, and it recorded "probe_old".)
                 false_positives = {
                     key for key in hot
-                    if key not in served and key not in events
+                    if key not in outcomes and key not in events
                 }
-                pending = [key for key in pending if key not in served]
+                pending = [key for key in pending if key not in outcomes]
 
         # Phase 3 — coalescing: wait behind in-flight leaders, then re-probe
         # the new plans of the keys whose leader completed (batched).  The
@@ -641,7 +643,7 @@ class RetrievalEngine:
             yield from ring_rounds(
                 waited, order, "probe_new", FetchPath.COALESCED
             )
-            pending = [key for key in pending if key not in served]
+            pending = [key for key in pending if key not in outcomes]
 
         # Phase 4 — per-key database reads (the DB never batches misses
         # away; each distinct key costs one authoritative read).  Each
@@ -654,44 +656,42 @@ class RetrievalEngine:
                 if self.admission.admit_db(now):
                     admitted.append(key)
                 else:
-                    served[key] = (FetchPath.SHED, None, None)
+                    outcomes[key] = FetchResult(
+                        key, None, FetchPath.SHED, now, now, new_plan[key][0]
+                    )
+            tally[FetchPath.SHED] = len(pending) - len(admitted)
             pending = admitted
         if pending:
             announce = config.coalesce_misses
             values = yield tuple(ReadDatabase(key, announce) for key in pending)
             for key, value in zip(pending, values):
+                path = FetchPath.MISS_DB
                 if key in events:
                     path = FetchPath.DEGRADED_DB
                 elif key in false_positives:
                     path = FetchPath.FALSE_POSITIVE_DB
-                else:
-                    path = FetchPath.MISS_DB
-                served[key] = (path, value, None)
+                outcomes[key] = FetchResult(
+                    key, value, path, now, now, new_plan[key][0]
+                )
+                tally[path] = tally.get(path, 0) + 1
+            landed += pending
 
-        # Phase 5 — settle: outcomes and counters, and what Alg. 2 line 12
-        # installs where — every new-plan owner but the one that served.
+        # Phase 5 — settle: counters, and what Alg. 2 line 12 installs
+        # where — every new-plan owner but the one that served.
         stats = self.stats
-        counts = stats.counts
+        for path, count in tally.items():
+            stats.counts[path] += count
         write_backs: List[Tuple[int, Tuple[str, Any]]] = []
-        for key, (path, value, served_by) in served.items():
-            plan = new_plan[key]
-            outcome = outcomes[key] = FetchResult(
-                key, value, path, now, now, plan[0], None, False, served_by,
-                0 if served_by is None else 1,
-            )
-            counts[path] += 1
-            if served_by == plan[0]:
-                if armor is None and len(plan) == 1:
-                    continue  # a hit at the only owner: nothing to install
-            elif outcome.failover:
+        for key in landed:
+            outcome, plan = outcomes[key], new_plan[key]
+            value, served_by = outcome.value, outcome.served_by
+            if outcome.failover:
                 stats.failovers += 1
-            if path in _UNSERVED_BY_THE_TIER:
-                continue
             if armor is not None:
                 # Admit hot keys at the same moment Alg. 2 writes back:
                 # the local copy is never older than the cache copy.
                 armor.admit(key, value, now)
-            if path is not FetchPath.COALESCED:
+            if outcome.path is not FetchPath.COALESCED:
                 for owner in plan:
                     if owner != served_by:
                         write_backs.append((owner, (key, value)))
@@ -703,10 +703,9 @@ class RetrievalEngine:
             for key, faults in events.items():
                 outcomes[key].degraded = True
                 for event in faults:
-                    stats.record_degraded(event)
+                    stats.degraded[event] += 1
 
-        # Phase 6 — write-backs, grouped into one pipelined command per
-        # owner (amortized).
+        # Phase 6 — write-backs: one pipelined command per owner.
         if write_backs:
             commands = _per_server(WriteBackMulti, write_backs)
             answers = yield commands
@@ -715,7 +714,7 @@ class RetrievalEngine:
                     # Recorded, never fatal: the values were served already;
                     # the next fetch of these keys just misses again.
                     for key, _ in command.items:
-                        stats.record_degraded("writeback")
+                        stats.degraded["writeback"] += 1
                         outcomes[key].degraded = True
         return outcomes
 

@@ -1,10 +1,11 @@
 """Pipelined asyncio memcached client (the web server's view of one node).
 
 Speaks the same text protocol as :mod:`repro.net.server` — and therefore as
-real memcached for the standard commands.  Adds the two digest calls of
-Section V-A3 as first-class methods: :meth:`snapshot_digest` and
-:meth:`fetch_digest`, which a transition coordinator uses to broadcast
-digests to web servers.
+real memcached for the standard commands but ``gets``/``cas``: nothing here
+reads a cas id or flags, so a get-family reply is framed straight into
+``{key: value}``.  Adds the two digest calls of Section V-A3 as
+first-class methods: :meth:`snapshot_digest` and :meth:`fetch_digest`,
+which a transition coordinator uses to broadcast digests to web servers.
 
 **Transport.**  One TCP connection carries many in-flight commands: each
 command appends its reply shape to the incremental
@@ -49,14 +50,12 @@ from __future__ import annotations
 import asyncio
 import socket
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.bloom.bloom import BloomFilter
 from repro.errors import ClientOverloadError, ProtocolError, TransportError
 from repro.net import protocol as proto
 from repro.net.parser import (
-    CAS_TOKENS,
     DELETE_TOKENS,
     Desync,
     ErrorLine,
@@ -67,7 +66,6 @@ from repro.net.parser import (
     STORE_TOKENS,
     StatsReply,
     TOUCH_TOKENS,
-    ValueItem,
     ValuesReply,
     arith_token,
     version_token,
@@ -75,14 +73,6 @@ from repro.net.parser import (
 
 #: close() must never hang on a blackholed peer even with timeout=None
 CLOSE_TIMEOUT = 5.0
-
-
-@dataclass(frozen=True)
-class CasValue:
-    """A value paired with its cas unique id (the ``gets`` reply)."""
-
-    value: bytes
-    cas: int
 
 
 class _ClientProtocol(asyncio.Protocol):
@@ -525,7 +515,7 @@ class MemcachedClient:
         """Escape hatch: write *payload* as one command and parse its
         reply with *shape* — for protocol surfaces the client does not
         wrap (``replace``, ``stats slabs``, protocol tests).  Returns the
-        shape's result (line bytes, :class:`ValueItem` list, or stats
+        shape's result (line bytes, ``{key: value}`` dict, or stats
         dict); complete error replies raise
         :class:`~repro.errors.ProtocolError` without poisoning."""
         return await self._exchange(shape, payload)
@@ -535,10 +525,10 @@ class MemcachedClient:
     async def get(self, key: str) -> Optional[bytes]:
         """Value for *key*, or ``None`` on miss."""
         proto.validate_key(key)
-        items = await self._exchange(
+        values = await self._exchange(
             ValuesReply(), f"get {key}\r\n".encode("utf-8")
         )
-        return items[-1].value if items else None
+        return values.get(key)
 
     async def set(
         self, key: str, value: bytes, flags: int = 0, exptime: int = 0
@@ -570,11 +560,10 @@ class MemcachedClient:
         if not key_list:
             return {}
         proto.validate_keys(key_list)
-        items = await self._exchange(
+        return await self._exchange(
             ValuesReply(),
             ("get " + " ".join(key_list) + "\r\n").encode("utf-8"),
         )
-        return {item.key: item.value for item in items}
 
     async def get_many(self, keys) -> List[Optional[bytes]]:
         """Pipelined single-key gets: one command per key, all coalesced
@@ -595,7 +584,7 @@ class MemcachedClient:
         )
         shapes = [ValuesReply()] * len(key_list)
         replies = await self._exchange_many(shapes, payload)
-        return [items[-1].value if items else None for items in replies]
+        return [values.get(key) for key, values in zip(key_list, replies)]
 
     async def set_multi(
         self, items, flags: int = 0, exptime: int = 0, verb: str = "set"
@@ -621,32 +610,6 @@ class MemcachedClient:
         shapes = [LineReply(STORE_TOKENS)] * len(pairs)
         replies = await self._exchange_many(shapes, payload)
         return sum(reply == b"STORED" for reply in replies)
-
-    async def gets(self, key: str) -> Optional["CasValue"]:
-        """Value plus its cas unique id, or ``None`` on miss."""
-        proto.validate_key(key)
-        items = await self._exchange(
-            ValuesReply(), f"gets {key}\r\n".encode("utf-8")
-        )
-        if not items:
-            return None
-        item = items[-1]
-        return CasValue(value=item.value, cas=item.cas or 0)
-
-    async def cas(
-        self, key: str, value: bytes, cas: int, flags: int = 0, exptime: int = 0
-    ) -> str:
-        """Compare-and-swap; returns ``stored``, ``exists`` or ``not_found``."""
-        proto.validate_key(key)
-        header = (
-            f"cas {key} {flags} {exptime} {len(value)} {cas}\r\n"
-        ).encode("utf-8")
-        reply = await self._exchange(
-            LineReply(CAS_TOKENS), header + value + proto.CRLF
-        )
-        table = {b"STORED": "stored", b"EXISTS": "exists",
-                 b"NOT_FOUND": "not_found"}
-        return table[reply]
 
     async def _concat(self, verb: str, key: str, value: bytes) -> bool:
         proto.validate_key(key)

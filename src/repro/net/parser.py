@@ -15,11 +15,13 @@ Two directions:
   server bytes against the head shape and emits one result per completed
   reply, in order.  A chunk is framed where it arrived — only the tail of
   an incomplete frame is copied into the parser's buffer — and a ``VALUE``
-  block costs one strict, bounded header match, one slice and one
-  :class:`ValueItem`.  A reply that cannot belong to the expected shape
-  raises :class:`Desync`: the stream position is unknown from that byte
-  on, and the connection owner must poison the transport rather than pair
-  a later line with a queued command.  Complete
+  block costs one strict, bounded header match, one slice and one entry
+  in the reply's ``{key: value}`` dict (flags and cas ids are checked,
+  not kept: nothing on the client reads them).  A reply that cannot
+  belong to the expected shape raises :class:`Desync`: the stream
+  position is unknown from that byte on, and the connection owner must
+  poison the transport rather than pair a later line with a queued
+  command.  Complete
   ``ERROR``/``CLIENT_ERROR``/``SERVER_ERROR`` lines are *not* desyncs —
   the stream stays framed — and surface as :class:`ErrorLine` results so
   the caller can raise without dropping the connection.
@@ -41,7 +43,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.errors import ProtocolError, ServerBusyError
 from repro.net import protocol as proto
@@ -54,7 +56,6 @@ __all__ = [
     "LineReply",
     "ReplyParser",
     "StatsReply",
-    "ValueItem",
     "ValuesReply",
 ]
 
@@ -114,20 +115,6 @@ class ErrorLine:
         raise ProtocolError(text)
 
 
-@dataclass(slots=True)
-class ValueItem:
-    """One ``VALUE`` block of a retrieval reply.
-
-    Not frozen: one is built per VALUE block on the client's reply hot
-    path, and a frozen dataclass pays ``object.__setattr__`` per field.
-    """
-
-    key: str
-    flags: int
-    value: bytes
-    cas: Optional[int] = None
-
-
 class LineReply:
     """Expect exactly one reply line.
 
@@ -145,7 +132,9 @@ class LineReply:
 
 
 class ValuesReply:
-    """Expect ``VALUE`` blocks terminated by ``END`` (get/gets family)."""
+    """Expect ``VALUE`` blocks terminated by ``END`` (get/gets family);
+    the result is ``{key: value}`` (of duplicate keys the last block
+    wins)."""
 
     __slots__ = ()
 
@@ -157,7 +146,7 @@ class StatsReply:
 
 
 ReplyShape = Union[LineReply, ValuesReply, StatsReply]
-ReplyResult = Union[bytes, ErrorLine, List[ValueItem], dict]
+ReplyResult = Union[bytes, ErrorLine, dict]
 
 
 def _tokens(*words: bytes) -> Callable[[bytes], bool]:
@@ -183,7 +172,7 @@ class ReplyParser:
         self._shapes: Deque[ReplyShape] = deque()
         self._dead = False        # a Desync happened; nothing more comes out
         # in-progress multi-frame reply state
-        self._items: List[ValueItem] = []
+        self._values: Dict[str, bytes] = {}
         self._stats: dict = {}
 
     def expect(self, shape: ReplyShape) -> None:
@@ -286,13 +275,13 @@ class ReplyParser:
         return line
 
     def _step_values(self, src: bytes) -> Optional[ReplyResult]:
-        pos, items, size = self._pos, self._items, len(src)
+        pos, values, size = self._pos, self._values, len(src)
         direct = type(src) is bytes  # else the buffer: copy slices out
         # Well-formed blocks: one header match each, on a local cursor.
         header = _VALUE_HEADER(src, pos)
         try:
             while header is not None:
-                key, flags, count, cas = header.groups()
+                key, count = header.group(1, 3)
                 start = header.end()
                 end = start + int(count)
                 if end + 2 > size:
@@ -302,11 +291,9 @@ class ReplyParser:
                         f"value of {int(count)} bytes not terminated by CRLF"
                     )
                 value = src[start:end]
-                items.append(ValueItem(
-                    key.decode("utf-8"), int(flags),
-                    value if direct else bytes(value),
-                    None if cas is None else int(cas),
-                ))
+                values[key.decode("utf-8")] = (
+                    value if direct else bytes(value)
+                )
                 pos = end + 2
                 header = _VALUE_HEADER(src, pos)
         except UnicodeDecodeError:
@@ -321,12 +308,12 @@ class ReplyParser:
         if line is None:
             return None
         if line == b"END":
-            self._items = []
-            return items
+            self._values = {}
+            return values
         if line.startswith(ERROR_PREFIXES):
             # A complete error reply; whatever VALUE blocks preceded
             # it belonged to this same (failed) command.
-            self._items = []
+            self._values = {}
             return ErrorLine(line)
         if line.startswith(b"VALUE "):
             raise Desync(f"malformed VALUE line: {line!r}")
@@ -449,7 +436,6 @@ class CommandParser:
 # Shared reply-token validators (the per-command contracts the old
 # readline client enforced inline).
 STORE_TOKENS = _tokens(b"STORED", b"NOT_STORED")
-CAS_TOKENS = _tokens(b"STORED", b"EXISTS", b"NOT_FOUND")
 TOUCH_TOKENS = _tokens(b"TOUCHED", b"NOT_FOUND")
 DELETE_TOKENS = _tokens(b"DELETED", b"NOT_FOUND")
 OK_TOKENS = _tokens(b"OK")

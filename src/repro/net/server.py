@@ -186,27 +186,34 @@ class MemcachedServer:
         return proto.error_response()
 
     def _do_get(self, request: proto.Request) -> bytes:
-        now = self._clock()
-        store = self.store
-        get, peek, render = store.get, store.peek, proto.value_response
-        cas_ids = self._cas.get if request.command == "gets" else None
+        keys = request.keys
+        reserved = proto.RESERVED_KEYS
+        # One store call for the lookups; the reserved keys are no lookups.
+        hits = self.store.get_many(
+            keys if reserved.isdisjoint(keys)
+            else [key for key in keys if key not in reserved],
+            self._clock(),
+        )
+        cas_ids = self._cas if request.command == "gets" else {}
         chunks = []
-        for key in request.keys:
-            if key in proto.RESERVED_KEYS:
-                if key == proto.KEY_SNAPSHOT:
-                    # Snapshot the digest, acknowledge with a 1-byte value
-                    # so stock clients see a normal hit.
-                    self.take_snapshot()
-                    chunks.append(render(key, 0, b"1"))
-                elif self._snapshot is not None:
-                    chunks.append(render(key, 0, self._snapshot))
+        for key in keys:
+            item = hits.get(key)
+            if item is not None:
+                flags, value = item.flags, item.value
+            elif key == proto.KEY_SNAPSHOT:
+                # Snapshot the digest, acknowledge with a 1-byte value so
+                # stock clients see a normal hit.
+                self.take_snapshot()
+                flags, value = 0, b"1"
+            elif key == proto.KEY_FETCH_DIGEST and self._snapshot is not None:
+                flags, value = 0, self._snapshot
+            else:
                 continue
-            value = get(key, now)
-            if value is not None:
-                chunks.append(render(
-                    key, peek(key).flags, value,
-                    None if cas_ids is None else cas_ids(key),
-                ))
+            cas = cas_ids.get(key)
+            chunks.append(b"VALUE %s %d %d%s\r\n%s\r\n" % (
+                key.encode("utf-8"), flags, len(value),
+                b"" if cas is None else b" %d" % cas, value,
+            ))
         chunks.append(proto.END)
         return b"".join(chunks)
 

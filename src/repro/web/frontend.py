@@ -190,12 +190,7 @@ class WebServer:
                 self.engine.armor.loads.observe_latency(
                     command.server_id, clock - asked
                 )
-            hits = {}
-            for key in command.keys:
-                value = server.get(key, clock)
-                if value is not None:
-                    hits[key] = value
-            return hits, clock
+            return server.get_many(command.keys, clock), clock
         if isinstance(command, WaitForLeader):
             leader_done = self._leaders.leader_done(command.key, clock)
             if leader_done is None:

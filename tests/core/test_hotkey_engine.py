@@ -95,6 +95,18 @@ class TestScalarArmor:
         assert len(driver.trace) == trace_len  # zero commands issued
         assert engine.stats.counts["hit_local"] == 1
 
+    def test_a_cache_hit_is_admitted_locally_too(self):
+        # A hit at the key's one owner has nothing to write back, but it
+        # still goes through the settle pass: that is where armor admits.
+        engine = RetrievalEngine(ROUTER, config=RetrievalConfig(**ARMORED))
+        driver = DictDriver(stores={ROUTER.route("k", 3): {"k": "cached"}})
+        first = driver.one(engine, "k", STEADY, now=0.0)
+        assert first.path is FetchPath.HIT_NEW
+        trace_len = len(driver.trace)
+        second = driver.one(engine, "k", STEADY, now=0.5)
+        assert (second.path, second.value) == (FetchPath.HIT_LOCAL, "cached")
+        assert len(driver.trace) == trace_len
+
     def test_ttl_bounds_local_staleness(self):
         engine = RetrievalEngine(ROUTER, config=RetrievalConfig(**ARMORED))
         driver = DictDriver(db={"k": "v"})

@@ -236,7 +236,7 @@ class TestUnreplicatedPaths:
 
     def test_stats_labels_match_wire_names(self):
         stats = FetchStats()
-        stats.record(FetchPath.HIT_NEW)
+        stats.counts[FetchPath.HIT_NEW] += 1
         # str mix-in: members compare and hash like their labels.
         assert FetchPath.HIT_NEW == "hit_new"
         assert stats.counts["hit_new"] == 1

@@ -162,12 +162,12 @@ class TestSlowReader:
 class TestInflightAlwaysReturns:
     def test_a_dispatch_that_raises_drops_the_connection_not_the_count(self):
         async def body(server, reader, writer):
-            def broken_store(key, now):
+            def broken_store(keys, now):
                 raise RuntimeError("a bug in the store")
 
             writer.write(b"set k 0 0 1\r\nv\r\n")
             assert await reader.readline() == b"STORED\r\n"
-            server.store.get = broken_store
+            server.store.get_many = broken_store
             writer.write(b"get k\r\n")
             assert await asyncio.wait_for(reader.read(), 5) == b""
             assert server.inflight == 0

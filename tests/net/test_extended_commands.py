@@ -1,4 +1,6 @@
-"""Live TCP tests for the extended memcached commands."""
+"""Tests for the extended memcached commands: live TCP, and ``gets`` /
+``cas`` — which the server speaks and the client does not — as bytes on
+the server's connection seam."""
 
 import asyncio
 
@@ -8,8 +10,9 @@ from repro.bloom.config import optimal_config
 from repro.errors import ProtocolError
 from repro.net import protocol as proto
 from repro.net.client import MemcachedClient
-from repro.net.parser import StatsReply
+from repro.net.parser import LineReply, StatsReply
 from repro.net.server import MemcachedServer
+from tests.net.test_server_connection import connect
 
 CFG = optimal_config(2000)
 
@@ -29,48 +32,77 @@ async def with_server(test_body, **server_kwargs):
         await server.stop()
 
 
+def over_bytes(test_body):
+    """Run ``test_body(send)`` on a listening server's connection seam:
+    ``send(chunk)`` returns the one write that answers *chunk*."""
+    async def main():
+        server = MemcachedServer(bloom_config=CFG)
+        await server.start()
+        try:
+            connection, transport = connect(server)
+
+            def send(chunk):
+                connection.data_received(chunk)
+                return transport.writes.pop()
+
+            test_body(send)
+        finally:
+            await server.stop()
+
+    run(main())
+
+
+def gets(send, key):
+    """``(value, cas id)`` of a ``gets`` hit."""
+    header, value, end = send(b"gets %s\r\n" % key).split(b"\r\n", 2)
+    assert header.startswith(b"VALUE %s 0 " % key) and end == b"END\r\n"
+    return value, int(header.split(b" ")[4])
+
+
 class TestCas:
     def test_gets_returns_cas_id(self):
-        async def body(server, client):
-            await client.set("k", b"v1")
-            first = await client.gets("k")
-            assert first.value == b"v1"
-            await client.set("k", b"v2")
-            second = await client.gets("k")
-            assert second.cas > first.cas
+        def body(send):
+            assert send(b"set k 0 0 2\r\nv1\r\n") == b"STORED\r\n"
+            value, first = gets(send, b"k")
+            assert value == b"v1"
+            send(b"set k 0 0 2\r\nv2\r\n")
+            value, second = gets(send, b"k")
+            assert value == b"v2" and second > first
 
-        run(with_server(body))
+        over_bytes(body)
 
     def test_cas_succeeds_when_unchanged(self):
-        async def body(server, client):
-            await client.set("k", b"v1")
-            token = await client.gets("k")
-            assert await client.cas("k", b"v2", token.cas) == "stored"
-            assert await client.get("k") == b"v2"
+        def body(send):
+            send(b"set k 0 0 2\r\nv1\r\n")
+            _, token = gets(send, b"k")
+            assert send(b"cas k 0 0 2 %d\r\nv2\r\n" % token) == b"STORED\r\n"
+            assert send(b"get k\r\n") == b"VALUE k 0 2\r\nv2\r\nEND\r\n"
 
-        run(with_server(body))
+        over_bytes(body)
 
     def test_cas_fails_after_concurrent_write(self):
-        async def body(server, client):
-            await client.set("k", b"v1")
-            token = await client.gets("k")
-            await client.set("k", b"intervening")
-            assert await client.cas("k", b"v2", token.cas) == "exists"
-            assert await client.get("k") == b"intervening"
+        def body(send):
+            send(b"set k 0 0 2\r\nv1\r\n")
+            _, token = gets(send, b"k")
+            send(b"set k 0 0 11\r\nintervening\r\n")
+            assert send(b"cas k 0 0 2 %d\r\nv2\r\n" % token) == b"EXISTS\r\n"
+            assert send(b"get k\r\n") == (
+                b"VALUE k 0 11\r\nintervening\r\nEND\r\n"
+            )
 
-        run(with_server(body))
+        over_bytes(body)
 
     def test_cas_on_missing_key(self):
-        async def body(server, client):
-            assert await client.cas("ghost", b"v", 1) == "not_found"
+        def body(send):
+            assert send(b"cas ghost 0 0 1 1\r\nv\r\n") == b"NOT_FOUND\r\n"
 
-        run(with_server(body))
+        over_bytes(body)
 
     def test_gets_miss_returns_none(self):
-        async def body(server, client):
-            assert await client.gets("missing") is None
+        def body(send):
+            assert send(b"gets missing\r\n") == b"END\r\n"
 
-        run(with_server(body))
+        over_bytes(body)
 
 
 class TestConcat:
@@ -233,9 +265,12 @@ class TestCasBookkeeping:
             assert len(server._cas) == len(server.store)
             assert await client.delete("key:9999")
             assert len(server._cas) == len(server.store) == 999
-            # gets/cas still see a live id for what is resident.
-            token = await client.gets("key:9998")
-            assert await client.cas("key:9998", b"new", token.cas) == "stored"
+            # cas still sees a live id for what is resident.
+            reply = await client.execute(
+                b"cas key:9998 0 0 3 %d\r\nnew\r\n" % server._cas["key:9998"],
+                LineReply(),
+            )
+            assert reply == b"STORED"
             await client.flush_all()
             assert len(server._cas) == len(server.store) == 0
 

@@ -48,23 +48,31 @@ class TestReplyParser:
         parser.expect(ValuesReply())
         payload = b"a\r\nb\r\nc"
         wire = b"VALUE k 7 %d\r\n%s\r\nEND\r\n" % (len(payload), payload)
-        [items] = feed_bytewise(parser, wire)
-        assert len(items) == 1
-        assert items[0].key == "k"
-        assert items[0].flags == 7
-        assert items[0].value == payload
-        assert items[0].cas is None
+        assert feed_bytewise(parser, wire) == [{"k": payload}]
 
-    def test_gets_reply_carries_cas(self):
+    def test_a_gets_reply_frames_like_a_get_reply(self):
+        # the cas token is matched as strictly as the other numbers, and
+        # dropped with the flags: the reply is {key: value} either way
         parser = ReplyParser()
         parser.expect(ValuesReply())
-        [items] = parser.feed(b"VALUE k 0 1 42\r\nx\r\nEND\r\n")
-        assert items[0].cas == 42
+        parser.expect(ValuesReply())
+        assert parser.feed(
+            b"VALUE k 0 1 42\r\nx\r\nEND\r\nVALUE k 9 1\r\nx\r\nEND\r\n"
+        ) == [{"k": b"x"}, {"k": b"x"}]
 
     def test_empty_values_reply(self):
         parser = ReplyParser()
         parser.expect(ValuesReply())
-        assert parser.feed(b"END\r\n") == [[]]
+        assert parser.feed(b"END\r\n") == [{}]
+
+    def test_a_repeated_key_keeps_its_last_block(self):
+        parser = ReplyParser()
+        parser.expect(ValuesReply())
+        [values] = parser.feed(
+            b"VALUE a 0 1\r\n1\r\nVALUE b 0 1\r\n2\r\n"
+            b"VALUE a 0 1\r\n3\r\nEND\r\n"
+        )
+        assert values == {"a": b"3", "b": b"2"}
 
     def test_many_pipelined_replies_in_one_chunk(self):
         parser = ReplyParser()
@@ -74,7 +82,7 @@ class TestReplyParser:
         wire = b"STORED\r\nSTORED\r\nNOT_STORED\r\nVALUE k 0 1\r\nv\r\nEND\r\n"
         out = parser.feed(wire)
         assert out[:3] == [b"STORED", b"STORED", b"NOT_STORED"]
-        assert out[3][0].value == b"v"
+        assert out[3] == {"k": b"v"}
 
     def test_reply_split_at_every_boundary(self):
         wire = b"VALUE key 5 4\r\nwxyz\r\nEND\r\n"
@@ -84,7 +92,7 @@ class TestReplyParser:
             out = parser.feed(wire[:split])
             out += parser.feed(wire[split:])
             assert len(out) == 1, f"split at {split}"
-            assert out[0][0].value == b"wxyz"
+            assert out[0] == {"key": b"wxyz"}
 
     def test_stats_reply(self):
         parser = ReplyParser()
@@ -134,8 +142,7 @@ class TestReplyParser:
         parser.expect(ValuesReply())
         with pytest.raises(Desync) as info:
             parser.feed(b"VALUE k 0 2\r\nv0\r\nEND\r\nWAT 42\r\n")
-        [items] = info.value.results
-        assert items[0].value == b"v0"
+        assert info.value.results == [{"k": b"v0"}]
         # and the parser stays dead afterwards
         with pytest.raises(Desync):
             parser.feed(b"END\r\n")
@@ -201,7 +208,7 @@ class TestReplyParser:
             parser.expect(ValuesReply())
             failed, empty = feed(parser, wire)
             assert failed == ErrorLine(b"SERVER_ERROR out of memory")
-            assert empty == []  # the failed command's blocks went with it
+            assert empty == {}  # the failed command's blocks went with it
             assert parser.pending == 0 and parser.buffered == 0
 
     def test_a_partial_block_is_not_rescanned(self):
@@ -215,8 +222,7 @@ class TestReplyParser:
         for start in range(0, len(wire), 1000):
             out += parser.feed(wire[start:start + 1000])
             assert parser._scan == 0 or out
-        [[item]] = out
-        assert item.value == value and parser.buffered == 0
+        assert out == [{"k": value}] and parser.buffered == 0
 
     def test_only_the_tail_is_buffered_and_the_chunk_is_not_mutated(self):
         parser = ReplyParser()
@@ -224,12 +230,12 @@ class TestReplyParser:
         parser.expect(ValuesReply())
         chunk = bytearray(b"VALUE k 0 2\r\nv0\r\nEND\r\nVALUE k 0 2\r\nv")
         before = bytes(chunk)
-        [[item]] = parser.feed(chunk)
+        [values] = parser.feed(chunk)
         assert chunk == before
-        assert type(item.value) is bytes and item.value == b"v0"
+        assert type(values["k"]) is bytes and values == {"k": b"v0"}
         assert parser.buffered == len(b"VALUE k 0 2\r\nv")
-        [[item]] = parser.feed(b"1\r\nEND\r\n")
-        assert type(item.value) is bytes and item.value == b"v1"
+        [values] = parser.feed(b"1\r\nEND\r\n")
+        assert type(values["k"]) is bytes and values == {"k": b"v1"}
         assert parser.buffered == 0
 
     @pytest.mark.parametrize("shape", [LineReply(), ValuesReply(),

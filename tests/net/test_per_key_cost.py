@@ -1,12 +1,15 @@
 """What one key of a multiget costs each layer, in interpreted frames.
 
 A 64-key page crosses five per-key loops — batch hashing, the engine's
-settle, key validation, the server's ``get`` loop and the client's reply
-framing — and in each of them a Python-level call per key is most of the
-cost.  This gate counts them the machine-independent way: ``call`` events
-under ``sys.setprofile`` (a call into C is a ``c_call`` and does not
-count; resuming a generator does).  The bounds are what the code does
-today; a bound that fails names the layer that grew a frame per key.
+probe loop, key validation, the server's ``get`` loop and the client's
+reply framing — and in each of them a Python-level call per key is most
+of the cost.  This gate counts them the machine-independent way: ``call``
+events under ``sys.setprofile`` (a call into C is a ``c_call`` and does
+not count; resuming a generator does).  Only the engine still enters a
+frame per key, its ``FetchResult``, so there the gate also counts the
+lines a hit executes (``line`` events under ``sys.settrace``).  The
+bounds are what the code does today; a bound that fails names the layer
+that grew per-key work.
 """
 
 import asyncio
@@ -14,6 +17,7 @@ import gc
 import sys
 
 from repro.bloom.config import optimal_config
+from repro.core import retrieval
 from repro.core.retrieval import ProbeCacheMulti, RetrievalEngine
 from repro.core.router import ProteusRouter
 from repro.core.transition import RoutingEpochs
@@ -47,26 +51,49 @@ def python_calls(function, *args):
     return calls, result
 
 
-def test_reply_framing_is_one_frame_per_block():
-    # feed + _step_values + the END line, and one ValueItem per block
-    # (three frames per block before the header match replaced them).
+def engine_lines(function, *args):
+    """``(lines, result)``: line events in ``core/retrieval.py`` while
+    *function* ran."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename == retrieval.__file__ else None
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(scope)
+    try:
+        result = function(*args)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return lines, result
+
+
+def test_reply_framing_enters_no_frame_per_block():
+    # feed, _step_values and the END line: a block is one header match,
+    # one slice and one store into the reply's dict.
     def framed(blocks):
         parser = ReplyParser()
         parser.expect(ValuesReply())
         wire = b"".join(
             b"VALUE %s 0 5\r\nvalue\r\n" % key.encode() for key in KEYS[:blocks]
         ) + b"END\r\n"
-        calls, [items] = python_calls(parser.feed, wire)
-        assert [item.key for item in items] == KEYS[:blocks]
+        calls, [values] = python_calls(parser.feed, wire)
+        assert list(values) == KEYS[:blocks]
         return calls
 
-    assert framed(21) <= 21 + 4
-    assert framed(64) - framed(21) == 64 - 21
+    assert framed(21) <= 4
+    assert framed(64) == framed(21)
 
 
-def test_the_servers_get_loop_is_three_frames_per_key():
-    # store.get, peek and value_response (eight before: validate_key,
-    # expired, touch, on_access and record_get had frames of their own).
+def test_the_servers_get_loop_enters_no_frame_per_key():
+    # One store.get_many call for the request and one % format per hit.
     async def main():
         server = MemcachedServer(bloom_config=optimal_config(500))
         await server.start()
@@ -85,8 +112,8 @@ def test_the_servers_get_loop_is_three_frames_per_key():
         return counts
 
     counts = asyncio.run(main())
-    assert counts[21] <= 3 * 21 + 16
-    assert counts[64] - counts[21] == 3 * (64 - 21)
+    assert counts[21] <= 16
+    assert counts[64] == counts[21]
 
 
 def test_the_clients_multiget_costs_the_same_frames_for_any_key_count():
@@ -121,9 +148,12 @@ def test_the_clients_multiget_costs_the_same_frames_for_any_key_count():
 
 
 #: Python frames of ``retrieve_many`` over 64 keys that all hit at their
-#: owners, driven by hand — as counted at this file's parent commit (two
-#: per key: a resumed hashing generator and the ``FetchResult``)
-RETRIEVE_64_HITS_AT_PARENT = 154
+#: owners, driven by hand (one per key: its ``FetchResult``)
+RETRIEVE_64_HITS_AT_PARENT = 92
+#: lines of ``core/retrieval.py`` a hit key executes: grouping into its
+#: server's multiget, the probe, and landing as its ``FetchResult`` — a
+#: hit at a one-owner plan never reaches the settle pass
+RETRIEVE_LINES_PER_HIT = 12
 
 
 def test_an_all_hit_batch_enters_no_more_frames_than_it_did():
@@ -147,3 +177,7 @@ def test_an_all_hit_batch_enters_no_more_frames_than_it_did():
     assert [r.path for r in results.values()] == ["hit_new"] * 64
     assert calls <= RETRIEVE_64_HITS_AT_PARENT
     assert calls - half == 32  # what is left per key: its FetchResult
+    half, _ = engine_lines(fetch, KEYS[:32])
+    lines, again = engine_lines(fetch, KEYS)
+    assert again == results
+    assert lines - half <= RETRIEVE_LINES_PER_HIT * 32

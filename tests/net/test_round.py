@@ -194,7 +194,7 @@ class TestWhatACoroutineYieldsIsForwarded:
             GatedClient.gate = asyncio.get_running_loop().create_future()
             monkeypatch.setattr(
                 "repro.net.pool.MemcachedClient",
-                lambda *args, **kwargs: GatedClient([]),
+                lambda *args, **kwargs: GatedClient({}),
             )
             transport, _, _ = make()
             pool = transport.pools[0] = ConnectionPool("127.0.0.1", 1, size=1)

@@ -10,7 +10,7 @@ and nothing sleeps.
 
 import asyncio
 
-from repro.bloom.config import optimal_config
+from repro.bloom.config import BloomConfig, optimal_config
 from repro.net import protocol as proto
 from repro.net.parser import MAX_LINE_LENGTH
 from repro.net.server import MemcachedServer, ServerConnection
@@ -288,3 +288,57 @@ class TestStoreOverCapacity:
             assert transport.calls == [] and server.inflight == 0
 
         drive(body, capacity_bytes=8)
+
+
+class TestGoldenGetReplies:
+    """``_do_get``'s wire bytes, pinned: each reply below was recorded from
+    the per-key server loop that ``KeyValueStore.get_many`` replaced."""
+
+    #: an 8-byte digest, so the ``BLOOM_FILTER`` value fits on a line
+    TINY = BloomConfig(num_counters=64, counter_bits=4, num_hashes=2,
+                       kappa=8, fp_bound=0.0, fn_bound=0.0)
+    DIGEST = b"VALUE BLOOM_FILTER 0 8\r\n\x00\x04\x00\x00\x04 \x04\xa0\r\n"
+    A, B = b"VALUE a 5 3\r\nabc\r\n", b"VALUE b 0 2\r\nhi\r\n"
+    #: (server clock, request chunk, the one write that answers it); "exp"
+    #: expires at 5, "future" is created at 10 and read at 6 first
+    SCRIPT = [
+        (0.0, b"set a 5 0 3\r\nabc\r\n", b"STORED\r\n"),
+        (0.0, b"set b 0 0 2\r\nhi\r\n", b"STORED\r\n"),
+        (0.0, b"set exp 0 5 1\r\nx\r\n", b"STORED\r\n"),
+        (10.0, b"set future 7 0 1\r\nf\r\n", b"STORED\r\n"),
+        (6.0, b"get a b missing a\r\n", A + B + A + b"END\r\n"),
+        (6.0, b"get exp future a\r\n", A + b"END\r\n"),
+        (6.0, b"get exp\r\n", b"END\r\n"),
+        (6.0, b"get BLOOM_FILTER a\r\n", A + b"END\r\n"),
+        (6.0, b"get SET_BLOOM_FILTER a BLOOM_FILTER\r\n",
+         b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\n" + A + DIGEST + b"END\r\n"),
+        (6.0, b"gets a b missing a BLOOM_FILTER\r\n",
+         b"VALUE a 5 3 1\r\nabc\r\nVALUE b 0 2 2\r\nhi\r\n"
+         b"VALUE a 5 3 1\r\nabc\r\n" + DIGEST + b"END\r\n"),
+        (6.0, b"gets future SET_BLOOM_FILTER\r\n",
+         b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\nEND\r\n"),
+        (16.0, b"get future exp b\r\nget b\r\ngets future\r\n",
+         b"VALUE future 7 1\r\nf\r\n" + B + b"END\r\n" + B + b"END\r\n"
+         b"VALUE future 7 1 4\r\nf\r\nEND\r\n"),
+    ]
+
+    def test_replies_match_the_recorded_bytes(self):
+        async def main():
+            server = MemcachedServer(bloom_config=self.TINY)
+            clock = [0.0]
+            server._clock = lambda: clock[0]
+            await server.start()
+            try:
+                connection, transport = connect(server)
+                for at, request, reply in self.SCRIPT:
+                    clock[0] = at
+                    connection.data_received(request)
+                    assert transport.writes.pop() == reply, request
+                stats = server.store.stats
+                # the reserved keys are no lookups; "exp" expired once
+                assert (stats.gets, stats.hits, stats.misses,
+                        stats.expirations) == (20, 13, 7, 1)
+            finally:
+                await server.stop()
+
+        asyncio.run(main())

@@ -26,6 +26,7 @@ from repro.errors import (
     DigestBroadcastError,
     TransportError,
 )
+from repro.net import protocol as proto
 from repro.net.transport import CacheTransport
 from repro.net.webtier import AsyncProteusFrontend
 from repro.resilience import ResiliencePolicy
@@ -149,9 +150,9 @@ class TestSetAndDigestRideTheSameArmor:
 
     def test_digest_retries_snapshot_and_fetch_as_a_unit(self):
         async def body():
-            ack = [type("Item", (), {"key": "k", "value": b"OK"})]
+            ack = {proto.KEY_SNAPSHOT: b"1"}
             bits = CFG.build().snapshot().to_bytes()
-            payload = [type("Item", (), {"key": "k", "value": bits})]
+            payload = {proto.KEY_FETCH_DIGEST: bits}
             transport, pool, client = make(
                 ack, TransportError("reset"), ack, payload
             )

@@ -66,7 +66,8 @@ class Stream:
 
 
 def reference_header(line):
-    """``(key, flags, bytes, cas)`` of a strict ``VALUE`` line."""
+    """``(key, bytes)`` of a strict ``VALUE`` line (flags and a cas unique
+    must be well-formed, and are dropped)."""
     if not line.endswith(b"\r\n"):
         raise Fault("bare newline")
     parts = line[:-2].split(b" ")
@@ -82,8 +83,7 @@ def reference_header(line):
         key = key.decode("utf-8")
     except UnicodeDecodeError:
         raise Fault("key")
-    flags, count, *cas = map(int, numbers)
-    return key, flags, count, cas[0] if cas else None
+    return key, int(numbers[1])
 
 
 def reference_reply(stream, shape):
@@ -95,19 +95,19 @@ def reference_reply(stream, shape):
         if not shape.validator(line):
             raise Fault("not this command's reply")
         return line
-    items = []
+    values = {}
     while True:
         line = stream.readline()
         if line.startswith(b"VALUE "):
-            key, flags, count, cas = reference_header(line)
+            key, count = reference_header(line)
             block = stream.read(count + 2)
             if not block.endswith(b"\r\n"):
                 raise Fault("unterminated block")
-            items.append((key, flags, block[:-2], cas))
+            values[key] = block[:-2]
             continue
         line = line[:-2] if line.endswith(b"\r\n") else line[:-1]
         if line == b"END":
-            return items
+            return values
         if line.startswith(ERROR_PREFIXES):
             return ErrorLine(line)
         raise Fault("garbage")
@@ -182,11 +182,6 @@ def parsed_replies(shapes, chunks):
             results += fault.results
             desynced = True
             break
-    results = [
-        [(i.key, i.flags, i.value, i.cas) for i in result]
-        if isinstance(result, list) else result
-        for result in results
-    ]
     return results, desynced, parser
 
 

@@ -2,7 +2,9 @@
 
 This is the invariant the whole smooth-transition design rests on
 (Section IV-A): the digest answers membership for exactly the store's
-current keys (modulo hash false positives, never false negatives).
+current keys (modulo hash false positives, never false negatives).  And
+a multiget is only a faster loop: ``KeyValueStore.get_many`` must leave
+what one ``get`` per key leaves.
 """
 
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.bloom.config import BloomConfig
 from repro.cache.server import CacheServer
+from repro.cache.store import KeyValueStore
 
 # Small keys; ops reference keys by index so deletes often hit live items.
 op = st.tuples(
@@ -80,3 +83,86 @@ def test_stats_item_count_matches_store(ops):
             server.delete(key, now=now)
     assert server.stats.items == len(server.store)
     assert server.stats.bytes_stored == server.store.used_bytes
+
+
+# ------------------------------------------- get_many against a get loop
+
+#: (op, key index / indices, time argument); "set" with a positive lead
+#: writes an item created in the future of later reads
+store_op = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 5),
+              st.sampled_from([None, 1.0, 3.0]), st.sampled_from([0.0, 4.0])),
+    st.tuples(st.just("get"), st.lists(st.integers(0, 6), max_size=8),
+              st.none(), st.none()),
+    st.tuples(st.just("touch"), st.integers(0, 5),
+              st.sampled_from([None, 0.5, 6.0]), st.none()),
+    st.tuples(st.just("tick"), st.none(), st.sampled_from([0.5, 2.0]),
+              st.none()),
+)
+
+
+def recorded_store():
+    """A 4-item LRU store and the unlink-hook calls it makes."""
+    store = KeyValueStore(capacity_bytes=4, default_item_size=1)
+    unlinks = []
+    store.unlink_hooks.append(lambda item, reason: unlinks.append(
+        (item.key, item.value, reason)
+    ))
+    return store, unlinks
+
+
+def reference_get(store, key, now):
+    """One key's hit rules, spelled out on the public surface: an expired
+    item is unlinked (``delete`` does it, as an expiry), a future-dated
+    one is invisible, a hit is touched and moves to the LRU tail."""
+    store.stats.gets += 1
+    item = store.peek(key)
+    if item is not None and item.expired(now):
+        store.delete(key, now)
+    elif item is not None and item.created_at <= now:
+        item.touch(now)
+        store.policy.on_access(key)
+        store.stats.hits += 1
+        return item.value
+    store.stats.misses += 1
+    return None
+
+
+@given(ops=st.lists(store_op, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_get_many_is_the_per_key_get_loop(ops):
+    """``get_many(keys, now)``, a ``get`` per key and the spelled-out rules
+    return, count, expire and touch alike — repeated, expired and
+    future-dated keys included."""
+    twins = [recorded_store() for _ in range(3)]
+    (batched, _), (looped, _), (reference, _) = twins
+    now = 0.0
+    for step, (action, keys, arg, lead) in enumerate(ops):
+        if action == "set":
+            for store, _ in twins:
+                store.set(f"k{keys}", step, now=now + lead, ttl=arg)
+        elif action == "touch":
+            expires = None if arg is None else now + arg
+            for store, _ in twins:
+                store.touch(f"k{keys}", now, expires)
+        elif action == "tick":
+            now += arg
+        else:
+            names = [f"k{index}" for index in keys]
+            hits = batched.get_many(names, now)
+            assert set(hits) <= set(names)
+            assert [
+                hits[name].value if name in hits else None for name in names
+            ] == [looped.get(name, now) for name in names] == [
+                reference_get(reference, name, now) for name in names
+            ]
+        assert twins[0][1] == twins[1][1] == twins[2][1]  # unlink hooks
+    for field in ("gets", "hits", "misses", "expirations", "evictions"):
+        assert len({getattr(store.stats, field) for store, _ in twins}) == 1
+    # LRU recency: the same victims, in the same order, from here on —
+    # and the same last access for the "hot" test
+    recency = [
+        [(key, store.peek(key).last_access) for key in store.policy._order]
+        for store, _ in twins
+    ]
+    assert recency[0] == recency[1] == recency[2]

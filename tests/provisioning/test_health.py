@@ -169,10 +169,8 @@ class TestShedSignal:
         stats = FetchStats()
         monitor = ClusterHealthMonitor(1)
         monitor.watch_stats(lambda: stats)
-        for _ in range(3):
-            stats.record(FetchPath.SHED)
-        for _ in range(7):
-            stats.record(FetchPath.MISS_DB)
+        stats.counts[FetchPath.SHED] += 3
+        stats.counts[FetchPath.MISS_DB] += 7
         first = monitor.observe(now=1.0)
         assert first.shed == 3
         assert first.requests == 10

@@ -23,15 +23,15 @@ CEILINGS = {
     "web/frontend.py": 250,
     "net/webtier.py": 363,
     "net/transport.py": 400,
-    "net/parser.py": 475,
-    "net/client.py": 730,
+    "net/parser.py": 450,
+    "net/client.py": 700,
     "experiments/testbed.py": 200,
     "experiments/cluster.py": 325,
     "experiments/autopilot.py": 500,
     "experiments/failover.py": 125,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 14_432
+TREE_CEILING = 14_397
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
