@@ -12,14 +12,14 @@ web server" is `ClusterConfig.load(path).build_frontend(db)`.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.errors import ConfigurationError
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -61,53 +61,22 @@ class ClusterConfig:
         digest: the digest geometry all servers and web tiers share.
         ttl_seconds: the drain-window length.
         replicas: replica rings (Section III-E); 1 = unreplicated.
-        ring_size: consistent-hashing key-space size.
         name: free-form deployment label.
-        hot_key_cache: arm every frontend with the TTL-bounded hot-key
-            cache (sketch-elected keys served locally; invalidated on
-            writes through the frontend).
-        d_choices: power-of-two-choices read fan-in for sketch-elected
-            hot keys on replicated reads; 1 = strict ring order.
         ttl_policy: drain-window sizing policy name (``"fixed"`` keeps
             the paper's constant ``ttl_seconds``; ``"adaptive"`` sizes
-            each window from observed remap-miss decay, clamped to
-            ``[min_ttl_seconds, max_ttl_seconds]``).
-        min_ttl_seconds / max_ttl_seconds: adaptive-policy clamp bounds
-            (ignored by the fixed policy).
-        ttl_target_residual: remap-miss rate fraction the adaptive
-            window may leave alive when it closes.
-        retry_budget_ratio: retries allowed per request (token-bucket
-            :class:`~repro.resilience.RetryBudget`); 0 disables the
-            budget (unbounded retries, the pre-armor behaviour).
-        limiter_window: initial per-cache-server AIMD in-flight window
-            (:class:`~repro.resilience.AdaptiveConcurrencyLimiter`);
-            0 disables per-server limiting.
-        admission_window: initial AIMD window for DB-path admission
-            control (frontends shed excess misses as
-            :attr:`~repro.core.retrieval.FetchPath.SHED`); 0 admits
-            everything.
-        max_inflight_per_conn: per-connection in-flight command window
-            for the saturation fail-fast in
-            :class:`~repro.net.pool.ConnectionPool`; 0 = unbounded.
+            each window from observed remap-miss decay, starting from
+            ``ttl_seconds``).
+
+    The JSON form also carries ``version`` (:data:`CONFIG_VERSION`);
+    loading a file of another version fails.
     """
 
     endpoints: List[Tuple[str, int]]
     digest: DigestGeometry
     ttl_seconds: float = 60.0
     replicas: int = 1
-    ring_size: int = 2 ** 32
     name: str = "proteus"
-    hot_key_cache: bool = False
-    d_choices: int = 1
     ttl_policy: str = "fixed"
-    min_ttl_seconds: float = 5.0
-    max_ttl_seconds: float = 300.0
-    ttl_target_residual: float = 0.05
-    retry_budget_ratio: float = 0.0
-    limiter_window: int = 0
-    admission_window: int = 0
-    max_inflight_per_conn: int = 0
-    version: int = field(default=CONFIG_VERSION)
 
     def __post_init__(self) -> None:
         if not self.endpoints:
@@ -128,42 +97,9 @@ class ClusterConfig:
             )
         if self.replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")
-        if self.ring_size < len(self.endpoints):
-            raise ConfigurationError("ring_size smaller than the fleet")
-        if self.d_choices < 1:
-            raise ConfigurationError(
-                f"d_choices must be >= 1, got {self.d_choices}"
-            )
         from repro.provisioning.ttl import TTL_POLICIES
 
         self.ttl_policy = TTL_POLICIES.check(self.ttl_policy)
-        if self.min_ttl_seconds <= 0 or self.max_ttl_seconds < self.min_ttl_seconds:
-            raise ConfigurationError(
-                "need 0 < min_ttl_seconds <= max_ttl_seconds, got "
-                f"({self.min_ttl_seconds}, {self.max_ttl_seconds})"
-            )
-        if not 0 < self.ttl_target_residual < 1:
-            raise ConfigurationError(
-                "ttl_target_residual must be in (0, 1), got "
-                f"{self.ttl_target_residual}"
-            )
-        if self.retry_budget_ratio < 0:
-            raise ConfigurationError(
-                "retry_budget_ratio must be >= 0, got "
-                f"{self.retry_budget_ratio}"
-            )
-        for knob in ("limiter_window", "admission_window",
-                     "max_inflight_per_conn"):
-            value = getattr(self, knob)
-            if value < 0:
-                raise ConfigurationError(
-                    f"{knob} must be >= 0 (0 disables), got {value}"
-                )
-        if self.version != CONFIG_VERSION:
-            raise ConfigurationError(
-                f"unsupported config version {self.version} "
-                f"(this build reads {CONFIG_VERSION})"
-            )
 
     @property
     def num_servers(self) -> int:
@@ -191,7 +127,7 @@ class ClusterConfig:
         """The deterministic router this config prescribes."""
         from repro.core.router import ProteusRouter
 
-        return ProteusRouter(self.num_servers, self.ring_size, self.replicas)
+        return ProteusRouter(self.num_servers, replicas=self.replicas)
 
     def build_ttl_policy(self):
         """The drain-window sizing policy this config prescribes."""
@@ -199,43 +135,7 @@ class ClusterConfig:
 
         if self.ttl_policy == "fixed":
             return make_ttl_policy("fixed", ttl=self.ttl_seconds)
-        return make_ttl_policy(
-            "adaptive",
-            default_ttl=self.ttl_seconds,
-            min_ttl=self.min_ttl_seconds,
-            max_ttl=self.max_ttl_seconds,
-            target_residual=self.ttl_target_residual,
-        )
-
-    def build_resilience(self):
-        """The :class:`~repro.resilience.ResiliencePolicy` this config
-        prescribes, or ``None`` when every armor knob is disabled (the
-        frontend then uses its own default)."""
-        if self.retry_budget_ratio <= 0 and self.limiter_window <= 0:
-            return None
-        import dataclasses
-
-        from repro.resilience import ResiliencePolicy
-
-        return dataclasses.replace(
-            ResiliencePolicy.default(),
-            retry_budget_ratio=self.retry_budget_ratio,
-            limiter_window=self.limiter_window,
-        )
-
-    def build_admission(self):
-        """The DB-path admission controller this config prescribes for a
-        live frontend (``None`` when disabled)."""
-        if self.admission_window <= 0:
-            return None
-        from repro.resilience import (
-            AdaptiveConcurrencyLimiter,
-            ConcurrencyAdmission,
-        )
-
-        return ConcurrencyAdmission(
-            AdaptiveConcurrencyLimiter(initial=float(self.admission_window))
-        )
+        return make_ttl_policy("adaptive", default_ttl=self.ttl_seconds)
 
     def build_frontend(self, database, initial_active: Optional[int] = None):
         """A live-TCP :class:`~repro.net.webtier.AsyncProteusFrontend`.
@@ -244,7 +144,6 @@ class ClusterConfig:
             ConfigurationError: ``replicas > 1`` — the live frontend routes
                 over one ring; it would silently ignore the knob.
         """
-        from repro.core.retrieval import RetrievalConfig
         from repro.net.webtier import AsyncProteusFrontend
 
         if self.replicas > 1:
@@ -252,20 +151,11 @@ class ClusterConfig:
                 f"replicas={self.replicas}: the live frontend is unreplicated;"
                 " replica rings run in the simulated tier (build_router)"
             )
-        retrieval = None
-        if self.hot_key_cache or self.d_choices > 1:
-            retrieval = RetrievalConfig(
-                hot_key_cache=self.hot_key_cache, d_choices=self.d_choices
-            )
         return AsyncProteusFrontend(
             self.endpoints,
             self.digest.to_bloom_config(),
             database,
             initial_active=initial_active,
-            config=retrieval,
-            resilience=self.build_resilience(),
-            max_inflight_per_conn=self.max_inflight_per_conn or None,
-            admission=self.build_admission(),
         )
 
     # --------------------------------------------------------- serialization
@@ -275,6 +165,7 @@ class ClusterConfig:
         payload = asdict(self)
         payload["digest"] = asdict(self.digest)
         payload["endpoints"] = [list(ep) for ep in self.endpoints]
+        payload["version"] = CONFIG_VERSION
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -285,6 +176,12 @@ class ClusterConfig:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigurationError("malformed config: not a JSON object")
+        version = payload.pop("version", None)
+        if version != CONFIG_VERSION:
+            raise ConfigurationError(
+                f"unsupported config version {version} "
+                f"(this build reads {CONFIG_VERSION})"
+            )
         try:
             digest = DigestGeometry(**payload.pop("digest"))
             endpoints = [tuple(ep) for ep in payload.pop("endpoints")]

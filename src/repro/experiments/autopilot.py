@@ -36,11 +36,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
-from repro.bloom.config import BloomConfig
 from repro.core.retrieval import FetchPath, FetchResult
 from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
-from repro.experiments.testbed import SimTestbed
+from repro.experiments.testbed import (
+    CACHE_OP_LATENCY,
+    THINK_TIME,
+    WEB_OVERHEAD,
+    SimTestbed,
+    Sizing,
+)
 from repro.provisioning.actuator import AppliedTransition, ProvisioningActuator
 from repro.provisioning.controller import DelayFeedbackController
 from repro.provisioning.health import ClusterHealthMonitor, HealthSnapshot
@@ -53,6 +58,26 @@ __all__ = ["AutopilotConfig", "AutopilotReport", "AutopilotExperiment"]
 #: recovery_slots() sentinel: healthy capacity never returned to baseline.
 NEVER_RECOVERED = 10_000
 
+# The testbed every autopilot run drives.
+NUM_WEB_SERVERS = 4
+NUM_DB_SHARDS = 4
+CATALOGUE_SIZE = 6000
+CACHE_CAPACITY_BYTES = 4096 * 600
+PAGES_PER_USER = 30
+#: seconds between PDU samples
+POWER_SAMPLE_PERIOD = 5.0
+
+#: rated requests/s one cache server carries (the controller's capacity model)
+PER_SERVER_RATE = 18.0
+#: control set point: the paper's Section VI value
+DELAY_REFERENCE = 0.4
+#: latency percentile fed back each slot
+CONTROL_PERCENTILE = 95.0
+#: longest drain window the adaptive policy may hand out, seconds
+MAX_TTL = 120.0
+#: seconds between remap-miss decay samples inside a drain window
+DECAY_SAMPLE_SECONDS = 2.0
+
 
 @dataclass
 class AutopilotConfig:
@@ -62,8 +87,8 @@ class AutopilotConfig:
     default configuration the paper's open loop: delay-only control with a
     fixed drain window.
 
-    ``delay_bound`` / ``delay_reference`` keep the paper's Section VI
-    values; the control statistic fed back each slot is
+    ``delay_bound`` and :data:`DELAY_REFERENCE` keep the paper's Section
+    VI values; the control statistic fed back each slot is
     ``max(p95 measured, M/M/1 projection)`` — the projection supplies the
     feed-forward term the paper's heavily loaded testbed measured directly,
     while the measured percentile carries fault-induced degradation the
@@ -73,36 +98,14 @@ class AutopilotConfig:
     users_per_slot: List[int] = field(default_factory=list)
     slot_seconds: float = 30.0
     num_servers: int = 8
-    num_web_servers: int = 4
-    num_db_shards: int = 4
     min_servers: int = 2
-    per_server_rate: float = 18.0
     delay_bound: float = 0.5
-    delay_reference: float = 0.4
-    control_percentile: float = 95.0
     #: closed-loop switch: feed HealthSnapshots to the controller.
     health_feedback: bool = False
     #: closed-loop switch: size drain windows from remap-miss decay.
     adaptive_ttl: bool = False
     ttl_seconds: float = 60.0
-    min_ttl: float = 5.0
-    max_ttl: float = 120.0
-    target_residual: float = 0.05
-    #: seconds between remap-miss decay samples inside a drain window.
-    decay_sample_seconds: float = 2.0
     faults: FaultSchedule = field(default_factory=FaultSchedule)
-    catalogue_size: int = 6000
-    cache_capacity_bytes: int = 4096 * 600
-    item_size: int = 4096
-    pages_per_user: int = 30
-    think_time: float = 0.5
-    zipf_alpha: float = 0.9
-    db_service_mean: float = 0.050
-    cache_op_latency: float = 0.001
-    web_overhead: float = 0.002
-    power_sample_period: float = 5.0
-    bloom_config: Optional[BloomConfig] = None
-    prewarm: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -119,11 +122,6 @@ class AutopilotConfig:
         if self.ttl_seconds <= 0:
             raise ConfigurationError(
                 f"ttl_seconds must be > 0, got {self.ttl_seconds}"
-            )
-        if self.decay_sample_seconds <= 0:
-            raise ConfigurationError(
-                "decay_sample_seconds must be > 0, got "
-                f"{self.decay_sample_seconds}"
             )
         for entry in self.faults.entries:
             if not 0 <= entry.server_id < self.num_servers:
@@ -288,7 +286,16 @@ class AutopilotExperiment:
         cfg = config
         initial = self._required(self._expected_rate(cfg.users_per_slot[0]))
         self.testbed = SimTestbed(
-            cfg,
+            Sizing(
+                duration=cfg.duration,
+                seed=cfg.seed,
+                catalogue_size=CATALOGUE_SIZE,
+                cache_capacity_bytes=CACHE_CAPACITY_BYTES,
+                pages_per_user=PAGES_PER_USER,
+                num_web_servers=NUM_WEB_SERVERS,
+                num_db_shards=NUM_DB_SHARDS,
+                power_sample_period=POWER_SAMPLE_PERIOD,
+            ),
             ProteusRouter(cfg.num_servers),
             random.Random(cfg.seed ^ 0xBEEF),
             self._record,
@@ -301,20 +308,15 @@ class AutopilotExperiment:
         self.controller = DelayFeedbackController(
             num_servers=cfg.num_servers,
             delay_bound=cfg.delay_bound,
-            delay_reference=cfg.delay_reference,
+            delay_reference=DELAY_REFERENCE,
             min_servers=cfg.min_servers,
-            per_server_rate=cfg.per_server_rate,
+            per_server_rate=PER_SERVER_RATE,
         )
         # Start sized to the first slot's load, as the paper's loop had
         # converged before its recorded day began (run_feedback_loop idiom).
         self.controller.reset(initial)
         self.ttl_policy = (
-            AdaptiveTTLPolicy(
-                default_ttl=cfg.ttl_seconds,
-                min_ttl=cfg.min_ttl,
-                max_ttl=cfg.max_ttl,
-                target_residual=cfg.target_residual,
-            )
+            AdaptiveTTLPolicy(default_ttl=cfg.ttl_seconds, max_ttl=MAX_TTL)
             if cfg.adaptive_ttl
             else FixedTTLPolicy(cfg.ttl_seconds)
         )
@@ -343,14 +345,12 @@ class AutopilotExperiment:
     def _required(self, rate: float) -> int:
         """Servers needed to carry *rate* at 90% of rated per-server load."""
         cfg = self.config
-        required = math.ceil(rate / (0.9 * cfg.per_server_rate))
+        required = math.ceil(rate / (0.9 * PER_SERVER_RATE))
         return min(cfg.num_servers, max(cfg.min_servers, required))
 
     def _expected_rate(self, users: int) -> float:
         """Closed-loop arrival-rate estimate: users / (think + service)."""
-        cfg = self.config
-        per_request = cfg.think_time + cfg.web_overhead + 2 * cfg.cache_op_latency
-        return users / per_request if per_request > 0 else 0.0
+        return users / (THINK_TIME + WEB_OVERHEAD + 2 * CACHE_OP_LATENCY)
 
     def _record(self, now: float, result: FetchResult) -> None:
         self.latencies.record(now, result.latency)
@@ -372,7 +372,7 @@ class AutopilotExperiment:
         """Arm per-interval remap-miss sampling over one drain window."""
         self._decay_samples = []
         self._decay_last_remap = self._remap_total()
-        interval = self.config.decay_sample_seconds
+        interval = DECAY_SAMPLE_SECONDS
         deadline = transition.deadline
         tick = self.loop.now + interval
         while tick <= deadline:
@@ -417,7 +417,7 @@ class AutopilotExperiment:
         self.cache.finalize_expired(now)
         measured_slot = self.latencies.slot_of(now - cfg.slot_seconds / 2)
         if self.latencies.count(measured_slot):
-            observed = self.latencies.pct(measured_slot, cfg.control_percentile)
+            observed = self.latencies.pct(measured_slot, CONTROL_PERCENTILE)
         else:
             observed = 0.0
         rate = self._slot_requests / cfg.slot_seconds
@@ -454,9 +454,7 @@ class AutopilotExperiment:
         """Execute the run; returns the report."""
         cfg = self.config
         testbed = self.testbed
-        testbed.schedule_population(
-            cfg.users_per_slot, cfg.slot_seconds, cfg.prewarm
-        )
+        testbed.schedule_population(cfg.users_per_slot, cfg.slot_seconds)
         for slot in range(1, cfg.num_slots + 1):
             self.loop.schedule_at(
                 slot * cfg.slot_seconds - 1e-6, self._control_tick, slot

@@ -16,7 +16,6 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional
 
-from repro.bloom.config import BloomConfig
 from repro.core.retrieval import FetchPath, FetchResult, RetrievalConfig
 from repro.core.router import (
     ConsistentRouter,
@@ -26,7 +25,7 @@ from repro.core.router import (
     StaticRouter,
 )
 from repro.errors import ConfigurationError
-from repro.experiments.testbed import SimTestbed
+from repro.experiments.testbed import SimTestbed, Sizing
 from repro.provisioning.actuator import AppliedTransition, ProvisioningActuator
 from repro.provisioning.policies import ProvisioningSchedule, static_schedule
 from repro.sim.metrics import SlottedRecorder, TimeSeries
@@ -36,17 +35,16 @@ from repro.sim.metrics import SlottedRecorder, TimeSeries
 class ScenarioSpec:
     """One Table II scenario: router family + provisioning behaviour.
 
-    ``coalesce_misses`` is a per-scenario override of the engine's dog-pile
-    protection: ``None`` (the default) defers to
-    :attr:`ExperimentConfig.coalesce_misses`, so ablations can flip the flag
-    for one scenario without forking the shared config.
+    ``coalesce_misses`` arms the engine's dog-pile protection on every web
+    server; off in the paper's evaluation (the Fig. 9 spike depends on the
+    dog pile being possible), so ablations flip it per scenario.
     """
 
     name: str
     router_factory: Callable[[int], Router]
     smooth: bool
     dynamic: bool
-    coalesce_misses: Optional[bool] = None
+    coalesce_misses: bool = False
 
     def with_coalescing(self, enabled: bool = True) -> "ScenarioSpec":
         """This scenario with dog-pile coalescing forced on (or off)."""
@@ -96,8 +94,10 @@ class ExperimentConfig:
 
     The paper's testbed: 10 web servers, 10 cache servers, 7 DB shards,
     think time 0.5 s, 50-page user sets.  Durations and rates are scaled so
-    a full 4-scenario comparison runs in minutes of wall-clock; every knob
-    is explicit so benches can scale up.
+    a full 4-scenario comparison runs in minutes of wall-clock; the sizes
+    are explicit so benches can scale up.  Every run starts against a warm
+    tier: a cold-start flood would put the same spike into *every*
+    scenario and mask the transition signal.
     """
 
     schedule: ProvisioningSchedule
@@ -107,36 +107,12 @@ class ExperimentConfig:
     num_db_shards: int = 7
     catalogue_size: int = 20_000
     cache_capacity_bytes: int = 4096 * 2000  # 2000 pages per server
-    item_size: int = 4096
     pages_per_user: int = 50
-    think_time: float = 0.5
-    zipf_alpha: float = 0.9
     ttl: float = 30.0
-    db_service_mean: float = 0.050
-    cache_op_latency: float = 0.001
-    web_overhead: float = 0.002
-    power_sample_period: float = 15.0
     plot_slots: int = 48
-    bloom_config: Optional[BloomConfig] = None
     seed: int = 0
-    #: pre-populate caches with the initial users' page sets at t=0 (the
-    #: paper's runs start against a warm tier; a cold-start flood would put
-    #: the same spike into *every* scenario and mask the transition signal).
-    prewarm: bool = True
     #: latency samples before this time are not recorded (residual warm-up).
     warmup_seconds: float = 0.0
-    #: install a BackgroundMigrator on every smooth transition (the
-    #: push-assisted extension; only affects the Proteus scenario).
-    push_migration: bool = False
-    #: dog-pile coalescing on every web server (the retrieval engine's
-    #: miss-storm protection; off in the paper's evaluation — the Fig. 9
-    #: spike depends on the dog pile being possible).
-    coalesce_misses: bool = False
-    #: arm every web server's frontend-local hot-key cache (the sketch
-    #: elects hot keys online; local hits skip the cache tier entirely).
-    hot_key_cache: bool = False
-    #: power-of-two-choices read fan-in for hot keys (replicated reads).
-    d_choices: int = 1
 
     def __post_init__(self) -> None:
         if len(self.users_per_slot) != self.schedule.num_slots:
@@ -250,28 +226,25 @@ class ClusterExperiment:
                 cfg.schedule.slot_seconds,
             )
         self.schedule = schedule
-        coalesce = (
-            spec.coalesce_misses
-            if spec.coalesce_misses is not None
-            else cfg.coalesce_misses
-        )
         self.testbed = SimTestbed(
-            cfg,
+            Sizing(
+                duration=cfg.duration,
+                seed=cfg.seed,
+                catalogue_size=cfg.catalogue_size,
+                cache_capacity_bytes=cfg.cache_capacity_bytes,
+                pages_per_user=cfg.pages_per_user,
+                num_web_servers=cfg.num_web_servers,
+                num_db_shards=cfg.num_db_shards,
+            ),
             spec.router_factory(cfg.num_cache_servers),
             random.Random(cfg.seed ^ 0xBEEF),
             self._record,
             ttl=cfg.ttl,
             initial_active=schedule.counts[0],
-            retrieval=RetrievalConfig(
-                coalesce_misses=coalesce,
-                hot_key_cache=cfg.hot_key_cache,
-                d_choices=cfg.d_choices,
-            ),
+            retrieval=RetrievalConfig(coalesce_misses=spec.coalesce_misses),
         )
         self.actuator = ProvisioningActuator(
-            self.testbed.cache,
-            smooth=spec.smooth,
-            push_migration=cfg.push_migration,
+            self.testbed.cache, smooth=spec.smooth
         )
         plot_width = (cfg.duration - cfg.warmup_seconds) / cfg.plot_slots
         self.latencies = SlottedRecorder(plot_width, start=cfg.warmup_seconds)
@@ -287,7 +260,7 @@ class ClusterExperiment:
         if self.spec.dynamic:
             self.actuator.install(cfg.schedule, testbed.loop)
         testbed.schedule_population(
-            cfg.users_per_slot, cfg.schedule.slot_seconds, cfg.prewarm
+            cfg.users_per_slot, cfg.schedule.slot_seconds
         )
         testbed.run()
 

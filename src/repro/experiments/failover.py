@@ -15,10 +15,14 @@ from dataclasses import dataclass, field
 from repro.core.retrieval import FetchResult
 from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
-from repro.experiments.testbed import SimTestbed
+from repro.experiments.testbed import SimTestbed, Sizing
 from repro.resilience import FaultSchedule
 from repro.sim.metrics import SlottedRecorder, TimeSeries
 
+#: bytes of cache per server (2000 pages)
+CACHE_CAPACITY_BYTES = 4096 * 2000
+#: drain-window length of a smooth transition, seconds
+TTL_SECONDS = 60.0
 
 @dataclass
 class FailoverConfig:
@@ -29,12 +33,7 @@ class FailoverConfig:
     replicas: int = 2
     num_users: int = 80
     catalogue_size: int = 6000
-    cache_capacity_bytes: int = 4096 * 2000
     pages_per_user: int = 30
-    think_time: float = 0.5
-    #: drain-window length for smooth transitions (flows to the cache tier
-    #: like :attr:`ExperimentConfig.ttl`; previously hardcoded at 60 s).
-    ttl_seconds: float = 60.0
     #: the scripted outage; only its ``kills_server`` entries are realized
     #: (:meth:`~repro.experiments.testbed.SimTestbed.inject_faults`).
     failures: FaultSchedule = field(default_factory=FaultSchedule)
@@ -42,10 +41,6 @@ class FailoverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.ttl_seconds <= 0:
-            raise ConfigurationError(
-                f"ttl_seconds must be > 0, got {self.ttl_seconds}"
-            )
         for fault in self.failures.entries:
             if not 0 <= fault.server_id < self.num_servers:
                 raise ConfigurationError(
@@ -79,11 +74,17 @@ class FailoverExperiment:
     def __init__(self, config: FailoverConfig) -> None:
         self.config = config
         self.testbed = SimTestbed(
-            config,
+            Sizing(
+                duration=config.duration,
+                seed=config.seed,
+                catalogue_size=config.catalogue_size,
+                cache_capacity_bytes=CACHE_CAPACITY_BYTES,
+                pages_per_user=config.pages_per_user,
+            ),
             ProteusRouter(config.num_servers, 2 ** 24, config.replicas),
             random.Random(config.seed ^ 0xFA11),
             self._record,
-            ttl=config.ttl_seconds,
+            ttl=TTL_SECONDS,
         )
         self._requests = SlottedRecorder(config.slot_seconds)
         self._db_hits = SlottedRecorder(config.slot_seconds)

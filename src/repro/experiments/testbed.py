@@ -11,6 +11,7 @@ is its own: config, report, per-request recorder and ``n(t)`` policy.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.bloom.config import optimal_config
@@ -26,21 +27,50 @@ from repro.sim.metrics import TimeSeries
 from repro.web.frontend import WebServer
 from repro.workload.synthetic import SyntheticUser, UserPopulation
 
+#: bytes per cached page (Fig. 3's fixed-size web objects)
+ITEM_SIZE = 4096
+#: cache get/set service time, seconds
+CACHE_OP_LATENCY = 0.001
+#: web-server processing per request, seconds
+WEB_OVERHEAD = 0.002
+#: mean of the exponential per-shard database service time, seconds
+DB_SERVICE_MEAN = 0.050
+#: popularity skew of every user's page set
+ZIPF_ALPHA = 0.9
+#: closed-loop think time between a user's requests, seconds (§V)
+THINK_TIME = 0.5
+
+
+@dataclass(frozen=True)
+class Sizing:
+    """What one experiment's testbed varies: run length, seed, workload
+    and tier sizes.  Everything else is a module constant."""
+
+    duration: float
+    seed: int
+    catalogue_size: int
+    cache_capacity_bytes: int
+    pages_per_user: int
+    num_web_servers: int = 1
+    num_db_shards: int = 4
+    #: seconds between PDU samples
+    power_sample_period: float = 15.0
+
 
 class SimTestbed:
     """Users → web → cache → DB on one event loop, with a power meter.
 
-    Reads the sizing fields the experiments' configs name identically off
-    *config*.  *router* is the scheme under test and fixes the fleet size;
-    *rng* is the experiment's stream (picks a web server per request,
-    staggers first requests); ``record(now, result)`` sees every fetch;
-    *initial_active* cache servers start on (``None`` = all) with drain
-    window *ttl*; every web server shares the *retrieval* options.
+    *sizing* fixes the run and the tiers; *router* is the scheme under
+    test and fixes the fleet size; *rng* is the experiment's stream (picks
+    a web server per request, staggers first requests); ``record(now,
+    result)`` sees every fetch; *initial_active* cache servers start on
+    (``None`` = all) with drain window *ttl*; every web server shares the
+    *retrieval* options.
     """
 
     def __init__(
         self,
-        config,
+        sizing: Sizing,
         router: Router,
         rng: random.Random,
         record: Callable[[float, FetchResult], None],
@@ -48,52 +78,47 @@ class SimTestbed:
         initial_active: Optional[int] = None,
         retrieval: Optional[RetrievalConfig] = None,
     ) -> None:
-        def sizing(name: str, unnamed):
-            # FailoverConfig names only the workload fields: it gets *unnamed*.
-            return getattr(config, name, unnamed)
-
         self.rng = rng
         self.record = record
-        self.duration: float = config.duration
-        self.item_size: int = sizing("item_size", 4096)
-        cache_cost = sizing("cache_op_latency", 0.001)
-        web_overhead = sizing("web_overhead", 0.002)
+        self.duration = sizing.duration
         self.cache = CacheCluster(
             router,
-            capacity_bytes=config.cache_capacity_bytes,
+            capacity_bytes=sizing.cache_capacity_bytes,
             initial_active=initial_active,
             ttl=ttl,
-            bloom_config=sizing("bloom_config", None) or optimal_config(
-                max(1024, config.cache_capacity_bytes // self.item_size)
+            bloom_config=optimal_config(
+                max(1024, sizing.cache_capacity_bytes // ITEM_SIZE)
             ),
         )
         self.database = DatabaseCluster(
-            sizing("num_db_shards", 4),
-            service_model=Exponential(sizing("db_service_mean", 0.050)),
-            seed=config.seed,
+            sizing.num_db_shards,
+            service_model=Exponential(DB_SERVICE_MEAN),
+            seed=sizing.seed,
         )
         self.webs: List[WebServer] = [
             WebServer(
                 i,
                 self.cache,
                 self.database,
-                cache_latency=Constant(cache_cost),
-                web_overhead=Constant(web_overhead),
-                seed=config.seed,
+                cache_latency=Constant(CACHE_OP_LATENCY),
+                web_overhead=Constant(WEB_OVERHEAD),
+                seed=sizing.seed,
                 config=retrieval,
             )
-            for i in range(sizing("num_web_servers", 1))
+            for i in range(sizing.num_web_servers)
         ]
         self.population = UserPopulation(
-            catalogue_size=config.catalogue_size,
-            pages_per_user=config.pages_per_user,
-            think_time=config.think_time,
-            alpha=sizing("zipf_alpha", 0.9),
-            seed=config.seed,
+            catalogue_size=sizing.catalogue_size,
+            pages_per_user=sizing.pages_per_user,
+            think_time=THINK_TIME,
+            alpha=ZIPF_ALPHA,
+            seed=sizing.seed,
         )
         self.loop = EventLoop()
-        self.meter = PowerMeter(sizing("power_sample_period", 15.0))
-        self._wire_power_channels(cache_cost, web_overhead + 2 * cache_cost)
+        self.meter = PowerMeter(sizing.power_sample_period)
+        self._wire_power_channels(
+            CACHE_OP_LATENCY, WEB_OVERHEAD + 2 * CACHE_OP_LATENCY
+        )
         #: powered cache servers at each power sample
         self.active_series = TimeSeries()
         self.total_requests = 0
@@ -143,13 +168,12 @@ class SimTestbed:
             self.loop.schedule_at(first, self._user_request, user)
 
     def schedule_population(
-        self, users_per_slot: List[int], slot_seconds: float, prewarm: bool
+        self, users_per_slot: List[int], slot_seconds: float
     ) -> None:
-        """Slot 0's users start now (against a warm tier when *prewarm*);
-        every later slot's resize is scheduled at its boundary."""
+        """Slot 0's users start now, against a warm tier; every later
+        slot's resize is scheduled at its boundary."""
         self.resize_population(users_per_slot[0])
-        if prewarm:
-            self.prewarm()
+        self.prewarm()
         for slot, target in enumerate(users_per_slot[1:], start=1):
             self.loop.schedule_at(slot * slot_seconds, self.resize_population, target)
 
@@ -169,7 +193,7 @@ class SimTestbed:
             target = self.cache.server(server)
             if target.state.serves_requests:
                 value = self.database.shard_for(key).lookup(key)
-                target.set(key, value, now=0.0, size=self.item_size)
+                target.set(key, value, now=0.0, size=ITEM_SIZE)
 
     def inject_faults(self, schedule: FaultSchedule) -> None:
         """Schedule the crash and the repair of every ``kills_server`` entry,

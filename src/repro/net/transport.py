@@ -273,6 +273,11 @@ class CacheTransport:
             server_id, None, False, _snapshot_and_fetch, bloom_config
         )
 
+    def flush(self, server_id: int):
+        """Empty one server (``flush_all``), as a scale-up does to each
+        joining server; raises when it cannot."""
+        return self._call(server_id, None, False, MemcachedClient.flush_all)
+
     async def _call(
         self,
         server_id: int,

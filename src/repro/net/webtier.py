@@ -177,17 +177,18 @@ class AsyncProteusFrontend:
         Digests are requested only from the *ceding* servers — the old
         owners the router reports may lose keys
         (:meth:`~repro.core.router.Router.ceding_servers`); for Proteus
-        scale-down that is exactly the draining servers.  The broadcast is
-        all-or-nothing: each ceding owner's snapshot + fetch is one
-        :meth:`CacheTransport.digest` RPC (breaker, retry and budget as
-        for any other), and if any server cannot answer — a dead one's
-        circuit may already be open —
-        :class:`~repro.errors.DigestBroadcastError` (a
+        scale-down that is exactly the draining servers.  A scale-up also
+        empties every joining server (:meth:`CacheTransport.flush`), as
+        powering it on would: a copy it kept from before it drained may
+        be stale.  The pass is all-or-nothing: each digest and each flush
+        is one RPC (breaker, retry and budget as for any other), and if
+        any server cannot answer — a dead one's circuit may already be
+        open — :class:`~repro.errors.DigestBroadcastError` (a
         :class:`~repro.errors.TransitionError`) is raised *before* the
         transition manager is armed — routing state rolls back to exactly
         what it was, the failures are reported per server, and the caller
-        may simply retry ``scale_to``.  (Snapshots taken on the servers
-        that did answer are harmless: the next broadcast re-snapshots.)
+        may simply retry ``scale_to``.  (Snapshots and flushes on the
+        servers that did answer are harmless: none of them is routed to.)
         """
         if not 1 <= n_new <= len(self.endpoints):
             raise TransitionError(f"n_new out of range: {n_new}")
@@ -198,10 +199,14 @@ class AsyncProteusFrontend:
             raise TransitionError("already at the requested size")
         n_old = self.n_active
         ceding = self.router.ceding_servers(n_old, n_new)
+        joining = range(n_old, n_new)  # empty on a scale-down
         digests: Dict[int, BloomFilter] = {}
         failures: Dict[int, BaseException] = {}
-        for server_id in ceding:
+        for server_id in [*ceding, *joining]:
             try:
+                if server_id in joining:
+                    await self.transport.flush(server_id)
+                    continue
                 digests[server_id] = await self.transport.digest(
                     server_id, self.bloom_config
                 )
@@ -215,8 +220,9 @@ class AsyncProteusFrontend:
                 for server_id, error in sorted(failures.items())
             )
             raise DigestBroadcastError(
-                f"digest broadcast failed on {len(failures)}/{len(ceding)} "
-                f"ceding servers, transition not started ({detail})",
+                f"digest broadcast or flush failed on {len(failures)}/"
+                f"{len(ceding) + len(joining)} servers, transition not "
+                f"started ({detail})",
                 failures=failures,
             )
         # Keep the manager's default in sync for observers that read it,

@@ -55,13 +55,6 @@ class ProvisioningActuator:
         cluster: the cache tier to drive.
         smooth: True = Proteus transitions (digests + TTL drain);
             False = abrupt power changes (Naive / Consistent).
-        push_migration: additionally install a
-            :class:`~repro.provisioning.migrator.BackgroundMigrator` on
-            every smooth transition (the push-assisted extension); only
-            effective when driven through :meth:`install` /
-            :meth:`apply_at` (it needs the event loop to schedule push
-            ticks).
-        push_batch / push_interval: the migrator's rate limit.
         ttl_policy: a TTL-sizing policy (``fixed`` / ``adaptive``, see
             :mod:`repro.provisioning.ttl`); when set, every smooth
             transition's drain window is sized by ``ttl_policy.ttl_for()``
@@ -73,20 +66,12 @@ class ProvisioningActuator:
         self,
         cluster: CacheCluster,
         smooth: bool = True,
-        push_migration: bool = False,
-        push_batch: int = 100,
-        push_interval: float = 1.0,
         ttl_policy=None,
     ) -> None:
         self.cluster = cluster
         self.smooth = smooth
-        self.push_migration = push_migration
-        self.push_batch = push_batch
-        self.push_interval = push_interval
         self.ttl_policy = ttl_policy
         self.applied: List[AppliedTransition] = []
-        #: migrators created for smooth transitions (inspection/tests)
-        self.migrators: List = []
 
     def apply(
         self, n_new: int, now: float, ttl: Optional[float] = None
@@ -150,10 +135,9 @@ class ProvisioningActuator:
     def apply_at(
         self, n_new: int, loop: "EventLoop"
     ) -> Optional[AppliedTransition]:
-        """:meth:`apply` at the loop's current time, and arm what a smooth
-        transition needs afterwards on *loop*: the power-off finalization
-        at the drain deadline and (``push_migration``) the migrator's push
-        ticks.  Returns the record, or ``None`` for a no-op."""
+        """:meth:`apply` at the loop's current time, and arm a smooth
+        transition's power-off finalization at the drain deadline on
+        *loop*.  Returns the record, or ``None`` for a no-op."""
         record = self.apply(n_new, loop.now)
         if record is None or not self.smooth:
             return record
@@ -165,15 +149,4 @@ class ProvisioningActuator:
                 self.cluster.finalize_expired,
                 transition.deadline + 1e-9,
             )
-            if self.push_migration:
-                from repro.provisioning.migrator import BackgroundMigrator
-
-                migrator = BackgroundMigrator(
-                    self.cluster,
-                    transition,
-                    batch_size=self.push_batch,
-                    interval=self.push_interval,
-                )
-                migrator.install(loop)
-                self.migrators.append(migrator)
         return record

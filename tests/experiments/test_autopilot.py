@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import autopilot
 from repro.experiments.autopilot import (
     NEVER_RECOVERED,
     AutopilotConfig,
@@ -16,14 +17,19 @@ from repro.sim.metrics import SlottedRecorder, TimeSeries
 from repro.web.frontend import WebServer
 
 
+@pytest.fixture(autouse=True)
+def small_testbed(monkeypatch):
+    """A smaller testbed than the bench's, so every run takes seconds."""
+    monkeypatch.setattr(autopilot, "NUM_WEB_SERVERS", 2)
+    monkeypatch.setattr(autopilot, "CATALOGUE_SIZE", 1500)
+    monkeypatch.setattr(autopilot, "PAGES_PER_USER", 15)
+
+
 def config(**overrides):
     defaults = dict(
         users_per_slot=[30, 24, 18, 18, 24, 30],
         slot_seconds=20.0,
         num_servers=6,
-        num_web_servers=2,
-        catalogue_size=1500,
-        pages_per_user=15,
         seed=5,
     )
     defaults.update(overrides)
@@ -88,8 +94,9 @@ class TestAvailability:
     def test_a_shed_fetch_is_offered_but_not_served(self):
         # No config field arms admission control, so swap in a web server
         # built with it: a cold start against a depth-1 DB queue sheds.
-        experiment = AutopilotExperiment(config(prewarm=False))
+        experiment = AutopilotExperiment(config())
         testbed = experiment.testbed
+        testbed.prewarm = lambda: None
         testbed.webs[:] = [
             WebServer(
                 0, testbed.cache, testbed.database,
@@ -132,12 +139,12 @@ class TestClosedLoop:
         assert all(report.failed_sets[i] == frozenset({1})
                    for i in fault_slots)
 
-    def test_adaptive_ttl_learns_from_decay(self):
+    def test_adaptive_ttl_learns_from_decay(self, monkeypatch):
+        monkeypatch.setattr(autopilot, "MAX_TTL", 90.0)
         experiment = AutopilotExperiment(
             config(
                 users_per_slot=[30, 24, 18, 18, 24, 30] * 2,
                 adaptive_ttl=True,
-                max_ttl=90.0,
             )
         )
         report = experiment.run()

@@ -45,27 +45,24 @@ class TestScenarioSpec:
             assert spec.dynamic == (spec.name != "Static")
 
     def test_coalescing_defers_to_config_by_default(self):
+        # Off by default, as in the paper's evaluation.
         for spec in ScenarioSpec.all_four():
-            assert spec.coalesce_misses is None
-        experiment = ClusterExperiment(
-            ScenarioSpec.naive(), small_config(coalesce_misses=True)
-        )
-        assert all(web.config.coalesce_misses for web in experiment.testbed.webs)
+            assert spec.coalesce_misses is False
+            experiment = ClusterExperiment(spec, small_config())
+            assert not any(
+                web.config.coalesce_misses for web in experiment.testbed.webs
+            )
 
     def test_with_coalescing_overrides_config(self):
         spec = ScenarioSpec.naive().with_coalescing()
         assert spec.name == "Naive+coalesce"
         assert spec.coalesce_misses is True
-        experiment = ClusterExperiment(
-            spec, small_config(coalesce_misses=False)
-        )
+        experiment = ClusterExperiment(spec, small_config())
         assert all(web.config.coalesce_misses for web in experiment.testbed.webs)
         # The override works in both directions.
         off = ScenarioSpec.naive().with_coalescing(False)
         assert off.name == "Naive-coalesce"
-        experiment = ClusterExperiment(
-            off, small_config(coalesce_misses=True)
-        )
+        experiment = ClusterExperiment(off, small_config())
         assert not any(web.config.coalesce_misses for web in experiment.testbed.webs)
 
 
@@ -190,13 +187,10 @@ class TestWarmupAndPrewarm:
         assert first_slot_time >= 30.0
 
     def test_prewarm_off_means_cold_start(self):
-        cold = ClusterExperiment(
-            ScenarioSpec.static(), small_config(prewarm=False, seed=11)
-        ).run()
-        warm = ClusterExperiment(
-            ScenarioSpec.static(), small_config(prewarm=True, seed=11)
-        ).run()
-        assert cold.db_requests > warm.db_requests
+        cold = ClusterExperiment(ScenarioSpec.static(), small_config(seed=11))
+        cold.testbed.prewarm = lambda: None
+        warm = ClusterExperiment(ScenarioSpec.static(), small_config(seed=11))
+        assert cold.run().db_requests > warm.run().db_requests
 
 
 class TestReportSerialization:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.failover import FailoverConfig, FailoverExperiment
+from repro.experiments.failover import (
+    TTL_SECONDS,
+    FailoverConfig,
+    FailoverExperiment,
+)
 from repro.resilience import FaultPlan, FaultSchedule
 
 
@@ -83,10 +87,6 @@ class TestRuns:
 
 
 class TestConfiguredTTL:
-    def test_rejects_nonpositive_ttl(self):
-        with pytest.raises(ConfigurationError):
-            config(ttl_seconds=0.0)
-
     def test_ttl_flows_to_the_cache_cluster(self):
-        experiment = FailoverExperiment(config(ttl_seconds=17.0))
-        assert experiment.testbed.cache.transitions.ttl == 17.0
+        experiment = FailoverExperiment(config())
+        assert experiment.testbed.cache.transitions.ttl == TTL_SECONDS == 60.0

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.core.router import ProteusRouter
+from repro.experiments import autopilot
 from repro.experiments.autopilot import AutopilotConfig, AutopilotExperiment
 from repro.experiments.cluster import (
     ClusterExperiment,
@@ -18,7 +19,7 @@ from repro.experiments.cluster import (
     ScenarioSpec,
 )
 from repro.experiments.failover import FailoverConfig, FailoverExperiment
-from repro.experiments.testbed import SimTestbed
+from repro.experiments.testbed import SimTestbed, Sizing
 from repro.provisioning.policies import ProvisioningSchedule
 from repro.resilience import FaultPlan, FaultSchedule
 
@@ -74,19 +75,18 @@ class TestGoldenParity:
     }
 
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
-    def test_autopilot_experiment(self, closed):
+    def test_autopilot_experiment(self, closed, monkeypatch):
+        for name, value in [("NUM_WEB_SERVERS", 2), ("CATALOGUE_SIZE", 1500),
+                            ("PAGES_PER_USER", 15), ("MAX_TTL", 90.0)]:
+            monkeypatch.setattr(autopilot, name, value)
         config = AutopilotConfig(
             users_per_slot=[30, 24, 18, 18, 24, 30],
             slot_seconds=20.0,
             num_servers=6,
-            num_web_servers=2,
-            catalogue_size=1500,
-            pages_per_user=15,
             seed=5,
             faults=kill(45.0, 1, clear_at=110.0),
             health_feedback=closed,
             adaptive_ttl=closed,
-            max_ttl=90.0,
         )
         report = AutopilotExperiment(config).run()
         total, active, healthy, transitions, remap = self.AUTOPILOT[closed]
@@ -118,15 +118,15 @@ class TestGoldenParity:
 
 
 def make_testbed(duration=20.0, num_servers=3, record=lambda now, result: None):
-    config = FailoverConfig(
+    sizing = Sizing(
         duration=duration,
-        num_servers=num_servers,
-        catalogue_size=500,
-        pages_per_user=10,
         seed=7,
+        catalogue_size=500,
+        cache_capacity_bytes=4096 * 2000,
+        pages_per_user=10,
     )
     return SimTestbed(
-        config, ProteusRouter(num_servers), random.Random(7), record, ttl=30.0
+        sizing, ProteusRouter(num_servers), random.Random(7), record, ttl=30.0
     )
 
 
@@ -141,7 +141,8 @@ class TestUsers:
 
     def test_retired_users_stop_issuing(self):
         testbed = make_testbed()
-        testbed.schedule_population([4, 1], slot_seconds=5.0, prewarm=False)
+        testbed.prewarm = lambda: None
+        testbed.schedule_population([4, 1], slot_seconds=5.0)
         leavers = list(testbed.population.active[:3])
         at_retirement = []
         # Scheduled after the slot-1 resize, so it fires right behind it.
@@ -157,7 +158,7 @@ class TestUsers:
 
     def test_prewarm_installs_each_page_at_its_routed_owner(self):
         testbed = make_testbed()
-        testbed.schedule_population([5], slot_seconds=20.0, prewarm=True)
+        testbed.schedule_population([5], slot_seconds=20.0)
         pages = {p for user in testbed.population.active for p in user.pages}
         assert sum(len(s.store) for s in testbed.cache.servers) == len(pages)
         testbed.run()

@@ -13,6 +13,44 @@ ENDPOINTS = [("cache-0", 11211), ("cache-1", 11211), ("cache-2", 11212)]
 GEOMETRY = DigestGeometry(num_counters=4096, counter_bits=4, num_hashes=4)
 
 
+#: what ``python -m repro config-init --endpoints
+#: 127.0.0.1:11211,127.0.0.1:11212`` wrote before the overload, hot-key and
+#: adaptive-clamp knobs left the config
+VERSION_1_FILE = """{
+  "admission_window": 0,
+  "d_choices": 1,
+  "digest": {
+    "counter_bits": 3,
+    "num_counters": 3796489,
+    "num_hashes": 4
+  },
+  "endpoints": [
+    [
+      "127.0.0.1",
+      11211
+    ],
+    [
+      "127.0.0.1",
+      11212
+    ]
+  ],
+  "hot_key_cache": false,
+  "limiter_window": 0,
+  "max_inflight_per_conn": 0,
+  "max_ttl_seconds": 300.0,
+  "min_ttl_seconds": 5.0,
+  "name": "proteus",
+  "replicas": 1,
+  "retry_budget_ratio": 0.0,
+  "ring_size": 4294967296,
+  "ttl_policy": "fixed",
+  "ttl_seconds": 60.0,
+  "ttl_target_residual": 0.05,
+  "version": 1
+}
+"""
+
+
 def make(**overrides):
     kwargs = dict(endpoints=list(ENDPOINTS), digest=GEOMETRY)
     kwargs.update(overrides)
@@ -23,7 +61,7 @@ class TestValidation:
     def test_happy_path(self):
         cfg = make()
         assert cfg.num_servers == 3
-        assert cfg.version == CONFIG_VERSION
+        assert json.loads(cfg.to_json())["version"] == CONFIG_VERSION == 2
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ConfigurationError):
@@ -42,10 +80,6 @@ class TestValidation:
             make(ttl_seconds=0.0)
         with pytest.raises(ConfigurationError):
             make(replicas=0)
-        with pytest.raises(ConfigurationError):
-            make(ring_size=1)
-        with pytest.raises(ConfigurationError):
-            make(version=99)
 
     def test_digest_geometry_validation(self):
         with pytest.raises(ConfigurationError):
@@ -99,8 +133,14 @@ class TestSerialization:
             ClusterConfig.from_json(json.dumps(payload))
 
     def test_version_check_on_load(self):
-        text = make().to_json().replace('"version": 1', '"version": 2')
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(
+            ConfigurationError, match="unsupported config version 1"
+        ):
+            ClusterConfig.from_json(VERSION_1_FILE)
+        text = make().to_json().replace('"version": 2', '"version": 3')
+        with pytest.raises(
+            ConfigurationError, match="unsupported config version 3"
+        ):
             ClusterConfig.from_json(text)
 
 
@@ -113,7 +153,7 @@ class TestBuilders:
         cfg = make(replicas=1)
         router = cfg.build_router()
         assert router.num_servers == 3 and router.replicas == 1
-        reference = ProteusRouter(3, ring_size=cfg.ring_size)
+        reference = ProteusRouter(3)
         keys = [f"k{i}" for i in range(50)]
         assert router.route_many(keys, 2) == reference.route_many(keys, 2)
         assert router.read_plans(keys, 2) == reference.read_plans(keys, 2)
@@ -188,97 +228,48 @@ class TestTTLPolicyKnobs:
     def test_adaptive_policy_carries_the_knobs(self):
         from repro.provisioning.ttl import AdaptiveTTLPolicy
 
-        cfg = make(ttl_policy="adaptive", min_ttl_seconds=10.0,
-                   max_ttl_seconds=90.0, ttl_target_residual=0.1)
+        cfg = make(ttl_policy="adaptive", ttl_seconds=45.0)
         policy = cfg.build_ttl_policy()
         assert isinstance(policy, AdaptiveTTLPolicy)
-        assert policy.min_ttl == 10.0
-        assert policy.max_ttl == 90.0
-        assert policy.target_residual == 0.1
-        assert policy.ttl_for() == cfg.ttl_seconds  # inert until evidence
+        reference = AdaptiveTTLPolicy()
+        assert (policy.min_ttl, policy.max_ttl, policy.target_residual) == (
+            reference.min_ttl, reference.max_ttl, reference.target_residual
+        )
+        assert policy.ttl_for() == 45.0  # inert until evidence
 
     def test_roundtrips_through_json(self):
-        cfg = make(ttl_policy="adaptive", min_ttl_seconds=10.0)
+        cfg = make(ttl_policy="adaptive", ttl_seconds=45.0)
         again = ClusterConfig.from_json(cfg.to_json())
+        assert again == cfg
         assert again.ttl_policy == "adaptive"
-        assert again.min_ttl_seconds == 10.0
 
     def test_rejects_bad_ttl_knobs(self):
         with pytest.raises(ConfigurationError):
             make(ttl_policy="random")
         with pytest.raises(ConfigurationError):
-            make(min_ttl_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            make(min_ttl_seconds=50.0, max_ttl_seconds=10.0)
-        with pytest.raises(ConfigurationError):
-            make(ttl_target_residual=1.5)
+            make(ttl_policy="adaptive", ttl_seconds=-1.0)
 
 
 class TestOverloadArmorKnobs:
+    """The config carries no overload knob: armor is set on the frontend."""
+
+    RETIRED = ("retry_budget_ratio", "limiter_window", "admission_window",
+               "max_inflight_per_conn")
+
     def test_defaults_disable_everything(self):
-        cfg = make()
-        assert cfg.retry_budget_ratio == 0.0
-        assert cfg.limiter_window == 0
-        assert cfg.admission_window == 0
-        assert cfg.max_inflight_per_conn == 0
-        assert cfg.build_resilience() is None
-        assert cfg.build_admission() is None
+        payload = json.loads(make().to_json())
+        assert set(payload) == {
+            "endpoints", "digest", "ttl_seconds", "replicas", "name",
+            "ttl_policy", "version",
+        }
 
     def test_rejects_negative_knobs(self):
-        with pytest.raises(ConfigurationError):
-            make(retry_budget_ratio=-0.1)
-        with pytest.raises(ConfigurationError):
-            make(limiter_window=-1)
-        with pytest.raises(ConfigurationError):
-            make(admission_window=-1)
-        with pytest.raises(ConfigurationError):
-            make(max_inflight_per_conn=-1)
-
-    def test_roundtrips_through_json(self):
-        cfg = make(
-            retry_budget_ratio=0.2,
-            limiter_window=32,
-            admission_window=16,
-            max_inflight_per_conn=64,
-        )
-        again = ClusterConfig.from_json(cfg.to_json())
-        assert again == cfg
-        assert again.retry_budget_ratio == 0.2
-        assert again.limiter_window == 32
-        assert again.admission_window == 16
-        assert again.max_inflight_per_conn == 64
-
-    def test_build_resilience_arms_the_policy(self):
-        cfg = make(retry_budget_ratio=0.2, limiter_window=32)
-        policy = cfg.build_resilience()
-        assert policy.retry_budget_ratio == 0.2
-        assert policy.limiter_window == 32
-        assert policy.new_retry_budget() is not None
-        assert policy.new_limiter() is not None
-
-    def test_build_admission_sizes_the_window(self):
-        from repro.resilience import ConcurrencyAdmission
-
-        admission = make(admission_window=16).build_admission()
-        assert isinstance(admission, ConcurrencyAdmission)
-        assert admission.limiter.limit == 16.0
-
-    def test_build_frontend_wires_the_armor(self):
-        cfg = make(
-            retry_budget_ratio=0.2,
-            limiter_window=32,
-            admission_window=16,
-            max_inflight_per_conn=64,
-        )
-
-        async def db(key):
-            return b"v"
-
-        web = cfg.build_frontend(db)
-        assert web.transport.retry_budget is not None
-        assert all(lim is not None for lim in web.transport.limiters)
-        assert web.admission is not None
-        assert web.transport.max_inflight_per_conn == 64
+        # A knob the config no longer has fails the load, whatever its value.
+        for knob in self.RETIRED:
+            payload = json.loads(make().to_json())
+            payload[knob] = -1
+            with pytest.raises(ConfigurationError, match="malformed config"):
+                ClusterConfig.from_json(json.dumps(payload))
 
     def test_build_frontend_default_has_no_armor(self):
         async def db(key):

@@ -1,6 +1,6 @@
 """Load-bearing audit: every module is reached from a real entry point,
 every package re-export is imported through that package by someone, and
-every engine option is set by someone.
+every config field is set by someone.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
@@ -18,7 +18,14 @@ import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
+import pytest
+
+from repro.config import ClusterConfig
 from repro.core.retrieval import RetrievalConfig
+from repro.experiments.autopilot import AutopilotConfig
+from repro.experiments.cluster import ExperimentConfig
+from repro.experiments.failover import FailoverConfig
+from repro.experiments.testbed import Sizing
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -171,29 +178,56 @@ def test_every_reexport_is_imported_through_its_package():
     )
 
 
-def _config_keywords(path: Path) -> Iterator[str]:
-    """Every keyword *path* passes to a ``RetrievalConfig(...)`` call."""
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = getattr(callee, "id", getattr(callee, "attr", None))
-            if name == "RetrievalConfig":
-                yield from (keyword.arg for keyword in node.keywords)
+#: every dataclass a caller fills in to configure a run or a deployment
+CONFIGS = [
+    RetrievalConfig, ClusterConfig, ExperimentConfig, AutopilotConfig,
+    FailoverConfig, Sizing,
+]
 
 
-def test_every_engine_option_is_set_outside_the_tests():
-    """A ``RetrievalConfig`` field that only tests set is an option nobody
-    runs with: make it the default (or a constant) and drop the field."""
-    passed = {
-        keyword
-        for path in {*MODULES.values(), *ROOTS}
-        for keyword in _config_keywords(path)
+def _config_keywords(path: Path) -> Iterator[Tuple[str, str]]:
+    """``(class, keyword)`` for every keyword *path* passes to a config: a
+    call of the class (``X(...)``) or of one of its classmethods
+    (``X.for_fleet(...)``), and ``cls(...)`` inside the class's own body."""
+    names = {config.__name__ for config in CONFIGS}
+    tree = ast.parse(path.read_text())
+    owner = {
+        id(call): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in names
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"
     }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+            callee = callee.value  # X.for_fleet(...) configures an X
+        name = owner.get(id(node), getattr(callee, "id", getattr(callee, "attr", None)))
+        if name in names:
+            yield from ((name, kw.arg) for kw in node.keywords if kw.arg)
+
+
+@functools.lru_cache(maxsize=None)
+def _passed() -> Dict[str, Set[str]]:
+    passed: Dict[str, Set[str]] = {}
+    for path in {*MODULES.values(), *ROOTS}:
+        for name, keyword in _config_keywords(path):
+            passed.setdefault(name, set()).add(keyword)
+    return passed
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.__name__)
+def test_every_config_field_is_set_outside_the_tests(config):
+    """A config field that only tests set is an option nobody runs with:
+    make it the default (or a constant) and drop the field."""
+    passed = _passed().get(config.__name__, set())
     unset = [
-        field.name for field in dataclasses.fields(RetrievalConfig)
+        field.name for field in dataclasses.fields(config)
         if field.name not in passed
     ]
     assert not unset, (
-        "no RetrievalConfig(...) call in src/, benchmarks/ or examples/ "
+        f"no {config.__name__}(...) call in src/, benchmarks/ or examples/ "
         f"passes {unset}"
     )

@@ -21,17 +21,19 @@ CEILINGS = {
     "core/router.py": 375,
     "core/retrieval.py": 800,
     "web/frontend.py": 250,
-    "net/webtier.py": 363,
+    "net/webtier.py": 369,
     "net/transport.py": 400,
     "net/parser.py": 450,
     "net/client.py": 700,
-    "experiments/testbed.py": 200,
-    "experiments/cluster.py": 325,
+    "experiments/testbed.py": 225,
+    "experiments/cluster.py": 300,
     "experiments/autopilot.py": 500,
     "experiments/failover.py": 125,
+    "config.py": 197,
+    "provisioning/actuator.py": 152,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 14_397
+TREE_CEILING = 14_274
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
