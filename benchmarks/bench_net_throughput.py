@@ -15,7 +15,8 @@ live tier can run:
 * ``pooled`` — pipelined connections behind a
   :class:`~repro.net.pool.ConnectionPool`, swept across closed-loop
   worker counts (the web-tier shape: many concurrent page fetches per
-  server);
+  server), each at one connection and at the transport's default four
+  (report-only: what the pool's extra connections buy);
 * ``pipelined_nagle`` — the pipelined discipline with ``nodelay=False``
   (report-only: what leaving Nagle on costs the batched writes).
 
@@ -56,10 +57,12 @@ PAGE_SIZES = (1, 8, 64)
 #: at the same statistical weight (RPS normalizes by elapsed time)
 SERIAL_PAGES = {1: 400, 8: 100, 64: 25}
 PIPELINED_PAGES = {1: 2000, 8: 600, 64: 200}
-#: pooled sweep: concurrent closed-loop workers fetching 64-key pages
+#: pooled sweep: concurrent closed-loop workers fetching 64-key pages,
+#: each level through a pool of every size (1: the e2e benchmark's; 4: the
+#: transport's default)
 CONCURRENCY = (1, 4, 16)
 POOL_TOTAL_PAGES = 240
-POOL_SIZE = 4
+POOL_SIZES = (1, 4)
 
 GATE_SPEEDUP = 10.0       # pipelined vs serial at 64-key pages
 RATCHET_TOLERANCE = 0.30  # --check fails beyond -30% on that speedup
@@ -139,12 +142,12 @@ async def _page_scenario(
     return page * pages / elapsed
 
 
-async def _pool_scenario(port: int, concurrency: int) -> float:
+async def _pool_scenario(port: int, concurrency: int, size: int) -> float:
     """Pooled closed loop at 64-key pages; returns GETs per second."""
     page = 64
     keys = _keys(page)
     pages_per_worker = POOL_TOTAL_PAGES // concurrency
-    pool = ConnectionPool("127.0.0.1", port, size=POOL_SIZE)
+    pool = ConnectionPool("127.0.0.1", port, size=size)
 
     async def worker() -> None:
         for _ in range(pages_per_worker):
@@ -189,12 +192,16 @@ async def _run_all(port: int) -> Dict[str, object]:
         port, 64, PIPELINED_PAGES[64], pipeline=True, nodelay=False,
     )
     sweep = {
-        str(c): {"pooled_rps": round(await _pool_scenario(port, c))}
+        str(c): {
+            f"pool_size_{size}_rps": round(
+                await _pool_scenario(port, c, size)
+            )
+            for size in POOL_SIZES
+        }
         for c in CONCURRENCY
     }
     return {
         "value_bytes": len(VALUE),
-        "pool_size": POOL_SIZE,
         "pages": pages_report,
         "pipelined_nagle_rps_64": round(nagle),
         "concurrency": sweep,
@@ -224,9 +231,11 @@ def print_report(report: Dict[str, object]) -> None:
         print(fmt_row(f"{page} keys", [
             row["serial_rps"], row["pipelined_rps"], row["speedup"],
         ], width=12))
-    print(fmt_row("workers", ["pooled_rps"], width=12))
+    print(fmt_row(
+        "workers", [f"pool of {size}" for size in POOL_SIZES], width=12
+    ))
     for c, row in report["concurrency"].items():
-        print(fmt_row(f"c={c}", [row["pooled_rps"]], width=12))
+        print(fmt_row(f"c={c}", list(row.values()), width=12))
     print(f"Nagle on (64-key pages): {report['pipelined_nagle_rps_64']} RPS; "
           f"gate: 64-key speedup >= {GATE_SPEEDUP:.0f}x")
 

@@ -100,24 +100,6 @@ class BloomFilter:
         hit = (view[indexes >> 3] & (1 << (indexes & 7)).astype(np.uint8)) != 0
         return hit.all(axis=1).tolist()
 
-    def expected_false_positive_rate(self, kappa: Optional[int] = None) -> float:
-        """Paper Eq. 4: ``(1 - e^(-kappa*h/l))^h``.
-
-        Args:
-            kappa: number of distinct inserted keys; defaults to the insert
-                counter (an overestimate when keys repeat).
-        """
-        import math
-
-        k = self.count if kappa is None else kappa
-        return (1.0 - math.exp(-k * self.num_hashes / self.num_bits)) ** self.num_hashes
-
-    def fill_ratio(self) -> float:
-        """Fraction of bits set to 1."""
-        view = np.frombuffer(self._bits, dtype=np.uint8)
-        ones = int(np.unpackbits(view).sum())
-        return ones / self.num_bits
-
     def size_bytes(self) -> int:
         """Memory used by the bit array (what a digest broadcast costs)."""
         return len(self._bits)

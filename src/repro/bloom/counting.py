@@ -13,14 +13,12 @@ in strict mode: the paper argues this never happens because deletions are
 driven solely by memcached item-unlink events, so we treat it as a bug
 rather than corrupting the counters.
 
-Batch operations (:meth:`CountingBloomFilter.add_many`,
-:meth:`~CountingBloomFilter.remove_many`,
+The batch operations (:meth:`CountingBloomFilter.add_many`,
 :meth:`~CountingBloomFilter.contains_many`) hash every key in one vectorized
-pass and apply all counter deltas with one ``np.bincount``.  Saturating unit
-increments and zero-clamped unit decrements commute, so the per-counter
-results — including the saturation/overflow accounting — are exactly what
-the scalar loop produces; :meth:`remove_many` is additionally *atomic* in
-strict mode (a failing batch raises without mutating any counter).
+pass; ``add_many`` applies all counter deltas with one ``np.bincount``.
+Saturating unit increments commute, so the per-counter results — including
+the saturation/overflow accounting — are exactly what the scalar loop
+produces.
 """
 
 from __future__ import annotations
@@ -157,63 +155,6 @@ class CountingBloomFilter:
         view[:] = raised.astype(np.uint8)
         self.count += len(keys)
 
-    def remove_many(
-        self,
-        keys: Sequence[Key],
-        bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        """Delete a key batch; atomic in strict mode.
-
-        On success the counters and ``count`` equal those of calling
-        :meth:`remove` per key.  In strict mode a batch that would delete an
-        absent key raises :class:`DigestError` naming the first offending
-        key *without mutating anything* (the scalar loop would stop midway
-        with earlier removes applied; batch semantics are all-or-nothing).
-        """
-        keys = list(keys)
-        if not keys:
-            return
-        view = self._counter_view()
-        if view is None:
-            self._remove_replay(keys, None)
-            return
-        indexes = self._family.indexes_many(keys, bases)
-        # A key probing the same counter twice (double-hash collision) is
-        # check-once / clamp-per-probe in the scalar path, which bincount
-        # deltas cannot express — replay those batches key by key.
-        sorted_rows = np.sort(indexes, axis=1)
-        has_within_key_dup = bool((sorted_rows[:, 1:] == sorted_rows[:, :-1]).any())
-        if self.strict and has_within_key_dup:
-            self._remove_replay(keys, indexes)
-            return
-        delta = np.bincount(indexes.ravel(), minlength=self.num_counters)
-        lowered = view.astype(np.int64) - delta
-        if self.strict and (lowered < 0).any():
-            self._remove_replay(keys, indexes)  # re-raises, naming the key
-            raise AssertionError("strict replay must have raised")
-        np.maximum(lowered, 0, out=lowered)
-        view[:] = lowered.astype(np.uint8)
-        self.count = max(0, self.count - len(keys))
-
-    def _remove_replay(
-        self, keys: List[Key], indexes: Optional[np.ndarray]
-    ) -> None:
-        """Sequential-semantics removal on a copy, committed atomically."""
-        counters = self._counters[:] if not isinstance(self._counters, bytearray) else bytearray(self._counters)
-        rows = (
-            (self._family.indexes(key) for key in keys)
-            if indexes is None
-            else (row.tolist() for row in indexes)
-        )
-        for key, row in zip(keys, rows):
-            if self.strict and any(counters[idx] == 0 for idx in row):
-                raise DigestError(f"removing key absent from digest: {key!r}")
-            for idx in row:
-                if counters[idx] > 0:
-                    counters[idx] -= 1
-        self._counters = counters
-        self.count = max(0, self.count - len(keys))
-
     def contains_many(
         self,
         keys: Sequence[Key],
@@ -275,13 +216,6 @@ class CountingBloomFilter:
             bf._bits = bytearray(packed.tobytes())
         bf.count = self.count
         return bf
-
-    def max_counter(self) -> int:
-        """Largest counter value currently held."""
-        view = self._counter_view()
-        if view is not None:
-            return int(view.max()) if self.num_counters else 0
-        return max(self._counters) if self.num_counters else 0
 
     def size_bytes(self) -> int:
         """Approximate memory footprint of the counter array: ``l*b/8``."""

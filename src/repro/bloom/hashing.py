@@ -142,15 +142,11 @@ class KeyHashes:
 
     __slots__ = ("key", "_base", "_rings", "_digest")
 
-    def __init__(
-        self,
-        key: Key,
-        digest_bases: Optional[Tuple[int, int]] = None,
-    ) -> None:
+    def __init__(self, key: Key) -> None:
         self.key = key
         self._base: Optional[int] = None
         self._rings: Optional[Dict[int, int]] = None
-        self._digest = digest_bases
+        self._digest: Optional[Tuple[int, int]] = None
 
     @property
     def base64(self) -> int:

@@ -132,6 +132,29 @@ class CacheCluster:
 
         Returns the started :class:`Transition`, or ``None`` for a no-op.
         """
+        return self._begin(n_new, now, smooth=True, ttl=ttl)
+
+    def abrupt_scale_to(self, n_new: int, now: float) -> Optional[Transition]:
+        """Change the active count with *no* smooth transition.
+
+        This is how the Naive and Consistent scenarios (Table II) provision:
+        no digest broadcast, no drain window — outgoing servers power off on
+        the spot (losing their hot data), incoming servers power on cold,
+        and routing flips instantly.  Misses caused by the remap go straight
+        to the database; this is the Fig. 9 spike mechanism.
+        """
+        transition = self._begin(n_new, now, smooth=False)
+        if transition is not None:
+            self.transitions.force_complete(now)  # powers draining servers off
+        return transition
+
+    def _begin(
+        self, n_new: int, now: float, smooth: bool, ttl: Optional[float] = None
+    ) -> Optional[Transition]:
+        """The steps both transitions share: check *n_new*, power the
+        joining servers on cold, begin, and mark the leaving servers
+        DRAINING.  A *smooth* transition first snapshots the ceding
+        servers' digests."""
         if not 1 <= n_new <= self.num_servers:
             raise TransitionError(
                 f"n_new must be in [1, {self.num_servers}], got {n_new}"
@@ -145,14 +168,15 @@ class CacheCluster:
             raise TransitionError(
                 "previous drain window still open; finalize it first"
             )
-        ceding = self.router.ceding_servers(n_old, n_new)
-        digests = self.collect_digests(ceding)
-        if n_new > n_old:
-            for sid in range(n_old, n_new):
-                # A crashed machine ignores the actuator's power-on; it
-                # joins the fleet only after repair_server().
-                if sid not in self._failed:
-                    self.servers[sid].power_on(now)
+        ceding = digests = None
+        if smooth:
+            ceding = self.router.ceding_servers(n_old, n_new)
+            digests = self.collect_digests(ceding)
+        for sid in range(n_old, n_new):
+            # A crashed machine ignores the actuator's power-on; it joins
+            # the fleet only after repair_server().
+            if sid not in self._failed:
+                self.servers[sid].power_on(now)
         transition = self.transitions.begin(
             n_new, now, digests=digests, ceding=ceding, ttl=ttl
         )
@@ -161,40 +185,6 @@ class CacheCluster:
                 # Crashed servers are already OFF; they have nothing to drain.
                 if self.servers[sid].state is PowerState.ON:
                     self.servers[sid].begin_drain()
-        return transition
-
-    def abrupt_scale_to(self, n_new: int, now: float) -> Optional[Transition]:
-        """Change the active count with *no* smooth transition.
-
-        This is how the Naive and Consistent scenarios (Table II) provision:
-        no digest broadcast, no drain window — outgoing servers power off on
-        the spot (losing their hot data), incoming servers power on cold,
-        and routing flips instantly.  Misses caused by the remap go straight
-        to the database; this is the Fig. 9 spike mechanism.
-        """
-        if not 1 <= n_new <= self.num_servers:
-            raise TransitionError(
-                f"n_new must be in [1, {self.num_servers}], got {n_new}"
-            )
-        n_old = self.transitions.active_count
-        if n_new == n_old:
-            return None
-        if self.transitions.in_transition(now):
-            raise TransitionError(
-                "previous drain window still open; finalize it first"
-            )
-        if n_new > n_old:
-            for sid in range(n_old, n_new):
-                if sid not in self._failed:
-                    self.servers[sid].power_on(now)
-        transition = self.transitions.begin(n_new, now, digests=None)
-        if transition is not None and transition.is_scale_down:
-            for sid in transition.draining_servers():
-                if self.servers[sid].state is PowerState.ON:
-                    self.servers[sid].begin_drain()
-            self.transitions.force_complete(now)  # powers them off immediately
-        elif transition is not None:
-            self.transitions.force_complete(now)
         return transition
 
     def finalize_expired(self, now: float) -> None:

@@ -21,7 +21,7 @@ from typing import Any, Optional
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.bloom.counting import CountingBloomFilter
-from repro.cache.item import CacheItem
+from repro.cache.item import DEFAULT_ITEM_SIZE, CacheItem
 from repro.cache.store import KeyValueStore
 from repro.errors import CacheError, ConfigurationError
 
@@ -46,7 +46,7 @@ class CacheServer:
         server_id: position in the fixed provisioning order (0-based).
         capacity_bytes: store capacity; the paper's Fig. 6 sweeps this.
         bloom_config: digest sizing; defaults to the Section IV-B optimum for
-            the capacity-implied key count (``capacity / item_size``).
+            the capacity-implied key count (``capacity / DEFAULT_ITEM_SIZE``).
         initially_on: start in ``ON`` (the common case for ``s_1..s_{n(0)}``).
     """
 
@@ -56,18 +56,14 @@ class CacheServer:
         capacity_bytes: Optional[int] = None,
         bloom_config: Optional[BloomConfig] = None,
         initially_on: bool = True,
-        default_item_size: int = 4096,
     ) -> None:
         if server_id < 0:
             raise ConfigurationError(f"server_id must be >= 0, got {server_id}")
         self.server_id = server_id
-        self.store = KeyValueStore(
-            capacity_bytes=capacity_bytes,
-            default_item_size=default_item_size,
-        )
+        self.store = KeyValueStore(capacity_bytes=capacity_bytes)
         if bloom_config is None:
             expected_keys = (
-                max(1024, capacity_bytes // default_item_size)
+                max(1024, capacity_bytes // DEFAULT_ITEM_SIZE)
                 if capacity_bytes
                 else 100_000
             )

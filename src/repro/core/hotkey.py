@@ -49,10 +49,22 @@ __all__ = [
 #: Salt base for the sketch's row hash functions (distinct from the ring
 #: salts ``0x100+`` and the digest salts ``0x51``/``0x52``).
 SKETCH_SALT_BASE = 0x200
+#: count-min geometry: counters per row, rows
+SKETCH_WIDTH = 1024
+SKETCH_DEPTH = 4
+#: candidate keys a top-k sketch tracks (the elected hot set's bound)
+TOP_K = 128
+#: entries a frontend-local hot-key cache holds (LRU beyond it)
+HOT_CACHE_CAPACITY = 64
+#: seconds for a server's load score to halve
+LOAD_HALFLIFE = 1.0
+#: weight of the newest sample in a server's latency EWMA
+LATENCY_SMOOTHING = 0.2
 
 
 class CountMinSketch:
-    """Conservative-update count-min sketch over ``depth x width`` counters.
+    """Conservative-update count-min sketch over ``SKETCH_DEPTH x
+    SKETCH_WIDTH`` counters.
 
     Estimates never *under*-count: ``estimate(key) >= true count`` always.
     Conservative update (only the minimum-valued cells are incremented)
@@ -63,13 +75,9 @@ class CountMinSketch:
     web servers must elect the same hot set under the same traffic).
     """
 
-    def __init__(self, width: int = 1024, depth: int = 4) -> None:
-        if width < 1 or depth < 1:
-            raise ConfigurationError(
-                f"sketch needs width >= 1 and depth >= 1, got {width}x{depth}"
-            )
-        self.width = width
-        self.depth = depth
+    def __init__(self) -> None:
+        self.width = width = SKETCH_WIDTH
+        self.depth = depth = SKETCH_DEPTH
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
         #: total observations recorded (the stream length ``N``)
         self.observations = 0
@@ -107,25 +115,21 @@ class CountMinSketch:
 class TopKSketch:
     """Space-bounded online top-k election: count-min + a capacity-k heap.
 
-    Tracks at most *capacity* candidate keys.  A new key displaces the
+    Tracks at most ``TOP_K`` candidate keys.  A new key displaces the
     least-frequent tracked candidate only when its sketch estimate reaches
     the current minimum, so membership stabilizes on the head of the
     distribution as the stream lengthens.
 
     Election guarantee (the property the hypothesis suite pins): a key
     whose true count is strictly greater than the true counts of all but
-    at most ``capacity - 1`` other keys is always elected — the sketch
+    at most ``TOP_K - 1`` other keys is always elected — the sketch
     never underestimates, so at 2x capacity the elected set is a superset
     of the true top-k whenever the head is separated from rank ``2k``.
     """
 
-    def __init__(
-        self, capacity: int = 128, width: int = 1024, depth: int = 4
-    ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.sketch = CountMinSketch(width, depth)
+    def __init__(self) -> None:
+        self.capacity = TOP_K
+        self.sketch = CountMinSketch()
         #: tracked candidate -> latest sketch estimate
         self._tracked: Dict[Key, int] = {}
         #: lazy min-heap of (estimate, key); stale entries skipped on pop
@@ -216,16 +220,15 @@ class HotKeyCache:
     staleness: an entry older than *ttl* is never served, and write-backs /
     puts invalidate (or refresh) the local copy immediately — the same
     digest-style "bounded window, then the authoritative path" contract
-    the transition drain window gives remapped keys.  Capacity is LRU
-    bounded; the cache is supposed to hold the Zipf *head*, not the body.
+    the transition drain window gives remapped keys.  Capacity
+    (``HOT_CACHE_CAPACITY``) is LRU bounded; the cache is supposed to hold
+    the Zipf *head*, not the body.
     """
 
-    def __init__(self, capacity: int = 64, ttl: float = 1.0) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, ttl: float = 1.0) -> None:
         if ttl <= 0:
             raise ConfigurationError(f"ttl must be positive, got {ttl}")
-        self.capacity = capacity
+        self.capacity = HOT_CACHE_CAPACITY
         self.ttl = ttl
         #: key -> (value, stored_at); dict order doubles as LRU order
         self._entries: Dict[Key, Tuple[Any, float]] = {}
@@ -281,31 +284,19 @@ class ServerLoadEWMA:
     """Per-server exponentially-decayed load scores for d-choices routing.
 
     The score is a decayed request counter: :meth:`record_request` adds one
-    unit which halves every *halflife* seconds, so the score approximates
-    "requests in flight / recent arrival pressure" without the drivers
-    wiring explicit completion callbacks.  Drivers that observe latency
-    feed :meth:`observe_latency`; the per-server latency EWMA scales the
-    score so a slow replica reads as more loaded than an idle one at equal
-    arrival rate.
+    unit which halves every ``LOAD_HALFLIFE`` seconds, so the score
+    approximates "requests in flight / recent arrival pressure" without the
+    drivers wiring explicit completion callbacks.  Drivers that observe
+    latency feed :meth:`observe_latency`; the per-server latency EWMA scales
+    the score so a slow replica reads as more loaded than an idle one at
+    equal arrival rate.
 
     Decay is computed lazily against the caller's clock — the tracker has
     no clock of its own, keeping it substrate-agnostic (virtual sim time
     and live monotonic time both work).
     """
 
-    def __init__(
-        self, halflife: float = 1.0, latency_smoothing: float = 0.2
-    ) -> None:
-        if halflife <= 0:
-            raise ConfigurationError(
-                f"halflife must be positive, got {halflife}"
-            )
-        if not 0 < latency_smoothing <= 1:
-            raise ConfigurationError(
-                f"latency_smoothing must be in (0, 1], got {latency_smoothing}"
-            )
-        self.halflife = halflife
-        self.latency_smoothing = latency_smoothing
+    def __init__(self) -> None:
         #: server -> (score, last_update)
         self._scores: Dict[int, Tuple[float, float]] = {}
         #: server -> latency EWMA seconds
@@ -318,7 +309,7 @@ class ServerLoadEWMA:
         score, updated = entry
         if now <= updated:
             return score
-        return score * math.exp(-(now - updated) * math.log(2) / self.halflife)
+        return score * math.exp(-(now - updated) * math.log(2) / LOAD_HALFLIFE)
 
     def record_request(self, server: int, now: float, weight: float = 1.0) -> None:
         """Charge one (weighted) request against *server* at time *now*."""
@@ -327,7 +318,7 @@ class ServerLoadEWMA:
     def observe_latency(self, server: int, latency: float) -> None:
         """Fold one observed round-trip latency into the server's EWMA."""
         previous = self._latency.get(server)
-        alpha = self.latency_smoothing
+        alpha = LATENCY_SMOOTHING
         self._latency[server] = (
             latency if previous is None
             else (1 - alpha) * previous + alpha * latency

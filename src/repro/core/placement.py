@@ -68,10 +68,6 @@ class Placement:
         """Total virtual nodes placed (== Theorem 1 bound for Algorithm 1)."""
         return len(self.ranges)
 
-    def ranges_of(self, server: int) -> List[HostRange]:
-        """Host ranges owned by *server* when all ``N`` servers are active."""
-        return [r for r in self.ranges if r.server == server]
-
     def build_ring(self) -> HashRing:
         """Materialize the placement as a :class:`HashRing`.
 
@@ -85,12 +81,6 @@ class Placement:
         for rng in self.ranges:
             ring.add(rng.end % self.ring_size, rng.server)
         return ring
-
-    def owned_fraction(self, server: int, num_active: int) -> Fraction:
-        """Exact fraction of the key space *server* owns with ``num_active`` on."""
-        ring = self.build_ring()
-        owned = ring.owned_lengths(prefix_active(num_active))
-        return Fraction(owned.get(server, 0)) / self.ring_size
 
     def verify_balance(self) -> None:
         """Check BC exactly for every active prefix; raise on violation.

@@ -122,6 +122,8 @@ DEGRADED_EVENTS = ("probe_new", "probe_old", "writeback")
 #: the way memcached clients chunk oversized multigets.  A constant, not an
 #: option: a ``gets`` of 64 maximal keys fits the parsers' line bound.
 MAX_MULTIGET_KEYS = 64
+#: Open leader windows before a :class:`LeaderWindowRegistry` prunes.
+MAX_LEADER_WINDOWS = 4096
 
 #: The paths on which the database served the request.
 _DATABASE_PATHS = (
@@ -773,8 +775,7 @@ class LeaderWindowRegistry:
     jumps to its end; anything later is a plain miss.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._windows: Dict[str, float] = {}
 
     def __len__(self) -> int:
@@ -792,7 +793,7 @@ class LeaderWindowRegistry:
         against the *current* clock ``now`` (not the request's start), so
         a window that closed while this request was in flight goes."""
         self._windows[key] = done_at
-        if len(self._windows) > self.max_entries:
+        if len(self._windows) > MAX_LEADER_WINDOWS:
             # The map stays bounded by the concurrent-miss key count.
             self._windows = {
                 k: t for k, t in self._windows.items() if t > now

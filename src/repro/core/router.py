@@ -257,7 +257,8 @@ class ConsistentRouter(RingRouter):
 
     Two variants from the paper's evaluation (Fig. 5 / Fig. 9):
 
-    * ``vnodes_per_server=ceil(log2 N)`` — the common O(log n) deployment;
+    * ``ceil(log2 N)`` virtual nodes per server (no ``total_vnodes``) —
+      the common O(log n) deployment;
     * ``total_vnodes=N*N//2`` — the n^2/2 variant the paper uses to give the
       baseline the same vnode budget as Proteus.
 
@@ -269,26 +270,15 @@ class ConsistentRouter(RingRouter):
     def __init__(
         self,
         num_servers: int,
-        vnodes_per_server: Optional[int] = None,
         total_vnodes: Optional[int] = None,
         seed: int = 0,
-        ring_size: int = DEFAULT_RING_SIZE,
     ) -> None:
         Router.__init__(self, num_servers)  # validate before sizing the ring
-        if vnodes_per_server is not None and total_vnodes is not None:
-            raise ConfigurationError(
-                "pass vnodes_per_server or total_vnodes, not both"
-            )
-        if vnodes_per_server is None and total_vnodes is None:
-            vnodes_per_server = max(1, math.ceil(math.log2(max(2, num_servers))))
-        ring = HashRing(ring_size)
+        ring = HashRing(DEFAULT_RING_SIZE)
         rng = random.Random(seed)
-        if vnodes_per_server is not None:
-            if vnodes_per_server < 1:
-                raise ConfigurationError(
-                    f"vnodes_per_server must be >= 1, got {vnodes_per_server}"
-                )
-            counts = [vnodes_per_server] * num_servers
+        if total_vnodes is None:
+            per_server = max(1, math.ceil(math.log2(max(2, num_servers))))
+            counts = [per_server] * num_servers
         else:
             if total_vnodes < num_servers:
                 raise ConfigurationError(
@@ -304,7 +294,7 @@ class ConsistentRouter(RingRouter):
         for server, count in enumerate(counts):
             placed = 0
             while placed < count:
-                position = rng.randrange(ring_size)
+                position = rng.randrange(DEFAULT_RING_SIZE)
                 if position in drawn:
                     continue  # duplicate position: redraw
                 drawn.add(position)

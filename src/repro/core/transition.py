@@ -67,10 +67,6 @@ class Transition:
     def is_scale_down(self) -> bool:
         return self.n_new < self.n_old
 
-    @property
-    def is_scale_up(self) -> bool:
-        return self.n_new > self.n_old
-
     def draining_servers(self) -> List[int]:
         """Servers that power off when the window closes (scale-down only)."""
         return list(range(self.n_new, self.n_old)) if self.is_scale_down else []

@@ -8,7 +8,7 @@ meta-server indirection is too slow for the cache tier's request rates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.bloom.hashing import stable_hash64
 from repro.database.shard import DatabaseShard, ShardResponse
@@ -29,18 +29,12 @@ class DatabaseCluster:
         self,
         num_shards: int = DEFAULT_NUM_SHARDS,
         service_model: Optional[LatencyModel] = None,
-        synthesize: bool = True,
         seed: int = 0,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
         self.shards: List[DatabaseShard] = [
-            DatabaseShard(
-                shard_id=i,
-                service_model=service_model,
-                synthesize=synthesize,
-                seed=seed,
-            )
+            DatabaseShard(shard_id=i, service_model=service_model, seed=seed)
             for i in range(num_shards)
         ]
 
@@ -60,11 +54,6 @@ class DatabaseCluster:
         """Install authoritative data on the owning shard."""
         self.shard_for(key).put(key, value)
 
-    def load_dataset(self, dataset: Dict[str, Any]) -> None:
-        """Partition *dataset* across the shards."""
-        for key, value in dataset.items():
-            self.put(key, value)
-
     def total_requests(self) -> int:
         """Requests served across all shards — the DB pressure metric.
 
@@ -73,10 +62,6 @@ class DatabaseCluster:
         misses in the cache tier).
         """
         return sum(shard.requests for shard in self.shards)
-
-    def max_queue_delay(self, now: float) -> float:
-        """Worst backlog across shards (the Fig. 9 spike driver)."""
-        return max(shard.queue_delay(now) for shard in self.shards)
 
     def reset(self) -> None:
         """Reset all shard queues and counters."""

@@ -8,8 +8,8 @@ is a single-server FIFO queue, so a burst of cache misses piles up queueing
 delay — the mechanism behind the Fig. 9 Naive spike.
 
 The shard *always* has the data (the database tier is authoritative): values
-are synthesized deterministically from the key unless an explicit dataset is
-installed, which stands in for the 70 GB dump without storing it.
+are synthesized deterministically from the key unless one was :meth:`put`,
+which stands in for the 70 GB dump without storing it.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class DatabaseShard:
     Args:
         shard_id: index within the cluster.
         service_model: per-request service-time distribution.
-        dataset: explicit ``key -> value`` data; keys outside it fall back to
-            the synthesizer (or miss if ``synthesize=False``).
-        synthesize: answer any key with a generated page (simulates the full
-            dump being present).
         seed: RNG seed for service-time sampling.
     """
 
@@ -50,30 +46,24 @@ class DatabaseShard:
         self,
         shard_id: int,
         service_model: Optional[LatencyModel] = None,
-        dataset: Optional[Dict[str, Any]] = None,
-        synthesize: bool = True,
         seed: int = 0,
     ) -> None:
         if shard_id < 0:
             raise ConfigurationError(f"shard_id must be >= 0, got {shard_id}")
         self.shard_id = shard_id
         self.service_model = service_model or Exponential(DEFAULT_DB_SERVICE_MEAN)
-        self.dataset = dict(dataset or {})
-        self.synthesize = synthesize
+        #: values installed by :meth:`put`; any other key is synthesized
+        self.dataset: Dict[str, Any] = {}
         self.queue = ServiceQueue()
         self._rng = random.Random((seed << 8) ^ shard_id)
         #: total requests answered
         self.requests = 0
-        #: requests that missed (only possible with synthesize=False)
-        self.not_found = 0
 
-    def lookup(self, key: str) -> Optional[Any]:
+    def lookup(self, key: str) -> Any:
         """The value for *key* (no timing): dataset, then synthesizer."""
         if key in self.dataset:
             return self.dataset[key]
-        if self.synthesize:
-            return synthesize_page(key)
-        return None
+        return synthesize_page(key)
 
     def get(self, key: str, now: float) -> "ShardResponse":
         """Serve *key* through the FIFO queue; returns value + completion time."""
@@ -81,8 +71,6 @@ class DatabaseShard:
         completion = self.queue.enqueue(now, service)
         value = self.lookup(key)
         self.requests += 1
-        if value is None:
-            self.not_found += 1
         return ShardResponse(value=value, completion_time=completion,
                              service_time=service,
                              queue_delay=completion - now - service)
@@ -99,7 +87,6 @@ class DatabaseShard:
         """Clear queue state and counters (dataset is kept)."""
         self.queue.reset()
         self.requests = 0
-        self.not_found = 0
 
 
 class ShardResponse:

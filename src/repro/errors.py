@@ -43,10 +43,6 @@ class CacheError(ProteusError):
     """Base class for cache-server errors."""
 
 
-class CacheKeyError(CacheError, KeyError):
-    """The requested key is not present in the cache."""
-
-
 class CapacityError(CacheError):
     """An item cannot fit in the cache even after eviction."""
 
@@ -103,8 +99,7 @@ class OverloadError(ProteusError):
     refused work it could not absorb, so retrying immediately would feed
     the very overload that caused the refusal (the retry-storm
     amplification loop).  :meth:`repro.resilience.RetryPolicy.is_transient`
-    therefore always answers ``False`` for this family, regardless of how
-    the transient tuple is configured.
+    therefore always answers ``False`` for this family.
     """
 
 
@@ -121,10 +116,8 @@ class ServerBusyError(OverloadError):
 class ClientOverloadError(OverloadError):
     """A local bound refused the command before it was ever written.
 
-    Raised when a :class:`~repro.net.client.MemcachedClient` already has
-    its configured window of unanswered commands queued, or when every
-    pooled connection is at its window and the request's deadline cannot
-    afford to queue behind them.
+    Raised when a server's AIMD in-flight window
+    (:class:`~repro.resilience.AdaptiveConcurrencyLimiter`) is full.
     """
 
 

@@ -63,10 +63,6 @@ class FailoverReport:
     #: per-slot failover counts
     failover_series: TimeSeries
 
-    @property
-    def overall_db_fraction(self) -> float:
-        return self.db_reads / self.total_requests if self.total_requests else 0.0
-
 
 class FailoverExperiment:
     """Closed-loop load + a crash/repair schedule over a replicated tier."""

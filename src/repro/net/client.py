@@ -23,7 +23,7 @@ command).  The client therefore *poisons* the connection on every such
 failure: the transport is aborted, :attr:`broken` is set, **every queued
 future fails** with :class:`~repro.errors.TransportError` — the transient
 class retry policies act on — and the next call transparently reconnects
-(``auto_reconnect``, on by default) instead of resuming the dead stream.
+instead of resuming the dead stream.
 The one command whose reply was actually malformed gets
 :class:`~repro.errors.ProtocolError`; complete ``SERVER_ERROR``-family
 lines raise :class:`ProtocolError` *without* poisoning (the stream is
@@ -53,7 +53,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.bloom.bloom import BloomFilter
-from repro.errors import ClientOverloadError, ProtocolError, TransportError
+from repro.errors import ProtocolError, TransportError
 from repro.net import protocol as proto
 from repro.net.parser import (
     DELETE_TOKENS,
@@ -231,16 +231,9 @@ class MemcachedClient:
             the pre-hardening behaviour — except :meth:`close`, which is
             always bounded).  A timeout poisons the connection — the
             stream position is unknown once a reply is abandoned halfway.
-        auto_reconnect: when True (default), a call on a broken or closed
-            connection dials a fresh one instead of failing; when False it
-            raises :class:`~repro.errors.TransportError` so a pool can
-            eject the client.
         nodelay: set ``TCP_NODELAY`` on the socket (default True).
-        max_inflight: cap on queued-but-unanswered commands (``None`` =
-            unbounded).  An exchange that would push past the cap raises
-            :class:`~repro.errors.ClientOverloadError` *before* writing
-            anything — never retried, so local overload fails fast
-            instead of stacking futures behind a saturated connection.
+
+    A call on a broken or closed connection dials a fresh one.
     """
 
     def __init__(
@@ -248,18 +241,12 @@ class MemcachedClient:
         host: str,
         port: int,
         timeout: Optional[float] = None,
-        auto_reconnect: bool = True,
         nodelay: bool = True,
-        max_inflight: Optional[int] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.auto_reconnect = auto_reconnect
         self.nodelay = nodelay
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        self.max_inflight = max_inflight
         self._protocol: Optional[_ClientProtocol] = None
         self._broken = False
         self._closing = False
@@ -267,8 +254,6 @@ class MemcachedClient:
         self._ever_dialed = False
         #: fresh connections dialled after a poisoned one (diagnostics)
         self.reconnects = 0
-        #: exchanges refused at the max_inflight window (diagnostics)
-        self.overflows = 0
 
     @property
     def broken(self) -> bool:
@@ -358,8 +343,7 @@ class MemcachedClient:
         No ``quit`` handshake: the stream position is unknown, so the only
         safe move is an abort.  **Every queued future fails** with
         :class:`TransportError` — with pipelining there may be many — and
-        the next call reconnects (or raises, with
-        ``auto_reconnect=False``).
+        the next call reconnects.
         """
         self._broken = True
         protocol = self._protocol
@@ -426,10 +410,6 @@ class MemcachedClient:
             return self._protocol
         if not self._ever_dialed:
             raise ProtocolError("client is not connected")
-        if not self.auto_reconnect:
-            raise TransportError(
-                f"connection to {self.host}:{self.port} is broken"
-            )
         redial = self._ever_connected
         await self.connect()
         if redial:
@@ -448,23 +428,9 @@ class MemcachedClient:
             result.raise_()
         return result
 
-    def _check_window(self, protocol: "_ClientProtocol", n: int) -> None:
-        """Refuse (never queue) when *n* more commands would exceed the
-        ``max_inflight`` window."""
-        if self.max_inflight is None:
-            return
-        queued = len(protocol.pending)
-        if queued + n > self.max_inflight:
-            self.overflows += 1
-            raise ClientOverloadError(
-                f"{self.host}:{self.port}: {queued} commands queued, "
-                f"{n} more would exceed the {self.max_inflight} window"
-            )
-
     async def _exchange(self, shape: ReplyShape, payload: bytes):
         """Issue one command and await its reply."""
         protocol = await self._ensure_ready()
-        self._check_window(protocol, 1)
         future = asyncio.get_running_loop().create_future()
         try:
             protocol.issue((shape,), payload, (future,))
@@ -481,7 +447,6 @@ class MemcachedClient:
         replies (order preserved).  Raises the first failure after every
         reply future has settled — no future is left unretrieved."""
         protocol = await self._ensure_ready()
-        self._check_window(protocol, len(shapes))
         loop = asyncio.get_running_loop()
         futures = [loop.create_future() for _ in shapes]
         try:

@@ -89,9 +89,9 @@ class Desync(Exception):
     arrived intact).
     """
 
-    def __init__(self, message: str, results: Optional[list] = None) -> None:
+    def __init__(self, message: str) -> None:
         super().__init__(message)
-        self.results: List["ReplyResult"] = results or []
+        self.results: List["ReplyResult"] = []
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional
 
-from repro.errors import ClientOverloadError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.net.client import MemcachedClient
 from repro.resilience.deadline import Deadline
 
@@ -44,13 +44,6 @@ class ConnectionPool:
         size: maximum live connections (the bound; leases are unbounded
             because pipelined connections multiplex).
         timeout: per-operation timeout handed to every client.
-        max_inflight_per_conn: per-connection in-flight window used by
-            the saturation check (``None`` = no window, the pre-armor
-            behaviour).  When every live connection is at its window and
-            the pool is at ``size``, an acquire carrying a deadline that
-            cannot afford one more op-timeout of queueing **fails fast**
-            with :class:`~repro.errors.ClientOverloadError` instead of
-            piling onto a saturated connection.
     """
 
     def __init__(
@@ -59,20 +52,13 @@ class ConnectionPool:
         port: int,
         size: int = 4,
         timeout: Optional[float] = None,
-        max_inflight_per_conn: Optional[int] = None,
     ) -> None:
         if size < 1:
             raise ConfigurationError(f"pool size must be >= 1, got {size}")
-        if max_inflight_per_conn is not None and max_inflight_per_conn < 1:
-            raise ConfigurationError(
-                "max_inflight_per_conn must be >= 1, "
-                f"got {max_inflight_per_conn}"
-            )
         self.host = host
         self.port = port
         self.size = size
         self.timeout = timeout
-        self.max_inflight_per_conn = max_inflight_per_conn
         self._conns: List[MemcachedClient] = []
         self._leases: Dict[int, int] = {}  # id(client) -> live leases
         self._dialing = 0  # dials in flight (they hold a size slot)
@@ -85,9 +71,6 @@ class ConnectionPool:
         self.waited = 0
         #: highest concurrent lease count ever reached (high-water mark)
         self.leases_peak = 0
-        #: acquisitions refused because every window was full and the
-        #: deadline could not afford to queue
-        self.overflow_failures = 0
         self._retired_reconnects = 0
         self._closed = False
 
@@ -169,13 +152,8 @@ class ConnectionPool:
         connection is shared (it pipelines).  Dial errors propagate —
         classification is the caller's retry policy's job.
 
-        With a *deadline* attached the acquire fails fast instead of
-        wasting work: an already-expired deadline raises
-        :class:`~repro.errors.DeadlineExceeded` before any dial, and a
-        saturated pool (every live connection at its
-        ``max_inflight_per_conn`` window, no dial slot free) raises
-        :class:`~repro.errors.ClientOverloadError` when the deadline
-        cannot afford even one more op-timeout of queueing.
+        An already-expired *deadline* raises
+        :class:`~repro.errors.DeadlineExceeded` before any dial.
         """
         if self._closed:
             raise ConfigurationError("pool is closed")
@@ -213,8 +191,6 @@ class ConnectionPool:
                 # one (it pipelines) — or, when all are broken mid-lease, any:
                 # the client auto-reconnects on its next exchange.
                 healthy = [c for c in self._conns if not c.broken]
-                if healthy:
-                    self._check_saturation(healthy, deadline)
                 self.waited += 1
                 chosen = min(
                     healthy or self._conns, key=lambda c: self._leases[id(c)]
@@ -224,26 +200,6 @@ class ConnectionPool:
         if total > self.leases_peak:
             self.leases_peak = total
         return chosen
-
-    def _check_saturation(
-        self, candidates: List[MemcachedClient], deadline: Optional[Deadline]
-    ) -> None:
-        """Fail fast when every window is full and the deadline cannot
-        afford to queue behind them (~one op-timeout of waiting)."""
-        if self.max_inflight_per_conn is None or deadline is None:
-            return
-        if any(
-            c.inflight < self.max_inflight_per_conn for c in candidates
-        ):
-            return
-        if deadline.allows(self.timeout or 0.0):
-            return
-        self.overflow_failures += 1
-        raise ClientOverloadError(
-            f"{self.host}:{self.port}: every connection is at its "
-            f"{self.max_inflight_per_conn}-command window and the "
-            "deadline cannot afford to queue"
-        )
 
     def release(self, client: MemcachedClient) -> None:
         """Return a leased connection; broken ones are ejected once the

@@ -42,9 +42,6 @@ class MemcachedServer:
         bloom_config: digest sizing; defaults to the Section IV-B optimum
             for the capacity-implied key count.
         clock: time source (injectable for tests; defaults to wall clock).
-        nodelay: set ``TCP_NODELAY`` on accepted sockets (default True) —
-            reply batches must not sit behind Nagle while the client
-            pipelines; the net throughput bench A/Bs this knob.
         max_inflight: global cap on commands accepted but not yet
             replied-and-drained, across all connections (``None`` =
             unbounded, the pre-armor behaviour).  Commands over the cap
@@ -55,11 +52,10 @@ class MemcachedServer:
             carrying more commands than this is counted in
             ``paused_reads``: the bursts likeliest to overrun the write
             buffer, which is what pauses a connection's reads.
-        write_high_water: per-connection write-buffer high watermark in
-            bytes (``None`` = asyncio default).  A slow-reading client
-            crosses it early; until its buffer drains the connection's
-            reads are paused and the commands it was answered stay
-            in-flight, so the global cap sheds around it.
+
+    Accepted sockets get ``TCP_NODELAY`` (reply batches must not sit
+    behind Nagle while the client pipelines) and asyncio's default write
+    limits.
     """
 
     def __init__(
@@ -67,13 +63,10 @@ class MemcachedServer:
         capacity_bytes: Optional[int] = None,
         bloom_config: Optional[BloomConfig] = None,
         clock=time.monotonic,
-        nodelay: bool = True,
         max_inflight: Optional[int] = None,
         max_conn_inflight: Optional[int] = None,
-        write_high_water: Optional[int] = None,
     ) -> None:
         self._clock = clock
-        self.nodelay = nodelay
         if max_inflight is not None and max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
@@ -84,7 +77,6 @@ class MemcachedServer:
             )
         self.max_inflight = max_inflight
         self.max_conn_inflight = max_conn_inflight
-        self.write_high_water = write_high_water
         #: commands accepted but not yet replied-and-drained (all conns)
         self.inflight = 0
         #: commands refused with ``SERVER_ERROR busy``
@@ -341,8 +333,8 @@ class ServerConnection(asyncio.Protocol):
     Backpressure: each accepted command counts against the server's
     ``max_inflight`` from dispatch until its chunk's replies have drained.
     They normally drain inside the write; when they do not (the
-    transport calls :meth:`pause_writing`: buffer over
-    ``write_high_water``) the connection stops reading and keeps its
+    transport calls :meth:`pause_writing`: buffer over its high-water
+    mark) the connection stops reading and keeps its
     answered commands in-flight until :meth:`resume_writing` or
     :meth:`connection_lost` — a client that does not read its replies
     cannot grow the buffer, and the excess offered load is shed with
@@ -365,15 +357,12 @@ class ServerConnection(asyncio.Protocol):
         self.transport = transport
         server.connections += 1
         server._open.add(self)
-        if server.nodelay:
-            sock = transport.get_extra_info("socket")
-            if sock is not None:
-                try:
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:  # pragma: no cover - non-TCP transports
-                    pass
-        if server.write_high_water is not None:
-            transport.set_write_buffer_limits(high=server.write_high_water)
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # pragma: no cover - non-TCP transports
+                pass
 
     def data_received(self, data: bytes) -> None:
         server = self.server

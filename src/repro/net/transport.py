@@ -34,12 +34,11 @@ opt-in via :class:`~repro.resilience.ResiliencePolicy`):
   granted by the transport-wide :class:`~repro.resilience.RetryBudget`,
   so total retry volume stays a bounded fraction of request volume;
 * :class:`~repro.errors.OverloadError` answers (``SERVER_ERROR busy``
-  sheds, saturated pools, full client windows) are **never retried** — a
-  storm cannot amplify through here.
+  sheds, a full limiter window) are **never retried** — a storm cannot
+  amplify through here.
 
 :meth:`get_multi`, :meth:`set_multi` and :meth:`delete_multi` answer the
-engine: when the policy's ``degrade_to_database`` flag is set (the
-default), an RPC that cannot be completed returns ``SERVER_UNAVAILABLE``
+engine: an RPC that cannot be completed returns ``SERVER_UNAVAILABLE``
 instead of raising, and Algorithm 2 degrades — a dead new owner forces a
 database read (``FetchPath.DEGRADED_DB``), a dead old owner skips the
 migration probe, a failed write-back is recorded but never fails the
@@ -123,9 +122,6 @@ class CacheTransport:
         policy: retry/breaker/deadline/overload policy for every RPC.
         clock: time source shared by the breakers, limiters and budget.
         pool_size: pipelined connections per cache server.
-        max_inflight_per_conn: per-connection in-flight window handed to
-            every pool (see :class:`~repro.net.pool.ConnectionPool`);
-            ``None`` keeps the unbounded pre-armor behaviour.
     """
 
     def __init__(
@@ -134,7 +130,6 @@ class CacheTransport:
         policy: ResiliencePolicy,
         clock: Callable[[], float] = time.monotonic,
         pool_size: int = 4,
-        max_inflight_per_conn: Optional[int] = None,
     ) -> None:
         if pool_size < 1:
             raise ConfigurationError(f"pool_size must be >= 1: {pool_size}")
@@ -142,7 +137,6 @@ class CacheTransport:
         self.policy = policy
         self._clock = clock
         self.pool_size = pool_size
-        self.max_inflight_per_conn = max_inflight_per_conn
         #: one pool per cache server; ``None`` until :meth:`connect`
         self.pools: List[Optional[ConnectionPool]] = [None] * len(endpoints)
         #: one breaker per cache server
@@ -163,7 +157,7 @@ class CacheTransport:
         #: transient cache-RPC failures observed (pre-retry, per attempt)
         self.transient_failures = 0
         #: cache RPCs refused by overload armor (limiter window full,
-        #: server busy reply, saturated pool) — never retried
+        #: server busy reply) — never retried
         self.shed_rpcs = 0
         #: retries skipped because the budget was spent
         self.budget_denied_retries = 0
@@ -185,7 +179,6 @@ class CacheTransport:
                     port,
                     size=self.pool_size,
                     timeout=self.policy.op_timeout,
-                    max_inflight_per_conn=self.max_inflight_per_conn,
                 )
             try:
                 await self.pools[index].prewarm()
@@ -218,9 +211,6 @@ class CacheTransport:
             "pool_leases_peak": max(
                 (p.leases_peak for p in pools), default=0
             ),
-            "pool_overflow_failures": sum(
-                p.overflow_failures for p in pools
-            ),
             "unavailable_rpcs": self.unavailable_rpcs,
             "transient_failures": self.transient_failures,
             "shed_rpcs": self.shed_rpcs,
@@ -242,29 +232,24 @@ class CacheTransport:
 
     def get_multi(self, server_id: int, keys, deadline=None):
         """``{key: value}`` of the hits among *keys*, or
-        ``SERVER_UNAVAILABLE`` under a degrading policy."""
+        ``SERVER_UNAVAILABLE``."""
         return self._call(
-            server_id, deadline, self.policy.degrade_to_database,
-            MemcachedClient.get_multi, keys,
+            server_id, deadline, True, MemcachedClient.get_multi, keys
         )
 
     def set_multi(self, server_id: int, items, deadline=None, verb="set"):
         """Store every ``(key, value)`` of *items* with *verb* (``set``, or
-        ``add``: only where absent); ``SERVER_UNAVAILABLE`` under a
-        degrading policy when the server cannot take them."""
+        ``add``: only where absent); ``SERVER_UNAVAILABLE`` when the server
+        cannot take them."""
         return self._call(
-            server_id, deadline, self.policy.degrade_to_database,
+            server_id, deadline, True,
             MemcachedClient.set_multi, items, 0, 0, verb,
         )
 
     def delete_multi(self, server_id: int, keys, deadline=None):
         """Delete every key of *keys* (a write's invalidations);
-        ``SERVER_UNAVAILABLE`` under a degrading policy when the server
-        cannot take them."""
-        return self._call(
-            server_id, deadline, self.policy.degrade_to_database,
-            _delete_each, keys,
-        )
+        ``SERVER_UNAVAILABLE`` when the server cannot take them."""
+        return self._call(server_id, deadline, True, _delete_each, keys)
 
     def digest(self, server_id: int, bloom_config: BloomConfig):
         """Snapshot + fetch one server's digest on one lease (the pair is

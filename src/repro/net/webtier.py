@@ -70,10 +70,10 @@ class AsyncProteusFrontend:
             object stays readable and settable as ``web.config``.
         resilience: retry/breaker/deadline policy for cache RPCs;
             :meth:`ResiliencePolicy.default` when omitted.
-        pool_size, max_inflight_per_conn: handed to the
+        pool_size: handed to the
             :class:`~repro.net.transport.CacheTransport`.
-        admission: DB-path admission controller (typically a
-            :class:`~repro.resilience.ConcurrencyAdmission`) wired into
+        admission: DB-path admission controller (an
+            :class:`~repro.resilience.AdmissionController`) wired into
             the engine; ``None`` admits everything.  Shed DB work
             answers ``None`` with :attr:`FetchPath.SHED` — hits are
             always served.
@@ -89,7 +89,6 @@ class AsyncProteusFrontend:
         config: Optional[RetrievalConfig] = None,
         resilience: Optional[ResiliencePolicy] = None,
         pool_size: int = 4,
-        max_inflight_per_conn: Optional[int] = None,
         admission=None,
     ) -> None:
         if not endpoints:
@@ -112,8 +111,7 @@ class AsyncProteusFrontend:
         #: the one path to the cache servers: pools, breakers, limiters,
         #: retry budget and their counters (swap it for a fake in tests)
         self.transport = CacheTransport(
-            self.endpoints, self.resilience, clock,
-            pool_size=pool_size, max_inflight_per_conn=max_inflight_per_conn,
+            self.endpoints, self.resilience, clock, pool_size=pool_size
         )
 
     # ------------------------------------------------------------- facade

@@ -39,6 +39,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (health imports us no
 DEFAULT_DELAY_BOUND = 0.5
 DEFAULT_DELAY_REFERENCE = 0.4
 
+#: only drop a server when the measured delay is below
+#: ``delay_reference * SCALE_DOWN_MARGIN``
+SCALE_DOWN_MARGIN = 0.75
+#: served-around-fault rate (per request, :attr:`HealthSnapshot.degraded_rate`)
+#: above which a slot is impaired: scale-down is vetoed and one emergency
+#: server is added even if the measured delay still looks fine
+DEGRADED_RATE_THRESHOLD = 0.05
+#: remap misses per request above which the previous transition is still
+#: decaying and scale-down is vetoed; a handful of straggler old-owner hits
+#: below it does not block descent forever
+REMAP_VETO_THRESHOLD = 0.05
+#: admission-shed rate (per offered request, :attr:`HealthSnapshot.shed_rate`)
+#: above which a slot is overloaded: sustained shedding is demand the tier
+#: refused, so one server is added and scale-down is vetoed — the answer to
+#: a flash crowd the delay signal under-reports (a shed request posts no
+#: latency sample)
+SHED_RATE_THRESHOLD = 0.02
+
 
 @dataclass
 class DelayFeedbackController:
@@ -51,23 +69,6 @@ class DelayFeedbackController:
         min_servers: scale-down floor.
         per_server_rate: requests/s one cache server absorbs at acceptable
             delay (used for the scale-down headroom check).
-        scale_down_margin: only drop a server when the projected delay stays
-            below ``delay_reference * scale_down_margin``.
-        degraded_rate_threshold: served-around-fault rate (per request, per
-            :attr:`HealthSnapshot.degraded_rate`) above which a slot is
-            treated as impaired: scale-down is vetoed and one emergency
-            server is added even if the measured delay still looks fine.
-        remap_veto_threshold: remap misses per request above which the
-            previous transition is considered still decaying and
-            scale-down is vetoed; a handful of straggler old-owner hits
-            below the threshold no longer blocks descent forever.
-        shed_rate_threshold: admission-shed rate (per offered request,
-            per :attr:`HealthSnapshot.shed_rate`) above which the slot
-            is treated as overloaded: sustained shedding means demand
-            the tier refused to serve, so one server is added and
-            scale-down is vetoed — the closed loop's answer to a flash
-            crowd the delay signal alone under-reports (shed requests
-            never post a latency sample).
 
     Passing a :class:`~repro.provisioning.health.HealthSnapshot` to
     :meth:`update` closes the loop with the resilience layer; with
@@ -80,10 +81,6 @@ class DelayFeedbackController:
     delay_reference: float = DEFAULT_DELAY_REFERENCE
     min_servers: int = 1
     per_server_rate: float = 200.0
-    scale_down_margin: float = 0.75
-    degraded_rate_threshold: float = 0.05
-    remap_veto_threshold: float = 0.05
-    shed_rate_threshold: float = 0.02
     _n: int = field(init=False)
     history: List[int] = field(init=False, default_factory=list)
     #: slots where health feedback forced extra capacity
@@ -104,21 +101,6 @@ class DelayFeedbackController:
         if not 1 <= self.min_servers <= self.num_servers:
             raise ConfigurationError(
                 f"min_servers out of range: {self.min_servers}"
-            )
-        if self.degraded_rate_threshold < 0:
-            raise ConfigurationError(
-                "degraded_rate_threshold must be >= 0, got "
-                f"{self.degraded_rate_threshold}"
-            )
-        if self.remap_veto_threshold < 0:
-            raise ConfigurationError(
-                "remap_veto_threshold must be >= 0, got "
-                f"{self.remap_veto_threshold}"
-            )
-        if self.shed_rate_threshold < 0:
-            raise ConfigurationError(
-                "shed_rate_threshold must be >= 0, got "
-                f"{self.shed_rate_threshold}"
             )
         self._n = self.num_servers
         self.history = [self._n]
@@ -173,7 +155,7 @@ class DelayFeedbackController:
           healthy servers cover the load, no further growth is forced.
         * **scale-down veto** — no server is dropped while any server is
           unhealthy, a drain window is open, or the previous transition's
-          remap-miss rate is still above ``remap_veto_threshold``; shedding
+          remap-miss rate is still above ``REMAP_VETO_THRESHOLD``; shedding
           capacity during an incident converts the next fault into an
           outage.
 
@@ -197,7 +179,7 @@ class DelayFeedbackController:
             candidate = n + step
         elif measured_delay > self.delay_reference:
             candidate = n + 1
-        elif measured_delay < self.delay_reference * self.scale_down_margin:
+        elif measured_delay < self.delay_reference * SCALE_DOWN_MARGIN:
             if n > self.min_servers:
                 headroom_ok = (
                     arrival_rate / (n - 1) <= 0.9 * self.per_server_rate
@@ -220,7 +202,7 @@ class DelayFeedbackController:
         health: "HealthSnapshot",
     ) -> int:
         """Adjust the delay-derived *candidate* with resilience signals."""
-        shedding = health.shed_rate > self.shed_rate_threshold
+        shedding = health.shed_rate > SHED_RATE_THRESHOLD
         lost = len([s for s in health.unhealthy_servers if s < n])
         required = max(
             self.min_servers,
@@ -238,7 +220,7 @@ class DelayFeedbackController:
                 candidate = target
                 self.emergency_scale_ups += 1
         elif not health.unhealthy_servers and (
-            health.degraded_rate > self.degraded_rate_threshold or shedding
+            health.degraded_rate > DEGRADED_RATE_THRESHOLD or shedding
         ):
             # The path is degrading without a clearly-dead server (resets,
             # reconnect storms), or admission control is refusing work the
@@ -246,7 +228,7 @@ class DelayFeedbackController:
             if candidate <= n < self.num_servers:
                 candidate = n + 1
                 self.emergency_scale_ups += 1
-        decaying = health.remap_misses > self.remap_veto_threshold * max(
+        decaying = health.remap_misses > REMAP_VETO_THRESHOLD * max(
             1, health.requests
         )
         impaired = (
@@ -259,12 +241,6 @@ class DelayFeedbackController:
             self.vetoed_scale_downs += 1
             candidate = n
         return candidate
-
-    def as_schedule(
-        self, slot_seconds: float = DEFAULT_SLOT_SECONDS
-    ) -> ProvisioningSchedule:
-        """The decision history as a replayable schedule (Fig. 4 circles)."""
-        return ProvisioningSchedule(slot_seconds, list(self.history))
 
 
 def run_feedback_loop(

@@ -52,8 +52,9 @@ class BackgroundMigrator:
         transition: the in-flight transition whose drain window we fill.
         batch_size: keys pushed per tick (the bandwidth knob).
         interval: seconds between ticks.
-        hot_ttl: only push keys touched within this window (defaults to the
-            transition's TTL — the paper's hotness horizon).
+
+    Only keys touched within the transition's TTL — the paper's hotness
+    horizon — are pushed.
     """
 
     def __init__(
@@ -62,7 +63,6 @@ class BackgroundMigrator:
         transition: Transition,
         batch_size: int = 100,
         interval: float = 1.0,
-        hot_ttl: Optional[float] = None,
     ) -> None:
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
@@ -72,7 +72,6 @@ class BackgroundMigrator:
         self.transition = transition
         self.batch_size = batch_size
         self.interval = interval
-        self.hot_ttl = hot_ttl if hot_ttl is not None else transition.ttl
         self.progress = MigrationProgress()
         self._queue: Optional[List[str]] = None
 
@@ -99,7 +98,7 @@ class BackgroundMigrator:
                 continue
             items = [
                 server.store.peek(key)
-                for key in server.store.hot_keys(now, self.hot_ttl)
+                for key in server.store.hot_keys(now, self.transition.ttl)
             ]
             items = [item for item in items if item is not None]
             items.sort(key=lambda item: -item.last_access)  # MRU first

@@ -96,10 +96,6 @@ class OrderedFleet:
         """The physical spec behind logical provisioning index *logical_id*."""
         return self.specs[self.order[logical_id]]
 
-    def active_capacity(self, num_active: int) -> float:
-        """Total rated capacity of the first *num_active* servers."""
-        return sum(self.spec_of(i).capacity for i in range(num_active))
-
     def servers_for_load(self, load: float) -> int:
         """Smallest active prefix whose capacity covers *load*.
 

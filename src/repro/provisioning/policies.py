@@ -57,10 +57,6 @@ class ProvisioningSchedule:
         slot = int(when // self.slot_seconds)
         return min(max(slot, 0), self.num_slots - 1)
 
-    def n_at(self, when: float) -> int:
-        """Active count in force at time *when*."""
-        return self.counts[self.slot_of(when)]
-
     def transitions(self) -> List[Tuple[float, int, int]]:
         """All ``(time, n_old, n_new)`` changes, in order."""
         changes: List[Tuple[float, int, int]] = []

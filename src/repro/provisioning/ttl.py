@@ -16,9 +16,9 @@ the horizon from the observed miss-cost decay, not from a constant.
 :class:`AdaptiveTTLPolicy` applies that idea to the drain window: it fits
 an exponential to each transition's observed remap-miss series, keeps the
 estimated half-lives of recent transitions, and sizes the next window to
-``half_life * log2(1 / target_residual)`` — the time after which only a
-``target_residual`` fraction of the initial remap-miss rate remains —
-clamped to configurable bounds.  With no observations yet it returns the
+``half_life * log2(1 / TARGET_RESIDUAL)`` — the time after which only a
+``TARGET_RESIDUAL`` fraction of the initial remap-miss rate remains —
+clamped to ``[MIN_TTL, max_ttl]``.  With no observations yet it returns the
 configured default, so the policy is inert until it has evidence.
 
 :class:`FixedTTLPolicy` is the paper's constant, wrapped in the same
@@ -43,6 +43,16 @@ __all__ = [
     "estimate_half_life",
     "make_ttl_policy",
 ]
+
+#: an adaptive window's floor: a burst of fast decays must not close
+#: windows before digests can help
+MIN_TTL = 5.0
+#: the remap-miss rate fraction an adaptive window lets survive
+#: (0.05 -> ~4.3 half-lives)
+TARGET_RESIDUAL = 0.05
+#: recent transitions whose half-lives an adaptive policy remembers; the
+#: median of them sizes the next window, so one anomaly cannot swing it
+DECAY_WINDOW = 8
 
 
 def estimate_half_life(
@@ -116,16 +126,11 @@ class AdaptiveTTLPolicy:
     Args:
         default_ttl: window used until the first usable decay observation
             (and whenever the observation history empties).
-        min_ttl / max_ttl: clamp bounds for every returned window — the
-            floor keeps a burst of fast decays from closing windows before
-            digests can help; the ceiling bounds the energy a draining
-            server can burn.
-        target_residual: the remap-miss rate fraction allowed to survive
-            the window; the window is sized to ``half_life *
-            log2(1 / target_residual)`` (e.g. 0.05 -> ~4.3 half-lives).
-        window: how many recent transitions' half-lives to remember; the
-            estimate is their median, so one anomalous transition cannot
-            swing the next window.
+        max_ttl: the ceiling of every returned window (``MIN_TTL`` is its
+            floor) — it bounds the energy a draining server can burn.
+
+    The window is sized to ``half_life * log2(1 / TARGET_RESIDUAL)`` from
+    the median of the last ``DECAY_WINDOW`` transitions' half-lives.
 
     The returned TTL is monotone in the observed half-life: slower decay
     (a colder working set re-registering slowly) always gets an equal or
@@ -135,30 +140,19 @@ class AdaptiveTTLPolicy:
     def __init__(
         self,
         default_ttl: float = DEFAULT_TTL,
-        min_ttl: float = 5.0,
         max_ttl: float = 300.0,
-        target_residual: float = 0.05,
-        window: int = 8,
     ) -> None:
-        if min_ttl <= 0 or max_ttl < min_ttl:
+        if max_ttl < MIN_TTL:
             raise ConfigurationError(
-                f"need 0 < min_ttl <= max_ttl, got ({min_ttl}, {max_ttl})"
+                f"need max_ttl >= {MIN_TTL}, got {max_ttl}"
             )
         if default_ttl <= 0:
             raise ConfigurationError(
                 f"default_ttl must be > 0, got {default_ttl}"
             )
-        if not 0 < target_residual < 1:
-            raise ConfigurationError(
-                f"target_residual must be in (0, 1), got {target_residual}"
-            )
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
         self.default_ttl = default_ttl
-        self.min_ttl = min_ttl
         self.max_ttl = max_ttl
-        self.target_residual = target_residual
-        self.half_lives: Deque[float] = deque(maxlen=window)
+        self.half_lives: Deque[float] = deque(maxlen=DECAY_WINDOW)
 
     # ------------------------------------------------------------- learning
 
@@ -172,14 +166,6 @@ class AdaptiveTTLPolicy:
         if half_life is not None:
             self.half_lives.append(half_life)
         return half_life
-
-    def record_half_life(self, half_life: float) -> None:
-        """Record an externally estimated half-life (tests / replays)."""
-        if half_life <= 0:
-            raise ConfigurationError(
-                f"half_life must be > 0, got {half_life}"
-            )
-        self.half_lives.append(half_life)
 
     # -------------------------------------------------------------- sizing
 
@@ -205,8 +191,8 @@ class AdaptiveTTLPolicy:
         if half_life is None:
             raw = self.default_ttl
         else:
-            raw = half_life * math.log2(1.0 / self.target_residual)
-        return min(self.max_ttl, max(self.min_ttl, raw))
+            raw = half_life * math.log2(1.0 / TARGET_RESIDUAL)
+        return min(self.max_ttl, max(MIN_TTL, raw))
 
 
 #: TTL-sizing policies by name ("fixed" is the paper's constant window).

@@ -11,11 +11,7 @@ the live stack's fault tests and the failover experiment (sim).  No I/O happens
 here; drivers decide when to sleep and what counts as "now".
 """
 
-from repro.resilience.admission import (
-    AdmissionController,
-    ConcurrencyAdmission,
-    VirtualQueueAdmission,
-)
+from repro.resilience.admission import AdmissionController, VirtualQueueAdmission
 from repro.resilience.breaker import BreakerSnapshot, BreakerState, CircuitBreaker
 from repro.resilience.budget import AdaptiveConcurrencyLimiter, RetryBudget
 from repro.resilience.deadline import Deadline
@@ -29,7 +25,6 @@ __all__ = [
     "BreakerSnapshot",
     "BreakerState",
     "CircuitBreaker",
-    "ConcurrencyAdmission",
     "Deadline",
     "FaultPlan",
     "FaultSchedule",

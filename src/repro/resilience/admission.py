@@ -18,15 +18,10 @@ would yield ``ReadDatabase``; a refusal turns the outcome into
 ``DEGRADED_DB``, which is served correctly at extra latency cost).  The
 driver reports each DB read's completion back via :meth:`db_finished`.
 
-Two implementations keep the sim and the live tier in parity:
-
-* :class:`ConcurrencyAdmission` — wraps an
-  :class:`~repro.resilience.budget.AdaptiveConcurrencyLimiter`; depth is
-  real in-flight DB reads.  The live frontend's model.
-* :class:`VirtualQueueAdmission` — tracks virtual completion times; the
-  queue depth at ``now`` is the number of admitted reads that have not
-  yet completed on the virtual clock.  The simulator's model, mirroring
-  the sim database's FIFO service queue without touching it.
+:class:`VirtualQueueAdmission` tracks virtual completion times; the
+queue depth at ``now`` is the number of admitted reads that have not yet
+completed on the virtual clock, mirroring the sim database's FIFO service
+queue without touching it.
 """
 
 from __future__ import annotations
@@ -34,13 +29,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-from repro.resilience.budget import AdaptiveConcurrencyLimiter
-
-__all__ = [
-    "AdmissionController",
-    "ConcurrencyAdmission",
-    "VirtualQueueAdmission",
-]
+__all__ = ["AdmissionController", "VirtualQueueAdmission"]
 
 
 class AdmissionController:
@@ -79,46 +68,14 @@ class AdmissionController:
         raise NotImplementedError
 
 
-class ConcurrencyAdmission(AdmissionController):
-    """Admission bounded by an AIMD in-flight window (live tier).
-
-    ``admit_db`` acquires a limiter slot; ``db_finished`` releases it and
-    feeds the AIMD loop (success grows the window, an ``ok=False``
-    completion — deadline blown, DB error — cuts it).
-    """
-
-    def __init__(self, limiter: Optional[AdaptiveConcurrencyLimiter] = None) -> None:
-        super().__init__()
-        self.limiter = limiter or AdaptiveConcurrencyLimiter()
-
-    def _admit(self, now: Optional[float]) -> bool:
-        return self.limiter.try_acquire(now)
-
-    def db_finished(
-        self,
-        now: Optional[float] = None,
-        completed: Optional[float] = None,
-        ok: bool = True,
-    ) -> None:
-        self.limiter.release()
-        if ok:
-            self.limiter.on_success(now)
-        else:
-            self.limiter.on_overload(now)
-
-    def depth(self, now: Optional[float] = None) -> float:
-        return float(self.limiter.inflight)
-
-
 class VirtualQueueAdmission(AdmissionController):
     """Admission bounded by virtual outstanding completions (simulator).
 
     The sim database answers each read with a *completion time* on the
     virtual clock; a read is outstanding while ``completion > now``.
-    Admission refuses when ``max_depth`` reads are already outstanding —
-    the same decision :class:`ConcurrencyAdmission` makes from real
-    in-flight counts, computed without wall time so the sim-vs-live
-    parity suites extend to overload.
+    Admission refuses when ``max_depth`` reads are already outstanding,
+    computed without wall time so the sim-vs-live parity suites extend to
+    overload.
 
     Args:
         max_depth: outstanding DB reads allowed before shedding.

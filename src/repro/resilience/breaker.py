@@ -6,8 +6,8 @@ exactly the delay spike Proteus exists to avoid.  The breaker makes the
 fault *cheap*: after ``failure_threshold`` consecutive failures the circuit
 opens and requests skip the server outright (the driver answers the engine
 with ``SERVER_UNAVAILABLE`` and Algorithm 2 degrades to the database
-immediately).  After ``reset_timeout`` seconds the breaker admits up to
-``half_open_probes`` trial requests; one success closes the circuit, one
+immediately).  After ``reset_timeout`` seconds the breaker admits
+``HALF_OPEN_PROBES`` trial requests; one success closes the circuit, one
 failure re-opens it for another timeout.
 
 Clock-injectable and purely synchronous: every method takes an optional
@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 __all__ = ["BreakerState", "BreakerSnapshot", "CircuitBreaker"]
+
+#: concurrent trial requests a half-open circuit admits
+HALF_OPEN_PROBES = 1
 
 
 class BreakerState(enum.Enum):
@@ -61,7 +64,6 @@ class CircuitBreaker:
         failure_threshold: consecutive failures that trip the circuit.
         reset_timeout: seconds an open circuit stays closed to traffic
             before admitting probes.
-        half_open_probes: trial requests admitted per half-open window.
         clock: fallback time source when a method is called without an
             explicit ``now``.
     """
@@ -70,7 +72,6 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         reset_timeout: float = 1.0,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
@@ -79,13 +80,8 @@ class CircuitBreaker:
             )
         if reset_timeout <= 0:
             raise ValueError(f"reset_timeout must be > 0, got {reset_timeout}")
-        if half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {half_open_probes}"
-            )
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
@@ -138,7 +134,7 @@ class CircuitBreaker:
         """May a request be sent to the guarded server right now?
 
         CLOSED: always.  OPEN: never (counted in ``rejections``).
-        HALF_OPEN: up to ``half_open_probes`` concurrent trial requests;
+        HALF_OPEN: up to ``HALF_OPEN_PROBES`` concurrent trial requests;
         the rest are refused until a probe reports back.
         """
         state = self.state(now)
@@ -147,7 +143,7 @@ class CircuitBreaker:
         if state is BreakerState.OPEN:
             self.rejections += 1
             return False
-        if self._probes_in_flight < self.half_open_probes:
+        if self._probes_in_flight < HALF_OPEN_PROBES:
             self._probes_in_flight += 1
             return True
         self.rejections += 1

@@ -39,12 +39,25 @@ from typing import Callable, Optional
 
 __all__ = ["RetryBudget", "AdaptiveConcurrencyLimiter"]
 
+#: a retry budget's balance cap: how many retries a long quiet stretch can
+#: bank for one thundering moment
+BURST = 100.0
+
+#: the AIMD window's floor
+MIN_LIMIT = 1.0
+#: additive-increase numerator: +``INCREASE / limit`` per success
+INCREASE = 1.0
+#: multiplicative-decrease factor applied on an overload signal
+BACKOFF = 0.5
+#: seconds after a cut during which further overload signals are absorbed
+COOLDOWN = 0.1
+
 
 class RetryBudget:
     """Token bucket capping retries at a fraction of recent requests.
 
     Every first attempt calls :meth:`record_request` (depositing
-    ``ratio`` tokens, up to ``burst``); every retry must win
+    ``ratio`` tokens, up to ``BURST``); every retry must win
     :meth:`allow_retry` (withdrawing one token).  The balance decays
     with half-life ``halflife`` so "recent volume" means the last few
     half-lives, not all of history.  A small reserve accrues at
@@ -57,8 +70,6 @@ class RetryBudget:
             retries-per-request cap.  Finagle ships 0.2; so do we.
         min_retries_per_second: reserve accrual rate, so idle or
             low-volume clients keep a minimal retry allowance.
-        burst: balance cap, bounding how many retries a long quiet
-            stretch can bank for one thundering moment.
         halflife: seconds for half the balance to decay — the width of
             the "recent volume" window.
         clock: fallback time source when a method is called without an
@@ -69,7 +80,6 @@ class RetryBudget:
         self,
         ratio: float = 0.2,
         min_retries_per_second: float = 1.0,
-        burst: float = 100.0,
         halflife: float = 10.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -80,13 +90,10 @@ class RetryBudget:
                 "min_retries_per_second must be >= 0, "
                 f"got {min_retries_per_second}"
             )
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
         if halflife <= 0:
             raise ValueError(f"halflife must be > 0, got {halflife}")
         self.ratio = ratio
         self.min_retries_per_second = min_retries_per_second
-        self.burst = burst
         self.halflife = halflife
         self._clock = clock
         self._balance = 0.0
@@ -116,7 +123,7 @@ class RetryBudget:
         """Deposit for *n* first attempts (NOT retries) just issued."""
         self._advance(self._now(now))
         self.requests += n
-        self._balance = min(self.burst, self._balance + self.ratio * n)
+        self._balance = min(BURST, self._balance + self.ratio * n)
 
     def allow_retry(self, now: Optional[float] = None) -> bool:
         """Withdraw one retry token; ``False`` means *do not retry*.
@@ -153,22 +160,17 @@ class AdaptiveConcurrencyLimiter:
     """AIMD in-flight window: grow on success, cut on overload signals.
 
     The window is a float so additive increase can be fractional
-    (``increase / limit`` per success ≈ +1 per window of successes, the
+    (``INCREASE / limit`` per success ≈ +1 per window of successes, the
     congestion-avoidance slope); admission compares integral in-flight
     count against ``floor`` of it.  Overload signals (deadline blown,
-    op timeout, server shed) multiply the window by ``backoff``, but at
-    most once per ``cooldown`` seconds — all the timeouts of one stalled
+    op timeout, server shed) multiply the window by ``BACKOFF``, but at
+    most once per ``COOLDOWN`` seconds — all the timeouts of one stalled
     window arrive together and must count as *one* congestion event, or
     the window collapses to the floor on every blip.
 
     Args:
         initial: starting window.
-        min_limit / max_limit: clamp bounds for the window.
-        increase: additive-increase numerator (+``increase/limit`` per
-            success).
-        backoff: multiplicative-decrease factor in ``(0, 1)``.
-        cooldown: seconds after a cut during which further overload
-            signals are absorbed silently.
+        max_limit: the window's ceiling (``MIN_LIMIT`` is its floor).
         clock: fallback time source when a method is called without an
             explicit ``now``.
     """
@@ -176,34 +178,14 @@ class AdaptiveConcurrencyLimiter:
     def __init__(
         self,
         initial: float = 16.0,
-        min_limit: float = 1.0,
         max_limit: float = 1024.0,
-        increase: float = 1.0,
-        backoff: float = 0.5,
-        cooldown: float = 0.1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if min_limit < 1:
-            raise ValueError(f"min_limit must be >= 1, got {min_limit}")
-        if max_limit < min_limit:
+        if not MIN_LIMIT <= initial <= max_limit:
             raise ValueError(
-                f"max_limit must be >= min_limit, got {max_limit} < {min_limit}"
+                f"initial must be in [{MIN_LIMIT}, {max_limit}], got {initial}"
             )
-        if not min_limit <= initial <= max_limit:
-            raise ValueError(
-                f"initial must be in [{min_limit}, {max_limit}], got {initial}"
-            )
-        if increase <= 0:
-            raise ValueError(f"increase must be > 0, got {increase}")
-        if not 0.0 < backoff < 1.0:
-            raise ValueError(f"backoff must be in (0, 1), got {backoff}")
-        if cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {cooldown}")
-        self.min_limit = min_limit
         self.max_limit = max_limit
-        self.increase = increase
-        self.backoff = backoff
-        self.cooldown = cooldown
         self._clock = clock
         self._limit = float(initial)
         self._last_cut = -math.inf
@@ -251,20 +233,20 @@ class AdaptiveConcurrencyLimiter:
     def on_success(self, now: Optional[float] = None) -> None:
         """An admitted unit completed cleanly: additive increase."""
         self._limit = min(
-            self.max_limit, self._limit + self.increase / max(1.0, self._limit)
+            self.max_limit, self._limit + INCREASE / max(1.0, self._limit)
         )
 
     def on_overload(self, now: Optional[float] = None) -> None:
         """A deadline/timeout/shed signal: multiplicative decrease.
 
-        At most one cut per ``cooldown`` window — signals inside the
+        At most one cut per ``COOLDOWN`` window — signals inside the
         cooldown are echoes of the same congestion event.
         """
         moment = self._now(now)
-        if moment - self._last_cut < self.cooldown:
+        if moment - self._last_cut < COOLDOWN:
             return
         self._last_cut = moment
-        self._limit = max(self.min_limit, self._limit * self.backoff)
+        self._limit = max(MIN_LIMIT, self._limit * BACKOFF)
         self.cuts += 1
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only

@@ -25,24 +25,23 @@ class Deadline:
     """A fixed time budget measured against an injectable clock.
 
     Args:
-        budget: seconds allowed, from *start*.  ``None`` means unlimited —
+        budget: seconds allowed from the clock's current reading.  ``None``
+            means unlimited —
             every query answers "plenty of time left", so callers need no
             special-casing for the no-deadline configuration.
         clock: time source (``time.monotonic`` by default).
-        start: budget start; the clock's current reading by default.
     """
 
     def __init__(
         self,
         budget: Optional[float],
         clock: Callable[[], float] = time.monotonic,
-        start: Optional[float] = None,
     ) -> None:
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
         self._clock = clock
         self.budget = budget
-        self.start = clock() if start is None else start
+        self.start = clock()
 
     @classmethod
     def after(

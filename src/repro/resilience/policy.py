@@ -32,40 +32,26 @@ class ResiliencePolicy:
         breaker_failures: consecutive failures that open a server's circuit.
         breaker_reset: seconds an open circuit refuses traffic before
             admitting half-open probes.
-        breaker_probes: trial requests admitted per half-open window.
         op_timeout: per-operation timeout handed to each
             :class:`~repro.net.client.MemcachedClient` (``None``: no
             timeout — a hung server then blocks until TCP gives up).
         request_budget: per-``fetch`` deadline budget in seconds (``None``:
             unlimited).  When the budget is spent, remaining cache RPCs are
             skipped and the request degrades to the database immediately.
-        degrade_to_database: when True (the default, and the Proteus
-            behaviour), a cache RPC that exhausts its retries answers the
-            engine with ``SERVER_UNAVAILABLE`` so Algorithm 2 serves around
-            the fault; when False the final error propagates to the caller.
         retry_budget_ratio: retries allowed per recent request, shared
             across every retry loop the driver runs (0.0 disables the
             budget — the pre-overload-armor behaviour).
-        retry_budget_min_rate: trickle reserve (retries/second) so
-            low-volume clients keep a minimal allowance when the budget
-            is armed.
         limiter_window: starting AIMD in-flight window per server (0
             disables adaptive concurrency limiting).
-        limiter_backoff: multiplicative-decrease factor applied to the
-            window on a deadline/timeout/shed signal.
     """
 
     retry: RetryPolicy = None  # type: ignore[assignment]
     breaker_failures: int = 3
     breaker_reset: float = 1.0
-    breaker_probes: int = 1
     op_timeout: Optional[float] = None
     request_budget: Optional[float] = None
-    degrade_to_database: bool = True
     retry_budget_ratio: float = 0.0
-    retry_budget_min_rate: float = 1.0
     limiter_window: int = 0
-    limiter_backoff: float = 0.5
 
     def __post_init__(self) -> None:
         if self.retry is None:
@@ -108,7 +94,6 @@ class ResiliencePolicy:
         return CircuitBreaker(
             failure_threshold=self.breaker_failures,
             reset_timeout=self.breaker_reset,
-            half_open_probes=self.breaker_probes,
             clock=clock,
         )
 
@@ -129,11 +114,7 @@ class ResiliencePolicy:
         """
         if self.retry_budget_ratio <= 0.0:
             return None
-        return RetryBudget(
-            ratio=self.retry_budget_ratio,
-            min_retries_per_second=self.retry_budget_min_rate,
-            clock=clock,
-        )
+        return RetryBudget(ratio=self.retry_budget_ratio, clock=clock)
 
     def new_limiter(
         self, clock: Callable[[], float] = time.monotonic
@@ -144,7 +125,6 @@ class ResiliencePolicy:
         return AdaptiveConcurrencyLimiter(
             initial=float(self.limiter_window),
             max_limit=float(max(1024, self.limiter_window)),
-            backoff=self.limiter_backoff,
             clock=clock,
         )
 

@@ -20,14 +20,21 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Type
 
 from repro.errors import OverloadError, ProtocolError, TransportError
 
 __all__ = ["RetryPolicy", "TRANSIENT_ERRORS", "NEVER_RETRY"]
 
-#: The default transient fault class: errors a fresh connection + retry can
+#: exponential growth factor of the backoff per retry
+MULTIPLIER = 2.0
+#: proportional jitter fraction of every backoff sleep
+JITTER = 0.2
+#: seed of the jitter stream
+SEED = 0
+
+#: The transient fault class: errors a fresh connection + retry can
 #: plausibly cure.  ``ProtocolError`` is included because the hardened
 #: client poisons and replaces the connection after one, so the retry runs
 #: against a clean stream; ``OSError`` covers refused/reset connections and
@@ -41,7 +48,7 @@ TRANSIENT_ERRORS: Tuple[Type[BaseException], ...] = (
     asyncio.IncompleteReadError,
 )
 
-#: Never retried, no matter how ``transient`` is configured.
+#: Never retried, checked before ``TRANSIENT_ERRORS``.
 #: ``CancelledError`` is a *request to stop* (it subclasses
 #: ``BaseException`` precisely so handlers don't swallow it) and a retry
 #: would defeat the cancellation; ``OverloadError`` is a *shed* — some
@@ -60,32 +67,24 @@ class RetryPolicy:
     Attempt *i* (0-based) is followed, when it fails transiently and
     another attempt remains, by a sleep of::
 
-        min(max_delay, base_delay * multiplier**i) * (1 ± jitter)
+        min(max_delay, base_delay * MULTIPLIER**i) * (1 ± JITTER)
 
-    where the jitter factor is drawn uniformly from ``[1-jitter, 1+jitter]``
-    by a PRNG seeded with ``seed`` — one fresh PRNG per :meth:`delays`
+    where the jitter factor is drawn uniformly from ``[1-JITTER, 1+JITTER]``
+    by a PRNG seeded with ``SEED`` — one fresh PRNG per :meth:`delays`
     call, so every retry sequence is reproducible.
 
     Args:
         max_attempts: total tries including the first (1 = no retries).
         base_delay: backoff before the first retry, seconds.
-        multiplier: exponential growth factor per retry.
         max_delay: backoff cap, seconds.
-        jitter: proportional jitter fraction in ``[0, 1]``.
-        seed: PRNG seed for the jitter stream.
-        transient: exception classes worth retrying (anything else is
-            fatal and must propagate immediately).
+
+    Only ``TRANSIENT_ERRORS`` are retried; anything else is fatal and
+    propagates immediately.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.01
-    multiplier: float = 2.0
     max_delay: float = 0.5
-    jitter: float = 0.2
-    seed: int = 0
-    transient: Tuple[Type[BaseException], ...] = field(
-        default=TRANSIENT_ERRORS
-    )
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -94,10 +93,6 @@ class RetryPolicy:
             )
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
     # ------------------------------------------------------- classification
 
@@ -105,12 +100,11 @@ class RetryPolicy:
         """True when *error* is worth a retry on a fresh connection.
 
         ``NEVER_RETRY`` errors (cancellation, shed replies) answer
-        ``False`` unconditionally — even a custom ``transient`` tuple
-        cannot opt them back in.
+        ``False`` unconditionally.
         """
         if isinstance(error, NEVER_RETRY):
             return False
-        return isinstance(error, self.transient)
+        return isinstance(error, TRANSIENT_ERRORS)
 
     # ------------------------------------------------------------- backoff
 
@@ -118,19 +112,17 @@ class RetryPolicy:
         """The (jittered) sleep after failed attempt *attempt* (0-based)."""
         if attempt < 0:
             raise ValueError(f"attempt must be >= 0, got {attempt}")
-        base = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
-        if self.jitter == 0.0:
-            return base
-        rng = rng if rng is not None else random.Random(self.seed)
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        base = min(self.max_delay, self.base_delay * MULTIPLIER ** attempt)
+        rng = rng if rng is not None else random.Random(SEED)
+        return base * (1.0 + JITTER * (2.0 * rng.random() - 1.0))
 
     def delays(self, rng: Optional[random.Random] = None) -> Iterator[float]:
         """The full backoff sequence: ``max_attempts - 1`` sleeps.
 
-        With no *rng* given, a fresh ``random.Random(seed)`` is used, so two
+        With no *rng* given, a fresh ``random.Random(SEED)`` is used, so two
         calls yield identical sequences — the property the seeded-jitter
         tests pin.
         """
-        rng = rng if rng is not None else random.Random(self.seed)
+        rng = rng if rng is not None else random.Random(SEED)
         for attempt in range(self.max_attempts - 1):
             yield self.backoff(attempt, rng)

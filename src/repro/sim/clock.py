@@ -11,10 +11,10 @@ from repro.errors import SimulationError
 
 
 class SimClock:
-    """A monotonically non-decreasing simulation clock."""
+    """A monotonically non-decreasing simulation clock, from time 0."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -33,12 +33,6 @@ class SimClock:
                 f"clock cannot move backwards: {when} < {self._now}"
             )
         self._now = when
-
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by *delta* seconds (must be >= 0)."""
-        if delta < 0:
-            raise SimulationError(f"delta must be >= 0, got {delta}")
-        self._now += delta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now})"

@@ -40,8 +40,8 @@ class EventHandle:
 class EventLoop:
     """A discrete-event simulation loop over a :class:`SimClock`."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.clock = SimClock(start)
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._heap: List[List[Any]] = []
         self._sequence = itertools.count()
         #: total events dispatched (diagnostics)

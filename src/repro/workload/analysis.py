@@ -6,8 +6,6 @@ generator can be calibrated to it — or the real trace characterized before
 replay:
 
 * :func:`fit_zipf_alpha` — the popularity skew exponent;
-* :func:`working_set_sizes` — distinct keys touched per window (sizes the
-  Fig. 6 cache sweep);
 * :func:`interarrival_stats` — burstiness of request arrivals;
 * :func:`rate_envelope` — the smoothed requests/s curve (drives the
   provisioning loop);
@@ -51,36 +49,12 @@ def fit_zipf_alpha(
     return float(-slope)
 
 
-def working_set_sizes(
-    records: Sequence[TraceRecord], window_seconds: float
-) -> List[int]:
-    """Distinct keys touched in each consecutive window."""
-    if window_seconds <= 0:
-        raise ConfigurationError(
-            f"window_seconds must be > 0, got {window_seconds}"
-        )
-    if not records:
-        return []
-    windows: Dict[int, set] = {}
-    for record in records:
-        windows.setdefault(int(record.time // window_seconds), set()).add(
-            record.key
-        )
-    last = max(windows)
-    return [len(windows.get(i, ())) for i in range(last + 1)]
-
-
 @dataclass(frozen=True)
 class InterarrivalStats:
     """Burstiness summary of the arrival process."""
 
     mean: float
     cv: float  # coefficient of variation; 1.0 for Poisson
-
-    @property
-    def is_bursty(self) -> bool:
-        """CV well above 1 indicates burstier-than-Poisson arrivals."""
-        return self.cv > 1.3
 
 
 def interarrival_stats(records: Sequence[TraceRecord]) -> InterarrivalStats:

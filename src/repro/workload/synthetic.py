@@ -68,7 +68,8 @@ class UserPopulation:
         think_time: per-user think time (paper: 0.5 s).
         alpha: Zipf exponent used to bias personal sets toward popular pages.
         seed: master seed.
-        key_prefix: page keys are ``{prefix}:{page_id}``.
+
+    Page keys are ``page:{page_id}``.
     """
 
     def __init__(
@@ -78,7 +79,6 @@ class UserPopulation:
         think_time: float = DEFAULT_THINK_TIME,
         alpha: float = 0.9,
         seed: int = 0,
-        key_prefix: str = "page",
     ) -> None:
         if catalogue_size < 1:
             raise ConfigurationError(
@@ -91,7 +91,6 @@ class UserPopulation:
         self.catalogue_size = catalogue_size
         self.pages_per_user = pages_per_user
         self.think_time = think_time
-        self.key_prefix = key_prefix
         self.seed = seed
         self._sampler = ZipfSampler(catalogue_size, alpha=alpha, seed=seed)
         self._next_user_id = 0
@@ -99,7 +98,7 @@ class UserPopulation:
 
     def _draw_pages(self) -> List[str]:
         page_ids = self._sampler.sample_many(self.pages_per_user)
-        return [f"{self.key_prefix}:{int(p)}" for p in page_ids]
+        return [f"page:{int(p)}" for p in page_ids]
 
     def spawn(self) -> SyntheticUser:
         """Create and register one new active user."""

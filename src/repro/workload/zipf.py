@@ -10,8 +10,6 @@ seeded permutation so that "popular" keys are spread across the hash space
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -24,8 +22,9 @@ class ZipfSampler:
         num_items: catalogue size (distinct pages).
         alpha: Zipf exponent; 0 degenerates to uniform.
         seed: RNG seed (numpy ``default_rng``).
-        shuffle: permute rank -> item id, so popularity is not correlated
-            with item id order.
+
+    Ranks are permuted into item ids, so popularity is not correlated with
+    item id order.
     """
 
     def __init__(
@@ -33,7 +32,6 @@ class ZipfSampler:
         num_items: int,
         alpha: float = 0.9,
         seed: int = 0,
-        shuffle: bool = True,
     ) -> None:
         if num_items < 1:
             raise ConfigurationError(f"num_items must be >= 1, got {num_items}")
@@ -45,10 +43,7 @@ class ZipfSampler:
         weights = np.arange(1, num_items + 1, dtype=np.float64) ** -alpha
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
-        if shuffle:
-            self._perm = self._rng.permutation(num_items)
-        else:
-            self._perm = np.arange(num_items)
+        self._perm = self._rng.permutation(num_items)
 
     def sample(self) -> int:
         """Draw one item index."""
@@ -67,7 +62,3 @@ class ZipfSampler:
             raise ConfigurationError(f"rank out of range: {rank}")
         previous = self._cdf[rank - 1] if rank > 0 else 0.0
         return float(self._cdf[rank] - previous)
-
-    def top_items(self, count: int) -> List[int]:
-        """Item ids of the *count* most popular ranks."""
-        return [int(self._perm[r]) for r in range(min(count, self.num_items))]

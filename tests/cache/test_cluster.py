@@ -80,7 +80,7 @@ class TestSmoothScaleUp:
     def test_new_servers_power_on_cold(self):
         c = cluster(4, active=2)
         transition = c.scale_to(4, now=0.0)
-        assert transition.is_scale_up
+        assert transition.n_new > transition.n_old
         assert c.server(2).state is PowerState.ON
         assert c.server(3).state is PowerState.ON
         assert len(c.server(2).store) == 0

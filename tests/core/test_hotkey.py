@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import hotkey
 from repro.core.hotkey import (
     CountMinSketch,
     HotKeyArmor,
@@ -12,9 +13,19 @@ from repro.core.hotkey import (
 from repro.errors import ConfigurationError
 
 
+@pytest.fixture
+def patch(monkeypatch):
+    """Set :mod:`repro.core.hotkey` constants for one test."""
+    def apply(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(hotkey, name, value)
+    return apply
+
+
 class TestCountMinSketch:
-    def test_never_underestimates(self):
-        sketch = CountMinSketch(width=64, depth=4)
+    def test_never_underestimates(self, patch):
+        patch(SKETCH_WIDTH=64)
+        sketch = CountMinSketch()
         truth = {}
         for i in range(200):
             key = f"k:{i % 37}"
@@ -23,32 +34,29 @@ class TestCountMinSketch:
         for key, count in truth.items():
             assert sketch.estimate(key) >= count
 
-    def test_exact_when_uncontended(self):
-        sketch = CountMinSketch(width=4096, depth=4)
+    def test_exact_when_uncontended(self, patch):
+        patch(SKETCH_WIDTH=4096)
+        sketch = CountMinSketch()
         for _ in range(50):
             sketch.add("hot")
         assert sketch.estimate("hot") == 50
         assert sketch.estimate("never-seen") == 0
 
     def test_add_returns_updated_estimate(self):
-        sketch = CountMinSketch(width=1024, depth=4)
+        sketch = CountMinSketch()
         assert sketch.add("a") == 1
         assert sketch.add("a", count=4) == 5
 
-    def test_observations_counts_stream_length(self):
-        sketch = CountMinSketch(width=16, depth=2)
+    def test_observations_counts_stream_length(self, patch):
+        patch(SKETCH_WIDTH=16, SKETCH_DEPTH=2)
+        sketch = CountMinSketch()
         sketch.add("a", 3)
         sketch.add("b")
         assert sketch.observations == 4
 
-    def test_invalid_geometry_raises(self):
-        with pytest.raises(ConfigurationError):
-            CountMinSketch(width=0)
-        with pytest.raises(ConfigurationError):
-            CountMinSketch(depth=0)
-
-    def test_memory_bound_is_geometry_only(self):
-        sketch = CountMinSketch(width=128, depth=4)
+    def test_memory_bound_is_geometry_only(self, patch):
+        patch(SKETCH_WIDTH=128)
+        sketch = CountMinSketch()
         before = sketch.memory_bytes()
         for i in range(10_000):
             sketch.add(f"k:{i}")
@@ -56,8 +64,9 @@ class TestCountMinSketch:
 
 
 class TestTopKSketch:
-    def test_fills_to_capacity_then_gates_on_threshold(self):
-        topk = TopKSketch(capacity=2, width=4096, depth=4)
+    def test_fills_to_capacity_then_gates_on_threshold(self, patch):
+        patch(TOP_K=2, SKETCH_WIDTH=4096)
+        topk = TopKSketch()
         assert topk.record("a")  # capacity not reached: elected outright
         assert topk.record("b")
         topk.record("a")
@@ -68,8 +77,9 @@ class TestTopKSketch:
         assert topk.is_hot("c")
         assert len(topk) == 2
 
-    def test_heavy_key_always_elected(self):
-        topk = TopKSketch(capacity=4, width=4096, depth=4)
+    def test_heavy_key_always_elected(self, patch):
+        patch(TOP_K=4, SKETCH_WIDTH=4096)
+        topk = TopKSketch()
         # Fill with tail keys, then hammer one head key.
         for i in range(4):
             topk.record(f"tail:{i}")
@@ -78,54 +88,57 @@ class TestTopKSketch:
         assert topk.is_hot("head")
         assert topk.elected()["head"] >= 50
 
-    def test_tail_churn_cannot_displace_head(self):
-        topk = TopKSketch(capacity=2, width=4096, depth=4)
+    def test_tail_churn_cannot_displace_head(self, patch):
+        patch(TOP_K=2, SKETCH_WIDTH=4096)
+        topk = TopKSketch()
         for _ in range(100):
             topk.record("head")
         for i in range(500):
             topk.record(f"tail:{i}")  # each seen once: estimate 1 << 100
         assert topk.is_hot("head")
 
-    def test_threshold_tracks_minimum(self):
-        topk = TopKSketch(capacity=2, width=4096, depth=4)
+    def test_threshold_tracks_minimum(self, patch):
+        patch(TOP_K=2, SKETCH_WIDTH=4096)
+        topk = TopKSketch()
         assert topk.threshold() == 0
         topk.record("a")
         topk.record("b")
         topk.record("b")
         assert topk.threshold() == 1  # "a" is the minimum
 
-    def test_len_and_contains(self):
-        topk = TopKSketch(capacity=8, width=1024, depth=2)
+    def test_len_and_contains(self, patch):
+        patch(TOP_K=8, SKETCH_DEPTH=2)
+        topk = TopKSketch()
         topk.record("x")
         assert len(topk) == 1 and "x" in topk and "y" not in topk
 
-    def test_invalid_capacity_raises(self):
-        with pytest.raises(ConfigurationError):
-            TopKSketch(capacity=0)
-
 
 class TestHotKeyCache:
-    def test_store_get_roundtrip(self):
-        cache = HotKeyCache(capacity=4, ttl=1.0)
+    def test_store_get_roundtrip(self, patch):
+        patch(HOT_CACHE_CAPACITY=4)
+        cache = HotKeyCache(ttl=1.0)
         cache.store("k", "v", now=0.0)
         assert cache.get("k", now=0.5) == "v"
         assert cache.stats.hits == 1
 
-    def test_ttl_expiry_is_strict(self):
-        cache = HotKeyCache(capacity=4, ttl=1.0)
+    def test_ttl_expiry_is_strict(self, patch):
+        patch(HOT_CACHE_CAPACITY=4)
+        cache = HotKeyCache(ttl=1.0)
         cache.store("k", "v", now=0.0)
         assert cache.get("k", now=1.0) is None  # now - stored >= ttl
         assert cache.stats.expirations == 1
         assert "k" not in cache
 
-    def test_store_refreshes_staleness_window(self):
-        cache = HotKeyCache(capacity=4, ttl=1.0)
+    def test_store_refreshes_staleness_window(self, patch):
+        patch(HOT_CACHE_CAPACITY=4)
+        cache = HotKeyCache(ttl=1.0)
         cache.store("k", "v1", now=0.0)
         cache.store("k", "v2", now=0.9)
         assert cache.get("k", now=1.5) == "v2"
 
-    def test_lru_eviction_prefers_cold_entries(self):
-        cache = HotKeyCache(capacity=2, ttl=10.0)
+    def test_lru_eviction_prefers_cold_entries(self, patch):
+        patch(HOT_CACHE_CAPACITY=2)
+        cache = HotKeyCache(ttl=10.0)
         cache.store("a", 1, now=0.0)
         cache.store("b", 2, now=0.0)
         assert cache.get("a", now=0.1) == 1  # touch "a": "b" is now LRU
@@ -134,16 +147,18 @@ class TestHotKeyCache:
         assert cache.get("a", now=0.3) == 1
         assert cache.get("c", now=0.3) == 3
 
-    def test_invalidate(self):
-        cache = HotKeyCache(capacity=2, ttl=10.0)
+    def test_invalidate(self, patch):
+        patch(HOT_CACHE_CAPACITY=2)
+        cache = HotKeyCache(ttl=10.0)
         cache.store("a", 1, now=0.0)
         assert cache.invalidate("a")
         assert not cache.invalidate("a")
         assert cache.get("a", now=0.1) is None
         assert cache.stats.invalidations == 1
 
-    def test_hit_ratio(self):
-        cache = HotKeyCache(capacity=2, ttl=10.0)
+    def test_hit_ratio(self, patch):
+        patch(HOT_CACHE_CAPACITY=2)
+        cache = HotKeyCache(ttl=10.0)
         cache.store("a", 1, now=0.0)
         cache.get("a", now=0.1)
         cache.get("missing", now=0.1)
@@ -151,21 +166,20 @@ class TestHotKeyCache:
 
     def test_invalid_args_raise(self):
         with pytest.raises(ConfigurationError):
-            HotKeyCache(capacity=0)
-        with pytest.raises(ConfigurationError):
             HotKeyCache(ttl=0.0)
 
 
 class TestServerLoadEWMA:
     def test_scores_decay_with_halflife(self):
-        loads = ServerLoadEWMA(halflife=1.0)
+        loads = ServerLoadEWMA()
         loads.record_request(0, now=0.0)
         assert loads.load(0, now=0.0) == pytest.approx(1.0)
         assert loads.load(0, now=1.0) == pytest.approx(0.5)
         assert loads.load(0, now=2.0) == pytest.approx(0.25)
 
-    def test_arrivals_accumulate(self):
-        loads = ServerLoadEWMA(halflife=1000.0)
+    def test_arrivals_accumulate(self, patch):
+        patch(LOAD_HALFLIFE=1000.0)
+        loads = ServerLoadEWMA()
         for _ in range(5):
             loads.record_request(1, now=0.0)
         assert loads.load(1, now=0.0) == pytest.approx(5.0)
@@ -174,25 +188,21 @@ class TestServerLoadEWMA:
         loads = ServerLoadEWMA()
         assert loads.load(9, now=100.0) == 0.0
 
-    def test_latency_scales_relative_to_mean(self):
-        loads = ServerLoadEWMA(halflife=1000.0)
+    def test_latency_scales_relative_to_mean(self, patch):
+        patch(LOAD_HALFLIFE=1000.0)
+        loads = ServerLoadEWMA()
         loads.record_request(0, now=0.0)
         loads.record_request(1, now=0.0)
         loads.observe_latency(0, 0.010)  # slow replica
         loads.observe_latency(1, 0.002)  # fast replica
         assert loads.load(0, now=0.0) > loads.load(1, now=0.0)
 
-    def test_snapshot(self):
-        loads = ServerLoadEWMA(halflife=1000.0)
+    def test_snapshot(self, patch):
+        patch(LOAD_HALFLIFE=1000.0)
+        loads = ServerLoadEWMA()
         loads.record_request(0, now=0.0)
         snap = loads.snapshot([0, 1], now=0.0)
         assert snap[0] == pytest.approx(1.0) and snap[1] == 0.0
-
-    def test_invalid_args_raise(self):
-        with pytest.raises(ConfigurationError):
-            ServerLoadEWMA(halflife=0.0)
-        with pytest.raises(ConfigurationError):
-            ServerLoadEWMA(latency_smoothing=0.0)
 
 
 class TestHotKeyArmor:

@@ -227,13 +227,14 @@ class TestPowerOfTwoChoices:
                 return key, plan
         raise AssertionError("no key with two distinct replica owners")
 
-    def test_read_plan_prefers_less_loaded_replica(self):
+    def test_read_plan_prefers_less_loaded_replica(self, monkeypatch):
         key, base = self._replicated_key(self._router())
         primary, secondary = base
 
-        from repro.core.hotkey import ServerLoadEWMA
+        from repro.core import hotkey
 
-        loads = ServerLoadEWMA(halflife=1000.0)
+        monkeypatch.setattr(hotkey, "LOAD_HALFLIFE", 1000.0)
+        loads = hotkey.ServerLoadEWMA()
         assert loads.prefer(base, 2, now=0.0) == base  # tie: ring order
         for _ in range(10):
             loads.record_request(primary, now=0.0)

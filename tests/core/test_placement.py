@@ -37,7 +37,7 @@ class TestTheorem1:
         placement = place_virtual_nodes(6, RING)
         for server in range(6):
             expected = 1 if server == 0 else server
-            assert len(placement.ranges_of(server)) == expected
+            assert sum(r.server == server for r in placement.ranges) == expected
 
 
 class TestBalanceCondition:
@@ -46,12 +46,11 @@ class TestBalanceCondition:
         place_virtual_nodes(n, RING).verify_balance()
 
     def test_exact_fraction_at_each_prefix(self):
-        placement = place_virtual_nodes(8, RING)
+        ring = place_virtual_nodes(8, RING).build_ring()
         for num_active in range(1, 9):
+            owned = ring.owned_lengths(prefix_active(num_active))
             for server in range(num_active):
-                assert placement.owned_fraction(server, num_active) == Fraction(
-                    1, num_active
-                )
+                assert Fraction(owned[server], RING) == Fraction(1, num_active)
 
     def test_ranges_tile_the_key_space(self):
         placement = place_virtual_nodes(7, RING)
@@ -89,7 +88,9 @@ class TestBuildRing:
         ring = placement.build_ring()
         owned = ring.owned_lengths()
         for server in range(5):
-            expected = sum(r.length for r in placement.ranges_of(server))
+            expected = sum(
+                r.length for r in placement.ranges if r.server == server
+            )
             assert owned[server] == expected
 
     def test_final_successor_property(self):

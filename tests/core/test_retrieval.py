@@ -528,14 +528,15 @@ class TestLeaderWindowRegistry:
         assert reg.leader_done("k", now=5.0) is None
         assert reg.leader_done("missing", now=0.0) is None
 
-    def test_prune_uses_current_clock_not_request_start(self):
+    def test_prune_uses_current_clock_not_request_start(self, monkeypatch):
         # Regression: the pre-refactor prune compared against the request's
         # *start* time, letting windows that closed mid-request survive an
         # extra pass.  The registry prunes against the clock it is given.
-        reg = LeaderWindowRegistry(max_entries=2)
+        monkeypatch.setattr(retrieval, "MAX_LEADER_WINDOWS", 2)
+        reg = LeaderWindowRegistry()
         reg.announce("a", done_at=1.0, now=0.0)
         reg.announce("b", done_at=2.0, now=0.0)
-        # This announce overflows max_entries; now=1.5 means "a" (closed at
+        # This announce overflows the bound; now=1.5 means "a" (closed at
         # 1.0) must be dropped even though the request started earlier.
         reg.announce("c", done_at=9.0, now=1.5)
         assert len(reg) == 2
@@ -543,10 +544,11 @@ class TestLeaderWindowRegistry:
         assert reg.leader_done("b", now=1.6) == 2.0
         assert reg.leader_done("c", now=1.6) == 9.0
 
-    def test_bounded_by_concurrent_misses(self):
-        reg = LeaderWindowRegistry(max_entries=8)
+    def test_bounded_by_concurrent_misses(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "MAX_LEADER_WINDOWS", 8)
+        reg = LeaderWindowRegistry()
         for i in range(100):
             # Every window closes almost immediately; the map never grows
-            # past max_entries + 1 before a prune.
+            # past the bound + 1 before a prune.
             reg.announce(f"k{i}", done_at=i + 0.1, now=float(i))
         assert len(reg) <= 9

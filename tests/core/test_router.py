@@ -103,10 +103,6 @@ class TestConsistentRouter:
 
         assert ratio(proteus) > ratio(consistent)
 
-    def test_rejects_both_vnode_args(self):
-        with pytest.raises(ConfigurationError):
-            ConsistentRouter(4, vnodes_per_server=3, total_vnodes=10)
-
     def test_rejects_too_few_total_vnodes(self):
         with pytest.raises(ConfigurationError):
             ConsistentRouter(4, total_vnodes=3)

@@ -23,8 +23,8 @@ class TestTransition:
     def test_direction_flags(self):
         down = Transition(5, 4, 0.0, 60.0)
         up = Transition(4, 5, 0.0, 60.0)
-        assert down.is_scale_down and not down.is_scale_up
-        assert up.is_scale_up and not up.is_scale_down
+        assert down.is_scale_down
+        assert not up.is_scale_down
 
     def test_draining_servers_scale_down(self):
         t = Transition(6, 3, 0.0, 60.0)

@@ -26,17 +26,12 @@ class TestShard:
         assert response.found
 
     def test_dataset_overrides_synthesizer(self):
-        shard = DatabaseShard(0, dataset={"k": b"explicit"})
+        shard = DatabaseShard(0)
+        shard.put("k", b"explicit")
         assert shard.lookup("k") == b"explicit"
 
-    def test_non_synthesizing_shard_misses(self):
-        shard = DatabaseShard(0, synthesize=False)
-        response = shard.get("missing", now=0.0)
-        assert not response.found
-        assert shard.not_found == 1
-
     def test_put_installs_data(self):
-        shard = DatabaseShard(0, synthesize=False)
+        shard = DatabaseShard(0)
         shard.put("k", b"v")
         assert shard.get("k", 0.0).value == b"v"
 
@@ -60,7 +55,8 @@ class TestShard:
         assert response.completion_time == pytest.approx(10.1)
 
     def test_reset_keeps_dataset(self):
-        shard = DatabaseShard(0, dataset={"k": 1})
+        shard = DatabaseShard(0)
+        shard.put("k", 1)
         shard.get("k", 0.0)
         shard.reset()
         assert shard.requests == 0

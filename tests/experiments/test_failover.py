@@ -83,7 +83,7 @@ class TestRuns:
         report = FailoverExperiment(config()).run()
         assert report.db_fraction.times[-1] <= 60.0
         assert len(report.db_fraction) >= 5
-        assert report.overall_db_fraction < 0.6
+        assert report.db_reads / report.total_requests < 0.6
 
 
 class TestConfiguredTTL:

@@ -51,7 +51,7 @@ class ScriptedPool:
 
 
 def fast_retry(**overrides):
-    kwargs = dict(max_attempts=3, base_delay=0.0, jitter=0.0)
+    kwargs = dict(max_attempts=3, base_delay=0.0)
     kwargs.update(overrides)
     return RetryPolicy(**kwargs)
 

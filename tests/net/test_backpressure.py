@@ -125,7 +125,7 @@ class TestPerConnectionWatermark:
 
 
 class TestSlowReader:
-    """The ``write_high_water`` contract over a real socket: a client that
+    """The write high-water contract over a real socket: a client that
     does not read its replies is paused, not buffered for, and the global
     cap sheds around it (``tests/net/test_server_connection.py`` drives
     the same callbacks by hand)."""
@@ -137,13 +137,15 @@ class TestSlowReader:
     def test_unread_replies_hold_inflight_until_the_client_reads(self):
         async def body(server, reader, writer):
             server.store.set("big", self.VALUE, now=0.0, size=len(self.VALUE))
+            await until(lambda: server._open)
+            (connection,) = server._open
+            connection.transport.set_write_buffer_limits(high=64 * 1024)
             # Pin the receive buffer, or the kernel grows it to fit.
             writer.get_extra_info("socket").setsockopt(
                 socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024
             )
             writer.write(b"get big\r\n" * self.REQUESTS)
             await until(lambda: server.inflight == self.REQUESTS)
-            (connection,) = server._open
             assert connection.write_paused
             async with MemcachedClient("127.0.0.1", server.port) as other:
                 with pytest.raises(ServerBusyError):
@@ -154,9 +156,7 @@ class TestSlowReader:
                 assert not connection.write_paused
                 assert await other.get("big") == self.VALUE
 
-        run(with_raw_server(
-            body, max_inflight=self.REQUESTS, write_high_water=64 * 1024
-        ))
+        run(with_raw_server(body, max_inflight=self.REQUESTS))
 
 
 class TestInflightAlwaysReturns:

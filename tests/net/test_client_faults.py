@@ -148,23 +148,6 @@ class TestReconnect:
 
         run(body())
 
-    def test_no_auto_reconnect_raises_transport_error(self):
-        async def body():
-            bloom = optimal_config(500)
-            real = MemcachedServer(bloom_config=bloom)
-            await real.start()
-            client = MemcachedClient(
-                "127.0.0.1", real.port, auto_reconnect=False
-            )
-            await client.connect()
-            client._poison()
-            with pytest.raises(TransportError):
-                await client.get("k")
-            await client.close()
-            await real.stop()
-
-        run(body())
-
     def test_never_dialed_client_raises_protocol_error(self):
         async def body():
             client = MemcachedClient("127.0.0.1", 1)

@@ -1,16 +1,11 @@
 """ConnectionPool: lazy dial, shared leases, broken-connection ejection."""
 
 import asyncio
-import types
 
 import pytest
 
 from repro.bloom.config import optimal_config
-from repro.errors import (
-    ClientOverloadError,
-    ConfigurationError,
-    DeadlineExceeded,
-)
+from repro.errors import ConfigurationError, DeadlineExceeded
 from repro.net.pool import ConnectionPool
 from repro.net.server import MemcachedServer
 from repro.resilience import Deadline
@@ -246,10 +241,6 @@ class TestContention:
 
 
 class TestSaturationFailFast:
-    def test_window_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            ConnectionPool("127.0.0.1", 1, max_inflight_per_conn=0)
-
     def test_expired_deadline_fails_before_any_dial(self):
         async def body():
             pool = ConnectionPool("127.0.0.1", 1)
@@ -259,38 +250,6 @@ class TestSaturationFailFast:
             await pool.close()
 
         run(body())
-
-    def _saturated(self, count=2, inflight=8):
-        return [types.SimpleNamespace(inflight=inflight) for _ in range(count)]
-
-    def test_full_windows_with_no_time_left_raise(self):
-        pool = ConnectionPool(
-            "127.0.0.1", 1, size=2, timeout=0.25, max_inflight_per_conn=8
-        )
-        tight = Deadline(0.1)  # cannot afford one op-timeout of queueing
-        with pytest.raises(ClientOverloadError):
-            pool._check_saturation(self._saturated(), tight)
-        assert pool.overflow_failures == 1
-
-    def test_roomy_deadline_queues_instead_of_failing(self):
-        pool = ConnectionPool(
-            "127.0.0.1", 1, size=2, timeout=0.25, max_inflight_per_conn=8
-        )
-        pool._check_saturation(self._saturated(), Deadline(5.0))
-        assert pool.overflow_failures == 0
-
-    def test_one_free_window_admits(self):
-        pool = ConnectionPool(
-            "127.0.0.1", 1, size=2, timeout=0.25, max_inflight_per_conn=8
-        )
-        candidates = self._saturated() + [types.SimpleNamespace(inflight=3)]
-        pool._check_saturation(candidates, Deadline(0.1))
-        assert pool.overflow_failures == 0
-
-    def test_disabled_window_never_fails(self):
-        pool = ConnectionPool("127.0.0.1", 1, size=2, timeout=0.25)
-        pool._check_saturation(self._saturated(), Deadline(0.0))
-        assert pool.overflow_failures == 0
 
 
 @pytest.mark.parametrize("size", [1, 4])
@@ -349,30 +308,6 @@ class TestAcquireAtAnySize:
             assert pool.leases == 0
 
         run(with_pool(body, size=size))
-
-    def test_saturated_windows_fail_fast_through_acquire(self, size):
-        async def body(server, pool):
-            loop = asyncio.get_running_loop()
-            held = [await pool.acquire() for _ in range(size)]
-            for client in held:  # one unanswered command per window
-                client._protocol.pending.append(loop.create_future())
-            with pytest.raises(ClientOverloadError):
-                await pool.acquire(Deadline(0.1))
-            assert pool.overflow_failures == 1
-            assert (pool.leases, pool.waited) == (size, 0)  # nothing taken
-            roomy = await pool.acquire(Deadline(5.0))  # can afford to queue
-            assert (pool.leases, pool.waited) == (size + 1, 1)
-            held[-1]._protocol.pending.clear()  # one window frees up
-            tight = await pool.acquire(Deadline(0.1))
-            assert pool.overflow_failures == 1
-            for client in held:
-                client._protocol.pending.clear()
-            for client in held + [roomy, tight]:
-                pool.release(client)
-
-        run(with_pool(
-            body, size=size, timeout=0.25, max_inflight_per_conn=1
-        ))
 
     def test_dials_in_flight_hold_their_size_slot(self, size):
         async def body(server, pool):

@@ -26,7 +26,6 @@ class RecordingTransport:
         self.protocol = protocol
         self.writes = []
         self.calls = []
-        self.high_water = None
 
     def write(self, data):
         self.writes.append(data)
@@ -46,9 +45,6 @@ class RecordingTransport:
 
     def get_extra_info(self, name, default=None):
         return default
-
-    def set_write_buffer_limits(self, high=None, low=None):
-        self.high_water = high
 
 
 def connect(server):
@@ -182,7 +178,6 @@ class TestSlowReader:
 
     def test_paused_writes_hold_inflight_and_pause_reads_once(self):
         def body(server, connection, transport):
-            assert transport.high_water == 4096
             connection.pause_writing()
             connection.data_received(b"get k\r\nget k\r\n")
             assert server.inflight == 2  # answered, not yet drained
@@ -203,7 +198,7 @@ class TestSlowReader:
             other.data_received(b"get k\r\n")
             assert other_transport.writes == [busy, HIT]
 
-        drive(body, max_inflight=3, write_high_water=4096)
+        drive(body, max_inflight=3)
 
     def test_connection_lost_while_paused_releases_inflight(self):
         def body(server, connection, transport):

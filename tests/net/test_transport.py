@@ -67,11 +67,9 @@ class TestRefusalsAndPropagation:
 
     def test_without_degrade_the_last_error_propagates(self):
         async def body():
-            transport, _, client = make(
-                TransportError("reset"), degrade_to_database=False
-            )
+            transport, _, client = make(TransportError("reset"))
             with pytest.raises(TransportError, match="reset"):
-                await transport.get_multi(0, ["k"])
+                await transport.digest(0, CFG)
             assert client.exchanges == 3
 
         run(body())
@@ -90,24 +88,18 @@ def rpc_call(transport, rpc):
 class TestSetAndDigestRideTheSameArmor:
     """A ``put``'s ``set_multi`` / ``delete_multi`` and the digest
     broadcast ride breaker, limiter and counters like every probe; the
-    digest always raises, the writes raise unless the policy degrades."""
+    digest raises, the writes answer ``SERVER_UNAVAILABLE``."""
 
     def test_open_circuit_raises_without_dialling(self):
         async def body():
-            transport, pool, _ = make(
-                TransportError("unreached"), degrade_to_database=False
-            )
+            transport, pool, _ = make(TransportError("unreached"))
             trip(transport)
-            for rpc in ("set_multi", "delete_multi", "digest"):
-                with pytest.raises(TransportError, match="circuit open"):
-                    await rpc_call(transport, rpc)
-            degrading, degrading_pool, _ = make(TransportError("unreached"))
-            trip(degrading)
+            with pytest.raises(TransportError, match="circuit open"):
+                await rpc_call(transport, "digest")
             for rpc in ("set_multi", "delete_multi"):
-                assert await rpc_call(degrading, rpc) is SERVER_UNAVAILABLE
-            assert pool.acquires == degrading_pool.acquires == 0
+                assert await rpc_call(transport, rpc) is SERVER_UNAVAILABLE
+            assert pool.acquires == 0
             assert transport.unavailable_rpcs == 3
-            assert degrading.unavailable_rpcs == 2
 
         run(body())
 
@@ -115,11 +107,13 @@ class TestSetAndDigestRideTheSameArmor:
     def test_failures_feed_the_breaker_and_the_counters(self, rpc):
         async def body():
             transport, pool, client = make(
-                TransportError("reset"), breaker_failures=2,
-                degrade_to_database=False,
+                TransportError("reset"), breaker_failures=2
             )
-            with pytest.raises(TransportError, match="reset"):
-                await rpc_call(transport, rpc)
+            if rpc == "digest":
+                with pytest.raises(TransportError, match="reset"):
+                    await rpc_call(transport, rpc)
+            else:
+                assert await rpc_call(transport, rpc) is SERVER_UNAVAILABLE
             # Two transients trip the 2-failure breaker, which stops the
             # third attempt.
             assert client.exchanges == 2

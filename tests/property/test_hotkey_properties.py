@@ -11,15 +11,21 @@ displaced by a newcomer whose estimate has reached the tracked minimum.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import hotkey
 from repro.core.hotkey import CountMinSketch, HotKeyCache, TopKSketch
 
-#: Wide sketch relative to the key pool: estimates are exact in practice,
-#: so the properties test the election logic, not collision noise.
-WIDTH, DEPTH = 4096, 4
+
+def top_k(capacity):
+    """A *capacity* tracker over a sketch wide relative to the key pool:
+    estimates are exact in practice, so the properties test the election
+    logic, not collision noise."""
+    with mock.patch.multiple(hotkey, TOP_K=capacity, SKETCH_WIDTH=4096):
+        return TopKSketch()
 
 
 @st.composite
@@ -50,7 +56,7 @@ def skewed_streams(draw):
 @settings(max_examples=120, deadline=None)
 def test_elected_superset_of_true_top_k_at_double_capacity(data):
     k, stream, true_top_k = data
-    topk = TopKSketch(capacity=2 * k, width=WIDTH, depth=DEPTH)
+    topk = top_k(2 * k)
     for key in stream:
         topk.record(key)
     elected = set(topk.elected())
@@ -61,7 +67,7 @@ def test_elected_superset_of_true_top_k_at_double_capacity(data):
 @settings(max_examples=60, deadline=None)
 def test_no_eviction_below_threshold(data):
     _, stream, _ = data
-    topk = TopKSketch(capacity=3, width=WIDTH, depth=DEPTH)
+    topk = top_k(3)
     before = topk.elected()
     for key in stream:
         topk.record(key)
@@ -80,7 +86,9 @@ def test_no_eviction_below_threshold(data):
 @settings(max_examples=60, deadline=None)
 def test_estimates_never_underestimate(data):
     _, stream, _ = data
-    sketch = CountMinSketch(width=64, depth=2)  # deliberately collision-prone
+    # deliberately collision-prone
+    with mock.patch.multiple(hotkey, SKETCH_WIDTH=64, SKETCH_DEPTH=2):
+        sketch = CountMinSketch()
     truth = {}
     for key in stream:
         sketch.add(key)
@@ -102,7 +110,8 @@ def test_estimates_never_underestimate(data):
 )
 @settings(max_examples=80, deadline=None)
 def test_cache_never_serves_entries_older_than_ttl(ops):
-    cache = HotKeyCache(capacity=4, ttl=1.0)
+    with mock.patch.object(hotkey, "HOT_CACHE_CAPACITY", 4):
+        cache = HotKeyCache(ttl=1.0)
     stored_at = {}
     clock = 0.0
     for op, idx, dt in ops:

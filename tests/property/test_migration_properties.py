@@ -36,13 +36,14 @@ def test_limit_step_size_properties(counts, max_step):
 @settings(max_examples=60, deadline=None)
 def test_schedule_transitions_reconstruct_counts(counts):
     schedule = ProvisioningSchedule(5.0, counts)
-    # Replaying the transitions over the initial count reproduces n_at.
+    # Replaying the transitions over the initial count reproduces counts.
     current = counts[0]
     series = {0.0: current}
     for when, n_old, n_new in schedule.transitions():
         assert n_old == current
         current = n_new
         series[when] = current
-    # n_at agrees at every slot start.
+    # ... at every slot start.
     for slot, expected in enumerate(counts):
-        assert schedule.n_at(slot * 5.0) == expected
+        when = max(t for t in series if t <= slot * 5.0)
+        assert series[when] == expected

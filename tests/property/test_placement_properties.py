@@ -71,9 +71,11 @@ def test_scale_down_only_moves_the_drained_servers_keys(
 @settings(max_examples=20, deadline=None)
 def test_owned_fraction_is_exact_rational(num_servers):
     placement = place_virtual_nodes(num_servers, 2 ** 16)
+    ring = placement.build_ring()
     for n in range(1, num_servers + 1):
+        owned = ring.owned_lengths(prefix_active(n))
         total = sum(
-            (placement.owned_fraction(s, n) for s in range(n)),
+            (Fraction(owned.get(s, 0), 2 ** 16) for s in range(n)),
             start=Fraction(0),
         )
         assert total == 1

@@ -7,9 +7,12 @@ a shorter window).  The estimator carries its own invariant: a half-life
 it returns always lies inside the observed sample span.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.provisioning import ttl as ttl_module
 from repro.provisioning.ttl import AdaptiveTTLPolicy, estimate_half_life
 
 half_lives = st.floats(
@@ -22,6 +25,13 @@ bounds = st.tuples(
 residuals = st.floats(min_value=1e-6, max_value=0.999)
 
 
+def constants(min_ttl, residual):
+    """The policy's floor and residual set to the drawn values."""
+    return mock.patch.multiple(
+        ttl_module, MIN_TTL=min_ttl, TARGET_RESIDUAL=residual
+    )
+
+
 @given(
     observed=st.lists(half_lives, min_size=0, max_size=12),
     clamp=bounds,
@@ -30,13 +40,10 @@ residuals = st.floats(min_value=1e-6, max_value=0.999)
 @settings(max_examples=120, deadline=None)
 def test_window_always_inside_the_clamps(observed, clamp, residual):
     min_ttl, max_ttl = clamp
-    policy = AdaptiveTTLPolicy(
-        default_ttl=60.0, min_ttl=min_ttl, max_ttl=max_ttl,
-        target_residual=residual,
-    )
-    for half_life in observed:
-        policy.record_half_life(half_life)
-    ttl = policy.ttl_for()
+    with constants(min_ttl, residual):
+        policy = AdaptiveTTLPolicy(default_ttl=60.0, max_ttl=max_ttl)
+        policy.half_lives.extend(observed)
+        ttl = policy.ttl_for()
     assert min_ttl <= ttl <= max_ttl
     if not observed:
         # inert until evidence arrives: the (clamped) configured default.
@@ -54,13 +61,12 @@ def test_window_is_monotone_in_the_half_life(low, high, clamp, residual):
     if low > high:
         low, high = high, low
     min_ttl, max_ttl = clamp
-    slow = AdaptiveTTLPolicy(min_ttl=min_ttl, max_ttl=max_ttl,
-                             target_residual=residual)
-    fast = AdaptiveTTLPolicy(min_ttl=min_ttl, max_ttl=max_ttl,
-                             target_residual=residual)
-    fast.record_half_life(low)
-    slow.record_half_life(high)
-    assert fast.ttl_for() <= slow.ttl_for()
+    with constants(min_ttl, residual):
+        slow = AdaptiveTTLPolicy(max_ttl=max_ttl)
+        fast = AdaptiveTTLPolicy(max_ttl=max_ttl)
+        fast.half_lives.append(low)
+        slow.half_lives.append(high)
+        assert fast.ttl_for() <= slow.ttl_for()
 
 
 @given(

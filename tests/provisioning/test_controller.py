@@ -85,12 +85,6 @@ class TestControllerSteps:
         assert ctl.projected_delay(100.0, 4) < ctl.projected_delay(100.0, 2)
         assert ctl.projected_delay(1000.0, 2) == float("inf")
 
-    def test_as_schedule(self):
-        ctl = controller()
-        ctl.update(0.45, 100.0)
-        schedule = ctl.as_schedule(slot_seconds=10.0)
-        assert schedule.counts == ctl.history
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             controller(num_servers=0)
@@ -239,12 +233,6 @@ class TestHealthFeedback:
         ctl.reset(5)
         assert ctl.update(0.05, arrival_rate=100.0, health=health()) == 4
 
-    def test_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            controller(degraded_rate_threshold=-0.1)
-        with pytest.raises(ConfigurationError):
-            controller(remap_veto_threshold=-0.1)
-
 
 class TestShedFeedback:
     """Sustained admission shedding closes the loop: the delay signal
@@ -278,7 +266,3 @@ class TestShedFeedback:
         assert new == 3  # the ordinary scale-down proceeds
         assert ctl.emergency_scale_ups == 0
         assert ctl.vetoed_scale_downs == 0
-
-    def test_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            controller(shed_rate_threshold=-0.1)

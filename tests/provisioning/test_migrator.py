@@ -89,9 +89,7 @@ class TestTick:
         t = warm(web, [f"old:{i}" for i in range(50)], start=0.0)
         t = warm(web, [f"new:{i}" for i in range(50)], start=100.0)
         transition = cache.scale_to(3, now=t)
-        migrator = BackgroundMigrator(
-            cache, transition, batch_size=1000, hot_ttl=10.0
-        )
+        migrator = BackgroundMigrator(cache, transition, batch_size=1000)
         migrator.tick(t + 0.1)
         # Keys idle for ~100 s are beyond the hotness horizon: not pushed.
         pushed_old = [

@@ -62,10 +62,6 @@ class TestOrderedFleet:
         with pytest.raises(ConfigurationError):
             OrderedFleet([EFFICIENT, GUZZLER], order=[0, 0])
 
-    def test_active_capacity(self, fleet):
-        assert fleet.active_capacity(1) == 300
-        assert fleet.active_capacity(3) == 650
-
     def test_servers_for_load(self, fleet):
         assert fleet.servers_for_load(250) == 1
         assert fleet.servers_for_load(400) == 2

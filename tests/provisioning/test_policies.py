@@ -14,15 +14,14 @@ from repro.provisioning.policies import (
 class TestSchedule:
     def test_slot_lookup(self):
         schedule = ProvisioningSchedule(10.0, [3, 2, 4])
-        assert schedule.n_at(0.0) == 3
-        assert schedule.n_at(9.99) == 3
-        assert schedule.n_at(10.0) == 2
-        assert schedule.n_at(25.0) == 4
+        assert [
+            schedule.slot_of(when) for when in (0.0, 9.99, 10.0, 25.0)
+        ] == [0, 0, 1, 2]
 
     def test_clamps_out_of_range_times(self):
         schedule = ProvisioningSchedule(10.0, [3, 2])
-        assert schedule.n_at(-5.0) == 3
-        assert schedule.n_at(1000.0) == 2
+        assert schedule.slot_of(-5.0) == 0
+        assert schedule.slot_of(1000.0) == 1
 
     def test_transitions(self):
         schedule = ProvisioningSchedule(10.0, [3, 3, 2, 4, 4])

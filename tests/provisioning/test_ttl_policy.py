@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.provisioning import ttl as ttl_module
 from repro.provisioning.ttl import (
     TTL_POLICIES,
     AdaptiveTTLPolicy,
@@ -82,10 +83,9 @@ class TestAdaptivePolicy:
         policy = AdaptiveTTLPolicy(default_ttl=60.0)
         assert policy.ttl_for() == 60.0
 
-    def test_sizes_from_observed_decay(self):
-        policy = AdaptiveTTLPolicy(
-            min_ttl=1.0, max_ttl=1000.0, target_residual=0.05
-        )
+    def test_sizes_from_observed_decay(self, monkeypatch):
+        monkeypatch.setattr(ttl_module, "MIN_TTL", 1.0)
+        policy = AdaptiveTTLPolicy(max_ttl=1000.0)
         half_life = policy.observe_decay(geometric_series(8.0))
         assert half_life == pytest.approx(8.0, rel=0.15)
         expected = half_life * math.log2(1 / 0.05)
@@ -96,42 +96,35 @@ class TestAdaptivePolicy:
         assert policy.observe_decay([(2.0, 0.0), (4.0, 0.0)]) is None
         assert policy.ttl_for() == 60.0
 
-    def test_clamped_to_bounds(self):
-        policy = AdaptiveTTLPolicy(min_ttl=20.0, max_ttl=90.0)
-        policy.record_half_life(0.1)
+    def test_clamped_to_bounds(self, monkeypatch):
+        monkeypatch.setattr(ttl_module, "MIN_TTL", 20.0)
+        policy = AdaptiveTTLPolicy(max_ttl=90.0)
+        policy.half_lives.append(0.1)
         assert policy.ttl_for() == 20.0
-        policy.record_half_life(1e6)
-        policy.record_half_life(1e6)
+        policy.half_lives.extend([1e6, 1e6])
         assert policy.ttl_for() == 90.0
 
-    def test_median_resists_one_anomaly(self):
-        policy = AdaptiveTTLPolicy(min_ttl=1.0, max_ttl=10_000.0)
-        for _ in range(5):
-            policy.record_half_life(10.0)
+    def test_median_resists_one_anomaly(self, monkeypatch):
+        monkeypatch.setattr(ttl_module, "MIN_TTL", 1.0)
+        policy = AdaptiveTTLPolicy(max_ttl=10_000.0)
+        policy.half_lives.extend([10.0] * 5)
         before = policy.ttl_for()
-        policy.record_half_life(5000.0)
+        policy.half_lives.append(5000.0)
         assert policy.ttl_for() == before
 
-    def test_window_forgets_old_transitions(self):
-        policy = AdaptiveTTLPolicy(window=2, min_ttl=1.0, max_ttl=10_000.0)
-        policy.record_half_life(100.0)
-        policy.record_half_life(10.0)
-        policy.record_half_life(10.0)  # evicts the 100.0
+    def test_window_forgets_old_transitions(self, monkeypatch):
+        monkeypatch.setattr(ttl_module, "DECAY_WINDOW", 2)
+        monkeypatch.setattr(ttl_module, "MIN_TTL", 1.0)
+        policy = AdaptiveTTLPolicy(max_ttl=10_000.0)
+        policy.half_lives.extend([100.0, 10.0, 10.0])  # evicts the 100.0
         assert policy.ttl_for() == pytest.approx(
-            10.0 * math.log2(1 / policy.target_residual)
+            10.0 * math.log2(1 / ttl_module.TARGET_RESIDUAL)
         )
 
-    def test_record_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveTTLPolicy().record_half_life(0.0)
-
     @pytest.mark.parametrize("kwargs", [
-        {"min_ttl": 0.0},
-        {"min_ttl": 50.0, "max_ttl": 10.0},
+        {"max_ttl": 4.0},
         {"default_ttl": -1.0},
-        {"target_residual": 0.0},
-        {"target_residual": 1.0},
-        {"window": 0},
+        {"default_ttl": 0.0},
     ])
     def test_rejects_bad_configuration(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -1,46 +1,8 @@
-"""DB-path admission controllers: the live and the virtual-clock models."""
+"""DB-path admission: the virtual-clock model."""
 
 import pytest
 
-from repro.resilience import (
-    AdaptiveConcurrencyLimiter,
-    ConcurrencyAdmission,
-    VirtualQueueAdmission,
-)
-
-ZERO = lambda: 0.0  # noqa: E731 - constructor clock; tests pass explicit now
-
-
-class TestConcurrencyAdmission:
-    def test_admits_up_to_the_limiter_window(self):
-        admission = ConcurrencyAdmission(
-            AdaptiveConcurrencyLimiter(initial=2.0, clock=ZERO)
-        )
-        assert admission.admit_db(now=0.0)
-        assert admission.admit_db(now=0.0)
-        assert not admission.admit_db(now=0.0)
-        assert admission.admitted == 2
-        assert admission.shed == 1
-        assert admission.depth(now=0.0) == 2.0
-
-    def test_db_finished_releases_and_feeds_aimd(self):
-        limiter = AdaptiveConcurrencyLimiter(initial=4.0, clock=ZERO)
-        admission = ConcurrencyAdmission(limiter)
-        assert admission.admit_db(now=0.0)
-        admission.db_finished(now=0.0, completed=0.0)  # ok=True
-        assert admission.depth(now=0.0) == 0.0
-        assert limiter.limit > 4.0  # success grew the window
-
-    def test_failed_completion_cuts_the_window(self):
-        limiter = AdaptiveConcurrencyLimiter(
-            initial=8.0, backoff=0.5, clock=ZERO
-        )
-        admission = ConcurrencyAdmission(limiter)
-        assert admission.admit_db(now=0.0)
-        admission.db_finished(now=0.0, completed=0.0, ok=False)
-        assert limiter.limit == pytest.approx(4.0)
-        assert admission.depth(now=0.0) == 0.0
-
+from repro.resilience import VirtualQueueAdmission
 
 class TestVirtualQueueAdmission:
     def test_max_depth_must_be_positive(self):

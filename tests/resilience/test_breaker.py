@@ -1,14 +1,12 @@
 """Circuit breaker: closed/open/half-open transitions, all clock-driven."""
 
 from repro.resilience import BreakerState, CircuitBreaker, ResiliencePolicy
+from repro.resilience import breaker as breaker_module
 from repro.resilience.faults import FaultPlan, FaultSchedule
 
 
-def make(threshold=3, reset=1.0, probes=1):
-    return CircuitBreaker(
-        failure_threshold=threshold, reset_timeout=reset,
-        half_open_probes=probes,
-    )
+def make(threshold=3, reset=1.0):
+    return CircuitBreaker(failure_threshold=threshold, reset_timeout=reset)
 
 
 class TestTripCycle:
@@ -38,7 +36,7 @@ class TestTripCycle:
         assert breaker.rejections == 1
 
     def test_reset_timeout_admits_half_open_probes(self):
-        breaker = make(threshold=1, reset=1.0, probes=1)
+        breaker = make(threshold=1, reset=1.0)
         breaker.record_failure(now=0.0)
         assert not breaker.allow(0.5)
         assert breaker.state(1.0) is BreakerState.HALF_OPEN
@@ -63,8 +61,9 @@ class TestTripCycle:
         assert breaker.state(2.5) is BreakerState.HALF_OPEN
         assert breaker.trips == 2
 
-    def test_multiple_probes_window(self):
-        breaker = make(threshold=1, reset=1.0, probes=2)
+    def test_multiple_probes_window(self, monkeypatch):
+        monkeypatch.setattr(breaker_module, "HALF_OPEN_PROBES", 2)
+        breaker = make(threshold=1, reset=1.0)
         breaker.record_failure(now=0.0)
         assert breaker.allow(1.1)
         assert breaker.allow(1.1)
@@ -85,7 +84,6 @@ class TestPolicyFactories:
         policy = ResiliencePolicy.default()
         assert policy.retry.max_attempts >= 2
         assert policy.op_timeout is None
-        assert policy.degrade_to_database
 
 
 class TestFaultScheduleVocabulary:

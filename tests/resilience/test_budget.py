@@ -3,6 +3,7 @@
 import pytest
 
 from repro.resilience import AdaptiveConcurrencyLimiter, RetryBudget
+from repro.resilience import budget as budget_module
 
 ZERO = lambda: 0.0  # noqa: E731 - constructor clock; tests pass explicit now
 
@@ -15,8 +16,6 @@ class TestRetryBudgetValidation:
             RetryBudget(ratio=1.5)
         with pytest.raises(ValueError):
             RetryBudget(min_retries_per_second=-1.0)
-        with pytest.raises(ValueError):
-            RetryBudget(burst=0.5)
         with pytest.raises(ValueError):
             RetryBudget(halflife=0.0)
 
@@ -53,10 +52,9 @@ class TestRetryBudgetTokens:
         assert budget.balance(now=10.0) == pytest.approx(4.0)
         assert budget.balance(now=30.0) == pytest.approx(1.0)
 
-    def test_burst_caps_banked_tokens(self):
-        budget = RetryBudget(
-            ratio=1.0, min_retries_per_second=0.0, burst=5.0, clock=ZERO
-        )
+    def test_burst_caps_banked_tokens(self, monkeypatch):
+        monkeypatch.setattr(budget_module, "BURST", 5.0)
+        budget = RetryBudget(ratio=1.0, min_retries_per_second=0.0, clock=ZERO)
         budget.record_request(n=1000, now=0.0)
         assert budget.balance(now=0.0) == pytest.approx(5.0)
 
@@ -76,17 +74,11 @@ class TestRetryBudgetTokens:
 class TestLimiterValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(min_limit=0.5)
+            AdaptiveConcurrencyLimiter(initial=0.5)
         with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(min_limit=4.0, max_limit=2.0)
+            AdaptiveConcurrencyLimiter(initial=4.0, max_limit=2.0)
         with pytest.raises(ValueError):
             AdaptiveConcurrencyLimiter(initial=2048.0)
-        with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(increase=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(backoff=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveConcurrencyLimiter(cooldown=-0.1)
 
 
 class TestLimiterAdmission:
@@ -108,9 +100,7 @@ class TestLimiterAdmission:
         assert limiter.inflight == 1
 
     def test_integral_window_is_at_least_one(self):
-        limiter = AdaptiveConcurrencyLimiter(
-            initial=1.0, min_limit=1.0, clock=ZERO
-        )
+        limiter = AdaptiveConcurrencyLimiter(initial=1.0, clock=ZERO)
         for _ in range(10):
             limiter.on_overload(now=limiter.cuts * 10.0)
         assert limiter.limit == 1.0
@@ -134,17 +124,14 @@ class TestLimiterAIMD:
         assert limiter.limit == 4.5
 
     def test_overload_cuts_multiplicatively(self):
-        limiter = AdaptiveConcurrencyLimiter(
-            initial=16.0, backoff=0.5, cooldown=1.0, clock=ZERO
-        )
+        limiter = AdaptiveConcurrencyLimiter(initial=16.0, clock=ZERO)
         limiter.on_overload(now=0.0)
         assert limiter.limit == pytest.approx(8.0)
         assert limiter.cuts == 1
 
-    def test_cooldown_absorbs_echoes_of_one_congestion_event(self):
-        limiter = AdaptiveConcurrencyLimiter(
-            initial=16.0, backoff=0.5, cooldown=1.0, clock=ZERO
-        )
+    def test_cooldown_absorbs_echoes_of_one_congestion_event(self, monkeypatch):
+        monkeypatch.setattr(budget_module, "COOLDOWN", 1.0)
+        limiter = AdaptiveConcurrencyLimiter(initial=16.0, clock=ZERO)
         limiter.on_overload(now=0.0)
         # All the timeouts of one stalled window arrive together: one cut.
         limiter.on_overload(now=0.2)
@@ -155,10 +142,9 @@ class TestLimiterAIMD:
         assert limiter.limit == pytest.approx(4.0)
         assert limiter.cuts == 2
 
-    def test_cuts_bottom_out_at_min_limit(self):
-        limiter = AdaptiveConcurrencyLimiter(
-            initial=16.0, min_limit=2.0, cooldown=0.0, clock=ZERO
-        )
+    def test_cuts_bottom_out_at_min_limit(self, monkeypatch):
+        monkeypatch.setattr(budget_module, "MIN_LIMIT", 2.0)
+        limiter = AdaptiveConcurrencyLimiter(initial=16.0, clock=ZERO)
         for i in range(20):
             limiter.on_overload(now=float(i))
         assert limiter.limit == 2.0

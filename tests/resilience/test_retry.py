@@ -1,6 +1,7 @@
 """Retry policy: seeded jitter determinism and fault classification."""
 
 import asyncio
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.resilience import RetryPolicy
+from repro.resilience import retry as retry_module
 
 
 class TestClassification:
@@ -34,51 +36,44 @@ class TestClassification:
         assert not policy.is_transient(ValueError("nope"))
         assert not policy.is_transient(KeyError("nope"))
 
-    def test_custom_transient_classes(self):
-        policy = RetryPolicy(transient=(ValueError,))
-        assert policy.is_transient(ValueError())
-        assert not policy.is_transient(TransportError("reset"))
-
-    def test_cancellation_is_never_retried(self):
+    def test_cancellation_is_never_retried(self, monkeypatch):
         # A retry would defeat the cancellation — even a transient tuple
         # as broad as BaseException cannot opt it back in.
         assert not RetryPolicy().is_transient(asyncio.CancelledError())
-        policy = RetryPolicy(transient=(BaseException,))
-        assert not policy.is_transient(asyncio.CancelledError())
+        monkeypatch.setattr(retry_module, "TRANSIENT_ERRORS", (BaseException,))
+        assert not RetryPolicy().is_transient(asyncio.CancelledError())
 
-    def test_shed_replies_are_never_retried(self):
+    def test_shed_replies_are_never_retried(self, monkeypatch):
         # A shed means some layer refused work it could not absorb; an
         # immediate retry is the retry-storm amplifier.
         policy = RetryPolicy()
         assert not policy.is_transient(ServerBusyError("SERVER_ERROR busy"))
         assert not policy.is_transient(ClientOverloadError("window full"))
-        # Unconditional: custom transient classes cannot override it.
-        broad = RetryPolicy(transient=(Exception,))
+        # Unconditional: broader transient classes cannot override it.
+        monkeypatch.setattr(retry_module, "TRANSIENT_ERRORS", (Exception,))
+        broad = RetryPolicy()
         assert not broad.is_transient(ServerBusyError("SERVER_ERROR busy"))
         assert not broad.is_transient(ClientOverloadError("window full"))
         assert broad.is_transient(TransportError("reset"))
 
 
 class TestBackoff:
-    def test_exponential_growth_with_cap_no_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.1, multiplier=2.0,
-            max_delay=0.3, jitter=0.0,
-        )
+    def test_exponential_growth_with_cap_no_jitter(self, monkeypatch):
+        monkeypatch.setattr(retry_module, "JITTER", 0.0)
+        policy = RetryPolicy(max_attempts=5, base_delay=0.1, max_delay=0.3)
         assert list(policy.delays()) == pytest.approx([0.1, 0.2, 0.3, 0.3])
 
-    def test_seeded_jitter_is_deterministic(self):
-        policy = RetryPolicy(max_attempts=6, jitter=0.5, seed=42)
+    def test_seeded_jitter_is_deterministic(self, monkeypatch):
+        policy = RetryPolicy(max_attempts=6)
         first = list(policy.delays())
         second = list(policy.delays())
         assert first == second
-        assert list(RetryPolicy(max_attempts=6, jitter=0.5, seed=43).delays()) != first
+        monkeypatch.setattr(retry_module, "SEED", retry_module.SEED + 1)
+        assert list(policy.delays()) != first
 
-    def test_jitter_stays_inside_the_proportional_band(self):
-        policy = RetryPolicy(
-            max_attempts=40, base_delay=0.1, multiplier=1.0,
-            max_delay=1.0, jitter=0.2, seed=7,
-        )
+    def test_jitter_stays_inside_the_proportional_band(self, monkeypatch):
+        monkeypatch.setattr(retry_module, "MULTIPLIER", 1.0)
+        policy = RetryPolicy(max_attempts=40, base_delay=0.1, max_delay=1.0)
         for delay in policy.delays():
             assert 0.08 <= delay <= 0.12
 
@@ -102,10 +97,10 @@ class TestBackoffProperties:
         """Whatever the seed draws, the realized backoff sequence fits
         inside the worst case: every capped delay at ``+jitter``."""
         policy = RetryPolicy(
-            max_attempts=max_attempts, base_delay=0.01, multiplier=2.0,
-            max_delay=0.5, jitter=jitter, seed=seed,
+            max_attempts=max_attempts, base_delay=0.01, max_delay=0.5
         )
-        delays = list(policy.delays())
+        with mock.patch.multiple(retry_module, JITTER=jitter, SEED=seed):
+            delays = list(policy.delays())
         assert len(delays) == max_attempts - 1
         assert all(delay >= 0.0 for delay in delays)
         worst = sum(
@@ -121,7 +116,3 @@ class TestValidation:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)

@@ -8,8 +8,8 @@ from repro.sim.events import EventLoop
 
 
 class TestSimClock:
-    def test_starts_at_given_time(self):
-        assert SimClock(5.0).now == 5.0
+    def test_starts_at_zero(self):
+        assert SimClock().now == 0.0
 
     def test_advance_to(self):
         clock = SimClock()
@@ -17,16 +17,10 @@ class TestSimClock:
         assert clock.now == 10.0
 
     def test_cannot_go_backwards(self):
-        clock = SimClock(10.0)
+        clock = SimClock()
+        clock.advance_to(10.0)
         with pytest.raises(SimulationError):
             clock.advance_to(9.0)
-
-    def test_advance_by(self):
-        clock = SimClock(1.0)
-        clock.advance_by(2.5)
-        assert clock.now == 3.5
-        with pytest.raises(SimulationError):
-            clock.advance_by(-1.0)
 
 
 class TestEventLoop:
@@ -63,7 +57,8 @@ class TestEventLoop:
             loop.schedule_at(4.0, lambda: None)
 
     def test_relative_schedule(self):
-        loop = EventLoop(start=10.0)
+        loop = EventLoop()
+        loop.clock.advance_to(10.0)
         seen = []
         loop.schedule(2.0, lambda: seen.append(loop.now))
         loop.run()

@@ -246,17 +246,18 @@ class TestFlowControl:
             # A reply bigger than the peer's buffers and the write high
             # water pauses the server's writes (and its reads); the
             # commands it answered stay in flight until the client reads.
-            server = MemcachedServer(bloom_config=BLOOM, write_high_water=1024)
+            server = MemcachedServer(bloom_config=BLOOM)
             client = await MemcachedClient(
                 "127.0.0.1", await server.start()
             ).connect()
+            [connection] = server._open
+            connection.transport.set_write_buffer_limits(high=1024)
             value = b"x" * (300 * 1024)
             await client.set("big", value)
             client._protocol.transport.pause_reading()
             reply = asyncio.ensure_future(client.get("big"))
             await asyncio.sleep(0.01)
             assert server.inflight == 1
-            [connection] = server._open
             assert connection.write_paused
             client._protocol.transport.resume_reading()
             assert await reply == value

@@ -1,19 +1,22 @@
 """Load-bearing audit: every module is reached from a real entry point,
 every package re-export is imported through that package by someone, and
-every config field is set by someone.
+every constructor parameter with a default is set by someone.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
 runs — the CLI, the standalone server, every bench (``benchmarks/e2e``
 included) and every example — and never ``tests/``: a module only its own
-tests import is not load-bearing.  The walk is a static ``ast`` pass, so
-it costs nothing and cannot be fooled by import side effects; there is no
-allow-list, on purpose.
+tests import is not load-bearing.  The walks are static ``ast`` passes, so
+they cost nothing and cannot be fooled by import side effects; the module
+walk has no allow-list, on purpose, and the parameter gate's (``KEPT``) can
+only shrink.
 """
 
 import ast
 import dataclasses
 import functools
+import importlib
+import inspect
 import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
@@ -26,6 +29,9 @@ from repro.experiments.autopilot import AutopilotConfig
 from repro.experiments.cluster import ExperimentConfig
 from repro.experiments.failover import FailoverConfig
 from repro.experiments.testbed import Sizing
+from repro.provisioning.controller import DelayFeedbackController
+from repro.resilience.policy import ResiliencePolicy
+from repro.resilience.retry import RetryPolicy
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -178,56 +184,175 @@ def test_every_reexport_is_imported_through_its_package():
     )
 
 
-#: every dataclass a caller fills in to configure a run or a deployment
-CONFIGS = [
+#: dataclasses whose fields are options a caller fills in — the configs of
+#: a run or a deployment and the three policy records; every other class
+#: enters the gate by defining ``__init__`` (state and counter records, the
+#: engine's commands and ``FaultPlan`` — the fault script of ``tests/simnet``
+#: — are not options)
+OPTION_RECORDS = [
     RetrievalConfig, ClusterConfig, ExperimentConfig, AutopilotConfig,
-    FailoverConfig, Sizing,
+    FailoverConfig, Sizing, ResiliencePolicy, RetryPolicy,
+    DelayFeedbackController,
 ]
 
+#: (class, parameter) -> why it stays with no caller outside the tests; an
+#: entry that gains a caller fails the gate, so this can only shrink
+KEPT = {
+    ("AsyncProteusFrontend", "config"): (
+        "the planned sim-drives-live SimTestbed passes the engine options "
+        "through it, and the planned live state machine sets coalescing "
+        "through it"
+    ),
+    ("AsyncProteusFrontend", "admission"): (
+        "the planned sim-drives-live SimTestbed passes its virtual-queue "
+        "admission through it"
+    ),
+}
 
-def _config_keywords(path: Path) -> Iterator[Tuple[str, str]]:
-    """``(class, keyword)`` for every keyword *path* passes to a config: a
-    call of the class (``X(...)``) or of one of its classmethods
-    (``X.for_fleet(...)``), and ``cls(...)`` inside the class's own body."""
-    names = {config.__name__ for config in CONFIGS}
-    tree = ast.parse(path.read_text())
-    owner = {
-        id(call): node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name in names
-        for call in ast.walk(node)
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"
-    }
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
-            callee = callee.value  # X.for_fleet(...) configures an X
-        name = owner.get(id(node), getattr(callee, "id", getattr(callee, "attr", None)))
-        if name in names:
-            yield from ((name, kw.arg) for kw in node.keywords if kw.arg)
+
+def _class_defs() -> Iterator[Tuple[str, ast.ClassDef]]:
+    for module, path in sorted(MODULES.items()):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                yield module, node
 
 
 @functools.lru_cache(maxsize=None)
-def _passed() -> Dict[str, Set[str]]:
-    passed: Dict[str, Set[str]] = {}
+def _classes() -> Dict[str, type]:
+    """Every top-level class under ``src/repro``, by name."""
+    return {
+        node.name: getattr(importlib.import_module(module), node.name)
+        for module, node in _class_defs()
+    }
+
+
+def _initialiser(cls: type) -> type:
+    """The class whose ``__init__`` a call of *cls* runs."""
+    return next(k for k in cls.__mro__ if "__init__" in vars(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _gated() -> Dict[str, type]:
+    """The classes under the gate, by name: every class under
+    ``src/repro`` that defines ``__init__``, and the option records."""
+    defines_init = {
+        node.name
+        for _, node in _class_defs()
+        if any(
+            isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            for item in node.body
+        )
+    }
+    gated = {name: _classes()[name] for name in defines_init}
+    gated.update((record.__name__, record) for record in OPTION_RECORDS)
+    return {
+        name: cls for name, cls in sorted(gated.items()) if _defaults(cls)
+    }
+
+
+def _defaults(cls: type) -> List[str]:
+    """``__init__``'s parameters that have a default, in signature order."""
+    return [
+        p.name for p in inspect.signature(cls.__init__).parameters.values()
+        if p.default is not p.empty
+    ]
+
+
+def _positional(cls: type) -> List[str]:
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return [
+        p.name for p in params
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+
+
+def _calls(path: Path) -> Iterator[Tuple[type, ast.Call, bool]]:
+    """``(initialiser, call, whole)`` for every call in *path* that builds a
+    ``src/repro`` class: ``X(...)``, ``mod.X(...)``, ``cls(...)`` in X's
+    body and ``super().__init__(...)`` in a subclass of X (*whole*: its
+    arguments map onto ``__init__``), and ``X.classmethod(...)`` (only its
+    keywords count)."""
+    classes = _classes()
+    tree = ast.parse(path.read_text())
+    owner: Dict[int, type] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            cls = classes[node.name]
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if getattr(func, "id", None) == "cls":
+                    owner[id(call)] = _initialiser(cls)
+                elif (
+                    isinstance(func, ast.Attribute) and func.attr == "__init__"
+                    and isinstance(func.value, ast.Call)
+                    and getattr(func.value.func, "id", None) == "super"
+                ):
+                    owner[id(call)] = _initialiser(cls.__mro__[1])
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if id(node) in owner:
+            yield owner[id(node)], node, True
+        elif getattr(func, "id", None) in classes:
+            yield _initialiser(classes[func.id]), node, True
+        elif isinstance(func, ast.Attribute):
+            if func.attr in classes:
+                yield _initialiser(classes[func.attr]), node, True
+            elif getattr(func.value, "id", None) in classes:
+                yield _initialiser(classes[func.value.id]), node, False
+
+
+def _assigned(path: Path) -> Iterator[str]:
+    """Attribute names *path* assigns on something other than ``self``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and getattr(target.value, "id", None) != "self"
+                ):
+                    yield target.attr
+
+
+@functools.lru_cache(maxsize=None)
+def _set() -> Dict[type, Set[str]]:
+    """Initialiser -> the parameters some non-test call passes."""
+    passed: Dict[type, Set[str]] = {}
+    assigned: Set[str] = set()
     for path in {*MODULES.values(), *ROOTS}:
-        for name, keyword in _config_keywords(path):
-            passed.setdefault(name, set()).add(keyword)
+        for cls, call, whole in _calls(path):
+            names = passed.setdefault(cls, set())
+            names.update(kw.arg for kw in call.keywords if kw.arg)
+            if whole:
+                n = sum(not isinstance(a, ast.Starred) for a in call.args)
+                names.update(_positional(cls)[:n])
+        assigned.update(_assigned(path))
+    for cls in OPTION_RECORDS:
+        passed.setdefault(cls, set()).update(
+            f.name for f in dataclasses.fields(cls) if f.name in assigned
+        )
     return passed
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.__name__)
-def test_every_config_field_is_set_outside_the_tests(config):
-    """A config field that only tests set is an option nobody runs with:
-    make it the default (or a constant) and drop the field."""
-    passed = _passed().get(config.__name__, set())
+@pytest.mark.parametrize("name", sorted(_gated()))
+def test_every_constructor_parameter_is_set_outside_the_tests(name):
+    """A parameter only tests set is an option nobody runs with: make its
+    value a constant at its one use, drop the branch a non-default value
+    selected, and drop the parameter."""
+    cls = _gated()[name]
+    passed = _set().get(cls, set())
     unset = [
-        field.name for field in dataclasses.fields(config)
-        if field.name not in passed
+        p for p in _defaults(cls) if p not in passed and (name, p) not in KEPT
     ]
     assert not unset, (
-        f"no {config.__name__}(...) call in src/, benchmarks/ or examples/ "
-        f"passes {unset}"
+        f"no {name}(...) call in src/, benchmarks/ or examples/ passes {unset}"
     )
+    stale = [
+        p for (owner, p) in KEPT
+        if owner == name and (p in passed or p not in _defaults(cls))
+    ]
+    assert not stale, f"KEPT lists {stale} of {name}: drop the entry"

@@ -2,6 +2,7 @@
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro import errors
@@ -12,15 +13,12 @@ class TestErrorHierarchy:
         leaf_classes = [
             errors.ConfigurationError, errors.PlacementError,
             errors.RoutingError, errors.TransitionError, errors.CacheError,
-            errors.CacheKeyError, errors.CapacityError, errors.DigestError,
+            errors.CapacityError, errors.DigestError,
             errors.ProtocolError, errors.SimulationError,
             errors.ProvisioningError,
         ]
         for cls in leaf_classes:
             assert issubclass(cls, errors.ProteusError)
-
-    def test_cache_key_error_is_a_key_error(self):
-        assert issubclass(errors.CacheKeyError, KeyError)
 
     def test_one_handler_catches_everything(self):
         from repro.core.router import NaiveRouter
@@ -67,9 +65,9 @@ class TestZipfExtremes:
     def test_alpha_above_one(self):
         from repro.workload.zipf import ZipfSampler
 
-        sampler = ZipfSampler(10_000, alpha=1.5, seed=8, shuffle=False)
+        sampler = ZipfSampler(10_000, alpha=1.5, seed=8)
         draws = sampler.sample_many(20_000)
-        head = (draws < 10).mean()
+        head = np.isin(draws, sampler._perm[:10]).mean()
         assert head > 0.6  # very heavy head at alpha=1.5
 
     def test_single_item_catalogue(self):

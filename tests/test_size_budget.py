@@ -17,23 +17,23 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
     "core/ring.py": 325,
-    "core/placement.py": 175,
-    "core/router.py": 375,
+    "core/placement.py": 152,
+    "core/router.py": 365,
     "core/retrieval.py": 800,
     "web/frontend.py": 250,
-    "net/webtier.py": 369,
-    "net/transport.py": 400,
+    "net/webtier.py": 367,
+    "net/transport.py": 383,
     "net/parser.py": 450,
-    "net/client.py": 700,
+    "net/client.py": 658,
     "experiments/testbed.py": 225,
     "experiments/cluster.py": 300,
     "experiments/autopilot.py": 500,
-    "experiments/failover.py": 125,
+    "experiments/failover.py": 116,
     "config.py": 197,
     "provisioning/actuator.py": 152,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 14_274
+TREE_CEILING = 13_806
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

@@ -8,7 +8,6 @@ from repro.workload.analysis import (
     interarrival_stats,
     rate_envelope,
     summarize,
-    working_set_sizes,
 )
 from repro.workload.trace import TraceRecord
 from repro.workload.wikipedia import generate_trace
@@ -41,27 +40,10 @@ class TestZipfFit:
             fit_zipf_alpha(two_keys)
 
 
-class TestWorkingSet:
-    def test_counts_distinct_per_window(self):
-        trace = [
-            TraceRecord(0.0, "a"), TraceRecord(1.0, "a"), TraceRecord(2.0, "b"),
-            TraceRecord(10.0, "c"),
-        ]
-        assert working_set_sizes(trace, window_seconds=5.0) == [2, 0, 1]
-
-    def test_empty(self):
-        assert working_set_sizes([], 5.0) == []
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            working_set_sizes([TraceRecord(0.0, "a")], 0.0)
-
-
 class TestInterarrival:
     def test_poisson_cv_near_one(self, synthetic_trace):
         stats = interarrival_stats(synthetic_trace)
         assert stats.cv == pytest.approx(1.0, abs=0.1)
-        assert not stats.is_bursty
 
     def test_regular_arrivals_cv_zero(self):
         trace = [TraceRecord(i * 1.0, "k") for i in range(100)]
@@ -75,7 +57,7 @@ class TestInterarrival:
             for i in range(20):
                 trace.append(TraceRecord(t + i * 0.001, f"k{i}"))
             t += 10.0
-        assert interarrival_stats(trace).is_bursty
+        assert interarrival_stats(trace).cv > 1.3  # burstier than Poisson
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

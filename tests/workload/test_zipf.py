@@ -21,9 +21,9 @@ class TestZipfSampler:
         assert items.min() >= 0 and items.max() < 50
 
     def test_skew_head_dominates(self):
-        sampler = ZipfSampler(10_000, alpha=1.0, seed=2, shuffle=False)
+        sampler = ZipfSampler(10_000, alpha=1.0, seed=2)
         draws = sampler.sample_many(50_000)
-        head_fraction = np.mean(draws < 100)  # top-100 ranks (unshuffled)
+        head_fraction = np.mean(np.isin(draws, sampler._perm[:100]))  # top-100 ranks
         assert head_fraction > 0.4
 
     def test_alpha_zero_is_uniform(self):
@@ -43,8 +43,8 @@ class TestZipfSampler:
         assert probs == sorted(probs, reverse=True)
 
     def test_shuffle_decorrelates_rank_and_id(self):
-        sampler = ZipfSampler(1000, alpha=1.0, seed=4, shuffle=True)
-        top = sampler.top_items(10)
+        sampler = ZipfSampler(1000, alpha=1.0, seed=4)
+        top = sampler._perm[:10].tolist()  # the ten most popular ids
         assert top != list(range(10))  # overwhelmingly unlikely if shuffled
 
     def test_deterministic_per_seed(self):
