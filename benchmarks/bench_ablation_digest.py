@@ -24,6 +24,11 @@ from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
 from repro.web.frontend import FetchPath, WebServer
 
+REPRODUCES = (
+    "Section IV-A: the digest wastes no bandwidth on old-server probes "
+    "for keys the old server does not hold"
+)
+
 CFG = optimal_config(5000)
 WARM_KEYS = 600
 COLD_KEYS = 300

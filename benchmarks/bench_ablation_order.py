@@ -24,6 +24,11 @@ from repro.provisioning.order import (
     random_order,
 )
 
+REPRODUCES = (
+    "Section III-A: the decreasing order of server efficiency should be "
+    "better than a random order"
+)
+
 #: Three generations: newer = more capacity per watt.
 SPECS = (
     [ServerSpec(f"gen3-{i}", 300, ServerPowerModel(5, 60, 100)) for i in range(3)]

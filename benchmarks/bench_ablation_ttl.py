@@ -27,6 +27,10 @@ from repro.database.cluster import DatabaseCluster
 from repro.web.frontend import WebServer
 from repro.workload.synthetic import UserPopulation
 
+REPRODUCES = (
+    "Section IV: servers can be safely turned off after TTL seconds"
+)
+
 CFG = optimal_config(5000)
 TTLS = [2.0, 5.0, 15.0, 40.0, 90.0]
 OBSERVE = 60.0  # seconds of traffic after the transition

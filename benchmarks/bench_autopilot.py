@@ -1,4 +1,4 @@
-"""Closed-loop autopilot bench — the health-feedback + adaptive-TTL gate.
+"""Closed-loop autopilot bench — the health-feedback gate.
 
 A two-day diurnal workload (the Fig. 4 envelope, compressed) drives the
 online :class:`~repro.experiments.autopilot.AutopilotExperiment` while a
@@ -16,8 +16,8 @@ Two scenarios run the **same** workload, seeds, and fault script:
 * ``open_loop`` — the paper's controller: delay-only, fixed 60 s drain
   window;
 * ``closed_loop`` — health feedback on (emergency scale-up on lost
-  capacity, scale-down vetoes while impaired) and the adaptive TTL policy
-  sizing each drain window from observed remap-miss decay.
+  capacity, scale-down vetoes while impaired), with the same fixed 60 s
+  drain window (the paper's one TTL, Section IV).
 
 Gates:
 
@@ -27,10 +27,9 @@ Gates:
   both metrics: slots until capacity meets requirement again, and
   under-provisioned slots inside the repair horizon;
 * no material energy regression: closed-loop energy <= 1.08x open-loop;
-* the adaptive policy actually adapts: at least one drain window differs
-  from the fixed 60 s default, while the closed loop's remap-miss total
-  stays within 1.5x the open loop's (the shorter windows must not spill
-  meaningful extra misses to the database).
+* the closed loop's remap-miss total stays within 1.5x the open loop's
+  (its extra transitions must not spill meaningful extra misses to the
+  database).
 
 Results go to ``BENCH_autopilot.json``.  ``--check`` is the CI ratchet:
 it re-runs the bench and fails (exit 1) if the closed loop's post-fault
@@ -113,7 +112,6 @@ def build_config(closed: bool, days: int = DAYS) -> AutopilotConfig:
         users_per_slot=DAY_USERS * days,
         slot_seconds=SLOT_SECONDS,
         health_feedback=closed,
-        adaptive_ttl=closed,
         faults=fault_schedule(),
         seed=SEED,
         delay_bound=DELAY_BOUND,
@@ -164,18 +162,11 @@ def run_bench(days: int = DAYS) -> Dict[str, object]:
         f"closed loop energy regressed {energy_ratio:.3f}x over open loop "
         f"(gate <= {ENERGY_TOLERANCE}x)"
     )
-    adapted = [
-        ttl for ttl in closed_loop["ttls_used"] if ttl != 60.0
-    ]
-    assert adapted, (
-        "adaptive TTL never produced a window different from the fixed "
-        f"60 s default: {closed_loop['ttls_used']}"
-    )
     remap_budget = REMAP_COST_TOLERANCE * max(
         1, open_loop["remap_misses_total"]
     )
     assert closed_loop["remap_misses_total"] <= remap_budget, (
-        "adaptive drain windows spilled too many remap misses: closed "
+        "the closed loop spilled too many remap misses: closed "
         f"{closed_loop['remap_misses_total']} vs open "
         f"{open_loop['remap_misses_total']} "
         f"(gate <= {REMAP_COST_TOLERANCE}x)"
@@ -189,7 +180,6 @@ def run_bench(days: int = DAYS) -> Dict[str, object]:
         "repair_at": REPAIR_AT,
         "delay_bound": DELAY_BOUND,
         "energy_ratio": round(energy_ratio, 4),
-        "adapted_ttls": [round(t, 2) for t in adapted],
         "scenarios": {"open_loop": open_loop, "closed_loop": closed_loop},
     }
 
@@ -210,8 +200,7 @@ def print_report(report: Dict[str, object]) -> None:
             row["vetoed_scale_downs"],
         ], width=8))
     print(f"energy ratio closed/open: {report['energy_ratio']}x "
-          f"(gate <= {ENERGY_TOLERANCE}x); adapted drain windows: "
-          f"{report['adapted_ttls']}")
+          f"(gate <= {ENERGY_TOLERANCE}x)")
 
 
 def check_ratchet(report: Dict[str, object]) -> int:

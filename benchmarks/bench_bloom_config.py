@@ -18,6 +18,8 @@ from repro.bloom.config import (
     optimal_config,
 )
 
+REPRODUCES = "Section IV-B: the memory-optimal digest of Eq. 10 / Table I"
+
 KAPPAS = [1_000, 10_000, 100_000, 1_000_000, 2_560_000]  # last = paper's 1GB/4KB
 
 

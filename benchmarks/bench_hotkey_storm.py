@@ -7,9 +7,9 @@ fleet is shrinking).  Two scenarios run the **same** seeded request
 schedule:
 
 * ``baseline`` — plain Algorithm 2 over two replica rings;
-* ``armored`` — ``hot_key_cache`` on (sketch-elected keys served from
-  the frontend-local cache, TTL-bounded) plus ``d_choices=2``
-  power-of-two-choices reads for hot keys.
+* ``armored`` — ``hot_key_cache`` on: sketch-elected keys are served from
+  the frontend-local cache, TTL-bounded; every other read keeps the
+  engine's one probe order (the plan's ring order).
 
 Gates (the reproduction of DistCache's provable-flattening claim on top
 of Proteus transitions):
@@ -82,9 +82,7 @@ def run_scenario(armored: bool) -> Dict[str, object]:
     )
     database = DatabaseCluster(4, service_model=Constant(0.002), seed=SEED)
     config = RetrievalConfig(
-        hot_key_cache=armored,
-        d_choices=2 if armored else 1,
-        hot_key_ttl=HOT_TTL,
+        hot_key_cache=armored, hot_key_ttl=HOT_TTL
     )
     web = WebServer(0, cluster, database, seed=SEED, config=config)
 

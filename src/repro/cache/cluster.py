@@ -115,9 +115,7 @@ class CacheCluster:
             if self.servers[sid].state.serves_requests
         }
 
-    def scale_to(
-        self, n_new: int, now: float, ttl: Optional[float] = None
-    ) -> Optional[Transition]:
+    def scale_to(self, n_new: int, now: float) -> Optional[Transition]:
         """Begin a smooth transition to *n_new* active servers.
 
         Digests are snapshot from the *ceding* servers — the old-mapping
@@ -126,13 +124,11 @@ class CacheCluster:
         router's scale-down that is exactly the draining servers; routers
         without tighter metadata fall back to every old owner.  Scale-up powers the
         incoming servers on cold before routing flips; scale-down marks the
-        outgoing servers DRAINING until the TTL closes.  *ttl* overrides
-        the cluster's configured drain window for this transition only
-        (an adaptive TTL policy sizes it per transition).
+        outgoing servers DRAINING until the TTL closes.
 
         Returns the started :class:`Transition`, or ``None`` for a no-op.
         """
-        return self._begin(n_new, now, smooth=True, ttl=ttl)
+        return self._begin(n_new, now, smooth=True)
 
     def abrupt_scale_to(self, n_new: int, now: float) -> Optional[Transition]:
         """Change the active count with *no* smooth transition.
@@ -149,7 +145,7 @@ class CacheCluster:
         return transition
 
     def _begin(
-        self, n_new: int, now: float, smooth: bool, ttl: Optional[float] = None
+        self, n_new: int, now: float, smooth: bool
     ) -> Optional[Transition]:
         """The steps both transitions share: check *n_new*, power the
         joining servers on cold, begin, and mark the leaving servers
@@ -178,7 +174,7 @@ class CacheCluster:
             if sid not in self._failed:
                 self.servers[sid].power_on(now)
         transition = self.transitions.begin(
-            n_new, now, digests=digests, ceding=ceding, ttl=ttl
+            n_new, now, digests=digests, ceding=ceding
         )
         if transition is not None and transition.is_scale_down:
             for sid in transition.draining_servers():

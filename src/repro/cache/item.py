@@ -52,10 +52,6 @@ class CacheItem:
         ``idle_time < TTL``."""
         return now - self.last_access
 
-    def is_hot(self, now: float, ttl: float) -> bool:
-        """Section II definition: touched at least once in the past *ttl* seconds."""
-        return self.idle_time(now) < ttl
-
     def touch(self, now: float) -> None:
         """Record an access."""
         self.last_access = now

@@ -248,12 +248,6 @@ class KeyValueStore:
         self.policy.reset()
         return len(dropped)
 
-    def hot_keys(self, now: float, ttl: float) -> List[str]:
-        """Keys touched within the last *ttl* seconds (Section II "hot" data)."""
-        return [
-            item.key for item in self._items.values() if item.is_hot(now, ttl)
-        ]
-
     # ------------------------------------------------------------ internal
 
     def _make_room(self, needed: int, now: float) -> None:

@@ -58,7 +58,6 @@ def _parse_fault(text: str):
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.core.router import ROUTER_SCENARIOS
-    from repro.provisioning.ttl import TTL_POLICIES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -77,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--servers", type=int, required=True)
     p.add_argument("--active", type=int, required=True)
     p.add_argument("--scenario", default="proteus",
-                   choices=list(ROUTER_SCENARIOS.names))
+                   choices=list(ROUTER_SCENARIOS))
     p.add_argument("--replicas", type=int, default=1)
 
     p = sub.add_parser("bloom-config", help="size the cache digest (Eq. 10)")
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated active counts, one per slot")
     p.add_argument("--slot-seconds", type=float, required=True)
     p.add_argument("--scenario", default="proteus",
-                   choices=list(ROUTER_SCENARIOS.names))
+                   choices=list(ROUTER_SCENARIOS))
 
     p = sub.add_parser("autopilot",
                        help="run the online provisioning controller "
@@ -123,11 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--health-feedback", action="store_true",
                    help="close the loop: emergency scale-up on lost "
                         "capacity, scale-down vetoes while impaired")
-    p.add_argument("--adaptive-ttl", action="store_true",
-                   help="size each drain window from observed remap-miss "
-                        "decay instead of the fixed --ttl")
     p.add_argument("--ttl", type=float, default=60.0,
-                   help="fixed drain window (and the adaptive default)")
+                   help="fixed drain window")
     p.add_argument("--kill", type=_parse_fault, action="append", default=[],
                    metavar="AT:SERVER[:CLEAR_AT]",
                    help="kill SERVER at AT seconds (repair at CLEAR_AT); "
@@ -141,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated host:port list, in provisioning order")
     p.add_argument("--keys-per-server", type=int, default=100_000)
     p.add_argument("--ttl", type=float, default=60.0)
-    p.add_argument("--ttl-policy", default="fixed",
-                   choices=list(TTL_POLICIES.names),
-                   help="drain-window sizing policy "
-                        "(adaptive learns from remap-miss decay)")
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--name", default="proteus")
 
@@ -306,7 +298,6 @@ def _cmd_autopilot(args) -> int:
         num_servers=args.servers,
         min_servers=args.min_servers,
         health_feedback=args.health_feedback,
-        adaptive_ttl=args.adaptive_ttl,
         ttl_seconds=args.ttl,
         faults=faults,
         seed=args.seed,
@@ -330,9 +321,6 @@ def _cmd_autopilot(args) -> int:
     print(f"emergency scale-ups={report.emergency_scale_ups} "
           f"vetoed scale-downs={report.vetoed_scale_downs} "
           f"remap misses={report.remap_misses_total}")
-    if report.ttls_used:
-        windows = ", ".join(f"{ttl:.1f}" for ttl in report.ttls_used)
-        print(f"drain windows used: {windows}")
     return 0
 
 
@@ -352,14 +340,13 @@ def _cmd_config_init(args) -> int:
         endpoints,
         expected_keys_per_server=args.keys_per_server,
         ttl_seconds=args.ttl,
-        ttl_policy=args.ttl_policy,
         replicas=args.replicas,
         name=args.name,
     )
     config.save(args.out)
     print(f"wrote {args.out}: {config.num_servers} servers, "
           f"digest l={config.digest.num_counters} b={config.digest.counter_bits}, "
-          f"ttl={config.ttl_seconds}s ({config.ttl_policy}), "
+          f"ttl={config.ttl_seconds}s, "
           f"replicas={config.replicas}")
     return 0
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple, Union
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.errors import ConfigurationError
 
-CONFIG_VERSION = 2
+CONFIG_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class ClusterConfig:
         ttl_seconds: the drain-window length.
         replicas: replica rings (Section III-E); 1 = unreplicated.
         name: free-form deployment label.
-        ttl_policy: drain-window sizing policy name (``"fixed"`` keeps
-            the paper's constant ``ttl_seconds``; ``"adaptive"`` sizes
-            each window from observed remap-miss decay, starting from
-            ``ttl_seconds``).
 
     The JSON form also carries ``version`` (:data:`CONFIG_VERSION`);
     loading a file of another version fails.
@@ -76,7 +72,6 @@ class ClusterConfig:
     ttl_seconds: float = 60.0
     replicas: int = 1
     name: str = "proteus"
-    ttl_policy: str = "fixed"
 
     def __post_init__(self) -> None:
         if not self.endpoints:
@@ -97,9 +92,6 @@ class ClusterConfig:
             )
         if self.replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")
-        from repro.provisioning.ttl import TTL_POLICIES
-
-        self.ttl_policy = TTL_POLICIES.check(self.ttl_policy)
 
     @property
     def num_servers(self) -> int:
@@ -128,14 +120,6 @@ class ClusterConfig:
         from repro.core.router import ProteusRouter
 
         return ProteusRouter(self.num_servers, replicas=self.replicas)
-
-    def build_ttl_policy(self):
-        """The drain-window sizing policy this config prescribes."""
-        from repro.provisioning.ttl import make_ttl_policy
-
-        if self.ttl_policy == "fixed":
-            return make_ttl_policy("fixed", ttl=self.ttl_seconds)
-        return make_ttl_policy("adaptive", default_ttl=self.ttl_seconds)
 
     def build_frontend(self, database, initial_active: Optional[int] = None):
         """A live-TCP :class:`~repro.net.webtier.AsyncProteusFrontend`.

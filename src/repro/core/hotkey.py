@@ -1,10 +1,10 @@
-"""Hot-key armor: frequency sketches, a frontend-local cache, and load EWMAs.
+"""Hot-key armor: frequency sketches and a frontend-local cache.
 
 No matter how balanced the ring is, a Zipf head key concentrates on a
 single cache server — the failure mode DistCache ("Provable Load Balancing
 for Large-Scale Storage Systems with Distributed Caching", PAPERS.md)
-addresses with a *small* upper-layer cache plus power-of-two-choices
-routing.  This module is that defense, adapted to Proteus:
+addresses with a *small* upper-layer cache.  This module is that defense,
+adapted to Proteus:
 
 * :class:`CountMinSketch` + :class:`TopKSketch` elect hot keys *online* in
   bounded space — no key enumeration, no offline pass.  The sketch never
@@ -17,11 +17,6 @@ routing.  This module is that defense, adapted to Proteus:
   protocol.  DistCache's argument carries over: a cache of ``O(k log N)``
   entries above ``N`` servers absorbs any adversarial hot set of size
   ``k``, so the per-server load the backing tier sees is provably flat.
-* :class:`ServerLoadEWMA` tracks a decayed per-server load score fed by
-  the drivers (request arrivals and, optionally, observed latency).  The
-  replicated read path uses it for power-of-two-choices routing: for a
-  *hot* key, sample ``d`` replica owners and read from the least loaded —
-  cold keys keep strict ring order, so locality is untouched.
 
 Everything here is pure bookkeeping — no I/O, no clocks of its own — so
 the sans-IO retrieval engines own these objects and every driver
@@ -31,8 +26,7 @@ the sans-IO retrieval engines own these objects and every driver
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bloom.hashing import Key, stable_hash64
@@ -42,7 +36,6 @@ __all__ = [
     "CountMinSketch",
     "HotKeyCache",
     "HotKeyArmor",
-    "ServerLoadEWMA",
     "TopKSketch",
 ]
 
@@ -56,10 +49,6 @@ SKETCH_DEPTH = 4
 TOP_K = 128
 #: entries a frontend-local hot-key cache holds (LRU beyond it)
 HOT_CACHE_CAPACITY = 64
-#: seconds for a server's load score to halve
-LOAD_HALFLIFE = 1.0
-#: weight of the newest sample in a server's latency EWMA
-LATENCY_SMOOTHING = 0.2
 
 
 class CountMinSketch:
@@ -280,87 +269,8 @@ class HotKeyCache:
         self._entries.clear()
 
 
-class ServerLoadEWMA:
-    """Per-server exponentially-decayed load scores for d-choices routing.
-
-    The score is a decayed request counter: :meth:`record_request` adds one
-    unit which halves every ``LOAD_HALFLIFE`` seconds, so the score
-    approximates "requests in flight / recent arrival pressure" without the
-    drivers wiring explicit completion callbacks.  Drivers that observe
-    latency feed :meth:`observe_latency`; the per-server latency EWMA scales
-    the score so a slow replica reads as more loaded than an idle one at
-    equal arrival rate.
-
-    Decay is computed lazily against the caller's clock — the tracker has
-    no clock of its own, keeping it substrate-agnostic (virtual sim time
-    and live monotonic time both work).
-    """
-
-    def __init__(self) -> None:
-        #: server -> (score, last_update)
-        self._scores: Dict[int, Tuple[float, float]] = {}
-        #: server -> latency EWMA seconds
-        self._latency: Dict[int, float] = {}
-
-    def _decayed(self, server: int, now: float) -> float:
-        entry = self._scores.get(server)
-        if entry is None:
-            return 0.0
-        score, updated = entry
-        if now <= updated:
-            return score
-        return score * math.exp(-(now - updated) * math.log(2) / LOAD_HALFLIFE)
-
-    def record_request(self, server: int, now: float, weight: float = 1.0) -> None:
-        """Charge one (weighted) request against *server* at time *now*."""
-        self._scores[server] = (self._decayed(server, now) + weight, now)
-
-    def observe_latency(self, server: int, latency: float) -> None:
-        """Fold one observed round-trip latency into the server's EWMA."""
-        previous = self._latency.get(server)
-        alpha = LATENCY_SMOOTHING
-        self._latency[server] = (
-            latency if previous is None
-            else (1 - alpha) * previous + alpha * latency
-        )
-
-    def latency(self, server: int) -> float:
-        """The server's latency EWMA (0.0 until first observation)."""
-        return self._latency.get(server, 0.0)
-
-    def load(self, server: int, now: float) -> float:
-        """The current load score (decayed rate x relative latency)."""
-        score = self._decayed(server, now)
-        ewma = self._latency.get(server)
-        if ewma is None or not self._latency:
-            return score
-        mean = sum(self._latency.values()) / len(self._latency)
-        if mean <= 0:
-            return score
-        return score * (ewma / mean)
-
-    def prefer(
-        self, plan: Tuple[int, ...], d_choices: int, now: float
-    ) -> Tuple[int, ...]:
-        """*plan* reordered for a load-aware read (DistCache's power of
-        ``d`` choices): the least loaded of its first *d_choices* owners
-        leads (ties break on the lower server id, keeping the order
-        deterministic), the rest keep ring order.  Only the probe *order*
-        changes — the owner set is load-independent."""
-        chosen = min(
-            plan[:d_choices], key=lambda server: (self.load(server, now), server)
-        )
-        if chosen == plan[0]:
-            return plan
-        return (chosen,) + tuple(s for s in plan if s != chosen)
-
-    def snapshot(self, servers, now: float) -> Dict[int, float]:
-        """Load scores for *servers* at time *now* (reporting/benches)."""
-        return {server: self.load(server, now) for server in servers}
-
-
 class HotKeyArmor:
-    """The engine-side bundle: election sketch + local cache + load scores.
+    """The engine-side bundle: election sketch + local cache.
 
     One instance per retrieval engine (therefore per frontend): hot-set
     election and the local cache are deliberately frontend-local state —
@@ -374,7 +284,6 @@ class HotKeyArmor:
     def __init__(self, ttl: float = 1.0) -> None:
         self.sketch = TopKSketch()
         self.cache = HotKeyCache(ttl=ttl)
-        self.loads = ServerLoadEWMA()
 
     def lookup(self, key: Key, now: float) -> Optional[Any]:
         """Record the access and return the fresh local value, if any.
@@ -390,9 +299,6 @@ class HotKeyArmor:
     def observe(self, key: Key) -> bool:
         """Record the access without consulting the cache; True if hot."""
         return self.sketch.record(key)
-
-    def is_hot(self, key: Key) -> bool:
-        return self.sketch.is_hot(key)
 
     def admit(self, key: Key, value: Any, now: float) -> bool:
         """Install a freshly fetched value locally when the key is hot.

@@ -201,18 +201,6 @@ class RetrievalConfig:
     hot_key_cache: bool = False
     #: staleness bound for locally served values, in driver-clock seconds.
     hot_key_ttl: float = 1.0
-    #: owners sampled by load-aware read routing: a sketch-elected hot
-    #: key's read plan leads with the least loaded of its first
-    #: ``d_choices`` owners (power-of-two choices at 2).  ``1`` keeps
-    #: strict ring order; so does a plan of one owner, whatever this says.
-    d_choices: int = 1
-
-    @property
-    def load_aware(self) -> bool:
-        """True when hot keys' plans are ordered by per-server load, so
-        every probe must feed the load score (engine: arrivals; driver:
-        observed latency)."""
-        return self.hot_key_cache and self.d_choices > 1
 
 
 # ------------------------------------------------------------------ commands
@@ -397,8 +385,7 @@ class FetchResult:
     @property
     def failover(self) -> bool:
         """True when a new-plan owner other than the ring-0 owner answered
-        (it covered for a missing primary, or load-aware ordering chose
-        it)."""
+        (it covered for a missing primary)."""
         return (
             self.served_by is not None
             and self.served_by != self.new_server
@@ -499,10 +486,7 @@ class RetrievalEngine:
         election sketch, and a sketch-elected key with a fresh local copy
         is served without a probe (:attr:`FetchPath.HIT_LOCAL`); hot keys
         are admitted locally as Algorithm 2 writes them back, so local
-        staleness is TTL-bounded.  With ``config.d_choices > 1`` a hot
-        key's plan is probed least-loaded-first
-        (:meth:`~repro.core.hotkey.ServerLoadEWMA.prefer`).  Without *now*
-        the armor is inert.
+        staleness is TTL-bounded.  Without *now* the armor is inert.
         """
         pending = list(dict.fromkeys(keys))
         outcomes: Dict[str, FetchResult] = {}
@@ -521,7 +505,6 @@ class RetrievalEngine:
         #: key -> cache probes that answered "not here"
         misses: Dict[str, int] = {}
         armor = self.armor if now is not None and config.hot_key_cache else None
-        loads = armor.loads if armor is not None and config.load_aware else None
         #: one owner per plan, no armor: a new-plan hit has nothing to settle
         quiet = armor is None and max(map(len, new_plan.values())) == 1
 
@@ -533,13 +516,9 @@ class RetrievalEngine:
             a key's rounds end with its plan."""
             ring, before = 0, len(outcomes)
             while keys:
-                placed = [(plans[key][ring], key) for key in keys]
-                if loads is not None:
-                    # Every arrival charges the score the d-choices pick
-                    # reads — cold-key traffic loads servers too.
-                    for server_id, _ in placed:
-                        loads.record_request(server_id, now)
-                probes = _per_server(ProbeCacheMulti, placed)
+                probes = _per_server(
+                    ProbeCacheMulti, [(plans[key][ring], key) for key in keys]
+                )
                 answers = yield probes
                 settled = quiet and plans is new_plan
                 unanswered = []
@@ -568,9 +547,6 @@ class RetrievalEngine:
                 ]
             tally[path] = tally.get(path, 0) + len(outcomes) - before
 
-        #: key -> its new-epoch probe order: the plan, or a hot key's
-        #: load-aware reordering of it
-        order = new_plan if loads is None else dict(new_plan)
         if armor is not None:
             remaining = []
             for key in pending:
@@ -582,15 +558,11 @@ class RetrievalEngine:
                     )
                     continue
                 remaining.append(key)
-                if loads is not None and armor.is_hot(key):
-                    order[key] = loads.prefer(
-                        new_plan[key], config.d_choices, now
-                    )
             pending = remaining
             tally[FetchPath.HIT_LOCAL] = len(outcomes)  # all of them, so far
 
         # Phase 1 — Alg. 2 line 3, batched: the new epoch's plans.
-        yield from ring_rounds(pending, order, "probe_new", FetchPath.HIT_NEW)
+        yield from ring_rounds(pending, new_plan, "probe_new", FetchPath.HIT_NEW)
         # (an all-hit batch, the common case, skips a pass over the keys)
         pending = len(outcomes) < len(new_plan) and [
             key for key in pending if key not in outcomes
@@ -643,7 +615,7 @@ class RetrievalEngine:
             answers = yield tuple(WaitForLeader(key) for key in pending)
             waited = [key for key, ok in zip(pending, answers) if ok]
             yield from ring_rounds(
-                waited, order, "probe_new", FetchPath.COALESCED
+                waited, new_plan, "probe_new", FetchPath.COALESCED
             )
             pending = [key for key in pending if key not in outcomes]
 

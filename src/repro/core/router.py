@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bloom.hashing import (
     SCALAR_BATCH_MAX,
@@ -42,7 +42,6 @@ from repro.bloom.hashing import (
     stable_hash64_many,
 )
 from repro.core.placement import place_virtual_nodes
-from repro.core.registry import Registry
 from repro.core.ring import DEFAULT_RING_SIZE, HashRing, VirtualNode
 from repro.errors import ConfigurationError, RoutingError
 
@@ -313,10 +312,6 @@ class ConsistentRouter(RingRouter):
         """The n^2/2-total-virtual-nodes variant (Fig. 5 stars, Fig. 9 triangles)."""
         return cls(num_servers, total_vnodes=max(num_servers, num_servers ** 2 // 2), seed=seed)
 
-    @property
-    def name(self) -> str:
-        return "Consistent"
-
 
 class ProteusRouter(RingRouter):
     """Table II "Proteus": Algorithm 1 deterministic virtual-node placement.
@@ -346,20 +341,23 @@ def _make_consistent(
     raise ConfigurationError(f"unknown consistent-hashing variant {variant!r}")
 
 
-#: The Table II scenario registry: name -> router factory.  ``make_router``
-#: and CLI ``--scenario`` choices derive from it; a new routing scheme is
-#: one ``ROUTER_SCENARIOS.register(...)`` call away from every entry point.
-ROUTER_SCENARIOS: "Registry[Router]" = Registry("scenario")
-ROUTER_SCENARIOS.register("static", StaticRouter)
-ROUTER_SCENARIOS.register("naive", NaiveRouter)
-ROUTER_SCENARIOS.register("consistent", _make_consistent)
-ROUTER_SCENARIOS.register("proteus", ProteusRouter)
+#: The Table II scenarios: name -> router factory, in table order.
+#: ``make_router`` and the CLI's ``--scenario`` choices read it.
+ROUTER_SCENARIOS: Dict[str, Callable[..., Router]] = dict(
+    static=StaticRouter, naive=NaiveRouter, consistent=_make_consistent,
+    proteus=ProteusRouter,
+)
 
 
 def make_router(scenario: str, num_servers: int, **kwargs) -> Router:
     """Factory keyed by Table II scenario name (case-insensitive).
 
     ``consistent`` accepts ``variant='log'`` (default) or ``variant='quadratic'``.
-    Thin wrapper over :data:`ROUTER_SCENARIOS`.
     """
-    return ROUTER_SCENARIOS.create(scenario, num_servers, **kwargs)
+    factory = ROUTER_SCENARIOS.get(str(scenario).strip().lower())
+    if factory is None:
+        raise ConfigurationError(
+            f"unknown scenario {scenario!r} "
+            f"(expected one of {', '.join(ROUTER_SCENARIOS)})"
+        )
+    return factory(num_servers, **kwargs)

@@ -167,7 +167,6 @@ class TransitionManager:
         now: float,
         digests: Optional[Dict[int, BloomFilter]] = None,
         ceding: Optional[List[int]] = None,
-        ttl: Optional[float] = None,
     ) -> Optional[Transition]:
         """Start a transition to *n_new* at time *now*.
 
@@ -180,13 +179,9 @@ class TransitionManager:
                 servers ceding ranges to the newcomers.
             ceding: the old owners that may lose keys, per the router
                 (:meth:`~repro.core.router.Router.ceding_servers`); stored
-                on the transition so migrators and digest consumers agree
-                on the consult set.  ``None`` keeps the conservative
+                on the transition so every digest consumer agrees on the
+                consult set.  ``None`` keeps the conservative
                 every-old-owner default.
-            ttl: drain-window length for *this* transition only — set by an
-                adaptive TTL policy sizing the window from observed
-                remap-miss decay.  ``None`` keeps the manager's configured
-                constant.
 
         Returns:
             The new :class:`Transition`, or ``None`` when ``n_new`` equals
@@ -194,7 +189,7 @@ class TransitionManager:
 
         Raises:
             TransitionError: a previous drain window is still open, or
-                ``n_new`` / ``ttl`` is out of range.
+                ``n_new`` is out of range.
         """
         self._expire(now)
         if self._current is not None:
@@ -204,15 +199,13 @@ class TransitionManager:
             )
         if n_new < 1:
             raise TransitionError(f"n_new must be >= 1, got {n_new}")
-        if ttl is not None and ttl <= 0:
-            raise TransitionError(f"ttl must be positive, got {ttl}")
         if n_new == self._active:
             return None
         transition = Transition(
             n_old=self._active,
             n_new=n_new,
             started_at=now,
-            ttl=self.ttl if ttl is None else ttl,
+            ttl=self.ttl,
             digests=dict(digests or {}),
             ceding=list(ceding) if ceding is not None else None,
         )

@@ -12,15 +12,12 @@ resilience layer:
   the snapshot next to the measured delay: a killed server triggers an
   emergency scale-up (the lost machine is capacity already gone), and
   scale-down is refused while anything is unhealthy or a previous
-  transition's remap misses are still decaying;
-* an :class:`~repro.provisioning.ttl.AdaptiveTTLPolicy` replaces the fixed
-  drain window: remap-miss decay is sampled during each drain window and
-  the next window is sized from the fitted half-life.
+  transition's remap misses are still decaying.
 
-Both halves are opt-in (:attr:`AutopilotConfig.health_feedback` /
-:attr:`AutopilotConfig.adaptive_ttl`); with both off this is the paper's
-open loop, which is exactly the baseline ``benchmarks/bench_autopilot.py``
-compares against.
+Every drain window runs the paper's one fixed TTL (Section IV).  The
+feedback is opt-in (:attr:`AutopilotConfig.health_feedback`); with it off
+this is the paper's open loop, which is exactly the baseline
+``benchmarks/bench_autopilot.py`` compares against.
 
 Faults come in as a :class:`~repro.resilience.FaultSchedule` — the same
 scripted-outage vocabulary the live tier's virtual network
@@ -49,7 +46,6 @@ from repro.experiments.testbed import (
 from repro.provisioning.actuator import AppliedTransition, ProvisioningActuator
 from repro.provisioning.controller import DelayFeedbackController
 from repro.provisioning.health import ClusterHealthMonitor, HealthSnapshot
-from repro.provisioning.ttl import AdaptiveTTLPolicy, FixedTTLPolicy
 from repro.resilience import FaultSchedule
 from repro.sim.metrics import SlottedRecorder, TimeSeries, percentile
 
@@ -73,19 +69,15 @@ PER_SERVER_RATE = 18.0
 DELAY_REFERENCE = 0.4
 #: latency percentile fed back each slot
 CONTROL_PERCENTILE = 95.0
-#: longest drain window the adaptive policy may hand out, seconds
-MAX_TTL = 120.0
-#: seconds between remap-miss decay samples inside a drain window
-DECAY_SAMPLE_SECONDS = 2.0
 
 
 @dataclass
 class AutopilotConfig:
     """Knobs for one online-control run.
 
-    The two closed-loop switches are off by default, which makes the
-    default configuration the paper's open loop: delay-only control with a
-    fixed drain window.
+    The closed-loop switch is off by default, which makes the default
+    configuration the paper's open loop: delay-only control with a fixed
+    drain window.
 
     ``delay_bound`` and :data:`DELAY_REFERENCE` keep the paper's Section
     VI values; the control statistic fed back each slot is
@@ -102,8 +94,6 @@ class AutopilotConfig:
     delay_bound: float = 0.5
     #: closed-loop switch: feed HealthSnapshots to the controller.
     health_feedback: bool = False
-    #: closed-loop switch: size drain windows from remap-miss decay.
-    adaptive_ttl: bool = False
     ttl_seconds: float = 60.0
     faults: FaultSchedule = field(default_factory=FaultSchedule)
     seed: int = 0
@@ -172,10 +162,6 @@ class AutopilotReport:
     active_series: TimeSeries
     emergency_scale_ups: int
     vetoed_scale_downs: int
-    #: drain windows the TTL policy actually used, in apply order.
-    ttls_used: List[float] = field(default_factory=list)
-    #: fitted remap-miss half-lives, one per observed drain window.
-    half_lives: List[float] = field(default_factory=list)
     #: run-wide remap-miss count (old-owner hits + digest false
     #: positives) — the migration cost all transitions together incurred.
     remap_misses_total: int = 0
@@ -260,12 +246,9 @@ class AutopilotReport:
             "arrival_rates": list(self.arrival_rates),
             "energy_kwh": dict(self.energy_kwh),
             "transitions": [
-                {"when": t.when, "n_old": t.n_old, "n_new": t.n_new,
-                 "ttl": t.ttl}
+                {"when": t.when, "n_old": t.n_old, "n_new": t.n_new}
                 for t in self.transitions
             ],
-            "ttls_used": list(self.ttls_used),
-            "half_lives": list(self.half_lives),
             "emergency_scale_ups": self.emergency_scale_ups,
             "vetoed_scale_downs": self.vetoed_scale_downs,
             "remap_misses_total": self.remap_misses_total,
@@ -315,14 +298,7 @@ class AutopilotExperiment:
         # Start sized to the first slot's load, as the paper's loop had
         # converged before its recorded day began (run_feedback_loop idiom).
         self.controller.reset(initial)
-        self.ttl_policy = (
-            AdaptiveTTLPolicy(default_ttl=cfg.ttl_seconds, max_ttl=MAX_TTL)
-            if cfg.adaptive_ttl
-            else FixedTTLPolicy(cfg.ttl_seconds)
-        )
-        self.actuator = ProvisioningActuator(
-            self.cache, smooth=True, ttl_policy=self.ttl_policy
-        )
+        self.actuator = ProvisioningActuator(self.cache, smooth=True)
         self.monitor = ClusterHealthMonitor.for_simulation(
             self.cache, self.webs
         )
@@ -336,11 +312,6 @@ class AutopilotExperiment:
         self._required_counts: List[int] = []
         self._measured: List[float] = []
         self._rates: List[float] = []
-        self._ttls_used: List[float] = []
-        self._half_lives: List[float] = []
-        # in-flight decay sampling state for the open drain window
-        self._decay_samples: List = []
-        self._decay_last_remap = 0
 
     def _required(self, rate: float) -> int:
         """Servers needed to carry *rate* at 90% of rated per-server load."""
@@ -358,8 +329,6 @@ class AutopilotExperiment:
         if result.value is not None:  # a SHED fetch was offered, not served
             self.served_requests += 1
 
-    # ----------------------------------------------------- remap-miss decay
-
     def _remap_total(self) -> int:
         """Cumulative remap-miss count over all web servers."""
         return sum(
@@ -367,34 +336,6 @@ class AutopilotExperiment:
             + web.stats.counts[FetchPath.FALSE_POSITIVE_DB]
             for web in self.webs
         )
-
-    def _begin_decay_sampling(self, transition) -> None:
-        """Arm per-interval remap-miss sampling over one drain window."""
-        self._decay_samples = []
-        self._decay_last_remap = self._remap_total()
-        interval = DECAY_SAMPLE_SECONDS
-        deadline = transition.deadline
-        tick = self.loop.now + interval
-        while tick <= deadline:
-            self.loop.schedule_at(
-                tick, self._decay_tick, tick - transition.started_at
-            )
-            tick += interval
-        self.loop.schedule_at(deadline + 1e-9, self._finish_decay_sampling)
-
-    def _decay_tick(self, offset: float) -> None:
-        total = self._remap_total()
-        self._decay_samples.append(
-            (offset, float(total - self._decay_last_remap))
-        )
-        self._decay_last_remap = total
-
-    def _finish_decay_sampling(self) -> None:
-        if self._decay_samples:
-            half_life = self.ttl_policy.observe_decay(self._decay_samples)
-            if half_life is not None:
-                self._half_lives.append(half_life)
-        self._decay_samples = []
 
     def _healthy_capacity(self) -> int:
         """Powered, non-crashed servers inside the active mapping — the
@@ -440,13 +381,7 @@ class AutopilotExperiment:
             and not self.cache.transitions.in_transition(now)
         ):
             # apply_at arms the power-off finalization of the window.
-            record = self.actuator.apply_at(n_next, self.loop)
-            if record is not None:
-                self._ttls_used.append(record.ttl)
-                if cfg.adaptive_ttl:
-                    self._begin_decay_sampling(
-                        self.cache.transitions.current(now)
-                    )
+            self.actuator.apply_at(n_next, self.loop)
 
     # ---------------------------------------------------------------- run
 
@@ -462,11 +397,7 @@ class AutopilotExperiment:
         testbed.inject_faults(cfg.faults)
         testbed.run()
 
-        label = (
-            "closed_loop"
-            if (cfg.health_feedback or cfg.adaptive_ttl)
-            else "open_loop"
-        )
+        label = "closed_loop" if cfg.health_feedback else "open_loop"
         return AutopilotReport(
             config_label=label,
             duration=cfg.duration,
@@ -486,7 +417,5 @@ class AutopilotExperiment:
             active_series=testbed.active_series,
             emergency_scale_ups=self.controller.emergency_scale_ups,
             vetoed_scale_downs=self.controller.vetoed_scale_downs,
-            ttls_used=self._ttls_used,
-            half_lives=self._half_lives,
             remap_misses_total=self._remap_total(),
         )

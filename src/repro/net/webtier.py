@@ -190,6 +190,8 @@ class AsyncProteusFrontend:
         """
         if not 1 <= n_new <= len(self.endpoints):
             raise TransitionError(f"n_new out of range: {n_new}")
+        if ttl <= 0:
+            raise TransitionError(f"ttl must be positive, got {ttl}")
         now = self._clock()
         if self._manager.in_transition(now):
             raise TransitionError("previous drain window still open")
@@ -223,13 +225,8 @@ class AsyncProteusFrontend:
                 f"started ({detail})",
                 failures=failures,
             )
-        # Keep the manager's default in sync for observers that read it,
-        # but size *this* transition's window explicitly — an adaptive TTL
-        # policy may hand every transition a different drain window.
         self._manager.ttl = ttl
-        return self._manager.begin(
-            n_new, now, digests=digests, ceding=ceding, ttl=ttl
-        )
+        return self._manager.begin(n_new, now, digests=digests, ceding=ceding)
 
     # ------------------------------------------------------------ Algorithm 2
 

@@ -34,9 +34,6 @@ class AppliedTransition:
     at apply time: which old owners were asked for digests, and the
     predicted remapped key fraction (``None`` for a router without the
     estimate — Static and Naive).
-    ``ttl`` is the drain window this transition actually ran with —
-    ``None`` for abrupt actions and for smooth ones that used the
-    cluster's configured constant.
     """
 
     when: float
@@ -45,7 +42,6 @@ class AppliedTransition:
     smooth: bool
     ceding: Optional[List[int]] = None
     expected_remap: Optional[float] = None
-    ttl: Optional[float] = None
 
 
 class ProvisioningActuator:
@@ -55,46 +51,31 @@ class ProvisioningActuator:
         cluster: the cache tier to drive.
         smooth: True = Proteus transitions (digests + TTL drain);
             False = abrupt power changes (Naive / Consistent).
-        ttl_policy: a TTL-sizing policy (``fixed`` / ``adaptive``, see
-            :mod:`repro.provisioning.ttl`); when set, every smooth
-            transition's drain window is sized by ``ttl_policy.ttl_for()``
-            unless :meth:`apply` is handed an explicit ``ttl``.  ``None``
-            keeps the cluster's configured constant.
+
+    Every smooth transition drains for the cluster's one fixed TTL
+    (Section IV).
     """
 
-    def __init__(
-        self,
-        cluster: CacheCluster,
-        smooth: bool = True,
-        ttl_policy=None,
-    ) -> None:
+    def __init__(self, cluster: CacheCluster, smooth: bool = True) -> None:
         self.cluster = cluster
         self.smooth = smooth
-        self.ttl_policy = ttl_policy
         self.applied: List[AppliedTransition] = []
 
-    def apply(
-        self, n_new: int, now: float, ttl: Optional[float] = None
-    ) -> Optional[AppliedTransition]:
+    def apply(self, n_new: int, now: float) -> Optional[AppliedTransition]:
         """Move the cluster to *n_new* active servers at time *now*.
 
         Returns the record of the action, or ``None`` for a no-op.  With
         ``smooth=True`` the caller (or the event loop wiring in
         :meth:`install`) must later invoke
         ``cluster.finalize_expired(deadline)`` to close the drain window.
-        *ttl* pins this transition's drain window; when ``None`` the
-        configured ``ttl_policy`` (if any) sizes it, and with neither the
-        cluster's constant applies.
         """
         n_old = self.cluster.active_count
         if n_new == n_old:
             return None
-        if ttl is None and self.ttl_policy is not None:
-            ttl = self.ttl_policy.ttl_for(n_old, n_new)
         if self.smooth:
             # One window at a time: if the previous one is still open the
             # TransitionManager raises; surface that as a schedule error.
-            transition = self.cluster.scale_to(n_new, now, ttl=ttl)
+            transition = self.cluster.scale_to(n_new, now)
         else:
             transition = self.cluster.abrupt_scale_to(n_new, now)
         if transition is None:
@@ -108,7 +89,6 @@ class ProvisioningActuator:
             smooth=self.smooth,
             ceding=router.ceding_servers(n_old, n_new),
             expected_remap=expected(n_old, n_new) if callable(expected) else None,
-            ttl=transition.ttl if self.smooth else None,
         )
         self.applied.append(record)
         return record

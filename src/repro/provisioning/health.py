@@ -9,8 +9,8 @@ reconnects, and the transition manager knows whether a drain window is
 open.  :class:`ClusterHealthMonitor` folds those scattered signals into one
 per-slot :class:`HealthSnapshot` the
 :class:`~repro.provisioning.controller.DelayFeedbackController` can act on:
-emergency scale-up when capacity is already gone, scale-down vetoes while
-the cluster is impaired, and remap-miss series for the adaptive TTL policy.
+emergency scale-up when capacity is already gone, and scale-down vetoes
+while the cluster is impaired or a transition's remap misses still decay.
 
 The monitor is substrate-neutral the same way the retrieval engine is: it
 reads zero-argument *source* callables and never does I/O, so the
@@ -40,7 +40,8 @@ __all__ = ["HealthSnapshot", "ClusterHealthMonitor"]
 
 #: FetchPath entries that only occur while remapped keys re-register after
 #: a routing flip: old-owner pulls and digest false positives.  Their
-#: per-window delta is the remap-miss signal the adaptive TTL policy fits.
+#: per-window delta is the remap-miss signal the controller's scale-down
+#: veto reads.
 REMAP_MISS_PATHS = (FetchPath.HIT_OLD, FetchPath.FALSE_POSITIVE_DB)
 
 

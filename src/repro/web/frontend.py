@@ -179,17 +179,11 @@ class WebServer:
         base clock — they run concurrently."""
         if isinstance(command, ProbeCacheMulti):
             server = self.cache.server(command.server_id)
-            asked = clock
             clock = self._cache_op(clock)
             if not server.state.serves_requests:
                 # Crashed/off server: the failed attempt still cost one
                 # round trip; the engine degrades around the dead server.
                 return SERVER_UNAVAILABLE, clock
-            if self.config.load_aware:
-                # The d-choices load score scales with observed latency.
-                self.engine.armor.loads.observe_latency(
-                    command.server_id, clock - asked
-                )
             return server.get_many(command.keys, clock), clock
         if isinstance(command, WaitForLeader):
             leader_done = self._leaders.leader_done(command.key, clock)

@@ -32,10 +32,3 @@ class TestCacheItem:
         item.touch(7.0)
         assert item.last_access == 7.0
         assert item.idle_time(10.0) == 3.0
-
-    def test_hotness_is_the_section2_definition(self):
-        # "hot" = touched at least once during the past TTL seconds
-        item = CacheItem("k", "v", created_at=0.0)
-        item.touch(100.0)
-        assert item.is_hot(now=150.0, ttl=60.0)
-        assert not item.is_hot(now=161.0, ttl=60.0)

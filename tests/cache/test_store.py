@@ -173,18 +173,6 @@ class TestHooks:
         assert reasons == [REASON_FLUSH, REASON_FLUSH]
 
 
-class TestHotKeys:
-    def test_hot_keys_definition(self):
-        store = KeyValueStore()
-        store.set("old", 1, now=0.0)
-        store.set("new", 2, now=120.0)
-        store.get("old", now=95.0)  # touch old at 95
-        hot = store.hot_keys(now=130.0, ttl=40.0)
-        assert set(hot) == {"old", "new"}
-        hot_late = store.hot_keys(now=150.0, ttl=40.0)
-        assert set(hot_late) == {"new"}
-
-
 class TestStatsIntegration:
     def test_hit_ratio(self):
         store = KeyValueStore()

@@ -7,7 +7,6 @@ from repro.core.hotkey import (
     CountMinSketch,
     HotKeyArmor,
     HotKeyCache,
-    ServerLoadEWMA,
     TopKSketch,
 )
 from repro.errors import ConfigurationError
@@ -167,42 +166,6 @@ class TestHotKeyCache:
     def test_invalid_args_raise(self):
         with pytest.raises(ConfigurationError):
             HotKeyCache(ttl=0.0)
-
-
-class TestServerLoadEWMA:
-    def test_scores_decay_with_halflife(self):
-        loads = ServerLoadEWMA()
-        loads.record_request(0, now=0.0)
-        assert loads.load(0, now=0.0) == pytest.approx(1.0)
-        assert loads.load(0, now=1.0) == pytest.approx(0.5)
-        assert loads.load(0, now=2.0) == pytest.approx(0.25)
-
-    def test_arrivals_accumulate(self, patch):
-        patch(LOAD_HALFLIFE=1000.0)
-        loads = ServerLoadEWMA()
-        for _ in range(5):
-            loads.record_request(1, now=0.0)
-        assert loads.load(1, now=0.0) == pytest.approx(5.0)
-
-    def test_unknown_server_is_idle(self):
-        loads = ServerLoadEWMA()
-        assert loads.load(9, now=100.0) == 0.0
-
-    def test_latency_scales_relative_to_mean(self, patch):
-        patch(LOAD_HALFLIFE=1000.0)
-        loads = ServerLoadEWMA()
-        loads.record_request(0, now=0.0)
-        loads.record_request(1, now=0.0)
-        loads.observe_latency(0, 0.010)  # slow replica
-        loads.observe_latency(1, 0.002)  # fast replica
-        assert loads.load(0, now=0.0) > loads.load(1, now=0.0)
-
-    def test_snapshot(self, patch):
-        patch(LOAD_HALFLIFE=1000.0)
-        loads = ServerLoadEWMA()
-        loads.record_request(0, now=0.0)
-        snap = loads.snapshot([0, 1], now=0.0)
-        assert snap[0] == pytest.approx(1.0) and snap[1] == 0.0
 
 
 class TestHotKeyArmor:

@@ -3,8 +3,8 @@
 Covers the tentpole contracts: sketch-elected keys served from the
 frontend-local cache (``FetchPath.HIT_LOCAL``) with TTL-bounded staleness,
 grouped digest checks (one ``digest_hit_many`` per ceding old owner per
-batch, bit-identical to per-key consults), and
-power-of-two-choices read routing for hot keys on the replicated path.
+batch, bit-identical to per-key consults), and a local hit on the
+replicated path.
 """
 
 import pytest
@@ -212,7 +212,7 @@ class TestGroupedDigestProbes:
         assert not transition.digest_hit(0, probes[0])
 
 
-class TestPowerOfTwoChoices:
+class TestReplicatedArmor:
     @staticmethod
     def _router():
         return ProteusRouter(4, 2 ** 20, replicas=2)
@@ -226,58 +226,6 @@ class TestPowerOfTwoChoices:
             if len(plan) >= 2:
                 return key, plan
         raise AssertionError("no key with two distinct replica owners")
-
-    def test_read_plan_prefers_less_loaded_replica(self, monkeypatch):
-        key, base = self._replicated_key(self._router())
-        primary, secondary = base
-
-        from repro.core import hotkey
-
-        monkeypatch.setattr(hotkey, "LOAD_HALFLIFE", 1000.0)
-        loads = hotkey.ServerLoadEWMA()
-        assert loads.prefer(base, 2, now=0.0) == base  # tie: ring order
-        for _ in range(10):
-            loads.record_request(primary, now=0.0)
-        plan = loads.prefer(base, 2, now=0.0)
-        assert plan[0] == secondary
-        # The owner set is load-independent, and one choice is no choice.
-        assert set(plan) == set(base)
-        assert loads.prefer(base, 1, now=0.0) == base
-
-    def test_cold_keys_keep_ring_order(self):
-        router = self._router()
-        key, base = self._replicated_key(router)
-        config = RetrievalConfig(hot_key_cache=True, d_choices=2)
-        engine = RetrievalEngine(router, config=config)
-        # Saturate every tracked slot so the test key stays cold (estimate
-        # 1 < threshold 3), and load the primary heavily.
-        for occupant in range(engine.armor.sketch.capacity):
-            for _ in range(3):
-                engine.armor.observe(f"occupant:{occupant}")
-        for _ in range(10):
-            engine.armor.loads.record_request(base[0], now=0.0)
-
-        # The key is not sketch-elected, so strict ring order applies
-        # even though the primary reads as heavily loaded.
-        probed, outcome = drive_replicated(engine, key)
-        assert probed == [base[0]]
-        assert outcome.served_by == base[0]
-        assert not outcome.failover
-
-    def test_hot_key_reads_from_less_loaded_replica(self):
-        router = self._router()
-        key, (primary, secondary) = self._replicated_key(router)
-        config = RetrievalConfig(hot_key_cache=True, d_choices=2)
-        engine = RetrievalEngine(router, config=config)
-        engine.armor.observe(key)  # sketch-elected: d-choices applies
-        for _ in range(10):
-            engine.armor.loads.record_request(primary, now=0.0)
-
-        probed, outcome = drive_replicated(engine, key)
-        assert probed[0] == secondary
-        assert outcome.served_by == secondary
-        assert outcome.new_server == primary and outcome.failover
-        assert not outcome.touched_database
 
     def test_replicated_local_hit_skips_all_probes(self):
         router = self._router()
@@ -298,26 +246,3 @@ class TestPowerOfTwoChoices:
 
 
 STEADY_REPLICATED = RoutingEpochs(new=4, old=None, transition=None)
-
-
-def drive_replicated(engine, key, now=0.0):
-    """Fetch *key* as a batch of one where every probe hits; returns the
-    probed server ids (in order) and the outcome."""
-    probed = []
-    steps = engine.retrieve_many([key], STEADY_REPLICATED, now=now)
-    answers = None
-    try:
-        while True:
-            round_ = steps.send(answers)
-            answers = []
-            for command in round_:
-                if isinstance(command, ProbeCacheMulti):
-                    probed.append(command.server_id)
-                    answers.append({k: "value" for k in command.keys})
-                elif isinstance(command, WriteBackMulti):
-                    answers.append(None)  # replica repopulation
-                else:
-                    raise AssertionError(f"unexpected {command!r}")
-            answers = tuple(answers)
-    except StopIteration as stop:
-        return probed, stop.value[key]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.router import (
+    ROUTER_SCENARIOS,
     ConsistentRouter,
     NaiveRouter,
     ProteusRouter,
@@ -167,3 +168,49 @@ class TestFactory:
             make_router("mystery", 4)
         with pytest.raises(ConfigurationError):
             make_router("consistent", 4, variant="cubic")
+
+    def test_scenarios_keep_the_table_order(self):
+        # the order CLI choices and the unknown-name error list them in
+        assert list(ROUTER_SCENARIOS) == [
+            "static", "naive", "consistent", "proteus",
+        ]
+
+    def test_lookup_is_case_insensitive(self):
+        assert isinstance(make_router(" Proteus ", 4), ProteusRouter)
+        assert isinstance(make_router("NAIVE", 4), NaiveRouter)
+
+    def test_unknown_name_error_lists_valid_names(self):
+        with pytest.raises(ConfigurationError) as err:
+            make_router("zeta", 4)
+        assert str(err.value) == (
+            "unknown scenario 'zeta' "
+            "(expected one of static, naive, consistent, proteus)"
+        )
+
+    def test_check_rejects_non_strings(self):
+        # a non-string (``null`` in a JSON file) gets the same one error
+        for name in (None, 3):
+            with pytest.raises(ConfigurationError) as err:
+                make_router(name, 4)
+            assert str(err.value) == (
+                f"unknown scenario {name!r} "
+                "(expected one of static, naive, consistent, proteus)"
+            )
+
+    def test_unified_error_message_everywhere(self, capsys):
+        # every CLI --scenario option offers the names make_router lists,
+        # in the same order
+        from repro.cli import main
+
+        commands = [
+            ["route", "k", "--servers", "4", "--active", "2"],
+            ["loadbalance", "--trace", "t", "--servers", "4",
+             "--schedule", "2", "--slot-seconds", "1"],
+        ]
+        for command in commands:
+            with pytest.raises(SystemExit):
+                main(command + ["--scenario", "zeta"])
+            err = capsys.readouterr().err
+            listed = err[err.index("zeta"):]
+            at = [listed.index(name) for name in ROUTER_SCENARIOS]
+            assert at == sorted(at)

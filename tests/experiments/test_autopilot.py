@@ -78,9 +78,18 @@ class TestOpenLoop:
         assert report.health_history == []
 
     def test_fixed_ttl_windows(self):
-        report = AutopilotExperiment(config(ttl_seconds=25.0)).run()
-        assert all(ttl == 25.0 for ttl in report.ttls_used)
-        assert report.half_lives == []
+        experiment = AutopilotExperiment(config(ttl_seconds=25.0))
+        manager = experiment.cache.transitions
+        begin, windows = manager.begin, []
+
+        def recording(*args, **kwargs):
+            transition = begin(*args, **kwargs)
+            windows.append(transition.deadline - transition.started_at)
+            return transition
+
+        manager.begin = recording
+        experiment.run()
+        assert windows and all(w == pytest.approx(25.0) for w in windows)
 
     def test_deterministic_given_the_seed(self):
         first = AutopilotExperiment(config()).run()
@@ -139,29 +148,11 @@ class TestClosedLoop:
         assert all(report.failed_sets[i] == frozenset({1})
                    for i in fault_slots)
 
-    def test_adaptive_ttl_learns_from_decay(self, monkeypatch):
-        monkeypatch.setattr(autopilot, "MAX_TTL", 90.0)
-        experiment = AutopilotExperiment(
-            config(
-                users_per_slot=[30, 24, 18, 18, 24, 30] * 2,
-                adaptive_ttl=True,
-            )
-        )
-        report = experiment.run()
-        assert report.config_label == "closed_loop"
-        # a drain window was observed and fitted...
-        assert report.half_lives
-        # ...so the *next* window the policy would hand out departs from
-        # the fixed default (learning applies forward, window by window).
-        assert experiment.ttl_policy.ttl_for() != 60.0
-        for ttl in report.ttls_used:
-            assert 5.0 <= ttl <= 90.0
-
     def test_to_dict_is_json_ready(self):
         import json
 
         report = AutopilotExperiment(
-            config(health_feedback=True, adaptive_ttl=True)
+            config(health_feedback=True)
         ).run()
         payload = report.to_dict()
         json.dumps(payload)  # must not raise

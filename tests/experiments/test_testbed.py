@@ -77,7 +77,7 @@ class TestGoldenParity:
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
     def test_autopilot_experiment(self, closed, monkeypatch):
         for name, value in [("NUM_WEB_SERVERS", 2), ("CATALOGUE_SIZE", 1500),
-                            ("PAGES_PER_USER", 15), ("MAX_TTL", 90.0)]:
+                            ("PAGES_PER_USER", 15)]:
             monkeypatch.setattr(autopilot, name, value)
         config = AutopilotConfig(
             users_per_slot=[30, 24, 18, 18, 24, 30],
@@ -86,7 +86,6 @@ class TestGoldenParity:
             seed=5,
             faults=kill(45.0, 1, clear_at=110.0),
             health_feedback=closed,
-            adaptive_ttl=closed,
         )
         report = AutopilotExperiment(config).run()
         total, active, healthy, transitions, remap = self.AUTOPILOT[closed]

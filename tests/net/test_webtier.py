@@ -166,9 +166,13 @@ class TestSmoothTransition:
                 )
                 await web.connect()
                 await web.fetch("page:1")
-                await web.scale_to(2, ttl=10.0)
-                assert web._manager.current(fake["t"]) is not None
-                fake["t"] = 10.0
+                fake["t"] = 3.0
+                transition = await web.scale_to(2, ttl=10.0)
+                # The window is the ttl passed, from the routing flip on.
+                assert transition.started_at == 3.0
+                assert transition.deadline == transition.started_at + 10.0
+                assert web._manager.current(12.9) is transition
+                fake["t"] = 13.0
                 assert web._manager.current(fake["t"]) is None
                 # After expiry, cold remapped keys go to the DB.
                 await web.close()
@@ -256,6 +260,8 @@ class TestSmoothTransition:
                 async with AsyncProteusFrontend(endpoints, CFG, db.fetch) as web:
                     with pytest.raises(TransitionError):
                         await web.scale_to(2, ttl=10.0)
+                    with pytest.raises(TransitionError, match="ttl"):
+                        await web.scale_to(1, ttl=0.0)
             finally:
                 await stop_cluster(servers)
 

@@ -75,7 +75,7 @@ class TestInstall:
         loop.run_until(10.0)
         record = actuator.apply_at(3, loop)
         assert (record.when, record.n_old, record.n_new) == (10.0, 4, 3)
-        assert record.ttl == 5.0
+        assert c.transitions.current(10.0).deadline == 15.0
         assert actuator.apply_at(3, loop) is None  # no-op
         loop.run_until(14.0)
         assert c.server(3).state is PowerState.DRAINING

@@ -158,7 +158,7 @@ class TestAutopilot:
     def test_closed_loop_with_a_kill(self, capsys):
         assert main(["autopilot", "--users", "30,24,18,18,24,30",
                      "--slot-seconds", "20", "--servers", "6",
-                     "--health-feedback", "--adaptive-ttl",
+                     "--health-feedback",
                      "--kill", "45:1:110", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "closed_loop: 6 slots" in out
@@ -175,13 +175,15 @@ class TestAutopilot:
         assert "error:" in capsys.readouterr().err
 
 
-class TestConfigInitTTLPolicy:
-    def test_adaptive_policy_round_trips(self, tmp_path, capsys):
+class TestConfigInitTTL:
+    def test_fixed_ttl_round_trips(self, tmp_path, capsys):
         out = tmp_path / "cluster.json"
         assert main(["config-init", "--out", str(out),
-                     "--endpoints", "a:1,b:2",
-                     "--ttl-policy", "adaptive"]) == 0
-        assert "(adaptive)" in capsys.readouterr().out
+                     "--endpoints", "a:1,b:2", "--ttl", "45"]) == 0
+        assert "ttl=45.0s," in capsys.readouterr().out
         from repro.config import ClusterConfig
 
-        assert ClusterConfig.load(out).ttl_policy == "adaptive"
+        assert ClusterConfig.load(out).ttl_seconds == 45.0
+        with pytest.raises(SystemExit):  # the drain window has no policy
+            main(["config-init", "--out", str(out), "--endpoints", "a:1",
+                  "--ttl-policy", "adaptive"])

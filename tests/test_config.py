@@ -50,6 +50,32 @@ VERSION_1_FILE = """{
 }
 """
 
+#: what the same command wrote before the drain window lost its sizing
+#: policy
+VERSION_2_FILE = """{
+  "digest": {
+    "counter_bits": 3,
+    "num_counters": 3796489,
+    "num_hashes": 4
+  },
+  "endpoints": [
+    [
+      "127.0.0.1",
+      11211
+    ],
+    [
+      "127.0.0.1",
+      11212
+    ]
+  ],
+  "name": "proteus",
+  "replicas": 1,
+  "ttl_policy": "fixed",
+  "ttl_seconds": 60.0,
+  "version": 2
+}
+"""
+
 
 def make(**overrides):
     kwargs = dict(endpoints=list(ENDPOINTS), digest=GEOMETRY)
@@ -61,7 +87,7 @@ class TestValidation:
     def test_happy_path(self):
         cfg = make()
         assert cfg.num_servers == 3
-        assert json.loads(cfg.to_json())["version"] == CONFIG_VERSION == 2
+        assert json.loads(cfg.to_json())["version"] == CONFIG_VERSION == 3
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ConfigurationError):
@@ -112,7 +138,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("ttl_policy", None, "unknown ttl policy None"),
+            ("ttl_policy", None, "malformed config"),
             ("endpoints", [["h", 1, 2]], "malformed config"),
             ("endpoints", [["h", "x"]], "malformed config"),
             (None, "not an object", "malformed config"),
@@ -137,11 +163,19 @@ class TestSerialization:
             ConfigurationError, match="unsupported config version 1"
         ):
             ClusterConfig.from_json(VERSION_1_FILE)
-        text = make().to_json().replace('"version": 2', '"version": 3')
+        text = make().to_json().replace('"version": 3', '"version": 4')
         with pytest.raises(
-            ConfigurationError, match="unsupported config version 3"
+            ConfigurationError, match="unsupported config version 4"
         ):
             ClusterConfig.from_json(text)
+
+    def test_version_2_file_fails_on_its_version_not_its_fields(self):
+        # Its retired ``ttl_policy`` must not be what the user is told.
+        with pytest.raises(ConfigurationError) as err:
+            ClusterConfig.from_json(VERSION_2_FILE)
+        assert "unsupported config version 2" in str(err.value)
+        assert "malformed" not in str(err.value)
+        assert "ttl_policy" not in str(err.value)
 
 
 class TestBuilders:
@@ -215,38 +249,6 @@ class TestBuilders:
         asyncio.run(body())
 
 
-class TestTTLPolicyKnobs:
-    def test_defaults_to_the_paper_fixed_window(self):
-        from repro.provisioning.ttl import FixedTTLPolicy
-
-        cfg = make()
-        assert cfg.ttl_policy == "fixed"
-        policy = cfg.build_ttl_policy()
-        assert isinstance(policy, FixedTTLPolicy)
-        assert policy.ttl_for() == cfg.ttl_seconds
-
-    def test_adaptive_policy_carries_the_knobs(self):
-        from repro.provisioning.ttl import AdaptiveTTLPolicy
-
-        cfg = make(ttl_policy="adaptive", ttl_seconds=45.0)
-        policy = cfg.build_ttl_policy()
-        assert isinstance(policy, AdaptiveTTLPolicy)
-        assert policy.max_ttl == AdaptiveTTLPolicy().max_ttl
-        assert policy.ttl_for() == 45.0  # inert until evidence
-
-    def test_roundtrips_through_json(self):
-        cfg = make(ttl_policy="adaptive", ttl_seconds=45.0)
-        again = ClusterConfig.from_json(cfg.to_json())
-        assert again == cfg
-        assert again.ttl_policy == "adaptive"
-
-    def test_rejects_bad_ttl_knobs(self):
-        with pytest.raises(ConfigurationError):
-            make(ttl_policy="random")
-        with pytest.raises(ConfigurationError):
-            make(ttl_policy="adaptive", ttl_seconds=-1.0)
-
-
 class TestOverloadArmorKnobs:
     """The config carries no overload knob: armor is set on the frontend."""
 
@@ -257,7 +259,7 @@ class TestOverloadArmorKnobs:
         payload = json.loads(make().to_json())
         assert set(payload) == {
             "endpoints", "digest", "ttl_seconds", "replicas", "name",
-            "ttl_policy", "version",
+            "version",
         }
 
     def test_rejects_negative_knobs(self):

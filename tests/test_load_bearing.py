@@ -4,9 +4,10 @@ every constructor parameter with a default is set by someone.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
-runs — the CLI, the standalone server, every bench (``benchmarks/e2e``
-included) and every example — and never ``tests/``: a module only its own
-tests import is not load-bearing.  The walks are static ``ast`` passes, so
+runs — the CLI, the standalone server, every bench a paper section or CI
+needs (:func:`_is_root`; ``benchmarks/e2e`` and the bench helpers always)
+and every example — and never ``tests/``: a module only its own tests
+import is not load-bearing.  The walks are static ``ast`` passes, so
 they cost nothing and cannot be fooled by import side effects; the module
 walk has no allow-list, on purpose, and the parameter gate's (``KEPT``) can
 only shrink.
@@ -35,16 +36,50 @@ from repro.resilience.retry import RetryPolicy
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
+BENCHMARKS = REPO / "benchmarks"
+
+#: the text of what CI runs: a bench named here is a CI gate
+CI_TEXT = "".join(
+    (REPO / name).read_text() for name in (".github/workflows/ci.yml", "Makefile")
+)
+#: what a ``REPRODUCES`` constant must name
+PAPER_SECTION = re.compile(r"\b(Section|§) ?[IVX]+\b")
+
+
+def _reproduces(path: Path) -> str:
+    """The module-level ``REPRODUCES`` string of *path*, or ``""``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "REPRODUCES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return ""
+
+
+def _is_root(path: Path) -> bool:
+    """A top-level ``benchmarks/bench_*.py`` is a root only as a paper
+    figure or theory check, as a bench CI runs by file name, or with a
+    ``REPRODUCES`` constant naming a paper section; everything else under
+    ``benchmarks/`` (``e2e``, the helpers) always is."""
+    name = path.name
+    if path.parent != BENCHMARKS or not name.startswith("bench_"):
+        return True
+    return (
+        name.startswith(("bench_fig", "bench_theory"))
+        or name in CI_TEXT
+        or bool(PAPER_SECTION.search(_reproduces(path)))
+    )
+
 
 #: what gets run: ``python -m repro`` / the ``repro`` console script,
 #: ``python -m repro.net.server`` (the e2e benchmark's child processes),
-#: the benches and the examples
+#: the root benches and the examples
 ROOTS = sorted(
     [
         SRC / "repro" / "__main__.py",
         SRC / "repro" / "cli.py",
         SRC / "repro" / "net" / "server.py",
-        *(REPO / "benchmarks").rglob("*.py"),
+        *filter(_is_root, BENCHMARKS.rglob("*.py")),
         *(REPO / "examples").glob("*.py"),
     ]
 )
@@ -131,10 +166,20 @@ def _reached() -> Set[str]:
 def test_every_module_is_reached_from_an_entry_point():
     unreached = sorted(set(MODULES) - _reached())
     assert not unreached, (
-        "nothing the CLI, the server, a bench or an example runs imports "
-        f"{unreached}: delete them (with the tests that alone kept them "
-        "alive) or give them a real caller"
+        "nothing the CLI, the server, a root bench or an example runs "
+        f"imports {unreached}: delete them (with the tests that alone kept "
+        "them alive) or give them a real caller"
     )
+
+
+def test_every_reproduces_constant_names_a_paper_section():
+    """One that names none would silently demote its bench from the roots."""
+    vague = {
+        path.name: claim
+        for path in BENCHMARKS.glob("bench_*.py")
+        if (claim := _reproduces(path)) and not PAPER_SECTION.search(claim)
+    }
+    assert not vague, f"REPRODUCES names no paper section: {vague}"
 
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)

@@ -10,11 +10,10 @@ from repro.core.retrieval import (
     SERVER_UNAVAILABLE,
     FetchPath,
     ProbeCacheMulti,
-    RetrievalConfig,
 )
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
-from repro.sim.latency import Constant, Exponential
+from repro.sim.latency import Constant
 from repro.web.frontend import WebServer
 
 CFG = optimal_config(2000)
@@ -250,54 +249,3 @@ class TestClusterFailureApi:
         cache.fail_server(1, now=0.0)
         cache.fail_server(1, now=1.0)
         assert cache.failed_servers() == frozenset({1})
-
-
-class TestLoadFeed:
-    """The d-choices load signal sees every probe, whatever the call shape."""
-
-    @staticmethod
-    def _armored_web():
-        cache = CacheCluster(
-            ProteusRouter(6, 2 ** 24, replicas=2),
-            capacity_bytes=4096 * 2000,
-            ttl=60.0,
-            bloom_config=CFG,
-        )
-        web = WebServer(
-            0, cache, DatabaseCluster(3, service_model=Constant(0.002)),
-            cache_latency=Exponential(0.001), seed=7,
-            config=RetrievalConfig(hot_key_cache=True, d_choices=2),
-        )
-        observed = []
-        loads = web.engine.armor.loads
-        feed = loads.observe_latency
-
-        def recording(server, latency):
-            observed.append((server, latency))
-            feed(server, latency)
-
-        loads.observe_latency = recording
-        return web, observed
-
-    def test_fetch_and_fetch_many_feed_the_same_observations(self):
-        keys = [f"page:{i}" for i in range(40)]
-        single, single_seen = self._armored_web()
-        paged, paged_seen = self._armored_web()
-        # Two passes: cold (every replica probed, then the database) and
-        # warm (primary hits), each key once per pass.
-        for now in (0.0, 10.0):
-            for offset, key in enumerate(keys):
-                when = now + 0.01 * offset
-                a = single.fetch(key, when)
-                b = paged.fetch_many([key], when)[key]
-                assert a == b
-        assert single_seen and single_seen == paged_seen
-        servers = range(6)
-        assert single.engine.armor.loads.snapshot(servers, 20.0) == (
-            paged.engine.armor.loads.snapshot(servers, 20.0)
-        )
-        # One observation per probe, none for write-backs or DB reads.
-        probes = sum(
-            server.stats.gets for server in single.cache.servers
-        )
-        assert len(single_seen) == probes
