@@ -17,10 +17,10 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # One-round routing/bloom microbenches, the two benches that run
-# Algorithm 2 over more than one replica ring (crash ablation, failover
-# timeline), plus the real-socket fault smoke (a server stopped
-# mid-drain; every other fault test runs on tests/simnet's virtual
-# network inside the test suite) and the hot-key storm, autopilot, net-throughput, overload, and
+# Algorithm 2 over more than one replica ring (crash ablation, and the
+# testbed stresses with their failover timeline), plus the real-socket
+# fault smoke (a server stopped mid-drain; every other fault test runs on
+# tests/simnet's virtual network inside the test suite) and the hot-key storm, autopilot, net-throughput, overload, and
 # store-pressure ratchets: fast CI canary for the vectorized hot path,
 # the degraded fetch path, the armor's load-flattening gate, the
 # pipelined transport's RPS gate, the overload armor's goodput/recovery
@@ -33,7 +33,7 @@ bench-smoke:
 	PROTEUS_BENCH_ROUNDS=1 $(PYTHON) -m pytest \
 		benchmarks/bench_routing_perf.py \
 		benchmarks/bench_ablation_replication.py \
-		benchmarks/bench_failover.py --benchmark-disable -q -s
+		benchmarks/bench_testbed_stress.py --benchmark-disable -q -s
 	$(PYTHON) benchmarks/bench_fault_tolerance.py --rounds 1
 	$(PYTHON) benchmarks/bench_hotkey_storm.py --check
 	$(PYTHON) benchmarks/bench_autopilot.py --check

@@ -1,8 +1,10 @@
 """Closed-loop autopilot bench — the health-feedback gate.
 
 A two-day diurnal workload (the Fig. 4 envelope, compressed) drives the
-online :class:`~repro.experiments.autopilot.AutopilotExperiment` while a
-scripted :class:`~repro.resilience.FaultSchedule` misbehaves:
+simulated testbed (:meth:`~repro.experiments.testbed.SimTestbed.run` with
+a :class:`~repro.provisioning.controller.DelayFeedbackController` deciding
+online) while a scripted :class:`~repro.resilience.FaultSchedule`
+misbehaves:
 
 * day 1, mid-valley: a cache server is killed while the fleet is at its
   minimum and repaired six slots later — the case where delay-only control
@@ -51,10 +53,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
-from repro.experiments.autopilot import (  # noqa: E402
-    AutopilotConfig,
-    AutopilotExperiment,
+from repro.core.router import ProteusRouter  # noqa: E402
+from repro.experiments.testbed import (  # noqa: E402
+    PER_SERVER_RATE,
+    SimTestbed,
+    Sizing,
 )
+from repro.provisioning.controller import DelayFeedbackController  # noqa: E402
 from repro.resilience import FaultPlan, FaultSchedule  # noqa: E402
 
 JSON_PATH = REPO_ROOT / "BENCH_autopilot.json"
@@ -63,8 +68,21 @@ JSON_PATH = REPO_ROOT / "BENCH_autopilot.json"
 DAY_USERS = [60, 48, 40, 32, 26, 24, 24, 24, 24, 24, 26, 32, 40, 48, 56, 60]
 DAYS = 2
 SLOT_SECONDS = 30.0
-SEED = 3
 DELAY_BOUND = 0.5
+NUM_SERVERS = 8
+MIN_SERVERS = 2
+TTL_SECONDS = 60.0
+#: the autopilot's testbed: 4 web servers, 4 DB shards, 600 pages per
+#: cache server, a PDU sample every 5 s
+SIZING = Sizing(
+    seed=3,
+    catalogue_size=6000,
+    cache_capacity_bytes=4096 * 600,
+    pages_per_user=30,
+    num_web_servers=4,
+    num_db_shards=4,
+    power_sample_period=5.0,
+)
 
 #: day-1 kill: mid-valley, while the fleet sits at its minimum.
 KILL_AT = 7 * SLOT_SECONDS + 4.0
@@ -81,17 +99,20 @@ REMAP_COST_TOLERANCE = 1.5
 RATCHET_TOLERANCE = 0  # deterministic sim: any recovery slowdown fails
 
 
-def fault_schedule() -> FaultSchedule:
-    """The scripted outage both scenarios replay."""
+def fault_schedule(days: int = DAYS) -> FaultSchedule:
+    """The scripted outage both scenarios replay: the day-1 kill, and the
+    day-2 storm when the run lasts that long."""
+    schedule = FaultSchedule().add(
+        at=KILL_AT,
+        server_id=KILL_SERVER,
+        plan=FaultPlan.killed(),
+        clear_at=REPAIR_AT,
+    )
+    if days < 2:
+        return schedule
     storm_t = STORM_SLOT * SLOT_SECONDS
     return (
-        FaultSchedule()
-        .add(
-            at=KILL_AT,
-            server_id=KILL_SERVER,
-            plan=FaultPlan.killed(),
-            clear_at=REPAIR_AT,
-        )
+        schedule
         .add(
             at=storm_t + 3.0,
             server_id=2,
@@ -107,19 +128,18 @@ def fault_schedule() -> FaultSchedule:
     )
 
 
-def build_config(closed: bool, days: int = DAYS) -> AutopilotConfig:
-    return AutopilotConfig(
-        users_per_slot=DAY_USERS * days,
-        slot_seconds=SLOT_SECONDS,
-        health_feedback=closed,
-        faults=fault_schedule(),
-        seed=SEED,
-        delay_bound=DELAY_BOUND,
-    )
-
-
 def run_scenario(closed: bool, days: int = DAYS) -> Dict[str, object]:
-    report = AutopilotExperiment(build_config(closed, days)).run()
+    testbed = SimTestbed(SIZING, ProteusRouter(NUM_SERVERS), ttl=TTL_SECONDS)
+    controller = DelayFeedbackController(
+        num_servers=NUM_SERVERS,
+        delay_bound=DELAY_BOUND,
+        min_servers=MIN_SERVERS,
+        per_server_rate=PER_SERVER_RATE,
+    )
+    report = testbed.run(
+        DAY_USERS * days, SLOT_SECONDS, controller, fault_schedule(days),
+        health_feedback=closed,
+    )
     row = report.to_dict()
     row["recovery_slots"] = report.recovery_slots(KILL_AT)
     row["underprovisioned_slots"] = report.underprovisioned_slots(

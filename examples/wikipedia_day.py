@@ -14,10 +14,9 @@ Run:  python examples/wikipedia_day.py           (~1 minute)
 """
 
 from repro import (
-    ClusterExperiment,
-    ExperimentConfig,
-    ProvisioningSchedule,
     ScenarioSpec,
+    SimTestbed,
+    Sizing,
     generate_trace,
     run_feedback_loop,
 )
@@ -45,24 +44,25 @@ def main() -> None:
     print("Provisioning n(t):       ", schedule.counts)
 
     users = [max(20, int(c / SLOT_SECONDS / 2)) for c in counts]
-    config = ExperimentConfig(
-        schedule=schedule,
-        users_per_slot=users,
-        num_cache_servers=8,
-        num_web_servers=4,
-        num_db_shards=4,
+    sizing = Sizing(
+        seed=7,
         catalogue_size=10_000,
         cache_capacity_bytes=4096 * 2000,
-        ttl=40.0,
-        plot_slots=20,
-        seed=7,
-        warmup_seconds=20.0,
+        pages_per_user=50,
+        num_web_servers=4,
+        num_db_shards=4,
     )
 
     reports = {}
     for spec in (ScenarioSpec.naive(), ScenarioSpec.proteus()):
         print(f"\nRunning the {spec.name} scenario ...")
-        reports[spec.name] = ClusterExperiment(spec, config).run()
+        # One testbed per scenario: 8 cache servers, a 40 s drain window.
+        testbed = SimTestbed(
+            sizing, spec.router_factory(8), ttl=40.0, smooth=spec.smooth
+        )
+        reports[spec.name] = testbed.run(
+            users, SLOT_SECONDS, schedule, plot_slots=20, warmup_seconds=20.0
+        )
 
     print("\np99 response time per plot slot (seconds):")
     for name, report in reports.items():

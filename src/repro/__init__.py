@@ -18,8 +18,8 @@ its evaluation depends on:
 * :mod:`repro.resilience` — retry/breaker/deadline policies and the
   fault-plan vocabulary shared by the simulator and the live tier;
 * :mod:`repro.sim` / :mod:`repro.experiments` — the discrete-event
-  substrate and the cluster experiment that regenerates Figs. 9-11, plus
-  the routing/hit-ratio analyses behind Figs. 5-6;
+  substrate and the one experiment runner (``SimTestbed.run``) behind
+  Figs. 9-11, plus the routing/hit-ratio analyses behind Figs. 5-6;
 * :mod:`repro.power` — the PDU-style power metering of Section VI-D;
 * :mod:`repro.provisioning` / :mod:`repro.workload` — schedules,
   the delay-feedback loop, and Wikipedia-like workload synthesis.
@@ -48,19 +48,12 @@ from repro.core.router import (
     make_router,
 )
 from repro.database.cluster import DatabaseCluster
-from repro.experiments.cluster import (
-    ClusterExperiment,
-    ExperimentConfig,
-    ScenarioSpec,
-)
+from repro.experiments.testbed import ScenarioSpec, SimTestbed, Sizing
 from repro.experiments.loadbalance import evaluate_load_balance
 from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
 from repro.provisioning.controller import run_feedback_loop
-from repro.provisioning.policies import (
-    ProvisioningSchedule,
-    load_proportional_schedule,
-)
+from repro.provisioning.policies import load_proportional_schedule
 from repro.web.frontend import WebServer
 from repro.workload.wikipedia import generate_trace
 
@@ -68,18 +61,17 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CacheCluster",
-    "ClusterExperiment",
     "ConsistentRouter",
     "CountingBloomFilter",
     "DatabaseCluster",
-    "ExperimentConfig",
     "FetchPath",
     "MemcachedClient",
     "MemcachedServer",
     "ProteusRouter",
-    "ProvisioningSchedule",
     "RetrievalEngine",
     "ScenarioSpec",
+    "SimTestbed",
+    "Sizing",
     "WebServer",
     "evaluate_load_balance",
     "generate_trace",

@@ -248,11 +248,7 @@ def _cmd_loadbalance(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.experiments.cluster import (
-        ClusterExperiment,
-        ExperimentConfig,
-        ScenarioSpec,
-    )
+    from repro.experiments.testbed import ScenarioSpec, Sizing, run_scenarios
     from repro.provisioning.policies import ProvisioningSchedule
 
     wanted = [name.strip().lower() for name in args.scenarios.split(",")]
@@ -262,22 +258,27 @@ def _cmd_simulate(args) -> int:
         print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     schedule = ProvisioningSchedule(args.slot_seconds, args.schedule)
-    config = ExperimentConfig(
-        schedule=schedule,
-        users_per_slot=[n * args.users_per_server for n in schedule.counts],
-        num_cache_servers=args.servers,
-        ttl=args.ttl,
+    sizing = Sizing(
         seed=args.seed,
-        warmup_seconds=min(20.0, args.slot_seconds / 3),
-        plot_slots=max(12, 2 * schedule.num_slots),
+        catalogue_size=20_000,
+        cache_capacity_bytes=4096 * 2000,  # 2000 pages per server
+        pages_per_user=50,
+        num_web_servers=10,
+        num_db_shards=7,
     )
     print(f"schedule n(t) = {schedule.counts}  slot={args.slot_seconds}s")
     header = f"{'scenario':<12s}{'peak p99.9':>12s}{'db reads':>10s}" \
              f"{'hit':>8s}{'kWh total':>11s}{'kWh cache':>11s}"
     print(header)
-    for name in wanted:
-        report = ClusterExperiment(available[name], config).run()
-        print(f"{report.scenario:<12s}{report.peak_latency():>11.3f}s"
+    reports = run_scenarios(
+        sizing, args.servers, args.ttl, schedule,
+        [n * args.users_per_server for n in schedule.counts],
+        [available[name] for name in wanted],
+        plot_slots=max(12, 2 * schedule.num_slots),
+        warmup_seconds=min(20.0, args.slot_seconds / 3),
+    )
+    for name, report in reports.items():
+        print(f"{name:<12s}{report.peak_latency():>11.3f}s"
               f"{report.db_requests:>10d}{report.hit_ratio:>8.3f}"
               f"{report.energy_kwh['total']:>11.4f}"
               f"{report.energy_kwh['cache']:>11.4f}")
@@ -285,32 +286,43 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_autopilot(args) -> int:
-    from repro.experiments.autopilot import AutopilotConfig, AutopilotExperiment
+    from repro.core.router import ProteusRouter
+    from repro.experiments.testbed import PER_SERVER_RATE, SimTestbed, Sizing
+    from repro.provisioning.controller import DelayFeedbackController
     from repro.resilience import FaultPlan, FaultSchedule
 
     faults = FaultSchedule()
     for at, server_id, clear_at in args.kill:
         faults.add(at=at, server_id=server_id, plan=FaultPlan.killed(),
                    clear_at=clear_at)
-    config = AutopilotConfig(
-        users_per_slot=args.users,
-        slot_seconds=args.slot_seconds,
+    testbed = SimTestbed(
+        Sizing(
+            seed=args.seed,
+            catalogue_size=6000,
+            cache_capacity_bytes=4096 * 600,
+            pages_per_user=30,
+            num_web_servers=4,
+            num_db_shards=4,
+            power_sample_period=5.0,
+        ),
+        ProteusRouter(args.servers),
+        ttl=args.ttl,
+    )
+    controller = DelayFeedbackController(
         num_servers=args.servers,
         min_servers=args.min_servers,
-        health_feedback=args.health_feedback,
-        ttl_seconds=args.ttl,
-        faults=faults,
-        seed=args.seed,
+        per_server_rate=PER_SERVER_RATE,
     )
-    report = AutopilotExperiment(config).run()
-    print(f"{report.config_label}: {len(args.users)} slots x "
+    report = testbed.run(args.users, args.slot_seconds, controller, faults,
+                         health_feedback=args.health_feedback)
+    print(f"{report.provisioner}: {len(args.users)} slots x "
           f"{args.slot_seconds:.0f}s, fleet {args.servers}, "
           f"{len(args.kill)} scripted fault(s)")
     print(f"{'slot':>5s}{'rate':>8s}{'delay':>8s}{'active':>8s}"
           f"{'healthy':>8s}{'required':>9s}{'failed':>8s}")
-    for slot in range(len(report.active_counts)):
+    for slot, rate in enumerate(report.arrival_rates):
         failed = ",".join(map(str, sorted(report.failed_sets[slot]))) or "-"
-        print(f"{slot:>5d}{report.arrival_rates[slot]:>8.1f}"
+        print(f"{slot:>5d}{rate:>8.1f}"
               f"{report.measured_delays[slot]:>8.3f}"
               f"{report.active_counts[slot]:>8d}"
               f"{report.healthy_counts[slot]:>8d}"

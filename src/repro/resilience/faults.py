@@ -7,7 +7,7 @@ wrongness is realized.  Two realisers read it.  For the live stack it is
 the test suite's seeded virtual-time network (``tests/simnet``), which
 runs the unmodified client, server and frontend over in-memory
 connections and applies every field to the bytes on the path.  For the
-simulator it is :meth:`repro.experiments.testbed.SimTestbed.inject_faults`,
+simulator it is :meth:`repro.experiments.testbed.SimTestbed.run`,
 which expresses the subset a crash can (the plans that ``kills_server``)
 as crash / repair events.  Because both read the same
 :class:`FaultSchedule`, a live test and a simulation run can be handed
@@ -169,7 +169,7 @@ class FaultSchedule:
     ``tests/simnet`` replays it by re-planning each server's path at every
     entry's ``at`` / ``clear_at``; the simulator schedules the
     :meth:`crashes` entries as crash/repair events
-    (:meth:`repro.experiments.testbed.SimTestbed.inject_faults`).
+    (:meth:`repro.experiments.testbed.SimTestbed.run`).
     """
 
     entries: List[ScheduledFault] = field(default_factory=list)

@@ -1,39 +1,51 @@
-"""Tests for the closed-loop autopilot experiment harness."""
+"""Tests for the closed-loop autopilot: a controller provisioning the
+testbed online."""
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments import autopilot
-from repro.experiments.autopilot import (
-    NEVER_RECOVERED,
-    AutopilotConfig,
-    AutopilotExperiment,
-    AutopilotReport,
-)
 from repro.core.retrieval import FetchPath
+from repro.core.router import ProteusRouter
+from repro.errors import ConfigurationError
+from repro.experiments.testbed import (
+    NEVER_RECOVERED,
+    PER_SERVER_RATE,
+    RunReport,
+    SimTestbed,
+    Sizing,
+)
+from repro.provisioning.controller import DelayFeedbackController
 from repro.resilience import FaultPlan, FaultSchedule
 from repro.resilience.admission import VirtualQueueAdmission
 from repro.sim.metrics import SlottedRecorder, TimeSeries
 from repro.web.frontend import WebServer
 
+#: a smaller testbed than the bench's, so every run takes seconds
+SIZING = Sizing(
+    seed=5,
+    catalogue_size=1500,
+    cache_capacity_bytes=4096 * 600,
+    pages_per_user=15,
+    num_web_servers=2,
+    num_db_shards=4,
+    power_sample_period=5.0,
+)
+USERS = [30, 24, 18, 18, 24, 30]
 
-@pytest.fixture(autouse=True)
-def small_testbed(monkeypatch):
-    """A smaller testbed than the bench's, so every run takes seconds."""
-    monkeypatch.setattr(autopilot, "NUM_WEB_SERVERS", 2)
-    monkeypatch.setattr(autopilot, "CATALOGUE_SIZE", 1500)
-    monkeypatch.setattr(autopilot, "PAGES_PER_USER", 15)
 
+class Autopilot:
+    """One online-control run: a testbed and the controller it answers to."""
 
-def config(**overrides):
-    defaults = dict(
-        users_per_slot=[30, 24, 18, 18, 24, 30],
-        slot_seconds=20.0,
-        num_servers=6,
-        seed=5,
-    )
-    defaults.update(overrides)
-    return AutopilotConfig(**defaults)
+    def __init__(self, ttl=60.0, min_servers=2):
+        self.testbed = SimTestbed(SIZING, ProteusRouter(6), ttl=ttl)
+        self.controller = DelayFeedbackController(
+            num_servers=6, min_servers=min_servers,
+            per_server_rate=PER_SERVER_RATE,
+        )
+
+    def run(self, users=USERS, slot_seconds=20.0, faults=None,
+            health_feedback=False):
+        return self.testbed.run(users, slot_seconds, self.controller, faults,
+                                health_feedback=health_feedback)
 
 
 def kill(at, server_id, clear_at=None):
@@ -43,43 +55,46 @@ def kill(at, server_id, clear_at=None):
     return schedule
 
 
+@pytest.fixture(scope="module")
+def open_report():
+    return Autopilot().run()
+
+
 class TestValidation:
     def test_rejects_empty_workload(self):
         with pytest.raises(ConfigurationError):
-            config(users_per_slot=[])
+            Autopilot().run(users=[])
 
     def test_rejects_bad_slot_seconds(self):
         with pytest.raises(ConfigurationError):
-            config(slot_seconds=0.0)
+            Autopilot().run(slot_seconds=0.0)
 
     def test_rejects_min_servers_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            config(min_servers=0)
+            Autopilot(min_servers=0)
         with pytest.raises(ConfigurationError):
-            config(min_servers=7)
+            Autopilot(min_servers=7)
 
     def test_rejects_fault_on_unknown_server(self):
         with pytest.raises(ConfigurationError):
-            config(faults=kill(10.0, 99))
+            Autopilot().run(faults=kill(10.0, 99))
 
-    def test_duration_and_slots(self):
-        cfg = config()
-        assert cfg.num_slots == 6
-        assert cfg.duration == 120.0
+    def test_duration_and_slots(self, open_report):
+        assert len(open_report.active_counts) == 6
+        assert open_report.duration == 120.0
 
 
 class TestOpenLoop:
-    def test_defaults_are_the_open_loop(self):
-        report = AutopilotExperiment(config()).run()
-        assert report.config_label == "open_loop"
+    def test_defaults_are_the_open_loop(self, open_report):
+        report = open_report
+        assert report.provisioner == "open_loop"
         assert report.availability == 1.0
         assert report.emergency_scale_ups == 0
         assert report.vetoed_scale_downs == 0
-        assert report.health_history == []
 
     def test_fixed_ttl_windows(self):
-        experiment = AutopilotExperiment(config(ttl_seconds=25.0))
-        manager = experiment.cache.transitions
+        experiment = Autopilot(ttl=25.0)
+        manager = experiment.testbed.cache.transitions
         begin, windows = manager.begin, []
 
         def recording(*args, **kwargs):
@@ -91,9 +106,9 @@ class TestOpenLoop:
         experiment.run()
         assert windows and all(w == pytest.approx(25.0) for w in windows)
 
-    def test_deterministic_given_the_seed(self):
-        first = AutopilotExperiment(config()).run()
-        second = AutopilotExperiment(config()).run()
+    def test_deterministic_given_the_seed(self, open_report):
+        first = open_report
+        second = Autopilot().run()
         assert first.active_counts == second.active_counts
         assert first.measured_delays == second.measured_delays
         assert first.total_requests == second.total_requests
@@ -101,9 +116,9 @@ class TestOpenLoop:
 
 class TestAvailability:
     def test_a_shed_fetch_is_offered_but_not_served(self):
-        # No config field arms admission control, so swap in a web server
+        # No run input arms admission control, so swap in a web server
         # built with it: a cold start against a depth-1 DB queue sheds.
-        experiment = AutopilotExperiment(config())
+        experiment = Autopilot()
         testbed = experiment.testbed
         testbed.prewarm = lambda: None
         testbed.webs[:] = [
@@ -125,24 +140,19 @@ class TestClosedLoop:
         # Kill during the valley: delay-only control stays blind, the
         # health loop must react.
         faults = kill(45.0, 1, clear_at=110.0)
-        open_report = AutopilotExperiment(config(faults=faults)).run()
-        closed_report = AutopilotExperiment(
-            config(faults=faults, health_feedback=True)
-        ).run()
-        assert closed_report.config_label == "closed_loop"
+        open_report = Autopilot().run(faults=faults)
+        closed_report = Autopilot().run(faults=faults, health_feedback=True)
+        assert closed_report.provisioner == "closed_loop"
         assert closed_report.emergency_scale_ups >= 1
         assert closed_report.availability == 1.0
-        assert len(closed_report.health_history) == len(
-            closed_report.active_counts
-        )
         assert closed_report.recovery_slots(45.0) <= open_report.recovery_slots(
             45.0
         )
 
     def test_failed_sets_track_the_schedule(self):
-        report = AutopilotExperiment(
-            config(faults=kill(45.0, 1, clear_at=110.0), health_feedback=True)
-        ).run()
+        report = Autopilot().run(
+            faults=kill(45.0, 1, clear_at=110.0), health_feedback=True
+        )
         fault_slots = [i for i, s in enumerate(report.failed_sets) if s]
         assert fault_slots, "the kill never showed up in failed_sets"
         assert all(report.failed_sets[i] == frozenset({1})
@@ -151,9 +161,7 @@ class TestClosedLoop:
     def test_to_dict_is_json_ready(self):
         import json
 
-        report = AutopilotExperiment(
-            config(health_feedback=True)
-        ).run()
+        report = Autopilot().run(health_feedback=True)
         payload = report.to_dict()
         json.dumps(payload)  # must not raise
         assert payload["config"] == "closed_loop"
@@ -163,23 +171,28 @@ class TestClosedLoop:
 
 class TestRecoveryMetrics:
     def make_report(self, healthy, required):
-        return AutopilotReport(
-            config_label="synthetic",
-            duration=len(healthy) * 10.0,
+        zeros = [0] * len(healthy)
+        return RunReport(
+            provisioner="synthetic",
             slot_seconds=10.0,
             total_requests=1,
-            served_requests=1,
+            fetch_paths={path.value: 0 for path in FetchPath},
+            db_requests=0,
+            failovers=0,
+            hit_ratio=1.0,
+            latencies=SlottedRecorder(10.0),
+            requests_per_slot=zeros,
+            db_requests_per_slot=zeros,
+            failovers_per_slot=zeros,
             active_counts=list(healthy),
             healthy_counts=list(healthy),
-            failed_sets=[frozenset() for _ in healthy],
             required_counts=list(required),
+            failed_sets=[frozenset() for _ in healthy],
             measured_delays=[0.0] * len(healthy),
-            arrival_rates=[0.0] * len(healthy),
-            health_history=[],
-            latencies=SlottedRecorder(10.0),
             transitions=[],
-            energy_kwh={},
+            power_series={},
             active_series=TimeSeries(),
+            energy_kwh={},
             emergency_scale_ups=0,
             vetoed_scale_downs=0,
         )

@@ -1,34 +1,44 @@
-"""Tests for the full 3-tier cluster experiment harness (Figs. 9-11)."""
+"""Tests for the Table II scenario runs on the testbed (Figs. 9-11)."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.cluster import (
-    ClusterExperiment,
-    ExperimentConfig,
-    ScenarioSpec,
-    run_scenarios,
-)
+from repro.experiments.testbed import ScenarioSpec, Sizing, run_scenarios
 from repro.provisioning.policies import ProvisioningSchedule
 
+SIZING = Sizing(
+    seed=3,
+    catalogue_size=2000,
+    cache_capacity_bytes=4096 * 800,
+    pages_per_user=20,
+    num_web_servers=2,
+    num_db_shards=2,
+)
+SCHEDULE = ProvisioningSchedule(30.0, [4, 3, 3, 4])
+USERS = [40, 30, 30, 40]
 
-def small_config(**overrides):
-    defaults = dict(
-        schedule=ProvisioningSchedule(30.0, [4, 3, 3, 4]),
-        users_per_slot=[40, 30, 30, 40],
-        num_cache_servers=4,
-        num_web_servers=2,
-        num_db_shards=2,
-        catalogue_size=2000,
-        cache_capacity_bytes=4096 * 800,
-        ttl=15.0,
-        plot_slots=12,
-        pages_per_user=20,
-        seed=3,
-        warmup_seconds=10.0,
+
+def bed_for(spec):
+    return spec.testbed(SIZING, 4, 15.0)
+
+
+def run(spec, seed=3, schedule=SCHEDULE, users=USERS, warmup_seconds=10.0):
+    return run_all(seed, schedule, users, [spec], warmup_seconds)[spec.name]
+
+
+def run_all(seed=3, schedule=SCHEDULE, users=USERS, specs=None,
+            warmup_seconds=10.0):
+    return run_scenarios(
+        replace(SIZING, seed=seed), 4, 15.0, schedule, users, specs,
+        plot_slots=12, warmup_seconds=warmup_seconds,
     )
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+
+
+@pytest.fixture(scope="module")
+def static_report():
+    return run(ScenarioSpec.static())
 
 
 class TestScenarioSpec:
@@ -48,41 +58,39 @@ class TestScenarioSpec:
         # Off by default, as in the paper's evaluation.
         for spec in ScenarioSpec.all_four():
             assert spec.coalesce_misses is False
-            experiment = ClusterExperiment(spec, small_config())
             assert not any(
-                web.config.coalesce_misses for web in experiment.testbed.webs
+                web.config.coalesce_misses for web in bed_for(spec).webs
             )
 
     def test_with_coalescing_overrides_config(self):
         spec = ScenarioSpec.naive().with_coalescing()
         assert spec.name == "Naive+coalesce"
         assert spec.coalesce_misses is True
-        experiment = ClusterExperiment(spec, small_config())
-        assert all(web.config.coalesce_misses for web in experiment.testbed.webs)
+        assert all(web.config.coalesce_misses for web in bed_for(spec).webs)
         # The override works in both directions.
         off = ScenarioSpec.naive().with_coalescing(False)
         assert off.name == "Naive-coalesce"
-        experiment = ClusterExperiment(off, small_config())
-        assert not any(web.config.coalesce_misses for web in experiment.testbed.webs)
+        assert not any(web.config.coalesce_misses for web in bed_for(off).webs)
 
 
 class TestConfigValidation:
     def test_slot_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            small_config(users_per_slot=[10, 10])
+            run(ScenarioSpec.proteus(), users=[10, 10])
 
     def test_oversubscribed_schedule_rejected(self):
         with pytest.raises(ConfigurationError):
-            small_config(schedule=ProvisioningSchedule(30.0, [9, 9, 9, 9]))
+            run(ScenarioSpec.proteus(),
+                schedule=ProvisioningSchedule(30.0, [9, 9, 9, 9]))
 
-    def test_duration(self):
-        assert small_config().duration == 120.0
+    def test_duration(self, static_report):
+        assert static_report.duration == 120.0
 
 
 class TestSingleScenarioRun:
     @pytest.fixture(scope="class")
     def proteus_report(self):
-        return ClusterExperiment(ScenarioSpec.proteus(), small_config()).run()
+        return run(ScenarioSpec.proteus())
 
     def test_requests_were_served(self, proteus_report):
         assert proteus_report.total_requests > 1000
@@ -126,8 +134,8 @@ class TestSingleScenarioRun:
 
 
 class TestStaticScenario:
-    def test_static_never_transitions(self):
-        report = ClusterExperiment(ScenarioSpec.static(), small_config()).run()
+    def test_static_never_transitions(self, static_report):
+        report = static_report
         assert report.transitions == []
         assert set(report.active_series.values) == {4.0}
 
@@ -135,7 +143,7 @@ class TestStaticScenario:
 class TestCrossScenario:
     @pytest.fixture(scope="class")
     def reports(self):
-        return run_scenarios(small_config(seed=5))
+        return run_all(seed=5)
 
     def test_all_four_ran(self, reports):
         assert set(reports) == {"Static", "Naive", "Consistent", "Proteus"}
@@ -168,44 +176,23 @@ class TestCrossScenario:
 
 class TestWarmupAndPrewarm:
     def test_prewarm_fills_initial_users_pages(self):
-        testbed = ClusterExperiment(
-            ScenarioSpec.proteus(), small_config()
-        ).testbed
-        testbed.resize_population(small_config().users_per_slot[0])
-        testbed.prewarm()
-        total_items = sum(len(server.store) for server in testbed.cache.servers)
+        bed = bed_for(ScenarioSpec.proteus())
+        bed.resize_population(USERS[0])
+        bed.prewarm()
+        total_items = sum(len(server.store) for server in bed.cache.servers)
         distinct_pages = len(
-            {page for user in testbed.population.active for page in user.pages}
+            {page for user in bed.population.active for page in user.pages}
         )
         assert total_items == distinct_pages
 
     def test_warmup_excludes_early_latency_samples(self):
-        report = ClusterExperiment(
-            ScenarioSpec.static(), small_config(warmup_seconds=30.0)
-        ).run()
+        report = run(ScenarioSpec.static(), warmup_seconds=30.0)
         first_slot_time = report.latencies.series("count").times[0]
         assert first_slot_time >= 30.0
 
     def test_prewarm_off_means_cold_start(self):
-        cold = ClusterExperiment(ScenarioSpec.static(), small_config(seed=11))
-        cold.testbed.prewarm = lambda: None
-        warm = ClusterExperiment(ScenarioSpec.static(), small_config(seed=11))
-        assert cold.run().db_requests > warm.run().db_requests
-
-
-class TestReportSerialization:
-    def test_to_dict_and_save_roundtrip(self, tmp_path):
-        import json
-
-        report = ClusterExperiment(ScenarioSpec.proteus(), small_config()).run()
-        payload = report.to_dict(pct=99.0)
-        assert payload["scenario"] == "Proteus"
-        assert payload["total_requests"] == report.total_requests
-        assert len(payload["latency_series"]["values"]) >= 1
-        assert set(payload["power_series"]) == {
-            "total", "cache", "web", "database",
-        }
-        path = tmp_path / "report.json"
-        report.save(path, pct=99.0)
-        loaded = json.loads(path.read_text())
-        assert loaded == payload
+        static = ScenarioSpec.static()
+        cold = static.testbed(replace(SIZING, seed=11), 4, 15.0)
+        cold.prewarm = lambda: None
+        cold_report = cold.run(USERS, 30.0, static.provisioner(SCHEDULE, 4))
+        assert cold_report.db_requests > run(static, seed=11).db_requests

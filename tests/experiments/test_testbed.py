@@ -1,26 +1,26 @@
-"""Tests for the one simulated testbed the three experiments compose.
+"""Tests for the simulated testbed and its one experiment runner.
 
 The golden values below were captured at the commit *before* the three
 hand-wired copies of the testbed were replaced by ``SimTestbed``: they are
 integers of seeded simulations, so any change of RNG draw order or event
-order moves them.  Regenerate them only for a change that means to.
+order moves them.  Regenerate them only for a change that means to.  The
+crash runs' row moved once, when they joined the warm start and the seed
+stream every other run uses.
 """
-
-import random
 
 import pytest
 
 from repro.core.router import ProteusRouter
-from repro.experiments import autopilot
-from repro.experiments.autopilot import AutopilotConfig, AutopilotExperiment
-from repro.experiments.cluster import (
-    ClusterExperiment,
-    ExperimentConfig,
+from repro.errors import ConfigurationError
+from repro.experiments.testbed import (
+    PER_SERVER_RATE,
     ScenarioSpec,
+    SimTestbed,
+    Sizing,
+    run_scenarios,
 )
-from repro.experiments.failover import FailoverConfig, FailoverExperiment
-from repro.experiments.testbed import SimTestbed, Sizing
-from repro.provisioning.policies import ProvisioningSchedule
+from repro.provisioning.controller import DelayFeedbackController
+from repro.provisioning.policies import ProvisioningSchedule, static_schedule
 from repro.resilience import FaultPlan, FaultSchedule
 
 
@@ -30,6 +30,39 @@ def kill(at, server_id, clear_at=None):
 
 def moves(report):
     return [(t.n_old, t.n_new) for t in report.transitions]
+
+
+#: the Table II runs' testbed (2 web servers, 2 DB shards, 800 pages per
+#: cache server) and the autopilot's (2 web servers, 600 pages per server)
+CLUSTER_SIZING = Sizing(
+    seed=3, catalogue_size=2000, cache_capacity_bytes=4096 * 800,
+    pages_per_user=20, num_web_servers=2, num_db_shards=2,
+)
+AUTOPILOT_SIZING = Sizing(
+    seed=5, catalogue_size=1500, cache_capacity_bytes=4096 * 600,
+    pages_per_user=15, num_web_servers=2, num_db_shards=4,
+    power_sample_period=5.0,
+)
+
+
+def crash_run(replicas, faults):
+    """The crash run: 40 users on 5 replicated servers, all on, 60 s."""
+    testbed = SimTestbed(
+        Sizing(seed=2, catalogue_size=2000,
+               cache_capacity_bytes=4096 * 2000, pages_per_user=20),
+        ProteusRouter(5, 2 ** 24, replicas),
+        ttl=60.0,
+    )
+    return testbed.run([40] * 6, 10.0, static_schedule(5, 6, 10.0), faults)
+
+
+def autopilot_run(closed, faults):
+    testbed = SimTestbed(AUTOPILOT_SIZING, ProteusRouter(6), ttl=60.0)
+    controller = DelayFeedbackController(
+        num_servers=6, min_servers=2, per_server_rate=PER_SERVER_RATE
+    )
+    return testbed.run([30, 24, 18, 18, 24, 30], 20.0, controller, faults,
+                       health_feedback=closed)
 
 
 class TestGoldenParity:
@@ -47,21 +80,10 @@ class TestGoldenParity:
 
     @pytest.mark.parametrize("spec", ScenarioSpec.all_four(), ids=lambda s: s.name)
     def test_cluster_experiment(self, spec):
-        config = ExperimentConfig(
-            schedule=ProvisioningSchedule(30.0, [4, 3, 3, 4]),
-            users_per_slot=[40, 30, 30, 40],
-            num_cache_servers=4,
-            num_web_servers=2,
-            num_db_shards=2,
-            catalogue_size=2000,
-            cache_capacity_bytes=4096 * 800,
-            ttl=15.0,
-            plot_slots=12,
-            pages_per_user=20,
-            seed=3,
-            warmup_seconds=10.0,
-        )
-        report = ClusterExperiment(spec, config).run()
+        (report,) = run_scenarios(
+            CLUSTER_SIZING, 4, 15.0, ProvisioningSchedule(30.0, [4, 3, 3, 4]),
+            [40, 30, 30, 40], [spec], plot_slots=12, warmup_seconds=10.0,
+        ).values()
         total, db_requests, paths, transitions = self.CLUSTER[spec.name]
         assert report.total_requests == total
         assert report.db_requests == db_requests
@@ -75,19 +97,8 @@ class TestGoldenParity:
     }
 
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
-    def test_autopilot_experiment(self, closed, monkeypatch):
-        for name, value in [("NUM_WEB_SERVERS", 2), ("CATALOGUE_SIZE", 1500),
-                            ("PAGES_PER_USER", 15)]:
-            monkeypatch.setattr(autopilot, name, value)
-        config = AutopilotConfig(
-            users_per_slot=[30, 24, 18, 18, 24, 30],
-            slot_seconds=20.0,
-            num_servers=6,
-            seed=5,
-            faults=kill(45.0, 1, clear_at=110.0),
-            health_feedback=closed,
-        )
-        report = AutopilotExperiment(config).run()
+    def test_autopilot_experiment(self, closed):
+        report = autopilot_run(closed, kill(45.0, 1, clear_at=110.0))
         total, active, healthy, transitions, remap = self.AUTOPILOT[closed]
         assert report.total_requests == report.served_requests == total
         assert report.active_counts == active
@@ -95,121 +106,182 @@ class TestGoldenParity:
         assert moves(report) == transitions
         assert report.remap_misses_total == remap
 
-    FAILOVER = {1: (4650, 812, 0), 2: (4695, 468, 349)}
+    FAILOVER = {1: (4710, 418, 0), 2: (4753, 75, 348)}
 
     @pytest.mark.parametrize("replicas", [1, 2])
     def test_failover_experiment(self, replicas):
-        config = FailoverConfig(
-            duration=60.0,
-            num_servers=5,
-            replicas=replicas,
-            num_users=40,
-            catalogue_size=2000,
-            pages_per_user=20,
-            slot_seconds=10.0,
-            seed=2,
-            failures=kill(25.0, 0, clear_at=45.0),
-        )
-        report = FailoverExperiment(config).run()
+        report = crash_run(replicas, kill(25.0, 0, clear_at=45.0))
         assert (
-            report.total_requests, report.db_reads, report.failovers
+            report.total_requests, report.db_requests, report.failovers
         ) == self.FAILOVER[replicas]
 
 
-def make_testbed(duration=20.0, num_servers=3, record=lambda now, result: None):
+def make_testbed(num_servers=3):
     sizing = Sizing(
-        duration=duration,
         seed=7,
         catalogue_size=500,
         cache_capacity_bytes=4096 * 2000,
         pages_per_user=10,
     )
-    return SimTestbed(
-        sizing, ProteusRouter(num_servers), random.Random(7), record, ttl=30.0
-    )
+    return SimTestbed(sizing, ProteusRouter(num_servers), ttl=30.0)
+
+
+def all_on(slots, slot_seconds, num_servers=3):
+    return static_schedule(num_servers, slots, slot_seconds)
 
 
 class TestUsers:
     def test_every_fetch_reaches_the_recorder(self):
-        seen = []
-        testbed = make_testbed(record=lambda now, result: seen.append(now))
-        testbed.resize_population(3)
-        testbed.run()
-        assert testbed.total_requests == len(seen) > 3 * 30
-        assert seen == sorted(seen) and seen[-1] <= 20.0
+        report = make_testbed().run([3], 20.0, all_on(1, 20.0))
+        recorded = [report.latencies.count(s) for s in report.latencies.slots()]
+        assert report.total_requests == sum(recorded) > 3 * 30
+        assert report.total_requests == sum(report.fetch_paths.values())
+        assert report.requests_per_slot == [report.total_requests]
+        assert report.latencies.slots()[-1] < 48  # nothing after the end
 
     def test_retired_users_stop_issuing(self):
         testbed = make_testbed()
         testbed.prewarm = lambda: None
-        testbed.schedule_population([4, 1], slot_seconds=5.0)
-        leavers = list(testbed.population.active[:3])
-        at_retirement = []
-        # Scheduled after the slot-1 resize, so it fires right behind it.
+        leavers, at_retirement = [], []
         testbed.loop.schedule_at(
-            5.0,
+            1.0, lambda: leavers.extend(testbed.population.active[:3])
+        )
+        # Just behind the slot-1 resize.
+        testbed.loop.schedule_at(
+            5.0 + 1e-9,
             lambda: at_retirement.extend(u.requests_issued for u in leavers),
         )
-        testbed.run()
+        testbed.run([4, 1], 5.0, all_on(2, 5.0))
         (stayer,) = testbed.population.active
-        assert stayer not in leavers
+        assert len(leavers) == 3 and stayer not in leavers
         assert [u.requests_issued for u in leavers] == at_retirement
         assert stayer.requests_issued > 2 * max(at_retirement)
 
     def test_prewarm_installs_each_page_at_its_routed_owner(self):
         testbed = make_testbed()
-        testbed.schedule_population([5], slot_seconds=20.0)
+        testbed.resize_population(5)
+        testbed.prewarm()
         pages = {p for user in testbed.population.active for p in user.pages}
         assert sum(len(s.store) for s in testbed.cache.servers) == len(pages)
-        testbed.run()
-        assert testbed.database.total_requests() == 0  # nothing was cold
+        report = make_testbed().run([5], 20.0, all_on(1, 20.0))
+        assert report.db_requests == 0  # nothing was cold
 
 
 class TestFaultInjection:
     def test_only_killing_plans_become_crashes(self):
-        testbed = make_testbed()
-        testbed.inject_faults(
+        report = make_testbed().run(
+            [0, 0], 5.0, all_on(2, 5.0),
             FaultSchedule()
             .add(5.0, 0, FaultPlan.slow(0.2))
             .add(5.0, 1, FaultPlan.flaky(0.5))
-            .add(5.0, 2, FaultPlan.killed())
+            .add(5.0, 2, FaultPlan.killed()),
         )
-        testbed.loop.run_until(6.0)
-        assert testbed.cache.failed_servers() == frozenset({2})
+        assert report.failed_sets == [frozenset(), frozenset({2})]
 
     def test_crash_is_repaired_inside_the_run(self):
-        testbed = make_testbed()
-        testbed.inject_faults(kill(5.0, 1, clear_at=10.0))
-        testbed.loop.run_until(9.0)
-        assert testbed.cache.failed_servers() == frozenset({1})
-        testbed.loop.run_until(11.0)
-        assert testbed.cache.failed_servers() == frozenset()
+        report = make_testbed().run(
+            [0] * 4, 4.0, all_on(4, 4.0), kill(5.0, 1, clear_at=10.0)
+        )
+        # Slot ends at 4, 8, 12 and 16 s: down from 5 s to 10 s.
+        assert report.failed_sets == [
+            frozenset(), frozenset({1}), frozenset(), frozenset()
+        ]
 
     def test_events_after_the_end_are_not_scheduled(self):
-        testbed = make_testbed(duration=20.0)
-        testbed.inject_faults(
-            kill(5.0, 1, clear_at=20.0).add(25.0, 2, FaultPlan.killed())
-        )
-        assert len(testbed.loop) == 1  # the t=5 crash alone
-        testbed.run()
+        testbed = make_testbed()
+        testbed.run([0, 0], 10.0, all_on(2, 10.0), kill(5.0, 1, clear_at=20.0))
         assert testbed.cache.failed_servers() == frozenset({1})
 
 
 class TestPowerSampling:
     def test_one_sample_per_period_with_an_active_point_each(self):
-        testbed = make_testbed(duration=60.0)
-        testbed.run()
+        report = make_testbed().run([0] * 4, 15.0, all_on(4, 15.0))
         times = [0.0, 15.0, 30.0, 45.0]  # 60 is not < duration
-        assert testbed.meter.total_series.times == times
-        assert testbed.active_series.times == times
-        assert testbed.active_series.values == [3.0] * 4
-        energy = testbed.energy_kwh()
+        assert report.power_series["total"].times == times
+        assert report.active_series.times == times
+        assert report.active_series.values == [3.0] * 4
+        energy = report.energy_kwh
         assert set(energy) == {"total", "cache", "web", "database"}
         assert energy["total"] == pytest.approx(
             energy["cache"] + energy["web"] + energy["database"]
         )
 
     def test_a_crashed_server_leaves_the_active_series(self):
-        testbed = make_testbed(duration=60.0)
-        testbed.inject_faults(kill(20.0, 0))
-        testbed.run()
-        assert testbed.active_series.values == [3.0, 3.0, 2.0, 2.0]
+        report = make_testbed().run([0] * 4, 15.0, all_on(4, 15.0), kill(20.0, 0))
+        assert report.active_series.values == [3.0, 3.0, 2.0, 2.0]
+
+
+class TestRunValidation:
+    """Each input the three experiment configs once rejected still raises,
+    before any of the run is simulated."""
+
+    def run(self, users=(10, 10), slot_seconds=10.0, provisioner=None, **kw):
+        provisioner = provisioner or all_on(2, 10.0)
+        return make_testbed().run(list(users), slot_seconds, provisioner, **kw)
+
+    def test_slot_count_mismatch(self):
+        with pytest.raises(ConfigurationError):
+            self.run(users=[10, 10, 10])
+        with pytest.raises(ConfigurationError):
+            self.run(slot_seconds=5.0)
+
+    def test_oversubscribed_schedule(self):
+        with pytest.raises(ConfigurationError):
+            self.run(provisioner=ProvisioningSchedule(10.0, [4, 4]))
+
+    def test_plot_slots_below_one(self):
+        with pytest.raises(ConfigurationError):
+            self.run(plot_slots=0)
+
+    def test_bad_slot_seconds(self):
+        controller = DelayFeedbackController(num_servers=3)
+        with pytest.raises(ConfigurationError):
+            self.run(slot_seconds=0.0, provisioner=controller)
+
+    def test_empty_workload(self):
+        with pytest.raises(ConfigurationError):
+            self.run(users=[], provisioner=DelayFeedbackController(num_servers=3))
+
+    def test_min_servers_out_of_range(self):
+        for bad in (0, 4):
+            with pytest.raises(ConfigurationError):
+                DelayFeedbackController(num_servers=3, min_servers=bad)
+
+    def test_controller_sized_for_another_fleet(self):
+        with pytest.raises(ConfigurationError):
+            self.run(provisioner=DelayFeedbackController(num_servers=6))
+
+    def test_bad_ttl(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                SimTestbed(CLUSTER_SIZING, ProteusRouter(3), ttl=bad)
+
+    def test_fault_on_unknown_server(self):
+        with pytest.raises(ConfigurationError):
+            self.run(faults=kill(5.0, 99))
+
+    def test_fault_after_the_end_of_the_run(self):
+        with pytest.raises(ConfigurationError):
+            self.run(faults=kill(20.0, 0))
+
+    def test_health_feedback_needs_a_controller(self):
+        with pytest.raises(ConfigurationError):
+            self.run(health_feedback=True)
+
+
+class TestScheduleWithFaults:
+    """A Table II schedule run takes a crash like any other run."""
+
+    def test_a_crash_shows_in_a_schedule_run(self):
+        def run(faults):
+            (report,) = run_scenarios(
+                CLUSTER_SIZING, 4, 15.0,
+                ProvisioningSchedule(30.0, [4, 3, 3, 4]), [40, 30, 30, 40],
+                [ScenarioSpec.proteus()], faults=faults,
+            ).values()
+            return report
+
+        quiet, crashed = run(None), run(kill(35.0, 1, clear_at=80.0))
+        assert crashed.db_requests > quiet.db_requests
+        assert crashed.failovers == 0  # r = 1: nothing to fail over to
+        assert any(crashed.failed_sets) and not any(quiet.failed_sets)

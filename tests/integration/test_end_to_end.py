@@ -46,7 +46,8 @@ class TestFullProvisioningPipeline:
         )
         actuator = ProvisioningActuator(cache, smooth=True)
         loop = EventLoop()
-        actuator.install(schedule, loop)
+        for when, _n_old, n_new in schedule.transitions():
+            loop.schedule_at(when, actuator.apply_at, n_new, loop)
         loop.run_until(schedule.duration)
         assert cache.active_count == schedule.counts[-1]
         assert len(actuator.applied) == len(schedule.transitions())

@@ -3,18 +3,14 @@
 The paper's headline response-time result: abrupt (Naive) transitions dump
 remapped keys onto the database and spike the tail latency, while Proteus's
 smooth transitions keep the curve flat.  This test pins the *ordering* of
-the spike ratios on a small :class:`ClusterExperiment` run, so refactors of
+the spike ratios on a small Table II scenario run, so refactors of
 the retrieval path (e.g. moving Algorithm 2 into the sans-IO engine)
 provably do not change experiment behaviour.
 """
 
 import pytest
 
-from repro.experiments.cluster import (
-    ClusterExperiment,
-    ExperimentConfig,
-    ScenarioSpec,
-)
+from repro.experiments.testbed import ScenarioSpec, Sizing, run_scenarios
 from repro.provisioning.policies import ProvisioningSchedule
 
 
@@ -22,24 +18,20 @@ from repro.provisioning.policies import ProvisioningSchedule
 def reports():
     # One scale-down only: the slots around it carry the spike, the rest
     # stay quiet, so peak-over-median isolates the transition penalty.
-    config = ExperimentConfig(
-        schedule=ProvisioningSchedule(30.0, [4, 3, 3, 3]),
-        users_per_slot=[40, 30, 30, 30],
-        num_cache_servers=4,
-        num_web_servers=2,
-        num_db_shards=3,
+    sizing = Sizing(
+        seed=5,
         catalogue_size=2000,
         cache_capacity_bytes=4096 * 800,
-        ttl=15.0,
-        plot_slots=12,
         pages_per_user=20,
-        seed=5,
-        warmup_seconds=10.0,
+        num_web_servers=2,
+        num_db_shards=3,
     )
-    return {
-        spec.name: ClusterExperiment(spec, config).run()
-        for spec in (ScenarioSpec.naive(), ScenarioSpec.proteus())
-    }
+    return run_scenarios(
+        sizing, 4, 15.0,
+        ProvisioningSchedule(30.0, [4, 3, 3, 3]), [40, 30, 30, 30],
+        [ScenarioSpec.naive(), ScenarioSpec.proteus()],
+        plot_slots=12, warmup_seconds=10.0,
+    )
 
 
 class TestSpikeOrdering:

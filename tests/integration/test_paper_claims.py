@@ -11,7 +11,7 @@ from repro.bloom.config import optimal_config
 from repro.core.migration import empirical_remap_fraction, migration_lower_bound
 from repro.core.placement import place_virtual_nodes, theoretical_min_vnodes
 from repro.core.router import NaiveRouter, ProteusRouter
-from repro.experiments.cluster import ExperimentConfig, run_scenarios
+from repro.experiments.testbed import Sizing, run_scenarios
 from repro.provisioning.policies import ProvisioningSchedule
 
 
@@ -58,20 +58,18 @@ class TestSectionVIClaims:
     def reports(self):
         schedule = ProvisioningSchedule(60.0, [6, 5, 4, 3, 4, 5, 6, 6])
         users = [90, 75, 60, 45, 60, 75, 90, 90]
-        config = ExperimentConfig(
-            schedule=schedule,
-            users_per_slot=users,
-            num_cache_servers=6,
-            num_web_servers=3,
-            num_db_shards=3,
+        sizing = Sizing(
+            seed=17,
             catalogue_size=6000,
             cache_capacity_bytes=4096 * 1500,
-            ttl=45.0,
-            plot_slots=24,
-            seed=17,
-            warmup_seconds=20.0,
+            pages_per_user=50,
+            num_web_servers=3,
+            num_db_shards=3,
         )
-        return run_scenarios(config)
+        return run_scenarios(
+            sizing, 6, 45.0, schedule, users,
+            plot_slots=24, warmup_seconds=20.0,
+        )
 
     def test_fig9_naive_has_the_worst_spike(self, reports):
         """Fig. 9: 'there is a huge response time spike' for Naive."""

@@ -2,32 +2,30 @@
 
 import pytest
 
-from repro.experiments.cluster import ExperimentConfig, run_scenarios
+from repro.experiments.testbed import Sizing, run_scenarios
 from repro.provisioning.policies import ProvisioningSchedule
 
 SEEDS = (101, 202)
 
 
-def tiny_config(seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        schedule=ProvisioningSchedule(45.0, [4, 3, 4]),
-        users_per_slot=[48, 36, 48],
-        num_cache_servers=4,
-        num_web_servers=2,
-        num_db_shards=2,
+def tiny_run(seed: int):
+    sizing = Sizing(
+        seed=seed,
         catalogue_size=3000,
         cache_capacity_bytes=4096 * 1200,
-        ttl=20.0,
-        plot_slots=9,
         pages_per_user=25,
-        seed=seed,
-        warmup_seconds=10.0,
+        num_web_servers=2,
+        num_db_shards=2,
+    )
+    return run_scenarios(
+        sizing, 4, 20.0, ProvisioningSchedule(45.0, [4, 3, 4]), [48, 36, 48],
+        plot_slots=9, warmup_seconds=10.0,
     )
 
 
 @pytest.fixture(scope="module")
 def all_reports():
-    return {seed: run_scenarios(tiny_config(seed)) for seed in SEEDS}
+    return {seed: tiny_run(seed) for seed in SEEDS}
 
 
 class TestOrderingsAcrossSeeds:

@@ -1,12 +1,9 @@
 """Tests for the provisioning actuator."""
 
-import pytest
-
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.cache.server import PowerState
 from repro.core.router import ProteusRouter
-from repro.errors import ProvisioningError
 from repro.provisioning.actuator import ProvisioningActuator
 from repro.provisioning.policies import ProvisioningSchedule
 from repro.sim.events import EventLoop
@@ -45,15 +42,21 @@ class TestApply:
         assert actuator.applied == []
 
 
+def replay(actuator, schedule, loop):
+    """Apply each change of *schedule* at its boundary on *loop*."""
+    for when, _n_old, n_new in schedule.transitions():
+        loop.schedule_at(when, actuator.apply_at, n_new, loop)
+
+
 class TestInstall:
     def test_schedule_executes_on_loop(self):
         c = cluster(4, active=3, ttl=5.0)
         actuator = ProvisioningActuator(c, smooth=True)
         loop = EventLoop()
         schedule = ProvisioningSchedule(10.0, [3, 2, 2, 4])
-        armed = actuator.install(schedule, loop)
-        assert armed == [(10.0, 2), (30.0, 4)]
+        replay(actuator, schedule, loop)
         loop.run_until(schedule.duration)
+        assert [r.when for r in actuator.applied] == [10.0, 30.0]
         assert [r.n_new for r in actuator.applied] == [2, 4]
         assert c.active_count == 4
 
@@ -61,8 +64,7 @@ class TestInstall:
         c = cluster(4, active=4, ttl=5.0)
         actuator = ProvisioningActuator(c, smooth=True)
         loop = EventLoop()
-        schedule = ProvisioningSchedule(10.0, [4, 3])
-        actuator.install(schedule, loop)
+        replay(actuator, ProvisioningSchedule(10.0, [4, 3]), loop)
         loop.run_until(14.0)
         assert c.server(3).state is PowerState.DRAINING
         loop.run_until(16.0)  # past 10 + ttl(5)
@@ -93,15 +95,7 @@ class TestInstall:
         c = cluster(4, active=4)
         actuator = ProvisioningActuator(c, smooth=False)
         loop = EventLoop()
-        actuator.install(ProvisioningSchedule(10.0, [4, 2]), loop)
+        replay(actuator, ProvisioningSchedule(10.0, [4, 2]), loop)
         loop.run_until(10.0)
         assert c.server(2).state is PowerState.OFF
         assert c.server(3).state is PowerState.OFF
-
-    def test_install_into_past_raises(self):
-        actuator = ProvisioningActuator(cluster(), smooth=True)
-        loop = EventLoop()
-        loop.schedule_at(50.0, lambda: None)
-        loop.run()
-        with pytest.raises(ProvisioningError):
-            actuator.install(ProvisioningSchedule(10.0, [4, 3]), loop)

@@ -26,9 +26,6 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.core.retrieval import RetrievalConfig
-from repro.experiments.autopilot import AutopilotConfig
-from repro.experiments.cluster import ExperimentConfig
-from repro.experiments.failover import FailoverConfig
 from repro.experiments.testbed import Sizing
 from repro.provisioning.controller import DelayFeedbackController
 from repro.resilience.policy import ResiliencePolicy
@@ -235,8 +232,7 @@ def test_every_reexport_is_imported_through_its_package():
 #: engine's commands and ``FaultPlan`` — the fault script of ``tests/simnet``
 #: — are not options)
 OPTION_RECORDS = [
-    RetrievalConfig, ClusterConfig, ExperimentConfig, AutopilotConfig,
-    FailoverConfig, Sizing, ResiliencePolicy, RetryPolicy,
+    RetrievalConfig, ClusterConfig, Sizing, ResiliencePolicy, RetryPolicy,
     DelayFeedbackController,
 ]
 

@@ -141,7 +141,8 @@ class TestRapidTransitions:
         actuator = ProvisioningActuator(cache, smooth=True)
         schedule = ProvisioningSchedule(10.0, [6, 4, 6, 3, 5, 5])
         loop = EventLoop()
-        actuator.install(schedule, loop)
+        for when, _n_old, n_new in schedule.transitions():
+            loop.schedule_at(when, actuator.apply_at, n_new, loop)
         loop.run_until(schedule.duration)
         assert cache.active_count == 5
         states = [server.state for server in cache.servers]

@@ -1,7 +1,7 @@
 """Line-count budget for the placement stack, the Algorithm-2 core, its
 transition manager and hot-key armor, its two drivers, the live
-transport, parser and client, the simulated testbed and its three
-experiments, and the tree.
+transport, parser and client, the simulated testbed with its one
+experiment runner, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -28,15 +28,12 @@ CEILINGS = {
     "net/transport.py": 383,
     "net/parser.py": 450,
     "net/client.py": 658,
-    "experiments/testbed.py": 225,
-    "experiments/cluster.py": 300,
-    "experiments/autopilot.py": 421,
-    "experiments/failover.py": 116,
+    "experiments/testbed.py": 743,
     "config.py": 181,
-    "provisioning/actuator.py": 132,
+    "provisioning/actuator.py": 94,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 13_095
+TREE_CEILING = 12_747
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
