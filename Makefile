@@ -20,12 +20,14 @@ bench:
 # Algorithm 2 over more than one replica ring (crash ablation, and the
 # testbed stresses with their failover timeline), plus the real-socket
 # fault smoke (a server stopped mid-drain; every other fault test runs on
-# tests/simnet's virtual network inside the test suite) and the hot-key storm, autopilot, net-throughput, overload, and
-# store-pressure ratchets: fast CI canary for the vectorized hot path,
-# the degraded fetch path, the armor's load-flattening gate, the
-# pipelined transport's RPS gate, the overload armor's goodput/recovery
-# gate, and the store's flat set-at-capacity cost
-# (speedup/availability gates still enforced; absolute numbers are noisy).
+# tests/simnet's virtual network inside the test suite) and the hot-key
+# storm, autopilot, overload, store-pressure and net-throughput ratchets:
+# fast CI canary for the vectorized hot path, the degraded fetch path, the
+# armor's load-flattening gate, the overload armor's goodput/recovery
+# gate, the store's flat set-at-capacity cost, and the pipelined
+# transport's RPS gate (speedup/availability gates still enforced;
+# absolute numbers are noisy).  The net-throughput ratchet runs last: its
+# known failure on 2-core hosts must not keep the others from running.
 # The path is exported here so a bare `make bench-smoke` runs: the plain
 # fault-tolerance script sets no sys.path of its own.
 bench-smoke: export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -37,9 +39,9 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_fault_tolerance.py --rounds 1
 	$(PYTHON) benchmarks/bench_hotkey_storm.py --check
 	$(PYTHON) benchmarks/bench_autopilot.py --check
-	$(PYTHON) benchmarks/bench_net_throughput.py --check
 	$(PYTHON) benchmarks/bench_overload.py --check
 	$(PYTHON) benchmarks/bench_store_pressure.py --check
+	$(PYTHON) benchmarks/bench_net_throughput.py --check
 
 # Smoke run of the end-to-end page-fetch benchmark BENCHMARK.json
 # declares (~30 s, nothing enforced; see benchmarks/e2e/README.md).

@@ -78,11 +78,8 @@ class _ServerProcess:
     def __init__(self) -> None:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        # -c instead of -m: the package import of repro.net.server under
-        # runpy would warn about the double import.
         self._proc = subprocess.Popen(
-            [sys.executable, "-c",
-             "from repro.net.server import main; main()"],
+            [sys.executable, "-m", "repro.net.server"],
             stdout=subprocess.PIPE, env=env, text=True,
         )
         assert self._proc.stdout is not None

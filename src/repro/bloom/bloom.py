@@ -11,16 +11,18 @@ by a factor of ``b``.
 Batch operations (:meth:`BloomFilter.add_many`,
 :meth:`BloomFilter.contains_many`) compute all probe indexes in one
 vectorized double-hash pass and touch the bit array with ``numpy`` fancy
-indexing; results are bit-identical to the scalar loop.
+indexing; results are bit-identical to the scalar loop.  They import numpy
+when first called: the scalar path does not need it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.hashing import DoubleHashFamily, Key, KeyHashes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BloomFilter:
@@ -44,15 +46,16 @@ class BloomFilter:
 
     def add(self, key: Key, hashes: Optional[KeyHashes] = None) -> None:
         """Insert *key* (pass *hashes* to reuse an existing double-hash pair)."""
-        for idx in self._family.iter_indexes(key, hashes):
+        for idx in self._family.indexes(key, hashes):
             self._bits[idx >> 3] |= 1 << (idx & 7)
         self.count += 1
 
-    def add_many(self, keys: Sequence[Key]) -> None:
+    def add_many(self, keys: Iterable[Key]) -> None:
         """Insert a whole key batch — one hash pass, one fancy-index store.
 
         Identical final bits and count to calling :meth:`add` per key.
         """
+        import numpy as np
         keys = list(keys)
         if not keys:
             return
@@ -63,24 +66,17 @@ class BloomFilter:
         )
         self.count += len(keys)
 
-    def update(self, keys: Iterable[Key]) -> None:
-        """Insert every key in *keys*."""
-        self.add_many(list(keys))
-
-    def __contains__(self, key: Key) -> bool:
-        return all(
-            self._bits[idx >> 3] & (1 << (idx & 7))
-            for idx in self._family.iter_indexes(key)
-        )
+    update = add_many
 
     def contains(self, key: Key, hashes: Optional[KeyHashes] = None) -> bool:
         """Membership query; may return false positives, never false negatives."""
-        if hashes is None:
-            return key in self
+        bits = self._bits
         return all(
-            self._bits[idx >> 3] & (1 << (idx & 7))
-            for idx in self._family.iter_indexes(key, hashes)
+            bits[idx >> 3] & (1 << (idx & 7))
+            for idx in self._family.indexes(key, hashes)
         )
+
+    __contains__ = contains
 
     def contains_many(
         self,
@@ -92,6 +88,7 @@ class BloomFilter:
         Pass *bases* (from :func:`~repro.bloom.hashing.digest_bases_many`)
         to reuse already-computed double-hash pairs.
         """
+        import numpy as np
         keys = list(keys)
         if not keys:
             return []

@@ -18,18 +18,20 @@ The batch operations (:meth:`CountingBloomFilter.add_many`,
 pass; ``add_many`` applies all counter deltas with one ``np.bincount``.
 Saturating unit increments commute, so the per-counter results — including
 the saturation/overflow accounting — are exactly what the scalar loop
-produces.
+produces.  They and ``snapshot`` import numpy on their first call: a cache
+node's per-item ``add`` / ``remove`` run without it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.hashing import DoubleHashFamily, Key, KeyHashes
 from repro.errors import DigestError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CountingBloomFilter:
@@ -89,7 +91,7 @@ class CountingBloomFilter:
         """Insert *key*, incrementing its ``h`` counters (saturating)."""
         counters = self._counters
         max_val = self._max
-        for idx in self._family.iter_indexes(key, hashes):
+        for idx in self._family.indexes(key, hashes):
             current = counters[idx]
             if current >= max_val:
                 self.overflow_events += 1
@@ -113,21 +115,18 @@ class CountingBloomFilter:
                 counters[idx] -= 1
         self.count = max(0, self.count - 1)
 
-    def update(self, keys: Iterable[Key]) -> None:
-        """Insert every key in *keys*."""
-        self.add_many(list(keys))
-
     # ------------------------------------------------------------ batch ops
 
     def _counter_view(self) -> Optional[np.ndarray]:
         """Writable uint8 view of the counter array, or ``None`` for ``b > 8``."""
+        import numpy as np
         if isinstance(self._counters, bytearray):
             return np.frombuffer(self._counters, dtype=np.uint8)
         return None
 
     def add_many(
         self,
-        keys: Sequence[Key],
+        keys: Iterable[Key],
         bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Insert a key batch: one hash pass, one ``np.bincount`` of deltas.
@@ -138,6 +137,7 @@ class CountingBloomFilter:
         counters, ``count``, and ``overflow_events`` to the scalar loop,
         in any order.
         """
+        import numpy as np
         keys = list(keys)
         if not keys:
             return
@@ -155,6 +155,8 @@ class CountingBloomFilter:
         view[:] = raised.astype(np.uint8)
         self.count += len(keys)
 
+    update = add_many
+
     def contains_many(
         self,
         keys: Sequence[Key],
@@ -170,22 +172,18 @@ class CountingBloomFilter:
         indexes = self._family.indexes_many(keys, bases)
         return (view[indexes] > 0).all(axis=1).tolist()
 
-    def __contains__(self, key: Key) -> bool:
-        counters = self._counters
-        return all(counters[idx] > 0 for idx in self._family.iter_indexes(key))
-
     def contains(self, key: Key, hashes: Optional[KeyHashes] = None) -> bool:
         """Membership query.
 
         May return false positives (hash collisions) and — after counter
         overflow followed by deletions — false negatives.
         """
-        if hashes is None:
-            return key in self
         counters = self._counters
         return all(
-            counters[idx] > 0 for idx in self._family.iter_indexes(key, hashes)
+            counters[idx] > 0 for idx in self._family.indexes(key, hashes)
         )
+
+    __contains__ = contains
 
     def clear(self) -> None:
         """Reset every counter to zero (server flush)."""
@@ -204,6 +202,7 @@ class CountingBloomFilter:
         Web servers only need membership queries during a transition, so the
         broadcast payload is a bit per counter instead of ``b`` bits.
         """
+        import numpy as np
         bf = BloomFilter(self.num_counters, self.num_hashes)
         view = self._counter_view()
         if view is None:

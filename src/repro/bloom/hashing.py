@@ -22,7 +22,8 @@ request):
   routing a hot key into a dict hit.  Zipf-like web traffic keeps the memo
   hit rate high — the same skew that makes a memory cache pay off at all.
 * :func:`stable_hash64_many` hashes a whole key batch into one ``numpy``
-  ``uint64`` array through the same memo.
+  ``uint64`` array through the same memo.  The ``*_many`` functions import
+  numpy on their first call: a cache node hashes key by key, without it.
 * :class:`KeyHashes` memoizes the blake2b bases one retrieval needs — the
   modulo-hash base, the ring base per replica, and the digest double-hash
   pair — so routing under two epochs plus all digest probes cost at most
@@ -34,9 +35,10 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Key = Union[str, bytes]
 
@@ -123,6 +125,7 @@ def stable_hash64_many(keys: Sequence[Key], salt: int = 0) -> np.ndarray:
     warm working set is one dict hit per key and a cold batch fills the memo
     for every later scalar or batch call.
     """
+    import numpy as np
     return np.fromiter(
         map(_hash64_memo, keys, repeat(salt)), dtype=np.uint64,
         count=len(keys),
@@ -182,6 +185,7 @@ class KeyHashes:
 
 def digest_bases_many(keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
     """Batched double-hash bases: ``(h1[], h2[])`` for a whole key set."""
+    import numpy as np
     h1 = stable_hash64_many(keys, salt=DIGEST_SALT_H1)
     h2 = stable_hash64_many(keys, salt=DIGEST_SALT_H2) | np.uint64(1)
     return h1, h2
@@ -203,30 +207,18 @@ class DoubleHashFamily:
         self.num_hashes = num_hashes
         self.size = size
 
-    def _bases(
-        self, key: Key, hashes: Optional[KeyHashes] = None
-    ) -> Tuple[int, int]:
-        """The ``(h1, h2)`` pair — reused from *hashes* when provided."""
-        if hashes is not None:
-            return hashes.digest_bases()
-        return (
-            stable_hash64(key, salt=DIGEST_SALT_H1),
-            stable_hash64(key, salt=DIGEST_SALT_H2) | 1,
-        )
-
     def indexes(
         self, key: Key, hashes: Optional[KeyHashes] = None
     ) -> List[int]:
-        """Return the ``num_hashes`` probe positions for *key*."""
-        h1, h2 = self._bases(key, hashes)
+        """The ``num_hashes`` probe positions for *key*; the ``(h1, h2)``
+        pair is reused from *hashes* when provided."""
+        if hashes is not None:
+            h1, h2 = hashes.digest_bases()
+        else:
+            h1 = stable_hash64(key, salt=DIGEST_SALT_H1)
+            h2 = stable_hash64(key, salt=DIGEST_SALT_H2) | 1
         size = self.size
         return [((h1 + i * h2) & _MASK64) % size for i in range(self.num_hashes)]
-
-    def iter_indexes(
-        self, key: Key, hashes: Optional[KeyHashes] = None
-    ) -> Iterator[int]:
-        """Iterate the probe positions (same values as :meth:`indexes`)."""
-        return iter(self.indexes(key, hashes))
 
     def indexes_many(
         self,
@@ -239,6 +231,7 @@ class DoubleHashFamily:
         in numpy matches the scalar ``& _MASK64``.  Pass *bases* (from
         :func:`digest_bases_many`) to reuse already-computed hashes.
         """
+        import numpy as np
         if bases is None:
             bases = digest_bases_many(keys)
         h1, h2 = bases
@@ -265,6 +258,7 @@ def ring_positions_many(
     keys: Sequence[Key], ring_size: int, replica: int = 0
 ) -> np.ndarray:
     """Vectorized :func:`ring_position` over a key batch (``int64`` array)."""
+    import numpy as np
     if ring_size < 1:
         raise ValueError(f"ring_size must be >= 1, got {ring_size}")
     hashes = stable_hash64_many(keys, salt=RING_SALT_BASE + replica)

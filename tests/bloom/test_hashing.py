@@ -50,10 +50,6 @@ class TestDoubleHashFamily:
         assert len(idx) == 4
         assert all(0 <= i < 997 for i in idx)
 
-    def test_iter_matches_list(self):
-        family = DoubleHashFamily(5, 1024)
-        assert list(family.iter_indexes("k")) == family.indexes("k")
-
     def test_same_key_same_indexes(self):
         family = DoubleHashFamily(4, 4096)
         assert family.indexes("k1") == family.indexes("k1")

@@ -43,14 +43,20 @@ CI_TEXT = "".join(
 PAPER_SECTION = re.compile(r"\b(Section|§) ?[IVX]+\b")
 
 
-def _reproduces(path: Path) -> str:
-    """The module-level ``REPRODUCES`` string of *path*, or ``""``."""
+def _constant(path: Path, name: str, default):
+    """The literal value of *path*'s module-level ``name = ...``, or
+    *default*."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-            getattr(t, "id", None) == "REPRODUCES" for t in node.targets
+            getattr(t, "id", None) == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    return ""
+    return default
+
+
+def _reproduces(path: Path) -> str:
+    """The module-level ``REPRODUCES`` string of *path*, or ``""``."""
+    return _constant(path, "REPRODUCES", "")
 
 
 def _is_root(path: Path) -> bool:
@@ -115,13 +121,24 @@ def _file_imports(path: Path) -> Tuple[Tuple[str, str], ...]:
     return tuple(_imports(path.read_text()))
 
 
+@functools.lru_cache(maxsize=None)
+def _lazy_exports(package: str) -> Dict[str, str]:
+    """A package ``__init__``'s PEP 562 name table (``_EXPORTS``): name ->
+    the module its ``__getattr__`` loads the name from on first access."""
+    return _constant(MODULES[package], "_EXPORTS", {})
+
+
 def _defining_module(module: str, name: str) -> str:
     """The module ``from module import name`` really loads code from:
-    a submodule, or — through a package ``__init__``'s own import
-    statements, as many hops as it takes — the module that defines it."""
+    a submodule, or — through a package ``__init__``'s lazy name table or
+    its own import statements, as many hops as it takes — the module that
+    defines it."""
     if f"{module}.{name}" in MODULES:
         return f"{module}.{name}"
     if module in PACKAGES:
+        lazy = _lazy_exports(module).get(name)
+        if lazy in MODULES:
+            return _defining_module(lazy, name)
         for origin, exported in _file_imports(MODULES[module]):
             if exported == name and origin in MODULES:
                 return _defining_module(origin, name)
@@ -199,13 +216,7 @@ def _importers() -> Iterator[Tuple[Path, Sequence[Tuple[str, str]]]]:
 
 
 def _exports(package: str) -> List[str]:
-    tree = ast.parse(MODULES[package].read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return list(ast.literal_eval(node.value))
-    return []
+    return list(_constant(MODULES[package], "__all__", []))
 
 
 def test_every_reexport_is_imported_through_its_package():
@@ -224,6 +235,27 @@ def test_every_reexport_is_imported_through_its_package():
         "re-exported but never imported from the package itself — import "
         f"from the defining module and drop the re-export: {unused}"
     )
+
+
+def test_the_root_package_resolves_every_export_lazily():
+    """``repro/__init__`` loads nothing eagerly: ``__all__`` and the
+    ``_EXPORTS`` table list the same names, each resolves by ``getattr``
+    to its defining module's object, and the walk above follows the table
+    to that module."""
+    import repro
+
+    table = _lazy_exports("repro")
+    assert sorted(repro.__all__) == sorted(table)
+    assert table == repro._EXPORTS
+    for name, module in table.items():
+        defined = getattr(importlib.import_module(module), name)
+        assert getattr(repro, name) is defined
+        assert _defining_module("repro", name) == module
+    assert set(repro.__all__) <= set(dir(repro))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
+    with pytest.raises(ImportError):
+        from repro import no_such_name  # noqa: F401
 
 
 #: dataclasses whose fields are options a caller fills in — the configs of
