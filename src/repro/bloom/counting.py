@@ -108,7 +108,8 @@ class CountingBloomFilter:
         """
         counters = self._counters
         indexes = self._family.indexes(key, hashes)
-        if self.strict and any(counters[idx] == 0 for idx in indexes):
+        # all(map(...)), not a generator: no frame per counter
+        if self.strict and not all(map(counters.__getitem__, indexes)):
             raise DigestError(f"removing key absent from digest: {key!r}")
         for idx in indexes:
             if counters[idx] > 0:

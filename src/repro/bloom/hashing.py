@@ -80,6 +80,10 @@ def _template(salt: int):
     return template
 
 
+_DIGEST_H1 = _template(DIGEST_SALT_H1)
+_DIGEST_H2 = _template(DIGEST_SALT_H2)
+
+
 @lru_cache(maxsize=_HASH_MEMO_SIZE)
 def _hash64_memo(key: Key, salt: int) -> int:
     digest = _template(salt).copy()
@@ -211,12 +215,17 @@ class DoubleHashFamily:
         self, key: Key, hashes: Optional[KeyHashes] = None
     ) -> List[int]:
         """The ``num_hashes`` probe positions for *key*; the ``(h1, h2)``
-        pair is reused from *hashes* when provided."""
+        pair is reused from *hashes* when provided.  A bare key (a digest's
+        link / unlink, once each way) skips the memo, which would only cost."""
         if hashes is not None:
             h1, h2 = hashes.digest_bases()
         else:
-            h1 = stable_hash64(key, salt=DIGEST_SALT_H1)
-            h2 = stable_hash64(key, salt=DIGEST_SALT_H2) | 1
+            data = key if isinstance(key, bytes) else key.encode("utf-8")
+            first, second = _DIGEST_H1.copy(), _DIGEST_H2.copy()
+            first.update(data)
+            second.update(data)
+            h1 = int.from_bytes(first.digest(), "little")
+            h2 = int.from_bytes(second.digest(), "little") | 1
         size = self.size
         return [((h1 + i * h2) & _MASK64) % size for i in range(self.num_hashes)]
 

@@ -51,10 +51,12 @@ class LRUPolicy(EvictionPolicy):
 
     def __init__(self) -> None:
         self._order: "OrderedDict[str, None]" = OrderedDict()
-        # An access is the dict's own bound method: no frame per get.
+        # A link and an access are the dict's own bound methods: no frame
+        # per set or get (a key is linked only while absent: appended).
+        self.on_link = self._order.setdefault
         self.on_access = self._order.move_to_end
 
-    def on_link(self, key: str) -> None:
+    def on_link(self, key: str) -> None:  # shadowed per instance, above
         self._order[key] = None
 
     def on_access(self, key: str) -> None:  # shadowed per instance, above

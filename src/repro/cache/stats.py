@@ -24,27 +24,6 @@ class CacheStats:
     bytes_stored: int = 0
     items: int = 0
 
-    def record_set(self, size_delta: int, new_item: bool) -> None:
-        self.sets += 1
-        self.bytes_stored += size_delta
-        if new_item:
-            self.items += 1
-
-    def record_delete(self, size: int) -> None:
-        self.deletes += 1
-        self.bytes_stored -= size
-        self.items -= 1
-
-    def record_eviction(self, size: int) -> None:
-        self.evictions += 1
-        self.bytes_stored -= size
-        self.items -= 1
-
-    def record_expiration(self, size: int) -> None:
-        self.expirations += 1
-        self.bytes_stored -= size
-        self.items -= 1
-
     @property
     def hit_ratio(self) -> float:
         """Hits over gets; 0.0 before any get."""

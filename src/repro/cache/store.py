@@ -133,7 +133,7 @@ class KeyValueStore:
             expires_at = item.expires_at
             if expires_at is not None and now >= expires_at:
                 self._unlink(item, REASON_EXPIRE)
-                stats.record_expiration(item.size)
+                stats.expirations += 1
             elif item.created_at <= now:
                 item.last_access = now
                 on_access(key)
@@ -157,37 +157,41 @@ class KeyValueStore:
 
         Overwriting fires ``on_unlink`` for the old item and ``on_link`` for
         the new one (memcached replaces items rather than mutating them, and
-        the digest counters must track that).
+        the digest counters must track that).  A *ttl* <= 0 links an item
+        that has already expired (memcached's negative ``exptime``).
 
         Raises:
             CapacityError: the item alone exceeds capacity, or eviction
                 cannot free enough space.
         """
         item_size = self.default_item_size if size is None else size
-        if self.capacity_bytes is not None and item_size > self.capacity_bytes:
+        capacity = self.capacity_bytes
+        if capacity is not None and item_size > capacity:
             raise CapacityError(
-                f"item of {item_size} bytes exceeds capacity "
-                f"{self.capacity_bytes}"
+                f"item of {item_size} bytes exceeds capacity {capacity}"
             )
-        old = self._items.get(key)
+        items = self._items
+        old = items.get(key)
         if old is not None:
             self._unlink(old, REASON_DELETE)
-            self.stats.bytes_stored -= old.size
-            self.stats.items -= 1
-        self._make_room(item_size, now)
+        if capacity is not None and self._used_bytes + item_size > capacity:
+            self._make_room(item_size, now)
         item = CacheItem(
-            key=key,
-            value=value,
-            size=item_size,
-            created_at=now,
-            last_access=now,
-            expires_at=None if ttl is None else now + ttl,
+            key=key, value=value, size=item_size, created_at=now,
+            last_access=now, expires_at=None if ttl is None else now + ttl,
             flags=flags,
         )
-        self._link(item)
+        items[key] = item
+        self._used_bytes += item_size
+        self.policy.on_link(key)
+        for hook in self.link_hooks:
+            hook(item)
         if ttl is not None:
             self._index_expiry(item)
-        self.stats.record_set(size_delta=item.size, new_item=True)
+        stats = self.stats
+        stats.sets += 1
+        stats.bytes_stored += item_size
+        stats.items += 1
         return item
 
     def delete(self, key: str, now: float = 0.0) -> bool:
@@ -197,10 +201,10 @@ class KeyValueStore:
             return False
         if item.expired(now):
             self._unlink(item, REASON_EXPIRE)
-            self.stats.record_expiration(item.size)
+            self.stats.expirations += 1
             return False
         self._unlink(item, REASON_DELETE)
-        self.stats.record_delete(item.size)
+        self.stats.deletes += 1
         return True
 
     def touch(
@@ -233,7 +237,7 @@ class KeyValueStore:
             item = self._items.get(key)
             if item is not None and item.expires_at == expires_at:
                 self._unlink(item, REASON_EXPIRE)
-                self.stats.record_expiration(item.size)
+                self.stats.expirations += 1
                 purged += 1
         return purged
 
@@ -243,50 +247,43 @@ class KeyValueStore:
         self._expiry.clear()
         for item in dropped:
             self._unlink(item, REASON_FLUSH)
-        self.stats.bytes_stored = 0
-        self.stats.items = 0
         self.policy.reset()
         return len(dropped)
 
     # ------------------------------------------------------------ internal
 
     def _make_room(self, needed: int, now: float) -> None:
-        if self.capacity_bytes is None:
-            return
-        # Lazy-expire before evicting live data.
-        if self._used_bytes + needed > self.capacity_bytes:
+        """Free *needed* bytes: reclaim the expired, then evict live items."""
+        expiry = self._expiry
+        if expiry and expiry[0][0] <= now:
             self.purge_expired(now)
+        items, victim = self._items, self.policy.victim
         while self._used_bytes + needed > self.capacity_bytes:
-            victim_key = self.policy.victim()  # raises CapacityError if none
-            victim = self._items[victim_key]
-            self._unlink(victim, REASON_EVICT)
-            self.stats.record_eviction(victim.size)
+            self._unlink(items[victim()], REASON_EVICT)  # victim() may raise
+            self.stats.evictions += 1
 
     def _index_expiry(self, item: CacheItem) -> None:
         heapq.heappush(self._expiry, (item.expires_at, item.key))
-        self._compact_expiry()
+        if len(self._expiry) > 2 * len(self._items) + 64:
+            self._compact_expiry()
 
     def _compact_expiry(self) -> None:
-        """Rebuild the heap from resident items once stale entries dominate."""
-        if len(self._expiry) > 2 * len(self._items) + 64:
-            self._expiry = [
-                (item.expires_at, item.key)
-                for item in self._items.values()
-                if item.expires_at is not None
-            ]
-            heapq.heapify(self._expiry)
-
-    def _link(self, item: CacheItem) -> None:
-        self._items[item.key] = item
-        self._used_bytes += item.size
-        self.policy.on_link(item.key)
-        for hook in self.link_hooks:
-            hook(item)
+        """Rebuild the heap from resident items (stale entries dominate)."""
+        self._expiry = [
+            (item.expires_at, item.key)
+            for item in self._items.values()
+            if item.expires_at is not None
+        ]
+        heapq.heapify(self._expiry)
 
     def _unlink(self, item: CacheItem, reason: str) -> None:
         self._items.pop(item.key, None)
         self._used_bytes -= item.size
+        stats = self.stats
+        stats.bytes_stored -= item.size
+        stats.items -= 1
         self.policy.on_unlink(item.key)
         for hook in self.unlink_hooks:
             hook(item, reason)
-        self._compact_expiry()
+        if len(self._expiry) > 2 * len(self._items) + 64:
+            self._compact_expiry()

@@ -32,8 +32,8 @@ exchange — and :meth:`close` — so a blackholed server can hang neither a
 request nor a shutdown.
 
 **One timer per connection.**  The timeout is a deadline stamped on each
-command when it is issued (a pipelined burst shares one), kept in a
-queue parallel to the reply futures, and enforced by a single
+command when it is issued (a pipelined burst is one reply and has one),
+kept in a queue parallel to the reply futures, and enforced by a single
 ``loop.call_at`` handle per connection: armed by the first command, it
 re-arms itself for the head of the queue while commands are waiting and
 lapses when the connection is idle, so a healthy command costs no timer,
@@ -50,22 +50,19 @@ from __future__ import annotations
 import asyncio
 import socket
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional
 
 from repro.bloom.bloom import BloomFilter
 from repro.errors import ProtocolError, TransportError
 from repro.net import protocol as proto
 from repro.net.parser import (
-    DELETE_TOKENS,
+    CountReply,
     Desync,
     ErrorLine,
     LineReply,
-    OK_TOKENS,
     ReplyParser,
     ReplyShape,
-    STORE_TOKENS,
     StatsReply,
-    TOUCH_TOKENS,
     ValuesReply,
     arith_token,
     version_token,
@@ -144,20 +141,20 @@ class _ClientProtocol(asyncio.Protocol):
 
     # ------------------------------------------------------------ writes
 
-    def issue(self, shapes: Sequence[ReplyShape], payload: bytes,
-              futures: Sequence[asyncio.Future]) -> None:
-        """Queue one coalesced write carrying len(shapes) commands."""
+    def issue(self, shape: ReplyShape, payload: bytes,
+              future: asyncio.Future) -> None:
+        """Queue *payload* (one command, or a pipelined burst framed as
+        one reply) for the coalesced write; *future* gets the reply."""
         if self.transport is None or self.transport.is_closing():
             raise TransportError("connection is closed")
-        for shape, future in zip(shapes, futures):
-            self.parser.expect(shape)
-            self.pending.append(future)
+        self.parser.expect(shape)
+        self.pending.append(future)
         timeout = self.client.timeout
-        if timeout is not None and futures:
-            # One deadline for the whole burst, counted from now; the
-            # timer is armed only when none is (it re-arms itself).
+        if timeout is not None:
+            # One deadline for the reply, counted from now; the timer is
+            # armed only when none is (it re-arms itself).
             due = self._loop.time() + timeout
-            self.due.extend([due] * len(futures))
+            self.due.append(due)
             if self._timer is None:
                 self._timer = self._loop.call_at(due, self._on_due)
         self._out += payload
@@ -266,7 +263,8 @@ class MemcachedClient:
 
     @property
     def inflight(self) -> int:
-        """Commands written whose replies have not yet arrived."""
+        """Replies awaited: one per command written, one per pipelined
+        burst (``set_multi``, ``get_many``)."""
         if self._protocol is None:
             return 0
         return len(self._protocol.pending)
@@ -429,50 +427,16 @@ class MemcachedClient:
         return result
 
     async def _exchange(self, shape: ReplyShape, payload: bytes):
-        """Issue one command and await its reply."""
+        """Issue one command (or one burst) and await its reply."""
         protocol = await self._ensure_ready()
         future = asyncio.get_running_loop().create_future()
         try:
-            protocol.issue((shape,), payload, (future,))
+            protocol.issue(shape, payload, future)
         except TransportError:
             # Lost the race with a concurrent poison/close: transient.
             self._poison()
             raise
         return await self._await_reply(future)
-
-    async def _exchange_many(
-        self, shapes: Sequence[ReplyShape], payload: bytes
-    ) -> List[object]:
-        """Issue several commands in one coalesced write; await all
-        replies (order preserved).  Raises the first failure after every
-        reply future has settled — no future is left unretrieved."""
-        protocol = await self._ensure_ready()
-        loop = asyncio.get_running_loop()
-        futures = [loop.create_future() for _ in shapes]
-        try:
-            protocol.issue(shapes, payload, futures)
-        except TransportError:
-            self._poison()
-            for future in futures:
-                if future.done() and not future.cancelled():
-                    future.exception()
-            raise
-        results: List[object] = []
-        first_error: Optional[Exception] = None
-        for future in futures:
-            try:
-                results.append(await self._await_reply(future))
-            except asyncio.CancelledError:
-                for abandoned in futures:
-                    abandoned.cancel()  # late replies are dropped in order
-                raise
-            except Exception as error:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = error
-                results.append(error)
-        if first_error is not None:
-            raise first_error
-        return results
 
     # ------------------------------------------------------- raw exchanges
 
@@ -499,21 +463,13 @@ class MemcachedClient:
         self, key: str, value: bytes, flags: int = 0, exptime: int = 0
     ) -> bool:
         """Store *key*; True on STORED."""
-        proto.validate_key(key)
-        header = f"set {key} {flags} {exptime} {len(value)}\r\n".encode("utf-8")
-        reply = await self._exchange(
-            LineReply(STORE_TOKENS), header + value + proto.CRLF
-        )
-        return reply == b"STORED"
+        return await self.set_multi(((key, value),), flags, exptime) == 1
 
     async def add(self, key: str, value: bytes, flags: int = 0, exptime: int = 0) -> bool:
         """Store only if absent; True on STORED."""
-        proto.validate_key(key)
-        header = f"add {key} {flags} {exptime} {len(value)}\r\n".encode("utf-8")
-        reply = await self._exchange(
-            LineReply(STORE_TOKENS), header + value + proto.CRLF
-        )
-        return reply == b"STORED"
+        return await self.set_multi(
+            ((key, value),), flags, exptime, verb="add"
+        ) == 1
 
     async def get_multi(self, keys) -> Dict[str, bytes]:
         """Batched get: one round trip for many keys; returns only the hits.
@@ -532,8 +488,10 @@ class MemcachedClient:
 
     async def get_many(self, keys) -> List[Optional[bytes]]:
         """Pipelined single-key gets: one command per key, all coalesced
-        into one write, replies matched in order; returns one value (or
-        ``None`` on miss) per key, in key order.
+        into one write, their replies framed as one (a *count*
+        :class:`ValuesReply`, one future); returns one value (or ``None``
+        on miss) per key, in key order.  An error line raises once every
+        reply of the burst has arrived.
 
         Unlike :meth:`get_multi` (one multi-key command) this keeps the
         per-key command shape — the burst a page of concurrent per-key
@@ -547,16 +505,17 @@ class MemcachedClient:
         payload = "".join(f"get {key}\r\n" for key in key_list).encode(
             "utf-8"
         )
-        shapes = [ValuesReply()] * len(key_list)
-        replies = await self._exchange_many(shapes, payload)
-        return [values.get(key) for key, values in zip(key_list, replies)]
+        values = await self._exchange(ValuesReply(len(key_list)), payload)
+        return [values.get(key) for key in key_list]
 
     async def set_multi(
         self, items, flags: int = 0, exptime: int = 0, verb: str = "set"
     ) -> int:
-        """Pipelined *verb* commands (``set``, or ``add``: store only what
-        is absent): every command goes out in one coalesced write and the
-        replies are matched in order; returns how many were STORED.
+        """Pipelined *verb* commands (``set``; ``add``: store only what is
+        absent; ``append`` / ``prepend``): one coalesced write whose
+        replies are framed as one (a :class:`CountReply`, one future);
+        returns how many were STORED.  An error line raises once every
+        reply of the burst has arrived.
 
         The write-back half of a batched retrieval: one round trip per
         server for the whole batch, the same amortization ``get_multi``
@@ -572,25 +531,15 @@ class MemcachedClient:
             % (verb, key.encode("utf-8"), flags, exptime, len(value), value)
             for key, value in pairs
         ])
-        shapes = [LineReply(STORE_TOKENS)] * len(pairs)
-        replies = await self._exchange_many(shapes, payload)
-        return sum(reply == b"STORED" for reply in replies)
-
-    async def _concat(self, verb: str, key: str, value: bytes) -> bool:
-        proto.validate_key(key)
-        header = f"{verb} {key} 0 0 {len(value)}\r\n".encode("utf-8")
-        reply = await self._exchange(
-            LineReply(STORE_TOKENS), header + value + proto.CRLF
-        )
-        return reply == b"STORED"
+        return await self._exchange(CountReply(len(pairs)), payload)
 
     async def append(self, key: str, value: bytes) -> bool:
         """Append to an existing value; False if the key is absent."""
-        return await self._concat("append", key, value)
+        return await self.set_multi(((key, value),), verb="append") == 1
 
     async def prepend(self, key: str, value: bytes) -> bool:
         """Prepend to an existing value; False if the key is absent."""
-        return await self._concat("prepend", key, value)
+        return await self.set_multi(((key, value),), verb="prepend") == 1
 
     async def _arith(self, verb: str, key: str, delta: int) -> Optional[int]:
         proto.validate_key(key)
@@ -612,19 +561,18 @@ class MemcachedClient:
     async def touch(self, key: str, exptime: int) -> bool:
         """Reset a key's expiry; False if the key is absent."""
         proto.validate_key(key)
-        reply = await self._exchange(
-            LineReply(TOUCH_TOKENS),
+        return await self._exchange(
+            CountReply(1, b"TOUCHED", b"NOT_FOUND"),
             f"touch {key} {exptime}\r\n".encode("utf-8"),
-        )
-        return reply == b"TOUCHED"
+        ) == 1
 
     async def delete(self, key: str) -> bool:
         """Delete *key*; True if it existed."""
         proto.validate_key(key)
-        reply = await self._exchange(
-            LineReply(DELETE_TOKENS), f"delete {key}\r\n".encode("utf-8")
-        )
-        return reply == b"DELETED"
+        return await self._exchange(
+            CountReply(1, b"DELETED", b"NOT_FOUND"),
+            f"delete {key}\r\n".encode("utf-8"),
+        ) == 1
 
     async def stats(self) -> Dict[str, str]:
         """The server's ``stats`` map."""
@@ -632,7 +580,7 @@ class MemcachedClient:
 
     async def flush_all(self) -> None:
         """Drop everything on the server."""
-        await self._exchange(LineReply(OK_TOKENS), b"flush_all\r\n")
+        await self._exchange(CountReply(1, b"OK", b"OK"), b"flush_all\r\n")
 
     async def version(self) -> str:
         reply = await self._exchange(LineReply(version_token), b"version\r\n")

@@ -10,14 +10,16 @@ without a newline is cut off instead of buffered.
 Two directions:
 
 * :class:`ReplyParser` — the client side.  Commands register a *reply
-  shape* (:class:`LineReply`, :class:`ValuesReply`, :class:`StatsReply`)
-  in FIFO order as they are written; :meth:`ReplyParser.feed` matches
-  server bytes against the head shape and emits one result per completed
-  reply, in order.  A chunk is framed where it arrived — only the tail of
-  an incomplete frame is copied into the parser's buffer — and a ``VALUE``
-  block costs one strict, bounded header match, one slice and one entry
-  in the reply's ``{key: value}`` dict (flags and cas ids are checked,
-  not kept: nothing on the client reads them).  A reply that cannot
+  shape* (:class:`LineReply`, :class:`ValuesReply`, :class:`StatsReply`,
+  :class:`CountReply`; a pipelined burst registers one for all its
+  replies) in FIFO order as they are written; :meth:`ReplyParser.feed`
+  matches server bytes against the head shape and emits one result per
+  completed reply, in order.  A chunk is framed where it arrived — only
+  the tail of an incomplete frame is copied into the parser's buffer —
+  and a ``VALUE`` block costs one strict, bounded header match, one slice
+  and one entry in the reply's ``{key: value}`` dict (flags and cas ids
+  are checked, not kept: nothing on the client reads them); a ``STORED``
+  line costs one ``startswith``.  A reply that cannot
   belong to the expected shape raises :class:`Desync`: the stream
   position is unknown from that byte on, and the connection owner must
   poison the transport rather than pair a later line with a queued
@@ -51,6 +53,7 @@ from repro.net import protocol as proto
 __all__ = [
     "BadCommand",
     "CommandParser",
+    "CountReply",
     "Desync",
     "ErrorLine",
     "LineReply",
@@ -132,11 +135,16 @@ class LineReply:
 
 
 class ValuesReply:
-    """Expect ``VALUE`` blocks terminated by ``END`` (get/gets family);
-    the result is ``{key: value}`` (of duplicate keys the last block
-    wins)."""
+    """Expect ``VALUE`` blocks terminated by ``END`` (get/gets family),
+    *count* times over for a pipelined burst of gets; the result is
+    ``{key: value}`` over the whole burst (of duplicate keys the last
+    block wins) or, once every ``END`` has arrived, its first error line.
+    One per burst: it holds progress."""
 
-    __slots__ = ()
+    __slots__ = ("left", "error")
+
+    def __init__(self, count: int = 1) -> None:
+        self.left, self.error = count, None
 
 
 class StatsReply:
@@ -145,14 +153,24 @@ class StatsReply:
     __slots__ = ()
 
 
-ReplyShape = Union[LineReply, ValuesReply, StatsReply]
-ReplyResult = Union[bytes, ErrorLine, dict]
+class CountReply:
+    """Expect *count* reply lines, each *hit* or *miss* — ``STORED`` /
+    ``NOT_STORED`` for a pipelined storage burst, ``DELETED`` /
+    ``NOT_FOUND`` for a ``delete`` — as one reply: how many were *hit*
+    or, once every line has arrived, the first error line among them (so
+    the stream stays framed and the caller raises once).  Any other line
+    is a :class:`Desync`.  One per burst: it holds progress."""
+
+    __slots__ = ("left", "hit", "miss", "hits", "error")
+
+    def __init__(self, count: int, hit: bytes = b"STORED",
+                 miss: bytes = b"NOT_STORED") -> None:
+        self.left, self.hits, self.error = count, 0, None
+        self.hit, self.miss = hit + b"\r\n", miss + b"\r\n"
 
 
-def _tokens(*words: bytes) -> Callable[[bytes], bool]:
-    """Validator accepting exactly the given reply tokens."""
-    allowed = frozenset(words)
-    return lambda line: line in allowed
+ReplyShape = Union[LineReply, ValuesReply, StatsReply, CountReply]
+ReplyResult = Union[bytes, ErrorLine, dict, int]
 
 
 class ReplyParser:
@@ -216,9 +234,11 @@ class ReplyParser:
             while shapes:
                 shape = shapes[0]
                 if isinstance(shape, ValuesReply):
-                    result = self._step_values(src)
+                    result = self._step_values(src, shape)
                 elif isinstance(shape, LineReply):
                     result = self._step_line(src, shape)
+                elif isinstance(shape, CountReply):
+                    result = self._step_count(src, shape)
                 else:
                     result = self._step_stats(src)
                 if result is None:  # the head reply is starved
@@ -274,50 +294,80 @@ class ReplyParser:
             raise Desync(f"unexpected reply line: {line!r}")
         return line
 
-    def _step_values(self, src: bytes) -> Optional[ReplyResult]:
+    def _step_count(self, src, shape: CountReply) -> Optional[ReplyResult]:
+        hit, miss = shape.hit, shape.miss
+        while shape.left:
+            # Whole hit / miss lines are matched in place, without a frame.
+            pos = self._pos
+            if src.startswith(hit, pos):
+                self._pos = pos + len(hit)
+                shape.hits += 1
+            elif src.startswith(miss, pos):
+                self._pos = pos + len(miss)
+            else:
+                self._scan = max(pos, self._scan)
+                line = self._take_line(src)
+                if line is None:
+                    return None
+                if line.startswith(ERROR_PREFIXES):
+                    shape.error = shape.error or ErrorLine(line)
+                elif line + b"\r\n" == hit:  # ended by a bare LF
+                    shape.hits += 1
+                elif line + b"\r\n" != miss:
+                    raise Desync(f"unexpected reply line: {line!r}")
+            shape.left -= 1
+        self._scan = max(self._pos, self._scan)
+        return shape.hits if shape.error is None else shape.error
+
+    def _step_values(
+        self, src: bytes, shape: ValuesReply
+    ) -> Optional[ReplyResult]:
         pos, values, size = self._pos, self._values, len(src)
         direct = type(src) is bytes  # else the buffer: copy slices out
-        # Well-formed blocks: one header match each, on a local cursor.
-        header = _VALUE_HEADER(src, pos)
-        try:
-            while header is not None:
+        while True:
+            # Well-formed blocks: one header match each, on a local cursor.
+            header = _VALUE_HEADER(src, pos)
+            if header is not None:
                 key, count = header.group(1, 3)
                 start = header.end()
                 end = start + int(count)
                 if end + 2 > size:
-                    break  # a partial block
+                    # The cursor stays on the partial block's header, which the
+                    # next feed matches again; its bytes are never looked at.
+                    self._pos, self._scan = pos, max(pos, self._scan)
+                    return None
                 if src[end] != 13 or src[end + 1] != 10:
                     raise Desync(
                         f"value of {int(count)} bytes not terminated by CRLF"
                     )
+                try:
+                    key = key.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise Desync(
+                        f"malformed VALUE line: {header.group()!r}"
+                    ) from None
                 value = src[start:end]
-                values[key.decode("utf-8")] = (
-                    value if direct else bytes(value)
-                )
+                values[key] = value if direct else bytes(value)
                 pos = end + 2
-                header = _VALUE_HEADER(src, pos)
-        except UnicodeDecodeError:
-            raise Desync(f"malformed VALUE line: {header.group()!r}") from None
-        self._pos, self._scan = pos, max(pos, self._scan)
-        if header is not None:
-            # The cursor stays on the partial block's header, which the
-            # next feed matches again; its bytes are never looked at.
-            return None
-        # Anything else ends the reply or the stream.
-        line = self._take_line(src)
-        if line is None:
-            return None
-        if line == b"END":
-            self._values = {}
-            return values
-        if line.startswith(ERROR_PREFIXES):
-            # A complete error reply; whatever VALUE blocks preceded
-            # it belonged to this same (failed) command.
-            self._values = {}
-            return ErrorLine(line)
-        if line.startswith(b"VALUE "):
-            raise Desync(f"malformed VALUE line: {line!r}")
-        raise Desync(f"unexpected get response line: {line!r}")
+                continue
+            self._pos, self._scan = pos, max(pos, self._scan)
+            # Anything else ends one get's reply or the stream.
+            line = self._take_line(src)
+            if line is None:
+                return None
+            if line.startswith(ERROR_PREFIXES):
+                # A complete error reply; whatever VALUE blocks preceded
+                # it belonged to this same (failed) burst.
+                shape.error = shape.error or ErrorLine(line)
+            elif line.startswith(b"VALUE "):
+                raise Desync(f"malformed VALUE line: {line!r}")
+            elif line != b"END":
+                raise Desync(f"unexpected get response line: {line!r}")
+            shape.left -= 1
+            if not shape.left:
+                self._values = {}
+                return values if shape.error is None else shape.error
+            pos = self._pos
 
     def _step_stats(self, src: bytes) -> Optional[ReplyResult]:
         while True:
@@ -394,53 +444,43 @@ class CommandParser:
 
     def _step(self) -> Optional[CommandItem]:
         buf = self._buf
-        if self._pending is not None:
-            request = self._pending
-            count = request.num_bytes
-            if len(buf) - self._pos < count + 2:
-                return None
-            end = self._pos + count
-            block = bytes(buf[self._pos: end])
-            tail = bytes(buf[end: end + 2])
-            self._pos = self._scan = end + 2
-            self._pending = None
-            if tail != proto.CRLF:
+        request = self._pending
+        if request is None:
+            index = buf.find(b"\n", self._scan)
+            reach = len(buf) if index < 0 else index
+            if reach - self._pos > MAX_LINE_LENGTH:
+                # Where this line ends is no longer worth finding out.
                 self._dead = True
-                return BadCommand(
-                    "data block not terminated by CRLF", fatal=True
-                )
-            request.value = block
-            return request
-        index = buf.find(b"\n", self._scan)
-        if (len(buf) if index < 0 else index) - self._pos > MAX_LINE_LENGTH:
-            # Where this line ends is no longer worth finding out.
-            self._dead = True
-            return BadCommand("line too long", fatal=True)
-        if index < 0:
-            self._scan = len(buf)
-            return None
-        line = bytes(buf[self._pos: index + 1])
-        self._pos = self._scan = index + 1
-        try:
-            request = proto.parse_command_line(line)
-        except ProtocolError as exc:
-            return BadCommand(str(exc))
-        if request.command in (
-            "set", "add", "replace", "append", "prepend", "cas"
-        ):
+                return BadCommand("line too long", fatal=True)
+            if index < 0:
+                self._scan = len(buf)
+                return None
+            line = bytes(buf[self._pos: index + 1])
+            self._pos = self._scan = index + 1
+            try:
+                request = proto.parse_command_line(line)
+            except ProtocolError as exc:
+                return BadCommand(str(exc))
+            if request.command not in proto.STORAGE_COMMANDS:
+                return request
+        # A storage command: its data block, if it has all arrived (a
+        # pipelined burst's usually has), in this same step.
+        start = self._pos
+        end = start + request.num_bytes
+        if len(buf) < end + 2:
             self._pending = request
-            return self._step()
+            return None
+        self._pending = None
+        self._pos = self._scan = end + 2
+        if buf[end] != 13 or buf[end + 1] != 10:
+            self._dead = True
+            return BadCommand("data block not terminated by CRLF", fatal=True)
+        request.value = bytes(buf[start:end])
         return request
 
 
 # Shared reply-token validators (the per-command contracts the old
 # readline client enforced inline).
-STORE_TOKENS = _tokens(b"STORED", b"NOT_STORED")
-TOUCH_TOKENS = _tokens(b"TOUCHED", b"NOT_FOUND")
-DELETE_TOKENS = _tokens(b"DELETED", b"NOT_FOUND")
-OK_TOKENS = _tokens(b"OK")
-
-
 def arith_token(line: bytes) -> bool:
     """``incr``/``decr`` replies: a decimal or ``NOT_FOUND``."""
     return line == b"NOT_FOUND" or line.isdigit()

@@ -88,6 +88,12 @@ def validate_keys(keys: Sequence[str]) -> None:
             validate_key(key)
 
 
+#: the commands whose line is followed by a data block
+STORAGE_COMMANDS = frozenset("set add replace append prepend cas".split())
+#: their verbs, lower-cased as they arrive -> the command name
+_STORAGE_VERBS = {command.encode(): command for command in STORAGE_COMMANDS}
+
+
 def parse_command_line(line: bytes) -> Request:
     """Parse one command line (without its data block).
 
@@ -104,14 +110,49 @@ def parse_command_line(line: bytes) -> Request:
             raise ProtocolError("command line is not valid UTF-8") from exc
         validate_keys(keys)
         return Request(command="get", keys=keys)
+    # Storage lines (write-backs, a prewarm) stay bytes but for the key.
+    stripped = line.strip(b"\r\n")
+    parts = stripped.split(b" ")
+    command = _STORAGE_VERBS.get(parts[0].lower())
+    if command is not None:
+        noreply = parts[-1] == b"noreply"
+        if len(parts) - noreply != (6 if command == "cas" else 5):
+            raise ProtocolError(
+                f"{command} requires: key flags exptime bytes"
+                + (" cas_unique" if command == "cas" else "")
+            )
+        raw = parts[1]
+        try:
+            key = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError("command line is not valid UTF-8") from exc
+        if not 0 < len(raw) <= MAX_KEY_LENGTH or _BAD_KEY_SEARCH(key):
+            validate_key(key)  # raises the offender's own error
+        try:
+            flags, exptime = int(parts[2]), int(parts[3])
+            num_bytes = int(parts[4])
+            cas = int(parts[5]) if command == "cas" else 0
+        except ValueError as exc:
+            text = stripped.decode("utf-8", "replace")
+            raise ProtocolError(
+                f"non-numeric storage argument in {text!r}"
+            ) from exc
+        if num_bytes < 0:
+            raise ProtocolError(f"negative byte count: {num_bytes}")
+        return Request(
+            command=command, keys=[key], flags=flags, exptime=exptime,
+            num_bytes=num_bytes, noreply=noreply, cas=cas,
+        )
     try:
-        text = line.decode("utf-8").strip("\r\n")
+        text = stripped.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError("command line is not valid UTF-8") from exc
     if not text:
         raise ProtocolError("empty command line")
     parts = text.split(" ")
     command = parts[0].lower()
+    noreply = parts[-1] == "noreply"
+    args = parts[:-1] if noreply else parts
 
     if command in ("get", "gets"):
         if len(parts) < 2:
@@ -120,34 +161,7 @@ def parse_command_line(line: bytes) -> Request:
         validate_keys(keys)
         return Request(command=command, keys=keys)
 
-    if command in ("set", "add", "replace", "append", "prepend", "cas"):
-        noreply = parts[-1] == "noreply"
-        args = parts[:-1] if noreply else parts
-        expected = 6 if command == "cas" else 5
-        if len(args) != expected:
-            raise ProtocolError(
-                f"{command} requires: key flags exptime bytes"
-                + (" cas_unique" if command == "cas" else "")
-            )
-        key = args[1]
-        validate_key(key)
-        try:
-            flags = int(args[2])
-            exptime = int(args[3])
-            num_bytes = int(args[4])
-            cas = int(args[5]) if command == "cas" else 0
-        except ValueError as exc:
-            raise ProtocolError(f"non-numeric storage argument in {text!r}") from exc
-        if num_bytes < 0:
-            raise ProtocolError(f"negative byte count: {num_bytes}")
-        return Request(
-            command=command, keys=[key], flags=flags, exptime=exptime,
-            num_bytes=num_bytes, noreply=noreply, cas=cas,
-        )
-
     if command in ("incr", "decr"):
-        noreply = parts[-1] == "noreply"
-        args = parts[:-1] if noreply else parts
         if len(args) != 3:
             raise ProtocolError(f"{command} requires: key delta")
         validate_key(args[1])
@@ -161,8 +175,6 @@ def parse_command_line(line: bytes) -> Request:
                        noreply=noreply)
 
     if command == "touch":
-        noreply = parts[-1] == "noreply"
-        args = parts[:-1] if noreply else parts
         if len(args) != 3:
             raise ProtocolError("touch requires: key exptime")
         validate_key(args[1])
@@ -174,8 +186,6 @@ def parse_command_line(line: bytes) -> Request:
                        noreply=noreply)
 
     if command == "delete":
-        noreply = parts[-1] == "noreply"
-        args = parts[:-1] if noreply else parts
         if len(args) != 2:
             raise ProtocolError("delete requires exactly one key")
         validate_key(args[1])

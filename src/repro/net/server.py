@@ -155,7 +155,12 @@ class MemcachedServer:
         command = request.command
         if command in ("get", "gets"):
             return self._do_get(request)
-        if command in ("set", "add", "replace", "cas"):
+        if command == "set":  # the write path: straight to the store
+            return self._set(
+                request.keys[0], request.value, self._clock(),
+                request.exptime or None, request.flags,
+            )
+        if command in ("add", "replace", "cas"):
             return self._do_store(request)
         if command in ("append", "prepend"):
             return self._do_concat(request)
@@ -210,39 +215,38 @@ class MemcachedServer:
         return b"".join(chunks)
 
     def _do_store(self, request: proto.Request) -> bytes:
-        key = request.keys[0]
-        if key in proto.RESERVED_KEYS:
-            return proto.client_error_response(f"{key} is reserved")
+        """``add`` / ``replace`` / ``cas``: the command's condition, then
+        ``_set`` (a reserved key skips to ``_set``'s ``CLIENT_ERROR``)."""
+        key, command = request.keys[0], request.command
         now = self._clock()
-        current = self.store.peek(key)
-        exists = current is not None and not current.expired(now)
-        if request.command == "add" and exists:
-            return proto.NOT_STORED
-        if request.command == "replace" and not exists:
-            return proto.NOT_STORED
-        if request.command == "cas":
-            if not exists:
-                return proto.NOT_FOUND
-            if self._cas.get(key) != request.cas:
-                return proto.EXISTS
-        ttl = float(request.exptime) if request.exptime > 0 else None
-        return (
-            self._set(key, request.value, now, ttl, request.flags)
-            or proto.STORED
+        if key not in proto.RESERVED_KEYS:
+            current = self.store.peek(key)
+            exists = current is not None and not current.expired(now)
+            if command == "add" and exists:
+                return proto.NOT_STORED
+            if command == "replace" and not exists:
+                return proto.NOT_STORED
+            if command == "cas":
+                if not exists:
+                    return proto.NOT_FOUND
+                if self._cas.get(key) != request.cas:
+                    return proto.EXISTS
+        return self._set(
+            key, request.value, now, request.exptime or None, request.flags
         )
 
-    def _set(self, key, value, now, ttl, flags) -> Optional[bytes]:
-        """Store *value* and bump the key's cas id; the ``SERVER_ERROR``
-        line to answer with instead when the item cannot fit."""
+    def _set(self, key, value, now, ttl, flags) -> bytes:
+        """Store *value* and bump its cas id: ``STORED``, or ``CLIENT_ERROR``
+        (a reserved key) / ``SERVER_ERROR`` (too big).  *ttl* <= 0: expired."""
+        if key in proto.RESERVED_KEYS:
+            return proto.client_error_response(f"{key} is reserved")
         try:
-            self.store.set(
-                key, value, now=now, size=len(value), ttl=ttl, flags=flags
-            )
+            self.store.set(key, value, now, len(value), ttl, flags)
         except CapacityError as exc:
             return proto.error_response(str(exc))
         self._cas_counter += 1
         self._cas[key] = self._cas_counter
-        return None
+        return proto.STORED
 
     def _do_concat(self, request: proto.Request) -> bytes:
         key = request.keys[0]
@@ -256,18 +260,18 @@ class MemcachedServer:
             merged = bytes(item.value) + request.value
         else:
             merged = request.value + bytes(item.value)
-        expires = item.expires_at
-        ttl = None if expires is None else max(0.0, expires - now)
-        return self._set(key, merged, now, ttl, item.flags) or proto.STORED
+        expires = item.expires_at  # in the future: not expired(now)
+        ttl = None if expires is None else expires - now
+        return self._set(key, merged, now, ttl, item.flags)
 
     def _do_arith(self, request: proto.Request) -> bytes:
         key = request.keys[0]
         now = self._clock()
-        value = self.store.get(key, now)
-        if value is None:
+        item = self.store.get_many((key,), now).get(key)
+        if item is None:
             return proto.NOT_FOUND
         try:
-            number = int(bytes(value).decode("ascii"))
+            number = int(bytes(item.value).decode("ascii"))
         except (UnicodeDecodeError, ValueError):
             return proto.client_error_response(
                 "cannot increment or decrement non-numeric value"
@@ -276,21 +280,17 @@ class MemcachedServer:
             number = (number + request.delta) % (1 << 64)
         else:
             number = max(0, number - request.delta)  # decr clamps at zero
-        item = self.store.peek(key)
-        encoded = str(number).encode("ascii")
-        expires = item.expires_at if item is not None else None
-        ttl = None if expires is None else max(0.0, expires - now)
-        flags = item.flags if item is not None else 0
-        return (
-            self._set(key, encoded, now, ttl, flags)
-            or proto.number_response(number)
-        )
+        expires = item.expires_at  # in the future: the item was a hit
+        ttl = None if expires is None else expires - now
+        reply = self._set(key, b"%d" % number, now, ttl, item.flags)
+        if reply is proto.STORED:
+            return proto.number_response(number)
+        return reply
 
     def _do_touch(self, request: proto.Request) -> bytes:
         now = self._clock()
-        expires_at = (
-            None if request.exptime <= 0 else now + float(request.exptime)
-        )
+        exptime = request.exptime  # < 0: expired as of now
+        expires_at = None if exptime == 0 else now + exptime
         if self.store.touch(request.keys[0], now, expires_at):
             return proto.TOUCHED
         return proto.NOT_FOUND
@@ -322,10 +322,17 @@ class MemcachedServer:
         }
 
 
-class ServerConnection(asyncio.Protocol):
+#: A connection's receive buffer, reused by every read (a plain ``Protocol``
+#: gets a fresh 256 KiB ``bytes`` per read, which glibc may mmap and unmap:
+#: a page fault per request)
+READ_SIZE = 64 * 1024
+
+
+class ServerConnection(asyncio.BufferedProtocol):
     """One client connection: a chunk in, at most one write out.
 
-    ``data_received`` frames the chunk with the incremental
+    A read lands in the connection's one :data:`READ_SIZE` buffer, and
+    ``data_received`` frames it with the incremental
     :class:`~repro.net.parser.CommandParser`, sheds or dispatches each
     command and answers the whole pipelined burst with **one**
     ``transport.write`` before it returns.
@@ -345,6 +352,7 @@ class ServerConnection(asyncio.Protocol):
         self.server = server
         self.transport: Optional[asyncio.Transport] = None
         self.parser = CommandParser()
+        self._inbox = memoryview(bytearray(READ_SIZE))
         #: commands answered but still counted in ``server.inflight``
         self.held = 0
         self.write_paused = False
@@ -363,6 +371,12 @@ class ServerConnection(asyncio.Protocol):
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:  # pragma: no cover - non-TCP transports
                 pass
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._inbox
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._inbox[:nbytes])
 
     def data_received(self, data: bytes) -> None:
         server = self.server

@@ -12,7 +12,7 @@ import asyncio
 import pytest
 
 from repro.bloom.config import optimal_config
-from repro.errors import ProtocolError, TransportError
+from repro.errors import ProtocolError, ServerBusyError, TransportError
 from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
 
@@ -125,6 +125,90 @@ class TestPoisoning:
                 await client.set("k", b"v")
             assert client.broken
             await server.stop()
+
+        run(body())
+
+
+class TestStoreBursts:
+    """A ``set_multi`` burst is framed as one reply: every line is read
+    before it answers, an error line raises once the burst has settled
+    (the stream is still framed), any other line desyncs."""
+
+    ITEMS = [("a", b"1"), ("b", b"2"), ("c", b"3")]
+
+    async def burst(self, replies, **client_kwargs):
+        server = ScriptedServer(replies)
+        port = await server.start()
+        client = await MemcachedClient(
+            "127.0.0.1", port, **client_kwargs
+        ).connect()
+        return server, client
+
+    def test_stored_and_not_stored_lines_count(self):
+        async def body():
+            server, client = await self.burst(
+                [b"STORED\r\n", b"NOT_STORED\r\n", b"STORED\r\n"]
+            )
+            assert await client.set_multi(self.ITEMS, verb="add") == 2
+            assert client.connected and client.reconnects == 0
+            await server.stop()
+
+        run(body())
+
+    @pytest.mark.parametrize("line, error", [
+        (b"SERVER_ERROR out of memory", ProtocolError),
+        (b"SERVER_ERROR busy inflight limit 4", ServerBusyError),
+    ])
+    def test_an_error_line_raises_after_the_burst_and_keeps_the_stream(
+        self, line, error
+    ):
+        async def body():
+            server, client = await self.burst([
+                b"STORED\r\n", line + b"\r\n", b"CLIENT_ERROR late\r\n",
+                b"END\r\n",
+            ])
+            with pytest.raises(error, match=line.decode()):
+                await client.set_multi(self.ITEMS)
+            assert not client.broken
+            assert await client.get("a") is None  # the same connection
+            assert client.reconnects == 0
+            await server.stop()
+
+        run(body())
+
+    def test_a_foreign_line_desyncs_and_poisons(self):
+        async def body():
+            server, client = await self.burst(
+                [b"STORED\r\n", b"DELETED\r\n", b"STORED\r\n"]
+            )
+            with pytest.raises(ProtocolError, match="DELETED"):
+                await client.set_multi(self.ITEMS)
+            assert client.broken
+            await server.stop()
+
+        run(body())
+
+    def test_a_burst_answered_in_part_times_out(self):
+        async def answer_two_of_three(reader, writer):
+            await reader.readline()
+            writer.write(b"STORED\r\nSTORED\r\n")
+            await asyncio.sleep(3600)  # and never the third
+
+        async def body():
+            server = await asyncio.start_server(
+                answer_two_of_three, "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            client = await MemcachedClient(
+                "127.0.0.1", port, timeout=0.05
+            ).connect()
+            with pytest.raises(TransportError) as excinfo:
+                await client.set_multi(self.ITEMS)
+            # the burst's one deadline, the congestion signal
+            assert isinstance(excinfo.value.__cause__, asyncio.TimeoutError)
+            assert client.broken
+            server.close()
+            await server.wait_closed()
 
         run(body())
 

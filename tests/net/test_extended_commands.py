@@ -289,6 +289,47 @@ class TestCasBookkeeping:
         run(with_server(body))
 
 
+class TestNegativeExptime:
+    """memcached expires an item stored or touched with ``exptime < 0`` at
+    once: the command answers as usual and the next ``get`` misses."""
+
+    @pytest.mark.parametrize("command", [b"set", b"add", b"replace", b"cas"])
+    def test_a_store_with_negative_exptime_answers_stored_then_misses(
+        self, command
+    ):
+        def body(send):
+            if command != b"add":
+                assert send(b"set k 0 0 2\r\nv1\r\n") == b"STORED\r\n"
+            line = b"%s k 3 -1 2" % command
+            if command == b"cas":
+                line += b" %d" % gets(send, b"k")[1]
+            assert send(line + b"\r\nv2\r\n") == b"STORED\r\n"
+            assert send(b"get k\r\n") == b"END\r\n"
+            # gone, not hidden: an add finds the key free again
+            assert send(b"add k 0 0 2\r\nv3\r\n") == b"STORED\r\n"
+            assert send(b"get k\r\n") == b"VALUE k 0 2\r\nv3\r\nEND\r\n"
+
+        over_bytes(body)
+
+    def test_touch_with_negative_exptime_answers_touched_then_misses(self):
+        def body(send):
+            assert send(b"set k 0 0 2\r\nv1\r\n") == b"STORED\r\n"
+            assert send(b"touch k -1\r\n") == b"TOUCHED\r\n"
+            assert send(b"get k\r\n") == b"END\r\n"
+            assert send(b"touch k 0\r\n") == b"NOT_FOUND\r\n"
+
+        over_bytes(body)
+
+    def test_the_client_sees_the_same(self):
+        async def body(server, client):
+            assert await client.set("k", b"v", exptime=-1)
+            assert await client.get("k") is None
+            assert server.digest.count == len(server.store) == 0
+            assert server._cas == {}
+
+        run(with_server(body))
+
+
 class TestStatsSlabs:
     def test_stats_slabs_empty_on_plain_backend(self):
         async def body(server, client):

@@ -16,13 +16,15 @@ import asyncio
 import gc
 import sys
 
+import pytest
+
 from repro.bloom.config import optimal_config
 from repro.core import retrieval
 from repro.core.retrieval import ProbeCacheMulti, RetrievalEngine
 from repro.core.router import ProteusRouter
 from repro.core.transition import RoutingEpochs
 from repro.net.client import MemcachedClient
-from repro.net.parser import ReplyParser, ValuesReply
+from repro.net.parser import ReplyParser, CountReply, ValuesReply
 from repro.net.server import MemcachedServer
 from tests.net.test_server_connection import connect
 
@@ -114,6 +116,67 @@ def test_the_servers_get_loop_enters_no_frame_per_key():
     counts = asyncio.run(main())
     assert counts[21] <= 16
     assert counts[64] == counts[21]
+
+
+#: Python frames one more pipelined ``set`` enters on the server, from
+#: its bytes to its ``STORED``: framing and parsing the line, building
+#: the ``Request`` and the ``CacheItem``, the store, the LRU link and the
+#: digest (28 before the write path was inlined) ...
+SET_FRAMES_WITH_ROOM = 14
+#: ... and when it also evicts the LRU item, unlinks it from the digest
+#: and drops its cas id (39 before)
+SET_FRAMES_EVICTING = 26
+
+
+def _sets(start, count):
+    return b"".join(
+        b"set key:%d 0 0 5\r\nvalue\r\n" % i
+        for i in range(start, start + count)
+    )
+
+
+@pytest.mark.parametrize("capacity, bound", [
+    (None, SET_FRAMES_WITH_ROOM),
+    (100 * len(b"value"), SET_FRAMES_EVICTING),
+])
+def test_a_pipelined_set_enters_a_bounded_number_of_frames(capacity, bound):
+    async def main():
+        server = MemcachedServer(
+            capacity_bytes=capacity, bloom_config=optimal_config(500)
+        )
+        await server.start()
+        try:
+            connection, transport = connect(server)
+            connection.data_received(_sets(0, 200))  # full, if it can be
+            transport.writes.clear()
+            counts = {}
+            for count in (10, 20):
+                counts[count], _ = python_calls(
+                    connection.data_received, _sets(1000 * count, count)
+                )
+                assert transport.writes.pop() == b"STORED\r\n" * count
+            assert server.digest.count == len(server.store)
+            return counts, server.store.stats.evictions
+        finally:
+            await server.stop()
+
+    counts, evictions = asyncio.run(main())
+    assert evictions == (0 if capacity is None else 100 + 10 + 20)
+    assert counts[20] - counts[10] <= 10 * bound
+
+
+def test_store_reply_framing_enters_no_frame_per_reply():
+    # A set_multi burst is one CountReply: its STORED / NOT_STORED lines
+    # are matched in place, a line costs no frame.
+    def framed(pairs):
+        parser = ReplyParser()
+        parser.expect(CountReply(2 * pairs))
+        wire = b"STORED\r\nNOT_STORED\r\n" * pairs
+        calls, [stored] = python_calls(parser.feed, wire)
+        assert stored == pairs
+        return calls
+
+    assert framed(32) == framed(4) <= 2
 
 
 def test_the_clients_multiget_costs_the_same_frames_for_any_key_count():

@@ -69,6 +69,55 @@ class TestParseStorage:
             proto.parse_command_line(b"set key 0 0 -1\r\n")
 
 
+#: storage line -> the parsed ``Request`` fields, or the ``ProtocolError``
+#: message it must raise (a regex)
+STORAGE_TABLE = [
+    (b"SET key 7 60 5\r\n",
+     dict(command="set", keys=["key"], flags=7, exptime=60, num_bytes=5,
+          noreply=False, cas=0)),
+    (b"set key 0 0 3 noreply\r\n",
+     dict(command="set", keys=["key"], num_bytes=3, noreply=True)),
+    (b"Add key 1 -1 2\r\n",
+     dict(command="add", keys=["key"], flags=1, exptime=-1, num_bytes=2)),
+    (b"cas key 1 2 3 99\r\n",
+     dict(command="cas", keys=["key"], flags=1, exptime=2, num_bytes=3,
+          cas=99, noreply=False)),
+    (b"cas key 1 2 3 99 noreply\r\n",
+     dict(command="cas", cas=99, noreply=True)),
+    (b"append key 0 0 0\r\n", dict(command="append", num_bytes=0)),
+    (b"set key 0 0 5\n",
+     dict(command="set", keys=["key"], num_bytes=5, noreply=False)),
+    ("set \u00e9t\u00e9 0 0 1\r\n".encode(), dict(keys=["\u00e9t\u00e9"])),
+    (b"set key 0 0\r\n", "set requires: key flags exptime bytes$"),
+    (b"set key 0 0 5 6 7\r\n", "set requires: key flags exptime bytes$"),
+    (b"cas key 0 0 5\r\n", "cas requires: key flags exptime bytes cas_unique"),
+    (b"cas key 0 0 5 1 2\r\n", "cas requires: .* cas_unique"),
+    (b"set key x 0 5\r\n", "non-numeric storage argument in 'set key x 0 5'"),
+    (b"set key 0 0 five\r\n", "non-numeric storage argument"),
+    (b"cas key 0 0 5 x\r\n", "non-numeric storage argument"),
+    (b"set key 0 0 -1\r\n", "negative byte count: -1"),
+    (b"set \xff\xfe 0 0 1\r\n", "not valid UTF-8"),
+    (b"set " + b"k" * 251 + b" 0 0 1\r\n", "bad key length: 251"),
+    (b"set " + "\u00e9".encode() * 126 + b" 0 0 1\r\n", "bad key length: 252"),
+    (b"set  0 0 1\r\n", "bad key length: 0"),
+    (b"set k\x01y 0 0 1\r\n", "whitespace/control chars"),
+    (b"set k\ty 0 0 1\r\n", "whitespace/control chars"),
+    ("set k\u00a0y 0 0 1\r\n".encode(), "whitespace/control chars"),
+]
+
+
+@pytest.mark.parametrize("line, expected", STORAGE_TABLE)
+def test_storage_line_parse_table(line, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ProtocolError, match=expected):
+            proto.parse_command_line(line)
+        return
+    request = proto.parse_command_line(line)
+    for name, value in expected.items():
+        assert getattr(request, name) == value, name
+    assert request.value == b""
+
+
 class TestParseOther:
     def test_delete(self):
         req = proto.parse_command_line(b"delete key\r\n")

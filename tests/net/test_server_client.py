@@ -8,7 +8,7 @@ from repro.bloom.config import optimal_config
 from repro.errors import ProtocolError, TransportError
 from repro.net.client import MemcachedClient
 from repro.net.parser import LineReply
-from repro.net.server import MemcachedServer
+from repro.net.server import READ_SIZE, MemcachedServer
 
 CFG = optimal_config(2000)
 
@@ -104,6 +104,20 @@ class TestBasicCommands:
             assert int(stats["bytes"]) <= 500
 
         run(with_server(body, capacity_bytes=500))
+
+    def test_a_burst_several_times_the_read_buffer_lands_whole(self):
+        # Reads reuse one READ_SIZE buffer; a data block cut across reads
+        # (and a value bigger than the buffer) must still frame exactly.
+        async def body(server, client):
+            items = [(f"k{i}", b"%05d" % i * 40) for i in range(2000)]
+            items.append(("big", bytes(range(256)) * (READ_SIZE // 100)))
+            assert sum(len(value) for _, value in items) > 4 * READ_SIZE
+            assert await client.set_multi(items) == len(items)
+            assert await client.get_multi([key for key, _ in items]) == (
+                dict(items)
+            )
+
+        run(with_server(body))
 
     def test_malformed_command_gets_client_error(self):
         async def body(server, client):

@@ -126,7 +126,7 @@ class TestSetAndDigestRideTheSameArmor:
 
     def test_set_is_retried_until_it_lands(self):
         async def body():
-            transport, _, client = make(TransportError("reset"), [b"STORED"])
+            transport, _, client = make(TransportError("reset"), 1)
             assert await transport.set_multi(0, [("k", b"v")]) == 1
             assert client.exchanges == 2
             assert transport.breakers[0].consecutive_failures == 0
@@ -135,7 +135,7 @@ class TestSetAndDigestRideTheSameArmor:
 
     def test_delete_is_retried_until_it_lands(self):
         async def body():
-            transport, _, client = make(TransportError("reset"), b"DELETED")
+            transport, _, client = make(TransportError("reset"), 1)
             assert await transport.delete_multi(0, ["k"]) == 1
             assert client.exchanges == 2  # one key: one exchange a try
             assert transport.breakers[0].consecutive_failures == 0
@@ -173,7 +173,7 @@ class TestFrontendRoutesEverythingThroughTheTransport:
             web = self.frontend()
             pools = web.transport.pools
             pools[:] = [
-                ScriptedPool(ScriptedClient(b"NOT_FOUND")) for _ in range(2)
+                ScriptedPool(ScriptedClient(0)) for _ in range(2)
             ]
             owner = web.router.route("k", 2)
             trip(web.transport, owner)

@@ -11,7 +11,9 @@ the scalar reference implementation:
   activity sets;
 * ``route_many`` / ``route_hashed`` == per-key ``route`` for all routers;
 * vectorized ``add_many`` / ``contains_many`` == scalar loops, including
-  saturation/overflow accounting.
+  saturation/overflow accounting;
+* a counting filter's bare-key ``add`` / ``remove`` (hashed straight
+  through blake2b, no memo) == the same ops given a ``KeyHashes``.
 """
 
 from fractions import Fraction
@@ -30,6 +32,7 @@ from repro.core.router import (
     ProteusRouter,
     StaticRouter,
 )
+from repro.errors import DigestError
 
 keys = st.text(min_size=1, max_size=24)
 key_lists = st.lists(keys, max_size=30)
@@ -233,6 +236,43 @@ def test_counting_add_many_matches_scalar_with_overflow(
     assert bytes(scalar.snapshot().to_bytes()) == bytes(
         batch.snapshot().to_bytes()
     )
+
+
+@given(
+    num_counters=st.integers(min_value=1, max_value=64),
+    counter_bits=st.integers(min_value=1, max_value=8),
+    num_hashes=st.integers(min_value=1, max_value=5),
+    inserts=st.lists(keys | st.binary(min_size=1, max_size=24), max_size=60),
+    removes=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_counting_bare_key_ops_match_the_hashed_and_batch_paths(
+    num_counters, counter_bits, num_hashes, inserts, removes
+):
+    # A cache node's add/remove hash a bare key without the memo; the
+    # probe positions, and so every counter, must not move.
+    direct, hashed, batch = (
+        CountingBloomFilter(num_counters, counter_bits, num_hashes)
+        for _ in range(3)
+    )
+    for key in inserts:
+        direct.add(key)
+        hashed.add(key, KeyHashes(key))
+    batch.add_many(inserts)
+    assert _state(direct) == _state(hashed) == _state(batch)
+    picks = removes.draw(st.lists(st.sampled_from(inserts))) if inserts else []
+    for key in picks:
+        outcomes = []
+        for cbf, hashes in ((direct, None), (hashed, KeyHashes(key))):
+            try:
+                cbf.remove(key, hashes)
+                outcomes.append("removed")
+            except DigestError:  # saturation let a counter reach zero
+                outcomes.append("absent")
+        assert outcomes[0] == outcomes[1]
+        assert _state(direct) == _state(hashed)
+    for key in inserts:
+        assert direct.contains(key) == hashed.contains(key, KeyHashes(key))
 
 
 @given(

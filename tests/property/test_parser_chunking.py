@@ -4,7 +4,7 @@
 the kernel hands over; the reference below sees it whole and frames it the
 obvious blocking way — ``readline()``, then ``read(n)`` for a data block.
 Hypothesis writes reply streams (pipelined ``get`` / ``gets`` / store
-replies, values that contain ``\\r\\n``, ``END\\r\\n`` and ``VALUE ``, error
+replies and ``set_multi`` bursts, values that contain ``\\r\\n``, ``END\\r\\n`` and ``VALUE ``, error
 lines, at most one malformed or garbage line or unterminated block) and
 command streams (multi-key ``get`` / ``gets``, ``set``, malformed lines),
 and each is fed whole, byte by byte and cut at arbitrary points: however
@@ -20,15 +20,16 @@ from repro.net import protocol as proto
 from repro.net.parser import (
     ERROR_PREFIXES,
     MAX_LINE_LENGTH,
-    STORE_TOKENS,
     BadCommand,
     CommandParser,
     Desync,
     ErrorLine,
     LineReply,
     ReplyParser,
+    CountReply,
     ValuesReply,
 )
+from tests.net.test_parser import STORE_TOKENS
 
 # ------------------------------------------------------------ the reference
 
@@ -86,7 +87,23 @@ def reference_header(line):
     return key, int(numbers[1])
 
 
+def reference_line(stream):
+    line = stream.readline()
+    return line[:-2] if line.endswith(b"\r\n") else line[:-1]
+
+
 def reference_reply(stream, shape):
+    if isinstance(shape, CountReply):
+        stored, error = 0, None
+        for _ in range(shape.left):
+            line = reference_line(stream)
+            if line == b"STORED":
+                stored += 1
+            elif line.startswith(ERROR_PREFIXES):
+                error = error or ErrorLine(line)
+            elif line != b"NOT_STORED":
+                raise Fault("not a storage reply")
+        return stored if error is None else error
     if isinstance(shape, LineReply):
         line = stream.readline()
         line = line[:-2] if line.endswith(b"\r\n") else line[:-1]
@@ -218,10 +235,19 @@ def reply_streams(draw):
     most one fault spliced in."""
     shapes, frames = [], []
     for _ in range(draw(st.integers(0, 4))):
-        if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
             shapes.append(LineReply(STORE_TOKENS))
             line = draw(st.sampled_from([b"STORED", b"NOT_STORED"]) | ERRORS)
             frames.append(line + b"\r\n")
+            continue
+        if kind == 1:  # a set_multi burst: one shape, one frame per line
+            lines = draw(st.lists(
+                st.sampled_from([b"STORED", b"NOT_STORED"]) | ERRORS,
+                min_size=1, max_size=8,
+            ))
+            shapes.append(CountReply(len(lines)))
+            frames += [line + b"\r\n" for line in lines]
             continue
         shapes.append(ValuesReply())
         with_cas = draw(st.booleans())

@@ -114,9 +114,9 @@ class TestNoreplyOverTcp:
                     # noreply set: no response line is sent; the next get
                     # must parse cleanly (no response desync).
                     protocol = client._protocol
-                    protocol.issue((), b"set k 0 0 3 noreply\r\nabc\r\n", ())
+                    protocol.send_raw(b"set k 0 0 3 noreply\r\nabc\r\n")
                     assert await client.get("k") == b"abc"
-                    protocol.issue((), b"delete k noreply\r\n", ())
+                    protocol.send_raw(b"delete k noreply\r\n")
                     assert await client.get("k") is None
             finally:
                 await server.stop()

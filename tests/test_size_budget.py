@@ -26,8 +26,8 @@ CEILINGS = {
     "web/frontend.py": 237,
     "net/webtier.py": 364,
     "net/transport.py": 383,
-    "net/parser.py": 450,
-    "net/client.py": 658,
+    "net/parser.py": 490,
+    "net/client.py": 606,
     "experiments/testbed.py": 743,
     "config.py": 181,
     "provisioning/actuator.py": 94,
