@@ -17,12 +17,9 @@ when first called: the scalar path does not need it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
-from repro.bloom.hashing import DoubleHashFamily, Key, KeyHashes
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.bloom.hashing import DoubleHashFamily, Key
 
 
 class BloomFilter:
@@ -44,9 +41,9 @@ class BloomFilter:
         #: number of keys inserted so far (not deduplicated)
         self.count = 0
 
-    def add(self, key: Key, hashes: Optional[KeyHashes] = None) -> None:
-        """Insert *key* (pass *hashes* to reuse an existing double-hash pair)."""
-        for idx in self._family.indexes(key, hashes):
+    def add(self, key: Key) -> None:
+        """Insert *key*."""
+        for idx in self._family.indexes(key):
             self._bits[idx >> 3] |= 1 << (idx & 7)
         self.count += 1
 
@@ -68,31 +65,23 @@ class BloomFilter:
 
     update = add_many
 
-    def contains(self, key: Key, hashes: Optional[KeyHashes] = None) -> bool:
+    def contains(self, key: Key) -> bool:
         """Membership query; may return false positives, never false negatives."""
         bits = self._bits
         return all(
             bits[idx >> 3] & (1 << (idx & 7))
-            for idx in self._family.indexes(key, hashes)
+            for idx in self._family.indexes(key)
         )
 
     __contains__ = contains
 
-    def contains_many(
-        self,
-        keys: Sequence[Key],
-        bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> List[bool]:
-        """Vectorized membership: element ``i`` is ``contains(keys[i])``.
-
-        Pass *bases* (from :func:`~repro.bloom.hashing.digest_bases_many`)
-        to reuse already-computed double-hash pairs.
-        """
+    def contains_many(self, keys: Sequence[Key]) -> List[bool]:
+        """Vectorized membership: element ``i`` is ``contains(keys[i])``."""
         import numpy as np
         keys = list(keys)
         if not keys:
             return []
-        indexes = self._family.indexes_many(keys, bases)
+        indexes = self._family.indexes_many(keys)
         view = np.frombuffer(self._bits, dtype=np.uint8)
         hit = (view[indexes >> 3] & (1 << (indexes & 7)).astype(np.uint8)) != 0
         return hit.all(axis=1).tolist()

@@ -24,10 +24,10 @@ node's per-item ``add`` / ``remove`` run without it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.bloom.bloom import BloomFilter
-from repro.bloom.hashing import DoubleHashFamily, Key, KeyHashes
+from repro.bloom.hashing import DoubleHashFamily, Key
 from repro.errors import DigestError
 
 if TYPE_CHECKING:
@@ -87,11 +87,11 @@ class CountingBloomFilter:
 
     # ------------------------------------------------------------------ ops
 
-    def add(self, key: Key, hashes: Optional[KeyHashes] = None) -> None:
+    def add(self, key: Key) -> None:
         """Insert *key*, incrementing its ``h`` counters (saturating)."""
         counters = self._counters
         max_val = self._max
-        for idx in self._family.indexes(key, hashes):
+        for idx in self._family.indexes(key):
             current = counters[idx]
             if current >= max_val:
                 self.overflow_events += 1
@@ -99,7 +99,7 @@ class CountingBloomFilter:
                 counters[idx] = current + 1
         self.count += 1
 
-    def remove(self, key: Key, hashes: Optional[KeyHashes] = None) -> None:
+    def remove(self, key: Key) -> None:
         """Delete *key*, decrementing its ``h`` counters.
 
         Raises:
@@ -107,7 +107,7 @@ class CountingBloomFilter:
                 zero (deleting an absent element).
         """
         counters = self._counters
-        indexes = self._family.indexes(key, hashes)
+        indexes = self._family.indexes(key)
         # all(map(...)), not a generator: no frame per counter
         if self.strict and not all(map(counters.__getitem__, indexes)):
             raise DigestError(f"removing key absent from digest: {key!r}")
@@ -125,11 +125,7 @@ class CountingBloomFilter:
             return np.frombuffer(self._counters, dtype=np.uint8)
         return None
 
-    def add_many(
-        self,
-        keys: Iterable[Key],
-        bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> None:
+    def add_many(self, keys: Iterable[Key]) -> None:
         """Insert a key batch: one hash pass, one ``np.bincount`` of deltas.
 
         Saturating unit increments commute, so for a counter at ``c``
@@ -147,7 +143,7 @@ class CountingBloomFilter:
             for key in keys:
                 self.add(key)
             return
-        indexes = self._family.indexes_many(keys, bases)
+        indexes = self._family.indexes_many(keys)
         delta = np.bincount(indexes.ravel(), minlength=self.num_counters)
         raised = view.astype(np.int64) + delta
         overflow = raised - self._max
@@ -158,11 +154,7 @@ class CountingBloomFilter:
 
     update = add_many
 
-    def contains_many(
-        self,
-        keys: Sequence[Key],
-        bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> List[bool]:
+    def contains_many(self, keys: Sequence[Key]) -> List[bool]:
         """Vectorized membership: element ``i`` is ``contains(keys[i])``."""
         keys = list(keys)
         if not keys:
@@ -170,19 +162,17 @@ class CountingBloomFilter:
         view = self._counter_view()
         if view is None:
             return [key in self for key in keys]
-        indexes = self._family.indexes_many(keys, bases)
+        indexes = self._family.indexes_many(keys)
         return (view[indexes] > 0).all(axis=1).tolist()
 
-    def contains(self, key: Key, hashes: Optional[KeyHashes] = None) -> bool:
+    def contains(self, key: Key) -> bool:
         """Membership query.
 
         May return false positives (hash collisions) and — after counter
         overflow followed by deletions — false negatives.
         """
         counters = self._counters
-        return all(
-            counters[idx] > 0 for idx in self._family.indexes(key, hashes)
-        )
+        return all(counters[idx] > 0 for idx in self._family.indexes(key))
 
     __contains__ = contains
 

@@ -18,16 +18,20 @@ request):
   a hash while producing bit-identical digests.
 * Every ``(key, salt)`` result is memoized in a bounded LRU
   (:data:`_HASH_MEMO_SIZE` entries).  The hash is a pure function, so the
-  memo cannot change any decision; it turns the steady-state cost of
-  routing a hot key into a dict hit.  Zipf-like web traffic keeps the memo
-  hit rate high — the same skew that makes a memory cache pay off at all.
+  memo cannot change any decision.  A warm key's ring routing no longer
+  reaches it — the compiled ring table keeps its own ``{key: owner}`` dict
+  (:meth:`~repro.core.router.RingRouter.route_many`) — so the memo serves
+  what is left: ring-routing misses, the modulo routers, database shards,
+  the hot-key sketch and the batched digest bases.
 * :func:`stable_hash64_many` hashes a whole key batch into one ``numpy``
   ``uint64`` array through the same memo.  The ``*_many`` functions import
   numpy on their first call: a cache node hashes key by key, without it.
-* :class:`KeyHashes` memoizes the blake2b bases one retrieval needs — the
-  modulo-hash base, the ring base per replica, and the digest double-hash
-  pair — so routing under two epochs plus all digest probes cost at most
-  one blake2b per base instead of rehashing the key at every step.
+* A digest's per-key probe (:meth:`DoubleHashFamily.indexes`) hashes its
+  two bases straight through blake2b: a node links and unlinks a key once
+  each, so the memo would only cost.
+* :class:`KeyHashes` memoizes the modulo-hash base and the ring base per
+  replica of one key, so routing it under two epochs costs at most one
+  blake2b per base.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ Key = Union[str, bytes]
 
 _MASK64 = (1 << 64) - 1
 
-#: Entries in the salted-hash memo.  Web traffic routes the same hot keys
-#: over and over (that is what makes a memory cache worth running), so the
-#: steady-state cost of a routing decision is one dict hit, not one blake2b.
+#: Entries in the salted-hash memo, and in each compiled ring table's
+#: ``{key: owner}`` dict: web traffic routes the same hot keys over and over
+#: (that is what makes a memory cache worth running).
 _HASH_MEMO_SIZE = 1 << 16
 
 #: Salt of the digest double-hash base ``h1`` (see :class:`DoubleHashFamily`).
@@ -137,23 +141,20 @@ def stable_hash64_many(keys: Sequence[Key], salt: int = 0) -> np.ndarray:
 
 
 class KeyHashes:
-    """The blake2b bases one retrieval needs, computed at most once each.
+    """The routing bases of one key, computed at most once each.
 
-    Algorithm 2 hashes the *same* key repeatedly: routing under the new
-    epoch, routing under the old epoch, and the ``h`` digest probes all
-    start from a salted blake2b of the key.  A :class:`KeyHashes` is built
-    once per fetch and threaded through the engine and its commands, so
-    each base is computed lazily on first use and reused after that —
-    values are bit-identical to calling :func:`stable_hash64` directly.
+    Routing a key under the new and the old epoch starts from the same
+    salted blake2b, so each base is computed lazily on first use and
+    reused after that — values are bit-identical to calling
+    :func:`stable_hash64` directly.
     """
 
-    __slots__ = ("key", "_base", "_rings", "_digest")
+    __slots__ = ("key", "_base", "_rings")
 
     def __init__(self, key: Key) -> None:
         self.key = key
         self._base: Optional[int] = None
         self._rings: Optional[Dict[int, int]] = None
-        self._digest: Optional[Tuple[int, int]] = None
 
     @property
     def base64(self) -> int:
@@ -173,15 +174,6 @@ class KeyHashes:
                 self.key, salt=RING_SALT_BASE + replica
             )
         return base % ring_size
-
-    def digest_bases(self) -> Tuple[int, int]:
-        """The double-hash pair ``(h1, h2)`` shared by every digest probe."""
-        if self._digest is None:
-            self._digest = (
-                stable_hash64(self.key, salt=DIGEST_SALT_H1),
-                stable_hash64(self.key, salt=DIGEST_SALT_H2) | 1,
-            )
-        return self._digest
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KeyHashes({self.key!r})"
@@ -211,39 +203,26 @@ class DoubleHashFamily:
         self.num_hashes = num_hashes
         self.size = size
 
-    def indexes(
-        self, key: Key, hashes: Optional[KeyHashes] = None
-    ) -> List[int]:
-        """The ``num_hashes`` probe positions for *key*; the ``(h1, h2)``
-        pair is reused from *hashes* when provided.  A bare key (a digest's
-        link / unlink, once each way) skips the memo, which would only cost."""
-        if hashes is not None:
-            h1, h2 = hashes.digest_bases()
-        else:
-            data = key if isinstance(key, bytes) else key.encode("utf-8")
-            first, second = _DIGEST_H1.copy(), _DIGEST_H2.copy()
-            first.update(data)
-            second.update(data)
-            h1 = int.from_bytes(first.digest(), "little")
-            h2 = int.from_bytes(second.digest(), "little") | 1
+    def indexes(self, key: Key) -> List[int]:
+        """The ``num_hashes`` probe positions for *key*, hashed without the
+        memo (a digest links and unlinks a key once each way)."""
+        data = key if isinstance(key, bytes) else key.encode("utf-8")
+        first, second = _DIGEST_H1.copy(), _DIGEST_H2.copy()
+        first.update(data)
+        second.update(data)
+        h1 = int.from_bytes(first.digest(), "little")
+        h2 = int.from_bytes(second.digest(), "little") | 1
         size = self.size
         return [((h1 + i * h2) & _MASK64) % size for i in range(self.num_hashes)]
 
-    def indexes_many(
-        self,
-        keys: Sequence[Key],
-        bases: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> np.ndarray:
+    def indexes_many(self, keys: Sequence[Key]) -> np.ndarray:
         """Probe positions for a key batch: shape ``(len(keys), num_hashes)``.
 
         Row ``i`` equals ``indexes(keys[i])`` exactly — ``uint64`` wrap-around
-        in numpy matches the scalar ``& _MASK64``.  Pass *bases* (from
-        :func:`digest_bases_many`) to reuse already-computed hashes.
+        in numpy matches the scalar ``& _MASK64``.
         """
         import numpy as np
-        if bases is None:
-            bases = digest_bases_many(keys)
-        h1, h2 = bases
+        h1, h2 = digest_bases_many(keys)
         strides = np.arange(self.num_hashes, dtype=np.uint64)
         mixed = h1[:, None] + strides[None, :] * h2[:, None]
         return (mixed % np.uint64(self.size)).astype(np.int64)

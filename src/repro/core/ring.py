@@ -22,15 +22,18 @@ construction-time queries, too slow for the per-request hot path
 parallel pre-resolved owner array, so a lookup is one bisection with zero
 Python callbacks and a batch of lookups is one vectorized
 ``np.searchsorted``.  :meth:`HashRing.compiled_for` caches one table per
-``num_active`` prefix (an LRU over the old/new epochs in force).  The
-compiled table is an equivalent *representation*, not a new policy: for
-every integer position it returns exactly what :meth:`lookup` returns.
+``num_active`` prefix (an LRU over the old/new epochs in force), and each
+table keeps, per ring replica, the ``{key: owner}`` answers routed through
+it, so a warm key routes with one dict hit.  The compiled table is an
+equivalent *representation*, not a new policy: for every integer position
+it returns exactly what :meth:`lookup` returns.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -71,9 +74,12 @@ class CompiledRingTable:
     ``bisect_right`` over the ceils lands on exactly the node the exact-
     arithmetic :meth:`HashRing.lookup` would pick — bit-identical owners
     with no :class:`~fractions.Fraction` comparisons on the hot path.
+    ``owners_by_key[replica]`` is the ``{key: owner}`` memo that
+    :meth:`~repro.core.router.RingRouter.route_many` keeps on ring *replica*.
     """
 
-    __slots__ = ("size", "_bounds", "_owners", "_bounds_np", "_owners_np")
+    __slots__ = ("size", "_bounds", "_owners", "_bounds_np", "_owners_np",
+                 "owners_by_key")
 
     def __init__(self, size: int, bounds: List[int], owners: List[int]) -> None:
         self.size = size
@@ -81,6 +87,7 @@ class CompiledRingTable:
         self._owners = owners
         self._bounds_np = np.asarray(bounds, dtype=np.int64)
         self._owners_np = np.asarray(owners, dtype=np.int64)
+        self.owners_by_key: Dict[int, dict] = defaultdict(dict)
 
     def __len__(self) -> int:
         return len(self._bounds)
@@ -248,13 +255,13 @@ class HashRing:
         two epochs in force during a transition each compile once and every
         subsequent ``route()`` is hash + bisect.
         """
-        table = self._compiled.get(num_active)
+        table = self._compiled.pop(num_active, None)
         if table is None:
             table = self.compile(prefix_active(num_active))
             if len(self._compiled) >= _COMPILED_CACHE_SIZE:
-                # Evict the oldest insertion (dicts preserve order).
+                # Evict the least recently used (a hit re-inserts at the end).
                 self._compiled.pop(next(iter(self._compiled)))
-            self._compiled[num_active] = table
+        self._compiled[num_active] = table
         return table
 
     def owned_lengths(

@@ -20,9 +20,10 @@ Objective 3 also demands the decision be *efficient* — it runs on every web
 request — so the ring-based routers route through the ring's per-epoch
 compiled table (:meth:`~repro.core.ring.HashRing.compiled_for`): the
 inactive-skip chain is resolved once per ``num_active``, ``route()`` is hash
-+ one bisection with zero Python callbacks, and :meth:`Router.route_many`
-answers a whole key batch with one vectorized pass — bit-identical to the
-uncompiled ``ring.lookup`` path.
++ one bisection with zero Python callbacks, and :meth:`RingRouter.route_many`
+answers a warm key with one hit in the table's ``{key: owner}`` dict and
+only hashes the misses (one vectorized pass for a batch of them) —
+bit-identical to the uncompiled ``ring.lookup`` path.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bloom.hashing import (
+    _HASH_MEMO_SIZE,
     SCALAR_BATCH_MAX,
     Key,
     KeyHashes,
@@ -65,22 +68,16 @@ class Router(ABC):
         """Return the server id (< ``num_active`` unless Static) serving *key*."""
 
     def route_hashed(self, hashes: KeyHashes, num_active: int) -> int:
-        """:meth:`route` reusing an already-hashed key.
-
-        The retrieval engine routes the same key under two epochs per fetch;
-        passing one :class:`~repro.bloom.hashing.KeyHashes` makes the second
-        route a pure table lookup.  Decisions are identical to
-        ``route(hashes.key, num_active)``.
-        """
+        """:meth:`route` of an already-hashed key (a
+        :class:`~repro.bloom.hashing.KeyHashes`: a second epoch reuses its
+        bases); identical to ``route(hashes.key, num_active)``."""
         return self.route(hashes.key, num_active)
 
     def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
         """Route a whole key batch; element ``i`` is ``route(keys[i], n)``.
 
-        Subclasses vectorize this (one hash pass + one ``searchsorted``)
-        for batches longer than
-        :data:`~repro.bloom.hashing.SCALAR_BATCH_MAX`; the base
-        implementation is the sequential loop.
+        The sequential loop; subclasses vectorize batches longer than
+        :data:`~repro.bloom.hashing.SCALAR_BATCH_MAX`.
         """
         return [self.route(key, num_active) for key in keys]
 
@@ -167,8 +164,9 @@ class RingRouter(Router):
     """Routing through a :class:`~repro.core.ring.HashRing`, over
     ``replicas`` rings that share its one placement.
 
-    Routing is one blake2b key position plus one bisection of the ring's
-    per-epoch compiled table, or one vectorized pass per batch.  Ring ``i``
+    A warm key routes with one hit in the owner dict of the ring's
+    per-epoch compiled table; a new key costs one blake2b key position plus
+    one bisection, or one vectorized pass per batch.  Ring ``i``
     hashes keys with an independent hash function (``replica=i`` salt,
     paper Section III-E); the placement — and therefore the balance and
     minimal-migration guarantees — is identical on every ring, and ring 0
@@ -198,18 +196,38 @@ class RingRouter(Router):
     def route_many(
         self, keys: Sequence[Key], num_active: int, replica: int = 0
     ) -> List[int]:
-        """Each key's owner on ring *replica* (ring 0: the primary)."""
+        """Each key's owner on ring *replica* (ring 0: the primary).
+
+        A key the table routed before is one hit in its ``{key: owner}``
+        dict; only misses are hashed.  The dict is cleared when it would
+        pass ``_HASH_MEMO_SIZE`` keys, so the answer is never re-read from it.
+        """
         self._check_active(num_active)
         ring = self.ring
         table = ring.compiled_for(num_active)
-        if len(keys) <= SCALAR_BATCH_MAX:
-            return [
+        memo = table.owners_by_key[replica]
+        owners = list(map(memo.get, keys)) if memo else None  # empty: no probe
+        if owners and None not in owners:
+            return owners
+        missing = keys if owners is None else [
+            key for key, owner in zip(keys, owners) if owner is None
+        ]
+        if len(missing) <= SCALAR_BATCH_MAX:
+            resolved = [
                 table.lookup(ring_position(key, ring.size, replica))
-                for key in keys
+                for key in missing
             ]
-        return table.lookup_many(
-            ring_positions_many(keys, ring.size, replica)
-        ).tolist()
+        else:
+            resolved = table.lookup_many(
+                ring_positions_many(missing, ring.size, replica)
+            ).tolist()
+        if len(memo) + len(missing) > _HASH_MEMO_SIZE:
+            memo.clear()
+        memo.update(islice(zip(missing, resolved), _HASH_MEMO_SIZE))
+        if owners is None:
+            return resolved
+        fill = iter(resolved)
+        return [next(fill) if owner is None else owner for owner in owners]
 
     def read_plans(
         self, keys: Sequence[Key], num_active: int

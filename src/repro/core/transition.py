@@ -89,17 +89,15 @@ class Transition:
         """True once the drain window has closed."""
         return now >= self.deadline
 
-    def digest_hit(self, server: int, key, hashes=None) -> bool:
+    def digest_hit(self, server: int, key) -> bool:
         """Check *key* against *server*'s broadcast digest.
 
         Returns False when no digest was broadcast for *server* — routing
         then skips the old server entirely and goes straight to the DB,
-        which is the safe (if slower) fallback.  Pass *hashes* (a
-        :class:`~repro.bloom.hashing.KeyHashes`) to reuse the double-hash
-        pair the retrieval engine already computed for this key.
+        which is the safe (if slower) fallback.
         """
         digest = self.digests.get(server)
-        return digest is not None and digest.contains(key, hashes)
+        return digest is not None and key in digest
 
     def digest_hit_many(self, server: int, keys) -> List[bool]:
         """Batched :meth:`digest_hit`: one vectorized membership pass.

@@ -121,3 +121,24 @@ class TestPrefixActive:
     def test_rejects_zero(self):
         with pytest.raises(ConfigurationError):
             prefix_active(0)
+
+
+class TestCompiledCache:
+    def test_a_table_in_use_survives_compiling_eight_other_sizes(self):
+        # The cache is an LRU: the epoch in force is touched on every
+        # route, so compiling other sizes must evict those, never it.
+        ring = HashRing(1000)
+        ring.add_many([VirtualNode(10 * i + 5, i) for i in range(10)])
+        in_force = ring.compiled_for(10)
+        for other in range(1, 9):
+            ring.compiled_for(other)
+            assert ring.compiled_for(10) is in_force
+        assert ring.compiled_for(9) is not in_force
+        assert ring.compiled_for(10) is in_force
+
+    def test_mutation_drops_every_table(self):
+        ring = HashRing(1000)
+        ring.add(5, server=0)
+        table = ring.compiled_for(1)
+        ring.add(500, server=1)
+        assert ring.compiled_for(1) is not table

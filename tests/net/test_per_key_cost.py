@@ -1,9 +1,10 @@
 """What one key of a multiget costs each layer, in interpreted frames.
 
-A 64-key page crosses five per-key loops — batch hashing, the engine's
-probe loop, key validation, the server's ``get`` loop and the client's
-reply framing — and in each of them a Python-level call per key is most
-of the cost.  This gate counts them the machine-independent way: ``call``
+A 64-key page crosses five per-key loops — routing (a warm key is one
+probe of the compiled table's owner dict, no hash), the engine's probe
+loop, key validation, the server's ``get`` loop and the client's reply
+framing — and in each of them a Python-level call per key is most of the
+cost.  This gate counts them the machine-independent way: ``call``
 events under ``sys.setprofile`` (a call into C is a ``c_call`` and does
 not count; resuming a generator does).  Only the engine still enters a
 frame per key, its ``FetchResult``, so there the gate also counts the
@@ -18,6 +19,7 @@ import sys
 
 import pytest
 
+from repro.bloom import hashing
 from repro.bloom.config import optimal_config
 from repro.core import retrieval
 from repro.core.retrieval import ProbeCacheMulti, RetrievalEngine
@@ -75,6 +77,25 @@ def engine_lines(function, *args):
         sys.settrace(None)
         gc.enable()
     return lines, result
+
+
+def test_a_warm_page_routes_without_hashing_or_a_frame_per_key():
+    # A key the epoch's table has routed before is one dict hit: no salted
+    # hash (not even a memo hit), no numpy, no frame of its own.
+    router = ProteusRouter(3)
+    plans = router.read_plans(KEYS, 3)  # warm the table's owner dict
+
+    def hashed():
+        info = hashing._hash64_memo.cache_info()
+        return info.hits + info.misses
+
+    before = hashed()
+    counts = {}
+    for count in (21, 64):
+        counts[count], again = python_calls(router.read_plans, KEYS[:count], 3)
+        assert again == plans[:count]
+    assert hashed() == before
+    assert counts[64] == counts[21]
 
 
 def test_reply_framing_enters_no_frame_per_block():

@@ -10,13 +10,17 @@ the scalar reference implementation:
   and Fraction positions), every ``num_active`` prefix, and arbitrary
   activity sets;
 * ``route_many`` / ``route_hashed`` == per-key ``route`` for all routers;
+* the ring routers' memoized ``route_many`` / ``read_plans`` == the
+  uncompiled ``HashRing.lookup`` — cold, warm, after a ring mutation and
+  across a mid-batch clear of the owner dict;
 * vectorized ``add_many`` / ``contains_many`` == scalar loops, including
   saturation/overflow accounting;
 * a counting filter's bare-key ``add`` / ``remove`` (hashed straight
-  through blake2b, no memo) == the same ops given a ``KeyHashes``.
+  through blake2b, no memo) == the memoized batch path's probes.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
-from repro.bloom.hashing import KeyHashes, digest_bases_many, ring_position
+from repro.bloom.hashing import KeyHashes, ring_position
+from repro.core import router as router_module
 from repro.core.ring import HashRing, VirtualNode, prefix_active
 from repro.core.router import (
     ConsistentRouter,
@@ -182,6 +187,65 @@ def test_read_plan_matches_replica_servers(num_servers, replicas, batch, data):
     ]
 
 
+# ------------------------------------------------- memoized ring routing
+
+
+def _ring_owners(router, batch, num_active, replica):
+    """The uncompiled reference: hash, then walk the ring past inactives."""
+    ring = router.ring
+    return [
+        ring.lookup(
+            ring_position(key, ring.size, replica), prefix_active(num_active)
+        )
+        for key in batch
+    ]
+
+
+@given(
+    num_servers=st.integers(min_value=1, max_value=8),
+    replicas=st.sampled_from([1, 2]),
+    pool=st.lists(
+        keys | st.binary(min_size=1, max_size=24), min_size=1, max_size=12
+    ),
+    bound=st.none() | st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_memoized_route_many_matches_the_uncompiled_ring(
+    num_servers, replicas, pool, bound, data
+):
+    # Cold, mixed (a warm prefix plus misses), warm, and after a ring
+    # mutation; a small bound forces the owner dict to clear mid-batch,
+    # so a batch's earlier hits must not be re-read from the cleared dict.
+    batch = data.draw(st.lists(st.sampled_from(pool), max_size=40))
+    num_active = data.draw(st.integers(min_value=1, max_value=num_servers))
+    router = ProteusRouter(num_servers, 2 ** 20, replicas=replicas)
+    memo_bound = router_module._HASH_MEMO_SIZE if bound is None else bound
+    with mock.patch.object(router_module, "_HASH_MEMO_SIZE", memo_bound):
+        for step in ("cold", "mixed", "warm", "mutated"):
+            if step == "mutated":
+                position = data.draw(st.integers(0, 2 ** 20 - 1))
+                if all(node.position != position for node in router.ring.nodes):
+                    router.ring.add(position, server=num_servers - 1)
+            routed = batch[: len(batch) // 2] if step == "cold" else batch
+            expected = [
+                _ring_owners(router, routed, num_active, replica)
+                for replica in range(replicas)
+            ]
+            for replica in range(replicas):
+                assert router.route_many(routed, num_active, replica) == (
+                    expected[replica]
+                )
+            assert router.read_plans(routed, num_active) == [
+                tuple(dict.fromkeys(owners)) for owners in zip(*expected)
+            ]
+            table = router.ring.compiled_for(num_active)
+            assert all(
+                len(memo) <= memo_bound
+                for memo in table.owners_by_key.values()
+            )
+
+
 # ------------------------------------------------------------ bloom batches
 
 
@@ -206,12 +270,8 @@ def test_bloom_batch_matches_scalar(num_bits, num_hashes, inserts, probes):
     assert scalar.count == batch.count
     expected = [key in scalar for key in probes]
     assert batch.contains_many(probes) == expected
-    assert (
-        batch.contains_many(probes, bases=digest_bases_many(probes))
-        == expected
-    ) if probes else True
     for key, want in zip(probes, expected):
-        assert batch.contains(key, KeyHashes(key)) == want
+        assert batch.contains(key) == want
 
 
 @given(
@@ -246,33 +306,37 @@ def test_counting_add_many_matches_scalar_with_overflow(
     removes=st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_counting_bare_key_ops_match_the_hashed_and_batch_paths(
+def test_counting_bare_key_ops_match_the_memoized_batch_path(
     num_counters, counter_bits, num_hashes, inserts, removes
 ):
-    # A cache node's add/remove hash a bare key without the memo; the
-    # probe positions, and so every counter, must not move.
-    direct, hashed, batch = (
+    # A cache node's add/remove hash a bare key without the memo; the batch
+    # path hashes through it.  The probe positions, and so every counter,
+    # must not move.
+    direct, batch = (
         CountingBloomFilter(num_counters, counter_bits, num_hashes)
-        for _ in range(3)
+        for _ in range(2)
     )
     for key in inserts:
         direct.add(key)
-        hashed.add(key, KeyHashes(key))
     batch.add_many(inserts)
-    assert _state(direct) == _state(hashed) == _state(batch)
+    assert _state(direct) == _state(batch)
     picks = removes.draw(st.lists(st.sampled_from(inserts))) if inserts else []
     for key in picks:
+        assert direct._family.indexes(key) == (
+            batch._family.indexes_many([key])[0].tolist()
+        )
         outcomes = []
-        for cbf, hashes in ((direct, None), (hashed, KeyHashes(key))):
+        for cbf in (direct, batch):
             try:
-                cbf.remove(key, hashes)
+                cbf.remove(key)
                 outcomes.append("removed")
             except DigestError:  # saturation let a counter reach zero
                 outcomes.append("absent")
         assert outcomes[0] == outcomes[1]
-        assert _state(direct) == _state(hashed)
-    for key in inserts:
-        assert direct.contains(key) == hashed.contains(key, KeyHashes(key))
+        assert _state(direct) == _state(batch)
+    assert [direct.contains(key) for key in inserts] == (
+        batch.contains_many(inserts)
+    )
 
 
 @given(

@@ -17,11 +17,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
-    "core/ring.py": 325,
+    "core/ring.py": 316,
     "core/placement.py": 152,
-    "core/router.py": 363,
+    "core/router.py": 381,
     "core/hotkey.py": 317,
-    "core/transition.py": 263,
+    "core/transition.py": 261,
     "core/retrieval.py": 800,
     "web/frontend.py": 237,
     "net/webtier.py": 364,
@@ -33,7 +33,7 @@ CEILINGS = {
     "provisioning/actuator.py": 94,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_747
+TREE_CEILING = 12_728
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
