@@ -113,14 +113,6 @@ class ServerBusyError(OverloadError):
     """
 
 
-class ClientOverloadError(OverloadError):
-    """A local bound refused the command before it was ever written.
-
-    Raised when a server's AIMD in-flight window
-    (:class:`~repro.resilience.AdaptiveConcurrencyLimiter`) is full.
-    """
-
-
 class SimulationError(ProteusError):
     """The discrete-event simulation was driven into an invalid state."""
 

@@ -363,9 +363,9 @@ class MemcachedClient:
 
     def _on_reply_timeout(self, protocol: _ClientProtocol) -> None:
         """The head command's reply is overdue: it gets the timeout (a
-        transient error *caused by* ``asyncio.TimeoutError``, the
-        congestion signal limiters look for); the stream position is
-        unknown once a reply is abandoned, so the rest is poisoned."""
+        transient error *caused by* ``asyncio.TimeoutError``); the stream
+        position is unknown once a reply is abandoned, so the rest is
+        poisoned."""
         error = TransportError(
             f"{self.host}:{self.port} did not answer within {self.timeout}s"
         )

@@ -15,9 +15,9 @@ the frontend only ever calls the four seam methods :meth:`get_multi`,
 Fault tolerance
 ---------------
 
-:meth:`_call` layers the :mod:`repro.resilience` policies around the
-socket work, in this order (the overload armor — limiter, budget — is
-opt-in via :class:`~repro.resilience.ResiliencePolicy`):
+:meth:`_call` layers the :mod:`repro.resilience` policies of one
+:class:`~repro.resilience.ResiliencePolicy` around the socket work, in
+this order — deadline, breaker, lease, retry:
 
 * a per-request :class:`~repro.resilience.Deadline` bounds the total time
   spent on cache-side recovery: an already-expired one fails fast (no
@@ -26,16 +26,18 @@ opt-in via :class:`~repro.resilience.ResiliencePolicy`):
 * a per-server :class:`~repro.resilience.CircuitBreaker` refuses the RPC
   outright while the server's circuit is open (no connect-timeout tax on
   every request to a dead server);
-* a per-server AIMD limiter bounds concurrent RPCs; a refused acquire
-  fails immediately (counted in ``shed_rpcs``).  Operation timeouts
-  shrink the window multiplicatively, successes grow it back additively;
+* each attempt leases a connection from the server's pool afresh, so
+  no lease is held across a backoff sleep;
 * transient transport faults are retried with the policy's seeded
-  backoff, against the auto-reconnecting client — but every retry must be
-  granted by the transport-wide :class:`~repro.resilience.RetryBudget`,
-  so total retry volume stays a bounded fraction of request volume;
+  backoff, against the auto-reconnecting client;
 * :class:`~repro.errors.OverloadError` answers (``SERVER_ERROR busy``
-  sheds, a full limiter window) are **never retried** — a storm cannot
-  amplify through here.
+  sheds, counted in ``shed_rpcs``) are **never retried** — a storm
+  cannot amplify through here.
+
+Nothing here sheds for concurrency: past the pool's bound, RPCs share
+pipelined connections and the server answers them in turn, so a burst of
+pages against a healthy cluster is served from the cache, never sent to
+the database.
 
 :meth:`get_multi`, :meth:`set_multi` and :meth:`delete_multi` answer the
 engine: an RPC that cannot be completed returns ``SERVER_UNAVAILABLE``
@@ -57,39 +59,16 @@ from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import SERVER_UNAVAILABLE
 from repro.errors import (
-    ClientOverloadError,
     ConfigurationError,
     DeadlineExceeded,
     OverloadError,
-    ServerBusyError,
     TransportError,
 )
 from repro.net.client import MemcachedClient
 from repro.net.pool import ConnectionPool
-from repro.resilience import (
-    AdaptiveConcurrencyLimiter,
-    CircuitBreaker,
-    Deadline,
-    ResiliencePolicy,
-    RetryBudget,
-)
+from repro.resilience import CircuitBreaker, Deadline, ResiliencePolicy
 
 __all__ = ["CacheTransport"]
-
-
-def _is_timeout(error: BaseException) -> bool:
-    """True when *error* is (or was caused by) an operation timeout —
-    the congestion signal the AIMD limiter shrinks on.  Refused
-    connections are a liveness problem (the breaker's job), not a
-    window problem, so they deliberately do not count."""
-    seen = set()
-    current: Optional[BaseException] = error
-    while current is not None and id(current) not in seen:
-        if isinstance(current, asyncio.TimeoutError):
-            return True
-        seen.add(id(current))
-        current = current.__cause__
-    return False
 
 
 async def _snapshot_and_fetch(
@@ -115,12 +94,12 @@ async def _delete_each(client: MemcachedClient, keys) -> int:
 
 
 class CacheTransport:
-    """Pools, breakers, limiters and the retry budget of one frontend.
+    """The pools and breakers of one frontend.
 
     Args:
         endpoints: ``(host, port)`` per cache server, in provisioning order.
-        policy: retry/breaker/deadline/overload policy for every RPC.
-        clock: time source shared by the breakers, limiters and budget.
+        policy: retry/breaker/deadline policy for every RPC.
+        clock: time source of the breakers.
         pool_size: pipelined connections per cache server.
     """
 
@@ -143,24 +122,12 @@ class CacheTransport:
         self.breakers: List[CircuitBreaker] = [
             policy.new_breaker(clock) for _ in endpoints
         ]
-        #: one retry budget for the whole frontend (``None`` when the
-        #: policy's ``retry_budget_ratio`` is 0): the cap is on *total*
-        #: retry volume, so a storm cannot multiply across servers
-        self.retry_budget: Optional[RetryBudget] = policy.new_retry_budget(clock)
-        #: per-server AIMD in-flight windows (``None`` entries when the
-        #: policy's ``limiter_window`` is 0)
-        self.limiters: List[Optional[AdaptiveConcurrencyLimiter]] = [
-            policy.new_limiter(clock) for _ in endpoints
-        ]
         #: cache RPCs that could not be completed (degraded or raised)
         self.unavailable_rpcs = 0
         #: transient cache-RPC failures observed (pre-retry, per attempt)
         self.transient_failures = 0
-        #: cache RPCs refused by overload armor (limiter window full,
-        #: server busy reply) — never retried
+        #: cache RPCs a server shed (``SERVER_ERROR busy``) — never retried
         self.shed_rpcs = 0
-        #: retries skipped because the budget was spent
-        self.budget_denied_retries = 0
 
     # ----------------------------------------------------------- lifecycle
 
@@ -200,10 +167,9 @@ class CacheTransport:
         return sum(pool.reconnects for pool in self.pools if pool is not None)
 
     def stats(self) -> Dict[str, int]:
-        """Aggregated counters across every pool, limiter, and the retry
-        budget (all monotonic)."""
+        """Aggregated counters across every pool (all monotonic)."""
         pools = [pool for pool in self.pools if pool is not None]
-        stats = {
+        return {
             "dials": sum(p.dials for p in pools),
             "ejections": sum(p.ejections for p in pools),
             "reconnects": self.reconnects,
@@ -214,19 +180,7 @@ class CacheTransport:
             "unavailable_rpcs": self.unavailable_rpcs,
             "transient_failures": self.transient_failures,
             "shed_rpcs": self.shed_rpcs,
-            "budget_denied_retries": self.budget_denied_retries,
         }
-        if self.retry_budget is not None:
-            stats["retries_granted"] = self.retry_budget.granted
-            stats["retries_denied"] = self.retry_budget.denied
-        limiters = [lim for lim in self.limiters if lim is not None]
-        if limiters:
-            stats["limiter_shed"] = sum(lim.shed for lim in limiters)
-            stats["limiter_cuts"] = sum(lim.cuts for lim in limiters)
-            stats["limiter_peak_inflight"] = max(
-                lim.peak_inflight for lim in limiters
-            )
-        return stats
 
     # ---------------------------------------------------------------- RPCs
 
@@ -296,83 +250,53 @@ class CacheTransport:
             if degrade:
                 return SERVER_UNAVAILABLE
             raise TransportError(f"circuit open for cache server {server_id}")
-        limiter = self.limiters[server_id]
-        if limiter is not None and not limiter.try_acquire(self._clock()):
-            self.shed_rpcs += 1
-            self.unavailable_rpcs += 1
-            if degrade:
-                return SERVER_UNAVAILABLE
-            raise ClientOverloadError(
-                f"cache server {server_id}: in-flight window full"
+        pool = self.pools[server_id]
+        if pool is None:
+            raise ConfigurationError(
+                f"no connection pool for cache server {server_id}; "
+                "call connect()"
             )
-        try:
-            pool = self.pools[server_id]
-            if pool is None:
-                raise ConfigurationError(
-                    f"no connection pool for cache server {server_id}; "
-                    "call connect()"
-                )
-            if self.retry_budget is not None:
-                # Deposit happens per RPC, not per attempt: the budget
-                # caps retries at a fraction of *request* volume.
-                self.retry_budget.record_request(now=self._clock())
-            sleeps: Optional[List[float]] = None  # drawn on first failure
-            last_error: Optional[BaseException] = None
-            for attempt in range(policy.retry.max_attempts):
-                if deadline is not None and deadline.expired():
-                    break
+        sleeps: Optional[List[float]] = None  # drawn on first failure
+        last_error: Optional[BaseException] = None
+        for attempt in range(policy.retry.max_attempts):
+            if deadline is not None and deadline.expired():
+                break
+            try:
+                client = await pool.acquire(deadline)
                 try:
-                    client = await pool.acquire(deadline)
-                    try:
-                        result = await op(client, *args)
-                    finally:
-                        pool.release(client)
-                except OverloadError as error:
-                    # A shed reply or a local bound: retrying would feed
-                    # the storm, so give up on the server straight away.
-                    last_error = error
-                    self.shed_rpcs += 1
-                    if limiter is not None and isinstance(
-                        error, ServerBusyError
-                    ):
-                        limiter.on_overload(self._clock())
+                    result = await op(client, *args)
+                finally:
+                    pool.release(client)
+            except OverloadError as error:
+                # A shed reply: retrying would feed the storm, so give up
+                # on the server straight away.
+                last_error = error
+                self.shed_rpcs += 1
+                break
+            except DeadlineExceeded as error:
+                last_error = error
+                break
+            except Exception as error:
+                if not policy.retry.is_transient(error):
+                    raise
+                last_error = error
+                self.transient_failures += 1
+                breaker.record_failure(self._clock())
+                if sleeps is None:
+                    sleeps = list(policy.retry.delays())
+                if attempt >= len(sleeps):
                     break
-                except DeadlineExceeded as error:
-                    last_error = error
+                if not breaker.allow(self._clock()):
+                    # The circuit tripped mid-loop: stop hammering.
                     break
-                except Exception as error:
-                    if not policy.retry.is_transient(error):
-                        raise
-                    last_error = error
-                    self.transient_failures += 1
-                    breaker.record_failure(self._clock())
-                    if limiter is not None and _is_timeout(error):
-                        limiter.on_overload(self._clock())
-                    if sleeps is None:
-                        sleeps = list(policy.retry.delays())
-                    if attempt >= len(sleeps):
-                        break
-                    if not breaker.allow(self._clock()):
-                        # The circuit tripped mid-loop: stop hammering.
-                        break
-                    if self.retry_budget is not None and (
-                        not self.retry_budget.allow_retry(self._clock())
-                    ):
-                        self.budget_denied_retries += 1
-                        break
-                    sleep = sleeps[attempt]
-                    if deadline is not None and not deadline.allows(sleep):
-                        break
-                    if sleep > 0:
-                        await asyncio.sleep(sleep)
-                else:
-                    breaker.record_success(self._clock())
-                    if limiter is not None:
-                        limiter.on_success(self._clock())
-                    return result
-        finally:
-            if limiter is not None:
-                limiter.release()
+                sleep = sleeps[attempt]
+                if deadline is not None and not deadline.allows(sleep):
+                    break
+                if sleep > 0:
+                    await asyncio.sleep(sleep)
+            else:
+                breaker.record_success(self._clock())
+                return result
         self.unavailable_rpcs += 1
         if degrade:
             return SERVER_UNAVAILABLE

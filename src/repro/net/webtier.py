@@ -108,8 +108,8 @@ class AsyncProteusFrontend:
         self._inflight: Dict[str, asyncio.Future] = {}
         self.resilience = resilience or ResiliencePolicy.default()
         self.engine.admission = admission
-        #: the one path to the cache servers: pools, breakers, limiters,
-        #: retry budget and their counters (swap it for a fake in tests)
+        #: the one path to the cache servers: pools, breakers and their
+        #: counters (swap it for a fake in tests)
         self.transport = CacheTransport(
             self.endpoints, self.resilience, clock, pool_size=pool_size
         )

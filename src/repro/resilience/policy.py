@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.resilience.breaker import BreakerSnapshot, CircuitBreaker
-from repro.resilience.budget import AdaptiveConcurrencyLimiter, RetryBudget
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy
 
@@ -38,11 +37,6 @@ class ResiliencePolicy:
         request_budget: per-``fetch`` deadline budget in seconds (``None``:
             unlimited).  When the budget is spent, remaining cache RPCs are
             skipped and the request degrades to the database immediately.
-        retry_budget_ratio: retries allowed per recent request, shared
-            across every retry loop the driver runs (0.0 disables the
-            budget — the pre-overload-armor behaviour).
-        limiter_window: starting AIMD in-flight window per server (0
-            disables adaptive concurrency limiting).
     """
 
     retry: RetryPolicy = None  # type: ignore[assignment]
@@ -50,8 +44,6 @@ class ResiliencePolicy:
     breaker_reset: float = 1.0
     op_timeout: Optional[float] = None
     request_budget: Optional[float] = None
-    retry_budget_ratio: float = 0.0
-    limiter_window: int = 0
 
     def __post_init__(self) -> None:
         if self.retry is None:
@@ -75,16 +67,6 @@ class ResiliencePolicy:
             request_budget=max(1.0, 8 * op_timeout),
         )
 
-    @classmethod
-    def overload_armor(cls, op_timeout: float = 0.25) -> "ResiliencePolicy":
-        """The :meth:`aggressive` profile with the overload armor on:
-        a 0.2 retry budget and an adaptive per-server window, for
-        5x-offered-load territory where unbudgeted retries amplify."""
-        policy = cls.aggressive(op_timeout=op_timeout)
-        policy.retry_budget_ratio = 0.2
-        policy.limiter_window = 64
-        return policy
-
     # ----------------------------------------------------------- factories
 
     def new_breaker(
@@ -103,30 +85,16 @@ class ResiliencePolicy:
         """A fresh per-request deadline bound to *clock* (may be unlimited)."""
         return Deadline(self.request_budget, clock=clock)
 
-    def new_retry_budget(
-        self, clock: Callable[[], float] = time.monotonic
-    ) -> Optional[RetryBudget]:
-        """The driver-wide retry budget, or ``None`` when disabled.
+    # The end-to-end cost ledger (``benchmarks/e2e/ledger.py``) still
+    # prices an overload-armor profile; these three names keep it running
+    # until it is rewritten.  The profile is :meth:`aggressive`, and no
+    # retry budget or concurrency limiter is built.
+    overload_armor = aggressive
 
-        One budget per driver (NOT per server): a storm against one
-        server must not be fundable from another server's quiet traffic
-        being absent — the cap is on the driver's total retry volume.
-        """
-        if self.retry_budget_ratio <= 0.0:
-            return None
-        return RetryBudget(ratio=self.retry_budget_ratio, clock=clock)
+    def new_retry_budget(self, clock: object = None) -> None:
+        return None
 
-    def new_limiter(
-        self, clock: Callable[[], float] = time.monotonic
-    ) -> Optional[AdaptiveConcurrencyLimiter]:
-        """A fresh per-server AIMD window, or ``None`` when disabled."""
-        if self.limiter_window <= 0:
-            return None
-        return AdaptiveConcurrencyLimiter(
-            initial=float(self.limiter_window),
-            max_limit=float(max(1024, self.limiter_window)),
-            clock=clock,
-        )
+    new_limiter = new_retry_budget
 
     # -------------------------------------------------------- introspection
 

@@ -293,7 +293,7 @@ class TestTimeouts:
             client = MemcachedClient("127.0.0.1", 9, timeout=0.05)
             with pytest.raises(TransportError, match="timed out") as excinfo:
                 await client.connect()
-            # the congestion signal limiters look for
+            # a timeout, told apart from a refused or reset connection
             assert isinstance(excinfo.value.__cause__, asyncio.TimeoutError)
             # The timeout is a timer on the dial, not on the caller: a
             # caller cancelled mid-dial sees its own cancellation.

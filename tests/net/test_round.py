@@ -36,7 +36,13 @@ from repro.net.round import run_round
 from repro.net.webtier import AsyncProteusFrontend
 from repro.resilience import ResiliencePolicy
 from tests.conftest import LEAKED_COROUTINES_FAIL
-from tests.net.scripted import ScriptedClient, ScriptedPool, fast_retry, make
+from tests.net.scripted import (
+    ScriptedClient,
+    ScriptedPool,
+    fast_retry,
+    make,
+    trip,
+)
 from tests.net.test_rpc_glue import CountingLoop
 
 pytestmark = LEAKED_COROUTINES_FAIL
@@ -123,17 +129,14 @@ class TestAnswers:
         run(body())
 
     def test_a_command_that_never_waits_costs_no_handle(self):
-        """A ``WaitForLeader`` nobody leads (twice) and an RPC the limiter
-        sheds all finish at their first step."""
+        """A ``WaitForLeader`` nobody leads (twice) and an RPC to a server
+        whose circuit is open all finish at their first step."""
         loop = CountingLoop()
 
         async def body():
             web = frontend()
-            transport, pool, _ = make(
-                TransportError("unreached"), limiter_window=1
-            )
-            limiter = transport.limiters[0]
-            limiter.inflight = limiter.window  # window occupied
+            transport, pool, _ = make(TransportError("unreached"))
+            trip(transport)
             leaders = {}
             loop.count()
             answers = await run_round([
@@ -315,20 +318,18 @@ class Stuck(ScriptedClient):
         return await self.waits[-1]
 
 
-def stuck_frontend(**policy):
+def stuck_frontend():
     """A real ``CacheTransport`` over scripted pools whose clients never
-    answer, with the AIMD limiter armed so its slots are visible."""
-    policy.setdefault("retry", fast_retry())
-    web = frontend(resilience=ResiliencePolicy(limiter_window=8, **policy))
+    answer."""
+    web = frontend(resilience=ResiliencePolicy(retry=fast_retry()))
     web.transport.pools[:] = [ScriptedPool(Stuck()) for _ in range(SERVERS)]
     return web
 
 
 def assert_nothing_held(web):
-    """No lease, no limiter slot, and nobody still waiting on the wire."""
-    for pool, limiter in zip(web.transport.pools, web.transport.limiters):
+    """No lease, and nobody still waiting on the wire."""
+    for pool in web.transport.pools:
         assert pool.leases == 0
-        assert limiter.inflight == 0
         assert all(wait.done() for wait in pool.client.waits)
 
 
@@ -376,7 +377,7 @@ class TestAFailedOrCancelledPageLeavesNothingRunning:
 
         run(body())
 
-    def test_a_fatal_reply_returns_every_lease_and_limiter_slot(self):
+    def test_a_fatal_reply_returns_every_lease(self):
         async def body():
             web = stuck_frontend()
             page = asyncio.ensure_future(web.fetch_many(KEYS))

@@ -10,9 +10,9 @@ engine's read and write plans, ``digest`` for the broadcast — runs through
 * the frontend reaches the servers only through ``web.transport``, so a
   fake replaces the whole path.
 
-The overload half (sheds never retried, retry budget, AIMD limiter,
-expired deadlines) is in ``tests/net/test_overload_armor.py``.  No
-sockets anywhere here: see :mod:`tests.net.scripted`.
+The overload half (sheds never retried, expired deadlines) is in
+``tests/net/test_overload_armor.py``.  No sockets anywhere here: see
+:mod:`tests.net.scripted`.
 """
 
 import asyncio
@@ -87,7 +87,7 @@ def rpc_call(transport, rpc):
 
 class TestSetAndDigestRideTheSameArmor:
     """A ``put``'s ``set_multi`` / ``delete_multi`` and the digest
-    broadcast ride breaker, limiter and counters like every probe; the
+    broadcast ride breaker and counters like every probe; the
     digest raises, the writes answer ``SERVER_UNAVAILABLE``."""
 
     def test_open_circuit_raises_without_dialling(self):

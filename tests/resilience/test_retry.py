@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import (
-    ClientOverloadError,
     ConfigurationError,
     ProtocolError,
     ServerBusyError,
@@ -48,12 +47,10 @@ class TestClassification:
         # immediate retry is the retry-storm amplifier.
         policy = RetryPolicy()
         assert not policy.is_transient(ServerBusyError("SERVER_ERROR busy"))
-        assert not policy.is_transient(ClientOverloadError("window full"))
         # Unconditional: broader transient classes cannot override it.
         monkeypatch.setattr(retry_module, "TRANSIENT_ERRORS", (Exception,))
         broad = RetryPolicy()
         assert not broad.is_transient(ServerBusyError("SERVER_ERROR busy"))
-        assert not broad.is_transient(ClientOverloadError("window full"))
         assert broad.is_transient(TransportError("reset"))
 
 

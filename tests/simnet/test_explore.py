@@ -4,15 +4,14 @@ Every seed builds the same stack — three servers, two fetchers paging 16
 keys at once with miss coalescing on, and a resize 3 -> 2 -> 3 — and
 draws from the seed a :class:`~repro.resilience.FaultSchedule` of kills,
 resets, partial writes, blackholes and delays, each healed a little
-later, plus every think time, page, latency and chunk boundary.  Even
-seeds run :meth:`ResiliencePolicy.aggressive`, odd ones
-:meth:`~ResiliencePolicy.overload_armor` (the same, with the retry budget
-and the AIMD limiters on).  Whatever the interleaving:
+later, plus every think time, page, latency and chunk boundary, under
+:meth:`~repro.resilience.ResiliencePolicy.aggressive`.  Whatever the
+interleaving:
 
 * every value returned is the database's;
 * nothing but a ``DigestBroadcastError`` from ``scale_to`` escapes;
-* at quiescence no server, pool or limiter holds anything in flight and
-  no task is left pending;
+* at quiescence no server or pool holds anything in flight and no task
+  is left pending;
 * a seed replays bit for bit — same counters, same server stats, same
   final virtual time.
 
@@ -28,7 +27,7 @@ import pytest
 
 from repro.core.retrieval import RetrievalConfig
 from repro.errors import DigestBroadcastError
-from repro.resilience import FaultPlan, FaultSchedule, ResiliencePolicy
+from repro.resilience import FaultPlan, FaultSchedule
 from tests.simnet import cluster, run, value_of
 
 COALESCING = RetrievalConfig(coalesce_misses=True)
@@ -37,7 +36,6 @@ SEEDS = range(20)
 KEYS = [f"page:{i}" for i in range(48)]
 PAGES = 8
 TTL = 0.3
-POLICIES = (ResiliencePolicy.aggressive, ResiliencePolicy.overload_armor)
 FAULTS = (
     lambda rng: FaultPlan.killed(),
     lambda rng: FaultPlan.flaky(0.3, seed=rng.randrange(1000)),
@@ -81,8 +79,7 @@ async def resize(web, rng):
 
 async def explore(seed):
     rng = random.Random(seed)
-    policy = POLICIES[seed % 2](op_timeout=0.2)
-    async with cluster(3, policy, config=COALESCING) as stack:
+    async with cluster(3, config=COALESCING) as stack:
         web, transport = stack.web, stack.web.transport
         stack.replay(draw_schedule(rng))
         await asyncio.gather(
@@ -93,10 +90,6 @@ async def explore(seed):
         await asyncio.sleep(2.0)  # past every heal; the network goes quiet
         assert [server.inflight for server in stack.servers] == [0, 0, 0]
         assert [pool.leases for pool in transport.pools] == [0, 0, 0]
-        assert all(
-            limiter.inflight == 0
-            for limiter in transport.limiters if limiter is not None
-        )
         stats = (dict(web.stats.counts), dict(web.stats.degraded))
     servers = [server._stats_dict() for server in stack.servers]
     return stats, servers, stack.loop.time()

@@ -25,7 +25,7 @@ CEILINGS = {
     "core/retrieval.py": 800,
     "web/frontend.py": 237,
     "net/webtier.py": 364,
-    "net/transport.py": 383,
+    "net/transport.py": 307,
     "net/parser.py": 490,
     "net/client.py": 606,
     "experiments/testbed.py": 743,
@@ -33,7 +33,7 @@ CEILINGS = {
     "provisioning/actuator.py": 94,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_728
+TREE_CEILING = 12_486
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
