@@ -48,10 +48,6 @@ class MemcachedServer:
             are *shed*: answered ``SERVER_ERROR busy`` without being
             dispatched, so an overload burst costs one error line each
             instead of queue growth.
-        max_conn_inflight: per-connection watermark — a read chunk
-            carrying more commands than this is counted in
-            ``paused_reads``: the bursts likeliest to overrun the write
-            buffer, which is what pauses a connection's reads.
 
     Accepted sockets get ``TCP_NODELAY`` (reply batches must not sit
     behind Nagle while the client pipelines) and asyncio's default write
@@ -64,25 +60,17 @@ class MemcachedServer:
         bloom_config: Optional[BloomConfig] = None,
         clock=time.monotonic,
         max_inflight: Optional[int] = None,
-        max_conn_inflight: Optional[int] = None,
     ) -> None:
         self._clock = clock
         if max_inflight is not None and max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if max_conn_inflight is not None and max_conn_inflight < 1:
-            raise ConfigurationError(
-                f"max_conn_inflight must be >= 1, got {max_conn_inflight}"
-            )
         self.max_inflight = max_inflight
-        self.max_conn_inflight = max_conn_inflight
         #: commands accepted but not yet replied-and-drained (all conns)
         self.inflight = 0
         #: commands refused with ``SERVER_ERROR busy``
         self.shed_commands = 0
-        #: times a connection's reads were paused at the watermark
-        self.paused_reads = 0
         self.store = KeyValueStore(
             capacity_bytes=capacity_bytes, policy=LRUPolicy(),
             default_item_size=0,
@@ -191,26 +179,23 @@ class MemcachedServer:
             else [key for key in keys if key not in reserved],
             self._clock(),
         )
-        cas_ids = self._cas if request.command == "gets" else {}
+        gets = request.command == "gets"
         chunks = []
         for key in keys:
             item = hits.get(key)
             if item is not None:
-                flags, value = item.flags, item.value
+                # A hit's reply block was built when it was set; a ``gets``
+                # rebuilds the header to carry the cas id.
+                chunks.append(item.value if not gets else proto.value_response(
+                    key, item.flags, _payload(item), self._cas.get(key)
+                ))
             elif key == proto.KEY_SNAPSHOT:
                 # Snapshot the digest, acknowledge with a 1-byte value so
                 # stock clients see a normal hit.
                 self.take_snapshot()
-                flags, value = 0, b"1"
+                chunks.append(proto.value_response(key, 0, b"1"))
             elif key == proto.KEY_FETCH_DIGEST and self._snapshot is not None:
-                flags, value = 0, self._snapshot
-            else:
-                continue
-            cas = cas_ids.get(key)
-            chunks.append(b"VALUE %s %d %d%s\r\n%s\r\n" % (
-                key.encode("utf-8"), flags, len(value),
-                b"" if cas is None else b" %d" % cas, value,
-            ))
+                chunks.append(proto.value_response(key, 0, self._snapshot))
         chunks.append(proto.END)
         return b"".join(chunks)
 
@@ -237,11 +222,19 @@ class MemcachedServer:
 
     def _set(self, key, value, now, ttl, flags) -> bytes:
         """Store *value* and bump its cas id: ``STORED``, or ``CLIENT_ERROR``
-        (a reserved key) / ``SERVER_ERROR`` (too big).  *ttl* <= 0: expired."""
+        (a reserved key) / ``SERVER_ERROR`` (too big).  *ttl* <= 0: expired.
+
+        The item holds its whole ``get`` reply block, ``VALUE`` header and
+        CRLF included (as memcached keeps its suffix with the item), so a
+        hit is one append; its ``size`` is the payload's, which is what
+        capacity, eviction and the ``bytes`` stat count."""
         if key in proto.RESERVED_KEYS:
             return proto.client_error_response(f"{key} is reserved")
         try:
-            self.store.set(key, value, now, len(value), ttl, flags)
+            self.store.set(
+                key, proto.value_response(key, flags, value), now,
+                len(value), ttl, flags,
+            )
         except CapacityError as exc:
             return proto.error_response(str(exc))
         self._cas_counter += 1
@@ -257,9 +250,9 @@ class MemcachedServer:
         if item is None or item.expired(now):
             return proto.NOT_STORED
         if request.command == "append":
-            merged = bytes(item.value) + request.value
+            merged = _payload(item) + request.value
         else:
-            merged = request.value + bytes(item.value)
+            merged = request.value + _payload(item)
         expires = item.expires_at  # in the future: not expired(now)
         ttl = None if expires is None else expires - now
         return self._set(key, merged, now, ttl, item.flags)
@@ -271,7 +264,7 @@ class MemcachedServer:
         if item is None:
             return proto.NOT_FOUND
         try:
-            number = int(bytes(item.value).decode("ascii"))
+            number = int(_payload(item).decode("ascii"))
         except (UnicodeDecodeError, ValueError):
             return proto.client_error_response(
                 "cannot increment or decrement non-numeric value"
@@ -318,8 +311,13 @@ class MemcachedServer:
             "total_connections": self.connections,
             "inflight_commands": self.inflight,
             "shed_commands": self.shed_commands,
-            "paused_reads": self.paused_reads,
         }
+
+
+def _payload(item: CacheItem) -> bytes:
+    """The data of an item :meth:`MemcachedServer._set` stored: its reply
+    block less the ``VALUE`` header and the closing CRLF."""
+    return item.value[-2 - item.size:-2]
 
 
 #: A connection's receive buffer, reused by every read (a plain ``Protocol``
@@ -381,7 +379,6 @@ class ServerConnection(asyncio.BufferedProtocol):
     def data_received(self, data: bytes) -> None:
         server = self.server
         cap = server.max_inflight
-        held = self.held
         out: List[bytes] = []
         closing = False
         for item in self.parser.feed(data):
@@ -410,11 +407,6 @@ class ServerConnection(asyncio.BufferedProtocol):
             response = server._dispatch(item)
             if response and not item.noreply:
                 out.append(response)
-        if (
-            server.max_conn_inflight is not None
-            and self.held - held > server.max_conn_inflight
-        ):
-            server.paused_reads += 1
         if out:
             self.transport.write(b"".join(out))
         if not self.write_paused:
@@ -455,7 +447,6 @@ def main(argv: Optional[list] = None) -> None:  # pragma: no cover - CLI
     parser.add_argument("--capacity-mb", type=float, default=None)
     parser.add_argument("--expected-keys", type=int, default=100_000)
     parser.add_argument("--max-inflight", type=int, default=None)
-    parser.add_argument("--max-conn-inflight", type=int, default=None)
     args = parser.parse_args(argv)
 
     async def serve() -> None:
@@ -465,7 +456,6 @@ def main(argv: Optional[list] = None) -> None:  # pragma: no cover - CLI
             ),
             bloom_config=optimal_config(args.expected_keys),
             max_inflight=args.max_inflight,
-            max_conn_inflight=args.max_conn_inflight,
         )
         port = await server.start(args.host, args.port)
         print(f"LISTENING {port}", flush=True)

@@ -49,8 +49,6 @@ class TestValidation:
     def test_caps_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             MemcachedServer(bloom_config=CFG, max_inflight=0)
-        with pytest.raises(ConfigurationError):
-            MemcachedServer(bloom_config=CFG, max_conn_inflight=0)
 
 
 class TestGlobalInflightCap:
@@ -105,23 +103,8 @@ class TestGlobalInflightCap:
             text = b"".join(lines).decode()
             assert "inflight_commands" in text
             assert "shed_commands" in text
-            assert "paused_reads" in text
 
         run(with_raw_server(body, max_inflight=1))
-
-
-class TestPerConnectionWatermark:
-    def test_oversized_chunk_pauses_reads_until_drained(self):
-        async def body(server, reader, writer):
-            writer.write(b"get k\r\n" * 4)
-            await writer.drain()
-            replies = [await reader.readline() for _ in range(4)]
-            # Nothing shed — the watermark pauses, it does not refuse.
-            assert replies == [b"END\r\n"] * 4
-            assert server.paused_reads >= 1
-            assert server.shed_commands == 0
-
-        run(with_raw_server(body, max_conn_inflight=2))
 
 
 class TestSlowReader:
@@ -136,7 +119,7 @@ class TestSlowReader:
 
     def test_unread_replies_hold_inflight_until_the_client_reads(self):
         async def body(server, reader, writer):
-            server.store.set("big", self.VALUE, now=0.0, size=len(self.VALUE))
+            assert server._set("big", self.VALUE, 0.0, None, 0) == proto.STORED
             await until(lambda: server._open)
             (connection,) = server._open
             connection.transport.set_write_buffer_limits(high=64 * 1024)

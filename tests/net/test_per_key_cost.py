@@ -6,14 +6,16 @@ loop, key validation, the server's ``get`` loop and the client's reply
 framing — and in each of them a Python-level call per key is most of the
 cost.  This gate counts them the machine-independent way: ``call``
 events under ``sys.setprofile`` (a call into C is a ``c_call`` and does
-not count; resuming a generator does).  Only the engine still enters a
-frame per key, its ``FetchResult``, so there the gate also counts the
-lines a hit executes (``line`` events under ``sys.settrace``).  The
-bounds are what the code does today; a bound that fails names the layer
-that grew per-key work.
+not count; resuming a generator does).  The server's ``get`` loop enters
+no frame at all, so there the gate also counts its ``c_call`` events.
+Only the engine still enters a frame per key, its ``FetchResult``, so
+there the gate also counts the lines a hit executes (``line`` events
+under ``sys.settrace``).  The bounds are what the code does today; a
+bound that fails names the layer that grew per-key work.
 """
 
 import asyncio
+import collections
 import gc
 import sys
 
@@ -36,11 +38,18 @@ KEYS = [f"page:{i:04d}" for i in range(64)]
 def python_calls(function, *args):
     """``(calls, result)``: Python frames entered while *function* ran,
     its own included."""
-    calls = 0
+    events, result = profile_events(function, *args)
+    return events["call"], result
+
+
+def profile_events(function, *args):
+    """``(events, result)``: ``sys.setprofile`` events by kind while
+    *function* ran — ``"call"`` counts Python frames entered, its own
+    included, ``"c_call"`` calls into C."""
+    events = collections.Counter()
 
     def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
+        events[event] += 1
 
     # A collection inside the window would run whatever finalizers earlier
     # tests left behind as frames of ours.
@@ -52,7 +61,7 @@ def python_calls(function, *args):
     finally:
         sys.setprofile(None)
         gc.enable()
-    return calls, result
+    return events, result
 
 
 def engine_lines(function, *args):
@@ -115,8 +124,16 @@ def test_reply_framing_enters_no_frame_per_block():
     assert framed(64) == framed(21)
 
 
+#: calls into C one more key of a plain ``get`` costs the server: the
+#: store's ``items.get`` and ``move_to_end``, the loop's ``hits.get`` and
+#: the ``append`` of the reply block ``_set`` built (7 when each hit was
+#: formatted: ``encode``, ``len`` and the cas lookup)
+GET_C_CALLS_PER_KEY = 4
+
+
 def test_the_servers_get_loop_enters_no_frame_per_key():
-    # One store.get_many call for the request and one % format per hit.
+    # One store.get_many call for the request and one append per hit: the
+    # item holds its reply block, so a hit formats nothing.
     async def main():
         server = MemcachedServer(bloom_config=optimal_config(500))
         await server.start()
@@ -126,23 +143,33 @@ def test_the_servers_get_loop_enters_no_frame_per_key():
                 connection.data_received(b"set %s 0 0 1\r\nv\r\n" % key.encode())
             transport.writes.clear()
             counts = {}
-            for keys in (21, 64):
+            # Both lines are longer than one key may be, so both pay the
+            # parse's one length check (validate_keys).
+            for keys in (32, 64):
                 line = ("get " + " ".join(KEYS[:keys]) + "\r\n").encode()
-                counts[keys], _ = python_calls(connection.data_received, line)
-                assert transport.writes.pop().count(b"VALUE ") == keys
+                counts[keys], _ = profile_events(connection.data_received, line)
+                assert transport.writes.pop() == b"".join(
+                    b"VALUE %s 0 1\r\nv\r\n" % key.encode()
+                    for key in KEYS[:keys]
+                ) + b"END\r\n"
         finally:
             await server.stop()
         return counts
 
     counts = asyncio.run(main())
-    assert counts[21] <= 16
-    assert counts[64] == counts[21]
+    assert counts[32]["call"] <= 16
+    assert counts[64]["call"] == counts[32]["call"]
+    assert (
+        counts[64]["c_call"] - counts[32]["c_call"]
+        <= GET_C_CALLS_PER_KEY * (64 - 32)
+    ), counts
 
 
 #: Python frames one more pipelined ``set`` enters on the server, from
 #: its bytes to its ``STORED``: framing and parsing the line, building
-#: the ``Request`` and the ``CacheItem``, the store, the LRU link and the
-#: digest (28 before the write path was inlined) ...
+#: the ``Request``, the item's reply block and the ``CacheItem``, the
+#: store, the LRU link and the digest (28 before the write path was
+#: inlined) ...
 SET_FRAMES_WITH_ROOM = 14
 #: ... and when it also evicts the LRU item, unlinks it from the digest
 #: and drops its cas id (39 before)

@@ -33,7 +33,7 @@ CEILINGS = {
     "provisioning/actuator.py": 94,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_486
+TREE_CEILING = 12_476
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
