@@ -56,6 +56,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from benchmarks import _ratchet  # noqa: E402
 from benchmarks.conftest import fmt_row  # noqa: E402
+from repro import obs  # noqa: E402
 from repro.bloom.config import optimal_config  # noqa: E402
 from repro.cache.cluster import CacheCluster  # noqa: E402
 from repro.core.retrieval import FetchPath  # noqa: E402
@@ -286,22 +287,24 @@ def _run_scenario(armored: bool) -> Dict[str, object]:
         rng, recovery_start, BASE_RATE, RECOVERY_SECONDS, 0.95, "cold:r"
     )
 
-    baseline = client.run(baseline_arrivals, on_slot=on_slot)
-    n_before_storm = controller.current
+    # The timeline records the controller's decisions up to the storm's end.
+    with obs.recording() as timeline:
+        baseline = client.run(baseline_arrivals, on_slot=on_slot)
+        n_before_storm = controller.current
 
-    # 5x storm, with a scale-down transition opening mid-storm (the
-    # worst case: a drain window plus a flash crowd plus retries).
-    split = int(SCALE_DOWN_AFTER * STORM_RATE)
-    client.run(storm_arrivals[:split], on_slot=on_slot)
-    cache.scale_to(NUM_CACHE - 1, now=storm_start + SCALE_DOWN_AFTER)
-    client.run(storm_arrivals[split:], on_slot=on_slot)
+        # 5x storm, with a scale-down transition opening mid-storm (the
+        # worst case: a drain window plus a flash crowd plus retries).
+        split = int(SCALE_DOWN_AFTER * STORM_RATE)
+        client.run(storm_arrivals[:split], on_slot=on_slot)
+        cache.scale_to(NUM_CACHE - 1, now=storm_start + SCALE_DOWN_AFTER)
+        client.run(storm_arrivals[split:], on_slot=on_slot)
     # The storm window includes retries fired inside it, keyed by time.
     storm = [
         r for r in client.records
         if storm_start <= r[0] < recovery_start
     ]
     n_after_storm = controller.current
-    storm_scale_ups = controller.emergency_scale_ups
+    storm_scale_ups = len(timeline.of("controller.emergency"))
 
     cache.finalize_expired(recovery_start)
     recovery = client.run(recovery_arrivals, on_slot=on_slot)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro import obs
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.hashing import SCALAR_BATCH_MAX
 from repro.errors import TransitionError
@@ -135,8 +136,6 @@ class TransitionManager:
         self.ttl = ttl
         self._active = initial_active
         self._current: Optional[Transition] = None
-        #: transitions that completed, oldest first (for accounting/tests)
-        self.history: List[Transition] = []
         #: callbacks fired with the list of powered-off servers when a
         #: scale-down drain window closes
         self.on_power_off: List[Callable[[List[int], float], None]] = []
@@ -209,6 +208,9 @@ class TransitionManager:
         )
         self._current = transition
         self._active = n_new
+        obs.emit("transition.begin", now, n_old=transition.n_old,
+                 n_new=n_new, smooth=digests is not None,
+                 digests=sorted(digests or ()))
         return transition
 
     def routing_counts(self, now: float) -> "RoutingEpochs":
@@ -234,8 +236,9 @@ class TransitionManager:
 
     def _finish(self, transition: Transition, when: float) -> None:
         self._current = None
-        self.history.append(transition)
         powered_off = transition.draining_servers()
+        obs.emit("transition.end", when, n_old=transition.n_old,
+                 n_new=transition.n_new, powered_off=powered_off)
         if powered_off:
             for callback in self.on_power_off:
                 callback(powered_off, when)

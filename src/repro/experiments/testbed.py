@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Union
 
+from repro import obs
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.retrieval import FetchPath, RetrievalConfig
@@ -34,7 +35,7 @@ from repro.core.router import (
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
 from repro.power.meter import PowerMeter, busy_time_probe, utilization_probe
-from repro.provisioning.actuator import AppliedTransition, ProvisioningActuator
+from repro.provisioning.actuator import ProvisioningActuator
 from repro.provisioning.controller import DelayFeedbackController
 from repro.provisioning.health import ClusterHealthMonitor
 from repro.provisioning.policies import ProvisioningSchedule, static_schedule
@@ -117,13 +118,27 @@ class RunReport:
     #: the delay statistic the provisioner saw: the slot's p95, which a
     #: controller raises to the M/M/1 projection
     measured_delays: List[float]
-    transitions: List[AppliedTransition]
     power_series: Dict[str, TimeSeries]
     #: powered cache servers at each power sample
     active_series: TimeSeries
     energy_kwh: Dict[str, float]
-    emergency_scale_ups: int
-    vetoed_scale_downs: int
+    #: what the control plane did after ``n(0)`` (:mod:`repro.obs`)
+    timeline: obs.Timeline
+
+    @property
+    def transitions(self) -> List[obs.Event]:
+        """Every ``transition.begin`` of the run, smooth or abrupt."""
+        return self.timeline.of("transition.begin")
+
+    @property
+    def emergency_scale_ups(self) -> int:
+        """Slots where health feedback forced extra capacity."""
+        return len(self.timeline.of("controller.emergency"))
+
+    @property
+    def vetoed_scale_downs(self) -> int:
+        """Slots where health feedback blocked a wanted scale-down."""
+        return len(self.timeline.of("controller.veto"))
 
     @property
     def duration(self) -> float:
@@ -260,7 +275,8 @@ class RunReport:
             "arrival_rates": self.arrival_rates,
             "energy_kwh": dict(self.energy_kwh),
             "transitions": [
-                {"when": t.when, "n_old": t.n_old, "n_new": t.n_new}
+                {"when": t.t, "n_old": t.fields["n_old"],
+                 "n_new": t.fields["n_new"]}
                 for t in self.transitions
             ],
             "emergency_scale_ups": self.emergency_scale_ups,
@@ -481,13 +497,13 @@ class SimTestbed:
             self.loop.schedule_at(slot * slot_seconds, self.resize_population, target)
         self._inject_faults(faults, duration)
         self.loop.schedule_at(0.0, self._sample_power, duration)
-        self.loop.run_until(duration)
+        with obs.recording() as timeline:
+            self.loop.run_until(duration)
 
         fetch_paths = {path.value: 0 for path in FetchPath}
         for web in self.webs:
             for path, count in web.stats.counts.items():
                 fetch_paths[path.value] += count
-        controller = None if label == "schedule" else provisioner
         return RunReport(
             provisioner=label,
             slot_seconds=slot_seconds,
@@ -497,13 +513,11 @@ class SimTestbed:
             failovers=sum(web.stats.failovers for web in self.webs),
             hit_ratio=self.cache.total_hit_ratio(),
             latencies=self.latencies,
-            transitions=list(self.actuator.applied),
             power_series={"total": self.meter.total_series,
                           **self.meter.tier_series},
             active_series=self.active_series,
             energy_kwh=self.energy_kwh(),
-            emergency_scale_ups=controller.emergency_scale_ups if controller else 0,
-            vetoed_scale_downs=controller.vetoed_scale_downs if controller else 0,
+            timeline=timeline,
             **self._series,
         )
 

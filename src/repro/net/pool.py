@@ -16,8 +16,8 @@ pipelined :class:`~repro.net.client.MemcachedClient` connections:
 * **broken-connection ejection** — a connection poisoned mid-lease
   (timeout, reset, desync) is dropped from the pool when its last lease
   is released; the next :meth:`acquire` dials a replacement.  Ejections
-  count toward :attr:`reconnects` so health monitors see connection
-  churn whether the client redialled itself or the pool replaced it.
+  count toward :attr:`reconnects`, so it shows connection churn whether
+  the client redialled itself or the pool replaced it.
 
 The pool never retries or degrades — that stays with
 :class:`~repro.net.transport.CacheTransport`, whose
@@ -90,8 +90,7 @@ class ConnectionPool:
     def reconnects(self) -> int:
         """Connection churn: client-level redials plus pool ejections
         (each ejection forces a replacement dial on the next acquire),
-        including connections since retired.  Monotonic — health
-        monitors difference it per window."""
+        including connections since retired.  Monotonic."""
         live = sum(client.reconnects for client in self._conns)
         return live + self._retired_reconnects + self.ejections
 

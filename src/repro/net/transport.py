@@ -163,7 +163,7 @@ class CacheTransport:
     @property
     def reconnects(self) -> int:
         """Connection churn across every server's pool (client redials
-        plus pool ejections) — the signal health monitors watch."""
+        plus pool ejections; monotonic)."""
         return sum(pool.reconnects for pool in self.pools if pool is not None)
 
     def stats(self) -> Dict[str, int]:

@@ -35,6 +35,7 @@ from typing import (
     Awaitable, Callable, Dict, Iterable, Optional, Sequence, Tuple,
 )
 
+from repro import obs
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import (
@@ -132,15 +133,6 @@ class AsyncProteusFrontend:
         """The engine's DB-path admission controller (may be ``None``)."""
         return self.engine.admission
 
-    def queue_depth(self, now: Optional[float] = None) -> float:
-        """Outstanding admitted DB work (0 without admission) — the
-        gauge health monitors watch alongside the shed rate."""
-        if self.engine.admission is None:
-            return 0.0
-        return self.engine.admission.depth(
-            self._clock() if now is None else now
-        )
-
     def transport_stats(self) -> Dict[str, int]:
         """The transport's counters plus the engine's shed fetches (all
         monotonic)."""
@@ -184,8 +176,8 @@ class AsyncProteusFrontend:
         open — :class:`~repro.errors.DigestBroadcastError` (a
         :class:`~repro.errors.TransitionError`) is raised *before* the
         transition manager is armed — routing state rolls back to exactly
-        what it was, the failures are reported per server, and the caller
-        may simply retry ``scale_to``.  (Snapshots and flushes on the
+        what it was, the failures are reported per server (and as a
+        ``transition.rollback`` event), and the caller may retry.  (Snapshots and flushes on the
         servers that did answer are harmless: none of them is routed to.)
         """
         if not 1 <= n_new <= len(self.endpoints):
@@ -219,6 +211,8 @@ class AsyncProteusFrontend:
                 f"server {server_id}: {type(error).__name__}: {error}"
                 for server_id, error in sorted(failures.items())
             )
+            obs.emit("transition.rollback", now, n_old=n_old, n_new=n_new,
+                     failed=sorted(failures))
             raise DigestBroadcastError(
                 f"digest broadcast or flush failed on {len(failures)}/"
                 f"{len(ceding) + len(joining)} servers, transition not "

@@ -14,23 +14,13 @@ experiment runner calls it at each slot-boundary decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cache.cluster import CacheCluster
+from repro.core.transition import Transition
 
 if TYPE_CHECKING:  # avoid a circular import with repro.sim.cluster
     from repro.sim.events import EventLoop
-
-
-@dataclass
-class AppliedTransition:
-    """Record of one executed provisioning action."""
-
-    when: float
-    n_old: int
-    n_new: int
-    smooth: bool
 
 
 class ProvisioningActuator:
@@ -42,53 +32,37 @@ class ProvisioningActuator:
             False = abrupt power changes (Naive / Consistent).
 
     Every smooth transition drains for the cluster's one fixed TTL
-    (Section IV).
+    (Section IV).  What it did is on the :mod:`repro.obs` timeline.
     """
 
     def __init__(self, cluster: CacheCluster, smooth: bool = True) -> None:
         self.cluster = cluster
         self.smooth = smooth
-        self.applied: List[AppliedTransition] = []
 
-    def apply(self, n_new: int, now: float) -> Optional[AppliedTransition]:
+    def apply(self, n_new: int, now: float) -> Optional[Transition]:
         """Move the cluster to *n_new* active servers at time *now*.
 
-        Returns the record of the action, or ``None`` for a no-op.  With
+        Returns the started transition, or ``None`` for a no-op.  With
         ``smooth=True`` the caller (or :meth:`apply_at`) must later invoke
-        ``cluster.finalize_expired(deadline)`` to close the drain window.
+        ``cluster.finalize_expired(deadline)`` to close the drain window;
+        an abrupt one has already completed.
         """
-        n_old = self.cluster.active_count
-        if n_new == n_old:
-            return None
         if self.smooth:
             # One window at a time: if the previous one is still open the
             # TransitionManager raises; surface that as a schedule error.
-            transition = self.cluster.scale_to(n_new, now)
-        else:
-            transition = self.cluster.abrupt_scale_to(n_new, now)
-        if transition is None:
-            return None
-        record = AppliedTransition(
-            when=now, n_old=n_old, n_new=n_new, smooth=self.smooth
-        )
-        self.applied.append(record)
-        return record
+            return self.cluster.scale_to(n_new, now)
+        return self.cluster.abrupt_scale_to(n_new, now)
 
-    def apply_at(
-        self, n_new: int, loop: "EventLoop"
-    ) -> Optional[AppliedTransition]:
+    def apply_at(self, n_new: int, loop: "EventLoop") -> Optional[Transition]:
         """:meth:`apply` at the loop's current time, and arm a smooth
         transition's power-off finalization at the drain deadline on
-        *loop*.  Returns the record, or ``None`` for a no-op."""
-        record = self.apply(n_new, loop.now)
-        if record is None or not self.smooth:
-            return record
-        transition = self.cluster.transitions.current(loop.now)
-        if transition is not None:
+        *loop*.  Returns the transition, or ``None`` for a no-op."""
+        transition = self.apply(n_new, loop.now)
+        if transition is not None and self.smooth:
             # +epsilon so the expiry check sees now >= deadline.
             loop.schedule_at(
                 transition.deadline + 1e-9,
                 self.cluster.finalize_expired,
                 transition.deadline + 1e-9,
             )
-        return record
+        return transition

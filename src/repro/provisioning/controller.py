@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.provisioning.policies import DEFAULT_SLOT_SECONDS, ProvisioningSchedule
 from repro.sim.latency import mm1_response_time
@@ -73,7 +74,10 @@ class DelayFeedbackController:
     Passing a :class:`~repro.provisioning.health.HealthSnapshot` to
     :meth:`update` closes the loop with the resilience layer; with
     ``health=None`` (the default) the controller's behaviour is
-    bit-identical to the open-loop, delay-only original.
+    bit-identical to the open-loop, delay-only original.  Each slot
+    where health feedback forces capacity or blocks a scale-down is a
+    ``controller.emergency`` / ``controller.veto`` event on the
+    :mod:`repro.obs` timeline, with its reason.
     """
 
     num_servers: int
@@ -82,11 +86,6 @@ class DelayFeedbackController:
     min_servers: int = 1
     per_server_rate: float = 200.0
     _n: int = field(init=False)
-    history: List[int] = field(init=False, default_factory=list)
-    #: slots where health feedback forced extra capacity
-    emergency_scale_ups: int = field(init=False, default=0)
-    #: slots where health feedback blocked a wanted scale-down
-    vetoed_scale_downs: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.num_servers < 1:
@@ -103,7 +102,6 @@ class DelayFeedbackController:
                 f"min_servers out of range: {self.min_servers}"
             )
         self._n = self.num_servers
-        self.history = [self._n]
 
     @property
     def current(self) -> int:
@@ -111,16 +109,14 @@ class DelayFeedbackController:
         return self._n
 
     def reset(self, initial: int) -> None:
-        """Command *initial* servers and restart :attr:`history` from it —
-        for a loop that starts already converged on its first slot's load
-        rather than at full fleet."""
+        """Command *initial* servers — for a loop that starts already
+        converged on its first slot's load rather than at full fleet."""
         if not self.min_servers <= initial <= self.num_servers:
             raise ConfigurationError(
                 f"initial out of range "
                 f"[{self.min_servers}, {self.num_servers}]: {initial}"
             )
         self._n = initial
-        self.history = [initial]
 
     def projected_delay(self, arrival_rate: float, servers: int) -> float:
         """M/M/1 projection of per-request delay with *servers* active."""
@@ -191,7 +187,6 @@ class DelayFeedbackController:
             candidate = self._apply_health(candidate, n, arrival_rate, health)
         n = min(self.num_servers, max(self.min_servers, candidate))
         self._n = n
-        self.history.append(n)
         return n
 
     def _apply_health(
@@ -210,6 +205,8 @@ class DelayFeedbackController:
             if arrival_rate > 0
             else self.min_servers,
         )
+        degrading = health.degraded_rate > DEGRADED_RATE_THRESHOLD
+        forced = None
         if lost and n - lost < required:
             # Treat lost servers as capacity already gone: provision enough
             # healthy servers to carry the load.  Bounded by the fleet and
@@ -217,28 +214,30 @@ class DelayFeedbackController:
             # drive unbounded growth slot after slot.
             target = min(self.num_servers, required + lost)
             if target > candidate:
-                candidate = target
-                self.emergency_scale_ups += 1
-        elif not health.unhealthy_servers and (
-            health.degraded_rate > DEGRADED_RATE_THRESHOLD or shedding
-        ):
+                candidate, forced = target, "lost"
+        elif not health.unhealthy_servers and (degrading or shedding):
             # The path is degrading without a clearly-dead server (resets,
             # reconnect storms), or admission control is refusing work the
             # tier should absorb: add one server's worth of slack.
             if candidate <= n < self.num_servers:
                 candidate = n + 1
-                self.emergency_scale_ups += 1
+                forced = "degraded" if degrading else "shed"
+        if forced is not None:
+            obs.emit("controller.emergency", health.at, n=n, to=candidate,
+                     reason=forced)
         decaying = health.remap_misses > REMAP_VETO_THRESHOLD * max(
             1, health.requests
         )
-        impaired = (
-            bool(health.unhealthy_servers)
-            or health.in_transition
-            or decaying
-            or shedding
+        vetoes = (
+            ("unhealthy", bool(health.unhealthy_servers)),
+            ("transition", health.in_transition),
+            ("remap", decaying),
+            ("shed", shedding),
         )
-        if candidate < n and impaired:
-            self.vetoed_scale_downs += 1
+        veto = next((reason for reason, holds in vetoes if holds), None)
+        if candidate < n and veto is not None:
+            obs.emit("controller.veto", health.at, n=n, wanted=candidate,
+                     reason=veto)
             candidate = n
         return candidate
 
@@ -274,12 +273,11 @@ def run_feedback_loop(
             max(1, math.ceil(slot_rates[0] / per_server_rate) if slot_rates else 1),
         )
     controller.reset(initial)
+    counts = []
     for rate in slot_rates:
         projected = controller.projected_delay(rate, controller.current)
         # A saturated M/M/1 projects infinity; feed the controller a finite
         # over-bound signal so its proportional step stays bounded.
         measured = min(projected, delay_bound * 4)
-        controller.update(measured, rate)
-    # history has one leading entry (initial) plus one per slot; drop the
-    # initial so the schedule aligns 1:1 with slot_rates.
-    return ProvisioningSchedule(slot_seconds, controller.history[1:])
+        counts.append(controller.update(measured, rate))
+    return ProvisioningSchedule(slot_seconds, counts)

@@ -4,10 +4,10 @@ The paper's provisioning loop (Section VI) reads exactly one signal — the
 measured data-retrieval delay — and assumes every active server is alive.
 The resilience layer already *knows* more: per-server circuit breakers
 track which paths are rejecting work, :class:`~repro.core.retrieval.FetchStats`
-counts how often the engine served *around* a fault, clients count
-reconnects, and the transition manager knows whether a drain window is
-open.  :class:`ClusterHealthMonitor` folds those scattered signals into one
-per-slot :class:`HealthSnapshot` the
+counts how often the engine served *around* a fault and how often
+admission control shed, and the transition manager knows whether a
+drain window is open.  :class:`ClusterHealthMonitor` folds those
+scattered signals into one per-slot :class:`HealthSnapshot` the
 :class:`~repro.provisioning.controller.DelayFeedbackController` can act on:
 emergency scale-up when capacity is already gone, and scale-down vetoes
 while the cluster is impaired or a transition's remap misses still decay.
@@ -58,11 +58,10 @@ class HealthSnapshot:
         requests: fetches completed in the window.
         degraded: served-around fault counts per event label
             (see :data:`~repro.core.retrieval.DEGRADED_EVENTS`).
-        open_servers: servers whose breaker was OPEN at *at*.
-        half_open_servers: servers whose breaker was HALF_OPEN at *at*.
+        open_servers: servers whose breaker was OPEN at *at* (a HALF_OPEN
+            breaker is probing its way back: not lost capacity).
         failed_servers: servers the substrate reports crashed (simulator)
             — live tiers have no crash oracle, only breakers.
-        reconnects: client reconnects in the window (live tier).
         remap_misses: old-owner pulls + digest false positives in the
             window — nonzero only while a drain window's working set is
             still re-registering.
@@ -71,8 +70,6 @@ class HealthSnapshot:
             :attr:`~repro.core.retrieval.FetchPath.SHED` delta) — unlike
             ``degraded`` these were *not served*, so sustained shedding
             is a scale-up signal, not just a veto.
-        queue_depth: outstanding admitted DB work at *at* (a gauge, not
-            a delta — summed across watched frontends).
     """
 
     at: float
@@ -81,13 +78,10 @@ class HealthSnapshot:
         default_factory=lambda: {event: 0 for event in DEGRADED_EVENTS}
     )
     open_servers: FrozenSet[int] = frozenset()
-    half_open_servers: FrozenSet[int] = frozenset()
     failed_servers: FrozenSet[int] = frozenset()
-    reconnects: int = 0
     remap_misses: int = 0
     in_transition: bool = False
     shed: int = 0
-    queue_depth: float = 0.0
 
     @property
     def unhealthy_servers(self) -> FrozenSet[int]:
@@ -116,7 +110,6 @@ class HealthSnapshot:
         return (
             not self.unhealthy_servers
             and self.degraded_events == 0
-            and self.reconnects == 0
             and self.shed == 0
         )
 
@@ -134,11 +127,10 @@ class ClusterHealthMonitor:
       :class:`BreakerSnapshot` mappings (live tier);
     * :meth:`watch_failures` — a supplier of crashed-server id sets
       (simulator);
-    * :meth:`watch_reconnects` — a cumulative reconnect-count supplier;
     * :meth:`watch_transition` — a ``now -> bool`` drain-window probe.
 
-    Call :meth:`observe` once per control slot; it appends to
-    :attr:`history` and returns the new :class:`HealthSnapshot`.
+    Call :meth:`observe` once per control slot; it returns the new
+    :class:`HealthSnapshot`.
     """
 
     def __init__(self, num_servers: int) -> None:
@@ -152,16 +144,11 @@ class ClusterHealthMonitor:
             Callable[[], Mapping[int, BreakerSnapshot]]
         ] = []
         self._failure_sources: List[Callable[[], Iterable[int]]] = []
-        self._reconnect_sources: List[Callable[[], int]] = []
-        self._depth_sources: List[Callable[[float], float]] = []
         self._transition_probe: Optional[Callable[[float], bool]] = None
         self._last_requests = 0
         self._last_degraded: Dict[str, int] = {}
         self._last_remap = 0
-        self._last_reconnects = 0
         self._last_shed = 0
-        #: every snapshot taken, oldest first
-        self.history: List[HealthSnapshot] = []
 
     # -------------------------------------------------------------- wiring
 
@@ -180,16 +167,6 @@ class ClusterHealthMonitor:
         """Add a crashed-server-id supplier (simulator substrate)."""
         self._failure_sources.append(source)
 
-    def watch_reconnects(self, source: Callable[[], int]) -> None:
-        """Add a cumulative reconnect-count supplier (live substrate)."""
-        self._reconnect_sources.append(source)
-
-    def watch_queue_depth(self, source: Callable[[float], float]) -> None:
-        """Add an outstanding-DB-work gauge (``now -> depth``), e.g. a
-        frontend's ``queue_depth``; watched gauges are summed per
-        snapshot."""
-        self._depth_sources.append(source)
-
     def watch_transition(self, probe: Callable[[float], bool]) -> None:
         """Set the drain-window probe (``now -> bool``)."""
         self._transition_probe = probe
@@ -198,7 +175,7 @@ class ClusterHealthMonitor:
 
     def observe(self, now: float) -> HealthSnapshot:
         """Take one snapshot: read every source, difference the cumulative
-        counters against the previous call, record and return."""
+        counters against the previous call, and return."""
         requests_total = 0
         degraded_total: Dict[str, int] = {e: 0 for e in DEGRADED_EVENTS}
         remap_total = 0
@@ -213,19 +190,13 @@ class ClusterHealthMonitor:
             )
             shed_total += stats.counts.get(FetchPath.SHED, 0)
         open_servers = set()
-        half_open_servers = set()
         for source in self._breaker_sources:
             for server_id, snapshot in source().items():
                 if snapshot.state is BreakerState.OPEN:
                     open_servers.add(server_id)
-                elif snapshot.state is BreakerState.HALF_OPEN:
-                    half_open_servers.add(server_id)
         failed = set()
         for source in self._failure_sources:
             failed.update(source())
-        reconnects_total = sum(
-            source() for source in self._reconnect_sources
-        )
         snapshot = HealthSnapshot(
             at=now,
             requests=max(0, requests_total - self._last_requests),
@@ -236,9 +207,7 @@ class ClusterHealthMonitor:
                 for event in degraded_total
             },
             open_servers=frozenset(open_servers),
-            half_open_servers=frozenset(half_open_servers),
             failed_servers=frozenset(failed),
-            reconnects=max(0, reconnects_total - self._last_reconnects),
             remap_misses=max(0, remap_total - self._last_remap),
             in_transition=(
                 self._transition_probe(now)
@@ -246,16 +215,11 @@ class ClusterHealthMonitor:
                 else False
             ),
             shed=max(0, shed_total - self._last_shed),
-            queue_depth=sum(
-                source(now) for source in self._depth_sources
-            ),
         )
         self._last_requests = requests_total
         self._last_degraded = degraded_total
         self._last_remap = remap_total
-        self._last_reconnects = reconnects_total
         self._last_shed = shed_total
-        self.history.append(snapshot)
         return snapshot
 
     # ----------------------------------------------------------- factories
@@ -264,8 +228,8 @@ class ClusterHealthMonitor:
     def for_frontend(cls, frontend) -> "ClusterHealthMonitor":
         """A monitor wired to a live
         :class:`~repro.net.webtier.AsyncProteusFrontend`: its breakers (via
-        :meth:`~repro.resilience.ResiliencePolicy.health`), engine stats,
-        client reconnects, and drain-window state."""
+        :meth:`~repro.resilience.ResiliencePolicy.health`), engine stats
+        and drain-window state."""
         from repro.resilience import ResiliencePolicy
 
         monitor = cls(len(frontend.endpoints))
@@ -273,8 +237,6 @@ class ClusterHealthMonitor:
         monitor.watch_breakers(
             lambda: ResiliencePolicy.health(frontend.transport.breakers)
         )
-        monitor.watch_reconnects(lambda: frontend.transport.reconnects)
-        monitor.watch_queue_depth(lambda now: frontend.queue_depth(now))
         monitor.watch_transition(
             lambda now: frontend._manager.in_transition(now)
         )
@@ -288,10 +250,6 @@ class ClusterHealthMonitor:
         monitor = cls(cluster.num_servers)
         for web in webs:
             monitor.watch_stats(lambda web=web: web.stats)
-            if hasattr(web, "queue_depth"):
-                monitor.watch_queue_depth(
-                    lambda now, web=web: web.queue_depth(now)
-                )
         monitor.watch_failures(cluster.failed_servers)
         monitor.watch_transition(cluster.transitions.in_transition)
         return monitor

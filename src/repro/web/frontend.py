@@ -112,12 +112,6 @@ class WebServer:
         """The engine's DB-path admission controller (may be ``None``)."""
         return self.engine.admission
 
-    def queue_depth(self, now: float) -> float:
-        """Outstanding admitted DB work at *now* (0 without admission)."""
-        if self.engine.admission is None:
-            return 0.0
-        return self.engine.admission.depth(now)
-
     # ------------------------------------------------------------- helpers
 
     def _cache_op(self, now: float) -> float:

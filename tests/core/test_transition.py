@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.bloom.bloom import BloomFilter
 from repro.core.transition import Transition, TransitionManager
 from repro.errors import TransitionError
@@ -60,10 +61,13 @@ class TestTransitionManager:
 
     def test_window_auto_expires(self):
         mgr = TransitionManager(4, ttl=30.0)
-        mgr.begin(3, now=0.0)
-        assert mgr.in_transition(29.9)
-        assert not mgr.in_transition(30.0)
-        assert len(mgr.history) == 1
+        with obs.recording() as timeline:
+            mgr.begin(3, now=0.0)
+            assert mgr.in_transition(29.9)
+            assert not mgr.in_transition(30.0)
+        [end] = timeline.of("transition.end")
+        assert end.t == 30.0  # the deadline, not the poll
+        assert end.fields == {"n_old": 4, "n_new": 3, "powered_off": [3]}
 
     def test_overlapping_transition_rejected(self):
         mgr = TransitionManager(4, ttl=30.0)
@@ -95,10 +99,13 @@ class TestTransitionManager:
 
     def test_force_complete(self):
         mgr = TransitionManager(4, ttl=1000.0)
-        mgr.begin(3, now=0.0)
-        mgr.force_complete(5.0)
-        assert not mgr.in_transition(5.0)
-        assert len(mgr.history) == 1
+        with obs.recording() as timeline:
+            mgr.begin(3, now=0.0)
+            mgr.force_complete(5.0)
+            assert not mgr.in_transition(5.0)
+        assert [(e.t, e.kind) for e in timeline.events] == [
+            (0.0, "transition.begin"), (5.0, "transition.end"),
+        ]
 
     def test_force_complete_without_transition_raises(self):
         with pytest.raises(TransitionError):

@@ -13,6 +13,7 @@ from repro.experiments.testbed import (
     SimTestbed,
     Sizing,
 )
+from repro.obs import Timeline
 from repro.provisioning.controller import DelayFeedbackController
 from repro.resilience import FaultPlan, FaultSchedule
 from repro.resilience.admission import VirtualQueueAdmission
@@ -189,12 +190,10 @@ class TestRecoveryMetrics:
             required_counts=list(required),
             failed_sets=[frozenset() for _ in healthy],
             measured_delays=[0.0] * len(healthy),
-            transitions=[],
             power_series={},
             active_series=TimeSeries(),
             energy_kwh={},
-            emergency_scale_ups=0,
-            vetoed_scale_downs=0,
+            timeline=Timeline(),
         )
 
     def test_recovery_counts_slots_until_requirement_met(self):

@@ -100,10 +100,11 @@ class TestSingleScenarioRun:
         assert len(series) >= 10
 
     def test_transitions_follow_schedule(self, proteus_report):
-        assert [(t.n_old, t.n_new) for t in proteus_report.transitions] == [
-            (4, 3), (3, 4),
-        ]
-        assert all(t.smooth for t in proteus_report.transitions)
+        assert [
+            (t.fields["n_old"], t.fields["n_new"])
+            for t in proteus_report.transitions
+        ] == [(4, 3), (3, 4)]
+        assert all(t.fields["smooth"] for t in proteus_report.transitions)
 
     def test_power_series_has_all_tiers(self, proteus_report):
         assert set(proteus_report.power_series) == {

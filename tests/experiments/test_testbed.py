@@ -29,7 +29,7 @@ def kill(at, server_id, clear_at=None):
 
 
 def moves(report):
-    return [(t.n_old, t.n_new) for t in report.transitions]
+    return [(t.fields["n_old"], t.fields["n_new"]) for t in report.transitions]
 
 
 #: the Table II runs' testbed (2 web servers, 2 DB shards, 800 pages per

@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
@@ -48,9 +49,12 @@ class TestFullProvisioningPipeline:
         loop = EventLoop()
         for when, _n_old, n_new in schedule.transitions():
             loop.schedule_at(when, actuator.apply_at, n_new, loop)
-        loop.run_until(schedule.duration)
+        with obs.recording() as timeline:
+            loop.run_until(schedule.duration)
         assert cache.active_count == schedule.counts[-1]
-        assert len(actuator.applied) == len(schedule.transitions())
+        assert len(timeline.of("transition.begin")) == len(
+            schedule.transitions()
+        )
 
 
 class TestMultiWebServerConsistency:

@@ -9,10 +9,15 @@ identical request/degraded/remap windows, and the same unhealthy-server
 verdict, even though the sim learns it from the crash oracle and the live
 tier from tripped breakers.  This is what lets the closed-loop controller
 be developed against the simulator and deployed against the live tier.
+
+The control plane's :mod:`repro.obs` timeline has the same parity: one
+resize script on each substrate records the same events, timestamps
+aside, and no fetch records one.
 """
 
 import asyncio
 
+from repro import obs
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
@@ -25,6 +30,8 @@ from tests.simnet import BLOOM, cluster, run, value_of
 N_SERVERS = 3
 KEYS = [f"page:{i}" for i in range(24)]
 FAULT_AT = 1.0
+#: the drain window of every transition, on both substrates
+TTL = 60.0
 
 
 def schedule_killing(server_id):
@@ -33,11 +40,12 @@ def schedule_killing(server_id):
     return schedule
 
 
-def run_sim(schedule, transition_to=None):
-    """Warm, fault, refetch — observing health before and after."""
+def sim_stack():
+    """The simulated cache tier and one web server over it."""
     cache = CacheCluster(
         ProteusRouter(N_SERVERS),
         capacity_bytes=4096 * 2000,
+        ttl=TTL,
         bloom_config=BLOOM,
     )
     db = DatabaseCluster(2, service_model=Constant(0.0001))
@@ -45,6 +53,12 @@ def run_sim(schedule, transition_to=None):
         0, cache, db,
         cache_latency=Constant(0.0001), web_overhead=Constant(0.0001),
     )
+    return cache, web
+
+
+def run_sim(schedule, transition_to=None):
+    """Warm, fault, refetch — observing health before and after."""
+    cache, web = sim_stack()
     monitor = ClusterHealthMonitor.for_simulation(cache, [web])
     now = 0.0
     for key in KEYS:
@@ -73,7 +87,7 @@ async def run_live(schedule, transition_to=None):
             await web.fetch(key)
         before = monitor.observe(web._clock())
         if transition_to is not None:
-            await web.scale_to(transition_to, ttl=60.0)
+            await web.scale_to(transition_to, ttl=TTL)
         stack.replay(schedule)
         await asyncio.sleep(FAULT_AT + 0.1 - stack.loop.time())
         for key in KEYS:
@@ -137,3 +151,76 @@ class TestHealthParity:
         assert sim_after.healthy and live_after.healthy
         assert sim_after.unhealthy_servers == frozenset()
         assert live_after.unhealthy_servers == frozenset()
+
+
+# ------------------------------------------------------------- timelines
+
+
+def sim_timeline(sizes, rounds):
+    """Warm, then scale to each of *sizes* in turn, fetching every key
+    *rounds* times once each drain window has passed."""
+    cache, web = sim_stack()
+    now = 0.0
+
+    def fetch_rounds(now):
+        for _ in range(rounds):
+            for key in KEYS:
+                web.fetch(key, now=now)
+                now += 0.01
+        return now
+
+    with obs.recording() as timeline:
+        now = fetch_rounds(now)
+        for n in sizes:
+            cache.scale_to(n, now=now)
+            now = fetch_rounds(now + TTL + 0.1)
+    return timeline
+
+
+async def live_timeline(sizes, rounds):
+    """:func:`sim_timeline`'s script against the live tier."""
+    async with cluster(N_SERVERS) as stack:
+        web = stack.web
+
+        async def fetch_rounds():
+            for _ in range(rounds):
+                for key in KEYS:
+                    assert (await web.fetch(key)).value == value_of(key)
+
+        with obs.recording() as timeline:
+            await fetch_rounds()
+            for n in sizes:
+                await web.scale_to(n, ttl=TTL)
+                await asyncio.sleep(TTL + 0.1)
+                await fetch_rounds()
+        return timeline
+
+
+def decisions(timeline):
+    return [(event.kind, event.fields) for event in timeline.events]
+
+
+class TestTimelineParity:
+    def test_a_resize_script_records_the_same_events(self):
+        sim = decisions(sim_timeline((2, 3), rounds=1))
+        live = decisions(run(live_timeline((2, 3), rounds=1)))
+        assert sim == live
+        assert [kind for kind, _ in sim] == [
+            "transition.begin", "transition.end",
+        ] * 2
+        assert sim[0][1] == {
+            "n_old": 3, "n_new": 2, "smooth": True, "digests": [2],
+        }
+        assert sim[1][1] == {"n_old": 3, "n_new": 2, "powered_off": [2]}
+        assert sim[3][1] == {"n_old": 2, "n_new": 3, "powered_off": []}
+
+    def test_no_event_per_request(self):
+        # A healthy run without a resize records nothing, and more
+        # fetches record no more events.
+        assert sim_timeline((), rounds=3).events == []
+        assert run(live_timeline((), rounds=3)).events == []
+        for record in (
+            lambda rounds: sim_timeline((2, 3), rounds),
+            lambda rounds: run(live_timeline((2, 3), rounds)),
+        ):
+            assert len(record(1).events) == len(record(3).events) == 4

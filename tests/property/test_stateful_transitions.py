@@ -9,6 +9,8 @@ the lifecycle invariants and the write contract:
   prefix are OFF or DRAINING (draining only inside an open window);
 * at most one drain window is open, and it closes by its deadline;
 * a closed scale-down window leaves the drained servers OFF and empty;
+* the timeline alternates ``transition.begin`` and ``transition.end``,
+  and ends on a ``begin`` only while a window is open;
 * every fetch returns the last value put — a put leaves no other copy
   that a transition's old-owner probe or a later resize could serve.
 
@@ -20,6 +22,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro import obs
 from repro.bloom.config import BloomConfig
 from repro.cache.cluster import CacheCluster
 from repro.cache.server import PowerState
@@ -48,6 +51,10 @@ class ClusterMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
+        # Every example records its own timeline; teardown restores the
+        # previous one.
+        self._recording = obs.recording()
+        self.timeline = self._recording.__enter__()
         self.cluster = CacheCluster(
             ProteusRouter(N, ring_size=2 ** 20, replicas=self.replicas),
             capacity_bytes=4096 * 50,
@@ -151,11 +158,26 @@ class ClusterMachine(RuleBasedStateMachine):
 
     @invariant()
     def drained_servers_are_empty(self):
-        for transition in self.cluster.transitions.history:
-            for sid in transition.draining_servers():
+        for end in self.timeline.of("transition.end"):
+            for sid in end.fields["powered_off"]:
                 server = self.cluster.server(sid)
                 if server.state is PowerState.OFF:
                     assert len(server.store) == 0
+
+    @invariant()
+    def begin_and_end_alternate(self):
+        # Polling first closes a window whose deadline has passed.
+        open_window = self.cluster.transitions.in_transition(self.now)
+        kinds = [event.kind for event in self.timeline.events]
+        pairs, unmatched = divmod(len(kinds), 2)
+        assert kinds == (
+            ["transition.begin", "transition.end"] * pairs
+            + ["transition.begin"] * unmatched
+        )
+        assert bool(unmatched) == open_window
+
+    def teardown(self):
+        self._recording.__exit__(None, None, None)
 
 
 class ReplicatedClusterMachine(ClusterMachine):
@@ -178,8 +200,11 @@ def test_shrunk_example_put_mid_drain_then_crash():
     owner crashed, and the next fetch pulled the pre-put value off the
     draining old owner, whose digest still advertised it."""
     state = ClusterMachine()
-    state.smooth_scale(target_n=1)
-    state.put(key="k:1", value=0)
-    state.crash(server=0)
-    state.fetch()
-    state.every_fetch_returns_the_last_value_put()
+    try:
+        state.smooth_scale(target_n=1)
+        state.put(key="k:1", value=0)
+        state.crash(server=0)
+        state.fetch()
+        state.every_fetch_returns_the_last_value_put()
+    finally:
+        state.teardown()

@@ -1,5 +1,6 @@
 """Tests for the provisioning actuator."""
 
+from repro import obs
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.cache.server import PowerState
@@ -25,8 +26,11 @@ class TestApply:
     def test_smooth_apply_starts_transition(self):
         c = cluster()
         actuator = ProvisioningActuator(c, smooth=True)
-        record = actuator.apply(3, now=0.0)
-        assert record.n_old == 4 and record.n_new == 3 and record.smooth
+        with obs.recording() as timeline:
+            transition = actuator.apply(3, now=0.0)
+        assert transition.n_old == 4 and transition.n_new == 3
+        [begin] = timeline.of("transition.begin")
+        assert begin.fields["smooth"] and begin.fields["digests"] == [3]
         assert c.transitions.in_transition(0.0)
 
     def test_abrupt_apply_has_no_window(self):
@@ -38,8 +42,9 @@ class TestApply:
 
     def test_noop_returns_none(self):
         actuator = ProvisioningActuator(cluster(), smooth=True)
-        assert actuator.apply(4, now=0.0) is None
-        assert actuator.applied == []
+        with obs.recording() as timeline:
+            assert actuator.apply(4, now=0.0) is None
+        assert timeline.events == []
 
 
 def replay(actuator, schedule, loop):
@@ -55,9 +60,11 @@ class TestInstall:
         loop = EventLoop()
         schedule = ProvisioningSchedule(10.0, [3, 2, 2, 4])
         replay(actuator, schedule, loop)
-        loop.run_until(schedule.duration)
-        assert [r.when for r in actuator.applied] == [10.0, 30.0]
-        assert [r.n_new for r in actuator.applied] == [2, 4]
+        with obs.recording() as timeline:
+            loop.run_until(schedule.duration)
+        begins = timeline.of("transition.begin")
+        assert [event.t for event in begins] == [10.0, 30.0]
+        assert [event.fields["n_new"] for event in begins] == [2, 4]
         assert c.active_count == 4
 
     def test_ttl_finalization_powers_off(self):
@@ -75,8 +82,10 @@ class TestInstall:
         actuator = ProvisioningActuator(c, smooth=True)
         loop = EventLoop()
         loop.run_until(10.0)
-        record = actuator.apply_at(3, loop)
-        assert (record.when, record.n_old, record.n_new) == (10.0, 4, 3)
+        transition = actuator.apply_at(3, loop)
+        assert (
+            transition.started_at, transition.n_old, transition.n_new
+        ) == (10.0, 4, 3)
         assert c.transitions.current(10.0).deadline == 15.0
         assert actuator.apply_at(3, loop) is None  # no-op
         loop.run_until(14.0)
@@ -87,8 +96,11 @@ class TestInstall:
     def test_abrupt_apply_at_arms_nothing(self):
         c = cluster(4, active=4)
         loop = EventLoop()
-        record = ProvisioningActuator(c, smooth=False).apply_at(2, loop)
-        assert record.n_new == 2 and not record.smooth
+        with obs.recording() as timeline:
+            transition = ProvisioningActuator(c, smooth=False).apply_at(2, loop)
+        assert transition.n_new == 2
+        [begin] = timeline.of("transition.begin")
+        assert not begin.fields["smooth"] and begin.fields["digests"] == []
         assert len(loop) == 0
 
     def test_abrupt_install(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.provisioning.controller import (
     DEFAULT_DELAY_BOUND,
@@ -14,6 +15,25 @@ from repro.provisioning.controller import (
 def controller(**kwargs):
     kwargs.setdefault("num_servers", 10)
     return DelayFeedbackController(**kwargs)
+
+
+@pytest.fixture
+def timeline():
+    """The controller's decisions during the test."""
+    with obs.recording() as recorded:
+        yield recorded
+
+
+def decisions(timeline):
+    return [(event.kind, event.fields) for event in timeline.events]
+
+
+def emergency(n, to, reason):
+    return ("controller.emergency", {"n": n, "to": to, "reason": reason})
+
+
+def veto(n, wanted, reason):
+    return ("controller.veto", {"n": n, "wanted": wanted, "reason": reason})
 
 
 class TestPaperKnobs:
@@ -63,17 +83,18 @@ class TestControllerSteps:
         assert ctl.update(0.0, arrival_rate=0.0) == 2
 
     def test_history_recorded(self):
+        # update() returns the count it commands; the caller keeps the
+        # series (run_feedback_loop's schedule is one)
         ctl = controller()
-        ctl.update(0.45, 100.0)
-        ctl.update(0.45, 100.0)
-        assert len(ctl.history) == 3  # initial + 2 updates
+        history = [ctl.current] + [ctl.update(0.45, 100.0) for _ in range(2)]
+        assert len(history) == 3  # initial + 2 updates
+        assert history[-1] == ctl.current
 
     def test_reset_commands_a_count_and_restarts_history(self):
         ctl = controller(min_servers=2)
         ctl.update(0.45, 100.0)
         ctl.reset(4)
         assert ctl.current == 4
-        assert ctl.history == [4]
         assert ctl.update(0.45, 100.0) == 5
         for out_of_range in (1, 11):
             with pytest.raises(ConfigurationError):
@@ -137,19 +158,29 @@ def health(**kwargs):
 
 
 class TestHealthFeedback:
-    def test_none_health_is_bit_identical(self):
+    def test_none_health_is_bit_identical(self, timeline):
         plain = controller(per_server_rate=200.0)
         closed = controller(per_server_rate=200.0)
         idle = health()
+        plain_counts, closed_counts = [], []
         for delay, rate in [(0.05, 100), (0.45, 900), (0.9, 1500),
                             (0.2, 800), (0.05, 200), (0.05, 100)]:
-            plain.update(delay, rate)
-            closed.update(delay, rate, health=idle)
-        assert plain.history == closed.history
-        assert closed.emergency_scale_ups == 0
-        assert closed.vetoed_scale_downs == 0
+            plain_counts.append(plain.update(delay, rate))
+            closed_counts.append(closed.update(delay, rate, health=idle))
+        assert plain_counts == closed_counts
+        assert decisions(timeline) == []
 
-    def test_open_breaker_triggers_emergency_scale_up(self):
+    def test_no_health_emits_nothing(self, timeline):
+        # The inputs that force capacity and veto descent with a snapshot
+        # decide on delay alone without one, and record nothing.
+        ctl = controller(per_server_rate=200.0)
+        ctl.reset(3)
+        assert ctl.update(0.1, arrival_rate=500.0) == 3
+        ctl.reset(5)
+        assert ctl.update(0.05, arrival_rate=100.0) == 4
+        assert decisions(timeline) == []
+
+    def test_open_breaker_triggers_emergency_scale_up(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(3)
         # 3 active, one tripped: 2 healthy left for a 3-server load, but
@@ -159,9 +190,9 @@ class TestHealthFeedback:
             health=health(open_servers=frozenset({1})),
         )
         assert new == 4  # required ceil(500/180)=3 healthy + 1 lost
-        assert ctl.emergency_scale_ups == 1
+        assert decisions(timeline) == [emergency(3, 4, "lost")]
 
-    def test_crashed_server_counts_like_open_breaker(self):
+    def test_crashed_server_counts_like_open_breaker(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(3)
         new = ctl.update(
@@ -169,9 +200,9 @@ class TestHealthFeedback:
             health=health(failed_servers=frozenset({0})),
         )
         assert new == 4
-        assert ctl.emergency_scale_ups == 1
+        assert decisions(timeline) == [emergency(3, 4, "lost")]
 
-    def test_emergency_cannot_run_away(self):
+    def test_emergency_cannot_run_away(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(6)
         # 5 healthy already cover the load: no forced growth, slot after slot.
@@ -179,7 +210,9 @@ class TestHealthFeedback:
         for _ in range(5):
             new = ctl.update(0.1, arrival_rate=500.0, health=snap)
         assert new == 6
-        assert ctl.emergency_scale_ups == 0
+        assert timeline.of("controller.emergency") == []
+        # the wanted scale-down waits for the tripped breaker, every slot
+        assert decisions(timeline) == [veto(6, 5, "unhealthy")] * 5
 
     def test_unhealthy_outside_active_set_ignored_for_loss(self):
         ctl = controller(per_server_rate=200.0)
@@ -191,42 +224,57 @@ class TestHealthFeedback:
         )
         assert new == 3
 
-    def test_degraded_rate_without_culprit_adds_one(self):
+    def test_degraded_rate_without_culprit_adds_one(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(4)
-        snap = health(requests=1000, degraded={"timeouts": 100})
+        snap = health(at=30.0, requests=1000, degraded={"timeouts": 100})
         assert ctl.update(0.1, arrival_rate=600.0, health=snap) == 5
-        assert ctl.emergency_scale_ups == 1
+        assert decisions(timeline) == [emergency(4, 5, "degraded")]
+        assert [event.t for event in timeline.events] == [30.0]
 
-    def test_scale_down_vetoed_while_unhealthy(self):
+    def test_scale_down_vetoed_while_unhealthy(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(5)
         snap = health(open_servers=frozenset({9}))
         # delay-only would drop a server (light load, low delay).
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 5
-        assert ctl.vetoed_scale_downs == 1
+        assert decisions(timeline) == [veto(5, 4, "unhealthy")]
 
-    def test_scale_down_vetoed_while_in_transition(self):
+    def test_scale_down_vetoed_while_in_transition(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(5)
         snap = health(in_transition=True)
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 5
-        assert ctl.vetoed_scale_downs == 1
+        assert decisions(timeline) == [veto(5, 4, "transition")]
 
-    def test_scale_down_vetoed_while_remap_decay_active(self):
+    def test_scale_down_vetoed_while_remap_decay_active(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(5)
         snap = health(requests=100, remap_misses=20)
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 5
-        assert ctl.vetoed_scale_downs == 1
+        assert decisions(timeline) == [veto(5, 4, "remap")]
 
-    def test_straggler_remap_misses_do_not_veto(self):
+    def test_straggler_remap_misses_do_not_veto(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(5)
         # 2 misses over 1000 requests: below the 5% veto threshold.
         snap = health(requests=1000, remap_misses=2)
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 4
-        assert ctl.vetoed_scale_downs == 0
+        assert timeline.of("controller.veto") == []
+
+    def test_the_first_reason_that_holds_is_named(self, timeline):
+        # degraded before shed; unhealthy, transition, remap, shed
+        ctl = controller(per_server_rate=200.0)
+        ctl.reset(4)
+        both = health(requests=100, degraded={"timeouts": 10}, shed=10)
+        assert ctl.update(0.1, arrival_rate=100.0, health=both) == 5
+        full = controller(num_servers=4)
+        impaired = health(in_transition=True, requests=100,
+                          remap_misses=20, shed=10)
+        assert full.update(0.1, arrival_rate=100.0, health=impaired) == 4
+        assert decisions(timeline) == [
+            emergency(4, 5, "degraded"), veto(4, 3, "transition"),
+        ]
 
     def test_healthy_snapshot_permits_scale_down(self):
         ctl = controller(per_server_rate=200.0)
@@ -244,25 +292,24 @@ class TestShedFeedback:
 
         return HealthSnapshot(at=0.0, requests=requests, shed=shed)
 
-    def test_shedding_forces_an_emergency_scale_up(self):
+    def test_shedding_forces_an_emergency_scale_up(self, timeline):
         ctl = controller(num_servers=4)
         ctl.reset(2)
         # Delay looks calm (hits keep the median low), but 10% of offered
         # load was refused: add a server anyway.
         new = ctl.update(0.1, arrival_rate=100, health=self.health(shed=10))
         assert new == 3
-        assert ctl.emergency_scale_ups == 1
+        assert decisions(timeline) == [emergency(2, 3, "shed")]
 
-    def test_shedding_vetoes_scale_down(self):
+    def test_shedding_vetoes_scale_down(self, timeline):
         ctl = controller(num_servers=4)  # starts at the full fleet
         new = ctl.update(0.1, arrival_rate=100, health=self.health(shed=10))
         assert new == 4  # wanted 3, vetoed
-        assert ctl.vetoed_scale_downs == 1
+        assert decisions(timeline) == [veto(4, 3, "shed")]
 
-    def test_shed_below_threshold_changes_nothing(self):
+    def test_shed_below_threshold_changes_nothing(self, timeline):
         ctl = controller(num_servers=4)
         quiet = self.health(requests=1000, shed=10)  # 1% < 2% threshold
         new = ctl.update(0.1, arrival_rate=100, health=quiet)
         assert new == 3  # the ordinary scale-down proceeds
-        assert ctl.emergency_scale_ups == 0
-        assert ctl.vetoed_scale_downs == 0
+        assert decisions(timeline) == []

@@ -10,6 +10,8 @@ interleaving:
 
 * every value returned is the database's;
 * nothing but a ``DigestBroadcastError`` from ``scale_to`` escapes;
+* the timeline alternates ``transition.begin`` and ``transition.end``,
+  and ends on a ``begin`` only while the drain window is still open;
 * at quiescence no server or pool holds anything in flight and no task
   is left pending;
 * a seed replays bit for bit — same counters, same server stats, same
@@ -25,6 +27,7 @@ from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.core.retrieval import RetrievalConfig
 from repro.errors import DigestBroadcastError
 from repro.resilience import FaultPlan, FaultSchedule
@@ -77,17 +80,36 @@ async def resize(web, rng):
         await asyncio.sleep(TTL)
 
 
+def assert_paired(timeline, open_window):
+    """Every ``transition.begin`` is followed by its ``transition.end``;
+    only the last may still be open, and only while its window is."""
+    kinds = [
+        event.kind for event in timeline.events
+        if event.kind in ("transition.begin", "transition.end")
+    ]
+    pairs, unmatched = divmod(len(kinds), 2)
+    assert kinds == (
+        ["transition.begin", "transition.end"] * pairs
+        + ["transition.begin"] * unmatched
+    ), kinds
+    assert bool(unmatched) == open_window
+
+
 async def explore(seed):
     rng = random.Random(seed)
     async with cluster(3, config=COALESCING) as stack:
         web, transport = stack.web, stack.web.transport
         stack.replay(draw_schedule(rng))
-        await asyncio.gather(
-            fetcher(web, random.Random(rng.getrandbits(32))),
-            fetcher(web, random.Random(rng.getrandbits(32))),
-            resize(web, random.Random(rng.getrandbits(32))),
-        )
-        await asyncio.sleep(2.0)  # past every heal; the network goes quiet
+        with obs.recording() as timeline:
+            await asyncio.gather(
+                fetcher(web, random.Random(rng.getrandbits(32))),
+                fetcher(web, random.Random(rng.getrandbits(32))),
+                resize(web, random.Random(rng.getrandbits(32))),
+            )
+            await asyncio.sleep(2.0)  # past every heal; the network is quiet
+            # Polling first closes a window whose deadline has passed.
+            open_window = web._manager.in_transition(stack.loop.time())
+        assert_paired(timeline, open_window)
         assert [server.inflight for server in stack.servers] == [0, 0, 0]
         assert [pool.leases for pool in transport.pools] == [0, 0, 0]
         stats = (dict(web.stats.counts), dict(web.stats.degraded))

@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.errors import DigestBroadcastError, TransitionError, TransportError
 from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
@@ -117,8 +118,14 @@ class TestScaleToBroadcastFailure:
                 # server 2 is the ceding (draining) server for 3 -> 2; it
                 # is the only digest the broadcast needs, so kill it.
                 stack.set_plan(2, FaultPlan.killed())
-                with pytest.raises(DigestBroadcastError) as excinfo:
-                    await web.scale_to(2, ttl=30.0)
+                with obs.recording() as timeline:
+                    with pytest.raises(DigestBroadcastError) as excinfo:
+                        await web.scale_to(2, ttl=30.0)
+                # one rollback naming the dead server; nothing began
+                assert [(e.kind, e.fields) for e in timeline.events] == [
+                    ("transition.rollback",
+                     {"n_old": 3, "n_new": 2, "failed": [2]}),
+                ]
                 error = excinfo.value
                 assert isinstance(error, TransitionError)
                 assert list(error.failures) == [2]

@@ -13,6 +13,7 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.errors import DigestBroadcastError
 from repro.resilience import FaultPlan
 from tests.simnet import POLICY, cluster, run
@@ -63,9 +64,15 @@ def test_an_unflushable_joining_server_rolls_routing_back():
             web = stack.web
             await resize(web, 2)
             stack.set_plan(2, FaultPlan.killed())
-            with pytest.raises(DigestBroadcastError) as excinfo:
-                await web.scale_to(3, ttl=TTL)
+            with obs.recording() as timeline:
+                with pytest.raises(DigestBroadcastError) as excinfo:
+                    await web.scale_to(3, ttl=TTL)
             assert list(excinfo.value.failures) == [2]
+            # one rollback naming the dead server; nothing began (the
+            # timeline also holds the 3 -> 2 window the call closed)
+            [rollback] = timeline.of("transition.rollback")
+            assert rollback.fields == {"n_old": 2, "n_new": 3, "failed": [2]}
+            assert timeline.of("transition.begin") == []
             # rolled back: no drain window armed, routing unchanged
             assert web.n_active == 2
             assert not web._manager.routing_counts(

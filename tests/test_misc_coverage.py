@@ -5,7 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro import errors
+from repro import errors, obs
 
 
 class TestErrorHierarchy:
@@ -143,12 +143,13 @@ class TestRapidTransitions:
         loop = EventLoop()
         for when, _n_old, n_new in schedule.transitions():
             loop.schedule_at(when, actuator.apply_at, n_new, loop)
-        loop.run_until(schedule.duration)
+        with obs.recording() as timeline:
+            loop.run_until(schedule.duration)
         assert cache.active_count == 5
         states = [server.state for server in cache.servers]
         assert states[:5].count(PowerState.ON) == 5
         assert states[5] is PowerState.OFF
-        assert len(actuator.applied) == 4
+        assert len(timeline.of("transition.begin")) == 4
 
     def test_cli_place_custom_ring_size(self, capsys):
         from repro.cli import main

@@ -21,19 +21,19 @@ CEILINGS = {
     "core/placement.py": 152,
     "core/router.py": 381,
     "core/hotkey.py": 317,
-    "core/transition.py": 261,
+    "core/transition.py": 264,
     "core/retrieval.py": 800,
-    "web/frontend.py": 237,
-    "net/webtier.py": 364,
+    "web/frontend.py": 231,
+    "net/webtier.py": 358,
     "net/transport.py": 307,
     "net/parser.py": 490,
     "net/client.py": 606,
-    "experiments/testbed.py": 743,
+    "experiments/testbed.py": 757,
     "config.py": 181,
-    "provisioning/actuator.py": 94,
+    "provisioning/actuator.py": 68,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_476
+TREE_CEILING = 12_469
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
