@@ -9,9 +9,11 @@ negatives — the only false-negative source in the paper's setting
 (Section IV-B: "counter overflow ... is the only reason of false negatives").
 
 Deleting a key that was never inserted raises :class:`~repro.errors.DigestError`
-in strict mode: the paper argues this never happens because deletions are
-driven solely by memcached item-unlink events, so we treat it as a bug
-rather than corrupting the counters.
+in strict mode while no counter has saturated: the paper argues this never
+happens because deletions are driven solely by memcached item-unlink events,
+so we treat it as a bug rather than corrupting the counters.  After a
+saturation a resident key's counter may legitimately read zero — the
+tolerated false negative — so the check stands down until :meth:`clear`.
 
 The batch operations (:meth:`CountingBloomFilter.add_many`,
 :meth:`~CountingBloomFilter.contains_many`) hash every key in one vectorized
@@ -43,8 +45,9 @@ class CountingBloomFilter:
             at ``2^b - 1``).
         num_hashes: ``h`` in the paper — probe functions per key.
         strict: raise :class:`DigestError` when removing a key whose counters
-            indicate it is absent; if False, clamp at zero (lenient mode for
-            reconstructing digests from lossy streams).
+            indicate it is absent while no counter has overflowed; if False,
+            clamp at zero (lenient mode for reconstructing digests from
+            lossy streams).
     """
 
     __slots__ = (
@@ -103,13 +106,18 @@ class CountingBloomFilter:
         """Delete *key*, decrementing its ``h`` counters.
 
         Raises:
-            DigestError: in strict mode, when any counter for *key* is already
-                zero (deleting an absent element).
+            DigestError: in strict mode with no overflow yet, when any
+                counter for *key* is already zero (deleting an absent
+                element).  Once a counter has saturated, a zero is the
+                paper's tolerated false negative and clamps instead.
         """
         counters = self._counters
         indexes = self._family.indexes(key)
         # all(map(...)), not a generator: no frame per counter
-        if self.strict and not all(map(counters.__getitem__, indexes)):
+        if (
+            self.strict and not self.overflow_events
+            and not all(map(counters.__getitem__, indexes))
+        ):
             raise DigestError(f"removing key absent from digest: {key!r}")
         for idx in indexes:
             if counters[idx] > 0:

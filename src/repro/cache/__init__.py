@@ -1,1 +1,1 @@
-"""Memcached-like cache substrate with digest hooks (paper Section V-A3)."""
+"""Memcached-like cache substrate with a built-in digest (Section V-A3)."""

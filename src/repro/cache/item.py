@@ -8,7 +8,7 @@ remain expressible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: The paper's Fig. 6 setting: "4KB data per page".
@@ -24,34 +24,23 @@ class CacheItem:
         value: the cached payload.
         size: accounting size in bytes (capacity is enforced against this).
         created_at: simulation time the item was linked.
-        last_access: simulation time of the most recent get/set.
         expires_at: absolute expiry time, or ``None`` for no expiry.
         flags: opaque client flags (memcached protocol compatibility).
+        cas: the item's unique id for ``gets`` / ``cas`` (0 = unstamped).
     """
 
     key: str
     value: Any
     size: int = DEFAULT_ITEM_SIZE
     created_at: float = 0.0
-    last_access: float = field(default=0.0)
     expires_at: Optional[float] = None
     flags: int = 0
+    cas: int = 0
 
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"item size must be >= 0, got {self.size}")
-        if self.last_access < self.created_at:
-            self.last_access = self.created_at
 
     def expired(self, now: float) -> bool:
         """True if the item's absolute expiry has passed."""
         return self.expires_at is not None and now >= self.expires_at
-
-    def idle_time(self, now: float) -> float:
-        """Seconds since the last access — the paper's "hot" test is
-        ``idle_time < TTL``."""
-        return now - self.last_access
-
-    def touch(self, now: float) -> None:
-        """Record an access."""
-        self.last_access = now

@@ -1,9 +1,9 @@
 """A memcached-like cache server with a built-in counting-Bloom-filter digest.
 
-Mirrors the paper's modified memcached (Section V-A3): the digest is updated
-exactly when an item is linked into or unlinked from the store, so it is
-consistent with cache contents by construction.  The server also models the
-power states the provisioning actuator drives it through::
+Mirrors the paper's modified memcached (Section V-A3): the store updates the
+digest exactly when it links or unlinks an item, so it is consistent with
+cache contents by construction.  The server also models the power states
+the provisioning actuator drives it through::
 
     OFF --power_on--> ON --begin_drain--> DRAINING --power_off--> OFF
 
@@ -19,10 +19,9 @@ import enum
 from typing import Any, Optional
 
 from repro.bloom.bloom import BloomFilter
-from repro.bloom.config import BloomConfig, optimal_config
+from repro.bloom.config import BloomConfig
 from repro.bloom.counting import CountingBloomFilter
-from repro.cache.item import DEFAULT_ITEM_SIZE, CacheItem
-from repro.cache.store import KeyValueStore
+from repro.cache.store import KeyValueStore, default_digest_config
 from repro.errors import CacheError, ConfigurationError
 
 
@@ -60,29 +59,16 @@ class CacheServer:
         if server_id < 0:
             raise ConfigurationError(f"server_id must be >= 0, got {server_id}")
         self.server_id = server_id
-        self.store = KeyValueStore(capacity_bytes=capacity_bytes)
         if bloom_config is None:
-            expected_keys = (
-                max(1024, capacity_bytes // DEFAULT_ITEM_SIZE)
-                if capacity_bytes
-                else 100_000
-            )
-            bloom_config = optimal_config(expected_keys)
+            bloom_config = default_digest_config(capacity_bytes)
         self.bloom_config = bloom_config
         self.digest: CountingBloomFilter = bloom_config.build()
-        self.store.link_hooks.append(self._on_link)
-        self.store.unlink_hooks.append(self._on_unlink)
+        self.store = KeyValueStore(capacity_bytes, self.digest)
         self.state = PowerState.ON if initially_on else PowerState.OFF
         #: count of power cycles (each implies a cold cache)
         self.power_cycles = 0
 
     # ------------------------------------------------------------- digest
-
-    def _on_link(self, item: CacheItem) -> None:
-        self.digest.add(item.key)
-
-    def _on_unlink(self, item: CacheItem, reason: str) -> None:
-        self.digest.remove(item.key)
 
     def snapshot_digest(self) -> BloomFilter:
         """The ``SET_BLOOM_FILTER`` + ``BLOOM_FILTER`` flow in one call.
@@ -142,7 +128,6 @@ class CacheServer:
         if self.state is PowerState.ON:
             return
         self.store.flush()
-        self.digest.clear()
         self.state = PowerState.ON
         self.power_cycles += 1
 
@@ -159,7 +144,6 @@ class CacheServer:
         if self.state is PowerState.OFF:
             return
         self.store.flush()
-        self.digest.clear()
         self.state = PowerState.OFF
         self.power_cycles += 1
 

@@ -1,14 +1,13 @@
-"""Bounded key-value store with pluggable eviction and link/unlink hooks.
+"""Bounded key-value store that keeps the node's digest in step with it.
 
-This is the in-memory heart of a cache server.  The hook pair
-``on_link``/``on_unlink`` mirrors memcached's ``do_item_link`` /
-``do_item_unlink`` — exactly the two functions the paper instruments to keep
-the counting-Bloom-filter digest consistent with cache contents
-(Section V-A3).  Every item that enters the store fires ``on_link`` once and
-every item that leaves (delete, eviction, or lazy expiry) fires
-``on_unlink`` once, so a digest driven by these hooks never deletes an
-absent element — the property that rules out one of the two false-negative
-sources (Section IV-A).
+This is the in-memory heart of a cache server.  Items live in one
+``OrderedDict`` that is also their LRU order: a hit moves its key to the
+end, the victim is the first key, and an unlink is one ``del``.  The store
+adds a key to the node's counting-Bloom digest where it links an item and
+removes it where it unlinks one — memcached's ``do_item_link`` /
+``do_item_unlink``, exactly the two functions the paper instruments
+(Section V-A3) — so the digest is consistent with the store by
+construction.
 
 Expiry is indexed, not scanned: a min-heap of ``(expires_at, key)`` lets
 ``purge_expired`` — which every ``set`` into a full store runs before it
@@ -24,31 +23,31 @@ bounds its memory by the store's own size.
 from __future__ import annotations
 
 import heapq
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-)
+from collections import OrderedDict
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cache.eviction import EvictionPolicy, LRUPolicy
+from repro.bloom.config import BloomConfig, optimal_config
+from repro.bloom.counting import CountingBloomFilter
 from repro.cache.item import DEFAULT_ITEM_SIZE, CacheItem
 from repro.cache.stats import CacheStats
 from repro.errors import CapacityError, ConfigurationError
 
-LinkHook = Callable[[CacheItem], None]
-UnlinkHook = Callable[[CacheItem, str], None]  # (item, reason)
 
-#: unlink reasons passed to hooks
-REASON_DELETE = "delete"
-REASON_EVICT = "evict"
-REASON_EXPIRE = "expire"
-REASON_FLUSH = "flush"
+def default_digest_config(capacity_bytes: Optional[int]) -> BloomConfig:
+    """The Section IV-B optimum for the key count *capacity_bytes* holds at
+    the paper's 4 KB item (at least 1024 keys; 100 000 when unbounded)."""
+    if not capacity_bytes:
+        return optimal_config(100_000)
+    return optimal_config(max(1024, capacity_bytes // DEFAULT_ITEM_SIZE))
 
 
 class KeyValueStore:
-    """A capacity-bounded dict of :class:`CacheItem` with eviction.
+    """A capacity-bounded, LRU-ordered dict of :class:`CacheItem`.
 
     Args:
         capacity_bytes: total accounting bytes allowed; ``None`` = unbounded.
-        policy: eviction policy (default LRU, like memcached).
+        digest: the node's counting Bloom filter, kept equal to the key set;
+            ``None`` keeps no digest.
         default_item_size: accounting size used when a set does not specify
             one (the paper's 4 KB page unit).
 
@@ -60,7 +59,7 @@ class KeyValueStore:
     def __init__(
         self,
         capacity_bytes: Optional[int] = None,
-        policy: Optional[EvictionPolicy] = None,
+        digest: Optional[CountingBloomFilter] = None,
         default_item_size: int = DEFAULT_ITEM_SIZE,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes < 1:
@@ -68,15 +67,14 @@ class KeyValueStore:
                 f"capacity_bytes must be >= 1 or None, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self.policy = policy if policy is not None else LRUPolicy()
+        self.digest = digest
         self.default_item_size = default_item_size
-        self._items: Dict[str, CacheItem] = {}
+        #: every item, least recently used first
+        self._items: "OrderedDict[str, CacheItem]" = OrderedDict()
         #: lazily-validated min-heap of (expires_at, key); see module doc
         self._expiry: List[Tuple[float, str]] = []
         self._used_bytes = 0
         self.stats = CacheStats()
-        self.link_hooks: List[LinkHook] = []
-        self.unlink_hooks: List[UnlinkHook] = []
 
     # ------------------------------------------------------------- queries
 
@@ -92,7 +90,8 @@ class KeyValueStore:
         return self._used_bytes
 
     def keys(self) -> Iterator[str]:
-        """Iterate current keys (snapshot not guaranteed under mutation)."""
+        """Iterate current keys, least recently used first (snapshot not
+        guaranteed under mutation)."""
         return iter(self._items)
 
     def peek(self, key: str) -> Optional[CacheItem]:
@@ -120,10 +119,10 @@ class KeyValueStore:
         otherwise concurrent cache misses for one key (the dog pile) would
         silently free-ride on each other.
         """
-        # Expiry test, touch and counters are inlined, and the counters
-        # move once per call: a key costs no frame of its own.
+        # Expiry test, LRU refresh and counters are inlined, and the
+        # counters move once per call: a key costs no frame of its own.
         items, stats = self._items, self.stats
-        on_access = self.policy.on_access
+        refresh = items.move_to_end
         hits: Dict[str, CacheItem] = {}
         found = 0
         for key in keys:
@@ -132,11 +131,10 @@ class KeyValueStore:
                 continue
             expires_at = item.expires_at
             if expires_at is not None and now >= expires_at:
-                self._unlink(item, REASON_EXPIRE)
+                self._unlink(item)
                 stats.expirations += 1
             elif item.created_at <= now:
-                item.last_access = now
-                on_access(key)
+                refresh(key)
                 hits[key] = item
                 found += 1
         stats.gets += len(keys)
@@ -153,16 +151,15 @@ class KeyValueStore:
         ttl: Optional[float] = None,
         flags: int = 0,
     ) -> CacheItem:
-        """Insert or overwrite *key*.
+        """Insert or overwrite *key*; returns the linked item.
 
-        Overwriting fires ``on_unlink`` for the old item and ``on_link`` for
-        the new one (memcached replaces items rather than mutating them, and
-        the digest counters must track that).  A *ttl* <= 0 links an item
-        that has already expired (memcached's negative ``exptime``).
+        An overwrite unlinks the old item and links the new one (memcached
+        replaces items rather than mutating them, and the digest counters
+        track that).  A *ttl* <= 0 links an item that has already expired
+        (memcached's negative ``exptime``).
 
         Raises:
-            CapacityError: the item alone exceeds capacity, or eviction
-                cannot free enough space.
+            CapacityError: the item alone exceeds capacity.
         """
         item_size = self.default_item_size if size is None else size
         capacity = self.capacity_bytes
@@ -173,25 +170,20 @@ class KeyValueStore:
         items = self._items
         old = items.get(key)
         if old is not None:
-            self._unlink(old, REASON_DELETE)
+            self._unlink(old)
         if capacity is not None and self._used_bytes + item_size > capacity:
             self._make_room(item_size, now)
         item = CacheItem(
             key=key, value=value, size=item_size, created_at=now,
-            last_access=now, expires_at=None if ttl is None else now + ttl,
-            flags=flags,
+            expires_at=None if ttl is None else now + ttl, flags=flags,
         )
         items[key] = item
         self._used_bytes += item_size
-        self.policy.on_link(key)
-        for hook in self.link_hooks:
-            hook(item)
+        if self.digest is not None:
+            self.digest.add(key)
         if ttl is not None:
             self._index_expiry(item)
-        stats = self.stats
-        stats.sets += 1
-        stats.bytes_stored += item_size
-        stats.items += 1
+        self.stats.sets += 1
         return item
 
     def delete(self, key: str, now: float = 0.0) -> bool:
@@ -199,11 +191,10 @@ class KeyValueStore:
         item = self._items.get(key)
         if item is None:
             return False
+        self._unlink(item)
         if item.expired(now):
-            self._unlink(item, REASON_EXPIRE)
             self.stats.expirations += 1
             return False
-        self._unlink(item, REASON_DELETE)
         self.stats.deletes += 1
         return True
 
@@ -212,15 +203,13 @@ class KeyValueStore:
     ) -> bool:
         """Re-time *key* to the absolute *expires_at* (``None`` = never).
 
-        Returns False if the key is absent or already expired.  Counts as
-        an access for the "hot" test but, like a peek, leaves eviction
-        order and hit/miss stats alone.
+        Returns False if the key is absent or already expired.  Like a
+        peek, leaves eviction order and hit/miss stats alone.
         """
         item = self._items.get(key)
         if item is None or item.expired(now):
             return False
         item.expires_at = expires_at
-        item.touch(now)
         if expires_at is not None:
             self._index_expiry(item)
         return True
@@ -236,30 +225,33 @@ class KeyValueStore:
             expires_at, key = heapq.heappop(self._expiry)
             item = self._items.get(key)
             if item is not None and item.expires_at == expires_at:
-                self._unlink(item, REASON_EXPIRE)
+                self._unlink(item)
                 self.stats.expirations += 1
                 purged += 1
         return purged
 
     def flush(self) -> int:
-        """Drop everything (power cycle / ``flush_all``); returns item count."""
-        dropped = list(self._items.values())
+        """Drop everything and clear the digest in one step (power cycle /
+        ``flush_all``); returns the item count."""
+        dropped = len(self._items)
+        self._items.clear()
         self._expiry.clear()
-        for item in dropped:
-            self._unlink(item, REASON_FLUSH)
-        self.policy.reset()
-        return len(dropped)
+        self._used_bytes = 0
+        if self.digest is not None:
+            self.digest.clear()
+        return dropped
 
     # ------------------------------------------------------------ internal
 
     def _make_room(self, needed: int, now: float) -> None:
-        """Free *needed* bytes: reclaim the expired, then evict live items."""
+        """Free *needed* bytes: reclaim the expired, then evict the least
+        recently used (``set`` has checked that *needed* fits when empty)."""
         expiry = self._expiry
         if expiry and expiry[0][0] <= now:
             self.purge_expired(now)
-        items, victim = self._items, self.policy.victim
+        items = self._items
         while self._used_bytes + needed > self.capacity_bytes:
-            self._unlink(items[victim()], REASON_EVICT)  # victim() may raise
+            self._unlink(next(iter(items.values())))
             self.stats.evictions += 1
 
     def _index_expiry(self, item: CacheItem) -> None:
@@ -276,14 +268,10 @@ class KeyValueStore:
         ]
         heapq.heapify(self._expiry)
 
-    def _unlink(self, item: CacheItem, reason: str) -> None:
-        self._items.pop(item.key, None)
+    def _unlink(self, item: CacheItem) -> None:
+        del self._items[item.key]
         self._used_bytes -= item.size
-        stats = self.stats
-        stats.bytes_stored -= item.size
-        stats.items -= 1
-        self.policy.on_unlink(item.key)
-        for hook in self.unlink_hooks:
-            hook(item, reason)
+        if self.digest is not None:
+            self.digest.remove(item.key)
         if len(self._expiry) > 2 * len(self._items) + 64:
             self._compact_expiry()

@@ -1,13 +1,13 @@
 """Asyncio memcached server with a built-in counting-Bloom-filter digest.
 
 The runnable analogue of the paper's modified memcached (Section V-A3): a
-TCP server speaking the classic text protocol whose item link/unlink events
-keep a counting Bloom filter consistent with the store, with the reserved
-keys ``SET_BLOOM_FILTER`` (snapshot) and ``BLOOM_FILTER`` (fetch snapshot as
-normal data).  The store and digest are the *same* classes the simulation
-uses — only time comes from the wall clock here.  Each connection is an
-:class:`asyncio.Protocol` (:class:`ServerConnection`): a request costs one
-loop iteration — no task, no future, no ``drain`` to await.
+TCP server speaking the classic text protocol whose store keeps a counting
+Bloom filter consistent with its items as it links and unlinks them, with
+the reserved keys ``SET_BLOOM_FILTER`` (snapshot) and ``BLOOM_FILTER``
+(fetch snapshot as normal data).  The store and digest are the *same*
+classes the simulation uses — only time comes from the wall clock here.
+Each connection is an :class:`asyncio.Protocol` (:class:`ServerConnection`):
+a request costs one loop iteration — no task, future or ``drain`` await.
 
 Example::
 
@@ -25,9 +25,8 @@ import time
 from typing import Dict, List, Optional, Set
 
 from repro.bloom.config import BloomConfig, optimal_config
-from repro.cache.eviction import LRUPolicy
 from repro.cache.item import CacheItem
-from repro.cache.store import KeyValueStore
+from repro.cache.store import KeyValueStore, default_digest_config
 from repro.bloom.counting import CountingBloomFilter
 from repro.errors import CapacityError, ConfigurationError
 from repro.net import protocol as proto
@@ -71,38 +70,22 @@ class MemcachedServer:
         self.inflight = 0
         #: commands refused with ``SERVER_ERROR busy``
         self.shed_commands = 0
-        self.store = KeyValueStore(
-            capacity_bytes=capacity_bytes, policy=LRUPolicy(),
-            default_item_size=0,
-        )
         if bloom_config is None:
-            expected = (
-                max(1024, capacity_bytes // 4096) if capacity_bytes else 100_000
-            )
-            bloom_config = optimal_config(expected)
-        self.digest: CountingBloomFilter = bloom_config.build()
+            bloom_config = default_digest_config(capacity_bytes)
         self.bloom_config = bloom_config
-        self.store.link_hooks.append(self._on_link)
-        self.store.unlink_hooks.append(self._on_unlink)
+        self.digest: CountingBloomFilter = bloom_config.build()
+        self.store = KeyValueStore(
+            capacity_bytes, self.digest, default_item_size=0
+        )
         self._snapshot: Optional[bytes] = None
         self._server: Optional[asyncio.base_events.Server] = None
         #: connections accepted since construction / those still open
         self.connections = 0
         self._open: Set[ServerConnection] = set()
-        # cas bookkeeping: every successful store bumps the key's unique id;
-        # the id goes when the item does (_on_unlink), so the map never
-        # outgrows the store.
+        #: the last cas id ``_set`` stamped on an item
         self._cas_counter = 0
-        self._cas: Dict[str, int] = {}
 
     # ------------------------------------------------------------- digest
-
-    def _on_link(self, item: CacheItem) -> None:
-        self.digest.add(item.key)
-
-    def _on_unlink(self, item: CacheItem, reason: str) -> None:
-        self.digest.remove(item.key)
-        self._cas.pop(item.key, None)
 
     def take_snapshot(self) -> bytes:
         """Freeze the digest into a bit array (``get SET_BLOOM_FILTER``)."""
@@ -187,7 +170,7 @@ class MemcachedServer:
                 # A hit's reply block was built when it was set; a ``gets``
                 # rebuilds the header to carry the cas id.
                 chunks.append(item.value if not gets else proto.value_response(
-                    key, item.flags, _payload(item), self._cas.get(key)
+                    key, item.flags, _payload(item), item.cas
                 ))
             elif key == proto.KEY_SNAPSHOT:
                 # Snapshot the digest, acknowledge with a 1-byte value so
@@ -214,7 +197,7 @@ class MemcachedServer:
             if command == "cas":
                 if not exists:
                     return proto.NOT_FOUND
-                if self._cas.get(key) != request.cas:
+                if current.cas != request.cas:
                     return proto.EXISTS
         return self._set(
             key, request.value, now, request.exptime or None, request.flags
@@ -231,14 +214,14 @@ class MemcachedServer:
         if key in proto.RESERVED_KEYS:
             return proto.client_error_response(f"{key} is reserved")
         try:
-            self.store.set(
+            item = self.store.set(
                 key, proto.value_response(key, flags, value), now,
                 len(value), ttl, flags,
             )
         except CapacityError as exc:
             return proto.error_response(str(exc))
         self._cas_counter += 1
-        self._cas[key] = self._cas_counter
+        item.cas = self._cas_counter
         return proto.STORED
 
     def _do_concat(self, request: proto.Request) -> bytes:

@@ -76,6 +76,21 @@ class TestOverflow:
             cbf.remove(key)
         assert keys[0] not in cbf  # false negative
 
+    def test_strict_mode_tolerates_the_false_negative_after_overflow(self):
+        # Once a counter has saturated, a zero counter under a resident
+        # key is the tolerated false negative: strict removal clamps until
+        # a clear makes the counters exact again.
+        cbf = CountingBloomFilter(8, counter_bits=1, num_hashes=4)
+        keys = make_keys(40)
+        cbf.update(keys)
+        assert cbf.overflow_events > 0
+        for key in keys:
+            cbf.remove(key)
+        assert cbf.count == 0 and not any(cbf._counters)
+        cbf.clear()
+        with pytest.raises(DigestError):
+            cbf.remove(keys[0])
+
     def test_wide_counters_do_not_saturate(self):
         cbf = CountingBloomFilter(64, counter_bits=12, num_hashes=2)
         for _ in range(100):

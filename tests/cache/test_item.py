@@ -10,14 +10,11 @@ class TestCacheItem:
         item = CacheItem("k", "v")
         assert item.size == DEFAULT_ITEM_SIZE == 4096
         assert item.expires_at is None
+        assert item.cas == 0
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             CacheItem("k", "v", size=-1)
-
-    def test_last_access_clamped_to_creation(self):
-        item = CacheItem("k", "v", created_at=10.0)
-        assert item.last_access == 10.0
 
     def test_expiry(self):
         item = CacheItem("k", "v", created_at=0.0, expires_at=5.0)
@@ -26,9 +23,3 @@ class TestCacheItem:
 
     def test_no_expiry_never_expires(self):
         assert not CacheItem("k", "v").expired(1e12)
-
-    def test_touch_updates_last_access(self):
-        item = CacheItem("k", "v", created_at=0.0)
-        item.touch(7.0)
-        assert item.last_access == 7.0
-        assert item.idle_time(10.0) == 3.0

@@ -1,26 +1,16 @@
-"""Tests for the bounded key-value store and its link/unlink hooks."""
+"""Tests for the bounded key-value store, its LRU order and its digest."""
 
 import pytest
 
-from repro.cache.eviction import NoEvictionPolicy
-from repro.cache.store import (
-    REASON_DELETE,
-    REASON_EVICT,
-    REASON_EXPIRE,
-    REASON_FLUSH,
-    KeyValueStore,
-)
+from repro.bloom.counting import CountingBloomFilter
+from repro.cache.store import KeyValueStore
 from repro.errors import CapacityError, ConfigurationError
 
 
-def hooked_store(**kwargs):
-    store = KeyValueStore(**kwargs)
-    events = []
-    store.link_hooks.append(lambda item: events.append(("link", item.key)))
-    store.unlink_hooks.append(
-        lambda item, reason: events.append(("unlink", item.key, reason))
-    )
-    return store, events
+def digested_store(capacity_bytes=None):
+    """A store keeping a roomy strict digest, and that digest."""
+    digest = CountingBloomFilter(8192, counter_bits=8, num_hashes=4)
+    return KeyValueStore(capacity_bytes, digest), digest
 
 
 class TestBasicOps:
@@ -53,8 +43,7 @@ class TestBasicOps:
         store.set("k", "v2", size=300)
         assert store.get("k") == "v2"
         assert store.used_bytes == 300
-        assert store.stats.items == 1
-        assert store.stats.bytes_stored == 300
+        assert len(store) == 1
 
     def test_peek_does_not_touch(self):
         store = KeyValueStore()
@@ -118,12 +107,6 @@ class TestEviction:
         assert store.stats.expirations == 1
         assert store.stats.evictions == 0
 
-    def test_no_eviction_policy_overflows(self):
-        store = KeyValueStore(capacity_bytes=100, policy=NoEvictionPolicy())
-        store.set("a", 1, size=100)
-        with pytest.raises(CapacityError):
-            store.set("b", 2, size=100)
-
     def test_used_bytes_tracks(self):
         store = KeyValueStore(capacity_bytes=1000)
         store.set("a", 1, size=400)
@@ -134,43 +117,48 @@ class TestEviction:
 
 
 class TestHooks:
+    """The link and unlink points: the store adds a key to the digest
+    where it links an item and removes it where it unlinks one, whatever
+    the reason."""
+
     def test_link_unlink_fire_once_per_item(self):
-        store, events = hooked_store()
+        store, digest = digested_store()
         store.set("k", "v")
+        assert "k" in digest and digest.count == 1
         store.delete("k")
-        assert events == [("link", "k"), ("unlink", "k", REASON_DELETE)]
+        assert "k" not in digest and digest.count == 0
 
     def test_overwrite_fires_unlink_then_link(self):
-        store, events = hooked_store()
+        store, digest = digested_store()
         store.set("k", "v1")
         store.set("k", "v2")
-        assert events == [
-            ("link", "k"),
-            ("unlink", "k", REASON_DELETE),
-            ("link", "k"),
-        ]
+        assert "k" in digest and digest.count == 1
 
     def test_eviction_reason(self):
-        store, events = hooked_store(capacity_bytes=100)
+        store, digest = digested_store(capacity_bytes=100)
         store.set("a", 1, size=100)
         store.set("b", 2, size=100)
-        assert ("unlink", "a", REASON_EVICT) in events
+        assert "a" not in digest and "b" in digest
+        assert digest.count == 1
 
     def test_expiry_reason(self):
-        store, events = hooked_store()
+        store, digest = digested_store()
         store.set("k", "v", now=0.0, ttl=1.0)
-        store.get("k", now=2.0)
-        assert ("unlink", "k", REASON_EXPIRE) in events
+        assert store.get("k", now=2.0) is None
+        assert "k" not in digest and digest.count == 0
 
     def test_flush_reason_and_reset(self):
-        store, events = hooked_store()
+        store, digest = digested_store()
         store.set("a", 1)
-        store.set("b", 2)
+        store.set("b", 2, ttl=5.0)
         assert store.flush() == 2
         assert len(store) == 0
         assert store.used_bytes == 0
-        reasons = [e[2] for e in events if e[0] == "unlink"]
-        assert reasons == [REASON_FLUSH, REASON_FLUSH]
+        assert digest.count == 0
+        assert not any(digest._counters)
+        store.set("a", 3)  # usable again, and the index forgot "b"
+        assert store.purge_expired(10.0) == 0
+        assert list(store.keys()) == ["a"] and digest.count == 1
 
 
 class TestStatsIntegration:
@@ -187,13 +175,3 @@ class TestStatsIntegration:
         store.get("k")
         store.delete("k")
         assert store.stats.requests == 3
-
-    def test_snapshot_and_diff(self):
-        store = KeyValueStore()
-        store.set("a", 1)
-        snap = store.stats.snapshot()
-        store.set("b", 2)
-        store.get("a")
-        delta = store.stats.diff(snap)
-        assert delta.sets == 1
-        assert delta.gets == 1

@@ -252,7 +252,10 @@ class TestTouch:
 
 
 class TestCasBookkeeping:
-    def test_cas_map_never_outgrows_the_store(self):
+    """A cas id lives on its item: it goes when the item does, so no
+    side-table can outgrow the store."""
+
+    def test_cas_ids_survive_churn(self):
         async def body(server, client):
             value = b"x" * 100
             for start in range(0, 10_000, 500):
@@ -262,17 +265,20 @@ class TestCasBookkeeping:
                 assert stored == 500
             assert len(server.store) == 1_000
             assert server.store.stats.evictions == 9_000
-            assert len(server._cas) == len(server.store)
+            ids = [server.store.peek(key).cas for key in server.store.keys()]
+            assert ids == list(range(9_001, 10_001))  # stamped in set order
             assert await client.delete("key:9999")
-            assert len(server._cas) == len(server.store) == 999
+            assert len(server.store) == 999
             # cas still sees a live id for what is resident.
             reply = await client.execute(
-                b"cas key:9998 0 0 3 %d\r\nnew\r\n" % server._cas["key:9998"],
+                b"cas key:9998 0 0 3 %d\r\nnew\r\n"
+                % server.store.peek("key:9998").cas,
                 LineReply(),
             )
             assert reply == b"STORED"
+            assert server.store.peek("key:9998").cas == 10_001
             await client.flush_all()
-            assert len(server._cas) == len(server.store) == 0
+            assert len(server.store) == 0
 
         run(with_server(body, capacity_bytes=100 * 1_000))
 
@@ -281,10 +287,14 @@ class TestCasBookkeeping:
             fake = {"t": 0.0}
             server._clock = lambda: fake["t"]
             await client.set("k", b"v", exptime=5)
-            assert "k" in server._cas
+            cas = server.store.peek("k").cas
             fake["t"] = 6.0
             assert await client.get("k") is None
-            assert server._cas == {}
+            assert server.store.peek("k") is None
+            reply = await client.execute(
+                b"cas k 0 0 1 %d\r\nw\r\n" % cas, LineReply()
+            )
+            assert reply == b"NOT_FOUND"
 
         run(with_server(body))
 
@@ -325,7 +335,6 @@ class TestNegativeExptime:
             assert await client.set("k", b"v", exptime=-1)
             assert await client.get("k") is None
             assert server.digest.count == len(server.store) == 0
-            assert server._cas == {}
 
         run(with_server(body))
 

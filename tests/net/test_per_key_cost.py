@@ -168,12 +168,12 @@ def test_the_servers_get_loop_enters_no_frame_per_key():
 #: Python frames one more pipelined ``set`` enters on the server, from
 #: its bytes to its ``STORED``: framing and parsing the line, building
 #: the ``Request``, the item's reply block and the ``CacheItem``, the
-#: store, the LRU link and the digest (28 before the write path was
-#: inlined) ...
-SET_FRAMES_WITH_ROOM = 14
-#: ... and when it also evicts the LRU item, unlinks it from the digest
-#: and drops its cas id (39 before)
-SET_FRAMES_EVICTING = 26
+#: store and the digest (28 before the write path was inlined, 13 with
+#: a link hook) ...
+SET_FRAMES_WITH_ROOM = 12
+#: ... and when it also evicts the LRU item and unlinks it from the
+#: digest (39 before, 21 with an eviction policy and unlink hooks)
+SET_FRAMES_EVICTING = 17
 
 
 def _sets(start, count):
@@ -186,7 +186,7 @@ def _sets(start, count):
 @pytest.mark.parametrize("capacity, bound", [
     (None, SET_FRAMES_WITH_ROOM),
     (100 * len(b"value"), SET_FRAMES_EVICTING),
-])
+], ids=["with_room", "evicting"])  # a ratchet keeps the test ids
 def test_a_pipelined_set_enters_a_bounded_number_of_frames(capacity, bound):
     async def main():
         server = MemcachedServer(

@@ -4,8 +4,9 @@ import asyncio
 
 import pytest
 
-from repro.bloom.config import optimal_config
+from repro.bloom.config import BloomConfig, optimal_config
 from repro.errors import ProtocolError, TransportError
+from repro.net import protocol as proto
 from repro.net.client import MemcachedClient
 from repro.net.parser import LineReply
 from repro.net.server import READ_SIZE, MemcachedServer
@@ -207,6 +208,54 @@ class TestDigestOverTcp:
                 )
 
         run(with_server(body))
+
+
+class TestDigestOverflow:
+    """A saturated counter is the paper's tolerated false negative, not a
+    bug: once one has overflowed, an unlink that finds a zero counter must
+    not raise out of ``_dispatch`` and leave the command half-applied."""
+
+    #: 8 one-bit counters: 20 keys saturate all of them
+    TINY = BloomConfig(
+        num_counters=8, counter_bits=1, num_hashes=4, kappa=1,
+        fp_bound=1.0, fn_bound=1.0,
+    )
+
+    @staticmethod
+    def node(capacity_bytes=None):
+        server = MemcachedServer(capacity_bytes, TestDigestOverflow.TINY)
+        for i in range(20):
+            assert server._dispatch(proto.Request(
+                "set", [f"key:{i}"], value=b"v", num_bytes=1,
+            )) == proto.STORED
+        assert server.digest.overflow_events > 0
+        return server
+
+    def test_an_evicting_set_stores(self):
+        server = self.node(capacity_bytes=10)
+        for i in range(20, 40):
+            assert server._dispatch(proto.Request(
+                "set", [f"key:{i}"], value=b"v", num_bytes=1,
+            )) == proto.STORED
+        assert len(server.store) == 10
+        assert server.store.stats.evictions == 30
+        assert server.digest.count == 10
+
+    def test_a_delete_deletes(self):
+        server = self.node()
+        for i in range(20):
+            assert server._dispatch(
+                proto.Request("delete", [f"key:{i}"])
+            ) == proto.DELETED
+        assert len(server.store) == server.digest.count == 0
+
+    def test_flush_all_empties_store_and_digest(self):
+        server = self.node()
+        assert server._dispatch(proto.Request("flush_all")) == b"OK\r\n"
+        assert len(server.store) == server.digest.count == 0
+        assert not any(server.digest._counters)
+        # the cleared digest is exact again: strict checks resume
+        assert server.digest.overflow_events == 0
 
 
 class TestConcurrency:

@@ -28,7 +28,7 @@ SERVER_MODULES = {
     "repro", "repro.errors",
     "repro.bloom", "repro.bloom.bloom", "repro.bloom.config",
     "repro.bloom.counting", "repro.bloom.hashing",
-    "repro.cache", "repro.cache.eviction", "repro.cache.item",
+    "repro.cache", "repro.cache.item",
     "repro.cache.stats", "repro.cache.store",
     "repro.net", "repro.net.parser", "repro.net.protocol", "repro.net.server",
 }

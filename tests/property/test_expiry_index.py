@@ -6,8 +6,8 @@ item.  Random interleavings of every operation that can create, re-time
 or strand a heap entry (same-instant duplicates, overwrites, ``touch``
 both ways, deletes, flushes, capacity evictions) run against both at a
 non-decreasing clock, and after every step the two must agree on what is
-resident, what it weighs, what the counters say, what the digest hooks
-saw, and what each ``purge_expired`` returned.
+resident, what it weighs, what the counters say, what the digest the
+store keeps holds, and what each ``purge_expired`` returned.
 """
 
 from collections import OrderedDict
@@ -15,6 +15,7 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bloom.counting import CountingBloomFilter
 from repro.cache.store import KeyValueStore
 
 ITEM = 100
@@ -85,18 +86,10 @@ class Pair:
     """The real store and the oracle, driven in lock step."""
 
     def __init__(self, capacity=SLOTS * ITEM):
-        self.store = KeyValueStore(capacity_bytes=capacity)
+        self.digest = CountingBloomFilter(4096, counter_bits=8, num_hashes=4)
+        self.store = KeyValueStore(capacity, self.digest)
         self.oracle = ScanningOracle(capacity)
-        self.digest_count = 0
-        self.store.link_hooks.append(self._linked)
-        self.store.unlink_hooks.append(self._unlinked)
         self.now = 0.0
-
-    def _linked(self, item):
-        self.digest_count += 1
-
-    def _unlinked(self, item, reason):
-        self.digest_count -= 1
 
     def apply(self, op):
         name, key, amount = op
@@ -123,14 +116,14 @@ class Pair:
 
     def check(self):
         store, oracle = self.store, self.oracle
-        assert set(store.keys()) == set(oracle.items)
+        assert list(store.keys()) == list(oracle.items)  # LRU order too
         for key, expires_at in oracle.items.items():
             assert store.peek(key).expires_at == expires_at
         assert store.used_bytes == len(oracle.items) * ITEM
-        assert store.stats.items == len(oracle.items)
         assert store.stats.expirations == oracle.expirations
         assert store.stats.evictions == oracle.evictions
-        assert self.digest_count == len(oracle.items)
+        assert self.digest.count == len(oracle.items)
+        assert all(key in self.digest for key in oracle.items)
         assert len(store._expiry) <= 2 * len(store) + 64
 
 

@@ -8,8 +8,8 @@ accounting identities:
 
 * a store hit always returns the model's value (no stale/corrupt reads);
 * the store never exceeds its capacity;
-* stats.items == len(store) and bytes match the item sizes;
-* the digest (driven by hooks) matches the store's key set exactly.
+* the accounted bytes match the item sizes;
+* the digest the store keeps matches its key set exactly.
 """
 
 from hypothesis import settings
@@ -27,12 +27,8 @@ ITEM = 4096
 class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.store = KeyValueStore(capacity_bytes=CAPACITY)
         self.digest = CountingBloomFilter(8192, counter_bits=8, num_hashes=4)
-        self.store.link_hooks.append(lambda item: self.digest.add(item.key))
-        self.store.unlink_hooks.append(
-            lambda item, reason: self.digest.remove(item.key)
-        )
+        self.store = KeyValueStore(CAPACITY, self.digest)
         self.model = {}   # key -> (value, expires_at or None)
         self.now = 0.0
 
@@ -80,9 +76,10 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.store.used_bytes <= CAPACITY
 
     @invariant()
-    def stats_match_contents(self):
-        assert self.store.stats.items == len(self.store)
-        assert self.store.stats.bytes_stored == self.store.used_bytes
+    def bytes_match_contents(self):
+        assert self.store.used_bytes == sum(
+            self.store.peek(key).size for key in self.store.keys()
+        )
 
     @invariant()
     def digest_matches_store(self):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.config import BloomConfig
+from repro.bloom.counting import CountingBloomFilter
 from repro.cache.server import CacheServer
 from repro.cache.store import KeyValueStore
 
@@ -70,19 +71,27 @@ def test_digest_consistent_with_ttl_expiry(ops, ttl):
 @given(ops=st.lists(op, max_size=120))
 @settings(max_examples=30, deadline=None)
 def test_stats_item_count_matches_store(ops):
+    # The store's len and used_bytes are the item and byte counts: every
+    # resident item weighs the default 4 KB, and each link and unlink is
+    # counted once (no TTL here, so nothing expires).
     server = CacheServer(0, capacity_bytes=4096 * 10, bloom_config=CFG)
     now = 0.0
+    overwrites = 0
     for action, idx in ops:
         now += 1.0
         key = f"key:{idx}"
         if action == "set":
+            overwrites += key in server.store
             server.set(key, idx, now=now)
         elif action == "get":
             server.get(key, now=now)
         else:
             server.delete(key, now=now)
-    assert server.stats.items == len(server.store)
-    assert server.stats.bytes_stored == server.store.used_bytes
+    stats = server.stats
+    assert server.store.used_bytes == 4096 * len(server.store)
+    assert len(server.store) == (
+        stats.sets - overwrites - stats.deletes - stats.evictions
+    )
 
 
 # ------------------------------------------- get_many against a get loop
@@ -101,27 +110,22 @@ store_op = st.one_of(
 )
 
 
-def recorded_store():
-    """A 4-item LRU store and the unlink-hook calls it makes."""
-    store = KeyValueStore(capacity_bytes=4, default_item_size=1)
-    unlinks = []
-    store.unlink_hooks.append(lambda item, reason: unlinks.append(
-        (item.key, item.value, reason)
-    ))
-    return store, unlinks
+def digested_store():
+    """A 4-item LRU store and the digest it keeps."""
+    digest = CountingBloomFilter(1024, counter_bits=8, num_hashes=4)
+    return KeyValueStore(4, digest, default_item_size=1), digest
 
 
 def reference_get(store, key, now):
     """One key's hit rules, spelled out on the public surface: an expired
     item is unlinked (``delete`` does it, as an expiry), a future-dated
-    one is invisible, a hit is touched and moves to the LRU tail."""
+    one is invisible, a hit moves to the LRU tail."""
     store.stats.gets += 1
     item = store.peek(key)
     if item is not None and item.expired(now):
         store.delete(key, now)
     elif item is not None and item.created_at <= now:
-        item.touch(now)
-        store.policy.on_access(key)
+        store._items.move_to_end(key)
         store.stats.hits += 1
         return item.value
     store.stats.misses += 1
@@ -132,9 +136,9 @@ def reference_get(store, key, now):
 @settings(max_examples=200, deadline=None)
 def test_get_many_is_the_per_key_get_loop(ops):
     """``get_many(keys, now)``, a ``get`` per key and the spelled-out rules
-    return, count, expire and touch alike — repeated, expired and
+    return, count, expire and refresh alike — repeated, expired and
     future-dated keys included."""
-    twins = [recorded_store() for _ in range(3)]
+    twins = [digested_store() for _ in range(3)]
     (batched, _), (looped, _), (reference, _) = twins
     now = 0.0
     for step, (action, keys, arg, lead) in enumerate(ops):
@@ -156,13 +160,11 @@ def test_get_many_is_the_per_key_get_loop(ops):
             ] == [looped.get(name, now) for name in names] == [
                 reference_get(reference, name, now) for name in names
             ]
-        assert twins[0][1] == twins[1][1] == twins[2][1]  # unlink hooks
+        # the same keys linked and unlinked: the same digest counters
+        assert len({bytes(digest._counters) for _, digest in twins}) == 1
+        assert all(digest.count == len(store) for store, digest in twins)
     for field in ("gets", "hits", "misses", "expirations", "evictions"):
         assert len({getattr(store.stats, field) for store, _ in twins}) == 1
-    # LRU recency: the same victims, in the same order, from here on —
-    # and the same last access for the "hot" test
-    recency = [
-        [(key, store.peek(key).last_access) for key in store.policy._order]
-        for store, _ in twins
-    ]
+    # LRU recency: the same victims, in the same order, from here on
+    recency = [list(store.keys()) for store, _ in twins]
     assert recency[0] == recency[1] == recency[2]

@@ -1,7 +1,7 @@
 """Line-count budget for the placement stack, the Algorithm-2 core, its
 transition manager and hot-key armor, its two drivers, the live
-transport, parser and client, the simulated testbed with its one
-experiment runner, and the tree.
+transport, parser and client, the cache node's store and both servers,
+the simulated testbed with its one experiment runner, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -31,9 +31,14 @@ CEILINGS = {
     "experiments/testbed.py": 757,
     "config.py": 181,
     "provisioning/actuator.py": 68,
+    "cache/store.py": 277,
+    "cache/server.py": 154,
+    "cache/item.py": 46,
+    "cache/stats.py": 33,
+    "net/server.py": 454,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_469
+TREE_CEILING = 12_286
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
