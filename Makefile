@@ -26,8 +26,10 @@ bench:
 # armor's load-flattening gate, the overload armor's goodput/recovery
 # gate, the store's flat set-at-capacity cost, and the pipelined
 # transport's RPS gate (speedup/availability gates still enforced;
-# absolute numbers are noisy).  The net-throughput ratchet runs last: its
-# known failure on 2-core hosts must not keep the others from running.
+# absolute numbers are noisy), and the batch-of-one fixed cost, engine and
+# live page side by side (print-only).  The net-throughput ratchet runs
+# last: its known failure on 2-core hosts must not keep the others from
+# running.
 # The path is exported here so a bare `make bench-smoke` runs: the plain
 # fault-tolerance script sets no sys.path of its own.
 bench-smoke: export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -41,6 +43,7 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_autopilot.py --check
 	$(PYTHON) benchmarks/bench_overload.py --check
 	$(PYTHON) benchmarks/bench_store_pressure.py --check
+	$(PYTHON) benchmarks/bench_batch_of_one.py
 	$(PYTHON) benchmarks/bench_net_throughput.py --check
 
 # Smoke run of the end-to-end page-fetch benchmark BENCHMARK.json

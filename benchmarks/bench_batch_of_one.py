@@ -5,7 +5,10 @@ is ``fetch_many([key])[key]`` — so the fixed cost of one round of the batch
 protocol is the simulator's speed.  This prints it, warm hit path, next to
 the routing call it contains, for both read-plan lengths: one owner
 (``replicas=1``, what the paper's evaluation runs) and two (``replicas=2``,
-where a warm hit also refreshes the other replica)::
+where a warm hit also refreshes the other replica).  The last row is the
+same page on the live tier: ``AsyncProteusFrontend.fetch_many([k])`` over
+three in-process servers sharing its event loop, so the row holds the
+servers' work and the loop's too::
 
     PYTHONPATH=src python benchmarks/bench_batch_of_one.py
 
@@ -15,6 +18,7 @@ checkouts by running them alternately and reading the minima.
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 from repro import (
@@ -26,8 +30,12 @@ from repro import (
     optimal_config,
 )
 from repro.core.transition import RoutingEpochs
+from repro.net.server import MemcachedServer
+from repro.net.webtier import AsyncProteusFrontend
 
 CALLS = 20_000
+#: live pages per repeat (each is a real round trip over loopback)
+LIVE_CALLS = 2_000
 REPEATS = 7
 KEYS = [f"page:{i}" for i in range(512)]
 #: long after the warm-up's write-backs landed (items are invisible before
@@ -79,6 +87,36 @@ def warm_web(router) -> WebServer:
     return web
 
 
+async def live_row() -> float:
+    """Minimum over REPEATS of the mean microseconds per warm
+    ``AsyncProteusFrontend.fetch_many([k])`` hit."""
+    bloom = optimal_config(4000)
+
+    async def database(key):
+        return key.encode()
+
+    servers = [MemcachedServer(bloom_config=bloom) for _ in range(3)]
+    endpoints = [("127.0.0.1", await server.start()) for server in servers]
+    try:
+        async with AsyncProteusFrontend(
+            endpoints, bloom, database, pool_size=1
+        ) as web:
+            for _ in range(2):  # fill, then check every key hits
+                results = await web.fetch_many(KEYS)
+            assert all(r.path == "hit_new" for r in results.values())
+            best = float("inf")
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                for i in range(LIVE_CALLS):
+                    await web.fetch_many([KEYS[i & 511]])
+                elapsed = time.perf_counter() - start
+                best = min(best, elapsed / LIVE_CALLS * 1e6)
+            return best
+    finally:
+        for server in servers:
+            await server.stop()
+
+
 def main() -> None:
     router = ProteusRouter(8)
     two_rings = ProteusRouter(8, replicas=2)
@@ -98,10 +136,13 @@ def main() -> None:
     )
     web = warm_web(two_rings)
     rows["sim WebServer.fetch(k) r=2"] = best_us(lambda k: web.fetch(k, WARM))
+    rows["live AsyncProteusFrontend.fetch_many([k])"] = asyncio.run(
+        live_row()
+    )
     print("warm hit path, microseconds per call (min of "
-          f"{REPEATS} x {CALLS} calls):")
+          f"{REPEATS} x {CALLS} calls; live: {REPEATS} x {LIVE_CALLS}):")
     for label, micros in rows.items():
-        print(f"  {label:32s} {micros:7.2f}")
+        print(f"  {label:42s} {micros:7.2f}")
 
 
 if __name__ == "__main__":

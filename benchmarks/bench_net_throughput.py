@@ -148,7 +148,7 @@ async def _pool_scenario(port: int, concurrency: int, size: int) -> float:
 
     async def worker() -> None:
         for _ in range(pages_per_worker):
-            client = await pool.acquire()
+            client = pool.acquire()
             try:
                 await _fetch_page(client, keys)
             finally:

@@ -134,7 +134,8 @@ class TransitionManager:
         if ttl <= 0:
             raise TransitionError(f"ttl must be positive, got {ttl}")
         self.ttl = ttl
-        self._active = initial_active
+        #: routing outside a drain window: one frozen record, shared
+        self._steady = RoutingEpochs(initial_active, None, None)
         self._current: Optional[Transition] = None
         #: callbacks fired with the list of powered-off servers when a
         #: scale-down drain window closes
@@ -145,11 +146,12 @@ class TransitionManager:
     @property
     def active_count(self) -> int:
         """The committed active count (the *new* count once a transition starts)."""
-        return self._active
+        return self._steady.new
 
     def current(self, now: float) -> Optional[Transition]:
         """The in-flight transition, auto-completing it if the window closed."""
-        self._expire(now)
+        if self._current is not None and self._current.expired(now):
+            self._finish(self._current, self._current.deadline)
         return self._current
 
     def in_transition(self, now: float) -> bool:
@@ -188,18 +190,17 @@ class TransitionManager:
             TransitionError: a previous drain window is still open, or
                 ``n_new`` is out of range.
         """
-        self._expire(now)
-        if self._current is not None:
+        if self.current(now) is not None:
             raise TransitionError(
                 f"transition {self._current.n_old}->{self._current.n_new} "
                 f"still draining until {self._current.deadline}"
             )
         if n_new < 1:
             raise TransitionError(f"n_new must be >= 1, got {n_new}")
-        if n_new == self._active:
+        if n_new == self._steady.new:
             return None
         transition = Transition(
-            n_old=self._active,
+            n_old=self._steady.new,
             n_new=n_new,
             started_at=now,
             ttl=self.ttl,
@@ -207,7 +208,7 @@ class TransitionManager:
             ceding=list(ceding) if ceding is not None else None,
         )
         self._current = transition
-        self._active = n_new
+        self._steady = RoutingEpochs(n_new, None, None)
         obs.emit("transition.begin", now, n_old=transition.n_old,
                  n_new=n_new, smooth=digests is not None,
                  digests=sorted(digests or ()))
@@ -215,9 +216,10 @@ class TransitionManager:
 
     def routing_counts(self, now: float) -> "RoutingEpochs":
         """The (new, old) active counts web servers should route with."""
-        transition = self.current(now)
+        # Only an open window has anything to expire.
+        transition = self._current and self.current(now)
         if transition is None:
-            return RoutingEpochs(new=self._active, old=None, transition=None)
+            return self._steady
         return RoutingEpochs(
             new=transition.n_new, old=transition.n_old, transition=transition
         )
@@ -229,10 +231,6 @@ class TransitionManager:
         self._finish(self._current, now)
 
     # ------------------------------------------------------------ internal
-
-    def _expire(self, now: float) -> None:
-        if self._current is not None and self._current.expired(now):
-            self._finish(self._current, self._current.deadline)
 
     def _finish(self, transition: Transition, when: float) -> None:
         self._current = None

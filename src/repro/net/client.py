@@ -229,8 +229,11 @@ class MemcachedClient:
             always bounded).  A timeout poisons the connection — the
             stream position is unknown once a reply is abandoned halfway.
         nodelay: set ``TCP_NODELAY`` on the socket (default True).
+        dial_on_use: dial on the first call instead of requiring
+            :meth:`connect` first (the pool's lazy dial).
 
-    A call on a broken or closed connection dials a fresh one.
+    After :meth:`connect` (even a failed one) a call with no live stream
+    dials one; concurrent callers share that dial.
     """
 
     def __init__(
@@ -239,27 +242,25 @@ class MemcachedClient:
         port: int,
         timeout: Optional[float] = None,
         nodelay: bool = True,
+        dial_on_use: bool = False,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
         self.nodelay = nodelay
+        self.dial_on_use = dial_on_use
+        #: the live stream; ``None`` while broken, closed or never opened
         self._protocol: Optional[_ClientProtocol] = None
-        self._broken = False
-        self._closing = False
+        #: True after a mid-stream failure until the next reconnect
+        self.broken = False
         self._ever_connected = False
-        self._ever_dialed = False
+        self._dial: Optional[asyncio.Task] = None  # the dial in flight
         #: fresh connections dialled after a poisoned one (diagnostics)
         self.reconnects = 0
 
     @property
-    def broken(self) -> bool:
-        """True after a mid-stream failure until the next reconnect."""
-        return self._broken
-
-    @property
     def connected(self) -> bool:
-        return self._protocol is not None and not self._broken
+        return self._protocol is not None
 
     @property
     def inflight(self) -> int:
@@ -270,48 +271,64 @@ class MemcachedClient:
         return len(self._protocol.pending)
 
     async def connect(self) -> "MemcachedClient":
-        self._ever_dialed = True
-        loop = asyncio.get_running_loop()
-        dial = loop.create_connection(
-            lambda: _ClientProtocol(self), self.host, self.port
-        )
-        if self.timeout is not None:
-            # Not ``wait_for``: it cancels ``current_task()``, which may
-            # be a page running several commands (``net/round.py``).
-            dial = loop.create_task(dial)
-            fired = []
-            timer = loop.call_later(
-                self.timeout, lambda: fired.append(dial.cancel())
-            )
-            try:
-                _, protocol = await dial
-            except asyncio.CancelledError:
-                if not fired:
-                    raise  # the caller was cancelled, not the dial
-                raise TransportError(
-                    f"connect to {self.host}:{self.port} timed out "
-                    f"after {self.timeout}s"
-                ) from asyncio.TimeoutError()
-            finally:
-                timer.cancel()
-        else:
-            _, protocol = await dial
-        self._protocol = protocol
-        self._broken = False
-        self._closing = False
-        self._ever_connected = True
+        """Dial the server (joining a dial already in flight)."""
+        self.dial_on_use = True
+        await self._dialled()
         return self
+
+    async def _dialled(self) -> _ClientProtocol:
+        """The stream of the one dial in flight, started if there is none:
+        concurrent callers share it, so a broken connection is replaced
+        once.  A cancelled caller leaves the dial running for the rest."""
+        dial = self._dial
+        if dial is None:
+            dial = self._dial = asyncio.ensure_future(self._open())
+        try:
+            return await asyncio.shield(dial)
+        except asyncio.CancelledError:
+            if not dial.cancelled() or asyncio.current_task().cancelling():
+                raise  # the caller was cancelled, not (only) the dial
+            raise TransportError(
+                f"dial to {self.host}:{self.port} abandoned by close()"
+            ) from None
+
+    async def _open(self) -> _ClientProtocol:
+        """One dial, run as the task :meth:`_dialled` shares.  The timeout
+        is this task's own ``wait_for``: it cancels the dial, not a page
+        running several commands (``net/round.py``)."""
+        loop = asyncio.get_running_loop()
+        redial = self._ever_connected
+        try:
+            _, protocol = await asyncio.wait_for(loop.create_connection(
+                lambda: _ClientProtocol(self), self.host, self.port
+            ), self.timeout)
+        except asyncio.TimeoutError as error:
+            raise TransportError(
+                f"connect to {self.host}:{self.port} timed out "
+                f"after {self.timeout}s"
+            ) from error
+        finally:
+            if self._dial is asyncio.current_task():
+                self._dial = None
+        self._protocol = protocol
+        self.broken = False
+        self._ever_connected = True
+        self.reconnects += redial
+        return protocol
 
     async def close(self) -> None:
         """Say ``quit`` and close; never hangs — bounded by ``timeout``
         (or a default) and aborted on expiry, so a blackholed server
-        cannot wedge shutdown."""
+        cannot wedge shutdown.  A dial in flight is cancelled first."""
+        dial, self._dial = self._dial, None
+        if dial is not None:
+            dial.cancel()
+            await asyncio.wait((dial,))
         protocol = self._protocol
         self._protocol = None
-        self._broken = False
+        self.broken = False
         if protocol is None:
             return
-        self._closing = True
         try:
             bound = self.timeout if self.timeout is not None else CLOSE_TIMEOUT
             try:
@@ -322,7 +339,6 @@ class MemcachedClient:
             except (asyncio.TimeoutError, ConnectionError, OSError):
                 protocol.abort()
         finally:
-            self._closing = False
             protocol.fail_pending(
                 lambda: TransportError("connection closed while in flight")
             )
@@ -343,7 +359,7 @@ class MemcachedClient:
         :class:`TransportError` — with pipelining there may be many — and
         the next call reconnects.
         """
-        self._broken = True
+        self.broken = True
         protocol = self._protocol
         self._protocol = None
         if protocol is not None:
@@ -390,53 +406,36 @@ class MemcachedClient:
         if protocol is not self._protocol:
             return  # superseded (poisoned or replaced) — already handled
         self._protocol = None
-        self._broken = True
+        self.broken = True
         if exc is not None:
             message = f"read from {self.host}:{self.port} failed: {exc}"
         else:
             message = "connection closed by server"
         protocol.fail_pending(lambda: TransportError(message))
 
-    async def _ensure_ready(self) -> _ClientProtocol:
-        """(Re)connect a broken/closed connection before the next exchange.
-
-        Auto-reconnect requires one prior explicit :meth:`connect` attempt
-        (successful or not): calling protocol methods on a client nobody
-        ever tried to connect is a programming error, not a fault.
-        """
-        if self._protocol is not None and not self._broken:
-            return self._protocol
-        if not self._ever_dialed:
-            raise ProtocolError("client is not connected")
-        redial = self._ever_connected
-        await self.connect()
-        if redial:
-            self.reconnects += 1
-        assert self._protocol is not None
-        return self._protocol
-
-    async def _await_reply(self, future: asyncio.Future):
-        """One reply.  The per-op timeout is the connection's timer, not
-        a wrapper here, and a cancelled caller cancels *future* itself:
-        its late reply is popped in order and dropped, the stream stays
-        framed."""
-        result = await future
-        if isinstance(result, ErrorLine):
-            # A complete error reply: the stream stays in sync.
-            result.raise_()
-        return result
-
     async def _exchange(self, shape: ReplyShape, payload: bytes):
-        """Issue one command (or one burst) and await its reply."""
-        protocol = await self._ensure_ready()
-        future = asyncio.get_running_loop().create_future()
+        """Issue one command (or one burst) and await its reply, dialling
+        first when there is no live stream (a client that may not dial
+        raises: a programming error, not a fault).  The per-op timeout is
+        the connection's timer; a cancelled caller cancels its reply
+        future, whose late reply is popped in order and dropped."""
+        protocol = self._protocol
+        if protocol is None:
+            if not self.dial_on_use:
+                raise ProtocolError("client is not connected")
+            protocol = await self._dialled()
+        future = protocol._loop.create_future()
         try:
             protocol.issue(shape, payload, future)
         except TransportError:
             # Lost the race with a concurrent poison/close: transient.
             self._poison()
             raise
-        return await self._await_reply(future)
+        result = await future
+        if isinstance(result, ErrorLine):
+            # A complete error reply: the stream stays in sync.
+            result.raise_()
+        return result
 
     # ------------------------------------------------------- raw exchanges
 

@@ -6,16 +6,17 @@ Commons Pool (Section V); this is the asyncio analogue.  One
 pipelined :class:`~repro.net.client.MemcachedClient` connections:
 
 * **lazy dial** — connections are created on first demand (and after an
-  ejection), never eagerly, so a pool pointed at a dead server costs
-  nothing until someone actually calls it;
+  ejection), never eagerly, and each dials itself on its first exchange
+  (concurrent callers share that one dial), so a pool pointed at a dead
+  server costs nothing until someone actually calls it;
 * **shared leases** — pipelined connections are safe for concurrent
-  use, so :meth:`acquire` hands out the *least-loaded* live connection
-  (dialling a new one while under ``size``) instead of blocking;
+  use, so :meth:`acquire` hands out the *least-loaded* connection
+  (adding a new one while under ``size``) and never awaits;
   concurrent fetches to one server therefore spread across sockets and
   pipeline within each, and nothing ever queues on a pool lock;
 * **broken-connection ejection** — a connection poisoned mid-lease
   (timeout, reset, desync) is dropped from the pool when its last lease
-  is released; the next :meth:`acquire` dials a replacement.  Ejections
+  is released; the next :meth:`acquire` adds a replacement.  Ejections
   count toward :attr:`reconnects`, so it shows connection churn whether
   the client redialled itself or the pool replaced it.
 
@@ -26,7 +27,6 @@ The pool never retries or degrades — that stays with
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -61,8 +61,8 @@ class ConnectionPool:
         self.timeout = timeout
         self._conns: List[MemcachedClient] = []
         self._leases: Dict[int, int] = {}  # id(client) -> live leases
-        self._dialing = 0  # dials in flight (they hold a size slot)
-        #: connections dialled over the pool's lifetime
+        self._leased = 0  # live leases across every connection
+        #: connections opened over the pool's lifetime (each dials itself)
         self.dials = 0
         #: broken connections dropped from the pool
         self.ejections = 0
@@ -84,7 +84,7 @@ class ConnectionPool:
     @property
     def leases(self) -> int:
         """Live leases across every connection."""
-        return sum(self._leases.values())
+        return self._leased
 
     @property
     def reconnects(self) -> int:
@@ -100,35 +100,35 @@ class ConnectionPool:
         """Dial the first connection eagerly (connect-time health probe).
 
         Raises whatever the dial raises so the caller can record the
-        failure (e.g. against a breaker); the pool stays usable — later
-        acquires keep trying lazily.
+        failure (e.g. against a breaker); the pool stays usable — the
+        connection keeps trying lazily on its next exchange.
         """
-        if self._conns:
-            return self._conns[0]
-        return await self._dial()
+        client = self._conns[0] if self._conns else self._new_client()
+        if not client.connected:
+            await client.connect()
+        return client
 
     async def close(self) -> None:
-        """Close every pooled connection (bounded by the client timeout)."""
+        """Close every pooled connection (bounded by the client timeout;
+        a dial in flight is cancelled)."""
         self._closed = True
         conns, self._conns = self._conns, []
         self._leases.clear()
+        self._leased = 0
         for client in conns:
             self._retired_reconnects += client.reconnects
             await client.close()
 
     # ------------------------------------------------------ acquire/release
 
-    async def _dial(self) -> MemcachedClient:
+    def _new_client(self) -> MemcachedClient:
         # Always pipelined with TCP_NODELAY (the client's defaults): shared
-        # leases are only safe on a connection that multiplexes.
-        client = MemcachedClient(self.host, self.port, timeout=self.timeout)
-        # The in-flight dial holds a size slot: concurrent acquires must
-        # not each pass the bound check and over-dial.
-        self._dialing += 1
-        try:
-            await client.connect()
-        finally:
-            self._dialing -= 1
+        # leases are only safe on a connection that multiplexes.  It holds
+        # its size slot from now on, so concurrent acquires cannot
+        # over-dial, and it dials itself on its first exchange.
+        client = MemcachedClient(
+            self.host, self.port, timeout=self.timeout, dial_on_use=True
+        )
         self.dials += 1
         self._conns.append(client)
         self._leases[id(client)] = 0
@@ -136,20 +136,18 @@ class ConnectionPool:
 
     def _eject(self, client: MemcachedClient) -> None:
         self._conns.remove(client)
-        self._leases.pop(id(client), None)
+        self._leased -= self._leases.pop(id(client), 0)
         self._retired_reconnects += client.reconnects
         self.ejections += 1
         client._poison()  # abort outright: the stream is already dead
 
-    async def acquire(
-        self, deadline: Optional[Deadline] = None
-    ) -> MemcachedClient:
+    def acquire(self, deadline: Optional[Deadline] = None) -> MemcachedClient:
         """A connection to run commands on; call :meth:`release` after.
 
-        Never blocks: below ``size`` a fresh connection is dialled when
-        every live one is busy; at the bound the least-loaded live
-        connection is shared (it pipelines).  Dial errors propagate —
-        classification is the caller's retry policy's job.
+        Never awaits: below ``size`` a fresh connection is added when
+        every one is busy; at the bound the least-loaded one is shared (it
+        pipelines).  A new or broken connection dials on its first
+        exchange, whose errors reach the caller's retry policy.
 
         An already-expired *deadline* raises
         :class:`~repro.errors.DeadlineExceeded` before any dial.
@@ -161,7 +159,7 @@ class ConnectionPool:
             deadline.check("connection acquire")
         # One pass, no lists: the first idle healthy connection is the
         # answer; idle broken ones hold no leases, so they are ejected
-        # now and the dial below replaces them.
+        # now and a new connection replaces them.
         chosen: Optional[MemcachedClient] = None
         stale = ()
         for client in self._conns:
@@ -174,17 +172,8 @@ class ConnectionPool:
         for client in stale:
             self._eject(client)
         if chosen is None:
-            if len(self._conns) + self._dialing < self.size:
-                chosen = await self._dial()
-                if self._closed:  # closed while dialling
-                    await chosen.close()
-                    raise ConfigurationError("pool is closed")
-            elif not self._conns:
-                # Everything usable is still being dialled: wait a tick and
-                # share whatever lands instead of over-dialling past size.
-                while self._dialing and not self._conns:
-                    await asyncio.sleep(0)
-                return await self.acquire(deadline)
+            if len(self._conns) < self.size:
+                chosen = self._new_client()
             else:
                 # Every connection is leased: share the least-loaded healthy
                 # one (it pipelines) — or, when all are broken mid-lease, any:
@@ -195,17 +184,18 @@ class ConnectionPool:
                     healthy or self._conns, key=lambda c: self._leases[id(c)]
                 )
         self._leases[id(chosen)] += 1
-        total = self.leases
-        if total > self.leases_peak:
-            self.leases_peak = total
+        self._leased += 1
+        if self._leased > self.leases_peak:
+            self.leases_peak = self._leased
         return chosen
 
     def release(self, client: MemcachedClient) -> None:
         """Return a leased connection; broken ones are ejected once the
         last lease is gone."""
         key = id(client)
-        if key not in self._leases:
-            return  # ejected mid-lease by close(); nothing to do
-        self._leases[key] = max(0, self._leases[key] - 1)
+        if not self._leases.get(key):
+            return  # ejected or closed mid-lease, or a double release
+        self._leases[key] -= 1
+        self._leased -= 1
         if client.broken and self._leases[key] == 0:
             self._eject(client)

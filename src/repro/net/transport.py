@@ -114,7 +114,6 @@ class CacheTransport:
             raise ConfigurationError(f"pool_size must be >= 1: {pool_size}")
         self.endpoints = list(endpoints)
         self.policy = policy
-        self._clock = clock
         self.pool_size = pool_size
         #: one pool per cache server; ``None`` until :meth:`connect`
         self.pools: List[Optional[ConnectionPool]] = [None] * len(endpoints)
@@ -245,7 +244,8 @@ class CacheTransport:
                 return SERVER_UNAVAILABLE
             deadline.check(f"cache rpc to server {server_id}")
         breaker = self.breakers[server_id]
-        if not breaker.allow(self._clock()):
+        # The breaker reads its own clock (this one) only when it is open.
+        if not breaker.allow():
             self.unavailable_rpcs += 1
             if degrade:
                 return SERVER_UNAVAILABLE
@@ -259,10 +259,10 @@ class CacheTransport:
         sleeps: Optional[List[float]] = None  # drawn on first failure
         last_error: Optional[BaseException] = None
         for attempt in range(policy.retry.max_attempts):
-            if deadline is not None and deadline.expired():
+            if attempt and deadline is not None and deadline.expired():
                 break
             try:
-                client = await pool.acquire(deadline)
+                client = pool.acquire(deadline)
                 try:
                     result = await op(client, *args)
                 finally:
@@ -281,12 +281,12 @@ class CacheTransport:
                     raise
                 last_error = error
                 self.transient_failures += 1
-                breaker.record_failure(self._clock())
+                breaker.record_failure()
                 if sleeps is None:
                     sleeps = list(policy.retry.delays())
                 if attempt >= len(sleeps):
                     break
-                if not breaker.allow(self._clock()):
+                if not breaker.allow():
                     # The circuit tripped mid-loop: stop hammering.
                     break
                 sleep = sleeps[attempt]
@@ -295,7 +295,7 @@ class CacheTransport:
                 if sleep > 0:
                     await asyncio.sleep(sleep)
             else:
-                breaker.record_success(self._clock())
+                breaker.record_success()
                 return result
         self.unavailable_rpcs += 1
         if degrade:

@@ -54,6 +54,7 @@ from repro.resilience import Deadline, ResiliencePolicy
 
 #: async database fetch: key -> value bytes (authoritative, never misses)
 DatabaseFetch = Callable[[str], Awaitable[bytes]]
+Leaders = Dict[str, asyncio.Future]  #: key -> its leading page's future
 
 
 class AsyncProteusFrontend:
@@ -248,10 +249,11 @@ class AsyncProteusFrontend:
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
-        deadline = self.resilience.new_deadline(self._clock)
+        deadline = None if self.resilience.request_budget is None \
+            else self.resilience.new_deadline(self._clock)
         steps = self.engine.retrieve_many(keys, epochs, now=started)
         answers = None
-        leaders: Dict[str, asyncio.Future] = {}
+        leaders: Leaders = {}
         try:
             while True:
                 round_ = steps.send(answers)
@@ -280,54 +282,52 @@ class AsyncProteusFrontend:
             result.completed = completed
         return results
 
-    async def _execute(
-        self,
-        command: Command,
-        leaders: Dict[str, asyncio.Future],
-        deadline: Optional[Deadline] = None,
-    ):
-        """Perform one engine command."""
+    def _execute(self, command: Command, leaders: Leaders,
+                 deadline: Optional[Deadline] = None) -> Awaitable:
+        """One engine command's coroutine (a cache command's is its RPC)."""
         if isinstance(command, ProbeCacheMulti):
-            return await self.transport.get_multi(
-                command.server_id, command.keys, deadline
-            )
-        if isinstance(command, WaitForLeader):
-            pending = self._inflight.get(command.key)
-            if pending is None:
-                # Claim leadership in the same loop step as the check: a
-                # concurrent page must not also find "no leader" before
-                # this one's ReadDatabase round gets to run.
-                self._lead(command.key, leaders)
-                return False
-            await asyncio.shield(pending)
-            return True
-        if isinstance(command, ReadDatabase):
-            key = command.key
-            if command.announce_leader:
-                self._lead(key, leaders)
-            try:
-                return await self.database(key)
-            finally:
-                if self.engine.admission is not None:
-                    # Free the admitted slot even on DB failure.
-                    finished = self._clock()
-                    self.engine.admission.db_finished(
-                        finished, completed=finished
-                    )
+            return self.transport.get_multi(command.server_id, command.keys,
+                                            deadline)
         if isinstance(command, WriteBackMulti):
             # A fill is ``add``: it never replaces a put that landed while
             # its database read was in flight (the look-aside fill race).
-            return await self.transport.set_multi(
+            return self.transport.set_multi(
                 command.server_id, command.items, deadline,
                 verb="set" if command.overwrite else "add",
             )
         if isinstance(command, DeleteMulti):
-            return await self.transport.delete_multi(
+            return self.transport.delete_multi(
                 command.server_id, command.keys, deadline
             )
+        if isinstance(command, WaitForLeader):
+            return self._wait_for_leader(command.key, leaders)
+        if isinstance(command, ReadDatabase):
+            return self._read_database(command, leaders)
         raise ConfigurationError(f"unknown engine command: {command!r}")
 
-    def _lead(self, key: str, leaders: Dict[str, asyncio.Future]) -> None:
+    async def _wait_for_leader(self, key: str, leaders: Leaders) -> bool:
+        pending = self._inflight.get(key)
+        if pending is None:
+            # Claim leadership in the same loop step as the check: a
+            # concurrent page must not also find "no leader" before this
+            # one's ReadDatabase round gets to run.
+            self._lead(key, leaders)
+            return False
+        await asyncio.shield(pending)
+        return True
+
+    async def _read_database(self, command: ReadDatabase, leaders: Leaders):
+        if command.announce_leader:
+            self._lead(command.key, leaders)
+        try:
+            return await self.database(command.key)
+        finally:
+            if self.engine.admission is not None:
+                # Free the admitted slot even on DB failure.
+                finished = self._clock()
+                self.engine.admission.db_finished(finished, completed=finished)
+
+    def _lead(self, key: str, leaders: Leaders) -> None:
         """Publish this page as *key*'s in-flight leader unless one exists
         (``fetch_many`` resolves ``leaders`` once its write-backs land)."""
         if key not in self._inflight:

@@ -67,7 +67,7 @@ class Deadline:
 
     def expired(self, now: Optional[float] = None) -> bool:
         """True once the budget is spent."""
-        return self.remaining(now) <= 0.0 and self.budget is not None
+        return self.budget is not None and self.remaining(now) <= 0.0
 
     def allows(self, duration: float, now: Optional[float] = None) -> bool:
         """True when *duration* more seconds fit inside the budget.

@@ -36,7 +36,7 @@ class ScriptedPool:
         self.acquires = 0
         self.leases = 0
 
-    async def acquire(self, deadline=None):
+    def acquire(self, deadline=None):
         self.acquires += 1
         if self.dial_error is not None:
             raise self.dial_error

@@ -15,6 +15,7 @@ from repro.bloom.config import optimal_config
 from repro.errors import ProtocolError, ServerBusyError, TransportError
 from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
+from tests.conftest import until
 
 
 def run(coro):
@@ -232,6 +233,26 @@ class TestReconnect:
 
         run(body())
 
+    def test_concurrent_callers_share_one_redial(self):
+        async def body():
+            real = MemcachedServer(bloom_config=optimal_config(500))
+            await real.start()
+            client = await MemcachedClient("127.0.0.1", real.port).connect()
+            assert await client.set("k", b"v")
+            client._poison()
+            # Three callers find the stream broken at once: one dial.
+            replies = await asyncio.gather(
+                *(client.get("k") for _ in range(3))
+            )
+            assert replies == [b"v"] * 3
+            assert (client.reconnects, real.connections) == (1, 2)
+            await client.close()
+            # Nothing a redial opened outlives close().
+            await until(lambda: not real._open)
+            await real.stop()
+
+        run(body())
+
     def test_never_dialed_client_raises_protocol_error(self):
         async def body():
             client = MemcachedClient("127.0.0.1", 1)
@@ -261,6 +282,26 @@ class TestReconnect:
 
 
 class TestTimeouts:
+    def test_close_abandons_a_dial_in_flight(self, monkeypatch):
+        async def body():
+            async def never_connects(*args, **kwargs):
+                await asyncio.sleep(3600)
+
+            loop = asyncio.get_running_loop()
+            monkeypatch.setattr(
+                type(loop),
+                "create_connection",
+                lambda self, *args, **kwargs: never_connects(),
+            )
+            client = MemcachedClient("127.0.0.1", 9, dial_on_use=True)
+            call = asyncio.ensure_future(client.get("k"))
+            await asyncio.sleep(0)
+            await client.close()  # cancels the dial: nothing is left open
+            with pytest.raises(TransportError, match="abandoned"):
+                await call
+
+        run(body())
+
     def test_per_op_timeout_poisons_and_raises(self):
         async def body():
             # A server that accepts and then never answers.

@@ -30,6 +30,7 @@ from repro.core.transition import RoutingEpochs
 from repro.net.client import MemcachedClient
 from repro.net.parser import ReplyParser, CountReply, ValuesReply
 from repro.net.server import MemcachedServer
+from repro.net.webtier import AsyncProteusFrontend
 from tests.net.test_server_connection import connect
 
 KEYS = [f"page:{i:04d}" for i in range(64)]
@@ -62,6 +63,25 @@ def profile_events(function, *args):
         sys.setprofile(None)
         gc.enable()
     return events, result
+
+
+async def awaited_calls(awaitable):
+    """``(calls, result)``: Python frames entered while this task awaited
+    *awaitable* — the event loop's and every server's on it included."""
+    events = collections.Counter()
+
+    def profile(frame, event, arg):
+        events[event] += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = await awaitable
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return events["call"], result
 
 
 def engine_lines(function, *args):
@@ -292,3 +312,40 @@ def test_an_all_hit_batch_enters_no_more_frames_than_it_did():
     lines, again = engine_lines(fetch, KEYS)
     assert again == results
     assert lines - half <= RETRIEVE_LINES_PER_HIT * 32
+
+
+#: Python frames of one warm 1-key ``fetch_many`` over three in-process
+#: servers on its own loop, the loop's and the servers' frames included
+#: (117 while ``_execute``, the pool's ``acquire``, ``_ensure_ready`` and
+#: ``_await_reply`` were coroutines of their own and every page built a
+#: ``RoutingEpochs`` and a ``Deadline``)
+PAGE1_FRAMES = 98
+
+
+def test_a_warm_one_key_page_enters_a_pinned_number_of_frames():
+    bloom = optimal_config(1000)
+
+    async def database(key):
+        return b"db:" + key.encode()
+
+    async def main():
+        servers = [MemcachedServer(bloom_config=bloom) for _ in range(3)]
+        endpoints = [("127.0.0.1", await s.start()) for s in servers]
+        web = AsyncProteusFrontend(endpoints, bloom, database, pool_size=1)
+        try:
+            async with web:
+                for _ in range(2):  # fill, then the first hit
+                    await web.fetch_many(KEYS[:12])
+                counts = set()
+                for key in KEYS[:12]:  # every server, every key
+                    calls, results = await awaited_calls(
+                        web.fetch_many([key])
+                    )
+                    assert results[key].path == "hit_new"
+                    counts.add(calls)
+                return counts
+        finally:
+            for server in servers:
+                await server.stop()
+
+    assert asyncio.run(main()) == {PAGE1_FRAMES}

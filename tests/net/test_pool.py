@@ -1,4 +1,7 @@
-"""ConnectionPool: lazy dial, shared leases, broken-connection ejection."""
+"""ConnectionPool: lazy dial, shared leases, broken-connection ejection.
+
+``acquire`` never awaits: it hands out a connection, and a connection
+nobody has dialled yet dials itself on its first exchange."""
 
 import asyncio
 
@@ -37,7 +40,8 @@ class TestLifecycle:
         async def body(server, pool):
             assert pool.live == 0
             assert pool.dials == 0
-            client = await pool.acquire()
+            client = pool.acquire()
+            assert not client.connected  # it dials on its first exchange
             assert await client.set("k", b"v")
             pool.release(client)
             assert pool.live == 1
@@ -59,7 +63,13 @@ class TestLifecycle:
             pool = ConnectionPool("127.0.0.1", 1)
             with pytest.raises(OSError):
                 await pool.prewarm()
-            assert pool.live == 0
+            # The undialled connection keeps its slot and dials again on
+            # its next exchange.
+            client = pool.acquire()
+            assert (pool.live, pool.dials, client.connected) == (1, 1, False)
+            with pytest.raises(OSError):
+                await client.get("k")
+            pool.release(client)
             await pool.close()
 
         run(body())
@@ -68,7 +78,7 @@ class TestLifecycle:
         async def body(server, pool):
             await pool.close()
             with pytest.raises(ConfigurationError):
-                await pool.acquire()
+                pool.acquire()
 
         run(with_pool(body))
 
@@ -76,10 +86,10 @@ class TestLifecycle:
 class TestLeases:
     def test_idle_connection_is_reused(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             await client.set("k", b"v")
             pool.release(client)
-            again = await pool.acquire()
+            again = pool.acquire()
             assert client is again
             pool.release(again)
             assert pool.dials == 1
@@ -88,7 +98,7 @@ class TestLeases:
 
     def test_concurrent_leases_dial_up_to_size(self):
         async def body(server, pool):
-            clients = [await pool.acquire() for _ in range(5)]
+            clients = [pool.acquire() for _ in range(5)]
             # 2 sockets for 5 leases: the bound holds, leases share.
             assert pool.live == 2
             assert pool.leases == 5
@@ -101,12 +111,12 @@ class TestLeases:
 
     def test_least_loaded_connection_is_chosen(self):
         async def body(server, pool):
-            a = await pool.acquire()
-            b = await pool.acquire()
+            a = pool.acquire()
+            b = pool.acquire()
             assert a is not b
             pool.release(b)
             # a holds a lease, b is idle: next acquire must pick b.
-            assert await pool.acquire() is b
+            assert pool.acquire() is b
             pool.release(a)
             pool.release(b)
 
@@ -115,7 +125,7 @@ class TestLeases:
     def test_concurrent_traffic_spreads_across_sockets(self):
         async def body(server, pool):
             async def worker(i):
-                client = await pool.acquire()
+                client = pool.acquire()
                 try:
                     await client.set(f"k{i}", b"v")
                     return await client.get(f"k{i}")
@@ -132,14 +142,14 @@ class TestLeases:
 class TestEjection:
     def test_broken_connection_ejected_on_release(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             await client.set("k", b"v")
             client._poison()
             pool.release(client)
             assert pool.live == 0
             assert pool.ejections == 1
             # next acquire dials a replacement; data is still there
-            fresh = await pool.acquire()
+            fresh = pool.acquire()
             assert fresh is not client
             assert await fresh.get("k") == b"v"
             pool.release(fresh)
@@ -149,10 +159,10 @@ class TestEjection:
 
     def test_idle_broken_connection_swept_on_acquire(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             pool.release(client)
             client._poison()  # breaks while idle in the pool
-            fresh = await pool.acquire()
+            fresh = pool.acquire()
             assert fresh is not client
             assert pool.ejections == 1
             pool.release(fresh)
@@ -161,7 +171,7 @@ class TestEjection:
 
     def test_ejection_counts_as_reconnect(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             client._poison()
             pool.release(client)
             assert pool.reconnects == 1  # churn visible to health monitors
@@ -170,7 +180,7 @@ class TestEjection:
 
     def test_reconnects_survive_close(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             await client.set("k", b"v")
             client._poison()
             assert await client.get("k") == b"v"  # client-level redial
@@ -186,7 +196,7 @@ class TestEjection:
 class TestCloseRaces:
     def test_release_after_close_is_a_noop(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             # close() races the outstanding lease: it retires everything
             # and the straggler release must not resurrect the connection.
             await pool.close()
@@ -198,12 +208,12 @@ class TestCloseRaces:
 
     def test_double_release_never_goes_negative(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             pool.release(client)
             pool.release(client)  # buggy caller: clamp, don't corrupt
             assert pool.leases == 0
             # the pool is still fully usable afterwards
-            again = await pool.acquire()
+            again = pool.acquire()
             assert await again.set("k", b"v")
             pool.release(again)
 
@@ -211,7 +221,7 @@ class TestCloseRaces:
 
     def test_released_broken_connection_not_double_ejected(self):
         async def body(server, pool):
-            client = await pool.acquire()
+            client = pool.acquire()
             client._poison()
             pool.release(client)
             assert pool.ejections == 1
@@ -225,9 +235,9 @@ class TestCloseRaces:
 class TestContention:
     def test_waited_and_leases_peak_track_sharing(self):
         async def body(server, pool):
-            first = await pool.acquire()
+            first = pool.acquire()
             assert pool.waited == 0
-            second = await pool.acquire()  # size=1: must share
+            second = pool.acquire()  # size=1: must share
             assert first is second
             assert pool.waited == 1
             assert pool.leases_peak == 2
@@ -245,7 +255,7 @@ class TestSaturationFailFast:
         async def body():
             pool = ConnectionPool("127.0.0.1", 1)
             with pytest.raises(DeadlineExceeded):
-                await pool.acquire(Deadline(0.0))
+                pool.acquire(Deadline(0.0))
             assert pool.dials == 0  # no socket work for a dead budget
             await pool.close()
 
@@ -259,17 +269,17 @@ class TestAcquireAtAnySize:
 
     def test_waited_and_leases_peak(self, size):
         async def body(server, pool):
-            held = [await pool.acquire() for _ in range(size)]
+            held = [pool.acquire() for _ in range(size)]
             assert len({id(c) for c in held}) == size  # one dial each
             assert (pool.waited, pool.leases_peak) == (0, size)
-            shared = await pool.acquire()  # at the bound: share
+            shared = pool.acquire()  # at the bound: share
             assert shared is held[0]  # least loaded, first among equals
             assert (pool.waited, pool.leases_peak) == (1, size + 1)
             for client in held + [shared]:
                 pool.release(client)
             assert (pool.leases, pool.leases_peak) == (0, size + 1)
             # Idle again: the first healthy connection, no sharing.
-            assert await pool.acquire() is held[0]
+            assert pool.acquire() is held[0]
             assert pool.waited == 1
             pool.release(held[0])
 
@@ -277,13 +287,13 @@ class TestAcquireAtAnySize:
 
     def test_idle_broken_connections_are_swept(self, size):
         async def body(server, pool):
-            held = [await pool.acquire() for _ in range(size)]
+            held = [pool.acquire() for _ in range(size)]
             for client in held:
                 pool.release(client)
             broken = held[: max(1, size - 1)]  # all but the last, if any
             for client in broken:
                 client._poison()
-            chosen = await pool.acquire()
+            chosen = pool.acquire()
             assert chosen not in broken and not chosen.broken
             assert pool.ejections == len(broken)
             assert pool.live == 1
@@ -295,7 +305,7 @@ class TestAcquireAtAnySize:
 
     def test_broken_connection_leaves_with_its_last_lease(self, size):
         async def body(server, pool):
-            held = [await pool.acquire() for _ in range(size + 1)]
+            held = [pool.acquire() for _ in range(size + 1)]
             twice = held[0]
             assert held[-1] is twice  # the shared lease landed on it
             twice._poison()
@@ -311,30 +321,38 @@ class TestAcquireAtAnySize:
 
     def test_dials_in_flight_hold_their_size_slot(self, size):
         async def body(server, pool):
-            held = await asyncio.gather(
-                *(pool.acquire() for _ in range(3 * size))
-            )
-            # The first `size` acquires dial; the rest wait for a dial to
-            # land and share it — nobody dials past the bound.
-            assert (pool.dials, pool.live, pool._dialing) == (size, size, 0)
+            held = [pool.acquire() for _ in range(3 * size)]
+            # The first `size` acquires add a connection; the rest share
+            # them, and the sharers of one connection share its one dial.
+            assert (pool.dials, pool.live) == (size, size)
             assert (pool.leases, pool.waited) == (3 * size, 2 * size)
             assert pool.leases_peak == 3 * size
+            await asyncio.gather(*(client.set("k", b"v") for client in held))
+            assert server.connections == size
+            assert sum(c.reconnects for c in held) == 0
             for client in held:
                 pool.release(client)
 
         run(with_pool(body, size=size))
 
-    def test_failed_dials_give_their_slot_back(self, size):
+    def test_failed_dials_keep_their_slot_and_redial(self, size):
         async def body():
             pool = ConnectionPool("127.0.0.1", 1, size=size)
-            outcomes = await asyncio.gather(
-                *(pool.acquire() for _ in range(3 * size)),
-                return_exceptions=True,
-            )
-            # Waiters woke to an empty pool and dialled for themselves.
-            assert all(isinstance(o, OSError) for o in outcomes)
-            assert (pool.dials, pool.live, pool._dialing) == (0, 0, 0)
-            assert pool.leases == 0
+
+            async def lease_and_get():
+                client = pool.acquire()
+                try:
+                    return await client.get("k")
+                finally:
+                    pool.release(client)
+
+            for _ in range(2):  # each round of exchanges dials afresh
+                outcomes = await asyncio.gather(
+                    *(lease_and_get() for _ in range(3 * size)),
+                    return_exceptions=True,
+                )
+                assert all(isinstance(o, OSError) for o in outcomes)
+                assert (pool.dials, pool.live, pool.leases) == (size, size, 0)
             await pool.close()
 
         run(body())

@@ -31,7 +31,6 @@ import pytest
 from repro.bloom.config import optimal_config
 from repro.core.retrieval import SERVER_UNAVAILABLE, WaitForLeader
 from repro.errors import ConfigurationError, TransportError
-from repro.net.pool import ConnectionPool
 from repro.net.round import run_round
 from repro.net.webtier import AsyncProteusFrontend
 from repro.resilience import ResiliencePolicy
@@ -180,39 +179,24 @@ class TestAnswers:
 
 
 class TestWhatACoroutineYieldsIsForwarded:
-    def test_a_bare_yield_is_forwarded_not_spun_on(self, monkeypatch):
-        """Two probes of one server whose only connection is still being
-        dialled wait in ``ConnectionPool.acquire``'s ``sleep(0)`` loop: the
-        driver must hand those bare yields to the event loop, or the dial
-        they wait for never gets to run."""
-
-        class GatedClient(ScriptedClient):
-            gate = None
-
-            async def connect(self):
-                await self.gate
-                return self
+    def test_a_bare_yield_is_forwarded_not_spun_on(self):
+        """Two commands poll, with ``sleep(0)``, for what a loop callback
+        sets: the driver must hand their bare yields to the event loop,
+        or the callback they wait for never gets to run."""
 
         async def body():
-            GatedClient.gate = asyncio.get_running_loop().create_future()
-            monkeypatch.setattr(
-                "repro.net.pool.MemcachedClient",
-                lambda *args, **kwargs: GatedClient({}),
-            )
-            transport, _, _ = make()
-            pool = transport.pools[0] = ConnectionPool("127.0.0.1", 1, size=1)
-            dial = asyncio.ensure_future(pool.prewarm())
-            await spin(1)
-            assert pool.live == 0  # the one dial slot is taken
-            probes = start_round(
-                transport.get_multi(0, ["a"]), transport.get_multi(0, ["b"])
-            )
+            ready = []
+
+            async def poll(answer):
+                while not ready:
+                    await asyncio.sleep(0)
+                return answer
+
+            round_ = start_round(poll("a"), poll("b"))
             await spin()
-            assert not probes.done()
-            GatedClient.gate.set_result(None)
-            assert await probes == [{}, {}]
-            await dial
-            assert pool.dials == 1 and pool.leases == 0
+            assert not round_.done()
+            asyncio.get_running_loop().call_soon(ready.append, True)
+            assert await round_ == ["a", "b"]
 
         run(body())
 

@@ -16,9 +16,11 @@ import pytest
 from repro import obs
 from repro.errors import DigestBroadcastError, TransitionError, TransportError
 from repro.net.client import MemcachedClient
+from repro.net.pool import ConnectionPool
 from repro.net.server import MemcachedServer
+from repro.net.transport import CacheTransport
 from repro.resilience import FaultPlan
-from tests.simnet import BLOOM, POLICY, cluster, run, value_of
+from tests.simnet import BLOOM, POLICY, VirtualLoop, cluster, run, value_of
 
 
 async def fetch_each(web, keys):
@@ -190,6 +192,45 @@ class TestKillAndHeal:
             await server.stop()
 
         run(body())
+
+
+class TestUndialledPool:
+    def test_concurrent_acquirers_share_the_first_dial(self):
+        """Two probes of a server whose ``size=1`` pool has no connection
+        yet: the second shares the first one's dial.  An acquirer that
+        waited by spinning on ``sleep(0)`` would keep a handle ready, so
+        virtual time would never advance and the dial never land; the
+        iteration cap turns that livelock into a failure."""
+
+        class CappedLoop(VirtualLoop):
+            iterations = 0
+
+            def _run_once(self):
+                self.iterations += 1
+                if self.iterations > 10_000:
+                    raise RuntimeError(f"livelock at t={self.now}")
+                super()._run_once()
+
+        async def body():
+            server, port = await lone_server()
+            transport = CacheTransport([("127.0.0.1", port)], POLICY)
+            transport.pools[0] = ConnectionPool(
+                "127.0.0.1", port, size=1, timeout=POLICY.op_timeout
+            )
+            answers = await asyncio.gather(
+                transport.get_multi(0, ["a"]), transport.get_multi(0, ["b"])
+            )
+            assert answers == [{}, {}]
+            assert (server.connections, transport.pools[0].dials) == (1, 1)
+            await transport.close()
+            await server.stop()
+
+        loop = CappedLoop()
+        try:
+            loop.run_until_complete(body())
+        finally:
+            loop.close()
+        assert loop.iterations < 100
 
 
 class TestConnectPhaseShapes:

@@ -1,7 +1,8 @@
 """Line-count budget for the placement stack, the Algorithm-2 core, its
 transition manager and hot-key armor, its two drivers, the live
-transport, parser and client, the cache node's store and both servers,
-the simulated testbed with its one experiment runner, and the tree.
+transport, pool, parser and client, the cache node's store and both
+servers, the simulated testbed with its one experiment runner, and the
+tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -21,13 +22,14 @@ CEILINGS = {
     "core/placement.py": 152,
     "core/router.py": 381,
     "core/hotkey.py": 317,
-    "core/transition.py": 264,
+    "core/transition.py": 262,
     "core/retrieval.py": 800,
     "web/frontend.py": 231,
     "net/webtier.py": 358,
     "net/transport.py": 307,
     "net/parser.py": 490,
-    "net/client.py": 606,
+    "net/client.py": 605,
+    "net/pool.py": 201,
     "experiments/testbed.py": 757,
     "config.py": 181,
     "provisioning/actuator.py": 68,
@@ -38,7 +40,7 @@ CEILINGS = {
     "net/server.py": 454,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_286
+TREE_CEILING = 12_273
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
