@@ -13,9 +13,10 @@ armor end to end:
   long into the recovery phase;
 * ``armored`` — :class:`~repro.resilience.VirtualQueueAdmission` bounds
   outstanding DB work (excess misses shed as ``FetchPath.SHED``; hits
-  are always served) and a :class:`~repro.resilience.RetryBudget` caps
-  client retries at a fraction of request volume, so the storm cannot
-  amplify.
+  are always served) and a :class:`RetryBudget` caps client retries at
+  a fraction of request volume, so the storm cannot amplify.  The budget
+  models the clients, not the tier, so it lives here beside
+  :class:`_ClientDriver`, its one caller.
 
 A :class:`~repro.provisioning.health.ClusterHealthMonitor` and a
 :class:`~repro.provisioning.controller.DelayFeedbackController` observe
@@ -64,7 +65,7 @@ from repro.core.router import ProteusRouter  # noqa: E402
 from repro.database.cluster import DatabaseCluster  # noqa: E402
 from repro.provisioning.controller import DelayFeedbackController  # noqa: E402
 from repro.provisioning.health import ClusterHealthMonitor  # noqa: E402
-from repro.resilience import RetryBudget, VirtualQueueAdmission  # noqa: E402
+from repro.resilience import VirtualQueueAdmission  # noqa: E402
 from repro.web.frontend import WebServer  # noqa: E402
 
 JSON_PATH = REPO_ROOT / "BENCH_overload.json"
@@ -92,6 +93,9 @@ MAX_RETRIES = 2         # per original request
 RETRY_DELAY = 0.05
 RETRY_RATIO = 0.2       # armored budget: retries per request
 RETRY_MIN_RATE = 1.0    # armored budget: trickle reserve per second
+#: a retry budget's balance cap: how many retries a long quiet stretch can
+#: bank for one thundering moment
+RETRY_BURST = 100.0
 
 #: admission bound: outstanding DB reads the armored tier tolerates
 ADMISSION_DEPTH = 16
@@ -131,6 +135,102 @@ def _arrivals(
             key = f"{cold_prefix}:{i}"
         events.append((t, key))
     return events
+
+
+class RetryBudget:
+    """Token bucket capping a client fleet's retries at a fraction of
+    recent requests.
+
+    When every client retries, the retries *are* the overload (the
+    metastable retry-storm collapse); backoff alone does not break that
+    loop.  Every first attempt calls :meth:`record_request` (depositing
+    ``ratio`` tokens, up to ``RETRY_BURST``); every retry must win
+    :meth:`allow_retry` (withdrawing one token).  The balance decays with
+    half-life ``halflife`` so "recent volume" means the last few
+    half-lives, not all of history, and fleet-wide retries never exceed
+    ``ratio x offered load`` plus a small reserve that accrues at
+    ``min_retries_per_second`` — without it, ``ratio < 1`` would starve a
+    client trickling single requests forever.  Amplification is therefore
+    bounded at ``1 + ratio`` however badly the tier fails.
+
+    Every method takes the caller's ``now`` and the clock starts at the
+    first one it is given, so the simulated clients drive it on virtual
+    time.
+
+    Args:
+        ratio: tokens deposited per recorded request — the steady-state
+            retries-per-request cap.  Finagle ships 0.2; so do we.
+        min_retries_per_second: reserve accrual rate, so idle or
+            low-volume clients keep a minimal retry allowance.
+        halflife: seconds for half the balance to decay — the width of
+            the "recent volume" window.
+    """
+
+    def __init__(
+        self,
+        ratio: float = 0.2,
+        min_retries_per_second: float = 1.0,
+        halflife: float = 10.0,
+    ) -> None:
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"ratio must be in [0, 1], got {ratio}")
+        if min_retries_per_second < 0:
+            raise ValueError(
+                "min_retries_per_second must be >= 0, "
+                f"got {min_retries_per_second}"
+            )
+        if halflife <= 0:
+            raise ValueError(f"halflife must be > 0, got {halflife}")
+        self.ratio = ratio
+        self.min_retries_per_second = min_retries_per_second
+        self.halflife = halflife
+        self._balance = 0.0
+        self._reserve = 0.0
+        #: the last ``now`` seen; the clock starts at the first one
+        self._last: Optional[float] = None
+        #: retries granted / refused (lifetime, for reports)
+        self.granted = 0
+        self.denied = 0
+        #: requests recorded (lifetime)
+        self.requests = 0
+
+    def _advance(self, now: float) -> None:
+        """Decay the balance and accrue the reserve up to *now*."""
+        if self._last is None:
+            self._last = now
+        elapsed = now - self._last
+        if elapsed <= 0:
+            return
+        self._balance *= 0.5 ** (elapsed / self.halflife)
+        self._reserve = min(
+            1.0, self._reserve + elapsed * self.min_retries_per_second
+        )
+        self._last = now
+
+    def record_request(self, now: float, n: int = 1) -> None:
+        """Deposit for *n* first attempts (NOT retries) just issued."""
+        self._advance(now)
+        self.requests += n
+        self._balance = min(RETRY_BURST, self._balance + self.ratio * n)
+
+    def allow_retry(self, now: float) -> bool:
+        """Withdraw one retry token; ``False`` means *do not retry*.
+
+        Spends the deposited balance first, then the trickle reserve.
+        A refusal is final for this attempt — the client gives up on it,
+        it does not wait and ask again.
+        """
+        self._advance(now)
+        if self._balance >= 1.0:
+            self._balance -= 1.0
+            self.granted += 1
+            return True
+        if self._reserve >= 1.0:
+            self._reserve -= 1.0
+            self.granted += 1
+            return True
+        self.denied += 1
+        return False
 
 
 class _ClientDriver:

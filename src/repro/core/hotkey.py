@@ -9,7 +9,7 @@ adapted to Proteus:
 * :class:`CountMinSketch` + :class:`TopKSketch` elect hot keys *online* in
   bounded space — no key enumeration, no offline pass.  The sketch never
   underestimates, so a genuinely hot key cannot be displaced by tail noise
-  (see :meth:`TopKSketch.elected` for the exact guarantee).
+  (see :class:`TopKSketch` for the exact guarantee).
 * :class:`HotKeyCache` is the tiny frontend-local cache for elected keys.
   Staleness is bounded the way Algorithm 2 bounds transition staleness:
   entries expire after a TTL, and write-backs/puts invalidate (or refresh)
@@ -180,10 +180,6 @@ class TopKSketch:
         if tracked:  # pragma: no cover - lazy-heap safety net
             victim = min(tracked, key=tracked.get)
             del tracked[victim]
-
-    def elected(self) -> Dict[Key, int]:
-        """The current hot set with estimates (a copy; safe to iterate)."""
-        return dict(self._tracked)
 
 
 @dataclass

@@ -156,11 +156,6 @@ class FetchStats:
         return self.counts[FetchPath.SHED]
 
     @property
-    def goodput(self) -> int:
-        """Requests actually served (total minus shed)."""
-        return self.total - self.shed
-
-    @property
     def degraded_events(self) -> int:
         """Total faults served around (sum over the degraded counters)."""
         return sum(self.degraded.values())

@@ -259,15 +259,6 @@ class RingRouter(Router):
             return list(range(n_new, n_old))
         return list(range(n_old))
 
-    def expected_remap_fraction(self, n_old: int, n_new: int) -> float:
-        """Expected fraction of keys remapped by ``n_old -> n_new``: the
-        Section II lower bound ``|Δn| / max(n, n')`` — exact for Algorithm
-        1, met in expectation by random virtual nodes (their per-transition
-        value fluctuates with placement balance)."""
-        self._check_active(n_old)
-        self._check_active(n_new)
-        return abs(n_old - n_new) / max(n_old, n_new)
-
 
 class ConsistentRouter(RingRouter):
     """Table II "Consistent": classic consistent hashing, random virtual nodes.

@@ -191,19 +191,6 @@ class RunReport:
         series = self.latency_percentiles(pct)
         return max(series.values) if len(series) else 0.0
 
-    def median_slot_latency(self, pct: float = 99.9) -> float:
-        """Median across slots of the per-slot percentile (the baseline)."""
-        series = self.latency_percentiles(pct)
-        if not len(series):
-            return 0.0
-        ordered = sorted(series.values)
-        return ordered[len(ordered) // 2]
-
-    def spike_ratio(self, pct: float = 99.9) -> float:
-        """Peak over baseline — ~1 means no transition spike (Proteus)."""
-        baseline = self.median_slot_latency(pct)
-        return self.peak_latency(pct) / baseline if baseline > 0 else 0.0
-
     def latency_percentile(self, pct: float = 99.0) -> float:
         """Run-wide latency percentile (seconds)."""
         values = [

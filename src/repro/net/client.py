@@ -65,7 +65,6 @@ from repro.net.parser import (
     StatsReply,
     ValuesReply,
     arith_token,
-    version_token,
 )
 
 #: close() must never hang on a blackholed peer even with timeout=None
@@ -229,11 +228,9 @@ class MemcachedClient:
             always bounded).  A timeout poisons the connection — the
             stream position is unknown once a reply is abandoned halfway.
         nodelay: set ``TCP_NODELAY`` on the socket (default True).
-        dial_on_use: dial on the first call instead of requiring
-            :meth:`connect` first (the pool's lazy dial).
 
-    After :meth:`connect` (even a failed one) a call with no live stream
-    dials one; concurrent callers share that dial.
+    There is one way to dial: a call (or :meth:`connect`) with no live
+    stream dials one, and concurrent callers share that dial.
     """
 
     def __init__(
@@ -242,13 +239,11 @@ class MemcachedClient:
         port: int,
         timeout: Optional[float] = None,
         nodelay: bool = True,
-        dial_on_use: bool = False,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
         self.nodelay = nodelay
-        self.dial_on_use = dial_on_use
         #: the live stream; ``None`` while broken, closed or never opened
         self._protocol: Optional[_ClientProtocol] = None
         #: True after a mid-stream failure until the next reconnect
@@ -259,10 +254,6 @@ class MemcachedClient:
         self.reconnects = 0
 
     @property
-    def connected(self) -> bool:
-        return self._protocol is not None
-
-    @property
     def inflight(self) -> int:
         """Replies awaited: one per command written, one per pipelined
         burst (``set_multi``, ``get_many``)."""
@@ -271,9 +262,10 @@ class MemcachedClient:
         return len(self._protocol.pending)
 
     async def connect(self) -> "MemcachedClient":
-        """Dial the server (joining a dial already in flight)."""
-        self.dial_on_use = True
-        await self._dialled()
+        """Make sure there is a live stream: return at once if there is
+        one, else dial (joining a dial already in flight)."""
+        if self._protocol is None:
+            await self._dialled()
         return self
 
     async def _dialled(self) -> _ClientProtocol:
@@ -415,14 +407,11 @@ class MemcachedClient:
 
     async def _exchange(self, shape: ReplyShape, payload: bytes):
         """Issue one command (or one burst) and await its reply, dialling
-        first when there is no live stream (a client that may not dial
-        raises: a programming error, not a fault).  The per-op timeout is
-        the connection's timer; a cancelled caller cancels its reply
-        future, whose late reply is popped in order and dropped."""
+        first when there is no live stream.  The per-op timeout is the
+        connection's timer; a cancelled caller cancels its reply future,
+        whose late reply is popped in order and dropped."""
         protocol = self._protocol
         if protocol is None:
-            if not self.dial_on_use:
-                raise ProtocolError("client is not connected")
             protocol = await self._dialled()
         future = protocol._loop.create_future()
         try:
@@ -436,17 +425,6 @@ class MemcachedClient:
             # A complete error reply: the stream stays in sync.
             result.raise_()
         return result
-
-    # ------------------------------------------------------- raw exchanges
-
-    async def execute(self, payload: bytes, shape: ReplyShape):
-        """Escape hatch: write *payload* as one command and parse its
-        reply with *shape* — for protocol surfaces the client does not
-        wrap (``replace``, ``stats slabs``, protocol tests).  Returns the
-        shape's result (line bytes, ``{key: value}`` dict, or stats
-        dict); complete error replies raise
-        :class:`~repro.errors.ProtocolError` without poisoning."""
-        return await self._exchange(shape, payload)
 
     # ------------------------------------------------------------- basics
 
@@ -536,34 +514,15 @@ class MemcachedClient:
         """Append to an existing value; False if the key is absent."""
         return await self.set_multi(((key, value),), verb="append") == 1
 
-    async def prepend(self, key: str, value: bytes) -> bool:
-        """Prepend to an existing value; False if the key is absent."""
-        return await self.set_multi(((key, value),), verb="prepend") == 1
-
-    async def _arith(self, verb: str, key: str, delta: int) -> Optional[int]:
+    async def incr(self, key: str, delta: int = 1) -> Optional[int]:
+        """Increment a decimal value; returns the new value or ``None``."""
         proto.validate_key(key)
         reply = await self._exchange(
-            LineReply(arith_token), f"{verb} {key} {delta}\r\n".encode("utf-8")
+            LineReply(arith_token), f"incr {key} {delta}\r\n".encode("utf-8")
         )
         if reply == b"NOT_FOUND":
             return None
         return int(reply)
-
-    async def incr(self, key: str, delta: int = 1) -> Optional[int]:
-        """Increment a decimal value; returns the new value or ``None``."""
-        return await self._arith("incr", key, delta)
-
-    async def decr(self, key: str, delta: int = 1) -> Optional[int]:
-        """Decrement (clamped at 0); returns the new value or ``None``."""
-        return await self._arith("decr", key, delta)
-
-    async def touch(self, key: str, exptime: int) -> bool:
-        """Reset a key's expiry; False if the key is absent."""
-        proto.validate_key(key)
-        return await self._exchange(
-            CountReply(1, b"TOUCHED", b"NOT_FOUND"),
-            f"touch {key} {exptime}\r\n".encode("utf-8"),
-        ) == 1
 
     async def delete(self, key: str) -> bool:
         """Delete *key*; True if it existed."""
@@ -580,10 +539,6 @@ class MemcachedClient:
     async def flush_all(self) -> None:
         """Drop everything on the server."""
         await self._exchange(CountReply(1, b"OK", b"OK"), b"flush_all\r\n")
-
-    async def version(self) -> str:
-        reply = await self._exchange(LineReply(version_token), b"version\r\n")
-        return reply[len(b"VERSION "):].decode("utf-8")
 
     # ------------------------------------------------------- digest calls
 

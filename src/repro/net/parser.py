@@ -202,11 +202,6 @@ class ReplyParser:
         """Replies still owed by the server."""
         return len(self._shapes)
 
-    @property
-    def buffered(self) -> int:
-        """Bytes received but not yet consumed by a complete frame."""
-        return len(self._buf)
-
     # ---------------------------------------------------------------- feed
 
     def feed(self, data: bytes) -> List[ReplyResult]:
@@ -485,6 +480,3 @@ def arith_token(line: bytes) -> bool:
     """``incr``/``decr`` replies: a decimal or ``NOT_FOUND``."""
     return line == b"NOT_FOUND" or line.isdigit()
 
-
-def version_token(line: bytes) -> bool:
-    return line.startswith(b"VERSION ")

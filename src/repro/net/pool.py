@@ -104,9 +104,7 @@ class ConnectionPool:
         connection keeps trying lazily on its next exchange.
         """
         client = self._conns[0] if self._conns else self._new_client()
-        if not client.connected:
-            await client.connect()
-        return client
+        return await client.connect()
 
     async def close(self) -> None:
         """Close every pooled connection (bounded by the client timeout;
@@ -126,9 +124,7 @@ class ConnectionPool:
         # leases are only safe on a connection that multiplexes.  It holds
         # its size slot from now on, so concurrent acquires cannot
         # over-dial, and it dials itself on its first exchange.
-        client = MemcachedClient(
-            self.host, self.port, timeout=self.timeout, dial_on_use=True
-        )
+        client = MemcachedClient(self.host, self.port, timeout=self.timeout)
         self.dials += 1
         self._conns.append(client)
         self._leases[id(client)] = 0

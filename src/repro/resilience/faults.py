@@ -81,21 +81,6 @@ class FaultPlan:
     # ------------------------------------------------------------- queries
 
     @property
-    def is_benign(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            not self.reject_connections
-            and not self.blackhole
-            and not self.drop_syn
-            and self.reset_probability == 0.0
-            and self.partial_write_probability == 0.0
-            and self.delay == 0.0
-            and self.delay_jitter == 0.0
-            and self.connect_delay == 0.0
-            and self.drop_request_probability == 0.0
-        )
-
-    @property
     def kills_server(self) -> bool:
         """True when the plan makes the server effectively unreachable —
         the subset of faults the simulator expresses as a crash."""

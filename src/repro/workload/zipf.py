@@ -55,10 +55,3 @@ class ZipfSampler:
             raise ConfigurationError(f"count must be >= 0, got {count}")
         ranks = np.searchsorted(self._cdf, self._rng.random(count))
         return self._perm[ranks]
-
-    def popularity(self, rank: int) -> float:
-        """Probability mass of the item at *rank* (0 = most popular)."""
-        if not 0 <= rank < self.num_items:
-            raise ConfigurationError(f"rank out of range: {rank}")
-        previous = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - previous)

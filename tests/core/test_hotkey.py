@@ -85,7 +85,7 @@ class TestTopKSketch:
         for _ in range(50):
             topk.record("head")
         assert topk.is_hot("head")
-        assert topk.elected()["head"] >= 50
+        assert topk._tracked["head"] >= 50
 
     def test_tail_churn_cannot_displace_head(self, patch):
         patch(TOP_K=2, SKETCH_WIDTH=4096)

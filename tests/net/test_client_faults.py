@@ -83,7 +83,7 @@ class TestPoisoning:
             with pytest.raises(TransportError):
                 await client.get("k")
             assert client.broken
-            assert not client.connected
+            assert client._protocol is None
             await server.stop()
 
         run(body())
@@ -110,7 +110,7 @@ class TestPoisoning:
             with pytest.raises(ProtocolError):
                 await client.get("k")
             assert not client.broken
-            assert client.connected
+            assert client._protocol is not None
             assert await client.get("k") is None  # same connection
             assert client.reconnects == 0
             await server.stop()
@@ -151,7 +151,7 @@ class TestStoreBursts:
                 [b"STORED\r\n", b"NOT_STORED\r\n", b"STORED\r\n"]
             )
             assert await client.set_multi(self.ITEMS, verb="add") == 2
-            assert client.connected and client.reconnects == 0
+            assert client._protocol is not None and client.reconnects == 0
             await server.stop()
 
         run(body())
@@ -254,10 +254,44 @@ class TestReconnect:
         run(body())
 
     def test_never_dialed_client_raises_protocol_error(self):
+        # A malformed request is refused before any dial: nothing listens
+        # on port 1, so a dial would surface as OSError instead.
         async def body():
             client = MemcachedClient("127.0.0.1", 1)
             with pytest.raises(ProtocolError):
-                await client.get("k")
+                await client.get("bad key")
+            assert client._protocol is None
+
+        run(body())
+
+    def test_a_never_dialled_client_dials_on_first_use(self):
+        async def body():
+            real = MemcachedServer(bloom_config=optimal_config(500))
+            await real.start()
+            client = MemcachedClient("127.0.0.1", real.port)
+            assert client._protocol is None
+            assert await client.get("k") is None
+            assert client._protocol is not None and client.reconnects == 0
+            assert real.connections == 1
+            await client.close()
+            await real.stop()
+
+        run(body())
+
+    def test_a_second_connect_reuses_the_live_stream(self):
+        async def body():
+            real = MemcachedServer(bloom_config=optimal_config(500))
+            await real.start()
+            client = MemcachedClient("127.0.0.1", real.port)
+            await client.connect()
+            await client.connect()
+            assert await client.get("k") is None
+            await client.close()
+            # One accept, and nothing outlives close(): a second dial
+            # would have orphaned the first stream.
+            assert real.connections == 1
+            await until(lambda: not real._open)
+            await real.stop()
 
         run(body())
 
@@ -293,7 +327,7 @@ class TestTimeouts:
                 "create_connection",
                 lambda self, *args, **kwargs: never_connects(),
             )
-            client = MemcachedClient("127.0.0.1", 9, dial_on_use=True)
+            client = MemcachedClient("127.0.0.1", 9)
             call = asyncio.ensure_future(client.get("k"))
             await asyncio.sleep(0)
             await client.close()  # cancels the dial: nothing is left open

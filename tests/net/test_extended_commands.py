@@ -10,9 +10,10 @@ from repro.bloom.config import optimal_config
 from repro.errors import ProtocolError
 from repro.net import protocol as proto
 from repro.net.client import MemcachedClient
-from repro.net.parser import LineReply, StatsReply
+from repro.net.parser import StatsReply
 from repro.net.server import MemcachedServer
 from tests.net.test_server_connection import connect
+from tests.net.wire import command
 
 CFG = optimal_config(2000)
 
@@ -117,7 +118,8 @@ class TestConcat:
     def test_prepend(self):
         async def body(server, client):
             await client.set("k", b"world")
-            assert await client.prepend("k", b"hello ")
+            reply = await command(client, b"prepend k 0 0 6\r\nhello \r\n")
+            assert reply == b"STORED"
             assert await client.get("k") == b"hello world"
 
         run(with_server(body))
@@ -125,7 +127,9 @@ class TestConcat:
     def test_concat_on_missing_key_not_stored(self):
         async def body(server, client):
             assert not await client.append("ghost", b"x")
-            assert not await client.prepend("ghost", b"x")
+            assert await command(
+                client, b"prepend ghost 0 0 1\r\nx\r\n"
+            ) == b"NOT_STORED"
 
         run(with_server(body))
 
@@ -151,14 +155,14 @@ class TestArithmetic:
     def test_decr_clamps_at_zero(self):
         async def body(server, client):
             await client.set("n", b"3")
-            assert await client.decr("n", 10) == 0
+            assert await command(client, b"decr n 10\r\n") == b"0"
 
         run(with_server(body))
 
     def test_arith_on_missing_returns_none(self):
         async def body(server, client):
             assert await client.incr("ghost") is None
-            assert await client.decr("ghost") is None
+            assert await command(client, b"decr ghost 1\r\n") == b"NOT_FOUND"
 
         run(with_server(body))
 
@@ -185,7 +189,7 @@ class TestTouch:
             server._clock = lambda: fake["t"]
             await client.set("k", b"v", exptime=10)
             fake["t"] = 8.0
-            assert await client.touch("k", 100)
+            assert await command(client, b"touch k 100\r\n") == b"TOUCHED"
             fake["t"] = 50.0
             assert await client.get("k") == b"v"
 
@@ -193,7 +197,7 @@ class TestTouch:
 
     def test_touch_missing_key(self):
         async def body(server, client):
-            assert not await client.touch("ghost", 10)
+            assert await command(client, b"touch ghost 10\r\n") == b"NOT_FOUND"
 
         run(with_server(body))
 
@@ -202,7 +206,7 @@ class TestTouch:
             fake = {"t": 0.0}
             server._clock = lambda: fake["t"]
             await client.set("k", b"v", exptime=5)
-            assert await client.touch("k", 0)
+            assert await command(client, b"touch k 0\r\n") == b"TOUCHED"
             fake["t"] = 1e9
             assert await client.get("k") == b"v"
 
@@ -216,7 +220,7 @@ class TestTouch:
             for key in ("a", "b", "c", "d"):
                 await client.set(key, b"x" * 100)
             await client.get("a")          # "a" is now the *most* recent
-            assert await client.touch("a", 5)
+            assert await command(client, b"touch a 5\r\n") == b"TOUCHED"
             fake["t"] = 6.0
             await client.set("e", b"x" * 100)   # full: needs one slot
             assert "a" not in server.store
@@ -234,8 +238,8 @@ class TestTouch:
             await client.set("longer", b"x" * 100, exptime=5)
             await client.set("never", b"x" * 100, exptime=5)
             await client.set("left", b"x" * 100, exptime=5)
-            assert await client.touch("longer", 100)
-            assert await client.touch("never", 0)
+            assert await command(client, b"touch longer 100\r\n") == b"TOUCHED"
+            assert await command(client, b"touch never 0\r\n") == b"TOUCHED"
             fake["t"] = 6.0
             # Everything past its *current* deadline goes; nothing else.
             assert server.store.purge_expired(fake["t"]) == 1
@@ -270,10 +274,10 @@ class TestCasBookkeeping:
             assert await client.delete("key:9999")
             assert len(server.store) == 999
             # cas still sees a live id for what is resident.
-            reply = await client.execute(
+            reply = await command(
+                client,
                 b"cas key:9998 0 0 3 %d\r\nnew\r\n"
                 % server.store.peek("key:9998").cas,
-                LineReply(),
             )
             assert reply == b"STORED"
             assert server.store.peek("key:9998").cas == 10_001
@@ -291,9 +295,7 @@ class TestCasBookkeeping:
             fake["t"] = 6.0
             assert await client.get("k") is None
             assert server.store.peek("k") is None
-            reply = await client.execute(
-                b"cas k 0 0 1 %d\r\nw\r\n" % cas, LineReply()
-            )
+            reply = await command(client, b"cas k 0 0 1 %d\r\nw\r\n" % cas)
             assert reply == b"NOT_FOUND"
 
         run(with_server(body))
@@ -342,7 +344,7 @@ class TestNegativeExptime:
 class TestStatsSlabs:
     def test_stats_slabs_empty_on_plain_backend(self):
         async def body(server, client):
-            stats = await client.execute(b"stats slabs\r\n", StatsReply())
+            stats = await command(client, b"stats slabs\r\n", StatsReply())
             assert stats == {}
             # a bare END, and the stream is still framed for the next command
             await client.set("k", b"v")

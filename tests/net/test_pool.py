@@ -41,7 +41,7 @@ class TestLifecycle:
             assert pool.live == 0
             assert pool.dials == 0
             client = pool.acquire()
-            assert not client.connected  # it dials on its first exchange
+            assert client._protocol is None  # it dials on its first exchange
             assert await client.set("k", b"v")
             pool.release(client)
             assert pool.live == 1
@@ -66,7 +66,7 @@ class TestLifecycle:
             # The undialled connection keeps its slot and dials again on
             # its next exchange.
             client = pool.acquire()
-            assert (pool.live, pool.dials, client.connected) == (1, 1, False)
+            assert (pool.live, pool.dials, client._protocol) == (1, 1, None)
             with pytest.raises(OSError):
                 await client.get("k")
             pool.release(client)

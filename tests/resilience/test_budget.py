@@ -1,9 +1,16 @@
-"""RetryBudget: deterministic clock tests."""
+"""RetryBudget, the overload bench's client model: deterministic clock
+tests."""
 
 import pytest
 
-from repro.resilience import RetryBudget
-from repro.resilience import budget as budget_module
+from benchmarks import bench_overload
+from benchmarks.bench_overload import RetryBudget
+
+
+def balance(budget, now):
+    """The budget's decayed token balance at *now*."""
+    budget._advance(now)
+    return budget._balance
 
 
 class TestRetryBudgetValidation:
@@ -43,16 +50,16 @@ class TestRetryBudgetTokens:
             ratio=1.0, min_retries_per_second=0.0, halflife=10.0
         )
         budget.record_request(n=8, now=0.0)
-        assert budget.balance(now=0.0) == pytest.approx(8.0)
+        assert balance(budget, 0.0) == pytest.approx(8.0)
         # one half-life later, half the recent volume is forgotten
-        assert budget.balance(now=10.0) == pytest.approx(4.0)
-        assert budget.balance(now=30.0) == pytest.approx(1.0)
+        assert balance(budget, 10.0) == pytest.approx(4.0)
+        assert balance(budget, 30.0) == pytest.approx(1.0)
 
     def test_burst_caps_banked_tokens(self, monkeypatch):
-        monkeypatch.setattr(budget_module, "BURST", 5.0)
+        monkeypatch.setattr(bench_overload, "RETRY_BURST", 5.0)
         budget = RetryBudget(ratio=1.0, min_retries_per_second=0.0)
         budget.record_request(n=1000, now=0.0)
-        assert budget.balance(now=0.0) == pytest.approx(5.0)
+        assert balance(budget, 0.0) == pytest.approx(5.0)
 
     def test_trickle_reserve_for_low_volume_clients(self):
         budget = RetryBudget(ratio=0.2, min_retries_per_second=1.0)
@@ -71,4 +78,4 @@ class TestRetryBudgetTokens:
         # balance: the budget keeps no clock of its own.
         budget = RetryBudget(ratio=1.0, min_retries_per_second=0.0)
         budget.record_request(n=10, now=0.0)
-        assert budget.balance(now=budget.halflife) == pytest.approx(5.0)
+        assert balance(budget, budget.halflife) == pytest.approx(5.0)

@@ -1,6 +1,7 @@
 """Load-bearing audit: every module is reached from a real entry point,
-every package re-export is imported through that package by someone, and
-every constructor parameter with a default is set by someone.
+every package re-export is imported through that package by someone,
+every constructor parameter with a default is set by someone, and every
+public method is referenced by code that runs.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
@@ -9,8 +10,8 @@ needs (:func:`_is_root`; ``benchmarks/e2e`` and the bench helpers always)
 and every example — and never ``tests/``: a module only its own tests
 import is not load-bearing.  The walks are static ``ast`` passes, so
 they cost nothing and cannot be fooled by import side effects; the module
-walk has no allow-list, on purpose, and the parameter gate's (``KEPT``) can
-only shrink.
+walk has no allow-list, on purpose, and the parameter and method gates'
+(``KEPT``, ``KEPT_METHODS``) can only shrink.
 """
 
 import ast
@@ -429,3 +430,102 @@ def test_every_constructor_parameter_is_set_outside_the_tests(name):
         if owner == name and (p in passed or p not in _defaults(cls))
     ]
     assert not stale, f"KEPT lists {stale} of {name}: drop the entry"
+
+
+#: where a method counts as called: the code that runs (the library, the
+#: benches with the e2e tracer, the examples) and the virtual-network
+#: harness that is to move into ``src/``
+CALLERS = ("src", "benchmarks", "examples", "tests/simnet")
+#: the e2e tracer binds an entry point by ``"module:Class.method"``
+_BOUND = re.compile(r"^[\w.]+:[\w.]+$")
+
+#: "Class.method" -> the open ROADMAP item that will call it; an entry that
+#: gains a caller fails the gate, so this can only shrink
+KEPT_METHODS = {
+    "ClusterConfig.build_frontend": (
+        "ROADMAP item 4 builds the live stack of the paper's headline run "
+        "from a config file"
+    ),
+    "ClusterConfig.build_router": (
+        "ROADMAP item 5 builds the sim driver's router from the same "
+        "config file"
+    ),
+    "ClusterHealthMonitor.for_frontend": (
+        "ROADMAP item 11 runs the provisioning loop against the live tier"
+    ),
+}
+
+
+def _names(path: Path) -> Iterator[str]:
+    """Every name *path* references: attributes, names, identifier string
+    constants (``getattr``), and the method of a ``"module:Class.method"``
+    string."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+            elif _BOUND.match(node.value):
+                yield node.value.rsplit(".", 1)[-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _referenced() -> Set[str]:
+    return {
+        name
+        for tree in CALLERS
+        for path in (REPO / tree).rglob("*.py")
+        for name in _names(path)
+    }
+
+
+def _overrides_foreign(cls: type, name: str) -> bool:
+    """*name* overrides a callback of a base class from outside ``repro``
+    (``BufferedProtocol.buffer_updated``): the base's caller calls it."""
+    return any(
+        name in vars(base)
+        for base in cls.__mro__[1:]
+        if not base.__module__.startswith("repro")
+    )
+
+
+def _public_methods() -> Iterator[str]:
+    """``Class.method`` for every public method, classmethod, staticmethod
+    and property defined in a class under ``src/repro`` (a property's
+    setter is the same name)."""
+    for _, node in _class_defs():
+        cls = _classes()[node.name]
+        for item in node.body:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+                and not _overrides_foreign(cls, item.name)
+            ):
+                yield f"{node.name}.{item.name}"
+
+
+def test_every_public_method_is_called_outside_the_tests():
+    """A method only tests call is API nobody runs: delete it, with the
+    tests that alone kept it alive, or list it in ``KEPT_METHODS`` with the
+    open item that will call it.  Matching is by name, so an overridden
+    method is referenced with its base's, and a method sharing a name with
+    a live one (a client verb named like a store method) slips through:
+    audit those by hand."""
+    referenced = _referenced()
+    methods = set(_public_methods())
+    uncalled = sorted(
+        m for m in methods
+        if m.rsplit(".", 1)[1] not in referenced and m not in KEPT_METHODS
+    )
+    assert not uncalled, (
+        "no code in " + ", ".join(f"{t}/" for t in CALLERS)
+        + f" references {uncalled}"
+    )
+    stale = sorted(
+        m for m in KEPT_METHODS
+        if m not in methods or m.rsplit(".", 1)[1] in referenced
+    )
+    assert not stale, f"KEPT_METHODS lists {stale}: drop the entry"

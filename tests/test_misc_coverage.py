@@ -75,7 +75,7 @@ class TestZipfExtremes:
 
         sampler = ZipfSampler(1, alpha=0.9)
         assert sampler.sample() == 0
-        assert sampler.popularity(0) == pytest.approx(1.0)
+        assert sampler._cdf[0] == pytest.approx(1.0)
 
 
 class TestStoreSmallGaps:

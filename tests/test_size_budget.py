@@ -20,17 +20,17 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CEILINGS = {
     "core/ring.py": 316,
     "core/placement.py": 152,
-    "core/router.py": 381,
-    "core/hotkey.py": 317,
+    "core/router.py": 372,
+    "core/hotkey.py": 313,
     "core/transition.py": 262,
-    "core/retrieval.py": 800,
+    "core/retrieval.py": 795,
     "web/frontend.py": 231,
     "net/webtier.py": 358,
     "net/transport.py": 307,
-    "net/parser.py": 490,
-    "net/client.py": 605,
-    "net/pool.py": 201,
-    "experiments/testbed.py": 757,
+    "net/parser.py": 482,
+    "net/client.py": 560,
+    "net/pool.py": 197,
+    "experiments/testbed.py": 744,
     "config.py": 181,
     "provisioning/actuator.py": 68,
     "cache/store.py": 277,
@@ -40,7 +40,7 @@ CEILINGS = {
     "net/server.py": 454,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_273
+TREE_CEILING = 12_029
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
