@@ -350,7 +350,9 @@ def _run_scenario(armored: bool) -> Dict[str, object]:
     # The shed-aware closed loop observes the armored run per slot; it is
     # deliberately fed the *median* latency, which hits keep low — only
     # the shed-rate signal reveals the overload.
-    monitor = ClusterHealthMonitor.for_simulation(cache, [web])
+    monitor = ClusterHealthMonitor(
+        [web.stats], cache.failed_servers, cache.transitions.in_transition
+    )
     controller = DelayFeedbackController(
         num_servers=NUM_CACHE,
         per_server_rate=150.0,

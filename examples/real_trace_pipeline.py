@@ -78,7 +78,8 @@ def main() -> None:
               f"{summary.distinct_keys} distinct pages, "
               f"{summary.mean_rate:.1f} req/s, "
               f"peak/valley {summary.peak_to_valley:.2f}, "
-              f"Zipf alpha ~ {summary.zipf_alpha:.2f}")
+              f"Zipf alpha ~ {summary.zipf_alpha:.2f}, "
+              f"interarrival CV {summary.interarrival_cv:.2f}")
 
         # 3. schedule from the envelope
         envelope = rate_envelope(records, DURATION / NUM_SLOTS)[:NUM_SLOTS]

@@ -65,8 +65,6 @@ class CacheServer:
         self.digest: CountingBloomFilter = bloom_config.build()
         self.store = KeyValueStore(capacity_bytes, self.digest)
         self.state = PowerState.ON if initially_on else PowerState.OFF
-        #: count of power cycles (each implies a cold cache)
-        self.power_cycles = 0
 
     # ------------------------------------------------------------- digest
 
@@ -129,7 +127,6 @@ class CacheServer:
             return
         self.store.flush()
         self.state = PowerState.ON
-        self.power_cycles += 1
 
     def begin_drain(self) -> None:
         """Enter the TTL drain window of a scale-down transition."""
@@ -145,7 +142,6 @@ class CacheServer:
             return
         self.store.flush()
         self.state = PowerState.OFF
-        self.power_cycles += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,7 +26,6 @@ the sans-IO retrieval engines own these objects and every driver
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bloom.hashing import Key, stable_hash64
@@ -68,8 +67,6 @@ class CountMinSketch:
         self.width = width = SKETCH_WIDTH
         self.depth = depth = SKETCH_DEPTH
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
-        #: total observations recorded (the stream length ``N``)
-        self.observations = 0
 
     def _cells(self, key: Key) -> List[int]:
         return [
@@ -86,7 +83,6 @@ class CountMinSketch:
         for row, cell in enumerate(cells):
             if rows[row][cell] < target:
                 rows[row][cell] = target
-        self.observations += count
         return target
 
     def estimate(self, key: Key) -> int:
@@ -95,10 +91,6 @@ class CountMinSketch:
             self._rows[row][cell]
             for row, cell in enumerate(self._cells(key))
         )
-
-    def memory_bytes(self) -> int:
-        """Rough counter-array footprint (the space bound being paid)."""
-        return self.width * self.depth * 8
 
 
 class TopKSketch:
@@ -182,22 +174,6 @@ class TopKSketch:
             del tracked[victim]
 
 
-@dataclass
-class HotKeyCacheStats:
-    """Counters for one frontend-local hot-key cache."""
-
-    hits: int = 0
-    misses: int = 0
-    expirations: int = 0
-    invalidations: int = 0
-    stores: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class HotKeyCache:
     """A tiny frontend-local cache for sketch-elected hot keys.
 
@@ -217,7 +193,6 @@ class HotKeyCache:
         self.ttl = ttl
         #: key -> (value, stored_at); dict order doubles as LRU order
         self._entries: Dict[Key, Tuple[Any, float]] = {}
-        self.stats = HotKeyCacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -229,18 +204,14 @@ class HotKeyCache:
         """The locally cached value, or ``None`` on miss/expiry."""
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
             return None
         value, stored_at = entry
         if now - stored_at >= self.ttl:
             del self._entries[key]
-            self.stats.expirations += 1
-            self.stats.misses += 1
             return None
         # LRU touch: move to the most-recent end.
         del self._entries[key]
         self._entries[key] = (value, stored_at)
-        self.stats.hits += 1
         return value
 
     def store(self, key: Key, value: Any, now: float) -> None:
@@ -251,13 +222,11 @@ class HotKeyCache:
         elif len(entries) >= self.capacity:
             del entries[next(iter(entries))]  # LRU victim
         entries[key] = (value, now)
-        self.stats.stores += 1
 
     def invalidate(self, key: Key) -> bool:
         """Drop the local copy (a write made it stale); True if present."""
         if key in self._entries:
             del self._entries[key]
-            self.stats.invalidations += 1
             return True
         return False
 
@@ -291,10 +260,6 @@ class HotKeyArmor:
         if not hot:
             return None
         return self.cache.get(key, now)
-
-    def observe(self, key: Key) -> bool:
-        """Record the access without consulting the cache; True if hot."""
-        return self.sketch.record(key)
 
     def admit(self, key: Key, value: Any, now: float) -> bool:
         """Install a freshly fetched value locally when the key is hot.

@@ -410,7 +410,7 @@ class RetrievalEngine:
         self.stats = FetchStats()
         self._armor: Optional[HotKeyArmor] = None
         #: DB-path admission controller (duck-typed:
-        #: :class:`repro.resilience.admission.AdmissionController`);
+        #: :class:`repro.resilience.admission.VirtualQueueAdmission`);
         #: ``None`` admits everything.  With the driver's clock as ``now``
         #: the engine asks ``admission.admit_db(now)`` before each
         #: database read and a refusal sheds the request

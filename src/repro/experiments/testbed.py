@@ -465,9 +465,9 @@ class SimTestbed:
             )
             provisioner.reset(initial)
             if health_feedback:
-                self._monitor = ClusterHealthMonitor.for_simulation(
-                    self.cache, self.webs
-                )
+                self._monitor = ClusterHealthMonitor(
+                    [web.stats for web in self.webs], self.cache.failed_servers,
+                    self.cache.transitions.in_transition)
         self.cache.abrupt_scale_to(initial, 0.0)  # n(0): the rest stay off
         # A schedule changes n on its boundaries, ahead of everything else
         # due there; a controller decides just before one.

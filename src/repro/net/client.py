@@ -442,12 +442,6 @@ class MemcachedClient:
         """Store *key*; True on STORED."""
         return await self.set_multi(((key, value),), flags, exptime) == 1
 
-    async def add(self, key: str, value: bytes, flags: int = 0, exptime: int = 0) -> bool:
-        """Store only if absent; True on STORED."""
-        return await self.set_multi(
-            ((key, value),), flags, exptime, verb="add"
-        ) == 1
-
     async def get_multi(self, keys) -> Dict[str, bytes]:
         """Batched get: one round trip for many keys; returns only the hits.
 
@@ -509,10 +503,6 @@ class MemcachedClient:
             for key, value in pairs
         ])
         return await self._exchange(CountReply(len(pairs)), payload)
-
-    async def append(self, key: str, value: bytes) -> bool:
-        """Append to an existing value; False if the key is absent."""
-        return await self.set_multi(((key, value),), verb="append") == 1
 
     async def incr(self, key: str, delta: int = 1) -> Optional[int]:
         """Increment a decimal value; returns the new value or ``None``."""

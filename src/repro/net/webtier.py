@@ -74,11 +74,11 @@ class AsyncProteusFrontend:
             :meth:`ResiliencePolicy.default` when omitted.
         pool_size: handed to the
             :class:`~repro.net.transport.CacheTransport`.
-        admission: DB-path admission controller (an
-            :class:`~repro.resilience.AdmissionController`) wired into
-            the engine; ``None`` admits everything.  Shed DB work
-            answers ``None`` with :attr:`FetchPath.SHED` — hits are
-            always served.
+        admission: DB-path admission controller (a
+            :class:`~repro.resilience.VirtualQueueAdmission`) wired into
+            the engine as ``engine.admission``; ``None`` admits
+            everything.  Shed DB work answers ``None`` with
+            :attr:`FetchPath.SHED` — hits are always served.
     """
 
     def __init__(
@@ -128,11 +128,6 @@ class AsyncProteusFrontend:
         """Per-path counters (owned by the engine), same
         :class:`FetchPath` keys as the simulator's."""
         return self.engine.stats
-
-    @property
-    def admission(self):
-        """The engine's DB-path admission controller (may be ``None``)."""
-        return self.engine.admission
 
     def transport_stats(self) -> Dict[str, int]:
         """The transport's counters plus the engine's shed fetches (all

@@ -11,17 +11,16 @@ Under overload the retrieval path splits into two priority tiers:
   grows the queue and blows *every* request's latency (the Fig. 9
   mechanism).  Refusing the excess keeps the admitted requests fast.
 
-An admission controller is consulted by
+:class:`VirtualQueueAdmission` is consulted by
 :class:`~repro.core.retrieval.RetrievalEngine` immediately before it
 would yield ``ReadDatabase``; a refusal turns the outcome into
 ``FetchPath.SHED`` (value ``None`` — *not served*, unlike
 ``DEGRADED_DB``, which is served correctly at extra latency cost).  The
-driver reports each DB read's completion back via :meth:`db_finished`.
-
-:class:`VirtualQueueAdmission` tracks virtual completion times; the
-queue depth at ``now`` is the number of admitted reads that have not yet
-completed on the virtual clock, mirroring the sim database's FIFO service
-queue without touching it.
+driver reports each DB read's completion back via
+:meth:`~VirtualQueueAdmission.db_finished`; the queue depth at ``now`` is
+the number of admitted reads that have not yet completed on the virtual
+clock, mirroring the sim database's FIFO service queue without touching
+it.
 """
 
 from __future__ import annotations
@@ -29,53 +28,18 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-__all__ = ["AdmissionController", "VirtualQueueAdmission"]
+__all__ = ["VirtualQueueAdmission"]
 
 
-class AdmissionController:
-    """Base: admit/refuse DB-path work, with shed accounting.
-
-    Subclasses implement :meth:`_admit`; this base keeps the counters
-    every driver and health monitor reads.
-    """
-
-    def __init__(self) -> None:
-        #: DB reads admitted / refused (lifetime)
-        self.admitted = 0
-        self.shed = 0
-
-    def admit_db(self, now: Optional[float] = None) -> bool:
-        """May one database read start at *now*?  A refusal is final for
-        this request — the engine sheds it, it does not queue."""
-        if self._admit(now):
-            self.admitted += 1
-            return True
-        self.shed += 1
-        return False
-
-    def db_finished(
-        self, now: Optional[float] = None, completed: Optional[float] = None
-    ) -> None:
-        """One admitted read finished (*completed* = its virtual
-        completion time, where the driver knows one)."""
-
-    def depth(self, now: Optional[float] = None) -> float:
-        """Outstanding admitted DB work — the queue-depth gauge health
-        snapshots record."""
-        return 0.0
-
-    def _admit(self, now: Optional[float]) -> bool:
-        raise NotImplementedError
-
-
-class VirtualQueueAdmission(AdmissionController):
+class VirtualQueueAdmission:
     """Admission bounded by virtual outstanding completions (simulator).
 
     The sim database answers each read with a *completion time* on the
     virtual clock; a read is outstanding while ``completion > now``.
     Admission refuses when ``max_depth`` reads are already outstanding,
     computed without wall time so the sim-vs-live parity suites extend to
-    overload.
+    overload.  It keeps no count of its own: each refusal is the engine's
+    :attr:`~repro.core.retrieval.FetchPath.SHED` count.
 
     Args:
         max_depth: outstanding DB reads allowed before shedding.
@@ -84,7 +48,6 @@ class VirtualQueueAdmission(AdmissionController):
     def __init__(self, max_depth: int = 16) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-        super().__init__()
         self.max_depth = max_depth
         self._completions: List[float] = []  # min-heap of completion times
         # Admitted reads whose completion time has not been reported yet.
@@ -97,7 +60,9 @@ class VirtualQueueAdmission(AdmissionController):
         while self._completions and self._completions[0] <= now:
             heapq.heappop(self._completions)
 
-    def _admit(self, now: Optional[float]) -> bool:
+    def admit_db(self, now: Optional[float] = None) -> bool:
+        """May one database read start at *now*?  A refusal is final for
+        this request — the engine sheds it, it does not queue."""
         if now is None:
             return True  # inert without a virtual clock
         self._prune(now)
@@ -109,11 +74,14 @@ class VirtualQueueAdmission(AdmissionController):
     def db_finished(
         self, now: Optional[float] = None, completed: Optional[float] = None
     ) -> None:
+        """One admitted read finished (*completed* = its virtual
+        completion time, where the driver knows one)."""
         self._pending = max(0, self._pending - 1)
         if completed is not None:
             heapq.heappush(self._completions, completed)
 
     def depth(self, now: Optional[float] = None) -> float:
+        """Outstanding admitted DB work: reads not yet complete at *now*."""
         if now is not None:
             self._prune(now)
         return float(len(self._completions) + self._pending)

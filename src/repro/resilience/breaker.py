@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-__all__ = ["BreakerState", "BreakerSnapshot", "CircuitBreaker"]
+__all__ = ["BreakerState", "CircuitBreaker"]
 
 #: concurrent trial requests a half-open circuit admits
 HALF_OPEN_PROBES = 1
@@ -38,23 +37,6 @@ class BreakerState(enum.Enum):
     OPEN = "open"
     #: reset_timeout elapsed: a bounded number of probe requests may pass
     HALF_OPEN = "half_open"
-
-
-@dataclass(frozen=True)
-class BreakerSnapshot:
-    """Read-only view of one breaker's trip/recovery state.
-
-    The introspection surface health monitors consume instead of reaching
-    into the breaker's private fields: the state after any due
-    OPEN -> HALF_OPEN promotion, when the circuit opened (``None`` while
-    closed), and the failure/trip/rejection counters at snapshot time.
-    """
-
-    state: BreakerState
-    open_since: Optional[float]
-    consecutive_failures: int
-    trips: int
-    rejections: int
 
 
 class CircuitBreaker:
@@ -89,8 +71,6 @@ class CircuitBreaker:
         self._probes_in_flight = 0
         #: lifetime trip count (diagnostics / reports)
         self.trips = 0
-        #: requests refused while the circuit was open
-        self.rejections = 0
 
     # --------------------------------------------------------------- state
 
@@ -107,33 +87,12 @@ class CircuitBreaker:
             self._probes_in_flight = 0
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
-    def snapshot(self, now: Optional[float] = None) -> BreakerSnapshot:
-        """The breaker's current state as a frozen, read-only record.
-
-        Advances a due OPEN -> HALF_OPEN promotion first (same clock rules
-        as :meth:`state`), so a snapshot taken after ``reset_timeout`` shows
-        HALF_OPEN, not a stale OPEN.  ``open_since`` is the last trip time
-        while the circuit is OPEN or HALF_OPEN, ``None`` when CLOSED.
-        """
-        state = self.state(now)
-        return BreakerSnapshot(
-            state=state,
-            open_since=None if state is BreakerState.CLOSED else self._opened_at,
-            consecutive_failures=self._consecutive_failures,
-            trips=self.trips,
-            rejections=self.rejections,
-        )
-
     # ----------------------------------------------------------- admission
 
     def allow(self, now: Optional[float] = None) -> bool:
         """May a request be sent to the guarded server right now?
 
-        CLOSED: always.  OPEN: never (counted in ``rejections``).
+        CLOSED: always.  OPEN: never.
         HALF_OPEN: up to ``HALF_OPEN_PROBES`` concurrent trial requests;
         the rest are refused until a probe reports back.
         """
@@ -141,12 +100,10 @@ class CircuitBreaker:
         if state is BreakerState.CLOSED:
             return True
         if state is BreakerState.OPEN:
-            self.rejections += 1
             return False
         if self._probes_in_flight < HALF_OPEN_PROBES:
             self._probes_in_flight += 1
             return True
-        self.rejections += 1
         return False
 
     # ------------------------------------------------------------ outcomes

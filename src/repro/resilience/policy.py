@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Optional
 
-from repro.resilience.breaker import BreakerSnapshot, CircuitBreaker
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import RetryPolicy
 
@@ -95,21 +95,3 @@ class ResiliencePolicy:
         return None
 
     new_limiter = new_retry_budget
-
-    # -------------------------------------------------------- introspection
-
-    @staticmethod
-    def health(
-        breakers: Iterable[CircuitBreaker], now: Optional[float] = None
-    ) -> Dict[int, BreakerSnapshot]:
-        """Read-only health of a fleet of per-server breakers.
-
-        Returns ``server_id -> BreakerSnapshot`` (ids are the iteration
-        positions, matching the provisioning-order indexing every driver
-        uses).  This is the sanctioned introspection path for monitors:
-        no caller should reach into a breaker's private fields.
-        """
-        return {
-            server_id: breaker.snapshot(now)
-            for server_id, breaker in enumerate(breakers)
-        }

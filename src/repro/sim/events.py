@@ -44,8 +44,6 @@ class EventLoop:
         self.clock = SimClock()
         self._heap: List[List[Any]] = []
         self._sequence = itertools.count()
-        #: total events dispatched (diagnostics)
-        self.dispatched = 0
 
     @property
     def now(self) -> float:
@@ -90,7 +88,6 @@ class EventLoop:
                 continue
             self.clock.advance_to(when)
             callback(*args)
-            self.dispatched += 1
             return True
         return False
 

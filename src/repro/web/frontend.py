@@ -67,10 +67,10 @@ class WebServer:
             (:class:`~repro.core.retrieval.RetrievalConfig`; dog-pile
             coalescing is off by default, as in the paper's evaluation);
             the live object stays readable and settable as ``web.config``.
-        admission: DB-path admission controller (typically a
-            :class:`~repro.resilience.admission.VirtualQueueAdmission`);
-            ``None`` admits everything.  When set, DB-path work over the
-            depth bound is shed (:attr:`FetchPath.SHED`, value ``None``)
+        admission: DB-path admission controller (a
+            :class:`~repro.resilience.admission.VirtualQueueAdmission`),
+            wired into the engine as ``engine.admission``; ``None`` admits
+            everything.  When set, DB-path work over the depth bound is shed (:attr:`FetchPath.SHED`, value ``None``)
             while hits keep being served — the sim's queue-model mirror
             of the live frontend's admission control.
     """
@@ -106,11 +106,6 @@ class WebServer:
     def stats(self) -> FetchStats:
         """Per-path counters (owned by the engine)."""
         return self.engine.stats
-
-    @property
-    def admission(self):
-        """The engine's DB-path admission controller (may be ``None``)."""
-        return self.engine.admission
 
     # ------------------------------------------------------------- helpers
 

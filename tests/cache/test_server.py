@@ -99,18 +99,11 @@ class TestPowerLifecycle:
         with pytest.raises(CacheError):
             srv.begin_drain()
 
-    def test_power_cycles_counted(self):
-        srv = server()
-        srv.power_off()
-        srv.power_on()
-        assert srv.power_cycles == 2
-
     def test_power_on_when_on_is_noop(self):
         srv = server()
         srv.set("k", "v")
         srv.power_on()
         assert srv.get("k") == "v"  # no flush
-        assert srv.power_cycles == 0
 
     def test_rejects_negative_id(self):
         with pytest.raises(ConfigurationError):

@@ -46,20 +46,12 @@ class TestCountMinSketch:
         assert sketch.add("a") == 1
         assert sketch.add("a", count=4) == 5
 
-    def test_observations_counts_stream_length(self, patch):
-        patch(SKETCH_WIDTH=16, SKETCH_DEPTH=2)
-        sketch = CountMinSketch()
-        sketch.add("a", 3)
-        sketch.add("b")
-        assert sketch.observations == 4
-
     def test_memory_bound_is_geometry_only(self, patch):
         patch(SKETCH_WIDTH=128)
         sketch = CountMinSketch()
-        before = sketch.memory_bytes()
         for i in range(10_000):
             sketch.add(f"k:{i}")
-        assert sketch.memory_bytes() == before == 128 * 4 * 8
+        assert [len(row) for row in sketch._rows] == [128] * 4
 
 
 class TestTopKSketch:
@@ -118,15 +110,13 @@ class TestHotKeyCache:
         cache = HotKeyCache(ttl=1.0)
         cache.store("k", "v", now=0.0)
         assert cache.get("k", now=0.5) == "v"
-        assert cache.stats.hits == 1
 
     def test_ttl_expiry_is_strict(self, patch):
         patch(HOT_CACHE_CAPACITY=4)
         cache = HotKeyCache(ttl=1.0)
         cache.store("k", "v", now=0.0)
         assert cache.get("k", now=1.0) is None  # now - stored >= ttl
-        assert cache.stats.expirations == 1
-        assert "k" not in cache
+        assert "k" not in cache  # the expired entry is dropped
 
     def test_store_refreshes_staleness_window(self, patch):
         patch(HOT_CACHE_CAPACITY=4)
@@ -153,15 +143,6 @@ class TestHotKeyCache:
         assert cache.invalidate("a")
         assert not cache.invalidate("a")
         assert cache.get("a", now=0.1) is None
-        assert cache.stats.invalidations == 1
-
-    def test_hit_ratio(self, patch):
-        patch(HOT_CACHE_CAPACITY=2)
-        cache = HotKeyCache(ttl=10.0)
-        cache.store("a", 1, now=0.0)
-        cache.get("a", now=0.1)
-        cache.get("missing", now=0.1)
-        assert cache.stats.hit_ratio == 0.5
 
     def test_invalid_args_raise(self):
         with pytest.raises(ConfigurationError):
@@ -173,7 +154,7 @@ class TestHotKeyArmor:
         armor = HotKeyArmor(ttl=1.0)
         for occupant in range(armor.sketch.capacity):  # every tracked slot
             for _ in range(3):
-                armor.observe(f"occupant:{occupant}")
+                armor.sketch.record(f"occupant:{occupant}")
         # A once-seen key is not elected: never served, admit refused.
         assert armor.lookup("cold", now=0.0) is None
         assert not armor.admit("cold", "v", now=0.0)
@@ -188,7 +169,7 @@ class TestHotKeyArmor:
 
     def test_invalidate_drops_local_copy(self):
         armor = HotKeyArmor(ttl=10.0)
-        armor.observe("k")
+        armor.sketch.record("k")
         armor.admit("k", "v", now=0.0)
         assert armor.invalidate("k")
         assert armor.lookup("k", now=0.1) is None

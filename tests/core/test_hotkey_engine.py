@@ -232,7 +232,7 @@ class TestReplicatedArmor:
         key, _ = self._replicated_key(router)
         config = RetrievalConfig(hot_key_cache=True, hot_key_ttl=1.0)
         engine = RetrievalEngine(router, config=config)
-        engine.armor.observe(key)
+        engine.armor.sketch.record(key)
         engine.armor.admit(key, "local-copy", now=0.0)
 
         steps = engine.retrieve_many([key], STEADY_REPLICATED, now=0.5)

@@ -2,9 +2,9 @@
 
 The same scripted fault is realized on both substrates — crash events in
 the simulator, plans the virtual network replays against the live tier
-(:mod:`tests.simnet`) — and a
-:class:`ClusterHealthMonitor` wired to each (``for_simulation`` /
-``for_frontend``) must produce *equivalent* ``HealthSnapshot`` series:
+(:mod:`tests.simnet`) — and a :class:`ClusterHealthMonitor` built over
+each (the sim's crash set, the live tier's :func:`open_circuits`) must
+produce *equivalent* ``HealthSnapshot`` series:
 identical request/degraded/remap windows, and the same unhealthy-server
 verdict, even though the sim learns it from the crash oracle and the live
 tier from tripped breakers.  This is what lets the closed-loop controller
@@ -21,7 +21,7 @@ from repro import obs
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
-from repro.provisioning.health import ClusterHealthMonitor
+from repro.provisioning.health import ClusterHealthMonitor, open_circuits
 from repro.resilience import FaultPlan, FaultSchedule
 from repro.sim.latency import Constant
 from repro.web.frontend import WebServer
@@ -59,7 +59,9 @@ def sim_stack():
 def run_sim(schedule, transition_to=None):
     """Warm, fault, refetch — observing health before and after."""
     cache, web = sim_stack()
-    monitor = ClusterHealthMonitor.for_simulation(cache, [web])
+    monitor = ClusterHealthMonitor(
+        [web.stats], cache.failed_servers, cache.transitions.in_transition
+    )
     now = 0.0
     for key in KEYS:
         web.fetch(key, now=now)
@@ -82,7 +84,11 @@ async def run_live(schedule, transition_to=None):
     refetching at the sim's refetch time."""
     async with cluster(N_SERVERS) as stack:
         web = stack.web
-        monitor = ClusterHealthMonitor.for_frontend(web)
+        monitor = ClusterHealthMonitor(
+            [web.stats],
+            lambda: open_circuits(web.transport.breakers),
+            web._manager.in_transition,
+        )
         for key in KEYS:
             await web.fetch(key)
         before = monitor.observe(web._clock())
@@ -116,9 +122,8 @@ class TestHealthParity:
         assert_window_parity(sim_after, live_after)
         # Substrate-specific detection, identical verdict: the simulator's
         # crash oracle names the server, the live tier's breaker trips on it.
-        assert sim_after.failed_servers == frozenset({0})
-        assert 0 in live_after.open_servers
-        assert sim_after.unhealthy_servers == live_after.unhealthy_servers
+        assert sim_after.unhealthy_servers == frozenset({0})
+        assert live_after.unhealthy_servers == frozenset({0})
         assert not sim_after.healthy and not live_after.healthy
 
     def test_mid_transition_windows_agree(self):
@@ -132,6 +137,8 @@ class TestHealthParity:
         assert_window_parity(sim_after, live_after)
         assert sim_after.in_transition and live_after.in_transition
         assert sim_after.remap_misses == 0
+        assert sim_after.unhealthy_servers == frozenset({2})
+        assert live_after.unhealthy_servers == frozenset({2})
 
     def test_faultless_transition_remap_signal_agrees(self):
         # A healthy 3 -> 2 transition: moved keys *do* pull from the old

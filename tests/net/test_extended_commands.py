@@ -110,7 +110,7 @@ class TestConcat:
     def test_append(self):
         async def body(server, client):
             await client.set("k", b"hello")
-            assert await client.append("k", b" world")
+            assert await client.set_multi([("k", b" world")], verb="append") == 1
             assert await client.get("k") == b"hello world"
 
         run(with_server(body))
@@ -126,7 +126,7 @@ class TestConcat:
 
     def test_concat_on_missing_key_not_stored(self):
         async def body(server, client):
-            assert not await client.append("ghost", b"x")
+            assert await client.set_multi([("ghost", b"x")], verb="append") == 0
             assert await command(
                 client, b"prepend ghost 0 0 1\r\nx\r\n"
             ) == b"NOT_STORED"
@@ -136,7 +136,7 @@ class TestConcat:
     def test_concat_keeps_digest_consistent(self):
         async def body(server, client):
             await client.set("k", b"a")
-            await client.append("k", b"b")
+            await client.set_multi([("k", b"b")], verb="append")
             assert server.digest.count == 1  # replace, not duplicate insert
             assert "k" in server.digest
 

@@ -20,7 +20,7 @@ from repro.core.retrieval import SERVER_UNAVAILABLE, FetchPath
 from repro.errors import ServerBusyError, TransportError
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
-from repro.resilience import AdmissionController, Deadline, ResiliencePolicy
+from repro.resilience import Deadline, ResiliencePolicy
 from tests.net.scripted import make
 
 CFG = optimal_config(2000)
@@ -115,10 +115,10 @@ class TestTransportStats:
         }
 
 
-class _DenyAll(AdmissionController):
+class _DenyAll:
     """Refuse every DB read — the deterministic overload oracle."""
 
-    def _admit(self, now):
+    def admit_db(self, now):
         return False
 
 
@@ -153,7 +153,6 @@ class TestLiveAdmission:
                 assert web.stats.shed == 1
                 assert web.stats.total - web.stats.shed == web.stats.total - 1
                 assert web.transport_stats()["shed_fetches"] == 1
-                assert web.engine.admission.shed == 1
             finally:
                 await web.close()
                 await server.stop()

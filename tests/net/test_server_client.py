@@ -58,8 +58,8 @@ class TestBasicCommands:
 
     def test_add_and_replace_semantics(self):
         async def body(server, client):
-            assert await client.add("k", b"1") is True
-            assert await client.add("k", b"2") is False
+            assert await client.set_multi([("k", b"1")], verb="add") == 1
+            assert await client.set_multi([("k", b"2")], verb="add") == 0
             assert await client.get("k") == b"1"
             await client.delete("k")
             # replace on absent key fails

@@ -129,7 +129,7 @@ class TestSetAndDigestRideTheSameArmor:
             transport, _, client = make(TransportError("reset"), 1)
             assert await transport.set_multi(0, [("k", b"v")]) == 1
             assert client.exchanges == 2
-            assert transport.breakers[0].consecutive_failures == 0
+            assert transport.breakers[0]._consecutive_failures == 0
 
         run(body())
 
@@ -138,7 +138,7 @@ class TestSetAndDigestRideTheSameArmor:
             transport, _, client = make(TransportError("reset"), 1)
             assert await transport.delete_multi(0, ["k"]) == 1
             assert client.exchanges == 2  # one key: one exchange a try
-            assert transport.breakers[0].consecutive_failures == 0
+            assert transport.breakers[0]._consecutive_failures == 0
 
         run(body())
 

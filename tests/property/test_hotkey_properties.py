@@ -95,7 +95,6 @@ def test_estimates_never_underestimate(data):
         truth[key] = truth.get(key, 0) + 1
     for key, count in truth.items():
         assert sketch.estimate(key) >= count
-    assert sketch.observations == len(stream)
 
 
 @given(

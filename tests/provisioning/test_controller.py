@@ -187,7 +187,7 @@ class TestHealthFeedback:
         # the measured delay still looks fine (degraded path is fast).
         new = ctl.update(
             0.1, arrival_rate=500.0,
-            health=health(open_servers=frozenset({1})),
+            health=health(unhealthy_servers=frozenset({1})),
         )
         assert new == 4  # required ceil(500/180)=3 healthy + 1 lost
         assert decisions(timeline) == [emergency(3, 4, "lost")]
@@ -197,7 +197,7 @@ class TestHealthFeedback:
         ctl.reset(3)
         new = ctl.update(
             0.1, arrival_rate=500.0,
-            health=health(failed_servers=frozenset({0})),
+            health=health(unhealthy_servers=frozenset({0})),
         )
         assert new == 4
         assert decisions(timeline) == [emergency(3, 4, "lost")]
@@ -206,7 +206,7 @@ class TestHealthFeedback:
         ctl = controller(per_server_rate=200.0)
         ctl.reset(6)
         # 5 healthy already cover the load: no forced growth, slot after slot.
-        snap = health(open_servers=frozenset({1}))
+        snap = health(unhealthy_servers=frozenset({1}))
         for _ in range(5):
             new = ctl.update(0.1, arrival_rate=500.0, health=snap)
         assert new == 6
@@ -220,7 +220,7 @@ class TestHealthFeedback:
         # server 7 is powered off anyway: no capacity was lost.
         new = ctl.update(
             0.1, arrival_rate=500.0,
-            health=health(open_servers=frozenset({7})),
+            health=health(unhealthy_servers=frozenset({7})),
         )
         assert new == 3
 
@@ -235,7 +235,7 @@ class TestHealthFeedback:
     def test_scale_down_vetoed_while_unhealthy(self, timeline):
         ctl = controller(per_server_rate=200.0)
         ctl.reset(5)
-        snap = health(open_servers=frozenset({9}))
+        snap = health(unhealthy_servers=frozenset({9}))
         # delay-only would drop a server (light load, low delay).
         assert ctl.update(0.05, arrival_rate=100.0, health=snap) == 5
         assert decisions(timeline) == [veto(5, 4, "unhealthy")]

@@ -17,7 +17,6 @@ class TestVirtualQueueAdmission:
         admission.db_finished(completed=2.0)
         # Two reads still outstanding on the virtual clock: refuse.
         assert not admission.admit_db(now=0.5)
-        assert admission.shed == 1
         assert admission.depth(now=0.5) == 2.0
 
     def test_virtual_completions_free_slots(self):
@@ -47,4 +46,4 @@ class TestVirtualQueueAdmission:
         # A driver with no clock (now=None) gets zero behaviour change.
         assert admission.admit_db(now=None)
         assert admission.admit_db(now=None)
-        assert admission.shed == 0
+        assert admission.depth(now=0.0) == 0.0  # nothing was counted

@@ -33,7 +33,6 @@ class TestTripCycle:
         assert breaker.state(0.2) is BreakerState.OPEN
         assert not breaker.allow(0.2)
         assert breaker.trips == 1
-        assert breaker.rejections == 1
 
     def test_reset_timeout_admits_half_open_probes(self):
         breaker = make(threshold=1, reset=1.0)
@@ -123,49 +122,3 @@ class TestFaultScheduleVocabulary:
             (1.0, 0, None), (3.0, 2, 4.0),
         ]
         assert FaultSchedule().crashes() == []
-
-
-class TestSnapshots:
-    def test_closed_snapshot(self):
-        breaker = make(threshold=2)
-        breaker.record_failure(now=0.0)
-        snap = breaker.snapshot(0.1)
-        assert snap.state is BreakerState.CLOSED
-        assert snap.open_since is None
-        assert snap.consecutive_failures == 1
-
-    def test_open_snapshot_carries_trip_time(self):
-        breaker = make(threshold=2, reset=1.0)
-        breaker.record_failure(now=0.0)
-        breaker.record_failure(now=0.3)
-        snap = breaker.snapshot(0.4)
-        assert snap.state is BreakerState.OPEN
-        assert snap.open_since == 0.3
-        assert snap.trips == 1
-
-    def test_snapshot_advances_due_half_open(self):
-        breaker = make(threshold=1, reset=1.0)
-        breaker.record_failure(now=0.0)
-        snap = breaker.snapshot(2.0)  # past the reset timeout
-        # already probing its way back, so no longer OPEN
-        assert snap.state is BreakerState.HALF_OPEN
-
-    def test_snapshot_is_frozen(self):
-        import dataclasses
-
-        snap = make().snapshot(0.0)
-        try:
-            snap.trips = 99
-        except dataclasses.FrozenInstanceError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("snapshot must be immutable")
-
-    def test_policy_health_maps_fleet_by_position(self):
-        breakers = [make(threshold=1) for _ in range(3)]
-        breakers[1].record_failure(now=0.0)
-        report = ResiliencePolicy.health(breakers, now=0.1)
-        assert set(report) == {0, 1, 2}
-        assert report[1].state is BreakerState.OPEN
-        assert report[0].state is BreakerState.CLOSED
-        assert report[2].state is BreakerState.CLOSED

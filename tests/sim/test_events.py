@@ -117,5 +117,4 @@ class TestEventLoop:
     def test_dispatched_counter(self):
         loop = EventLoop()
         loop.schedule_at(0.0, lambda: None)
-        loop.run()
-        assert loop.dispatched == 1
+        assert loop.run() == 1

@@ -274,4 +274,4 @@ class TestOverloadArmorKnobs:
         async def db(key):
             return b"v"
 
-        assert make().build_frontend(db).admission is None
+        assert make().build_frontend(db).engine.admission is None

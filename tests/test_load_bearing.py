@@ -1,7 +1,8 @@
 """Load-bearing audit: every module is reached from a real entry point,
 every package re-export is imported through that package by someone,
-every constructor parameter with a default is set by someone, and every
-public method is referenced by code that runs.
+every constructor parameter with a default is set by someone, every
+public method is referenced by code that runs, and every public
+attribute is read by it.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
@@ -10,8 +11,9 @@ needs (:func:`_is_root`; ``benchmarks/e2e`` and the bench helpers always)
 and every example — and never ``tests/``: a module only its own tests
 import is not load-bearing.  The walks are static ``ast`` passes, so
 they cost nothing and cannot be fooled by import side effects; the module
-walk has no allow-list, on purpose, and the parameter and method gates'
-(``KEPT``, ``KEPT_METHODS``) can only shrink.
+walk has no allow-list, on purpose, and the parameter, method and
+attribute gates' (``KEPT``, ``KEPT_METHODS``, ``KEPT_ATTRIBUTES``) can
+only shrink.
 """
 
 import ast
@@ -450,35 +452,34 @@ KEPT_METHODS = {
         "ROADMAP item 5 builds the sim driver's router from the same "
         "config file"
     ),
-    "ClusterHealthMonitor.for_frontend": (
-        "ROADMAP item 11 runs the provisioning loop against the live tier"
-    ),
 }
 
 
-def _names(path: Path) -> Iterator[str]:
-    """Every name *path* references: attributes, names, identifier string
+def _names(path: Path) -> Iterator[Tuple[str, bool]]:
+    """Every name *path* references — attributes, names, identifier string
     constants (``getattr``), and the method of a ``"module:Class.method"``
-    string."""
+    string — and whether the reference reads it (a string always does;
+    an assignment target, ``+=`` included, does not)."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, isinstance(node.ctx, ast.Load)
         elif isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, isinstance(node.ctx, ast.Load)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                yield node.value
+                yield node.value, True
             elif _BOUND.match(node.value):
-                yield node.value.rsplit(".", 1)[-1]
+                yield node.value.rsplit(".", 1)[-1], True
 
 
 @functools.lru_cache(maxsize=None)
-def _referenced() -> Set[str]:
+def _referenced(reads_only: bool) -> Set[str]:
     return {
         name
         for tree in CALLERS
         for path in (REPO / tree).rglob("*.py")
-        for name in _names(path)
+        for name, read in _names(path)
+        if read or not reads_only
     }
 
 
@@ -507,6 +508,25 @@ def _public_methods() -> Iterator[str]:
                 yield f"{node.name}.{item.name}"
 
 
+def _audit(
+    members: Iterator[str], names: Set[str], kept: Dict[str, str], verb: str
+) -> None:
+    """Fail on each ``Class.member`` of *members* whose name is not in
+    *names* and not in *kept*, and on each entry of *kept* that is gone or
+    whose name now is."""
+    members = set(members)
+    unused = sorted(
+        m for m in members if m.rsplit(".", 1)[1] not in names and m not in kept
+    )
+    assert not unused, (
+        "no code in " + ", ".join(f"{t}/" for t in CALLERS) + f" {verb} {unused}"
+    )
+    stale = sorted(
+        m for m in kept if m not in members or m.rsplit(".", 1)[1] in names
+    )
+    assert not stale, f"the allow-list lists {stale}: drop the entry"
+
+
 def test_every_public_method_is_called_outside_the_tests():
     """A method only tests call is API nobody runs: delete it, with the
     tests that alone kept it alive, or list it in ``KEPT_METHODS`` with the
@@ -514,18 +534,52 @@ def test_every_public_method_is_called_outside_the_tests():
     method is referenced with its base's, and a method sharing a name with
     a live one (a client verb named like a store method) slips through:
     audit those by hand."""
-    referenced = _referenced()
-    methods = set(_public_methods())
-    uncalled = sorted(
-        m for m in methods
-        if m.rsplit(".", 1)[1] not in referenced and m not in KEPT_METHODS
+    _audit(
+        _public_methods(), _referenced(reads_only=False), KEPT_METHODS,
+        "references",
     )
-    assert not uncalled, (
-        "no code in " + ", ".join(f"{t}/" for t in CALLERS)
-        + f" references {uncalled}"
+
+
+#: "Class.attribute" -> why it stays though nothing reads it by name; an
+#: entry that gains a reader fails the gate, so this can only shrink
+KEPT_ATTRIBUTES = {
+    "FetchResult.old_server": (
+        "the ring-0 old owner of a remapped key, part of the one result "
+        "both substrates return: the sim-vs-live and batch-vs-scalar "
+        "parity suites compare it key by key"
+    ),
+}
+
+
+def _public_attributes() -> Iterator[str]:
+    """``Class.attribute`` for every public attribute a class under
+    ``src/repro`` assigns on ``self`` in its body, and every field a
+    dataclass declares."""
+    for _, node in _class_defs():
+        names = set()
+        if dataclasses.is_dataclass(_classes()[node.name]):
+            names.update(
+                item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+            )
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Attribute) and isinstance(
+                inner.ctx, ast.Store
+            ) and getattr(inner.value, "id", None) == "self":
+                names.add(inner.attr)
+        yield from (
+            f"{node.name}.{name}" for name in names if not name.startswith("_")
+        )
+
+
+def test_every_public_attribute_is_read_outside_the_tests():
+    """An attribute nothing reads is a counter or a record field kept for
+    nobody: delete it with its writes, or list it in ``KEPT_ATTRIBUTES``
+    with the reason it stays.  A read is a load of the name (``x.attr``,
+    ``getattr(x, "attr")``) anywhere in :data:`CALLERS`; an assignment
+    and ``+=`` are not reads.  Matching is by name, as for methods."""
+    _audit(
+        _public_attributes(), _referenced(reads_only=True), KEPT_ATTRIBUTES,
+        "reads",
     )
-    stale = sorted(
-        m for m in KEPT_METHODS
-        if m not in methods or m.rsplit(".", 1)[1] in referenced
-    )
-    assert not stale, f"KEPT_METHODS lists {stale}: drop the entry"

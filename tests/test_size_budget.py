@@ -1,8 +1,8 @@
 """Line-count budget for the placement stack, the Algorithm-2 core, its
 transition manager and hot-key armor, its two drivers, the live
 transport, pool, parser and client, the cache node's store and both
-servers, the simulated testbed with its one experiment runner, and the
-tree.
+servers, the simulated testbed with its one experiment runner, the
+health monitor, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -21,26 +21,27 @@ CEILINGS = {
     "core/ring.py": 316,
     "core/placement.py": 152,
     "core/router.py": 372,
-    "core/hotkey.py": 313,
+    "core/hotkey.py": 278,
     "core/transition.py": 262,
     "core/retrieval.py": 795,
-    "web/frontend.py": 231,
-    "net/webtier.py": 358,
+    "web/frontend.py": 226,
+    "net/webtier.py": 353,
     "net/transport.py": 307,
     "net/parser.py": 482,
-    "net/client.py": 560,
+    "net/client.py": 550,
     "net/pool.py": 197,
     "experiments/testbed.py": 744,
     "config.py": 181,
     "provisioning/actuator.py": 68,
+    "provisioning/health.py": 177,
     "cache/store.py": 277,
-    "cache/server.py": 154,
+    "cache/server.py": 150,
     "cache/item.py": 46,
     "cache/stats.py": 33,
     "net/server.py": 454,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 12_029
+TREE_CEILING = 11_794
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

@@ -210,16 +210,16 @@ class TestAdmissionControl:
     def test_virtual_queue_drains_with_time(self):
         cache, db, web = self.build_admitted(max_depth=1, db_latency=0.05)
         web.fetch("page:a", now=0.0)
-        assert web.admission.depth(0.01) == 1.0
+        assert web.engine.admission.depth(0.01) == 1.0
         assert web.fetch("page:b", now=0.0).path is FetchPath.SHED
         # Past the admitted read's completion the slot frees up.
-        assert web.admission.depth(1.0) == 0.0
+        assert web.engine.admission.depth(1.0) == 0.0
         later = web.fetch("page:b", now=1.0)
         assert later.path is FetchPath.MISS_DB
 
     def test_no_admission_means_zero_behaviour_change(self):
         cache, db, web = build()
-        assert web.admission is None
+        assert web.engine.admission is None
         result = web.fetch("page:a", now=0.0)
         assert result.path is FetchPath.MISS_DB
         assert web.stats.shed == 0
