@@ -37,7 +37,7 @@ COLD_KEYS = 300
 def run_strategy(strategy: str):
     cache = CacheCluster(
         ProteusRouter(6, ring_size=2 ** 24), capacity_bytes=4096 * 5000,
-        initial_active=6, ttl=120.0, bloom_config=CFG,
+        initial_active=6, bloom_config=CFG,
     )
     db = DatabaseCluster(3)
     web = WebServer(0, cache, db)
@@ -47,7 +47,7 @@ def run_strategy(strategy: str):
         web.fetch(key, t)
         t += 0.01
     db_before = db.total_requests()
-    transition = cache.scale_to(5, now=t)
+    transition = cache.scale_to(5, t, 120.0)
     if strategy == "straight-db":
         transition.digests.clear()  # no digest -> Algorithm 2 skips the old server
     elif strategy == "always-old":

@@ -29,7 +29,7 @@ REPLICAS = [1, 2, 3]
 def run_crash(replicas: int) -> dict:
     cache = CacheCluster(
         ProteusRouter(N, 2 ** 24, replicas=replicas),
-        capacity_bytes=4096 * 5000, ttl=60.0, bloom_config=CFG,
+        capacity_bytes=4096 * 5000, bloom_config=CFG,
     )
     db = DatabaseCluster(4)
     web = WebServer(0, cache, db)

@@ -39,7 +39,7 @@ OBSERVE = 60.0  # seconds of traffic after the transition
 def run_ttl(ttl: float) -> dict:
     cache = CacheCluster(
         ProteusRouter(4, ring_size=2 ** 24), capacity_bytes=4096 * 5000,
-        initial_active=4, ttl=ttl, bloom_config=CFG,
+        initial_active=4, bloom_config=CFG,
     )
     db = DatabaseCluster(3)
     web = WebServer(0, cache, db)
@@ -53,7 +53,7 @@ def run_ttl(ttl: float) -> dict:
         web.fetch(user.next_key(), t)
         t += 0.025
     db_before = db.total_requests()
-    cache.scale_to(3, now=t)
+    cache.scale_to(3, t, ttl)
     end = t + OBSERVE
     while t < end:
         cache.finalize_expired(t)

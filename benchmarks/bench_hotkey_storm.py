@@ -77,9 +77,7 @@ def _schedule() -> List[str]:
 
 def run_scenario(armored: bool) -> Dict[str, object]:
     router = ProteusRouter(NUM_SERVERS, 2 ** 20, replicas=REPLICAS)
-    cluster = CacheCluster(
-        router, bloom_config=optimal_config(CATALOGUE), ttl=DRAIN_TTL
-    )
+    cluster = CacheCluster(router, bloom_config=optimal_config(CATALOGUE))
     database = DatabaseCluster(4, service_model=Constant(0.002), seed=SEED)
     config = RetrievalConfig(
         hot_key_cache=armored, hot_key_ttl=HOT_TTL
@@ -99,7 +97,7 @@ def run_scenario(armored: bool) -> Dict[str, object]:
     scaled = False
     for index, key in enumerate(_schedule()):
         if not scaled and index == REQUESTS // 2:
-            cluster.scale_to(ACTIVE_AFTER, now)  # storm rides the drain
+            cluster.scale_to(ACTIVE_AFTER, now, DRAIN_TTL)  # storm rides the drain
             scaled = True
         result = web.fetch(key, now)
         latencies.append(result.latency)

@@ -41,7 +41,7 @@ def run_sim(size: int, use_batch: bool):
     """(cache round trips, virtual seconds) per warm logical page."""
     cache = CacheCluster(
         ProteusRouter(NUM_SERVERS), capacity_bytes=4096 * 4000,
-        ttl=60.0, bloom_config=CFG,
+        bloom_config=CFG,
     )
     db = DatabaseCluster(2, service_model=Constant(0.005))
     web = WebServer(

@@ -328,7 +328,6 @@ def _run_scenario(armored: bool) -> Dict[str, object]:
         ProteusRouter(NUM_CACHE),
         capacity_bytes=4096 * 4000,
         initial_active=NUM_CACHE,
-        ttl=DRAIN_TTL,
         bloom_config=BLOOM,
     )
     database = DatabaseCluster(NUM_DB_SHARDS, seed=SEED)
@@ -398,7 +397,9 @@ def _run_scenario(armored: bool) -> Dict[str, object]:
         # worst case: a drain window plus a flash crowd plus retries).
         split = int(SCALE_DOWN_AFTER * STORM_RATE)
         client.run(storm_arrivals[:split], on_slot=on_slot)
-        cache.scale_to(NUM_CACHE - 1, now=storm_start + SCALE_DOWN_AFTER)
+        cache.scale_to(
+            NUM_CACHE - 1, storm_start + SCALE_DOWN_AFTER, DRAIN_TTL
+        )
         client.run(storm_arrivals[split:], on_slot=on_slot)
     # The storm window includes retries fired inside it, keyed by time.
     storm = [

@@ -26,7 +26,7 @@ HOT_KEYS = 800
 
 def run(replicas: int) -> dict:
     router = ProteusRouter(NUM_SERVERS, replicas=replicas)
-    cache = CacheCluster(router, capacity_bytes=4096 * 20_000, ttl=60.0)
+    cache = CacheCluster(router, capacity_bytes=4096 * 20_000)
     database = DatabaseCluster()
     web = WebServer(0, cache, database)
 

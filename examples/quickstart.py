@@ -45,7 +45,7 @@ def main() -> None:
           f"(lower bound {float(migration_lower_bound(6, 5)):.3%})")
 
     # 3. Smooth transition: the database tier never notices.
-    cache = CacheCluster(router, capacity_bytes=4096 * 20_000, ttl=60.0)
+    cache = CacheCluster(router, capacity_bytes=4096 * 20_000)
     database = DatabaseCluster()
     web = WebServer(0, cache, database)
 
@@ -56,7 +56,7 @@ def main() -> None:
         clock += 0.01
     db_reads_before = database.total_requests()
 
-    cache.scale_to(5, now=clock)  # digests broadcast, server 5 drains
+    cache.scale_to(5, clock, 60.0)  # digests broadcast, server 5 drains
     outcomes = Counter(web.fetch(key, clock + 1.0).path for key in hot)
     print("After the scale-down, the same 500 hot keys were served via:")
     for path, count in sorted(outcomes.items(), key=lambda kv: -kv[1]):

@@ -56,9 +56,10 @@ def main() -> None:
     reports = {}
     for spec in (ScenarioSpec.naive(), ScenarioSpec.proteus()):
         print(f"\nRunning the {spec.name} scenario ...")
-        # One testbed per scenario: 8 cache servers, a 40 s drain window.
+        # One testbed per scenario: 8 cache servers, a 40 s drain window
+        # (none for Naive's abrupt transitions).
         testbed = SimTestbed(
-            sizing, spec.router_factory(8), ttl=40.0, smooth=spec.smooth
+            sizing, spec.router_factory(8), ttl=40.0 if spec.smooth else 0.0
         )
         reports[spec.name] = testbed.run(
             users, SLOT_SECONDS, schedule, plot_slots=20, warmup_seconds=20.0

@@ -2,8 +2,8 @@
 
 Glue between :class:`~repro.cache.server.CacheServer` instances, a routing
 strategy, and the :class:`~repro.core.transition.TransitionManager`.  The
-provisioning actuator calls :meth:`scale_to`; web servers call
-:meth:`routing_epochs` — the epoch source for the sans-IO
+experiment runner calls :meth:`scale_to` at each slot boundary; web
+servers call :meth:`routing_epochs` — the epoch source for the sans-IO
 :class:`~repro.core.retrieval.RetrievalEngine` they drive — and
 :meth:`server` on every request.
 
@@ -17,24 +17,19 @@ Power-state choreography for a scale-down ``n -> n-k`` (Section IV):
 
 For a scale-up, the incoming servers power on cold immediately; the old
 owners' digests cover the drain window so remapped keys are fetched from
-their previous owners instead of the database.
+their previous owners instead of the database.  A transition with a zero
+TTL is abrupt (Table II's Naive and Consistent): no digests, and the
+window closes as it opens.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.cache.server import CacheServer, PowerState
 from repro.core.router import Router
-from repro.core.transition import (
-    DEFAULT_TTL,
-    RoutingEpochs,
-    Transition,
-    TransitionManager,
-)
-from repro.errors import ConfigurationError, TransitionError
+from repro.core.transition import RoutingEpochs, Transition, TransitionManager
 
 
 class CacheCluster:
@@ -44,7 +39,6 @@ class CacheCluster:
         router: the scenario's routing strategy (its ``num_servers`` fixes N).
         capacity_bytes: per-server store capacity.
         initial_active: ``n(0)``; servers beyond it start OFF.
-        ttl: drain-window length for transitions.
         bloom_config: digest sizing shared by all servers.
     """
 
@@ -53,17 +47,14 @@ class CacheCluster:
         router: Router,
         capacity_bytes: Optional[int] = None,
         initial_active: Optional[int] = None,
-        ttl: float = DEFAULT_TTL,
         bloom_config: Optional[BloomConfig] = None,
     ) -> None:
         self.router = router
         num_servers = router.num_servers
         if initial_active is None:
             initial_active = num_servers
-        if not 1 <= initial_active <= num_servers:
-            raise ConfigurationError(
-                f"initial_active must be in [1, {num_servers}], got {initial_active}"
-            )
+        self.transitions = TransitionManager(initial_active, num_servers)
+        self.transitions.on_power_off.append(self._power_off_servers)
         self.servers: List[CacheServer] = [
             CacheServer(
                 server_id=i,
@@ -73,8 +64,6 @@ class CacheCluster:
             )
             for i in range(num_servers)
         ]
-        self.transitions = TransitionManager(initial_active, ttl=ttl)
-        self.transitions.on_power_off.append(self._power_off_servers)
         self._failed: set = set()
 
     # ------------------------------------------------------------- access
@@ -107,81 +96,44 @@ class CacheCluster:
 
     # ------------------------------------------------------------ scaling
 
-    def collect_digests(self, server_ids: List[int]) -> Dict[int, BloomFilter]:
-        """Snapshot digests of *server_ids* (the broadcast payload)."""
-        return {
-            sid: self.servers[sid].snapshot_digest()
-            for sid in server_ids
-            if self.servers[sid].state.serves_requests
-        }
+    def scale_to(
+        self, n_new: int, now: float, ttl: float
+    ) -> Optional[Transition]:
+        """Begin a transition to *n_new* active servers with a *ttl* drain
+        window.
 
-    def scale_to(self, n_new: int, now: float) -> Optional[Transition]:
-        """Begin a smooth transition to *n_new* active servers.
-
-        Digests are snapshot from the *ceding* servers — the old-mapping
-        owners the router reports may lose keys
-        (:meth:`~repro.core.router.Router.ceding_servers`).  For a ring
-        router's scale-down that is exactly the draining servers; routers
-        without tighter metadata fall back to every old owner.  Scale-up powers the
-        incoming servers on cold before routing flips; scale-down marks the
-        outgoing servers DRAINING until the TTL closes.
+        A smooth one (``ttl > 0``) first snapshots the digests of the
+        *ceding* servers — the old-mapping owners the router reports may
+        lose keys (:meth:`~repro.core.router.Router.ceding_servers`); for a
+        ring router's scale-down that is exactly the draining servers.
+        Scale-up powers the incoming servers on cold before routing flips;
+        scale-down marks the outgoing servers DRAINING until the TTL
+        closes.  An abrupt one (``ttl == 0``) broadcasts nothing and powers
+        the outgoing servers off on the spot, losing their hot data: misses
+        the remap causes go straight to the database, the Fig. 9 spike.
 
         Returns the started :class:`Transition`, or ``None`` for a no-op.
         """
-        return self._begin(n_new, now, smooth=True)
-
-    def abrupt_scale_to(self, n_new: int, now: float) -> Optional[Transition]:
-        """Change the active count with *no* smooth transition.
-
-        This is how the Naive and Consistent scenarios (Table II) provision:
-        no digest broadcast, no drain window — outgoing servers power off on
-        the spot (losing their hot data), incoming servers power on cold,
-        and routing flips instantly.  Misses caused by the remap go straight
-        to the database; this is the Fig. 9 spike mechanism.
-        """
-        transition = self._begin(n_new, now, smooth=False)
-        if transition is not None:
-            self.transitions.force_complete(now)  # powers draining servers off
-        return transition
-
-    def _begin(
-        self, n_new: int, now: float, smooth: bool
-    ) -> Optional[Transition]:
-        """The steps both transitions share: check *n_new*, power the
-        joining servers on cold, begin, and mark the leaving servers
-        DRAINING.  A *smooth* transition first snapshots the ceding
-        servers' digests."""
-        if not 1 <= n_new <= self.num_servers:
-            raise TransitionError(
-                f"n_new must be in [1, {self.num_servers}], got {n_new}"
-            )
-        n_old = self.transitions.active_count
-        if n_new == n_old:
+        if not self.transitions.check(n_new, now, ttl):
             return None
-        # Reject overlap BEFORE touching power states: powering servers on
-        # first and then failing begin() would flush a draining server.
-        if self.transitions.in_transition(now):
-            raise TransitionError(
-                "previous drain window still open; finalize it first"
-            )
-        ceding = digests = None
-        if smooth:
-            ceding = self.router.ceding_servers(n_old, n_new)
-            digests = self.collect_digests(ceding)
+        n_old = self.transitions.active_count
+        digests = {}
+        if ttl > 0:
+            digests = {
+                sid: self.servers[sid].snapshot_digest()
+                for sid in self.router.ceding_servers(n_old, n_new)
+                if self.servers[sid].state.serves_requests
+            }
         for sid in range(n_old, n_new):
-            # A crashed machine ignores the actuator's power-on; it joins
-            # the fleet only after repair_server().
+            # A crashed machine ignores the power-on; it joins the fleet
+            # only after repair_server().
             if sid not in self._failed:
                 self.servers[sid].power_on(now)
-        transition = self.transitions.begin(
-            n_new, now, digests=digests, ceding=ceding
-        )
-        if transition is not None and transition.is_scale_down:
-            for sid in transition.draining_servers():
-                # Crashed servers are already OFF; they have nothing to drain.
-                if self.servers[sid].state is PowerState.ON:
-                    self.servers[sid].begin_drain()
-        return transition
+        for sid in range(n_new, n_old):
+            # Crashed servers are already OFF; they have nothing to drain.
+            if self.servers[sid].state is PowerState.ON:
+                self.servers[sid].begin_drain()
+        return self.transitions.begin(n_new, now, ttl, digests)
 
     def finalize_expired(self, now: float) -> None:
         """Close any drain window whose TTL has passed (drives power-off)."""

@@ -3,7 +3,7 @@
 Mirrors the paper's modified memcached (Section V-A3): the store updates the
 digest exactly when it links or unlinks an item, so it is consistent with
 cache contents by construction.  The server also models the power states
-the provisioning actuator drives it through::
+``CacheCluster.scale_to`` drives it through::
 
     OFF --power_on--> ON --begin_drain--> DRAINING --power_off--> OFF
 

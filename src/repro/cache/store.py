@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.bloom.counting import CountingBloomFilter
@@ -88,11 +88,6 @@ class KeyValueStore:
     def used_bytes(self) -> int:
         """Accounting bytes currently stored."""
         return self._used_bytes
-
-    def keys(self) -> Iterator[str]:
-        """Iterate current keys, least recently used first (snapshot not
-        guaranteed under mutation)."""
-        return iter(self._items)
 
     def peek(self, key: str) -> Optional[CacheItem]:
         """Item for *key* without touching recency or stats; None if absent."""

@@ -175,11 +175,6 @@ class HashRing:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    @property
-    def nodes(self) -> List[VirtualNode]:
-        """Virtual nodes in ring (position) order."""
-        return list(self._nodes)
-
     def servers(self) -> List[int]:
         """Distinct server ids present on the ring, ascending."""
         return sorted({node.server for node in self._nodes})

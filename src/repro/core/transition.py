@@ -27,12 +27,7 @@ from typing import Callable, Dict, List, Optional
 from repro import obs
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.hashing import SCALAR_BATCH_MAX
-from repro.errors import TransitionError
-
-#: Default drain window.  The paper defines "hot" as touched within the last
-#: TTL seconds; 60 simulated seconds keeps benchmark runs short while leaving
-#: the ratio TTL >> inter-arrival time realistic.
-DEFAULT_TTL = 60.0
+from repro.errors import ConfigurationError, TransitionError
 
 
 @dataclass
@@ -46,10 +41,6 @@ class Transition:
         ttl: drain-window length; old owners stay queryable until
             ``started_at + ttl``.
         digests: per-server digest snapshots broadcast at the start.
-        ceding: old-mapping owners that may lose keys in this transition,
-            as reported by the router
-            (:meth:`~repro.core.router.Router.ceding_servers`), or
-            ``None`` when the initiator did not supply the hint.
     """
 
     n_old: int
@@ -57,7 +48,6 @@ class Transition:
     started_at: float
     ttl: float
     digests: Dict[int, BloomFilter] = field(default_factory=dict)
-    ceding: Optional[List[int]] = None
 
     @property
     def deadline(self) -> float:
@@ -71,20 +61,6 @@ class Transition:
     def draining_servers(self) -> List[int]:
         """Servers that power off when the window closes (scale-down only)."""
         return list(range(self.n_new, self.n_old)) if self.is_scale_down else []
-
-    def ceding_servers(self) -> List[int]:
-        """Old owners whose keys may have moved — the digest-consult set.
-
-        The router's ceding set when the initiator supplied it (see
-        :meth:`TransitionManager.begin`); otherwise the conservative
-        every-old-owner set, which is correct for any routing scheme.
-        Distinct from :meth:`draining_servers`, the *physical* power-off
-        set: on scale-up nothing drains but low-numbered servers still
-        cede ranges to the newcomers.
-        """
-        if self.ceding is not None:
-            return list(self.ceding)
-        return list(range(self.n_old))
 
     def expired(self, now: float) -> bool:
         """True once the drain window has closed."""
@@ -118,22 +94,23 @@ class Transition:
 
 
 class TransitionManager:
-    """Tracks the current transition epoch for one cache cluster.
+    """Tracks the current transition epoch for one cache cluster of
+    *num_servers* servers, ``initial_active`` of them active.
 
     A new transition may begin only after the previous drain window has
     closed — the paper's provisioning loop runs every 30 minutes with a TTL
     of seconds, so overlap indicates a driver bug and raises
-    :class:`TransitionError`.
+    :class:`TransitionError`.  A transition with ``ttl == 0`` is abrupt
+    (Table II's Naive and Consistent): its window closes as it opens.
     """
 
-    def __init__(self, initial_active: int, ttl: float = DEFAULT_TTL) -> None:
-        if initial_active < 1:
-            raise TransitionError(
-                f"initial_active must be >= 1, got {initial_active}"
+    def __init__(self, initial_active: int, num_servers: int) -> None:
+        if not 1 <= initial_active <= num_servers:
+            raise ConfigurationError(
+                f"initial_active must be in [1, {num_servers}], "
+                f"got {initial_active}"
             )
-        if ttl <= 0:
-            raise TransitionError(f"ttl must be positive, got {ttl}")
-        self.ttl = ttl
+        self.num_servers = num_servers
         #: routing outside a drain window: one frozen record, shared
         self._steady = RoutingEpochs(initial_active, None, None)
         self._current: Optional[Transition] = None
@@ -160,58 +137,72 @@ class TransitionManager:
 
     # ---------------------------------------------------------------- ops
 
-    def begin(
-        self,
-        n_new: int,
-        now: float,
-        digests: Optional[Dict[int, BloomFilter]] = None,
-        ceding: Optional[List[int]] = None,
-    ) -> Optional[Transition]:
-        """Start a transition to *n_new* at time *now*.
+    def check(self, n_new: int, now: float, ttl: float) -> bool:
+        """May a transition to *n_new* with a *ttl* window start at *now*?
 
-        Args:
-            n_new: target active count.
-            now: current simulation time.
-            digests: digest snapshots for the servers web servers may need to
-                consult — the *old owners* of remapped keys.  For scale-down
-                that is (at least) the draining servers; for scale-up, the
-                servers ceding ranges to the newcomers.
-            ceding: the old owners that may lose keys, per the router
-                (:meth:`~repro.core.router.Router.ceding_servers`); stored
-                on the transition so every digest consumer agrees on the
-                consult set.  ``None`` keeps the conservative
-                every-old-owner default.
-
-        Returns:
-            The new :class:`Transition`, or ``None`` when ``n_new`` equals
-            the current count (no-op).
+        The one pre-flight of every driver, run before any side effect
+        (digest snapshot, flush, power change).  Returns ``False`` for a
+        no-op — ``n_new`` is already the active count, even while a window
+        is open, so a schedule that repeats its count never overlaps.
 
         Raises:
-            TransitionError: a previous drain window is still open, or
-                ``n_new`` is out of range.
+            TransitionError: ``n_new`` is outside ``[1, num_servers]``,
+                ``ttl`` is negative, or a previous drain window is still
+                open.
         """
+        if not 1 <= n_new <= self.num_servers:
+            raise TransitionError(
+                f"n_new must be in [1, {self.num_servers}], got {n_new}"
+            )
+        if ttl < 0:
+            raise TransitionError(f"ttl must be >= 0, got {ttl}")
+        if n_new == self._steady.new:
+            return False
         if self.current(now) is not None:
             raise TransitionError(
                 f"transition {self._current.n_old}->{self._current.n_new} "
                 f"still draining until {self._current.deadline}"
             )
-        if n_new < 1:
-            raise TransitionError(f"n_new must be >= 1, got {n_new}")
-        if n_new == self._steady.new:
+        return True
+
+    def begin(
+        self, n_new: int, now: float, ttl: float,
+        digests: Dict[int, BloomFilter],
+    ) -> Optional[Transition]:
+        """Start a transition to *n_new* at time *now* (after :meth:`check`).
+
+        Args:
+            n_new: target active count.
+            now: current time.
+            ttl: drain-window length; ``0`` is an abrupt transition, whose
+                window closes here: ``transition.end`` is emitted at *now*
+                and the leaving servers power off.
+            digests: digest snapshots for the servers web servers may need to
+                consult — the *old owners* of remapped keys
+                (:meth:`~repro.core.router.Router.ceding_servers`); empty
+                for an abrupt transition.
+
+        Returns:
+            The new :class:`Transition`, or ``None`` for a no-op.
+
+        Raises:
+            TransitionError: as :meth:`check`.
+        """
+        if not self.check(n_new, now, ttl):
             return None
         transition = Transition(
             n_old=self._steady.new,
             n_new=n_new,
             started_at=now,
-            ttl=self.ttl,
-            digests=dict(digests or {}),
-            ceding=list(ceding) if ceding is not None else None,
+            ttl=ttl,
+            digests=dict(digests),
         )
         self._current = transition
         self._steady = RoutingEpochs(n_new, None, None)
         obs.emit("transition.begin", now, n_old=transition.n_old,
-                 n_new=n_new, smooth=digests is not None,
-                 digests=sorted(digests or ()))
+                 n_new=n_new, smooth=ttl > 0, digests=sorted(digests))
+        if ttl == 0:
+            self._finish(transition, now)
         return transition
 
     def routing_counts(self, now: float) -> "RoutingEpochs":
@@ -223,12 +214,6 @@ class TransitionManager:
         return RoutingEpochs(
             new=transition.n_new, old=transition.n_old, transition=transition
         )
-
-    def force_complete(self, now: float) -> None:
-        """Close the drain window early (tests / emergency power-down)."""
-        if self._current is None:
-            raise TransitionError("no transition in flight")
-        self._finish(self._current, now)
 
     # ------------------------------------------------------------ internal
 

@@ -118,4 +118,4 @@ class SimulationError(ProteusError):
 
 
 class ProvisioningError(ProteusError):
-    """A provisioning schedule or actuator operation is invalid."""
+    """A provisioning schedule or policy is invalid."""

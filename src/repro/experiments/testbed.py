@@ -35,7 +35,6 @@ from repro.core.router import (
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
 from repro.power.meter import PowerMeter, busy_time_probe, utilization_probe
-from repro.provisioning.actuator import ProvisioningActuator
 from repro.provisioning.controller import DelayFeedbackController
 from repro.provisioning.health import ClusterHealthMonitor
 from repro.provisioning.policies import ProvisioningSchedule, static_schedule
@@ -184,7 +183,7 @@ class RunReport:
 
     def latency_percentiles(self, pct: float = 99.9) -> TimeSeries:
         """Per-plot-slot latency percentile (the Fig. 9 curves)."""
-        return self.latencies.series("pct", pct_rank=pct)
+        return self.latencies.series(pct)
 
     def peak_latency(self, pct: float = 99.9) -> float:
         """Worst per-slot percentile over the run (the spike height)."""
@@ -277,8 +276,8 @@ class SimTestbed:
 
     *sizing* fixes the tiers and the seed; *router* is the scheme under
     test and fixes the fleet size; a transition drains for *ttl* seconds
-    when *smooth* (Proteus) and flips at once otherwise (Naive,
-    Consistent); every web server shares the *retrieval* options.  Every
+    (Proteus), and a zero *ttl* flips it at once (Naive, Consistent);
+    every web server shares the *retrieval* options.  Every
     cache server starts on; :meth:`run` powers the fleet to ``n(0)``.  A
     testbed runs once.
     """
@@ -288,22 +287,20 @@ class SimTestbed:
         sizing: Sizing,
         router: Router,
         ttl: float,
-        smooth: bool = True,
         retrieval: Optional[RetrievalConfig] = None,
     ) -> None:
-        if ttl <= 0:
-            raise ConfigurationError(f"ttl must be > 0, got {ttl}")
+        if ttl < 0:
+            raise ConfigurationError(f"ttl must be >= 0, got {ttl}")
+        self.ttl = ttl
         # Picks a web server per request and staggers first requests.
         self.rng = random.Random(sizing.seed ^ 0xBEEF)
         self.cache = CacheCluster(
             router,
             capacity_bytes=sizing.cache_capacity_bytes,
-            ttl=ttl,
             bloom_config=optimal_config(
                 max(1024, sizing.cache_capacity_bytes // ITEM_SIZE)
             ),
         )
-        self.actuator = ProvisioningActuator(self.cache, smooth=smooth)
         self.database = DatabaseCluster(
             sizing.num_db_shards,
             service_model=Exponential(DB_SERVICE_MEAN),
@@ -468,7 +465,7 @@ class SimTestbed:
                 self._monitor = ClusterHealthMonitor(
                     [web.stats for web in self.webs], self.cache.failed_servers,
                     self.cache.transitions.in_transition)
-        self.cache.abrupt_scale_to(initial, 0.0)  # n(0): the rest stay off
+        self.cache.scale_to(initial, 0.0, 0.0)  # n(0): the rest stay off
         # A schedule changes n on its boundaries, ahead of everything else
         # due there; a controller decides just before one.
         lead = 0.0 if label == "schedule" else 1e-6
@@ -607,13 +604,17 @@ class SimTestbed:
             self._series[name].append(value)
         self._slot_db = self._slot_failovers = 0
         # A schedule step into an open drain window raises; a controller
-        # waits for the window to close.  apply_at arms the power-off
-        # finalization of a smooth transition.
+        # waits for the window to close.
         if isinstance(provisioner, ProvisioningSchedule) or (
             n_next != cache.active_count
             and not cache.transitions.in_transition(now)
         ):
-            self.actuator.apply_at(n_next, self.loop)
+            transition = cache.scale_to(n_next, now, self.ttl)
+            if transition is not None and self.ttl > 0:
+                # Power the drained servers off at the deadline (+epsilon
+                # so the expiry check sees now >= deadline).
+                when = transition.deadline + 1e-9
+                self.loop.schedule_at(when, cache.finalize_expired, when)
 
     def _inject_faults(self, schedule: FaultSchedule, end: float) -> None:
         """Schedule the crash and the repair of every ``kills_server`` entry,
@@ -671,8 +672,7 @@ class ScenarioSpec:
         return SimTestbed(
             sizing,
             self.router_factory(fleet),
-            ttl,
-            smooth=self.smooth,
+            ttl if self.smooth else 0.0,
             retrieval=RetrievalConfig(coalesce_misses=self.coalesce_misses),
         )
 

@@ -11,7 +11,8 @@ standard commands) endpoints:
 * smooth scale-down/up: ``get SET_BLOOM_FILTER`` + ``get BLOOM_FILTER`` on
   every old owner (the digest broadcast, over the wire), then Algorithm 2
   per request until the TTL deadline passes — tracked by the same
-  :class:`~repro.core.transition.TransitionManager` the simulator uses;
+  :class:`~repro.core.transition.TransitionManager` the simulator uses
+  (a zero TTL is an abrupt transition: no broadcast, no drain);
 * dog-pile coalescing (``RetrievalConfig(coalesce_misses=True)``):
   concurrent misses for one key await the leader's DB fetch on an
   :class:`asyncio.Future` instead of issuing duplicate reads;
@@ -46,7 +47,7 @@ from repro.core.retrieval import (
 from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
 from repro.errors import (
-    ConfigurationError, DigestBroadcastError, TransitionError, TransportError,
+    ConfigurationError, DigestBroadcastError, TransportError,
 )
 from repro.net.round import run_round
 from repro.net.transport import CacheTransport
@@ -103,9 +104,7 @@ class AsyncProteusFrontend:
         self.engine = RetrievalEngine(self.router, config=self.config)
         self._clock = clock
         active = len(self.endpoints) if initial_active is None else initial_active
-        if not 1 <= active <= len(self.endpoints):
-            raise ConfigurationError(f"initial_active out of range: {active}")
-        self._manager = TransitionManager(active)
+        self._manager = TransitionManager(active, len(self.endpoints))
         #: key -> future resolved when the leader's write-back lands
         self._inflight: Dict[str, asyncio.Future] = {}
         self.resilience = resilience or ResiliencePolicy.default()
@@ -153,40 +152,38 @@ class AsyncProteusFrontend:
 
     # ----------------------------------------------------------- transitions
 
-    async def scale_to(self, n_new: int, ttl: float) -> Transition:
-        """Begin a smooth transition: broadcast digests, flip routing.
+    async def scale_to(self, n_new: int, ttl: float) -> Optional[Transition]:
+        """Begin a transition to *n_new* with a *ttl* drain window:
+        broadcast digests, flip routing.  Returns ``None`` for a no-op.
 
         The caller is responsible for actually powering servers up/down at
-        the deadline (the actuator's job); the frontend only needs the
-        routing epochs and the digests.
+        the deadline; the frontend only needs the routing epochs and the
+        digests.
 
         Digests are requested only from the *ceding* servers — the old
         owners the router reports may lose keys
         (:meth:`~repro.core.router.Router.ceding_servers`); for Proteus
-        scale-down that is exactly the draining servers.  A scale-up also
-        empties every joining server (:meth:`CacheTransport.flush`), as
-        powering it on would: a copy it kept from before it drained may
-        be stale.  The pass is all-or-nothing: each digest and each flush
-        is one RPC (breaker, retry and budget as for any other), and if
-        any server cannot answer — a dead one's circuit may already be
-        open — :class:`~repro.errors.DigestBroadcastError` (a
+        scale-down that is exactly the draining servers; ``ttl == 0`` is
+        an abrupt transition, with no digests and no drain window.  A
+        scale-up also empties every joining server
+        (:meth:`CacheTransport.flush`), as powering it on would: a copy it
+        kept from before it drained may be stale.  The pass is
+        all-or-nothing: each digest and each flush is one RPC (breaker,
+        retry and budget as for any other), and if any server cannot
+        answer — a dead one's circuit may already be open —
+        :class:`~repro.errors.DigestBroadcastError` (a
         :class:`~repro.errors.TransitionError`) is raised *before* the
         transition manager is armed — routing state rolls back to exactly
         what it was, the failures are reported per server (and as a
-        ``transition.rollback`` event), and the caller may retry.  (Snapshots and flushes on the
-        servers that did answer are harmless: none of them is routed to.)
+        ``transition.rollback`` event), and the caller may retry.
+        (Snapshots and flushes on the servers that did answer are
+        harmless: none of them is routed to.)
         """
-        if not 1 <= n_new <= len(self.endpoints):
-            raise TransitionError(f"n_new out of range: {n_new}")
-        if ttl <= 0:
-            raise TransitionError(f"ttl must be positive, got {ttl}")
         now = self._clock()
-        if self._manager.in_transition(now):
-            raise TransitionError("previous drain window still open")
-        if n_new == self.n_active:
-            raise TransitionError("already at the requested size")
+        if not self._manager.check(n_new, now, ttl):
+            return None
         n_old = self.n_active
-        ceding = self.router.ceding_servers(n_old, n_new)
+        ceding = self.router.ceding_servers(n_old, n_new) if ttl > 0 else []
         joining = range(n_old, n_new)  # empty on a scale-down
         digests: Dict[int, BloomFilter] = {}
         failures: Dict[int, BaseException] = {}
@@ -215,8 +212,7 @@ class AsyncProteusFrontend:
                 f"started ({detail})",
                 failures=failures,
             )
-        self._manager.ttl = ttl
-        return self._manager.begin(n_new, now, digests=digests, ceding=ceding)
+        return self._manager.begin(n_new, now, ttl, digests)
 
     # ------------------------------------------------------------ Algorithm 2
 
@@ -319,8 +315,7 @@ class AsyncProteusFrontend:
         finally:
             if self.engine.admission is not None:
                 # Free the admitted slot even on DB failure.
-                finished = self._clock()
-                self.engine.admission.db_finished(finished, completed=finished)
+                self.engine.admission.db_finished(self._clock())
 
     def _lead(self, key: str, leaders: Leaders) -> None:
         """Publish this page as *key*'s in-flight leader unless one exists

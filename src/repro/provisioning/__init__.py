@@ -1,4 +1,4 @@
-"""Provisioning: policies, the delay-feedback controller, and the actuator."""
+"""Provisioning: policies, the delay-feedback controller, the health monitor."""
 
 from repro.provisioning.policies import limit_step_size
 

@@ -26,7 +26,7 @@ it.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
+from typing import List
 
 __all__ = ["VirtualQueueAdmission"]
 
@@ -56,32 +56,18 @@ class VirtualQueueAdmission:
         # hold *within* a batch, not just between requests.
         self._pending = 0
 
-    def _prune(self, now: float) -> None:
-        while self._completions and self._completions[0] <= now:
-            heapq.heappop(self._completions)
-
-    def admit_db(self, now: Optional[float] = None) -> bool:
+    def admit_db(self, now: float) -> bool:
         """May one database read start at *now*?  A refusal is final for
         this request — the engine sheds it, it does not queue."""
-        if now is None:
-            return True  # inert without a virtual clock
-        self._prune(now)
+        while self._completions and self._completions[0] <= now:
+            heapq.heappop(self._completions)
         if len(self._completions) + self._pending >= self.max_depth:
             return False
         self._pending += 1
         return True
 
-    def db_finished(
-        self, now: Optional[float] = None, completed: Optional[float] = None
-    ) -> None:
-        """One admitted read finished (*completed* = its virtual
-        completion time, where the driver knows one)."""
+    def db_finished(self, completed: float) -> None:
+        """One admitted read finished at *completed*, its virtual
+        completion time."""
         self._pending = max(0, self._pending - 1)
-        if completed is not None:
-            heapq.heappush(self._completions, completed)
-
-    def depth(self, now: Optional[float] = None) -> float:
-        """Outstanding admitted DB work: reads not yet complete at *now*."""
-        if now is not None:
-            self._prune(now)
-        return float(len(self._completions) + self._pending)
+        heapq.heappush(self._completions, completed)

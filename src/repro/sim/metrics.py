@@ -4,16 +4,15 @@ The paper's plots are all per-slot aggregates: Fig. 5 is a per-slot min/max
 load ratio, Fig. 9 groups response times "into 480 slots according to
 physical time" and plots the 99.9th percentile, Fig. 10 samples power every
 15 seconds.  :class:`SlottedRecorder` is the shared machinery: values are
-binned by timestamp into fixed-width slots and each slot reduces to count /
-mean / percentile on demand.
+binned by timestamp into fixed-width slots and each slot reduces to a
+percentile on demand.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -60,18 +59,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def window(self, start: float, end: float) -> List[float]:
-        """Values with ``start <= time < end``."""
-        lo = bisect.bisect_left(self.times, start)
-        hi = bisect.bisect_left(self.times, end)
-        return self.values[lo:hi]
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        """Most recent point, or ``None`` when empty."""
-        if not self.times:
-            return None
-        return self.times[-1], self.values[-1]
-
     def integrate(self) -> float:
         """Trapezoidal integral of value over time (e.g. W x s -> J)."""
         total = 0.0
@@ -116,16 +103,6 @@ class SlottedRecorder:
         """Raw samples in *slot* (empty list when none)."""
         return list(self._slots.get(slot, []))
 
-    def count(self, slot: int) -> int:
-        return len(self._slots.get(slot, ()))
-
-    def mean(self, slot: int) -> float:
-        """Mean of the slot's samples; raises on an empty slot."""
-        samples = self._slots.get(slot)
-        if not samples:
-            raise ConfigurationError(f"slot {slot} has no samples")
-        return sum(samples) / len(samples)
-
     def pct(self, slot: int, pct_rank: float) -> float:
         """Percentile of the slot's samples; raises on an empty slot."""
         samples = self._slots.get(slot)
@@ -133,32 +110,13 @@ class SlottedRecorder:
             raise ConfigurationError(f"slot {slot} has no samples")
         return percentile(samples, pct_rank)
 
-    def series(self, reducer: str = "mean", pct_rank: float = 99.9) -> TimeSeries:
-        """Reduce every non-empty slot to one point at the slot midpoint.
-
-        Args:
-            reducer: ``mean``, ``max``, ``min``, ``count``, ``sum``
-                or ``pct`` (with *pct_rank*).
-        """
+    def series(self, pct_rank: float) -> TimeSeries:
+        """The *pct_rank*-th percentile of every non-empty slot, one point
+        at the slot midpoint."""
         out = TimeSeries()
         for slot in self.slots():
-            samples = self._slots[slot]
-            if reducer == "mean":
-                value = sum(samples) / len(samples)
-            elif reducer == "max":
-                value = max(samples)
-            elif reducer == "min":
-                value = min(samples)
-            elif reducer == "count":
-                value = float(len(samples))
-            elif reducer == "sum":
-                value = float(sum(samples))
-            elif reducer == "pct":
-                value = percentile(samples, pct_rank)
-            else:
-                raise ConfigurationError(f"unknown reducer {reducer!r}")
             midpoint = self.start + (slot + 0.5) * self.slot_seconds
-            out.append(midpoint, value)
+            out.append(midpoint, percentile(self._slots[slot], pct_rank))
         return out
 
 

@@ -185,7 +185,7 @@ class WebServer:
             if self.engine.admission is not None:
                 # The admitted read occupies a virtual queue slot until
                 # its completion time — the depth the controller bounds.
-                self.engine.admission.db_finished(clock, completed=clock)
+                self.engine.admission.db_finished(clock)
             if command.announce_leader:
                 # Followers arriving before the write-back lands coalesce.
                 self._leaders.announce(

@@ -1,9 +1,8 @@
-"""Trace analysis — fitting the knobs of the synthetic generator to a trace.
+"""Trace analysis — characterizing a request trace.
 
-When a real trace (e.g. the converted WikiBench trace) is available, these
-tools extract the parameters the experiments care about, so the synthetic
-generator can be calibrated to it — or the real trace characterized before
-replay:
+These tools measure the properties of a trace (e.g. the converted
+WikiBench trace) that the experiments care about.  They describe a trace;
+nothing calibrates the synthetic generator from them:
 
 * :func:`fit_zipf_alpha` — the popularity skew exponent;
 * :func:`interarrival_stats` — burstiness of request arrivals;
@@ -91,7 +90,7 @@ def rate_envelope(
 
 @dataclass(frozen=True)
 class TraceSummary:
-    """Everything the generator needs to imitate a trace."""
+    """A trace's size, rate shape, popularity skew and burstiness."""
 
     requests: int
     duration: float

@@ -11,12 +11,11 @@ from repro.errors import ConfigurationError, TransitionError
 CFG = optimal_config(2000)
 
 
-def cluster(n=4, active=None, ttl=30.0):
+def cluster(n=4, active=None):
     return CacheCluster(
         ProteusRouter(n, ring_size=2 ** 20),
         capacity_bytes=4096 * 500,
         initial_active=active,
-        ttl=ttl,
         bloom_config=CFG,
     )
 
@@ -46,15 +45,14 @@ class TestSmoothScaleDown:
         # ranges to the lenders), so only their digests are broadcast.
         c = cluster(4, active=4)
         c.server(3).set("victim-key", 1, now=0.0)
-        transition = c.scale_to(3, now=10.0)
+        transition = c.scale_to(3, 10.0, 30.0)
         assert transition is not None
-        assert set(transition.digests) == {3}
-        assert transition.ceding_servers() == [3]
+        assert list(transition.digests) == [3]
         assert transition.digest_hit(3, "victim-key")
 
     def test_drained_server_state_machine(self):
-        c = cluster(4, ttl=30.0)
-        c.scale_to(3, now=0.0)
+        c = cluster(4)
+        c.scale_to(3, 0.0, 30.0)
         assert c.server(3).state is PowerState.DRAINING
         c.finalize_expired(now=29.0)
         assert c.server(3).state is PowerState.DRAINING
@@ -62,24 +60,26 @@ class TestSmoothScaleDown:
         assert c.server(3).state is PowerState.OFF
 
     def test_drained_server_loses_data_at_power_off(self):
-        c = cluster(4, ttl=10.0)
+        c = cluster(4)
         c.server(3).set("k", 1, now=0.0)
-        c.scale_to(3, now=0.0)
+        c.scale_to(3, 0.0, 10.0)
         c.finalize_expired(now=10.0)
         c.server(3).power_on(11.0)
         assert c.server(3).get("k", 11.0) is None
 
     def test_overlapping_smooth_transitions_rejected(self):
-        c = cluster(6, ttl=100.0)
-        c.scale_to(5, now=0.0)
+        c = cluster(6)
+        c.scale_to(5, 0.0, 100.0)
         with pytest.raises(TransitionError):
-            c.scale_to(4, now=5.0)
+            c.scale_to(4, 5.0, 100.0)
+        # The rejection came before any power change.
+        assert c.server(4).state is PowerState.ON
 
 
 class TestSmoothScaleUp:
     def test_new_servers_power_on_cold(self):
         c = cluster(4, active=2)
-        transition = c.scale_to(4, now=0.0)
+        transition = c.scale_to(4, 0.0, 30.0)
         assert transition.n_new > transition.n_old
         assert c.server(2).state is PowerState.ON
         assert c.server(3).state is PowerState.ON
@@ -88,41 +88,41 @@ class TestSmoothScaleUp:
     def test_digests_cover_ceding_servers(self):
         c = cluster(4, active=2)
         c.server(0).set("moving", 1, now=0.0)
-        transition = c.scale_to(4, now=1.0)
+        transition = c.scale_to(4, 1.0, 30.0)
         assert set(transition.digests) == {0, 1}
         assert transition.digest_hit(0, "moving")
 
     def test_noop_scale_returns_none(self):
         c = cluster(4, active=2)
-        assert c.scale_to(2, now=0.0) is None
+        assert c.scale_to(2, 0.0, 30.0) is None
 
 
 class TestAbruptScaling:
     def test_scale_down_powers_off_immediately(self):
         c = cluster(4)
         c.server(3).set("k", 1, now=0.0)
-        c.abrupt_scale_to(3, now=0.0)
+        c.scale_to(3, 0.0, 0.0)
         assert c.server(3).state is PowerState.OFF
         assert not c.transitions.in_transition(0.0)
 
     def test_scale_up_powers_on_immediately(self):
         c = cluster(4, active=2)
-        c.abrupt_scale_to(4, now=0.0)
+        c.scale_to(4, 0.0, 0.0)
         assert c.powered_servers() == [0, 1, 2, 3]
         assert not c.transitions.in_transition(0.0)
 
     def test_routing_epochs_show_no_transition(self):
         c = cluster(4)
-        c.abrupt_scale_to(2, now=0.0)
+        c.scale_to(2, 0.0, 0.0)
         epochs = c.routing_epochs(0.0)
         assert epochs.new == 2
         assert epochs.old is None
 
     def test_rejects_out_of_range(self):
         with pytest.raises(TransitionError):
-            cluster(4).abrupt_scale_to(5, now=0.0)
+            cluster(4).scale_to(5, 0.0, 0.0)
         with pytest.raises(TransitionError):
-            cluster(4).scale_to(0, now=0.0)
+            cluster(4).scale_to(0, 0.0, 30.0)
 
 
 class TestMetrics:

@@ -47,7 +47,7 @@ class TestDigestConsistency:
         for i, key in enumerate(keys):
             srv.set(key, i, now=float(i))
         # exactly the store's contents are in the digest
-        in_store = set(srv.store.keys())
+        in_store = set(srv.store._items)
         assert all(k in srv.digest for k in in_store)
         assert srv.digest.count == len(in_store)
 

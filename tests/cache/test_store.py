@@ -158,7 +158,7 @@ class TestHooks:
         assert not any(digest._counters)
         store.set("a", 3)  # usable again, and the index forgot "b"
         assert store.purge_expired(10.0) == 0
-        assert list(store.keys()) == ["a"] and digest.count == 1
+        assert list(store._items) == ["a"] and digest.count == 1
 
 
 class TestStatsIntegration:

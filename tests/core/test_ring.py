@@ -20,7 +20,7 @@ class TestConstruction:
     def test_positions_wrap_mod_size(self):
         ring = HashRing(100)
         ring.add(150, server=0)  # stored as 50
-        assert ring.nodes[0].position == 50
+        assert ring._nodes[0].position == 50
 
     def test_duplicate_position_rejected(self):
         ring = HashRing(100)
@@ -37,7 +37,7 @@ class TestConstruction:
         ring = HashRing(100)
         for pos in (70, 10, 40):
             ring.add(pos, server=0)
-        assert [n.position for n in ring.nodes] == [10, 40, 70]
+        assert [n.position for n in ring._nodes] == [10, 40, 70]
 
 
 class TestLookup:

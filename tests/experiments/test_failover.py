@@ -6,7 +6,7 @@ import pytest
 from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
 from repro.experiments.testbed import SimTestbed, Sizing
-from repro.provisioning.policies import static_schedule
+from repro.provisioning.policies import ProvisioningSchedule, static_schedule
 from repro.resilience import FaultPlan, FaultSchedule
 
 NUM_SERVERS = 5
@@ -89,4 +89,8 @@ class TestRuns:
 
 class TestConfiguredTTL:
     def test_ttl_flows_to_the_cache_cluster(self):
-        assert crash_testbed().cache.transitions.ttl == 60.0
+        testbed = crash_testbed()
+        testbed.run([10, 10], SLOT_SECONDS,
+                    ProvisioningSchedule(SLOT_SECONDS, [5, 4]))
+        transition = testbed.cache.transitions.current(SLOT_SECONDS)
+        assert (transition.started_at, transition.ttl) == (SLOT_SECONDS, 60.0)

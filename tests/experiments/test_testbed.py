@@ -116,6 +116,76 @@ class TestGoldenParity:
         ) == self.FAILOVER[replicas]
 
 
+def abrupt(n_old, n_new, t, powered_off):
+    """The timeline of one abrupt transition: it ends where it begins."""
+    return [
+        (t, "transition.begin",
+         {"n_old": n_old, "n_new": n_new, "smooth": False, "digests": []}),
+        (t, "transition.end",
+         {"n_old": n_old, "n_new": n_new, "powered_off": powered_off}),
+    ]
+
+
+class TestTransitionGolden:
+    """One scale-down and one scale-up under each dynamic scenario: the
+    whole control-plane record, the per-slot database load and the energy.
+    An abrupt transition begins and ends at the same ``t``; a smooth one
+    ends at its TTL deadline."""
+
+    SIZING = Sizing(seed=5, catalogue_size=800, cache_capacity_bytes=4096 * 300,
+                    pages_per_user=10, num_web_servers=1, num_db_shards=2)
+
+    GOLDEN = {
+        "Naive": (
+            abrupt(3, 2, 15.0, [2]) + abrupt(2, 3, 30.0, []),
+            [0, 69, 38],
+            {"total": 0.0032968980510160333, "cache": 0.0014866875,
+             "database": 0.001187488328793811, "web": 0.0006227222222222223},
+        ),
+        "Consistent": (
+            abrupt(3, 2, 15.0, [2]) + abrupt(2, 3, 30.0, []),
+            [0, 2, 2],
+            {"total": 0.003279878566453121, "cache": 0.0014889444444444444,
+             "database": 0.0011678785664531208, "web": 0.0006230555555555555},
+        ),
+        "Proteus": (
+            [
+                (15.0, "transition.begin",
+                 {"n_old": 3, "n_new": 2, "smooth": True, "digests": [2]}),
+                (23.0, "transition.end",
+                 {"n_old": 3, "n_new": 2, "powered_off": [2]}),
+                (30.0, "transition.begin",
+                 {"n_old": 2, "n_new": 3, "smooth": True, "digests": [0, 1]}),
+                (38.0, "transition.end",
+                 {"n_old": 2, "n_new": 3, "powered_off": []}),
+            ],
+            [0, 3, 6],
+            {"total": 0.0035511850781255695, "cache": 0.001760375,
+             "database": 0.0011677267447922366, "web": 0.0006230833333333333},
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return run_scenarios(
+            self.SIZING, 3, 8.0, ProvisioningSchedule(15.0, [3, 2, 3]),
+            [16, 16, 16],
+            [ScenarioSpec.naive(), ScenarioSpec.consistent(),
+             ScenarioSpec.proteus()],
+        )
+
+    @pytest.mark.parametrize("name", ["Naive", "Consistent", "Proteus"])
+    def test_timeline_db_load_and_energy(self, reports, name):
+        report = reports[name]
+        timeline, db_per_slot, energy = self.GOLDEN[name]
+        assert [
+            (event.t, event.kind, event.fields)
+            for event in report.timeline.events
+        ] == timeline
+        assert report.db_requests_per_slot == db_per_slot
+        assert report.energy_kwh == energy
+
+
 def make_testbed(num_servers=3):
     sizing = Sizing(
         seed=7,
@@ -133,7 +203,9 @@ def all_on(slots, slot_seconds, num_servers=3):
 class TestUsers:
     def test_every_fetch_reaches_the_recorder(self):
         report = make_testbed().run([3], 20.0, all_on(1, 20.0))
-        recorded = [report.latencies.count(s) for s in report.latencies.slots()]
+        recorded = [
+            len(report.latencies.samples(s)) for s in report.latencies.slots()
+        ]
         assert report.total_requests == sum(recorded) > 3 * 30
         assert report.total_requests == sum(report.fetch_paths.values())
         assert report.requests_per_slot == [report.total_requests]
@@ -252,9 +324,10 @@ class TestRunValidation:
             self.run(provisioner=DelayFeedbackController(num_servers=6))
 
     def test_bad_ttl(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ConfigurationError):
-                SimTestbed(CLUSTER_SIZING, ProteusRouter(3), ttl=bad)
+        with pytest.raises(ConfigurationError):
+            SimTestbed(CLUSTER_SIZING, ProteusRouter(3), ttl=-1.0)
+        # A zero TTL is an abrupt testbed (Naive, Consistent), not an error.
+        assert SimTestbed(CLUSTER_SIZING, ProteusRouter(3), ttl=0.0).ttl == 0.0
 
     def test_fault_on_unknown_server(self):
         with pytest.raises(ConfigurationError):

@@ -49,7 +49,7 @@ def run_sim(schedule, transition_to=None):
         web.fetch(key, now=now)
         now += 0.01
     if transition_to is not None:
-        cache.scale_to(transition_to, now=FAULT_AT)
+        cache.scale_to(transition_to, FAULT_AT, 60.0)
     for fault in schedule.crashes():
         cache.fail_server(fault.server_id, fault.at)
     now = FAULT_AT + 0.1

@@ -4,18 +4,16 @@ import asyncio
 
 import pytest
 
-from repro import obs
 from repro.bloom.config import optimal_config
 from repro.cache.cluster import CacheCluster
 from repro.core.router import ProteusRouter
 from repro.core.transition import TransitionManager
 from repro.database.cluster import DatabaseCluster
+from repro.experiments.testbed import SimTestbed, Sizing
 from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
-from repro.provisioning.actuator import ProvisioningActuator
 from repro.provisioning.controller import run_feedback_loop
 from repro.provisioning.policies import limit_step_size
-from repro.sim.events import EventLoop
 from repro.web.frontend import FetchPath, WebServer
 from repro.workload.trace import slot_counts
 from repro.workload.wikipedia import generate_trace
@@ -24,7 +22,7 @@ CFG = optimal_config(2000)
 
 
 class TestFullProvisioningPipeline:
-    """Trace -> feedback loop -> schedule -> actuator -> cluster, like the
+    """Trace -> feedback loop -> schedule -> testbed -> cluster, like the
     paper's end-to-end methodology (Fig. 4 then Figs. 9-11)."""
 
     def test_trace_to_schedule_to_actuation(self):
@@ -41,20 +39,16 @@ class TestFullProvisioningPipeline:
         assert schedule.num_slots == 8
         assert max(schedule.counts) > min(schedule.counts)  # tracks diurnal
 
-        cache = CacheCluster(
-            ProteusRouter(8), capacity_bytes=4096 * 500,
-            initial_active=schedule.counts[0], ttl=10.0, bloom_config=CFG,
+        testbed = SimTestbed(
+            Sizing(seed=31, catalogue_size=500,
+                   cache_capacity_bytes=4096 * 500, pages_per_user=10),
+            ProteusRouter(8), ttl=10.0,
         )
-        actuator = ProvisioningActuator(cache, smooth=True)
-        loop = EventLoop()
-        for when, _n_old, n_new in schedule.transitions():
-            loop.schedule_at(when, actuator.apply_at, n_new, loop)
-        with obs.recording() as timeline:
-            loop.run_until(schedule.duration)
-        assert cache.active_count == schedule.counts[-1]
-        assert len(timeline.of("transition.begin")) == len(
-            schedule.transitions()
+        report = testbed.run(
+            [4] * schedule.num_slots, schedule.slot_seconds, schedule
         )
+        assert testbed.cache.active_count == schedule.counts[-1]
+        assert len(report.transitions) == len(schedule.transitions())
 
 
 class TestMultiWebServerConsistency:
@@ -107,8 +101,8 @@ class TestSimAndNetAgree:
 
         digest = asyncio.run(body())
         # And that digest drives a TransitionManager exactly like a local one.
-        mgr = TransitionManager(4, ttl=30.0)
-        transition = mgr.begin(3, now=0.0, digests={3: digest})
+        mgr = TransitionManager(4, 4)
+        transition = mgr.begin(3, 0.0, 30.0, {3: digest})
         assert transition.digest_hit(3, "page:5")
         assert not transition.digest_hit(3, "page:150")
 
@@ -117,7 +111,7 @@ class TestColdStartRecovery:
     def test_scale_up_after_long_off_period_is_cold_but_correct(self):
         cache = CacheCluster(
             ProteusRouter(4), capacity_bytes=4096 * 500,
-            initial_active=4, ttl=5.0, bloom_config=CFG,
+            initial_active=4, bloom_config=CFG,
         )
         db = DatabaseCluster(2)
         web = WebServer(0, cache, db)
@@ -126,10 +120,10 @@ class TestColdStartRecovery:
             web.fetch(f"page:{i}", t)
             t += 0.01
         # down to 2, let the window close, then back up to 4
-        cache.scale_to(2, now=t)
+        cache.scale_to(2, t, 5.0)
         cache.finalize_expired(t + 6.0)
         t += 10.0
-        cache.scale_to(4, now=t)
+        cache.scale_to(4, t, 5.0)
         # servers 2,3 are cold; their keys come from old owners 0,1 via
         # digest (those still hold them) or the DB; either way values match.
         for i in range(50):

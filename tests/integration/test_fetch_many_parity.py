@@ -35,7 +35,6 @@ class SimSubstrate:
         self.cache = CacheCluster(
             ProteusRouter(NUM_SERVERS),
             capacity_bytes=4096 * 2000,
-            ttl=60.0,
             bloom_config=CFG,
         )
         self.db = DatabaseCluster(2, service_model=Constant(0.005))
@@ -64,7 +63,7 @@ class SimSubstrate:
 
     def scale_to(self, n_new):
         self.clock += 0.05
-        self.cache.scale_to(n_new, now=self.clock)
+        self.cache.scale_to(n_new, self.clock, 60.0)
 
 
 class LoggingTransport:

@@ -45,7 +45,6 @@ def sim_stack():
     cache = CacheCluster(
         ProteusRouter(N_SERVERS),
         capacity_bytes=4096 * 2000,
-        ttl=TTL,
         bloom_config=BLOOM,
     )
     db = DatabaseCluster(2, service_model=Constant(0.0001))
@@ -68,7 +67,7 @@ def run_sim(schedule, transition_to=None):
         now += 0.01
     before = monitor.observe(now)
     if transition_to is not None:
-        cache.scale_to(transition_to, now=FAULT_AT)
+        cache.scale_to(transition_to, FAULT_AT, TTL)
     for fault in schedule.crashes():
         cache.fail_server(fault.server_id, fault.at)
     now = FAULT_AT + 0.1
@@ -179,7 +178,7 @@ def sim_timeline(sizes, rounds):
     with obs.recording() as timeline:
         now = fetch_rounds(now)
         for n in sizes:
-            cache.scale_to(n, now=now)
+            cache.scale_to(n, now, TTL)
             now = fetch_rounds(now + TTL + 0.1)
     return timeline
 

@@ -39,7 +39,6 @@ class SimSubstrate:
         self.cache = CacheCluster(
             ProteusRouter(NUM_SERVERS),
             capacity_bytes=4096 * 2000,
-            ttl=60.0,
             bloom_config=CFG,
         )
         self.db = DatabaseCluster(2, service_model=Constant(db_latency))
@@ -56,7 +55,7 @@ class SimSubstrate:
 
     def scale_to(self, n_new):
         self.clock += 0.05
-        self.cache.scale_to(n_new, now=self.clock)
+        self.cache.scale_to(n_new, self.clock, 60.0)
 
     def transition(self):
         return self.cache.routing_epochs(self.clock).transition

@@ -243,13 +243,13 @@ class TestTouch:
             fake["t"] = 6.0
             # Everything past its *current* deadline goes; nothing else.
             assert server.store.purge_expired(fake["t"]) == 1
-            assert set(server.store.keys()) == {"longer", "never"}
+            assert set(server.store._items) == {"longer", "never"}
             await client.set("fill", b"x" * 100)
             await client.set("more", b"x" * 100)
             assert server.store.stats.evictions == 0
             fake["t"] = 200.0
             assert server.store.purge_expired(fake["t"]) == 1
-            assert set(server.store.keys()) == {"never", "fill", "more"}
+            assert set(server.store._items) == {"never", "fill", "more"}
             assert await client.get("never") == b"x" * 100
 
         run(with_server(body, capacity_bytes=400))
@@ -269,7 +269,7 @@ class TestCasBookkeeping:
                 assert stored == 500
             assert len(server.store) == 1_000
             assert server.store.stats.evictions == 9_000
-            ids = [server.store.peek(key).cas for key in server.store.keys()]
+            ids = [server.store.peek(key).cas for key in server.store._items]
             assert ids == list(range(9_001, 10_001))  # stamped in set order
             assert await client.delete("key:9999")
             assert len(server.store) == 999

@@ -258,10 +258,13 @@ class TestSmoothTransition:
             db = CountingDatabase()
             try:
                 async with AsyncProteusFrontend(endpoints, CFG, db.fetch) as web:
-                    with pytest.raises(TransitionError):
-                        await web.scale_to(2, ttl=10.0)
+                    # A no-op is no transition, as in the simulator.
+                    assert await web.scale_to(2, ttl=10.0) is None
+                    assert web._manager.current(0.0) is None
                     with pytest.raises(TransitionError, match="ttl"):
-                        await web.scale_to(1, ttl=0.0)
+                        await web.scale_to(1, ttl=-1.0)
+                    with pytest.raises(TransitionError):
+                        await web.scale_to(3, ttl=10.0)
             finally:
                 await stop_cluster(servers)
 

@@ -99,7 +99,7 @@ def rings(draw):
 def test_compiled_table_matches_lookup_for_arbitrary_activity(
     ring, active_set, probes
 ):
-    on_ring = {node.server for node in ring.nodes}
+    on_ring = {node.server for node in ring._nodes}
     if not (active_set & on_ring):
         active_set = on_ring  # guarantee at least one active server
     is_active = lambda server: server in active_set
@@ -225,7 +225,7 @@ def test_memoized_route_many_matches_the_uncompiled_ring(
         for step in ("cold", "mixed", "warm", "mutated"):
             if step == "mutated":
                 position = data.draw(st.integers(0, 2 ** 20 - 1))
-                if all(node.position != position for node in router.ring.nodes):
+                if all(node.position != position for node in router.ring._nodes):
                     router.ring.add(position, server=num_servers - 1)
             routed = batch[: len(batch) // 2] if step == "cold" else batch
             expected = [

@@ -78,19 +78,19 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def bytes_match_contents(self):
         assert self.store.used_bytes == sum(
-            self.store.peek(key).size for key in self.store.keys()
+            self.store.peek(key).size for key in self.store._items
         )
 
     @invariant()
     def digest_matches_store(self):
-        live = set(self.store.keys())
+        live = set(self.store._items)
         assert self.digest.count == len(live)
         for key in live:
             assert key in self.digest
 
     @invariant()
     def store_is_subset_of_model(self):
-        for key in self.store.keys():
+        for key in self.store._items:
             item = self.store.peek(key)
             if item.expired(self.now):
                 continue  # lazily expired on next touch

@@ -59,7 +59,6 @@ class ClusterMachine(RuleBasedStateMachine):
             ProteusRouter(N, ring_size=2 ** 20, replicas=self.replicas),
             capacity_bytes=4096 * 50,
             initial_active=ACTIVE,
-            ttl=TTL,
             bloom_config=CFG,
         )
         self.database = DatabaseCluster(3, service_model=Constant(0.001))
@@ -74,7 +73,7 @@ class ClusterMachine(RuleBasedStateMachine):
     @rule(target_n=st.integers(min_value=1, max_value=N))
     def smooth_scale(self, target_n):
         try:
-            self.cluster.scale_to(target_n, self.now)
+            self.cluster.scale_to(target_n, self.now, TTL)
         except TransitionError:
             # a window is still open — legal rejection, state unchanged
             assert self.cluster.transitions.in_transition(self.now)
@@ -82,7 +81,7 @@ class ClusterMachine(RuleBasedStateMachine):
     @rule(target_n=st.integers(min_value=1, max_value=N))
     def abrupt_scale(self, target_n):
         try:
-            self.cluster.abrupt_scale_to(target_n, self.now)
+            self.cluster.scale_to(target_n, self.now, 0.0)
         except TransitionError:
             assert self.cluster.transitions.in_transition(self.now)
 

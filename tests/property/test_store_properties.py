@@ -41,7 +41,7 @@ def test_digest_matches_store_contents_under_arbitrary_churn(ops):
             server.get(key, now=now)
         else:
             server.delete(key, now=now)
-    live = set(server.store.keys())
+    live = set(server.store._items)
     # No false negatives: every live key is in the digest.
     assert all(key in server.digest for key in live)
     # Exact count: digest tracked link/unlink one-for-one.
@@ -63,7 +63,7 @@ def test_digest_consistent_with_ttl_expiry(ops, ttl):
         else:
             server.get(key, now=now)  # may lazily expire
     server.store.purge_expired(now)
-    live = set(server.store.keys())
+    live = set(server.store._items)
     assert server.digest.count == len(live)
     assert all(key in server.digest for key in live)
 
@@ -166,5 +166,5 @@ def test_get_many_is_the_per_key_get_loop(ops):
     for field in ("gets", "hits", "misses", "expirations", "evictions"):
         assert len({getattr(store.stats, field) for store, _ in twins}) == 1
     # LRU recency: the same victims, in the same order, from here on
-    recency = [list(store.keys()) for store, _ in twins]
+    recency = [list(store._items) for store, _ in twins]
     assert recency[0] == recency[1] == recency[2]

@@ -37,11 +37,12 @@ class TestPercentile:
 
 
 class TestTimeSeries:
-    def test_append_and_window(self):
+    def test_append(self):
         ts = TimeSeries()
         for t in range(10):
             ts.append(float(t), t * 10.0)
-        assert ts.window(2.0, 5.0) == [20.0, 30.0, 40.0]
+        assert ts.times[2:5] == [2.0, 3.0, 4.0]
+        assert ts.values[2:5] == [20.0, 30.0, 40.0]
         assert len(ts) == 10
 
     def test_out_of_order_append_rejected(self):
@@ -49,12 +50,6 @@ class TestTimeSeries:
         ts.append(5.0, 1.0)
         with pytest.raises(ConfigurationError):
             ts.append(4.0, 1.0)
-
-    def test_last(self):
-        ts = TimeSeries()
-        assert ts.last() is None
-        ts.append(1.0, 2.0)
-        assert ts.last() == (1.0, 2.0)
 
     def test_integrate_trapezoid(self):
         ts = TimeSeries()
@@ -78,7 +73,7 @@ class TestSlottedRecorder:
         rec.record(15.0, 2.0)
         rec.record(16.0, 3.0)
         assert rec.slots() == [0, 1]
-        assert rec.count(0) == 1 and rec.count(1) == 2
+        assert rec.samples(0) == [1.0] and rec.samples(1) == [2.0, 3.0]
 
     def test_start_offset(self):
         rec = SlottedRecorder(10.0, start=100.0)
@@ -86,36 +81,27 @@ class TestSlottedRecorder:
         assert rec.slots() == [0]
 
     def test_reducers(self):
+        # Every slot reduces to a percentile: 0 and 100 are its extremes.
         rec = SlottedRecorder(10.0)
         for value in (1.0, 2.0, 3.0, 10.0):
             rec.record(1.0, value)
-        assert rec.mean(0) == 4.0
+        rec.record(11.0, 7.0)
         assert rec.pct(0, 50) == 2.5
-        series_max = rec.series("max")
-        assert series_max.values == [10.0]
-        assert rec.series("min").values == [1.0]
-        assert rec.series("count").values == [4.0]
-        assert rec.series("sum").values == [16.0]
+        assert rec.series(50).values == [2.5, 7.0]
+        assert rec.series(100).values == [10.0, 7.0]
+        assert rec.series(0).values == [1.0, 7.0]
 
     def test_series_midpoint_times(self):
         rec = SlottedRecorder(10.0)
         rec.record(5.0, 1.0)
         rec.record(25.0, 1.0)
-        series = rec.series("mean")
+        series = rec.series(50)
         assert series.times == [5.0, 25.0]
 
     def test_empty_slot_raises(self):
         rec = SlottedRecorder(10.0)
         with pytest.raises(ConfigurationError):
-            rec.mean(0)
-        with pytest.raises(ConfigurationError):
             rec.pct(0, 99)
-
-    def test_unknown_reducer_raises(self):
-        rec = SlottedRecorder(10.0)
-        rec.record(1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            rec.series("mode")
 
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigurationError):

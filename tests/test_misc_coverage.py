@@ -5,7 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro import errors, obs
+from repro import errors
 
 
 class TestErrorHierarchy:
@@ -97,7 +97,7 @@ class TestStoreSmallGaps:
         store = KeyValueStore()
         store.set("a", 1)
         store.set("b", 2)
-        assert sorted(store.keys()) == ["a", "b"]
+        assert sorted(store._items) == ["a", "b"]
 
 
 class TestNoreplyOverTcp:
@@ -126,30 +126,24 @@ class TestNoreplyOverTcp:
 
 class TestRapidTransitions:
     def test_down_up_down_sequence_through_actuator(self):
-        from repro.bloom.config import optimal_config
-        from repro.cache.cluster import CacheCluster
         from repro.cache.server import PowerState
         from repro.core.router import ProteusRouter
-        from repro.provisioning.actuator import ProvisioningActuator
+        from repro.experiments.testbed import SimTestbed, Sizing
         from repro.provisioning.policies import ProvisioningSchedule
-        from repro.sim.events import EventLoop
 
-        cache = CacheCluster(
-            ProteusRouter(6, ring_size=2 ** 20), capacity_bytes=4096 * 100,
-            initial_active=6, ttl=4.0, bloom_config=optimal_config(500),
+        testbed = SimTestbed(
+            Sizing(seed=4, catalogue_size=200,
+                   cache_capacity_bytes=4096 * 100, pages_per_user=5),
+            ProteusRouter(6, ring_size=2 ** 20), ttl=4.0,
         )
-        actuator = ProvisioningActuator(cache, smooth=True)
         schedule = ProvisioningSchedule(10.0, [6, 4, 6, 3, 5, 5])
-        loop = EventLoop()
-        for when, _n_old, n_new in schedule.transitions():
-            loop.schedule_at(when, actuator.apply_at, n_new, loop)
-        with obs.recording() as timeline:
-            loop.run_until(schedule.duration)
+        report = testbed.run([3] * 6, 10.0, schedule)
+        cache = testbed.cache
         assert cache.active_count == 5
         states = [server.state for server in cache.servers]
         assert states[:5].count(PowerState.ON) == 5
         assert states[5] is PowerState.OFF
-        assert len(timeline.of("transition.begin")) == 4
+        assert len(report.transitions) == 4
 
     def test_cli_place_custom_ring_size(self, capsys):
         from repro.cli import main

@@ -22,17 +22,17 @@ CEILINGS = {
     "core/placement.py": 152,
     "core/router.py": 372,
     "core/hotkey.py": 278,
-    "core/transition.py": 262,
+    "core/transition.py": 247,
     "core/retrieval.py": 795,
     "web/frontend.py": 226,
-    "net/webtier.py": 353,
+    "net/webtier.py": 348,
     "net/transport.py": 307,
     "net/parser.py": 482,
     "net/client.py": 550,
     "net/pool.py": 197,
     "experiments/testbed.py": 744,
+    "cache/cluster.py": 186,
     "config.py": 181,
-    "provisioning/actuator.py": 68,
     "provisioning/health.py": 177,
     "cache/store.py": 277,
     "cache/server.py": 150,
@@ -41,7 +41,7 @@ CEILINGS = {
     "net/server.py": 454,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 11_794
+TREE_CEILING = 11_591
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

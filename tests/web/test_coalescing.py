@@ -16,7 +16,7 @@ CFG = optimal_config(2000)
 def build(coalesce: bool):
     cache = CacheCluster(
         ProteusRouter(4, ring_size=2 ** 20), capacity_bytes=4096 * 2000,
-        ttl=60.0, bloom_config=CFG,
+        bloom_config=CFG,
     )
     db = DatabaseCluster(2, service_model=Constant(0.1))
     web = WebServer(

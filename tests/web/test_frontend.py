@@ -8,18 +8,18 @@ from repro.core.router import ProteusRouter
 from repro.database.cluster import DatabaseCluster
 from repro.sim.latency import Constant
 from repro.web.frontend import FetchPath, WebServer
+from tests.resilience.test_admission import depth
 
 CFG = optimal_config(2000)
 
 
 # db_latency small by default: warm loops space requests 10 ms apart, and
 # write-backs must complete (become visible) before later reads.
-def build(n=4, active=None, ttl=60.0, db_latency=0.005):
+def build(n=4, active=None, db_latency=0.005):
     cache = CacheCluster(
         ProteusRouter(n, ring_size=2 ** 20),
         capacity_bytes=4096 * 2000,
         initial_active=active,
-        ttl=ttl,
         bloom_config=CFG,
     )
     db = DatabaseCluster(3, service_model=Constant(db_latency))
@@ -80,7 +80,7 @@ class TestScaleDownTransition:
         keys = [f"page:{i}" for i in range(120)]
         t = self.warm(web, keys)
         db_before = db.total_requests()
-        cache.scale_to(3, now=t)
+        cache.scale_to(3, t, 60.0)
         paths = [web.fetch(k, t + 1.0).path for k in keys]
         assert db.total_requests() == db_before  # zero DB penalty
         assert paths.count(FetchPath.HIT_OLD) > 0
@@ -92,7 +92,7 @@ class TestScaleDownTransition:
         cache, db, web = build(4)
         keys = [f"page:{i}" for i in range(60)]
         t = self.warm(web, keys)
-        cache.scale_to(3, now=t)
+        cache.scale_to(3, t, 60.0)
         first = {k: web.fetch(k, t + 1.0).path for k in keys}
         second = {k: web.fetch(k, t + 2.0).path for k in keys}
         movers = [k for k, p in first.items() if p is FetchPath.HIT_OLD]
@@ -102,15 +102,15 @@ class TestScaleDownTransition:
     def test_cold_keys_go_to_db_without_touching_old(self):
         cache, db, web = build(4)
         t = self.warm(web, [f"page:{i}" for i in range(30)])
-        cache.scale_to(3, now=t)
+        cache.scale_to(3, t, 60.0)
         result = web.fetch("page:never-seen", t + 1.0)
         assert result.path is FetchPath.MISS_DB
 
     def test_after_ttl_old_server_is_gone(self):
-        cache, db, web = build(4, ttl=30.0)
+        cache, db, web = build(4)
         keys = [f"page:{i}" for i in range(60)]
         t = self.warm(web, keys)
-        cache.scale_to(3, now=t)
+        cache.scale_to(3, t, 30.0)
         # Touch nothing during the window; after expiry everything remapped
         # that was never pulled must come from the DB.
         late = t + 31.0
@@ -129,7 +129,7 @@ class TestScaleUpTransition:
             web.fetch(key, t)
             t += 0.01
         db_before = db.total_requests()
-        cache.scale_to(4, now=t)
+        cache.scale_to(4, t, 60.0)
         paths = [web.fetch(k, t + 1.0).path for k in keys]
         assert paths.count(FetchPath.HIT_OLD) > 0
         assert FetchPath.MISS_DB not in paths
@@ -144,7 +144,7 @@ class TestDigestFalsePositive:
         for i in range(50):
             web.fetch(f"page:{i}", t)
             t += 0.01
-        transition = cache.scale_to(3, now=t)
+        transition = cache.scale_to(3, t, 60.0)
         # Replace server 3's digest with an all-ones filter.
         from repro.bloom.bloom import BloomFilter
 
@@ -171,7 +171,6 @@ class TestAdmissionControl:
         cache = CacheCluster(
             ProteusRouter(4, ring_size=2 ** 20),
             capacity_bytes=4096 * 2000,
-            ttl=60.0,
             bloom_config=CFG,
         )
         db = DatabaseCluster(3, service_model=Constant(db_latency))
@@ -210,10 +209,10 @@ class TestAdmissionControl:
     def test_virtual_queue_drains_with_time(self):
         cache, db, web = self.build_admitted(max_depth=1, db_latency=0.05)
         web.fetch("page:a", now=0.0)
-        assert web.engine.admission.depth(0.01) == 1.0
+        assert depth(web.engine.admission, 0.01) == 1
         assert web.fetch("page:b", now=0.0).path is FetchPath.SHED
         # Past the admitted read's completion the slot frees up.
-        assert web.engine.admission.depth(1.0) == 0.0
+        assert depth(web.engine.admission, 1.0) == 0
         later = web.fetch("page:b", now=1.0)
         assert later.path is FetchPath.MISS_DB
 

@@ -24,7 +24,6 @@ def build(n=6, replicas=2, active=None):
         ProteusRouter(n, 2 ** 24, replicas=replicas),
         capacity_bytes=4096 * 2000,
         initial_active=active,
-        ttl=60.0,
         bloom_config=CFG,
     )
     # Fast constant-latency DB so warm-phase write-backs complete before the
@@ -84,7 +83,7 @@ class TestWriteCoherence:
         cache, db, web = build(replicas=replicas, active=2)
         key = self.moved_key(cache, 2, 3)
         web.fetch(key, 0.0)  # v1 installed at the 2-server owners
-        cache.scale_to(3, now=1.0)
+        cache.scale_to(3, 1.0, 60.0)
         db.put(key, "v2")
         web.put(key, "v2", 2.0)
         for owner in owners(cache, key, 3):  # LRU, or a crash and repair
@@ -98,11 +97,11 @@ class TestWriteCoherence:
         cache, db, web = build(replicas=replicas, active=2)
         key = self.moved_key(cache, 2, 3)
         web.fetch(key, 0.0)
-        cache.scale_to(3, now=1.0)
+        cache.scale_to(3, 1.0, 60.0)
         cache.finalize_expired(100.0)  # the window closes; items never do
         db.put(key, "v2")
         web.put(key, "v2", 100.0)
-        cache.scale_to(2, now=101.0)
+        cache.scale_to(2, 101.0, 60.0)
         result = web.fetch(key, 102.0)
         assert result.value == "v2", result.path
 
@@ -204,7 +203,7 @@ class TestReadsAndFailover:
         keys = [f"page:{i}" for i in range(300)]
         for i, key in enumerate(keys):
             web.fetch(key, 0.01 * i)
-        cache.scale_to(4, now=10.0)
+        cache.scale_to(4, 10.0, 60.0)
         moved = [
             key for key in keys
             if not set(owners(cache, key, 4)) & set(owners(cache, key, 6))
@@ -240,7 +239,7 @@ class TestClusterFailureApi:
         cache.fail_server(5, now=0.0)  # already OFF: no-op
         assert cache.failed_servers() == frozenset()
         cache.fail_server(2, now=0.0)
-        cache.scale_to(2, now=1.0)  # server 2 now outside the active prefix
+        cache.scale_to(2, 1.0, 60.0)  # server 2 now outside the active prefix
         cache.repair_server(2, now=2.0)
         assert cache.server(2).state is PowerState.OFF
 
