@@ -54,7 +54,7 @@ class CountMinSketch:
     """Conservative-update count-min sketch over ``SKETCH_DEPTH x
     SKETCH_WIDTH`` counters.
 
-    Estimates never *under*-count: ``estimate(key) >= true count`` always.
+    Estimates never *under*-count: :meth:`add` returns at least the true count.
     Conservative update (only the minimum-valued cells are incremented)
     tightens the overestimate under skew — exactly the regime a hot-key
     detector runs in.  Hashing goes through the memoized
@@ -84,13 +84,6 @@ class CountMinSketch:
             if rows[row][cell] < target:
                 rows[row][cell] = target
         return target
-
-    def estimate(self, key: Key) -> int:
-        """Upper-bounded occurrence count for *key* (never underestimates)."""
-        return min(
-            self._rows[row][cell]
-            for row, cell in enumerate(self._cells(key))
-        )
 
 
 class TopKSketch:
@@ -229,9 +222,6 @@ class HotKeyCache:
             del self._entries[key]
             return True
         return False
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 class HotKeyArmor:

@@ -38,10 +38,6 @@ class DatabaseCluster:
             for i in range(num_shards)
         ]
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
     def shard_for(self, key: str) -> DatabaseShard:
         """The shard authoritative for *key*."""
         return self.shards[stable_hash64(key, salt=_SHARD_SALT) % len(self.shards)]
@@ -62,8 +58,3 @@ class DatabaseCluster:
         misses in the cache tier).
         """
         return sum(shard.requests for shard in self.shards)
-
-    def reset(self) -> None:
-        """Reset all shard queues and counters."""
-        for shard in self.shards:
-            shard.reset()

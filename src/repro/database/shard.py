@@ -50,7 +50,6 @@ class DatabaseShard:
     ) -> None:
         if shard_id < 0:
             raise ConfigurationError(f"shard_id must be >= 0, got {shard_id}")
-        self.shard_id = shard_id
         self.service_model = service_model or Exponential(DEFAULT_DB_SERVICE_MEAN)
         #: values installed by :meth:`put`; any other key is synthesized
         self.dataset: Dict[str, Any] = {}
@@ -69,40 +68,19 @@ class DatabaseShard:
         """Serve *key* through the FIFO queue; returns value + completion time."""
         service = self.service_model.sample(self._rng)
         completion = self.queue.enqueue(now, service)
-        value = self.lookup(key)
         self.requests += 1
-        return ShardResponse(value=value, completion_time=completion,
-                             service_time=service,
-                             queue_delay=completion - now - service)
+        return ShardResponse(self.lookup(key), completion)
 
     def put(self, key: str, value: Any) -> None:
         """Install authoritative data (tests / dataset loading)."""
         self.dataset[key] = value
 
-    def queue_delay(self, now: float) -> float:
-        """Backlog a request arriving at *now* would wait behind."""
-        return self.queue.delay(now)
-
-    def reset(self) -> None:
-        """Clear queue state and counters (dataset is kept)."""
-        self.queue.reset()
-        self.requests = 0
-
 
 class ShardResponse:
     """Outcome of one shard read."""
 
-    __slots__ = ("value", "completion_time", "service_time", "queue_delay")
+    __slots__ = ("value", "completion_time")
 
-    def __init__(
-        self, value: Any, completion_time: float, service_time: float,
-        queue_delay: float,
-    ) -> None:
+    def __init__(self, value: Any, completion_time: float) -> None:
         self.value = value
         self.completion_time = completion_time
-        self.service_time = service_time
-        self.queue_delay = queue_delay
-
-    @property
-    def found(self) -> bool:
-        return self.value is not None

@@ -103,7 +103,6 @@ class RunReport:
     latencies: SlottedRecorder
     requests_per_slot: List[int]
     db_requests_per_slot: List[int]
-    failovers_per_slot: List[int]
     #: the active count commanded for the next slot
     active_counts: List[int]
     #: powered, non-crashed servers inside the active mapping (draining
@@ -343,7 +342,6 @@ class SimTestbed:
         # The finishing slot's samples, and the per-slot lists of the report.
         self._slot_latencies: List[float] = []
         self._slot_db = 0
-        self._slot_failovers = 0
         self._series: Dict[str, list] = defaultdict(list)
 
     def _wire_power_channels(self, cache_cost: float, web_cost: float) -> None:
@@ -381,7 +379,6 @@ class SimTestbed:
         self.total_requests += 1
         self._slot_latencies.append(result.latency)
         self._slot_db += result.touched_database
-        self._slot_failovers += result.failover
         if now >= self._warmup:
             self.latencies.record(now, result.latency)
         self.loop.schedule_at(
@@ -594,7 +591,6 @@ class SimTestbed:
         for name, value in (
             ("requests_per_slot", len(samples)),
             ("db_requests_per_slot", self._slot_db),
-            ("failovers_per_slot", self._slot_failovers),
             ("active_counts", n_next),
             ("healthy_counts", self._healthy_capacity()),
             ("required_counts", self._required(rate)),
@@ -602,7 +598,7 @@ class SimTestbed:
             ("measured_delays", measured),
         ):
             self._series[name].append(value)
-        self._slot_db = self._slot_failovers = 0
+        self._slot_db = 0
         # A schedule step into an open drain window raises; a controller
         # waits for the window to close.
         if isinstance(provisioner, ProvisioningSchedule) or (

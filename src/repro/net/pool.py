@@ -77,11 +77,6 @@ class ConnectionPool:
     # ------------------------------------------------------------- stats
 
     @property
-    def live(self) -> int:
-        """Connections currently in the pool."""
-        return len(self._conns)
-
-    @property
     def leases(self) -> int:
         """Live leases across every connection."""
         return self._leased

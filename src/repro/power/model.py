@@ -58,13 +58,3 @@ class ServerPowerModel:
         if watts <= 0:
             raise ConfigurationError("power model yields non-positive watts")
         return throughput / watts
-
-    def scaled(self, factor: float) -> "ServerPowerModel":
-        """A copy with all wattages scaled (heterogeneous fleets)."""
-        if factor <= 0:
-            raise ConfigurationError(f"factor must be > 0, got {factor}")
-        return ServerPowerModel(
-            p_off=self.p_off * factor,
-            p_idle=self.p_idle * factor,
-            p_peak=self.p_peak * factor,
-        )

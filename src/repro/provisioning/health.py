@@ -98,16 +98,6 @@ class HealthSnapshot:
         """Requests shed per offered request in the window (0 when idle)."""
         return self.shed / self.requests if self.requests else 0.0
 
-    @property
-    def healthy(self) -> bool:
-        """No impairment visible: nothing tripped, crashed, degrading,
-        or shedding."""
-        return (
-            not self.unhealthy_servers
-            and self.degraded_events == 0
-            and self.shed == 0
-        )
-
 
 class ClusterHealthMonitor:
     """Aggregates resilience signals into per-window snapshots.

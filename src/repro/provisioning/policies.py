@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError, ProvisioningError
 
@@ -48,24 +48,10 @@ class ProvisioningSchedule:
     def num_slots(self) -> int:
         return len(self.counts)
 
-    @property
-    def duration(self) -> float:
-        return self.num_slots * self.slot_seconds
-
     def slot_of(self, when: float) -> int:
         """Slot index for time *when* (clamped to the schedule)."""
         slot = int(when // self.slot_seconds)
         return min(max(slot, 0), self.num_slots - 1)
-
-    def transitions(self) -> List[Tuple[float, int, int]]:
-        """All ``(time, n_old, n_new)`` changes, in order."""
-        changes: List[Tuple[float, int, int]] = []
-        for slot in range(1, self.num_slots):
-            if self.counts[slot] != self.counts[slot - 1]:
-                changes.append(
-                    (slot * self.slot_seconds, self.counts[slot - 1], self.counts[slot])
-                )
-        return changes
 
     def server_slot_total(self) -> int:
         """Sum of active counts over slots (proportional to ideal cache-tier

@@ -43,13 +43,6 @@ class Deadline:
         self.budget = budget
         self.start = clock()
 
-    @classmethod
-    def after(
-        cls, budget: Optional[float], clock: Callable[[], float] = time.monotonic
-    ) -> "Deadline":
-        """A deadline *budget* seconds from the clock's current reading."""
-        return cls(budget, clock=clock)
-
     @property
     def expires_at(self) -> Optional[float]:
         """Absolute expiry time, or ``None`` for an unlimited budget."""

@@ -79,10 +79,8 @@ class ServiceQueue:
 
     def __init__(self) -> None:
         self._busy_until = 0.0
-        #: total busy seconds accumulated (utilization accounting)
+        #: total busy seconds accumulated (the power meter's utilization)
         self.busy_time = 0.0
-        #: requests served
-        self.served = 0
 
     def enqueue(self, now: float, service_time: float) -> float:
         """Admit a request arriving at *now* needing *service_time* seconds.
@@ -97,24 +95,7 @@ class ServiceQueue:
         completion = start + service_time
         self._busy_until = completion
         self.busy_time += service_time
-        self.served += 1
         return completion
-
-    def delay(self, now: float) -> float:
-        """Queueing delay a request arriving *now* would see before service."""
-        return max(0.0, self._busy_until - now)
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of *elapsed* seconds spent busy (capped at 1)."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
-    def reset(self) -> None:
-        """Drop all queue state (server restart)."""
-        self._busy_until = 0.0
-        self.busy_time = 0.0
-        self.served = 0
 
 
 def mm1_response_time(arrival_rate: float, service_rate: float) -> float:

@@ -103,13 +103,6 @@ class SlottedRecorder:
         """Raw samples in *slot* (empty list when none)."""
         return list(self._slots.get(slot, []))
 
-    def pct(self, slot: int, pct_rank: float) -> float:
-        """Percentile of the slot's samples; raises on an empty slot."""
-        samples = self._slots.get(slot)
-        if not samples:
-            raise ConfigurationError(f"slot {slot} has no samples")
-        return percentile(samples, pct_rank)
-
     def series(self, pct_rank: float) -> TimeSeries:
         """The *pct_rank*-th percentile of every non-empty slot, one point
         at the slot midpoint."""

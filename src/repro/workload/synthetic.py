@@ -30,7 +30,7 @@ DEFAULT_PAGES_PER_USER = 50
 class SyntheticUser:
     """One RBE user: a personal page set and a think-time loop."""
 
-    __slots__ = ("user_id", "pages", "think_time", "_rng", "requests_issued")
+    __slots__ = ("user_id", "pages", "think_time", "_rng")
 
     def __init__(
         self,
@@ -47,11 +47,9 @@ class SyntheticUser:
         self.pages = list(pages)
         self.think_time = think_time
         self._rng = random.Random((seed << 20) ^ user_id)
-        self.requests_issued = 0
 
     def next_key(self) -> str:
         """The page this user requests next (uniform over the personal set)."""
-        self.requests_issued += 1
         return self._rng.choice(self.pages)
 
     def next_think(self) -> float:

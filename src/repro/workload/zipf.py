@@ -37,7 +37,6 @@ class ZipfSampler:
             raise ConfigurationError(f"num_items must be >= 1, got {num_items}")
         if alpha < 0:
             raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
-        self.num_items = num_items
         self.alpha = alpha
         self._rng = np.random.default_rng(seed)
         weights = np.arange(1, num_items + 1, dtype=np.float64) ** -alpha

@@ -97,3 +97,13 @@ def make_keys(count: int, prefix: str = "key", seed: int = 0) -> list:
     """Deterministic distinct keys for digest/routing tests."""
     rng = random.Random(seed)
     return [f"{prefix}:{rng.getrandbits(48):012x}:{i}" for i in range(count)]
+
+
+def healthy(snapshot) -> bool:
+    """A :class:`~repro.provisioning.health.HealthSnapshot` shows no
+    impairment: nothing tripped, crashed, degrading or shedding."""
+    return (
+        not snapshot.unhealthy_servers
+        and snapshot.degraded_events == 0
+        and snapshot.shed == 0
+    )

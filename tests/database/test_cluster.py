@@ -13,16 +13,16 @@ from tests.conftest import make_keys
 class TestSharding:
     def test_default_is_seven_shards(self):
         assert DEFAULT_NUM_SHARDS == 7
-        assert DatabaseCluster().num_shards == 7
+        assert len(DatabaseCluster().shards) == 7
 
     def test_shard_routing_is_deterministic(self):
         db = DatabaseCluster(5)
-        assert db.shard_for("k").shard_id == db.shard_for("k").shard_id
+        assert db.shard_for("k") is db.shard_for("k")
 
     def test_keys_spread_over_shards(self):
         db = DatabaseCluster(7)
         counts = collections.Counter(
-            db.shard_for(k).shard_id for k in make_keys(7000)
+            db.shards.index(db.shard_for(k)) for k in make_keys(7000)
         )
         assert set(counts) == set(range(7))
         assert min(counts.values()) / max(counts.values()) > 0.8
@@ -46,12 +46,8 @@ class TestPressureMetrics:
 
     def test_max_queue_delay_under_burst(self):
         db = DatabaseCluster(2, service_model=Constant(0.1))
-        for key in make_keys(20):
-            db.get(key, now=0.0)
-        assert max(shard.queue_delay(0.0) for shard in db.shards) > 0.5
-
-    def test_reset(self):
-        db = DatabaseCluster(2)
-        db.get("k", 0.0)
-        db.reset()
-        assert db.total_requests() == 0
+        completions = [
+            db.get(key, now=0.0).completion_time for key in make_keys(20)
+        ]
+        # The busier shard's last request queued > 0.5 s before its service.
+        assert max(completions) - 0.1 > 0.5

@@ -23,7 +23,7 @@ class TestShard:
     def test_synthesized_lookup_always_found(self):
         shard = DatabaseShard(0)
         response = shard.get("anything", now=0.0)
-        assert response.found
+        assert response.value == synthesize_page("anything")
 
     def test_dataset_overrides_synthesizer(self):
         shard = DatabaseShard(0)
@@ -41,12 +41,10 @@ class TestShard:
         assert completions == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
 
     def test_queue_delay_reported(self):
+        # The wait behind the backlog is in the completion time.
         shard = DatabaseShard(0, service_model=Constant(0.1))
-        response = shard.get("a", now=0.0)
-        assert response.queue_delay == 0.0
-        response = shard.get("b", now=0.0)
-        assert response.queue_delay == pytest.approx(0.1)
-        assert shard.queue_delay(0.0) == pytest.approx(0.2)
+        assert shard.get("a", now=0.0).completion_time == pytest.approx(0.1)
+        assert shard.get("b", now=0.05).completion_time == pytest.approx(0.2)
 
     def test_idle_gap_resets_backlog(self):
         shard = DatabaseShard(0, service_model=Constant(0.1))
@@ -54,20 +52,13 @@ class TestShard:
         response = shard.get("b", now=10.0)
         assert response.completion_time == pytest.approx(10.1)
 
-    def test_reset_keeps_dataset(self):
-        shard = DatabaseShard(0)
-        shard.put("k", 1)
-        shard.get("k", 0.0)
-        shard.reset()
-        assert shard.requests == 0
-        assert shard.lookup("k") == 1
-
     def test_service_times_deterministic_per_seed(self):
         a = DatabaseShard(0, seed=5)
         b = DatabaseShard(0, seed=5)
-        ta = [a.get(f"k{i}", 0.0).service_time for i in range(10)]
-        tb = [b.get(f"k{i}", 0.0).service_time for i in range(10)]
+        ta = [a.get(f"k{i}", 0.0).completion_time for i in range(10)]
+        tb = [b.get(f"k{i}", 0.0).completion_time for i in range(10)]
         assert ta == tb
+        assert DatabaseShard(0, seed=6).get("k0", 0.0).completion_time != ta[0]
 
     def test_rejects_negative_id(self):
         with pytest.raises(ConfigurationError):

@@ -188,7 +188,6 @@ class TestRecoveryMetrics:
             latencies=SlottedRecorder(10.0),
             requests_per_slot=zeros,
             db_requests_per_slot=zeros,
-            failovers_per_slot=zeros,
             active_counts=list(healthy),
             healthy_counts=list(healthy),
             required_counts=list(required),

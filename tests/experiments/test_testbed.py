@@ -8,6 +8,8 @@ crash runs' row moved once, when they joined the warm start and the seed
 stream every other run uses.
 """
 
+import collections
+
 import pytest
 
 from repro.core.router import ProteusRouter
@@ -214,6 +216,15 @@ class TestUsers:
     def test_retired_users_stop_issuing(self):
         testbed = make_testbed()
         testbed.prewarm = lambda: None
+        issued = collections.Counter()
+        step = testbed._user_request
+
+        def counted(user):
+            before = testbed.total_requests
+            step(user)
+            issued[user] += testbed.total_requests - before
+
+        testbed._user_request = counted
         leavers, at_retirement = [], []
         testbed.loop.schedule_at(
             1.0, lambda: leavers.extend(testbed.population.active[:3])
@@ -221,13 +232,13 @@ class TestUsers:
         # Just behind the slot-1 resize.
         testbed.loop.schedule_at(
             5.0 + 1e-9,
-            lambda: at_retirement.extend(u.requests_issued for u in leavers),
+            lambda: at_retirement.extend(issued[u] for u in leavers),
         )
         testbed.run([4, 1], 5.0, all_on(2, 5.0))
         (stayer,) = testbed.population.active
         assert len(leavers) == 3 and stayer not in leavers
-        assert [u.requests_issued for u in leavers] == at_retirement
-        assert stayer.requests_issued > 2 * max(at_retirement)
+        assert [issued[u] for u in leavers] == at_retirement
+        assert issued[stayer] > 2 * max(at_retirement)
 
     def test_prewarm_installs_each_page_at_its_routed_owner(self):
         testbed = make_testbed()

@@ -25,6 +25,7 @@ from repro.provisioning.health import ClusterHealthMonitor, open_circuits
 from repro.resilience import FaultPlan, FaultSchedule
 from repro.sim.latency import Constant
 from repro.web.frontend import WebServer
+from tests.conftest import healthy
 from tests.simnet import BLOOM, cluster, run, value_of
 
 N_SERVERS = 3
@@ -116,14 +117,14 @@ class TestHealthParity:
         live_before, live_after = run(run_live(schedule))
 
         assert_window_parity(sim_before, live_before)
-        assert sim_before.healthy and live_before.healthy
+        assert healthy(sim_before) and healthy(live_before)
 
         assert_window_parity(sim_after, live_after)
         # Substrate-specific detection, identical verdict: the simulator's
         # crash oracle names the server, the live tier's breaker trips on it.
         assert sim_after.unhealthy_servers == frozenset({0})
         assert live_after.unhealthy_servers == frozenset({0})
-        assert not sim_after.healthy and not live_after.healthy
+        assert not healthy(sim_after) and not healthy(live_after)
 
     def test_mid_transition_windows_agree(self):
         # Kill the retiring old owner: digest hits on moved keys degrade
@@ -154,7 +155,7 @@ class TestHealthParity:
         _, sim_after = run_sim(schedule)
         _, live_after = run(run_live(schedule))
         assert_window_parity(sim_after, live_after)
-        assert sim_after.healthy and live_after.healthy
+        assert healthy(sim_after) and healthy(live_after)
         assert sim_after.unhealthy_servers == frozenset()
         assert live_after.unhealthy_servers == frozenset()
 

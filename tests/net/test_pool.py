@@ -38,13 +38,13 @@ class TestLifecycle:
 
     def test_lazy_dial(self):
         async def body(server, pool):
-            assert pool.live == 0
+            assert len(pool._conns) == 0
             assert pool.dials == 0
             client = pool.acquire()
             assert client._protocol is None  # it dials on its first exchange
             assert await client.set("k", b"v")
             pool.release(client)
-            assert pool.live == 1
+            assert len(pool._conns) == 1
             assert pool.dials == 1
 
         run(with_pool(body))
@@ -66,7 +66,8 @@ class TestLifecycle:
             # The undialled connection keeps its slot and dials again on
             # its next exchange.
             client = pool.acquire()
-            assert (pool.live, pool.dials, client._protocol) == (1, 1, None)
+            assert len(pool._conns) == pool.dials == 1
+            assert client._protocol is None
             with pytest.raises(OSError):
                 await client.get("k")
             pool.release(client)
@@ -100,7 +101,7 @@ class TestLeases:
         async def body(server, pool):
             clients = [pool.acquire() for _ in range(5)]
             # 2 sockets for 5 leases: the bound holds, leases share.
-            assert pool.live == 2
+            assert len(pool._conns) == 2
             assert pool.leases == 5
             assert len({id(c) for c in clients}) == 2
             for client in clients:
@@ -134,7 +135,7 @@ class TestLeases:
 
             results = await asyncio.gather(*(worker(i) for i in range(20)))
             assert results == [b"v"] * 20
-            assert 1 <= pool.live <= 3
+            assert 1 <= len(pool._conns) <= 3
 
         run(with_pool(body, size=3))
 
@@ -146,7 +147,7 @@ class TestEjection:
             await client.set("k", b"v")
             client._poison()
             pool.release(client)
-            assert pool.live == 0
+            assert len(pool._conns) == 0
             assert pool.ejections == 1
             # next acquire dials a replacement; data is still there
             fresh = pool.acquire()
@@ -201,7 +202,7 @@ class TestCloseRaces:
             # and the straggler release must not resurrect the connection.
             await pool.close()
             pool.release(client)
-            assert pool.live == 0
+            assert len(pool._conns) == 0
             assert pool.leases == 0
 
         run(with_pool(body))
@@ -227,7 +228,7 @@ class TestCloseRaces:
             assert pool.ejections == 1
             pool.release(client)  # already ejected: key is gone
             assert pool.ejections == 1
-            assert pool.live == 0
+            assert len(pool._conns) == 0
 
         run(with_pool(body))
 
@@ -296,7 +297,7 @@ class TestAcquireAtAnySize:
             chosen = pool.acquire()
             assert chosen not in broken and not chosen.broken
             assert pool.ejections == len(broken)
-            assert pool.live == 1
+            assert len(pool._conns) == 1
             # Only size 1 had nothing healthy left to hand out.
             assert pool.dials == size + (size == 1)
             pool.release(chosen)
@@ -310,9 +311,10 @@ class TestAcquireAtAnySize:
             assert held[-1] is twice  # the shared lease landed on it
             twice._poison()
             pool.release(twice)
-            assert (pool.live, pool.ejections) == (size, 0)  # still leased
+            # still leased
+            assert (len(pool._conns), pool.ejections) == (size, 0)
             pool.release(twice)
-            assert (pool.live, pool.ejections) == (size - 1, 1)
+            assert (len(pool._conns), pool.ejections) == (size - 1, 1)
             for client in held[1:-1]:
                 pool.release(client)
             assert pool.leases == 0
@@ -324,7 +326,7 @@ class TestAcquireAtAnySize:
             held = [pool.acquire() for _ in range(3 * size)]
             # The first `size` acquires add a connection; the rest share
             # them, and the sharers of one connection share its one dial.
-            assert (pool.dials, pool.live) == (size, size)
+            assert (pool.dials, len(pool._conns)) == (size, size)
             assert (pool.leases, pool.waited) == (3 * size, 2 * size)
             assert pool.leases_peak == 3 * size
             await asyncio.gather(*(client.set("k", b"v") for client in held))
@@ -352,7 +354,8 @@ class TestAcquireAtAnySize:
                     return_exceptions=True,
                 )
                 assert all(isinstance(o, OSError) for o in outcomes)
-                assert (pool.dials, pool.live, pool.leases) == (size, size, 0)
+                assert pool.dials == len(pool._conns) == size
+                assert pool.leases == 0
             await pool.close()
 
         run(body())

@@ -28,22 +28,3 @@ def test_limit_step_size_properties(counts, max_step):
         low, high = sorted((previous, target))
         assert low <= value <= high
 
-
-@given(
-    counts=st.lists(st.integers(min_value=1, max_value=10), min_size=2,
-                    max_size=20),
-)
-@settings(max_examples=60, deadline=None)
-def test_schedule_transitions_reconstruct_counts(counts):
-    schedule = ProvisioningSchedule(5.0, counts)
-    # Replaying the transitions over the initial count reproduces counts.
-    current = counts[0]
-    series = {0.0: current}
-    for when, n_old, n_new in schedule.transitions():
-        assert n_old == current
-        current = n_new
-        series[when] = current
-    # ... at every slot start.
-    for slot, expected in enumerate(counts):
-        when = max(t for t in series if t <= slot * 5.0)
-        assert series[when] == expected

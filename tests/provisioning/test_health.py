@@ -9,6 +9,7 @@ from repro.provisioning.health import (
     open_circuits,
 )
 from repro.resilience import BreakerState, CircuitBreaker
+from tests.conftest import healthy
 
 
 def snapshot(**kwargs):
@@ -19,13 +20,13 @@ def snapshot(**kwargs):
 class TestHealthSnapshot:
     def test_empty_snapshot_is_healthy(self):
         snap = snapshot()
-        assert snap.healthy
+        assert healthy(snap)
         assert snap.unhealthy_servers == frozenset()
         assert snap.degraded_rate == 0.0
 
     def test_an_unhealthy_server_marks_the_snapshot_unhealthy(self):
         snap = snapshot(unhealthy_servers=frozenset({1, 3}))
-        assert not snap.healthy
+        assert not healthy(snap)
 
     def test_degraded_rate_per_request(self):
         snap = snapshot(
@@ -34,7 +35,7 @@ class TestHealthSnapshot:
         )
         assert snap.degraded_events == 10
         assert snap.degraded_rate == pytest.approx(0.05)
-        assert not snap.healthy
+        assert not healthy(snap)
 
 
 class FakeStats:
@@ -149,7 +150,7 @@ class TestShedSignal:
     def test_shed_marks_unhealthy_and_sets_rate(self):
         snap = snapshot(requests=200, shed=10)
         assert snap.shed_rate == pytest.approx(0.05)
-        assert not snap.healthy
+        assert not healthy(snap)
         assert snapshot(requests=0, shed=0).shed_rate == 0.0
 
     def test_monitor_differences_the_shed_counter(self):
@@ -164,4 +165,4 @@ class TestShedSignal:
         # no new sheds: the next window reports zero, not the total
         second = health.observe(now=2.0)
         assert second.shed == 0
-        assert second.healthy
+        assert healthy(second)

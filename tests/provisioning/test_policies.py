@@ -23,13 +23,6 @@ class TestSchedule:
         assert schedule.slot_of(-5.0) == 0
         assert schedule.slot_of(1000.0) == 1
 
-    def test_transitions(self):
-        schedule = ProvisioningSchedule(10.0, [3, 3, 2, 4, 4])
-        assert schedule.transitions() == [(20.0, 3, 2), (30.0, 2, 4)]
-
-    def test_duration(self):
-        assert ProvisioningSchedule(30.0, [1, 1]).duration == 60.0
-
     def test_server_slot_total(self):
         assert ProvisioningSchedule(10.0, [3, 2, 4]).server_slot_total() == 9
 
@@ -46,7 +39,6 @@ class TestStaticSchedule:
     def test_all_on(self):
         schedule = static_schedule(8, 5, slot_seconds=10.0)
         assert schedule.counts == [8] * 5
-        assert schedule.transitions() == []
 
 
 class TestLoadProportional:

@@ -69,7 +69,7 @@ class TestDeadline:
 
     def test_expires_at_and_after(self):
         clock = FakeClock(3.0)
-        deadline = Deadline.after(2.0, clock=clock)
+        deadline = Deadline(2.0, clock=clock)
         assert deadline.expires_at == 5.0
         assert Deadline(None, clock=clock).expires_at is None
 

@@ -42,26 +42,19 @@ class TestServiceQueue:
         queue = ServiceQueue()
         assert queue.enqueue(0.0, 1.0) == 1.0
         assert queue.enqueue(0.0, 1.0) == 2.0
-        assert queue.delay(0.0) == 2.0
 
     def test_idle_gap(self):
         queue = ServiceQueue()
         queue.enqueue(0.0, 1.0)
         assert queue.enqueue(5.0, 1.0) == 6.0
-        assert queue.delay(10.0) == 0.0
+        assert queue.enqueue(10.0, 1.0) == 11.0
 
     def test_utilization(self):
+        # busy_time is what the power meter's busy_time_probe reads.
         queue = ServiceQueue()
         queue.enqueue(0.0, 2.0)
-        assert queue.utilization(4.0) == 0.5
-        assert queue.utilization(0.0) == 0.0
-
-    def test_reset(self):
-        queue = ServiceQueue()
-        queue.enqueue(0.0, 5.0)
-        queue.reset()
-        assert queue.delay(0.0) == 0.0
-        assert queue.served == 0
+        queue.enqueue(0.5, 1.0)
+        assert queue.busy_time == 3.0
 
     def test_negative_service_rejected(self):
         with pytest.raises(ConfigurationError):

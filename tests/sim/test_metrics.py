@@ -86,7 +86,6 @@ class TestSlottedRecorder:
         for value in (1.0, 2.0, 3.0, 10.0):
             rec.record(1.0, value)
         rec.record(11.0, 7.0)
-        assert rec.pct(0, 50) == 2.5
         assert rec.series(50).values == [2.5, 7.0]
         assert rec.series(100).values == [10.0, 7.0]
         assert rec.series(0).values == [1.0, 7.0]
@@ -97,11 +96,6 @@ class TestSlottedRecorder:
         rec.record(25.0, 1.0)
         series = rec.series(50)
         assert series.times == [5.0, 25.0]
-
-    def test_empty_slot_raises(self):
-        rec = SlottedRecorder(10.0)
-        with pytest.raises(ConfigurationError):
-            rec.pct(0, 99)
 
     def test_rejects_bad_width(self):
         with pytest.raises(ConfigurationError):

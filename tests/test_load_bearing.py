@@ -1,8 +1,10 @@
 """Load-bearing audit: every module is reached from a real entry point,
 every package re-export is imported through that package by someone,
 every constructor parameter with a default is set by someone, every
-public method is referenced by code that runs, and every public
-attribute is read by it.
+public method is used by code that runs, and every public attribute is
+read by it — a use being an attribute access, a class-body alias, a
+``getattr``-family name or a tracer binding, never a bare name that
+happens to match.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
@@ -434,12 +436,14 @@ def test_every_constructor_parameter_is_set_outside_the_tests(name):
     assert not stale, f"KEPT lists {stale} of {name}: drop the entry"
 
 
-#: where a method counts as called: the code that runs (the library, the
+#: where a member counts as used: the code that runs (the library, the
 #: benches with the e2e tracer, the examples) and the virtual-network
 #: harness that is to move into ``src/``
 CALLERS = ("src", "benchmarks", "examples", "tests/simnet")
 #: the e2e tracer binds an entry point by ``"module:Class.method"``
 _BOUND = re.compile(r"^[\w.]+:[\w.]+$")
+#: builtins whose second argument names a member
+_ACCESSORS = ("getattr", "hasattr", "setattr")
 
 #: "Class.method" -> the open ROADMAP item that will call it; an entry that
 #: gains a caller fails the gate, so this can only shrink
@@ -452,24 +456,66 @@ KEPT_METHODS = {
         "ROADMAP item 5 builds the sim driver's router from the same "
         "config file"
     ),
+    "ClusterConfig.load": (
+        "ROADMAP item 4 reads that config file with it before "
+        "build_frontend builds the live stack"
+    ),
+    "MemcachedClient.incr": (
+        "ROADMAP item 3(e)'s no-blind-resend contract: an incr lost to a "
+        "reset connection must not be applied twice"
+    ),
 }
 
 
-def _names(path: Path) -> Iterator[Tuple[str, bool]]:
-    """Every name *path* references — attributes, names, identifier string
-    constants (``getattr``), and the method of a ``"module:Class.method"``
-    string — and whether the reference reads it (a string always does;
-    an assignment target, ``+=`` included, does not)."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def _names(source: str) -> Iterator[Tuple[str, bool]]:
+    """Every member use in *source*, and whether it reads the member.
+
+    A use is an attribute access ``x.name`` (a read unless it is assigned
+    to, ``+=`` included), a class-body alias such as ``update = add_many``,
+    the second argument of ``getattr`` / ``hasattr`` / ``setattr`` (only
+    ``setattr`` writes), and the member of a ``"module:Class.member"``
+    string the e2e tracer binds.  A bare name (a parameter, a local), a
+    dict-key string and a ``__slots__`` entry are not uses."""
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
             yield node.attr, isinstance(node.ctx, ast.Load)
-        elif isinstance(node, ast.Name):
-            yield node.id, isinstance(node.ctx, ast.Load)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                yield node.value, True
-            elif _BOUND.match(node.value):
-                yield node.value.rsplit(".", 1)[-1], True
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and isinstance(
+                    item.value, ast.Name
+                ):
+                    yield item.value.id, True
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in _ACCESSORS
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            yield node.args[1].value, node.func.id != "setattr"
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _BOUND.match(node.value)
+        ):
+            yield node.value.rsplit(".", 1)[-1], True
+
+
+def test_only_real_uses_count():
+    """The rule gates 4 and 5 apply, on source strings."""
+    def uses(source: str) -> Set[str]:
+        return {name for name, _ in _names(source)}
+
+    assert "pct" not in uses("def f(pct):\n    rank = pct\n    return rank")
+    assert "pct" not in uses("pct = 99.9\nprint(pct)")
+    assert "pct" in uses("x.pct()")
+    assert "add_many" in uses("class C:\n    update = add_many")
+    assert "pct" in uses("getattr(x, 'pct')")
+    assert "pct" not in uses("class C:\n    __slots__ = ('pct',)")
+    assert "pct" not in uses("d = {'pct': 1}")
+    assert "pct" in uses("bind('repro.m:C.pct')")
+    assert dict(_names("x.pct = 1\nsetattr(x, 'rank', 2)")) == {
+        "pct": False, "rank": False,
+    }
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,7 +524,7 @@ def _referenced(reads_only: bool) -> Set[str]:
         name
         for tree in CALLERS
         for path in (REPO / tree).rglob("*.py")
-        for name, read in _names(path)
+        for name, read in _names(path.read_text())
         if read or not reads_only
     }
 
@@ -493,11 +539,16 @@ def _overrides_foreign(cls: type, name: str) -> bool:
     )
 
 
-def _public_methods() -> Iterator[str]:
-    """``Class.method`` for every public method, classmethod, staticmethod
-    and property defined in a class under ``src/repro`` (a property's
-    setter is the same name)."""
-    for _, node in _class_defs():
+def _where(module: str, line: int) -> str:
+    return f"{MODULES[module].relative_to(REPO)}:{line}"
+
+
+def _public_methods() -> Dict[str, str]:
+    """``Class.method`` -> ``path:line`` for every public method,
+    classmethod, staticmethod and property defined in a class under
+    ``src/repro`` (a property's setter is the same name)."""
+    found = {}
+    for module, node in _class_defs():
         cls = _classes()[node.name]
         for item in node.body:
             if (
@@ -505,21 +556,24 @@ def _public_methods() -> Iterator[str]:
                 and not item.name.startswith("_")
                 and not _overrides_foreign(cls, item.name)
             ):
-                yield f"{node.name}.{item.name}"
+                member = f"{node.name}.{item.name}"
+                found.setdefault(member, _where(module, item.lineno))
+    return found
 
 
 def _audit(
-    members: Iterator[str], names: Set[str], kept: Dict[str, str], verb: str
+    members: Dict[str, str], names: Set[str], kept: Dict[str, str], verb: str
 ) -> None:
     """Fail on each ``Class.member`` of *members* whose name is not in
-    *names* and not in *kept*, and on each entry of *kept* that is gone or
-    whose name now is."""
-    members = set(members)
+    *names* and not in *kept*, naming where it is defined, and on each
+    entry of *kept* that is gone or whose name now is."""
     unused = sorted(
-        m for m in members if m.rsplit(".", 1)[1] not in names and m not in kept
+        f"{where} {m}" for m, where in members.items()
+        if m.rsplit(".", 1)[1] not in names and m not in kept
     )
     assert not unused, (
-        "no code in " + ", ".join(f"{t}/" for t in CALLERS) + f" {verb} {unused}"
+        "no code in " + ", ".join(f"{t}/" for t in CALLERS) + f" {verb}:\n"
+        + "\n".join(unused)
     )
     stale = sorted(
         m for m in kept if m not in members or m.rsplit(".", 1)[1] in names
@@ -530,36 +584,58 @@ def _audit(
 def test_every_public_method_is_called_outside_the_tests():
     """A method only tests call is API nobody runs: delete it, with the
     tests that alone kept it alive, or list it in ``KEPT_METHODS`` with the
-    open item that will call it.  Matching is by name, so an overridden
-    method is referenced with its base's, and a method sharing a name with
-    a live one (a client verb named like a store method) slips through:
-    audit those by hand."""
+    open item that will call it.  Matching is by name (:func:`_names`), so
+    an overridden method is used with its base's, and a method sharing a
+    name with a live one slips through.  Audited by hand for that, by grep
+    of :data:`CALLERS`:
+
+    * gone: ``DatabaseCluster.reset``, ``DatabaseShard.reset`` and
+      ``ServiceQueue.reset`` (the controller's ``reset``),
+      ``DatabaseShard.queue_delay`` and ``ServiceQueue.delay``
+      (``FaultPlan.delay``), ``EventLoop.schedule`` / ``run`` and
+      ``EventHandle.cancel`` / ``cancelled`` (asyncio's),
+      ``ProvisioningSchedule.transitions`` / ``duration``
+      (``RunReport``'s), ``HotKeyCache.clear`` (every ``dict.clear``);
+      before them the client's ``prepend`` / ``decr`` / ``touch`` /
+      ``version`` / ``add`` / ``append``, ``HotKeyArmor.observe`` and
+      ``CountMinSketch.memory_bytes``;
+    * kept: ``DatabaseCluster.put`` / ``DatabaseShard.put`` and
+      ``DatabaseShard.dataset`` (the engine's ``put`` hides them):
+      ``tests/property/test_stateful_transitions.py`` models the
+      authoritative write with them, and ROADMAP item 3(a)'s sim twin
+      builds on that machine."""
     _audit(
         _public_methods(), _referenced(reads_only=False), KEPT_METHODS,
-        "references",
+        "uses",
     )
 
 
-#: "Class.attribute" -> why it stays though nothing reads it by name; an
-#: entry that gains a reader fails the gate, so this can only shrink
+#: "Class.attribute" -> why it stays though nothing reads it; an entry
+#: that gains a reader fails the gate, so this can only shrink
 KEPT_ATTRIBUTES = {
     "FetchResult.old_server": (
         "the ring-0 old owner of a remapped key, part of the one result "
         "both substrates return: the sim-vs-live and batch-vs-scalar "
         "parity suites compare it key by key"
     ),
+    "FetchResult.probes": (
+        "the cache probes a key cost, part of the same result: the parity "
+        "suites compare it, and ROADMAP item 5 step 1's gate compares it "
+        "sim against live at r = 2"
+    ),
 }
 
 
-def _public_attributes() -> Iterator[str]:
-    """``Class.attribute`` for every public attribute a class under
-    ``src/repro`` assigns on ``self`` in its body, and every field a
-    dataclass declares."""
-    for _, node in _class_defs():
-        names = set()
+def _public_attributes() -> Dict[str, str]:
+    """``Class.attribute`` -> ``path:line`` (its first assignment) for
+    every public attribute a class under ``src/repro`` assigns on ``self``
+    in its body, and every field a dataclass declares."""
+    found: Dict[str, str] = {}
+    for module, node in _class_defs():
+        first: Dict[str, int] = {}
         if dataclasses.is_dataclass(_classes()[node.name]):
-            names.update(
-                item.target.id for item in node.body
+            first.update(
+                (item.target.id, item.lineno) for item in node.body
                 if isinstance(item, ast.AnnAssign)
                 and isinstance(item.target, ast.Name)
             )
@@ -567,18 +643,22 @@ def _public_attributes() -> Iterator[str]:
             if isinstance(inner, ast.Attribute) and isinstance(
                 inner.ctx, ast.Store
             ) and getattr(inner.value, "id", None) == "self":
-                names.add(inner.attr)
-        yield from (
-            f"{node.name}.{name}" for name in names if not name.startswith("_")
+                line = first.get(inner.attr, inner.lineno)
+                first[inner.attr] = min(line, inner.lineno)
+        found.update(
+            (f"{node.name}.{name}", _where(module, line))
+            for name, line in first.items() if not name.startswith("_")
         )
+    return found
 
 
 def test_every_public_attribute_is_read_outside_the_tests():
     """An attribute nothing reads is a counter or a record field kept for
     nobody: delete it with its writes, or list it in ``KEPT_ATTRIBUTES``
-    with the reason it stays.  A read is a load of the name (``x.attr``,
-    ``getattr(x, "attr")``) anywhere in :data:`CALLERS`; an assignment
-    and ``+=`` are not reads.  Matching is by name, as for methods."""
+    with the reason it stays.  A read is a load by :func:`_names`
+    (``x.attr``, ``getattr(x, "attr")``) anywhere in :data:`CALLERS`; an
+    assignment, ``+=`` and ``setattr`` are not reads.  Matching is by
+    name, as for methods."""
     _audit(
         _public_attributes(), _referenced(reads_only=True), KEPT_ATTRIBUTES,
         "reads",

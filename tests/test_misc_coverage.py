@@ -37,28 +37,12 @@ class TestEventLoopStress:
 
         loop = EventLoop()
         fired = []
-        handles = []
         for i in range(10_000):
-            handles.append(
-                loop.schedule_at(float(i % 100), fired.append, i)
-            )
-        for handle in handles[::3]:
-            handle.cancel()
-        loop.run()
-        assert len(fired) == 10_000 - len(handles[::3])
-        # time order respected
-        times = [i % 100 for i in fired]
-        assert times == sorted(times)
-
-    def test_cancel_from_within_a_callback(self):
-        from repro.sim.events import EventLoop
-
-        loop = EventLoop()
-        fired = []
-        later = loop.schedule_at(2.0, fired.append, "later")
-        loop.schedule_at(1.0, later.cancel)
-        loop.run()
-        assert fired == []
+            loop.schedule_at(float(i % 100), fired.append, i)
+        loop.run_until(100.0)
+        assert len(fired) == 10_000
+        # time order respected, ties in scheduling order
+        assert fired == sorted(fired, key=lambda i: (i % 100, i))
 
 
 class TestZipfExtremes:
