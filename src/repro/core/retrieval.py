@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import partial
 from typing import (
     Any,
     Dict,
@@ -244,15 +243,15 @@ class WriteBackMulti:
     """Install every ``(key, value)`` pair at server *server_id* (Alg. 2
     line 12) — one pipelined round trip.
 
-    A read's fill stores only where the key is absent (memcached ``add``),
-    so it never replaces a write that landed while its database read was
-    in flight; a write (:meth:`RetrievalEngine.write_many`) sets
-    ``overwrite``.  Driver answer: ignored, or :data:`SERVER_UNAVAILABLE`.
+    A read's fill (from :meth:`RetrievalEngine.retrieve_many`) stores only
+    where the key is absent (memcached ``add``), so it never replaces a
+    write (:meth:`RetrievalEngine.write_many`) that landed while its
+    database read was in flight.  Driver answer: ignored, or
+    :data:`SERVER_UNAVAILABLE`.
     """
 
     server_id: int
     items: Tuple[Tuple[str, Any], ...]
-    overwrite: bool = False
 
     @property
     def keys(self) -> Tuple[str, ...]:
@@ -710,7 +709,7 @@ class RetrievalEngine:
             for chain, plan in zip(chains, router.read_plans(keys, count)):
                 chain.update(plan)
         prefix = max(epochs.new, epochs.old or 0)
-        round_ = _per_server(partial(WriteBackMulti, overwrite=True), [
+        round_ = _per_server(WriteBackMulti, [
             (owner, (key, final[key]))
             for key, plan in zip(keys, plans) for owner in plan
         ]) + _per_server(DeleteMulti, [

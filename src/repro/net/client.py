@@ -13,18 +13,17 @@ command appends its reply shape to the incremental
 the same event-loop tick are coalesced into one ``send`` and the reply
 stream is matched strictly in order as chunks arrive (``data_received`` →
 ``feed``), so a burst of *k* gets costs ~one round trip instead of *k*.
-``TCP_NODELAY`` is set so the small writes are not Nagle-delayed.
+A read's fill (:meth:`fill`) is a ``noreply`` burst in that write: it
+expects no reply and nothing awaits it.  ``TCP_NODELAY`` is set.
 
 **Fault behaviour.**  A memcached text-protocol exchange has no framing
 beyond the reply itself, so *any* mid-reply failure — timeout, reset, EOF,
-or an unparseable line — leaves the stream position unknown; reading on
-would parse garbage (or worse, pair a later reply with an earlier queued
-command).  The client therefore *poisons* the connection on every such
-failure: the transport is aborted, :attr:`broken` is set, **every queued
-future fails** with :class:`~repro.errors.TransportError` — the transient
-class retry policies act on — and the next call transparently reconnects
-instead of resuming the dead stream.
-The one command whose reply was actually malformed gets
+or an unparseable line — leaves the stream position unknown.  The client
+therefore *poisons* the connection on every such failure: the transport
+is aborted, :attr:`broken` is set, **every queued future fails** with
+:class:`~repro.errors.TransportError` — the transient class retry policies
+act on — and the next call reconnects instead of resuming the dead
+stream.  The one command whose reply was actually malformed gets
 :class:`~repro.errors.ProtocolError`; complete ``SERVER_ERROR``-family
 lines raise :class:`ProtocolError` *without* poisoning (the stream is
 still framed).  An optional per-operation ``timeout`` bounds every
@@ -34,15 +33,13 @@ request nor a shutdown.
 **One timer per connection.**  The timeout is a deadline stamped on each
 command when it is issued (a pipelined burst is one reply and has one),
 kept in a queue parallel to the reply futures, and enforced by a single
-``loop.call_at`` handle per connection: armed by the first command, it
-re-arms itself for the head of the queue while commands are waiting and
-lapses when the connection is idle, so a healthy command costs no timer,
-no task and no wrapper — the caller awaits its reply future directly.
-On expiry the head command gets the "did not answer within"
-:class:`TransportError` (``__cause__`` is ``asyncio.TimeoutError``, the
-congestion signal) and the rest of the queue is poisoned as above.  A
-*cancelled* caller cancels its reply future, not the stream: the slot
-stays queued, the late reply is consumed in order and dropped.
+``loop.call_at`` handle per connection that re-arms itself for the head
+of the queue and lapses when the connection is idle, so a healthy
+command costs no timer, no task and no wrapper.  On expiry the head
+command gets the "did not answer within" :class:`TransportError`
+(``__cause__`` is ``asyncio.TimeoutError``) and the rest of the queue is
+poisoned as above.  A *cancelled* caller cancels its reply future, not
+the stream: the late reply is consumed in order and dropped.
 """
 
 from __future__ import annotations
@@ -50,25 +47,26 @@ from __future__ import annotations
 import asyncio
 import socket
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.bloom.bloom import BloomFilter
 from repro.errors import ProtocolError, TransportError
 from repro.net import protocol as proto
 from repro.net.parser import (
-    CountReply,
-    Desync,
-    ErrorLine,
-    LineReply,
-    ReplyParser,
-    ReplyShape,
-    StatsReply,
-    ValuesReply,
-    arith_token,
+    CountReply, Desync, ErrorLine, LineReply, ReplyParser, ReplyShape,
+    StatsReply, ValuesReply, arith_token,
 )
 
 #: close() must never hang on a blackholed peer even with timeout=None
 CLOSE_TIMEOUT = 5.0
+
+
+def _storage_burst(verb: bytes, pairs, tail=b"", flags=0, exptime=0) -> bytes:
+    """One *verb* storage command per ``(key, value)`` of *pairs*."""
+    proto.validate_keys([key for key, _ in pairs])
+    line = b"%s %%s %d %d %%d%s\r\n%%s\r\n" % (verb, flags, exptime, tail)
+    return b"".join([line % (key.encode("utf-8"), len(value), value)
+                     for key, value in pairs])
 
 
 class _ClientProtocol(asyncio.Protocol):
@@ -140,22 +138,24 @@ class _ClientProtocol(asyncio.Protocol):
 
     # ------------------------------------------------------------ writes
 
-    def issue(self, shape: ReplyShape, payload: bytes,
-              future: asyncio.Future) -> None:
+    def issue(self, shape: Optional[ReplyShape], payload: bytes,
+              future: Optional[asyncio.Future] = None) -> None:
         """Queue *payload* (one command, or a pipelined burst framed as
-        one reply) for the coalesced write; *future* gets the reply."""
+        one reply) for the coalesced write; *future* gets the reply, and
+        a ``noreply`` burst (no *shape*) expects none."""
         if self.transport is None or self.transport.is_closing():
             raise TransportError("connection is closed")
-        self.parser.expect(shape)
-        self.pending.append(future)
-        timeout = self.client.timeout
-        if timeout is not None:
-            # One deadline for the reply, counted from now; the timer is
-            # armed only when none is (it re-arms itself).
-            due = self._loop.time() + timeout
-            self.due.append(due)
-            if self._timer is None:
-                self._timer = self._loop.call_at(due, self._on_due)
+        if shape is not None:
+            self.parser.expect(shape)
+            self.pending.append(future)
+            timeout = self.client.timeout
+            if timeout is not None:
+                # One deadline for the reply, counted from now; the timer
+                # is armed only when none is (it re-arms itself).
+                due = self._loop.time() + timeout
+                self.due.append(due)
+                if self._timer is None:
+                    self._timer = self._loop.call_at(due, self._on_due)
         self._out += payload
         if not self._flush_scheduled:
             self._flush_scheduled = True
@@ -221,25 +221,18 @@ class MemcachedClient:
     Args:
         host/port: the server endpoint.
         timeout: per-operation time limit in seconds: each command's
-            reply is due that long after the command is *issued*, and
-            the commands of one pipelined burst (``set_multi``,
-            ``get_many``) share one deadline (``None``: wait forever,
-            the pre-hardening behaviour — except :meth:`close`, which is
-            always bounded).  A timeout poisons the connection — the
-            stream position is unknown once a reply is abandoned halfway.
+            reply is due that long after the command is *issued*, one
+            deadline per pipelined burst (``None``: wait forever — but
+            :meth:`close` is always bounded).  A timeout poisons the
+            connection: the stream position is unknown past it.
         nodelay: set ``TCP_NODELAY`` on the socket (default True).
 
     There is one way to dial: a call (or :meth:`connect`) with no live
     stream dials one, and concurrent callers share that dial.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: Optional[float] = None,
-        nodelay: bool = True,
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout: Optional[float] = None,
+                 nodelay: bool = True) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -257,9 +250,7 @@ class MemcachedClient:
     def inflight(self) -> int:
         """Replies awaited: one per command written, one per pipelined
         burst (``set_multi``, ``get_many``)."""
-        if self._protocol is None:
-            return 0
-        return len(self._protocol.pending)
+        return 0 if self._protocol is None else len(self._protocol.pending)
 
     async def connect(self) -> "MemcachedClient":
         """Make sure there is a live stream: return at once if there is
@@ -464,10 +455,9 @@ class MemcachedClient:
         on miss) per key, in key order.  An error line raises once every
         reply of the burst has arrived.
 
-        Unlike :meth:`get_multi` (one multi-key command) this keeps the
-        per-key command shape — the burst a page of concurrent per-key
-        callers produces — without paying a task per key; it is also the
-        net throughput bench's pipelined page fetch.
+        Unlike :meth:`get_multi` this keeps the per-key command shape — a
+        page of concurrent per-key callers' burst — without a task per
+        key; the net throughput bench fetches its pages with it.
         """
         key_list = list(keys)
         if not key_list:
@@ -479,30 +469,36 @@ class MemcachedClient:
         values = await self._exchange(ValuesReply(len(key_list)), payload)
         return [values.get(key) for key in key_list]
 
-    async def set_multi(
-        self, items, flags: int = 0, exptime: int = 0, verb: str = "set"
-    ) -> int:
-        """Pipelined *verb* commands (``set``; ``add``: store only what is
-        absent; ``append`` / ``prepend``): one coalesced write whose
-        replies are framed as one (a :class:`CountReply`, one future);
-        returns how many were STORED.  An error line raises once every
-        reply of the burst has arrived.
-
-        The write-back half of a batched retrieval: one round trip per
-        server for the whole batch, the same amortization ``get_multi``
-        gives the probe half.
-        """
+    async def set_multi(self, items, flags: int = 0, exptime: int = 0) -> int:
+        """Pipelined ``set`` commands (a ``put``'s write): one coalesced
+        write whose replies are framed as one (a :class:`CountReply`, one
+        future); returns how many were STORED.  An error line raises once
+        every reply of the burst has arrived."""
         pairs = list(items.items() if isinstance(items, dict) else items)
         if not pairs:
             return 0
-        proto.validate_keys([key for key, _ in pairs])
-        verb = verb.encode()
-        payload = b"".join([
-            b"%s %s %d %d %d\r\n%s\r\n"
-            % (verb, key.encode("utf-8"), flags, exptime, len(value), value)
-            for key, value in pairs
-        ])
+        payload = _storage_burst(b"set", pairs, b"", flags, exptime)
         return await self._exchange(CountReply(len(pairs)), payload)
+
+    def fill(self, items, then: Optional[Callable[[], None]] = None) -> None:
+        """A read's fill, issued and never awaited: ``add`` every ``(key,
+        value)`` of *items* in this tick's write, ``noreply`` unless
+        *then* is given — then the burst asks for replies and ``then()``
+        runs once they landed or the stream failed.  Never dials: raises
+        :class:`TransportError` with no live stream."""
+        protocol = self._protocol
+        if protocol is None:
+            raise TransportError(f"no live stream to {self.host}:{self.port}")
+        pairs = list(items)
+        if then is None:
+            burst = _storage_burst(b"add", pairs, b" noreply")
+            return protocol.issue(None, burst)
+        reply = protocol._loop.create_future()
+        # Nobody awaits the reply: take its error here, then run ``then``.
+        reply.add_done_callback(lambda r: r.cancelled() or r.exception())
+        reply.add_done_callback(lambda r: then())
+        burst = _storage_burst(b"add", pairs)
+        protocol.issue(CountReply(len(pairs)), burst, reply)
 
     async def incr(self, key: str, delta: int = 1) -> Optional[int]:
         """Increment a decimal value; returns the new value or ``None``."""

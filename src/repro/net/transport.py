@@ -4,49 +4,33 @@
 :class:`~repro.net.pool.ConnectionPool` of pipelined
 :class:`~repro.net.client.MemcachedClient` connections (``pool_size``
 per server, lazily dialled — the way the paper's web tier pools its
-spymemcached connections) and runs **every** cache RPC of
-:class:`~repro.net.webtier.AsyncProteusFrontend` — probes, write-backs,
-``put``'s writes and deletes, and the digest broadcast — through one
-private :meth:`_call`, so retry policy lives in exactly one audited place.
-A test or a simulator swaps the whole object (``web.transport = fake``):
-the frontend only ever calls the four seam methods :meth:`get_multi`,
-:meth:`set_multi`, :meth:`delete_multi` and :meth:`digest`.
+spymemcached connections).  A test swaps the whole object
+(``web.transport = fake``): the frontend only calls the seam methods
+:meth:`get_multi`, :meth:`fill`, :meth:`set_multi`, :meth:`delete_multi`,
+:meth:`digest` and :meth:`flush`.
 
 Fault tolerance
 ---------------
 
-:meth:`_call` layers the :mod:`repro.resilience` policies of one
-:class:`~repro.resilience.ResiliencePolicy` around the socket work, in
-this order — deadline, breaker, lease, retry:
+Every RPC is admitted by one step, :meth:`_lease` — a spent
+:class:`~repro.resilience.Deadline` or a refusing
+:class:`~repro.resilience.CircuitBreaker` answers before any dial, else a
+connection is leased — and all but a read's fill then run through the one
+retry loop, :meth:`_call`: each attempt is admitted and leased afresh (no
+lease is held across a backoff sleep), transient faults are retried with
+the policy's seeded backoff unless the sleep would overrun the deadline,
+and :class:`~repro.errors.OverloadError` answers (``SERVER_ERROR busy``,
+counted in ``shed_rpcs``) are never retried, so a storm cannot amplify
+through here.  A fill (:meth:`fill`) is issued and not awaited: it fails
+only at issue, and a lost fill is a later miss.  Nothing here sheds for
+concurrency: past the pool's bound, RPCs share pipelined connections.
 
-* a per-request :class:`~repro.resilience.Deadline` bounds the total time
-  spent on cache-side recovery: an already-expired one fails fast (no
-  dial, no queue, no retry), and a backoff sleep that would overrun it is
-  skipped;
-* a per-server :class:`~repro.resilience.CircuitBreaker` refuses the RPC
-  outright while the server's circuit is open (no connect-timeout tax on
-  every request to a dead server);
-* each attempt leases a connection from the server's pool afresh, so
-  no lease is held across a backoff sleep;
-* transient transport faults are retried with the policy's seeded
-  backoff, against the auto-reconnecting client;
-* :class:`~repro.errors.OverloadError` answers (``SERVER_ERROR busy``
-  sheds, counted in ``shed_rpcs``) are **never retried** — a storm
-  cannot amplify through here.
-
-Nothing here sheds for concurrency: past the pool's bound, RPCs share
-pipelined connections and the server answers them in turn, so a burst of
-pages against a healthy cluster is served from the cache, never sent to
-the database.
-
-:meth:`get_multi`, :meth:`set_multi` and :meth:`delete_multi` answer the
-engine: an RPC that cannot be completed returns ``SERVER_UNAVAILABLE``
-instead of raising, and Algorithm 2 degrades — a dead new owner forces a
-database read (``FetchPath.DEGRADED_DB``), a dead old owner skips the
-migration probe, a failed write-back is recorded but never fails the
-fetch; a ``put`` names the servers that answered so in its
-``TransportError``.  :meth:`digest` answers an all-or-nothing broadcast,
-so it always raises.
+The engine's RPCs answer ``SERVER_UNAVAILABLE`` instead of raising, and
+Algorithm 2 degrades — a dead new owner forces a database read
+(``FetchPath.DEGRADED_DB``), a dead old owner skips the migration probe,
+a failed fill is recorded but never fails the fetch; a ``put`` names the
+servers that answered so in its ``TransportError``.  :meth:`digest` and
+:meth:`flush` serve an all-or-nothing resize, so they raise.
 """
 
 from __future__ import annotations
@@ -59,14 +43,15 @@ from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import SERVER_UNAVAILABLE
 from repro.errors import (
-    ConfigurationError,
-    DeadlineExceeded,
-    OverloadError,
-    TransportError,
+    ConfigurationError, DeadlineExceeded, OverloadError, TransportError,
 )
 from repro.net.client import MemcachedClient
 from repro.net.pool import ConnectionPool
-from repro.resilience import CircuitBreaker, Deadline, ResiliencePolicy
+from repro.resilience import BreakerState, CircuitBreaker, Deadline
+from repro.resilience import ResiliencePolicy
+
+#: what a fence reads: a key no page stores
+FENCE_KEY = "proteus:fence"
 
 __all__ = ["CacheTransport"]
 
@@ -75,8 +60,7 @@ async def _snapshot_and_fetch(
     client: MemcachedClient, bloom_config: BloomConfig
 ) -> BloomFilter:
     # Two sequential exchanges on one connection: replies are matched
-    # FIFO, so interleaved traffic from other tasks cannot reorder
-    # snapshot before fetch.
+    # FIFO, so other tasks' traffic cannot reorder snapshot and fetch.
     await client.snapshot_digest()
     return await client.fetch_digest(
         bloom_config.num_counters, bloom_config.num_hashes
@@ -84,13 +68,9 @@ async def _snapshot_and_fetch(
 
 
 async def _delete_each(client: MemcachedClient, keys) -> int:
-    # memcached has no multi-key delete: one exchange per key (a put
-    # invalidates one key, so one exchange); deleting is idempotent, so
-    # the batch retries as a unit.
-    deleted = 0
-    for key in keys:
-        deleted += await client.delete(key)
-    return deleted
+    # memcached has no multi-key delete: one exchange per key; deleting
+    # is idempotent, so the batch retries as a unit.
+    return sum([await client.delete(key) for key in keys])
 
 
 class CacheTransport:
@@ -121,6 +101,8 @@ class CacheTransport:
         self.breakers: List[CircuitBreaker] = [
             policy.new_breaker(clock) for _ in endpoints
         ]
+        # per server, the connections that carried a fill since its fence
+        self._filled: List[Dict] = [{} for _ in endpoints]
         #: cache RPCs that could not be completed (degraded or raised)
         self.unavailable_rpcs = 0
         #: transient cache-RPC failures observed (pre-retry, per attempt)
@@ -131,19 +113,13 @@ class CacheTransport:
     # ----------------------------------------------------------- lifecycle
 
     async def connect(self) -> None:
-        """Create one connection pool per endpoint and prewarm each.
-
-        An endpoint that refuses the initial dial does not fail the whole
-        transport: its pool stays registered (it keeps dialling lazily),
-        its breaker absorbs the failures, and requests degrade around it
-        until it comes back.
-        """
+        """Create one connection pool per endpoint and prewarm each.  An
+        endpoint that refuses the dial keeps its pool (it dials lazily)
+        and its breaker absorbs the failure."""
         for index, (host, port) in enumerate(self.endpoints):
             if self.pools[index] is None:
                 self.pools[index] = ConnectionPool(
-                    host,
-                    port,
-                    size=self.pool_size,
+                    host, port, size=self.pool_size,
                     timeout=self.policy.op_timeout,
                 )
             try:
@@ -156,6 +132,7 @@ class CacheTransport:
             if pool is not None:
                 await pool.close()
                 self.pools[index] = None
+                self._filled[index].clear()  # closed: no fence may redial
 
     # --------------------------------------------------------------- stats
 
@@ -173,9 +150,7 @@ class CacheTransport:
             "ejections": sum(p.ejections for p in pools),
             "reconnects": self.reconnects,
             "pool_waited": sum(p.waited for p in pools),
-            "pool_leases_peak": max(
-                (p.leases_peak for p in pools), default=0
-            ),
+            "pool_leases_peak": max((p.leases_peak for p in pools), default=0),
             "unavailable_rpcs": self.unavailable_rpcs,
             "transient_failures": self.transient_failures,
             "shed_rpcs": self.shed_rpcs,
@@ -184,20 +159,42 @@ class CacheTransport:
     # ---------------------------------------------------------------- RPCs
 
     def get_multi(self, server_id: int, keys, deadline=None):
-        """``{key: value}`` of the hits among *keys*, or
+        """The hits among *keys* as ``{key: value}``, or
         ``SERVER_UNAVAILABLE``."""
         return self._call(
             server_id, deadline, True, MemcachedClient.get_multi, keys
         )
 
-    def set_multi(self, server_id: int, items, deadline=None, verb="set"):
-        """Store every ``(key, value)`` of *items* with *verb* (``set``, or
-        ``add``: only where absent); ``SERVER_UNAVAILABLE`` when the server
-        cannot take them."""
+    def set_multi(self, server_id: int, items, deadline=None):
+        """Store every ``(key, value)`` of *items* (a put's write);
+        ``SERVER_UNAVAILABLE`` when the server cannot take them."""
         return self._call(
-            server_id, deadline, True,
-            MemcachedClient.set_multi, items, 0, 0, verb,
+            server_id, deadline, True, MemcachedClient.set_multi, items
         )
+
+    def fill(self, server_id: int, items, deadline=None, then=None):
+        """Issue a read's fill (``add`` every item, see
+        :meth:`MemcachedClient.fill`) and answer at once: ``None``, or
+        ``SERVER_UNAVAILABLE`` — then ``then()`` runs now — when it cannot
+        be issued.  Never dials, never retries."""
+        client = self._lease(server_id, deadline, trial=False)
+        if client is not None:
+            try:
+                client.fill(items, then)
+                filled = self._filled[server_id]
+                filled[client] = None
+                if len(filled) > self.pool_size:  # forget the broken ones
+                    self._filled[server_id] = {
+                        c: None for c in filled if not c.broken}
+                return None
+            except TransportError:  # no live stream
+                pass
+            finally:
+                self.pools[server_id].release(client)
+        self.unavailable_rpcs += 1
+        if then is not None:
+            then()
+        return SERVER_UNAVAILABLE
 
     def delete_multi(self, server_id: int, keys, deadline=None):
         """Delete every key of *keys* (a write's invalidations);
@@ -206,75 +203,76 @@ class CacheTransport:
 
     def digest(self, server_id: int, bloom_config: BloomConfig):
         """Snapshot + fetch one server's digest on one lease (the pair is
-        idempotent, so it retries as a unit); raises when it cannot."""
-        return self._call(
-            server_id, None, False, _snapshot_and_fetch, bloom_config
-        )
+        idempotent, so it retries as a unit)."""
+        return self._fenced(server_id, _snapshot_and_fetch, bloom_config)
 
     def flush(self, server_id: int):
         """Empty one server (``flush_all``), as a scale-up does to each
-        joining server; raises when it cannot."""
-        return self._call(server_id, None, False, MemcachedClient.flush_all)
+        joining server."""
+        return self._fenced(server_id, MemcachedClient.flush_all)
 
-    async def _call(
-        self,
-        server_id: int,
-        deadline: Optional[Deadline],
-        degrade: bool,
-        op: Callable[..., Any],
-        *args,
-    ) -> Any:
-        """``await op(client, *args)`` on a connection leased from
-        *server_id*'s pool, under the breaker + retry + deadline policy.
+    async def _fenced(self, server_id: int, op, *args):
+        """*op* as an RPC that raises when it cannot complete, ordered
+        after every fill issued to *server_id* so far: a server answers
+        one connection's commands in order, so one round trip on each
+        connection that carried a fill suffices (a broken one lost its
+        fills with its stream)."""
+        filled, self._filled[server_id] = self._filled[server_id], {}
+        await asyncio.gather(*(
+            client.get(FENCE_KEY) for client in filled if not client.broken
+        ), return_exceptions=True)
+        return await self._call(server_id, None, False, op, *args)
 
-        Each attempt leases afresh (so the lease is released across
-        backoff sleeps and a retry lands on a healthy connection).  With
-        *degrade* the answer to an RPC that could not be completed is
-        ``SERVER_UNAVAILABLE`` — a transient error is never raised;
-        without it the final transient error propagates.  Fatal errors
-        (anything the retry policy does not classify transient) always
-        propagate: retrying cannot change a configuration mistake.
-        """
-        policy = self.policy
+    def _lease(self, server_id: int, deadline: Optional[Deadline],
+               trial: bool = True) -> Optional[MemcachedClient]:
+        """The admission step of every RPC: ``None`` when the *deadline*
+        is spent or the breaker refuses, else a connection leased from
+        the server's pool.  A fill, which never reports back, is no
+        half-open circuit's *trial*: it passes only a closed one."""
         if deadline is not None and deadline.expired():
-            # Fail fast on a dead budget: skip dialling and queueing
-            # entirely — the RPC could not possibly be useful.
-            self.unavailable_rpcs += 1
-            if degrade:
-                return SERVER_UNAVAILABLE
-            deadline.check(f"cache rpc to server {server_id}")
+            return None
         breaker = self.breakers[server_id]
-        # The breaker reads its own clock (this one) only when it is open.
-        if not breaker.allow():
-            self.unavailable_rpcs += 1
-            if degrade:
-                return SERVER_UNAVAILABLE
-            raise TransportError(f"circuit open for cache server {server_id}")
+        # The breaker reads its own clock only when it is not closed.
+        if not (breaker.allow() if trial else
+                breaker.state() is BreakerState.CLOSED):
+            return None
         pool = self.pools[server_id]
         if pool is None:
             raise ConfigurationError(
                 f"no connection pool for cache server {server_id}; "
                 "call connect()"
             )
+        try:
+            return pool.acquire(deadline)
+        except DeadlineExceeded:  # spent since the check above
+            return None
+
+    async def _call(self, server_id: int, deadline: Optional[Deadline],
+                    degrade: bool, op: Callable[..., Any], *args) -> Any:
+        """``await op(client, *args)`` under the retry policy, each
+        attempt admitted and leased afresh (:meth:`_lease`; a refusal ends
+        the loop).  With *degrade* an RPC that could not be completed
+        answers ``SERVER_UNAVAILABLE``; without it the last transient
+        error (or the refusal) raises.  Fatal errors (anything the policy
+        does not classify transient) always propagate."""
+        policy = self.policy
+        breaker = self.breakers[server_id]
         sleeps: Optional[List[float]] = None  # drawn on first failure
         last_error: Optional[BaseException] = None
         for attempt in range(policy.retry.max_attempts):
-            if attempt and deadline is not None and deadline.expired():
-                break
             try:
-                client = pool.acquire(deadline)
+                client = self._lease(server_id, deadline)
+                if client is None:
+                    break
                 try:
                     result = await op(client, *args)
                 finally:
-                    pool.release(client)
+                    self.pools[server_id].release(client)
             except OverloadError as error:
                 # A shed reply: retrying would feed the storm, so give up
                 # on the server straight away.
                 last_error = error
                 self.shed_rpcs += 1
-                break
-            except DeadlineExceeded as error:
-                last_error = error
                 break
             except Exception as error:
                 if not policy.retry.is_transient(error):
@@ -303,5 +301,5 @@ class CacheTransport:
         if last_error is not None:
             raise last_error
         raise TransportError(
-            f"request deadline spent before cache server {server_id} answered"
+            f"circuit open or deadline spent for cache server {server_id}"
         )

@@ -19,12 +19,14 @@ standard commands) endpoints:
 * the backing database is an async callable, so tests plug in a dict and a
   deployment plugs in a real pool.
 
-Every cache RPC — probe, write-back, ``put``'s writes and deletes, and the
+Every cache RPC — probe, fill, ``put``'s writes and deletes, and the
 digest broadcast — goes through ``web.transport``, a
-:class:`~repro.net.transport.CacheTransport`: it owns the connection
+:class:`~repro.net.transport.CacheTransport` that owns the connection
 pools and the :mod:`repro.resilience` stack (its "Fault tolerance"
-section says how a fetch degrades around a dead server), and a test
-swaps that one object for a fake.
+section says how a fetch degrades around a dead server); a test swaps
+that one object for a fake.  A page returns as soon as its values are
+known: a read's fills (Algorithm 2's write-back) are issued through the
+same admission step as every RPC, but nothing waits for them.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from __future__ import annotations
 import asyncio
 import time
 from contextlib import suppress
-from typing import (
-    Awaitable, Callable, Dict, Iterable, Optional, Sequence, Tuple,
-)
+from functools import partial
+from typing import Awaitable, Callable, Dict, Iterable, Optional, Sequence
+from typing import Tuple
 
 from repro import obs
 from repro.bloom.bloom import BloomFilter
@@ -46,9 +48,8 @@ from repro.core.retrieval import (
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
-from repro.errors import (
-    ConfigurationError, DigestBroadcastError, TransportError,
-)
+from repro.errors import ConfigurationError, DigestBroadcastError
+from repro.errors import TransportError
 from repro.net.round import run_round
 from repro.net.transport import CacheTransport
 from repro.resilience import Deadline, ResiliencePolicy
@@ -105,7 +106,7 @@ class AsyncProteusFrontend:
         self._clock = clock
         active = len(self.endpoints) if initial_active is None else initial_active
         self._manager = TransitionManager(active, len(self.endpoints))
-        #: key -> future resolved when the leader's write-back lands
+        #: key -> future resolved when the leader's fill lands
         self._inflight: Dict[str, asyncio.Future] = {}
         self.resilience = resilience or ResiliencePolicy.default()
         self.engine.admission = admission
@@ -155,29 +156,20 @@ class AsyncProteusFrontend:
     async def scale_to(self, n_new: int, ttl: float) -> Optional[Transition]:
         """Begin a transition to *n_new* with a *ttl* drain window:
         broadcast digests, flip routing.  Returns ``None`` for a no-op.
+        The caller powers servers up/down at the deadline.
 
-        The caller is responsible for actually powering servers up/down at
-        the deadline; the frontend only needs the routing epochs and the
-        digests.
-
-        Digests are requested only from the *ceding* servers — the old
-        owners the router reports may lose keys
-        (:meth:`~repro.core.router.Router.ceding_servers`); for Proteus
-        scale-down that is exactly the draining servers; ``ttl == 0`` is
-        an abrupt transition, with no digests and no drain window.  A
-        scale-up also empties every joining server
-        (:meth:`CacheTransport.flush`), as powering it on would: a copy it
-        kept from before it drained may be stale.  The pass is
-        all-or-nothing: each digest and each flush is one RPC (breaker,
-        retry and budget as for any other), and if any server cannot
-        answer — a dead one's circuit may already be open —
-        :class:`~repro.errors.DigestBroadcastError` (a
-        :class:`~repro.errors.TransitionError`) is raised *before* the
-        transition manager is armed — routing state rolls back to exactly
-        what it was, the failures are reported per server (and as a
-        ``transition.rollback`` event), and the caller may retry.
-        (Snapshots and flushes on the servers that did answer are
-        harmless: none of them is routed to.)
+        Digests come only from the *ceding* servers
+        (:meth:`~repro.core.router.Router.ceding_servers`: for a Proteus
+        scale-down, the draining ones); ``ttl == 0`` is an abrupt
+        transition, with no digests and no drain window.  A scale-up
+        empties every joining server (:meth:`CacheTransport.flush`): a
+        copy it kept from before it drained may be stale.  Each snapshot
+        and flush lands after every fill issued to its server before this
+        call.  The pass is all-or-nothing: if any server cannot answer,
+        :class:`~repro.errors.DigestBroadcastError` is raised *before*
+        routing is armed (and a ``transition.rollback`` event emitted),
+        naming the failures per server, and the caller may retry
+        (snapshots and flushes that did land are harmless).
         """
         now = self._clock()
         if not self._manager.check(n_new, now, ttl):
@@ -236,7 +228,9 @@ class AsyncProteusFrontend:
         (:func:`~repro.net.round.run_round`; a round of one is simply
         awaited), so probes of different servers overlap the way
         spymemcached pipelines a page's lookups.  Only database reads —
-        the caller's coroutines — get a task each.
+        the caller's coroutines — get a task each.  The fill round is
+        issued (:meth:`CacheTransport.fill`), not awaited: the page
+        returns when its values are known.
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
@@ -248,10 +242,13 @@ class AsyncProteusFrontend:
         try:
             while True:
                 round_ = steps.send(answers)
-                calls = [
-                    self._execute(command, leaders, deadline)
-                    for command in round_
-                ]
+                if type(round_[0]) is WriteBackMulti:  # a read's fills
+                    answers = [self.transport.fill(
+                        c.server_id, c.items, deadline, self._then(c, leaders)
+                    ) for c in round_]
+                    continue
+                calls = [self._execute(command, leaders, deadline)
+                         for command in round_]
                 if len(calls) == 1:  # a round of one needs no driver
                     answers = (await calls[0],)
                 elif isinstance(round_[0], ReadDatabase):
@@ -260,14 +257,9 @@ class AsyncProteusFrontend:
                     answers = await run_round(calls)
         except StopIteration as stop:
             results = stop.value
-        finally:
-            # Resolve leaders only after the write-back landed (or the
-            # fetch failed), so followers re-probing the new owner find it.
-            for key, leader in leaders.items():
-                if self._inflight.get(key) is leader:
-                    del self._inflight[key]
-                if not leader.done():
-                    leader.set_result(None)
+        finally:  # leaders no fill carries: the page is done with them
+            if leaders:
+                self._resolve(leaders.items())
         completed = self._clock()
         for result in results.values():
             result.completed = completed
@@ -279,17 +271,12 @@ class AsyncProteusFrontend:
         if isinstance(command, ProbeCacheMulti):
             return self.transport.get_multi(command.server_id, command.keys,
                                             deadline)
-        if isinstance(command, WriteBackMulti):
-            # A fill is ``add``: it never replaces a put that landed while
-            # its database read was in flight (the look-aside fill race).
-            return self.transport.set_multi(
-                command.server_id, command.items, deadline,
-                verb="set" if command.overwrite else "add",
-            )
+        if isinstance(command, WriteBackMulti):  # a put's write
+            return self.transport.set_multi(command.server_id, command.items,
+                                            deadline)
         if isinstance(command, DeleteMulti):
-            return self.transport.delete_multi(
-                command.server_id, command.keys, deadline
-            )
+            return self.transport.delete_multi(command.server_id,
+                                               command.keys, deadline)
         if isinstance(command, WaitForLeader):
             return self._wait_for_leader(command.key, leaders)
         if isinstance(command, ReadDatabase):
@@ -317,9 +304,24 @@ class AsyncProteusFrontend:
                 # Free the admitted slot even on DB failure.
                 self.engine.admission.db_finished(self._clock())
 
+    def _then(self, fill: WriteBackMulti, leaders: Leaders):
+        """What runs once *fill* lands: a follower that waited on a key
+        this page leads must find the value when it re-probes, so those
+        leaders resolve only then (``None``: the fill leads nothing)."""
+        led = [(key, leaders.pop(key)) for key in fill.keys if key in leaders]
+        return partial(self._resolve, led) if led else None
+
+    def _resolve(self, led) -> None:
+        """Resolve each ``(key, leader)`` of *led* and retire it."""
+        for key, leader in led:
+            if self._inflight.get(key) is leader:
+                del self._inflight[key]
+            if not leader.done():
+                leader.set_result(None)
+
     def _lead(self, key: str, leaders: Leaders) -> None:
         """Publish this page as *key*'s in-flight leader unless one exists
-        (``fetch_many`` resolves ``leaders`` once its write-backs land)."""
+        (resolved once its fill lands, see :meth:`_then`)."""
         if key not in self._inflight:
             leader = asyncio.get_running_loop().create_future()
             self._inflight[key] = leader
@@ -339,10 +341,7 @@ class AsyncProteusFrontend:
         )
         with suppress(StopIteration):
             steps.send(answers)
-        failed = [
-            command.server_id
-            for command, answer in zip(round_, answers)
-            if answer is SERVER_UNAVAILABLE
-        ]
+        failed = [command.server_id for command, answer in zip(round_, answers)
+                  if answer is SERVER_UNAVAILABLE]
         if failed:
             raise TransportError(f"put {key!r}: servers {failed} unavailable")

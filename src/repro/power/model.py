@@ -7,9 +7,8 @@ calibrated to the paper's Fig. 10, where the full 30-machine service cluster
 (10 web + 10 cache + 7 DB + switch overhead) draws ~2.8-3.4 kW: mid-range
 1U servers (Dell R210 class) idle near 70 W and peak near 120 W.
 
-Server *efficiency* (workload per watt) is exposed because Section III-A
-recommends fixing the provisioning order by decreasing efficiency; the
-ablation bench exercises heterogeneous fleets.
+Server *efficiency* (workload per watt), by which Section III-A orders a
+heterogeneous fleet, is :class:`repro.provisioning.order.ServerSpec`'s.
 """
 
 from __future__ import annotations
@@ -51,10 +50,3 @@ class ServerPowerModel:
             return self.p_off
         clamped = min(1.0, max(0.0, utilization))
         return self.p_idle + (self.p_peak - self.p_idle) * clamped
-
-    def efficiency(self, throughput: float, utilization: float = 1.0) -> float:
-        """Requests per joule at the given operating point (Section III-A)."""
-        watts = self.power(True, utilization)
-        if watts <= 0:
-            raise ConfigurationError("power model yields non-positive watts")
-        return throughput / watts

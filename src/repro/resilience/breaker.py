@@ -96,9 +96,9 @@ class CircuitBreaker:
         HALF_OPEN: up to ``HALF_OPEN_PROBES`` concurrent trial requests;
         the rest are refused until a probe reports back.
         """
-        state = self.state(now)
-        if state is BreakerState.CLOSED:
+        if self._state is BreakerState.CLOSED:  # no clock, no frame
             return True
+        state = self.state(now)
         if state is BreakerState.OPEN:
             return False
         if self._probes_in_flight < HALF_OPEN_PROBES:

@@ -43,13 +43,6 @@ class Deadline:
         self.budget = budget
         self.start = clock()
 
-    @property
-    def expires_at(self) -> Optional[float]:
-        """Absolute expiry time, or ``None`` for an unlimited budget."""
-        if self.budget is None:
-            return None
-        return self.start + self.budget
-
     def remaining(self, now: Optional[float] = None) -> float:
         """Seconds left (clamped at 0); ``inf`` for an unlimited budget."""
         if self.budget is None:

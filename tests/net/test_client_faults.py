@@ -150,7 +150,7 @@ class TestStoreBursts:
             server, client = await self.burst(
                 [b"STORED\r\n", b"NOT_STORED\r\n", b"STORED\r\n"]
             )
-            assert await client.set_multi(self.ITEMS, verb="add") == 2
+            assert await client.set_multi(self.ITEMS) == 2
             assert client._protocol is not None and client.reconnects == 0
             await server.stop()
 

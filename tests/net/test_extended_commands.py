@@ -110,7 +110,9 @@ class TestConcat:
     def test_append(self):
         async def body(server, client):
             await client.set("k", b"hello")
-            assert await client.set_multi([("k", b" world")], verb="append") == 1
+            assert await command(
+                client, b"append k 0 0 6\r\n world\r\n"
+            ) == b"STORED"
             assert await client.get("k") == b"hello world"
 
         run(with_server(body))
@@ -126,7 +128,9 @@ class TestConcat:
 
     def test_concat_on_missing_key_not_stored(self):
         async def body(server, client):
-            assert await client.set_multi([("ghost", b"x")], verb="append") == 0
+            assert await command(
+                client, b"append ghost 0 0 1\r\nx\r\n"
+            ) == b"NOT_STORED"
             assert await command(
                 client, b"prepend ghost 0 0 1\r\nx\r\n"
             ) == b"NOT_STORED"
@@ -136,7 +140,7 @@ class TestConcat:
     def test_concat_keeps_digest_consistent(self):
         async def body(server, client):
             await client.set("k", b"a")
-            await client.set_multi([("k", b"b")], verb="append")
+            await command(client, b"append k 0 0 1\r\nb\r\n")
             assert server.digest.count == 1  # replace, not duplicate insert
             assert "k" in server.digest
 

@@ -349,3 +349,65 @@ def test_a_warm_one_key_page_enters_a_pinned_number_of_frames():
                 await server.stop()
 
     assert asyncio.run(main()) == {PAGE1_FRAMES}
+
+
+#: Python frames of one warm 1-key *miss* ``fetch_many`` with coalescing
+#: off — its probe, its database read and its fill, which is issued
+#: ``noreply`` and not awaited (207 while the page awaited the fill's
+#: ``STORED`` through ``set_multi``)
+PAGE1_MISS_FRAMES = 137
+
+
+def test_a_warm_one_key_miss_page_issues_its_fill_and_returns():
+    bloom = optimal_config(1000)
+
+    async def database(key):
+        return b"db:" + key.encode()
+
+    async def main():
+        servers = [MemcachedServer(bloom_config=bloom) for _ in range(3)]
+        endpoints = [("127.0.0.1", await s.start()) for s in servers]
+        web = AsyncProteusFrontend(endpoints, bloom, database, pool_size=1)
+        writes = []
+        try:
+            async with web:
+                keys = KEYS[:12]
+                await web.fetch_many(keys)  # route every key once
+                for server_id in range(3):
+                    await web.transport.flush(server_id)  # all miss again
+                for server in servers:
+                    for connection in server._open:
+                        write = connection.transport.write
+                        connection.transport.write = (
+                            lambda data, write=write: (
+                                writes.append(bytes(data)), write(data)
+                            )
+                        )
+                counts = set()
+                for key in keys:  # every server, every key
+                    writes.clear()
+                    calls, results = await awaited_calls(
+                        web.fetch_many([key])
+                    )
+                    assert results[key].path == "miss_db"
+                    # The page owes no reply when it returns ...
+                    assert [
+                        client.inflight for pool in web.transport.pools
+                        for client in pool._conns
+                    ] == [0, 0, 0]
+                    owner = servers[web.router.route(key, 3)]
+                    for _ in range(100):
+                        if key in owner.store:
+                            break
+                        await asyncio.sleep(0)
+                    # ... and the fill landed without a byte written back:
+                    # the probe's END is all the server sent.
+                    assert key in owner.store
+                    assert writes == [b"END\r\n"]
+                    counts.add(calls)
+                return counts
+        finally:
+            for server in servers:
+                await server.stop()
+
+    assert asyncio.run(main()) == {PAGE1_MISS_FRAMES}

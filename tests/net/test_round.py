@@ -89,11 +89,13 @@ def frontend(transport=None, **kwargs):
 
 class FakeTransport:
     """``get_multi`` runs ``script(server_id)`` — an async callable — and
-    records which servers' probes started, finished and were cancelled."""
+    records which servers' probes started, finished and were cancelled,
+    and ``fill`` which servers a read's fills were issued to."""
 
     def __init__(self, script):
         self.script = script
         self.started, self.finished, self.cancelled = [], [], []
+        self.filled = []
 
     async def get_multi(self, server_id, keys, deadline=None):
         self.started.append(server_id)
@@ -105,7 +107,13 @@ class FakeTransport:
         self.finished.append(server_id)
         return answer
 
-    async def set_multi(self, server_id, items, deadline=None, verb="set"):
+    async def set_multi(self, server_id, items, deadline=None):
+        return None
+
+    def fill(self, server_id, items, deadline=None, then=None):
+        self.filled.append(server_id)
+        if then is not None:
+            then()
         return None
 
 
@@ -263,6 +271,9 @@ class TestTheSlowPathGetsATask:
                 "degraded_db", "miss_db"
             }
             assert sorted(web.transport.finished) == [0, 1, 2]
+            # Every key was read from the database: one fill per owner,
+            # issued without waiting for anything.
+            assert sorted(web.transport.filled) == [0, 1, 2]
 
         run(body())
 

@@ -58,8 +58,10 @@ class TestBasicCommands:
 
     def test_add_and_replace_semantics(self):
         async def body(server, client):
-            assert await client.set_multi([("k", b"1")], verb="add") == 1
-            assert await client.set_multi([("k", b"2")], verb="add") == 0
+            assert await command(client, b"add k 0 0 1\r\n1\r\n") == b"STORED"
+            assert await command(
+                client, b"add k 0 0 1\r\n2\r\n"
+            ) == b"NOT_STORED"
             assert await client.get("k") == b"1"
             await client.delete("k")
             # replace on absent key fails

@@ -29,7 +29,7 @@ from repro.errors import (
 from repro.net import protocol as proto
 from repro.net.transport import CacheTransport
 from repro.net.webtier import AsyncProteusFrontend
-from repro.resilience import ResiliencePolicy
+from repro.resilience import BreakerState, CircuitBreaker, ResiliencePolicy
 from tests.net.scripted import ScriptedClient, ScriptedPool, make, trip
 
 CFG = optimal_config(2000)
@@ -71,6 +71,44 @@ class TestRefusalsAndPropagation:
             with pytest.raises(TransportError, match="reset"):
                 await transport.digest(0, CFG)
             assert client.exchanges == 3
+
+        run(body())
+
+
+class TestFillsAreIssuedNotAwaited:
+    """A read's fill is a plain call that answers at once: it never
+    dials, never retries, and never takes a half-open circuit's one
+    trial, which it could not report back on."""
+
+    def test_a_fill_with_no_live_stream_is_refused_without_dialling(self):
+        async def body():
+            transport, pool, client = make(TransportError("unreached"))
+            settled = []
+            assert transport.fill(
+                0, [("k", b"v")], then=lambda: settled.append("k")
+            ) is SERVER_UNAVAILABLE
+            assert settled == ["k"]  # its leaders need not wait
+            assert (client.exchanges, pool.leases) == (0, 0)
+            assert transport.unavailable_rpcs == 1
+            assert transport.transient_failures == 0
+
+        run(body())
+
+    def test_a_half_open_circuit_keeps_its_trial_for_an_rpc(self):
+        async def body():
+            now = [0.0]
+            transport, pool, client = make({"k": b"v"})
+            breaker = transport.breakers[0] = CircuitBreaker(
+                failure_threshold=1, reset_timeout=1.0, clock=lambda: now[0]
+            )
+            breaker.record_failure()
+            now[0] = 2.0  # open -> half-open
+            assert transport.fill(0, [("k", b"v")]) is SERVER_UNAVAILABLE
+            assert pool.acquires == 0
+            # The trial is still there: the next probe takes it, and its
+            # reply closes the circuit.
+            assert await transport.get_multi(0, ["k"]) == {"k": b"v"}
+            assert breaker.state() is BreakerState.CLOSED
 
         run(body())
 
@@ -190,9 +228,8 @@ class TestFrontendRoutesEverythingThroughTheTransport:
             def __init__(self):
                 self.calls = []
 
-            async def set_multi(self, server_id, items, deadline=None,
-                                verb="set"):
-                self.calls.append((verb, server_id, tuple(items)))
+            async def set_multi(self, server_id, items, deadline=None):
+                self.calls.append(("set", server_id, tuple(items)))
 
             async def delete_multi(self, server_id, keys, deadline=None):
                 self.calls.append(("delete", server_id, tuple(keys)))
@@ -235,13 +272,14 @@ class TestFrontendRoutesEverythingThroughTheTransport:
             async def get_multi(self, server_id, keys, deadline=None):
                 return {k: self.store[k] for k in keys if k in self.store}
 
-            async def set_multi(self, server_id, items, deadline=None,
-                                verb="set"):
-                if verb == "set":
-                    self.store.update(items)
-                else:  # add: only what is absent
-                    for key, value in items:
-                        self.store.setdefault(key, value)
+            async def set_multi(self, server_id, items, deadline=None):
+                self.store.update(items)
+
+            def fill(self, server_id, items, deadline=None, then=None):
+                for key, value in items:  # add: only what is absent
+                    self.store.setdefault(key, value)
+                if then is not None:
+                    then()
 
         async def body():
             web = self.frontend()

@@ -71,6 +71,12 @@ class TestSteadyState:
                         key = f"page:{i}"
                         await web.fetch(key)
                         owner = web.router.route(key, 4)
+                        # The fill is issued, not awaited: it lands within
+                        # a few loop turns.
+                        for _ in range(100):
+                            if key in servers[owner].store:
+                                break
+                            await asyncio.sleep(0)
                         # The item physically lives on the routed server.
                         assert key in servers[owner].store
             finally:

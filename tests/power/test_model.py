@@ -28,10 +28,6 @@ class TestServerPowerModel:
         with pytest.raises(ConfigurationError):
             ServerPowerModel(p_off=5, p_idle=150, p_peak=120)
 
-    def test_efficiency(self):
-        model = ServerPowerModel(p_off=0, p_idle=50, p_peak=100)
-        assert model.efficiency(200.0, 1.0) == pytest.approx(2.0)
-
     def test_idle_dominates_energy(self):
         # The premise of power-proportional provisioning: an idle-but-on
         # server still burns most of its peak power.

@@ -67,12 +67,6 @@ class TestDeadline:
         assert deadline.expired(now=7.0)
         assert not deadline.expired(now=5.5)
 
-    def test_expires_at_and_after(self):
-        clock = FakeClock(3.0)
-        deadline = Deadline(2.0, clock=clock)
-        assert deadline.expires_at == 5.0
-        assert Deadline(None, clock=clock).expires_at is None
-
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             Deadline(-1.0, clock=FakeClock())

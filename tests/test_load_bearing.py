@@ -595,7 +595,9 @@ def test_every_public_method_is_called_outside_the_tests():
       (``FaultPlan.delay``), ``EventLoop.schedule`` / ``run`` and
       ``EventHandle.cancel`` / ``cancelled`` (asyncio's),
       ``ProvisioningSchedule.transitions`` / ``duration``
-      (``RunReport``'s), ``HotKeyCache.clear`` (every ``dict.clear``);
+      (``RunReport``'s), ``HotKeyCache.clear`` (every ``dict.clear``),
+      ``ServerPowerModel.efficiency`` (``ServerSpec.efficiency``'s) and
+      ``Deadline.expires_at`` (``CacheItem.expires_at``'s);
       before them the client's ``prepend`` / ``decr`` / ``touch`` /
       ``version`` / ``add`` / ``append``, ``HotKeyArmor.observe`` and
       ``CountMinSketch.memory_bytes``;

@@ -23,12 +23,12 @@ CEILINGS = {
     "core/router.py": 372,
     "core/hotkey.py": 268,
     "core/transition.py": 247,
-    "core/retrieval.py": 795,
+    "core/retrieval.py": 794,
     "web/frontend.py": 226,
-    "net/webtier.py": 348,
-    "net/transport.py": 307,
+    "net/webtier.py": 347,
+    "net/transport.py": 305,
     "net/parser.py": 482,
-    "net/client.py": 550,
+    "net/client.py": 546,
     "net/pool.py": 192,
     "experiments/testbed.py": 740,
     "cache/cluster.py": 186,
@@ -41,7 +41,7 @@ CEILINGS = {
     "net/server.py": 454,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 11_383
+TREE_CEILING = 11_360
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
