@@ -26,7 +26,6 @@ class CacheItem:
         created_at: simulation time the item was linked.
         expires_at: absolute expiry time, or ``None`` for no expiry.
         flags: opaque client flags (memcached protocol compatibility).
-        cas: the item's unique id for ``gets`` / ``cas`` (0 = unstamped).
     """
 
     key: str
@@ -35,7 +34,6 @@ class CacheItem:
     created_at: float = 0.0
     expires_at: Optional[float] = None
     flags: int = 0
-    cas: int = 0
 
     def __post_init__(self) -> None:
         if self.size < 0:

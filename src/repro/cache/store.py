@@ -13,7 +13,7 @@ Expiry is indexed, not scanned: a min-heap of ``(expires_at, key)`` lets
 ``purge_expired`` — which every ``set`` into a full store runs before it
 may evict a live item — answer "nothing is due" in O(1) and reclaim each
 due item in O(log n).  Heap entries are never removed in place: an
-overwrite, delete, eviction or ``touch`` leaves its old entry behind, and
+overwrite, delete or eviction leaves its old entry behind, and
 a popped entry is acted on only if its key is still resident with exactly
 that ``expires_at``.  Once stale entries outnumber the resident items
 (``len(heap) > 2 * len(items) + 64``) the heap is rebuilt from them, which
@@ -191,22 +191,6 @@ class KeyValueStore:
             self.stats.expirations += 1
             return False
         self.stats.deletes += 1
-        return True
-
-    def touch(
-        self, key: str, now: float, expires_at: Optional[float]
-    ) -> bool:
-        """Re-time *key* to the absolute *expires_at* (``None`` = never).
-
-        Returns False if the key is absent or already expired.  Like a
-        peek, leaves eviction order and hit/miss stats alone.
-        """
-        item = self._items.get(key)
-        if item is None or item.expired(now):
-            return False
-        item.expires_at = expires_at
-        if expires_at is not None:
-            self._index_expiry(item)
         return True
 
     def purge_expired(self, now: float) -> int:

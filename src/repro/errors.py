@@ -88,10 +88,6 @@ class TransportError(ProteusError):
     """
 
 
-class DeadlineExceeded(ProteusError):
-    """A request's time budget ran out before the operation completed."""
-
-
 class OverloadError(ProteusError):
     """Load was shed somewhere along the request path.
 

@@ -1,9 +1,9 @@
 """Pipelined asyncio memcached client (the web server's view of one node).
 
-Speaks the same text protocol as :mod:`repro.net.server` — and therefore as
-real memcached for the standard commands but ``gets``/``cas``: nothing here
-reads a cas id or flags, so a get-family reply is framed straight into
-``{key: value}``.  Adds the two digest calls of Section V-A3 as
+Sends the text-protocol verbs :mod:`repro.net.server` serves — ``get``,
+``set``, ``add``, ``incr``, ``delete``, ``stats``, ``flush_all``, ``quit``,
+which real memcached serves alike: nothing here reads flags, so a ``get``
+reply is framed straight into ``{key: value}``.  Adds the two digest calls of Section V-A3 as
 first-class methods: :meth:`snapshot_digest` and :meth:`fetch_digest`,
 which a transition coordinator uses to broadcast digests to web servers.
 

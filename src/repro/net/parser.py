@@ -67,7 +67,7 @@ ERROR_PREFIXES = (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
 
 #: Longest line either parser accepts, and so the most it buffers while
 #: looking for a newline.  Sized for the longest line the protocol needs —
-#: a ``gets`` of 64 keys of 250 bytes is 16 070 bytes — and deliberately
+#: a ``get`` of 64 keys of 250 bytes is 16 069 bytes — and deliberately
 #: not an option: the peer on the other side must agree on it.
 MAX_LINE_LENGTH = 16 * 1024
 
@@ -477,6 +477,6 @@ class CommandParser:
 # Shared reply-token validators (the per-command contracts the old
 # readline client enforced inline).
 def arith_token(line: bytes) -> bool:
-    """``incr``/``decr`` replies: a decimal or ``NOT_FOUND``."""
+    """``incr`` replies: a decimal or ``NOT_FOUND``."""
     return line == b"NOT_FOUND" or line.isdigit()
 

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.client import MemcachedClient
-from repro.resilience.deadline import Deadline
 
 __all__ = ["ConnectionPool"]
 
@@ -132,22 +131,16 @@ class ConnectionPool:
         self.ejections += 1
         client._poison()  # abort outright: the stream is already dead
 
-    def acquire(self, deadline: Optional[Deadline] = None) -> MemcachedClient:
+    def acquire(self) -> MemcachedClient:
         """A connection to run commands on; call :meth:`release` after.
 
         Never awaits: below ``size`` a fresh connection is added when
         every one is busy; at the bound the least-loaded one is shared (it
         pipelines).  A new or broken connection dials on its first
         exchange, whose errors reach the caller's retry policy.
-
-        An already-expired *deadline* raises
-        :class:`~repro.errors.DeadlineExceeded` before any dial.
         """
         if self._closed:
             raise ConfigurationError("pool is closed")
-        if deadline is not None:
-            # A dead budget must not burn a connect + retry cycle.
-            deadline.check("connection acquire")
         # One pass, no lists: the first idle healthy connection is the
         # answer; idle broken ones hold no leases, so they are ejected
         # now and a new connection replaces them.

@@ -1,9 +1,8 @@
 """Memcached text-protocol framing.
 
-Implements the classic memcached ASCII protocol surface the paper's system
-exercises — ``get``/``gets``, ``set``/``add``/``replace``/``cas``,
-``append``/``prepend``, ``delete``, ``incr``/``decr``, ``touch``,
-``stats``, ``flush_all``, ``version``, ``quit`` — plus the two reserved
+Implements the memcached ASCII commands the web tier sends — ``get``,
+``set``, ``add``, ``incr``, ``delete``, ``stats``, ``flush_all`` and
+``quit``; any other verb is an unknown command — plus the two reserved
 keys of Section V-A3:
 
 * ``get SET_BLOOM_FILTER`` — the server snapshots its counting Bloom filter
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ProtocolError
 
@@ -45,9 +44,7 @@ class Request:
     num_bytes: int = 0
     noreply: bool = False
     value: bytes = b""
-    #: cas unique id (``cas`` command only)
-    cas: int = 0
-    #: numeric delta (``incr``/``decr`` only)
+    #: numeric delta (``incr`` only)
     delta: int = 0
 
 
@@ -89,7 +86,7 @@ def validate_keys(keys: Sequence[str]) -> None:
 
 
 #: the commands whose line is followed by a data block
-STORAGE_COMMANDS = frozenset("set add replace append prepend cas".split())
+STORAGE_COMMANDS = frozenset(("set", "add"))
 #: their verbs, lower-cased as they arrive -> the command name
 _STORAGE_VERBS = {command.encode(): command for command in STORAGE_COMMANDS}
 
@@ -116,11 +113,8 @@ def parse_command_line(line: bytes) -> Request:
     command = _STORAGE_VERBS.get(parts[0].lower())
     if command is not None:
         noreply = parts[-1] == b"noreply"
-        if len(parts) - noreply != (6 if command == "cas" else 5):
-            raise ProtocolError(
-                f"{command} requires: key flags exptime bytes"
-                + (" cas_unique" if command == "cas" else "")
-            )
+        if len(parts) - noreply != 5:
+            raise ProtocolError(f"{command} requires: key flags exptime bytes")
         raw = parts[1]
         try:
             key = raw.decode("utf-8")
@@ -131,7 +125,6 @@ def parse_command_line(line: bytes) -> Request:
         try:
             flags, exptime = int(parts[2]), int(parts[3])
             num_bytes = int(parts[4])
-            cas = int(parts[5]) if command == "cas" else 0
         except ValueError as exc:
             text = stripped.decode("utf-8", "replace")
             raise ProtocolError(
@@ -141,7 +134,7 @@ def parse_command_line(line: bytes) -> Request:
             raise ProtocolError(f"negative byte count: {num_bytes}")
         return Request(
             command=command, keys=[key], flags=flags, exptime=exptime,
-            num_bytes=num_bytes, noreply=noreply, cas=cas,
+            num_bytes=num_bytes, noreply=noreply,
         )
     try:
         text = stripped.decode("utf-8")
@@ -154,16 +147,16 @@ def parse_command_line(line: bytes) -> Request:
     noreply = parts[-1] == "noreply"
     args = parts[:-1] if noreply else parts
 
-    if command in ("get", "gets"):
+    if command == "get":
         if len(parts) < 2:
             raise ProtocolError("get requires at least one key")
         keys = parts[1:]
         validate_keys(keys)
         return Request(command=command, keys=keys)
 
-    if command in ("incr", "decr"):
+    if command == "incr":
         if len(args) != 3:
-            raise ProtocolError(f"{command} requires: key delta")
+            raise ProtocolError("incr requires: key delta")
         validate_key(args[1])
         try:
             delta = int(args[2])
@@ -174,60 +167,42 @@ def parse_command_line(line: bytes) -> Request:
         return Request(command=command, keys=[args[1]], delta=delta,
                        noreply=noreply)
 
-    if command == "touch":
-        if len(args) != 3:
-            raise ProtocolError("touch requires: key exptime")
-        validate_key(args[1])
-        try:
-            exptime = int(args[2])
-        except ValueError as exc:
-            raise ProtocolError(f"non-numeric exptime in {text!r}") from exc
-        return Request(command=command, keys=[args[1]], exptime=exptime,
-                       noreply=noreply)
-
     if command == "delete":
         if len(args) != 2:
             raise ProtocolError("delete requires exactly one key")
         validate_key(args[1])
         return Request(command=command, keys=[args[1]], noreply=noreply)
 
-    if command in ("stats", "version", "quit", "flush_all"):
-        return Request(command=command, keys=parts[1:])
+    if command in ("stats", "quit", "flush_all"):
+        if len(parts) > 1:
+            raise ProtocolError(f"{command} takes no arguments")
+        return Request(command=command)
 
     raise ProtocolError(f"unknown command {command!r}")
 
 
-def value_response(key: str, flags: int, data: bytes, cas: Optional[int] = None) -> bytes:
+def value_response(key: str, flags: int, data: bytes) -> bytes:
     """One ``VALUE`` block of a get response."""
-    if cas is not None:
-        return b"VALUE %s %d %d %d\r\n%s\r\n" % (
-            key.encode("utf-8"), flags, len(data), cas, data,
-        )
     return b"VALUE %s %d %d\r\n%s\r\n" % (
         key.encode("utf-8"), flags, len(data), data,
     )
 
 
-#: The fixed reply lines.  ``EXISTS`` answers a ``cas`` whose item changed
-#: since the client's ``gets``.
+#: The fixed reply lines.
 END = b"END\r\n"
 STORED = b"STORED\r\n"
 NOT_STORED = b"NOT_STORED\r\n"
 DELETED = b"DELETED\r\n"
 NOT_FOUND = b"NOT_FOUND\r\n"
-TOUCHED = b"TOUCHED\r\n"
-EXISTS = b"EXISTS\r\n"
 
 
 def number_response(value: int) -> bytes:
-    """``incr``/``decr`` reply: the new value as plain decimal."""
+    """``incr`` reply: the new value as plain decimal."""
     return str(value).encode("utf-8") + CRLF
 
 
-def error_response(message: str = "") -> bytes:
-    if message:
-        return f"SERVER_ERROR {message}".encode("utf-8") + CRLF
-    return b"ERROR" + CRLF
+def error_response(message: str) -> bytes:
+    return f"SERVER_ERROR {message}".encode("utf-8") + CRLF
 
 
 #: The shed reply: the server refused the command because its in-flight

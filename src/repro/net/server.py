@@ -1,11 +1,14 @@
 """Asyncio memcached server with a built-in counting-Bloom-filter digest.
 
 The runnable analogue of the paper's modified memcached (Section V-A3): a
-TCP server speaking the classic text protocol whose store keeps a counting
-Bloom filter consistent with its items as it links and unlinks them, with
-the reserved keys ``SET_BLOOM_FILTER`` (snapshot) and ``BLOOM_FILTER``
-(fetch snapshot as normal data).  The store and digest are the *same*
-classes the simulation uses — only time comes from the wall clock here.
+TCP server whose store keeps a counting Bloom filter consistent with its
+items as it links and unlinks them, with the reserved keys
+``SET_BLOOM_FILTER`` (snapshot) and ``BLOOM_FILTER`` (fetch snapshot as
+normal data).  It speaks the memcached text-protocol verbs the web tier
+sends — ``get``, ``set``, ``add``, ``incr``, ``delete``, ``stats``,
+``flush_all`` and ``quit`` — and answers any other verb ``CLIENT_ERROR
+unknown command``.  The store and digest are the *same* classes the
+simulation uses — only time comes from the wall clock here.
 Each connection is an :class:`asyncio.Protocol` (:class:`ServerConnection`):
 a request costs one loop iteration — no task, future or ``drain`` await.
 
@@ -46,7 +49,8 @@ class MemcachedServer:
             unbounded, the pre-armor behaviour).  Commands over the cap
             are *shed*: answered ``SERVER_ERROR busy`` without being
             dispatched, so an overload burst costs one error line each
-            instead of queue growth.
+            instead of queue growth.  A ``noreply`` command meets the
+            cap but holds no slot: it has no reply to drain.
 
     Accepted sockets get ``TCP_NODELAY`` (reply batches must not sit
     behind Nagle while the client pipelines) and asyncio's default write
@@ -82,8 +86,6 @@ class MemcachedServer:
         #: connections accepted since construction / those still open
         self.connections = 0
         self._open: Set[ServerConnection] = set()
-        #: the last cas id ``_set`` stamped on an item
-        self._cas_counter = 0
 
     # ------------------------------------------------------------- digest
 
@@ -123,35 +125,27 @@ class MemcachedServer:
     # ------------------------------------------------------------ commands
 
     def _dispatch(self, request: proto.Request) -> bytes:
+        """Answer one command: the verbs the web tier sends (``quit``
+        never reaches here, and the parser rejects every other verb)."""
         command = request.command
-        if command in ("get", "gets"):
+        if command == "get":
             return self._do_get(request)
         if command == "set":  # the write path: straight to the store
             return self._set(
                 request.keys[0], request.value, self._clock(),
                 request.exptime or None, request.flags,
             )
-        if command in ("add", "replace", "cas"):
-            return self._do_store(request)
-        if command in ("append", "prepend"):
-            return self._do_concat(request)
-        if command in ("incr", "decr"):
-            return self._do_arith(request)
-        if command == "touch":
-            return self._do_touch(request)
+        if command == "add":
+            return self._do_add(request)
+        if command == "incr":
+            return self._do_incr(request)
         if command == "delete":
             return self._do_delete(request)
         if command == "stats":
-            if request.keys and request.keys[0] == "slabs":
-                # byte-exact store, no slab classes: an empty, framed reply
-                return proto.stats_response({})
             return proto.stats_response(self._stats_dict())
-        if command == "flush_all":
-            self.store.flush()
-            return b"OK" + proto.CRLF
-        if command == "version":
-            return b"VERSION proteus-repro 1.0.0" + proto.CRLF
-        return proto.error_response()
+        # flush_all, the one verb left
+        self.store.flush()
+        return b"OK" + proto.CRLF
 
     def _do_get(self, request: proto.Request) -> bytes:
         keys = request.keys
@@ -162,16 +156,12 @@ class MemcachedServer:
             else [key for key in keys if key not in reserved],
             self._clock(),
         )
-        gets = request.command == "gets"
         chunks = []
         for key in keys:
             item = hits.get(key)
             if item is not None:
-                # A hit's reply block was built when it was set; a ``gets``
-                # rebuilds the header to carry the cas id.
-                chunks.append(item.value if not gets else proto.value_response(
-                    key, item.flags, _payload(item), item.cas
-                ))
+                # A hit's reply block was built when it was set.
+                chunks.append(item.value)
             elif key == proto.KEY_SNAPSHOT:
                 # Snapshot the digest, acknowledge with a 1-byte value so
                 # stock clients see a normal hit.
@@ -182,30 +172,22 @@ class MemcachedServer:
         chunks.append(proto.END)
         return b"".join(chunks)
 
-    def _do_store(self, request: proto.Request) -> bytes:
-        """``add`` / ``replace`` / ``cas``: the command's condition, then
+    def _do_add(self, request: proto.Request) -> bytes:
+        """``add`` (a read's fill): ``NOT_STORED`` over a live item, else
         ``_set`` (a reserved key skips to ``_set``'s ``CLIENT_ERROR``)."""
-        key, command = request.keys[0], request.command
+        key = request.keys[0]
         now = self._clock()
         if key not in proto.RESERVED_KEYS:
             current = self.store.peek(key)
-            exists = current is not None and not current.expired(now)
-            if command == "add" and exists:
+            if current is not None and not current.expired(now):
                 return proto.NOT_STORED
-            if command == "replace" and not exists:
-                return proto.NOT_STORED
-            if command == "cas":
-                if not exists:
-                    return proto.NOT_FOUND
-                if current.cas != request.cas:
-                    return proto.EXISTS
         return self._set(
             key, request.value, now, request.exptime or None, request.flags
         )
 
     def _set(self, key, value, now, ttl, flags) -> bytes:
-        """Store *value* and bump its cas id: ``STORED``, or ``CLIENT_ERROR``
-        (a reserved key) / ``SERVER_ERROR`` (too big).  *ttl* <= 0: expired.
+        """Store *value*: ``STORED``, or ``CLIENT_ERROR`` (a reserved key) /
+        ``SERVER_ERROR`` (too big).  *ttl* <= 0: expired.
 
         The item holds its whole ``get`` reply block, ``VALUE`` header and
         CRLF included (as memcached keeps its suffix with the item), so a
@@ -214,33 +196,15 @@ class MemcachedServer:
         if key in proto.RESERVED_KEYS:
             return proto.client_error_response(f"{key} is reserved")
         try:
-            item = self.store.set(
+            self.store.set(
                 key, proto.value_response(key, flags, value), now,
                 len(value), ttl, flags,
             )
         except CapacityError as exc:
             return proto.error_response(str(exc))
-        self._cas_counter += 1
-        item.cas = self._cas_counter
         return proto.STORED
 
-    def _do_concat(self, request: proto.Request) -> bytes:
-        key = request.keys[0]
-        if key in proto.RESERVED_KEYS:
-            return proto.client_error_response(f"{key} is reserved")
-        now = self._clock()
-        item = self.store.peek(key)
-        if item is None or item.expired(now):
-            return proto.NOT_STORED
-        if request.command == "append":
-            merged = _payload(item) + request.value
-        else:
-            merged = request.value + _payload(item)
-        expires = item.expires_at  # in the future: not expired(now)
-        ttl = None if expires is None else expires - now
-        return self._set(key, merged, now, ttl, item.flags)
-
-    def _do_arith(self, request: proto.Request) -> bytes:
+    def _do_incr(self, request: proto.Request) -> bytes:
         key = request.keys[0]
         now = self._clock()
         item = self.store.get_many((key,), now).get(key)
@@ -252,24 +216,13 @@ class MemcachedServer:
             return proto.client_error_response(
                 "cannot increment or decrement non-numeric value"
             )
-        if request.command == "incr":
-            number = (number + request.delta) % (1 << 64)
-        else:
-            number = max(0, number - request.delta)  # decr clamps at zero
+        number = (number + request.delta) % (1 << 64)
         expires = item.expires_at  # in the future: the item was a hit
         ttl = None if expires is None else expires - now
         reply = self._set(key, b"%d" % number, now, ttl, item.flags)
         if reply is proto.STORED:
             return proto.number_response(number)
         return reply
-
-    def _do_touch(self, request: proto.Request) -> bytes:
-        now = self._clock()
-        exptime = request.exptime  # < 0: expired as of now
-        expires_at = None if exptime == 0 else now + exptime
-        if self.store.touch(request.keys[0], now, expires_at):
-            return proto.TOUCHED
-        return proto.NOT_FOUND
 
     def _do_delete(self, request: proto.Request) -> bytes:
         if self.store.delete(request.keys[0], self._clock()):
@@ -318,8 +271,9 @@ class ServerConnection(asyncio.BufferedProtocol):
     command and answers the whole pipelined burst with **one**
     ``transport.write`` before it returns.
 
-    Backpressure: each accepted command counts against the server's
-    ``max_inflight`` from dispatch until its chunk's replies have drained.
+    Backpressure: each accepted command with a reply counts against the
+    server's ``max_inflight`` from dispatch until its chunk's replies have
+    drained (a ``noreply`` one is shed over the cap, but holds no slot).
     They normally drain inside the write; when they do not (the
     transport calls :meth:`pause_writing`: buffer over its high-water
     mark) the connection stops reading and keeps its
@@ -383,13 +337,14 @@ class ServerConnection(asyncio.BufferedProtocol):
                 if not item.noreply:
                     out.append(proto.busy_response(f"inflight limit {cap}"))
                 continue
+            if item.noreply:  # no reply to drain: it holds no slot
+                server._dispatch(item)
+                continue
             # Counted here as well, so every way out of the connection —
             # a dispatch that raises included — gives the command back.
             server.inflight += 1
             self.held += 1
-            response = server._dispatch(item)
-            if response and not item.noreply:
-                out.append(response)
+            out.append(server._dispatch(item))
         if out:
             self.transport.write(b"".join(out))
         if not self.write_paused:

@@ -42,9 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import BloomConfig
 from repro.core.retrieval import SERVER_UNAVAILABLE
-from repro.errors import (
-    ConfigurationError, DeadlineExceeded, OverloadError, TransportError,
-)
+from repro.errors import ConfigurationError, OverloadError, TransportError
 from repro.net.client import MemcachedClient
 from repro.net.pool import ConnectionPool
 from repro.resilience import BreakerState, CircuitBreaker, Deadline
@@ -242,10 +240,7 @@ class CacheTransport:
                 f"no connection pool for cache server {server_id}; "
                 "call connect()"
             )
-        try:
-            return pool.acquire(deadline)
-        except DeadlineExceeded:  # spent since the check above
-            return None
+        return pool.acquire()
 
     async def _call(self, server_id: int, deadline: Optional[Deadline],
                     degrade: bool, op: Callable[..., Any], *args) -> Any:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.errors import DeadlineExceeded
-
 __all__ = ["Deadline"]
 
 
@@ -62,13 +60,6 @@ class Deadline:
         past the deadline is pointless — fail over now instead.
         """
         return self.remaining(now) >= duration
-
-    def check(self, what: str = "request") -> None:
-        """Raise :class:`~repro.errors.DeadlineExceeded` if expired."""
-        if self.expired():
-            raise DeadlineExceeded(
-                f"{what} exceeded its {self.budget:.3f}s budget"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"Deadline(budget={self.budget!r}, remaining={self.remaining():.3f})"

@@ -10,7 +10,6 @@ class TestCacheItem:
         item = CacheItem("k", "v")
         assert item.size == DEFAULT_ITEM_SIZE == 4096
         assert item.expires_at is None
-        assert item.cas == 0
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):

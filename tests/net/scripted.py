@@ -36,7 +36,7 @@ class ScriptedPool:
         self.acquires = 0
         self.leases = 0
 
-    def acquire(self, deadline=None):
+    def acquire(self):
         self.acquires += 1
         if self.dial_error is not None:
             raise self.dial_error

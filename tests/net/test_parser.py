@@ -322,7 +322,7 @@ class TestCommandParser:
 
     def test_the_longest_multiget_fits_the_line_bound(self):
         keys = [f"{i:03d}".ljust(250, "k") for i in range(64)]
-        line = ("gets " + " ".join(keys) + "\r\n").encode()
+        line = ("get " + " ".join(keys) + "\r\n").encode()
         assert len(line) <= MAX_LINE_LENGTH
         [request] = CommandParser().feed(line)
         assert request.keys == keys

@@ -8,10 +8,9 @@ import asyncio
 import pytest
 
 from repro.bloom.config import optimal_config
-from repro.errors import ConfigurationError, DeadlineExceeded
+from repro.errors import ConfigurationError
 from repro.net.pool import ConnectionPool
 from repro.net.server import MemcachedServer
-from repro.resilience import Deadline
 
 BLOOM = optimal_config(500)
 
@@ -249,18 +248,6 @@ class TestContention:
             assert pool.leases_peak == 2
 
         run(with_pool(body, size=1))
-
-
-class TestSaturationFailFast:
-    def test_expired_deadline_fails_before_any_dial(self):
-        async def body():
-            pool = ConnectionPool("127.0.0.1", 1)
-            with pytest.raises(DeadlineExceeded):
-                pool.acquire(Deadline(0.0))
-            assert pool.dials == 0  # no socket work for a dead budget
-            await pool.close()
-
-        run(body())
 
 
 @pytest.mark.parametrize("size", [1, 4])

@@ -15,16 +15,13 @@ class TestParseGet:
         req = proto.parse_command_line(b"get a b c\r\n")
         assert req.keys == ["a", "b", "c"]
 
-    def test_gets_variant(self):
-        assert proto.parse_command_line(b"gets foo\r\n").command == "gets"
-
     def test_missing_key_rejected(self):
         with pytest.raises(ProtocolError):
             proto.parse_command_line(b"get\r\n")
         with pytest.raises(ProtocolError, match="bad key length: 0"):
             proto.parse_command_line(b"get \r\n")
 
-    @pytest.mark.parametrize("verb", [b"get", b"gets", b"GET"])
+    @pytest.mark.parametrize("verb", [b"get", b"GET"])
     def test_every_key_of_a_multiget_is_validated(self, verb):
         keys = [f"key-{i}" for i in range(64)]
         line = verb + b" " + " ".join(keys).encode() + b"\r\n"
@@ -54,7 +51,8 @@ class TestParseStorage:
 
     def test_add_replace(self):
         assert proto.parse_command_line(b"add k 0 0 1\r\n").command == "add"
-        assert proto.parse_command_line(b"replace k 0 0 1\r\n").command == "replace"
+        with pytest.raises(ProtocolError, match="unknown command 'replace'"):
+            proto.parse_command_line(b"replace k 0 0 1\r\n")
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ProtocolError):
@@ -74,27 +72,22 @@ class TestParseStorage:
 STORAGE_TABLE = [
     (b"SET key 7 60 5\r\n",
      dict(command="set", keys=["key"], flags=7, exptime=60, num_bytes=5,
-          noreply=False, cas=0)),
+          noreply=False)),
     (b"set key 0 0 3 noreply\r\n",
      dict(command="set", keys=["key"], num_bytes=3, noreply=True)),
     (b"Add key 1 -1 2\r\n",
      dict(command="add", keys=["key"], flags=1, exptime=-1, num_bytes=2)),
-    (b"cas key 1 2 3 99\r\n",
-     dict(command="cas", keys=["key"], flags=1, exptime=2, num_bytes=3,
-          cas=99, noreply=False)),
-    (b"cas key 1 2 3 99 noreply\r\n",
-     dict(command="cas", cas=99, noreply=True)),
-    (b"append key 0 0 0\r\n", dict(command="append", num_bytes=0)),
+    # verbs the web tier never sends are unknown commands
+    (b"cas key 1 2 3 99\r\n", "unknown command 'cas'"),
+    (b"cas key 1 2 3 99 noreply\r\n", "unknown command 'cas'"),
+    (b"append key 0 0 0\r\n", "unknown command 'append'"),
     (b"set key 0 0 5\n",
      dict(command="set", keys=["key"], num_bytes=5, noreply=False)),
     ("set \u00e9t\u00e9 0 0 1\r\n".encode(), dict(keys=["\u00e9t\u00e9"])),
     (b"set key 0 0\r\n", "set requires: key flags exptime bytes$"),
     (b"set key 0 0 5 6 7\r\n", "set requires: key flags exptime bytes$"),
-    (b"cas key 0 0 5\r\n", "cas requires: key flags exptime bytes cas_unique"),
-    (b"cas key 0 0 5 1 2\r\n", "cas requires: .* cas_unique"),
     (b"set key x 0 5\r\n", "non-numeric storage argument in 'set key x 0 5'"),
     (b"set key 0 0 five\r\n", "non-numeric storage argument"),
-    (b"cas key 0 0 5 x\r\n", "non-numeric storage argument"),
     (b"set key 0 0 -1\r\n", "negative byte count: -1"),
     (b"set \xff\xfe 0 0 1\r\n", "not valid UTF-8"),
     (b"set " + b"k" * 251 + b" 0 0 1\r\n", "bad key length: 251"),
@@ -127,7 +120,7 @@ class TestParseOther:
         assert proto.parse_command_line(b"delete key noreply\r\n").noreply
 
     def test_admin_commands(self):
-        for cmd in (b"stats", b"version", b"quit", b"flush_all"):
+        for cmd in (b"stats", b"quit", b"flush_all"):
             assert proto.parse_command_line(cmd + b"\r\n").command == cmd.decode()
 
     def test_unknown_command(self):
@@ -203,20 +196,14 @@ class TestResponses:
             == b"VALUE k 3 3\r\nabc\r\n"
         )
 
-    def test_value_response_with_cas(self):
-        assert b" 42\r\n" in proto.value_response("k", 0, b"", cas=42)
-
     def test_fixed_responses(self):
         assert proto.END == b"END\r\n"
         assert proto.STORED == b"STORED\r\n"
         assert proto.DELETED == b"DELETED\r\n"
         assert proto.NOT_FOUND == b"NOT_FOUND\r\n"
         assert proto.NOT_STORED == b"NOT_STORED\r\n"
-        assert proto.TOUCHED == b"TOUCHED\r\n"
-        assert proto.EXISTS == b"EXISTS\r\n"
 
     def test_errors(self):
-        assert proto.error_response() == b"ERROR\r\n"
         assert proto.error_response("boom") == b"SERVER_ERROR boom\r\n"
         assert proto.client_error_response("bad") == b"CLIENT_ERROR bad\r\n"
 

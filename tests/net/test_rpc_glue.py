@@ -160,7 +160,7 @@ class TestLoopShape:
 
 def raw_requests(port, requests):
     """Blocking socket client (runs on a thread): warm ``k``, then
-    *requests* lock-step ``get k`` between two ``version`` commands that
+    *requests* lock-step ``get k`` between two ``delete`` commands that
     open and close the server loop's counting window in-band."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
 
@@ -177,11 +177,10 @@ def raw_requests(port, requests):
         rpc(b"set k 0 0 1\r\nv\r\n", b"STORED\r\n")
         for _ in range(3):
             rpc(b"get k\r\n", hit)
-        version = b"VERSION proteus-repro 1.0.0\r\n"
-        rpc(b"version\r\n", version)  # opens the window
+        rpc(b"delete mark\r\n", b"NOT_FOUND\r\n")  # opens the window
         for _ in range(requests):
             rpc(b"get k\r\n", hit)
-        rpc(b"version\r\n", version)  # closes it
+        rpc(b"delete mark\r\n", b"NOT_FOUND\r\n")  # closes it
 
 
 class TestServerLoopShape:
@@ -195,7 +194,7 @@ class TestServerLoopShape:
         def marking_dispatch(request):
             # Runs on the loop, inside the request's own iteration, so
             # the window's edges cannot race the client thread.
-            if request.command == "version":
+            if request.command == "delete":
                 if loop.counting:
                     loop.stop_counting()
                 else:
@@ -219,7 +218,7 @@ class TestServerLoopShape:
             loop.close()
         assert (loop.soon, loop.timers, loop.tasks) == (0, 0, 0)
         assert loop.futures == 0
-        # + the iteration of the ``version`` that closed the window
+        # + the iteration of the ``delete`` that closed the window
         assert loop.iterations == self.REQUESTS + 1
         assert server.inflight == 0
 

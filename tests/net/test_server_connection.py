@@ -12,6 +12,7 @@ import asyncio
 
 from repro.bloom.config import BloomConfig, optimal_config
 from repro.net import protocol as proto
+from repro.net.client import _storage_burst
 from repro.net.parser import MAX_LINE_LENGTH
 from repro.net.server import MemcachedServer, ServerConnection
 
@@ -137,9 +138,9 @@ class TestOneWritePerChunk:
                 + proto.value_response("BLOOM_FILTER", 0, snapshot) + b"END\r\n"
             ]
             transport.writes.clear()
-            connection.data_received(b"gets f missing k\r\n")
+            connection.data_received(b"GET f missing k\r\n")
             assert transport.writes == [
-                b"VALUE f 9 2 2\r\nhi\r\nVALUE k 0 1 1\r\nv\r\nEND\r\n"
+                b"VALUE f 9 2\r\nhi\r\nVALUE k 0 1\r\nv\r\nEND\r\n"
             ]
             stats = server.store.stats
             assert (stats.gets, stats.hits, stats.misses) == (6, 4, 2)
@@ -150,7 +151,7 @@ class TestOneWritePerChunk:
         def body(server, connection, transport):
             # 200 characters, 400 bytes on the wire
             connection.data_received(
-                "get k {0}\r\ngets {0}\r\nget k\r\n".format("é" * 200).encode()
+                "get k {0}\r\nGET {0}\r\nget k\r\n".format("é" * 200).encode()
             )
             error = b"CLIENT_ERROR bad key length: 400\r\n"
             assert transport.writes == [error * 2 + HIT]
@@ -162,15 +163,32 @@ class TestOneWritePerChunk:
         def body(server, connection, transport):
             connection.data_received(b"set a 0 0 1 noreply\r\n1\r\n")
             assert server.store.peek("a") is not None
-            connection.pause_writing()  # hold the next command in flight
-            connection.data_received(b"set b 0 0 1 noreply\r\n2\r\n")
-            assert server.inflight == 1 and server.shed_commands == 0
+            assert server.inflight == 0  # no reply to drain: no slot
+            assert transport.writes == []
+            connection.pause_writing()  # hold the next reply in flight
+            connection.data_received(b"get a\r\n")
+            assert server.inflight == 1
+            transport.writes.clear()
             connection.data_received(b"set c 0 0 1 noreply\r\n3\r\n")
             assert server.shed_commands == 1
             assert server.store.peek("c") is None
             assert transport.writes == []
 
         drive(body, max_inflight=1)
+
+    def test_a_warm_probe_behind_a_full_cap_of_fills_is_answered(self):
+        # A miss page's fills ride the next page's probe in one write: a
+        # fill holds no inflight slot, so it cannot shed the probe.
+        def body(server, connection, transport):
+            fills = _storage_burst(
+                b"add", [(f"fill{i}", b"x") for i in range(16)], b" noreply"
+            )
+            connection.data_received(fills + b"get k\r\n")
+            assert transport.writes == [HIT]
+            assert server.shed_commands == 0
+            assert all(server.store.peek(f"fill{i}") for i in range(16))
+
+        drive(body, max_inflight=16)
 
 
 class TestSlowReader:
@@ -256,14 +274,13 @@ class TestConnectionCounts:
 
 
 class TestStoreOverCapacity:
-    def test_concat_and_arith_past_capacity_answer_the_set_error_line(self):
+    def test_set_and_arith_past_capacity_answer_the_set_error_line(self):
         # Every path to store.set maps CapacityError to the line an
         # oversized ``set`` gets; raising instead dropped the connection.
         def body(server, connection, transport):
             for command in (
                 b"set big 0 0 9\r\n123456789\r\n",
-                b"append k 0 0 8\r\n12345678\r\n",
-                b"prepend k 0 0 8\r\n12345678\r\n",
+                b"add big 0 0 9\r\n123456789\r\n",
             ):
                 connection.data_received(command)
                 assert transport.writes.pop() == (
@@ -307,14 +324,13 @@ class TestGoldenGetReplies:
         (6.0, b"get BLOOM_FILTER a\r\n", A + b"END\r\n"),
         (6.0, b"get SET_BLOOM_FILTER a BLOOM_FILTER\r\n",
          b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\n" + A + DIGEST + b"END\r\n"),
-        (6.0, b"gets a b missing a BLOOM_FILTER\r\n",
-         b"VALUE a 5 3 1\r\nabc\r\nVALUE b 0 2 2\r\nhi\r\n"
-         b"VALUE a 5 3 1\r\nabc\r\n" + DIGEST + b"END\r\n"),
-        (6.0, b"gets future SET_BLOOM_FILTER\r\n",
+        (6.0, b"GET a b missing a BLOOM_FILTER\r\n",
+         A + B + A + DIGEST + b"END\r\n"),
+        (6.0, b"GET future SET_BLOOM_FILTER\r\n",
          b"VALUE SET_BLOOM_FILTER 0 1\r\n1\r\nEND\r\n"),
-        (16.0, b"get future exp b\r\nget b\r\ngets future\r\n",
+        (16.0, b"get future exp b\r\nget b\r\nGET future\r\n",
          b"VALUE future 7 1\r\nf\r\n" + B + b"END\r\n" + B + b"END\r\n"
-         b"VALUE future 7 1 4\r\nf\r\nEND\r\n"),
+         b"VALUE future 7 1\r\nf\r\nEND\r\n"),
     ]
 
     def test_replies_match_the_recorded_bytes(self):

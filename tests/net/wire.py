@@ -1,9 +1,8 @@
 """Command lines the client does not wrap, sent over its pipelined stream.
 
-The server speaks the whole memcached text protocol; the client wraps only
-what the web tier sends.  The server's tests reach every other verb
-(``prepend``, ``decr``, ``touch``, ``replace``, ``cas``, ``version``,
-``stats slabs``, a bogus line) through :func:`command`.
+The server's tests send the lines no client method builds (an ``add``
+that awaits its reply, a verb the server does not speak, a bogus line)
+through :func:`command`.
 """
 
 from repro.net.parser import LineReply

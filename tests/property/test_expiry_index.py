@@ -3,8 +3,8 @@
 ``KeyValueStore`` finds due items through a lazily-validated heap; the
 oracle below finds them the obvious way — by looking at every resident
 item.  Random interleavings of every operation that can create, re-time
-or strand a heap entry (same-instant duplicates, overwrites, ``touch``
-both ways, deletes, flushes, capacity evictions) run against both at a
+or strand a heap entry (same-instant duplicates, overwrites that re-time
+a key either way, deletes, flushes, capacity evictions) run against both at a
 non-decreasing clock, and after every step the two must agree on what is
 resident, what it weighs, what the counters say, what the digest the
 store keeps holds, and what each ``purge_expired`` returned.
@@ -70,12 +70,6 @@ class ScanningOracle:
         self.expirations += expired
         return not expired
 
-    def touch(self, key, now, expires_at):
-        if key not in self.items or self._expired(key, now):
-            return False
-        self.items[key] = expires_at
-        return True
-
     def flush(self):
         dropped = len(self.items)
         self.items.clear()
@@ -99,11 +93,6 @@ class Pair:
         elif name == "set":
             store.set(key, key, now=now, size=ITEM, ttl=amount)
             oracle.set(key, now, amount)
-        elif name == "touch":
-            expires_at = None if amount is None else now + amount
-            assert store.touch(key, now, expires_at) == oracle.touch(
-                key, now, expires_at
-            )
         elif name == "get":
             assert (store.get(key, now=now) is not None) == oracle.get(key, now)
         elif name == "delete":
@@ -128,13 +117,14 @@ class Pair:
 
 
 # Few distinct TTLs and clock steps, so equal deadlines (duplicate heap
-# entries) are common; "set" is listed twice to keep the store full.
+# entries) are common; "set" is listed three times to keep the store full
+# and to re-time resident keys often.
 ttl = st.one_of(st.none(), st.sampled_from([1.0, 2.0, 5.0, 20.0]))
 key = st.sampled_from(KEYS)
 op = st.one_of(
     st.tuples(st.just("set"), key, ttl),
     st.tuples(st.just("set"), key, ttl),
-    st.tuples(st.just("touch"), key, ttl),
+    st.tuples(st.just("set"), key, ttl),
     st.tuples(st.just("get"), key, st.none()),
     st.tuples(st.just("delete"), key, st.none()),
     st.tuples(st.just("purge"), st.none(), st.none()),
@@ -174,7 +164,7 @@ def test_retiming_one_key_forever_keeps_the_index_bounded():
     pair = Pair()
     pair.apply(("set", "key:0", 5.0))
     for _ in range(1_000):
-        pair.apply(("touch", "key:0", 50.0))
+        pair.apply(("set", "key:0", 50.0))
         pair.apply(("advance", None, 1.0))
     assert len(pair.store._expiry) <= 2 * 1 + 64
     pair.apply(("advance", None, 50.0))

@@ -10,7 +10,6 @@ command through ``ServerConnection.data_received`` against a plain
 * every reply is the one the model predicts;
 * a ``get`` of every key is exactly the model's blocks, formatted by
   ``protocol.value_response``, then ``END``;
-* a ``gets`` carries each item's current cas id;
 * ``store.used_bytes`` and the ``bytes`` stat are the payloads' total —
   the header a block carries is not counted.
 
@@ -29,7 +28,6 @@ from tests.net.test_server_connection import RecordingTransport
 
 KEYS = [f"k{i}" for i in range(5)]
 GET_ALL = ("get " + " ".join(KEYS) + "\r\n").encode()
-GETS_ALL = b"gets" + GET_ALL[3:]
 
 keys = st.sampled_from(KEYS)
 flags = st.integers(0, 2**32 - 1)
@@ -52,8 +50,6 @@ class ReplyBlockMachine(RuleBasedStateMachine):
         self.transport = RecordingTransport(self.connection)
         self.connection.transport = self.transport
         self.model = {}  # key -> (flags, value) of the live items
-        self.cas_ids = {}  # key -> cas id of its last store
-        self.stores = 0
 
     def send(self, chunk):
         self.connection.data_received(chunk)
@@ -61,8 +57,6 @@ class ReplyBlockMachine(RuleBasedStateMachine):
 
     def stored(self, key, flags, value, exptime):
         """The model's side of one successful store."""
-        self.stores += 1
-        self.cas_ids[key] = self.stores
         if exptime < 0:
             self.model.pop(key, None)
         else:
@@ -71,52 +65,21 @@ class ReplyBlockMachine(RuleBasedStateMachine):
     def expect(self, reply, want):
         assert reply == want, (reply, want)
 
-    @rule(verb=st.sampled_from(["set", "add", "replace"]), key=keys,
+    @rule(verb=st.sampled_from(["set", "add"]), key=keys,
           flags=flags, exptime=exptimes, value=values)
     def store(self, verb, key, flags, exptime, value):
         reply = self.send(b"%s %s %d %d %d\r\n%s\r\n" % (
             verb.encode(), key.encode(), flags, exptime, len(value), value,
         ))
-        if (verb == "add") == (key in self.model) and verb != "set":
+        if verb == "add" and key in self.model:
             self.expect(reply, proto.NOT_STORED)
             return
         self.expect(reply, proto.STORED)
         self.stored(key, flags, value, exptime)
 
-    @rule(key=keys, flags=flags, exptime=exptimes, value=values,
-          current=st.booleans())
-    def cas(self, key, flags, exptime, value, current):
-        cas_id = self.cas_ids.get(key, 0) if current else self.stores + 1
-        reply = self.send(b"cas %s %d %d %d %d\r\n%s\r\n" % (
-            key.encode(), flags, exptime, len(value), cas_id, value,
-        ))
-        if key not in self.model:
-            self.expect(reply, proto.NOT_FOUND)
-        elif not current:
-            self.expect(reply, proto.EXISTS)
-        else:
-            self.expect(reply, proto.STORED)
-            self.stored(key, flags, value, exptime)
-
-    @rule(verb=st.sampled_from(["append", "prepend"]), key=keys,
-          flags=flags, value=values)
-    def concat(self, verb, key, flags, value):
-        # The item keeps its own flags and expiry.
-        reply = self.send(b"%s %s %d 0 %d\r\n%s\r\n" % (
-            verb.encode(), key.encode(), flags, len(value), value,
-        ))
-        if key not in self.model:
-            self.expect(reply, proto.NOT_STORED)
-            return
-        self.expect(reply, proto.STORED)
-        old_flags, old = self.model[key]
-        merged = old + value if verb == "append" else value + old
-        self.stored(key, old_flags, merged, 0)
-
-    @rule(verb=st.sampled_from(["incr", "decr"]), key=keys,
-          delta=st.integers(0, 2**64 - 1))
-    def arith(self, verb, key, delta):
-        reply = self.send(b"%s %s %d\r\n" % (verb.encode(), key.encode(), delta))
+    @rule(key=keys, delta=st.integers(0, 2**64 - 1))
+    def incr(self, key, delta):
+        reply = self.send(b"incr %s %d\r\n" % (key.encode(), delta))
         if key not in self.model:
             self.expect(reply, proto.NOT_FOUND)
             return
@@ -126,22 +89,9 @@ class ReplyBlockMachine(RuleBasedStateMachine):
         except (UnicodeDecodeError, ValueError):
             assert reply.startswith(b"CLIENT_ERROR "), reply
             return
-        if verb == "incr":
-            number = (number + delta) % 2**64
-        else:
-            number = max(0, number - delta)
+        number = (number + delta) % 2**64
         self.expect(reply, proto.number_response(number))
         self.stored(key, old_flags, b"%d" % number, 0)
-
-    @rule(key=keys, exptime=exptimes)
-    def touch(self, key, exptime):
-        reply = self.send(b"touch %s %d\r\n" % (key.encode(), exptime))
-        if key not in self.model:
-            self.expect(reply, proto.NOT_FOUND)
-            return
-        self.expect(reply, proto.TOUCHED)
-        if exptime < 0:
-            del self.model[key]
 
     @rule(key=keys)
     def delete(self, key):
@@ -162,10 +112,6 @@ class ReplyBlockMachine(RuleBasedStateMachine):
         # count below is the live items'.
         self.expect(self.send(GET_ALL), b"".join(
             proto.value_response(key, *self.model[key])
-            for key in KEYS if key in self.model
-        ) + proto.END)
-        self.expect(self.send(GETS_ALL), b"".join(
-            proto.value_response(key, *self.model[key], self.cas_ids[key])
             for key in KEYS if key in self.model
         ) + proto.END)
         payload = sum(len(value) for _, value in self.model.values())

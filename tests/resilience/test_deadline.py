@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import DeadlineExceeded
 from repro.resilience import Deadline
 
 
@@ -51,15 +50,6 @@ class TestDeadline:
         assert not deadline.expired()
         assert deadline.remaining() == float("inf")
         assert deadline.allows(1e12)
-        deadline.check()  # never raises
-
-    def test_check_raises_deadline_exceeded(self):
-        clock = FakeClock()
-        deadline = Deadline(0.1, clock=clock)
-        deadline.check()
-        clock.advance(0.2)
-        with pytest.raises(DeadlineExceeded):
-            deadline.check("fetch")
 
     def test_explicit_now_overrides_the_clock(self):
         clock = FakeClock(5.0)

@@ -4,7 +4,7 @@ every constructor parameter with a default is set by someone, every
 public method is used by code that runs, and every public attribute is
 read by it — a use being an attribute access, a class-body alias, a
 ``getattr``-family name or a tracer binding, never a bare name that
-happens to match.
+happens to match — and every verb the cache node accepts is sent by it.
 
 ROADMAP aim 2: a module survives only if a paper figure, a CI gate or a
 live code path needs it.  The roots are the things a user or CI actually
@@ -13,9 +13,9 @@ needs (:func:`_is_root`; ``benchmarks/e2e`` and the bench helpers always)
 and every example — and never ``tests/``: a module only its own tests
 import is not load-bearing.  The walks are static ``ast`` passes, so
 they cost nothing and cannot be fooled by import side effects; the module
-walk has no allow-list, on purpose, and the parameter, method and
-attribute gates' (``KEPT``, ``KEPT_METHODS``, ``KEPT_ATTRIBUTES``) can
-only shrink.
+walk has no allow-list, on purpose, and the parameter, method,
+attribute and verb gates' (``KEPT``, ``KEPT_METHODS``,
+``KEPT_ATTRIBUTES``, ``KEPT_VERBS``) can only shrink.
 """
 
 import ast
@@ -596,11 +596,15 @@ def test_every_public_method_is_called_outside_the_tests():
       ``EventHandle.cancel`` / ``cancelled`` (asyncio's),
       ``ProvisioningSchedule.transitions`` / ``duration``
       (``RunReport``'s), ``HotKeyCache.clear`` (every ``dict.clear``),
-      ``ServerPowerModel.efficiency`` (``ServerSpec.efficiency``'s) and
-      ``Deadline.expires_at`` (``CacheItem.expires_at``'s);
+      ``ServerPowerModel.efficiency`` (``ServerSpec.efficiency``'s),
+      ``Deadline.expires_at`` (``CacheItem.expires_at``'s) and
+      ``Deadline.check`` (``TransitionManager.check``'s);
       before them the client's ``prepend`` / ``decr`` / ``touch`` /
       ``version`` / ``add`` / ``append``, ``HotKeyArmor.observe`` and
-      ``CountMinSketch.memory_bytes``;
+      ``CountMinSketch.memory_bytes``.  The node's own ``version`` /
+      ``append`` and the other verbs no client sends went with their
+      branches (gate 6 below), and ``KeyValueStore.touch`` with its
+      one caller, the node's ``touch``;
     * kept: ``DatabaseCluster.put`` / ``DatabaseShard.put`` and
       ``DatabaseShard.dataset`` (the engine's ``put`` hides them):
       ``tests/property/test_stateful_transitions.py`` models the
@@ -665,3 +669,124 @@ def test_every_public_attribute_is_read_outside_the_tests():
         _public_attributes(), _referenced(reads_only=True), KEPT_ATTRIBUTES,
         "reads",
     )
+
+
+#: verb -> why the node keeps serving it though no caller sends it; an
+#: entry that gains a sender fails the gate, so this can only shrink
+KEPT_VERBS: Dict[str, str] = {}
+
+#: where the node reads a command line's verb: ``_dispatch`` branches on
+#: it, ``parse_command_line`` accepts it (its storage verbs are the
+#: module's ``STORAGE_COMMANDS``)
+VERB_READERS = {
+    SRC / "repro" / "net" / "server.py": "_dispatch",
+    SRC / "repro" / "net" / "protocol.py": "parse_command_line",
+}
+#: a literal that is a whole command line, or the head of one that the
+#: code completes (``"get " + " ".join(keys) + "\r\n"``)
+_COMMAND_LINE = re.compile(r"([a-z_]+)(?: [^\r\n]*)?\r\n\Z|([a-z_]+) \Z")
+
+
+def _verb_comparisons(node: ast.AST) -> Iterator[Tuple[str, int]]:
+    """``(verb, line)`` for each string *node* compares ``command`` with:
+    ``command == "get"``, ``command in ("stats", "quit")``."""
+    for compare in ast.walk(node):
+        if not (
+            isinstance(compare, ast.Compare)
+            and getattr(compare.left, "id", None) == "command"
+        ):
+            continue
+        for constant in ast.walk(compare):
+            if isinstance(constant, ast.Constant) and isinstance(
+                constant.value, str
+            ):
+                yield constant.value, constant.lineno
+
+
+def _accepted_verbs() -> Dict[str, str]:
+    """Verb -> ``path:line`` where the node first accepts it."""
+    found: Dict[str, str] = {}
+    for path, reader in VERB_READERS.items():
+        where = path.relative_to(REPO)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name == reader:
+                uses = list(_verb_comparisons(node))
+            elif isinstance(node, ast.ClassDef):
+                uses = [
+                    use for item in node.body
+                    if getattr(item, "name", None) == reader
+                    for use in _verb_comparisons(item)
+                ]
+            elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "STORAGE_COMMANDS"
+                for t in node.targets
+            ):
+                uses = [
+                    (c.value, c.lineno) for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                ]
+            else:
+                continue
+            for verb, line in uses:
+                found.setdefault(verb, f"{where}:{line}")
+    return found
+
+
+def _sent_verbs(source: str) -> Iterator[str]:
+    """The verbs *source*'s literals send: a str or bytes literal that is
+    a command line or its head (:data:`_COMMAND_LINE`), an f-string that
+    starts with a verb and a space and ends in CRLF (``f"get {key}\\r\\n"``),
+    or a bare bytes verb (``_storage_burst(b"add", ...)``).  Prose — a
+    docstring, an ``argparse`` help text — sends nothing."""
+    tree = ast.parse(source)
+    parts = {
+        id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+        for part in node.values
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            first, last = node.values[0], node.values[-1]
+            if (
+                isinstance(first, ast.Constant)
+                and isinstance(last, ast.Constant)
+                and last.value.endswith("\r\n")
+                and (head := re.match(r"([a-z_]+) ", first.value))
+            ):
+                yield head.group(1)
+        elif isinstance(node, ast.Constant) and id(node) not in parts:
+            value = node.value
+            if isinstance(value, bytes):
+                if value.replace(b"_", b"").isalpha():
+                    yield value.decode()
+                value = value.decode("latin-1")
+            if isinstance(value, str) and (
+                line := _COMMAND_LINE.match(value)
+            ):
+                yield line.group(1) or line.group(2)
+
+
+def test_every_accepted_verb_is_sent_outside_the_tests():
+    """The node speaks what the tier sends (ROADMAP item 13): every verb
+    ``_dispatch`` or ``parse_command_line`` accepts is sent by some
+    command literal in :data:`CALLERS` — the two modules that read verbs
+    excluded — or listed in ``KEPT_VERBS``.  A verb nobody sends is
+    protocol surface kept for nobody: drop its branch and its parsing,
+    and the parser's unknown-command reply answers it."""
+    sent = {
+        verb
+        for tree in CALLERS
+        for path in (REPO / tree).rglob("*.py")
+        if path not in VERB_READERS
+        for verb in _sent_verbs(path.read_text())
+    }
+    accepted = _accepted_verbs()
+    unsent = sorted(
+        f"{where} {verb}" for verb, where in accepted.items()
+        if verb not in sent and verb not in KEPT_VERBS
+    )
+    assert not unsent, (
+        "no code in " + ", ".join(f"{t}/" for t in CALLERS)
+        + " sends:\n" + "\n".join(unsent)
+    )
+    stale = sorted(v for v in KEPT_VERBS if v not in accepted or v in sent)
+    assert not stale, f"KEPT_VERBS lists {stale}: drop the entry"
