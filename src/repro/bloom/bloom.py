@@ -1,23 +1,24 @@
 """Plain (non-counting) Bloom filter.
 
-Supports insertion and membership queries with false positives but no
-deletions.  The paper's digests are *counting* Bloom filters
-(:mod:`repro.bloom.counting`); this plain variant exists because the
-``SET_BLOOM_FILTER`` snapshot that a cache server broadcasts to web servers
-(Section V-A3) only needs membership queries — web servers never delete —
-so snapshotting a counting filter down to a bit array shrinks the broadcast
-by a factor of ``b``.
+Supports membership queries with false positives.  The paper's digests are
+*counting* Bloom filters (:mod:`repro.bloom.counting`); this plain variant
+exists because the ``SET_BLOOM_FILTER`` snapshot that a cache server
+broadcasts to web servers (Section V-A3) only needs membership queries —
+web servers never insert or delete — so snapshotting a counting filter
+down to a bit array shrinks the broadcast by a factor of ``b``.  A plain
+filter is built only that way: by
+:meth:`~repro.bloom.counting.CountingBloomFilter.snapshot` or from the
+wire by :meth:`BloomFilter.from_bytes`.
 
-Batch operations (:meth:`BloomFilter.add_many`,
-:meth:`BloomFilter.contains_many`) compute all probe indexes in one
-vectorized double-hash pass and touch the bit array with ``numpy`` fancy
-indexing; results are bit-identical to the scalar loop.  They import numpy
-when first called: the scalar path does not need it.
+:meth:`BloomFilter.contains_many` computes all probe indexes in one
+vectorized double-hash pass and reads the bit array with ``numpy`` fancy
+indexing; its results are bit-identical to the scalar loop.  It imports
+numpy when first called: the scalar path does not need it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.bloom.hashing import DoubleHashFamily, Key
 
@@ -38,32 +39,8 @@ class BloomFilter:
         self.num_hashes = num_hashes
         self._family = DoubleHashFamily(num_hashes, num_bits)
         self._bits = bytearray((num_bits + 7) // 8)
-        #: number of keys inserted so far (not deduplicated)
+        #: number of keys the snapshot's counting filter held
         self.count = 0
-
-    def add(self, key: Key) -> None:
-        """Insert *key*."""
-        for idx in self._family.indexes(key):
-            self._bits[idx >> 3] |= 1 << (idx & 7)
-        self.count += 1
-
-    def add_many(self, keys: Iterable[Key]) -> None:
-        """Insert a whole key batch — one hash pass, one fancy-index store.
-
-        Identical final bits and count to calling :meth:`add` per key.
-        """
-        import numpy as np
-        keys = list(keys)
-        if not keys:
-            return
-        indexes = self._family.indexes_many(keys).ravel()
-        view = np.frombuffer(self._bits, dtype=np.uint8)
-        np.bitwise_or.at(
-            view, indexes >> 3, (1 << (indexes & 7)).astype(np.uint8)
-        )
-        self.count += len(keys)
-
-    update = add_many
 
     def contains(self, key: Key) -> bool:
         """Membership query; may return false positives, never false negatives."""

@@ -32,8 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.bloom.counting import CountingBloomFilter
 
 #: Widest counter we will ever consider; real deployments use b <= 8.
 MAX_COUNTER_BITS = 16
@@ -152,7 +156,7 @@ class BloomConfig:
         """Digest memory in bytes (the paper quotes ~150 KB for the example)."""
         return (self.memory_bits + 7) // 8
 
-    def build(self, strict: bool = True):
+    def build(self, strict: bool = True) -> CountingBloomFilter:
         """Instantiate a :class:`~repro.bloom.counting.CountingBloomFilter`."""
         from repro.bloom.counting import CountingBloomFilter
 

@@ -74,7 +74,7 @@ def _as_bytes(key: Key) -> bytes:
 _TEMPLATES: Dict[int, "hashlib._Hash"] = {}
 
 
-def _template(salt: int):
+def _template(salt: int) -> "hashlib._Hash":
     template = _TEMPLATES.get(salt)
     if template is None:
         template = hashlib.blake2b(

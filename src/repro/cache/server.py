@@ -61,7 +61,6 @@ class CacheServer:
         self.server_id = server_id
         if bloom_config is None:
             bloom_config = default_digest_config(capacity_bytes)
-        self.bloom_config = bloom_config
         self.digest: CountingBloomFilter = bloom_config.build()
         self.store = KeyValueStore(capacity_bytes, self.digest)
         self.state = PowerState.ON if initially_on else PowerState.OFF
@@ -82,11 +81,6 @@ class CacheServer:
     def _require_power(self) -> None:
         if not self.state.serves_requests:
             raise CacheError(f"server {self.server_id} is powered off")
-
-    def get(self, key: str, now: float = 0.0) -> Optional[Any]:
-        """Value for *key* or ``None``; raises :class:`CacheError` when OFF."""
-        self._require_power()
-        return self.store.get(key, now)
 
     def get_many(self, keys, now: float = 0.0) -> dict:
         """Values for every key that hits (multiget, one call; misses are

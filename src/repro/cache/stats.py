@@ -23,11 +23,6 @@ class CacheStats:
     expirations: int = 0
 
     @property
-    def hit_ratio(self) -> float:
-        """Hits over gets; 0.0 before any get."""
-        return self.hits / self.gets if self.gets else 0.0
-
-    @property
     def requests(self) -> int:
         """Total operations served (the Fig. 5 load metric)."""
         return self.gets + self.sets + self.deletes

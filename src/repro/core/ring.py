@@ -13,10 +13,9 @@ server powers off, the range drains to the next active virtual node
 clockwise — which the Proteus placement (Algorithm 1) arranges to be exactly
 the lender the range was borrowed from.
 
-**Compiled lookups.**  :meth:`HashRing.lookup` re-resolves the
-inactive-skip chain through a Python predicate on every call — fine for
-construction-time queries, too slow for the per-request hot path
-(Section I, objective 3 demands the decision be *efficient*).
+**Compiled lookups.**  Re-resolving the inactive-skip chain through a
+Python predicate on every request is too slow for the per-request hot path
+(Section I, objective 3 demands the decision be *efficient*), so
 :meth:`HashRing.compile` resolves the chain *once* into a
 :class:`CompiledRingTable`: a flat sorted integer position array plus a
 parallel pre-resolved owner array, so a lookup is one bisection with zero
@@ -26,7 +25,7 @@ Python callbacks and a batch of lookups is one vectorized
 table keeps, per ring replica, the ``{key: owner}`` answers routed through
 it, so a warm key routes with one dict hit.  The compiled table is an
 equivalent *representation*, not a new policy: for every integer position
-it returns exactly what :meth:`lookup` returns.
+it returns the owner the clockwise walk above picks.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class CompiledRingTable:
     ``position_i > k  iff  ceil(position_i) > k``, and two distinct exact
     positions sharing a ceil admit no integer strictly between them, so
     ``bisect_right`` over the ceils lands on exactly the node the exact-
-    arithmetic :meth:`HashRing.lookup` would pick — bit-identical owners
+    arithmetic clockwise walk would pick — bit-identical owners
     with no :class:`~fractions.Fraction` comparisons on the hot path.
     ``owners_by_key[replica]`` is the ``{key: owner}`` memo that
     :meth:`~repro.core.router.RingRouter.route_many` keeps on ring *replica*.
@@ -101,7 +100,8 @@ class CompiledRingTable:
         return self._owners[index]
 
     def lookup_many(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`lookup` over an integer position array."""
+        """Vectorized :meth:`CompiledRingTable.lookup` over an integer
+        position array."""
         indexes = np.searchsorted(
             self._bounds_np, positions % self.size, side="right"
         )
@@ -112,11 +112,9 @@ class CompiledRingTable:
 class HashRing:
     """A consistent-hashing ring over positions ``[0, size)``.
 
-    Virtual nodes may be added in any order; lookups are ``O(log V)`` via
-    bisection plus a clockwise scan past inactive servers (``O(V)`` worst
-    case, short in practice because inactive runs are short).  Request
-    routing should go through :meth:`compiled_for`, which eliminates the
-    scan entirely.
+    Virtual nodes may be added in any order; lookups go through a compiled
+    table (:meth:`compile`, :meth:`compiled_for`): one bisection per
+    position, with no scan past inactive servers.
 
     Args:
         size: key-space size ``K``; positions live in ``[0, size)``.
@@ -179,31 +177,6 @@ class HashRing:
         """Distinct server ids present on the ring, ascending."""
         return sorted({node.server for node in self._nodes})
 
-    def lookup(
-        self, position: Position, is_active: Optional[Callable[[int], bool]] = None
-    ) -> int:
-        """Return the server owning *position*, skipping inactive servers.
-
-        Args:
-            position: key position on the ring.
-            is_active: predicate over server ids; ``None`` means all active.
-
-        Raises:
-            RoutingError: the ring is empty or no active server exists.
-        """
-        count = len(self._nodes)
-        if count == 0:
-            raise RoutingError("lookup on an empty ring")
-        pos = position % self.size
-        start = bisect_right(self._positions, pos)
-        if is_active is None:
-            return self._nodes[start % count].server
-        for offset in range(count):
-            node = self._nodes[(start + offset) % count]
-            if is_active(node.server):
-                return node.server
-        raise RoutingError("no active server on the ring")
-
     # ---------------------------------------------------------- compiling
 
     def compile(
@@ -214,7 +187,8 @@ class HashRing:
         The predicate is evaluated ``V`` times here and never again: the
         returned table answers every integer-position lookup with one
         bisection (or one ``searchsorted`` for a batch) and is bit-identical
-        to :meth:`lookup` under the same predicate.
+        to the clockwise walk past inactive servers under the same
+        predicate.
 
         Raises:
             RoutingError: the ring is empty or no active server exists.

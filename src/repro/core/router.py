@@ -23,7 +23,7 @@ inactive-skip chain is resolved once per ``num_active``, ``route()`` is hash
 + one bisection with zero Python callbacks, and :meth:`RingRouter.route_many`
 answers a warm key with one hit in the table's ``{key: owner}`` dict and
 only hashes the misses (one vectorized pass for a batch of them) —
-bit-identical to the uncompiled ``ring.lookup`` path.
+bit-identical to walking the ring past inactive servers.
 """
 
 from __future__ import annotations

@@ -21,12 +21,10 @@ from repro.workload.trace import TraceRecord
 
 @dataclass(frozen=True)
 class HitRatioPoint:
-    """One Fig. 6 sample: cache capacity and the measured hit ratio."""
+    """One Fig. 6 sample: the measured hit ratio."""
 
-    capacity_bytes: int
     hit_ratio: float
     distinct_keys: int
-    evictions: int
 
 
 def simulate_hit_ratio(
@@ -69,10 +67,8 @@ def simulate_hit_ratio(
                 hits += 1
         seen.add(record.key)
     return HitRatioPoint(
-        capacity_bytes=capacity_bytes,
         hit_ratio=hits / measured if measured else 0.0,
         distinct_keys=len(seen),
-        evictions=store.stats.evictions,
     )
 
 

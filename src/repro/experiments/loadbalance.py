@@ -24,7 +24,6 @@ class LoadBalanceResult:
     """Per-slot load distribution for one router under one schedule."""
 
     router_name: str
-    slot_seconds: float
     #: per slot: requests handled by each server id that saw traffic
     slot_loads: List[Dict[int, int]]
 
@@ -94,7 +93,6 @@ def evaluate_load_balance(
             loads[server] = loads.get(server, 0) + 1
     return LoadBalanceResult(
         router_name=router.name,
-        slot_seconds=schedule.slot_seconds,
         slot_loads=slot_loads,
     )
 

@@ -246,12 +246,6 @@ class MemcachedClient:
         #: fresh connections dialled after a poisoned one (diagnostics)
         self.reconnects = 0
 
-    @property
-    def inflight(self) -> int:
-        """Replies awaited: one per command written, one per pipelined
-        burst (``set_multi``, ``get_many``)."""
-        return 0 if self._protocol is None else len(self._protocol.pending)
-
     async def connect(self) -> "MemcachedClient":
         """Make sure there is a live stream: return at once if there is
         one, else dial (joining a dial already in flight)."""

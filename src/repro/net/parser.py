@@ -17,9 +17,10 @@ Two directions:
   completed reply, in order.  A chunk is framed where it arrived — only
   the tail of an incomplete frame is copied into the parser's buffer —
   and a ``VALUE`` block costs one strict, bounded header match, one slice
-  and one entry in the reply's ``{key: value}`` dict (flags and cas ids
-  are checked, not kept: nothing on the client reads them); a ``STORED``
-  line costs one ``startswith``.  A reply that cannot
+  and one entry in the reply's ``{key: value}`` dict (flags are checked,
+  not kept: nothing on the client reads them; a header with a fourth
+  field, a ``gets`` cas id, is malformed); a ``STORED`` line costs one
+  ``startswith``.  A reply that cannot
   belong to the expected shape raises :class:`Desync`: the stream
   position is unknown from that byte on, and the connection owner must
   poison the transport rather than pair a later line with a queued
@@ -71,13 +72,13 @@ ERROR_PREFIXES = (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
 #: not an option: the peer on the other side must agree on it.
 MAX_LINE_LENGTH = 16 * 1024
 
-#: One well-formed ``VALUE <key> <flags> <bytes> [<cas unique>]`` header.
+#: One well-formed ``VALUE <key> <flags> <bytes>`` header.
 #: Applied anchored at a frame boundary, and bounded (key <= 250 bytes,
 #: unsigned decimals <= 20 digits), so an attempt never looks further than
 #: a header is long.  ``int()`` would also take ``-2``, ``+3`` and ``1_0``;
 #: a byte count that is not what the server meant mis-frames the stream.
 _VALUE_HEADER = re.compile(
-    rb"VALUE ([^\x00-\x20]{1,250}) (\d{1,20}) (\d{1,20})(?: (\d{1,20}))?\r\n"
+    rb"VALUE ([^\x00-\x20]{1,250}) (\d{1,20}) (\d{1,20})\r\n"
 ).match
 
 
@@ -196,11 +197,6 @@ class ReplyParser:
     def expect(self, shape: ReplyShape) -> None:
         """Register the reply shape of the next written command."""
         self._shapes.append(shape)
-
-    @property
-    def pending(self) -> int:
-        """Replies still owed by the server."""
-        return len(self._shapes)
 
     # ---------------------------------------------------------------- feed
 

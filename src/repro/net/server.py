@@ -76,7 +76,6 @@ class MemcachedServer:
         self.shed_commands = 0
         if bloom_config is None:
             bloom_config = default_digest_config(capacity_bytes)
-        self.bloom_config = bloom_config
         self.digest: CountingBloomFilter = bloom_config.build()
         self.store = KeyValueStore(
             capacity_bytes, self.digest, default_item_size=0

@@ -5,7 +5,7 @@ WikiBench trace) that the experiments care about.  They describe a trace;
 nothing calibrates the synthetic generator from them:
 
 * :func:`fit_zipf_alpha` — the popularity skew exponent;
-* :func:`interarrival_stats` — burstiness of request arrivals;
+* :func:`interarrival_cv` — burstiness of request arrivals;
 * :func:`rate_envelope` — the smoothed requests/s curve (drives the
   provisioning loop);
 * :func:`summarize` — everything at once.
@@ -48,16 +48,9 @@ def fit_zipf_alpha(
     return float(-slope)
 
 
-@dataclass(frozen=True)
-class InterarrivalStats:
-    """Burstiness summary of the arrival process."""
-
-    mean: float
-    cv: float  # coefficient of variation; 1.0 for Poisson
-
-
-def interarrival_stats(records: Sequence[TraceRecord]) -> InterarrivalStats:
-    """Mean and CV of interarrival times."""
+def interarrival_cv(records: Sequence[TraceRecord]) -> float:
+    """The coefficient of variation of interarrival times (1.0 for
+    Poisson arrivals, higher for bursty ones)."""
     if len(records) < 2:
         raise ConfigurationError("need at least 2 records")
     times = np.asarray([record.time for record in records])
@@ -65,9 +58,7 @@ def interarrival_stats(records: Sequence[TraceRecord]) -> InterarrivalStats:
     if np.any(gaps < 0):
         raise ConfigurationError("trace is not time-sorted")
     mean = float(gaps.mean())
-    if mean == 0:
-        return InterarrivalStats(mean=0.0, cv=0.0)
-    return InterarrivalStats(mean=mean, cv=float(gaps.std() / mean))
+    return float(gaps.std() / mean) if mean else 0.0
 
 
 def rate_envelope(
@@ -93,7 +84,6 @@ class TraceSummary:
     """A trace's size, rate shape, popularity skew and burstiness."""
 
     requests: int
-    duration: float
     distinct_keys: int
     mean_rate: float
     peak_to_valley: float
@@ -114,10 +104,9 @@ def summarize(
     )
     return TraceSummary(
         requests=len(records),
-        duration=duration,
         distinct_keys=len({record.key for record in records}),
         mean_rate=len(records) / duration if duration > 0 else math.inf,
         peak_to_valley=peak_to_valley,
         zipf_alpha=fit_zipf_alpha(records),
-        interarrival_cv=interarrival_stats(records).cv,
+        interarrival_cv=interarrival_cv(records),
     )

@@ -86,7 +86,6 @@ class UserPopulation:
             raise ConfigurationError(
                 f"pages_per_user must be >= 1, got {pages_per_user}"
             )
-        self.catalogue_size = catalogue_size
         self.pages_per_user = pages_per_user
         self.think_time = think_time
         self.seed = seed

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.bloom.bloom import BloomFilter
-from tests.conftest import make_keys
+from tests.conftest import make_keys, snapshot_of
 
 
 class TestBasics:
@@ -19,39 +19,33 @@ class TestBasics:
         assert not bf.contains("anything")
 
     def test_no_false_negatives(self):
-        bf = BloomFilter(8192, num_hashes=4)
         keys = make_keys(500)
-        bf.update(keys)
+        bf = snapshot_of(keys, 8192)
         assert all(k in bf for k in keys)
 
     def test_count_tracks_inserts(self):
-        bf = BloomFilter(1024)
-        bf.update(make_keys(10))
+        bf = snapshot_of(make_keys(10), 1024)
         assert bf.count == 10
 
     def test_single_hash_function_works(self):
-        bf = BloomFilter(4096, num_hashes=1)
-        bf.add("solo")
+        bf = snapshot_of(["solo"], 4096, num_hashes=1)
         assert "solo" in bf
 
 
 class TestFalsePositives:
     def test_measured_rate_close_to_eq4(self):
         # kappa=500, h=4, l=8192  ->  Gp ~ (1 - e^{-0.244})^4 ~ 2.2e-3
-        bf = BloomFilter(8192, num_hashes=4)
-        bf.update(make_keys(500, prefix="in"))
+        bf = snapshot_of(make_keys(500, prefix="in"), 8192)
         probes = make_keys(20000, prefix="out", seed=9)
         measured = sum(1 for k in probes if k in bf) / len(probes)
         predicted = (1 - math.exp(-500 * 4 / 8192)) ** 4  # Eq. 4
         assert measured == pytest.approx(predicted, rel=0.5, abs=2e-3)
 
     def test_rate_increases_with_load(self):
-        small = BloomFilter(2048, num_hashes=4)
-        small.update(make_keys(2000, prefix="x"))
+        small = snapshot_of(make_keys(2000, prefix="x"), 2048)
         probes = make_keys(3000, prefix="probe", seed=3)
         heavy_rate = sum(1 for k in probes if k in small) / len(probes)
-        light = BloomFilter(2048, num_hashes=4)
-        light.update(make_keys(100, prefix="x"))
+        light = snapshot_of(make_keys(100, prefix="x"), 2048)
         light_rate = sum(1 for k in probes if k in light) / len(probes)
         assert heavy_rate > light_rate
 
@@ -64,9 +58,8 @@ class TestFillRatioAndSize:
 
 class TestSerialization:
     def test_roundtrip_preserves_membership(self):
-        bf = BloomFilter(4096, num_hashes=4)
         keys = make_keys(200)
-        bf.update(keys)
+        bf = snapshot_of(keys, 4096)
         clone = BloomFilter.from_bytes(bf.to_bytes(), 4096, 4)
         assert all(k in clone for k in keys)
 

@@ -65,7 +65,7 @@ class TestSmoothScaleDown:
         c.scale_to(3, 0.0, 10.0)
         c.finalize_expired(now=10.0)
         c.server(3).power_on(11.0)
-        assert c.server(3).get("k", 11.0) is None
+        assert c.server(3).get_many(["k"], 11.0).get("k") is None
 
     def test_overlapping_smooth_transitions_rejected(self):
         c = cluster(6)
@@ -129,15 +129,15 @@ class TestMetrics:
     def test_per_server_requests(self):
         c = cluster(3)
         c.server(0).set("a", 1)
-        c.server(0).get("a")
-        c.server(1).get("missing")
+        c.server(0).get_many(["a"])
+        c.server(1).get_many(["missing"])
         assert c.per_server_requests() == [2, 1, 0]
 
     def test_total_hit_ratio(self):
         c = cluster(2)
         c.server(0).set("a", 1)
-        c.server(0).get("a")
-        c.server(1).get("missing")
+        c.server(0).get_many(["a"])
+        c.server(1).get_many(["missing"])
         assert c.total_hit_ratio() == 0.5
 
     def test_hit_ratio_empty(self):

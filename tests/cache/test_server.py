@@ -38,7 +38,7 @@ class TestDigestConsistency:
     def test_digest_tracks_expiry(self):
         srv = server()
         srv.set("k", "v", now=0.0, ttl=5.0)
-        srv.get("k", now=6.0)  # lazy expire
+        srv.get_many(["k"], now=6.0)  # lazy expire
         assert "k" not in srv.digest
 
     def test_digest_consistent_after_churn(self):
@@ -71,7 +71,7 @@ class TestPowerLifecycle:
     def test_off_server_refuses_requests(self):
         srv = CacheServer(1, bloom_config=CFG, initially_on=False)
         with pytest.raises(CacheError):
-            srv.get("k")
+            srv.get_many(["k"])
         with pytest.raises(CacheError):
             srv.set("k", 1)
         with pytest.raises(CacheError):
@@ -83,7 +83,7 @@ class TestPowerLifecycle:
         srv.power_off(10.0)
         assert srv.state is PowerState.OFF
         srv.power_on(20.0)
-        assert srv.get("k") is None  # cold start
+        assert srv.get_many(["k"]).get("k") is None  # cold start
         assert "k" not in srv.digest
 
     def test_draining_still_serves(self):
@@ -92,7 +92,7 @@ class TestPowerLifecycle:
         srv.begin_drain()
         assert srv.state is PowerState.DRAINING
         assert srv.state.serves_requests
-        assert srv.get("k") == "v"
+        assert srv.get_many(["k"]).get("k") == "v"
 
     def test_drain_requires_on(self):
         srv = CacheServer(1, bloom_config=CFG, initially_on=False)
@@ -103,7 +103,7 @@ class TestPowerLifecycle:
         srv = server()
         srv.set("k", "v")
         srv.power_on()
-        assert srv.get("k") == "v"  # no flush
+        assert srv.get_many(["k"]).get("k") == "v"  # no flush
 
     def test_rejects_negative_id(self):
         with pytest.raises(ConfigurationError):
@@ -113,10 +113,10 @@ class TestPowerLifecycle:
 class TestDefaults:
     def test_default_bloom_sized_from_capacity(self):
         srv = CacheServer(0, capacity_bytes=4096 * 5000)
-        assert srv.bloom_config.kappa == 5000
+        assert srv.digest.num_counters == optimal_config(5000).num_counters
 
     def test_stats_accessible(self):
         srv = server()
         srv.set("k", 1)
-        srv.get("k")
+        srv.get_many(["k"])
         assert srv.stats.hits == 1

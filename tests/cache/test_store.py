@@ -167,7 +167,7 @@ class TestStatsIntegration:
         store.set("k", "v")
         store.get("k")
         store.get("absent")
-        assert store.stats.hit_ratio == 0.5
+        assert store.stats.hits / store.stats.gets == 0.5
 
     def test_requests_counts_all_ops(self):
         store = KeyValueStore()

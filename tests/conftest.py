@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import random
+from bisect import bisect_right
 
 import pytest
 
 from repro.bloom.bloom import BloomFilter
+from repro.bloom.counting import CountingBloomFilter
 from repro.core.router import ProteusRouter
+from repro.errors import RoutingError
 from repro.core.transition import RoutingEpochs, Transition
 from repro.provisioning.policies import ProvisioningSchedule
 from repro.workload.trace import TraceRecord
@@ -65,6 +68,33 @@ def small_trace() -> list:
     return records
 
 
+def replies_owed(client) -> int:
+    """Replies a client still awaits: one per command written, one per
+    pipelined burst (``set_multi``, ``get_many``)."""
+    return 0 if client._protocol is None else len(client._protocol.pending)
+
+
+def ring_owner(ring, position, is_active=None) -> int:
+    """The owner of *position* by the definition every compiled table must
+    match: the first virtual node clockwise of it whose server is active
+    (a scan, where a table answers with one bisection)."""
+    nodes = ring._nodes
+    start = bisect_right(ring._positions, position % ring.size)
+    for offset in range(len(nodes)):
+        server = nodes[(start + offset) % len(nodes)].server
+        if is_active is None or is_active(server):
+            return server
+    raise RoutingError("no active server on the ring")
+
+
+def snapshot_of(keys, num_bits: int = 1 << 16, num_hashes: int = 4) -> BloomFilter:
+    """A plain digest holding *keys*, built the one way the system builds
+    one: as a counting filter's snapshot."""
+    counting = CountingBloomFilter(num_bits, num_hashes=num_hashes)
+    counting.add_many(keys)
+    return counting.snapshot()
+
+
 def in_transition(n_old: int, n_new: int, claims=None) -> RoutingEpochs:
     """Routing epochs inside an ``n_old -> n_new`` drain window.  Each
     ``{server_id: keys}`` entry of *claims* becomes that server's broadcast
@@ -73,8 +103,7 @@ def in_transition(n_old: int, n_new: int, claims=None) -> RoutingEpochs:
     do).  A server without an entry has no snapshot: all-False."""
     digests = {}
     for server_id, keys in (claims or {}).items():
-        digests[server_id] = BloomFilter(1 << 16)
-        digests[server_id].update(keys)
+        digests[server_id] = snapshot_of(keys)
     transition = Transition(n_old, n_new, 0.0, 60.0, digests)
     return RoutingEpochs(n_new, n_old, transition)
 

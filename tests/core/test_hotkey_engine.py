@@ -9,7 +9,6 @@ replicated path.
 
 import pytest
 
-from repro.bloom import BloomFilter
 from repro.core.retrieval import (
     FetchPath,
     ProbeCacheMulti,
@@ -21,7 +20,7 @@ from repro.core.retrieval import (
 )
 from repro.core.router import ProteusRouter
 from repro.core.transition import RoutingEpochs, Transition
-from tests.conftest import in_transition, record_consults
+from tests.conftest import in_transition, record_consults, snapshot_of
 
 ROUTER = ProteusRouter(4, ring_size=2 ** 20)
 STEADY = RoutingEpochs(new=3, old=None, transition=None)
@@ -197,10 +196,8 @@ class TestGroupedDigestProbes:
             assert key in grouped[ROUTER.route(key, 3)]
 
     def test_digest_multi_bit_identical_to_scalar(self):
-        digest = BloomFilter(256, 4)
         members = [f"member:{i}" for i in range(40)]
-        for key in members:
-            digest.add(key)
+        digest = snapshot_of(members, 256)
         probes = members[:10] + [f"absent:{i}" for i in range(30)]
         transition = Transition(
             n_old=4, n_new=3, started_at=0.0, ttl=60.0, digests={2: digest}

@@ -105,13 +105,13 @@ class TestBuildRing:
             active = prefix_active(num_active)
             for rng_ in placement.ranges:
                 midpoint = (rng_.start + rng_.end) / 2
-                owner = ring.lookup(midpoint, active)
+                owner = ring.compile(active).lookup(midpoint)
                 assert owner < num_active
 
     def test_single_server_owns_everything(self):
         placement = place_virtual_nodes(1, RING)
         ring = placement.build_ring()
-        assert ring.lookup(12345) == 0
+        assert ring.compile().lookup(12345) == 0
         assert ring.owned_lengths() == {0: RING}
 
 

@@ -40,51 +40,55 @@ class TestConstruction:
         assert [n.position for n in ring._nodes] == [10, 40, 70]
 
 
+def owner(ring, position, is_active=None):
+    return ring.compile(is_active).lookup(position)
+
+
 class TestLookup:
     def test_empty_ring_raises(self):
         with pytest.raises(RoutingError):
-            HashRing(100).lookup(5)
+            owner(HashRing(100), 5)
 
     def test_owner_is_next_position_clockwise(self):
         ring = HashRing(100)
         ring.add(10, server=0)
         ring.add(50, server=1)
         # vnode at p owns [pred, p): keys 10..49 -> 50 (server 1)
-        assert ring.lookup(10) == 1
-        assert ring.lookup(49) == 1
+        assert owner(ring, 10) == 1
+        assert owner(ring, 49) == 1
         # keys 50..99 and 0..9 wrap to position 10 (server 0)
-        assert ring.lookup(50) == 0
-        assert ring.lookup(99) == 0
-        assert ring.lookup(0) == 0
-        assert ring.lookup(9) == 0
+        assert owner(ring, 50) == 0
+        assert owner(ring, 99) == 0
+        assert owner(ring, 0) == 0
+        assert owner(ring, 9) == 0
 
     def test_position_exactly_at_vnode_goes_clockwise(self):
         ring = HashRing(100)
         ring.add(10, server=0)
         ring.add(50, server=1)
         # key 50 is NOT owned by the vnode at 50 ([pred, p) is half-open)
-        assert ring.lookup(50) == 0
+        assert owner(ring, 50) == 0
 
     def test_inactive_servers_are_skipped(self):
         ring = HashRing(100)
         ring.add(10, server=0)
         ring.add(50, server=1)
         ring.add(90, server=2)
-        assert ring.lookup(20, is_active=lambda s: s != 1) == 2
+        assert owner(ring, 20, lambda s: s != 1) == 2
 
     def test_skip_wraps_around(self):
         ring = HashRing(100)
         ring.add(10, server=0)
         ring.add(90, server=2)
         # key 95 -> first position > 95 wraps to 10
-        assert ring.lookup(95, is_active=lambda s: s == 2) == 2
-        assert ring.lookup(95) == 0
+        assert owner(ring, 95, lambda s: s == 2) == 2
+        assert owner(ring, 95) == 0
 
     def test_no_active_server_raises(self):
         ring = HashRing(100)
         ring.add(10, server=0)
         with pytest.raises(RoutingError):
-            ring.lookup(5, is_active=lambda s: False)
+            owner(ring, 5, lambda s: False)
 
 
 class TestOwnedLengths:

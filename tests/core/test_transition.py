@@ -3,15 +3,13 @@
 import pytest
 
 from repro import obs
-from repro.bloom.bloom import BloomFilter
 from repro.core.transition import Transition, TransitionManager
 from repro.errors import ConfigurationError, TransitionError
+from tests.conftest import snapshot_of
 
 
 def digest_with(keys):
-    bf = BloomFilter(4096, num_hashes=4)
-    bf.update(keys)
-    return bf
+    return snapshot_of(keys, 4096)
 
 
 class TestTransition:

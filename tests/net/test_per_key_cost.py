@@ -31,6 +31,7 @@ from repro.net.client import MemcachedClient
 from repro.net.parser import ReplyParser, CountReply, ValuesReply
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
+from tests.conftest import replies_owed
 from tests.net.test_server_connection import connect
 
 KEYS = [f"page:{i:04d}" for i in range(64)]
@@ -392,7 +393,7 @@ def test_a_warm_one_key_miss_page_issues_its_fill_and_returns():
                     assert results[key].path == "miss_db"
                     # The page owes no reply when it returns ...
                     assert [
-                        client.inflight for pool in web.transport.pools
+                        replies_owed(client) for pool in web.transport.pools
                         for client in pool._conns
                     ] == [0, 0, 0]
                     owner = servers[web.router.route(key, 3)]

@@ -25,7 +25,7 @@ from repro.net.client import MemcachedClient
 from repro.net.server import MemcachedServer
 from repro.net.webtier import AsyncProteusFrontend
 from repro.resilience import ResiliencePolicy
-from tests.conftest import LEAKED_COROUTINES_FAIL, until
+from tests.conftest import LEAKED_COROUTINES_FAIL, replies_owed, until
 from tests.net.scripted import ScriptedClient, ScriptedPool
 
 pytestmark = LEAKED_COROUTINES_FAIL
@@ -285,15 +285,15 @@ class TestCancellationWithoutShield:
                 # The reply future itself was cancelled; its slot stays
                 # queued so the late reply is consumed in order.
                 assert reply.cancelled()
-                assert client.inflight == 1
+                assert replies_owed(client) == 1
                 assert pool.leases == 0
                 assert not client.broken
                 following = asyncio.ensure_future(frontend.fetch_many(["b"]))
-                await until(lambda: client.inflight == 2)
+                await until(lambda: replies_owed(client) == 2)
                 server.gate.set()
                 results = await following
                 assert results["b"].value == b"value-of-b"  # never a's
-                assert client.inflight == 0
+                assert replies_owed(client) == 0
                 assert pool.leases == 0
                 assert not client.broken
                 assert client.reconnects == 0 and pool.ejections == 0
@@ -314,11 +314,11 @@ class TestCancellationWithoutShield:
                 # waited for the other replies would never finish.
                 done, _ = await asyncio.wait({burst}, timeout=5)
                 assert done and burst.cancelled()
-                assert client.inflight == 1  # the burst's one reply
+                assert replies_owed(client) == 1  # the burst's one reply
             finally:
                 server.gate.set()
             assert await client.get("d") == b"value-of-d"
-            assert client.inflight == 0 and not client.broken
+            assert replies_owed(client) == 0 and not client.broken
             await client.close()
             await server.stop()
 
@@ -350,7 +350,7 @@ class TestAFailedPageLeavesNothingRunning:
                     await frontend.fetch_many(keys)
                 assert [pool.leases for pool in transport.pools] == [0, 0, 0]
                 clients = [pool._conns[0] for pool in transport.pools[:2]]
-                await until(lambda: not any(c.inflight for c in clients))
+                await until(lambda: not any(map(replies_owed, clients)))
                 await until(lambda: not any(s.inflight for s in servers))
                 assert not any(c.broken for c in clients)
                 transport.pools[2] = healthy

@@ -163,9 +163,7 @@ class TestDigestOverTcp:
             for i in range(300):
                 await client.set(f"k{i}", b"v")
             await client.snapshot_digest()
-            digest = await client.fetch_digest(
-                server.bloom_config.num_counters, server.bloom_config.num_hashes
-            )
+            digest = await client.fetch_digest(CFG.num_counters, CFG.num_hashes)
             assert all(digest.contains(f"k{i}") for i in range(300))
 
         run(with_server(body))

@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom.bloom import BloomFilter
 from repro.bloom.config import (
     counter_bits_enumerated,
     false_negative_bound,
@@ -11,6 +10,7 @@ from repro.bloom.config import (
     minimal_counters,
 )
 from repro.bloom.counting import CountingBloomFilter
+from tests.conftest import snapshot_of
 
 keys = st.text(min_size=1, max_size=40)
 key_sets = st.sets(keys, min_size=0, max_size=60)
@@ -19,8 +19,7 @@ key_sets = st.sets(keys, min_size=0, max_size=60)
 @given(inserted=key_sets)
 @settings(max_examples=60, deadline=None)
 def test_plain_bloom_never_false_negative(inserted):
-    bf = BloomFilter(4096, num_hashes=4)
-    bf.update(inserted)
+    bf = snapshot_of(inserted, 4096)
     assert all(k in bf for k in inserted)
 
 

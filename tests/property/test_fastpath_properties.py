@@ -26,7 +26,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom.bloom import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import KeyHashes, ring_position
 from repro.core import router as router_module
@@ -38,6 +37,7 @@ from repro.core.router import (
     StaticRouter,
 )
 from repro.errors import DigestError
+from tests.conftest import ring_owner, snapshot_of
 
 keys = st.text(min_size=1, max_size=24)
 key_lists = st.lists(keys, max_size=30)
@@ -110,7 +110,7 @@ def test_compiled_table_matches_lookup_for_arbitrary_activity(
         else []
     )
     for position, from_batch in zip(probes, batch):
-        expected = ring.lookup(position, is_active)
+        expected = ring_owner(ring, position, is_active)
         assert table.lookup(position) == expected
         assert from_batch == expected
 
@@ -125,7 +125,7 @@ def test_compiled_table_matches_lookup_for_every_prefix(num_servers, batch):
         predicate = prefix_active(num_active)
         for key in batch:
             position = ring_position(key, ring.size)
-            assert table.lookup(position) == ring.lookup(position, predicate)
+            assert table.lookup(position) == ring_owner(ring, position, predicate)
 
 
 # ------------------------------------------------------------- batch routing
@@ -194,8 +194,9 @@ def _ring_owners(router, batch, num_active, replica):
     """The uncompiled reference: hash, then walk the ring past inactives."""
     ring = router.ring
     return [
-        ring.lookup(
-            ring_position(key, ring.size, replica), prefix_active(num_active)
+        ring_owner(
+            ring, ring_position(key, ring.size, replica),
+            prefix_active(num_active),
         )
         for key in batch
     ]
@@ -261,17 +262,11 @@ def _state(cbf):
 )
 @settings(max_examples=80, deadline=None)
 def test_bloom_batch_matches_scalar(num_bits, num_hashes, inserts, probes):
-    scalar = BloomFilter(num_bits, num_hashes)
-    batch = BloomFilter(num_bits, num_hashes)
-    for key in inserts:
-        scalar.add(key)
-    batch.add_many(inserts)
-    assert bytes(scalar._bits) == bytes(batch._bits)
-    assert scalar.count == batch.count
-    expected = [key in scalar for key in probes]
-    assert batch.contains_many(probes) == expected
+    digest = snapshot_of(inserts, num_bits, num_hashes)
+    expected = [key in digest for key in probes]
+    assert digest.contains_many(probes) == expected
     for key, want in zip(probes, expected):
-        assert batch.contains(key) == want
+        assert digest.contains(key) == want
 
 
 @given(

@@ -3,8 +3,7 @@
 ``ReplyParser`` and ``CommandParser`` see a TCP stream in whatever pieces
 the kernel hands over; the reference below sees it whole and frames it the
 obvious blocking way — ``readline()``, then ``read(n)`` for a data block.
-Hypothesis writes reply streams (pipelined ``get`` replies, their
-``VALUE`` headers with or without a cas unique, store replies and
+Hypothesis writes reply streams (pipelined ``get`` replies, store replies and
 ``set_multi`` bursts, values that contain ``\\r\\n``, ``END\\r\\n`` and ``VALUE ``, error
 lines, at most one malformed or garbage line or unterminated block) and
 command streams (multi-key ``get`` / ``GET``, ``set``, malformed lines),
@@ -68,12 +67,12 @@ class Stream:
 
 
 def reference_header(line):
-    """``(key, bytes)`` of a strict ``VALUE`` line (flags and a cas unique
-    must be well-formed, and are dropped)."""
+    """``(key, bytes)`` of a strict ``VALUE`` line (its flags must be
+    well-formed, and are dropped)."""
     if not line.endswith(b"\r\n"):
         raise Fault("bare newline")
     parts = line[:-2].split(b" ")
-    if len(parts) not in (4, 5):
+    if len(parts) != 4:
         raise Fault("field count")
     key, numbers = parts[1], parts[2:]
     if not 0 < len(key) <= 250 or min(key) <= 0x20:
@@ -224,7 +223,8 @@ ERRORS = st.sampled_from(
 )
 BAD_LINES = [
     b"VALUE k 0 -2", b"VALUE k 0 +3", b"VALUE k 0 1_0", b"VALUE k 0 ",
-    b"VALUE k  3", b"VALUE k 0 3 -1", b"VALUE k 0 3 4 5", b"VALUE  0 3",
+    b"VALUE k  3", b"VALUE k 0 3 -1", b"VALUE k 0 3 7", b"VALUE k 0 3 4 5",
+    b"VALUE  0 3",
     b"VALUE k\t 0 3", b"VALUE \xff 0 3", b"VALUE k 0 3\r", b"VALUE k 0 0\n",
     b"VALUE k 0 7", b"WAT 42", b"", b"STORED", b"END",
 ]
@@ -251,17 +251,11 @@ def reply_streams(draw):
             frames += [line + b"\r\n" for line in lines]
             continue
         shapes.append(ValuesReply())
-        with_cas = draw(st.booleans())
         for _ in range(draw(st.integers(0, 40) | st.integers(0, 3))):
             key, value = draw(KEYS), draw(VALUES)
-            block = proto.value_response(
+            frames.append(proto.value_response(
                 key, draw(st.integers(0, 2 ** 32 - 1)), value
-            )
-            if with_cas:  # " <cas unique>" before the header's CRLF
-                header, data = block.split(b"\r\n", 1)
-                cas = draw(st.integers(0, 2 ** 64 - 1))
-                block = b"%s %d\r\n%s" % (header, cas, data)
-            frames.append(block)
+            ))
         frames.append(draw(st.just(b"END") | ERRORS) + b"\r\n")
     fault = draw(st.none() | st.integers(0, max(0, len(frames) - 1)))
     if fault is not None and frames:
@@ -318,7 +312,7 @@ def test_reply_parser_matches_the_readline_reference(stream, cuts):
     assert desynced == expected_desync
     if not faulted:
         assert not desynced and len(results) == len(shapes)
-        assert len(parser._buf) == 0 and parser.pending == 0
+        assert len(parser._buf) == 0 and not parser._shapes
 
 
 @settings(max_examples=150, deadline=None)

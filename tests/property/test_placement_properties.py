@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.placement import place_virtual_nodes, theoretical_min_vnodes
 from repro.core.ring import prefix_active
+from tests.conftest import ring_owner
 
 servers = st.integers(min_value=1, max_value=14)
 ring_sizes = st.integers(min_value=100, max_value=2 ** 40)
@@ -61,8 +62,8 @@ def test_scale_down_only_moves_the_drained_servers_keys(
         label="positions",
     )
     for position in positions:
-        before = ring.lookup(position, prefix_active(n))
-        after = ring.lookup(position, prefix_active(n - 1))
+        before = ring_owner(ring, position, prefix_active(n))
+        after = ring_owner(ring, position, prefix_active(n - 1))
         if before != after:
             assert before == n - 1  # only the powered-off server loses keys
 

@@ -38,7 +38,7 @@ def test_digest_matches_store_contents_under_arbitrary_churn(ops):
         if action == "set":
             server.set(key, idx, now=now)
         elif action == "get":
-            server.get(key, now=now)
+            server.get_many([key], now=now)
         else:
             server.delete(key, now=now)
     live = set(server.store._items)
@@ -61,7 +61,7 @@ def test_digest_consistent_with_ttl_expiry(ops, ttl):
         if action == "set":
             server.set(key, idx, now=now, ttl=ttl)
         else:
-            server.get(key, now=now)  # may lazily expire
+            server.get_many([key], now=now)  # may lazily expire
     server.store.purge_expired(now)
     live = set(server.store._items)
     assert server.digest.count == len(live)
@@ -84,7 +84,7 @@ def test_stats_item_count_matches_store(ops):
             overwrites += key in server.store
             server.set(key, idx, now=now)
         elif action == "get":
-            server.get(key, now=now)
+            server.get_many([key], now=now)
         else:
             server.delete(key, now=now)
     stats = server.stats

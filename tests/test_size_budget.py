@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
-    "core/ring.py": 316,
+    "core/ring.py": 285,
     "core/placement.py": 152,
     "core/router.py": 372,
     "core/hotkey.py": 268,
@@ -27,8 +27,8 @@ CEILINGS = {
     "web/frontend.py": 226,
     "net/webtier.py": 347,
     "net/transport.py": 300,
-    "net/parser.py": 482,
-    "net/client.py": 546,
+    "net/parser.py": 478,
+    "net/client.py": 540,
     "net/pool.py": 185,
     "net/protocol.py": 228,
     "experiments/testbed.py": 740,
@@ -36,13 +36,13 @@ CEILINGS = {
     "config.py": 181,
     "provisioning/health.py": 167,
     "cache/store.py": 256,
-    "cache/server.py": 150,
+    "cache/server.py": 144,
     "cache/item.py": 44,
-    "cache/stats.py": 33,
-    "net/server.py": 409,
+    "cache/stats.py": 28,
+    "net/server.py": 408,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 11_247
+TREE_CEILING = 11_160
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))

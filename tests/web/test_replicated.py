@@ -46,7 +46,8 @@ class TestWrites:
         assert written == owners(cache, "page:1")
         assert 1 <= len(written) <= 3
         for server_id in written:
-            assert cache.server(server_id).get("page:1", 0.001) == b"v"
+            stored = cache.server(server_id).get_many(["page:1"], 0.001)
+            assert stored.get("page:1") == b"v"
 
     def test_put_many_is_put_per_pair_last_value_wins(self):
         cache, db, web = build(replicas=2)
@@ -61,7 +62,8 @@ class TestWrites:
         assert all(1 not in servers for servers in written.values())
         assert any(len(servers) == 2 for servers in written.values())
         for server_id in written["page:0"]:
-            assert cache.server(server_id).get("page:0", 1.001) == "last"
+            stored = cache.server(server_id).get_many(["page:0"], 1.001)
+            assert stored.get("page:0") == "last"
 
 
 class TestWriteCoherence:
@@ -112,7 +114,8 @@ class TestReadsAndFailover:
         result = web.fetch("page:x", now=0.0)
         assert result.touched_database
         for server_id in owners(cache, "page:x"):
-            assert cache.server(server_id).get("page:x", 1.0) is not None
+            stored = cache.server(server_id).get_many(["page:x"], 1.0)
+            assert stored.get("page:x") is not None
 
     def test_fetch_hit_from_primary(self):
         cache, db, web = build(replicas=2)

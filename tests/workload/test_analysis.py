@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workload.analysis import (
     fit_zipf_alpha,
-    interarrival_stats,
+    interarrival_cv,
     rate_envelope,
     summarize,
 )
@@ -42,13 +42,11 @@ class TestZipfFit:
 
 class TestInterarrival:
     def test_poisson_cv_near_one(self, synthetic_trace):
-        stats = interarrival_stats(synthetic_trace)
-        assert stats.cv == pytest.approx(1.0, abs=0.1)
+        assert interarrival_cv(synthetic_trace) == pytest.approx(1.0, abs=0.1)
 
     def test_regular_arrivals_cv_zero(self):
         trace = [TraceRecord(i * 1.0, "k") for i in range(100)]
-        stats = interarrival_stats(trace)
-        assert stats.cv == pytest.approx(0.0, abs=1e-9)
+        assert interarrival_cv(trace) == pytest.approx(0.0, abs=1e-9)
 
     def test_bursty_detected(self):
         trace = []
@@ -57,13 +55,13 @@ class TestInterarrival:
             for i in range(20):
                 trace.append(TraceRecord(t + i * 0.001, f"k{i}"))
             t += 10.0
-        assert interarrival_stats(trace).cv > 1.3  # burstier than Poisson
+        assert interarrival_cv(trace) > 1.3  # burstier than Poisson
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            interarrival_stats([TraceRecord(0.0, "a")])
+            interarrival_cv([TraceRecord(0.0, "a")])
         with pytest.raises(ConfigurationError):
-            interarrival_stats([TraceRecord(1.0, "a"), TraceRecord(0.0, "b")])
+            interarrival_cv([TraceRecord(1.0, "a"), TraceRecord(0.0, "b")])
 
 
 class TestEnvelopeAndSummary:
