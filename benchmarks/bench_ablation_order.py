@@ -31,9 +31,9 @@ REPRODUCES = (
 
 #: Three generations: newer = more capacity per watt.
 SPECS = (
-    [ServerSpec(f"gen3-{i}", 300, ServerPowerModel(5, 60, 100)) for i in range(3)]
-    + [ServerSpec(f"gen2-{i}", 220, ServerPowerModel(5, 75, 125)) for i in range(3)]
-    + [ServerSpec(f"gen1-{i}", 150, ServerPowerModel(5, 90, 150)) for i in range(3)]
+    3 * [ServerSpec(300, ServerPowerModel(5, 60, 100))]
+    + 3 * [ServerSpec(220, ServerPowerModel(5, 75, 125))]
+    + 3 * [ServerSpec(150, ServerPowerModel(5, 90, 150))]
 )
 
 SLOT_SECONDS = 1800.0

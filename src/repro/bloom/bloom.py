@@ -30,13 +30,11 @@ class BloomFilter:
     ``(1 - e^(-kappa*h/l))^h`` (paper Eq. 4 with ``l = num_bits``).
     """
 
-    __slots__ = ("num_bits", "num_hashes", "_bits", "_family", "count")
+    __slots__ = ("_bits", "_family", "count")
 
     def __init__(self, num_bits: int, num_hashes: int = 4) -> None:
         if num_bits < 1:
             raise ValueError(f"num_bits must be >= 1, got {num_bits}")
-        self.num_bits = num_bits
-        self.num_hashes = num_hashes
         self._family = DoubleHashFamily(num_hashes, num_bits)
         self._bits = bytearray((num_bits + 7) // 8)
         #: number of keys the snapshot's counting filter held
@@ -85,9 +83,3 @@ class BloomFilter:
         bf = cls(num_bits, num_hashes)
         bf._bits = bytearray(payload)
         return bf
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BloomFilter(num_bits={self.num_bits}, num_hashes={self.num_hashes}, "
-            f"count={self.count})"
-        )

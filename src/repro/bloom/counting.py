@@ -218,9 +218,3 @@ class CountingBloomFilter:
     def size_bytes(self) -> int:
         """Approximate memory footprint of the counter array: ``l*b/8``."""
         return (self.num_counters * self.counter_bits + 7) // 8
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CountingBloomFilter(l={self.num_counters}, b={self.counter_bits}, "
-            f"h={self.num_hashes}, count={self.count})"
-        )

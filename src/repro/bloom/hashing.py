@@ -175,9 +175,6 @@ class KeyHashes:
             )
         return base % ring_size
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KeyHashes({self.key!r})"
-
 
 def digest_bases_many(keys: Sequence[Key]) -> Tuple[np.ndarray, np.ndarray]:
     """Batched double-hash bases: ``(h1[], h2[])`` for a whole key set."""
@@ -226,9 +223,6 @@ class DoubleHashFamily:
         strides = np.arange(self.num_hashes, dtype=np.uint64)
         mixed = h1[:, None] + strides[None, :] * h2[:, None]
         return (mixed % np.uint64(self.size)).astype(np.int64)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DoubleHashFamily(num_hashes={self.num_hashes}, size={self.size})"
 
 
 def ring_position(key: Key, ring_size: int, replica: int = 0) -> int:

@@ -136,9 +136,3 @@ class CacheServer:
             return
         self.store.flush()
         self.state = PowerState.OFF
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheServer(id={self.server_id}, state={self.state.value}, "
-            f"items={len(self.store)})"
-        )

@@ -349,7 +349,6 @@ class FetchResult:
     field.
     """
 
-    key: str
     value: Any
     path: FetchPath
     started: Optional[float]
@@ -530,8 +529,8 @@ class RetrievalEngine:
                             unanswered.append(key)
                             continue
                         outcomes[key] = FetchResult(
-                            key, value, path, now, now, new_plan[key][0],
-                            None, False, server_id, 1,
+                            value, path, now, now, new_plan[key][0], None,
+                            False, server_id, 1,
                         )
                         if not settled:
                             landed.append(key)
@@ -547,8 +546,7 @@ class RetrievalEngine:
                 local = armor.lookup(key, now)
                 if local is not None:
                     outcomes[key] = FetchResult(
-                        key, local, FetchPath.HIT_LOCAL, now, now,
-                        new_plan[key][0],
+                        local, FetchPath.HIT_LOCAL, now, now, new_plan[key][0]
                     )
                     continue
                 remaining.append(key)
@@ -625,7 +623,7 @@ class RetrievalEngine:
                     admitted.append(key)
                 else:
                     outcomes[key] = FetchResult(
-                        key, None, FetchPath.SHED, now, now, new_plan[key][0]
+                        None, FetchPath.SHED, now, now, new_plan[key][0]
                     )
             tally[FetchPath.SHED] = len(pending) - len(admitted)
             pending = admitted
@@ -639,7 +637,7 @@ class RetrievalEngine:
                 elif key in false_positives:
                     path = FetchPath.FALSE_POSITIVE_DB
                 outcomes[key] = FetchResult(
-                    key, value, path, now, now, new_plan[key][0]
+                    value, path, now, now, new_plan[key][0]
                 )
                 tally[path] = tally.get(path, 0) + 1
             landed += pending

@@ -270,9 +270,6 @@ class HashRing:
                 return node.server
         raise RoutingError("no active server on the ring")
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HashRing(size={self.size}, vnodes={len(self._nodes)})"
-
 
 def prefix_active(num_active: int) -> Callable[[int], bool]:
     """Activity predicate for the fixed provisioning order (Section III-A).

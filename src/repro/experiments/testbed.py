@@ -347,25 +347,23 @@ class SimTestbed:
     def _wire_power_channels(self, cache_cost: float, web_cost: float) -> None:
         """One metered socket per server of every tier."""
         tiers = (
-            ("cache", "cache", self.cache.servers, lambda s: utilization_probe(
+            ("cache", self.cache.servers, lambda s: utilization_probe(
                 requests_counter=lambda: s.stats.requests,
                 powered=lambda: s.state.serves_requests,
                 op_cost=cache_cost,
             )),
-            ("web", "web", self.webs, lambda w: utilization_probe(
+            ("web", self.webs, lambda w: utilization_probe(
                 requests_counter=lambda: w.stats.total,
                 powered=lambda: True,
                 op_cost=web_cost,
             )),
-            ("db", "database", self.database.shards, lambda s: busy_time_probe(
+            ("database", self.database.shards, lambda s: busy_time_probe(
                 busy_time=lambda: s.queue.busy_time, powered=lambda: True
             )),
         )
-        for prefix, tier, members, probe_of in tiers:
-            for index, member in enumerate(members):
-                self.meter.add_channel(
-                    name=f"{prefix}-{index}", tier=tier, probe=probe_of(member)
-                )
+        for tier, members, probe_of in tiers:
+            for member in members:
+                self.meter.add_channel(tier=tier, probe=probe_of(member))
 
     # ---------------------------------------------------------------- users
 

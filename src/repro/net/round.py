@@ -9,8 +9,10 @@ suspends once, on its reply; one that suspends again is recovering
 (backoff, redial) and finishes on a task of its own, so two servers'
 recoveries overlap.  If anything raises, commands not yet started never
 start and started ones are cancelled and waited for.  Two limits: inside a
-command ``current_task()`` is the caller (``asyncio.timeout()`` scopes
-need ``gather``), and no two commands may await the same future object.
+command ``current_task()`` is the caller, and no two commands may await
+the same future object.  :func:`run_reads` runs database reads, which may
+hold an ``asyncio.timeout()`` (it cancels its task), on the caller's task
+until one waits: that read keeps it, each later read gets a task.
 """
 
 import asyncio
@@ -43,6 +45,18 @@ async def _finish(coro, awaited):
 
 
 @types.coroutine
+def _unwind(unstarted, tasks):
+    """Close what never started, cancel the tasks and wait for them."""
+    for _, coro in unstarted:
+        coro.close()
+    for _, task in tasks:
+        task.cancel()
+    for _, task in tasks:
+        with suppress(Exception, asyncio.CancelledError):
+            yield from task
+
+
+@types.coroutine
 def run_round(coros):
     """Answers of *coros* (one coroutine per command), aligned by index."""
     answers = [None] * len(coros)
@@ -66,17 +80,36 @@ def run_round(coros):
             answers[index] = yield from task
         return answers
     except BaseException:
-        for _, coro in unstarted:
-            coro.close()
         for _, coro, awaited in parked:  # what Task.cancel() would do
             if awaited is not None:
                 awaited.cancel()
             with suppress(Exception, asyncio.CancelledError):
                 coro.throw(asyncio.CancelledError())
                 coro.close()  # it awaited again while unwinding
-        for _, task in tasks:
-            task.cancel()
-        for _, task in tasks:  # how a cancelled sibling ends is dropped
-            with suppress(Exception, asyncio.CancelledError):
-                yield from task
+        yield from _unwind(unstarted, tasks)
+        raise
+
+
+@types.coroutine
+def run_reads(coros):
+    """Answers of *coros* (one coroutine per database read), aligned by
+    index; on a raise, as :func:`run_round`."""
+    answers = [None] * len(coros)
+    unstarted = iter(enumerate(coros))
+    tasks = []  # (index, task): the reads after the first that waited
+    try:
+        for index, coro in unstarted:
+            try:
+                awaited = coro.send(None)
+            except StopIteration as stop:  # answered without waiting
+                answers[index] = stop.value
+                continue
+            # It keeps the caller's task; each later read starts on its own.
+            tasks = [(i, asyncio.ensure_future(read)) for i, read in unstarted]
+            answers[index] = yield from _finish(coro, awaited)
+        for index, task in tasks:
+            answers[index] = yield from task
+        return answers
+    except BaseException:
+        yield from _unwind(unstarted, tasks)
         raise

@@ -16,8 +16,8 @@ standard commands) endpoints:
 * dog-pile coalescing (``RetrievalConfig(coalesce_misses=True)``):
   concurrent misses for one key await the leader's DB fetch on an
   :class:`asyncio.Future` instead of issuing duplicate reads;
-* the backing database is an async callable, so tests plug in a dict and a
-  deployment plugs in a real pool.
+* the backing database is an async callable (:data:`DatabaseFetch`), so
+  tests plug in a dict and a deployment plugs in a real pool.
 
 Every cache RPC — probe, fill, ``put``'s writes and deletes, and the
 digest broadcast — goes through ``web.transport``, a
@@ -50,11 +50,14 @@ from repro.core.router import ProteusRouter
 from repro.core.transition import Transition, TransitionManager
 from repro.errors import ConfigurationError, DigestBroadcastError
 from repro.errors import TransportError
-from repro.net.round import run_round
+from repro.net.round import run_reads, run_round
 from repro.net.transport import CacheTransport
 from repro.resilience import Deadline, ResiliencePolicy
 
-#: async database fetch: key -> value bytes (authoritative, never misses)
+#: async database fetch: key -> value bytes (authoritative, never misses).
+#: A page's reads run on its task, sharing its ``contextvars`` context, until
+#: one waits; that read finishes there and each later one gets a task of its
+#: own, so an ``asyncio.timeout()`` in a read cancels only that read.
 DatabaseFetch = Callable[[str], Awaitable[bytes]]
 Leaders = Dict[str, asyncio.Future]  #: key -> its leading page's future
 
@@ -227,10 +230,10 @@ class AsyncProteusFrontend:
         execute concurrently on this page's own task
         (:func:`~repro.net.round.run_round`; a round of one is simply
         awaited), so probes of different servers overlap the way
-        spymemcached pipelines a page's lookups.  Only database reads —
-        the caller's coroutines — get a task each.  The fill round is
-        issued (:meth:`CacheTransport.fill`), not awaited: the page
-        returns when its values are known.
+        spymemcached pipelines a page's lookups; database reads, as
+        :data:`DatabaseFetch` says.  The fill round is issued
+        (:meth:`CacheTransport.fill`), not awaited: the page returns when
+        its values are known.
         """
         started = self._clock()
         epochs = self._manager.routing_counts(started)
@@ -249,12 +252,14 @@ class AsyncProteusFrontend:
                     continue
                 calls = [self._execute(command, leaders, deadline)
                          for command in round_]
-                if len(calls) == 1:  # a round of one needs no driver
-                    answers = (await calls[0],)
-                elif isinstance(round_[0], ReadDatabase):
-                    answers = await asyncio.gather(*calls)
-                else:
-                    answers = await run_round(calls)
+                reads = isinstance(round_[0], ReadDatabase)
+                try:  # a round of one needs no driver
+                    answers = (await calls[0],) if len(calls) == 1 else \
+                        await (run_reads if reads else run_round)(calls)
+                finally:  # every admitted read's slot, started or not
+                    if reads and self.engine.admission is not None:
+                        for _ in calls:
+                            self.engine.admission.db_finished(self._clock())
         except StopIteration as stop:
             results = stop.value
         finally:  # leaders no fill carries: the page is done with them
@@ -297,12 +302,7 @@ class AsyncProteusFrontend:
     async def _read_database(self, command: ReadDatabase, leaders: Leaders):
         if command.announce_leader:
             self._lead(command.key, leaders)
-        try:
-            return await self.database(command.key)
-        finally:
-            if self.engine.admission is not None:
-                # Free the admitted slot even on DB failure.
-                self.engine.admission.db_finished(self._clock())
+        return await self.database(command.key)
 
     def _then(self, fill: WriteBackMulti, leaders: Leaders):
         """What runs once *fill* lands: a follower that waited on a key

@@ -3,7 +3,7 @@
 The paper samples every socket every 15 seconds (Section VI-D) and reports
 power-over-time (Fig. 10) and total energy (Fig. 11) for the entire cluster
 and for the cache tier alone.  :class:`PowerMeter` does the same: callers
-register named *channels* (one per server, tagged with a tier) that report
+register *channels* (one per server, tagged with a tier) that report
 ``(powered_on, utilization)`` when sampled; the meter turns that into watts
 via each channel's :class:`ServerPowerModel`, keeps per-tier time series,
 and integrates energy.
@@ -29,7 +29,6 @@ ChannelProbe = Callable[[float], Tuple[bool, float]]
 class Channel:
     """One metered socket: a server's probe + power model + tier tag."""
 
-    name: str
     tier: str
     probe: ChannelProbe
     model: ServerPowerModel
@@ -56,14 +55,13 @@ class PowerMeter:
 
     def add_channel(
         self,
-        name: str,
         tier: str,
         probe: ChannelProbe,
         model: Optional[ServerPowerModel] = None,
     ) -> None:
         """Register one socket."""
         self.channels.append(
-            Channel(name=name, tier=tier, probe=probe, model=model or ServerPowerModel())
+            Channel(tier=tier, probe=probe, model=model or ServerPowerModel())
         )
         self.tier_series.setdefault(tier, TimeSeries())
 

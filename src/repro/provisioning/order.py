@@ -30,12 +30,10 @@ class ServerSpec:
     """One physical cache server's capabilities.
 
     Attributes:
-        name: physical identifier (rack slot, hostname, ...).
         capacity: workload it can serve per second at rated load.
         power: its power model.
     """
 
-    name: str
     capacity: float
     power: ServerPowerModel = ServerPowerModel()
 

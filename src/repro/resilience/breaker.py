@@ -133,9 +133,3 @@ class CircuitBreaker:
         self._opened_at = now
         self._probes_in_flight = 0
         self.trips += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (
-            f"CircuitBreaker(state={self._state.value}, "
-            f"failures={self._consecutive_failures}, trips={self.trips})"
-        )

@@ -60,6 +60,3 @@ class Deadline:
         past the deadline is pointless — fail over now instead.
         """
         return self.remaining(now) >= duration
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"Deadline(budget={self.budget!r}, remaining={self.remaining():.3f})"

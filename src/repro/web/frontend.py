@@ -57,7 +57,7 @@ class WebServer:
     """One servlet container driving the shared retrieval engine.
 
     Args:
-        server_id: id within the web tier (diagnostics only).
+        server_id: id within the web tier (mixed into its RNG's seed).
         cache: the cache tier (routing + transition epochs + servers).
         database: the authoritative sharded store.
         cache_latency: per-cache-operation latency model.
@@ -88,7 +88,6 @@ class WebServer:
     ) -> None:
         if server_id < 0:
             raise ConfigurationError(f"server_id must be >= 0, got {server_id}")
-        self.server_id = server_id
         self.cache = cache
         self.database = database
         self.cache_latency = cache_latency or Constant(DEFAULT_CACHE_OP_LATENCY)

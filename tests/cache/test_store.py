@@ -147,6 +147,12 @@ class TestHooks:
         assert store.get("k", now=2.0) is None
         assert "k" not in digest and digest.count == 0
 
+    def test_a_negative_size_is_refused_before_the_digest_counts_it(self):
+        store, digest = digested_store()
+        with pytest.raises(ValueError, match="size"):
+            store.set("k", "v", size=-1)
+        assert digest.count == 0 and not any(digest._counters)
+
     def test_flush_reason_and_reset(self):
         store, digest = digested_store()
         store.set("a", 1)

@@ -15,7 +15,10 @@ sockets, no wall-clock sleeps:
   servers' recoveries overlap;
 * a failed or cancelled page leaves nothing running and nothing leased,
   and the error keeps its type;
-* database reads — the caller's coroutines — still get a task each.
+* database reads — the caller's coroutines — run on the page until one
+  waits (:func:`repro.net.round.run_reads`): that read keeps the page's
+  task and each later one gets a task of its own, so no two reads that
+  wait share a task and an ``asyncio.timeout()`` in one cancels only it.
 
 A leaked coroutine is a ``RuntimeWarning`` at collection time, hence the
 module-wide filters and the explicit ``gc.collect()`` calls.
@@ -24,6 +27,7 @@ module-wide filters and the explicit ``gc.collect()`` calls.
 import asyncio
 import gc
 import heapq
+import inspect
 import itertools
 
 import pytest
@@ -31,9 +35,9 @@ import pytest
 from repro.bloom.config import optimal_config
 from repro.core.retrieval import SERVER_UNAVAILABLE, WaitForLeader
 from repro.errors import ConfigurationError, TransportError
-from repro.net.round import run_round
+from repro.net.round import run_reads, run_round
 from repro.net.webtier import AsyncProteusFrontend
-from repro.resilience import ResiliencePolicy
+from repro.resilience import ResiliencePolicy, VirtualQueueAdmission
 from tests.conftest import LEAKED_COROUTINES_FAIL
 from tests.net.scripted import (
     ScriptedClient,
@@ -435,6 +439,131 @@ class TestAFailedOrCancelledPageLeavesNothingRunning:
         run(body())
 
 
+def start_reads(*coros):
+    """``run_reads`` as a page: a task of its own awaiting the round."""
+
+    async def page():
+        return await run_reads(list(coros))
+
+    return asyncio.ensure_future(page())
+
+
+class TestRunReads:
+    def test_reads_that_answer_at_once_cost_no_task(self):
+        loop = CountingLoop()
+
+        async def read(index):
+            return f"v{index}"
+
+        async def body():
+            loop.count()
+            answers = await run_reads([read(i) for i in range(4)])
+            assert loop.stop_counting() == (0, 0, 0)
+            assert loop.iterations == 0
+            assert answers == ["v0", "v1", "v2", "v3"]
+
+        try:
+            loop.run_until_complete(body())
+        finally:
+            loop.close()
+
+    def test_the_first_read_that_waits_keeps_the_page_and_later_reads_get_a_task_each(self):
+        ran_on = {}
+
+        async def read(index, waits):
+            ran_on[index] = asyncio.current_task()
+            if waits:
+                await asyncio.sleep(0)
+            return index
+
+        async def body():
+            page = start_reads(
+                read(0, False), read(1, True), read(2, True), read(3, False)
+            )
+            assert await page == [0, 1, 2, 3]
+            assert ran_on[0] is ran_on[1] is page
+            assert len({ran_on[1], ran_on[2], ran_on[3]}) == 3
+
+        run(body())
+
+    def test_a_raise_before_any_read_waits_closes_the_unstarted_reads(self):
+        started = []
+
+        async def read(index):
+            started.append(index)
+            if index == 1:
+                raise ConfigurationError("bad key")
+            return index
+
+        async def body():
+            reads = [read(i) for i in range(4)]
+            with pytest.raises(ConfigurationError, match="bad key"):
+                await run_reads(reads)
+            assert started == [0, 1]
+            assert all(
+                inspect.getcoroutinestate(coro) == inspect.CORO_CLOSED
+                for coro in reads
+            )
+
+        run(body())
+
+    def test_a_raise_in_the_waiting_read_cancels_and_awaits_the_later_reads(self):
+        never, unwound = asyncio.Event(), []
+
+        async def failing():
+            await asyncio.sleep(0)
+            raise ConfigurationError("database down")
+
+        async def stuck(index):
+            try:
+                await never.wait()
+            finally:  # unwinding takes loop turns: the page must wait
+                await spin()
+                unwound.append(index)
+
+        async def body():
+            with pytest.raises(ConfigurationError, match="database down"):
+                await run_reads([failing(), stuck(1), stuck(2)])
+            assert unwound == [1, 2]
+
+        run(body())
+
+    def test_a_cancelled_page_cancels_and_awaits_the_later_reads(self):
+        never, unwound = asyncio.Event(), []
+
+        async def stuck(index):
+            try:
+                await never.wait()
+            finally:  # unwinding takes loop turns: the page must wait
+                await spin()
+                unwound.append(index)
+
+        async def body():
+            page = start_reads(stuck(0), stuck(1), stuck(2))
+            await spin()
+            page.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await page
+            assert unwound == [0, 1, 2]
+
+        run(body())
+
+
+async def timing_out(key):
+    """A read whose client bounds it with ``asyncio.timeout()``: it gives
+    up after 10 ms and answers ``b"late"``."""
+    try:
+        async with asyncio.timeout(0.01):
+            await asyncio.sleep(1)
+    except TimeoutError:
+        return b"late"
+    return b"slept"
+
+
+async def all_miss(server_id):
+    return {}
+
+
 class TestDatabaseReadsKeepATaskEach:
     def test_current_task_in_the_database_callable_runs_only_that_read(self):
         readers = {}
@@ -444,9 +573,6 @@ class TestDatabaseReadsKeepATaskEach:
             await asyncio.sleep(0)
             return b"v"
 
-        async def all_miss(server_id):
-            return {}
-
         async def body():
             web = frontend(FakeTransport(all_miss))
             web.database = recording_database
@@ -455,6 +581,108 @@ class TestDatabaseReadsKeepATaskEach:
             results = await page
             assert {r.path for r in results.values()} == {"miss_db"}
             assert len(set(readers.values())) == len(keys)
-            assert page not in readers.values()
+            # Only the first read that waited ran on the page's task.
+            assert [task is page for task in readers.values()] == [
+                True, False, False, False
+            ]
+
+        run(body())
+
+    def test_a_timeout_in_a_waiting_read_cancels_only_that_read(self):
+        """Reads 1 and 2 of four each time out inside their own
+        ``asyncio.timeout()``: on one shared task the two timeouts would
+        cancel each other's read."""
+        keys = KEYS[:4]
+
+        async def database(key):
+            if key in keys[1:3]:
+                return await timing_out(key)
+            return b"v"
+
+        async def body():
+            web = frontend(FakeTransport(all_miss))
+            web.database = database
+            page = asyncio.ensure_future(web.fetch_many(keys))
+            results = await page
+            assert [results[key].value for key in keys] == [
+                b"v", b"late", b"late", b"v"
+            ]
+            assert page.cancelling() == 0
+
+        run(body())
+
+    def test_a_timeout_in_a_page_of_one_read_cancels_only_that_read(self):
+        async def body():
+            web = frontend(FakeTransport(all_miss))
+            web.database = timing_out
+            page = asyncio.ensure_future(web.fetch_many(KEYS[:1]))
+            results = await page
+            assert results[KEYS[0]].value == b"late"
+            assert page.cancelling() == 0
+
+        run(body())
+
+    def test_a_four_miss_page_against_a_database_that_answers_at_once_creates_no_task(self):
+        loop = CountingLoop()
+
+        async def body():
+            web = frontend(FakeTransport(all_miss))
+            loop.count()
+            results = await web.fetch_many(KEYS[:4])
+            _, _, tasks = loop.stop_counting()
+            assert {r.path for r in results.values()} == {"miss_db"}
+            assert sorted(r.value for r in results.values()) == sorted(
+                f"db:{key}".encode() for key in KEYS[:4]
+            )
+            assert tasks == 0
+
+        try:
+            loop.run_until_complete(body())
+        finally:
+            loop.close()
+
+
+class TestEveryAdmittedReadFreesItsSlot:
+    """The engine admits each read of a round before the round runs; a
+    read that never starts must free its slot too, or a database that
+    fails fast sheds every later miss."""
+
+    def admitting_frontend(self, database):
+        web = frontend(FakeTransport(all_miss),
+                       admission=VirtualQueueAdmission(max_depth=4))
+        web.database = database
+        return web
+
+    def test_a_raise_before_any_read_waits_frees_the_unstarted_reads_slots(self):
+        keys = KEYS[:4]
+
+        async def failing(key):
+            raise ConfigurationError("refused")
+
+        async def body():
+            web = self.admitting_frontend(failing)
+            with pytest.raises(ConfigurationError, match="refused"):
+                await web.fetch_many(keys)
+            assert web.engine.admission._pending == 0
+            web.database = database
+            results = await web.fetch_many(keys)
+            assert {r.path for r in results.values()} == {"miss_db"}
+
+        run(body())
+
+    def test_a_cancelled_page_frees_every_read_slot(self):
+        never = asyncio.Event()
+
+        async def stuck(key):
+            await never.wait()
+
+        async def body():
+            web = self.admitting_frontend(stuck)
+            page = asyncio.ensure_future(web.fetch_many(KEYS[:4]))
+            await spin()
+            page.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await page
+            assert web.engine.admission._pending == 0
 
         run(body())

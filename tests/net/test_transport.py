@@ -189,7 +189,7 @@ class TestSetAndDigestRideTheSameArmor:
                 ack, TransportError("reset"), ack, payload
             )
             digest = await transport.digest(0, CFG)
-            assert digest.num_bits == CFG.num_counters
+            assert digest.to_bytes() == bits  # CFG's geometry, as fetched
             assert client.exchanges == 4  # snapshot, fetch✗, snapshot, fetch
             assert pool.acquires == 2 and pool.leases == 0
 

@@ -12,14 +12,14 @@ MODEL = ServerPowerModel(p_off=5, p_idle=70, p_peak=120)
 class TestPowerMeter:
     def test_sample_sums_channels(self):
         meter = PowerMeter()
-        meter.add_channel("a", "cache", lambda t: (True, 0.0), MODEL)
-        meter.add_channel("b", "cache", lambda t: (False, 0.0), MODEL)
+        meter.add_channel("cache", lambda t: (True, 0.0), MODEL)
+        meter.add_channel("cache", lambda t: (False, 0.0), MODEL)
         assert meter.sample(0.0) == 75.0
 
     def test_per_tier_series(self):
         meter = PowerMeter()
-        meter.add_channel("c0", "cache", lambda t: (True, 0.0), MODEL)
-        meter.add_channel("w0", "web", lambda t: (True, 1.0), MODEL)
+        meter.add_channel("cache", lambda t: (True, 0.0), MODEL)
+        meter.add_channel("web", lambda t: (True, 1.0), MODEL)
         meter.sample(0.0)
         assert meter.tier_series["cache"].values == [70.0]
         assert meter.tier_series["web"].values == [120.0]
@@ -28,7 +28,7 @@ class TestPowerMeter:
 
     def test_energy_integration(self):
         meter = PowerMeter()
-        meter.add_channel("a", "cache", lambda t: (True, 0.0), MODEL)
+        meter.add_channel("cache", lambda t: (True, 0.0), MODEL)
         meter.sample(0.0)
         meter.sample(3600.0)
         assert meter.energy_joules() == pytest.approx(70.0 * 3600)

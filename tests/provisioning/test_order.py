@@ -11,9 +11,9 @@ from repro.provisioning.order import (
     random_order,
 )
 
-EFFICIENT = ServerSpec("new-gen", capacity=300, power=ServerPowerModel(5, 60, 100))
-MIDDLING = ServerSpec("mid-gen", capacity=200, power=ServerPowerModel(5, 70, 110))
-GUZZLER = ServerSpec("old-gen", capacity=150, power=ServerPowerModel(5, 90, 150))
+EFFICIENT = ServerSpec(capacity=300, power=ServerPowerModel(5, 60, 100))
+MIDDLING = ServerSpec(capacity=200, power=ServerPowerModel(5, 70, 110))
+GUZZLER = ServerSpec(capacity=150, power=ServerPowerModel(5, 90, 150))
 
 
 class TestServerSpec:
@@ -23,7 +23,7 @@ class TestServerSpec:
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ConfigurationError):
-            ServerSpec("bad", capacity=0)
+            ServerSpec(capacity=0)
 
 
 class TestOrders:
@@ -32,8 +32,8 @@ class TestOrders:
         assert order == [1, 2, 0]
 
     def test_ties_broken_by_capacity_then_position(self):
-        a = ServerSpec("a", capacity=100, power=ServerPowerModel(5, 60, 100))
-        b = ServerSpec("b", capacity=200, power=ServerPowerModel(5, 60, 200))
+        a = ServerSpec(capacity=100, power=ServerPowerModel(5, 60, 100))
+        b = ServerSpec(capacity=200, power=ServerPowerModel(5, 60, 200))
         # same efficiency (1.0): larger capacity first
         assert efficiency_order([a, b]) == [1, 0]
 

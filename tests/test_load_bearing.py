@@ -1760,11 +1760,10 @@ def test_every_public_attribute_is_read_outside_the_tests():
       ``RunReport.active_series`` / ``failovers``, ``FetchResult.degraded``,
       ``FaultPlan.seed`` (``tests/simnet`` seeds a plan's draws with it)
       and ``ClusterConfig.name`` (``asdict`` writes it out);
-    * gone: ``TraceSummary.duration`` and
-      ``LoadBalanceResult.slot_seconds``;
-    * unread, still to go: ``Channel.name``, ``ServerSpec.name`` and
-      ``WebServer.server_id`` (each a constructor argument its callers
-      pass) and ``FetchResult.key`` (a field of the one result record)."""
+    * gone: ``TraceSummary.duration``,
+      ``LoadBalanceResult.slot_seconds``, ``Channel.name``,
+      ``ServerSpec.name``, ``WebServer.server_id`` (the argument still
+      seeds its RNG) and ``FetchResult.key`` (results are keyed by key)."""
     _audit(_public_attributes(), True, KEPT_ATTRIBUTES, "reads")
 
 

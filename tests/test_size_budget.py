@@ -18,31 +18,31 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
-    "core/ring.py": 285,
+    "core/ring.py": 282,
     "core/placement.py": 152,
     "core/router.py": 372,
     "core/hotkey.py": 268,
     "core/transition.py": 247,
-    "core/retrieval.py": 794,
-    "web/frontend.py": 226,
+    "core/retrieval.py": 792,
+    "web/frontend.py": 225,
     "net/webtier.py": 347,
     "net/transport.py": 300,
     "net/parser.py": 478,
     "net/client.py": 540,
     "net/pool.py": 185,
     "net/protocol.py": 228,
-    "experiments/testbed.py": 740,
+    "experiments/testbed.py": 738,
     "cache/cluster.py": 186,
     "config.py": 181,
     "provisioning/health.py": 167,
     "cache/store.py": 256,
-    "cache/server.py": 144,
+    "cache/server.py": 138,
     "cache/item.py": 44,
     "cache/stats.py": 28,
     "net/server.py": 408,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 11_160
+TREE_CEILING = 11_146
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
