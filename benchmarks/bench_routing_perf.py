@@ -40,12 +40,7 @@ import pytest
 from benchmarks.conftest import fmt_row
 from benchmarks.e2e.harness import work_unit
 from repro.bloom.counting import CountingBloomFilter
-from repro.core.router import (
-    ConsistentRouter,
-    NaiveRouter,
-    ProteusRouter,
-    StaticRouter,
-)
+from repro.experiments.testbed import SCENARIOS
 
 KEYS = [f"page:{i}" for i in range(2000)]
 ROUNDS = max(1, int(os.environ.get("PROTEUS_BENCH_ROUNDS", "3")))
@@ -95,33 +90,36 @@ def _route_all(router, num_active: int) -> None:
         route(key, num_active)
 
 
-def _routers(n_servers: int):
+def _routers(n_servers: int, n_active: int):
+    """Each Table II scenario's router, with the servers it routes over
+    (Static keeps every server on)."""
     return {
-        "Static": StaticRouter(n_servers),
-        "Naive": NaiveRouter(n_servers),
-        "Consistent": ConsistentRouter.quadratic_variant(n_servers),
-        "Proteus": ProteusRouter(n_servers),
+        spec.name: (
+            spec.router_factory(n_servers),
+            n_active if spec.dynamic else n_servers,
+        )
+        for spec in SCENARIOS
     }
 
 
 @pytest.mark.parametrize("n_servers,n_active", [(10, 7), (40, 25)])
 def test_routing_throughput(benchmark, n_servers, n_active):
-    routers = _routers(n_servers)
-    for router in routers.values():
+    routers = _routers(n_servers, n_active)
+    for router, active in routers.values():
         # Warm the compiled-table cache and the salted-hash memo: the bench
         # measures steady-state throughput over a hot working set, the web
         # tier's operating point.
-        router.route_many(KEYS, n_active)
+        router.route_many(KEYS, active)
     names = list(routers)
     timings = _interleaved_best(
         [lambda: [work_unit() for _ in range(UNIT_REPS)]]
         + [
-            (lambda r=router: _route_all(r, n_active))
-            for router in routers.values()
+            (lambda r=router, n=active: _route_all(r, n))
+            for router, active in routers.values()
         ]
         + [
-            (lambda r=router: r.route_many(KEYS, n_active))
-            for router in routers.values()
+            (lambda r=router, n=active: r.route_many(KEYS, n))
+            for router, active in routers.values()
         ]
     )
     legacy_ops = 1.0 / (LEGACY_ROUTE_WU * timings[0] / UNIT_REPS)
@@ -135,7 +133,7 @@ def test_routing_throughput(benchmark, n_servers, n_active):
     }
     # The pytest-benchmark-tracked number: Proteus, the paper's router.
     benchmark.pedantic(
-        _route_all, args=(routers["Proteus"], n_active), rounds=ROUNDS,
+        _route_all, args=routers["Proteus"], rounds=ROUNDS,
         iterations=1,
     )
     print(f"\nRouting throughput, N={n_servers}, n={n_active} "

@@ -27,10 +27,10 @@ import pytest
 from benchmarks.conftest import fmt_row
 from repro.core.router import ProteusRouter
 from repro.experiments.testbed import (
-    ScenarioSpec,
     SimTestbed,
     Sizing,
     run_scenarios,
+    scenario,
 )
 from repro.provisioning.policies import ProvisioningSchedule, static_schedule
 from repro.resilience import FaultPlan, FaultSchedule
@@ -56,8 +56,8 @@ def run_dogpile():
     reports = run_scenarios(
         sizing, 5, 30.0,
         ProvisioningSchedule(60.0, [5, 4, 3, 4, 5]), [100, 80, 60, 80, 100],
-        [ScenarioSpec.naive(), ScenarioSpec.naive().with_coalescing(),
-         ScenarioSpec.proteus()],
+        [scenario("naive"), scenario("naive").with_coalescing(),
+         scenario("proteus")],
         plot_slots=20, warmup_seconds=15.0,
     )
     return dict(zip(["naive", "naive+coalesce", "proteus"], reports.values()))
@@ -104,7 +104,7 @@ def run_flashcrowd():
         sizing, 6, 40.0,
         ProvisioningSchedule(60.0, [3, 3, 5, 6, 6, 5]),
         [50, 50, 150, 150, 150, 100],
-        [ScenarioSpec.static(), ScenarioSpec.naive(), ScenarioSpec.proteus()],
+        [scenario("static"), scenario("naive"), scenario("proteus")],
         plot_slots=24, warmup_seconds=15.0,
     )
 

@@ -90,9 +90,11 @@ def main() -> None:
         print(f"Provisioning n(t) from the envelope: {schedule.counts}")
 
         # 4. Fig. 5 on the real keys
-        for router in (ProteusRouter(8), ConsistentRouter.log_variant(8)):
+        for name, router in (
+            ("Proteus", ProteusRouter(8)), ("Consistent", ConsistentRouter(8))
+        ):
             result = evaluate_load_balance(router, records, schedule)
-            print(f"  {result.router_name:<11s} min/max ratios "
+            print(f"  {name:<11s} min/max ratios "
                   f"{['%.2f' % r for r in result.ratios()]} "
                   f"(mean {result.mean_ratio():.3f})")
         print("\nSwap `source` for the real WikiBench download and the same "

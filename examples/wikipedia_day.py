@@ -14,12 +14,11 @@ Run:  python examples/wikipedia_day.py           (~1 minute)
 """
 
 from repro import (
-    ScenarioSpec,
-    SimTestbed,
     Sizing,
     generate_trace,
     run_feedback_loop,
 )
+from repro.experiments.testbed import scenario
 from repro.provisioning import limit_step_size
 from repro.workload import slot_counts
 
@@ -54,13 +53,11 @@ def main() -> None:
     )
 
     reports = {}
-    for spec in (ScenarioSpec.naive(), ScenarioSpec.proteus()):
+    for spec in (scenario("naive"), scenario("proteus")):
         print(f"\nRunning the {spec.name} scenario ...")
         # One testbed per scenario: 8 cache servers, a 40 s drain window
         # (none for Naive's abrupt transitions).
-        testbed = SimTestbed(
-            sizing, spec.router_factory(8), ttl=40.0 if spec.smooth else 0.0
-        )
+        testbed = spec.testbed(sizing, 8, ttl=40.0)
         reports[spec.name] = testbed.run(
             users, SLOT_SECONDS, schedule, plot_slots=20, warmup_seconds=20.0
         )

@@ -56,14 +56,11 @@ _EXPORTS = {
     "MemcachedServer": "repro.net.server",
     "ProteusRouter": "repro.core.router",
     "RetrievalEngine": "repro.core.retrieval",
-    "ScenarioSpec": "repro.experiments.testbed",
-    "SimTestbed": "repro.experiments.testbed",
     "Sizing": "repro.experiments.testbed",
     "WebServer": "repro.web.frontend",
     "evaluate_load_balance": "repro.experiments.loadbalance",
     "generate_trace": "repro.workload.wikipedia",
     "load_proportional_schedule": "repro.provisioning.policies",
-    "make_router": "repro.core.router",
     "migration_lower_bound": "repro.core.migration",
     "optimal_config": "repro.bloom.config",
     "run_feedback_loop": "repro.provisioning.controller",
@@ -75,10 +72,10 @@ __version__ = "1.0.0"
 __all__ = [
     "CacheCluster", "ConsistentRouter", "CountingBloomFilter",
     "DatabaseCluster", "FetchPath", "MemcachedClient", "MemcachedServer",
-    "ProteusRouter", "RetrievalEngine", "ScenarioSpec", "SimTestbed",
-    "Sizing", "WebServer", "evaluate_load_balance", "generate_trace",
-    "load_proportional_schedule", "make_router", "migration_lower_bound",
-    "optimal_config", "run_feedback_loop", "theoretical_min_vnodes",
+    "ProteusRouter", "RetrievalEngine", "Sizing", "WebServer",
+    "evaluate_load_balance", "generate_trace", "load_proportional_schedule",
+    "migration_lower_bound", "optimal_config", "run_feedback_loop",
+    "theoretical_min_vnodes",
 ]
 
 

@@ -56,9 +56,17 @@ def _parse_fault(text: str):
     return at, server_id, clear_at
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.core.router import ROUTER_SCENARIOS
+def _parse_scenario(name: str):
+    """A ``--scenario`` value: the Table II scenario it names."""
+    from repro.experiments.testbed import scenario
 
+    try:
+        return scenario(name)
+    except ProteusError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Proteus (ICDCS 2013) reproduction toolkit",
@@ -75,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("keys", nargs="+")
     p.add_argument("--servers", type=int, required=True)
     p.add_argument("--active", type=int, required=True)
-    p.add_argument("--scenario", default="proteus",
-                   choices=list(ROUTER_SCENARIOS))
+    p.add_argument("--scenario", default="proteus", type=_parse_scenario,
+                   help="a Table II scenario name")
     p.add_argument("--replicas", type=int, default=1)
 
     p = sub.add_parser("bloom-config", help="size the cache digest (Eq. 10)")
@@ -107,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", type=_parse_counts, required=True,
                    help="comma-separated active counts, one per slot")
     p.add_argument("--slot-seconds", type=float, required=True)
-    p.add_argument("--scenario", default="proteus",
-                   choices=list(ROUTER_SCENARIOS))
+    p.add_argument("--scenario", default="proteus", type=_parse_scenario,
+                   help="a Table II scenario name")
 
     p = sub.add_parser("autopilot",
                        help="run the online provisioning controller "
@@ -174,16 +182,18 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    from repro.core.router import ProteusRouter, make_router
+    from repro.core.router import ProteusRouter
 
+    spec = args.scenario
     if args.replicas > 1:
-        if args.scenario != "proteus":
+        if spec.name != "Proteus":
             print("--replicas > 1 requires --scenario proteus", file=sys.stderr)
             return 2
         router = ProteusRouter(args.servers, replicas=args.replicas)
     else:
-        router = make_router(args.scenario, args.servers)
-    for key, owners in zip(args.keys, router.read_plans(args.keys, args.active)):
+        router = spec.router_factory(args.servers)
+    active = args.active if spec.dynamic else args.servers
+    for key, owners in zip(args.keys, router.read_plans(args.keys, active)):
         print(f"{key}\t{','.join(map(str, owners))}")
     return 0
 
@@ -230,16 +240,15 @@ def _cmd_trace_convert(args) -> int:
 
 
 def _cmd_loadbalance(args) -> int:
-    from repro.core.router import make_router
-    from repro.experiments.loadbalance import evaluate_load_balance
+    from repro.experiments.loadbalance import compare_routers
     from repro.provisioning.policies import ProvisioningSchedule
     from repro.workload.trace import load_trace
 
     trace = load_trace(args.trace)
     schedule = ProvisioningSchedule(args.slot_seconds, args.schedule)
-    router = make_router(args.scenario, args.servers)
-    result = evaluate_load_balance(router, trace, schedule)
-    print(f"scenario={result.router_name} slots={schedule.num_slots}")
+    spec = args.scenario
+    result = compare_routers([spec], trace, schedule, args.servers)[spec.name]
+    print(f"scenario={spec.name} slots={schedule.num_slots}")
     for slot, ratio in enumerate(result.ratios()):
         print(f"  slot {slot:>3d}  n={schedule.counts[slot]:>3d}  "
               f"min/max={ratio:.3f}")
@@ -248,14 +257,13 @@ def _cmd_loadbalance(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.experiments.testbed import ScenarioSpec, Sizing, run_scenarios
+    from repro.experiments.testbed import Sizing, run_scenarios, scenario
     from repro.provisioning.policies import ProvisioningSchedule
 
-    wanted = [name.strip().lower() for name in args.scenarios.split(",")]
-    available = {spec.name.lower(): spec for spec in ScenarioSpec.all_four()}
-    unknown = [name for name in wanted if name not in available]
-    if unknown:
-        print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
+    try:
+        specs = [scenario(name) for name in args.scenarios.split(",")]
+    except ProteusError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     schedule = ProvisioningSchedule(args.slot_seconds, args.schedule)
     sizing = Sizing(
@@ -273,7 +281,7 @@ def _cmd_simulate(args) -> int:
     reports = run_scenarios(
         sizing, args.servers, args.ttl, schedule,
         [n * args.users_per_server for n in schedule.counts],
-        [available[name] for name in wanted],
+        specs,
         plot_slots=max(12, 2 * schedule.num_slots),
         warmup_seconds=min(20.0, args.slot_seconds / 3),
     )

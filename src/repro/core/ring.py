@@ -243,32 +243,15 @@ class HashRing:
         values sum to the ring size; this is what the balance condition (BC)
         constrains to be equal across active servers.
         """
-        count = len(self._nodes)
-        if count == 0:
+        if not self._nodes:
             return {}
+        owners = self.compile(is_active)._owners
         owned: Dict[int, Position] = {}
-        positions = self._positions
-        for idx in range(count):
-            prev_pos = positions[idx - 1] if idx > 0 else positions[-1] - self.size
-            arc = positions[idx] - prev_pos
-            if arc == 0:
-                continue
-            owner = self._owner_from(idx, is_active)
-            owned[owner] = owned.get(owner, 0) + arc
+        previous = self._positions[-1] - self.size
+        for position, owner in zip(self._positions, owners):
+            owned[owner] = owned.get(owner, 0) + (position - previous)
+            previous = position
         return owned
-
-    def _owner_from(
-        self, index: int, is_active: Optional[Callable[[int], bool]]
-    ) -> int:
-        """Owner of the arc ending at vnode *index*: first active vnode at/after it."""
-        count = len(self._nodes)
-        if is_active is None:
-            return self._nodes[index].server
-        for offset in range(count):
-            node = self._nodes[(index + offset) % count]
-            if is_active(node.server):
-                return node.server
-        raise RoutingError("no active server on the ring")
 
 
 def prefix_active(num_active: int) -> Callable[[int], bool]:

@@ -1,20 +1,14 @@
-"""Request-routing strategies — the four scenarios of paper Table II.
+"""Request-routing strategies — the load-distribution column of paper
+Table II.
 
 Every router answers one question: *which cache server serves this key when
 ``n`` of the ``N`` servers are active?*  Routers are deterministic and
 self-contained so that independent web servers, given the same configuration,
-make identical decisions (paper Section I, objective 3).
-
-==================  =========================  ===============================
-Scenario            Server provisioning        Workload distribution
-==================  =========================  ===============================
-``Static``          all servers always on      simple hash with modulo
-``Naive``           dynamically tuned          simple hash with modulo
-``Consistent``      dynamically tuned          consistent hashing, random
-                                               virtual nodes (O(log n) per
-                                               server, or n^2/2 total)
-``Proteus``         dynamically tuned          Algorithm 1 placement
-==================  =========================  ===============================
+make identical decisions (paper Section I, objective 3).  Static and Naive
+share :class:`NaiveRouter` (``hash(key) mod n``) and differ only in
+provisioning, which is why the four scenarios live as one table beside the
+testbed (:data:`repro.experiments.testbed.SCENARIOS`), each a router plus a
+provisioning rule.
 
 Objective 3 also demands the decision be *efficient* — it runs on every web
 request — so the ring-based routers route through the ring's per-epoch
@@ -32,7 +26,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bloom.hashing import (
     _HASH_MEMO_SIZE,
@@ -65,7 +59,7 @@ class Router(ABC):
 
     @abstractmethod
     def route(self, key: Key, num_active: int) -> int:
-        """Return the server id (< ``num_active`` unless Static) serving *key*."""
+        """Return the server id (< ``num_active``) serving *key*."""
 
     def route_hashed(self, hashes: KeyHashes, num_active: int) -> int:
         """:meth:`route` of an already-hashed key (a
@@ -104,35 +98,6 @@ class Router(ABC):
         self._check_active(n_old)
         self._check_active(n_new)
         return list(range(n_old))
-
-    @property
-    def name(self) -> str:
-        """Short scenario name used in benchmark tables."""
-        return type(self).__name__.replace("Router", "")
-
-
-class StaticRouter(Router):
-    """Table II "Static": all ``N`` servers on, ``hash(key) mod N``.
-
-    Ignores ``num_active`` — this scenario never powers servers down, so it
-    is the no-savings / no-spike baseline.
-    """
-
-    def ceding_servers(self, n_old: int, n_new: int) -> List[int]:
-        return []  # routing ignores num_active: no key ever moves
-
-    def route(self, key: Key, num_active: int) -> int:
-        return stable_hash64(key) % self.num_servers
-
-    def route_hashed(self, hashes: KeyHashes, num_active: int) -> int:
-        return hashes.base64 % self.num_servers
-
-    def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
-        if len(keys) <= SCALAR_BATCH_MAX:
-            return super().route_many(keys, num_active)
-        import numpy as np
-
-        return (stable_hash64_many(keys) % np.uint64(self.num_servers)).tolist()
 
 
 class NaiveRouter(Router):
@@ -312,11 +277,6 @@ class ConsistentRouter(RingRouter):
         super().__init__(ring)
 
     @classmethod
-    def log_variant(cls, num_servers: int, seed: int = 0) -> "ConsistentRouter":
-        """The O(log n)-virtual-nodes-per-server variant (Fig. 5 squares)."""
-        return cls(num_servers, seed=seed)
-
-    @classmethod
     def quadratic_variant(cls, num_servers: int, seed: int = 0) -> "ConsistentRouter":
         """The n^2/2-total-virtual-nodes variant (Fig. 5 stars, Fig. 9 triangles)."""
         return cls(num_servers, total_vnodes=max(num_servers, num_servers ** 2 // 2), seed=seed)
@@ -338,35 +298,3 @@ class ProteusRouter(RingRouter):
     ) -> None:
         self.placement = place_virtual_nodes(num_servers, ring_size)
         super().__init__(self.placement.build_ring(), replicas)
-
-
-def _make_consistent(
-    num_servers: int, variant: str = "log", seed: int = 0
-) -> "ConsistentRouter":
-    if variant == "log":
-        return ConsistentRouter.log_variant(num_servers, seed=seed)
-    if variant == "quadratic":
-        return ConsistentRouter.quadratic_variant(num_servers, seed=seed)
-    raise ConfigurationError(f"unknown consistent-hashing variant {variant!r}")
-
-
-#: The Table II scenarios: name -> router factory, in table order.
-#: ``make_router`` and the CLI's ``--scenario`` choices read it.
-ROUTER_SCENARIOS: Dict[str, Callable[..., Router]] = dict(
-    static=StaticRouter, naive=NaiveRouter, consistent=_make_consistent,
-    proteus=ProteusRouter,
-)
-
-
-def make_router(scenario: str, num_servers: int, **kwargs) -> Router:
-    """Factory keyed by Table II scenario name (case-insensitive).
-
-    ``consistent`` accepts ``variant='log'`` (default) or ``variant='quadratic'``.
-    """
-    factory = ROUTER_SCENARIOS.get(str(scenario).strip().lower())
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown scenario {scenario!r} "
-            f"(expected one of {', '.join(ROUTER_SCENARIOS)})"
-        )
-    return factory(num_servers, **kwargs)

@@ -30,7 +30,6 @@ from repro.core.router import (
     NaiveRouter,
     ProteusRouter,
     Router,
-    StaticRouter,
 )
 from repro.database.cluster import DatabaseCluster
 from repro.errors import ConfigurationError
@@ -641,7 +640,9 @@ class SimTestbed:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One Table II scenario: router family + provisioning behaviour.
+    """One Table II scenario: a router (how load is spread) plus a
+    provisioning rule (*dynamic*: follow the schedule, or every server on)
+    and whether a transition drains (*smooth*).
 
     ``coalesce_misses`` arms the engine's dog-pile protection on every web
     server; off in the paper's evaluation (the Fig. 9 spike depends on the
@@ -678,40 +679,28 @@ class ScenarioSpec:
             return schedule
         return static_schedule(fleet, schedule.num_slots, schedule.slot_seconds)
 
-    @staticmethod
-    def static() -> "ScenarioSpec":
-        """All servers on, hash+modulo."""
-        return ScenarioSpec("Static", StaticRouter, smooth=False, dynamic=False)
 
-    @staticmethod
-    def naive() -> "ScenarioSpec":
-        """Dynamic provisioning, hash+modulo, abrupt transitions."""
-        return ScenarioSpec("Naive", NaiveRouter, smooth=False, dynamic=True)
+#: The four scenarios of Table II, in the paper's order: Static is Naive's
+#: router with every server on.
+SCENARIOS = (
+    ScenarioSpec("Static", NaiveRouter, smooth=False, dynamic=False),
+    ScenarioSpec("Naive", NaiveRouter, smooth=False, dynamic=True),
+    ScenarioSpec("Consistent", ConsistentRouter.quadratic_variant,
+                 smooth=False, dynamic=True),
+    ScenarioSpec("Proteus", ProteusRouter, smooth=True, dynamic=True),
+)
 
-    @staticmethod
-    def consistent() -> "ScenarioSpec":
-        """Dynamic provisioning, n^2/2 random virtual nodes, abrupt."""
-        return ScenarioSpec(
-            "Consistent",
-            ConsistentRouter.quadratic_variant,
-            smooth=False,
-            dynamic=True,
-        )
 
-    @staticmethod
-    def proteus() -> "ScenarioSpec":
-        """Dynamic provisioning, Algorithm 1 placement, smooth transitions."""
-        return ScenarioSpec("Proteus", ProteusRouter, smooth=True, dynamic=True)
-
-    @staticmethod
-    def all_four() -> List["ScenarioSpec"]:
-        """The paper's presentation order."""
-        return [
-            ScenarioSpec.static(),
-            ScenarioSpec.naive(),
-            ScenarioSpec.consistent(),
-            ScenarioSpec.proteus(),
-        ]
+def scenario(name: str) -> ScenarioSpec:
+    """The Table II scenario called *name* (case-insensitive)."""
+    wanted = str(name).strip().lower()
+    for spec in SCENARIOS:
+        if spec.name.lower() == wanted:
+            return spec
+    raise ConfigurationError(
+        f"unknown scenario {name!r} (expected one of "
+        f"{', '.join(spec.name.lower() for spec in SCENARIOS)})"
+    )
 
 
 def run_scenarios(
@@ -734,5 +723,5 @@ def run_scenarios(
             spec.provisioner(schedule, fleet),
             **measure,
         )
-        for spec in specs or ScenarioSpec.all_four()
+        for spec in specs or SCENARIOS
     }

@@ -1,19 +1,13 @@
-"""Tests for the Table II routing scenarios."""
+"""Tests for the Table II routers and the scenario table that names them."""
 
 import collections
-import random
 
 import pytest
 
-from repro.core.router import (
-    ROUTER_SCENARIOS,
-    ConsistentRouter,
-    NaiveRouter,
-    ProteusRouter,
-    StaticRouter,
-    make_router,
-)
+from repro.core.router import ConsistentRouter, NaiveRouter, ProteusRouter
 from repro.errors import ConfigurationError, RoutingError
+from repro.experiments.testbed import SCENARIOS, scenario
+from repro.provisioning.policies import ProvisioningSchedule
 from tests.conftest import make_keys
 
 
@@ -22,22 +16,36 @@ def load_counts(router, keys, num_active):
     return counts
 
 
+def static_router(num_servers):
+    """The Static scenario's router and the servers it routes over."""
+    static = scenario("static")
+    schedule = ProvisioningSchedule(1.0, [1])  # the schedule asks for one
+    return (
+        static.router_factory(num_servers),
+        static.provisioner(schedule, num_servers).counts[0],
+    )
+
+
 class TestStaticRouter:
     def test_uses_all_servers_regardless_of_active(self):
-        router = StaticRouter(8)
+        router, active = static_router(8)
         keys = make_keys(4000)
-        assert set(load_counts(router, keys, 1)) == set(range(8))
+        assert active == 8
+        assert set(load_counts(router, keys, active)) == set(range(8))
 
     def test_balanced(self):
-        counts = load_counts(StaticRouter(4), make_keys(8000), 4)
+        router, active = static_router(4)
+        counts = load_counts(router, make_keys(8000), active)
         assert min(counts.values()) / max(counts.values()) > 0.9
 
     def test_deterministic(self):
-        router = StaticRouter(5)
-        assert router.route("k", 5) == router.route("k", 5)
+        router, active = static_router(5)
+        assert router.route("k", active) == router.route("k", active)
 
     def test_name(self):
-        assert StaticRouter(2).name == "Static"
+        # Static is Naive's router with every server on, not a router
+        assert scenario("static").name == "Static"
+        assert scenario("static").router_factory is NaiveRouter
 
 
 class TestNaiveRouter:
@@ -67,7 +75,7 @@ class TestNaiveRouter:
 
 class TestConsistentRouter:
     def test_log_variant_vnode_count(self):
-        router = ConsistentRouter.log_variant(8)
+        router = ConsistentRouter(8)
         assert len(router.ring) == 8 * 3  # ceil(log2(8)) = 3
 
     def test_quadratic_variant_vnode_count(self):
@@ -95,7 +103,7 @@ class TestConsistentRouter:
 
     def test_worse_balance_than_proteus(self):
         keys = make_keys(20000)
-        consistent = load_counts(ConsistentRouter.log_variant(8), keys, 8)
+        consistent = load_counts(ConsistentRouter(8), keys, 8)
         proteus = load_counts(ProteusRouter(8), keys, 8)
 
         def ratio(counts):
@@ -107,9 +115,6 @@ class TestConsistentRouter:
     def test_rejects_too_few_total_vnodes(self):
         with pytest.raises(ConfigurationError):
             ConsistentRouter(4, total_vnodes=3)
-
-    def test_name(self):
-        assert ConsistentRouter.log_variant(4).name == "Consistent"
 
 
 class TestProteusRouter:
@@ -152,36 +157,33 @@ class TestProteusRouter:
 
 
 class TestFactory:
-    def test_make_router_all_scenarios(self):
-        assert isinstance(make_router("static", 4), StaticRouter)
-        assert isinstance(make_router("naive", 4), NaiveRouter)
-        assert isinstance(make_router("consistent", 4), ConsistentRouter)
-        assert isinstance(make_router("proteus", 4), ProteusRouter)
-
-    def test_make_router_consistent_variants(self):
-        log = make_router("consistent", 8, variant="log")
-        quad = make_router("consistent", 8, variant="quadratic")
-        assert len(quad.ring) > len(log.ring)
+    def test_every_scenario_builds_its_router(self):
+        assert isinstance(scenario("static").router_factory(4), NaiveRouter)
+        assert isinstance(scenario("naive").router_factory(4), NaiveRouter)
+        assert isinstance(
+            scenario("consistent").router_factory(4), ConsistentRouter
+        )
+        assert isinstance(scenario("proteus").router_factory(4), ProteusRouter)
 
     def test_make_router_unknown_raises(self):
         with pytest.raises(ConfigurationError):
-            make_router("mystery", 4)
+            scenario("mystery")
         with pytest.raises(ConfigurationError):
-            make_router("consistent", 4, variant="cubic")
+            scenario("")
 
     def test_scenarios_keep_the_table_order(self):
-        # the order CLI choices and the unknown-name error list them in
-        assert list(ROUTER_SCENARIOS) == [
-            "static", "naive", "consistent", "proteus",
+        # the order the unknown-name error lists them in
+        assert [spec.name for spec in SCENARIOS] == [
+            "Static", "Naive", "Consistent", "Proteus",
         ]
 
     def test_lookup_is_case_insensitive(self):
-        assert isinstance(make_router(" Proteus ", 4), ProteusRouter)
-        assert isinstance(make_router("NAIVE", 4), NaiveRouter)
+        assert scenario(" Proteus ") is SCENARIOS[3]
+        assert scenario("NAIVE") is SCENARIOS[1]
 
     def test_unknown_name_error_lists_valid_names(self):
         with pytest.raises(ConfigurationError) as err:
-            make_router("zeta", 4)
+            scenario("zeta")
         assert str(err.value) == (
             "unknown scenario 'zeta' "
             "(expected one of static, naive, consistent, proteus)"
@@ -191,26 +193,90 @@ class TestFactory:
         # a non-string (``null`` in a JSON file) gets the same one error
         for name in (None, 3):
             with pytest.raises(ConfigurationError) as err:
-                make_router(name, 4)
+                scenario(name)
             assert str(err.value) == (
                 f"unknown scenario {name!r} "
                 "(expected one of static, naive, consistent, proteus)"
             )
 
     def test_unified_error_message_everywhere(self, capsys):
-        # every CLI --scenario option offers the names make_router lists,
-        # in the same order
+        # every CLI scenario option offers the table's names, in its order
         from repro.cli import main
 
         commands = [
-            ["route", "k", "--servers", "4", "--active", "2"],
+            ["route", "k", "--servers", "4", "--active", "2", "--scenario"],
             ["loadbalance", "--trace", "t", "--servers", "4",
-             "--schedule", "2", "--slot-seconds", "1"],
+             "--schedule", "2", "--slot-seconds", "1", "--scenario"],
         ]
         for command in commands:
             with pytest.raises(SystemExit):
-                main(command + ["--scenario", "zeta"])
+                main(command + ["zeta"])
             err = capsys.readouterr().err
             listed = err[err.index("zeta"):]
-            at = [listed.index(name) for name in ROUTER_SCENARIOS]
+            at = [listed.index(spec.name.lower()) for spec in SCENARIOS]
             assert at == sorted(at)
+        assert main(["simulate", "--scenarios", "naive,zeta"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown scenario 'zeta' "
+            "(expected one of static, naive, consistent, proteus)\n"
+        )
+
+
+class TestOneRouterPerScenario:
+    """``route``, ``loadbalance`` and ``simulate`` build a scenario's
+    router from the one table, so a name means one router everywhere."""
+
+    FLEET = 10  # where the O(log n) and n^2/2 rings differ: 40 vs 50 vnodes
+
+    @staticmethod
+    def built_by(argv, monkeypatch):
+        """The routers the CLI command *argv* builds."""
+        from repro.cli import main
+        from repro.core.router import Router
+
+        built = []
+        init = Router.__init__
+
+        def recording(self, num_servers):
+            init(self, num_servers)
+            if all(router is not self for router in built):
+                built.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Router, "__init__", recording)
+            assert main(argv) == 0
+        return built
+
+    @staticmethod
+    def fingerprint(router, fleet):
+        """Type, vnode count and every key's owner at every active count."""
+        ring = getattr(router, "ring", None)
+        keys = make_keys(2000)
+        return (
+            type(router),
+            None if ring is None else len(ring),
+            [router.route_many(keys, n) for n in range(1, fleet + 1)],
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["static", "naive", "consistent", "proteus"]
+    )
+    def test_commands_build_the_same_router(self, name, monkeypatch, tmp_path):
+        fleet = str(self.FLEET)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("0.5,page:1\n1.5,page:2\n")
+        commands = [
+            ["route", "k", "--servers", fleet, "--active", "3",
+             "--scenario", name],
+            ["loadbalance", "--trace", str(trace), "--servers", fleet,
+             "--schedule", "3,2", "--slot-seconds", "1", "--scenario", name],
+            ["simulate", "--scenarios", name, "--servers", fleet,
+             "--schedule", "2", "--slot-seconds", "2",
+             "--users-per-server", "1"],
+        ]
+        routers = [self.built_by(argv, monkeypatch) for argv in commands]
+        assert [len(built) for built in routers] == [1, 1, 1]
+        prints = [self.fingerprint(built[0], self.FLEET) for built in routers]
+        assert prints[0] == prints[1] == prints[2]
+        if name == "consistent":
+            assert prints[0][1] == self.FLEET ** 2 // 2

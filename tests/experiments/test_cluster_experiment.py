@@ -5,7 +5,12 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.testbed import ScenarioSpec, Sizing, run_scenarios
+from repro.experiments.testbed import (
+    SCENARIOS,
+    Sizing,
+    run_scenarios,
+    scenario,
+)
 from repro.provisioning.policies import ProvisioningSchedule
 
 SIZING = Sizing(
@@ -38,37 +43,37 @@ def run_all(seed=3, schedule=SCHEDULE, users=USERS, specs=None,
 
 @pytest.fixture(scope="module")
 def static_report():
-    return run(ScenarioSpec.static())
+    return run(scenario("static"))
 
 
 class TestScenarioSpec:
     def test_all_four_names_match_table2(self):
-        names = [s.name for s in ScenarioSpec.all_four()]
+        names = [s.name for s in SCENARIOS]
         assert names == ["Static", "Naive", "Consistent", "Proteus"]
 
     def test_only_proteus_is_smooth(self):
-        for spec in ScenarioSpec.all_four():
+        for spec in SCENARIOS:
             assert spec.smooth == (spec.name == "Proteus")
 
     def test_only_static_is_not_dynamic(self):
-        for spec in ScenarioSpec.all_four():
+        for spec in SCENARIOS:
             assert spec.dynamic == (spec.name != "Static")
 
     def test_coalescing_defers_to_config_by_default(self):
         # Off by default, as in the paper's evaluation.
-        for spec in ScenarioSpec.all_four():
+        for spec in SCENARIOS:
             assert spec.coalesce_misses is False
             assert not any(
                 web.config.coalesce_misses for web in bed_for(spec).webs
             )
 
     def test_with_coalescing_overrides_config(self):
-        spec = ScenarioSpec.naive().with_coalescing()
+        spec = scenario("naive").with_coalescing()
         assert spec.name == "Naive+coalesce"
         assert spec.coalesce_misses is True
         assert all(web.config.coalesce_misses for web in bed_for(spec).webs)
         # The override works in both directions.
-        off = ScenarioSpec.naive().with_coalescing(False)
+        off = scenario("naive").with_coalescing(False)
         assert off.name == "Naive-coalesce"
         assert not any(web.config.coalesce_misses for web in bed_for(off).webs)
 
@@ -76,11 +81,11 @@ class TestScenarioSpec:
 class TestConfigValidation:
     def test_slot_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            run(ScenarioSpec.proteus(), users=[10, 10])
+            run(scenario("proteus"), users=[10, 10])
 
     def test_oversubscribed_schedule_rejected(self):
         with pytest.raises(ConfigurationError):
-            run(ScenarioSpec.proteus(),
+            run(scenario("proteus"),
                 schedule=ProvisioningSchedule(30.0, [9, 9, 9, 9]))
 
     def test_duration(self, static_report):
@@ -90,7 +95,7 @@ class TestConfigValidation:
 class TestSingleScenarioRun:
     @pytest.fixture(scope="class")
     def proteus_report(self):
-        return run(ScenarioSpec.proteus())
+        return run(scenario("proteus"))
 
     def test_requests_were_served(self, proteus_report):
         assert proteus_report.total_requests > 1000
@@ -177,7 +182,7 @@ class TestCrossScenario:
 
 class TestWarmupAndPrewarm:
     def test_prewarm_fills_initial_users_pages(self):
-        bed = bed_for(ScenarioSpec.proteus())
+        bed = bed_for(scenario("proteus"))
         bed.resize_population(USERS[0])
         bed.prewarm()
         total_items = sum(len(server.store) for server in bed.cache.servers)
@@ -187,12 +192,12 @@ class TestWarmupAndPrewarm:
         assert total_items == distinct_pages
 
     def test_warmup_excludes_early_latency_samples(self):
-        report = run(ScenarioSpec.static(), warmup_seconds=30.0)
+        report = run(scenario("static"), warmup_seconds=30.0)
         first_slot_time = report.latency_percentiles(50.0).times[0]
         assert first_slot_time >= 30.0
 
     def test_prewarm_off_means_cold_start(self):
-        static = ScenarioSpec.static()
+        static = scenario("static")
         cold = static.testbed(replace(SIZING, seed=11), 4, 15.0)
         cold.prewarm = lambda: None
         cold_report = cold.run(USERS, 30.0, static.provisioner(SCHEDULE, 4))

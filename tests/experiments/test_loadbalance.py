@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.router import (
-    ConsistentRouter,
-    NaiveRouter,
-    ProteusRouter,
-    StaticRouter,
-)
+from repro.bloom.hashing import stable_hash64
+from repro.core.router import ConsistentRouter, NaiveRouter, ProteusRouter
 from repro.errors import ConfigurationError
 from repro.experiments.loadbalance import compare_routers, evaluate_load_balance
+from repro.experiments.testbed import SCENARIOS, ScenarioSpec, scenario
 from repro.provisioning.policies import ProvisioningSchedule
 from repro.workload.trace import TraceRecord
 from repro.workload.wikipedia import generate_trace
@@ -37,13 +34,35 @@ class TestEvaluate:
         result = evaluate_load_balance(ProteusRouter(6), trace, schedule)
         for slot, loads in enumerate(result.slot_loads):
             active = schedule.counts[slot]
-            servers = [s for s in loads if s >= 0]
-            assert all(s < active for s in servers)
+            assert all(s < active for s in loads)
 
     def test_static_router_uses_full_fleet(self, trace, schedule):
-        result = evaluate_load_balance(StaticRouter(6), trace, schedule)
+        result = compare_routers(
+            [scenario("static")], trace, schedule, 6
+        )["Static"]
+        assert result.active_counts == [6, 6, 6, 6]
         for loads in result.slot_loads:
-            assert max(s for s in loads if s >= 0) == 5
+            assert max(loads) == 5
+
+    def test_cli_static_takes_min_max_over_every_server(
+        self, tmp_path, capsys
+    ):
+        # Every key hashes to server 0 or 1 of 4.  Over the schedule's two
+        # servers both are busy; over all four, as Static runs, two idle.
+        from repro.cli import main
+
+        keys = [k for k in (f"page:{i}" for i in range(200))
+                if stable_hash64(k) % 4 < 2][:40]
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "".join(f"{i * 0.1:.1f},{k}\n" for i, k in enumerate(keys))
+        )
+        argv = ["loadbalance", "--trace", str(path), "--servers", "4",
+                "--schedule", "2", "--slot-seconds", "10"]
+        assert main(argv + ["--scenario", "static"]) == 0
+        assert "n=  2  min/max=0.000" in capsys.readouterr().out
+        assert main(argv + ["--scenario", "naive"]) == 0
+        assert "n=  2  min/max=0.000" not in capsys.readouterr().out
 
     def test_proteus_ratio_high_on_uniform_keys(self, schedule):
         # With uniform key popularity the only imbalance left is the
@@ -58,9 +77,7 @@ class TestEvaluate:
         # Fig. 5's qualitative claim: Proteus ~ Naive ~ Static >> Consistent.
         proteus = evaluate_load_balance(ProteusRouter(6), trace, schedule)
         naive = evaluate_load_balance(NaiveRouter(6), trace, schedule)
-        log_ch = evaluate_load_balance(
-            ConsistentRouter.log_variant(6), trace, schedule
-        )
+        log_ch = evaluate_load_balance(ConsistentRouter(6), trace, schedule)
         assert proteus.mean_ratio() > log_ch.mean_ratio()
         assert naive.mean_ratio() > log_ch.mean_ratio()
 
@@ -82,7 +99,7 @@ class TestEvaluate:
             return statistics.mean(ratios)
 
         log_mean = statistics.mean(
-            mean_share_ratio(ConsistentRouter.log_variant(10, seed=s))
+            mean_share_ratio(ConsistentRouter(10, seed=s))
             for s in range(6)
         )
         quad_mean = statistics.mean(
@@ -100,16 +117,14 @@ class TestEvaluate:
 
 class TestCompare:
     def test_names_disambiguated(self, trace, schedule):
-        results = compare_routers(
-            [
-                ConsistentRouter.log_variant(6),
-                ConsistentRouter.quadratic_variant(6),
-                ProteusRouter(6),
-            ],
-            trace,
-            schedule,
+        # each entry carries its own name: two Consistent rings stay apart
+        log_ring = ScenarioSpec(
+            "Cons-logN", ConsistentRouter, smooth=False, dynamic=True
         )
-        assert set(results) == {"Consistent", "Consistent#2", "Proteus"}
+        results = compare_routers(
+            [log_ring, *SCENARIOS[2:]], trace, schedule, 6
+        )
+        assert list(results) == ["Cons-logN", "Consistent", "Proteus"]
 
     def test_zero_request_slot_counts_as_imbalanced_if_server_idle(self):
         # One record in slot 0 only: with 2 active servers, one is idle.

@@ -16,10 +16,11 @@ from repro.core.router import ProteusRouter
 from repro.errors import ConfigurationError
 from repro.experiments.testbed import (
     PER_SERVER_RATE,
-    ScenarioSpec,
+    SCENARIOS,
     SimTestbed,
     Sizing,
     run_scenarios,
+    scenario,
 )
 from repro.provisioning.controller import DelayFeedbackController
 from repro.provisioning.policies import ProvisioningSchedule, static_schedule
@@ -80,7 +81,7 @@ class TestGoldenParity:
                     [(4, 3), (3, 4)]),
     }
 
-    @pytest.mark.parametrize("spec", ScenarioSpec.all_four(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", SCENARIOS, ids=lambda s: s.name)
     def test_cluster_experiment(self, spec):
         (report,) = run_scenarios(
             CLUSTER_SIZING, 4, 15.0, ProvisioningSchedule(30.0, [4, 3, 3, 4]),
@@ -172,8 +173,8 @@ class TestTransitionGolden:
         return run_scenarios(
             self.SIZING, 3, 8.0, ProvisioningSchedule(15.0, [3, 2, 3]),
             [16, 16, 16],
-            [ScenarioSpec.naive(), ScenarioSpec.consistent(),
-             ScenarioSpec.proteus()],
+            [scenario("naive"), scenario("consistent"),
+             scenario("proteus")],
         )
 
     @pytest.mark.parametrize("name", ["Naive", "Consistent", "Proteus"])
@@ -361,7 +362,7 @@ class TestScheduleWithFaults:
             (report,) = run_scenarios(
                 CLUSTER_SIZING, 4, 15.0,
                 ProvisioningSchedule(30.0, [4, 3, 3, 4]), [40, 30, 30, 40],
-                [ScenarioSpec.proteus()], faults=faults,
+                [scenario("proteus")], faults=faults,
             ).values()
             return report
 

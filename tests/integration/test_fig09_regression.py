@@ -10,7 +10,7 @@ provably do not change experiment behaviour.
 
 import pytest
 
-from repro.experiments.testbed import ScenarioSpec, Sizing, run_scenarios
+from repro.experiments.testbed import Sizing, run_scenarios, scenario
 from repro.provisioning.policies import ProvisioningSchedule
 
 
@@ -37,7 +37,7 @@ def reports():
     return run_scenarios(
         sizing, 4, 15.0,
         ProvisioningSchedule(30.0, [4, 3, 3, 3]), [40, 30, 30, 30],
-        [ScenarioSpec.naive(), ScenarioSpec.proteus()],
+        [scenario("naive"), scenario("proteus")],
         plot_slots=12, warmup_seconds=10.0,
     )
 

@@ -34,7 +34,6 @@ from repro.core.router import (
     ConsistentRouter,
     NaiveRouter,
     ProteusRouter,
-    StaticRouter,
 )
 from repro.errors import DigestError
 from tests.conftest import ring_owner, snapshot_of
@@ -142,9 +141,8 @@ def test_route_many_and_route_hashed_match_route(num_servers, batch, data):
         st.integers(min_value=1, max_value=num_servers)
     )
     routers = [
-        StaticRouter(num_servers),
         NaiveRouter(num_servers),
-        ConsistentRouter.log_variant(num_servers),
+        ConsistentRouter(num_servers),
         ProteusRouter(num_servers, ring_size=2 ** 20),
         ProteusRouter(num_servers, 2 ** 20, replicas=2),
     ]

@@ -1,8 +1,9 @@
 """Line-count budget for the placement stack, the Algorithm-2 core, its
 transition manager and hot-key armor, its two drivers, the live
 transport, pool, protocol, parser and client, the cache node's store and
-both servers, the simulated testbed with its one experiment runner, the
-health monitor, and the tree.
+both servers, the simulated testbed with its one experiment runner and
+its Table II scenario table, the Fig. 5 load-balance replay, the health
+monitor, and the tree.
 
 ROADMAP aim 2 tracks these files' sizes like a benchmark: one algorithm,
 one implementation, and growth is a deliberate edit of this table, not an
@@ -18,9 +19,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: file (relative to src/repro) -> maximum number of lines
 CEILINGS = {
-    "core/ring.py": 282,
+    "core/ring.py": 265,
     "core/placement.py": 152,
-    "core/router.py": 372,
+    "core/router.py": 300,
     "core/hotkey.py": 268,
     "core/transition.py": 247,
     "core/retrieval.py": 792,
@@ -31,7 +32,8 @@ CEILINGS = {
     "net/client.py": 540,
     "net/pool.py": 185,
     "net/protocol.py": 228,
-    "experiments/testbed.py": 738,
+    "experiments/testbed.py": 727,
+    "experiments/loadbalance.py": 95,
     "cache/cluster.py": 186,
     "config.py": 181,
     "provisioning/health.py": 167,
@@ -42,7 +44,7 @@ CEILINGS = {
     "net/server.py": 408,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 11_146
+TREE_CEILING = 11_030
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
