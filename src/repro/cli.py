@@ -250,7 +250,7 @@ def _cmd_loadbalance(args) -> int:
     result = compare_routers([spec], trace, schedule, args.servers)[spec.name]
     print(f"scenario={spec.name} slots={schedule.num_slots}")
     for slot, ratio in enumerate(result.ratios()):
-        print(f"  slot {slot:>3d}  n={schedule.counts[slot]:>3d}  "
+        print(f"  slot {slot:>3d}  n={result.active_counts[slot]:>3d}  "
               f"min/max={ratio:.3f}")
     print(f"mean={result.mean_ratio():.3f} worst={result.worst_ratio():.3f}")
     return 0

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.bloom.config import optimal_config
@@ -83,10 +82,17 @@ class Sizing:
     power_sample_period: float = 15.0
 
 
+def _per_slot(field: str) -> property:
+    """A report series: *field* of each ``slot.end`` on the timeline."""
+    return property(lambda report: [
+        event.fields[field] for event in report.timeline.of("slot.end")
+    ])
+
+
 @dataclass
 class RunReport:
-    """Everything one run measured.  The per-slot lists hold one entry per
-    workload slot, taken at its end."""
+    """Everything one run measured.  The per-slot series hold one entry per
+    workload slot, read off its ``slot.end`` event."""
 
     #: ``"schedule"``, ``"open_loop"`` or ``"closed_loop"`` (a controller
     #: fed health snapshots)
@@ -100,27 +106,29 @@ class RunReport:
     hit_ratio: float
     #: latency samples in Fig. 9 plot slots, warm-up excluded
     latencies: SlottedRecorder
-    requests_per_slot: List[int]
-    db_requests_per_slot: List[int]
-    #: the active count commanded for the next slot
-    active_counts: List[int]
-    #: powered, non-crashed servers inside the active mapping (draining
-    #: stragglers outside it do not count — routing no longer sends them
-    #: fresh load)
-    healthy_counts: List[int]
-    #: servers needed to carry the slot's measured arrival rate at 90% of
-    #: :data:`PER_SERVER_RATE`
-    required_counts: List[int]
-    failed_sets: List[FrozenSet[int]]
-    #: the delay statistic the provisioner saw: the slot's p95, which a
-    #: controller raises to the M/M/1 projection
-    measured_delays: List[float]
     power_series: Dict[str, TimeSeries]
     #: powered cache servers at each power sample
     active_series: TimeSeries
     energy_kwh: Dict[str, float]
-    #: what the control plane did after ``n(0)`` (:mod:`repro.obs`)
+    #: the run's one record after ``n(0)`` (:mod:`repro.obs`)
     timeline: obs.Timeline
+
+    requests_per_slot = _per_slot("requests")
+    db_requests_per_slot = _per_slot("db_requests")
+    #: the active count commanded for the next slot
+    active_counts = _per_slot("active")
+    #: powered, non-crashed servers inside the active mapping (draining
+    #: stragglers outside it do not count — routing no longer sends them
+    #: fresh load)
+    healthy_counts = _per_slot("healthy")
+    #: servers needed to carry the slot's measured arrival rate at 90% of
+    #: :data:`PER_SERVER_RATE`
+    required_counts = _per_slot("required")
+    #: the crashed servers, a sorted list per slot
+    failed_sets = _per_slot("failed")
+    #: the delay statistic the provisioner saw: the slot's p95, which a
+    #: controller raises to the M/M/1 projection
+    measured_delays = _per_slot("delay")
 
     @property
     def transitions(self) -> List[obs.Event]:
@@ -196,13 +204,13 @@ class RunReport:
         ]
         return percentile(values, pct) if values else 0.0
 
-    def _fault_slot(self, fault_at: float) -> int:
+    def _after_fault(self, fault_at: float) -> List[Tuple[int, int]]:
+        """``(healthy, required)`` of each slot after the fault's."""
         fault_slot = int(fault_at // self.slot_seconds)
-        if fault_slot >= len(self.healthy_counts):
-            raise ConfigurationError(
-                f"fault_at {fault_at} is outside the run"
-            )
-        return fault_slot
+        healthy = self.healthy_counts
+        if fault_slot >= len(healthy):
+            raise ConfigurationError(f"fault_at {fault_at} is outside the run")
+        return list(zip(healthy, self.required_counts))[fault_slot + 1:]
 
     def underprovisioned_slots(
         self, fault_at: float, horizon_slots: Optional[int] = None
@@ -216,15 +224,8 @@ class RunReport:
         Zero means the controller replaced the lost capacity before the
         first post-fault boundary.
         """
-        fault_slot = self._fault_slot(fault_at)
-        end = len(self.healthy_counts)
-        if horizon_slots is not None:
-            end = min(end, fault_slot + 1 + horizon_slots)
-        return sum(
-            1
-            for slot in range(fault_slot + 1, end)
-            if self.healthy_counts[slot] < self.required_counts[slot]
-        )
+        after = self._after_fault(fault_at)[:horizon_slots]
+        return sum(healthy < required for healthy, required in after)
 
     def recovery_slots(self, fault_at: float) -> int:
         """Slots from the fault until healthy capacity meets requirement
@@ -233,11 +234,9 @@ class RunReport:
         The first post-fault boundary that already satisfies the
         requirement scores 1 — the emergency-scale-up best case.
         """
-        fault_slot = self._fault_slot(fault_at)
-        for offset, slot in enumerate(
-            range(fault_slot + 1, len(self.healthy_counts)), start=1
-        ):
-            if self.healthy_counts[slot] >= self.required_counts[slot]:
+        after = self._after_fault(fault_at)
+        for offset, (healthy, required) in enumerate(after, start=1):
+            if healthy >= required:
                 return offset
         return NEVER_RECOVERED
 
@@ -251,11 +250,11 @@ class RunReport:
             "served_requests": self.served_requests,
             "availability": self.availability,
             "p99_latency": self.latency_percentile(99.0),
-            "active_counts": list(self.active_counts),
-            "healthy_counts": list(self.healthy_counts),
-            "required_counts": list(self.required_counts),
-            "failed_sets": [sorted(s) for s in self.failed_sets],
-            "measured_delays": list(self.measured_delays),
+            "active_counts": self.active_counts,
+            "healthy_counts": self.healthy_counts,
+            "required_counts": self.required_counts,
+            "failed_sets": self.failed_sets,
+            "measured_delays": self.measured_delays,
             "arrival_rates": self.arrival_rates,
             "energy_kwh": dict(self.energy_kwh),
             "transitions": [
@@ -338,10 +337,9 @@ class SimTestbed:
         self._provisioner: Optional[Provisioner] = None
         self._monitor: Optional[ClusterHealthMonitor] = None
         self._floor = 1
-        # The finishing slot's samples, and the per-slot lists of the report.
+        # The finishing slot's samples.
         self._slot_latencies: List[float] = []
         self._slot_db = 0
-        self._series: Dict[str, list] = defaultdict(list)
 
     def _wire_power_channels(self, cache_cost: float, web_cost: float) -> None:
         """One metered socket per server of every tier."""
@@ -496,7 +494,6 @@ class SimTestbed:
             active_series=self.active_series,
             energy_kwh=self.energy_kwh(),
             timeline=timeline,
-            **self._series,
         )
 
     def _check(
@@ -585,16 +582,11 @@ class SimTestbed:
             measured = min(max(observed, projected), provisioner.delay_bound * 4)
             health = self._monitor.observe(now) if self._monitor else None
             n_next = provisioner.update(measured, rate, health=health)
-        for name, value in (
-            ("requests_per_slot", len(samples)),
-            ("db_requests_per_slot", self._slot_db),
-            ("active_counts", n_next),
-            ("healthy_counts", self._healthy_capacity()),
-            ("required_counts", self._required(rate)),
-            ("failed_sets", cache.failed_servers()),
-            ("measured_delays", measured),
-        ):
-            self._series[name].append(value)
+        obs.emit("slot.end", now, requests=len(samples),
+                 db_requests=self._slot_db, active=n_next,
+                 healthy=self._healthy_capacity(),
+                 required=self._required(rate),
+                 failed=sorted(cache.failed_servers()), delay=measured)
         self._slot_db = 0
         # A schedule step into an open drain window raises; a controller
         # waits for the window to close.

@@ -109,6 +109,7 @@ class AsyncProteusFrontend:
         self._clock = clock
         active = len(self.endpoints) if initial_active is None else initial_active
         self._manager = TransitionManager(active, len(self.endpoints))
+        self._begun = 0  # transitions begun: a page's fills check it
         #: key -> future resolved when the leader's fill lands
         self._inflight: Dict[str, asyncio.Future] = {}
         self.resilience = resilience or ResiliencePolicy.default()
@@ -207,6 +208,7 @@ class AsyncProteusFrontend:
                 f"started ({detail})",
                 failures=failures,
             )
+        self._begun += 1
         return self._manager.begin(n_new, now, ttl, digests)
 
     # ------------------------------------------------------------ Algorithm 2
@@ -232,10 +234,11 @@ class AsyncProteusFrontend:
         awaited), so probes of different servers overlap the way
         spymemcached pipelines a page's lookups; database reads, as
         :data:`DatabaseFetch` says.  The fill round is issued
-        (:meth:`CacheTransport.fill`), not awaited: the page returns when
-        its values are known.
+        (:meth:`CacheTransport.fill`), not awaited — or dropped, as later
+        misses, once a transition began since the page did: a fill planned
+        under an older mapping could land where a later ``put`` deleted it.
         """
-        started = self._clock()
+        started, begun = self._clock(), self._begun
         epochs = self._manager.routing_counts(started)
         deadline = None if self.resilience.request_budget is None \
             else self.resilience.new_deadline(self._clock)
@@ -248,7 +251,8 @@ class AsyncProteusFrontend:
                 if type(round_[0]) is WriteBackMulti:  # a read's fills
                     answers = [self.transport.fill(
                         c.server_id, c.items, deadline, self._then(c, leaders)
-                    ) for c in round_]
+                    ) if self._begun == begun else SERVER_UNAVAILABLE
+                        for c in round_]
                     continue
                 calls = [self._execute(command, leaders, deadline)
                          for command in round_]

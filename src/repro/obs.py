@@ -1,11 +1,11 @@
-"""One timeline of what the control plane did.
+"""One timeline of what a run measured and its control plane did.
 
 A transition's begin, end or rollback and a feedback controller's forced
 capacity or vetoed scale-down are each one :class:`Event`, emitted where
-the simulator and the live tier share the decision, so both write the
-same record.  Nothing is emitted per request.  :func:`emit` drops events
-unless a :func:`recording` block installed a :class:`Timeline`.  Field
-values are JSON-plain, so a timeline serializes one event per line as is.
+the simulator and the live tier share the decision; a simulated slot's
+end is one too (``slot.end``, with the slot's values), and a request none.
+:func:`emit` drops events unless a :func:`recording` block installed a
+:class:`Timeline`.  Field values are JSON-plain: one event, one JSON line.
 """
 
 from __future__ import annotations

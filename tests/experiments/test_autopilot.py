@@ -13,7 +13,7 @@ from repro.experiments.testbed import (
     SimTestbed,
     Sizing,
 )
-from repro.obs import Timeline
+from repro.obs import Timeline, emit, recording
 from repro.provisioning.controller import DelayFeedbackController
 from repro.resilience import FaultPlan, FaultSchedule
 from repro.resilience.admission import VirtualQueueAdmission
@@ -160,8 +160,7 @@ class TestClosedLoop:
         )
         fault_slots = [i for i, s in enumerate(report.failed_sets) if s]
         assert fault_slots, "the kill never showed up in failed_sets"
-        assert all(report.failed_sets[i] == frozenset({1})
-                   for i in fault_slots)
+        assert all(report.failed_sets[i] == [1] for i in fault_slots)
 
     def test_to_dict_is_json_ready(self):
         import json
@@ -176,7 +175,12 @@ class TestClosedLoop:
 
 class TestRecoveryMetrics:
     def make_report(self, healthy, required):
-        zeros = [0] * len(healthy)
+        timeline = Timeline()
+        with recording(timeline):
+            for slot, (ok, needed) in enumerate(zip(healthy, required)):
+                emit("slot.end", 10.0 * (slot + 1), requests=0,
+                     db_requests=0, active=ok, healthy=ok, required=needed,
+                     failed=[], delay=0.0)
         return RunReport(
             provisioner="synthetic",
             slot_seconds=10.0,
@@ -186,17 +190,10 @@ class TestRecoveryMetrics:
             failovers=0,
             hit_ratio=1.0,
             latencies=SlottedRecorder(10.0),
-            requests_per_slot=zeros,
-            db_requests_per_slot=zeros,
-            active_counts=list(healthy),
-            healthy_counts=list(healthy),
-            required_counts=list(required),
-            failed_sets=[frozenset() for _ in healthy],
-            measured_delays=[0.0] * len(healthy),
             power_series={},
             active_series=TimeSeries(),
             energy_kwh={},
-            timeline=Timeline(),
+            timeline=timeline,
         )
 
     def test_recovery_counts_slots_until_requirement_met(self):

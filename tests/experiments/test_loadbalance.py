@@ -60,9 +60,35 @@ class TestEvaluate:
         argv = ["loadbalance", "--trace", str(path), "--servers", "4",
                 "--schedule", "2", "--slot-seconds", "10"]
         assert main(argv + ["--scenario", "static"]) == 0
-        assert "n=  2  min/max=0.000" in capsys.readouterr().out
+        assert "n=  4  min/max=0.000" in capsys.readouterr().out
         assert main(argv + ["--scenario", "naive"]) == 0
-        assert "n=  2  min/max=0.000" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "n=  2" in out and "min/max=0.000" not in out
+
+    @pytest.mark.parametrize(
+        "name", ["static", "naive", "consistent", "proteus"]
+    )
+    def test_cli_labels_each_slot_with_the_servers_its_ratio_covers(
+        self, name, tmp_path, capsys
+    ):
+        # Static runs every server whatever the schedule says; the dynamic
+        # scenarios run the schedule's count.
+        from repro.cli import main
+
+        path = tmp_path / "trace.csv"
+        path.write_text("".join(
+            f"{i * 0.05:.2f},page:{i % 97}\n" for i in range(1200)
+        ))
+        counts = [8, 6, 4, 5, 7, 3]
+        assert main(["loadbalance", "--trace", str(path), "--servers", "8",
+                     "--schedule", ",".join(map(str, counts)),
+                     "--slot-seconds", "10", "--scenario", name]) == 0
+        labels = [
+            int(line.split("n=")[1].split()[0])
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("slot")
+        ]
+        assert labels == ([8] * 6 if name == "static" else counts)
 
     def test_proteus_ratio_high_on_uniform_keys(self, schedule):
         # With uniform key popularity the only imbalance left is the

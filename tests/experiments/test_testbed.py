@@ -9,6 +9,7 @@ stream every other run uses.
 """
 
 import collections
+import json
 
 import pytest
 
@@ -131,9 +132,9 @@ def abrupt(n_old, n_new, t, powered_off):
 
 class TestTransitionGolden:
     """One scale-down and one scale-up under each dynamic scenario: the
-    whole control-plane record, the per-slot database load and the energy.
-    An abrupt transition begins and ends at the same ``t``; a smooth one
-    ends at its TTL deadline."""
+    whole control-plane record (every event but ``slot.end``), the per-slot
+    database load and the energy.  An abrupt transition begins and ends at
+    the same ``t``; a smooth one ends at its TTL deadline."""
 
     SIZING = Sizing(seed=5, catalogue_size=800, cache_capacity_bytes=4096 * 300,
                     pages_per_user=10, num_web_servers=1, num_db_shards=2)
@@ -183,10 +184,55 @@ class TestTransitionGolden:
         timeline, db_per_slot, energy = self.GOLDEN[name]
         assert [
             (event.t, event.kind, event.fields)
-            for event in report.timeline.events
+            for event in report.timeline.events if event.kind != "slot.end"
         ] == timeline
         assert report.db_requests_per_slot == db_per_slot
         assert report.energy_kwh == energy
+
+
+#: report series -> the ``slot.end`` field it reads
+SLOT_SERIES = {
+    "requests_per_slot": "requests", "db_requests_per_slot": "db_requests",
+    "active_counts": "active", "healthy_counts": "healthy",
+    "required_counts": "required", "failed_sets": "failed",
+    "measured_delays": "delay",
+}
+
+
+class TestSlotEnd:
+    """A slot's end is one ``slot.end`` event on the run's timeline, at
+    the boundary where the slot is measured (a controller decides 1e-6 s
+    ahead of it), and the report's seven per-slot series are its fields."""
+
+    @pytest.fixture(scope="class", params=["schedule", "controller"])
+    def run(self, request):
+        faults = kill(6.0, 1, clear_at=12.0)
+        if request.param == "schedule":
+            return make_testbed().run([4] * 4, 5.0, all_on(4, 5.0), faults), 0.0
+        controller = DelayFeedbackController(
+            num_servers=3, min_servers=1, per_server_rate=PER_SERVER_RATE
+        )
+        report = make_testbed().run([4, 8, 4, 4], 5.0, controller, faults,
+                                    health_feedback=True)
+        return report, 1e-6
+
+    def test_one_event_per_slot_at_its_boundary(self, run):
+        report, lead = run
+        assert [event.t for event in report.timeline.of("slot.end")] == [
+            slot * 5.0 - lead for slot in range(1, 5)
+        ]
+
+    def test_fields_are_json_plain(self, run):
+        report, _ = run
+        for event in report.timeline.of("slot.end"):
+            assert set(event.fields) == set(SLOT_SERIES.values())
+            assert json.loads(json.dumps(event.fields)) == event.fields
+
+    def test_each_series_is_its_field(self, run):
+        report, _ = run
+        ends = report.timeline.of("slot.end")
+        for series, field in SLOT_SERIES.items():
+            assert getattr(report, series) == [e.fields[field] for e in ends]
 
 
 def make_testbed(num_servers=3):
@@ -260,16 +306,14 @@ class TestFaultInjection:
             .add(5.0, 1, FaultPlan.flaky(0.5))
             .add(5.0, 2, FaultPlan.killed()),
         )
-        assert report.failed_sets == [frozenset(), frozenset({2})]
+        assert report.failed_sets == [[], [2]]
 
     def test_crash_is_repaired_inside_the_run(self):
         report = make_testbed().run(
             [0] * 4, 4.0, all_on(4, 4.0), kill(5.0, 1, clear_at=10.0)
         )
         # Slot ends at 4, 8, 12 and 16 s: down from 5 s to 10 s.
-        assert report.failed_sets == [
-            frozenset(), frozenset({1}), frozenset(), frozenset()
-        ]
+        assert report.failed_sets == [[], [1], [], []]
 
     def test_events_after_the_end_are_not_scheduled(self):
         testbed = make_testbed()

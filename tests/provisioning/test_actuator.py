@@ -40,7 +40,9 @@ def replay(counts, ttl, slot_seconds=10.0):
 
 
 def timeline_of(report):
-    return [(e.t, e.kind, e.fields) for e in report.timeline.events]
+    """The run's control-plane events, every ``slot.end`` aside."""
+    return [(e.t, e.kind, e.fields) for e in report.timeline.events
+            if e.kind != "slot.end"]
 
 
 class TestApply:

@@ -7,6 +7,12 @@ stale value would overwrite the put's and every later fetch would be a
 ``HIT_NEW`` of it.  The live tier writes back with memcached ``add``
 instead (Nishtala et al., *Scaling Memcache at Facebook*, NSDI '13), which
 never replaces a copy that is already there.
+
+``add`` protects only the server the ``put`` set.  A fill planned before a
+transition began could land on a server the ``put`` deleted the key
+from; the frontend drops such a fill round unsent
+(``test_fill_transition.py``).  Both guards live in one frontend: a fill
+from one frontend against a ``put`` from another is not covered.
 """
 
 import asyncio

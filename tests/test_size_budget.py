@@ -26,13 +26,13 @@ CEILINGS = {
     "core/transition.py": 247,
     "core/retrieval.py": 792,
     "web/frontend.py": 225,
-    "net/webtier.py": 347,
+    "net/webtier.py": 351,
     "net/transport.py": 300,
     "net/parser.py": 478,
     "net/client.py": 540,
     "net/pool.py": 185,
     "net/protocol.py": 228,
-    "experiments/testbed.py": 727,
+    "experiments/testbed.py": 719,
     "experiments/loadbalance.py": 95,
     "cache/cluster.py": 186,
     "config.py": 181,
@@ -44,7 +44,7 @@ CEILINGS = {
     "net/server.py": 408,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 11_030
+TREE_CEILING = 11_026
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
