@@ -6,7 +6,12 @@ Table II router:
 
 * single-key ``route()`` throughput (the compiled-table fast path);
 * batched ``route_many()`` throughput (one vectorized ``searchsorted``);
-* digest probes: scalar ``key in filter`` vs. ``contains_many``.
+* digest probes: scalar ``key in filter`` vs. ``contains_many``;
+* the crossover of the batch entry points a live page calls with a few
+  keys — cold ``route_many`` and ``Transition.digest_hit_many`` — scalar
+  against vectorized per batch size, the table
+  :data:`repro.bloom.hashing.SCALAR_BATCH_MAX` is read from (printed
+  only).
 
 The speedup baseline is the *legacy* Proteus route — a fresh salted
 blake2b per call plus ``HashRing.lookup`` with a per-call ``is_active``
@@ -32,14 +37,19 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from benchmarks.conftest import fmt_row
 from benchmarks.e2e.harness import work_unit
+from repro.bloom import hashing
 from repro.bloom.counting import CountingBloomFilter
+from repro.core.router import ProteusRouter
+from repro.core.transition import Transition
 from repro.experiments.testbed import SCENARIOS
 
 KEYS = [f"page:{i}" for i in range(2000)]
@@ -184,6 +194,77 @@ def test_digest_probe_throughput():
     print(fmt_row("probe ops/s", [int(scalar_ops), int(batch_ops)], width=12))
     # The batch path must never regress below the scalar loop.
     assert batch_ops > scalar_ops
+
+
+#: batch sizes of the crossover table
+CROSSOVER_SIZES = (1, 2, 4, 8, 16, 32, 64)
+#: timed calls per batch size and path; each call gets keys of its own
+CROSSOVER_CALLS = 60
+
+
+def _crossover():
+    """Median us per call of cold ``route_many`` and of ``digest_hit_many``
+    at each of :data:`CROSSOVER_SIZES`, scalar against vectorized.
+
+    The routing keys are new to the epoch's table but their ring hashes
+    are memoized, as in a 3 -> 2 drain window: the old epoch hashed them.
+    The digest keys are new to the hash memo (the node built the digest
+    key by key), as a missed key is checked about once.  Scalar and
+    vectorized calls alternate, so drift lands on both columns.
+    """
+    router = ProteusRouter(3)
+    table = router.ring.compiled_for(2)
+    router.route_many([f"warm:{i}" for i in range(256)], 2)  # a used table
+    counting = CountingBloomFilter(num_counters=2 ** 16, counter_bits=4,
+                                   num_hashes=4)
+    batches = {}
+    for size in CROSSOVER_SIZES:
+        batches[size] = [
+            [f"cold:{size}:{call}:{i}" for i in range(size)]
+            for call in range(CROSSOVER_CALLS)
+        ]
+        for batch in batches[size]:
+            router.route_many(batch, 3)  # the old epoch hashed them
+            for key in batch[::2]:
+                counting.add(key)
+    transition = Transition(3, 2, 0.0, 10.0, {2: counting.snapshot()})
+    # The scalar loop takes a batch no longer than the constant; 0 sends
+    # every batch to numpy.
+    bounds = {"scalar": max(CROSSOVER_SIZES), "vector": 0}
+    rows = {}
+    for size, calls in batches.items():
+        times = {(op, path): [] for op in ("route", "digest") for path in bounds}
+        for batch in calls:
+            for path, bound in bounds.items():
+                with mock.patch.object(hashing, "SCALAR_BATCH_MAX", bound):
+                    start = time.perf_counter()
+                    router.route_many(batch, 2)
+                    middle = time.perf_counter()
+                    transition.digest_hit_many(2, batch)
+                    end = time.perf_counter()
+                times["route", path].append(middle - start)
+                times["digest", path].append(end - middle)
+                for key in batch:  # cold again for the other path
+                    table.owners_by_key[0].pop(key)
+        rows[size] = {
+            name: statistics.median(spans) * 1e6
+            for name, spans in times.items()
+        }
+    return rows
+
+
+def test_scalar_batch_crossover():
+    rows = _crossover()
+    print(f"\nShort-batch crossover, us per call (SCALAR_BATCH_MAX = "
+          f"{hashing.SCALAR_BATCH_MAX}):")
+    print(fmt_row("keys", ["route sc", "route np", "digest sc", "digest np"],
+                  width=11))
+    for size, row in rows.items():
+        print(fmt_row(str(size), [
+            round(row["route", "scalar"], 1), round(row["route", "vector"], 1),
+            round(row["digest", "scalar"], 1),
+            round(row["digest", "vector"], 1),
+        ], width=11, precision=1))
 
 
 def _write_report(n_servers, n_active, scalar_ops, batch_ops, legacy_ops):

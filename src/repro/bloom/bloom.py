@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.bloom.hashing import _DIGEST_H1, _DIGEST_H2, _MASK64
 from repro.bloom.hashing import DoubleHashFamily, Key
 
 
@@ -41,21 +42,27 @@ class BloomFilter:
         self.count = 0
 
     def contains(self, key: Key) -> bool:
-        """Membership query; may return false positives, never false negatives."""
-        bits = self._bits
-        return all(
-            bits[idx >> 3] & (1 << (idx & 7))
-            for idx in self._family.indexes(key)
-        )
+        """Membership query; may return false positives, never false
+        negatives.  One pass over the probes, to the first clear bit."""
+        data = key if isinstance(key, bytes) else key.encode("utf-8")
+        first, second = _DIGEST_H1.copy(), _DIGEST_H2.copy()
+        first.update(data)
+        second.update(data)
+        position = int.from_bytes(first.digest(), "little")
+        stride = int.from_bytes(second.digest(), "little") | 1
+        bits, family = self._bits, self._family
+        for _ in range(family.num_hashes):
+            index = position % family.size
+            if not bits[index >> 3] & 1 << (index & 7):
+                return False
+            position = (position + stride) & _MASK64
+        return True
 
     __contains__ = contains
 
     def contains_many(self, keys: Sequence[Key]) -> List[bool]:
         """Vectorized membership: element ``i`` is ``contains(keys[i])``."""
         import numpy as np
-        keys = list(keys)
-        if not keys:
-            return []
         indexes = self._family.indexes_many(keys)
         view = np.frombuffer(self._bits, dtype=np.uint8)
         hit = (view[indexes >> 3] & (1 << (indexes & 7)).astype(np.uint8)) != 0

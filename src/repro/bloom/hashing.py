@@ -61,13 +61,6 @@ DIGEST_SALT_H2 = 0x52
 RING_SALT_BASE = 0x100
 
 
-def _as_bytes(key: Key) -> bytes:
-    """Normalize a key to bytes (UTF-8 for text keys)."""
-    if isinstance(key, bytes):
-        return key
-    return key.encode("utf-8")
-
-
 #: Per-salt blake2b templates; ``template.copy()`` is ~2x cheaper than
 #: re-parsing the salted parameter block in the constructor, and the digest
 #: is bit-identical, so every historical routing decision is preserved.
@@ -91,7 +84,7 @@ _DIGEST_H2 = _template(DIGEST_SALT_H2)
 @lru_cache(maxsize=_HASH_MEMO_SIZE)
 def _hash64_memo(key: Key, salt: int) -> int:
     digest = _template(salt).copy()
-    digest.update(_as_bytes(key))
+    digest.update(key if isinstance(key, bytes) else key.encode("utf-8"))
     return int.from_bytes(digest.digest(), "little")
 
 
@@ -113,16 +106,16 @@ def stable_hash64(key: Key, salt: int = 0) -> int:
     return _hash64_memo(key, salt)
 
 
-#: Longest batch the ``*_many`` callers answer with their scalar loop
-#: instead of a vectorized pass.  The numpy set-up costs a fixed 7-40 us
-#: per call, so a short batch is cheaper key by key — and every simulated
-#: fetch is a batch of one.  Measured crossover for Proteus ring routing:
-#: ~16 keys per batch (Python 3.11); raising the constant moves the
-#: per-layer call counts the end-to-end benchmark traces, so it is a
-#: measured change of its own.  Scalar and vectorized forms are pinned
-#: bit-identical by
-#: ``tests/property/test_fastpath_properties.py``.
-SCALAR_BATCH_MAX = 1
+#: Longest batch the ``*_many`` callers (``route_many``, and
+#: ``Transition.digest_hit_many``) answer with their scalar loop instead of
+#: a vectorized pass: numpy's fixed set-up costs 10-20 us a call, so the
+#: few keys a live page brings (those an epoch has not routed, the missed
+#: keys of one digest check) are cheaper key by key, and every simulated
+#: fetch is a batch of one.  ``benchmarks/bench_routing_perf.py`` prints
+#: the table it is read from: routing crosses over between 16 and 32 keys,
+#: the digest check above 64 (Python 3.11).  Both forms are pinned
+#: bit-identical by ``tests/property/test_fastpath_properties.py``.
+SCALAR_BATCH_MAX = 16
 
 
 def stable_hash64_many(keys: Sequence[Key], salt: int = 0) -> np.ndarray:

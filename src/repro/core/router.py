@@ -28,9 +28,9 @@ from abc import ABC, abstractmethod
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
+from repro.bloom import hashing
 from repro.bloom.hashing import (
     _HASH_MEMO_SIZE,
-    SCALAR_BATCH_MAX,
     Key,
     KeyHashes,
     ring_position,
@@ -117,7 +117,7 @@ class NaiveRouter(Router):
         return hashes.base64 % num_active
 
     def route_many(self, keys: Sequence[Key], num_active: int) -> List[int]:
-        if len(keys) <= SCALAR_BATCH_MAX:
+        if len(keys) <= hashing.SCALAR_BATCH_MAX:
             return super().route_many(keys, num_active)
         import numpy as np
 
@@ -171,13 +171,11 @@ class RingRouter(Router):
         ring = self.ring
         table = ring.compiled_for(num_active)
         memo = table.owners_by_key[replica]
-        owners = list(map(memo.get, keys)) if memo else None  # empty: no probe
-        if owners and None not in owners:
+        owners = list(map(memo.get, keys))
+        if None not in owners:
             return owners
-        missing = keys if owners is None else [
-            key for key, owner in zip(keys, owners) if owner is None
-        ]
-        if len(missing) <= SCALAR_BATCH_MAX:
+        missing = [key for key, owner in zip(keys, owners) if owner is None]
+        if len(missing) <= hashing.SCALAR_BATCH_MAX:
             resolved = [
                 table.lookup(ring_position(key, ring.size, replica))
                 for key in missing
@@ -189,8 +187,6 @@ class RingRouter(Router):
         if len(memo) + len(missing) > _HASH_MEMO_SIZE:
             memo.clear()
         memo.update(islice(zip(missing, resolved), _HASH_MEMO_SIZE))
-        if owners is None:
-            return resolved
         fill = iter(resolved)
         return [next(fill) if owner is None else owner for owner in owners]
 
@@ -246,7 +242,8 @@ class ConsistentRouter(RingRouter):
         total_vnodes: Optional[int] = None,
         seed: int = 0,
     ) -> None:
-        Router.__init__(self, num_servers)  # validate before sizing the ring
+        if num_servers < 1:  # checked before sizing the ring
+            raise ConfigurationError(f"num_servers must be >= 1, got {num_servers}")
         ring = HashRing(DEFAULT_RING_SIZE)
         rng = random.Random(seed)
         if total_vnodes is None:

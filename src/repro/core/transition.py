@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
+from repro.bloom import hashing
 from repro.bloom.bloom import BloomFilter
-from repro.bloom.hashing import SCALAR_BATCH_MAX
 from repro.errors import ConfigurationError, TransitionError
 
 
@@ -77,19 +77,16 @@ class Transition:
         return digest is not None and key in digest
 
     def digest_hit_many(self, server: int, keys) -> List[bool]:
-        """Batched :meth:`digest_hit`: one vectorized membership pass.
-
-        Element ``i`` equals ``digest_hit(server, keys[i])`` exactly — the
-        retrieval engine's grouped check of one ceded old owner is
-        bit-identical to per-key consults.  No digest for *server* means
-        all-False (same safe fallback as :meth:`digest_hit`).
-        """
-        keys = list(keys)
+        """Batched :meth:`digest_hit`: element ``i`` is ``digest_hit(server,
+        keys[i])`` exactly, a server without a digest included, so the
+        retrieval engine's grouped check of one ceded old owner matches
+        per-key consults.  A batch longer than
+        :data:`~repro.bloom.hashing.SCALAR_BATCH_MAX` is one numpy pass."""
         digest = self.digests.get(server)
-        if digest is None or not keys:
+        if digest is None:
             return [False] * len(keys)
-        if len(keys) <= SCALAR_BATCH_MAX:
-            return [key in digest for key in keys]
+        if len(keys) <= hashing.SCALAR_BATCH_MAX:
+            return list(map(digest.contains, keys))
         return digest.contains_many(keys)
 
 

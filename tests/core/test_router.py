@@ -4,7 +4,12 @@ import collections
 
 import pytest
 
-from repro.core.router import ConsistentRouter, NaiveRouter, ProteusRouter
+from repro.core.router import (
+    ConsistentRouter,
+    NaiveRouter,
+    ProteusRouter,
+    Router,
+)
 from repro.errors import ConfigurationError, RoutingError
 from repro.experiments.testbed import SCENARIOS, scenario
 from repro.provisioning.policies import ProvisioningSchedule
@@ -115,6 +120,33 @@ class TestConsistentRouter:
     def test_rejects_too_few_total_vnodes(self):
         with pytest.raises(ConfigurationError):
             ConsistentRouter(4, total_vnodes=3)
+
+    @pytest.mark.parametrize("num_servers", [0, -3])
+    def test_rejects_an_empty_fleet_before_sizing_the_ring(self, num_servers):
+        for total in (None, 5):
+            with pytest.raises(ConfigurationError) as err:
+                ConsistentRouter(num_servers, total_vnodes=total)
+            assert str(err.value) == (
+                f"num_servers must be >= 1, got {num_servers}"
+            )
+
+    @pytest.mark.parametrize("num_servers", [1, 4, 10])
+    def test_validates_its_fleet_once(self, num_servers, monkeypatch):
+        # The ring's fleet is checked by Router.__init__, once per router.
+        calls = []
+        init = Router.__init__
+
+        def counting(self, fleet):
+            calls.append(fleet)
+            init(self, fleet)
+
+        monkeypatch.setattr(Router, "__init__", counting)
+        for router in (
+            ConsistentRouter(num_servers),
+            ConsistentRouter.quadratic_variant(num_servers),
+        ):
+            assert router.num_servers == num_servers
+        assert calls == [num_servers, num_servers]
 
 
 class TestProteusRouter:
@@ -232,15 +264,13 @@ class TestOneRouterPerScenario:
     def built_by(argv, monkeypatch):
         """The routers the CLI command *argv* builds."""
         from repro.cli import main
-        from repro.core.router import Router
 
         built = []
         init = Router.__init__
 
         def recording(self, num_servers):
             init(self, num_servers)
-            if all(router is not self for router in built):
-                built.append(self)
+            built.append(self)
 
         with monkeypatch.context() as patch:
             patch.setattr(Router, "__init__", recording)

@@ -412,3 +412,86 @@ def test_a_warm_one_key_miss_page_issues_its_fill_and_returns():
                 await server.stop()
 
     assert asyncio.run(main()) == {PAGE1_MISS_FRAMES}
+
+
+def _transition_page(page):
+    """``(paths, values, held)`` of one *page* fetched through the live
+    tier in a 3 -> 2 drain window: every key filled at 3 servers, none
+    ever routed under 2; *held* is how many of them the draining server
+    holds."""
+    bloom = optimal_config(1000)
+
+    async def database(key):
+        return b"db:" + key.encode()
+
+    async def main():
+        servers = [MemcachedServer(bloom_config=bloom) for _ in range(3)]
+        endpoints = [("127.0.0.1", await s.start()) for s in servers]
+        web = AsyncProteusFrontend(endpoints, bloom, database, pool_size=1)
+        try:
+            async with web:
+                await web.fetch_many(page)  # fill ...
+                warm = await web.fetch_many(page)  # ... and hit
+                assert {r.path for r in warm.values()} == {"hit_new"}
+                held = sum(key in servers[2].store for key in page)
+                await web.scale_to(2, ttl=60.0)
+                new_epoch = web.router.ring.compiled_for(2).owners_by_key[0]
+                assert not any(key in new_epoch for key in page)
+                results = await web.fetch_many(page)
+        finally:
+            for server in servers:
+                await server.stop()
+        return (
+            {key: result.path for key, result in results.items()},
+            {key: result.value for key, result in results.items()},
+            held,
+        )
+
+    return asyncio.run(main())
+
+
+def test_a_transition_page_routes_and_checks_digests_without_numpy(
+    monkeypatch,
+):
+    # A 16-key page in a drain window brings the new epoch 16 keys it has
+    # not routed and the draining server's digest the keys it lost: batches
+    # the scalar loop answers (SCALAR_BATCH_MAX), never numpy's fixed cost.
+    from repro.bloom.bloom import BloomFilter
+    from repro.core import router as router_module
+    from repro.core.ring import CompiledRingTable
+
+    page = KEYS[:16]
+    reached = collections.Counter()
+    numpy_paths = [
+        (router_module, "ring_positions_many"),
+        (CompiledRingTable, "lookup_many"),
+        (BloomFilter, "contains_many"),
+    ]
+
+    def sentinel(owner, name):
+        def reach(*args, **kwargs):
+            reached[name] += 1
+            raise AssertionError(f"a transition page reached {name}")
+        return reach
+
+    with monkeypatch.context() as patch:
+        for owner, name in numpy_paths:
+            patch.setattr(owner, name, sentinel(owner, name))
+        paths, values, held = _transition_page(page)
+    assert not reached
+    assert 0 < held < len(page)
+    assert {"hit_new", "hit_old"} <= set(paths.values())
+
+    # The same page with every batch vectorized answers the same.
+    def counted(name, function):
+        def count(*args, **kwargs):
+            reached[name] += 1
+            return function(*args, **kwargs)
+        return count
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "SCALAR_BATCH_MAX", 0)
+        for owner, name in numpy_paths:
+            patch.setattr(owner, name, counted(name, getattr(owner, name)))
+        assert _transition_page(page) == (paths, values, held)
+    assert set(reached) == {name for _, name in numpy_paths}

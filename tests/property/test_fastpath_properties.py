@@ -14,18 +14,27 @@ the scalar reference implementation:
   uncompiled ``HashRing.lookup`` — cold, warm, after a ring mutation and
   across a mid-batch clear of the owner dict;
 * vectorized ``add_many`` / ``contains_many`` == scalar loops, including
-  saturation/overflow accounting;
+  saturation/overflow accounting, and a snapshot's one-pass ``contains``
+  == its bits at :meth:`~repro.bloom.hashing.DoubleHashFamily.indexes`;
+* ``Transition.digest_hit_many`` == per-key ``digest_hit``;
 * a counting filter's bare-key ``add`` / ``remove`` (hashed straight
   through blake2b, no memo) == the memoized batch path's probes.
+
+The batch entry points answer a batch no longer than
+:data:`~repro.bloom.hashing.SCALAR_BATCH_MAX` key by key, so their
+properties check both branches (:data:`BRANCHES`): with the constant at
+0, every batch is vectorized, and at its value.
 """
 
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bloom import hashing
 from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import KeyHashes, ring_position
 from repro.core import router as router_module
@@ -35,11 +44,21 @@ from repro.core.router import (
     NaiveRouter,
     ProteusRouter,
 )
+from repro.core.transition import Transition
 from repro.errors import DigestError
 from tests.conftest import ring_owner, snapshot_of
 
 keys = st.text(min_size=1, max_size=24)
 key_lists = st.lists(keys, max_size=30)
+
+#: The short-batch constant at 0 (every batch takes numpy) and at its
+#: value (a batch up to it takes the scalar loop), each with fresh routers.
+BRANCHES = (0, hashing.SCALAR_BATCH_MAX)
+
+
+def branch(scalar_max):
+    """The batch entry points read the constant through ``hashing``."""
+    return mock.patch.object(hashing, "SCALAR_BATCH_MAX", scalar_max)
 
 
 # ----------------------------------------------------------- compiled tables
@@ -140,12 +159,18 @@ def test_route_many_and_route_hashed_match_route(num_servers, batch, data):
     num_active = data.draw(
         st.integers(min_value=1, max_value=num_servers)
     )
-    routers = [
-        NaiveRouter(num_servers),
-        ConsistentRouter(num_servers),
-        ProteusRouter(num_servers, ring_size=2 ** 20),
-        ProteusRouter(num_servers, 2 ** 20, replicas=2),
-    ]
+    for scalar_max in BRANCHES:
+        routers = [
+            NaiveRouter(num_servers),
+            ConsistentRouter(num_servers),
+            ProteusRouter(num_servers, ring_size=2 ** 20),
+            ProteusRouter(num_servers, 2 ** 20, replicas=2),
+        ]
+        with branch(scalar_max):
+            _check_route_many(routers, num_active, batch)
+
+
+def _check_route_many(routers, num_active, batch):
     for router in routers:
         expected = [router.route(key, num_active) for key in batch]
         assert router.route_many(batch, num_active) == expected
@@ -162,12 +187,18 @@ def test_route_many_and_route_hashed_match_route(num_servers, batch, data):
 @settings(max_examples=60, deadline=None)
 def test_read_plan_matches_replica_servers(num_servers, replicas, batch, data):
     num_active = data.draw(st.integers(min_value=1, max_value=num_servers))
-    router = ProteusRouter(num_servers, 2 ** 20, replicas=replicas)
+    for scalar_max in BRANCHES:
+        router = ProteusRouter(num_servers, 2 ** 20, replicas=replicas)
+        with branch(scalar_max):
+            _check_read_plans(router, num_servers, num_active, batch)
+
+
+def _check_read_plans(router, num_servers, num_active, batch):
     plans = router.read_plans(batch, num_active)
     assert len(plans) == len(batch)
     for key, plan in zip(batch, plans):
         owners = router.replica_servers(key, num_active)
-        assert len(owners) == replicas
+        assert len(owners) == router.replicas
         assert plan[0] == owners[0] == router.route(key, num_active)
         assert list(plan) == list(dict.fromkeys(owners))  # deduped, ring order
         assert router.read_plans([key], num_active) == [plan]
@@ -176,7 +207,7 @@ def test_read_plan_matches_replica_servers(num_servers, replicas, batch, data):
             router.ring.compiled_for(num_active).lookup(
                 hashes.ring_position(2 ** 20, replica=ring)
             )
-            for ring in range(replicas)
+            for ring in range(router.replicas)
         ]
     # The base class's plan is the one owner route_many answers with.
     naive = NaiveRouter(num_servers)
@@ -218,31 +249,41 @@ def test_memoized_route_many_matches_the_uncompiled_ring(
     # so a batch's earlier hits must not be re-read from the cleared dict.
     batch = data.draw(st.lists(st.sampled_from(pool), max_size=40))
     num_active = data.draw(st.integers(min_value=1, max_value=num_servers))
-    router = ProteusRouter(num_servers, 2 ** 20, replicas=replicas)
+    position = data.draw(st.integers(0, 2 ** 20 - 1))  # the mutation's
     memo_bound = router_module._HASH_MEMO_SIZE if bound is None else bound
-    with mock.patch.object(router_module, "_HASH_MEMO_SIZE", memo_bound):
-        for step in ("cold", "mixed", "warm", "mutated"):
-            if step == "mutated":
-                position = data.draw(st.integers(0, 2 ** 20 - 1))
-                if all(node.position != position for node in router.ring._nodes):
-                    router.ring.add(position, server=num_servers - 1)
-            routed = batch[: len(batch) // 2] if step == "cold" else batch
-            expected = [
-                _ring_owners(router, routed, num_active, replica)
-                for replica in range(replicas)
-            ]
-            for replica in range(replicas):
-                assert router.route_many(routed, num_active, replica) == (
-                    expected[replica]
-                )
-            assert router.read_plans(routed, num_active) == [
-                tuple(dict.fromkeys(owners)) for owners in zip(*expected)
-            ]
-            table = router.ring.compiled_for(num_active)
-            assert all(
-                len(memo) <= memo_bound
-                for memo in table.owners_by_key.values()
+    for scalar_max in BRANCHES:
+        router = ProteusRouter(num_servers, 2 ** 20, replicas=replicas)
+        with mock.patch.object(
+            router_module, "_HASH_MEMO_SIZE", memo_bound
+        ), branch(scalar_max):
+            _check_memoized_steps(
+                router, batch, num_active, position, memo_bound
             )
+
+
+def _check_memoized_steps(router, batch, num_active, position, memo_bound):
+    replicas = router.replicas
+    for step in ("cold", "mixed", "warm", "mutated"):
+        if step == "mutated":
+            if all(node.position != position for node in router.ring._nodes):
+                router.ring.add(position, server=router.num_servers - 1)
+        routed = batch[: len(batch) // 2] if step == "cold" else batch
+        expected = [
+            _ring_owners(router, routed, num_active, replica)
+            for replica in range(replicas)
+        ]
+        for replica in range(replicas):
+            assert router.route_many(routed, num_active, replica) == (
+                expected[replica]
+            )
+        assert router.read_plans(routed, num_active) == [
+            tuple(dict.fromkeys(owners)) for owners in zip(*expected)
+        ]
+        table = router.ring.compiled_for(num_active)
+        assert all(
+            len(memo) <= memo_bound
+            for memo in table.owners_by_key.values()
+        )
 
 
 # ------------------------------------------------------------ bloom batches
@@ -261,10 +302,40 @@ def _state(cbf):
 @settings(max_examples=80, deadline=None)
 def test_bloom_batch_matches_scalar(num_bits, num_hashes, inserts, probes):
     digest = snapshot_of(inserts, num_bits, num_hashes)
-    expected = [key in digest for key in probes]
-    assert digest.contains_many(probes) == expected
-    for key, want in zip(probes, expected):
-        assert digest.contains(key) == want
+    bits = digest.to_bytes()
+    # The wire format: a key is in when every probe position's bit is set.
+    expected = [
+        all(bits[i >> 3] >> (i & 7) & 1 for i in digest._family.indexes(key))
+        for key in probes + inserts
+    ]
+    assert [key in digest for key in probes + inserts] == expected
+    assert expected[len(probes):] == [True] * len(inserts)
+    assert digest.contains_many(probes) == expected[: len(probes)]
+
+
+@given(
+    num_bits=st.integers(min_value=1, max_value=256),
+    num_hashes=st.integers(min_value=1, max_value=5),
+    members=st.lists(key_lists, min_size=1, max_size=3),
+    probes=st.lists(keys, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_digest_hit_many_matches_digest_hit(
+    num_bits, num_hashes, members, probes
+):
+    # Server i broadcast the digest of members[i]; the last server sent
+    # none, so its keys read all-False.
+    digests = {
+        server: snapshot_of(claims, num_bits, num_hashes)
+        for server, claims in enumerate(members)
+    }
+    transition = Transition(len(members) + 1, 1, 0.0, 60.0, digests)
+    for scalar_max, server in product(BRANCHES, range(len(members) + 1)):
+        batch = probes + members[server] if server in digests else probes
+        with branch(scalar_max):
+            assert transition.digest_hit_many(server, batch) == [
+                transition.digest_hit(server, key) for key in batch
+            ]
 
 
 @given(

@@ -21,9 +21,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 CEILINGS = {
     "core/ring.py": 265,
     "core/placement.py": 152,
-    "core/router.py": 300,
+    "core/router.py": 297,
     "core/hotkey.py": 268,
-    "core/transition.py": 247,
+    "core/transition.py": 244,
     "core/retrieval.py": 792,
     "web/frontend.py": 225,
     "net/webtier.py": 351,
@@ -44,7 +44,7 @@ CEILINGS = {
     "net/server.py": 408,
 }
 #: every line under src/repro — code size has a ratchet of its own
-TREE_CEILING = 11_026
+TREE_CEILING = 11_020
 
 
 @pytest.mark.parametrize("relative", sorted(CEILINGS))
